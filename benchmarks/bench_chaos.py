@@ -53,13 +53,7 @@ except ImportError:  # running from a checkout without `pip install -e .`
 
 import numpy as np
 
-from repro.service import (
-    BatchPolicy,
-    ClusterConfig,
-    ClusterService,
-    FaultEvent,
-    RoundRobinRouter,
-)
+from repro.service import ClusterConfig, ClusterService, FaultEvent
 from repro.workloads import (
     CHAOS_SCENARIOS,
     ChaosScenario,
@@ -78,10 +72,10 @@ ADMISSION_WINDOW_S = 5e-3
 #: The phase whose p99 is the kill-window tail in the replica-kill runs.
 OUTAGE_PHASE = 1
 
-#: Batch policy for every run: a 5ms flush deadline keeps enough work
+#: Batching knobs for every run: a 5ms flush deadline keeps enough work
 #: pending that a kill visibly strands queries (with the 1ms default, the
 #: stranded set is too small a fraction of the outage phase to reach p99).
-POLICY = BatchPolicy(max_batch_size=4096, max_wait_s=5e-3)
+BATCHING = {"max_batch_size": 4096, "max_wait_s": 5e-3}
 
 
 def report_row(name: str, report, n_replicas: int) -> dict:
@@ -203,12 +197,10 @@ def main(argv=None) -> int:
     kill = make_chaos_scenario(
         "chaos-replica-kill", scale=args.scale, seed=args.seed
     )
-    control_cluster = ClusterService(config=ClusterConfig(
-        n_replicas=args.replicas,
-        max_batch_size=POLICY.max_batch_size,
-        max_wait_s=POLICY.max_wait_s,
-        max_pending=args.max_pending,
-    ))
+    base = ClusterConfig(
+        n_replicas=args.replicas, max_pending=args.max_pending, **BATCHING
+    )
+    control_cluster = ClusterService(config=base)
     control = replay(
         control_cluster,
         kill.scenario,
@@ -227,10 +219,7 @@ def main(argv=None) -> int:
         chaos = make_chaos_scenario(name, scale=args.scale, seed=args.seed)
         report = replay_chaos(
             chaos,
-            n_replicas=n,
-            policy=POLICY,
-            max_pending=args.max_pending,
-            hedge_delay_s=hedge_delay_s,
+            config=base.derive(n_replicas=n, hedge_delay_s=hedge_delay_s),
             admission_window_s=ADMISSION_WINDOW_S,
             check_answers=True,
         )
@@ -247,11 +236,7 @@ def main(argv=None) -> int:
     ):
         slow_report = replay_chaos(
             slow,
-            n_replicas=args.replicas,
-            policy=POLICY,
-            max_pending=args.max_pending,
-            router=RoundRobinRouter(),
-            hedge_delay_s=delay,
+            config=base.derive(router="round-robin", hedge_delay_s=delay),
             admission_window_s=ADMISSION_WINDOW_S,
             check_answers=True,
         )

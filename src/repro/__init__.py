@@ -26,8 +26,8 @@ queries are coalesced into micro-batches on a deterministic simulated clock,
 and each batch is dispatched to the backend (CPU or simulated GPU) the device
 cost model prices cheapest for its size.
 
->>> from repro.service import BatchPolicy, LCAQueryService
->>> svc = LCAQueryService(policy=BatchPolicy(max_batch_size=256, max_wait_s=1e-3))
+>>> from repro.service import LCAQueryService, ServiceConfig
+>>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=256, max_wait_s=1e-3))
 >>> svc.register_tree("demo", parents)
 >>> tickets = [svc.submit("demo", 5, 7, at=i * 1e-6) for i in range(3)]
 >>> svc.drain()
@@ -113,7 +113,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

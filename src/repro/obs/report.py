@@ -515,7 +515,12 @@ def dispatch_error_summary(table: TraceTable) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Replay a scenario with tracing on; print and export the analyses."""
-    from ..service import BatchPolicy, ClusterService, LCAQueryService
+    from ..service import (
+        ClusterConfig,
+        ClusterService,
+        LCAQueryService,
+        ServiceConfig,
+    )
     from ..workloads import make_scenario
     from ..workloads.replay import replay
     from .events import TraceRecorder
@@ -550,19 +555,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    policy = BatchPolicy(max_batch_size=256, max_wait_s=2e-4)
     cache_bytes = args.answer_cache_kib * 1024 or None
     recorder = TraceRecorder(sample=args.sample)
     target: object
     if args.replicas > 1:
         target = ClusterService(
-            args.replicas,
-            policy=policy,
-            max_pending=args.max_pending,
-            answer_cache_bytes=cache_bytes,
+            config=ClusterConfig(
+                n_replicas=args.replicas,
+                max_batch_size=256,
+                max_wait_s=2e-4,
+                max_pending=args.max_pending,
+                answer_cache_bytes=cache_bytes,
+            )
         )
     else:
-        target = LCAQueryService(policy=policy, answer_cache_bytes=cache_bytes)
+        target = LCAQueryService(
+            config=ServiceConfig(
+                max_batch_size=256, max_wait_s=2e-4, answer_cache_bytes=cache_bytes
+            )
+        )
     scenario = make_scenario(args.scenario, scale=args.scale, seed=args.seed)
     report = replay(target, scenario, observer=recorder)  # type: ignore[arg-type]
     table = recorder.table()

@@ -28,8 +28,9 @@ bulk; this subpackage turns that observation into a serving architecture:
 * :class:`~repro.service.service.LCAQueryService` — the façade wiring all of
   the above together; tickets index growable columnar answer/latency tables,
   so ``submit_many`` admission and ``results``/``latencies`` resolution are
-  vectorized end to end (``submit`` is a single-row wrapper over the same
-  core);
+  vectorized end to end (``submit`` is the separate scalar path for
+  one-query-at-a-time callers); every knob arrives through one
+  :class:`~repro.service.config.ServiceConfig` passed as ``config=``;
 * :class:`~repro.service.cluster.ClusterService` — N replica workers behind
   one front door: consistent-hash placement with replication
   (:class:`~repro.service.routing.HashRing`), pluggable load-aware routing

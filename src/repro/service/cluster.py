@@ -70,7 +70,7 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..errors import InvalidQueryError, Overloaded, ReplicaDown, ServiceError
+from ..errors import Overloaded, ReplicaDown, ServiceError
 from ..graphs.trees import validate_parents
 from ..obs.events import (
     EV_FAULT,
@@ -83,15 +83,15 @@ from ..obs.events import (
 )
 from .cache import MIN_CACHE_BYTES
 from .clock import SimulatedClock
-from .config import ClusterConfig, ServiceConfig
+from .config import ClusterConfig
 from .dispatch import (
     CostModelDispatcher,
     dispatcher_for,
     load_calibration_profile,
 )
 from .faults import FaultEvent, FaultInjector
-from .routing import HashRing, LeastOutstandingRouter, Router, make_router
-from .scheduler import BatchPolicy, FlushedBatch
+from .routing import HashRing, Router, make_router
+from .scheduler import FlushedBatch
 from .service import LCAQueryService, block_clean_prefix
 from .stats import ServiceStats, dedup_factor, grow_table, hit_rate
 
@@ -251,68 +251,34 @@ class ClusterService:
 
     Parameters
     ----------
-    n_replicas:
-        Number of replica workers.  Each owns its schedulers, dispatcher
-        (hence its own modeled CPU/GPU pair) and index-registry slice.
     config:
         A :class:`~repro.service.config.ClusterConfig` carrying every
-        serializable knob (including ``n_replicas`` and the router policy
-        name) in one value.  Mutually exclusive with ``n_replicas`` and
-        the legacy per-knob kwargs: passing ``config=`` together with any
-        of them raises :class:`~repro.errors.ServiceError`.  Either way
-        the cluster normalizes onto one internal config, exposed as
-        :attr:`config`.
-    policy:
-        Micro-batching policy applied to every worker's schedulers.
-    router:
-        Routing policy choosing which copy of a dataset serves each query:
-        a :class:`~repro.service.routing.Router` instance or one of the
-        :data:`~repro.service.routing.ROUTER_POLICIES` string keys
-        (resolved through :func:`~repro.service.routing.make_router`).
-        Defaults to :class:`~repro.service.routing.LeastOutstandingRouter`.
+        serializable knob in one value — replica count, batching policy,
+        router policy name, the cluster-wide cache budgets (split evenly
+        across the workers; the answer caches' bytes come out of
+        ``capacity_bytes`` when both are set), dedup, the ``max_pending``
+        admission bound, start time, hedging delay and retry cap.
+        Defaults to ``ClusterConfig()``; exposed as :attr:`config`.
     dispatcher_factory:
         Zero-argument callable building each worker's dispatcher (called
-        once per replica so workers never share memoization state).
-    capacity_bytes:
-        Cluster-wide cache byte budget, split evenly across the workers'
-        registries.  ``None`` means unbounded.  When ``answer_cache_bytes``
-        is also set, the answer caches' bytes come out of this budget: the
-        index registries split what remains.
-    dedup:
-        Enable the skew-aware canonicalization + intra-batch dedup path on
-        every worker (see :class:`LCAQueryService`).
-    answer_cache_bytes:
-        Cluster-wide answer-cache budget, split evenly into one
-        :class:`~repro.service.cache.AnswerCache` per replica worker
-        (implies ``dedup``).  ``None`` (the default) disables the caches.
-    max_pending:
-        Cluster-wide bound on queued queries.  Submissions that would
-        exceed it raise :class:`~repro.errors.Overloaded` and are counted
-        as shed.  ``None`` disables admission control.
-    start_time:
-        Initial simulated time for the cluster and every worker clock.
+        once per replica so workers never share memoization state); by
+        default each worker gets the dispatcher ``config`` describes.
     fault_injector:
         Optional :class:`~repro.service.faults.FaultInjector` whose
         schedule is applied as simulated time passes.  A cluster with an
         *empty* injector behaves bit-identically to one with ``None`` —
         all liveness state lives here, the injector only carries the
         schedule.
-    hedge_delay_s:
-        Enable hedged dispatch: a batch whose queueing delay on its lane
-        exceeds this many simulated seconds is re-issued to another live
-        copy and the earlier completion wins.  Derive it from a fault-free
-        p99 for the classic tail-cutting policy.  ``None`` (default)
-        disables hedging.
-    max_retries:
-        Per-query cap on failover re-dispatches before
-        :class:`~repro.errors.ReplicaDown` is raised.
+    observer:
+        Optional trace recorder shared by every worker (see
+        :meth:`attach_observer`).
 
     Usage
     -----
     >>> import numpy as np
     >>> from repro.graphs.generators import random_attachment_tree
-    >>> from repro.service import ClusterService
-    >>> cluster = ClusterService(4)
+    >>> from repro.service import ClusterConfig, ClusterService
+    >>> cluster = ClusterService(config=ClusterConfig(n_replicas=4))
     >>> placement = cluster.register_tree("t", random_attachment_tree(64, seed=0),
     ...                                   replicas=4)
     >>> tickets = cluster.submit_many("t", [1, 3, 5], [2, 4, 6],
@@ -323,77 +289,17 @@ class ClusterService:
 
     def __init__(
         self,
-        n_replicas: Optional[int] = None,
         *,
         config: Optional[ClusterConfig] = None,
-        policy: Optional[BatchPolicy] = None,
-        router: Optional[Union[Router, str]] = None,
         dispatcher_factory: Optional[Callable[[], CostModelDispatcher]] = None,
-        capacity_bytes: Optional[int] = None,
-        max_pending: Optional[int] = None,
-        start_time: Optional[float] = None,
-        dedup: Optional[bool] = None,
-        answer_cache_bytes: Optional[int] = None,
-        observer: Optional[TraceRecorder] = None,
         fault_injector: Optional[FaultInjector] = None,
-        hedge_delay_s: Optional[float] = None,
-        max_retries: Optional[int] = None,
+        observer: Optional[TraceRecorder] = None,
     ) -> None:
-        # Single normalization path: legacy kwargs build the same
-        # ClusterConfig a config= caller passes, and everything below reads
-        # from the config.  A custom Router *instance* is the one knob a
-        # config cannot carry (it is not serializable); the instance is
-        # used directly and the config records its policy name.
-        router_obj: Optional[Router] = None
-        if config is not None:
-            conflicts = [
-                name for name, given in (
-                    ("n_replicas", n_replicas is not None),
-                    ("policy", policy is not None),
-                    ("router", router is not None),
-                    ("capacity_bytes", capacity_bytes is not None),
-                    ("max_pending", max_pending is not None),
-                    ("start_time", start_time is not None),
-                    ("dedup", dedup is not None),
-                    ("answer_cache_bytes", answer_cache_bytes is not None),
-                    ("hedge_delay_s", hedge_delay_s is not None),
-                    ("max_retries", max_retries is not None),
-                ) if given
-            ]
-            if conflicts:
-                raise ServiceError(
-                    f"pass configuration via config= or the legacy kwargs, "
-                    f"not both (conflicting: {', '.join(conflicts)})"
-                )
-            router_obj = make_router(config.router)
-        else:
-            if n_replicas is None:
-                raise ServiceError(
-                    "pass n_replicas (or a full ClusterConfig via config=)"
-                )
-            if isinstance(router, str):
-                router_obj = make_router(router)
-            elif router is not None:
-                router_obj = router
-            else:
-                router_obj = LeastOutstandingRouter()
-            base = policy or BatchPolicy()
-            config = ClusterConfig(
-                n_replicas=int(n_replicas),
-                max_batch_size=base.max_batch_size,
-                max_wait_s=base.max_wait_s,
-                router=router_obj.name,
-                capacity_bytes=capacity_bytes,
-                max_pending=max_pending,
-                start_time=0.0 if start_time is None else float(start_time),
-                dedup=bool(dedup) if dedup is not None else False,
-                answer_cache_bytes=answer_cache_bytes,
-                hedge_delay_s=hedge_delay_s,
-                max_retries=3 if max_retries is None else int(max_retries),
-            )
+        if config is None:
+            config = ClusterConfig()
         self.config = config
         n_workers = int(config.n_replicas)
-        self.router: Router = router_obj
+        self.router: Router = make_router(config.router)
         self.ring = HashRing(range(n_workers))
         self.clock = SimulatedClock(config.start_time)
         self._max_pending = config.max_pending
@@ -528,7 +434,7 @@ class ClusterService:
     def n_replicas(self) -> int:
         """Number of replica workers.
 
-        >>> ClusterService(4).n_replicas
+        >>> ClusterService(config=ClusterConfig(n_replicas=4)).n_replicas
         4
         """
         return len(self._replicas)
@@ -537,7 +443,7 @@ class ClusterService:
     def n_active(self) -> int:
         """Replicas not yet retired (alive or temporarily killed).
 
-        >>> ClusterService(4).n_active
+        >>> ClusterService(config=ClusterConfig(n_replicas=4)).n_active
         4
         """
         return sum(1 for retired in self._retired if not retired)
@@ -546,7 +452,7 @@ class ClusterService:
     def n_live(self) -> int:
         """Replicas currently able to serve (active and not killed).
 
-        >>> ClusterService(4).n_live
+        >>> ClusterService(config=ClusterConfig(n_replicas=4)).n_live
         4
         """
         return sum(1 for alive in self._alive if alive)
@@ -555,7 +461,7 @@ class ClusterService:
     def replicas(self) -> Tuple[LCAQueryService, ...]:
         """The replica workers, in replica-id order (read-only tuple).
 
-        >>> workers = ClusterService(2).replicas
+        >>> workers = ClusterService(config=ClusterConfig(n_replicas=2)).replicas
         >>> len(workers)
         2
         """
@@ -566,7 +472,7 @@ class ClusterService:
         """Names of all registered datasets.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> cluster.datasets
         ['t']
@@ -583,7 +489,7 @@ class ClusterService:
         when the submission raised :class:`~repro.errors.Overloaded`.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> _ = cluster.submit_many("t", [1, 2], [2, 1])
         >>> cluster.tickets_issued
@@ -595,7 +501,7 @@ class ClusterService:
         """Replica ids holding ``dataset``, in placement order.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(4)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=4))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]), on=[1, 3])
         >>> cluster.placement("t")
         (1, 3)
@@ -623,7 +529,7 @@ class ClusterService:
         how many copies exist — every copy shares the loaded array.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(4)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=4))
         >>> cluster.register_tree("pinned", np.array([-1, 0]), on=[0, 2])
         (0, 2)
         >>> ringed = cluster.register_tree("ringed", np.array([-1, 0]),
@@ -691,7 +597,7 @@ class ClusterService:
         rebuilds them lazily on first use, exactly like a cold start.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]), replicas=2)
         >>> cluster.add_replica()
         2
@@ -742,7 +648,7 @@ class ClusterService:
         tickets stay resolvable against the retired worker's results.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(3)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=3))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]), replicas=2)
         >>> cluster.retire_replica(cluster.placement("t")[0])
         >>> cluster.n_active
@@ -807,7 +713,7 @@ class ClusterService:
         got to.  Returns the affected replica ids, in order.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]), replicas=0)
         >>> cluster.scale_to(4)
         (2, 3)
@@ -903,7 +809,7 @@ class ClusterService:
         while down.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> cluster.advance_to(1.0)
         >>> cluster.replica_seconds()
         2.0
@@ -928,76 +834,22 @@ class ClusterService:
     ) -> int:
         """Submit one LCA query through the router; returns a cluster ticket.
 
-        Mirrors :meth:`LCAQueryService.submit` (validation first, then time,
-        then admission): a bad query is rejected at its own call, a
-        submission past ``max_pending`` raises
-        :class:`~repro.errors.Overloaded`, and the arrival pre-advances
-        every worker to ``t`` so routing and admission observe
-        ``t``-fresh queue depths.
+        A one-row :meth:`submit_many`: the same validation, fault
+        application, liveness filter, admission control and routing, and —
+        with the answer cache on — the same front-door memoization.  A bad
+        query is rejected at its own call and a submission past
+        ``max_pending`` raises :class:`~repro.errors.Overloaded`.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0, 1]))
         >>> ticket = cluster.submit("t", 2, 3)
         >>> cluster.drain(); cluster.result(ticket)
         0
         """
-        copies = self._copies(dataset)
-        n = self._dataset_size(dataset)
-        if not (0 <= int(x) < n and 0 <= int(y) < n):
-            raise InvalidQueryError(
-                f"query nodes ({x}, {y}) out of range for dataset {dataset!r} "
-                f"with {n} nodes"
-            )
-        t = self.clock.now if at is None else float(at)
-        if t < self.clock.now:
-            raise ServiceError(
-                f"cannot move the clock backwards (now={self.clock.now}, "
-                f"requested={t})"
-            )
-        if self.fault_injector is not None:
-            self._apply_faults(t)
-            copies = self._copies(dataset)
-        for replica in self._replicas:
-            replica.advance_to(t, joining=dataset)
-        # The arrival moved observable time even if the query ends up shed:
-        # advancing the cluster frontier with the workers keeps the clocks
-        # in sync, so a drain() or a later legally-timestamped submission
-        # after an Overloaded rejection still works.
-        self.clock.advance_to(t)
-        if not self._all_alive:
-            live = self._live(copies)
-            if not live:
-                raise ReplicaDown(
-                    f"all {len(copies)} copies of dataset {dataset!r} are "
-                    f"down",
-                    dataset=dataset,
-                    queries=1,
-                )
-            copies = live
-        if self._max_pending is not None:
-            pending = self.pending_count()
-            if pending + 1 > self._max_pending:
-                self._shed += 1
-                if self._observer is not None:
-                    self._observer.record(EV_SHED, t, replica=-1, detail=1.0)
-                raise Overloaded(
-                    f"cluster queue is full (pending={pending}, "
-                    f"max_pending={self._max_pending}); 1 query shed",
-                    pending=pending,
-                    capacity=self._max_pending,
-                    admitted=0,
-                    shed=1,
-                )
-        target = self.router.route_one(dataset, copies, self._outstanding(copies))
-        local = self._replicas[target].submit(dataset, int(x), int(y), at=t)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._ensure_ticket_capacity(self._next_ticket)
-        self._ticket_replica[ticket] = target
-        self._ticket_local[ticket] = local
-        self._drain_failed()
-        return ticket
+        arrival = None if at is None else np.array([at], dtype=np.float64)
+        tickets = self.submit_many(dataset, np.array([x]), np.array([y]), at=arrival)
+        return int(tickets[0])
 
     def submit_many(
         self,
@@ -1022,7 +874,7 @@ class ClusterService:
         submission lets admission observe mid-stream flushes.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0, 1]))
         >>> tickets = cluster.submit_many("t", [1, 2], [3, 3],
         ...                               at=np.array([0.0, 1e-6]))
@@ -1126,7 +978,7 @@ class ClusterService:
         one-time index build (which would otherwise dominate short streams).
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> cluster.warm("t")
         >>> cluster.stats().cache_misses > 0   # indexes were prebuilt
@@ -1143,9 +995,8 @@ class ClusterService:
         """Advance the whole cluster, serving every wait-expired batch.
 
         >>> import numpy as np
-        >>> from repro.service import BatchPolicy
-        >>> cluster = ClusterService(2, policy=BatchPolicy(max_batch_size=8,
-        ...                                                max_wait_s=1e-3))
+        >>> cluster = ClusterService(config=ClusterConfig(
+        ...     n_replicas=2, max_batch_size=8, max_wait_s=1e-3))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> ticket = cluster.submit("t", 1, 2, at=0.0)
         >>> cluster.advance_to(2e-3)    # past the 1 ms wait deadline
@@ -1167,7 +1018,7 @@ class ClusterService:
         which worker each query was routed to.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> _ = cluster.submit_many("t", [1, 2], [2, 1])
         >>> cluster.drain()
@@ -1198,9 +1049,8 @@ class ClusterService:
         """Queries currently queued (for one dataset, or cluster-wide).
 
         >>> import numpy as np
-        >>> from repro.service import BatchPolicy
-        >>> cluster = ClusterService(2, policy=BatchPolicy(max_batch_size=8,
-        ...                                                max_wait_s=1.0))
+        >>> cluster = ClusterService(config=ClusterConfig(
+        ...     n_replicas=2, max_batch_size=8, max_wait_s=1.0))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> _ = cluster.submit("t", 1, 2)
         >>> cluster.pending_count("t"), cluster.pending_count()
@@ -1220,23 +1070,14 @@ class ClusterService:
         """The answer for one cluster ticket (its batch must have served).
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> ticket = cluster.submit("t", 1, 2)
         >>> cluster.drain()
         >>> cluster.result(ticket)
         0
         """
-        t = int(ticket)
-        if not 0 <= t < self._next_ticket:
-            raise ServiceError(f"unknown ticket {ticket}")
-        replica = self._replicas[int(self._ticket_replica[t])]
-        local = int(self._ticket_local[t])
-        if not replica.answered(local)[0]:
-            raise ServiceError(
-                f"ticket {ticket} is still queued; advance time or drain()"
-            )
-        return replica.result(local)
+        return int(self.results(ticket)[0])
 
     def results(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of answers for a sequence of cluster tickets.
@@ -1245,17 +1086,14 @@ class ClusterService:
         ticket in the sequence, exactly as :meth:`result` would.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0, 1]))
         >>> tickets = cluster.submit_many("t", [3, 2], [1, 3])
         >>> cluster.drain()
         >>> cluster.results(tickets).tolist()
         [1, 0]
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        if idx.size == 0:
-            return np.empty(0, dtype=np.int64)
-        self._check_answered(idx)
+        idx = self._ticket_index(tickets)
         out = np.empty(idx.size, dtype=np.int64)
         for replica_id, sel in self._by_replica(idx):
             worker = self._replicas[replica_id]
@@ -1266,33 +1104,27 @@ class ClusterService:
         """Modeled end-to-end latency of one answered query.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> ticket = cluster.submit("t", 1, 2)
         >>> cluster.drain()
         >>> cluster.latency(ticket) > 0.0
         True
         """
-        self.result(ticket)  # raises uniformly for unknown/queued tickets
-        t = int(ticket)
-        replica = self._replicas[int(self._ticket_replica[t])]
-        return replica.latency(int(self._ticket_local[t]))
+        return float(self.latencies(ticket)[0])
 
     def latencies(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of modeled latencies for a sequence of answered tickets.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> tickets = cluster.submit_many("t", [1, 2], [2, 1])
         >>> cluster.drain()
         >>> bool((cluster.latencies(tickets) > 0.0).all())
         True
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        if idx.size == 0:
-            return np.empty(0, dtype=np.float64)
-        self._check_answered(idx)
+        idx = self._ticket_index(tickets)
         out = np.empty(idx.size, dtype=np.float64)
         for replica_id, sel in self._by_replica(idx):
             worker = self._replicas[replica_id]
@@ -1306,7 +1138,7 @@ class ClusterService:
         """Aggregate the replicas' statistics into one cluster snapshot.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> _ = cluster.submit_many("t", [1, 2], [2, 1])
         >>> cluster.drain()
@@ -1413,7 +1245,8 @@ class ClusterService:
         Returns :attr:`config` after the call.
 
         >>> import numpy as np
-        >>> cluster = ClusterService(2, max_pending=64)
+        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2,
+        ...                                               max_pending=64))
         >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
         >>> cluster.apply_tuning(max_batch_size=32,
         ...                      max_pending=128).max_pending
@@ -1519,7 +1352,14 @@ class ClusterService:
         for i, replica_id in enumerate(uniq):
             yield int(replica_id), order[bounds[i]:bounds[i + 1]]
 
-    def _check_answered(self, idx: np.ndarray) -> None:
+    def _ticket_index(self, tickets: ArrayLike) -> np.ndarray:
+        """Validated cluster tickets; the one place read-back errors live.
+
+        Raises :class:`ServiceError` for the first unknown ticket, then for
+        the first whose batch no replica has served yet — in the caller's
+        order, whichever workers the tickets map to.
+        """
+        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
         unknown = (idx < 0) | (idx >= self._next_ticket)
         if unknown.any():
             raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
@@ -1532,6 +1372,7 @@ class ClusterService:
                 f"ticket {idx[int(queued.argmax())]} is still queued; "
                 f"advance time or drain()"
             )
+        return idx
 
     # ------------------------------------------------------------------
     # Fault tolerance internals

@@ -1,11 +1,11 @@
 """Typed, serializable configuration objects for the serving stack.
 
-The serving layers grew one keyword argument at a time:
-:class:`~repro.service.service.LCAQueryService` and
-:class:`~repro.service.cluster.ClusterService` each take a hand-set sprawl
-of knobs (batch policy, cache budgets, dedup, admission limit, hedging,
-retries, router policy).  :class:`ServiceConfig` and :class:`ClusterConfig`
-consolidate that sprawl into frozen dataclasses that
+Every knob of :class:`~repro.service.service.LCAQueryService` and
+:class:`~repro.service.cluster.ClusterService` (batch policy, cache budgets,
+dedup, admission limit, hedging, retries, router policy) lives on
+:class:`ServiceConfig` / :class:`ClusterConfig` — ``config=`` is the only
+way to set one; the constructors otherwise take live collaborators only.
+The configs are frozen dataclasses that
 
 * validate eagerly (construction reuses the same checks the services run,
   so a bad config fails where it is written, not where it is used);
@@ -155,10 +155,15 @@ class ServiceConfig(_ConfigBase):
     max_wait_s: float = 1e-3
     #: Index-cache byte budget (``None`` = unbounded).
     capacity_bytes: Optional[int] = None
-    #: Skew-aware canonicalization + intra-batch dedup path.
+    #: Skew-aware path: each batch's pairs are canonicalized (``x <= y``),
+    #: packed and deduplicated; the kernel runs on — and the dispatcher
+    #: prices — the unique pairs only.  Answers are bit-identical either way.
     dedup: bool = False
-    #: Answer-cache byte budget (``None`` disables; implies ``dedup``).
+    #: Answer-cache byte budget (``None`` disables; implies ``dedup``): a
+    #: bounded exact hash table, so a pair repeated *across* batches costs
+    #: one probe instead of a kernel run.
     answer_cache_bytes: Optional[int] = None
+    #: Salt seed for the answer cache's slot hash.
     answer_cache_seed: int = 0
     #: Pre-sizing of the ticket-indexed result tables (``None`` = grow).
     ticket_capacity: Optional[int] = None
@@ -203,9 +208,7 @@ class ClusterConfig(_ConfigBase):
     ``router`` is a policy *name* (one of
     :data:`~repro.service.routing.ROUTER_POLICIES`, resolved through
     :func:`~repro.service.routing.make_router` at construction), not an
-    instance — that is what keeps the whole config JSON-serializable.  A
-    custom :class:`~repro.service.routing.Router` instance can still be
-    passed to :class:`ClusterService` via the legacy ``router=`` kwarg.
+    instance — that is what keeps the whole config JSON-serializable.
 
     >>> cfg = ClusterConfig(n_replicas=4, router="round-robin",
     ...                     max_pending=8192)
@@ -229,8 +232,11 @@ class ClusterConfig(_ConfigBase):
     dedup: bool = False
     #: Cluster-wide answer-cache budget, split per replica (implies dedup).
     answer_cache_bytes: Optional[int] = None
-    #: Hedged-dispatch delay (``None`` disables hedging).
+    #: Hedged-dispatch delay: a batch queueing on its lane longer than this
+    #: is re-issued to another live copy and the earlier completion wins
+    #: (``None`` disables hedging).
     hedge_delay_s: Optional[float] = None
+    #: Per-query cap on failover re-dispatches before ``ReplicaDown``.
     max_retries: int = 3
     #: Backend keys every worker's dispatcher prices (``None`` = defaults).
     backends: Optional[Tuple[str, ...]] = None

@@ -42,6 +42,7 @@ bit-identical with the fast path on or off.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -97,7 +98,9 @@ def block_clean_prefix(
     """Admissible prefix of a column block, with the first offender's error.
 
     Replicates the per-query loop's error semantics in bulk: one fused
-    bounds check finds every out-of-range query, a backwards arrival is an
+    bounds check finds every out-of-range query, a non-finite arrival
+    (NaN would stall the scheduler's chunking loop, ``inf`` would strand
+    the clock) is one ``isfinite`` pass, a backwards arrival is an
     adjacent-difference check against ``now``, and the earliest offender
     wins.  Returns ``(stop, error)`` — admit ``[:stop]``, then raise
     ``error`` (``None`` when the whole block is clean).
@@ -114,6 +117,13 @@ def block_clean_prefix(
         error = InvalidQueryError(
             f"query nodes ({xs[stop]}, {ys[stop]}) out of range for "
             f"dataset {dataset!r} with {n} nodes"
+        )
+    finite = np.isfinite(arrivals)
+    if not finite[:stop].all():
+        stop = int(finite.argmin())
+        error = ServiceError(
+            f"arrival timestamps must be finite, got {float(arrivals[stop])} "
+            f"at position {stop}"
         )
     moved_back = np.empty(xs.size, dtype=bool)
     moved_back[0] = arrivals[0] < now
@@ -137,40 +147,17 @@ class LCAQueryService:
         Raw dataset store; a fresh empty one by default.
     config:
         A :class:`~repro.service.config.ServiceConfig` carrying every
-        serializable knob in one value.  Mutually exclusive with the
-        legacy per-knob kwargs below (``policy``, ``capacity_bytes``,
-        ``dedup``, ``answer_cache_bytes``, ``answer_cache_seed``,
-        ``ticket_capacity``): passing ``config=`` together with a
-        non-default legacy value raises :class:`~repro.errors.ServiceError`.
-        Either way the service normalizes onto one internal config,
-        exposed as :attr:`config`.
-    policy:
-        Micro-batching policy applied to every dataset's scheduler.
+        serializable knob in one value (batching policy, index-cache and
+        answer-cache budgets, dedup, ticket pre-sizing, backend set);
+        defaults to ``ServiceConfig()``.  Exposed as :attr:`config`.
     dispatcher:
-        Backend-choice policy; defaults to CPU-vs-GPU under the roofline
-        cost model.
-    capacity_bytes:
-        Optional index-cache capacity (see :class:`IndexRegistry`).
+        Backend-choice policy; defaults to the one ``config`` describes
+        (CPU-vs-GPU under the roofline cost model unless it names backends
+        or a calibration profile).
     clock:
         Simulated time source shared by all schedulers.
-    dedup:
-        Enable the skew-aware canonicalization path: each batch's pairs are
-        sorted to ``x <= y``, packed into uint64 keys and deduplicated, the
-        kernel runs on the *unique* pairs only (the dispatcher prices that
-        unique count, so the CPU/GPU crossover shifts under skew) and the
-        answers are scattered back.  Answers are bit-identical either way
-        (LCA is symmetric); off by default.
-    answer_cache_bytes:
-        Enable the answer cache with this byte budget (implies ``dedup``):
-        a bounded, exact, vectorized hash table
-        (:class:`~repro.service.cache.AnswerCache`) consulted and populated
-        per batch, so pairs repeated *across* batches cost one probe instead
-        of a kernel run.  ``None`` (the default) disables it.
-    answer_cache_seed:
-        Salt seed for the answer cache's slot hash.
-    ticket_capacity:
-        Optional pre-sizing of the ticket-indexed result tables (capacity
-        planning for long streams; growth stays amortized O(1) without it).
+    observer:
+        Optional lifecycle trace recorder (see :meth:`attach_observer`).
 
     Usage
     -----
@@ -187,45 +174,11 @@ class LCAQueryService:
 
     def __init__(self, store: Optional[ForestStore] = None, *,
                  config: Optional[ServiceConfig] = None,
-                 policy: Optional[BatchPolicy] = None,
                  dispatcher: Optional[CostModelDispatcher] = None,
-                 capacity_bytes: Optional[int] = None,
                  clock: Optional[SimulatedClock] = None,
-                 dedup: bool = False,
-                 answer_cache_bytes: Optional[int] = None,
-                 answer_cache_seed: int = 0,
-                 ticket_capacity: Optional[int] = None,
                  observer: Optional[TraceRecorder] = None) -> None:
-        # Single normalization path: legacy kwargs build the same
-        # ServiceConfig a config= caller passes; everything below reads
-        # from the config only.
-        if config is not None:
-            conflicts = [
-                name for name, given in (
-                    ("policy", policy is not None),
-                    ("capacity_bytes", capacity_bytes is not None),
-                    ("dedup", bool(dedup)),
-                    ("answer_cache_bytes", answer_cache_bytes is not None),
-                    ("answer_cache_seed", answer_cache_seed != 0),
-                    ("ticket_capacity", ticket_capacity is not None),
-                ) if given
-            ]
-            if conflicts:
-                raise ServiceError(
-                    f"pass configuration via config= or the legacy kwargs, "
-                    f"not both (conflicting: {', '.join(conflicts)})"
-                )
-        else:
-            base = policy or BatchPolicy()
-            config = ServiceConfig(
-                max_batch_size=base.max_batch_size,
-                max_wait_s=base.max_wait_s,
-                capacity_bytes=capacity_bytes,
-                dedup=bool(dedup),
-                answer_cache_bytes=answer_cache_bytes,
-                answer_cache_seed=int(answer_cache_seed),
-                ticket_capacity=ticket_capacity,
-            )
+        if config is None:
+            config = ServiceConfig()
         self.config = config
         self.clock = clock or SimulatedClock()
         self._observer: Optional[TraceRecorder] = None
@@ -545,7 +498,13 @@ class LCAQueryService:
                 f"query nodes ({x}, {y}) out of range for dataset {dataset!r} "
                 f"with {n} nodes"
             )
-        t = self.clock.now if at is None else float(at)
+        if at is None:
+            t = self.clock.now
+        else:
+            t = float(at)
+            if not math.isfinite(t):
+                raise ServiceError(
+                    f"arrival timestamps must be finite, got {t}")
         # Serve everything that expired before this arrival, across all
         # datasets, in global flush-time order; the submitted dataset's
         # deadline exactly at t stays pending so this query can join it.
@@ -671,8 +630,8 @@ class LCAQueryService:
         replica workers to an arrival instant without perturbing the batch
         the arrival belongs to.
 
-        >>> svc = LCAQueryService(policy=BatchPolicy(max_batch_size=8,
-        ...                                          max_wait_s=1e-3))
+        >>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=8,
+        ...                                            max_wait_s=1e-3))
         >>> svc.register_tree("t", np.array([-1, 0, 0]))
         >>> t = svc.submit("t", 1, 2, at=0.0)
         >>> svc.advance_to(2e-3)        # past the 1 ms wait deadline
@@ -693,8 +652,8 @@ class LCAQueryService:
         clock already sits at ``t`` it is a no-op (every strictly earlier
         deadline was flushed by the submission that advanced the clock).
 
-        >>> svc = LCAQueryService(policy=BatchPolicy(max_batch_size=8,
-        ...                                          max_wait_s=1e-3))
+        >>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=8,
+        ...                                            max_wait_s=1e-3))
         >>> svc.register_tree("t", np.array([-1, 0, 0]))
         >>> t = svc.submit("t", 1, 2, at=0.0)
         >>> svc.sync_to(1e-3)           # deadline exactly at t stays pending
@@ -738,14 +697,7 @@ class LCAQueryService:
             ...
         repro.errors.ServiceError: unknown ticket 99
         """
-        t = int(ticket)
-        if not 0 <= t < self._next_ticket:
-            raise ServiceError(f"unknown ticket {ticket}")
-        if not self._answered[t]:
-            raise ServiceError(
-                f"ticket {ticket} is still queued; advance time or drain()"
-            )
-        return int(self._answers[t])
+        return int(self._answers[self._ticket_index(ticket)][0])
 
     def results(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of answers for a sequence of tickets (one table lookup).
@@ -760,19 +712,7 @@ class LCAQueryService:
         >>> svc.results(tickets).tolist()
         [1, 0]
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        if idx.size == 0:
-            return np.empty(0, dtype=np.int64)
-        unknown = (idx < 0) | (idx >= self._next_ticket)
-        if unknown.any():
-            raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
-        queued = ~self._answered[idx]
-        if queued.any():
-            raise ServiceError(
-                f"ticket {idx[int(queued.argmax())]} is still queued; "
-                f"advance time or drain()"
-            )
-        return self._answers[idx]
+        return self._answers[self._ticket_index(tickets)]
 
     def answered(self, tickets: ArrayLike) -> np.ndarray:
         """Boolean mask over ``tickets``: which have been served already.
@@ -782,20 +722,14 @@ class LCAQueryService:
         first still-queued ticket of a cross-replica sequence in the caller's
         order.  Unknown tickets still raise :class:`ServiceError`.
 
-        >>> svc = LCAQueryService(policy=BatchPolicy(max_batch_size=2,
-        ...                                          max_wait_s=1.0))
+        >>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=2,
+        ...                                            max_wait_s=1.0))
         >>> svc.register_tree("t", np.array([-1, 0, 0]))
         >>> a, b, c = [svc.submit("t", 1, 2) for _ in range(3)]
         >>> svc.answered([a, b, c]).tolist()   # size flush served a and b
         [True, True, False]
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        if idx.size == 0:
-            return np.empty(0, dtype=bool)
-        unknown = (idx < 0) | (idx >= self._next_ticket)
-        if unknown.any():
-            raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
-        return self._answered[idx]
+        return self._answered[self._ticket_index(tickets, served=False)]
 
     def latency(self, ticket: int) -> float:
         """Modeled end-to-end latency of one answered query.
@@ -807,8 +741,7 @@ class LCAQueryService:
         >>> svc.latency(t) > 0.0       # waiting + queueing + execution
         True
         """
-        self.result(ticket)  # raises uniformly for unknown/queued tickets
-        return float(self._latencies[int(ticket)])
+        return float(self._latencies[self._ticket_index(ticket)][0])
 
     def latencies(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of modeled latencies for a sequence of answered tickets.
@@ -820,26 +753,13 @@ class LCAQueryService:
         >>> bool((svc.latencies(tickets) > 0.0).all())
         True
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        if idx.size == 0:
-            return np.empty(0, dtype=np.float64)
-        # Same validation as results(), without gathering the answers.
-        unknown = (idx < 0) | (idx >= self._next_ticket)
-        if unknown.any():
-            raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
-        queued = ~self._answered[idx]
-        if queued.any():
-            raise ServiceError(
-                f"ticket {idx[int(queued.argmax())]} is still queued; "
-                f"advance time or drain()"
-            )
-        return self._latencies[idx]
+        return self._latencies[self._ticket_index(tickets)]
 
     def pending_count(self, dataset: Optional[str] = None) -> int:
         """Queries currently queued (for one dataset, or in total).
 
-        >>> svc = LCAQueryService(policy=BatchPolicy(max_batch_size=8,
-        ...                                          max_wait_s=1.0))
+        >>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=8,
+        ...                                            max_wait_s=1.0))
         >>> svc.register_tree("t", np.array([-1, 0, 0]))
         >>> t = svc.submit("t", 1, 2)
         >>> svc.pending_count("t"), svc.pending_count()
@@ -934,6 +854,27 @@ class LCAQueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _ticket_index(self, tickets: ArrayLike, *,
+                      served: bool = True) -> np.ndarray:
+        """Table positions of ``tickets``; the one place read-back errors live.
+
+        Raises :class:`ServiceError` for the first unknown ticket and, with
+        ``served`` (every read-back except :meth:`answered`), for the first
+        ticket whose batch has not been served yet.
+        """
+        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
+        unknown = (idx < 0) | (idx >= self._next_ticket)
+        if unknown.any():
+            raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
+        if served:
+            queued = ~self._answered[idx]
+            if queued.any():
+                raise ServiceError(
+                    f"ticket {idx[int(queued.argmax())]} is still queued; "
+                    f"advance time or drain()"
+                )
+        return idx
+
     def _ensure_ticket_capacity(self, needed: int) -> None:
         if needed <= self._answers.size:
             return

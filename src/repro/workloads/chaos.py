@@ -52,7 +52,7 @@ import numpy as np
 from ..control import Controller
 from ..errors import ConfigurationError
 from ..obs.events import TraceRecorder
-from ..service import BatchPolicy, ClusterService, Router
+from ..service import ClusterConfig, ClusterService
 from ..service.faults import FaultEvent, FaultInjector
 from .arrivals import PoissonArrivals
 from .replay import RetryPolicy, ScenarioReport, replay
@@ -370,14 +370,7 @@ chaos-rolling-restart, chaos-scale-out
 def replay_chaos(
     chaos: ChaosScenario,
     *,
-    n_replicas: int = 2,
-    policy: Optional[BatchPolicy] = None,
-    router: Optional[Router] = None,
-    max_pending: Optional[int] = None,
-    answer_cache_bytes: Optional[int] = None,
-    dedup: bool = False,
-    hedge_delay_s: Optional[float] = None,
-    max_retries: int = 3,
+    config: Optional[ClusterConfig] = None,
     admission_window_s: float = 5e-3,
     warm: bool = True,
     check_answers: bool = False,
@@ -388,10 +381,12 @@ def replay_chaos(
 ) -> ScenarioReport:
     """Build a fresh fault-injected cluster and replay ``chaos`` on it.
 
-    The cluster starts at simulated time ``0.0`` with a fresh
-    :meth:`ChaosScenario.injector`; ``hedge_delay_s`` falls back to the
-    scenario's suggestion.  A ``controller`` observes every admission
-    block exactly as in :func:`~repro.workloads.replay.replay` — with an
+    The cluster is built from ``config`` (default: two replicas, every
+    other knob at its :class:`~repro.service.ClusterConfig` default) with a
+    fresh :meth:`ChaosScenario.injector`; a config that leaves
+    ``hedge_delay_s`` unset takes the scenario's suggestion.  A
+    ``controller`` observes every admission block exactly as in
+    :func:`~repro.workloads.replay.replay` — with an
     :class:`~repro.control.AutoscalePolicy` attached it may add or retire
     replicas while the schedule injects faults.  Raises
     :class:`~repro.errors.ConfigurationError` when the schedule names a
@@ -400,11 +395,14 @@ def replay_chaos(
 
     >>> report = replay_chaos(
     ...     make_chaos_scenario("chaos-replica-kill", scale=0.2),
-    ...     n_replicas=2, check_answers=True,
+    ...     config=ClusterConfig(n_replicas=2), check_answers=True,
     ... )
     >>> report.queries_admitted == report.queries_offered > 0
     True
     """
+    if config is None:
+        config = ClusterConfig(n_replicas=2)
+    n_replicas = config.n_replicas
     if n_replicas < chaos.min_replicas():
         adds = 0
         for event in sorted(chaos.events, key=lambda e: e.time_s):
@@ -416,19 +414,9 @@ def replay_chaos(
                     f"{event.replica} but only {n_replicas + adds} exist "
                     f"at t={event.time_s:.3f}"
                 )
-    cluster = ClusterService(
-        n_replicas,
-        policy=policy,
-        router=router,
-        max_pending=max_pending,
-        answer_cache_bytes=answer_cache_bytes,
-        dedup=dedup,
-        fault_injector=chaos.injector(),
-        hedge_delay_s=(
-            hedge_delay_s if hedge_delay_s is not None else chaos.hedge_delay_s
-        ),
-        max_retries=max_retries,
-    )
+    if config.hedge_delay_s is None:
+        config = config.derive(hedge_delay_s=chaos.hedge_delay_s)
+    cluster = ClusterService(config=config, fault_injector=chaos.injector())
     return replay(
         cluster,
         chaos.scenario,

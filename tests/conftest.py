@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,22 @@ def cpu_ctx():
 def multicore_ctx():
     """A fresh multi-core CPU execution context."""
     return ExecutionContext(XEON_X5650_MULTI, trace=True)
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail the test after 5 s instead of letting a livelock stall the suite."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("test ran past its 5 s hang guard")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------

@@ -26,10 +26,10 @@ from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
 from repro.obs import TraceRecorder
 from repro.obs.events import EV_SCALE
-from repro.service import BatchPolicy, ClusterService
+from repro.service import ClusterConfig, ClusterService
 from repro.workloads import Phase, PoissonArrivals, Scenario, TrafficSource, replay
 
-POLICY = BatchPolicy(max_batch_size=64, max_wait_s=1e-4)
+POLICY = {"max_batch_size": 64, "max_wait_s": 1e-4}
 
 #: Fires on any window that answered anything: every admitted query's
 #: modeled latency clears 0.1 µs, so the first post-anchor window breaches.
@@ -81,7 +81,8 @@ def calm_scenario(*, seed=0):
 
 def autoscaled_replay(scenario, n_replicas, autoscale, *, observer=None):
     cluster = ClusterService(
-        n_replicas, policy=POLICY, max_pending=4096, observer=observer
+        config=ClusterConfig(n_replicas=n_replicas, max_pending=4096, **POLICY),
+        observer=observer,
     )
     controller = Controller(
         SLO(p99_latency_s=1.0), interval_s=1e-3, autoscale=autoscale
@@ -184,8 +185,10 @@ def test_unfireable_policy_is_bit_identical_to_no_policy():
 # ----------------------------------------------------------------------
 
 
-def _direct_cluster(parents, n_replicas, **kwargs):
-    cluster = ClusterService(n_replicas, **kwargs)
+def _direct_cluster(parents, n_replicas, *, observer=None, **knobs):
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=n_replicas, **knobs), observer=observer
+    )
     cluster.register_tree("t", parents, replicas=0)
     return cluster
 
@@ -196,8 +199,7 @@ def test_scale_at_flush_boundary_preserves_answers():
     expected = BinaryLiftingLCA(parents).query(xs, ys)
     observer = TraceRecorder()
     cluster = _direct_cluster(
-        parents, 2, policy=BatchPolicy(max_batch_size=64, max_wait_s=1e-3),
-        observer=observer,
+        parents, 2, max_batch_size=64, max_wait_s=1e-3, observer=observer
     )
     # A held batch flushes exactly at its wait deadline; scaling at that
     # same instant must neither lose it nor re-route it mid-flight.
@@ -221,7 +223,7 @@ def test_scale_at_flush_boundary_preserves_answers():
 
 def test_scale_in_refuses_to_drop_sole_live_copy():
     parents = np.array([-1, 0, 0, 1])
-    cluster = ClusterService(2, policy=POLICY)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2, **POLICY))
     cluster.register_tree("a", parents, on=[0])
     cluster.register_tree("b", parents, on=[1])
     with pytest.raises(ServiceError, match="live copy"):
@@ -231,7 +233,7 @@ def test_scale_in_refuses_to_drop_sole_live_copy():
 
 def test_controller_skips_refused_scale_in_silently():
     parents = np.array([-1, 0, 0, 1])
-    cluster = ClusterService(2, policy=POLICY)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2, **POLICY))
     cluster.register_tree("a", parents, on=[0])
     cluster.register_tree("b", parents, on=[1])
     calm = AutoscalePolicy(
@@ -256,9 +258,7 @@ def test_cooldown_and_hysteresis_suppress_flapping():
     xs, ys = generate_random_queries(256, 110, seed=12)
     # Nothing flushes on its own: occupancy is exactly what we queue.
     cluster = _direct_cluster(
-        parents, 2,
-        policy=BatchPolicy(max_batch_size=1000, max_wait_s=10.0),
-        max_pending=100,
+        parents, 2, max_batch_size=1000, max_wait_s=10.0, max_pending=100
     )
     policy = AutoscalePolicy(
         min_replicas=1,
@@ -314,7 +314,7 @@ def test_any_scale_sequence_preserves_answers(targets, seed):
     xs, ys = generate_random_queries(300, 240, seed=seed + 1)
     expected = BinaryLiftingLCA(parents).query(xs, ys)
     arrivals = np.arange(240, dtype=np.float64) / 200_000.0
-    cluster = _direct_cluster(parents, 2, policy=POLICY)
+    cluster = _direct_cluster(parents, 2, **POLICY)
     chunk = 40
     tickets = []
     for i, lo in enumerate(range(0, 240, chunk)):

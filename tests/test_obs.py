@@ -50,16 +50,21 @@ from repro.obs.events import (
     EV_KERNEL_START,
     PER_QUERY_KINDS,
 )
-from repro.service import BatchPolicy, ClusterService, LCAQueryService
+from repro.service import (
+    ClusterConfig,
+    ClusterService,
+    LCAQueryService,
+    ServiceConfig,
+)
 from repro.workloads import make_scenario, replay
 
-POLICY = BatchPolicy(max_batch_size=64, max_wait_s=2e-4)
+POLICY = {"max_batch_size": 64, "max_wait_s": 2e-4}
 
 
-def traced_run(sample=1, queries=600, nodes=512, seed=0, **service_kw):
+def traced_run(sample=1, queries=600, nodes=512, seed=0):
     """A small single-service run with a recorder attached throughout."""
     recorder = TraceRecorder(sample=sample)
-    service = LCAQueryService(policy=POLICY, observer=recorder, **service_kw)
+    service = LCAQueryService(config=ServiceConfig(**POLICY), observer=recorder)
     parents = random_attachment_tree(nodes, seed=seed)
     service.register_tree("t", parents)
     xs, ys = generate_random_queries(nodes, queries, seed=seed + 1)
@@ -504,7 +509,7 @@ def test_trace_counts_match_service_aggregates():
 def test_index_evictions_are_traced():
     recorder = TraceRecorder()
     service = LCAQueryService(
-        policy=POLICY, observer=recorder, capacity_bytes=1024
+        config=ServiceConfig(capacity_bytes=1024, **POLICY), observer=recorder
     )
     for name, seed in (("a", 0), ("b", 1)):
         parents = random_attachment_tree(512, seed=seed)
@@ -531,16 +536,18 @@ def test_sampled_trace_is_strict_subset_of_full():
 def test_single_service_equals_one_replica_cluster():
     scenario = make_scenario("steady", scale=0.05, seed=3)
     single = TraceRecorder()
-    replay(LCAQueryService(policy=POLICY), scenario, observer=single)
+    service = LCAQueryService(config=ServiceConfig(**POLICY))
+    replay(service, scenario, observer=single)
     clustered = TraceRecorder()
-    replay(ClusterService(1, policy=POLICY), scenario, observer=clustered)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=1, **POLICY))
+    replay(cluster, scenario, observer=clustered)
     assert single.table().canonical().equals(clustered.table().canonical())
 
 
 def test_replay_report_carries_the_trace():
     recorder = TraceRecorder()
     report = replay(
-        LCAQueryService(policy=POLICY),
+        LCAQueryService(config=ServiceConfig(**POLICY)),
         make_scenario("steady", scale=0.05, seed=1),
         observer=recorder,
     )

@@ -24,16 +24,21 @@ from repro.obs.report import (
     replica_utilization,
     tail_attribution,
 )
-from repro.service import BatchPolicy, ClusterService, LCAQueryService
+from repro.service import (
+    ClusterConfig,
+    ClusterService,
+    LCAQueryService,
+    ServiceConfig,
+)
 from repro.workloads import make_scenario, replay
 
-POLICY = BatchPolicy(max_batch_size=64, max_wait_s=2e-4)
+POLICY = {"max_batch_size": 64, "max_wait_s": 2e-4}
 
 
 @pytest.fixture(scope="module")
 def traced_service():
     recorder = TraceRecorder()
-    service = LCAQueryService(policy=POLICY, observer=recorder)
+    service = LCAQueryService(config=ServiceConfig(**POLICY), observer=recorder)
     parents = random_attachment_tree(512, seed=0)
     service.register_tree("t", parents)
     xs, ys = generate_random_queries(512, 600, seed=1)
@@ -45,7 +50,9 @@ def traced_service():
 @pytest.fixture(scope="module")
 def cluster_trace():
     recorder = TraceRecorder()
-    cluster = ClusterService(4, policy=POLICY, max_pending=4096)
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=4, max_pending=4096, **POLICY)
+    )
     report = replay(
         cluster, make_scenario("flash-crowd", scale=0.25), observer=recorder
     )

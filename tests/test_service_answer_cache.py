@@ -27,9 +27,10 @@ from repro.lca import (
 from repro.device import GTX980
 from repro.service import (
     AnswerCache,
-    BatchPolicy,
+    ClusterConfig,
     ClusterService,
     LCAQueryService,
+    ServiceConfig,
 )
 from repro.service.cache import BYTES_PER_SLOT, MIN_CACHE_BYTES
 from repro.workloads import SCENARIOS, make_scenario, replay
@@ -172,9 +173,9 @@ def test_cache_insert_race_within_batch_keeps_all_entries():
 # ----------------------------------------------------------------------
 # Service-level exactness properties
 # ----------------------------------------------------------------------
-def _serve_stream(parents, xs, ys, at, **kwargs):
+def _serve_stream(parents, xs, ys, at, **knobs):
     svc = LCAQueryService(
-        policy=BatchPolicy(max_batch_size=64, max_wait_s=2e-4), **kwargs
+        config=ServiceConfig(max_batch_size=64, max_wait_s=2e-4, **knobs)
     )
     svc.register_tree("t", parents)
     tickets = svc.submit_many("t", xs, ys, at=at)
@@ -211,8 +212,9 @@ def test_cache_exact_across_repeated_streams_and_tiny_cache():
     ys = rng.integers(0, 600, 5000)
     oracle = BinaryLiftingLCA(parents).query(xs, ys)
     svc = LCAQueryService(
-        policy=BatchPolicy(max_batch_size=128, max_wait_s=2e-4),
-        answer_cache_bytes=MIN_CACHE_BYTES,
+        config=ServiceConfig(
+            max_batch_size=128, max_wait_s=2e-4, answer_cache_bytes=MIN_CACHE_BYTES
+        )
     )
     svc.register_tree("t", parents)
     for round_ in range(2):
@@ -226,8 +228,9 @@ def test_cache_exact_across_repeated_streams_and_tiny_cache():
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_named_scenarios_replay_exactly_with_cache(name):
     svc = LCAQueryService(
-        policy=BatchPolicy(max_batch_size=256, max_wait_s=2e-4),
-        answer_cache_bytes=1 << 18,
+        config=ServiceConfig(
+            max_batch_size=256, max_wait_s=2e-4, answer_cache_bytes=1 << 18
+        )
     )
     # check_answers verifies against the oracle => exact with the cache on.
     report = replay(svc, make_scenario(name, scale=0.1), check_answers=True)
@@ -246,8 +249,9 @@ def test_named_scenarios_replay_exactly_with_cache(name):
 
 def test_skewed_hotspot_traffic_actually_hits_the_cache():
     svc = LCAQueryService(
-        policy=BatchPolicy(max_batch_size=256, max_wait_s=2e-4),
-        answer_cache_bytes=1 << 18,
+        config=ServiceConfig(
+            max_batch_size=256, max_wait_s=2e-4, answer_cache_bytes=1 << 18
+        )
     )
     report = replay(svc, make_scenario("skewed-hotspot", scale=0.5))
     assert report.answer_cache_hit_rate > 0.5
@@ -263,10 +267,9 @@ def test_dispatcher_prices_unique_miss_count():
     # is the GPU; with the skew path the kernel sees one unique pair and
     # must be priced (and charged) as a single-query CPU batch.
     parents = random_attachment_tree(64, seed=0)
-    plain = LCAQueryService(policy=BatchPolicy(max_batch_size=4096, max_wait_s=1.0))
-    skew = LCAQueryService(
-        policy=BatchPolicy(max_batch_size=4096, max_wait_s=1.0), dedup=True
-    )
+    config = ServiceConfig(max_batch_size=4096, max_wait_s=1.0)
+    plain = LCAQueryService(config=config)
+    skew = LCAQueryService(config=config.derive(dedup=True))
     for svc in (plain, skew):
         svc.register_tree("t", parents)
         xs = np.full(4096, 3)
@@ -288,14 +291,14 @@ def test_one_replica_cluster_matches_service_with_cache():
     xs = rng.integers(0, 120, 3000)
     ys = rng.integers(0, 120, 3000)
     at = np.arange(3000) / 2e5
-    policy = BatchPolicy(max_batch_size=128, max_wait_s=2e-4)
+    knobs = dict(max_batch_size=128, max_wait_s=2e-4, answer_cache_bytes=1 << 16)
 
-    svc = LCAQueryService(policy=policy, answer_cache_bytes=1 << 16)
+    svc = LCAQueryService(config=ServiceConfig(**knobs))
     svc.register_tree("t", parents)
     service_tickets = svc.submit_many("t", xs, ys, at=at)
     svc.drain()
 
-    cluster = ClusterService(1, policy=policy, answer_cache_bytes=1 << 16)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=1, **knobs))
     cluster.register_tree("t", parents)
     cluster_tickets = cluster.submit_many("t", xs, ys, at=at)
     cluster.drain()
@@ -309,9 +312,12 @@ def test_one_replica_cluster_matches_service_with_cache():
 
 def test_cluster_aggregates_answer_cache_stats():
     cluster = ClusterService(
-        2,
-        policy=BatchPolicy(max_batch_size=64, max_wait_s=2e-4),
-        answer_cache_bytes=1 << 16,
+        config=ClusterConfig(
+            n_replicas=2,
+            max_batch_size=64,
+            max_wait_s=2e-4,
+            answer_cache_bytes=1 << 16,
+        )
     )
     parents = random_attachment_tree(200, seed=1)
     cluster.register_tree("t", parents, replicas=2)
@@ -334,12 +340,20 @@ def test_cluster_aggregates_answer_cache_stats():
 
 def test_cluster_answer_cache_comes_out_of_byte_budget():
     with pytest.raises(ServiceError):
-        ClusterService(2, capacity_bytes=1 << 16, answer_cache_bytes=1 << 16)
+        ClusterService(
+            config=ClusterConfig(
+                n_replicas=2, capacity_bytes=1 << 16, answer_cache_bytes=1 << 16
+            )
+        )
     # A budget too small for every replica's cache minimum fails with a
     # cluster-level message, not deep inside replica construction.
     with pytest.raises(ServiceError, match="each of 4 replicas"):
-        ClusterService(4, answer_cache_bytes=2048)
-    cluster = ClusterService(2, capacity_bytes=1 << 20, answer_cache_bytes=1 << 18)
+        ClusterService(config=ClusterConfig(n_replicas=4, answer_cache_bytes=2048))
+    cluster = ClusterService(
+        config=ClusterConfig(
+            n_replicas=2, capacity_bytes=1 << 20, answer_cache_bytes=1 << 18
+        )
+    )
     for replica in cluster.replicas:
         assert replica.registry.capacity_bytes == ((1 << 20) - (1 << 18)) // 2
         assert replica.answer_cache is not None

@@ -15,21 +15,24 @@ from repro.errors import InvalidQueryError, Overloaded, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
+from repro.obs import TraceRecorder
 from repro.service import (
-    BatchPolicy,
+    ClusterConfig,
     ClusterService,
     ClusterStats,
     LCAQueryService,
-    make_router,
+    ServiceConfig,
 )
 
 from .conftest import make_tree
 
-POLICY = BatchPolicy(max_batch_size=64, max_wait_s=1e-4)
+POLICY = {"max_batch_size": 64, "max_wait_s": 1e-4}
 
 
-def build_cluster(parents, n_replicas, *, replicas=None, **kwargs):
-    cluster = ClusterService(n_replicas, **kwargs)
+def build_cluster(parents, n_replicas, *, replicas=None, observer=None, **knobs):
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=n_replicas, **knobs), observer=observer
+    )
     cluster.register_tree(
         "t", parents, replicas=n_replicas if replicas is None else replicas
     )
@@ -52,14 +55,14 @@ def chunked_submit(cluster, dataset, xs, ys, arrivals, chunk):
 
 def test_constructor_validation():
     with pytest.raises(ServiceError):
-        ClusterService(0)
+        ClusterConfig(n_replicas=0)
     with pytest.raises(ServiceError):
-        ClusterService(2, max_pending=0)
+        ClusterConfig(n_replicas=2, max_pending=0)
 
 
 def test_register_tree_validation():
     parents = random_attachment_tree(64, seed=0)
-    cluster = ClusterService(3)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=3))
     cluster.register_tree("t", parents)
     with pytest.raises(ServiceError):
         cluster.register_tree("t", parents)  # duplicate
@@ -82,7 +85,7 @@ def test_register_tree_validation():
 
 def test_placement_modes():
     parents = random_attachment_tree(64, seed=1)
-    cluster = ClusterService(4)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=4))
     ring_copies = cluster.register_tree("ringed", parents, replicas=2)
     assert cluster.placement("ringed") == ring_copies
     assert len(set(ring_copies)) == 2
@@ -104,7 +107,7 @@ def test_lazy_loader_is_shared_and_called_once():
         calls.append(1)
         return random_attachment_tree(128, seed=2)
 
-    cluster = ClusterService(3, policy=POLICY)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=3, **POLICY))
     cluster.register_tree("lazy", loader=loader, replicas=3)
     assert calls == []  # nothing materialized yet
     xs, ys = generate_random_queries(128, 30, seed=3)
@@ -129,7 +132,7 @@ def test_cluster_answers_match_oracle(policy_name):
     parents = random_attachment_tree(n, seed=4)
     xs, ys = generate_random_queries(n, q, seed=5)
     arrivals = np.arange(q, dtype=np.float64) * 5e-7
-    cluster = build_cluster(parents, 4, policy=POLICY, router=make_router(policy_name))
+    cluster = build_cluster(parents, 4, **POLICY, router=policy_name)
     tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 512)
     cluster.drain()
     expected = BinaryLiftingLCA(parents).query(xs, ys)
@@ -140,28 +143,43 @@ def test_cluster_answers_match_oracle(policy_name):
     assert stats.router_policy == policy_name
 
 
-def test_round_robin_columnar_equals_per_query_path():
-    n, q = 1_024, 400
+def test_submit_is_a_one_row_submit_many_with_the_answer_cache_on():
+    # Row-wise cluster admission takes the same front-door memoization as
+    # block admission: a skewed stream (every pair repeated) leaves the
+    # same canonical trace whichever way its rows are submitted.
+    n, q = 1_024, 300
     parents = random_attachment_tree(n, seed=6)
-    xs, ys = generate_random_queries(n, q, seed=7)
+    xs, ys = generate_random_queries(n, 30, seed=7)
+    xs, ys = np.tile(xs, q // 30), np.tile(ys, q // 30)
     arrivals = np.arange(q, dtype=np.float64) * 2e-6
 
-    blocked = build_cluster(
-        parents, 3, policy=POLICY, router=make_router("round-robin")
+    def run(submit_row):
+        recorder = TraceRecorder()
+        cluster = build_cluster(
+            parents,
+            3,
+            observer=recorder,
+            router="round-robin",
+            answer_cache_bytes=1 << 18,
+            **POLICY,
+        )
+        tickets = [submit_row(cluster, i) for i in range(q)]
+        cluster.drain()
+        return cluster, np.array(tickets), recorder.table()
+
+    rows, rt, row_trace = run(
+        lambda c, i: c.submit("t", int(xs[i]), int(ys[i]), at=float(arrivals[i]))
     )
-    bt = chunked_submit(blocked, "t", xs, ys, arrivals, 128)
-    blocked.drain()
-
-    looped = build_cluster(parents, 3, policy=POLICY, router=make_router("round-robin"))
-    lt = np.array([
-        looped.submit("t", int(xs[i]), int(ys[i]), at=float(arrivals[i]))
-        for i in range(q)
-    ])
-    looped.drain()
-
-    assert np.array_equal(bt, lt)
-    assert np.array_equal(blocked.results(bt), looped.results(lt))
-    assert np.array_equal(blocked.latencies(bt), looped.latencies(lt))
+    blocks, bt, block_trace = run(
+        lambda c, i: int(
+            c.submit_many("t", xs[i:i + 1], ys[i:i + 1], at=arrivals[i:i + 1])[0]
+        )
+    )
+    assert np.array_equal(rt, bt)
+    assert np.array_equal(rows.results(rt), blocks.results(bt))
+    assert rows.stats() == blocks.stats()
+    assert rows.stats().answer_cache_hits > 0  # the front door did memoize
+    assert row_trace.canonical().equals(block_trace.canonical())
 
 
 # ----------------------------------------------------------------------
@@ -185,11 +203,11 @@ def test_property_single_replica_cluster_is_bit_identical(
     xs, ys = generate_random_queries(n, q, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     arrivals = np.cumsum(rng.exponential(1e-4, size=q))
-    policy = BatchPolicy(max_batch_size=max_batch, max_wait_s=max_wait_us * 1e-6)
+    policy = {"max_batch_size": max_batch, "max_wait_s": max_wait_us * 1e-6}
 
-    plain = LCAQueryService(policy=policy)
+    plain = LCAQueryService(config=ServiceConfig(**policy))
     plain.register_tree("t", parents)
-    cluster = build_cluster(parents, 1, policy=policy)
+    cluster = build_cluster(parents, 1, **policy)
 
     pt = chunked_submit(plain, "t", xs, ys, arrivals, chunk)
     ct = chunked_submit(cluster, "t", xs, ys, arrivals, chunk)
@@ -210,12 +228,12 @@ def test_property_single_replica_cluster_is_bit_identical(
 def slow_policy():
     # A queue that never flushes on its own: everything stays pending until
     # time passes or the caller drains, so admission decisions are exact.
-    return BatchPolicy(max_batch_size=1 << 15, max_wait_s=10.0)
+    return {"max_batch_size": 1 << 15, "max_wait_s": 10.0}
 
 
 def test_per_query_backpressure_sheds_and_recovers():
     parents = random_attachment_tree(256, seed=8)
-    cluster = build_cluster(parents, 2, policy=slow_policy(), max_pending=3)
+    cluster = build_cluster(parents, 2, **slow_policy(), max_pending=3)
     for i in range(3):
         cluster.submit("t", 1, 2, at=i * 1e-6)
     with pytest.raises(Overloaded) as excinfo:
@@ -237,7 +255,7 @@ def test_per_query_backpressure_sheds_and_recovers():
 
 def test_block_backpressure_admits_prefix_and_reports_shed():
     parents = random_attachment_tree(256, seed=9)
-    cluster = build_cluster(parents, 2, policy=slow_policy(), max_pending=100)
+    cluster = build_cluster(parents, 2, **slow_policy(), max_pending=100)
     xs, ys = generate_random_queries(256, 300, seed=10)
     arrivals = np.arange(300, dtype=np.float64) * 1e-6
     with pytest.raises(Overloaded) as excinfo:
@@ -262,7 +280,7 @@ def test_clocks_stay_in_sync_after_shed():
     # them — otherwise drain() and later legal submissions crash with a
     # backwards-clock error.
     parents = random_attachment_tree(256, seed=21)
-    cluster = build_cluster(parents, 2, policy=slow_policy(), max_pending=1)
+    cluster = build_cluster(parents, 2, **slow_policy(), max_pending=1)
     cluster.submit("t", 1, 2, at=0.0)
     with pytest.raises(Overloaded):
         cluster.submit("t", 3, 4, at=5.0)
@@ -282,7 +300,7 @@ def test_clocks_stay_in_sync_after_shed():
 
 def test_unbounded_cluster_never_sheds():
     parents = random_attachment_tree(256, seed=11)
-    cluster = build_cluster(parents, 2, policy=slow_policy())
+    cluster = build_cluster(parents, 2, **slow_policy())
     xs, ys = generate_random_queries(256, 500, seed=12)
     cluster.submit_many("t", xs, ys, at=np.arange(500) * 1e-6)
     assert cluster.stats().queries_shed == 0
@@ -295,7 +313,7 @@ def test_unbounded_cluster_never_sheds():
 
 def test_invalid_query_rejected_with_prefix_admitted():
     parents = random_attachment_tree(100, seed=13)
-    cluster = build_cluster(parents, 2, policy=POLICY)
+    cluster = build_cluster(parents, 2, **POLICY)
     xs = np.array([1, 2, 500, 3])
     ys = np.array([4, 5, 6, 7])
     with pytest.raises(InvalidQueryError):
@@ -309,9 +327,23 @@ def test_invalid_query_rejected_with_prefix_admitted():
         cluster.submit("t", 1, 2, at=-1.0)  # backwards arrival
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_arrival_is_a_typed_error_not_a_hang(hang_guard, bad):
+    parents = random_attachment_tree(64, seed=14)
+    cluster = build_cluster(parents, 2, **POLICY)
+    with pytest.raises(ServiceError, match="finite"):
+        cluster.submit_many("t", [1, 2, 3], [4, 5, 6], at=[0.0, bad, 1e-3])
+    assert cluster.tickets_issued == 1  # the clean prefix was admitted
+    with pytest.raises(ServiceError, match="finite"):
+        cluster.submit("t", 1, 2, at=bad)
+    assert cluster.clock.now == 0.0
+    cluster.drain()
+    assert cluster.results([0]).size == 1
+
+
 def test_ticket_surface_mirrors_single_node_service():
     parents = random_attachment_tree(100, seed=14)
-    cluster = build_cluster(parents, 2, policy=POLICY)
+    cluster = build_cluster(parents, 2, **POLICY)
     with pytest.raises(ServiceError):
         cluster.result(0)  # never issued
     ticket = cluster.submit("t", 1, 2, at=0.0)
@@ -330,9 +362,7 @@ def test_ticket_surface_mirrors_single_node_service():
 
 def test_still_queued_error_names_the_cluster_ticket():
     parents = random_attachment_tree(100, seed=15)
-    cluster = build_cluster(
-        parents, 2, policy=slow_policy(), router=make_router("round-robin")
-    )
+    cluster = build_cluster(parents, 2, **slow_policy(), router="round-robin")
     tickets = [cluster.submit("t", 1, 2, at=i * 1e-6) for i in range(4)]
     cluster.advance_to(1e-3)
     with pytest.raises(ServiceError, match=f"ticket {tickets[0]} is still queued"):
@@ -348,9 +378,7 @@ def test_cluster_stats_aggregate_per_replica_views():
     parents = random_attachment_tree(n, seed=16)
     xs, ys = generate_random_queries(n, q, seed=17)
     arrivals = np.arange(q, dtype=np.float64) * 1e-6
-    cluster = build_cluster(
-        parents, 4, policy=POLICY, router=make_router("round-robin")
-    )
+    cluster = build_cluster(parents, 4, **POLICY, router="round-robin")
     tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 256)
     cluster.drain()
     stats = cluster.stats()
@@ -381,7 +409,7 @@ def test_cluster_stats_aggregate_per_replica_views():
 
 def test_warm_prebuilds_every_copy_and_stream_only_hits():
     parents = random_attachment_tree(1_024, seed=18)
-    cluster = build_cluster(parents, 3, policy=POLICY)
+    cluster = build_cluster(parents, 3, **POLICY)
     cluster.warm("t")
     misses_after_warm = cluster.stats().cache_misses
     assert misses_after_warm == 6  # 3 copies x 2 backends
@@ -393,7 +421,9 @@ def test_warm_prebuilds_every_copy_and_stream_only_hits():
 
 def test_pending_count_per_dataset_sums_over_copies():
     parents = random_attachment_tree(256, seed=20)
-    cluster = ClusterService(3, policy=slow_policy(), router=make_router("round-robin"))
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=3, router="round-robin", **slow_policy())
+    )
     cluster.register_tree("a", parents, replicas=2)
     cluster.register_tree("b", parents, replicas=1)
     for i in range(5):

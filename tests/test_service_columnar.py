@@ -10,7 +10,12 @@ from repro.errors import InvalidQueryError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
-from repro.service import BatchPolicy, LCAQueryService, MicroBatchScheduler
+from repro.service import (
+    BatchPolicy,
+    LCAQueryService,
+    MicroBatchScheduler,
+    ServiceConfig,
+)
 
 from .conftest import make_tree
 
@@ -116,13 +121,14 @@ def test_property_columnar_equals_per_query(kind, n, q, max_batch, max_wait_us,
     parents = make_tree(kind, n, seed)
     xs, ys = generate_random_queries(n, q, seed=seed + 1)
     arrivals = arrival_schedule(q, seed + 2)
-    policy = BatchPolicy(max_batch_size=max_batch, max_wait_s=max_wait_us * 1e-6)
+    config = ServiceConfig(max_batch_size=max_batch,
+                           max_wait_s=max_wait_us * 1e-6)
 
-    columnar = LCAQueryService(policy=policy)
+    columnar = LCAQueryService(config=config)
     columnar.register_tree("t", parents)
     col_tickets = columnar.submit_many("t", xs, ys, at=arrivals)
 
-    reference = LCAQueryService(policy=policy)
+    reference = LCAQueryService(config=config)
     reference.register_tree("t", parents)
     ref_tickets = np.asarray([
         reference.submit("t", int(xs[i]), int(ys[i]), at=float(arrivals[i]))
@@ -155,7 +161,7 @@ def test_columnar_interleaves_other_datasets_deadlines():
 
     def run(columnar: bool):
         service = LCAQueryService(
-            policy=BatchPolicy(max_batch_size=16, max_wait_s=5e-4))
+            config=ServiceConfig(max_batch_size=16, max_wait_s=5e-4))
         service.register_tree("a", pa)
         service.register_tree("b", pb)
         tb = [service.submit("b", 3 * i, 3 * i + 1, at=float(i) * 1e-5)
@@ -186,7 +192,7 @@ def test_same_instant_size_and_wait_batches_keep_submission_order():
 
     def run(columnar: bool):
         service = LCAQueryService(
-            policy=BatchPolicy(max_batch_size=2, max_wait_s=0.0))
+            config=ServiceConfig(max_batch_size=2, max_wait_s=0.0))
         service.register_tree("a", pa)
         service.register_tree("b", pb)
         tb = service.submit("b", 1, 2, at=0.0)  # pending on another dataset
@@ -207,8 +213,8 @@ def test_same_instant_size_and_wait_batches_keep_submission_order():
 def test_submit_many_with_default_arrivals_coalesces_now():
     parents = random_attachment_tree(300, seed=5)
     xs, ys = generate_random_queries(300, 40, seed=6)
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=8,
-                                                 max_wait_s=1e-3))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=8,
+                                                   max_wait_s=1e-3))
     service.register_tree("t", parents)
     tickets = service.submit_many("t", xs, ys)  # all arrive "now"
     service.drain()
@@ -225,8 +231,8 @@ def test_submit_many_with_default_arrivals_coalesces_now():
 
 def test_submit_many_out_of_range_rejects_at_its_own_position():
     parents = random_attachment_tree(100, seed=7)
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=4,
-                                                 max_wait_s=1e-3))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=4,
+                                                   max_wait_s=1e-3))
     service.register_tree("t", parents)
     xs = np.asarray([1, 2, 3, 4, 5, 500, 6])  # index 5 is out of range
     ys = np.asarray([2, 3, 4, 5, 6, 7, 8])
@@ -260,6 +266,20 @@ def test_submit_many_backwards_arrival_rejects_at_its_own_position():
     assert service.stats().queries_submitted == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_arrival_is_a_typed_error_not_a_hang(hang_guard, bad):
+    service = LCAQueryService()
+    service.register_tree("t", random_attachment_tree(100, seed=8))
+    with pytest.raises(ServiceError, match="finite"):
+        service.submit_many("t", [1, 2, 3], [4, 5, 6], at=[0.0, bad, 1e-3])
+    assert service.tickets_issued == 1  # the clean prefix was admitted
+    with pytest.raises(ServiceError, match="finite"):
+        service.submit("t", 1, 2, at=bad)
+    assert service.clock.now == 0.0
+    service.drain()  # the clock is intact: the admitted query still serves
+    assert service.answered([0]).all()
+
+
 # ----------------------------------------------------------------------
 # Vectorized results(): one lookup, uniform error surface (regression
 # tests for the former quadratic-ish per-ticket path)
@@ -268,8 +288,8 @@ def test_submit_many_backwards_arrival_rejects_at_its_own_position():
 def test_results_vectorized_and_error_surface():
     parents = random_attachment_tree(200, seed=9)
     # max_batch_size > stream length: every query stays queued until drain().
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=16,
-                                                 max_wait_s=1e-3))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=16,
+                                                   max_wait_s=1e-3))
     service.register_tree("t", parents)
     xs, ys = generate_random_queries(200, 8, seed=10)
     tickets = service.submit_many("t", xs, ys,
@@ -309,8 +329,8 @@ def test_results_vectorized_and_error_surface():
 
 def test_latencies_matches_scalar_latency():
     parents = random_attachment_tree(150, seed=11)
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=4,
-                                                 max_wait_s=1e-4))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=4,
+                                                   max_wait_s=1e-4))
     service.register_tree("t", parents)
     xs, ys = generate_random_queries(150, 12, seed=12)
     tickets = service.submit_many("t", xs, ys,
@@ -329,8 +349,8 @@ def test_ticket_tables_grow_past_initial_capacity():
     parents = random_attachment_tree(500, seed=13)
     q = 3_000  # > the initial 1024-slot ticket table
     xs, ys = generate_random_queries(500, q, seed=14)
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=256,
-                                                 max_wait_s=1e-4))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=256,
+                                                   max_wait_s=1e-4))
     service.register_tree("t", parents)
     at = np.arange(q, dtype=np.float64) * 1e-7
     tickets = service.submit_many("t", xs, ys, at=at)

@@ -1,24 +1,22 @@
-"""The typed configuration surface: round-trips, shims, equivalence.
+"""The typed configuration surface: round-trips, construction, exports.
 
-The config redesign must be invisible to existing callers: the legacy
-kwargs still work (routed through one normalization path), mixing kwargs
-with ``config=`` fails loudly, and a service built from a config serves a
-trace bit-identically to one built from the equivalent kwargs.
+``config=`` is the only carrier of knobs: the constructors keep the config
+they are given, default to ``ServiceConfig()`` / ``ClusterConfig()``, and
+accept no per-knob keyword.
 """
 
-import numpy as np
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ServiceError
 from repro.service import (
-    BatchPolicy,
     ClusterConfig,
     ClusterService,
     LCAQueryService,
-    RoundRobinRouter,
     ServiceConfig,
 )
-from repro.workloads import make_scenario, replay
 
 
 # ----------------------------------------------------------------------
@@ -107,43 +105,16 @@ class TestRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Back-compat shim: kwargs and config are one normalization path
+# Construction: config= is the one way in
 # ----------------------------------------------------------------------
 class TestShim:
-    def test_service_kwargs_build_the_config(self):
-        svc = LCAQueryService(
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=5e-4),
-            dedup=True,
-        )
-        assert svc.config == ServiceConfig(
-            max_batch_size=32, max_wait_s=5e-4, dedup=True
-        )
-        assert svc.policy == svc.config.batch_policy()
-
     def test_service_config_object_is_kept(self):
         cfg = ServiceConfig(max_batch_size=8, answer_cache_bytes=1 << 16)
         svc = LCAQueryService(config=cfg)
         assert svc.config is cfg
+        assert svc.policy == cfg.batch_policy()
         assert svc.answer_cache is not None
-
-    def test_service_conflict_raises(self):
-        with pytest.raises(ServiceError, match="not both"):
-            LCAQueryService(
-                config=ServiceConfig(), policy=BatchPolicy(max_batch_size=8)
-            )
-        with pytest.raises(ServiceError, match="dedup"):
-            LCAQueryService(config=ServiceConfig(), dedup=True)
-
-    def test_cluster_kwargs_build_the_config(self):
-        cluster = ClusterService(
-            3, policy=BatchPolicy(max_batch_size=16), max_pending=64
-        )
-        assert cluster.config == ClusterConfig(
-            n_replicas=3,
-            max_batch_size=16,
-            max_wait_s=1e-3,
-            max_pending=64,
-        )
+        assert LCAQueryService().config == ServiceConfig()
 
     def test_cluster_config_object(self):
         cfg = ClusterConfig(n_replicas=2, router="round-robin", dedup=True)
@@ -153,78 +124,30 @@ class TestShim:
         assert cluster.router.name == "round-robin"
         assert all(w.config.dedup for w in cluster.replicas)
 
-    def test_cluster_conflict_raises(self):
-        with pytest.raises(ServiceError, match="not both"):
-            ClusterService(4, config=ClusterConfig())
-        with pytest.raises(ServiceError, match="max_pending"):
-            ClusterService(config=ClusterConfig(), max_pending=10)
-
     def test_cluster_requires_replica_count_somewhere(self):
-        with pytest.raises(ServiceError, match="n_replicas"):
-            ClusterService()
+        # "Somewhere" is the config, and only the config.
+        assert ClusterService().n_replicas == ClusterConfig().n_replicas
+        with pytest.raises(TypeError):
+            ClusterService(4)
+
+    def test_per_knob_keywords_are_gone(self):
+        for knob in ("policy", "capacity_bytes", "dedup", "answer_cache_bytes"):
+            with pytest.raises(TypeError):
+                LCAQueryService(**{knob: None})
+            with pytest.raises(TypeError):
+                ClusterService(**{knob: None})
 
     def test_cluster_router_string_key(self):
         for name in ("round-robin", "least-outstanding", "consistent-hash"):
-            assert ClusterService(2, router=name).router.name == name
-
-    def test_cluster_router_instance_still_accepted(self):
-        router = RoundRobinRouter()
-        cluster = ClusterService(2, router=router)
-        assert cluster.router is router
-        assert cluster.config.router == "round-robin"
+            cfg = ClusterConfig(n_replicas=2, router=name)
+            assert ClusterService(config=cfg).router.name == name
 
     def test_cluster_router_bad_key(self):
         with pytest.raises(ServiceError, match="unknown router policy"):
-            ClusterService(2, router="fastest")
+            ClusterService(config=ClusterConfig(n_replicas=2, router="fastest"))
 
 
-# ----------------------------------------------------------------------
-# Equivalence: config-built and kwargs-built serve identical traces
-# ----------------------------------------------------------------------
 class TestEquivalence:
-    def _comparable(self, stats):
-        # Everything modeled; host wall-clock fields do not exist on
-        # ServiceStats/ClusterStats, so whole-snapshot equality is exact.
-        return stats
-
-    def test_service_stats_bit_identical(self):
-        scenario = make_scenario("skewed-hotspot", scale=0.1)
-        kwargs_svc = LCAQueryService(
-            policy=BatchPolicy(max_batch_size=128, max_wait_s=2e-4),
-            answer_cache_bytes=1 << 18,
-        )
-        config_svc = LCAQueryService(
-            config=ServiceConfig(
-                max_batch_size=128, max_wait_s=2e-4, answer_cache_bytes=1 << 18
-            )
-        )
-        a = replay(kwargs_svc, scenario)
-        b = replay(config_svc, scenario)
-        assert self._comparable(a.stats) == self._comparable(b.stats)
-        assert a.latency_p99_s == b.latency_p99_s
-
-    def test_cluster_stats_bit_identical(self):
-        scenario = make_scenario("flash-crowd", scale=0.1)
-        kwargs_cluster = ClusterService(
-            3,
-            policy=BatchPolicy(max_batch_size=64, max_wait_s=1e-4),
-            max_pending=256,
-            router="round-robin",
-        )
-        config_cluster = ClusterService(
-            config=ClusterConfig(
-                n_replicas=3,
-                max_batch_size=64,
-                max_wait_s=1e-4,
-                max_pending=256,
-                router="round-robin",
-            )
-        )
-        a = replay(kwargs_cluster, scenario)
-        b = replay(config_cluster, scenario)
-        assert a.stats == b.stats
-        assert a.queries_shed == b.queries_shed
-
     def test_added_replica_inherits_config(self):
         cluster = ClusterService(
             config=ClusterConfig(n_replicas=2, max_batch_size=32, dedup=True)
@@ -253,3 +176,11 @@ def test_all_exports_resolve():
     assert repro.AutoscalePolicy is repro.control.AutoscalePolicy
     assert "AutoscalePolicy" in repro.__all__
     assert "AutoscalePolicy" in repro.control.__all__
+
+
+def test_version_matches_pyproject():
+    import repro
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+    assert declared is not None and repro.__version__ == declared.group(1)

@@ -11,16 +11,16 @@ from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
 from repro.service import (
     CPU_SEQUENTIAL_BACKEND,
-    BatchPolicy,
     LCAQueryService,
+    ServiceConfig,
     estimate_batch_query_time,
 )
 
 from .conftest import make_tree
 
 
-def build_service(parents, name="t", **kwargs):
-    service = LCAQueryService(**kwargs)
+def build_service(parents, name="t", **knobs):
+    service = LCAQueryService(config=ServiceConfig(**knobs))
     service.register_tree(name, parents)
     return service
 
@@ -41,7 +41,7 @@ def test_ten_thousand_queries_match_reference_with_mixed_load():
     arrivals = np.concatenate([slow, fast])
 
     service = build_service(
-        parents, policy=BatchPolicy(max_batch_size=256, max_wait_s=2e-4)
+        parents, max_batch_size=256, max_wait_s=2e-4
     )
     tickets = service.submit_many("t", xs, ys, at=arrivals)
     service.drain()
@@ -82,7 +82,7 @@ def test_warm_singleton_latency_is_wait_plus_service_time():
     parents = random_attachment_tree(4_096, seed=3)
     max_wait = 1e-3
     service = build_service(
-        parents, policy=BatchPolicy(max_batch_size=64, max_wait_s=max_wait)
+        parents, max_batch_size=64, max_wait_s=max_wait
     )
     # Warm the CPU index with a throwaway query...
     warm = service.submit("t", 1, 2, at=0.0)
@@ -105,7 +105,8 @@ def test_warm_singleton_latency_is_wait_plus_service_time():
 def test_submitting_to_one_dataset_fires_anothers_deadline():
     pa = random_attachment_tree(1_000, seed=4)
     pb = random_attachment_tree(1_000, seed=5)
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=64, max_wait_s=1e-3))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=64,
+                                                   max_wait_s=1e-3))
     service.register_tree("a", pa)
     service.register_tree("b", pb)
 
@@ -123,8 +124,8 @@ def test_cross_dataset_batches_queue_in_flush_time_order():
     pa = random_attachment_tree(1_000, seed=16)
     pb = random_attachment_tree(1_000, seed=17)
     max_wait = 1e-3
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=64,
-                                                 max_wait_s=max_wait))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=64,
+                                                   max_wait_s=max_wait))
     service.register_tree("a", pa)   # registered first -> earlier in dict order
     service.register_tree("b", pb)
     # Warm both datasets' CPU indexes so latencies are pure wait + service.
@@ -146,7 +147,8 @@ def test_answers_stay_per_dataset():
     pa = random_attachment_tree(2_000, seed=6)
     pb = random_attachment_tree(2_000, seed=7)
     xs, ys = generate_random_queries(2_000, 300, seed=8)
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=128, max_wait_s=1e-4))
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=128,
+                                                   max_wait_s=1e-4))
     service.register_tree("a", pa)
     service.register_tree("b", pb)
     t = np.arange(300, dtype=np.float64) * 1e-6
@@ -168,8 +170,8 @@ def test_correct_under_eviction_thrash():
     pb = random_attachment_tree(8_192, seed=10)
     # Capacity fits roughly one index: alternating datasets must thrash the
     # cache yet never affect answers.
-    service = LCAQueryService(policy=BatchPolicy(max_batch_size=4, max_wait_s=0.0),
-                              capacity_bytes=600_000)
+    service = LCAQueryService(config=ServiceConfig(
+        max_batch_size=4, max_wait_s=0.0, capacity_bytes=600_000))
     service.register_tree("a", pa)
     service.register_tree("b", pb)
     xs, ys = generate_random_queries(8_192, 40, seed=11)
@@ -194,8 +196,7 @@ def test_correct_under_eviction_thrash():
 
 def test_overload_saturates_at_backend_capacity():
     parents = random_attachment_tree(2_048, seed=14)
-    service = build_service(parents, policy=BatchPolicy(max_batch_size=1,
-                                                        max_wait_s=0.0))
+    service = build_service(parents, max_batch_size=1, max_wait_s=0.0)
     # Pass-through serving on the CPU backend has a hard modeled capacity of
     # one query per singleton service time; offering 100x that rate must
     # deliver roughly the capacity (not the offered rate) with queueing
@@ -288,7 +289,7 @@ def test_property_service_matches_reference(kind, n, q, max_batch, max_wait_us, 
     arrivals = np.cumsum(rng.exponential(1e-4, size=q))
     service = build_service(
         parents,
-        policy=BatchPolicy(max_batch_size=max_batch, max_wait_s=max_wait_us * 1e-6),
+        max_batch_size=max_batch, max_wait_s=max_wait_us * 1e-6,
     )
     tickets = service.submit_many("t", xs, ys, at=arrivals)
     service.drain()

@@ -20,19 +20,25 @@ from repro.lca import BinaryLiftingLCA
 from repro.obs import TraceRecorder
 from repro.obs.events import EV_FAULT, EV_HEDGE, EV_MEMBERSHIP, EV_RETRY
 from repro.service import (
-    BatchPolicy,
+    ClusterConfig,
     ClusterService,
     FaultEvent,
     FaultInjector,
     LCAQueryService,
-    RoundRobinRouter,
+    ServiceConfig,
 )
 
-POLICY = BatchPolicy(max_batch_size=64, max_wait_s=1e-4)
+POLICY = {"max_batch_size": 64, "max_wait_s": 1e-4}
 
 
-def build_cluster(parents, n_replicas, *, replicas=None, **kwargs):
-    cluster = ClusterService(n_replicas, **kwargs)
+def build_cluster(
+    parents, n_replicas, *, replicas=None, fault_injector=None, observer=None, **knobs
+):
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=n_replicas, **knobs),
+        fault_injector=fault_injector,
+        observer=observer,
+    )
     cluster.register_tree(
         "t", parents, replicas=n_replicas if replicas is None else replicas
     )
@@ -98,7 +104,7 @@ def test_fault_injector_is_a_sorted_cursor():
 def test_cluster_rejects_fault_on_unknown_replica():
     parents = random_attachment_tree(64, seed=0)
     injector = FaultInjector([FaultEvent(time_s=1e-3, action="kill", replica=5)])
-    cluster = build_cluster(parents, 2, policy=POLICY, fault_injector=injector)
+    cluster = build_cluster(parents, 2, **POLICY, fault_injector=injector)
     with pytest.raises(ServiceError):
         cluster.advance_to(2e-3)
 
@@ -119,7 +125,7 @@ def test_kill_and_recover_answers_match_oracle():
     )
     observer = TraceRecorder()
     cluster = build_cluster(
-        parents, 2, policy=POLICY, fault_injector=injector, observer=observer
+        parents, 2, **POLICY, fault_injector=injector, observer=observer
     )
     tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 64)
     cluster.drain()
@@ -140,7 +146,7 @@ def test_transient_failures_are_retried_with_identical_answers():
     injector = FaultInjector(
         [FaultEvent(time_s=0.0, action="transient", replica=0, count=3)]
     )
-    cluster = build_cluster(parents, 2, policy=POLICY, fault_injector=injector)
+    cluster = build_cluster(parents, 2, **POLICY, fault_injector=injector)
     tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 64)
     cluster.drain()
     np.testing.assert_array_equal(cluster.results(tickets), expected)
@@ -160,7 +166,7 @@ def test_retry_cap_raises_typed_replica_down():
         ]
     )
     cluster = build_cluster(
-        parents, 2, policy=POLICY, fault_injector=injector, max_retries=1
+        parents, 2, **POLICY, fault_injector=injector, max_retries=1
     )
     cluster.submit("t", 1, 2, at=0.0)
     with pytest.raises(ReplicaDown) as exc_info:
@@ -177,7 +183,7 @@ def test_submit_to_fully_dead_dataset_raises_replica_down():
             FaultEvent(time_s=1e-3, action="kill", replica=1),
         ]
     )
-    cluster = build_cluster(parents, 2, policy=POLICY, fault_injector=injector)
+    cluster = build_cluster(parents, 2, **POLICY, fault_injector=injector)
     with pytest.raises(ReplicaDown) as exc_info:
         cluster.submit("t", 1, 2, at=2e-3)
     assert exc_info.value.dataset == "t"
@@ -195,8 +201,8 @@ def test_parked_queries_survive_total_outage_until_recovery():
         ]
     )
     # A huge wait deadline keeps everything queued until the double kill.
-    slow = BatchPolicy(max_batch_size=1 << 15, max_wait_s=10.0)
-    cluster = build_cluster(parents, 2, policy=slow, fault_injector=injector)
+    slow = {"max_batch_size": 1 << 15, "max_wait_s": 10.0}
+    cluster = build_cluster(parents, 2, **slow, fault_injector=injector)
     tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 64)
     cluster.advance_to(t_kill + 1e-4)  # both copies now dead; queries parked
     with pytest.raises(ReplicaDown):
@@ -215,15 +221,15 @@ def test_parked_queries_survive_total_outage_until_recovery():
 def test_failover_latency_is_measured_from_the_original_arrival():
     parents = random_attachment_tree(64, seed=7)
     wait = 1e-2
-    policy = BatchPolicy(max_batch_size=64, max_wait_s=wait)
+    config = ClusterConfig(
+        n_replicas=2,
+        max_batch_size=64,
+        max_wait_s=wait,
+        router="round-robin",  # first route lands on replica 0
+    )
 
     def run(injector):
-        cluster = ClusterService(
-            2,
-            policy=policy,
-            router=RoundRobinRouter(),  # first route lands on replica 0
-            fault_injector=injector,
-        )
+        cluster = ClusterService(config=config, fault_injector=injector)
         cluster.register_tree("t", parents, on=[0, 1])  # pinned copy order
         ticket = cluster.submit("t", 1, 2, at=0.0)
         cluster.advance_to(4 * wait)
@@ -254,8 +260,8 @@ def test_hedge_beats_a_slowed_replica():
     cluster = build_cluster(
         parents,
         2,
-        policy=POLICY,
-        router=RoundRobinRouter(),  # keep routing half the load onto the laggard
+        **POLICY,
+        router="round-robin",  # keep routing half the load onto the laggard
         fault_injector=injector,
         hedge_delay_s=1e-4,
         observer=observer,
@@ -271,7 +277,7 @@ def test_hedge_beats_a_slowed_replica():
 
 def test_no_hedges_without_a_delay_or_a_straggler():
     parents, xs, ys, arrivals, _ = stream(128, 128, seed=9)
-    cluster = build_cluster(parents, 2, policy=POLICY, hedge_delay_s=10.0)
+    cluster = build_cluster(parents, 2, **POLICY, hedge_delay_s=10.0)
     chunked_submit(cluster, "t", xs, ys, arrivals, 64)
     cluster.drain()
     assert cluster.stats().hedges_issued == 0
@@ -285,7 +291,7 @@ def test_no_hedges_without_a_delay_or_a_straggler():
 def test_add_replica_joins_live_and_serves():
     parents, xs, ys, arrivals, expected = stream(128, 300, seed=10)
     observer = TraceRecorder()
-    cluster = build_cluster(parents, 2, policy=POLICY, observer=observer)
+    cluster = build_cluster(parents, 2, **POLICY, observer=observer)
     half = xs.size // 2
     t0 = chunked_submit(cluster, "t", xs[:half], ys[:half], arrivals[:half], 64)
     rid = cluster.add_replica()
@@ -303,8 +309,8 @@ def test_add_replica_joins_live_and_serves():
 
 def test_retire_replica_drains_before_leaving():
     parents, xs, ys, arrivals, expected = stream(128, 200, seed=12)
-    slow = BatchPolicy(max_batch_size=1 << 15, max_wait_s=10.0)
-    cluster = build_cluster(parents, 2, policy=slow)
+    slow = {"max_batch_size": 1 << 15, "max_wait_s": 10.0}
+    cluster = build_cluster(parents, 2, **slow)
     tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 64)
     victim = cluster.placement("t")[0]
     assert cluster.pending_count() == xs.size
@@ -318,7 +324,7 @@ def test_retire_replica_drains_before_leaving():
 
 def test_retire_validation():
     parents = random_attachment_tree(64, seed=13)
-    cluster = ClusterService(2, policy=POLICY)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2, **POLICY))
     cluster.register_tree("pinned", parents, on=[1])
     cluster.register_tree("t", parents, replicas=2)
     with pytest.raises(ServiceError):
@@ -328,7 +334,7 @@ def test_retire_validation():
     cluster.register_tree("spare", parents, on=[0])
     with pytest.raises(ServiceError):
         cluster.retire_replica(0)  # also pinned now; nothing retirable
-    cluster2 = build_cluster(parents, 2, policy=POLICY)
+    cluster2 = build_cluster(parents, 2, **POLICY)
     cluster2.retire_replica(0)
     with pytest.raises(ServiceError):
         cluster2.retire_replica(0)  # already retired
@@ -345,7 +351,7 @@ def test_scheduled_scale_out_and_retire():
             FaultEvent(time_s=mid + 2e-4, action="retire", replica=0),
         ]
     )
-    cluster = build_cluster(parents, 2, policy=POLICY, fault_injector=injector)
+    cluster = build_cluster(parents, 2, **POLICY, fault_injector=injector)
     tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 64)
     cluster.drain()
     np.testing.assert_array_equal(cluster.results(tickets), expected)
@@ -365,9 +371,7 @@ def test_noop_injector_is_bit_identical_to_no_injector():
     parents, xs, ys, arrivals, _ = stream(256, 600, seed=15)
 
     def run(injector):
-        cluster = build_cluster(
-            parents, 3, policy=POLICY, fault_injector=injector
-        )
+        cluster = build_cluster(parents, 3, **POLICY, fault_injector=injector)
         tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 64)
         cluster.drain()
         return (
@@ -389,7 +393,7 @@ def test_single_replica_noop_injector_matches_plain_service_trace():
     parents, xs, ys, arrivals, _ = stream(128, 300, seed=16)
 
     plain_obs = TraceRecorder()
-    plain = LCAQueryService(policy=POLICY, observer=plain_obs)
+    plain = LCAQueryService(config=ServiceConfig(**POLICY), observer=plain_obs)
     plain.register_tree("t", parents)
     for i in range(0, xs.size, 64):
         plain.submit_many(
@@ -401,7 +405,7 @@ def test_single_replica_noop_injector_matches_plain_service_trace():
     cluster = build_cluster(
         parents,
         1,
-        policy=POLICY,
+        **POLICY,
         fault_injector=FaultInjector(()),
         observer=cluster_obs,
     )
@@ -440,9 +444,7 @@ def test_autoscaler_reacts_during_chaos_flash_without_losing_queries():
     )
     report = replay_chaos(
         chaos,
-        n_replicas=2,
-        policy=POLICY,
-        max_pending=2048,
+        config=ClusterConfig(n_replicas=2, max_pending=2048, **POLICY),
         admission_window_s=2e-3,
         check_answers=True,
         controller=controller,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service import BatchPolicy, make_router
+from repro.service import ClusterConfig, ClusterService
 from repro.workloads import (
     CHAOS_SCENARIOS,
     RetryPolicy,
@@ -23,7 +23,7 @@ from repro.workloads import (
     transient_storm,
 )
 
-POLICY = BatchPolicy(max_batch_size=256, max_wait_s=2e-4)
+POLICY = {"max_batch_size": 256, "max_wait_s": 2e-4}
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +66,8 @@ def test_transient_storm_is_seeded_and_bounded():
 def test_replay_chaos_rejects_unreachable_replica_targets():
     chaos = make_chaos_scenario("chaos-rolling-restart", scale=0.2)
     with pytest.raises(ConfigurationError):
-        replay_chaos(chaos, n_replicas=2)  # restarts replica 2 of a 2-cluster
+        # restarts replica 2 of a 2-cluster
+        replay_chaos(chaos, config=ClusterConfig(n_replicas=2))
 
 
 # ----------------------------------------------------------------------
@@ -80,9 +81,7 @@ def test_chaos_replay_loses_nothing_and_verifies(name):
     replicas = max(2, chaos.min_replicas())
     report = replay_chaos(
         chaos,
-        n_replicas=replicas,
-        policy=POLICY,
-        max_pending=8192,
+        config=ClusterConfig(n_replicas=replicas, max_pending=8192, **POLICY),
         check_answers=True,  # every answer checked against the oracle
     )
     stats = report.stats
@@ -96,7 +95,8 @@ def test_chaos_replay_loses_nothing_and_verifies(name):
 def test_chaos_replay_is_deterministic():
     chaos = make_chaos_scenario("chaos-replica-kill", scale=0.25, seed=5)
     reports = [
-        replay_chaos(chaos, n_replicas=2, policy=POLICY) for _ in range(2)
+        replay_chaos(chaos, config=ClusterConfig(n_replicas=2, **POLICY))
+        for _ in range(2)
     ]
     assert reports[0].stats == reports[1].stats
     assert reports[0].latency_p99_s == reports[1].latency_p99_s
@@ -107,7 +107,7 @@ def test_chaos_replay_is_deterministic():
 def test_chaos_scale_out_changes_membership():
     chaos = make_chaos_scenario("chaos-scale-out", scale=0.25, seed=7)
     report = replay_chaos(
-        chaos, n_replicas=2, policy=POLICY, check_answers=True
+        chaos, config=ClusterConfig(n_replicas=2, **POLICY), check_answers=True
     )
     assert report.stats.membership_events == 2  # one add, one retire
     assert report.stats.queries_answered == report.stats.queries_submitted
@@ -147,16 +147,11 @@ def test_retry_accounting_invariant_on_an_overloaded_cluster():
     # A flash crowd on a tightly bounded service sheds heavily; with a
     # client retry policy every shed query is either admitted on a later
     # attempt or abandoned after max_attempts — never silently dropped.
-    from repro.service import ClusterService
-
     scenario = make_scenario("flash-crowd", scale=0.3, seed=9)
 
     def run(retry):
         cluster = ClusterService(
-            2,
-            policy=POLICY,
-            router=make_router("least-outstanding"),
-            max_pending=256,
+            config=ClusterConfig(n_replicas=2, max_pending=256, **POLICY)
         )
         return replay(cluster, scenario, retry=retry)
 
@@ -180,10 +175,11 @@ def test_retry_accounting_invariant_on_an_overloaded_cluster():
 
 def test_retry_policy_is_deterministic():
     scenario = make_scenario("flash-crowd", scale=0.25, seed=11)
-    from repro.service import ClusterService
 
     def run():
-        cluster = ClusterService(2, policy=POLICY, max_pending=256)
+        cluster = ClusterService(
+            config=ClusterConfig(n_replicas=2, max_pending=256, **POLICY)
+        )
         return replay(cluster, scenario, retry=RetryPolicy(seed=2))
 
     a, b = run(), run()

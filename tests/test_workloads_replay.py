@@ -18,7 +18,13 @@ import pytest
 from repro.experiments.service_experiments import scenario_suite, serve_query_stream
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
-from repro.service import BatchPolicy, ClusterService, LCAQueryService, make_router
+from repro.service import (
+    BatchPolicy,
+    ClusterConfig,
+    ClusterService,
+    LCAQueryService,
+    ServiceConfig,
+)
 from repro.workloads import (
     DeterministicArrivals,
     Phase,
@@ -30,11 +36,18 @@ from repro.workloads import (
 )
 
 POLICY = BatchPolicy(max_batch_size=256, max_wait_s=2e-4)
+CONFIG = ServiceConfig(max_batch_size=256, max_wait_s=2e-4)
 
 
 def bounded_cluster(max_pending=8192, policy_name="least-outstanding"):
     return ClusterService(
-        4, policy=POLICY, router=make_router(policy_name), max_pending=max_pending
+        config=ClusterConfig(
+            n_replicas=4,
+            max_batch_size=256,
+            max_wait_s=2e-4,
+            router=policy_name,
+            max_pending=max_pending,
+        )
     )
 
 
@@ -54,7 +67,7 @@ def test_steady_replay_reproduces_offered_load_sweep_numbers():
     arrivals = np.arange(q, dtype=np.float64) / rate
 
     row = serve_query_stream(parents, xs, ys, arrivals, POLICY)
-    report = replay(LCAQueryService(policy=POLICY), scenario, warm=False)
+    report = replay(LCAQueryService(config=CONFIG), scenario, warm=False)
 
     assert report.queries_admitted == q == row["queries"]
     assert row["throughput_qps"] == float(f"{report.stats.throughput_qps:.4g}")
@@ -74,12 +87,12 @@ def test_steady_replay_stats_bit_identical_to_manual_stream():
     xs, ys = generate_random_queries(source.nodes, q, seed=source.key_seed)
     arrivals = np.arange(q, dtype=np.float64) / phase.arrivals.rate_qps
 
-    manual = LCAQueryService(policy=POLICY)
+    manual = LCAQueryService(config=CONFIG)
     manual.register_tree("steady", parents)
     tickets = manual.submit_many("steady", xs, ys, at=arrivals)
     manual.drain()
 
-    replayed = LCAQueryService(policy=POLICY)
+    replayed = LCAQueryService(config=CONFIG)
     report = replay(replayed, scenario, warm=False, check_answers=True)
 
     # The full snapshot — counts, histograms, latencies, cache accounting —
@@ -111,7 +124,7 @@ def test_flash_crowd_sheds_and_steady_does_not():
 
 
 def test_unbounded_cluster_never_sheds_the_flash():
-    cluster = ClusterService(4, policy=POLICY, router=make_router("round-robin"))
+    cluster = bounded_cluster(max_pending=None, policy_name="round-robin")
     report = replay(cluster, make_scenario("flash-crowd", scale=0.25))
     assert report.queries_shed == 0
 
@@ -141,7 +154,7 @@ def test_multi_source_replay_on_single_service_verifies_answers():
         seed=9,
         mix_stride=16,
     )
-    service = LCAQueryService(policy=POLICY)
+    service = LCAQueryService(config=CONFIG)
     report = replay(service, scenario, check_answers=True)
     assert report.target_kind == "service"
     assert report.queries_shed == 0
@@ -153,7 +166,7 @@ def test_multi_source_replay_on_single_service_verifies_answers():
 
 def test_replay_respects_preregistered_trees():
     parents = np.array([-1, 0, 0, 1, 1], dtype=np.int64)
-    service = LCAQueryService(policy=POLICY)
+    service = LCAQueryService(config=CONFIG)
     service.register_tree("tiny", parents)
     scenario = Scenario(
         name="prewired",
