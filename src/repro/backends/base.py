@@ -38,6 +38,7 @@ import numpy as np
 
 from ..device import ExecutionContext
 from ..errors import ServiceError
+from ..graphs.trees import as_query_ids
 
 __all__ = [
     "BackendCapabilities",
@@ -130,8 +131,8 @@ class CompiledKernel:
 
     def bind(self, xs: np.ndarray, ys: np.ndarray) -> Launch:
         """Stage one query batch: validate, convert and wrap it in a Launch."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
+        xs = as_query_ids(xs)
+        ys = as_query_ids(ys)
         return Launch(self._execute, xs, ys)
 
     def query(

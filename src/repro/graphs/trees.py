@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import InvalidGraphError, NotATreeError
+from ..errors import InvalidGraphError, InvalidQueryError, NotATreeError
 from .edgelist import EdgeList
 
 #: Sentinel parent value used for the root.
@@ -207,6 +207,27 @@ def brute_force_lca(parents: np.ndarray, x: int, y: int) -> int:
         if node == NO_PARENT:  # pragma: no cover - impossible in a valid tree
             raise NotATreeError("query nodes are not in the same tree")
     return node
+
+
+def as_query_ids(ids: object) -> np.ndarray:
+    """Query node ids as an ``int64`` array of at least one dimension.
+
+    Non-integer dtypes are refused, not cast: a cast would answer ``1.7`` as
+    node ``1`` and ``True`` as node ``1``, so anything whose dtype kind is
+    not signed or unsigned integer raises
+    :class:`~repro.errors.InvalidQueryError` — one dtype test per call, never
+    per element.  Integer arrays of any width, lists of Python ints and int
+    scalars pass; so does an empty input of any dtype (``[]`` is ``float64``
+    to NumPy).  A ``uint64`` id beyond ``int64`` wraps negative and fails the
+    bounds check that follows.
+    """
+    arr = np.asarray(ids)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise InvalidQueryError(
+            f"query node ids must be integers, got dtype {arr.dtype}"
+        )
+    arr = arr.astype(np.int64, copy=False)
+    return arr if arr.ndim else arr.reshape(1)
 
 
 def query_bounds_mask(xs: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:

@@ -30,6 +30,7 @@ Two execution flavours are provided:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,7 @@ import numpy as np
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import TreeStats, tree_statistics_from_parents
-from ..graphs.trees import query_bounds_mask, validate_parents
+from ..graphs.trees import as_query_ids, validate_parents
 from ..primitives import elementwise
 
 __all__ = [
@@ -196,79 +197,70 @@ def build_inlabel_structure(stats: TreeStats,
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _ilog2_table(size: int) -> np.ndarray:
+    """Read-only ``uint8`` table of ``floor(log2(max(v, 1)))`` for ``v < size``.
+
+    One per distinct ``head.size`` (a power of two, so a few dozen at most),
+    shared by every index of that size: a constant of the algorithm,
+    reachable from no :class:`InlabelStructure`, so artifact sizes (and the
+    registry's eviction order) do not see it.
+    """
+    table = np.zeros(size, dtype=np.uint8)
+    for k in range(1, size.bit_length()):
+        table[1 << k:2 << k] = k
+    table.flags.writeable = False
+    return table
+
+
 def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
                    ) -> np.ndarray:
     """Vectorized constant-time LCA queries against an Inlabel structure.
 
     Pure computation (no cost accounting); both execution flavours wrap this.
+    One straight-line pass over both endpoints stacked as ``(2, b)``: no lane
+    is branched on; a lane that needs no climb does a throwaway in-bounds
+    read that the ``where`` discards.
     """
     inlabel = structure.inlabel
-    ascendant = structure.ascendant
-    head = structure.head
-    depth = structure.depth
-    parent = structure.parent
-
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
+    xs = as_query_ids(xs)
+    ys = as_query_ids(ys)
     if xs.shape != ys.shape:
         raise InvalidQueryError("query arrays must have the same shape")
     if xs.size == 0:
         return np.empty(0, dtype=np.int64)
-    n = structure.n
-    # Single fused bounds check (uint64 reinterpretation) instead of the
-    # four separate min/max reduction passes over the query arrays.
-    if query_bounds_mask(xs, ys, n).any():
+    xy = np.empty((2,) + xs.shape, dtype=np.int64)
+    xy[0] = xs
+    xy[1] = ys
+    # Viewed as uint64 a negative id is huge: one maximum checks both ends.
+    if xy.view(np.uint64).max() >= inlabel.size:
         raise InvalidQueryError("query nodes out of range")
 
-    ix = inlabel[xs]
-    iy = inlabel[ys]
-    answer = np.empty(xs.size, dtype=np.int64)
-
-    same = ix == iy
-    if same.any():
-        take_x = depth[xs[same]] <= depth[ys[same]]
-        answer[same] = np.where(take_x, xs[same], ys[same])
-
-    diff = ~same
-    if diff.any():
-        dx = xs[diff]
-        dy = ys[diff]
-        ixd = ix[diff]
-        iyd = iy[diff]
-        # i: highest bit where the inlabels differ; low_j: the lowest common
-        # ascendant level at or above i — the B-level bit of the LCA's
-        # inlabel.  ``x & -x`` isolates it directly; no trailing-zero count
-        # (and its frexp float round-trip) is needed, because every use of
-        # the level j below only ever needs the bit ``1 << j`` or the mask
-        # ``(1 << j) - 1``.
-        i = _ilog2(ixd ^ iyd)
-        common = ascendant[dx] & ascendant[dy]
-        common_high = (common >> i) << i
-        low_j = common_high & -common_high
-        inlabel_z = (ixd & ~((low_j << 1) - 1)) | low_j
-
-        def climb(nodes: np.ndarray, node_inlabels: np.ndarray) -> np.ndarray:
-            """Lowest ancestor of each node whose inlabel equals inlabel_z."""
-            out = nodes.copy()
-            needs_climb = node_inlabels != inlabel_z
-            if needs_climb.any():
-                nn = nodes[needs_climb]
-                # Highest ascendant level of the node strictly below j: the
-                # inlabel path entered just below the LCA's path.
-                below = ascendant[nn] & (low_j[needs_climb] - 1)
-                k = _ilog2(below)
-                high_k = np.int64(1) << k
-                inlabel_w = (node_inlabels[needs_climb]
-                             & ~((high_k << 1) - 1)) | high_k
-                w = head[inlabel_w]
-                out[needs_climb] = parent[w]
-            return out
-
-        xbar = climb(dx, ixd)
-        ybar = climb(dy, iyd)
-        take_x = depth[xbar] <= depth[ybar]
-        answer[diff] = np.where(take_x, xbar, ybar)
-    return answer
+    log2 = _ilog2_table(structure.head.size)
+    il = inlabel[xy]
+    asc = structure.ascendant[xy]
+    # i: highest bit where the inlabels differ; low_j: the lowest common
+    # ascendant level at or above i — the B-level bit of the LCA's inlabel.
+    # Equal inlabels are no special case: the lowest set bit of ascendant[v]
+    # is inlabel[v]'s own level, so low_j is that level and nothing is below.
+    i = log2[il[0] ^ il[1]]
+    common = asc[0] & asc[1]
+    common >>= i
+    common <<= i
+    low_j = common & -common
+    # asc becomes each endpoint's ascendant levels strictly below j.  None:
+    # the endpoint is on the LCA's inlabel path already.  Otherwise the
+    # highest, k, is the inlabel path entered just below it, and the parent
+    # of that path's head is the endpoint's lowest ancestor on the LCA's.
+    low_j -= 1
+    asc &= low_j
+    k = log2[asc]
+    il >>= k
+    il |= 1
+    il <<= k
+    bar = np.where(asc != 0, structure.parent[structure.head[il]], xy)
+    depth = structure.depth[bar]
+    return np.where(depth[0] <= depth[1], bar[0], bar[1])
 
 
 @dataclass(frozen=True)
@@ -291,6 +283,38 @@ class QueryKernelCost:
 
 #: The modeled cost of one Schieber–Vishkin Inlabel query.
 INLABEL_QUERY_COST = QueryKernelCost(ops=40.0, bytes_read=112.0, bytes_written=8.0)
+
+
+def _launch_query(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray,
+                  ctx: Optional[ExecutionContext], *, sequential: bool
+                  ) -> np.ndarray:
+    """One query launch of either flavour: run the kernel, book its charge.
+
+    ``sequential`` selects the modeled shape booked under ``"queries"``: the
+    batch one query at a time on one core, or one map kernel over it.
+    """
+    out = _query_inlabel(structure, xs, ys)
+    if ctx is not None:
+        size = out.size
+        with ctx.phase("queries"):
+            if sequential:
+                ctx.sequential(
+                    "cpu_inlabel_query_batch",
+                    ops=INLABEL_QUERY_COST.ops * size,
+                    bytes_touched=INLABEL_QUERY_COST.bytes_read * size,
+                    random_access=True,
+                )
+            else:
+                ctx.kernel(
+                    "inlabel_query_batch",
+                    threads=size,
+                    ops=INLABEL_QUERY_COST.ops * size,
+                    bytes_read=INLABEL_QUERY_COST.bytes_read * size,
+                    bytes_written=INLABEL_QUERY_COST.bytes_written * size,
+                    launches=1,
+                    random_access=True,
+                )
+    return out
 
 
 class InlabelLCA:
@@ -335,21 +359,7 @@ class InlabelLCA:
     def query(self, xs: np.ndarray, ys: np.ndarray,
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
         """Answer a batch of LCA queries; one map kernel over the batch."""
-        ctx = ensure_context(ctx)
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
-        with ctx.phase("queries"):
-            out = _query_inlabel(self.structure, xs, ys)
-            ctx.kernel(
-                "inlabel_query_batch",
-                threads=int(xs.size),
-                ops=INLABEL_QUERY_COST.ops * xs.size,
-                bytes_read=INLABEL_QUERY_COST.bytes_read * xs.size,
-                bytes_written=INLABEL_QUERY_COST.bytes_written * xs.size,
-                launches=1,
-                random_access=True,
-            )
-        return out
+        return _launch_query(self.structure, xs, ys, ctx, sequential=False)
 
 
 class SequentialInlabelLCA:
@@ -397,15 +407,4 @@ class SequentialInlabelLCA:
     def query(self, xs: np.ndarray, ys: np.ndarray,
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
         """Answer a batch of LCA queries sequentially (one query at a time)."""
-        ctx = ensure_context(ctx)
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
-        with ctx.phase("queries"):
-            out = _query_inlabel(self.structure, xs, ys)
-            ctx.sequential(
-                "cpu_inlabel_query_batch",
-                ops=INLABEL_QUERY_COST.ops * xs.size,
-                bytes_touched=INLABEL_QUERY_COST.bytes_read * xs.size,
-                random_access=True,
-            )
-        return out
+        return _launch_query(self.structure, xs, ys, ctx, sequential=True)

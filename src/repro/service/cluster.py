@@ -71,7 +71,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..errors import Overloaded, ReplicaDown, ServiceError
-from ..graphs.trees import validate_parents
+from ..graphs.trees import as_query_ids, validate_parents
 from ..obs.events import (
     EV_FAULT,
     EV_HEDGE,
@@ -883,8 +883,8 @@ class ClusterService:
         [1, 0]
         """
         copies = self._copies(dataset)
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
+        xs = as_query_ids(xs)
+        ys = as_query_ids(ys)
         if xs.shape != ys.shape:
             raise ServiceError("query arrays must have the same shape")
         if at is not None:

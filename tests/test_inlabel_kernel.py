@@ -1,0 +1,311 @@
+"""The vectorized Inlabel query kernel: one branch-free pass, checked hard.
+
+The kernel answers both endpoints of every query through one stacked
+computation and throws away the lanes that need no climb, so the tests look
+for exactly what that could break: a wrong answer on a special-case pair
+(equal nodes, ancestor pairs, equal inlabels), a discarded lane leaking into
+a neighbour, an input form that takes a different path, an error that no
+longer fires, and the shared log table showing up where it must not.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.backends import get_kernel_backend
+from repro.errors import InvalidQueryError
+from repro.lca import BinaryLiftingLCA, InlabelLCA, SequentialInlabelLCA
+from repro.lca.inlabel import _ilog2_table
+from repro.service import ClusterConfig, ClusterService, LCAQueryService
+from repro.service.registry import artifact_nbytes
+
+from .conftest import make_tree
+
+IMPLEMENTATIONS = [InlabelLCA, SequentialInlabelLCA]
+
+
+def all_parent_arrays(n):
+    """Every parent array on ``n`` labeled nodes that is a rooted tree."""
+    for cand in itertools.product(range(-1, n), repeat=n):
+        if cand.count(-1) != 1:
+            continue
+        for v in range(n):
+            steps = 0
+            while v != -1 and steps <= n:
+                v = cand[v]
+                steps += 1
+            if v != -1:
+                break
+        else:
+            yield np.array(cand, dtype=np.int64)
+
+
+def caterpillar(n):
+    """A spine of ``ceil(n / 2)`` nodes, one leaf hanging off each but the last."""
+    spine = (n + 1) // 2
+    parents = np.empty(n, dtype=np.int64)
+    parents[:spine] = np.arange(-1, spine - 1)
+    parents[spine:] = np.arange(n - spine)
+    return parents
+
+
+def complete_binary(n):
+    parents = (np.arange(n, dtype=np.int64) - 1) // 2
+    parents[0] = -1
+    return parents
+
+
+def assert_all_pairs_match_reference(parents):
+    n = parents.size
+    xs, ys = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+    expected = BinaryLiftingLCA(parents).query(xs, ys)
+    assert np.array_equal(InlabelLCA(parents).query(xs, ys), expected)
+
+
+class TestExhaustive:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_tree_every_pair(self, n):
+        """All n^(n-1) labeled rooted trees, all n^2 pairs (x == y included)."""
+        count = 0
+        for parents in all_parent_arrays(n):
+            assert_all_pairs_match_reference(parents)
+            count += 1
+        assert count == n ** (n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 127, 128, 129, 257])
+    @pytest.mark.parametrize("shape", ["path", "star", "caterpillar", "binary"])
+    def test_extreme_shapes(self, shape, n):
+        """Shapes that put many nodes on one inlabel path, or one per path."""
+        parents = {
+            "path": lambda: make_tree("path", n, seed=0),
+            "star": lambda: make_tree("star", n, seed=0),
+            "caterpillar": lambda: caterpillar(n),
+            "binary": lambda: complete_binary(n),
+        }[shape]()
+        assert_all_pairs_match_reference(parents)
+
+
+@st.composite
+def tree_and_batch(draw):
+    n = draw(st.integers(1, 200))
+    parents = np.full(n, -1, dtype=np.int64)
+    for v in range(1, n):
+        parents[v] = draw(st.integers(0, v - 1))
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    relabeled = np.full(n, -1, dtype=np.int64)
+    relabeled[order[1:]] = order[parents[1:]]
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=64))
+    xs, ys = np.array(pairs, dtype=np.int64).T
+    return relabeled, xs, ys
+
+
+class TestLaneIndependence:
+    @given(tree_and_batch())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_its_single_queries(self, case):
+        """A lane the final ``where`` discards must not touch its neighbours."""
+        parents, xs, ys = case
+        lca = InlabelLCA(parents)
+        batch = lca.query(xs, ys)
+        for k in range(xs.size):
+            assert batch[k] == lca.query(xs[k : k + 1], ys[k : k + 1])[0]
+        assert np.array_equal(batch, BinaryLiftingLCA(parents).query(xs, ys))
+
+
+class TestInputForms:
+    @pytest.fixture(scope="class")
+    def case(self):
+        parents = make_tree("shallow", 300, seed=11)
+        rng = np.random.default_rng(12)
+        xs = rng.integers(0, 300, size=90)
+        ys = rng.integers(0, 300, size=90)
+        return parents, xs, ys, BinaryLiftingLCA(parents).query(xs, ys)
+
+    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.uint64])
+    def test_integer_dtypes(self, impl, dtype, case):
+        parents, xs, ys, expected = case
+        if dtype is np.int8:
+            keep = (xs < 128) & (ys < 128)
+            xs, ys, expected = xs[keep], ys[keep], expected[keep]
+        out = impl(parents).query(xs.astype(dtype), ys.astype(dtype))
+        assert out.dtype == np.int64
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+    def test_mixed_dtypes_and_lists(self, impl, case):
+        parents, xs, ys, expected = case
+        lca = impl(parents)
+        mixed = lca.query(xs.astype(np.int32), ys.astype(np.uint64))
+        assert np.array_equal(mixed, expected)
+        assert np.array_equal(lca.query(xs.tolist(), ys.tolist()), expected)
+        assert np.array_equal(lca.query(xs.tolist(), ys), expected)
+
+    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+    def test_strided_views(self, impl, case):
+        parents, xs, ys, expected = case
+        lca = impl(parents)
+        table = np.stack([xs, ys], axis=1)  # columns are non-contiguous
+        assert not table[:, 0].flags.c_contiguous
+        assert np.array_equal(lca.query(table[:, 0], table[:, 1]), expected)
+        assert np.array_equal(lca.query(xs[::3], ys[::3]), expected[::3])
+        assert np.array_equal(lca.query(xs[::-1], ys[::-1]), expected[::-1])
+
+    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+    def test_scalars(self, impl, case):
+        parents, xs, ys, expected = case
+        lca = impl(parents)
+        forms = [
+            (int(xs[0]), int(ys[0])),
+            (xs[0], ys[0]),
+            (np.array(xs[0]), np.array(ys[0])),
+        ]
+        for x, y in forms:
+            out = lca.query(x, y)
+            assert out.shape == (1,) and out[0] == expected[0]
+
+    def test_inputs_are_not_written(self, case):
+        parents, xs, ys, _ = case
+        xs0, ys0 = xs.copy(), ys.copy()
+        xs.flags.writeable = ys.flags.writeable = False
+        try:
+            InlabelLCA(parents).query(xs, ys)
+        finally:
+            xs.flags.writeable = ys.flags.writeable = True
+        assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
+
+
+NON_INTEGER_IDS = [
+    np.array([1.7]),
+    np.array([1.0]),
+    np.array([True]),
+    np.array([1], dtype=object),
+    np.array(["1"]),
+    [1.5],
+    1.5,
+    True,
+]
+
+
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+class TestErrorContract:
+    N = 50
+
+    @pytest.fixture
+    def lca(self, impl):
+        return impl(make_tree("shallow", self.N, seed=2))
+
+    def test_shape_mismatch(self, lca):
+        with pytest.raises(InvalidQueryError, match="same shape"):
+            lca.query(np.array([1, 2, 3]), np.array([1, 2]))
+
+    @pytest.mark.parametrize(
+        "empty", [[], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)]
+    )
+    def test_empty_is_empty_int64(self, lca, empty):
+        out = lca.query(empty, empty)
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1, -(2**62), N, N + 1, 2**62])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_out_of_range_anywhere(self, lca, bad, column, position):
+        cols = [np.arange(10), np.arange(10)]
+        cols[column][position] = bad
+        with pytest.raises(InvalidQueryError, match="out of range"):
+            lca.query(*cols)
+
+    def test_uint64_beyond_int64_is_out_of_range(self, lca):
+        with pytest.raises(InvalidQueryError, match="out of range"):
+            lca.query(np.array([2**63 + 1], dtype=np.uint64), np.array([0]))
+
+    @pytest.mark.parametrize("bad", NON_INTEGER_IDS, ids=repr)
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_integer_ids_are_refused_not_truncated(self, lca, bad, column):
+        cols = [np.array([2]), np.array([2])]
+        cols[column] = bad
+        with pytest.raises(InvalidQueryError, match="must be integers"):
+            lca.query(*cols)
+
+
+NON_INTEGER_COLUMNS = [
+    np.array([1.7, 2.0]),
+    np.array([True, False]),
+    np.array([1, 2], dtype=object),
+]
+NON_INTEGER_SCALARS = [1.7, 1.0, np.float64(1.0), np.bool_(True), "1", None]
+
+
+class TestFrontDoorsRefuseNonIntegerIds:
+    """The same dtype rule at every entry that used to cast to ``int64``."""
+
+    PARENTS = np.array([-1, 0, 0, 1, 1, 2])
+
+    def make(self, kind):
+        if kind == "service":
+            target = LCAQueryService()
+        else:
+            target = ClusterService(config=ClusterConfig(n_replicas=2))
+        target.register_tree("t", self.PARENTS)
+        return target
+
+    @pytest.mark.parametrize("kind", ["service", "cluster"])
+    @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)
+    def test_submit_many(self, kind, bad):
+        target = self.make(kind)
+        good = np.array([3, 4])
+        for xs, ys in [(bad, good), (good, bad)]:
+            with pytest.raises(InvalidQueryError, match="must be integers"):
+                target.submit_many("t", xs, ys)
+        tickets = target.submit_many("t", [3, 5], np.array([4, 4], dtype=np.int32))
+        assert target.submit_many("t", [], []).size == 0
+        target.drain()
+        assert target.results(tickets).tolist() == [1, 0]
+
+    @pytest.mark.parametrize("kind", ["service", "cluster"])
+    @pytest.mark.parametrize("bad", NON_INTEGER_SCALARS, ids=repr)
+    def test_submit(self, kind, bad):
+        target = self.make(kind)
+        for x, y in [(bad, 3), (3, bad)]:
+            with pytest.raises(InvalidQueryError, match="must be integers"):
+                target.submit("t", x, y)
+        ticket = target.submit("t", 3, np.int32(4))
+        target.drain()
+        assert target.result(ticket) == 1
+
+    @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
+    @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)
+    def test_compiled_kernels(self, key, bad):
+        kernel = get_kernel_backend(key).compile(self.PARENTS)
+        with pytest.raises(InvalidQueryError, match="must be integers"):
+            kernel.query(bad, np.array([3, 4]))
+        assert kernel.query([3, 5], [4, 4]).tolist() == [1, 0]
+
+
+class TestLogTable:
+    def test_values(self):
+        table = _ilog2_table(1 << 10)
+        assert table.dtype == np.uint8 and table.size == 1 << 10
+        assert table[0] == 0
+        for v in range(1, 1 << 10):
+            assert table[v] == v.bit_length() - 1
+
+    def test_shared_and_read_only(self):
+        a = InlabelLCA(make_tree("shallow", 700, seed=1))
+        b = InlabelLCA(make_tree("deep", 900, seed=2))
+        assert a.structure.head.size == b.structure.head.size
+        table = _ilog2_table(a.structure.head.size)
+        assert table is _ilog2_table(b.structure.head.size)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 7
+
+    def test_stays_out_of_the_artifact(self):
+        """Registry sizes must not move: the value is the parent commit's."""
+        lca = InlabelLCA(make_tree("shallow", 1000, seed=7))
+        lca.query(np.arange(10), np.arange(10)[::-1])  # table now exists
+        assert artifact_nbytes(lca) == 96384
