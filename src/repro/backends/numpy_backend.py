@@ -86,7 +86,6 @@ class NumpyBackend(KernelBackend):
         self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None
     ) -> CompiledKernel:
         """Build the matching legacy artifact for this tree."""
-        parents = np.asarray(parents, dtype=np.int64)
         artifact: Union[InlabelLCA, SequentialInlabelLCA]
         if self.sequential:
             artifact = SequentialInlabelLCA(parents, ctx=ctx)

@@ -271,7 +271,6 @@ class ProcessPoolBackend(KernelBackend):
         The modeled preprocessing charge matches the parallel baseline
         (:class:`~repro.lca.InlabelLCA`) — same logical work.
         """
-        parents = np.asarray(parents, dtype=np.int64)
         artifact = InlabelLCA(parents, ctx=ctx)
         return _PoolCompiledKernel(
             self.key, artifact.structure,

@@ -177,7 +177,6 @@ class SmallBatchBackend(KernelBackend):
         The modeled preprocessing charge matches the sequential CPU baseline
         (:class:`~repro.lca.SequentialInlabelLCA`) — same logical work.
         """
-        parents = np.asarray(parents, dtype=np.int64)
         stats = tree_statistics_from_parents(parents, ctx=None)
         structure = build_inlabel_structure(stats, ctx=None)
         ctx = ensure_context(ctx)

@@ -93,7 +93,8 @@ def build_dcel(tree_edges: EdgeList, *, ctx: Optional[ExecutionContext] = None) 
     # Array A: interleaved directions so twin(e) = e XOR 1.
     src, dst, _ = tree_edges.directed_halfedges()
     h = src.size  # = 2 m
-    twin = np.arange(h, dtype=np.int64) ^ 1
+    twin = np.arange(h, dtype=np.int64)
+    twin ^= 1
     ctx.kernel(
         "dcel_build_A",
         threads=max(h, 1),
@@ -115,25 +116,22 @@ def build_dcel(tree_edges: EdgeList, *, ctx: Optional[ExecutionContext] = None) 
     # position in B, the corresponding half-edge id in A.
     sorted_src, _sorted_dst, order = sort_pairs(src, dst, ctx=ctx)
 
-    # first[x]: position in B of the first half-edge leaving x, scattered from
-    # the block boundaries of the sorted source array.
-    is_block_start = np.empty(h, dtype=bool)
-    is_block_start[0] = True
-    is_block_start[1:] = sorted_src[1:] != sorted_src[:-1]
-    first_pos = np.full(n, -1, dtype=np.int64)
-    first_pos[sorted_src[is_block_start]] = np.flatnonzero(is_block_start)
-    first = np.full(n, -1, dtype=np.int64)
-    first[sorted_src[is_block_start]] = order[np.flatnonzero(is_block_start)]
+    # B is a run of blocks, one per source: starts[k] / ends[k] are the
+    # positions in B of the first / last half-edge leaving the k-th source.
+    ends = np.append(np.flatnonzero(sorted_src[1:] != sorted_src[:-1]), h - 1)
+    starts = np.append(0, ends[:-1] + 1)
 
-    # next pointers: within a block, the next position in B; at block ends,
-    # wrap to the block start.
-    next_pos = np.arange(1, h + 1, dtype=np.int64)
-    is_block_end = np.empty(h, dtype=bool)
-    is_block_end[:-1] = sorted_src[1:] != sorted_src[:-1]
-    is_block_end[-1] = True
-    next_pos[is_block_end] = first_pos[sorted_src[is_block_end]]
+    # first[x]: the first half-edge leaving x.
+    first = np.full(n, -1, dtype=np.int64)
+    first[sorted_src[starts]] = order[starts]
+
+    # next pointers: within a block, the half-edge at the next position in B;
+    # at a block's end, wrap to the block's start.
+    successor = np.empty(h, dtype=np.int64)
+    successor[:-1] = order[1:]
+    successor[ends] = order[starts]
     nxt = np.empty(h, dtype=np.int64)
-    nxt[order] = order[next_pos]
+    nxt[order] = successor
 
     ctx.kernel(
         "dcel_build_next",

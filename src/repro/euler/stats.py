@@ -112,9 +112,12 @@ def compute_tree_stats(tour: EulerTour,
         launches=1,
         random_access=True,
     )
-    depth_delta = np.where(down_in_order, 1, -1).astype(np.int64)
-    depth_scan = inclusive_scan(depth_delta, ctx=ctx)
-    preorder_scan = inclusive_scan(down_in_order.astype(np.int64), ctx=ctx)
+    weight = down_in_order.astype(np.int64)  # 1 on a down half-edge, 0 on an up one
+    preorder_scan = inclusive_scan(weight, ctx=ctx)
+    weight <<= 1  # the same buffer, now +1 / -1
+    weight -= 1
+    depth_scan = inclusive_scan(weight, ctx=ctx)
+    del weight  # the scatter below is this function's memory peak
 
     # Scatter per down half-edge into per-node arrays.
     down_edges = np.flatnonzero(is_down)

@@ -26,9 +26,7 @@ def validate_parents(parents: np.ndarray) -> int:
     A valid parent array has exactly one entry equal to ``NO_PARENT`` (the
     root), every other entry in ``[0, n)``, and no cycles.
     """
-    parents = np.asarray(parents, dtype=np.int64)
-    if parents.ndim != 1:
-        raise NotATreeError("parent array must be 1-D")
+    parents = as_parent_array(parents)
     n = parents.size
     if n == 0:
         raise NotATreeError("a tree must have at least one node")
@@ -52,7 +50,7 @@ def validate_parents(parents: np.ndarray) -> int:
 
 def tree_root(parents: np.ndarray) -> int:
     """Return the root of a parent array without the full validation pass."""
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = as_parent_array(parents)
     roots = np.flatnonzero(parents == NO_PARENT)
     if roots.size != 1:
         raise NotATreeError(f"expected exactly one root, found {roots.size}")
@@ -61,7 +59,7 @@ def tree_root(parents: np.ndarray) -> int:
 
 def parents_to_edgelist(parents: np.ndarray) -> EdgeList:
     """Convert a parent array into an undirected edge list (child, parent)."""
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = as_parent_array(parents)
     root = tree_root(parents)
     children = np.flatnonzero(parents != NO_PARENT)
     del root
@@ -207,6 +205,27 @@ def brute_force_lca(parents: np.ndarray, x: int, y: int) -> int:
         if node == NO_PARENT:  # pragma: no cover - impossible in a valid tree
             raise NotATreeError("query nodes are not in the same tree")
     return node
+
+
+def as_parent_array(parents: object) -> np.ndarray:
+    """A parent array as 1-D ``int64``, refused rather than cast.
+
+    The build-side twin of :func:`as_query_ids`: a cast would index the tree
+    of ``[-1, 0, 1]`` for ``[-1, 0.9, 1.2]``, so a dtype whose kind is not
+    signed or unsigned integer raises :class:`~repro.errors.NotATreeError`, as
+    does anything but one dimension — one dtype test and one ``ndim`` test
+    per call, never per element.  Integer arrays of any width and lists of
+    Python ints pass; so does an empty input of any dtype, for the caller's
+    "at least one node" check to refuse.
+    """
+    arr = np.asarray(parents)
+    if arr.ndim != 1:
+        raise NotATreeError(f"parent array must be 1-D, got {arr.ndim} dimensions")
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise NotATreeError(
+            f"parent entries must be integers, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 def as_query_ids(ids: object) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import TreeStats, tree_statistics_from_parents
-from ..graphs.trees import as_query_ids, validate_parents
+from ..graphs.trees import as_parent_array, as_query_ids, validate_parents
 from ..primitives import elementwise
 
 __all__ = [
@@ -57,6 +57,14 @@ def _ilog2(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
     _, exp = np.frexp(x.astype(np.float64))
     return (exp - 1).astype(np.int64)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Elementwise number of set bits of non-negative ``int64`` values."""
+    x = x - ((x >> 1) & 0x5555555555555555)
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return (x * 0x0101010101010101) >> 56
 
 
 @dataclass
@@ -119,6 +127,8 @@ def build_inlabel_structure(stats: TreeStats,
     """
     ctx = ensure_context(ctx)
     n = stats.n
+    # Copies on purpose: the structure owns its tables, and artifact sizes
+    # (hence registry eviction order) count distinct buffers.
     pre = stats.preorder.astype(np.int64)
     size = stats.subtree_size.astype(np.int64)
     parent = stats.parent.astype(np.int64)
@@ -137,43 +147,49 @@ def build_inlabel_structure(stats: TreeStats,
     levels = int(_ilog2(np.asarray([max(n, 1)]))[0]) + 1
 
     # head: the shallowest node of every inlabel path.  A node is a path head
-    # iff it is the root or its parent lies on a different inlabel path.
+    # iff it is the root or its parent lies on a different inlabel path (the
+    # root's ``parent == -1`` reads the last node: in bounds, then overruled).
     head = np.full(1 << (levels + 1), -1, dtype=np.int64)
-    parent_inlabel = np.where(parent >= 0, inlabel[np.maximum(parent, 0)], -1)
-    is_head = parent_inlabel != inlabel
-    head[inlabel[is_head]] = np.flatnonzero(is_head)
+    is_head = inlabel[parent] != inlabel
+    is_head[root] = True
+    heads = np.flatnonzero(is_head)
+    head_inlabel = inlabel[heads]
+    head[head_inlabel] = heads
     elementwise(n, ops_per_element=3.0, bytes_per_element=32.0, ctx=ctx,
                 name="inlabel_head_scatter")
 
     # ascendant: prefix-OR of inlabel level bits along root-to-node paths.
     # Each node's value only depends on the ≤ L inlabel-path heads above it,
     # so on the device one thread per node walks head-to-head inside a single
-    # kernel; the lockstep rounds below vectorize that walk and the cost is
-    # charged once with the total number of hops as the work.
+    # kernel, charged once with the total number of hops as the work.  The
+    # host gets the same values by pointer doubling over the path heads alone
+    # (every node of a path shares its head's value, and OR is idempotent):
+    # bits[j] is the OR over heads[j] and the next 2**rounds - 1 heads above
+    # it, up[j] the index of the head 2**rounds paths up; slot ``num_heads``
+    # stands above the root path and absorbs every chain.
     # ``x & -x`` isolates the lowest set bit directly — the same value as
     # ``1 << trailing_zeros(x)`` without the float round-trip through frexp.
-    ascendant = inlabel & -inlabel
-    # jump[v]: the node just above v's inlabel path (parent of the path head),
-    # or -1 when the path contains the root.
-    path_head = head[inlabel]
-    jump = np.where(path_head == root, -1, parent[np.maximum(path_head, 0)])
-    jump = np.where(path_head >= 0, jump, -1)
+    num_heads = heads.size
+    head_index = np.empty(head.size, dtype=np.int64)
+    head_index[head_inlabel] = np.arange(num_heads)
+    path = head_index[inlabel]  # per node: the index in `heads` of its path head
+    bits = np.zeros(num_heads + 1, dtype=np.int64)
+    bits[:num_heads] = head_inlabel & -head_inlabel
+    up = np.full(num_heads + 1, num_heads, dtype=np.int64)
+    up[:num_heads] = path[parent[heads]]
+    up[path[root]] = num_heads  # overrules what the root's ``parent == -1`` read
     rounds = 0
-    total_hops = 0
-    while True:
-        active = jump >= 0
-        if not active.any():
-            break
-        tgt = jump[active]
-        tgt_inlabel = inlabel[tgt]
-        ascendant[active] |= tgt_inlabel & -tgt_inlabel
-        tgt_head = head[tgt_inlabel]
-        new_jump = np.where(tgt_head == root, -1, parent[np.maximum(tgt_head, 0)])
-        jump[active] = new_jump
-        total_hops += int(active.sum())
+    while up.min() < num_heads:
+        bits |= bits[up]
+        up = up[up]
         rounds += 1
         if rounds > levels + 2:  # pragma: no cover - defensive
             raise RuntimeError("ascendant computation exceeded the level bound")
+    ascendant = bits[path]
+    # The device walk makes one hop per inlabel path above a node's own.
+    # Levels strictly increase along a root path, so each of those paths is
+    # one distinct bit of the head's value next to the path's own.
+    total_hops = int((_popcount(bits) - 1)[path].sum())
     ctx.kernel(
         "inlabel_ascendant_walk",
         threads=n,
@@ -341,7 +357,7 @@ class InlabelLCA:
     def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
                  list_rank_method: str = "wei-jaja", validate: bool = False) -> None:
         ctx = ensure_context(ctx)
-        parents = np.asarray(parents, dtype=np.int64)
+        parents = as_parent_array(parents)
         if validate:
             validate_parents(parents)
         with ctx.phase("preprocessing"):
@@ -382,7 +398,7 @@ class SequentialInlabelLCA:
     def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
                  validate: bool = False) -> None:
         ctx = ensure_context(ctx)
-        parents = np.asarray(parents, dtype=np.int64)
+        parents = as_parent_array(parents)
         if validate:
             validate_parents(parents)
         n = parents.size

@@ -9,8 +9,8 @@ Wyllie pointer jumping.  Both are implemented here:
 
 * :func:`wyllie_rank` — textbook pointer jumping, ``O(n log n)`` work,
   ``O(log n)`` rounds.
-* :func:`wei_jaja_rank` — pick ``s`` splitters, walk the sublists in lockstep,
-  rank the (small) list of sublists, add offsets; ``O(n)`` work in expectation
+* :func:`wei_jaja_rank` — pick ``s`` splitters, walk the sublists, rank the
+  (small) list of sublists, add offsets; ``O(n)`` work in expectation
   plus ``O(n/s)`` rounds.
 
 Lists are represented by a successor array ``succ`` where ``succ[i]`` is the
@@ -137,8 +137,8 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     -----
     The three phases are charged to the cost model individually:
 
-    1. *sublist walk* — all splitters advance in lockstep; one kernel per
-       round, with only still-active splitters counted;
+    1. *sublist walk* — every splitter walks to the next one; one kernel,
+       with the total number of hops as its work;
     2. *sublist ranking* — the list of ``s`` sublists is ranked sequentially
        (it is tiny: ``s ≪ n``);
     3. *offset add* — one map kernel over all ``n`` elements.
@@ -162,13 +162,18 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
         splitters = np.asarray([head], dtype=np.int64)
     s = splitters.size
 
-    is_splitter = np.zeros(n, dtype=bool)
-    is_splitter[splitters] = True
-    splitter_id = np.full(n, _NIL, dtype=np.int64)
+    # stop[x]: a walk that reaches x ends there.  x is a splitter or, in the
+    # extra last slot that ``succ == -1`` indexes, the end of the list, whose
+    # splitter id is -1 for the same reason.
+    stop = np.zeros(n + 1, dtype=bool)
+    stop[splitters] = True
+    stop[n] = True
+    splitter_id = np.full(n + 1, _NIL, dtype=np.int64)
     splitter_id[splitters] = np.arange(s)
 
     sublist_id = np.full(n, _NIL, dtype=np.int64)
-    local_rank = np.full(n, _NIL, dtype=np.int64)
+    # Written wherever sublist_id is, and read only once that has no gap.
+    local_rank = np.empty(n, dtype=np.int64)
     sublist_len = np.zeros(s, dtype=np.int64)
     # For sublist i, the id of the sublist that follows it in list order
     # (or -1 if it ends the list).
@@ -176,40 +181,35 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
 
     # Phase 1: sublist walk.  On the device this is ONE kernel: every splitter
     # thread walks its own sublist to the next splitter inside the kernel.
-    # The NumPy simulation below advances all splitters in lockstep purely for
-    # vectorization; the cost is charged once at the end, with the total
-    # number of hops as the work and the longest sublist as the critical path
-    # (captured through the per-lane bytes of the single charged kernel).
-    pos = splitters.copy()
-    active = np.ones(s, dtype=bool)
+    # The NumPy simulation advances the walks still under way one hop per
+    # round (``cur[j]`` is where sublist ``ids[j]`` stands); the cost is
+    # charged once at the end, with the total number of hops as the work and
+    # the longest sublist as the critical path (captured through the per-lane
+    # bytes of the single charged kernel) — neither depends on how many
+    # rounds the host takes.
+    cur = splitters
+    ids = np.arange(s)
     step = 0
     total_hops = 0
-    while active.any():
-        act_idx = np.flatnonzero(active)
-        cur = pos[act_idx]
-        sublist_id[cur] = act_idx
-        # Every splitter still active at round `step` has taken exactly `step`
-        # hops from its own starting element, so the round number is its
-        # current element's local rank within the sublist.
+    while ids.size:
+        sublist_id[cur] = ids
+        # A walk under way at round `step` has taken exactly `step` hops from
+        # its own splitter, so the round number is its current element's
+        # local rank within the sublist.
         local_rank[cur] = step
-        sublist_len[act_idx] += 1
-        nxt = succ[cur]
-        ended = nxt == _NIL
-        hits_splitter = np.zeros_like(ended)
-        valid = ~ended
-        hits_splitter[valid] = is_splitter[nxt[valid]]
-        finishing = ended | hits_splitter
-        fin_local = act_idx[finishing]
-        if fin_local.size:
-            nxt_fin = nxt[finishing]
-            sublist_next[fin_local] = np.where(
-                nxt_fin == _NIL, _NIL, splitter_id[np.maximum(nxt_fin, 0)]
-            )
-            active[fin_local] = False
-        cont = act_idx[~finishing]
-        pos[cont] = nxt[~finishing]
-        total_hops += int(act_idx.size)
+        total_hops += int(ids.size)
         step += 1
+        nxt = succ[cur]
+        done = stop[nxt]
+        if done.any():
+            finished = ids[done]
+            sublist_len[finished] = step
+            sublist_next[finished] = splitter_id[nxt[done]]
+            keep = ~done
+            cur = nxt[keep]
+            ids = ids[keep]
+        else:
+            cur = nxt
         if step > n + 1:
             raise InvalidGraphError("sublist walk did not terminate; list is malformed")
     ctx.kernel(
@@ -227,23 +227,25 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
         raise InvalidGraphError("not all list elements are reachable from the head")
 
     # Phase 2: rank the sublists by walking the (short) sublist-successor list
-    # starting from the head's sublist.
-    head_sub = int(splitter_id[head])
-    offsets = np.zeros(s, dtype=np.int64)
-    order_count = 0
-    running = 0
-    cur_sub = head_sub
-    visited = np.zeros(s, dtype=bool)
-    while cur_sub != _NIL:
-        if visited[cur_sub]:
-            raise InvalidGraphError("sublist chain contains a cycle; list is malformed")
-        visited[cur_sub] = True
-        offsets[cur_sub] = running
-        running += int(sublist_len[cur_sub])
-        cur_sub = int(sublist_next[cur_sub])
-        order_count += 1
-    if order_count != s or running != n:
+    # starting from the head's sublist.  A walk of more than s hops revisits a
+    # sublist, so s hops bound it.
+    follower = sublist_next.tolist()
+    chain = []
+    cur_sub = int(splitter_id[head])
+    for _ in range(s):
+        if cur_sub == _NIL:
+            break
+        chain.append(cur_sub)
+        cur_sub = follower[cur_sub]
+    if cur_sub != _NIL:
+        raise InvalidGraphError("sublist chain contains a cycle; list is malformed")
+    chain = np.asarray(chain, dtype=np.int64)
+    lengths = sublist_len[chain]
+    ends = np.cumsum(lengths)
+    if chain.size != s or int(ends[-1]) != n:
         raise InvalidGraphError("not all sublists are reachable from the head")
+    offsets = np.empty(s, dtype=np.int64)
+    offsets[chain] = ends - lengths
     ctx.sequential("weijaja_rank_sublists", ops=float(2 * s),
                    bytes_touched=float(3 * s * 8), random_access=True)
 

@@ -71,7 +71,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..errors import Overloaded, ReplicaDown, ServiceError
-from ..graphs.trees import as_query_ids, validate_parents
+from ..graphs.trees import as_parent_array, as_query_ids, validate_parents
 from ..obs.events import (
     EV_FAULT,
     EV_HEDGE,
@@ -118,7 +118,7 @@ class _SharedLoader:
 
     def __call__(self) -> np.ndarray:
         if self._parents is None:
-            parents = np.asarray(self._loader(), dtype=np.int64)
+            parents = as_parent_array(self._loader())
             if self._validate:
                 validate_parents(parents)
             self._parents = parents
@@ -563,7 +563,7 @@ class ClusterService:
             copies = tuple(self.ring.place(name, want))
         source: Union[np.ndarray, _SharedLoader]
         if parents is not None:
-            parents = np.asarray(parents, dtype=np.int64)
+            parents = as_parent_array(parents)
             if validate:
                 validate_parents(parents)
             for c in copies:

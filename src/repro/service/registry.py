@@ -33,7 +33,7 @@ from ..device import DeviceSpec, ExecutionContext
 from ..errors import ServiceError
 from ..euler import build_euler_tour_from_parents, tree_statistics_from_parents
 from ..graphs import CSRGraph, EdgeList
-from ..graphs.trees import validate_parents
+from ..graphs.trees import as_parent_array, validate_parents
 from ..lca import InlabelLCA, SequentialInlabelLCA
 
 __all__ = [
@@ -145,13 +145,15 @@ class ForestStore:
 
         With ``validate=True`` the parent array is checked with
         :func:`~repro.graphs.trees.validate_parents` — immediately for an
-        eager registration, at materialization time for a lazy one.
+        eager registration, at materialization time for a lazy one.  Either
+        way a parent array that is not 1-D, or not of an integer dtype, is
+        refused with :class:`~repro.errors.NotATreeError`, never cast.
         """
         self._check_name(name)
         if (parents is None) == (loader is None):
             raise ServiceError("pass exactly one of parents= or loader=")
         if parents is not None:
-            parents = np.asarray(parents, dtype=np.int64)
+            parents = as_parent_array(parents)
             if validate:
                 validate_parents(parents)
             self._trees[name] = parents
@@ -196,7 +198,7 @@ class ForestStore:
             # The loader is removed only after it succeeds (and the loaded
             # array passes validation when requested), so a transient loader
             # failure leaves the dataset retryable, not broken.
-            parents = np.asarray(self._loaders[name](), dtype=np.int64)
+            parents = as_parent_array(self._loaders[name]())
             if self._validate_on_load[name]:
                 validate_parents(parents)
             self._trees[name] = parents

@@ -19,6 +19,7 @@ from repro.graphs import (
     tree_root,
     validate_parents,
 )
+from repro.graphs.trees import as_parent_array
 
 
 class TestValidation:
@@ -50,6 +51,48 @@ class TestValidation:
 
     def test_tree_root(self, figure1_parents):
         assert tree_root(figure1_parents) == 0
+
+
+#: Parent arrays a cast to ``int64`` would silently turn into ``[-1, 0, 1]``
+#: (or, for the 2-D one, let through to an ``IndexError`` further down).
+NOT_PARENT_ARRAYS = {
+    "float": np.array([-1, 0.9, 1.2]),
+    "float, whole values": np.array([-1.0, 0.0, 1.0]),
+    "bool": np.array([False, True, True]),
+    "object": np.array([-1, 0, 1], dtype=object),
+    "str": np.array(["-1", "0", "1"]),
+    "2-D": np.array([[-1, 0, 1]]),
+    "0-D": np.array(-1),
+}
+
+
+class TestAsParentArray:
+    @pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
+    @pytest.mark.parametrize(
+        "entry", [as_parent_array, tree_root, validate_parents, parents_to_edgelist]
+    )
+    def test_refused_not_cast(self, entry, case):
+        with pytest.raises(NotATreeError, match="integers|1-D"):
+            entry(NOT_PARENT_ARRAYS[case])
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32]
+    )
+    def test_integer_dtypes_become_int64(self, dtype):
+        parents = np.array([1, 1, 0], dtype=dtype)
+        out = as_parent_array(parents)
+        assert out.dtype == np.int64 and out.tolist() == [1, 1, 0]
+
+    def test_int64_passes_through_uncopied_and_lists_work(self):
+        parents = np.array([-1, 0, 1])
+        assert as_parent_array(parents) is parents
+        assert as_parent_array([-1, 0, 1]).tolist() == [-1, 0, 1]
+        assert validate_parents([-1, 0, 1]) == 0
+
+    def test_empty_is_left_to_the_callers_own_check(self):
+        assert as_parent_array([]).size == 0
+        with pytest.raises(NotATreeError, match="at least one node"):
+            validate_parents([])
 
 
 class TestConversions:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.device import ExecutionContext, GTX980, XEON_X5650_SINGLE
-from repro.errors import InvalidQueryError
+from repro.errors import InvalidQueryError, NotATreeError
 from repro.euler import tree_statistics_from_parents
 from repro.graphs import generate_random_queries
 from repro.lca import (
@@ -15,9 +15,49 @@ from repro.lca import (
     brute_force_lca_batch,
 )
 
-from .conftest import TREE_KINDS, make_tree
+from .conftest import TREE_KINDS, make_tree, random_connected_graph
+from .test_graphs_trees import NOT_PARENT_ARRAYS
+from .test_inlabel_kernel import all_parent_arrays, caterpillar, complete_binary
 
 IMPLEMENTATIONS = [InlabelLCA, SequentialInlabelLCA]
+
+
+def tables_from_the_definitions(structure):
+    """``(inlabel, head, ascendant, hops)`` by brute force, from the preorder
+    numbers and subtree sizes alone: ``hops`` is what the device's ascendant
+    walk is charged for, one hop per inlabel path above each node's own."""
+    parent = structure.parent.tolist()
+    n = len(parent)
+    inlabel = []
+    for pre, size in zip(structure.preorder.tolist(), structure.subtree_size.tolist()):
+        interval = range(pre, pre + size)
+        inlabel.append(max(interval, key=lambda value: value & -value))
+    head = [-1] * structure.head.size
+    ascendant, hops = [], 0
+    for v in range(n):
+        levels, paths, a = 0, set(), v
+        while a != -1:
+            levels |= inlabel[a] & -inlabel[a]
+            paths.add(inlabel[a])
+            if parent[a] == -1 or inlabel[parent[a]] != inlabel[a]:
+                head[inlabel[a]] = a
+            a = parent[a]
+        ascendant.append(levels)
+        hops += len(paths) - 1
+    return inlabel, head, ascendant, hops
+
+
+def assert_tables_match_the_definitions(parents):
+    ctx = ExecutionContext(GTX980, trace=True)
+    structure = InlabelLCA(parents, ctx=ctx).structure
+    inlabel, head, ascendant, hops = tables_from_the_definitions(structure)
+    assert structure.inlabel.tolist() == inlabel
+    assert structure.head.tolist() == head
+    assert structure.ascendant.tolist() == ascendant
+    walk, = (r for r in ctx.records if r.name == "inlabel_ascendant_walk")
+    n = parents.size
+    assert walk.ops == 2.0 * n + 4.0 * hops
+    assert walk.bytes_read == 16.0 * n + 32.0 * hops
 
 
 class TestStructureProperties:
@@ -65,6 +105,32 @@ class TestStructureProperties:
         structure = build_inlabel_structure(stats)
         root_bit = structure.ascendant[stats.root]
         assert np.all((structure.ascendant & root_bit) == root_bit)
+
+
+class TestTablesFromTheDefinitions:
+    """``ascendant`` comes from pointer doubling over the path heads and its
+    charged hops from a popcount; both must be what a walk up every root
+    path finds."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_labelled_rooted_tree(self, n):
+        for parents in all_parent_arrays(n):
+            assert_tables_match_the_definitions(parents)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 128, 257])
+    @pytest.mark.parametrize(
+        "shape", ["path", "star", "caterpillar", "binary", "shallow", "deep"]
+    )
+    def test_tree_families(self, shape, n):
+        build = {"caterpillar": caterpillar, "binary": complete_binary}.get(shape)
+        parents = build(n) if build else make_tree(shape, n, seed=n)
+        assert_tables_match_the_definitions(parents)
+
+    def test_sequential_flavour_builds_the_same_tables(self):
+        parents = make_tree("deep", 500, seed=8)
+        a, b = InlabelLCA(parents).structure, SequentialInlabelLCA(parents).structure
+        for field in ("inlabel", "ascendant", "head"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 class TestQueryCorrectness:
@@ -125,10 +191,98 @@ class TestValidationAndErrors:
             algo.query(np.asarray([0, 1]), np.asarray([1]))
 
     def test_validate_flag(self):
-        from repro.errors import NotATreeError
-
         with pytest.raises(NotATreeError):
             InlabelLCA(np.asarray([-1, -1]), validate=True)
+
+
+def walk_ops(ctx):
+    return {
+        r.name: r.ops
+        for r in ctx.records
+        if r.name in ("weijaja_sublist_walk", "inlabel_ascendant_walk")
+    }
+
+
+class TestGoldenModeledCharges:
+    """Modeled time must not notice how the host computes a kernel's result.
+
+    The values were recorded at the commit before the sublist walk was
+    compacted and ``ascendant`` moved to pointer doubling; equality is exact.
+    The two walk kernels are the ones whose charged work (total hops) the
+    host derives on the side.
+    """
+
+    GOLDEN_INDEX = {
+        "shallow": (
+            lambda: make_tree("shallow", 1000, seed=7),
+            0.00016870253860962897,
+            {"weijaja_sublist_walk": 5994.0, "inlabel_ascendant_walk": 13708.0},
+            17,
+        ),
+        "deep": (
+            lambda: make_tree("deep", 777, seed=3),
+            0.00016562227882205513,
+            {"weijaja_sublist_walk": 4656.0, "inlabel_ascendant_walk": 9194.0},
+            17,
+        ),
+        "single node": (
+            lambda: np.asarray([-1]),
+            1.6186184210526316e-05,
+            {"inlabel_ascendant_walk": 2.0},
+            4,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_INDEX))
+    def test_index_build(self, case):
+        build, elapsed, walks, records = self.GOLDEN_INDEX[case]
+        ctx = ExecutionContext(GTX980, trace=True)
+        InlabelLCA(build(), ctx=ctx)
+        assert ctx.elapsed == elapsed
+        assert ctx.breakdown() == {"preprocessing": elapsed}
+        assert walk_ops(ctx) == walks
+        assert len(ctx.records) == records
+
+    def test_tarjan_vishkin_bridges(self):
+        from repro.bridges import find_bridges_tarjan_vishkin
+
+        ctx = ExecutionContext(GTX980, trace=True)
+        result = find_bridges_tarjan_vishkin(
+            random_connected_graph(300, 120, seed=5), ctx=ctx
+        )
+        assert int(result.bridge_mask.sum()) == 88
+        assert ctx.elapsed == 0.00021988614978260047
+        assert ctx.breakdown() == {
+            "Spanning tree": 3.749324162679426e-05,
+            "Euler tour": 0.00015601663184001673,
+            "Detect bridges": 2.6376276315789476e-05,
+        }
+        assert walk_ops(ctx) == {"weijaja_sublist_walk": 1794.0}
+        assert len(ctx.records) == 30
+
+
+class TestParentArrayIsRefusedNotCast:
+    """``InlabelLCA(np.array([-1, 0.9, 1.2]))`` used to index ``[-1, 0, 1]``."""
+
+    @pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_index_constructors(self, implementation, case):
+        for validate in (False, True):
+            with pytest.raises(NotATreeError, match="integers|1-D"):
+                implementation(NOT_PARENT_ARRAYS[case], validate=validate)
+
+    @pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
+    @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
+    def test_kernel_backends(self, key, case):
+        from repro.backends import get_kernel_backend
+
+        with pytest.raises(NotATreeError, match="integers|1-D"):
+            get_kernel_backend(key).compile(NOT_PARENT_ARRAYS[case])
+
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_integer_lists_and_narrow_dtypes_still_build(self, implementation):
+        for parents in ([-1, 0, 1], np.array([-1, 0, 1], dtype=np.int16)):
+            assert implementation(parents).query([2], [1]).tolist() == [1]
 
 
 class TestCostAccounting:

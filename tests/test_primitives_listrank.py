@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import InvalidGraphError
+from repro.errors import InvalidGraphError, NotATreeError
+from repro.euler import build_euler_tour_from_parents
 from repro.primitives import (
     list_rank,
     order_from_ranks,
@@ -87,6 +90,87 @@ class TestValidation:
         succ = np.asarray([1, 2, 0], dtype=np.int64)
         with pytest.raises(InvalidGraphError):
             sequential_rank(succ, 0)
+
+
+class TestWeiJajaEqualsSequential:
+    """Any splitter count, any seed: the ranks are the sequential walk's."""
+
+    @given(
+        n=st.integers(1, 300),
+        list_seed=st.integers(0, 2**32 - 1),
+        splitters=st.sampled_from(["one", "two", "default", "all"]),
+        seed=st.integers(0, 50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_permutation_lists(self, n, list_seed, splitters, seed):
+        succ, head, expected = make_list(n, seed=list_seed)
+        s = {"one": 1, "two": 2, "default": n // 64, "all": n}[splitters]
+        out = wei_jaja_rank(succ, head, num_splitters=s, seed=seed)
+        assert np.array_equal(out, sequential_rank(succ, head))
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("splitters", [1, 2, 70000 // 64, 70000])
+    def test_long_list(self, splitters):
+        succ, head, expected = make_list(70000, seed=11)
+        out = wei_jaja_rank(succ, head, num_splitters=splitters, seed=3)
+        assert np.array_equal(out, expected)
+
+    def test_charged_work_is_the_list_not_the_rounds(self, gpu_ctx):
+        """One hop per element, however many host rounds the walk takes."""
+        succ, head, _ = make_list(5000, seed=2)
+        for splitters in (1, 7, 5000):
+            gpu_ctx.reset()
+            wei_jaja_rank(succ, head, num_splitters=splitters, ctx=gpu_ctx)
+            walk, = (r for r in gpu_ctx.records if r.name == "weijaja_sublist_walk")
+            assert walk.ops == 3.0 * 5000 and walk.launches == 1
+
+
+#: name -> (succ, head): lists no ranking may accept.  ``all`` / ``one``
+#: splitters put a splitter on every element / on the head alone, so a cycle
+#: is met both with a splitter inside it and without.
+MALFORMED_LISTS = {
+    "two tails": ([1, -1, 3, -1], 0),
+    "two tails, second one first": ([-1, 2, -1], 1),
+    "cycle behind the head": ([1, 2, 3, 1, 5, -1], 0),
+    "cycle through the head": ([1, 2, 0, -1], 0),
+    "self-loop": ([1, 1, -1], 0),
+    "self-loop at the head": ([0, -1], 0),
+    "two elements share a successor": ([2, 2, -1], 0),
+    "head below range": ([1, -1], -1),
+    "head above range": ([1, -1], 2),
+    "successor below -1": ([1, -2], 0),
+    "successor at n": ([1, 2], 0),
+}
+
+
+@pytest.mark.usefixtures("hang_guard")
+class TestMalformedListsRaise:
+    @pytest.mark.parametrize("splitters", [1, 2, None, "all"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LISTS))
+    def test_wei_jaja(self, case, splitters):
+        succ, head = MALFORMED_LISTS[case]
+        succ = np.asarray(succ, dtype=np.int64)
+        s = succ.size if splitters == "all" else splitters
+        for seed in range(4):
+            with pytest.raises(InvalidGraphError):
+                wei_jaja_rank(succ, head, num_splitters=s, seed=seed)
+        with pytest.raises(InvalidGraphError):
+            list_rank(succ, head)
+
+    def test_long_cycle_is_refused_within_the_budget(self):
+        n = 20000
+        succ = np.arange(1, n + 1, dtype=np.int64)
+        succ[-1] = n // 2
+        for splitters in (1, None, n):
+            with pytest.raises(InvalidGraphError):
+                wei_jaja_rank(succ, 0, num_splitters=splitters)
+
+    @pytest.mark.parametrize(
+        "parents", [[-1, 0, 3, 4, 2], [-1, 0, 1, 5, 3, 4], [-1, 2, 1]]
+    )
+    def test_forest_plus_cycle_is_not_a_tree(self, parents):
+        with pytest.raises(NotATreeError):
+            build_euler_tour_from_parents(np.asarray(parents))
 
 
 class TestDispatcher:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.primitives import argsort_values, sort_key_value, sort_pairs, sort_values
 
@@ -76,6 +78,96 @@ class TestSortPairs:
         sf, ss, order = sort_pairs(np.asarray([], dtype=np.int64),
                                    np.asarray([], dtype=np.int64))
         assert sf.size == ss.size == order.size == 0
+
+
+def assert_is_the_stable_lexicographic_sort(first, second):
+    sf, ss, order = sort_pairs(first, second)
+    reference = np.lexsort((second, first))
+    assert np.array_equal(order, reference)
+    for got, column in ((sf, first), (ss, second)):
+        assert got.dtype == column.dtype
+        assert np.array_equal(got, column[reference])
+
+
+#: (dtype, lowest base value drawn, highest): bases far from zero on both
+#: sides, so offsets from the minimum are what gets packed, not the values.
+COLUMN_DTYPES = [
+    (np.int64, -(2**62), 2**62),
+    (np.int32, -(2**31), 2**31 - 70),
+    (np.uint32, 0, 2**32 - 70),
+    (np.uint64, 0, 2**64 - 70),
+]
+
+
+@st.composite
+def pair_columns(draw):
+    """Two integer columns of one length with a small pool of values each,
+    so that equal pairs — where only the position orders them — are common."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(2):
+        dtype, low, high = draw(st.sampled_from(COLUMN_DTYPES))
+        base = draw(st.integers(low, high))
+        offsets = draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+        columns.append(np.array([base + o for o in offsets], dtype=dtype))
+    return columns
+
+
+class TestSortPairsIsExactlyLexsort:
+    """The packed-key value sort and the fallback give one and the same
+    permutation: the stable sort by ``(first, second)``, ties by position."""
+
+    @given(pair_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_any_integer_columns(self, columns):
+        assert_is_the_stable_lexicographic_sort(*columns)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32, np.uint64])
+    def test_sizes_zero_and_one(self, n, dtype):
+        column = np.arange(7, 7 + n).astype(dtype)
+        assert_is_the_stable_lexicographic_sort(column, column[::-1])
+
+    @pytest.mark.parametrize("total_bits", [62, 63, 64])
+    @pytest.mark.parametrize("bits_first", [1, 21, 40, 56])
+    def test_both_sides_of_the_packing_guard(self, monkeypatch, total_bits, bits_first):
+        """Five pairs need 3 position bits; the ranges take the rest.  Up to
+        63 bits the keys are packed and no indirect sort runs; at 64 one does."""
+        bits_second = total_bits - 3 - bits_first
+        span1, span2 = 2**bits_first - 1, 2**bits_second - 1
+        first = np.array([span1, 0, span1, 0, span1], dtype=np.int64) - 2 ** (bits_first - 1)
+        second = np.array([0, span2, 0, span2, span2 // 2], dtype=np.int64) + 11
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
+        )
+        _, _, order = sort_pairs(first, second)
+        assert len(calls) == (1 if total_bits > 63 else 0)
+        monkeypatch.undo()
+        assert order.tolist() == [1, 3, 0, 2, 4]
+        assert_is_the_stable_lexicographic_sort(first, second)
+
+    def test_non_integer_columns_take_the_fallback(self):
+        first = np.array([0.5, 0.25, 0.5, 0.25])
+        second = np.array([True, False, False, False])
+        assert_is_the_stable_lexicographic_sort(first, second)
+
+    def test_halfedge_array_of_a_tree(self):
+        from repro.graphs import parents_to_edgelist
+        from repro.graphs.generators import random_attachment_tree
+
+        src, dst, _ = parents_to_edgelist(
+            random_attachment_tree(5000, seed=4)
+        ).directed_halfedges()
+        assert_is_the_stable_lexicographic_sort(src, dst)
+
+    def test_inputs_are_not_written(self):
+        first = np.array([3, 1, 3, 1], dtype=np.int64)
+        second = np.array([9, 8, 7, 8], dtype=np.int64)
+        before = first.copy(), second.copy()
+        sort_pairs(first, second)
+        assert np.array_equal(first, before[0]) and np.array_equal(second, before[1])
 
 
 class TestSortKeyValue:

@@ -16,6 +16,7 @@ from repro.service import (
 )
 
 from .conftest import random_connected_graph
+from .test_graphs_trees import NOT_PARENT_ARRAYS
 
 
 def make_store(*names, n=256):
@@ -81,6 +82,34 @@ def test_store_lazy_loader_honors_validate_flag():
     # Without the flag the same loader result is accepted as-is.
     store.add_tree("unchecked", loader=lambda: np.asarray([1, 2, 0]))
     assert store.tree("unchecked").tolist() == [1, 2, 0]
+
+
+@pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
+def test_non_integer_or_2d_parent_arrays_are_refused_not_cast(case):
+    """Eagerly at registration; for a lazy loader when it materializes."""
+    from repro.errors import NotATreeError
+    from repro.service import ClusterConfig, ClusterService, LCAQueryService
+
+    bad = NOT_PARENT_ARRAYS[case]
+    store = ForestStore()
+    with pytest.raises(NotATreeError, match="integers|1-D"):
+        store.add_tree("eager", bad)
+    assert not store.has_tree("eager")
+    store.add_tree("lazy", loader=lambda: bad)
+    for _ in range(2):  # refused again, not cached as a tree
+        with pytest.raises(NotATreeError, match="integers|1-D"):
+            store.tree("lazy")
+
+    for target in (LCAQueryService(), ClusterService(config=ClusterConfig(n_replicas=2))):
+        with pytest.raises(NotATreeError, match="integers|1-D"):
+            target.register_tree("eager", bad)
+        target.register_tree("lazy", loader=lambda: bad)
+        with pytest.raises(NotATreeError, match="integers|1-D"):
+            target.submit_many("lazy", [1], [2])
+        target.register_tree("good", [-1, 0, 1])
+        tickets = target.submit_many("good", [2], [1])
+        target.drain()
+        assert target.results(tickets).tolist() == [1]
 
 
 def test_store_lazy_loader_called_exactly_once():
