@@ -33,9 +33,10 @@ from ..errors import InvalidGraphError
 from ..euler import build_euler_tour, compute_tree_stats
 from ..graphs.components import spanning_forest
 from ..graphs.edgelist import EdgeList
+from ..primitives.listrank import canonical_rank_method
 from .marking import mark_cycle_edges
 from .result import BridgeResult
-from .spanning import child_endpoints, split_tree_edges
+from .spanning import checked_root, child_endpoints, split_tree_edges
 
 __all__ = ["find_bridges_hybrid"]
 
@@ -59,6 +60,8 @@ def find_bridges_hybrid(edges: EdgeList, *, root: int = 0,
     """
     ctx = ensure_context(ctx)
     n, m = edges.num_nodes, edges.num_edges
+    root = checked_root(root, n)
+    canonical_rank_method(list_rank_method)
     bridge_mask = np.zeros(m, dtype=bool)
     if n <= 1 or m == 0:
         return BridgeResult(bridge_mask, algorithm="GPU Hybrid",

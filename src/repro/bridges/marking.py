@@ -22,6 +22,8 @@ import numpy as np
 
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidGraphError
+from ..graphs.edgelist import as_node_ids
+from ..graphs.trees import as_parent_array
 
 __all__ = ["mark_cycle_edges"]
 
@@ -46,11 +48,11 @@ def mark_cycle_edges(parents: np.ndarray, levels: np.ndarray,
         meaningless and always false.
     """
     ctx = ensure_context(ctx)
-    parents = np.asarray(parents, dtype=np.int64)
-    levels = np.asarray(levels, dtype=np.int64)
+    parents = as_parent_array(parents)
+    levels = as_node_ids(levels, "levels")
     n = parents.size
-    nontree_u = np.asarray(nontree_u, dtype=np.int64)
-    nontree_v = np.asarray(nontree_v, dtype=np.int64)
+    nontree_u = as_node_ids(nontree_u, "non-tree endpoints")
+    nontree_v = as_node_ids(nontree_v, "non-tree endpoints")
     if nontree_u.shape != nontree_v.shape:
         raise InvalidGraphError("non-tree endpoint arrays must align")
     marked = np.zeros(n, dtype=bool)

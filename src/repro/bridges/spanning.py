@@ -11,14 +11,32 @@ every tree edge, and splitting off the non-tree edges.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InvalidGraphError
 from ..graphs.edgelist import EdgeList
+from ..graphs.trees import as_parent_array
 
-__all__ = ["TreeEdgeView", "split_tree_edges", "child_endpoints"]
+__all__ = ["TreeEdgeView", "checked_root", "split_tree_edges", "child_endpoints"]
+
+
+def checked_root(root: object, n: int) -> int:
+    """``root`` as a node id in ``[0, n)``, refused rather than cast.
+
+    ``root=1.5`` would otherwise surface as NumPy's ``IndexError`` from inside
+    the Euler tour.  A graph without nodes has nothing to root: it keeps the
+    default 0.
+    """
+    try:
+        root = operator.index(root)
+    except TypeError:
+        raise InvalidGraphError(f"root must be an integer node id, got {root!r}") from None
+    if not 0 <= root < max(n, 1):
+        raise InvalidGraphError(f"root {root} out of range for graph of {n} nodes")
+    return root
 
 
 @dataclass
@@ -68,7 +86,7 @@ def child_endpoints(view: TreeEdgeView, parents: np.ndarray) -> np.ndarray:
     Needed to translate per-node bridge verdicts ("the edge from ``c`` to its
     parent is a bridge") back to per-edge verdicts on the original edge list.
     """
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = as_parent_array(parents)
     u = view.tree_edges.u
     v = view.tree_edges.v
     u_is_child = parents[u] == v

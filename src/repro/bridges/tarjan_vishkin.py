@@ -31,8 +31,10 @@ from ..euler import build_euler_tour, compute_tree_stats
 from ..graphs.components import spanning_forest
 from ..graphs.edgelist import EdgeList
 from ..primitives import build_rmq, segreduce_by_key
+from ..primitives.listrank import canonical_rank_method
+from ..primitives.rmq import rmq_backend_class
 from .result import BridgeResult
-from .spanning import child_endpoints, split_tree_edges
+from .spanning import checked_root, child_endpoints, split_tree_edges
 
 __all__ = ["find_bridges_tarjan_vishkin"]
 
@@ -61,6 +63,11 @@ def find_bridges_tarjan_vishkin(edges: EdgeList, *, root: int = 0,
     """
     ctx = ensure_context(ctx)
     n, m = edges.num_nodes, edges.num_edges
+    # Refuse a bad argument before the spanning forest and the tour are built
+    # and charged, not after.
+    root = checked_root(root, n)
+    rmq_backend_class(rmq_backend)
+    canonical_rank_method(list_rank_method)
     bridge_mask = np.zeros(m, dtype=bool)
     if n <= 1 or m == 0:
         return BridgeResult(bridge_mask, algorithm="GPU TV", phase_times=dict(ctx.breakdown()))
@@ -85,27 +92,36 @@ def find_bridges_tarjan_vishkin(edges: EdgeList, *, root: int = 0,
 
         # Per-node minimum / maximum preorder among non-tree neighbours.  Each
         # non-tree edge {x, y} contributes pre[y] to x and pre[x] to y (this is
-        # the moderngpu segreduce step of the paper).
-        keys = np.concatenate([view.nontree_u, view.nontree_v])
-        vals = np.concatenate([pre[view.nontree_v], pre[view.nontree_u]])
+        # the moderngpu segreduce step of the paper).  Both halves are written
+        # straight into one buffer; the endpoints are node ids of a validated
+        # edge list, so ``mode="clip"`` never clips — it only spares
+        # ``np.take`` the buffered copy that ``out=`` otherwise costs.
+        k = view.nontree_u.size
+        keys = np.empty(2 * k, dtype=np.int64)
+        keys[:k] = view.nontree_u
+        keys[k:] = view.nontree_v
+        vals = np.empty(2 * k, dtype=np.int64)
+        np.take(pre, view.nontree_v, out=vals[:k], mode="clip")
+        np.take(pre, view.nontree_u, out=vals[k:], mode="clip")
         min_nontree = segreduce_by_key(keys, vals, n, "min",
                                        identity=np.int64(np.iinfo(np.int64).max), ctx=ctx)
         max_nontree = segreduce_by_key(keys, vals, n, "max",
                                        identity=np.int64(0), ctx=ctx)
         # A node with no non-tree neighbour contributes its own preorder number
         # (the classical definition includes preorder(v) in low(v)/high(v)).
-        min_nontree = np.minimum(min_nontree, pre)
-        max_nontree = np.maximum(max_nontree, pre)
+        np.minimum(min_nontree, pre, out=min_nontree)
+        np.maximum(max_nontree, pre, out=max_nontree)
 
     # Phase 3: aggregate over subtrees and apply the bridge criterion.
     with ctx.phase("Detect bridges"):
         # Lay the per-node extremes out in preorder positions (0-based) so a
-        # subtree becomes a contiguous interval.
+        # subtree becomes a contiguous interval.  One position array and one
+        # buffer feed both trees; the rows are scattered one at a time because
+        # a single 2-D fancy assignment is several times slower in NumPy.
         order_pos = pre - 1
-        min_by_pos = np.empty(n, dtype=np.int64)
-        max_by_pos = np.empty(n, dtype=np.int64)
-        min_by_pos[order_pos] = min_nontree
-        max_by_pos[order_pos] = max_nontree
+        by_pos = np.empty((2, n), dtype=np.int64)
+        by_pos[0][order_pos] = min_nontree
+        by_pos[1][order_pos] = max_nontree
         ctx.kernel(
             "tv_scatter_preorder",
             threads=n,
@@ -115,21 +131,20 @@ def find_bridges_tarjan_vishkin(edges: EdgeList, *, root: int = 0,
             launches=1,
             random_access=True,
         )
-        rmq_min = build_rmq(min_by_pos, "min", backend=rmq_backend, ctx=ctx)
-        rmq_max = build_rmq(max_by_pos, "max", backend=rmq_backend, ctx=ctx)
+        rmq_min = build_rmq(by_pos[0], "min", backend=rmq_backend, ctx=ctx)
+        rmq_max = build_rmq(by_pos[1], "max", backend=rmq_backend, ctx=ctx)
 
         # Evaluate low/high only for the nodes that head a tree edge (every
-        # non-root node); intervals are [pre - 1, pre + size - 2] in 0-based
-        # position space.
+        # non-root node): the subtree of ``c`` is the preorder numbers
+        # [first, last], i.e. positions [first - 1, last - 1].
         children = child_endpoints(view, stats.parent)
-        lo_idx = pre[children] - 1
-        hi_idx = lo_idx + size[children] - 1
+        first = pre.take(children)
+        last = first + size.take(children) - 1
+        lo_idx = first - 1
+        hi_idx = last - 1
         low = rmq_min.query(lo_idx, hi_idx, ctx=ctx)
         high = rmq_max.query(lo_idx, hi_idx, ctx=ctx)
-        inside_low = low >= pre[children]
-        inside_high = high <= pre[children] + size[children] - 1
-        is_bridge = inside_low & inside_high
-        bridge_mask[view.tree_edge_indices] = is_bridge
+        bridge_mask[view.tree_edge_indices] = (low >= first) & (high <= last)
         ctx.kernel(
             "tv_bridge_criterion",
             threads=int(children.size),

@@ -16,7 +16,7 @@ preprocess every bridge dataset, as the paper does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,49 @@ def _compress_labels(labels: np.ndarray, ctx: ExecutionContext, name: str) -> np
             raise InvalidGraphError("label compression failed to converge")
 
 
+def _hook_and_compress(edges: EdgeList, ctx: ExecutionContext, prefix: str,
+                       hook: Callable[..., None]) -> np.ndarray:
+    """The round loop shared by the two hook-and-compress procedures.
+
+    Every round gathers the endpoint labels ``lu``/``lv`` of the worklist,
+    finds the positions ``cross`` whose edge still joins two components, lets
+    ``hook(labels, lu, lv, cross, worklist)`` merge components across them
+    (``worklist`` holds the crossing edges' indices, ascending; the hook books
+    its own kernel) and compresses the labels, until no edge crosses.  An
+    edge inside one component never crosses again, so the endpoints are
+    compacted to the crossing edges each round (ECL-CC's worklist): the host
+    gathers exactly the edges the ``*_gather_labels`` kernel is charged for.
+    """
+    n = edges.num_nodes
+    labels = np.arange(n, dtype=np.int64)
+    u, v, worklist = edges.u, edges.v, None
+    lu, lv = u, v  # round 1: every node is its own label, nothing to gather
+    rounds = 0
+    while u.size:
+        ctx.kernel(
+            f"{prefix}_gather_labels",
+            threads=u.size,
+            ops=2.0 * u.size,
+            bytes_read=4.0 * u.size * 8,
+            bytes_written=float(u.size),
+            launches=1,
+            random_access=True,
+        )
+        cross = np.flatnonzero(lu != lv)
+        if cross.size == 0:
+            break
+        worklist = cross if worklist is None else worklist.take(cross)
+        if cross.size < u.size:
+            u, v = u.take(cross), v.take(cross)
+        hook(labels, lu, lv, cross, worklist)
+        labels = _compress_labels(labels, ctx, f"{prefix}_compress")
+        rounds += 1
+        if rounds > 2 * int(np.ceil(np.log2(max(n, 2)))) + 8:  # pragma: no cover
+            raise InvalidGraphError("hook-and-compress failed to converge")
+        lu, lv = labels.take(u), labels.take(v)
+    return labels
+
+
 def connected_components(edges: EdgeList,
                          *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
     """Component label of every node (labels are component-minimum node ids).
@@ -58,46 +101,20 @@ def connected_components(edges: EdgeList,
     labels.  ``O(log n)`` rounds on any graph.
     """
     ctx = ensure_context(ctx)
-    n, m = edges.num_nodes, edges.num_edges
-    labels = np.arange(n, dtype=np.int64)
-    if m == 0 or n == 0:
-        return labels
-    u, v = edges.u, edges.v
-    rounds = 0
-    worklist_size = m  # ECL-CC-style worklist (see spanning_forest)
-    while True:
-        lu = labels[u]
-        lv = labels[v]
-        cross = lu != lv
-        ctx.kernel(
-            "cc_gather_labels",
-            threads=max(int(worklist_size), 1),
-            ops=2.0 * worklist_size,
-            bytes_read=4.0 * worklist_size * 8,
-            bytes_written=float(worklist_size),
-            launches=1,
-            random_access=True,
-        )
-        worklist_size = int(cross.sum())
-        if not cross.any():
-            break
-        hi = np.maximum(lu[cross], lv[cross])
-        lo = np.minimum(lu[cross], lv[cross])
-        np.minimum.at(labels, hi, lo)
+
+    def hook(labels, lu, lv, cross, worklist):
+        np.minimum.at(labels, np.maximum(lu, lv).take(cross), np.minimum(lu, lv).take(cross))
         ctx.kernel(
             "cc_hook",
-            threads=int(cross.sum()),
-            ops=2.0 * cross.sum(),
-            bytes_read=2.0 * cross.sum() * 8,
-            bytes_written=1.0 * cross.sum() * 8,
+            threads=cross.size,
+            ops=2.0 * cross.size,
+            bytes_read=2.0 * cross.size * 8,
+            bytes_written=1.0 * cross.size * 8,
             launches=1,
             random_access=True,
         )
-        labels = _compress_labels(labels, ctx, "cc_compress")
-        rounds += 1
-        if rounds > 2 * int(np.ceil(np.log2(max(n, 2)))) + 4:  # pragma: no cover
-            raise InvalidGraphError("connected components failed to converge")
-    return labels
+
+    return _hook_and_compress(edges, ctx, "cc", hook)
 
 
 @dataclass
@@ -137,62 +154,31 @@ def spanning_forest(edges: EdgeList,
     """
     ctx = ensure_context(ctx)
     n, m = edges.num_nodes, edges.num_edges
-    labels = np.arange(n, dtype=np.int64)
     tree_edge_mask = np.zeros(m, dtype=bool)
-    if n == 0:
-        return SpanningForest(labels, tree_edge_mask, 0)
-    if m == 0:
-        return SpanningForest(labels, tree_edge_mask, n)
 
-    u, v = edges.u, edges.v
-    edge_idx = np.arange(m, dtype=np.int64)
-    rounds = 0
-    worklist_size = m  # ECL-CC-style worklist: later rounds only revisit edges
-    # that still crossed two components at the end of the previous round.
-    while True:
-        lu = labels[u]
-        lv = labels[v]
-        cross = lu != lv
-        ctx.kernel(
-            "sf_gather_labels",
-            threads=max(int(worklist_size), 1),
-            ops=2.0 * worklist_size,
-            bytes_read=4.0 * worklist_size * 8,
-            bytes_written=float(worklist_size),
-            launches=1,
-            random_access=True,
-        )
-        worklist_size = int(cross.sum())
-        if not cross.any():
-            break
-        big = np.maximum(lu[cross], lv[cross])
-        cand_edges = edge_idx[cross]
+    def hook(labels, lu, lv, cross, worklist):
         # Each "big" root picks the smallest-index cross edge incident to it.
         best_edge = np.full(n, m, dtype=np.int64)
-        np.minimum.at(best_edge, big, cand_edges)
+        np.minimum.at(best_edge, np.maximum(lu, lv).take(cross), worklist)
         winners = np.flatnonzero(best_edge < m)  # the big roots that hook
-        winning_edges = best_edge[winners]
+        winning_edges = best_edge.take(winners)
         # Recover, for each winning edge, which endpoint root is the small one.
-        wu = labels[u[winning_edges]]
-        wv = labels[v[winning_edges]]
-        small_root = np.minimum(wu, wv)
-        labels[winners] = small_root
+        labels[winners] = np.minimum(labels.take(edges.u.take(winning_edges)),
+                                     labels.take(edges.v.take(winning_edges)))
         tree_edge_mask[winning_edges] = True
         ctx.kernel(
             "sf_hook",
-            threads=int(cross.sum()),
-            ops=4.0 * cross.sum(),
-            bytes_read=4.0 * cross.sum() * 8,
+            threads=cross.size,
+            ops=4.0 * cross.size,
+            bytes_read=4.0 * cross.size * 8,
             bytes_written=2.0 * winners.size * 8,
             launches=2,
             random_access=True,
         )
-        labels = _compress_labels(labels, ctx, "sf_compress")
-        rounds += 1
-        if rounds > 2 * int(np.ceil(np.log2(max(n, 2)))) + 8:  # pragma: no cover
-            raise InvalidGraphError("spanning forest construction failed to converge")
 
-    num_components = int(np.unique(labels).size)
+    labels = _hook_and_compress(edges, ctx, "sf", hook)
+    # Labels are fully compressed: the roots are the nodes labelled themselves.
+    num_components = int(np.count_nonzero(labels == np.arange(n)))
     expected_tree_edges = n - num_components
     if int(tree_edge_mask.sum()) != expected_tree_edges:  # pragma: no cover - invariant
         raise InvalidGraphError(

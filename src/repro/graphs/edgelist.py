@@ -9,12 +9,30 @@ validation and normalization the algorithms rely on.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..errors import InvalidGraphError
+
+
+def as_node_ids(values: object, what: str) -> np.ndarray:
+    """Node ids (edge endpoints, a relabeling, levels) as ``int64``, refused rather than cast.
+
+    The edge-list twin of :func:`repro.graphs.trees.as_parent_array`: a cast
+    would build the edges (0, 1), (1, 2) from ``[0.7, 1.9], [1.2, 2.5]`` and
+    (1, 0) from ``[True], [False]``, so a dtype whose kind is not signed or
+    unsigned integer raises :class:`~repro.errors.InvalidGraphError` — one
+    dtype test per array, never per element.  Integer arrays of any width and
+    lists of Python ints pass; so does an empty input of any dtype (``[]`` is
+    ``float64`` to NumPy).
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise InvalidGraphError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -36,10 +54,16 @@ class EdgeList:
     n: int
 
     def __post_init__(self) -> None:
-        self.u = np.asarray(self.u, dtype=np.int64)
-        self.v = np.asarray(self.v, dtype=np.int64)
+        self.u = as_node_ids(self.u, "edge endpoints")
+        self.v = as_node_ids(self.v, "edge endpoints")
         if self.u.ndim != 1 or self.v.ndim != 1 or self.u.shape != self.v.shape:
             raise InvalidGraphError("u and v must be 1-D arrays of equal length")
+        try:
+            self.n = operator.index(self.n)
+        except TypeError:
+            raise InvalidGraphError(
+                f"node count must be an integer, got {self.n!r}"
+            ) from None
         if self.n < 0:
             raise InvalidGraphError("node count must be non-negative")
         if self.u.size:
@@ -85,7 +109,7 @@ class EdgeList:
         When ``n`` is omitted it is inferred as ``max id + 1`` (0 for an empty
         graph).
         """
-        arr = np.asarray(list(pairs), dtype=np.int64)
+        arr = np.asarray(list(pairs))
         if arr.size == 0:
             u = np.empty(0, dtype=np.int64)
             v = np.empty(0, dtype=np.int64)
@@ -154,7 +178,7 @@ class EdgeList:
 
     def relabeled(self, permutation: np.ndarray) -> "EdgeList":
         """Apply a node relabeling: node ``i`` becomes ``permutation[i]``."""
-        permutation = np.asarray(permutation, dtype=np.int64)
+        permutation = as_node_ids(permutation, "permutation")
         if permutation.shape != (self.n,):
             raise InvalidGraphError("permutation must have length n")
         if np.unique(permutation).size != self.n:

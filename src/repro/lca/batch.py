@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..device import DeviceSpec, ExecutionContext
+from ..graphs.trees import as_query_ids
 from .dedup import dedup_query_pairs
 
 __all__ = ["BatchQueryResult", "run_batched_queries"]
@@ -78,8 +79,8 @@ def run_batched_queries(algorithm, xs: np.ndarray, ys: np.ndarray, batch_size: i
         drops by the realized dedup factor, which lets the Figure 6
         batch-size sweep quantify the dedup win too.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-    ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
+    xs = as_query_ids(xs)
+    ys = as_query_ids(ys)
     if xs.shape != ys.shape:
         raise ValueError("query arrays must have the same shape")
     if batch_size <= 0:

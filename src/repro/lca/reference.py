@@ -11,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidQueryError
-from ..graphs.trees import depths_from_parents, tree_root, validate_parents
+from ..graphs.trees import (
+    as_parent_array,
+    as_query_ids,
+    depths_from_parents,
+    tree_root,
+    validate_parents,
+)
 
 __all__ = ["BinaryLiftingLCA", "brute_force_lca_batch"]
 
@@ -25,7 +31,7 @@ class BinaryLiftingLCA:
     name = "Binary lifting (oracle)"
 
     def __init__(self, parents: np.ndarray, *, validate: bool = False) -> None:
-        parents = np.asarray(parents, dtype=np.int64)
+        parents = as_parent_array(parents)
         if validate:
             validate_parents(parents)
         self.parents = parents
@@ -45,8 +51,8 @@ class BinaryLiftingLCA:
 
     def query(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Answer a batch of LCA queries (vectorized binary lifting)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64)).copy()
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64)).copy()
+        xs = as_query_ids(xs).copy()
+        ys = as_query_ids(ys).copy()
         if xs.shape != ys.shape:
             raise InvalidQueryError("query arrays must have the same shape")
         if xs.size == 0:
@@ -79,8 +85,8 @@ def brute_force_lca_batch(parents: np.ndarray, xs, ys) -> np.ndarray:
     """
     from ..graphs.trees import brute_force_lca
 
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-    ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
+    xs = as_query_ids(xs)
+    ys = as_query_ids(ys)
     return np.asarray(
         [brute_force_lca(parents, int(x), int(y)) for x, y in zip(xs, ys)],
         dtype=np.int64,

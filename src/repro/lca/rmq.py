@@ -22,7 +22,7 @@ import numpy as np
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import build_euler_tour_from_parents
-from ..graphs.trees import validate_parents
+from ..graphs.trees import as_parent_array, as_query_ids, validate_parents
 from ..primitives import build_rmq
 
 __all__ = ["RMQLCA"]
@@ -60,7 +60,7 @@ class RMQLCA:
                  ctx: Optional[ExecutionContext] = None,
                  validate: bool = False) -> None:
         ctx = ensure_context(ctx)
-        parents = np.asarray(parents, dtype=np.int64)
+        parents = as_parent_array(parents)
         if validate:
             validate_parents(parents)
         n = parents.size
@@ -113,8 +113,8 @@ class RMQLCA:
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
         """Answer a batch of LCA queries via range-minimum queries."""
         ctx = ensure_context(ctx)
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
-        ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
+        xs = as_query_ids(xs)
+        ys = as_query_ids(ys)
         if xs.shape != ys.shape:
             raise InvalidQueryError("query arrays must have the same shape")
         if xs.size and (min(xs.min(), ys.min()) < 0 or max(xs.max(), ys.max()) >= self.n):

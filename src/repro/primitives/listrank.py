@@ -263,6 +263,16 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     return rank
 
 
+def canonical_rank_method(method: str) -> str:
+    """A list-ranking method name in canonical spelling; ``ValueError`` if unknown."""
+    key = method.strip().lower().replace("_", "-")
+    if key in ("wei-jaja", "weijaja", "helman-jaja"):
+        return "wei-jaja"
+    if key in ("wyllie", "sequential"):
+        return key
+    raise ValueError(f"unknown list-ranking method {method!r}")
+
+
 def list_rank(succ: np.ndarray, head: int, *, method: str = "wei-jaja",
               num_splitters: Optional[int] = None, seed: int = 0,
               ctx: Optional[ExecutionContext] = None) -> np.ndarray:
@@ -271,14 +281,12 @@ def list_rank(succ: np.ndarray, head: int, *, method: str = "wei-jaja",
     ``method`` is one of ``"wei-jaja"`` (default, the paper's choice),
     ``"wyllie"`` (pointer jumping) or ``"sequential"`` (CPU baseline).
     """
-    key = method.strip().lower().replace("_", "-")
-    if key in ("wei-jaja", "weijaja", "helman-jaja"):
+    key = canonical_rank_method(method)
+    if key == "wei-jaja":
         return wei_jaja_rank(succ, head, num_splitters=num_splitters, seed=seed, ctx=ctx)
     if key == "wyllie":
         return wyllie_rank(succ, head, ctx=ctx)
-    if key == "sequential":
-        return sequential_rank(succ, head, ctx=ctx)
-    raise ValueError(f"unknown list-ranking method {method!r}")
+    return sequential_rank(succ, head, ctx=ctx)
 
 
 def order_from_ranks(ranks: np.ndarray,

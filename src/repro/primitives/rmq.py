@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..device import ExecutionContext, ensure_context
+from ..errors import InvalidQueryError
 
 _OPS = {"min": np.minimum, "max": np.maximum}
 
@@ -33,6 +34,35 @@ def _identity_for(op: str, dtype: np.dtype):
     if op == "min":
         return np.iinfo(dtype).max if np.issubdtype(dtype, np.integer) else np.inf
     return np.iinfo(dtype).min if np.issubdtype(dtype, np.integer) else -np.inf
+
+
+def _range_bounds(lo: object, hi: object) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Query bounds as 1-D ``int64`` arrays, refused rather than cast.
+
+    A cast would answer ``query([0.9], [2.9])`` as ``[0, 2]`` and a 2-D batch
+    would escape as NumPy's raw ``IndexError``, so a dtype whose kind is not
+    signed or unsigned integer, or more than one dimension, raises
+    :class:`~repro.errors.InvalidQueryError` — one test per array, never per
+    element; an empty input of any dtype passes (``[]`` is ``float64`` to
+    NumPy).  The third item says whether ``lo`` came in as a scalar.
+    """
+    lo = np.asarray(lo)
+    hi = np.asarray(hi)
+    for bound in (lo, hi):
+        if bound.ndim > 1:
+            raise InvalidQueryError(
+                f"range bounds must be scalars or 1-D, got {bound.ndim} dimensions"
+            )
+        if bound.dtype.kind not in "iu" and bound.size:
+            raise InvalidQueryError(
+                f"range bounds must be integers, got dtype {bound.dtype}"
+            )
+    scalar = lo.ndim == 0
+    lo = np.atleast_1d(lo).astype(np.int64, copy=False)
+    hi = np.atleast_1d(hi).astype(np.int64, copy=False)
+    if lo.shape != hi.shape:
+        raise ValueError("lo and hi must have the same shape")
+    return lo, hi, scalar
 
 
 class SegmentTreeRMQ:
@@ -80,7 +110,7 @@ class SegmentTreeRMQ:
         while level_size >= 1:
             lo = level_size
             hi = 2 * level_size
-            tree[lo:hi] = ufunc(tree[2 * lo:2 * hi:2], tree[2 * lo + 1:2 * hi:2])
+            ufunc(tree[2 * lo:2 * hi:2], tree[2 * lo + 1:2 * hi:2], out=tree[lo:hi])
             if level_size >= _SMALL_LEVEL_THRESHOLD:
                 ctx.kernel(
                     "segtree_build_level",
@@ -112,44 +142,44 @@ class SegmentTreeRMQ:
         Empty ranges (``lo > hi``) return the operation identity.
         """
         ctx = ensure_context(ctx)
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        scalar = lo.ndim == 0
-        lo = np.atleast_1d(lo).copy()
-        hi = np.atleast_1d(hi).copy()
-        if lo.shape != hi.shape:
-            raise ValueError("lo and hi must have the same shape")
-        if lo.size and (lo.min() < 0 or hi.max() >= self.n):
-            # Allow empty ranges anywhere, but populated ones must be in bounds.
-            populated = lo <= hi
-            if populated.any() and (lo[populated].min() < 0 or hi[populated].max() >= self.n):
-                raise IndexError("query range out of bounds")
+        lo, hi, scalar = _range_bounds(lo, hi)
+        live = np.flatnonzero(lo <= hi)  # empty ranges never enter the descent
+        left = lo.take(live)
+        r = hi.take(live)
+        if live.size and (left.min() < 0 or r.max() >= self.n):
+            raise IndexError("query range out of bounds")
         q = lo.size
+        tree = self.tree
         ufunc = _OPS[self.op]
-        result = np.full(q, self._identity, dtype=self.tree.dtype)
-        left = lo + self.size
-        r = hi + self.size + 1  # exclusive
-        # Treat empty ranges as already finished.
-        left = np.where(lo > hi, 1, left)
-        r = np.where(lo > hi, 1, r)
+        result = np.full(q, self._identity, dtype=tree.dtype)
+        left += self.size
+        r += self.size + 1  # exclusive
+        acc = np.full(live.size, self._identity, dtype=tree.dtype)
         # On the device each query thread performs its own O(log n) bottom-up
-        # descent inside a single kernel; the per-level loop below is only a
-        # vectorization device and the cost is charged once at the end.
+        # descent inside a single kernel, charged once at the end; the only
+        # data-dependent input of that charge is the round count of the lane
+        # that closes last.  The host keeps just the lanes still open, so a
+        # lane costs its own rounds and not the slowest lane's.  Slot 0 of the
+        # iterative tree is never a node and holds the identity, which makes
+        # both folds branch-free: an even ``left`` or ``r`` gathers slot 0.
         rounds = 0
-        while np.any(left < r):
-            take_left = (left < r) & (left % 2 == 1)
-            if take_left.any():
-                result[take_left] = ufunc(result[take_left], self.tree[left[take_left]])
-                left[take_left] += 1
-            take_right = (left < r) & (r % 2 == 1)
-            if take_right.any():
-                r[take_right] -= 1
-                result[take_right] = ufunc(result[take_right], self.tree[r[take_right]])
-            left //= 2
-            r //= 2
+        while live.size:
+            odd = left & 1
+            ufunc(acc, tree.take(left * odd), out=acc)
+            left += odd
+            odd = r & 1
+            r -= odd
+            ufunc(acc, tree.take(r * odd), out=acc)
+            left >>= 1
+            r >>= 1
             rounds += 1
             if rounds > 2 * int(np.log2(self.size)) + 4:  # pragma: no cover - defensive
                 raise RuntimeError("segment tree query did not converge")
+            closed = np.flatnonzero(left >= r)
+            if closed.size:
+                result[live.take(closed)] = acc.take(closed)
+                keep = np.flatnonzero(left < r)
+                live, left, r, acc = (a.take(keep) for a in (live, left, r, acc))
         levels = max(rounds, 1)
         ctx.kernel(
             "segtree_query",
@@ -217,13 +247,7 @@ class SparseTableRMQ:
         range length.
         """
         ctx = ensure_context(ctx)
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        scalar = lo.ndim == 0
-        lo = np.atleast_1d(lo)
-        hi = np.atleast_1d(hi)
-        if lo.shape != hi.shape:
-            raise ValueError("lo and hi must have the same shape")
+        lo, hi, scalar = _range_bounds(lo, hi)
         populated = lo <= hi
         if populated.any() and (lo[populated].min() < 0 or hi[populated].max() >= self.n):
             raise IndexError("query range out of bounds")
@@ -254,18 +278,29 @@ class SparseTableRMQ:
         return self._identity
 
 
+_BACKENDS = {
+    "segment-tree": SegmentTreeRMQ,
+    "segtree": SegmentTreeRMQ,
+    "sparse-table": SparseTableRMQ,
+    "sparsetable": SparseTableRMQ,
+}
+
+
+def rmq_backend_class(backend: str) -> type:
+    """The RMQ class a backend name selects; ``ValueError`` for an unknown one."""
+    try:
+        return _BACKENDS[backend.strip().lower().replace("_", "-")]
+    except KeyError:
+        raise ValueError(f"unknown RMQ backend {backend!r}") from None
+
+
 def build_rmq(values: np.ndarray, op: str = "min", *, backend: str = "segment-tree",
               ctx: Optional[ExecutionContext] = None):
     """Build an RMQ structure with the requested backend.
 
     ``backend`` is ``"segment-tree"`` (the paper's choice) or ``"sparse-table"``.
     """
-    key = backend.strip().lower().replace("_", "-")
-    if key in ("segment-tree", "segtree"):
-        return SegmentTreeRMQ(values, op, ctx=ctx)
-    if key in ("sparse-table", "sparsetable"):
-        return SparseTableRMQ(values, op, ctx=ctx)
-    raise ValueError(f"unknown RMQ backend {backend!r}")
+    return rmq_backend_class(backend)(values, op, ctx=ctx)
 
 
 def range_minmax_over_subtrees(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bridges import TreeEdgeView, child_endpoints, mark_cycle_edges, split_tree_edges
-from repro.errors import InvalidGraphError
-from repro.graphs import EdgeList, depths_from_parents
+from repro.errors import InvalidGraphError, NotATreeError
+from repro.graphs import EdgeList, depths_from_parents, parents_to_edgelist
 from repro.graphs.generators import random_attachment_tree
 
 
@@ -67,6 +67,32 @@ class TestMarkCycleEdges:
         ctx_deep = ExecutionContext(GTX980)
         mark_cycle_edges(deep, depths_from_parents(deep), u, v, ctx=ctx_deep)
         assert ctx_deep.elapsed > 3 * ctx_shallow.elapsed
+
+
+class TestInputsAreRefusedNotCast:
+    """The marking walk and ``child_endpoints`` used to cast to ``int64``."""
+
+    PARENTS = np.asarray([-1, 0, 0, 1])
+    LEVELS = np.asarray([0, 1, 1, 2])
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "bad", [np.asarray([0.5, 1.5, 2.5, 3.5]), np.asarray([True, False, True, True])],
+        ids=["float", "bool"],
+    )
+    def test_mark_cycle_edges(self, bad, position):
+        args = [self.PARENTS, self.LEVELS, np.asarray([3, 2, 1, 2]), np.asarray([2, 1, 3, 3])]
+        args[position] = bad
+        with pytest.raises((InvalidGraphError, NotATreeError), match="must be integers"):
+            mark_cycle_edges(*args)
+
+    def test_child_endpoints(self):
+        tree = parents_to_edgelist(self.PARENTS)
+        view = split_tree_edges(tree, np.ones(tree.num_edges, dtype=bool))
+        for bad in (self.PARENTS.astype(float), self.PARENTS[None, :]):
+            with pytest.raises(NotATreeError, match="integers|1-D"):
+                child_endpoints(view, bad)
+        assert child_endpoints(view, self.PARENTS.astype(np.int16)).tolist() == [1, 2, 3]
 
 
 class TestSplitTreeEdges:

@@ -102,6 +102,41 @@ class TestDisconnectedInputRejected:
             find_bridges_hybrid(g)
 
 
+class TestArgumentsAreCheckedBeforeAnyWork:
+    """A bad ``root`` used to leak NumPy's ``IndexError`` from inside the tour;
+    a mistyped backend or method raised only after the spanning forest and the
+    tour had been built and charged."""
+
+    GRAPH = random_connected_graph(50, 20, seed=3)
+
+    @pytest.mark.parametrize("algorithm", [find_bridges_tarjan_vishkin, find_bridges_hybrid])
+    @pytest.mark.parametrize("root", [1.5, 1.0, "0", None, -1, 50, 2**40])
+    def test_root(self, algorithm, root, gpu_ctx):
+        with pytest.raises(InvalidGraphError, match="root"):
+            algorithm(self.GRAPH, root=root, ctx=gpu_ctx)
+        assert gpu_ctx.records == []
+
+    @pytest.mark.parametrize("algorithm", [find_bridges_tarjan_vishkin, find_bridges_hybrid])
+    def test_list_rank_method(self, algorithm, gpu_ctx):
+        with pytest.raises(ValueError, match="unknown list-ranking method"):
+            algorithm(self.GRAPH, list_rank_method="wyle", ctx=gpu_ctx)
+        assert gpu_ctx.records == []
+
+    def test_rmq_backend(self, gpu_ctx):
+        with pytest.raises(ValueError, match="unknown RMQ backend"):
+            find_bridges_tarjan_vishkin(self.GRAPH, rmq_backend="fenwick", ctx=gpu_ctx)
+        assert gpu_ctx.records == []
+
+    @pytest.mark.parametrize("algorithm", [find_bridges_tarjan_vishkin, find_bridges_hybrid])
+    def test_valid_spellings_and_integer_roots_still_run(self, algorithm):
+        oracle = find_bridges_dfs(self.GRAPH)
+        kwargs = {"rmq_backend": "Sparse_Table"} if algorithm is find_bridges_tarjan_vishkin else {}
+        for root in (np.int32(7), 49):
+            result = algorithm(self.GRAPH, root=root, list_rank_method="Wei_Jaja", **kwargs)
+            assert result.agrees_with(oracle)
+        assert algorithm(EdgeList.from_pairs([], n=0)).num_bridges == 0
+
+
 class TestPhaseBreakdowns:
     def test_tv_phases(self):
         ctx = ExecutionContext(GTX980)

@@ -113,6 +113,31 @@ class TestSpanningForest:
         assert spanning_forest(EdgeList.from_pairs([], n=4)).num_components == 4
 
 
+class TestWorklist:
+    """The round loop compacts its edge arrays; round 1 reads the caller's."""
+
+    def test_edge_arrays_are_left_alone(self):
+        g = random_connected_graph(120, 90, seed=4)
+        u, v = g.u.copy(), g.v.copy()
+        spanning_forest(g)
+        connected_components(g)
+        assert np.array_equal(g.u, u) and np.array_equal(g.v, v)
+
+    def test_forest_takes_the_smallest_index_edge_per_root(self):
+        # Three parallel edges and a self-loop: the lowest index wins, the
+        # self-loop never enters the worklist.
+        g = EdgeList.from_pairs([(1, 1), (0, 1), (1, 0), (0, 1), (1, 2)], n=3)
+        forest = spanning_forest(g)
+        assert forest.tree_edge_mask.tolist() == [False, True, False, False, True]
+        assert forest.labels.tolist() == [0, 0, 0]
+
+    def test_only_self_loops_charge_one_gather(self, gpu_ctx):
+        g = EdgeList.from_pairs([(0, 0), (2, 2)], n=3)
+        forest = spanning_forest(g, ctx=gpu_ctx)
+        assert forest.num_components == 3 and not forest.tree_edge_mask.any()
+        assert [(r.name, r.threads) for r in gpu_ctx.records] == [("sf_gather_labels", 2)]
+
+
 class TestLargestComponent:
     def test_extracts_biggest(self):
         g = EdgeList.from_pairs([(0, 1), (1, 2), (3, 4)], n=6)

@@ -45,6 +45,55 @@ class TestConstruction:
             EdgeList.from_pairs([(0, 1, 2)])
 
 
+#: Endpoint arrays a cast to ``int64`` would silently turn into node ids.
+NOT_NODE_IDS = {
+    "float": np.array([0.7, 1.9]),
+    "float, whole values": np.array([0.0, 1.0]),
+    "bool": np.array([True, False]),
+    "object": np.array([0, 1], dtype=object),
+    "str": np.array(["0", "1"]),
+}
+
+
+class TestRefusedNotCast:
+    """``EdgeList([0.7, 1.9], [1.2, 2.5], 3)`` used to build (0, 1), (1, 2)."""
+
+    @pytest.mark.parametrize("case", sorted(NOT_NODE_IDS))
+    def test_endpoints(self, case):
+        bad, good = NOT_NODE_IDS[case], np.array([1, 2])
+        for u, v in [(bad, good), (good, bad)]:
+            with pytest.raises(InvalidGraphError, match="must be integers"):
+                EdgeList(u, v, 3)
+
+    def test_from_pairs(self):
+        with pytest.raises(InvalidGraphError, match="must be integers"):
+            EdgeList.from_pairs([(0.7, 1), (1.9, 2)], n=3)
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, "3", None])
+    def test_node_count(self, n):
+        with pytest.raises(InvalidGraphError, match="node count must be an integer"):
+            EdgeList([0, 1], [1, 2], n)
+
+    @pytest.mark.parametrize("case", sorted(NOT_NODE_IDS))
+    def test_relabeling(self, case):
+        g = EdgeList([0], [1], 2)
+        with pytest.raises(InvalidGraphError, match="must be integers"):
+            g.relabeled(NOT_NODE_IDS[case])
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32]
+    )
+    def test_integers_of_any_width_pass(self, dtype):
+        g = EdgeList(np.array([0, 1], dtype=dtype), [1, 2], np.int32(3))
+        assert g.u.dtype == g.v.dtype == np.int64 and type(g.n) is int
+        assert list(g.edges()) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.int64])
+    def test_empty_of_any_dtype_passes(self, dtype):
+        g = EdgeList(np.empty(0, dtype=dtype), [], 4)
+        assert g.num_edges == 0 and g.u.dtype == np.int64
+
+
 class TestNormalization:
     def test_self_loop_detection_and_removal(self):
         g = EdgeList.from_pairs([(0, 0), (0, 1)], n=2)

@@ -16,8 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import get_kernel_backend
+from repro.device import GTX980
 from repro.errors import InvalidQueryError
-from repro.lca import BinaryLiftingLCA, InlabelLCA, SequentialInlabelLCA
+from repro.lca import (
+    RMQLCA,
+    BinaryLiftingLCA,
+    InlabelLCA,
+    NaiveGPULCA,
+    SequentialInlabelLCA,
+    brute_force_lca_batch,
+    run_batched_queries,
+)
 from repro.lca.inlabel import _ilog2_table
 from repro.service import ClusterConfig, ClusterService, LCAQueryService
 from repro.service.registry import artifact_nbytes
@@ -276,6 +285,21 @@ class TestFrontDoorsRefuseNonIntegerIds:
         ticket = target.submit("t", 3, np.int32(4))
         target.drain()
         assert target.result(ticket) == 1
+
+    @pytest.mark.parametrize("baseline", [BinaryLiftingLCA, NaiveGPULCA, RMQLCA])
+    @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)
+    def test_baselines_and_oracle(self, baseline, bad):
+        lca = baseline(self.PARENTS)
+        good = np.array([3, 4])
+        for xs, ys in [(bad, good), (good, bad)]:
+            with pytest.raises(InvalidQueryError, match="must be integers"):
+                lca.query(xs, ys)
+            with pytest.raises(InvalidQueryError, match="must be integers"):
+                run_batched_queries(lca, xs, ys, 2, GTX980)
+            with pytest.raises(InvalidQueryError, match="must be integers"):
+                brute_force_lca_batch(self.PARENTS, xs, ys)
+        assert lca.query([3, 5], np.array([4, 4], dtype=np.int32)).tolist() == [1, 0]
+        assert lca.query(3, 4).tolist() == [1]
 
     @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
     @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)

@@ -8,11 +8,14 @@ from repro.errors import InvalidQueryError, NotATreeError
 from repro.euler import tree_statistics_from_parents
 from repro.graphs import generate_random_queries
 from repro.lca import (
+    RMQLCA,
     BinaryLiftingLCA,
     InlabelLCA,
+    NaiveGPULCA,
     SequentialInlabelLCA,
     build_inlabel_structure,
     brute_force_lca_batch,
+    pointer_jump_levels,
 )
 
 from .conftest import TREE_KINDS, make_tree, random_connected_graph
@@ -270,6 +273,14 @@ class TestParentArrayIsRefusedNotCast:
         for validate in (False, True):
             with pytest.raises(NotATreeError, match="integers|1-D"):
                 implementation(NOT_PARENT_ARRAYS[case], validate=validate)
+
+    @pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
+    @pytest.mark.parametrize(
+        "baseline", [BinaryLiftingLCA, NaiveGPULCA, RMQLCA, pointer_jump_levels]
+    )
+    def test_baselines_and_oracle(self, baseline, case):
+        with pytest.raises(NotATreeError, match="integers|1-D"):
+            baseline(NOT_PARENT_ARRAYS[case])
 
     @pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
     @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import InvalidQueryError
 from repro.primitives import (
     SegmentTreeRMQ,
     SparseTableRMQ,
@@ -90,6 +91,60 @@ class TestValidation:
         rmq = backend(np.asarray([1, 2, 3]), "min")
         with pytest.raises(ValueError):
             rmq.query(np.asarray([0, 1]), np.asarray([1]))
+
+
+class TestQueryBoundary:
+    """2-D bounds used to escape as NumPy's raw ``IndexError``; float bounds
+    were truncated (``query([0.9], [2.9])`` answered ``[0, 2]``)."""
+
+    VALUES = np.asarray([5, -2, 9, 0])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "bad",
+        [np.asarray([0.9]), np.asarray([1.0]), 0.9, np.asarray([True]), True,
+         np.asarray([1], dtype=object), np.asarray(["1"]), None],
+        ids=repr,
+    )
+    def test_non_integer_bounds_are_refused_not_truncated(self, backend, bad, gpu_ctx):
+        rmq = backend(self.VALUES, "min")
+        good = np.asarray([2]) if np.ndim(bad) else 2
+        for lo, hi in [(bad, good), (good, bad)]:
+            with pytest.raises(InvalidQueryError, match="must be integers"):
+                rmq.query(lo, hi, ctx=gpu_ctx)
+        assert gpu_ctx.records == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_more_than_one_dimension_is_refused(self, backend, gpu_ctx):
+        rmq = backend(self.VALUES, "min")
+        square = np.zeros((2, 2), dtype=np.int64)
+        for lo, hi in [(square, square), (square, np.zeros(4, dtype=np.int64))]:
+            with pytest.raises(InvalidQueryError, match="scalars or 1-D"):
+                rmq.query(lo, hi, ctx=gpu_ctx)
+        assert gpu_ctx.records == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_integer_forms_still_answer(self, backend):
+        rmq = backend(self.VALUES, "max")
+        assert rmq.query([0, 1], np.asarray([1, 3], dtype=np.int16)).tolist() == [5, 9]
+        assert rmq.query(np.int32(1), 2) == 9
+        for empty in ([], np.empty(0), np.empty(0, dtype=np.int64)):
+            assert rmq.query(empty, empty).shape == (0,)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_ranges_may_lie_anywhere(self, backend):
+        rmq = backend(self.VALUES, "min")
+        out = rmq.query(np.asarray([99, 0, -5]), np.asarray([-7, 3, -6]))
+        assert out.tolist() == [rmq.identity, -2, rmq.identity]
+        with pytest.raises(IndexError, match="out of bounds"):
+            rmq.query(np.asarray([99, -1]), np.asarray([-7, 3]))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_query_leaves_its_arguments_alone(self, backend):
+        rmq = backend(np.arange(37), "min")
+        lo, hi = np.asarray([3, 0, 20]), np.asarray([30, 36, 20])
+        rmq.query(lo, hi)
+        assert lo.tolist() == [3, 0, 20] and hi.tolist() == [30, 36, 20]
 
 
 class TestBuildRmq:

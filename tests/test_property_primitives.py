@@ -1,7 +1,7 @@
 """Hypothesis property tests for the parallel primitives."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.primitives import (
@@ -88,20 +88,27 @@ def test_list_ranking_algorithms_agree(order, num_splitters):
     assert np.array_equal(wei_jaja_rank(succ, head, num_splitters=num_splitters), expected)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(ints, min_size=1, max_size=300), st.data(),
        st.sampled_from(["min", "max"]))
-def test_rmq_backends_agree_and_match_numpy(values, data, op):
+def test_rmq_backends_agree_and_match_numpy(hang_guard, values, data, op):
+    """Random (possibly empty) ranges, 1-D and scalar forms, both backends.
+
+    The compacted segment-tree descent drops a lane the round it closes, so a
+    batch mixes lanes of every length with lanes that never enter.
+    """
     arr = np.asarray(values, dtype=np.int64)
     n = arr.size
-    lo = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30)))
-    hi = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=lo.size, max_size=lo.size)))
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    tree = SegmentTreeRMQ(arr, op).query(lo, hi)
-    table = SparseTableRMQ(arr, op).query(lo, hi)
-    reference = np.asarray([
-        (arr[a:b + 1].min() if op == "min" else arr[a:b + 1].max())
-        for a, b in zip(lo, hi)
-    ])
-    assert np.array_equal(tree, reference)
-    assert np.array_equal(table, reference)
+    bounds = st.lists(st.integers(0, n - 1), min_size=1, max_size=30)
+    lo = np.asarray(data.draw(bounds))
+    hi = np.asarray(data.draw(st.lists(st.integers(0, n - 1),
+                                       min_size=lo.size, max_size=lo.size)))
+    reduce = np.minimum.reduce if op == "min" else np.maximum.reduce
+    for backend in (SegmentTreeRMQ, SparseTableRMQ):
+        rmq = backend(arr, op)
+        reference = np.asarray([
+            reduce(arr[a:b + 1], initial=rmq.identity) for a, b in zip(lo, hi)
+        ])
+        assert np.array_equal(rmq.query(lo, hi), reference)
+        assert rmq.query(int(lo[0]), int(hi[0])) == reference[0]
