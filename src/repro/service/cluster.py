@@ -71,7 +71,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..errors import Overloaded, ReplicaDown, ServiceError
-from ..graphs.trees import as_parent_array, as_query_ids, validate_parents
+from ..graphs.trees import as_parent_array, validate_parents
 from ..obs.events import (
     EV_FAULT,
     EV_HEDGE,
@@ -92,7 +92,7 @@ from .dispatch import (
 from .faults import FaultEvent, FaultInjector
 from .routing import HashRing, Router, make_router
 from .scheduler import FlushedBatch
-from .service import LCAQueryService, block_clean_prefix
+from .service import LCAQueryService, as_query_block, block_clean_prefix
 from .stats import ServiceStats, dedup_factor, grow_table, hit_rate
 
 __all__ = ["ClusterService", "ClusterStats"]
@@ -883,21 +883,10 @@ class ClusterService:
         [1, 0]
         """
         copies = self._copies(dataset)
-        xs = as_query_ids(xs)
-        ys = as_query_ids(ys)
-        if xs.shape != ys.shape:
-            raise ServiceError("query arrays must have the same shape")
-        if at is not None:
-            at = np.atleast_1d(np.asarray(at, dtype=np.float64))
-            if at.shape != xs.shape:
-                raise ServiceError("timestamp array must match the query arrays")
+        xs, ys, arrivals = as_query_block(xs, ys, at, now=self.clock.now)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
         n = self._dataset_size(dataset)
-        if at is None:
-            arrivals = np.full(xs.size, self.clock.now, dtype=np.float64)
-        else:
-            arrivals = at
 
         # Same first-offender semantics as the single-node block path — the
         # shared helper keeps the two validators in lockstep.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -102,6 +102,15 @@ class ArtifactKey:
     kind: str
     device: str
     variant: str = ""
+    # Probed once per served batch: hash the four strings once, not per probe.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.dataset, self.kind, self.device, self.variant)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass
@@ -238,6 +247,9 @@ class IndexRegistry:
         self.store = store
         self.capacity_bytes = capacity_bytes
         self._cache: "OrderedDict[ArtifactKey, CacheEntry]" = OrderedDict()
+        # The entry at the recent end of ``_cache`` when known: a hit on it
+        # needs no ``move_to_end``.
+        self._most_recent: Optional[CacheEntry] = None
         self._bytes_in_use = 0
         self._hits = 0
         self._misses = 0
@@ -319,7 +331,9 @@ class IndexRegistry:
         if entry is not None:
             self._hits += 1
             entry.hits += 1
-            self._cache.move_to_end(key)
+            if entry is not self._most_recent:
+                self._cache.move_to_end(key)
+                self._most_recent = entry
             return entry, True
 
         self._misses += 1
@@ -336,6 +350,7 @@ class IndexRegistry:
                            nbytes=artifact_nbytes(artifact),
                            build_time_s=build_time)
         self._cache[key] = entry
+        self._most_recent = entry
         self._bytes_in_use += entry.nbytes
         self._build_time_s += build_time
         if self.event_hook is not None:
@@ -361,6 +376,8 @@ class IndexRegistry:
         """Drop one cached artifact (a no-op if it is not cached)."""
         entry = self._cache.pop(key, None)
         if entry is not None:
+            if entry is self._most_recent:
+                self._most_recent = None
             self._bytes_in_use -= entry.nbytes
             self._evictions += 1
             if self.event_hook is not None:

@@ -296,10 +296,11 @@ class MicroBatchScheduler:
         """Admit a column block of queries, returning every batch it flushed.
 
         Observationally equivalent to calling :meth:`submit` once per row, but
-        the admission runs in bulk: the block is cut at wait deadlines and
-        batch-size boundaries with array arithmetic, and each cut is copied
-        into the pending buffers with one slice assignment.  The loop below
-        iterates once per *flush*, not once per query.
+        the admission runs in bulk: the whole block is copied behind the
+        pending window once (four slice assignments), then cut at wait
+        deadlines and batch-size boundaries by moving the window's cursors
+        over it.  The loop below iterates once per *flush*, not once per
+        query, and copies nothing.
 
         ``arrival_s`` must be non-decreasing and start at or after the current
         simulated time (the same monotonicity :meth:`submit` enforces through
@@ -329,33 +330,34 @@ class MicroBatchScheduler:
             # at its own arrival time, so chunking adds no information.
             self._observer.record_block(EV_ENQUEUE, arrival_s, tickets,
                                         replica=self._obs_replica)
+        # Rows past ``_tail`` are staged, not pending: a cut admits them by
+        # advancing ``_tail``; the loop ends with ``_tail`` past all of them.
+        self._ensure_room(count)
+        t0, t1 = self._tail, self._tail + count
+        self._tickets[t0:t1] = tickets
+        self._xs[t0:t1] = xs
+        self._ys[t0:t1] = ys
+        self._arrival[t0:t1] = arrival_s
         out: List[FlushedBatch] = []
         p = 0
         while p < count:
             have = self._tail - self._head
             if have:
-                deadline = float(self._arrival[self._head]) + wait
-                if float(arrival_s[p]) > deadline:
+                deadline = self._arrival.item(self._head) + wait
+                if arrival_s.item(p) > deadline:
                     out.append(self._flush(deadline, "wait"))
                     continue
             else:
-                deadline = float(arrival_s[p]) + wait
+                deadline = arrival_s.item(p) + wait
             # Every query arriving at or before the pending window's deadline
             # joins it (arrival exactly at the deadline still joins — the
             # same include_equal=False rule as the per-query path).
-            join = int(np.searchsorted(arrival_s, deadline, side="right"))
-            take = min(join - p, max_batch - have)
-            self._ensure_room(take)
-            t0, t1 = self._tail, self._tail + take
-            self._tickets[t0:t1] = tickets[p:p + take]
-            self._xs[t0:t1] = xs[p:p + take]
-            self._ys[t0:t1] = ys[p:p + take]
-            self._arrival[t0:t1] = arrival_s[p:p + take]
-            self._tail = t1
-            p += take
+            join = int(arrival_s.searchsorted(deadline, side="right"))
+            p += min(join - p, max_batch - have)
+            self._tail = t0 + p
             if self._tail - self._head >= max_batch:
-                out.append(self._flush(float(arrival_s[p - 1]), "size"))
-        self.clock.advance_to(float(arrival_s[-1]))
+                out.append(self._flush(arrival_s.item(p - 1), "size"))
+        self.clock.advance_to(arrival_s.item(count - 1))
         return out
 
     def advance_to(self, t: float, *, include_equal: bool = True

@@ -87,6 +87,28 @@ _MIN_TICKET_TABLE = 1024
 CACHE_BACKEND_KEY = "cache"
 
 
+def as_query_block(xs: object, ys: object, at: Optional[object], *, now: float
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A front door's column block: 1-D ``int64`` ids and ``float64`` arrivals.
+
+    Refuses what is not one before any ticket is issued (a 0-D scalar is a
+    one-row block; no ``at`` means everything arrives ``now``).  Shared, like
+    :func:`block_clean_prefix`, with the cluster layer's block path.
+    """
+    x_ids, y_ids = as_query_ids(xs), as_query_ids(ys)
+    if x_ids.ndim != 1 or y_ids.ndim != 1:
+        raise InvalidQueryError(
+            f"query arrays must be 1-D, got {max(x_ids.ndim, y_ids.ndim)}-D")
+    if x_ids.shape != y_ids.shape:
+        raise ServiceError("query arrays must have the same shape")
+    if at is None:
+        return x_ids, y_ids, np.full(x_ids.size, now, dtype=np.float64)
+    arrivals = np.atleast_1d(np.asarray(at, dtype=np.float64))
+    if arrivals.shape != x_ids.shape:
+        raise ServiceError("timestamp array must match the query arrays")
+    return x_ids, y_ids, arrivals
+
+
 def block_clean_prefix(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -206,6 +228,9 @@ class LCAQueryService:
             else:
                 dispatcher = CostModelDispatcher()
         self.dispatcher = dispatcher
+        # (backend key, batch size) -> charge, and whose prices they are.
+        self._charges: Dict[Tuple[str, int], float] = {}
+        self._charges_priced_by: Tuple[Any, Any] = (None, None)
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
@@ -565,21 +590,16 @@ class LCAQueryService:
         [1, 0]
         """
         scheduler = self._scheduler(dataset)
-        xs = as_query_ids(xs)
-        ys = as_query_ids(ys)
-        if xs.shape != ys.shape:
-            raise ServiceError("query arrays must have the same shape")
-        if at is not None:
-            at = np.atleast_1d(np.asarray(at, dtype=np.float64))
-            if at.shape != xs.shape:
-                raise ServiceError("timestamp array must match the query arrays")
+        xs, ys, arrivals = as_query_block(xs, ys, at, now=self.clock.now)
+        if latency_debt is not None:
+            latency_debt = np.atleast_1d(np.asarray(latency_debt,
+                                                    dtype=np.float64))
+            if latency_debt.shape != xs.shape:
+                raise ServiceError(
+                    "latency_debt array must match the query arrays")
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
         n = self.store.tree(dataset).size
-        if at is None:
-            arrivals = np.full(xs.size, self.clock.now, dtype=np.float64)
-        else:
-            arrivals = at
 
         # Admissible prefix: the per-query loop raises at the first
         # offending index after admitting everything before it — replicate
@@ -598,17 +618,13 @@ class LCAQueryService:
                                             tickets,
                                             replica=self._obs_replica)
             if latency_debt is not None:
-                debt = np.atleast_1d(np.asarray(latency_debt,
-                                                dtype=np.float64))
-                if debt.shape != xs.shape:
-                    raise ServiceError(
-                        "latency_debt array must match the query arrays")
                 # Tickets are consecutive: store the block's debt with one
                 # slice assignment before anything can flush and serve it.
                 if self._debt is None:
                     self._debt = np.zeros(self._answers.size,
                                           dtype=np.float64)
-                self._debt[int(tickets[0]):int(tickets[-1]) + 1] = debt[:stop]
+                self._debt[int(tickets[0]):int(tickets[-1]) + 1] = (
+                    latency_debt[:stop])
             handled = (
                 latency_debt is None
                 and self.answer_cache is not None
@@ -945,7 +961,23 @@ class LCAQueryService:
         rank) as its sort key, where phase 0 is the deadline sweep and
         phase 1 the size flush.
         """
+        t_last = arrivals.item(arrivals.size - 1)
         merged: List[Tuple[int, int, float, int, str, FlushedBatch]] = []
+        for name, scheduler in self._schedulers.items():
+            if name == dataset or scheduler.pending_count == 0:
+                continue
+            for batch in scheduler.advance_to(t_last, include_equal=True):
+                # Other datasets' deadlines fire at the first arrival at or
+                # past them.
+                at_query = int(arrivals.searchsorted(batch.flush_s,
+                                                     side="left"))
+                merged.append((at_query, 0, batch.flush_s,
+                               self._dataset_rank[name], name, batch))
+        if not merged:
+            # Nothing to interleave: own batches are already in serving order.
+            for batch in own:
+                self._serve(dataset, batch)
+            return
         own_rank = self._dataset_rank[dataset]
         for batch in own:
             if batch.trigger == "size":
@@ -955,26 +987,12 @@ class LCAQueryService:
             else:
                 # A wait flush fires at the first arrival strictly past the
                 # deadline (arrival exactly at the deadline joins the batch).
-                at_query = int(np.searchsorted(arrivals, batch.flush_s,
-                                               side="right"))
+                at_query = int(arrivals.searchsorted(batch.flush_s,
+                                                     side="right"))
                 phase = 0
             merged.append((at_query, phase, batch.flush_s, own_rank,
                            dataset, batch))
-        need_sort = False
-        t_last = float(arrivals[-1])
-        for name, scheduler in self._schedulers.items():
-            if name == dataset or scheduler.pending_count == 0:
-                continue
-            for batch in scheduler.advance_to(t_last, include_equal=True):
-                # Other datasets' deadlines fire at the first arrival at or
-                # past them.
-                at_query = int(np.searchsorted(arrivals, batch.flush_s,
-                                               side="left"))
-                merged.append((at_query, 0, batch.flush_s,
-                               self._dataset_rank[name], name, batch))
-                need_sort = True
-        if need_sort:
-            merged.sort(key=lambda item: item[:4])
+        merged.sort(key=lambda item: item[:4])
         for _, _, _, _, name, batch in merged:
             self._serve(name, batch)
 
@@ -1114,24 +1132,23 @@ class LCAQueryService:
         if self._dedup and self._is_packable(dataset):
             self._serve_deduped(dataset, batch)
             return
+        size = batch.xs.size
         if self._observer is not None:
-            backend, predicted = self.dispatcher.choose_with_estimate(
-                batch.size)
+            backend, predicted = self.dispatcher.choose_with_estimate(size)
             self._observer.record(EV_DISPATCH, batch.flush_s,
                                   batch=batch.batch_id,
                                   replica=self._obs_replica,
                                   detail=predicted,
                                   aux=self._observer.intern(backend.key))
         else:
-            backend = self.dispatcher.choose(batch.size)
+            backend = self.dispatcher.choose(size)
         entry, hit = self.registry.fetch_by_key(
             self._artifact_key(dataset, backend), spec=backend.spec)
-        service_time = 0.0 if hit else entry.build_time_s
         answers, charge = self._charged_query(entry.artifact, backend,
-                                              batch.xs, batch.ys, batch.size)
-        service_time += charge
-        self._finish_batch(batch, answers, service_time, backend.key,
-                           batch.size, dataset=dataset)
+                                              batch.xs, batch.ys, size)
+        self._finish_batch(batch, answers,
+                           charge if hit else entry.build_time_s + charge,
+                           backend.key, size, dataset=dataset)
 
     def _serve_deduped(self, dataset: str, batch: FlushedBatch) -> None:
         """The skew-aware fast path: canonicalize, dedup, probe, kernel misses.
@@ -1146,8 +1163,9 @@ class LCAQueryService:
         """
         cache = self.answer_cache
         obs = self._observer
+        size = batch.xs.size
         keys = pack_query_pairs(batch.xs, batch.ys)
-        service_time = answer_cache_probe_time(batch.size)
+        service_time = answer_cache_probe_time(size)
         if cache is not None:
             space = self._dataset_rank[dataset]
             answers, found, hits = cache.lookup(space, keys)
@@ -1156,12 +1174,12 @@ class LCAQueryService:
                     obs.record(EV_CACHE_HITS, batch.flush_s,
                                batch=batch.batch_id,
                                replica=self._obs_replica, detail=float(hits))
-                if hits < batch.size:
+                if hits < size:
                     obs.record(EV_CACHE_MISSES, batch.flush_s,
                                batch=batch.batch_id,
                                replica=self._obs_replica,
-                               detail=float(batch.size - hits))
-            if hits == batch.size:
+                               detail=float(size - hits))
+            if hits == size:
                 self._finish_batch(batch, answers, service_time,
                                    CACHE_BACKEND_KEY, 0, dataset=dataset)
                 return
@@ -1211,25 +1229,6 @@ class LCAQueryService:
         self._finish_batch(batch, answers, service_time, lane, kernel_queries,
                            dataset=dataset)
 
-    def _store_results(self, idx: np.ndarray, answers: np.ndarray,
-                       latencies: np.ndarray) -> None:
-        """Write one served group into the ticket-indexed result tables.
-
-        Tickets within a group are ascending; single-dataset streams issue
-        consecutive ones, so the common case is a contiguous table window
-        stored with slice assignments (bulk copies) instead of fancy-index
-        scatters.
-        """
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        if hi - lo == idx.size:
-            self._answers[lo:hi] = answers
-            self._latencies[lo:hi] = latencies
-            self._answered[lo:hi] = True
-        else:
-            self._answers[idx] = answers
-            self._latencies[idx] = latencies
-            self._answered[idx] = True
-
     def _finish_batch(self, batch: FlushedBatch, answers: np.ndarray,
                       service_time: float, backend_key: str,
                       kernel_queries: int, *,
@@ -1255,11 +1254,12 @@ class LCAQueryService:
             hedged = self._hedge_hook(dataset, batch, completion)
             if hedged is not None and hedged < completion:
                 effective = hedged
+        tickets = batch.tickets
         latencies = effective - batch.arrival_s
         if self._debt is not None:
             # Retried queries carry the latency accrued before this
             # (re-)admission; everyone else's slot is zero.
-            latencies = latencies + self._debt[batch.tickets]
+            latencies = latencies + self._debt[tickets]
         obs = self._observer
         if obs is not None:
             lane = obs.intern(backend_key)
@@ -1268,20 +1268,28 @@ class LCAQueryService:
                             detail=service_time, aux=lane)
             # ``own=True``: batch tickets and the fresh latency array are
             # never mutated after this point.
-            obs.record_block(EV_COMPLETE, effective, batch.tickets,
+            obs.record_block(EV_COMPLETE, effective, tickets,
                              batch=batch.batch_id,
                              replica=self._obs_replica, detail=latencies,
                              own=True)
-        self._store_results(batch.tickets, answers, latencies)
+        # Tickets within a batch are ascending; single-dataset streams issue
+        # consecutive ones, so the common case is a contiguous table window
+        # (bulk slice copies) instead of fancy-index scatters.
+        size = tickets.size
+        lo, hi = tickets.item(0), tickets.item(size - 1) + 1
+        window: Any = slice(lo, hi) if hi - lo == size else tickets
+        self._answers[window] = answers
+        self._latencies[window] = latencies
+        self._answered[window] = True
         self.stats_collector.record_batch(
-            size=batch.size,
+            size=size,
             trigger=batch.trigger,
             backend_key=backend_key,
             service_time_s=service_time,
             latencies_s=latencies,
             # Batch arrivals are non-decreasing by construction, so the
             # first element is the minimum — no reduction pass needed.
-            first_arrival_s=float(batch.arrival_s[0]),
+            first_arrival_s=batch.arrival_s.item(0),
             completion_s=effective,
             kernel_queries=kernel_queries,
         )
@@ -1304,19 +1312,34 @@ class LCAQueryService:
                        batch_size: int) -> Tuple[np.ndarray, float]:
         """Run the kernel; return ``(answers, charged_time)``.
 
-        With no calibration profile on the dispatcher the charge is the
-        modeled :class:`ExecutionContext` elapsed time (bit-identical to the
-        historic path).  With a measured profile the charge is the profile's
-        prediction for this backend and batch size — the same number the
-        dispatcher compared during backend choice, preserving the serving
-        invariant that the dispatch estimate equals the booked charge.
+        A launch's charge is a pure function of (backend, batch size): it is
+        computed the first time a pair is seen and memoized; later launches
+        run the kernel with no context.  With no calibration profile on the
+        dispatcher that first charge is the artifact's own modeled
+        :class:`ExecutionContext` elapsed time; with a measured profile it is
+        the profile's prediction — the number the dispatcher compared during
+        backend choice, so the dispatch estimate equals the booked charge.
+        The memo is dropped when the dispatcher or its profile is swapped.
         """
-        if getattr(self.dispatcher, "profile", None) is None:
+        dispatcher = self.dispatcher
+        profile = getattr(dispatcher, "profile", None)
+        priced_by = self._charges_priced_by
+        if priced_by[0] is not dispatcher or priced_by[1] is not profile:
+            self._charges = {}
+            self._charges_priced_by = (dispatcher, profile)
+        priced = (backend.key, batch_size)
+        charge = self._charges.get(priced)
+        if charge is not None:
+            return artifact.query(xs, ys), charge
+        if profile is None:
             ctx = ExecutionContext(backend.spec)
             answers = artifact.query(xs, ys, ctx=ctx)
-            return answers, ctx.elapsed
-        answers = artifact.query(xs, ys)
-        return answers, self.dispatcher.estimate(backend, batch_size)
+            charge = ctx.elapsed
+        else:
+            answers = artifact.query(xs, ys)
+            charge = dispatcher.estimate(backend, batch_size)
+        self._charges[priced] = charge
+        return answers, charge
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (f"LCAQueryService(datasets={self.datasets}, "

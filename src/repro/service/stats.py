@@ -233,27 +233,29 @@ class StatsCollector:
                      kernel_queries: Optional[int] = None) -> None:
         """Fold one completed batch into the counters.
 
-        ``kernel_queries`` is how many of the batch's queries actually ran
-        on a backend kernel (the unique cache misses under the skew-aware
-        path); it defaults to the full batch size.
+        Arguments arrive in their final types (Python ints and floats, a
+        ``float64`` latency array) and are not re-coerced.  ``kernel_queries``
+        is how many of the batch's queries actually ran on a backend kernel
+        (the unique cache misses under the skew-aware path); it defaults to
+        the full batch size.
         """
-        self.queries_answered += int(size)
-        self.kernel_queries += int(size) if kernel_queries is None else int(kernel_queries)
+        self.queries_answered += size
+        self.kernel_queries += size if kernel_queries is None else kernel_queries
         self.batches_flushed += 1
-        self.busy_time_s += float(service_time_s)
+        self.busy_time_s += service_time_s
         self.batch_sizes[batch_size_bucket(size)] += 1
         self.flush_triggers[trigger] += 1
         self.backend_choices[backend_key] += 1
-        latencies = np.asarray(latencies_s, dtype=np.float64)
-        end = self._latency_count + latencies.size
-        self._latency_table = grow_table(self._latency_table,
-                                         self._latency_count, end)
-        self._latency_table[self._latency_count:end] = latencies
+        start = self._latency_count
+        end = start + latencies_s.size
+        if end > self._latency_table.size:
+            self._latency_table = grow_table(self._latency_table, start, end)
+        self._latency_table[start:end] = latencies_s
         self._latency_count = end
         if self._first_arrival_s is None or first_arrival_s < self._first_arrival_s:
-            self._first_arrival_s = float(first_arrival_s)
+            self._first_arrival_s = first_arrival_s
         if self._last_completion_s is None or completion_s > self._last_completion_s:
-            self._last_completion_s = float(completion_s)
+            self._last_completion_s = completion_s
 
     def snapshot(self, *, registry: Optional["IndexRegistry"] = None,
                  answer_cache: Optional["AnswerCache"] = None) -> ServiceStats:

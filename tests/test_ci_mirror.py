@@ -1,0 +1,92 @@
+"""``scripts/check.sh`` runs what ``.github/workflows/ci.yml`` runs.
+
+The script is the local mirror of CI's lint, typecheck, test and docs jobs.
+This test reads the ``run:`` commands out of the workflow file and fails when
+one of them is missing from the script, so the two cannot drift apart.  Out of
+scope, as the script's header says: steps that ``pip install`` something first
+(they change the environment) and the ``bench-regression`` job (it rewrites the
+committed ``BENCH_*.json`` files).
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+SCRIPT = ROOT / "scripts" / "check.sh"
+
+MIRRORED_JOBS = ("lint", "typecheck", "test", "docs")
+
+
+def workflow_steps(text):
+    """``[(job, step name, [command lines])]`` for every ``run:`` step.
+
+    A plain ``run: cmd`` and a folded ``run: >`` are one command line; a
+    literal ``run: |`` block is one line per non-blank script line.  (The
+    workflow is regular enough that a YAML parser — not a test dependency —
+    is not needed.)
+    """
+    lines = text.splitlines()
+    steps, job, name, in_jobs = [], None, None, False
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        if line.rstrip() == "jobs:":
+            in_jobs = True
+        elif in_jobs and (m := re.fullmatch(r"  ([\w-]+):\s*", line)):
+            job = m.group(1)
+        elif m := re.match(r"\s+- name:\s*(.*)", line):
+            name = m.group(1).strip()
+        elif m := re.match(r"(\s+)run:\s*(.*)", line):
+            indent, value = len(m.group(1)), m.group(2).strip()
+            if value not in ("|", ">"):
+                steps.append((job, name, [value]))
+                continue
+            block = []
+            while i < len(lines) and (
+                not lines[i].strip() or len(lines[i]) - len(lines[i].lstrip()) > indent
+            ):
+                if lines[i].strip():
+                    block.append(lines[i].strip())
+                i += 1
+            steps.append((job, name, [" ".join(block)] if value == ">" else block))
+    return steps
+
+
+def test_workflow_parser_sees_every_run_step():
+    text = WORKFLOW.read_text()
+    steps = workflow_steps(text)
+    assert len(steps) == len(re.findall(r"^\s+run:", text, flags=re.M))
+    assert {job for job, _, _ in steps} == {*MIRRORED_JOBS, "bench-regression"}
+    by_name = {name: commands for _, name, commands in steps}
+    assert by_name["Ruff lint"] == ["ruff check src tests benchmarks examples scripts"]
+    assert by_name["Doctest the serving, workload, observability and control APIs"] == [
+        "python -m pytest --doctest-modules src/repro/service src/repro/workloads "
+        "src/repro/obs src/repro/control -q"
+    ]
+    assert len(by_name["Install package"]) == 2
+
+
+def test_check_script_runs_every_ci_command():
+    script = SCRIPT.read_text()
+    script_lines = {line.strip() for line in script.splitlines()}
+    mirrored, missing = 0, []
+    for job, name, commands in workflow_steps(WORKFLOW.read_text()):
+        if job not in MIRRORED_JOBS or any("pip install" in c for c in commands):
+            continue
+        for command in commands:
+            mirrored += 1
+            # A one-command step sits inside a quoted ``leg`` argument; the
+            # lines of a multi-line step stand on their own in a ``gate``.
+            found = command in script if len(commands) == 1 else command in script_lines
+            if not found:
+                missing.append(f"{job} / {name}: {command}")
+    assert not missing, "scripts/check.sh lacks:\n" + "\n".join(missing)
+    assert mirrored >= 12  # the legs ROADMAP 5(d) lists, at least
+
+
+def test_check_script_reports_a_missing_tool_as_skipped():
+    script = SCRIPT.read_text()
+    assert "SKIPPED (not installed)" in script
+    assert SCRIPT.stat().st_mode & 0o111, "scripts/check.sh must be executable"

@@ -12,6 +12,8 @@ from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
 from repro.service import (
     BatchPolicy,
+    ClusterConfig,
+    ClusterService,
     LCAQueryService,
     MicroBatchScheduler,
     ServiceConfig,
@@ -71,6 +73,49 @@ def test_submit_block_matches_per_query_submission(max_batch, max_wait, seed):
     # Drain the stragglers identically too.
     assert [batch_signature(b) for b in block.drain()] == \
            [batch_signature(b) for b in loop.drain()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    max_batch=st.integers(min_value=2, max_value=12),
+    max_wait_us=st.sampled_from((0.0, 20.0, 150.0)),
+    pending=st.integers(min_value=1, max_value=11),
+    gaps_us=st.lists(st.sampled_from((0.0, 0.0, 5.0, 20.0, 150.0, 400.0)),
+                     min_size=1, max_size=60),
+    blocks=st.integers(min_value=1, max_value=4),
+)
+def test_property_submit_block_from_a_pending_window(max_batch, max_wait_us,
+                                                     pending, gaps_us, blocks):
+    """Any sorted block, cut anywhere, onto a non-empty window: the block path
+    yields the per-row loop's ``(tickets, flush_s, trigger)`` sequence."""
+    policy = BatchPolicy(max_batch, max_wait_us * 1e-6)
+    pending = min(pending, max_batch - 1)
+    arrivals = np.cumsum(np.asarray([0.0] * pending + gaps_us)) * 1e-6
+    q = arrivals.size
+    tickets = np.arange(100, 100 + q, dtype=np.int64)
+    xs, ys = tickets * 2, tickets * 2 + 1
+
+    def run(columnar):
+        sched = MicroBatchScheduler(policy)
+        out = []
+        for i in range(pending):  # same-instant rows: a window, no flush
+            out.extend(sched.submit(int(tickets[i]), int(xs[i]), int(ys[i]),
+                                    at=0.0))
+        assert sched.pending_count == pending and not out
+        cuts = np.linspace(pending, q, blocks + 1).astype(int)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if columnar:
+                out.extend(sched.submit_block(tickets[a:b], xs[a:b], ys[a:b],
+                                              arrivals[a:b]))
+                assert sched.pending_count <= max_batch
+            else:
+                for i in range(a, b):
+                    out.extend(sched.submit(int(tickets[i]), int(xs[i]),
+                                            int(ys[i]), at=float(arrivals[i])))
+        state = (sched.pending_count, sched.next_deadline, sched.clock.now)
+        return [batch_signature(b) for b in out + sched.drain()], state
+
+    assert run(columnar=True) == run(columnar=False)
 
 
 def test_flushed_slices_survive_buffer_refills():
@@ -278,6 +323,46 @@ def test_non_finite_arrival_is_a_typed_error_not_a_hang(hang_guard, bad):
     assert service.clock.now == 0.0
     service.drain()  # the clock is intact: the admitted query still serves
     assert service.answered([0]).all()
+
+
+@pytest.mark.parametrize("kind", ["service", "cluster"])
+@pytest.mark.parametrize("at", [None, np.zeros((2, 2)), np.zeros(4)],
+                         ids=["now", "at-2d", "at-1d"])
+def test_nd_query_block_is_refused_before_any_ticket_is_issued(kind, at):
+    if kind == "service":
+        target = LCAQueryService()
+    else:
+        target = ClusterService(config=ClusterConfig(n_replicas=2))
+    target.register_tree("t", random_attachment_tree(100, seed=8))
+    block = np.array([[1, 2], [3, 4]])
+    for xs, ys in [(block, block + 1), (block, [2, 3]), ([1, 2], block)]:
+        with pytest.raises(InvalidQueryError, match="1-D"):
+            target.submit_many("t", xs, ys, at=at)
+    assert target.tickets_issued == 0
+    assert target.stats().queries_submitted == 0
+    assert target.pending_count() == 0
+    # A 0-D scalar is still a one-row block.
+    tickets = target.submit_many("t", np.int64(3), 4)
+    target.drain()
+    assert tickets.tolist() == [0] and target.results(tickets).size == 1
+
+
+def test_misshaped_latency_debt_is_refused_before_admission():
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=8,
+                                                   max_wait_s=1.0))
+    service.register_tree("t", random_attachment_tree(100, seed=8))
+    for debt in (np.zeros(3), np.zeros((2, 1)), 0.5):
+        with pytest.raises(ServiceError, match="latency_debt"):
+            service.submit_many("t", [1, 2], [2, 3], latency_debt=debt)
+    assert service.tickets_issued == 0
+    assert service.stats().queries_submitted == 0
+    assert service.pending_count() == 0
+    # A well-shaped one is carried through to the reported latency.
+    tickets = service.submit_many("t", [1, 2], [2, 3],
+                                  latency_debt=np.array([0.25, 0.5]))
+    service.drain()
+    assert service.debt_of(tickets).tolist() == [0.25, 0.5]
+    assert (service.latencies(tickets) > [0.25, 0.5]).all()
 
 
 # ----------------------------------------------------------------------
