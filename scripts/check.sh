@@ -51,6 +51,7 @@ leg python "python examples/lca_cluster.py"
 leg python "python examples/scenario_replay.py"
 leg python "python -m pytest benchmarks/layers -q -p no:cacheprovider"
 leg python "python benchmarks/layers/run.py --smoke"
+leg python "python benchmarks/bench_answer_cache.py --smoke"
 
 # --- docs -------------------------------------------------------------------
 leg python "python scripts/check_markdown_links.py README.md ROADMAP.md docs"

@@ -17,6 +17,7 @@ from .dedup import (
     PACK_LIMIT,
     dedup_query_pairs,
     pack_query_pairs,
+    unique_packed_keys,
     unpack_query_pairs,
 )
 from .inlabel import (
@@ -48,5 +49,6 @@ __all__ = [
     "PACK_LIMIT",
     "pack_query_pairs",
     "unpack_query_pairs",
+    "unique_packed_keys",
     "dedup_query_pairs",
 ]

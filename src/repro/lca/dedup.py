@@ -16,9 +16,13 @@ Everything here is a handful of vectorized passes:
   through the plain path.
 * :func:`unpack_query_pairs` inverts the packing (always into the canonical
   ``x <= y`` orientation).
-* :func:`dedup_query_pairs` composes packing with ``np.unique`` and returns
-  the unique canonical pairs plus the inverse map that scatters per-unique
-  answers back onto the original batch positions.
+* :func:`unique_packed_keys` is the one dedup kernel: sort the packed keys,
+  compare neighbours, and only when some pair really repeats build the
+  inverse map (a batch of distinct keys — the common case on a cache-miss
+  path — is done after the sort).
+* :func:`dedup_query_pairs` composes packing with it and returns the unique
+  canonical pairs plus the inverse map that scatters per-unique answers back
+  onto the original batch positions.
 
 The serving layer (:mod:`repro.service`) builds its skew-aware fast path on
 these kernels: the packed key doubles as the lookup key of the vectorized
@@ -28,7 +32,7 @@ batch size.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "PACK_LIMIT",
     "pack_query_pairs",
     "unpack_query_pairs",
+    "unique_packed_keys",
     "dedup_query_pairs",
 ]
 
@@ -80,6 +85,36 @@ def unpack_query_pairs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def unique_packed_keys(
+    keys: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Sorted unique keys of a 1-D batch: ``(unique_keys, order, inverse)``.
+
+    ``unique_keys`` equals ``np.unique(keys)``.  ``order`` sorts the batch
+    (``keys[order]`` is non-decreasing).  When no key repeats, ``inverse`` is
+    ``None`` and ``unique_keys`` is ``keys[order]`` itself — per-key results
+    ``r`` of the batch line up with the unique keys as ``r[order]``.  When a
+    key repeats, ``inverse`` is ``np.unique``'s: ``unique_keys[inverse]``
+    equals ``keys``.
+
+    >>> u, order, inv = unique_packed_keys(np.array([9, 3, 5], dtype=np.uint64))
+    >>> (u.tolist(), order.tolist(), inv)
+    ([3, 5, 9], [1, 2, 0], None)
+    >>> u, _, inv = unique_packed_keys(np.array([9, 3, 9], dtype=np.uint64))
+    >>> (u.tolist(), inv.tolist())
+    ([3, 9], [1, 0, 1])
+    """
+    order = keys.argsort()
+    ordered = keys[order]
+    fresh = ordered[1:] != ordered[:-1]
+    if np.count_nonzero(fresh) == fresh.size:
+        return ordered, order, None
+    first = np.concatenate(([True], fresh))  # first copy of each distinct key
+    inverse = np.empty(keys.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], order, inverse
+
+
 def dedup_query_pairs(
     xs: np.ndarray, ys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,7 +143,10 @@ def dedup_query_pairs(
         raise InvalidQueryError(
             f"node ids must be in [0, {PACK_LIMIT}) for uint64 pair packing"
         )
-    keys = pack_query_pairs(xs, ys)
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    unique_keys, order, inverse = unique_packed_keys(pack_query_pairs(xs, ys))
+    if inverse is None:
+        # No repeated pair: the scatter-back map is the sort's inverse.
+        inverse = np.empty(order.size, dtype=np.int64)
+        inverse[order] = np.arange(order.size, dtype=np.int64)
     ux, uy = unpack_query_pairs(unique_keys)
-    return ux, uy, inverse.astype(np.int64, copy=False).reshape(-1)
+    return ux, uy, inverse

@@ -25,7 +25,13 @@ dozen scattered reads for the query kernel proper.
 * **Batched probe rounds.**  ``lookup``/``insert`` advance all unresolved
   lanes of a batch one linear-probe step per round with fancy indexing; the
   round count is bounded by the longest probe chain built this epoch, so a
-  lookup over a warm cache is typically a single vectorized pass.
+  lookup over a warm cache is typically a single vectorized pass.  Both are
+  launch-lean — at serving batch sizes (~40 keys) the cost of a call is the
+  number of NumPy launches, not bytes: round 1 is a dozen launches on the
+  whole batch, later rounds run on the compacted lanes still walking, and an
+  insert walks every lane to its chain's first free slot before one scatter
+  per word and one read-back (``docs/architecture.md``, "Life of a cached
+  batch on the host").
 * **Exactness.**  A hit requires the stored 64-bit pair key *and* the
   dataset space id *and* the current epoch to match exactly — hash
   collisions only cost extra probe rounds, never a wrong answer.  The
@@ -85,9 +91,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
-_EPOCH_SHIFT = np.uint64(52)
-_HI_SHIFT = np.uint64(32)
 _VALUE_MASK = np.uint64(0xFFFFFFFF)
+_UINT64 = np.dtype(np.uint64)
 #: Epoch stamps live in the word's top 12 bits; 0 marks a never-used slot.
 _MAX_EPOCH = (1 << 12) - 1
 
@@ -119,6 +124,17 @@ class CacheCounters(NamedTuple):
     misses: int
     insertions: int
     resets: int
+
+
+def _check_keys(keys: np.ndarray) -> None:
+    """Refuse anything but a 1-D ``uint64`` array (no coercion pass)."""
+    if not isinstance(keys, np.ndarray) or keys.dtype != _UINT64 or keys.ndim != 1:
+        raise ServiceError(
+            "answer-cache keys must be a 1-D uint64 array "
+            "(repro.lca.dedup.pack_query_pairs), got "
+            + (f"{keys.dtype} array of shape {keys.shape}"
+               if isinstance(keys, np.ndarray) else type(keys).__name__)
+        )
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -174,10 +190,17 @@ class AnswerCache:
         self._mask = np.int64(slots - 1)
         self._slot_shift = np.uint64(64 - (slots.bit_length() - 1))
         self._table = np.zeros(2 * slots, dtype=np.uint64)
-        # Row view of the same buffer: one fancy-index gathers a slot's two
-        # words (one 16-byte row, one cache line) in a single pass.
-        self._rows = self._table.reshape(slots, 2)
+        # Strided views of the same buffer, indexed by slot: a slot's two
+        # words are 16-byte aligned neighbours (one cache line).
+        self._slot_keys = self._table[0::2]
+        self._slot_words = self._table[1::2]
         self._epoch = 1
+        # Smallest slot word of the current epoch.  Stamps in the table never
+        # exceed the current epoch (the wrap zeroes it), so ``word >=
+        # _epoch_floor`` is the one-compare test for "occupied this epoch".
+        self._epoch_floor = np.uint64(1 << 52)
+        # Per-space (epoch | space) stamps of the current epoch.
+        self._stamps: Dict[int, np.uint64] = {}
         seed_arr = np.asarray([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self._salt = _splitmix64(seed_arr)[0]
         # Per-dataset-space salts, derived lazily (array math only: NumPy
@@ -271,11 +294,20 @@ class AnswerCache:
         # multiply, one shift.  The multiplier diffuses every key bit into
         # the *top* bits, which is all the slot index uses; the zero-copy
         # view reinterprets the (always < 2^63) result as int64 indices.
-        salted = (keys ^ self._space_salt(space)) * _GOLDEN
-        return (salted >> self._slot_shift).view(np.int64)
+        slot = keys ^ self._space_salt(space)
+        slot *= _GOLDEN
+        slot >>= self._slot_shift
+        return slot.view(np.int64)
 
-    def _hi_word(self, space: int) -> np.uint64:
-        return np.uint64((self._epoch << 20) | space)
+    def _stamp(self, space: int) -> np.uint64:
+        # A slot word's top 32 bits for this space in the current epoch,
+        # ``(epoch << 52) | (space << 32)``.  Memoized per space: the memo
+        # is dropped by ``reset()``, the only place the epoch moves.
+        stamp = self._stamps.get(space)
+        if stamp is None:
+            stamp = np.uint64((self._epoch << 52) | (space << 32))
+            self._stamps[space] = stamp
+        return stamp
 
     # ------------------------------------------------------------------
     # Core operations
@@ -285,55 +317,70 @@ class AnswerCache:
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Batched probe: ``(values, found, hits)`` for every key, in order.
 
-        ``keys`` may contain duplicates (a raw batch is probed as-is).  A
-        probe round is one 16-byte slot-row gather per unresolved lane; the
-        round count is bounded by the longest chain inserted this epoch.
-        ``values`` entries where ``found`` is False are unspecified.
+        ``keys`` is a 1-D ``uint64`` array (anything else raises
+        :class:`~repro.errors.ServiceError`) and may contain duplicates (a
+        raw batch is probed as-is).  A probe round is one slot gather per
+        unresolved lane; the round count is bounded by the longest chain
+        inserted this epoch.  ``values`` entries where ``found`` is False
+        are unspecified.
         """
-        m = int(keys.size)
+        _check_keys(keys)
+        m = keys.size
         if m == 0 or self._used == 0:
             self._misses += m
             return np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool), 0
         slot = self._home_slots(space, keys)
+        slot_keys = self._slot_keys
+        slot_words = self._slot_words
+        epoch_floor = self._epoch_floor
         # Round 1 runs on the whole batch with no lane indexing — on a warm
-        # cache (short chains) it resolves almost every lane: one row gather
-        # (a slot's two words share a cache line), two compares, and the
-        # answers drop out of the already-gathered word.
-        rows = np.take(self._rows, slot, axis=0)
-        k = rows[:, 0]
-        w = rows[:, 1]
-        matched = (k == keys) & ((w >> _HI_SHIFT) == self._hi_word(space))
-        values = (w & _VALUE_MASK).view(np.int64)
-        found = matched
-        if matched.all():
-            # Full hit in round 1 — the steady state under hot traffic.
-            self._hits += m
-            return values, found, m
-        live = (w >> _EPOCH_SHIFT) == np.uint64(self._epoch)
-        unresolved = live & ~matched
-        if unresolved.any() and self._max_probe > 1:
+        # cache (short chains) it resolves almost every lane.  ``x`` is the
+        # slot word with this (epoch, space) stamp xor-ed out: a slot of this
+        # space and epoch leaves just its answer (< 2^32), so one xor serves
+        # the match test and the answer.
+        stamp = self._stamp(space)
+        word = slot_words[slot]
+        x = word ^ stamp
+        found = slot_keys[slot] == keys
+        found &= x <= _VALUE_MASK
+        values = x.view(np.int64)
+        hits = int(np.count_nonzero(found))
+        # A full hit in round 1 is the steady state under hot traffic; and
+        # when no entry sits off its home slot there is nothing more to probe.
+        if hits < m and self._max_probe > 1:
             # Lanes that reached an empty slot are definitive misses; lanes
-            # on a foreign occupied slot keep probing, one linear step per
-            # still-unresolved lane per round.
-            active = np.flatnonzero(unresolved)
-            slot_a = (slot[active] + 1) & self._mask
-            keys_a = keys[active]
+            # on a foreign occupied slot keep probing, one step per round.
+            live = word >= epoch_floor
+            live ^= found
+            active = live.nonzero()[0]
+            mask = self._mask
+            slot = slot[active]
+            keys = keys[active]
             for _ in range(self._max_probe - 1):
-                rows_a = np.take(self._rows, slot_a, axis=0)
-                ka = rows_a[:, 0]
-                wa = rows_a[:, 1]
-                match_a = (ka == keys_a) & ((wa >> _HI_SHIFT) == self._hi_word(space))
-                if match_a.any():
-                    lanes = active[match_a]
-                    values[lanes] = (wa[match_a] & _VALUE_MASK).view(np.int64)
-                    found[lanes] = True
-                cont = ((wa >> _EPOCH_SHIFT) == np.uint64(self._epoch)) & ~match_a
-                active = active[cont]
                 if active.size == 0:
                     break
-                slot_a = (slot_a[cont] + 1) & self._mask
-                keys_a = keys_a[cont]
-        hits = int(np.count_nonzero(found))
+                slot += 1
+                slot &= mask
+                word = slot_words[slot]
+                live = word >= epoch_floor
+                # Key first: on the miss path no key matches, and the stamp
+                # test then never runs.
+                same = (slot_keys[slot] == keys).nonzero()[0]
+                if same.size:
+                    x = word[same] ^ stamp
+                    hit = (x <= _VALUE_MASK).nonzero()[0]
+                    same = same[hit]
+                    lanes = active[same]
+                    values[lanes] = x[hit].view(np.int64)
+                    found[lanes] = True
+                    hits += same.size
+                    live[same] = False
+                going = live.nonzero()[0]
+                if going.size < active.size:
+                    # Re-compact only when a lane actually dropped out.
+                    active = active[going]
+                    slot = slot[going]
+                    keys = keys[going]
         self._hits += hits
         self._misses += m - hits
         return values, found, hits
@@ -341,15 +388,23 @@ class AnswerCache:
     def insert(self, space: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Insert distinct, absent keys (one dataset space per call).
 
-        The caller passes the *unique miss* keys of a batch — deduplicated
-        and known not to be present — which is exactly what the serving
-        layer has in hand after a lookup.  Lanes that lose a same-slot race
-        to another lane simply keep probing, so within-batch insertions
-        land on distinct slots.  If the batch would push occupancy past the
-        load bound the table resets first; a batch larger than the whole
-        load bound is truncated (the cache is best-effort).
+        ``keys`` is a 1-D ``uint64`` array (anything else raises
+        :class:`~repro.errors.ServiceError`).  The caller passes the *unique
+        miss* keys of a batch — deduplicated and known not to be present —
+        which is exactly what the serving layer has in hand after a lookup.
+        Repeated keys in one call are the caller's to remove: every copy is
+        stored and counted, so three copies of one key raise ``used`` by 3.
+
+        Every lane first walks to the first free slot of its probe chain;
+        then the batch is written with one scatter per word and read back.
+        Lanes that lost a same-slot race to another lane walk on from there,
+        so within-batch insertions land on distinct slots.  If the batch
+        would push occupancy past the load bound the table resets first; a
+        batch larger than the whole load bound is truncated (the cache is
+        best-effort).
         """
-        m = int(keys.size)
+        _check_keys(keys)
+        m = keys.size
         if m == 0:
             return
         if self._used + m > self._max_used:
@@ -357,34 +412,42 @@ class AnswerCache:
             if m > self._max_used:
                 keys = keys[: self._max_used]
                 values = values[: self._max_used]
-                m = int(keys.size)
-        words = (
-            np.asarray(values, dtype=np.int64).astype(np.uint64)
-            | (self._hi_word(space) << _HI_SHIFT)
-        )
+                m = keys.size
+        words = np.asarray(values, dtype=np.int64).view(np.uint64) | self._stamp(space)
         slot = self._home_slots(space, keys)
-        active = np.arange(m, dtype=np.int64)
-        epoch = np.uint64(self._epoch)
-        rounds = 0
-        while active.size:
-            rounds += 1
-            i = slot[active] << 1
-            occupied = (self._table[i + 1] >> _EPOCH_SHIFT) == epoch
-            empty_lanes = active[~occupied]
-            survivors = active[occupied]
-            if empty_lanes.size:
-                ie = slot[empty_lanes] << 1
-                # Scatter writes: for duplicate slots the last write wins on
-                # both words alike, so the winning lane is consistent.
-                self._table[ie] = keys[empty_lanes]
-                self._table[ie + 1] = words[empty_lanes]
-                won = self._table[ie] == keys[empty_lanes]
-                self._used += int(np.count_nonzero(won))
-                if not won.all():
-                    survivors = np.concatenate([survivors, empty_lanes[~won]])
-            active = survivors
-            if active.size:
-                slot[active] = (slot[active] + 1) & self._mask
+        slot_keys = self._slot_keys
+        slot_words = self._slot_words
+        mask = self._mask
+        epoch_floor = self._epoch_floor
+        # ``rounds`` bounds (displacement + 1) of every lane placed so far;
+        # lookups trust ``_max_probe`` to be such a bound.
+        rounds = 1
+        while True:
+            # Walk the lanes still on an occupied slot, compacting as lanes
+            # arrive; ``slot`` always holds every pending lane's position.
+            cur, lanes = slot, None
+            while True:
+                occupied = (slot_words[cur] >= epoch_floor).nonzero()[0]
+                if occupied.size == 0:
+                    break
+                cur = cur[occupied]
+                cur += 1
+                cur &= mask
+                lanes = occupied if lanes is None else lanes[occupied]
+                slot[lanes] = cur
+                rounds += 1
+            # Scatter writes: for duplicate slots the last write wins on both
+            # words alike, so the winning lane is consistent; the read-back
+            # finds the lanes that lost such a race.
+            slot_keys[slot] = keys
+            slot_words[slot] = words
+            lost = (slot_keys[slot] != keys).nonzero()[0]
+            if lost.size == 0:
+                break
+            keys = keys[lost]
+            words = words[lost]
+            slot = slot[lost]
+        self._used += m
         self._insertions += m
         if rounds > self._max_probe:
             self._max_probe = rounds
@@ -406,6 +469,8 @@ class AnswerCache:
             self._table.fill(0)
             self._epoch = 0
         self._epoch += 1
+        self._epoch_floor = np.uint64(self._epoch << 52)
+        self._stamps.clear()
         self._used = 0
         self._max_probe = 0
         self._resets += 1

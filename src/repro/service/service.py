@@ -52,7 +52,12 @@ from numpy.typing import ArrayLike
 from ..device import ExecutionContext
 from ..errors import InvalidQueryError, ServiceError
 from ..graphs.trees import as_query_ids, query_bounds_mask
-from ..lca.dedup import PACK_LIMIT, pack_query_pairs, unpack_query_pairs
+from ..lca.dedup import (
+    PACK_LIMIT,
+    pack_query_pairs,
+    unique_packed_keys,
+    unpack_query_pairs,
+)
 from ..obs.events import (
     EV_ARRIVAL,
     EV_CACHE_HITS,
@@ -1183,51 +1188,61 @@ class LCAQueryService:
                 self._finish_batch(batch, answers, service_time,
                                    CACHE_BACKEND_KEY, 0, dataset=dataset)
                 return
-            miss = np.flatnonzero(~found)
-            miss_keys = keys[miss]
+            # ``miss`` is None when nothing hit: the whole batch is missing
+            # and no lane indexing is needed on either side of the kernel.
+            miss = (~found).nonzero()[0] if hits else None
         else:
             miss = None
-            miss_keys = keys
-        kernel_queries = 0
-        if miss_keys.size:
-            unique_keys, inverse = np.unique(miss_keys, return_inverse=True)
+        miss_keys = keys if miss is None else keys[miss]
+        unique_keys, order, inverse = unique_packed_keys(miss_keys)
+        kernel_queries = unique_keys.size
+        if obs is not None:
+            backend, predicted = self.dispatcher.choose_with_estimate(
+                kernel_queries)
+            obs.record(EV_DISPATCH, batch.flush_s, batch=batch.batch_id,
+                       replica=self._obs_replica, detail=predicted,
+                       aux=obs.intern(backend.key))
+        else:
+            backend = self.dispatcher.choose(kernel_queries)
+        entry, hit = self.registry.fetch_by_key(
+            self._artifact_key(dataset, backend), spec=backend.spec)
+        if not hit:
+            service_time += entry.build_time_s
+        if inverse is None:
+            # No pair repeats, so the missing lanes *are* the unique pairs:
+            # the kernel runs on them in batch order (LCA is symmetric — no
+            # canonical unpack, no scatter through an inverse map).
+            qx, qy = ((batch.xs, batch.ys) if miss is None
+                      else (batch.xs[miss], batch.ys[miss]))
+            miss_answers, charge = self._charged_query(
+                entry.artifact, backend, qx, qy, kernel_queries)
+        else:
             ux, uy = unpack_query_pairs(unique_keys)
-            kernel_queries = int(unique_keys.size)
-            if obs is not None:
-                backend, predicted = self.dispatcher.choose_with_estimate(
-                    kernel_queries)
-                obs.record(EV_DISPATCH, batch.flush_s, batch=batch.batch_id,
-                           replica=self._obs_replica, detail=predicted,
-                           aux=obs.intern(backend.key))
-            else:
-                backend = self.dispatcher.choose(kernel_queries)
-            entry, hit = self.registry.fetch_by_key(
-                self._artifact_key(dataset, backend), spec=backend.spec)
-            if not hit:
-                service_time += entry.build_time_s
             unique_answers, charge = self._charged_query(
                 entry.artifact, backend, ux, uy, kernel_queries)
-            service_time += charge
-            if cache is not None:
-                resets_before = cache.resets
-                cache.insert(space, unique_keys, unique_answers)
-                if obs is not None:
-                    obs.record(EV_CACHE_INSERT, batch.flush_s,
-                               batch=batch.batch_id,
+            miss_answers = unique_answers[inverse]
+        service_time += charge
+        if cache is not None:
+            if inverse is None:
+                # The sort order lines the answers up with ``unique_keys``.
+                unique_answers = miss_answers[order]
+            resets_before = cache.resets
+            cache.insert(space, unique_keys, unique_answers)
+            if obs is not None:
+                obs.record(EV_CACHE_INSERT, batch.flush_s,
+                           batch=batch.batch_id,
+                           replica=self._obs_replica,
+                           detail=float(kernel_queries))
+                if cache.resets != resets_before:
+                    obs.record(EV_CACHE_RESET, batch.flush_s,
                                replica=self._obs_replica,
-                               detail=float(kernel_queries))
-                    if cache.resets != resets_before:
-                        obs.record(EV_CACHE_RESET, batch.flush_s,
-                                   replica=self._obs_replica,
-                                   detail=float(cache.resets - resets_before))
-                answers[miss] = unique_answers[inverse]
-            else:
-                answers = unique_answers[inverse]
-            lane = backend.key
+                               detail=float(cache.resets - resets_before))
+        if miss is None:
+            answers = miss_answers
         else:
-            lane = CACHE_BACKEND_KEY
-        self._finish_batch(batch, answers, service_time, lane, kernel_queries,
-                           dataset=dataset)
+            answers[miss] = miss_answers
+        self._finish_batch(batch, answers, service_time, backend.key,
+                           kernel_queries, dataset=dataset)
 
     def _finish_batch(self, batch: FlushedBatch, answers: np.ndarray,
                       service_time: float, backend_key: str,

@@ -22,6 +22,7 @@ from repro.lca import (
     dedup_query_pairs,
     pack_query_pairs,
     run_batched_queries,
+    unique_packed_keys,
     unpack_query_pairs,
 )
 from repro.device import GTX980
@@ -63,6 +64,36 @@ def test_dedup_scatter_reconstructs_canonical_pairs(data):
         assert (np.diff(packed.view(np.uint64)) > 0).all()
     assert np.array_equal(ux[inverse], np.minimum(xs, ys))
     assert np.array_equal(uy[inverse], np.maximum(xs, ys))
+
+
+@given(st.lists(st.integers(0, 40), max_size=60), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_unique_packed_keys_is_np_unique(raw, spread):
+    # ``spread`` multiplies the keys apart so that most batches hold no
+    # repeat (the order-only branch); without it most do.  Sizes 0, 1 and 2
+    # are ordinary draws of ``raw``.
+    keys = np.array(raw, dtype=np.uint64)
+    if spread:
+        keys = keys * np.uint64(1 << 40) + np.arange(keys.size, dtype=np.uint64)
+    want_unique, want_inverse = np.unique(keys, return_inverse=True)
+    unique_keys, order, inverse = unique_packed_keys(keys)
+    assert unique_keys.dtype == np.uint64
+    assert np.array_equal(unique_keys, want_unique)
+    assert np.array_equal(keys[order], np.sort(keys))
+    if inverse is None:
+        assert want_unique.size == keys.size
+        assert np.array_equal(unique_keys, keys[order])
+    else:
+        assert want_unique.size < keys.size
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+    # ``dedup_query_pairs`` is the same kernel behind pack / unpack.
+    xs = (keys >> np.uint64(32)).astype(np.int64)
+    ys = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    packed = pack_query_pairs(xs, ys)
+    ux, uy, scatter = dedup_query_pairs(xs, ys)
+    pu, pinv = np.unique(packed, return_inverse=True)
+    assert np.array_equal(pack_query_pairs(ux, uy), pu)
+    assert np.array_equal(scatter, pinv.reshape(-1))
 
 
 def test_run_batched_queries_dedup_is_exact_and_cheaper():
@@ -170,6 +201,148 @@ def test_cache_insert_race_within_batch_keeps_all_entries():
     assert cache.used == keys.size
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([[7, 9]], dtype=np.uint64),  # both keys cached, but not 1-D
+        np.array([7, 9], dtype=np.int64),
+        np.array([7.0, 9.0]),
+        np.uint64(7),
+        [7, 9],
+    ],
+    ids=["2d-uint64", "int64", "float64", "scalar", "list"],
+)
+def test_cache_refuses_keys_that_are_not_1d_uint64(keys):
+    cache = AnswerCache(MIN_CACHE_BYTES)
+    good = np.array([7, 9], dtype=np.uint64)
+    cache.insert(0, good, np.array([41, 42]))
+    with pytest.raises(ServiceError, match="1-D uint64"):
+        cache.lookup(0, keys)
+    with pytest.raises(ServiceError, match="1-D uint64"):
+        cache.insert(0, keys, np.array([1, 2]))
+    # The refused calls moved nothing.
+    assert cache.counters == (0, 0, 2, 0) and cache.used == 2
+    assert cache.lookup(0, good)[0].tolist() == [41, 42]
+
+
+def test_cache_same_key_of_another_space_on_the_chain_is_not_a_hit():
+    # Space 0's chain for ``key`` passes over the slot where space 1 keeps
+    # the *same* key: the probe must step past it (key matches, stamp does
+    # not) and still find space 0's own entry further along.
+    cache = AnswerCache(MIN_CACHE_BYTES, seed=4)
+
+    def home(space, k):
+        return int(cache._home_slots(space, np.array([k], dtype=np.uint64))[0])
+
+    key = next(k for k in range(1, 1 << 20)
+               if home(1, k) == (home(0, k) + 1) % cache.slots)
+    blocker = next(k for k in range(1, 1 << 20)
+                   if k != key and home(0, k) == home(0, key))
+    keys = np.array([key], dtype=np.uint64)
+    cache.insert(0, np.array([blocker], dtype=np.uint64), np.array([1]))
+    cache.insert(1, keys, np.array([11]))
+    assert cache.lookup(0, keys)[1].tolist() == [False]
+    cache.insert(0, keys, np.array([10]))  # lands two slots past its home
+    assert cache.lookup(0, keys)[0].tolist() == [10]
+    assert cache.lookup(1, keys)[0].tolist() == [11]
+    assert cache.counters == (2, 1, 3, 0)
+
+
+def test_cache_insert_counts_every_copy_of_a_repeated_key():
+    # Documented contract: repeats within one insert are the caller's to
+    # remove (the serving layer passes unique keys); each copy is counted.
+    cache = AnswerCache(MIN_CACHE_BYTES)
+    cache.insert(0, np.array([5, 5, 5], dtype=np.uint64), np.array([1, 1, 1]))
+    assert cache.used == 3 and cache.insertions == 3
+    assert cache.lookup(0, np.array([5], dtype=np.uint64))[0].tolist() == [1]
+
+
+def test_cache_epoch_wrap_zeroes_the_table_and_the_memoized_stamps():
+    cache = AnswerCache(MIN_CACHE_BYTES)  # 64 slots: the wrap's fill is free
+    spaces = (0, 1, 77)
+    old = np.array([11], dtype=np.uint64)
+    for space in spaces:
+        cache.insert(space, old, np.array([space]))  # stamped with epoch 1
+    wrap = (1 << 12) - 1
+    for i in range(1, wrap + 1):
+        cache.reset()
+        epoch = i + 1 if i < wrap else 1
+        # No (epoch, space) word outlives a reset, for any space seen before.
+        assert [int(cache._stamp(s)) for s in spaces] == [
+            (epoch << 52) | (s << 32) for s in spaces
+        ]
+        key = np.array([1000 + i], dtype=np.uint64)
+        cache.insert(0, key, np.array([i]))
+        assert cache.lookup(0, key)[0].tolist() == [i]
+        assert not cache.lookup(0, key - np.uint64(1))[1].any()
+    assert cache.resets == wrap
+    # Back in epoch 1: without the zeroing, the first entries would revive.
+    for space in spaces:
+        assert not cache.lookup(space, old)[1].any()
+    cache.insert(1, old, np.array([5]))
+    assert cache.lookup(1, old)[0].tolist() == [5]
+    assert not cache.lookup(0, old)[1].any()
+
+
+@pytest.mark.parametrize("slots", [64, 4096])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cache_agrees_with_a_dict_model(slots, data):
+    """lookup / insert / reset in any order behave like a dict with the same
+    load rule: ``used + m > max_used`` clears first, and an insert larger
+    than ``max_used`` keeps its first ``max_used`` keys as passed."""
+    cache = AnswerCache(slots * BYTES_PER_SLOT, seed=data.draw(st.integers(0, 3)))
+    assert cache.slots == slots
+    max_used = int(slots * 0.7)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    pool = np.unique(rng.integers(0, 1 << 63, 16 * slots).astype(np.uint64))
+    pool = rng.permutation(pool)
+    issued = 0  # pool[:issued] have been inserted at some point
+    model = {}
+    hits = misses = insertions = resets = 0
+    counts = st.one_of(st.integers(0, 12), st.integers(0, max_used + 20))
+    for _ in range(data.draw(st.integers(1, 14))):
+        op = data.draw(st.sampled_from(["lookup", "lookup", "insert", "insert", "reset"]))
+        space = data.draw(st.integers(0, 2))
+        if op == "reset":
+            cache.reset()
+            model.clear()
+            resets += 1
+        elif op == "lookup":
+            # Repeats included; indices past ``issued`` are never-seen keys.
+            picks = data.draw(st.lists(st.integers(0, issued + 5), max_size=40))
+            keys = pool[np.array(picks, dtype=np.int64)]
+            values, found, got = cache.lookup(space, keys)
+            want = [(space, k) in model for k in keys.tolist()]
+            assert found.tolist() == want
+            assert values[found].tolist() == [
+                model[space, k] for k, w in zip(keys.tolist(), want) if w
+            ]
+            assert got == sum(want)
+            hits += got
+            misses += len(want) - got
+        else:
+            count = min(data.draw(counts), pool.size - issued)
+            keys = pool[issued : issued + count]  # distinct, never inserted
+            values = rng.integers(0, 1 << 32, count)
+            issued += count
+            cache.insert(space, keys, values)
+            if count and len(model) + count > max_used:
+                model.clear()
+                resets += 1
+            kept = min(count, max_used)
+            model.update(zip(((space, k) for k in keys[:kept].tolist()),
+                             values[:kept].tolist()))
+            insertions += kept
+        assert cache.counters == (hits, misses, insertions, resets)
+        assert cache.used == len(model)
+    for space in range(3):
+        keys = np.array([k for s, k in model if s == space], dtype=np.uint64)
+        values, found, _ = cache.lookup(space, keys)
+        assert found.all()
+        assert values.tolist() == [model[space, k] for k in keys.tolist()]
+
+
 # ----------------------------------------------------------------------
 # Service-level exactness properties
 # ----------------------------------------------------------------------
@@ -201,6 +374,39 @@ def test_cache_on_off_answers_bit_identical(data):
     _, cached = _serve_stream(parents, xs, ys, at, answer_cache_bytes=1 << 14)
     assert np.array_equal(plain, dedup)
     assert np.array_equal(plain, cached)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["dedup-only", "cache"])
+def test_every_branch_of_the_deduped_batch_path_is_exact(cached):
+    # One block, cut into 8-query batches by the size cap, so nothing is
+    # cached at admission and every batch probes at serve time:
+    #   batch 1  distinct pairs, nothing cached   -> kernel in batch order
+    #   batch 2  distinct, half seen in batch 1   -> partial hit, no repeat
+    #   batch 3  new pairs, each asked twice      -> repeats, nothing cached
+    #   batch 4  repeats and pairs of batch 3     -> partial hit with repeats
+    #   batch 5  batch 1 again, endpoints swapped -> full hit
+    parents = random_attachment_tree(300, seed=11)
+    a = np.arange(8)
+    xs = np.concatenate([a, a[:4], 100 + a[:4], 200 + a[:4], 200 + a[:4],
+                         250 + a[:2], 250 + a[:2], 200 + a[:4], 50 + a])
+    ys = np.concatenate([50 + a, 50 + a[:4], 150 + a[:4], 20 + a[:4], 20 + a[:4],
+                         30 + a[:2], 30 + a[:2], 20 + a[:4], a])
+    assert xs.size == 40
+    knobs = {"answer_cache_bytes": 1 << 14} if cached else {"dedup": True}
+    svc = LCAQueryService(
+        config=ServiceConfig(max_batch_size=8, max_wait_s=1.0, **knobs)
+    )
+    svc.register_tree("t", parents)
+    tickets = svc.submit_many("t", xs, ys, at=np.zeros(40))
+    svc.drain()
+    assert np.array_equal(svc.results(tickets), BinaryLiftingLCA(parents).query(xs, ys))
+    stats = svc.stats()
+    assert stats.batches_flushed == 5
+    # Unique pairs the kernel ran: 8 + (4 or 8) + 4 + (2 or 6) + (0 or 8).
+    assert stats.kernel_queries == (18 if cached else 34)
+    if cached:
+        # Misses: the front-door probe of the whole block, then per batch.
+        assert svc.answer_cache.counters == (4 + 4 + 8, 40 + 8 + 4 + 8 + 4, 18, 0)
 
 
 def test_cache_exact_across_repeated_streams_and_tiny_cache():
