@@ -80,6 +80,16 @@ exit 1
 fi
 GATE
 
+gate "One kernel contract, one artifact-key derivation" <<'GATE'
+hits=$({ grep -rnE 'sequential=backend\.sequential|^\s*(import|from)\s+multiprocessing' src
+grep -rnE '\bbind\(|\breadback\(|BackendCapabilities' src/repro/backends; } || true)
+if [ -n "$hits" ]; then
+echo "$hits"
+echo "a second key derivation, a worker pool or the launch lifecycle is back (see above)" >&2
+exit 1
+fi
+GATE
+
 # --- report -----------------------------------------------------------------
 echo
 echo "passed : ${#passed[@]}"

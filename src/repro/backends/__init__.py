@@ -4,33 +4,31 @@ Until this package, the dispatcher's "devices" were priced fictions: every
 backend ran the same vectorized NumPy kernel and only the modeled roofline
 constants differed.  :mod:`repro.backends` makes them real:
 
-* :mod:`~repro.backends.base` — the contract (``compile → bind → launch →
-  readback`` plus ``capabilities()``), modeled on reikna's CLUDA layer, and
-  the process-wide backend registry;
+* :mod:`~repro.backends.base` — the contract (``compile`` a tree into an
+  artifact with ``n`` and ``query(xs, ys, *, ctx=None)``) and the
+  process-wide backend registry;
 * :mod:`~repro.backends.numpy_backend` — the existing vectorized paths as
-  backends (``"numpy"``, ``"numpy-seq"``); the continuity anchors;
+  backends (``"numpy"``, ``"numpy-seq"``): ``compile`` returns the
+  :class:`~repro.lca.InlabelLCA` / :class:`~repro.lca.SequentialInlabelLCA`
+  object itself;
 * :mod:`~repro.backends.smallbatch` — a tuned low-overhead kernel for small
   batches (``"smallbatch"``): compile-time-specialized tables, fused probe
   passes, preallocated answer scratch;
-* :mod:`~repro.backends.pool` — an opt-in multiprocess worker-pool device
-  (``"pool"``) over shared-memory columnar blocks;
 * :mod:`~repro.backends.calibrate` — the measurement harness: seeded
   batch-size grids, robust least-squares fits, JSON
   :class:`~repro.backends.calibrate.CalibrationProfile` artifacts that
   :class:`~repro.service.dispatch.CostModelDispatcher` consumes in place of
   the hardcoded specs.
 
-Importing the package registers the built-in backends by key.  Registration
-is factory-based and side-effect free: no worker process is forked and no
-scratch is allocated until a backend is actually requested through
+Kernels answer; the dispatcher prices.  Importing the package registers the
+built-in backends by key.  Registration is factory-based and side-effect
+free: no scratch is allocated until a backend is actually requested through
 :func:`get_kernel_backend`.
 """
 
 from .base import (
-    BackendCapabilities,
     CompiledKernel,
     KernelBackend,
-    Launch,
     available_backends,
     get_kernel_backend,
     register_backend,
@@ -43,12 +41,9 @@ from .calibrate import (
     fit_launch_cost,
 )
 from .numpy_backend import NUMPY_BACKEND_KEY, NUMPY_SEQ_BACKEND_KEY, NumpyBackend
-from .pool import POOL_BACKEND_KEY, ProcessPoolBackend
 from .smallbatch import SMALLBATCH_BACKEND_KEY, SmallBatchBackend
 
 __all__ = [
-    "BackendCapabilities",
-    "Launch",
     "CompiledKernel",
     "KernelBackend",
     "register_backend",
@@ -59,8 +54,6 @@ __all__ = [
     "NUMPY_SEQ_BACKEND_KEY",
     "SmallBatchBackend",
     "SMALLBATCH_BACKEND_KEY",
-    "ProcessPoolBackend",
-    "POOL_BACKEND_KEY",
     "BackendCalibration",
     "CalibrationProfile",
     "calibrate_backends",
@@ -77,7 +70,6 @@ def _register_builtin_backends() -> None:
         replace=True,
     )
     register_backend(SMALLBATCH_BACKEND_KEY, SmallBatchBackend, replace=True)
-    register_backend(POOL_BACKEND_KEY, ProcessPoolBackend, replace=True)
 
 
 _register_builtin_backends()

@@ -8,7 +8,7 @@ way the paper does — measure, fit, then dispatch on the fit:
 1. :func:`calibrate_backends` runs a **seeded grid** of batch sizes through
    each registered backend (same tree, same query streams for every backend)
    under a :class:`~repro.service.clock.WallClock` timer, taking the median
-   of repeated timed ``bind → launch → readback`` cycles per grid point;
+   of repeated timed ``kernel.query(xs, ys)`` calls per grid point;
 2. :func:`fit_launch_cost` fits ``time ≈ launch_overhead + per_query · q``
    to those medians by robust least squares (IRLS with Huber weights), so a
    scheduler hiccup at one grid point cannot poison the line;
@@ -299,8 +299,8 @@ def calibrate_backends(
 
     The grid is seeded: every backend sees the same tree and the same query
     stream per batch size, so the fits are comparable.  Per grid point the
-    median of ``repeats`` timed ``bind → launch → readback`` cycles is taken
-    (after ``warmup`` untimed cycles).  ``timer`` defaults to a fresh
+    median of ``repeats`` timed ``kernel.query(xs, ys)`` calls is taken
+    (after ``warmup`` untimed calls).  ``timer`` defaults to a fresh
     :class:`~repro.service.clock.WallClock`; tests inject a scripted source
     for determinism.
     """
@@ -309,7 +309,12 @@ def calibrate_backends(
     if repeats < 1:
         raise ServiceError(f"repeats must be positive, got {repeats}")
     sizes = sorted({int(s) for s in batch_sizes})
-    if sizes and sizes[0] < 1:
+    if len(sizes) < 2:
+        raise ServiceError(
+            f"need at least two distinct batch sizes to fit a cost line, "
+            f"got {sizes}"
+        )
+    if sizes[0] < 1:
         raise ServiceError("batch sizes must be positive")
     if timer is None:
         wall = WallClock()
@@ -325,39 +330,26 @@ def calibrate_backends(
     }
     entries: Dict[str, BackendCalibration] = {}
     for key in backend_keys:
-        backend = get_kernel_backend(key)
-        caps = backend.capabilities()
-        grid = [s for s in sizes if caps.max_batch is None or s <= caps.max_batch]
-        if len(grid) < 2:
-            raise ServiceError(
-                f"backend {key!r} admits fewer than two grid points "
-                f"(max_batch={caps.max_batch}); widen the grid"
-            )
-        kernel = backend.compile(parents)
+        kernel = get_kernel_backend(key).compile(parents)
         grid_times: List[float] = []
-        try:
-            for s in grid:
-                xs, ys = queries[s]
-                for _ in range(warmup):
-                    kernel.bind(xs, ys).readback()
-                samples = []
-                for _ in range(repeats):
-                    t0 = timer()
-                    kernel.bind(xs, ys).readback()
-                    samples.append(timer() - t0)
-                grid_times.append(median(samples))
-        finally:
-            closer = getattr(kernel, "close", None)
-            if callable(closer):
-                closer()
-        overhead, per_query, residual = fit_launch_cost(grid, grid_times)
+        for s in sizes:
+            xs, ys = queries[s]
+            for _ in range(warmup):
+                kernel.query(xs, ys)
+            samples = []
+            for _ in range(repeats):
+                t0 = timer()
+                kernel.query(xs, ys)
+                samples.append(timer() - t0)
+            grid_times.append(median(samples))
+        overhead, per_query, residual = fit_launch_cost(sizes, grid_times)
         entries[key] = BackendCalibration(
             backend=key,
             launch_overhead_s=overhead,
             per_query_s=per_query,
-            min_batch=min(grid),
-            max_batch=max(grid),
-            samples=len(grid) * repeats,
+            min_batch=sizes[0],
+            max_batch=sizes[-1],
+            samples=len(sizes) * repeats,
             residual=residual,
         )
     meta = {

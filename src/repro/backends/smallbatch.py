@@ -46,6 +46,7 @@ import numpy as np
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import tree_statistics_from_parents
+from ..graphs.trees import as_query_ids
 from ..lca.inlabel import (
     INLABEL_QUERY_COST,
     InlabelStructure,
@@ -53,7 +54,7 @@ from ..lca.inlabel import (
     _query_inlabel,
     build_inlabel_structure,
 )
-from .base import BackendCapabilities, CompiledKernel, KernelBackend
+from .base import CompiledKernel, KernelBackend
 
 __all__ = ["SmallBatchBackend", "SMALLBATCH_BACKEND_KEY", "DEFAULT_SCRATCH_SIZE"]
 
@@ -67,10 +68,7 @@ DEFAULT_SCRATCH_SIZE = 16
 class _SmallBatchKernel(CompiledKernel):
     """Compile-time-specialized Inlabel kernel for one tree."""
 
-    def __init__(
-        self, key: str, structure: InlabelStructure, scratch_size: int
-    ) -> None:
-        self.backend_key = key
+    def __init__(self, structure: InlabelStructure, scratch_size: int) -> None:
         self.structure = structure
         self.scratch_size = int(scratch_size)
         # Compile-time specialization: pin the tables as plain Python ints so
@@ -88,15 +86,37 @@ class _SmallBatchKernel(CompiledKernel):
         """Number of tree nodes the kernel was compiled for."""
         return self.structure.n
 
-    def _execute(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def query(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        *,
+        ctx: Optional[ExecutionContext] = None,
+    ) -> np.ndarray:
+        """Answer one batch; ``ctx`` books the sequential-CPU charge for it."""
+        xs = as_query_ids(xs)
+        ys = as_query_ids(ys)
         if xs.shape != ys.shape:
             raise InvalidQueryError("query arrays must have the same shape")
         if xs.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if xs.ndim != 1 or xs.size > self.scratch_size:
+            answers = np.empty(0, dtype=np.int64)
+        elif xs.ndim != 1 or xs.size > self.scratch_size:
             # Correct at any size: the vectorized kernel handles the rest.
-            return _query_inlabel(self.structure, xs, ys)
-        return self._fused(xs, ys, int(xs.size))
+            answers = _query_inlabel(self.structure, xs, ys)
+        else:
+            answers = self._fused(xs, ys, int(xs.size))
+        if ctx is not None:
+            # Identical modeled shape to the sequential CPU baseline: the
+            # tuned kernel does the same logical work, it just wastes less
+            # host time.
+            with ctx.phase("queries"):
+                ctx.sequential(
+                    "smallbatch_inlabel_query_batch",
+                    ops=INLABEL_QUERY_COST.ops * xs.size,
+                    bytes_touched=INLABEL_QUERY_COST.bytes_read * xs.size,
+                    random_access=True,
+                )
+        return answers
 
     def _fused(self, xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
         inlabel = self._inlabel
@@ -142,17 +162,6 @@ class _SmallBatchKernel(CompiledKernel):
             out[j] = xbar if depth[xbar] <= depth[ybar] else ybar
         return out
 
-    def _charge(self, ctx: ExecutionContext, batch_size: int) -> None:
-        # Identical modeled shape to the sequential CPU baseline: the tuned
-        # kernel does the same logical work, it just wastes less host time.
-        with ctx.phase("queries"):
-            ctx.sequential(
-                "smallbatch_inlabel_query_batch",
-                ops=INLABEL_QUERY_COST.ops * batch_size,
-                bytes_touched=INLABEL_QUERY_COST.bytes_read * batch_size,
-                random_access=True,
-            )
-
 
 class SmallBatchBackend(KernelBackend):
     """Preallocated-scratch, fused-pass Inlabel backend for small batches."""
@@ -164,10 +173,6 @@ class SmallBatchBackend(KernelBackend):
         if scratch_size < 1:
             raise ValueError(f"scratch_size must be positive, got {scratch_size}")
         self.scratch_size = int(scratch_size)
-
-    def capabilities(self) -> BackendCapabilities:
-        """Unbounded (large batches fall back to the vectorized kernel)."""
-        return BackendCapabilities(parallel=False)
 
     def compile(
         self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None
@@ -189,4 +194,4 @@ class SmallBatchBackend(KernelBackend):
                 ),
                 random_access=True,
             )
-        return _SmallBatchKernel(self.key, structure, self.scratch_size)
+        return _SmallBatchKernel(structure, self.scratch_size)

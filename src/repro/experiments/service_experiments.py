@@ -135,9 +135,7 @@ def wallclock_serve_run(parents: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         service.attach_observer(observer)
     service.register_tree("stream", parents)
     if warm:
-        for backend in service.dispatcher.backends:
-            service.registry.fetch("stream", "lca", backend.spec,
-                                   sequential=backend.sequential)
+        service.warm("stream")
     start = time.perf_counter()
     if mode == "columnar":
         tickets = service.submit_many("stream", xs, ys, at=arrivals_s)

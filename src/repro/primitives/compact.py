@@ -32,7 +32,7 @@ def compact(values: np.ndarray, mask: np.ndarray,
         ops=2.0 * n,
         bytes_read=float(values.nbytes + mask.nbytes),
         bytes_written=float(out.nbytes),
-        launches=3,  # flag scan + scatter (+ count readback)
+        launches=3,  # flag scan + scatter (+ count fetch)
     )
     return out
 

@@ -741,13 +741,7 @@ class ClusterService:
             changed.append(rid)
             worker = self._replicas[rid]
             for name in worker.datasets:
-                for backend in worker.dispatcher.backends:
-                    worker.registry.fetch(
-                        name,
-                        "lca",
-                        backend.spec,
-                        sequential=backend.sequential,
-                    )
+                worker.warm(name)
         while self.n_active > n:
             victim = self._scale_in_victim()
             if victim is None:
@@ -974,11 +968,7 @@ class ClusterService:
         True
         """
         for c in self._copies(dataset):
-            worker = self._replicas[c]
-            for backend in worker.dispatcher.backends:
-                worker.registry.fetch(
-                    dataset, "lca", backend.spec, sequential=backend.sequential
-                )
+            self._replicas[c].warm(dataset)
 
     def advance_to(self, t: float) -> None:
         """Advance the whole cluster, serving every wait-expired batch.

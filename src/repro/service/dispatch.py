@@ -31,13 +31,12 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..device import (
     GTX980,
-    XEON_X5650_MULTI,
     XEON_X5650_SINGLE,
     DeviceSpec,
     modeled_kernel_time,
 )
 from ..errors import ServiceError
-from ..lca import INLABEL_QUERY_COST, QueryKernelCost
+from ..lca import INLABEL_QUERY_COST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..backends.calibrate import CalibrationProfile
@@ -60,17 +59,18 @@ __all__ = [
 class Backend:
     """One candidate execution backend for serving query batches.
 
-    ``sequential`` describes how the backend charges a batch: one thread
-    working through the queries (the single-core CPU baseline) versus one
-    thread per query (the bulk-parallel GPU kernel).  The registry builds the
-    matching algorithm flavour (:class:`~repro.lca.SequentialInlabelLCA` vs
-    :class:`~repro.lca.InlabelLCA`) from the same distinction.
+    ``sequential`` describes how a batch on this backend is priced: one
+    thread working through the queries (the single-core CPU baseline) versus
+    one thread per query (the bulk-parallel GPU kernel).
 
     ``kernel`` optionally names a *real* kernel backend from the
-    :mod:`repro.backends` registry; the index registry then compiles that
-    backend's kernel as the serving artifact instead of the legacy flavour
-    classes.  Empty (the default) keeps the legacy artifact — existing
-    configs and replays are untouched.
+    :mod:`repro.backends` registry, whose ``compile`` then builds the serving
+    artifact; empty (the modeled ``cpu1`` / ``gpu`` endpoints) serves from
+    the matching Inlabel flavour (:class:`~repro.lca.SequentialInlabelLCA` /
+    :class:`~repro.lca.InlabelLCA`).  Either way the artifact only answers —
+    :meth:`CostModelDispatcher.estimate` is the price — and
+    ``LCAQueryService._artifact_key`` is the one place a ``Backend`` becomes
+    a registry key.
     """
 
     key: str
@@ -112,10 +112,6 @@ _BACKEND_PRESETS: Dict[str, Backend] = {
         key="smallbatch", label="Tuned small-batch Inlabel",
         spec=XEON_X5650_SINGLE, sequential=True, kernel="smallbatch",
     ),
-    "pool": Backend(
-        key="pool", label="Process-pool Inlabel", spec=XEON_X5650_MULTI,
-        sequential=False, kernel="pool",
-    ),
 }
 
 
@@ -128,8 +124,8 @@ def make_backend(key: str) -> Backend:
     """The serving :class:`Backend` descriptor for ``key``.
 
     Resolves both the modeled endpoints (``"cpu1"``, ``"gpu"``) and the real
-    kernel backends (``"numpy"``, ``"numpy-seq"``, ``"smallbatch"``,
-    ``"pool"``); configs name backends through this table.
+    kernel backends (``"numpy"``, ``"numpy-seq"``, ``"smallbatch"``); configs
+    name backends through this table.
     """
     backend = _BACKEND_PRESETS.get(key)
     if backend is None:
@@ -141,7 +137,6 @@ def make_backend(key: str) -> Backend:
 
 def estimate_batch_query_time(
     backend: Backend, batch_size: int, *,
-    cost: QueryKernelCost = INLABEL_QUERY_COST,
     profile: Optional["CalibrationProfile"] = None,
 ) -> float:
     """Predicted time for ``backend`` to answer one batch of ``batch_size`` queries.
@@ -161,6 +156,7 @@ def estimate_batch_query_time(
         raise ServiceError("batch_size must be at least 1")
     if profile is not None:
         return profile.predict(backend.key, batch_size)
+    cost = INLABEL_QUERY_COST
     q = float(batch_size)
     if backend.sequential:
         return modeled_kernel_time(
@@ -178,65 +174,71 @@ def estimate_batch_query_time(
 class CostModelDispatcher:
     """Chooses the cheapest backend for each batch size under the cost model.
 
-    Stateless and cheap: a decision is a handful of float comparisons, so the
-    service consults it for every flush.  Ties go to the earlier backend in
-    ``backends`` (by convention the CPU, i.e. "don't occupy the accelerator
-    unless it actually helps").
+    The dispatcher is also the one price of a batch: the service books
+    :meth:`estimate` for every launch, so "dispatch estimate ≡ booked charge"
+    holds by construction.  ``backends`` and ``profile`` are fixed at
+    construction (read-only properties) — swapping a profile means building a
+    new dispatcher — which is what lets both the choice and the estimate be
+    memoized for good.  Ties go to the earlier backend in ``backends`` (by
+    convention the CPU, i.e. "don't occupy the accelerator unless it actually
+    helps").
     """
 
     def __init__(self, backends: Sequence[Backend] = DEFAULT_BACKENDS, *,
-                 cost: QueryKernelCost = INLABEL_QUERY_COST,
                  profile: Optional["CalibrationProfile"] = None) -> None:
         if not backends:
             raise ServiceError("dispatcher needs at least one backend")
         keys = [b.key for b in backends]
         if len(set(keys)) != len(keys):
             raise ServiceError(f"backend keys must be unique, got {keys}")
-        self.backends: Tuple[Backend, ...] = tuple(backends)
-        self.cost = cost
-        #: Measured calibration profile; ``None`` keeps the modeled pricing.
-        self.profile = profile
+        self._backends: Tuple[Backend, ...] = tuple(backends)
+        self._profile = profile
         if profile is not None:
             # Fail at construction, not mid-serve, if a backend was never
             # calibrated (and pin down the usable batch-size window).
             profile.batch_range(keys)
-        # choose() is a pure function of the batch size (backends, cost and
-        # profile are fixed at construction) and the service consults it once
-        # per flush; realized batch sizes repeat heavily, so memoizing turns
-        # the per-flush decision into one dict probe.
-        self._choice_cache: dict = {}
-        self._estimate_cache: dict = {}
+        # Realized batch sizes repeat heavily, so the per-flush decision and
+        # its price are one dict probe each.
+        self._choices: Dict[int, Backend] = {}
+        self._estimates: Dict[Tuple[str, int], float] = {}
+
+    @property
+    def backends(self) -> Tuple[Backend, ...]:
+        """The candidate backends, in tie-break order."""
+        return self._backends
+
+    @property
+    def profile(self) -> Optional["CalibrationProfile"]:
+        """Measured calibration profile; ``None`` is the modeled pricing."""
+        return self._profile
 
     def estimate(self, backend: Backend, batch_size: int) -> float:
-        """Predicted serving time of one batch on ``backend``."""
-        return estimate_batch_query_time(
-            backend, batch_size, cost=self.cost, profile=self.profile
-        )
+        """Predicted — and booked — serving time of one batch on ``backend``."""
+        priced = (backend.key, batch_size)
+        estimate = self._estimates.get(priced)
+        if estimate is None:
+            estimate = estimate_batch_query_time(
+                backend, batch_size, profile=self._profile
+            )
+            self._estimates[priced] = estimate
+        return estimate
 
     def estimates(self, batch_size: int) -> Tuple[Tuple[Backend, float], ...]:
         """Every backend with its modeled time for this batch size."""
-        return tuple((b, self.estimate(b, batch_size)) for b in self.backends)
+        return tuple((b, self.estimate(b, batch_size)) for b in self._backends)
 
     def choose(self, batch_size: int) -> Backend:
         """The backend with the smallest modeled time (ties: earliest listed)."""
-        choice = self._choice_cache.get(batch_size)
+        choice = self._choices.get(batch_size)
         if choice is None:
             choice = min(self.estimates(batch_size), key=lambda pair: pair[1])[0]
-            self._choice_cache[batch_size] = choice
+            self._choices[batch_size] = choice
         return choice
 
     def choose_with_estimate(self, batch_size: int) -> Tuple[Backend, float]:
-        """:meth:`choose` plus the winner's modeled time, equally memoized.
-
-        The trace layer records the estimate as the dispatcher's *predicted*
-        batch cost, to compare against the time the batch is later charged.
-        """
-        cached = self._estimate_cache.get(batch_size)
-        if cached is None:
-            backend = self.choose(batch_size)
-            cached = (backend, self.estimate(backend, batch_size))
-            self._estimate_cache[batch_size] = cached
-        return cached
+        """:meth:`choose` plus the winner's :meth:`estimate`."""
+        backend = self.choose(batch_size)
+        return backend, self.estimate(backend, batch_size)
 
     def crossover_batch_size(self, *, max_batch: int = 1 << 24) -> Optional[int]:
         """Smallest batch size whose choice differs from the batch-size-1 choice.
@@ -294,7 +296,6 @@ def dispatcher_for(
     calibration_path: Optional[str] = None,
     *,
     profile: Optional["CalibrationProfile"] = None,
-    cost: QueryKernelCost = INLABEL_QUERY_COST,
 ) -> CostModelDispatcher:
     """Build the dispatcher a config's backend fields describe.
 
@@ -313,4 +314,4 @@ def dispatcher_for(
         profile = load_calibration_profile(calibration_path)
     backends = (DEFAULT_BACKENDS if backend_keys is None
                 else tuple(make_backend(key) for key in backend_keys))
-    return CostModelDispatcher(backends, cost=cost, profile=profile)
+    return CostModelDispatcher(backends, profile=profile)

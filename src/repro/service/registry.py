@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,8 +94,10 @@ class ArtifactKey:
     for ``"lca"`` it is ``"sequential"`` or ``"parallel"`` (which execution
     flavour of the Inlabel algorithm the entry holds), or the key of a real
     kernel backend from the :mod:`repro.backends` registry (the entry then
-    holds that backend's compiled kernel).  Index artifacts are per-backend:
-    two backends serving the same dataset each compile and cache their own.
+    holds what that backend's ``compile`` returned).  Whatever the variant,
+    an ``"lca"`` artifact is one thing: an object with ``n`` and
+    ``query(xs, ys, *, ctx=None)``.  Index artifacts are per-backend: two
+    backends serving the same dataset each build and cache their own.
     """
 
     dataset: str
@@ -118,7 +120,7 @@ class CacheEntry:
     """One cached artifact with its accounting metadata."""
 
     key: ArtifactKey
-    artifact: object
+    artifact: Any
     nbytes: int
     build_time_s: float
     hits: int = 0
@@ -273,9 +275,9 @@ class IndexRegistry:
                 return SequentialInlabelLCA(parents, ctx=ctx)
             if key.variant in ("", "parallel"):
                 return InlabelLCA(parents, ctx=ctx)
-            # Any other variant names a real kernel backend; compile its
-            # per-tree kernel as the artifact (lazy import: the registry
-            # stays usable without the backend package loaded).
+            # Any other variant names a real kernel backend; what it compiles
+            # is the artifact (lazy import: the registry stays usable without
+            # the backend package loaded).
             from ..backends import get_kernel_backend
 
             return get_kernel_backend(key.variant).compile(parents, ctx=ctx)
@@ -303,10 +305,14 @@ class IndexRegistry:
         fresh private context on ``spec``; either way the entry records the
         modeled build time so callers can account cold-start latency.
 
-        For ``kind="lca"``, ``sequential`` selects the execution flavour; it
-        must match the :class:`~repro.service.dispatch.Backend` that will
-        serve the batches, so dispatch estimates equal actual charges.  When
-        omitted it is inferred from the spec (single-core CPU → sequential).
+        For ``kind="lca"``, ``sequential`` selects the Inlabel flavour (the
+        ``"sequential"`` / ``"parallel"`` variant); when omitted it is
+        inferred from the spec (single-core CPU → sequential).  This is the
+        entry point for callers holding a device spec.  The serving layer
+        derives its keys — kernel-backend variants included — in exactly one
+        place, ``LCAQueryService._artifact_key``, and comes in through
+        :meth:`fetch_by_key`; warm a service with ``LCAQueryService.warm``,
+        not with a loop over this method.
         """
         variant = ""
         if kind == "lca":

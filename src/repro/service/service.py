@@ -49,7 +49,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..device import ExecutionContext
 from ..errors import InvalidQueryError, ServiceError
 from ..graphs.trees import as_query_ids, query_bounds_mask
 from ..lca.dedup import (
@@ -233,9 +232,6 @@ class LCAQueryService:
             else:
                 dispatcher = CostModelDispatcher()
         self.dispatcher = dispatcher
-        # (backend key, batch size) -> charge, and whose prices they are.
-        self._charges: Dict[Tuple[str, int], float] = {}
-        self._charges_priced_by: Tuple[Any, Any] = (None, None)
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
@@ -416,12 +412,12 @@ class LCAQueryService:
         back; the caller takes ``min(original, hedge)``.
         """
         size = int(np.asarray(xs).size)
-        backend = self.dispatcher.choose(size)
+        backend, service_time = self.dispatcher.choose_with_estimate(size)
         entry, hit = self.registry.fetch_by_key(
             self._artifact_key(dataset, backend), spec=backend.spec)
-        service_time = 0.0 if hit else entry.build_time_s
-        _, charge = self._charged_query(entry.artifact, backend, xs, ys, size)
-        service_time += charge
+        if not hit:
+            service_time += entry.build_time_s
+        entry.artifact.query(xs, ys)
         if self._service_factor != 1.0:
             service_time *= self._service_factor
         start = max(float(issue_s),
@@ -463,6 +459,27 @@ class LCAQueryService:
         """
         self.store.add_tree(name, parents, loader=loader, validate=validate)
         self._add_scheduler(name)
+
+    def warm(self, dataset: str) -> None:
+        """Prebuild ``dataset``'s LCA artifact for every dispatchable backend.
+
+        Builds exactly the registry keys the serving path fetches
+        (:meth:`_artifact_key`), so no batch served afterwards pays a cold
+        index build.  Benchmarks and clusters call this before taking
+        traffic.
+
+        >>> svc = LCAQueryService()
+        >>> svc.register_tree("t", np.array([-1, 0, 0]))
+        >>> svc.warm("t")
+        >>> svc.registry.misses, svc.registry.hits
+        (2, 0)
+        >>> _ = svc.submit("t", 1, 2, at=0.0); svc.drain()
+        >>> svc.registry.misses
+        2
+        """
+        for backend in self.dispatcher.backends:
+            self.registry.fetch_by_key(
+                self._artifact_key(dataset, backend), spec=backend.spec)
 
     @property
     def datasets(self) -> List[str]:
@@ -1138,19 +1155,17 @@ class LCAQueryService:
             self._serve_deduped(dataset, batch)
             return
         size = batch.xs.size
+        # The dispatcher's estimate is the charge the batch is booked for.
+        backend, charge = self.dispatcher.choose_with_estimate(size)
         if self._observer is not None:
-            backend, predicted = self.dispatcher.choose_with_estimate(size)
             self._observer.record(EV_DISPATCH, batch.flush_s,
                                   batch=batch.batch_id,
                                   replica=self._obs_replica,
-                                  detail=predicted,
+                                  detail=charge,
                                   aux=self._observer.intern(backend.key))
-        else:
-            backend = self.dispatcher.choose(size)
         entry, hit = self.registry.fetch_by_key(
             self._artifact_key(dataset, backend), spec=backend.spec)
-        answers, charge = self._charged_query(entry.artifact, backend,
-                                              batch.xs, batch.ys, size)
+        answers = entry.artifact.query(batch.xs, batch.ys)
         self._finish_batch(batch, answers,
                            charge if hit else entry.build_time_s + charge,
                            backend.key, size, dataset=dataset)
@@ -1196,14 +1211,11 @@ class LCAQueryService:
         miss_keys = keys if miss is None else keys[miss]
         unique_keys, order, inverse = unique_packed_keys(miss_keys)
         kernel_queries = unique_keys.size
+        backend, charge = self.dispatcher.choose_with_estimate(kernel_queries)
         if obs is not None:
-            backend, predicted = self.dispatcher.choose_with_estimate(
-                kernel_queries)
             obs.record(EV_DISPATCH, batch.flush_s, batch=batch.batch_id,
-                       replica=self._obs_replica, detail=predicted,
+                       replica=self._obs_replica, detail=charge,
                        aux=obs.intern(backend.key))
-        else:
-            backend = self.dispatcher.choose(kernel_queries)
         entry, hit = self.registry.fetch_by_key(
             self._artifact_key(dataset, backend), spec=backend.spec)
         if not hit:
@@ -1214,12 +1226,10 @@ class LCAQueryService:
             # canonical unpack, no scatter through an inverse map).
             qx, qy = ((batch.xs, batch.ys) if miss is None
                       else (batch.xs[miss], batch.ys[miss]))
-            miss_answers, charge = self._charged_query(
-                entry.artifact, backend, qx, qy, kernel_queries)
+            miss_answers = entry.artifact.query(qx, qy)
         else:
             ux, uy = unpack_query_pairs(unique_keys)
-            unique_answers, charge = self._charged_query(
-                entry.artifact, backend, ux, uy, kernel_queries)
+            unique_answers = entry.artifact.query(ux, uy)
             miss_answers = unique_answers[inverse]
         service_time += charge
         if cache is not None:
@@ -1310,51 +1320,21 @@ class LCAQueryService:
         )
 
     def _artifact_key(self, dataset: str, backend: Backend) -> ArtifactKey:
+        """The registry key ``backend`` serves ``dataset`` from.
+
+        The only place a :class:`Backend` becomes an :class:`ArtifactKey`:
+        serving and :meth:`warm` both come through here.
+        """
         cached = self._artifact_keys.get((dataset, backend.key))
         if cached is None:
-            # A backend naming a real kernel gets its own per-backend
-            # artifact (the registry compiles that kernel); the modeled
-            # endpoints keep the legacy flavour variants.
+            # A backend naming a real kernel gets that kernel's own artifact;
+            # the modeled endpoints serve from the Inlabel flavour variants.
             variant = backend.kernel or (
                 "sequential" if backend.sequential else "parallel"
             )
             cached = ArtifactKey(dataset, "lca", backend.spec.name, variant)
             self._artifact_keys[(dataset, backend.key)] = cached
         return cached
-
-    def _charged_query(self, artifact: Any, backend: Backend,
-                       xs: np.ndarray, ys: np.ndarray,
-                       batch_size: int) -> Tuple[np.ndarray, float]:
-        """Run the kernel; return ``(answers, charged_time)``.
-
-        A launch's charge is a pure function of (backend, batch size): it is
-        computed the first time a pair is seen and memoized; later launches
-        run the kernel with no context.  With no calibration profile on the
-        dispatcher that first charge is the artifact's own modeled
-        :class:`ExecutionContext` elapsed time; with a measured profile it is
-        the profile's prediction — the number the dispatcher compared during
-        backend choice, so the dispatch estimate equals the booked charge.
-        The memo is dropped when the dispatcher or its profile is swapped.
-        """
-        dispatcher = self.dispatcher
-        profile = getattr(dispatcher, "profile", None)
-        priced_by = self._charges_priced_by
-        if priced_by[0] is not dispatcher or priced_by[1] is not profile:
-            self._charges = {}
-            self._charges_priced_by = (dispatcher, profile)
-        priced = (backend.key, batch_size)
-        charge = self._charges.get(priced)
-        if charge is not None:
-            return artifact.query(xs, ys), charge
-        if profile is None:
-            ctx = ExecutionContext(backend.spec)
-            answers = artifact.query(xs, ys, ctx=ctx)
-            charge = ctx.elapsed
-        else:
-            answers = artifact.query(xs, ys)
-            charge = dispatcher.estimate(backend, batch_size)
-        self._charges[priced] = charge
-        return answers, charge
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (f"LCAQueryService(datasets={self.datasets}, "

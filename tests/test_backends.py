@@ -1,6 +1,6 @@
 """Tests for the real kernel backends and measured calibration.
 
-Covers the backend contract (compile → bind → launch → readback), the
+Covers the backend contract (``compile`` a tree, ``query`` the artifact), the
 bit-identity of every registered backend against the sequential oracle,
 the calibration fit/profile machinery, and profile-driven dispatch —
 including the property that a calibrated dispatcher always picks the
@@ -8,16 +8,20 @@ argmin of the profile's predicted costs.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.backends import (
     DEFAULT_CALIBRATION_GRID,
     BackendCalibration,
-    BackendCapabilities,
     CalibrationProfile,
     NumpyBackend,
     SmallBatchBackend,
@@ -30,6 +34,7 @@ from repro.backends import (
 from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
 from repro.errors import DeviceError, InvalidQueryError, ServiceError
 from repro.graphs.generators import random_attachment_tree
+from repro.lca import InlabelLCA, SequentialInlabelLCA
 from repro.lca.reference import BinaryLiftingLCA
 from repro.service import (
     CostModelDispatcher,
@@ -56,7 +61,7 @@ def _queries(n, q, seed=11):
 class TestBackendContract:
     def test_available_backends_lists_builtins(self):
         keys = available_backends()
-        for key in ("numpy", "numpy-seq", "smallbatch", "pool"):
+        for key in ("numpy", "numpy-seq", "smallbatch"):
             assert key in keys
 
     def test_get_kernel_backend_unknown_key(self):
@@ -70,38 +75,28 @@ class TestBackendContract:
         with pytest.raises(ServiceError):
             register_backend("numpy", NumpyBackend)
 
-    def test_capabilities_validate_batch(self):
-        caps = BackendCapabilities(max_batch=4)
-        caps.validate_batch(4)  # at the limit is fine
-        with pytest.raises(ServiceError):
-            caps.validate_batch(5)
-        BackendCapabilities().validate_batch(1 << 30)  # unbounded
-
-    def test_launch_is_idempotent(self):
+    def test_numpy_backends_compile_to_the_lca_classes(self):
         parents = _tree(64)
-        kernel = get_kernel_backend("smallbatch").compile(parents)
-        xs, ys = _queries(64, 8)
-        launch = kernel.bind(xs, ys)
-        launch.launch()
-        first = launch.readback().copy()
-        launch.launch()  # second launch is a no-op
-        assert np.array_equal(launch.readback(), first)
+        assert type(get_kernel_backend("numpy").compile(parents)) is InlabelLCA
+        assert (
+            type(get_kernel_backend("numpy-seq").compile(parents))
+            is SequentialInlabelLCA
+        )
 
     def test_all_backends_match_oracle(self):
         parents = _tree(257)
         oracle = BinaryLiftingLCA(parents)
-        xs, ys = _queries(257, 301)
-        expected = oracle.query(xs, ys)
-        for key in available_backends():
-            kernel = get_kernel_backend(key).compile(parents)
-            try:
-                got = kernel.query(xs, ys)
-                assert np.array_equal(got, expected), key
-                assert got.dtype == np.int64
-            finally:
-                close = getattr(kernel, "close", None)
-                if close is not None:
-                    close()
+        for q in (1, 16, 301):  # smallbatch: fused pass and vectorized fallback
+            xs, ys = _queries(257, q, seed=q)
+            expected = oracle.query(xs, ys)
+            for key in available_backends():
+                kernel = get_kernel_backend(key).compile(parents)
+                assert kernel.n == 257
+                ctx = ExecutionContext(make_backend(key).spec)
+                for got in (kernel.query(xs, ys), kernel.query(xs, ys, ctx=ctx)):
+                    assert np.array_equal(got, expected), key
+                    assert got.dtype == np.int64
+                assert ctx.elapsed > 0.0
 
     def test_backend_charges_modeled_context(self):
         parents = _tree(128)
@@ -113,6 +108,42 @@ class TestBackendContract:
             assert before > 0.0  # preprocessing was charged
             kernel.query(xs, ys, ctx=ctx)
             assert ctx.elapsed > before  # queries were charged
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that can import this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+
+
+class TestImportHygiene:
+    def test_default_service_never_imports_the_backend_package(self):
+        done = _run_python(
+            "import sys, numpy as np, repro\n"
+            "from repro.service import LCAQueryService\n"
+            "svc = LCAQueryService()\n"
+            "svc.register_tree('t', np.array([-1, 0, 0]))\n"
+            "svc.warm('t')\n"
+            "tickets = svc.submit_many('t', [1], [2])\n"
+            "svc.drain()\n"
+            "assert svc.results(tickets).tolist() == [0]\n"
+            "assert 'repro.backends' not in sys.modules\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_backend_package_does_not_import_multiprocessing(self):
+        done = _run_python(
+            "import sys, repro.backends\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSmallBatchKernel:
@@ -167,28 +198,6 @@ class TestSmallBatchKernel:
         assert ctx_a.elapsed == pytest.approx(ctx_b.elapsed)
 
 
-class TestPoolBackend:
-    def test_pool_matches_oracle_and_survives_close(self):
-        pool_backend = get_kernel_backend("pool")
-        parents = _tree(200, seed=9)
-        oracle = BinaryLiftingLCA(parents)
-        xs, ys = _queries(200, 50, seed=13)
-        expected = oracle.query(xs, ys)
-        kernel = pool_backend.compile(parents)
-        try:
-            assert np.array_equal(kernel.query(xs, ys), expected)
-        finally:
-            kernel.close()
-        # After close the kernel degrades to the in-process path.
-        assert np.array_equal(kernel.query(xs, ys), expected)
-        kernel.close()  # idempotent
-
-    def test_pool_capabilities_are_bounded(self):
-        caps = get_kernel_backend("pool").capabilities()
-        assert caps.parallel
-        assert caps.max_batch is not None
-
-
 def _profile(entries, *, meta=None):
     return CalibrationProfile(entries=dict(entries), meta=dict(meta or {}))
 
@@ -217,7 +226,7 @@ class TestCalibrationProfile:
         with pytest.raises(DeviceError, match="calibrated range"):
             prof.predict("numpy", 65)
         with pytest.raises(DeviceError, match="no calibration"):
-            prof.predict("pool", 8)
+            prof.predict("smallbatch", 8)
 
     def test_batch_range_intersects_windows(self):
         prof = _profile(

@@ -16,6 +16,7 @@ from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
 from repro.obs import TraceRecorder
+from repro.obs.events import EV_DISPATCH, EV_KERNEL_START
 from repro.service import (
     ClusterConfig,
     ClusterService,
@@ -23,6 +24,8 @@ from repro.service import (
     LCAQueryService,
     ServiceConfig,
 )
+
+from repro.workloads import make_scenario, replay
 
 from .conftest import make_tree
 
@@ -417,6 +420,73 @@ def test_warm_prebuilds_every_copy_and_stream_only_hits():
     chunked_submit(cluster, "t", xs, ys, np.arange(600) * 1e-6, 128)
     cluster.drain()
     assert cluster.stats().cache_misses == misses_after_warm  # all hits
+
+
+WARM_PARENTS = random_attachment_tree(4_096, seed=5)
+
+
+def warmed_service(knobs):
+    service = LCAQueryService(
+        config=ServiceConfig(**knobs), observer=TraceRecorder()
+    )
+    service.register_tree("t", WARM_PARENTS)
+    service.warm("t")
+    return service
+
+
+def warmed_cluster(knobs, *, scale_out=False):
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=2, **knobs), observer=TraceRecorder()
+    )
+    cluster.register_tree("t", WARM_PARENTS, replicas=0)
+    cluster.warm("t")
+    if scale_out:
+        cluster.scale_to(3)
+    return cluster
+
+
+def replayed_warm_service(knobs):
+    service = LCAQueryService(config=ServiceConfig(**knobs))
+    replay(
+        service,
+        make_scenario("steady", scale=0.05),
+        warm=True,
+        observer=TraceRecorder(),
+    )
+    return service
+
+
+WARM_TARGETS = {
+    "service": warmed_service,
+    "cluster": warmed_cluster,
+    "scaled-out": lambda knobs: warmed_cluster(knobs, scale_out=True),
+    "replay": replayed_warm_service,
+}
+
+
+@pytest.mark.parametrize("backends", [None, ("smallbatch", "numpy")])
+@pytest.mark.parametrize("kind", WARM_TARGETS)
+def test_warm_up_warms_what_is_served(kind, backends):
+    """After a warm-up no served batch builds an index or pays for one."""
+    target = WARM_TARGETS[kind]({"backends": backends, **POLICY})
+    workers = target.replicas if isinstance(target, ClusterService) else (target,)
+    warm_builds = sum(
+        len(w.datasets) * len(w.dispatcher.backends) for w in workers
+    )
+    assert sum(w.registry.misses for w in workers) == warm_builds
+    if kind != "replay":
+        xs, ys = generate_random_queries(WARM_PARENTS.size, 600, seed=19)
+        target.submit_many("t", xs, ys, at=np.arange(600) * 1e-6)
+        target.drain()
+        assert all(w.stats().queries_answered for w in workers)
+    assert sum(w.registry.misses for w in workers) == warm_builds
+    table = target.observer.table()
+    dispatch = table.of_kind(EV_DISPATCH)
+    kernel = table.of_kind(EV_KERNEL_START)
+    assert kernel.n_events > 0
+    predicted = dict(zip(dispatch.batch.tolist(), dispatch.detail.tolist()))
+    for batch, booked in zip(kernel.batch.tolist(), kernel.detail.tolist()):
+        assert booked == predicted[batch]  # the estimate, and no build time
 
 
 def test_pending_count_per_dataset_sums_over_copies():

@@ -12,7 +12,6 @@ from repro.lca import (
     INLABEL_QUERY_COST,
     BinaryLiftingLCA,
     InlabelLCA,
-    QueryKernelCost,
     SequentialInlabelLCA,
 )
 from repro.service import (
@@ -119,7 +118,7 @@ def test_validation():
 
 
 # ----------------------------------------------------------------------
-# The memoized charge is the charge
+# One price: what is booked is the dispatcher's estimate
 # ----------------------------------------------------------------------
 
 MEMO_MAX_BATCH = 24
@@ -130,30 +129,22 @@ MEMO_PARENTS = random_attachment_tree(512, seed=29)
 MEMO_ORACLE = BinaryLiftingLCA(MEMO_PARENTS)
 
 
-def charged_twice(service, backend, size):
-    """``(fresh-context charge, first booked charge, memoized charge)``."""
-    entry, _ = service.registry.fetch_by_key(
-        service._artifact_key("t", backend), spec=backend.spec)
+def booked_charge(service, size):
+    """Serve one ``size``-query batch, check its answers, return its charge."""
     xs, ys = generate_random_queries(MEMO_PARENTS.size, size, seed=size)
-    ctx = ExecutionContext(backend.spec)
-    entry.artifact.query(xs, ys, ctx=ctx)
-    first = service._charged_query(entry.artifact, backend, xs, ys, size)
-    again = service._charged_query(entry.artifact, backend, xs, ys, size)
-    assert np.array_equal(again[0], MEMO_ORACLE.query(xs, ys))
-    return ctx.elapsed, first[1], again[1]
+    busy_before = service.stats().busy_time_s
+    tickets = service.submit_many("t", xs, ys)
+    service.drain()
+    assert np.array_equal(service.results(tickets), MEMO_ORACLE.query(xs, ys))
+    return service.stats().busy_time_s - busy_before
 
 
-def memo_service(dispatcher):
+def memo_service(dispatcher, *, max_batch_size=MEMO_MAX_BATCH):
     service = LCAQueryService(
-        config=ServiceConfig(max_batch_size=MEMO_MAX_BATCH), dispatcher=dispatcher)
+        config=ServiceConfig(max_batch_size=max_batch_size), dispatcher=dispatcher)
     service.register_tree("t", MEMO_PARENTS)
+    service.warm("t")
     return service
-
-
-def close_artifacts(service):
-    for key in service.registry.keys():
-        entry, _ = service.registry.fetch_by_key(key)
-        getattr(entry.artifact, "close", lambda: None)()  # the pool's workers
 
 
 def line_profile(lines, *, max_batch):
@@ -171,44 +162,62 @@ def test_every_kernel_backend_is_dispatchable():
     assert set(available_backends()) <= set(known_backend_keys())
 
 
-@pytest.mark.parametrize("cost", [
-    INLABEL_QUERY_COST,
-    QueryKernelCost(ops=7.0, bytes_read=31.0, bytes_written=3.0),
-], ids=["default-cost", "custom-cost"])
+@pytest.mark.parametrize("size", MEMO_SIZES)
 @pytest.mark.parametrize("key", known_backend_keys())
-def test_memoized_charge_is_the_fresh_context_charge(key, cost):
-    """Legacy flavours and compiled kernels alike, whatever the dispatcher
-    estimates with: what is booked is what the artifact charges a context."""
+def test_booked_charge_is_the_estimate_is_the_artifact_charge(key, size):
+    """Modeled endpoints and kernel backends alike: the charge a served batch
+    is booked == ``dispatcher.estimate`` == what the registry-built artifact
+    charges a fresh context offline, bit for bit."""
     backend = make_backend(key)
-    service = memo_service(CostModelDispatcher([backend], cost=cost))
-    try:
-        for size in MEMO_SIZES:
-            fresh, first, again = charged_twice(service, backend, size)
-            assert first == fresh and again == fresh  # bit for bit
-        assert len(service._charges) == len(MEMO_SIZES)
-    finally:
-        close_artifacts(service)
+    service = memo_service(CostModelDispatcher([backend]), max_batch_size=size)
+    estimate = service.dispatcher.estimate(backend, size)
+    assert service.stats().busy_time_s == 0.0
+    assert booked_charge(service, size) == estimate
+    entry, hit = service.registry.fetch_by_key(service._artifact_key("t", backend))
+    assert hit
+    ctx = ExecutionContext(backend.spec)
+    xs, ys = generate_random_queries(MEMO_PARENTS.size, size, seed=size)
+    entry.artifact.query(xs, ys, ctx=ctx)
+    assert ctx.elapsed == estimate
 
 
-def test_memoized_charge_under_a_profile_is_the_estimate():
+def test_booked_charge_under_a_profile_is_the_estimate():
     profile = line_profile({"smallbatch": (9.52e-6, 2.606e-7),
                             "numpy": (7.574e-5, 8.66e-8)}, max_batch=4_096)
     dispatcher = dispatcher_for(("smallbatch", "numpy"), profile=profile)
-    service = memo_service(dispatcher)
-    for backend in dispatcher.backends:
-        for size in MEMO_SIZES:
-            fresh, first, again = charged_twice(service, backend, size)
-            assert first == again == dispatcher.estimate(backend, size)
-            assert again != fresh  # measured, not modeled
+    service = memo_service(dispatcher, max_batch_size=4_096)
+    for size in MEMO_SIZES:
+        backend, estimate = dispatcher.choose_with_estimate(size)
+        assert estimate == profile.predict(backend.key, size)
+        assert estimate != estimate_batch_query_time(backend, size)  # measured
+        # Busy time accumulates, so the difference carries rounding.
+        assert booked_charge(service, size) == pytest.approx(estimate, rel=1e-9)
 
 
-def test_charge_memo_does_not_outlive_its_dispatcher_or_profile():
-    service = memo_service(CostModelDispatcher())
-    backend = CPU_SEQUENTIAL_BACKEND
-    modeled = charged_twice(service, backend, 8)[2]
+def test_dispatcher_is_fixed_at_construction():
+    """Backends and profile cannot be swapped under the memoized choices and
+    estimates; a service handed a new dispatcher books the new prices."""
     profile = line_profile({b.key: (1e-3, 1e-6) for b in DEFAULT_BACKENDS},
                            max_batch=64)
-    service.dispatcher = CostModelDispatcher(profile=profile)
-    assert charged_twice(service, backend, 8)[2] == 1e-3 + 8 * 1e-6
-    service.dispatcher.profile = None  # back to modeled pricing, same object
-    assert charged_twice(service, backend, 8)[2] == modeled
+    dispatcher = CostModelDispatcher(profile=profile)
+    with pytest.raises(AttributeError):
+        dispatcher.profile = None
+    with pytest.raises(AttributeError):
+        dispatcher.backends = (CPU_SEQUENTIAL_BACKEND,)
+    assert dispatcher.profile is profile and dispatcher.backends == DEFAULT_BACKENDS
+
+    service = memo_service(CostModelDispatcher())
+    modeled = booked_charge(service, 8)
+    assert modeled == estimate_batch_query_time(service.dispatcher.choose(8), 8)
+    service.dispatcher = dispatcher
+    measured = booked_charge(service, 8)
+    assert measured == pytest.approx(1e-3 + 8 * 1e-6, rel=1e-9)
+    assert measured != pytest.approx(modeled)
+
+
+def test_choose_with_estimate_is_choose_plus_estimate():
+    dispatcher = CostModelDispatcher()
+    for size in BATCH_SIZES:
+        backend = dispatcher.choose(size)
+        assert dispatcher.choose_with_estimate(size) == (
+            backend, dispatcher.estimate(backend, size))
