@@ -52,6 +52,7 @@ leg python "python examples/scenario_replay.py"
 leg python "python -m pytest benchmarks/layers -q -p no:cacheprovider"
 leg python "python benchmarks/layers/run.py --smoke"
 leg python "python benchmarks/bench_answer_cache.py --smoke"
+leg python "python benchmarks/bench_query_kernel.py --smoke"
 
 # --- docs -------------------------------------------------------------------
 leg python "python scripts/check_markdown_links.py README.md ROADMAP.md docs"
@@ -86,6 +87,14 @@ grep -rnE '\bbind\(|\breadback\(|BackendCapabilities' src/repro/backends; } || t
 if [ -n "$hits" ]; then
 echo "$hits"
 echo "a second key derivation, a worker pool or the launch lifecycle is back (see above)" >&2
+exit 1
+fi
+GATE
+
+gate "One Schieber-Vishkin formula in the query kernel" <<'GATE'
+count=$(grep -c 'structure\.ascendant\[' src/repro/lca/inlabel.py || true)
+if [ "$count" -ne 1 ]; then
+echo "src/repro/lca/inlabel.py gathers structure.ascendant[...] $count times; the pass is written once" >&2
 exit 1
 fi
 GATE

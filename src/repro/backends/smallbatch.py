@@ -140,7 +140,7 @@ class _SmallBatchKernel(CompiledKernel):
                 out[j] = x if depth[x] <= depth[y] else y
                 continue
             # One fused probe pass; the exact int expressions of the
-            # vectorized kernel (see _query_inlabel for the derivation),
+            # vectorized kernel (see _query_tile for the derivation),
             # branching where that one computes and discards.
             i = (ix ^ iy).bit_length() - 1
             common = ascendant[x] & ascendant[y]

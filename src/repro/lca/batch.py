@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..device import DeviceSpec, ExecutionContext
+from ..errors import InvalidQueryError
 from ..graphs.trees import as_query_ids
 from .dedup import dedup_query_pairs
 
@@ -59,7 +60,9 @@ def run_batched_queries(algorithm, xs: np.ndarray, ys: np.ndarray, batch_size: i
     algorithm:
         A preprocessed LCA structure exposing ``query(xs, ys, ctx=...)``.
     xs, ys:
-        The full query stream.
+        The full query stream: two 1-D columns of integer node ids (anything
+        else raises :class:`~repro.errors.InvalidQueryError` before a batch
+        is charged).
     batch_size:
         Number of queries handed to the algorithm per call.
     spec:
@@ -83,6 +86,9 @@ def run_batched_queries(algorithm, xs: np.ndarray, ys: np.ndarray, batch_size: i
     ys = as_query_ids(ys)
     if xs.shape != ys.shape:
         raise ValueError("query arrays must have the same shape")
+    if xs.ndim != 1:
+        # A stream is cut along its one axis; rows of an N-D block are not batches.
+        raise InvalidQueryError(f"query arrays must be 1-D, got {xs.ndim}-D")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     q = xs.size

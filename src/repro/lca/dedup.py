@@ -37,6 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import InvalidQueryError
+from ..graphs.trees import as_query_ids
 
 __all__ = [
     "PACK_LIMIT",
@@ -127,15 +128,16 @@ def dedup_query_pairs(
 
     Unlike :func:`pack_query_pairs` (whose callers have already validated
     node ids against the tree size) this standalone entry point checks the
-    packing precondition itself.
+    packing precondition itself, and refuses non-integer ids rather than
+    truncating them (:func:`~repro.graphs.trees.as_query_ids`).
 
     >>> ux, uy, inv = dedup_query_pairs(np.array([5, 2, 5]),
     ...                                 np.array([2, 5, 7]))
     >>> (ux.tolist(), uy.tolist(), inv.tolist())
     ([2, 5], [5, 7], [0, 0, 1])
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
+    xs = as_query_ids(xs)
+    ys = as_query_ids(ys)
     if xs.size and not (
         0 <= min(int(xs.min()), int(ys.min()))
         and max(int(xs.max()), int(ys.max())) < PACK_LIMIT

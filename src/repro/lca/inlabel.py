@@ -229,22 +229,27 @@ def _ilog2_table(size: int) -> np.ndarray:
     return table
 
 
-def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
-                   ) -> np.ndarray:
-    """Vectorized constant-time LCA queries against an Inlabel structure.
+#: Lanes per tile of :func:`_query_inlabel`.  A tile's ~16 temporaries are
+#: 0.5-1 MiB each at this width, which the allocator hands back cache-warm
+#: tile after tile, while the tile's 25 NumPy launches (~25 us) are noise
+#: beside ~3 ms of work.  Median ns/query of one 1,048,576-lane call on the
+#: 262,144-node shallow tree, by tile width (two interleaved sweeps of 12):
+#: 8,192: 56-58; 16,384: 51-53; 32,768: 49-50; 65,536: 47-49; 131,072: 46;
+#: 262,144: 56-57; untiled: 78-87.  Flat from 65,536 to 131,072, so the width
+#: is the widest batch the untiled kernel already ran at full speed: a batch
+#: that fits keeps its launches.  Measured, not tunable.
+_TILE_LANES = 1 << 16
 
-    Pure computation (no cost accounting); both execution flavours wrap this.
+
+def _query_tile(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
+                ) -> np.ndarray:
+    """The Schieber–Vishkin pass over one tile of same-shape ``int64`` ids.
+
     One straight-line pass over both endpoints stacked as ``(2, b)``: no lane
     is branched on; a lane that needs no climb does a throwaway in-bounds
     read that the ``where`` discards.
     """
     inlabel = structure.inlabel
-    xs = as_query_ids(xs)
-    ys = as_query_ids(ys)
-    if xs.shape != ys.shape:
-        raise InvalidQueryError("query arrays must have the same shape")
-    if xs.size == 0:
-        return np.empty(0, dtype=np.int64)
     xy = np.empty((2,) + xs.shape, dtype=np.int64)
     xy[0] = xs
     xy[1] = ys
@@ -277,6 +282,35 @@ def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     bar = np.where(asc != 0, structure.parent[structure.head[il]], xy)
     depth = structure.depth[bar]
     return np.where(depth[0] <= depth[1], bar[0], bar[1])
+
+
+def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
+                   ) -> np.ndarray:
+    """Vectorized constant-time LCA queries against an Inlabel structure.
+
+    Pure computation (no cost accounting); both execution flavours wrap this.
+    The batch runs the way a GPU runs it, as blocks of :data:`_TILE_LANES`
+    lanes through :func:`_query_tile`, so the working set is one tile's
+    temporaries whatever the batch size.  A batch of at most one tile is that
+    one call and nothing else; a wider one is the same call per tile into an
+    output allocated once.  Every tile is bounds-checked before it runs, and
+    nothing is returned unless all of them passed.
+    """
+    xs = as_query_ids(xs)
+    ys = as_query_ids(ys)
+    if xs.shape != ys.shape:
+        raise InvalidQueryError("query arrays must have the same shape")
+    size = xs.size
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    if size <= _TILE_LANES:
+        return _query_tile(structure, xs, ys)
+    out = np.empty(xs.shape, dtype=np.int64)
+    flat, xs, ys = out.reshape(-1), xs.reshape(-1), ys.reshape(-1)
+    for lo in range(0, size, _TILE_LANES):
+        hi = lo + _TILE_LANES  # slices stop at the end: the last tile is the rest
+        flat[lo:hi] = _query_tile(structure, xs[lo:hi], ys[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)

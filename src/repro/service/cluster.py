@@ -1072,11 +1072,10 @@ class ClusterService:
         >>> cluster.results(tickets).tolist()
         [1, 0]
         """
-        idx = self._ticket_index(tickets)
-        out = np.empty(idx.size, dtype=np.int64)
-        for replica_id, sel in self._by_replica(idx):
-            worker = self._replicas[replica_id]
-            out[sel] = worker.results(self._ticket_local[idx[sel]])
+        count, groups = self._ticket_index(tickets)
+        out = np.empty(count, dtype=np.int64)
+        for worker, sel, local in groups:
+            out[sel] = worker.results(local)
         return out
 
     def latency(self, ticket: int) -> float:
@@ -1103,11 +1102,10 @@ class ClusterService:
         >>> bool((cluster.latencies(tickets) > 0.0).all())
         True
         """
-        idx = self._ticket_index(tickets)
-        out = np.empty(idx.size, dtype=np.float64)
-        for replica_id, sel in self._by_replica(idx):
-            worker = self._replicas[replica_id]
-            out[sel] = worker.latencies(self._ticket_local[idx[sel]])
+        count, groups = self._ticket_index(tickets)
+        out = np.empty(count, dtype=np.float64)
+        for worker, sel, local in groups:
+            out[sel] = worker.latencies(local)
         return out
 
     # ------------------------------------------------------------------
@@ -1331,8 +1329,14 @@ class ClusterService:
         for i, replica_id in enumerate(uniq):
             yield int(replica_id), order[bounds[i]:bounds[i + 1]]
 
-    def _ticket_index(self, tickets: ArrayLike) -> np.ndarray:
+    def _ticket_index(
+        self, tickets: ArrayLike
+    ) -> Tuple[int, List[Tuple[LCAQueryService, np.ndarray, np.ndarray]]]:
         """Validated cluster tickets; the one place read-back errors live.
+
+        Returns the ticket count and, per owning replica, ``(worker, positions
+        in the caller's sequence, the worker's own tickets there)`` — grouped
+        once, for the check here and the read that follows.
 
         Raises :class:`ServiceError` for the first unknown ticket, then for
         the first whose batch no replica has served yet — in the caller's
@@ -1342,16 +1346,19 @@ class ClusterService:
         unknown = (idx < 0) | (idx >= self._next_ticket)
         if unknown.any():
             raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
+        groups = [
+            (self._replicas[replica_id], sel, self._ticket_local[idx[sel]])
+            for replica_id, sel in self._by_replica(idx)
+        ]
         queued = np.zeros(idx.size, dtype=bool)
-        for replica_id, sel in self._by_replica(idx):
-            worker = self._replicas[replica_id]
-            queued[sel] = ~worker.answered(self._ticket_local[idx[sel]])
+        for worker, sel, local in groups:
+            queued[sel] = ~worker.answered(local)
         if queued.any():
             raise ServiceError(
                 f"ticket {idx[int(queued.argmax())]} is still queued; "
                 f"advance time or drain()"
             )
-        return idx
+        return idx.size, groups
 
     # ------------------------------------------------------------------
     # Fault tolerance internals

@@ -8,6 +8,7 @@ a neighbour, an input form that takes a different path, an error that no
 longer fires, and the shared log table showing up where it must not.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -16,18 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import get_kernel_backend
-from repro.device import GTX980
+from repro.device import GTX980, ExecutionContext
 from repro.errors import InvalidQueryError
 from repro.lca import (
+    PACK_LIMIT,
     RMQLCA,
     BinaryLiftingLCA,
     InlabelLCA,
     NaiveGPULCA,
     SequentialInlabelLCA,
     brute_force_lca_batch,
+    dedup_query_pairs,
     run_batched_queries,
 )
-from repro.lca.inlabel import _ilog2_table
+from repro.lca import inlabel as inlabel_module
+from repro.lca.inlabel import _ilog2_table, _query_tile
 from repro.service import ClusterConfig, ClusterService, LCAQueryService
 from repro.service.registry import artifact_nbytes
 
@@ -188,6 +192,182 @@ class TestInputForms:
         assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
 
 
+@contextlib.contextmanager
+def tile_lanes(width):
+    """The kernel's tile width set to ``width`` lanes for the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inlabel_module, "_TILE_LANES", width)
+        yield
+
+
+class TestTiles:
+    """A batch wider than one tile: the same answers, errors, shapes and charge.
+
+    Most cases shrink the tile to 8 lanes so that small batches cross several
+    boundaries; ``test_sizes_around_the_boundary`` also runs at the real width.
+    """
+
+    TREES = {kind: make_tree(kind, 300, seed=21) for kind in ("shallow", "deep")}
+
+    @staticmethod
+    def batch(size, seed=22):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 300, size=size), rng.integers(0, 300, size=size)
+
+    def test_width_is_a_private_constant(self):
+        assert inlabel_module._TILE_LANES == 65_536
+        assert "_TILE_LANES" not in inlabel_module.__all__
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_tree_every_pair_across_tiles(self, n):
+        """The exhaustive check again, n^2 pairs cut into tiles of 3 lanes."""
+        with tile_lanes(3):
+            for parents in all_parent_arrays(n):
+                assert_all_pairs_match_reference(parents)
+
+    @given(tree_and_batch(), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_any_width_gives_the_one_tile_answer(self, case, width):
+        parents, xs, ys = case
+        lca = InlabelLCA(parents)
+        whole = _query_tile(lca.structure, xs, ys)
+        with tile_lanes(width):
+            tiled = lca.query(xs, ys)
+        assert tiled.dtype == np.int64 and tiled.shape == whole.shape
+        assert np.array_equal(tiled, whole)
+        assert np.array_equal(tiled, BinaryLiftingLCA(parents).query(xs, ys))
+
+    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    @pytest.mark.parametrize("width", [8, 65_536])
+    def test_sizes_around_the_boundary(self, impl, kind, width):
+        """T-1, T, T+1 and 3T+7 lanes agree lane for lane with one tile."""
+        parents = self.TREES[kind]
+        lca = impl(parents)
+        xs, ys = self.batch(3 * width + 7)
+        whole = _query_tile(lca.structure, xs, ys)
+        assert np.array_equal(whole, BinaryLiftingLCA(parents).query(xs, ys))
+        with tile_lanes(width):
+            for size in (width - 1, width, width + 1, 3 * width + 7):
+                out = lca.query(xs[:size], ys[:size])
+                assert out.shape == (size,)
+                assert np.array_equal(out, whole[:size])
+
+    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+    @pytest.mark.parametrize("bad", [-1, 300, -(2**62), 2**62])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("position", [0, 5, 8, 19, 24, 30])
+    def test_out_of_range_in_any_tile_books_nothing(self, impl, bad, column, position):
+        """First, middle and last (remainder) tile; first and last lane of one."""
+        lca = impl(self.TREES["shallow"])
+        cols = list(self.batch(31))
+        cols[column][position] = bad
+        ctx = ExecutionContext(GTX980, trace=True)
+        with tile_lanes(8), pytest.raises(InvalidQueryError, match="out of range"):
+            lca.query(*cols, ctx=ctx)
+        assert ctx.records == [] and ctx.elapsed == 0.0 and ctx.breakdown() == {}
+
+    def test_non_integer_ids_are_refused_before_the_first_tile(self):
+        xs, ys = self.batch(31)
+        with tile_lanes(8), pytest.raises(InvalidQueryError, match="must be integers"):
+            InlabelLCA(self.TREES["deep"]).query(xs, ys.astype(np.float64))
+        with tile_lanes(8), pytest.raises(InvalidQueryError, match="same shape"):
+            InlabelLCA(self.TREES["deep"]).query(xs, ys[:-1])
+
+    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+    def test_input_forms_wider_than_a_tile(self, impl):
+        """N-D, strided, mixed-dtype and list inputs: today's shape and dtype."""
+        parents = self.TREES["deep"]
+        lca = impl(parents)
+        xs, ys = self.batch(66)
+        expected = BinaryLiftingLCA(parents).query(xs, ys)
+        with tile_lanes(8):
+            forms = {
+                "2-D": (xs.reshape(6, 11), ys.reshape(6, 11), expected.reshape(6, 11)),
+                "3-D": (xs.reshape(2, 3, 11), ys.reshape(2, 3, 11),
+                        expected.reshape(2, 3, 11)),
+                "2-D transposed": (xs.reshape(6, 11).T, ys.reshape(6, 11).T,
+                                   expected.reshape(6, 11).T),
+                "2-D Fortran": (np.asfortranarray(xs.reshape(6, 11)), ys.reshape(6, 11),
+                                expected.reshape(6, 11)),
+                "strided": (xs[::2], ys[::2], expected[::2]),
+                "reversed": (xs[::-1], ys[::-1], expected[::-1]),
+                "mixed dtypes": (xs.astype(np.int32), ys.astype(np.uint64), expected),
+                "int16 / list": (xs.astype(np.int16), ys.tolist(), expected),
+                "lists": (xs.tolist(), ys.tolist(), expected),
+            }
+            for name, (x, y, want) in forms.items():
+                out = lca.query(x, y)
+                assert out.dtype == np.int64, name
+                assert out.shape == want.shape, name
+                assert np.array_equal(out, want), name
+
+    def test_uint64_view_sees_a_contiguous_last_axis(self):
+        """The NumPy-floor caveat of ``query_bounds_mask``, for the tile's view.
+
+        A same-itemsize ``.view`` of an array whose last axis is strided
+        raises on NumPy < 1.23.  The kernel only ever views its own freshly
+        stacked block, so a strided or transposed input wider than a tile is
+        answered, and refused when out of range, on every supported NumPy
+        (CI's 1.22 leg runs this file).
+        """
+        xs, ys = self.batch(62)
+        table = np.stack([xs, ys], axis=1)
+        lca = InlabelLCA(self.TREES["shallow"])
+        expected = BinaryLiftingLCA(self.TREES["shallow"]).query(xs, ys)
+        with tile_lanes(8):
+            assert not table[:, 0].flags.c_contiguous
+            assert np.array_equal(lca.query(table[:, 0], table[:, 1]), expected)
+            grid = table.reshape(2, 31, 2)
+            assert np.array_equal(lca.query(grid[..., 0].T, grid[..., 1].T),
+                                  expected.reshape(2, 31).T)
+            table[-1, 1] = -1
+            with pytest.raises(InvalidQueryError, match="out of range"):
+                lca.query(table[:, 0], table[:, 1])
+
+    def test_inputs_are_not_written(self):
+        xs, ys = self.batch(31)
+        xs0, ys0 = xs.copy(), ys.copy()
+        xs.flags.writeable = ys.flags.writeable = False
+        with tile_lanes(8):
+            InlabelLCA(self.TREES["shallow"]).query(xs, ys)
+            InlabelLCA(self.TREES["shallow"]).query(xs.reshape(31, 1), ys.reshape(31, 1))
+        assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
+
+    @pytest.mark.parametrize("impl, name, threads", [
+        (InlabelLCA, "inlabel_query_batch", 31),
+        (SequentialInlabelLCA, "cpu_inlabel_query_batch", 1),
+    ])
+    def test_one_charge_per_call_not_per_tile(self, impl, name, threads):
+        """Four tiles book what one tile books: one record, the batch's size."""
+        lca = impl(self.TREES["shallow"])
+        xs, ys = self.batch(31)
+        untiled = ExecutionContext(GTX980, trace=True)
+        lca.query(xs, ys, ctx=untiled)
+        tiled = ExecutionContext(GTX980, trace=True)
+        with tile_lanes(8):
+            lca.query(xs, ys, ctx=tiled)
+        assert [(r.name, r.phase, r.threads, r.launches) for r in tiled.records] == [
+            (name, "queries", threads, 1)
+        ]
+        assert tiled.records == untiled.records
+        assert tiled.elapsed == untiled.elapsed
+        assert tiled.breakdown() == untiled.breakdown()
+
+    @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
+    def test_compiled_kernels_inherit_the_tiles(self, key):
+        """``smallbatch`` included: past its scratch it is the same driver."""
+        parents = self.TREES["deep"]
+        kernel = get_kernel_backend(key).compile(parents)
+        xs, ys = self.batch(31)
+        with tile_lanes(8):
+            assert np.array_equal(kernel.query(xs, ys),
+                                  BinaryLiftingLCA(parents).query(xs, ys))
+            xs[29] = 300
+            with pytest.raises(InvalidQueryError, match="out of range"):
+                kernel.query(xs, ys)
+
+
 NON_INTEGER_IDS = [
     np.array([1.7]),
     np.array([1.0]),
@@ -300,6 +480,21 @@ class TestFrontDoorsRefuseNonIntegerIds:
                 brute_force_lca_batch(self.PARENTS, xs, ys)
         assert lca.query([3, 5], np.array([4, 4], dtype=np.int32)).tolist() == [1, 0]
         assert lca.query(3, 4).tolist() == [1]
+
+    @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)
+    def test_dedup_query_pairs(self, bad):
+        """Was: ``([1.7, 2.2], [True, 3.9])`` deduped as pairs (1, 1), (2, 3)."""
+        good = np.array([3, 4])
+        for xs, ys in [(bad, good), (good, bad), (np.array([1.7, 2.2]), [True, 3.9])]:
+            with pytest.raises(InvalidQueryError, match="must be integers"):
+                dedup_query_pairs(xs, ys)
+        ux, uy, inverse = dedup_query_pairs([5, 2, 5], np.array([2, 5, 7], dtype=np.uint8))
+        assert (ux.tolist(), uy.tolist(), inverse.tolist()) == ([2, 5], [5, 7], [0, 0, 1])
+        assert [a.size for a in dedup_query_pairs([], [])] == [0, 0, 0]
+        for bad_id in (-1, PACK_LIMIT):
+            with pytest.raises(InvalidQueryError, match="pair packing"):
+                dedup_query_pairs([0, bad_id], [1, 1])
+        assert dedup_query_pairs([PACK_LIMIT - 1], [0])[1].tolist() == [PACK_LIMIT - 1]
 
     @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
     @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)

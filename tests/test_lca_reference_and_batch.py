@@ -91,6 +91,28 @@ class TestBatchedQueries:
         with pytest.raises(ValueError):
             run_batched_queries(algo, np.asarray([0, 1]), np.asarray([1]), 1, GTX980)
 
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_nd_stream_rejected_before_a_batch_is_charged(self, figure1_parents, dedup):
+        """Was: NumPy's "could not broadcast ... (2,3) into shape (4,)" mid-run."""
+
+        class Spy(InlabelLCA):
+            calls = 0
+
+            def query(self, xs, ys, *, ctx=None):
+                Spy.calls += 1
+                return super().query(xs, ys, ctx=ctx)
+
+        algo = Spy(figure1_parents)
+        block = np.arange(6).reshape(2, 3)
+        for xs, ys in [(block, block), (block.T, block.T), (block[None], block[None])]:
+            with pytest.raises(InvalidQueryError, match="must be 1-D"):
+                run_batched_queries(algo, xs, ys, 4, GTX980, dedup=dedup)
+        assert Spy.calls == 0
+        # The shape mismatch is still the ValueError it was; 0-d is one query.
+        with pytest.raises(ValueError, match="same shape"):
+            run_batched_queries(algo, block, block.T, 4, GTX980, dedup=dedup)
+        assert run_batched_queries(algo, 3, 4, 4, GTX980, dedup=dedup).num_queries == 1
+
     def test_empty_stream(self, figure1_parents):
         algo = InlabelLCA(figure1_parents)
         result = run_batched_queries(algo, np.asarray([], dtype=np.int64),

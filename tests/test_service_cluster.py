@@ -372,6 +372,32 @@ def test_still_queued_error_names_the_cluster_ticket():
         cluster.results(tickets)
 
 
+def test_read_back_groups_tickets_once_and_keeps_the_error_order(monkeypatch):
+    n = 200
+    parents = random_attachment_tree(n, seed=18)
+    xs, ys = generate_random_queries(n, 64, seed=19)
+    cluster = build_cluster(parents, 4, **slow_policy(), router="round-robin")
+    tickets = cluster.submit_many("t", xs, ys, at=np.arange(64) * 1e-6)
+    # Unknown wins over queued wherever it sits; among queued, the first named.
+    with pytest.raises(ServiceError, match="unknown ticket 999"):
+        cluster.results([tickets[5], 999, tickets[0]])
+    with pytest.raises(ServiceError, match=f"ticket {tickets[5]} is still queued"):
+        cluster.latencies([tickets[5], tickets[0]])
+    cluster.drain()
+
+    groupings = []
+    by_replica = cluster._by_replica
+    monkeypatch.setattr(
+        cluster, "_by_replica", lambda idx: groupings.append(idx.size) or by_replica(idx)
+    )
+    shuffled = np.random.default_rng(20).permutation(tickets)
+    answers = cluster.results(shuffled)
+    delays = cluster.latencies(shuffled)
+    assert groupings == [64, 64]  # one grouping per read, not two
+    assert np.array_equal(answers, BinaryLiftingLCA(parents).query(xs, ys)[shuffled])
+    assert np.array_equal(delays, [cluster.latency(t) for t in shuffled])
+
+
 # ----------------------------------------------------------------------
 # Stats aggregation
 # ----------------------------------------------------------------------
