@@ -96,13 +96,16 @@ class FlushedBatch:
 
     The arrays are zero-copy views into the scheduler's column buffers; the
     scheduler never overwrites a flushed region, so they remain valid for as
-    long as the caller keeps them.
+    long as the caller keeps them.  ``start`` is the row the views begin at
+    in those buffers (their ``.base``): two batches with the same buffer and
+    ``a.start + a.size == b.start`` are adjacent slices of it.
     """
 
     tickets: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     arrival_s: np.ndarray
+    start: int
     flush_s: float
     trigger: str
     #: Trace batch id (from the attached observer); -1 when untraced.
@@ -481,6 +484,7 @@ class MicroBatchScheduler:
             xs=self._xs[h:h + take],
             ys=self._ys[h:h + take],
             arrival_s=self._arrival[h:h + take],
+            start=h,
             flush_s=float(flush_s),
             trigger=trigger,
             batch_id=batch_id,

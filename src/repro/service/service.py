@@ -401,15 +401,17 @@ class LCAQueryService:
 
     def serve_hedge(self, dataset: str, xs: np.ndarray, ys: np.ndarray, *,
                     issue_s: float) -> float:
-        """Run a duplicate of a straggling batch; return its completion time.
+        """Book a duplicate of a straggling batch; return its completion time.
 
-        The hedge is a real execution on this replica: the dispatcher picks
-        a backend for the duplicate's size, a cold index pays its build
-        time, the kernel runs (answers are discarded — LCA is deterministic,
-        so the original batch's answers are bit-identical), the lane is
-        serially booked from ``issue_s``, and the duplicate backend time is
-        billed to this replica's stats.  Only the completion instant flows
-        back; the caller takes ``min(original, hedge)``.
+        What is *modeled* is a full second execution on this replica: the
+        dispatcher picks a backend for the duplicate's size, the index is
+        fetched (a cold one is really built, and pays its build time), the
+        lane is serially booked from ``issue_s``, and the duplicate backend
+        time is billed to this replica's stats.  What is *executed* on the
+        host is everything but the kernel: LCA is deterministic, the
+        original batch computes the answers, so the host computes each
+        answer once.  Only the completion instant flows back; the caller
+        takes ``min(original, hedge)``.
         """
         size = int(np.asarray(xs).size)
         backend, service_time = self.dispatcher.choose_with_estimate(size)
@@ -417,7 +419,6 @@ class LCAQueryService:
             self._artifact_key(dataset, backend), spec=backend.spec)
         if not hit:
             service_time += entry.build_time_s
-        entry.artifact.query(xs, ys)
         if self._service_factor != 1.0:
             service_time *= self._service_factor
         start = max(float(issue_s),
@@ -561,8 +562,10 @@ class LCAQueryService:
         # Serve everything that expired before this arrival, across all
         # datasets, in global flush-time order; the submitted dataset's
         # deadline exactly at t stays pending so this query can join it.
-        for name, batch in self._expired_batches(t, exclusive=dataset):
-            self._serve(name, batch)
+        # (Per query a flush is the exception: no call when nothing expired.)
+        expired = self._expired_batches(t, exclusive=dataset)
+        if expired:
+            self._serve_run(expired)
         ticket = self._next_ticket
         self._next_ticket += 1
         self._ensure_ticket_capacity(self._next_ticket)
@@ -570,8 +573,9 @@ class LCAQueryService:
         if self._observer is not None:
             self._observer.record(EV_ARRIVAL, t, ticket=ticket,
                                   replica=self._obs_replica)
-        for batch in scheduler.submit(ticket, x, y):
-            self._serve(dataset, batch)
+        flushed = scheduler.submit(ticket, x, y)
+        if flushed:
+            self._serve_run([(dataset, batch) for batch in flushed])
         return ticket
 
     def submit_many(self, dataset: str, xs: np.ndarray, ys: np.ndarray, *,
@@ -682,8 +686,7 @@ class LCAQueryService:
         >>> svc.result(t)
         0
         """
-        for name, batch in self._expired_batches(float(t), exclusive=joining):
-            self._serve(name, batch)
+        self._serve_run(self._expired_batches(float(t), exclusive=joining))
 
     def sync_to(self, t: float) -> None:
         """Advance to ``t``, serving only deadlines *strictly* before ``t``.
@@ -707,8 +710,7 @@ class LCAQueryService:
         >>> svc.pending_count("t")
         0
         """
-        for name, batch in self._expired_batches(float(t), include_equal=False):
-            self._serve(name, batch)
+        self._serve_run(self._expired_batches(float(t), include_equal=False))
 
     def drain(self) -> None:
         """Flush and serve everything still queued, on every dataset.
@@ -721,8 +723,7 @@ class LCAQueryService:
         0
         """
         for name, scheduler in self._schedulers.items():
-            for batch in scheduler.drain():
-                self._serve(name, batch)
+            self._serve_run([(name, batch) for batch in scheduler.drain()])
 
     # ------------------------------------------------------------------
     # Results
@@ -891,8 +892,7 @@ class LCAQueryService:
                 collected.append((batch.flush_s, self._dataset_rank[name],
                                   name, batch))
         collected.sort(key=lambda item: item[:2])
-        for _, _, name, batch in collected:
-            self._serve(name, batch)
+        self._serve_run([item[2:] for item in collected])
         return self.config
 
     # ------------------------------------------------------------------
@@ -945,7 +945,8 @@ class LCAQueryService:
             ) from None
 
     def _expired_batches(self, t: float, exclusive: Optional[str] = None,
-                         include_equal: bool = True) -> List[tuple]:
+                         include_equal: bool = True
+                         ) -> List[Tuple[str, FlushedBatch]]:
         # One shared clock: advancing it for one dataset fires every other
         # dataset's expired wait deadlines too.  Batches are returned sorted
         # by flush time so they queue on the backends in FIFO order no matter
@@ -955,7 +956,7 @@ class LCAQueryService:
         # ``include_equal=False`` they are left pending on *every* dataset
         # (the :meth:`sync_to` semantics).
         self.clock.advance_to(t)
-        collected: List[tuple] = []
+        collected: List[Tuple[str, FlushedBatch]] = []
         for name, scheduler in self._schedulers.items():
             # An empty scheduler can never flush — skipping it keeps the
             # per-submit cost independent of how many idle datasets exist.
@@ -997,8 +998,7 @@ class LCAQueryService:
                                self._dataset_rank[name], name, batch))
         if not merged:
             # Nothing to interleave: own batches are already in serving order.
-            for batch in own:
-                self._serve(dataset, batch)
+            self._serve_run([(dataset, batch) for batch in own])
             return
         own_rank = self._dataset_rank[dataset]
         for batch in own:
@@ -1015,8 +1015,7 @@ class LCAQueryService:
             merged.append((at_query, phase, batch.flush_s, own_rank,
                            dataset, batch))
         merged.sort(key=lambda item: item[:4])
-        for _, _, _, _, name, batch in merged:
-            self._serve(name, batch)
+        self._serve_run([item[4:] for item in merged])
 
     def _is_packable(self, dataset: str) -> bool:
         ok = self._packable.get(dataset)
@@ -1054,9 +1053,8 @@ class LCAQueryService:
         # falling *inside* the block's arrival span are served after the
         # probe, an acknowledged approximation of the per-arrival
         # interleaving; answers are exact either way).
-        for name, batch in self._expired_batches(float(arrivals[0]),
-                                                 exclusive=dataset):
-            self._serve(name, batch)
+        self._serve_run(self._expired_batches(float(arrivals[0]),
+                                              exclusive=dataset))
         keys = pack_query_pairs(xs, ys)
         space = self._dataset_rank[dataset]
         values, found, hits = cache.lookup(space, keys)
@@ -1140,35 +1138,73 @@ class LCAQueryService:
             collected.append((batch.flush_s, self._dataset_rank[name], name,
                               batch))
         collected.sort(key=lambda item: item[:2])
-        for _, _, name, batch in collected:
-            self._serve(name, batch)
+        self._serve_run([item[2:] for item in collected])
         return True
 
-    def _serve(self, dataset: str, batch: FlushedBatch) -> None:
-        if (self._serve_interceptor is not None
-                and self._serve_interceptor(dataset, batch)):
-            # The interceptor claimed the batch (dead or transiently failing
-            # replica): it is re-dispatched by the cluster layer, not served
-            # here.
-            return
-        if self._dedup and self._is_packable(dataset):
-            self._serve_deduped(dataset, batch)
-            return
-        size = batch.xs.size
-        # The dispatcher's estimate is the charge the batch is booked for.
-        backend, charge = self.dispatcher.choose_with_estimate(size)
-        if self._observer is not None:
-            self._observer.record(EV_DISPATCH, batch.flush_s,
-                                  batch=batch.batch_id,
-                                  replica=self._obs_replica,
-                                  detail=charge,
-                                  aux=self._observer.intern(backend.key))
-        entry, hit = self.registry.fetch_by_key(
-            self._artifact_key(dataset, backend), spec=backend.spec)
-        answers = entry.artifact.query(batch.xs, batch.ys)
-        self._finish_batch(batch, answers,
-                           charge if hit else entry.build_time_s + charge,
-                           backend.key, size, dataset=dataset)
+    def _serve_run(self, run: List[Tuple[str, FlushedBatch]]) -> None:
+        """Serve an ordered run of flushed batches: model each, answer each span once.
+
+        Everything the simulated timeline sees stays per batch, in ``run``
+        order — interceptor offer, dispatch choice and charge, registry
+        fetch, lane booking, table writes, stats.  Only the *host* kernel
+        call is shared: batches of one dataset that are adjacent slices of
+        one scheduler buffer (a *span*) are answered by one
+        ``artifact.query`` over ``buffer[lo:hi]``, and each batch books its
+        slice.  A one-batch run is the one-slice case of the same code.
+
+        A span is answered lazily, at its first batch the interceptor does
+        not claim, by the artifact that batch just fetched (answers do not
+        depend on the backend) and from that batch onward — a dead replica
+        launches nothing, a claimed batch's slice is simply never read.
+        The state is local to this call (the hedge hook and the interceptor
+        run other replicas' code mid-run) and holds one span per dataset:
+        a batch outside it — another buffer after a reallocation, a
+        non-adjacent row — starts a new one, one more launch and never a
+        wrong slice.  Answers may be views of kernel scratch, valid until
+        that artifact's next launch; every slice is copied into the ticket
+        tables by ``_finish_batch`` before the run moves on.
+        """
+        spans: Dict[str, Tuple[np.ndarray, int, int, np.ndarray]] = {}
+        for i, (dataset, batch) in enumerate(run):
+            if (self._serve_interceptor is not None
+                    and self._serve_interceptor(dataset, batch)):
+                # The interceptor claimed the batch (dead or transiently
+                # failing replica): it is re-dispatched by the cluster
+                # layer, not served here.
+                continue
+            if self._dedup and self._is_packable(dataset):
+                self._serve_deduped(dataset, batch)
+                continue
+            size = batch.xs.size
+            # The dispatcher's estimate is the charge the batch is booked for.
+            backend, charge = self.dispatcher.choose_with_estimate(size)
+            if self._observer is not None:
+                self._observer.record(EV_DISPATCH, batch.flush_s,
+                                      batch=batch.batch_id,
+                                      replica=self._obs_replica,
+                                      detail=charge,
+                                      aux=self._observer.intern(backend.key))
+            entry, hit = self.registry.fetch_by_key(
+                self._artifact_key(dataset, backend), spec=backend.spec)
+            buffer, lo = batch.xs.base, batch.start
+            span = spans.get(dataset)
+            if (span is None or span[0] is not buffer
+                    or not span[1] <= lo < span[2]):
+                # Extend over the dataset's later batches while each starts
+                # where the last ended in this same buffer, then launch once;
+                # the kernel runs its own id and bounds checks on every lane.
+                hi = lo + size
+                for name, later in run[i + 1:]:
+                    if name == dataset:
+                        if later.xs.base is not buffer or later.start != hi:
+                            break
+                        hi += later.xs.size
+                span = spans[dataset] = (buffer, lo, hi, entry.artifact.query(
+                    buffer[lo:hi], batch.ys.base[lo:hi]))
+            at = lo - span[1]
+            self._finish_batch(batch, span[3][at:at + size],
+                               charge if hit else entry.build_time_s + charge,
+                               backend.key, size, dataset=dataset)
 
     def _serve_deduped(self, dataset: str, batch: FlushedBatch) -> None:
         """The skew-aware fast path: canonicalize, dedup, probe, kernel misses.

@@ -1,0 +1,576 @@
+"""Runs and spans: the host answers a contiguous span of flushed batches once.
+
+``LCAQueryService._serve_run`` serves an ordered run of flushed batches.  What
+the simulated timeline sees stays per batch; the host kernel call is shared by
+the batches of one dataset that are adjacent slices of one scheduler buffer.
+
+Two references are used throughout.  Answers are checked against
+:class:`~repro.lca.BinaryLiftingLCA`.  Everything else a caller can observe —
+latencies, stats, registry accounting and LRU order, the observer's events in
+recording order — is checked against the *same code handed one-batch runs*
+(:func:`per_batch`): a launch per batch, which is what every run was before
+spans existed, so equality pins that spans move the number of host launches and
+nothing else.
+
+Each of these mutations of ``_serve_run`` was applied by hand and fails the
+test named beside it:
+
+* an off-by-one in the slice a batch books (``span[3][at + 1:...]``) —
+  ``test_a_block_is_one_launch_of_all_its_lanes``;
+* answering from the span's start after the interceptor claimed its first
+  batch (query ``buffer[first.start:hi]``, book from ``lo``) —
+  ``test_claimed_batches_skip_their_slice[first]``;
+* merging two buffers into one span (drop the ``.base is not buffer`` test) —
+  ``test_batches_in_two_buffers_are_two_spans``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graphs.generators import random_attachment_tree
+from repro.graphs.trees import generate_random_queries
+from repro.lca import BinaryLiftingLCA
+from repro.obs import TraceRecorder
+from repro.service import (
+    ClusterConfig,
+    ClusterService,
+    FaultEvent,
+    FaultInjector,
+    LCAQueryService,
+    ServiceConfig,
+)
+from repro.workloads import Phase, PoissonArrivals, Scenario, TrafficSource, replay
+
+from .test_service_columnar import arrival_schedule, stats_signature
+from .test_serving_golden_timeline import RAMP, WIDE_BATCHING, poisson_stream
+
+#: Scheduler buffers start at 64 rows under this policy, so a few dozen
+#: queries are enough to cross a reallocation.
+POLICY = {"max_batch_size": 16, "max_wait_s": 1e-4}
+N = 600
+
+
+class CountingArtifact:
+    """An LCA artifact that logs ``(dataset, xs, ys)`` of every ``query``."""
+
+    def __init__(self, inner, dataset, log):
+        self.inner, self.n = inner, inner.n
+        self._dataset, self._log = dataset, log
+
+    def query(self, xs, ys, *, ctx=None):
+        self._log((self._dataset, xs, ys))
+        return self.inner.query(xs, ys, ctx=ctx)
+
+
+def count_launches(service):
+    """Wrap every LCA artifact ``service`` builds from now on; returns the log."""
+    launches = []
+    build = service.registry._build
+
+    def counting_build(key, spec, ctx):
+        # The artifact holds the bound ``append``, not the list: the registry
+        # sizes an artifact by walking its attributes' containers.
+        return CountingArtifact(build(key, spec, ctx), key.dataset, launches.append)
+
+    service.registry._build = counting_build
+    return launches
+
+
+def lanes(launches):
+    return [(dataset, int(xs.size)) for dataset, xs, _ in launches]
+
+
+def per_batch(service):
+    """Make ``service`` serve every batch as its own run: a launch per batch."""
+    serve_run = service._serve_run
+    service._serve_run = lambda run: [serve_run([item]) for item in run]
+
+
+def make_service(trees, *, reference=False, **knobs):
+    """``(service, launches, observer)`` over ``{name: parents}``."""
+    service = LCAQueryService(config=ServiceConfig(**{**POLICY, **knobs}))
+    if reference:
+        per_batch(service)
+    launches = count_launches(service)
+    observer = TraceRecorder()
+    service.attach_observer(observer)
+    for name, parents in trees.items():
+        service.register_tree(name, parents)
+    return service, launches, observer
+
+
+def observed(service, observer):
+    """All a caller can see of a drained service, events in recording order."""
+    tickets = np.arange(service.tickets_issued)
+    table, registry, stats = observer.table(), service.registry, service.stats()
+    events = (table.time_s, table.kind, table.ticket, table.batch, table.replica,
+              table.detail, table.aux)
+    return {
+        "answers": service.results(tickets).tolist(),
+        "latencies": service.latencies(tickets).tobytes(),
+        "stats": stats_signature(stats) + (stats.kernel_queries,),
+        "events": [column.tobytes() for column in events] + [list(table.labels)],
+        "registry": (registry.hits, registry.misses, registry.evictions,
+                     # Least- to most-recently used, with each entry's own hits.
+                     [(str(key), registry.fetch_by_key(key)[0].hits)
+                      for key in registry.keys()]),
+    }
+
+
+def tree(seed, n=N):
+    return random_attachment_tree(n, seed=seed)
+
+
+def queries(q, seed, n=N):
+    return generate_random_queries(n, q, seed=seed)
+
+
+def oracle(parents, xs, ys):
+    return BinaryLiftingLCA(parents).query(xs, ys)
+
+
+#: 40 together (two size flushes, 8 left waiting), a quiet gap that expires
+#: them, 20 more (one size flush): batches of 16, 16, 8, 16 and a tail of 4.
+MIXED_ARRIVALS = np.r_[np.zeros(40), np.full(20, 1e-3)]
+MIXED_SIZES = [16, 16, 8, 16]
+
+
+# ----------------------------------------------------------------------
+# One launch per span
+# ----------------------------------------------------------------------
+def test_a_block_is_one_launch_of_all_its_lanes():
+    parents = tree(0)
+    xs, ys = queries(60, 1)
+    service, launches, _ = make_service({"t": parents})
+    tickets = service.submit_many("t", xs, ys, at=MIXED_ARRIVALS)
+    stats = service.stats()
+    assert stats.batches_flushed == 4
+    assert stats.flush_triggers == {"size": 3, "wait": 1}
+    assert lanes(launches) == [("t", 56)]
+    service.drain()
+    assert lanes(launches) == [("t", 56), ("t", 4)]
+    assert service.stats().kernel_queries == 60
+    assert np.array_equal(service.results(tickets), oracle(parents, xs, ys))
+
+
+def test_lanes_executed_equal_queries_answered_over_a_replay():
+    scenario = Scenario(
+        name="runs-replay",
+        description="calm, a short flash, calm again: wait and size flushes",
+        sources=(TrafficSource("a", nodes=2048, tree_seed=1),
+                 TrafficSource("b", nodes=512, tree_seed=2)),
+        phases=(Phase("calm", PoissonArrivals(100_000.0), 0.01),
+                Phase("flash", PoissonArrivals(1_500_000.0), 0.002),
+                Phase("recovery", PoissonArrivals(100_000.0), 0.01)),
+        seed=3,
+        mix_stride=256,
+    )
+    service = LCAQueryService(
+        config=ServiceConfig(max_batch_size=64, max_wait_s=2e-4))
+    launches = count_launches(service)
+    replay(service, scenario, admission_window_s=5e-3)
+    stats = service.stats()
+    assert stats.queries_answered == service.tickets_issued > 3000
+    executed = sum(size for _, size in lanes(launches))
+    assert executed == stats.queries_answered == stats.kernel_queries
+    # Spans, not batches, are what the host launched.
+    assert 3 * len(launches) < stats.batches_flushed
+
+
+def test_retuning_to_pass_through_serves_the_window_in_one_launch():
+    parents = tree(4)
+    xs, ys = queries(10, 5)
+    service, launches, _ = make_service({"t": parents}, max_batch_size=64,
+                                        max_wait_s=1.0)
+    tickets = service.submit_many("t", xs, ys, at=np.zeros(10))
+    assert service.pending_count("t") == 10
+    service.apply_tuning(max_batch_size=1)
+    stats = service.stats()
+    assert stats.batch_size_histogram == {1: 10}
+    assert lanes(launches) == [("t", 10)]
+    assert np.array_equal(service.results(tickets), oracle(parents, xs, ys))
+
+
+# ----------------------------------------------------------------------
+# Interceptor claims
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("claimed", [{0}, {2}, {3}, {0, 1}, {0, 1, 2, 3}],
+                         ids=["first", "middle", "last", "first-two", "all"])
+def test_claimed_batches_skip_their_slice(claimed):
+    parents = tree(6)
+    xs, ys = queries(60, 7)
+    service, launches, _ = make_service({"t": parents})
+    offered = []
+
+    def interceptor(dataset, batch):
+        offered.append(batch)
+        return len(offered) - 1 in claimed
+
+    service.set_serve_interceptor(interceptor)
+    tickets = service.submit_many("t", xs, ys, at=MIXED_ARRIVALS)
+    assert [batch.size for batch in offered] == MIXED_SIZES
+
+    # The span is answered at the first batch that is served, from there on;
+    # a dead replica (every batch claimed) launches nothing.
+    served = [k for k in range(4) if k not in claimed]
+    expected_lanes = [("t", sum(MIXED_SIZES[served[0]:]))] if served else []
+    assert lanes(launches) == expected_lanes
+
+    expected = oracle(parents, xs, ys)
+    bounds = np.r_[0, np.cumsum(MIXED_SIZES)]
+    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if k in claimed:
+            # Unanswered here, and parked with exactly its own columns.
+            assert not service.answered(tickets[a:b]).any()
+            assert np.array_equal(offered[k].tickets, tickets[a:b])
+            assert np.array_equal(offered[k].xs, xs[a:b])
+            assert np.array_equal(offered[k].ys, ys[a:b])
+            assert np.array_equal(offered[k].arrival_s, MIXED_ARRIVALS[a:b])
+        else:
+            assert np.array_equal(service.results(tickets[a:b]), expected[a:b])
+    assert service.stats().queries_answered == sum(MIXED_SIZES[k] for k in served)
+
+
+def test_a_dead_replica_launches_nothing_and_failover_answers():
+    parents = tree(8, 256)
+    xs, ys = queries(600, 9, 256)
+    arrivals = np.arange(600, dtype=np.float64) / 200_000.0
+    injector = FaultInjector([
+        FaultEvent(time_s=float(arrivals[200]), action="transient", replica=1,
+                   count=3),
+        FaultEvent(time_s=float(arrivals[300]), action="kill", replica=0),
+    ])
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=2, router="round-robin", **POLICY),
+        fault_injector=injector)
+    logs = [count_launches(worker) for worker in cluster.replicas]
+    cluster.register_tree("t", parents, replicas=2)
+    tickets = np.concatenate([
+        cluster.submit_many("t", xs[i:i + 100], ys[i:i + 100],
+                            at=arrivals[i:i + 100])
+        for i in range(0, 600, 100)])
+    on_dead_replica = len(logs[0])
+    cluster.drain()
+    assert len(logs[0]) == on_dead_replica
+    assert cluster.stats().queries_retried > 0
+    assert np.array_equal(cluster.results(tickets), oracle(parents, xs, ys))
+
+
+def test_a_hedge_books_a_duplicate_but_computes_nothing():
+    parents = tree(10, 128)
+    xs, ys = queries(256, 11, 128)
+    arrivals = np.arange(256, dtype=np.float64) / 200_000.0
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=2, router="round-robin",
+                             hedge_delay_s=1e-4, max_batch_size=64,
+                             max_wait_s=1e-4),
+        fault_injector=FaultInjector(
+            [FaultEvent(time_s=0.0, action="slowdown", replica=0, factor=1e6)]))
+    logs = [count_launches(worker) for worker in cluster.replicas]
+    cluster.register_tree("t", parents, replicas=2)
+    tickets = np.concatenate([
+        cluster.submit_many("t", xs[i:i + 64], ys[i:i + 64], at=arrivals[i:i + 64])
+        for i in range(0, 256, 64)])
+    cluster.drain()
+    stats = cluster.stats()
+    assert stats.hedges_issued > 0 and stats.hedges_won > 0
+    # The model ran every hedged batch twice; the host answered each query once.
+    assert sum(size for log in logs for _, size in lanes(log)) == 256
+    assert np.array_equal(cluster.results(tickets), oracle(parents, xs, ys))
+
+
+# ----------------------------------------------------------------------
+# Buffers: adjacency is offsets in one buffer, never across two
+# ----------------------------------------------------------------------
+def assert_zero_copy_spans(launches):
+    """Every launch's operands are plain slices of one scheduler buffer each."""
+    for _, xs, ys in launches:
+        assert xs.base is not None and xs.base.base is None
+        assert ys.base is not None and ys.base.base is None
+        assert xs.base.size == ys.base.size >= 64
+
+
+def test_a_pending_tail_carried_across_a_reallocation_joins_the_next_span():
+    parents = tree(12)
+    xs, ys = queries(102, 13)
+    service, launches, _ = make_service({"t": parents})
+    # 60 rows of the 64-row buffer: three size flushes, 12 rows pending.
+    first = service.submit_many("t", xs[:60], ys[:60], at=np.zeros(60))
+    buffer = service._schedulers["t"]._xs
+    # 42 more do not fit: the tail migrates, then flushes with its new rows.
+    second = service.submit_many("t", xs[60:], ys[60:], at=np.full(42, 5e-5))
+    assert service._schedulers["t"]._xs is not buffer
+    assert lanes(launches) == [("t", 48), ("t", 48)]
+    assert launches[0][1].base is buffer
+    assert launches[1][1].base is service._schedulers["t"]._xs
+    service.drain()
+    assert_zero_copy_spans(launches)
+    assert np.array_equal(service.results(np.r_[first, second]),
+                          oracle(parents, xs, ys))
+
+
+def test_rowwise_submission_across_reallocations_never_spans_two_buffers():
+    parents = tree(14)
+    xs, ys = queries(300, 15)
+    arrivals = arrival_schedule(300, 16, mean_gap_s=2e-5)
+    service, launches, _ = make_service({"t": parents})
+    tickets = [service.submit("t", int(x), int(y), at=float(t))
+               for x, y, t in zip(xs, ys, arrivals)]
+    service.drain()
+    assert len({id(x.base) for _, x, _ in launches}) > 2  # buffers were refilled
+    assert_zero_copy_spans(launches)
+    assert sum(size for _, size in lanes(launches)) == 300
+    assert np.array_equal(service.results(tickets), oracle(parents, xs, ys))
+
+
+def test_batches_in_two_buffers_are_two_spans():
+    # MicroBatchScheduler.submit() flushes expired rows *before* it makes room,
+    # so one flush list can hold a batch of the old buffer and one of the new.
+    # Build the worst case — the second starts, in its own buffer, at the very
+    # row where the first ended in the other — from batches a claiming
+    # interceptor parked, then serve them as one run.
+    parents = tree(17)
+    xs, ys = queries(68, 18)
+    at = np.r_[np.zeros(4), np.full(52, 1e-3), np.full(12, 2e-3)]
+    service, launches, _ = make_service({"t": parents})
+    parked = []
+    service.set_serve_interceptor(lambda dataset, batch: parked.append(batch) or True)
+    tickets = np.r_[
+        service.submit_many("t", xs[:4], ys[:4], at=at[:4]),
+        # The 4 expire; 52 more fill rows 4..56: three size flushes, 4 pending.
+        service.submit_many("t", xs[4:56], ys[4:56], at=at[4:56]),
+        # 12 more do not fit in 64 rows: the 4 pending migrate to rows 0..4 of
+        # a new buffer and expire there; the 12 wait in its rows 4..16.
+        service.submit_many("t", xs[56:], ys[56:], at=at[56:]),
+    ]
+    service.drain()
+    service.set_serve_interceptor(None)
+    assert [(b.start, b.size) for b in parked] == [
+        (0, 4), (4, 16), (20, 16), (36, 16), (0, 4), (4, 12)]
+    old, new = parked[0], parked[-1]
+    assert old.xs.base is not new.xs.base and old.start + old.size == new.start
+
+    service._serve_run([("t", old), ("t", new)])
+    assert lanes(launches) == [("t", 4), ("t", 12)]
+    assert_zero_copy_spans(launches)
+    expected = oracle(parents, xs, ys)
+    for batch in (old, new):
+        assert np.array_equal(service.results(batch.tickets),
+                              expected[batch.tickets - tickets[0]])
+
+
+# ----------------------------------------------------------------------
+# Interleaved datasets: spans are per dataset, order is the run's
+# ----------------------------------------------------------------------
+def interleaved_stream(service):
+    """A block on ``a`` while ``b`` and ``c`` wait: their deadlines fire between
+    its size flushes (the merged branch); then one sweep expires all three."""
+    q = 120
+    xs, ys = queries(q, 20)
+    arrivals = 4e-5 + np.arange(q, dtype=np.float64) * 1e-5
+    for i in range(4):
+        service.submit("b", 3 * i, 3 * i + 1, at=i * 1e-5)
+    for i in range(3):
+        service.submit("c", 5 * i, 5 * i + 2, at=3.5e-5 + i * 1e-6)
+    service.submit_many("a", xs, ys, at=arrivals)
+    t = float(arrivals[-1])
+    service.submit_many("b", xs[:5], ys[:5], at=np.full(5, t))
+    service.submit_many("c", xs[5:9], ys[5:9], at=np.full(4, t))
+    service.advance_to(t + 1.0)
+    service.drain()
+
+
+def test_interleaved_datasets_keep_one_span_each_and_the_serving_order():
+    trees = {"a": tree(21), "b": tree(22), "c": tree(23)}
+    service, launches, observer = make_service(trees, max_wait_s=5e-4)
+    order = []
+    service.set_serve_interceptor(lambda dataset, batch: order.append(dataset))
+    interleaved_stream(service)
+    reference, per_batch_launches, reference_observer = make_service(
+        trees, reference=True, max_wait_s=5e-4)
+    interleaved_stream(reference)
+
+    # b and c are served between a's batches, in the block and in the sweep ...
+    assert "".join(order) == "aabacaaaa" + "abc"
+    assert observed(service, observer) == observed(reference, reference_observer)
+    assert lanes(per_batch_launches) == (
+        [("a", 16)] * 2 + [("b", 4), ("a", 16), ("c", 3)] + [("a", 16)] * 4
+        + [("a", 8), ("b", 5), ("c", 4)])
+    # ... and a's seven batches are still one launch, at its first.
+    assert lanes(launches) == [("a", 112), ("b", 4), ("c", 3),
+                               ("a", 8), ("b", 5), ("c", 4)]
+
+
+def test_cached_admission_passes_its_runs_through():
+    # With the answer cache on, a packable tree's batches take the deduped
+    # path one by one, exactly as before; an oversized tree (forced here: a
+    # real one needs 2**32 nodes) rides the same runs on the plain path.
+    trees = {"hot": tree(24), "wide": tree(25)}
+    rng = np.random.default_rng(26)
+    pool_x, pool_y = queries(24, 27)
+
+    def stream(service):
+        service._packable["wide"] = False
+        t = 0.0
+        for _ in range(12):
+            pick = rng.integers(0, 24, size=40)
+            at = t + np.sort(rng.random(40)) * 4e-4
+            service.submit_many("wide", pool_x[pick[:20]], pool_y[pick[:20]],
+                                at=at[:20])
+            service.submit_many("hot", pool_x[pick], pool_y[pick],
+                                at=np.maximum(at, at[19]))
+            t = float(at[-1]) + 1e-5
+        service.drain()
+
+    knobs = {"dedup": True, "answer_cache_bytes": 1 << 16}
+    service, launches, observer = make_service(trees, **knobs)
+    stream(service)
+    rng = np.random.default_rng(26)
+    reference, per_batch_launches, reference_observer = make_service(
+        trees, reference=True, **knobs)
+    stream(reference)
+
+    assert observed(service, observer) == observed(reference, reference_observer)
+    assert service.stats().answer_cache_hits > 0
+    hot = [call for call in lanes(launches) if call[0] == "hot"]
+    assert hot == [call for call in lanes(per_batch_launches) if call[0] == "hot"]
+    assert len(launches) <= len(per_batch_launches)
+
+
+# ----------------------------------------------------------------------
+# What stays per batch: backend choice, registry accounting, LRU order
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("case", ["crossover", "evicting"])
+def test_dispatch_and_registry_bookkeeping_stay_per_batch(case):
+    if case == "crossover":
+        # The golden timeline's ramp: wait flushes straddling the 50-query
+        # roofline crossover inside one block, then size flushes.
+        datasets = {"steady": random_attachment_tree(2048, seed=3)}
+        blocks = poisson_stream(datasets, RAMP, seed=5)
+        knobs = dict(WIDE_BATCHING)
+    else:
+        # Two trees, a registry one artifact short of all four: evictions and
+        # rebuilds happen mid-run, under spans already answered.
+        datasets = {"big": random_attachment_tree(4096, seed=7),
+                    "small": random_attachment_tree(512, seed=8)}
+        blocks = poisson_stream(datasets, ((400_000.0, 0.015),), seed=9)
+        knobs = {"max_batch_size": 64, "max_wait_s": 2e-4,
+                 "capacity_bytes": 600_000}
+
+    def run(reference):
+        service, launches, observer = make_service(
+            datasets, reference=reference, **knobs)
+        for name, xs, ys, at in blocks:
+            service.submit_many(name, xs, ys, at=at)
+        service.drain()
+        return service, launches, observed(service, observer)
+
+    service, launches, seen = run(reference=False)
+    _, per_batch_launches, reference_seen = run(reference=True)
+    assert seen == reference_seen
+    stats = service.stats()
+    assert len(stats.backend_choices) == 2
+    assert len(per_batch_launches) == stats.batches_flushed > len(launches)
+    if case == "crossover":
+        assert stats.batches_flushed > 4 * len(launches)
+    else:
+        assert stats.cache_evictions > 0
+    expected = np.concatenate([
+        oracle(datasets[name], xs, ys) for name, xs, ys, _ in blocks])
+    assert seen["answers"] == expected.tolist()
+
+
+# ----------------------------------------------------------------------
+# Scratch views: a span's slices are booked before its kernel runs again
+# ----------------------------------------------------------------------
+def test_smallbatch_scratch_answers_survive_the_next_launch():
+    parents = tree(30)
+    xs, ys = queries(24, 31)
+    service, launches, _ = make_service(
+        {"t": parents}, backends=("smallbatch", "numpy"), max_batch_size=4)
+    first = service.submit_many("t", xs[:12], ys[:12], at=np.zeros(12))
+    assert service.stats().batch_size_histogram == {4: 3}
+    second = service.submit_many("t", xs[12:], ys[12:], at=np.full(12, 1e-5))
+    assert lanes(launches) == [("t", 12), ("t", 12)]
+    assert service.stats().backend_choices == {"smallbatch": 6}
+    expected = oracle(parents, xs, ys)
+    # Both spans went through the same 16-lane scratch: it now holds the
+    # second's answers, the tables hold both.
+    kernel = service.registry.fetch_by_key(
+        service._artifact_key("t", service.dispatcher.backends[0]))[0].artifact
+    assert np.array_equal(kernel.inner._out[:12], expected[12:])
+    assert np.array_equal(service.results(np.r_[first, second]), expected)
+
+
+def test_smallbatch_scratch_with_two_interleaved_datasets():
+    trees = {"a": tree(32), "b": tree(33)}
+    xs, ys = queries(96, 34)
+    at = np.arange(96, dtype=np.float64) * 2e-5
+    service, launches, _ = make_service(
+        trees, backends=("smallbatch", "numpy"), max_batch_size=4)
+    tickets = {"a": [], "b": []}
+    # Alternating 12-query blocks: each admission expires the other dataset's
+    # tail inside its own run of size flushes.
+    for i in range(0, 96, 12):
+        name = "ab"[(i // 12) % 2]
+        tickets[name].append(
+            service.submit_many(name, xs[i:i + 12], ys[i:i + 12], at=at[i:i + 12]))
+    service.drain()
+    assert len(launches) < service.stats().batches_flushed
+    assert max(size for _, size in lanes(launches)) <= 16
+    for k, name in enumerate("ab"):
+        rows = np.concatenate([np.arange(i, i + 12)
+                               for i in range(12 * k, 96, 24)])
+        assert np.array_equal(service.results(np.concatenate(tickets[name])),
+                              oracle(trees[name], xs[rows], ys[rows]))
+
+
+# ----------------------------------------------------------------------
+# Columnar ≡ row-wise, on blocks of many flushes and on re-admissions
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(
+    max_batch=st.integers(min_value=1, max_value=12),
+    flushes=st.integers(min_value=3, max_value=8),
+    blocks=st.integers(min_value=1, max_value=3),
+    max_wait_us=st.sampled_from((0.0, 10.0, 200.0)),
+    with_debt=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_property_wide_blocks_equal_one_row_blocks(max_batch, flushes, blocks,
+                                                   max_wait_us, with_debt, seed):
+    # Row-wise admission is the all-one-slice reference through the same code:
+    # 1-row blocks (the only row-wise form that carries ``latency_debt``)
+    # against blocks wide enough to flush at least ``flushes`` batches each.
+    q = blocks * max_batch * flushes
+    parents = tree(seed % 7, 200)
+    xs, ys = queries(q, seed + 1, 200)
+    arrivals = arrival_schedule(q, seed + 2, mean_gap_s=2e-5)
+    debt = (np.random.default_rng(seed).random(q) * 1e-3) if with_debt else None
+    config = ServiceConfig(max_batch_size=max_batch,
+                           max_wait_s=max_wait_us * 1e-6)
+
+    def run(rows):
+        service = LCAQueryService(config=config)
+        launches = count_launches(service)
+        service.register_tree("t", parents)
+        tickets = np.concatenate([
+            service.submit_many(
+                "t", xs[a:a + rows], ys[a:a + rows], at=arrivals[a:a + rows],
+                latency_debt=None if debt is None else debt[a:a + rows])
+            for a in range(0, q, rows)])
+        pending = service.pending_count("t")
+        service.drain()
+        return (tickets.tolist(), pending, service.results(tickets).tolist(),
+                service.latencies(tickets).tobytes(),
+                service.debt_of(tickets).tobytes(),
+                stats_signature(service.stats())), service.stats(), launches
+
+    wide, wide_stats, wide_launches = run(q // blocks)
+    narrow, _, _ = run(1)
+    assert wide == narrow
+    assert wide_stats.batches_flushed >= blocks * flushes
+    assert len(wide_launches) <= blocks + 1
+    assert wide[2] == oracle(parents, xs, ys).tolist()
