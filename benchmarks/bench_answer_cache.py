@@ -3,11 +3,14 @@
 
 Times the two public operations of :class:`repro.service.AnswerCache` in
 isolation, on a 4 MiB table (262,144 slots) prefilled to load ≈ 0.2, at the
-three batch sizes the serving layer produces:
+four call sizes the serving layer produces:
 
-* **41**     — a micro-batch of ``serve-cache-uniform`` / ``serve-columnar``
-  (launch-bound: the cost is NumPy calls, not bytes);
+* **41**     — a one-batch span: a drain tail, row-wise traffic, a run too
+  big for the cache's headroom (launch-bound: the cost is NumPy calls, not
+  bytes);
 * **640**    — a front-door block of ``serve-cache-skew`` (the all-hit path);
+* **1,000**  — a span of ``serve-cache-uniform``: the ~24 batches one
+  front-door block flushes, probed and inserted in one call each;
 * **65,536** — a bulk batch (bandwidth-bound: lanes must keep compacting).
 
 Per size it reports the median µs of an all-miss ``lookup`` (keys absent from
@@ -47,7 +50,7 @@ from repro.service import AnswerCache
 
 from bench_util import RESULTS_DIR
 
-SIZES = (41, 640, 65_536)
+SIZES = (41, 640, 1_000, 65_536)
 SPACE = 0
 
 

@@ -16,6 +16,7 @@ from .batch import BatchQueryResult, run_batched_queries
 from .dedup import (
     PACK_LIMIT,
     dedup_query_pairs,
+    first_appearance_counts,
     pack_query_pairs,
     unique_packed_keys,
     unpack_query_pairs,
@@ -50,5 +51,6 @@ __all__ = [
     "pack_query_pairs",
     "unpack_query_pairs",
     "unique_packed_keys",
+    "first_appearance_counts",
     "dedup_query_pairs",
 ]

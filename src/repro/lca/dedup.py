@@ -23,6 +23,8 @@ Everything here is a handful of vectorized passes:
 * :func:`dedup_query_pairs` composes packing with it and returns the unique
   canonical pairs plus the inverse map that scatters per-unique answers back
   onto the original batch positions.
+* :func:`first_appearance_counts` apportions one dedup of several batches'
+  keys back to the batches (which is first to ask a key, which only repeats).
 
 The serving layer (:mod:`repro.service`) builds its skew-aware fast path on
 these kernels: the packed key doubles as the lookup key of the vectorized
@@ -44,6 +46,7 @@ __all__ = [
     "pack_query_pairs",
     "unpack_query_pairs",
     "unique_packed_keys",
+    "first_appearance_counts",
     "dedup_query_pairs",
 ]
 
@@ -92,7 +95,8 @@ def unique_packed_keys(
     """Sorted unique keys of a 1-D batch: ``(unique_keys, order, inverse)``.
 
     ``unique_keys`` equals ``np.unique(keys)``.  ``order`` sorts the batch
-    (``keys[order]`` is non-decreasing).  When no key repeats, ``inverse`` is
+    stably (``keys[order]`` is non-decreasing, copies of a key in batch
+    order).  When no key repeats, ``inverse`` is
     ``None`` and ``unique_keys`` is ``keys[order]`` itself — per-key results
     ``r`` of the batch line up with the unique keys as ``r[order]``.  When a
     key repeats, ``inverse`` is ``np.unique``'s: ``unique_keys[inverse]``
@@ -105,7 +109,7 @@ def unique_packed_keys(
     >>> (u.tolist(), inv.tolist())
     ([3, 9], [1, 0, 1])
     """
-    order = keys.argsort()
+    order = keys.argsort(kind="stable")
     ordered = keys[order]
     fresh = ordered[1:] != ordered[:-1]
     if np.count_nonzero(fresh) == fresh.size:
@@ -114,6 +118,40 @@ def unique_packed_keys(
     inverse = np.empty(keys.size, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     return ordered[first], order, inverse
+
+
+def first_appearance_counts(
+    order: np.ndarray, inverse: Optional[np.ndarray], batch: np.ndarray,
+    n_batches: int, *, carried: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Apportion one dedup of several batches' keys: ``(unique, misses)`` per batch.
+
+    ``order`` / ``inverse`` are :func:`unique_packed_keys` of the batches' keys
+    laid end to end, ``batch[i]`` (non-decreasing) the batch of key ``i``.
+    ``carried`` says answers are remembered from batch to batch, as by a
+    cache: a key's first copy is a unique key and a miss of its batch, more
+    copies in *that* batch are misses only, copies in later batches are
+    neither — they hit.  Otherwise every key is a miss and ``unique[k]`` is
+    batch ``k``'s distinct keys.  The stable sort makes "first" the earliest.
+
+    >>> keys = np.array([7, 5, 7, 5, 5, 9], dtype=np.uint64)   # |7 5 7|5 5 9|
+    >>> _, order, inverse = unique_packed_keys(keys)
+    >>> [c.tolist() for c in first_appearance_counts(
+    ...     order, inverse, np.array([0, 0, 0, 1, 1, 1]), 2, carried=True)]
+    [[2, 1], [3, 1]]
+    """
+    if inverse is None:
+        unique = np.bincount(batch, minlength=n_batches)
+        return unique, unique
+    batch, group = batch[order], inverse[order]
+    first = np.concatenate(([True], group[1:] != group[:-1]))
+    if carried:
+        missed = batch[batch == batch[first][group]]
+    else:
+        missed = batch
+        first[1:] |= batch[1:] != batch[:-1]
+    return (np.bincount(batch[first], minlength=n_batches),
+            np.bincount(missed, minlength=n_batches))
 
 
 def dedup_query_pairs(

@@ -5,8 +5,9 @@ per second; recomputing a constant-time LCA for each repeat still pays the
 whole kernel path — a dozen scattered node-table gathers per query plus
 bounds checks and cost accounting.  This module adds the standard
 serving-stack answer: an exact, bounded, O(1)-per-probe answer cache, built
-so a whole column batch is probed (and populated) with a handful of NumPy
-passes instead of a Python loop.
+so a whole *span* of batches (``LCAQueryService._serve_run``: ~1,000 keys) is
+probed, and later populated, with a handful of NumPy passes — one ``lookup``
+and one ``insert`` a span, not a Python loop and not a call a batch.
 
 :class:`AnswerCache` is an open-addressing hash table over one preallocated
 ``uint64`` array holding two words per slot:
@@ -23,15 +24,14 @@ answer rides in the word that was gathered for the match check.  Compare a
 dozen scattered reads for the query kernel proper.
 
 * **Batched probe rounds.**  ``lookup``/``insert`` advance all unresolved
-  lanes of a batch one linear-probe step per round with fancy indexing; the
+  lanes of a call one linear-probe step per round with fancy indexing; the
   round count is bounded by the longest probe chain built this epoch, so a
   lookup over a warm cache is typically a single vectorized pass.  Both are
-  launch-lean — at serving batch sizes (~40 keys) the cost of a call is the
-  number of NumPy launches, not bytes: round 1 is a dozen launches on the
-  whole batch, later rounds run on the compacted lanes still walking, and an
-  insert walks every lane to its chain's first free slot before one scatter
-  per word and one read-back (``docs/architecture.md``, "Life of a cached
-  batch on the host").
+  launch-lean — a one-batch span (~40 keys) costs its number of NumPy
+  launches, not bytes: round 1 is a dozen launches on the whole call, later
+  rounds run on the compacted lanes still walking, and an insert walks every
+  lane to its chain's first free slot before one scatter per word and one
+  read-back (``docs/architecture.md``, "Life of a cached span on the host").
 * **Exactness.**  A hit requires the stored 64-bit pair key *and* the
   dataset space id *and* the current epoch to match exactly — hash
   collisions only cost extra probe rounds, never a wrong answer.  The
@@ -233,6 +233,11 @@ class AnswerCache:
         return self._used
 
     @property
+    def headroom(self) -> int:
+        """Keys :meth:`insert` can still take this epoch without a reset."""
+        return self._max_used - self._used
+
+    @property
     def load(self) -> float:
         """Occupancy fraction of the current epoch."""
         return self._used / self._slots
@@ -389,9 +394,10 @@ class AnswerCache:
         """Insert distinct, absent keys (one dataset space per call).
 
         ``keys`` is a 1-D ``uint64`` array (anything else raises
-        :class:`~repro.errors.ServiceError`).  The caller passes the *unique
-        miss* keys of a batch — deduplicated and known not to be present —
-        which is exactly what the serving layer has in hand after a lookup.
+        :class:`~repro.errors.ServiceError`).  The caller passes the *distinct
+        missing* keys of a span of batches — deduplicated across the span
+        and known not to be present — which is exactly what the serving
+        layer has in hand after the span's one lookup and one sort.
         Repeated keys in one call are the caller's to remove: every copy is
         stored and counted, so three copies of one key raise ``used`` by 3.
 
@@ -451,6 +457,19 @@ class AnswerCache:
         self._insertions += m
         if rounds > self._max_probe:
             self._max_probe = rounds
+
+    def credit_hits(self, copies: int) -> None:
+        """Recount ``copies`` looked-up keys from misses to hits.
+
+        A span of batches is looked up once, before any of it is inserted,
+        so a missing key's copies in batches after its first read as misses
+        here; batch by batch — what these counters describe — the first
+        batch's insert would have answered them.  The serving layer counts
+        them (:func:`repro.lca.dedup.first_appearance_counts`), and keeps a
+        multi-batch span within :attr:`headroom` so no reset falls inside it.
+        """
+        self._hits += copies
+        self._misses -= copies
 
     def reset(self) -> None:
         """Logically clear the table by advancing the epoch (O(1)).

@@ -34,10 +34,12 @@ An opt-in *skew-aware fast path* (``dedup=True`` / ``answer_cache_bytes=``)
 exploits repetition: pairs are canonicalized (LCA is symmetric) and packed
 into uint64 keys, blocks are probed against a bounded exact
 :class:`~repro.service.cache.AnswerCache` at the front door (hits are
-answered at arrival, without queueing for a batch), and batches run the
-kernel on their *unique cache misses* only — which is also the count the
-dispatcher prices, so key skew moves the CPU/GPU crossover.  Answers are
-bit-identical with the fast path on or off.
+answered at arrival, without queueing for a batch), and each *span* of
+flushed batches runs the kernel once, on its distinct cache misses only.
+Each batch is still priced at its own *unique miss* count — so key skew
+moves the CPU/GPU crossover — which the span derives in closed form (a lane
+hits iff its key was cached or first appears in an earlier batch of the
+span).  Answers are bit-identical with the fast path on or off.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from ..errors import InvalidQueryError, ServiceError
 from ..graphs.trees import as_query_ids, query_bounds_mask
 from ..lca.dedup import (
     PACK_LIMIT,
+    first_appearance_counts,
     pack_query_pairs,
     unique_packed_keys,
     unpack_query_pairs,
@@ -163,6 +166,25 @@ def block_clean_prefix(
             f"requested={float(arrivals[stop])})"
         )
     return stop, error
+
+
+class _Span:
+    """Adjacent batches of one dataset in a run: the unit of host work.
+
+    ``xs`` / ``ys`` are its lanes (views of one scheduler buffer); ``answers``
+    is per lane — the cache probe's values (right on the lanes that hit, all
+    a batch booked before the launch reads) until the span's one launch, every
+    lane's answer after it.  The skew-aware path also leaves the launch its
+    ``space``, the lanes it must answer (``miss``; ``None``: all) and their
+    keys' :func:`~repro.lca.dedup.unique_packed_keys`.
+    """
+
+    __slots__ = ("xs", "ys", "deduped", "pending", "answers", "space",
+                 "miss", "unique_keys", "order", "inverse")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, deduped: bool) -> None:
+        self.xs, self.ys, self.deduped, self.pending = xs, ys, deduped, True
+        self.answers = self.space = self.miss = self.inverse = None
 
 
 class LCAQueryService:
@@ -1035,15 +1057,15 @@ class LCAQueryService:
         which is both the standard serving architecture (memoize before you
         queue) and the realistic latency model (a memoized answer does not
         wait for a batch to form).  Only the cache misses are handed to the
-        micro-batch scheduler; their batches probe again at serve time (a
-        sibling batch may have filled the cache in between) and repopulate
+        micro-batch scheduler; their spans probe again at serve time (a
+        sibling span may have filled the cache in between) and repopulate
         it.  Returns False when nothing hit — the caller then admits the
         whole block through the standard path unchanged.
 
         Cache-off behaviour is untouched, and answers are bit-identical
         either way; what changes with the cache on is *when* repeated
-        queries are answered (at arrival) and that only unique misses reach
-        the kernel.
+        queries are answered (at arrival) and that only a span's distinct
+        misses reach the kernel (each batch priced at its own unique count).
         """
         cache = self.answer_cache
         assert cache is not None
@@ -1144,151 +1166,189 @@ class LCAQueryService:
     def _serve_run(self, run: List[Tuple[str, FlushedBatch]]) -> None:
         """Serve an ordered run of flushed batches: model each, answer each span once.
 
-        Everything the simulated timeline sees stays per batch, in ``run``
-        order — interceptor offer, dispatch choice and charge, registry
-        fetch, lane booking, table writes, stats.  Only the *host* kernel
-        call is shared: batches of one dataset that are adjacent slices of
-        one scheduler buffer (a *span*) are answered by one
-        ``artifact.query`` over ``buffer[lo:hi]``, and each batch books its
-        slice.  A one-batch run is the one-slice case of the same code.
+        Every batch is first offered to the interceptor, in ``run`` order: a
+        claimed one (dead or transiently failing replica; the cluster
+        re-dispatches it) leaves the run before anything is packed, probed
+        or launched for it.  What the simulated timeline sees then stays per
+        batch, in order — cache events, dispatch choice and charge, registry
+        fetch, lane booking, table writes, stats.  Only the *host* work is
+        shared: batches of one dataset that are adjacent slices of one
+        scheduler buffer (a *span*) get one pack, probe and dedup
+        (:meth:`_open_span`, at the span's first batch) and one kernel call
+        and insert (:meth:`_launch_span`, at its first batch with a unique
+        miss, by the artifact that batch just fetched — answers do not
+        depend on the backend, and a span that only hits launches and
+        fetches nothing).  A one-batch run is the one-slice case.
 
-        A span is answered lazily, at its first batch the interceptor does
-        not claim, by the artifact that batch just fetched (answers do not
-        depend on the backend) and from that batch onward — a dead replica
-        launches nothing, a claimed batch's slice is simply never read.
-        The state is local to this call (the hedge hook and the interceptor
-        run other replicas' code mid-run) and holds one span per dataset:
-        a batch outside it — another buffer after a reallocation, a
-        non-adjacent row — starts a new one, one more launch and never a
-        wrong slice.  Answers may be views of kernel scratch, valid until
-        that artifact's next launch; every slice is copied into the ticket
-        tables by ``_finish_batch`` before the run moves on.
+        ``plan`` is local to this call (the hedge hook runs other replicas'
+        code mid-run).  A batch no open span covers — another buffer after a
+        reallocation, a row after a claimed batch — opens a new one: one more
+        launch, never a wrong slice.
         """
-        spans: Dict[str, Tuple[np.ndarray, int, int, np.ndarray]] = {}
-        for i, (dataset, batch) in enumerate(run):
-            if (self._serve_interceptor is not None
-                    and self._serve_interceptor(dataset, batch)):
-                # The interceptor claimed the batch (dead or transiently
-                # failing replica): it is re-dispatched by the cluster
-                # layer, not served here.
-                continue
-            if self._dedup and self._is_packable(dataset):
-                self._serve_deduped(dataset, batch)
-                continue
-            size = batch.xs.size
-            # The dispatcher's estimate is the charge the batch is booked for.
-            backend, charge = self.dispatcher.choose_with_estimate(size)
-            if self._observer is not None:
-                self._observer.record(EV_DISPATCH, batch.flush_s,
-                                      batch=batch.batch_id,
-                                      replica=self._obs_replica,
-                                      detail=charge,
-                                      aux=self._observer.intern(backend.key))
-            entry, hit = self.registry.fetch_by_key(
-                self._artifact_key(dataset, backend), spec=backend.spec)
-            buffer, lo = batch.xs.base, batch.start
-            span = spans.get(dataset)
-            if (span is None or span[0] is not buffer
-                    or not span[1] <= lo < span[2]):
-                # Extend over the dataset's later batches while each starts
-                # where the last ended in this same buffer, then launch once;
-                # the kernel runs its own id and bounds checks on every lane.
-                hi = lo + size
-                for name, later in run[i + 1:]:
-                    if name == dataset:
-                        if later.xs.base is not buffer or later.start != hi:
-                            break
-                        hi += later.xs.size
-                span = spans[dataset] = (buffer, lo, hi, entry.artifact.query(
-                    buffer[lo:hi], batch.ys.base[lo:hi]))
-            at = lo - span[1]
-            self._finish_batch(batch, span[3][at:at + size],
-                               charge if hit else entry.build_time_s + charge,
-                               backend.key, size, dataset=dataset)
-
-    def _serve_deduped(self, dataset: str, batch: FlushedBatch) -> None:
-        """The skew-aware fast path: canonicalize, dedup, probe, kernel misses.
-
-        Every batch pays a small modeled host-side probe charge
-        (:func:`~repro.service.cache.answer_cache_probe_time`, covering
-        canonicalization + table probe); the kernel then runs only on the
-        *unique miss* pairs, priced by the dispatcher at that unique count —
-        which is how key skew moves the CPU/GPU crossover.  A batch answered
-        entirely from the cache never touches a compute backend: it is booked
-        on the host-side ``"cache"`` lane.
-        """
+        if self._serve_interceptor is not None:
+            run = [item for item in run if not self._serve_interceptor(*item)]
         cache = self.answer_cache
         obs = self._observer
-        size = batch.xs.size
-        keys = pack_query_pairs(batch.xs, batch.ys)
-        service_time = answer_cache_probe_time(size)
-        if cache is not None:
-            space = self._dataset_rank[dataset]
-            answers, found, hits = cache.lookup(space, keys)
-            if obs is not None:
+        # A span's one insert must not reset the table under batches whose
+        # hits are already decided — its own or, with several datasets in the
+        # run, another span's.  Lanes bound inserts: a run within the cache's
+        # headroom cannot; any other is served as one-batch spans, whose
+        # inserts reset exactly where a batch's always did.
+        roomy = cache is None or sum(
+            batch.xs.size for _, batch in run) <= cache.headroom
+        # Per batch: its span, its offset there, its hits, its unique misses.
+        plan: List[Optional[Tuple[_Span, int, int, int]]] = [None] * len(run)
+        for i, (dataset, batch) in enumerate(run):
+            if plan[i] is None:
+                self._open_span(run, i, plan, roomy)
+            span, at, hits, kernel_queries = plan[i]
+            size = batch.xs.size
+            # Canonicalization + table probe are charged on every batch.
+            service_time = answer_cache_probe_time(size) if span.deduped else 0.0
+            if obs is not None and span.space is not None:
                 if hits:
                     obs.record(EV_CACHE_HITS, batch.flush_s,
                                batch=batch.batch_id,
                                replica=self._obs_replica, detail=float(hits))
                 if hits < size:
                     obs.record(EV_CACHE_MISSES, batch.flush_s,
-                               batch=batch.batch_id,
-                               replica=self._obs_replica,
+                               batch=batch.batch_id, replica=self._obs_replica,
                                detail=float(size - hits))
-            if hits == size:
-                self._finish_batch(batch, answers, service_time,
-                                   CACHE_BACKEND_KEY, 0, dataset=dataset)
-                return
-            # ``miss`` is None when nothing hit: the whole batch is missing
-            # and no lane indexing is needed on either side of the kernel.
-            miss = (~found).nonzero()[0] if hits else None
-        else:
-            miss = None
-        miss_keys = keys if miss is None else keys[miss]
-        unique_keys, order, inverse = unique_packed_keys(miss_keys)
-        kernel_queries = unique_keys.size
-        backend, charge = self.dispatcher.choose_with_estimate(kernel_queries)
-        if obs is not None:
-            obs.record(EV_DISPATCH, batch.flush_s, batch=batch.batch_id,
-                       replica=self._obs_replica, detail=charge,
-                       aux=obs.intern(backend.key))
-        entry, hit = self.registry.fetch_by_key(
-            self._artifact_key(dataset, backend), spec=backend.spec)
-        if not hit:
-            service_time += entry.build_time_s
+            # Answered entirely from the cache, a batch is booked on the
+            # host-side lane: no dispatcher, no registry.
+            lane = CACHE_BACKEND_KEY
+            if kernel_queries:
+                # The dispatcher's estimate at the unique-miss count (so key
+                # skew moves the CPU/GPU crossover) is the charge booked.
+                backend, charge = self.dispatcher.choose_with_estimate(
+                    kernel_queries)
+                lane = backend.key
+                if obs is not None:
+                    obs.record(EV_DISPATCH, batch.flush_s,
+                               batch=batch.batch_id, replica=self._obs_replica,
+                               detail=charge, aux=obs.intern(lane))
+                entry, hit = self.registry.fetch_by_key(
+                    self._artifact_key(dataset, backend), spec=backend.spec)
+                if not hit:
+                    service_time += entry.build_time_s
+                service_time += charge
+                resets = (self._launch_span(span, entry.artifact)
+                          if span.pending else 0)
+                if obs is not None and span.space is not None:
+                    obs.record(EV_CACHE_INSERT, batch.flush_s,
+                               batch=batch.batch_id, replica=self._obs_replica,
+                               detail=float(kernel_queries))
+                    if resets:
+                        obs.record(EV_CACHE_RESET, batch.flush_s,
+                                   replica=self._obs_replica,
+                                   detail=float(resets))
+            self._finish_batch(batch, span.answers[at:at + size], service_time,
+                               lane, kernel_queries, dataset=dataset)
+
+    def _open_span(self, run: List[Tuple[str, FlushedBatch]], i: int,
+                   plan: List[Any], roomy: bool) -> None:
+        """Open the span that starts at ``run[i]``; plan every batch of it.
+
+        It extends over the dataset's later batches while each starts where
+        the last ended in this same buffer.  On the plain path that is all:
+        every lane is a kernel query.  On the skew-aware path (``dedup`` /
+        answer cache, packable ids; multi-batch in ``roomy`` runs only) it is
+        canonicalized, probed against the table as it stands and sorted
+        **once**, and each batch gets its two integers by first appearance:
+        a lane hits iff its key was in the table or first appears in an
+        *earlier* batch of the span, whose insert precedes it; a batch's
+        unique misses are the distinct keys that first appear in it.  With no
+        cache nothing is remembered: no hits, a batch's distinct keys miss.
+        """
+        dataset, batch = run[i]
+        deduped = self._dedup and self._is_packable(dataset)
+        buffer, lo = batch.xs.base, batch.start
+        members, sizes = [i], [batch.xs.size]
+        hi = lo + sizes[0]
+        if roomy or not deduped:
+            for j in range(i + 1, len(run)):
+                name, later = run[j]
+                if name == dataset:
+                    if later.xs.base is not buffer or later.start != hi:
+                        break
+                    members.append(j)
+                    sizes.append(later.xs.size)
+                    hi += later.xs.size
+        span = _Span(buffer[lo:hi], batch.ys.base[lo:hi], deduped)
+        n = len(sizes)
+        hits, unique = [0] * n, sizes
+        if deduped:
+            cache = self.answer_cache
+            keys = pack_query_pairs(span.xs, span.ys)
+            found, table_hits = None, 0
+            if cache is not None:
+                span.space = self._dataset_rank[dataset]
+                span.answers, found, table_hits = cache.lookup(span.space, keys)
+            if table_hits == keys.size:
+                # Every lane hit: no batch of the span reaches the launch.
+                hits, unique = sizes, [0] * n
+            else:
+                # ``miss`` is None when nothing hit: every lane is missing
+                # and no lane indexing is needed on either side of the kernel.
+                miss = span.miss = (~found).nonzero()[0] if table_hits else None
+                span.unique_keys, span.order, span.inverse = unique_packed_keys(
+                    keys if miss is None else keys[miss])
+                if n == 1:
+                    hits, unique = [table_hits], [span.unique_keys.size]
+                elif table_hits or span.inverse is not None:
+                    # (Else the miss path: nothing hit, nothing repeats.)
+                    batch_of = np.repeat(np.arange(n), sizes)
+                    if miss is not None:
+                        batch_of = batch_of[miss]
+                    fresh, misses = first_appearance_counts(
+                        span.order, span.inverse, batch_of, n,
+                        carried=cache is not None)
+                    hits = (np.asarray(sizes) - misses).tolist()
+                    unique = fresh.tolist()
+                    if cache is not None:
+                        # Later-batch copies are hits in the cache's books.
+                        cache.credit_hits(batch_of.size - int(misses.sum()))
+        at = 0
+        for j, size, n_hits, n_unique in zip(members, sizes, hits, unique):
+            plan[j] = (span, at, n_hits, n_unique)
+            at += size
+
+    def _launch_span(self, span: _Span, artifact: Any) -> int:
+        """The span's one kernel call and one insert; returns the resets it cost.
+
+        The kernel (which runs its own id and bounds checks on every lane)
+        answers the span's distinct missing pairs — on the plain path, every
+        lane; hit lanes keep the cached value.  Answers may be views of
+        kernel scratch, valid until ``artifact`` launches again: that is this
+        dataset's next span, after ``_finish_batch`` has copied every slice
+        of this one into the ticket tables.
+        """
+        span.pending = False
+        miss, inverse = span.miss, span.inverse
         if inverse is None:
             # No pair repeats, so the missing lanes *are* the unique pairs:
-            # the kernel runs on them in batch order (LCA is symmetric — no
+            # the kernel runs on them in lane order (LCA is symmetric — no
             # canonical unpack, no scatter through an inverse map).
-            qx, qy = ((batch.xs, batch.ys) if miss is None
-                      else (batch.xs[miss], batch.ys[miss]))
-            miss_answers = entry.artifact.query(qx, qy)
+            answers = (artifact.query(span.xs, span.ys) if miss is None
+                       else artifact.query(span.xs[miss], span.ys[miss]))
         else:
-            ux, uy = unpack_query_pairs(unique_keys)
-            unique_answers = entry.artifact.query(ux, uy)
-            miss_answers = unique_answers[inverse]
-        service_time += charge
-        if cache is not None:
+            unique_answers = artifact.query(
+                *unpack_query_pairs(span.unique_keys))
+            answers = unique_answers[inverse]
+        resets = 0
+        if span.space is not None:
             if inverse is None:
                 # The sort order lines the answers up with ``unique_keys``.
-                unique_answers = miss_answers[order]
-            resets_before = cache.resets
-            cache.insert(space, unique_keys, unique_answers)
-            if obs is not None:
-                obs.record(EV_CACHE_INSERT, batch.flush_s,
-                           batch=batch.batch_id,
-                           replica=self._obs_replica,
-                           detail=float(kernel_queries))
-                if cache.resets != resets_before:
-                    obs.record(EV_CACHE_RESET, batch.flush_s,
-                               replica=self._obs_replica,
-                               detail=float(cache.resets - resets_before))
+                unique_answers = answers[span.order]
+            cache = self.answer_cache
+            before = cache.resets
+            cache.insert(span.space, span.unique_keys, unique_answers)
+            resets = cache.resets - before
         if miss is None:
-            answers = miss_answers
+            span.answers = answers
         else:
-            answers[miss] = miss_answers
-        self._finish_batch(batch, answers, service_time, backend.key,
-                           kernel_queries, dataset=dataset)
+            span.answers[miss] = answers
+        return resets
 
     def _finish_batch(self, batch: FlushedBatch, answers: np.ndarray,
                       service_time: float, backend_key: str,

@@ -20,6 +20,7 @@ from repro.lca import (
     BinaryLiftingLCA,
     InlabelLCA,
     dedup_query_pairs,
+    first_appearance_counts,
     pack_query_pairs,
     run_batched_queries,
     unique_packed_keys,
@@ -341,6 +342,129 @@ def test_cache_agrees_with_a_dict_model(slots, data):
         values, found, _ = cache.lookup(space, keys)
         assert found.all()
         assert values.tolist() == [model[space, k] for k in keys.tolist()]
+
+
+# ----------------------------------------------------------------------
+# One probe and one insert a span ≡ a probe and an insert a batch
+# ----------------------------------------------------------------------
+def answer_of(keys):
+    return (keys % np.uint64(1000)).astype(np.int64)
+
+
+def batch_loop(cache, space, batches):
+    """The reference: for each batch, ``lookup``, then ``insert`` its distinct
+    misses.  Returns per batch ``(hits, unique misses)``."""
+    counts = []
+    for keys in batches:
+        _, found, hits = cache.lookup(space, keys)
+        missing = np.unique(keys[~found])
+        cache.insert(space, missing, answer_of(missing))
+        counts.append((hits, missing.size))
+    return counts
+
+
+def span_at_once(cache, space, batches):
+    """What ``LCAQueryService`` does with a span: one ``lookup``, one sort, the
+    later-batch copies credited as hits, one ``insert`` — when the lanes fit
+    the headroom; batch by batch (one-batch spans) when they might not."""
+    keys = np.concatenate(batches)
+    if len(batches) > 1 and keys.size > cache.headroom:
+        return [count for keys in batches
+                for count in span_at_once(cache, space, [keys])]
+    sizes = np.array([b.size for b in batches])
+    batch_of = np.repeat(np.arange(len(batches)), sizes)
+    _, found, _ = cache.lookup(space, keys)
+    unique_keys, order, inverse = unique_packed_keys(keys[~found])
+    unique, misses = first_appearance_counts(
+        order, inverse, batch_of[~found], len(batches), carried=True)
+    cache.credit_hits(int(np.count_nonzero(~found) - misses.sum()))
+    cache.insert(space, unique_keys, answer_of(unique_keys))
+    return list(zip((sizes - misses).tolist(), unique.tolist()))
+
+
+def assert_same_cache(cache, other, probes):
+    assert cache.counters == other.counters
+    assert (cache.used, cache.headroom) == (other.used, other.headroom)
+    for space, keys in probes:
+        values, found, _ = cache.lookup(space, keys)
+        other_values, other_found, _ = other.lookup(space, keys)
+        assert np.array_equal(found, other_found)
+        assert np.array_equal(values[found], other_values[found])
+        assert np.array_equal(values[found], answer_of(keys[found]))
+
+
+def colliding_keys(cache, space, slot, count, start=1):
+    """``count`` distinct keys whose home slot in ``space`` is ``slot``."""
+    found, key = [], start
+    while len(found) < count:
+        if int(cache._home_slots(space, np.array([key], dtype=np.uint64))[0]) == slot:
+            found.append(key)
+        key += 1
+    return np.array(found, dtype=np.uint64)
+
+
+def test_span_probe_equals_the_batch_loop_on_one_chain_and_two_spaces():
+    # Every key of both spaces hashes to home slot 5 of a 64-slot table (fixed
+    # seed): one long chain, shared by two spaces, probed and filled by spans
+    # whose keys repeat within a batch, across batches and across spans.
+    caches = [AnswerCache(MIN_CACHE_BYTES, seed=3) for _ in range(2)]
+    a = colliding_keys(caches[0], 0, 5, 12)
+    b = colliding_keys(caches[0], 1, 5, 8)
+    spans = [
+        (0, [a[[0, 1, 0]], a[[1, 2, 2, 0]], a[[3]]]),       # copies of every kind
+        (1, [b[[0, 1]], b[[1, 0]], b[[2, 2]]]),             # same keys? other space
+        (0, [a[[0, 4, 5]], a[[5, 6, 4, 1]], a[[7, 7, 6]]]),  # table hits too
+        (1, [b[:6], b[4:8]]),
+    ]
+    for space, batches in spans:
+        got = span_at_once(caches[0], space, batches)
+        assert got == batch_loop(caches[1], space, batches)
+    # The last span: three table hits, two later-batch copies.
+    assert got == [(3, 3), (2, 2)]
+    assert caches[0].resets == 0 and caches[0].hits > 0
+    assert_same_cache(*caches, [(0, a), (1, b), (0, b), (1, a)])
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["fills-exactly", "one-key-over"])
+def test_span_probe_at_the_edge_of_the_headroom(over):
+    caches = [AnswerCache(MIN_CACHE_BYTES, seed=7) for _ in range(2)]
+    keys = np.arange(1, 200, dtype=np.uint64) * np.uint64(0x9E3779B1)
+    for cache in caches:
+        cache.insert(0, keys[:10], answer_of(keys[:10]))
+    room = caches[0].headroom
+    assert room == int(64 * 0.7) - 10
+    # ``room + over`` lanes, all distinct and new, in four batches: the span
+    # either lands on the load bound without a reset, or must not be a span.
+    lanes = keys[10:10 + room + over]
+    batches = np.array_split(lanes, 4)
+    calls = []
+    insert = caches[0].insert
+    caches[0].insert = lambda *args: calls.append(args[1].size) or insert(*args)
+    assert span_at_once(caches[0], 0, batches) == batch_loop(caches[1], 0, batches)
+    if over:
+        # Batch by batch the reset falls at the last batch, which survives it.
+        assert calls == [b.size for b in batches] and caches[0].resets == 1
+        assert caches[0].used == batches[-1].size
+    else:
+        assert calls == [room] and caches[0].resets == 0
+        assert caches[0].headroom == 0
+    assert_same_cache(*caches, [(0, keys)])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_span_probe_agrees_with_the_batch_loop(data):
+    seed, slots = data.draw(st.integers(0, 3)), data.draw(st.sampled_from((64, 256)))
+    caches = [AnswerCache(slots * BYTES_PER_SLOT, seed=seed) for _ in range(2)]
+    pool = np.arange(1, 41, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    batch = st.lists(st.integers(0, pool.size - 1), min_size=1, max_size=12)
+    for _ in range(data.draw(st.integers(1, 8))):
+        space = data.draw(st.integers(0, 1))
+        batches = [pool[np.array(picks)] for picks in
+                   data.draw(st.lists(batch, min_size=1, max_size=5))]
+        assert (span_at_once(caches[0], space, batches)
+                == batch_loop(caches[1], space, batches))
+        assert_same_cache(*caches, [(0, pool), (1, pool)])
 
 
 # ----------------------------------------------------------------------

@@ -1,37 +1,41 @@
-"""Runs and spans: the host answers a contiguous span of flushed batches once.
+"""Runs and spans: the host does a contiguous span of flushed batches' work once.
 
 ``LCAQueryService._serve_run`` serves an ordered run of flushed batches.  What
-the simulated timeline sees stays per batch; the host kernel call is shared by
-the batches of one dataset that are adjacent slices of one scheduler buffer.
+the simulated timeline sees stays per batch; the host work — on the plain path
+the kernel call, on the skew-aware path also the pack, the cache probe, the
+dedup and the insert — is shared by the batches of one dataset that are
+adjacent slices of one scheduler buffer, once the interceptor has taken its
+claims out of the run.
 
 Two references are used throughout.  Answers are checked against
 :class:`~repro.lca.BinaryLiftingLCA`.  Everything else a caller can observe —
-latencies, stats, registry accounting and LRU order, the observer's events in
-recording order — is checked against the *same code handed one-batch runs*
-(:func:`per_batch`): a launch per batch, which is what every run was before
-spans existed, so equality pins that spans move the number of host launches and
-nothing else.
+latencies, stats, cache counters, registry accounting and LRU order, the
+observer's events in recording order — is checked against the *same code handed
+one-batch runs* (:func:`per_batch`): a launch, a probe and an insert per batch,
+which is what every run was before spans existed, so equality pins that spans
+move the number of host launches and nothing else.
 
-Each of these mutations of ``_serve_run`` was applied by hand and fails the
-test named beside it:
+Each of these mutations was applied by hand and fails the test named beside it:
 
-* an off-by-one in the slice a batch books (``span[3][at + 1:...]``) —
+* an off-by-one in the slice a batch books (``span.answers[at + 1:...]``) —
   ``test_a_block_is_one_launch_of_all_its_lanes``;
-* answering from the span's start after the interceptor claimed its first
-  batch (query ``buffer[first.start:hi]``, book from ``lo``) —
-  ``test_claimed_batches_skip_their_slice[first]``;
+* forming spans before the interceptor's claims leave the run (offer each
+  batch as it is reached, and skip it) —
+  ``test_claimed_batches_skip_their_slice[middle]``;
 * merging two buffers into one span (drop the ``.base is not buffer`` test) —
-  ``test_batches_in_two_buffers_are_two_spans``.
+  ``test_batches_in_two_buffers_are_two_spans``;
+* and, on the skew-aware path, the five listed on
+  ``test_property_cached_spans_equal_one_batch_runs``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
-from repro.lca import BinaryLiftingLCA
+from repro.lca import BinaryLiftingLCA, pack_query_pairs
 from repro.obs import TraceRecorder
 from repro.service import (
     ClusterConfig,
@@ -104,13 +108,19 @@ def make_service(trees, *, reference=False, **knobs):
 def observed(service, observer):
     """All a caller can see of a drained service, events in recording order."""
     tickets = np.arange(service.tickets_issued)
+    answered = service.answered(tickets)  # all, unless an interceptor claimed
+    tickets = tickets[answered]
     table, registry, stats = observer.table(), service.registry, service.stats()
     events = (table.time_s, table.kind, table.ticket, table.batch, table.replica,
               table.detail, table.aux)
+    cache = service.answer_cache
     return {
+        "answered": answered.tolist(),
         "answers": service.results(tickets).tolist(),
         "latencies": service.latencies(tickets).tobytes(),
         "stats": stats_signature(stats) + (stats.kernel_queries,),
+        "cache": ((stats.answer_cache_hits, stats.answer_cache_misses,
+                   stats.answer_cache_resets), cache and cache.counters),
         "events": [column.tobytes() for column in events] + [list(table.labels)],
         "registry": (registry.hits, registry.misses, registry.evictions,
                      # Least- to most-recently used, with each entry's own hits.
@@ -212,11 +222,17 @@ def test_claimed_batches_skip_their_slice(claimed):
     tickets = service.submit_many("t", xs, ys, at=MIXED_ARRIVALS)
     assert [batch.size for batch in offered] == MIXED_SIZES
 
-    # The span is answered at the first batch that is served, from there on;
-    # a dead replica (every batch claimed) launches nothing.
+    # Claims leave the run before spans form: a launch is a maximal stretch of
+    # unclaimed adjacent batches, and a claimed batch's lanes are never
+    # launched; a dead replica (every batch claimed) launches nothing.
     served = [k for k in range(4) if k not in claimed]
-    expected_lanes = [("t", sum(MIXED_SIZES[served[0]:]))] if served else []
-    assert lanes(launches) == expected_lanes
+    stretches = []
+    for k in served:
+        if k - 1 in served:
+            stretches[-1] += MIXED_SIZES[k]
+        else:
+            stretches.append(MIXED_SIZES[k])
+    assert lanes(launches) == [("t", size) for size in stretches]
 
     expected = oracle(parents, xs, ys)
     bounds = np.r_[0, np.cumsum(MIXED_SIZES)]
@@ -403,20 +419,47 @@ def test_interleaved_datasets_keep_one_span_each_and_the_serving_order():
                                ("a", 8), ("b", 5), ("c", 4)]
 
 
-def test_cached_admission_passes_its_runs_through():
-    # With the answer cache on, a packable tree's batches take the deduped
-    # path one by one, exactly as before; an oversized tree (forced here: a
-    # real one needs 2**32 nodes) rides the same runs on the plain path.
+def spans_of(run):
+    """The adjacency rule restated: ``[(dataset, batches)]`` in opening order."""
+    spans, open_span = [], {}
+    for dataset, batch in run:
+        last = open_span.get(dataset)
+        if (last is not None and batch.xs.base is last[-1].xs.base
+                and batch.start == last[-1].start + last[-1].size):
+            last.append(batch)
+        else:
+            open_span[dataset] = [batch]
+            spans.append((dataset, open_span[dataset]))
+    return spans
+
+
+def count_calls(obj, name):
+    """Log the positional arguments of every ``obj.name(...)`` from now on."""
+    calls, method = [], getattr(obj, name)
+
+    def counting(*args):
+        calls.append(args)
+        return method(*args)
+
+    setattr(obj, name, counting)
+    return calls
+
+
+def test_a_cached_span_is_one_pack_probe_dedup_launch_and_insert():
+    # The span contract on the skew-aware path.  A 150-pair pool, so keys
+    # repeat within a batch, across the batches of a span and across spans;
+    # an oversized tree (forced here: a real one needs 2**32 nodes) rides
+    # the same runs on the plain path.
     trees = {"hot": tree(24), "wide": tree(25)}
-    rng = np.random.default_rng(26)
-    pool_x, pool_y = queries(24, 27)
+    pool_x, pool_y = queries(150, 27)
 
     def stream(service):
+        rng = np.random.default_rng(26)
         service._packable["wide"] = False
         t = 0.0
         for _ in range(12):
-            pick = rng.integers(0, 24, size=40)
-            at = t + np.sort(rng.random(40)) * 4e-4
+            pick = rng.integers(0, 150, size=70)
+            at = t + np.sort(rng.random(70)) * 4e-4
             service.submit_many("wide", pool_x[pick[:20]], pool_y[pick[:20]],
                                 at=at[:20])
             service.submit_many("hot", pool_x[pick], pool_y[pick],
@@ -426,17 +469,145 @@ def test_cached_admission_passes_its_runs_through():
 
     knobs = {"dedup": True, "answer_cache_bytes": 1 << 16}
     service, launches, observer = make_service(trees, **knobs)
+    runs = count_calls(service, "_serve_run")
+    lookups = count_calls(service.answer_cache, "lookup")
+    inserts = count_calls(service.answer_cache, "insert")
     stream(service)
-    rng = np.random.default_rng(26)
     reference, per_batch_launches, reference_observer = make_service(
         trees, reference=True, **knobs)
     stream(reference)
 
     assert observed(service, observer) == observed(reference, reference_observer)
     assert service.stats().answer_cache_hits > 0
-    hot = [call for call in lanes(launches) if call[0] == "hot"]
-    assert hot == [call for call in lanes(per_batch_launches) if call[0] == "hot"]
+
+    # One probe a span (and one per front-door block); one launch and one
+    # insert a span that misses anything, of its distinct missing pairs only.
+    table, probes, missing = set(), 12, []
+    for (run,) in runs:
+        for dataset, batches in spans_of(run):
+            if dataset == "hot":
+                keys = set(np.concatenate([
+                    pack_query_pairs(b.xs, b.ys) for b in batches]).tolist())
+                probes += 1
+                if keys - table:
+                    missing.append(sorted(keys - table))
+                table |= keys
+    hot = [sorted(pack_query_pairs(xs, ys).tolist())
+           for dataset, xs, ys in launches if dataset == "hot"]
+    assert hot == missing == [sorted(keys.tolist()) for _, keys, _ in inserts]
+    assert len(lookups) == probes
+    assert any(len(batches) > 2 for (run,) in runs for _, batches in spans_of(run))
+    assert len(hot) < sum(1 for d, _, _ in per_batch_launches if d == "hot")
+
+
+# ----------------------------------------------------------------------
+# Cached spans ≡ one-batch runs
+# ----------------------------------------------------------------------
+def claim_some(modulus):
+    """An interceptor claiming a fixed pseudo-random ``1 / modulus`` of batches."""
+    def interceptor(dataset, batch):
+        return (int(batch.tickets[0]) * 2654435761 >> 7) % modulus == 0
+    return interceptor if modulus else None
+
+
+def mixed_stream(service, names, *, pool, seed, steps=10):
+    """Blocks, rows and idle gaps on ``names``, keys from a ``pool``-pair pool.
+
+    A block is often preceded by an unfinished batch on the other dataset,
+    whose wait deadline then fires between the block's own flushes.
+    """
+    rng = np.random.default_rng(seed)
+    pool_x, pool_y = queries(pool, seed + 1, 300)
+    t = 0.0
+
+    def rows(name):
+        nonlocal t
+        for k in rng.integers(0, pool, size=rng.integers(1, 6)):
+            t += rng.choice((0.0, 2e-5))
+            service.submit(name, int(pool_x[k]), int(pool_y[k]), at=t)
+
+    for _ in range(steps):
+        name = names[rng.integers(len(names))]
+        op = rng.integers(5)
+        if op == 0:
+            t += rng.choice((5e-5, 3e-4))
+            service.advance_to(t)
+        elif op == 1:
+            rows(name)
+        else:
+            if op == 2:
+                k = rng.integers(0, pool, size=rng.integers(
+                    1, service.policy.max_batch_size))
+                service.submit_many(names[-1] if name == names[0] else names[0],
+                                    pool_x[k], pool_y[k], at=np.full(k.size, t))
+            # Swapped endpoints are the same canonical pair.
+            k = rng.integers(0, pool, size=rng.integers(1, rng.choice((40, 150))))
+            flip = rng.random(k.size) < 0.5
+            at = t + np.sort(rng.random(k.size)) * rng.choice((0.0, 1e-4, 6e-4))
+            service.submit_many(name, np.where(flip, pool_y[k], pool_x[k]),
+                                np.where(flip, pool_x[k], pool_y[k]), at=at)
+            t = float(at[-1])
+    service.drain()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cache_bytes=st.sampled_from((None, 1024, 2048, 1 << 13, 4 << 20)),
+    two=st.booleans(),
+    pool=st.sampled_from((3, 30, 300)),
+    max_batch=st.sampled_from((4, 16, 40)),
+    claim=st.sampled_from((0, 0, 5)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(cache_bytes=1024, two=True, pool=30, max_batch=4, claim=0, seed=0)
+@example(cache_bytes=1024, two=True, pool=3, max_batch=4, claim=0, seed=0)
+@example(cache_bytes=None, two=True, pool=3, max_batch=4, claim=0, seed=0)
+@example(cache_bytes=1024, two=True, pool=300, max_batch=16, claim=0, seed=36)
+@example(cache_bytes=4 << 20, two=False, pool=30, max_batch=40, claim=5, seed=1)
+def test_property_cached_spans_equal_one_batch_runs(cache_bytes, two, pool,
+                                                    max_batch, claim, seed):
+    """Span service on the skew-aware path changes nothing a caller can see.
+
+    Cache sizes from 64 slots (a reset every few batches) to 4 MiB (none),
+    and ``dedup`` with no cache; one or two datasets whose deadlines fire
+    inside each other's blocks; pools small enough that a key repeats within
+    a batch, across the batches of a span and across spans.  Each of these
+    mutations was applied by hand and fails here (the pinned examples keep
+    it so whatever hypothesis draws):
+
+    * drop the headroom test (``roomy = True``);
+    * count a later-batch copy as a miss (drop ``credit_hits``, or take
+      ``misses`` from every missing lane);
+    * count a same-batch copy as a hit (``missed`` from first copies only);
+    * take "first" from an unstable sort (``argsort()`` in
+      ``unique_packed_keys``: differs past 16 keys);
+    * test headroom per dataset span instead of per run.
+    """
+    names = ["a", "b"] if two else ["a"]
+    trees = {name: tree(seed % 5 + k, 300) for k, name in enumerate(names)}
+    knobs = {"dedup": True, "answer_cache_bytes": cache_bytes,
+             "max_batch_size": max_batch, "max_wait_s": 2e-4}
+
+    def run(reference):
+        service, launches, observer = make_service(
+            trees, reference=reference, **knobs)
+        service.set_serve_interceptor(claim_some(claim))
+        mixed_stream(service, names, pool=pool, seed=seed)
+        return service, launches, observed(service, observer)
+
+    service, launches, seen = run(reference=False)
+    reference, per_batch_launches, reference_seen = run(reference=True)
+    assert seen == reference_seen
     assert len(launches) <= len(per_batch_launches)
+    # Every launch carries distinct pairs only.
+    for _, xs, ys in launches:
+        assert np.unique(pack_query_pairs(xs, ys)).size == xs.size
+    # Answers: tickets are issued in submission order, so replay the stream
+    # on a plain service and compare where this one answered.
+    plain, _, _ = make_service(trees, max_batch_size=max_batch)
+    mixed_stream(plain, names, pool=pool, seed=seed)
+    answered = np.flatnonzero(seen["answered"])
+    assert seen["answers"] == plain.results(answered).tolist()
 
 
 # ----------------------------------------------------------------------
