@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.backends.calibrate import CalibrationProfile
+from repro.errors import ReplicaDown
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.obs import TraceRecorder
@@ -302,6 +303,68 @@ def chaos_case():
     return observe(cluster, observer)
 
 
+def elastic_case():
+    """Membership under fire.  A kill strands a pinned dataset's queue (parked:
+    its only copy is down), a second kill fails the other dataset over,
+    the cluster scales out around the parked queries, takes traffic, scales in
+    past a dead victim and a live one (the dead sole-copy holder is not
+    retirable), and the recovery un-parks."""
+    datasets = {
+        "wide": random_attachment_tree(2048, seed=25),
+        "solo": random_attachment_tree(512, seed=26),
+    }
+    injector = FaultInjector(
+        [
+            FaultEvent(0.005, "kill", replica=0),
+            FaultEvent(0.008, "kill", replica=1),
+            FaultEvent(0.024, "recover", replica=0),
+        ]
+    )
+    observer = TraceRecorder()
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=3, router="least-outstanding", **BATCHING),
+        fault_injector=injector,
+        observer=observer,
+    )
+    cluster.register_tree("wide", datasets["wide"], replicas=0)
+    cluster.register_tree("solo", datasets["solo"], on=[0])
+    scale_at = {10: 5, 16: 3}  # window -> scale_to() target
+    at = PoissonArrivals(150_000.0).generate(0.0, 0.030, np.random.default_rng(27))
+    window = np.floor(at / 1e-3).astype(np.int64)
+    changed, refused = [], 0
+    for w in range(30):
+        if w in scale_at:
+            cluster.advance_to(w * 1e-3)
+            changed.append(list(cluster.scale_to(scale_at[w])))
+        lo, hi = np.searchsorted(window, [w, w + 1])
+        # Each window: "wide" traffic, then a shorter "solo" tail — sent while
+        # solo's only copy is down just once, to pin the refusal.
+        cut = lo + 2 * (hi - lo) // 3
+        solo_up = w < 5 or w >= 24
+        blocks = [("wide", lo, cut if solo_up or w == 6 else hi)]
+        if solo_up or w == 6:
+            blocks.append(("solo", cut, hi))
+        for name, a, b in blocks:
+            n = datasets[name].size
+            xs, ys = generate_random_queries(n, int(b - a), seed=28 + int(a))
+            try:
+                cluster.submit_many(name, xs, ys, at=at[a:b])
+            except ReplicaDown:
+                refused += int(b - a)
+    cluster.drain()
+    observed = observe(cluster, observer)
+    stats = cluster.stats()
+    observed["elastic"] = {
+        "changed": changed,
+        "refused": refused,
+        "membership_events": stats.membership_events,
+        "replica_seconds": stats.replica_seconds,
+        "placement": {name: list(cluster.placement(name)) for name in datasets},
+        "active_live": [cluster.n_active, cluster.n_live],
+    }
+    return json.loads(json.dumps(observed))
+
+
 CASES = {
     "steady/submit_many": steady_case(rowwise=False),
     "steady/submit": steady_case(rowwise=True),
@@ -312,6 +375,7 @@ CASES = {
     "skewed-cached": skewed_case,
     "cluster-flash": flash_case,
     "cluster-chaos": chaos_case,
+    "cluster-elastic": elastic_case,
 }
 
 
