@@ -113,7 +113,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",

@@ -26,8 +26,9 @@ bulk; this subpackage turns that observation into a serving architecture:
 * :class:`~repro.service.stats.ServiceStats` — throughput, p50/p99 modeled
   latency, batch-size histogram, flush-trigger and cache accounting;
 * :class:`~repro.service.service.LCAQueryService` — the façade wiring all of
-  the above together; tickets index growable columnar answer/latency tables,
-  so ``submit_many`` admission and ``results``/``latencies`` resolution are
+  the above together; tickets index the columns of one growable
+  :class:`~repro.service.tickets.TicketTable` (answers, latencies), so
+  ``submit_many`` admission and ``results``/``latencies`` resolution are
   vectorized end to end (``submit`` is the separate scalar path for
   one-query-at-a-time callers); every knob arrives through one
   :class:`~repro.service.config.ServiceConfig` passed as ``config=``;
@@ -70,7 +71,6 @@ from .dispatch import (
 )
 from .faults import FAULT_ACTIONS, FaultEvent, FaultInjector
 from .registry import (
-    ARTIFACT_KINDS,
     ArtifactKey,
     CacheEntry,
     ForestStore,
@@ -97,7 +97,6 @@ __all__ = [
     "IndexRegistry",
     "ArtifactKey",
     "CacheEntry",
-    "ARTIFACT_KINDS",
     "artifact_nbytes",
     "BatchPolicy",
     "PendingQuery",

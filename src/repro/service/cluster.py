@@ -47,8 +47,8 @@ are bit-identical to a plain :class:`LCAQueryService` fed the same stream.
 The columnar fast path survives sharding end to end: a block submitted via
 :meth:`ClusterService.submit_many` is validated with one fused bounds check,
 routed with one vectorized policy call, cut into per-replica sub-blocks with
-a stable argsort + ``searchsorted`` (each sub-block preserves arrival
-order), and admitted through each worker's vectorized
+one stable argsort (each sub-block preserves arrival order), and admitted
+through each worker's vectorized
 :meth:`~repro.service.service.LCAQueryService.submit_many`.
 """
 
@@ -93,12 +93,10 @@ from .faults import FaultEvent, FaultInjector
 from .routing import HashRing, Router, make_router
 from .scheduler import FlushedBatch
 from .service import LCAQueryService, as_query_block, block_clean_prefix
-from .stats import ServiceStats, dedup_factor, grow_table, hit_rate
+from .stats import ServiceStats, dedup_factor, hit_rate
+from .tickets import TicketTable
 
 __all__ = ["ClusterService", "ClusterStats"]
-
-#: Initial cluster ticket-table capacity (grows by doubling).
-_MIN_TICKET_TABLE = 1024
 
 
 class _SharedLoader:
@@ -363,12 +361,11 @@ class ClusterService:
         self._placement: Dict[str, Tuple[int, ...]] = {}
         self._sizes: Dict[str, Optional[int]] = {}
         self._shed = 0
-        self._next_ticket = 0
         # Cluster tickets are consecutive integers indexing two columnar
         # maps: which replica served the query, and the worker-local ticket
         # there.  Result resolution is then a grouped fancy-indexing gather.
-        self._ticket_replica = np.empty(_MIN_TICKET_TABLE, dtype=np.int64)
-        self._ticket_local = np.empty(_MIN_TICKET_TABLE, dtype=np.int64)
+        # (Failover adds a zeroed ``retries`` column on its first use.)
+        self._tickets = TicketTable(replica=np.int64, local=np.int64)
         # Fault tolerance + elasticity.  The worker construction parameters
         # are kept so add_replica() can mint identically-budgeted workers;
         # per-replica byte slices are fixed at construction and are not
@@ -384,13 +381,11 @@ class ClusterService:
         # retirement instant once retired (None while provisioned).
         self._born_at: List[float] = [config.start_time] * n_workers
         self._retired_at: List[Optional[float]] = [None] * n_workers
-        self._all_alive = True
         self._transient: List[int] = [0] * n_workers
         self._failed: List[Tuple[int, str, FlushedBatch, np.ndarray]] = []
         self._parked: List[
             Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
-        self._retry_counts: Optional[np.ndarray] = None
         self._resubmitted = 0
         self._retried = 0
         self._hedges_issued = 0
@@ -495,7 +490,7 @@ class ClusterService:
         >>> cluster.tickets_issued
         2
         """
-        return self._next_ticket
+        return self._tickets.issued
 
     def placement(self, dataset: str) -> Tuple[int, ...]:
         """Replica ids holding ``dataset``, in placement order.
@@ -621,7 +616,6 @@ class ClusterService:
         self._install_hooks(rid, worker)
         self.ring.add(rid)
         self._replace_ring_datasets()
-        self._refresh_all_alive()
         self._membership_events += 1
         self.config = self.config.derive(n_replicas=self.n_active)
         if self._observer is not None:
@@ -680,7 +674,6 @@ class ClusterService:
             if self._tree_replicas[name] is None and r in copies:
                 self._placement[name] = tuple(c for c in copies if c != r)
         self._replace_ring_datasets()
-        self._refresh_all_alive()
         self._membership_events += 1
         self.config = self.config.derive(n_replicas=self.n_active)
         if self._observer is not None:
@@ -856,9 +849,9 @@ class ClusterService:
         """Submit a column block through the router; returns cluster tickets.
 
         The columnar fast path end to end: one fused bounds check, one
-        vectorized routing decision, and a stable argsort + ``searchsorted``
-        cut into per-replica sub-blocks (each an arrival-ordered subsequence
-        admitted through the worker's own vectorized ``submit_many``).
+        vectorized routing decision, and a stable-argsort cut into
+        per-replica sub-blocks (each an arrival-ordered subsequence admitted
+        through the worker's own vectorized ``submit_many``).
 
         Error semantics mirror :meth:`LCAQueryService.submit_many`: the
         clean prefix is admitted, then the first offending position raises.
@@ -897,16 +890,17 @@ class ClusterService:
             # Keep the cluster frontier in sync with the workers even if the
             # whole block is subsequently shed by admission control.
             self.clock.advance_to(float(arrivals[0]))
-            if not self._all_alive:
-                live = self._live(copies)
-                if not live:
-                    raise ReplicaDown(
-                        f"all {len(copies)} copies of dataset {dataset!r} "
-                        f"are down",
-                        dataset=dataset,
-                        queries=int(stop),
-                    )
-                copies = live
+            # Liveness is the only filter: a placement never names a retired
+            # replica (pinned placements drop the retiree, ring placements
+            # are re-placed).
+            live = tuple(c for c in copies if self._alive[c])
+            if not live:
+                raise ReplicaDown(
+                    f"all {len(copies)} copies of dataset {dataset!r} are down",
+                    dataset=dataset,
+                    queries=int(stop),
+                )
+            copies = live
         if self._max_pending is not None and stop:
             pending = self.pending_count()
             free = self._max_pending - pending
@@ -928,25 +922,15 @@ class ClusterService:
                     shed=shed,
                 )
 
-        tickets = np.arange(self._next_ticket, self._next_ticket + stop, dtype=np.int64)
+        first = self._tickets.issue(stop)
+        tickets = np.arange(first, first + stop, dtype=np.int64)
         if stop:
-            self._next_ticket += stop
-            self._ensure_ticket_capacity(self._next_ticket)
-            assignment = self.router.route_block(
-                dataset, copies, self._outstanding(copies), stop
-            )
-            order = np.argsort(assignment, kind="stable")
-            grouped = assignment[order]
-            targets = np.unique(grouped)
-            starts = np.searchsorted(grouped, targets, side="left")
-            ends = np.searchsorted(grouped, targets, side="right")
-            for target, b0, b1 in zip(targets, starts, ends):
-                sel = order[b0:b1]
-                local = self._replicas[int(target)].submit_many(
+            for target, sel in self._routed(dataset, copies, stop):
+                local = self._replicas[target].submit_many(
                     dataset, xs[sel], ys[sel], at=arrivals[sel]
                 )
-                self._ticket_replica[tickets[sel]] = int(target)
-                self._ticket_local[tickets[sel]] = local
+                self._tickets.replica[tickets[sel]] = target
+                self._tickets.local[tickets[sel]] = local
             self.clock.advance_to(float(arrivals[stop - 1]))
             self._drain_failed()
         if error is not None:
@@ -1308,26 +1292,30 @@ class ClusterService:
             [self._replicas[c].pending_count() for c in copies], dtype=np.int64
         )
 
-    def _ensure_ticket_capacity(self, needed: int) -> None:
-        if needed <= self._ticket_replica.size:
-            return
-        used = self._ticket_replica.size
-        self._ticket_replica = grow_table(self._ticket_replica, used, needed)
-        self._ticket_local = grow_table(self._ticket_local, used, needed)
-        if self._retry_counts is not None:
-            counts = np.zeros(self._ticket_replica.size, dtype=np.int64)
-            counts[:used] = self._retry_counts
-            self._retry_counts = counts
+    @staticmethod
+    def _grouped(owners: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        """The cluster's one routing cut: positions of ``owners`` by owner.
+
+        ``(owner, positions)`` per distinct owner in ascending id order — the
+        owner a Python int, its positions in the caller's order (the sort is
+        stable), so a sub-block of an arrival-ordered block is itself
+        arrival-ordered.
+        """
+        order = np.argsort(owners, kind="stable")
+        uniq, starts = np.unique(owners[order], return_index=True)
+        return zip(uniq.tolist(), np.split(order, starts[1:]))
 
     def _by_replica(self, idx: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-        """Group positions of ``idx`` by owning replica (ascending id)."""
-        owners = self._ticket_replica[idx]
-        order = np.argsort(owners, kind="stable")
-        grouped = owners[order]
-        uniq, starts = np.unique(grouped, return_index=True)
-        bounds = np.append(starts, grouped.size)
-        for i, replica_id in enumerate(uniq):
-            yield int(replica_id), order[bounds[i]:bounds[i + 1]]
+        """Positions of the validated tickets ``idx`` by owning replica."""
+        return self._grouped(self._tickets.replica[idx])
+
+    def _routed(
+        self, dataset: str, copies: Tuple[int, ...], count: int
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Route ``count`` queries over ``copies``; positions by target replica."""
+        return self._grouped(
+            self.router.route_block(dataset, copies, self._outstanding(copies), count)
+        )
 
     def _ticket_index(
         self, tickets: ArrayLike
@@ -1338,16 +1326,14 @@ class ClusterService:
         in the caller's sequence, the worker's own tickets there)`` — grouped
         once, for the check here and the read that follows.
 
-        Raises :class:`ServiceError` for the first unknown ticket, then for
-        the first whose batch no replica has served yet — in the caller's
-        order, whichever workers the tickets map to.
+        Raises :class:`ServiceError` as :meth:`TicketTable.index` does (bad
+        dtype, then the first unknown ticket), then for the first ticket whose
+        batch no replica has served yet — in the caller's order, whichever
+        workers the tickets map to.
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        unknown = (idx < 0) | (idx >= self._next_ticket)
-        if unknown.any():
-            raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
+        idx = self._tickets.index(tickets)
         groups = [
-            (self._replicas[replica_id], sel, self._ticket_local[idx[sel]])
+            (self._replicas[replica_id], sel, self._tickets.local[idx[sel]])
             for replica_id, sel in self._by_replica(idx)
         ]
         queued = np.zeros(idx.size, dtype=bool)
@@ -1430,17 +1416,6 @@ class ClusterService:
             )
         return alt if won else None
 
-    def _live(self, copies: Tuple[int, ...]) -> Tuple[int, ...]:
-        if self._all_alive:
-            return copies
-        return tuple(c for c in copies if self._alive[c])
-
-    def _refresh_all_alive(self) -> None:
-        self._all_alive = all(
-            self._alive[i] or self._retired[i]
-            for i in range(len(self._replicas))
-        )
-
     def _apply_faults(self, upto_s: float) -> None:
         """Apply every scheduled fault event due at or before ``upto_s``."""
         injector = self.fault_injector
@@ -1501,7 +1476,6 @@ class ClusterService:
         if not self._alive[r]:
             return
         self._alive[r] = False
-        self._all_alive = False
         worker = self._replicas[r]
         for dataset, columns in worker.evict_pending().items():
             local, xs, ys, arrival_s = columns
@@ -1514,7 +1488,6 @@ class ClusterService:
             return
         self._replicas[r].advance_to(t)
         self._alive[r] = True
-        self._refresh_all_alive()
         self._drain_parked(t)
 
     def _cluster_tickets(self, replica: int, local: np.ndarray) -> np.ndarray:
@@ -1524,10 +1497,10 @@ class ClusterService:
         admission order — the row order of the evicted columns and of a
         :class:`FlushedBatch`.
         """
-        n = self._next_ticket
-        candidates = np.flatnonzero(self._ticket_replica[:n] == replica)
-        hits = candidates[np.isin(self._ticket_local[candidates], local)]
-        order = np.argsort(self._ticket_local[hits], kind="stable")
+        table = self._tickets
+        candidates = np.flatnonzero(table.replica[: table.issued] == replica)
+        hits = candidates[np.isin(table.local[candidates], local)]
+        order = np.argsort(table.local[hits], kind="stable")
         return hits[order]
 
     def _redispatch(
@@ -1562,11 +1535,8 @@ class ClusterService:
         if not copies:
             self._parked.append((dataset, tickets, xs, ys, origin_s))
             return
-        if self._retry_counts is None:
-            self._retry_counts = np.zeros(
-                self._ticket_replica.size, dtype=np.int64
-            )
-        attempts = self._retry_counts[tickets] + 1
+        retries = self._tickets.zeros("retries", np.int64)
+        attempts = retries[tickets] + 1
         if int(attempts.max()) > self._max_retries:
             raise ReplicaDown(
                 f"{count} queries on dataset {dataset!r} exceeded the retry "
@@ -1574,18 +1544,9 @@ class ClusterService:
                 dataset=dataset,
                 queries=count,
             )
-        self._retry_counts[tickets] = attempts
-        assignment = self.router.route_block(
-            dataset, copies, self._outstanding(copies), count
-        )
-        order = np.argsort(assignment, kind="stable")
-        grouped = assignment[order]
-        targets = np.unique(grouped)
-        starts = np.searchsorted(grouped, targets, side="left")
-        ends = np.searchsorted(grouped, targets, side="right")
-        for target, b0, b1 in zip(targets, starts, ends):
-            sel = order[b0:b1]
-            worker = self._replicas[int(target)]
+        retries[tickets] = attempts
+        for target, sel in self._routed(dataset, copies, count):
+            worker = self._replicas[target]
             t_re = max(now, worker.clock.now)
             rearrival = np.full(sel.size, t_re, dtype=np.float64)
             local = worker.submit_many(
@@ -1595,15 +1556,15 @@ class ClusterService:
                 at=rearrival,
                 latency_debt=rearrival - origin_s[sel],
             )
-            self._ticket_replica[tickets[sel]] = int(target)
-            self._ticket_local[tickets[sel]] = local
+            self._tickets.replica[tickets[sel]] = target
+            self._tickets.local[tickets[sel]] = local
             self._resubmitted += int(sel.size)
             self._retried += int(sel.size)
             if self._observer is not None:
                 self._observer.record(
                     EV_RETRY,
                     t_re,
-                    replica=int(target),
+                    replica=target,
                     detail=float(sel.size),
                     aux=self._observer.intern(dataset),
                 )

@@ -4,14 +4,14 @@ A production query server cannot afford to rebuild an Euler tour or the
 Inlabel tables on every request: preprocessing costs milliseconds while a
 query costs nanoseconds.  This module therefore separates the two concerns:
 
-* :class:`ForestStore` owns the *raw* named datasets — trees as parent arrays
-  and graphs as edge lists — registered either eagerly or through a lazy
-  zero-argument loader (so a registry over hundreds of datasets does not
-  materialize them all up front);
-* :class:`IndexRegistry` owns the *derived* artifacts (Inlabel LCA
-  structures, Euler tours, tree statistics, CSR adjacency, bridge results),
-  built lazily on first use, keyed by ``(dataset, kind, device)`` and held in
-  a byte-accounted LRU cache with optional capacity-driven eviction.
+* :class:`ForestStore` owns the *raw* named datasets — trees as parent
+  arrays — registered either eagerly or through a lazy zero-argument loader
+  (so a registry over hundreds of datasets does not materialize them all up
+  front);
+* :class:`IndexRegistry` owns the *derived* artifacts — LCA indexes, the one
+  artifact kind the service reads — built lazily on first use, keyed by
+  ``(dataset, kind, device, variant)`` and held in a byte-accounted LRU cache
+  with optional capacity-driven eviction.
 
 Builds are charged to an :class:`~repro.device.ExecutionContext` on the
 artifact's device, so the modeled preprocessing cost of a cache miss is
@@ -28,11 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..bridges import find_bridges_tarjan_vishkin
 from ..device import DeviceSpec, ExecutionContext
 from ..errors import ServiceError
-from ..euler import build_euler_tour_from_parents, tree_statistics_from_parents
-from ..graphs import CSRGraph, EdgeList
 from ..graphs.trees import as_parent_array, validate_parents
 from ..lca import InlabelLCA, SequentialInlabelLCA
 
@@ -41,12 +38,8 @@ __all__ = [
     "CacheEntry",
     "ForestStore",
     "IndexRegistry",
-    "ARTIFACT_KINDS",
     "artifact_nbytes",
 ]
-
-#: Artifact kinds the registry knows how to build.
-ARTIFACT_KINDS = ("lca", "tour", "stats", "csr", "bridges")
 
 
 def artifact_nbytes(obj: object) -> int:
@@ -127,7 +120,7 @@ class CacheEntry:
 
 
 class ForestStore:
-    """Named raw datasets: trees (parent arrays) and graphs (edge lists).
+    """Named raw datasets: trees as parent arrays.
 
     Datasets can be registered eagerly (pass the data) or lazily (pass a
     zero-argument ``loader``); lazy datasets are materialized once on first
@@ -136,7 +129,6 @@ class ForestStore:
 
     def __init__(self) -> None:
         self._trees: Dict[str, Optional[np.ndarray]] = {}
-        self._graphs: Dict[str, Optional[EdgeList]] = {}
         self._loaders: Dict[str, Callable[[], object]] = {}
         self._validate_on_load: Dict[str, bool] = {}
 
@@ -146,7 +138,7 @@ class ForestStore:
     def _check_name(self, name: str) -> None:
         if not name:
             raise ServiceError("dataset name must be non-empty")
-        if name in self._trees or name in self._graphs:
+        if name in self._trees:
             raise ServiceError(f"dataset {name!r} is already registered")
 
     def add_tree(self, name: str, parents: Optional[np.ndarray] = None, *,
@@ -173,18 +165,6 @@ class ForestStore:
             self._loaders[name] = loader  # type: ignore[assignment]
             self._validate_on_load[name] = validate
 
-    def add_graph(self, name: str, edges: Optional[EdgeList] = None, *,
-                  loader: Optional[Callable[[], EdgeList]] = None) -> None:
-        """Register a graph dataset, either eagerly or via a lazy loader."""
-        self._check_name(name)
-        if (edges is None) == (loader is None):
-            raise ServiceError("pass exactly one of edges= or loader=")
-        if edges is not None:
-            self._graphs[name] = edges
-        else:
-            self._graphs[name] = None
-            self._loaders[name] = loader  # type: ignore[assignment]
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -192,14 +172,10 @@ class ForestStore:
         """Whether ``name`` is a registered tree dataset."""
         return name in self._trees
 
-    def has_graph(self, name: str) -> bool:
-        """Whether ``name`` is a registered graph dataset."""
-        return name in self._graphs
-
     @property
     def names(self) -> List[str]:
-        """All registered dataset names (trees first, then graphs)."""
-        return list(self._trees) + list(self._graphs)
+        """All registered dataset names, in registration order."""
+        return list(self._trees)
 
     def tree(self, name: str) -> np.ndarray:
         """The parent array of tree dataset ``name`` (materializing it if lazy)."""
@@ -216,15 +192,6 @@ class ForestStore:
             del self._loaders[name]
             del self._validate_on_load[name]
         return self._trees[name]  # type: ignore[return-value]
-
-    def graph(self, name: str) -> EdgeList:
-        """The edge list of graph dataset ``name`` (materializing it if lazy)."""
-        if name not in self._graphs:
-            raise ServiceError(f"unknown graph dataset {name!r}")
-        if self._graphs[name] is None:
-            self._graphs[name] = self._loaders[name]()  # type: ignore[assignment]
-            del self._loaders[name]
-        return self._graphs[name]  # type: ignore[return-value]
 
 
 class IndexRegistry:
@@ -268,30 +235,21 @@ class IndexRegistry:
     # ------------------------------------------------------------------
     def _build(self, key: ArtifactKey, spec: DeviceSpec,
                ctx: ExecutionContext) -> object:
-        kind = key.kind
-        if kind == "lca":
-            parents = self.store.tree(key.dataset)
-            if key.variant == "sequential":
-                return SequentialInlabelLCA(parents, ctx=ctx)
-            if key.variant in ("", "parallel"):
-                return InlabelLCA(parents, ctx=ctx)
-            # Any other variant names a real kernel backend; what it compiles
-            # is the artifact (lazy import: the registry stays usable without
-            # the backend package loaded).
-            from ..backends import get_kernel_backend
+        if key.kind != "lca":
+            raise ServiceError(
+                f"unknown artifact kind {key.kind!r}; the registry builds 'lca' "
+                f"indexes only")
+        parents = self.store.tree(key.dataset)
+        if key.variant == "sequential":
+            return SequentialInlabelLCA(parents, ctx=ctx)
+        if key.variant in ("", "parallel"):
+            return InlabelLCA(parents, ctx=ctx)
+        # Any other variant names a real kernel backend; what it compiles
+        # is the artifact (lazy import: the registry stays usable without
+        # the backend package loaded).
+        from ..backends import get_kernel_backend
 
-            return get_kernel_backend(key.variant).compile(parents, ctx=ctx)
-        if kind == "tour":
-            return build_euler_tour_from_parents(self.store.tree(key.dataset), ctx=ctx)
-        if kind == "stats":
-            return tree_statistics_from_parents(self.store.tree(key.dataset), ctx=ctx)
-        if kind == "csr":
-            return CSRGraph.from_edgelist(self.store.graph(key.dataset), ctx=ctx)
-        if kind == "bridges":
-            return find_bridges_tarjan_vishkin(self.store.graph(key.dataset), ctx=ctx)
-        raise ServiceError(
-            f"unknown artifact kind {kind!r}; known kinds: {ARTIFACT_KINDS}"
-        )
+        return get_kernel_backend(key.variant).compile(parents, ctx=ctx)
 
     # ------------------------------------------------------------------
     # Cache interface
@@ -305,8 +263,9 @@ class IndexRegistry:
         fresh private context on ``spec``; either way the entry records the
         modeled build time so callers can account cold-start latency.
 
-        For ``kind="lca"``, ``sequential`` selects the Inlabel flavour (the
-        ``"sequential"`` / ``"parallel"`` variant); when omitted it is
+        ``kind`` is ``"lca"`` (anything else raises :class:`ServiceError`);
+        ``sequential`` selects the Inlabel flavour (the ``"sequential"`` /
+        ``"parallel"`` variant); when omitted it is
         inferred from the spec (single-core CPU → sequential).  This is the
         entry point for callers holding a device spec.  The serving layer
         derives its keys — kernel-backend variants included — in exactly one
@@ -314,11 +273,9 @@ class IndexRegistry:
         :meth:`fetch_by_key`; warm a service with ``LCAQueryService.warm``,
         not with a loop over this method.
         """
-        variant = ""
-        if kind == "lca":
-            if sequential is None:
-                sequential = spec.kind == "cpu" and spec.cores == 1
-            variant = "sequential" if sequential else "parallel"
+        if sequential is None:
+            sequential = spec.kind == "cpu" and spec.cores == 1
+        variant = "sequential" if sequential else "parallel"
         return self.fetch_by_key(ArtifactKey(dataset, kind, spec.name, variant),
                                  spec=spec, ctx=ctx)
 

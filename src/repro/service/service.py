@@ -82,12 +82,10 @@ from .config import ServiceConfig
 from .dispatch import Backend, CostModelDispatcher, dispatcher_for
 from .registry import ArtifactKey, ForestStore, IndexRegistry
 from .scheduler import BatchPolicy, FlushedBatch, MicroBatchScheduler
-from .stats import ServiceStats, StatsCollector, grow_table
+from .stats import ServiceStats, StatsCollector
+from .tickets import TicketTable
 
 __all__ = ["LCAQueryService"]
-
-#: Initial ticket-table capacity (grows by doubling).
-_MIN_TICKET_TABLE = 1024
 
 #: Backend-lane key full-cache-hit batches are booked under (they occupy the
 #: host-side cache lane, not a compute backend).
@@ -257,18 +255,18 @@ class LCAQueryService:
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
-        self._next_ticket = 0
-        # Ticket-indexed columnar result tables: tickets are consecutive
+        # Ticket-indexed columnar result table: tickets are consecutive
         # integers, so answers/latencies live in flat arrays and a batch of
         # results is stored (and read back) with one fancy-indexing op.
-        # ``ticket_capacity`` pre-sizes them (capacity planning for long
+        # ``ticket_capacity`` pre-sizes it (capacity planning for long
         # streams — growth stays amortized O(1) either way, but reserving
-        # keeps the doubling copies out of the serving windows).
+        # keeps the doubling copies out of the serving windows).  ``answered``
+        # is zeroed ("is this slot populated yet"), as is the ``debt`` column
+        # ``latency_debt`` re-admissions add (0 for everyone never retried).
         reserve = config.ticket_capacity
-        table = max(_MIN_TICKET_TABLE, 0 if reserve is None else int(reserve))
-        self._answers = np.empty(table, dtype=np.int64)
-        self._latencies = np.empty(table, dtype=np.float64)
-        self._answered = np.zeros(table, dtype=bool)
+        self._tickets = TicketTable(0 if reserve is None else int(reserve),
+                                    answers=np.int64, latencies=np.float64)
+        self._tickets.zeros("answered", np.bool_)
         if reserve is not None:
             self.stats_collector.reserve(int(reserve))
         # Memoized (dataset, backend) -> ArtifactKey for the registry's keyed
@@ -282,19 +280,16 @@ class LCAQueryService:
         # bit-identical to builds that predate them).  The cluster layer
         # installs the interceptor (captures batches a dead/failing replica
         # must not serve) and the hedge hook (offers a straggling batch to a
-        # second copy); ``latency_debt`` re-admissions populate the debt
-        # table so retried queries keep their true end-to-end latency.
+        # second copy).
         self._serve_interceptor: Optional[
             Callable[[str, FlushedBatch], bool]] = None
         self._hedge_hook: Optional[
             Callable[[str, FlushedBatch, float], Optional[float]]] = None
         self._service_factor = 1.0
-        self._debt: Optional[np.ndarray] = None
-        # Tree datasets already in a caller-provided store are servable
+        # Datasets already in a caller-provided store are servable
         # immediately — they get schedulers just like register_tree()'d ones.
         for name in self.store.names:
-            if self.store.has_tree(name):
-                self._add_scheduler(name)
+            self._add_scheduler(name)
         if observer is not None:
             self.attach_observer(observer)
 
@@ -416,10 +411,9 @@ class LCAQueryService:
         added to the modeled latency when it completes so tail attribution
         survives failover.
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        if self._debt is None or idx.size == 0:
-            return np.zeros(idx.size, dtype=np.float64)
-        return self._debt[idx].copy()
+        idx = self._tickets.index(tickets)
+        debt = getattr(self._tickets, "debt", None)
+        return np.zeros(idx.size) if debt is None else debt[idx]
 
     def serve_hedge(self, dataset: str, xs: np.ndarray, ys: np.ndarray, *,
                     issue_s: float) -> float:
@@ -533,7 +527,7 @@ class LCAQueryService:
         >>> svc.tickets_issued
         2
         """
-        return self._next_ticket
+        return self._tickets.issued
 
     # ------------------------------------------------------------------
     # Query path
@@ -588,9 +582,7 @@ class LCAQueryService:
         expired = self._expired_batches(t, exclusive=dataset)
         if expired:
             self._serve_run(expired)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._ensure_ticket_capacity(self._next_ticket)
+        ticket = self._tickets.issue()
         self.stats_collector.record_submit()
         if self._observer is not None:
             self._observer.record(EV_ARRIVAL, t, ticket=ticket,
@@ -655,11 +647,9 @@ class LCAQueryService:
         stop, error = block_clean_prefix(xs, ys, arrivals, n=n,
                                          dataset=dataset, now=self.clock.now)
 
-        tickets = np.arange(self._next_ticket, self._next_ticket + stop,
-                            dtype=np.int64)
+        first = self._tickets.issue(stop)
+        tickets = np.arange(first, first + stop, dtype=np.int64)
         if stop:
-            self._next_ticket += stop
-            self._ensure_ticket_capacity(self._next_ticket)
             self.stats_collector.record_submit(stop)
             if self._observer is not None:
                 self._observer.record_block(EV_ARRIVAL, arrivals[:stop],
@@ -668,10 +658,7 @@ class LCAQueryService:
             if latency_debt is not None:
                 # Tickets are consecutive: store the block's debt with one
                 # slice assignment before anything can flush and serve it.
-                if self._debt is None:
-                    self._debt = np.zeros(self._answers.size,
-                                          dtype=np.float64)
-                self._debt[int(tickets[0]):int(tickets[-1]) + 1] = (
+                self._tickets.zeros("debt", np.float64)[first:first + stop] = (
                     latency_debt[:stop])
             handled = (
                 latency_debt is None
@@ -685,7 +672,7 @@ class LCAQueryService:
                 own = scheduler.submit_block(tickets, xs[:stop], ys[:stop],
                                              arrivals[:stop])
                 self._serve_in_submission_order(dataset, own, arrivals[:stop],
-                                                int(tickets[0]))
+                                                first)
         if error is not None:
             raise error
         return tickets
@@ -764,7 +751,7 @@ class LCAQueryService:
             ...
         repro.errors.ServiceError: unknown ticket 99
         """
-        return int(self._answers[self._ticket_index(ticket)][0])
+        return int(self._tickets.answers[self._served(ticket)][0])
 
     def results(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of answers for a sequence of tickets (one table lookup).
@@ -779,7 +766,7 @@ class LCAQueryService:
         >>> svc.results(tickets).tolist()
         [1, 0]
         """
-        return self._answers[self._ticket_index(tickets)]
+        return self._tickets.answers[self._served(tickets)]
 
     def answered(self, tickets: ArrayLike) -> np.ndarray:
         """Boolean mask over ``tickets``: which have been served already.
@@ -796,7 +783,7 @@ class LCAQueryService:
         >>> svc.answered([a, b, c]).tolist()   # size flush served a and b
         [True, True, False]
         """
-        return self._answered[self._ticket_index(tickets, served=False)]
+        return self._tickets.answered[self._tickets.index(tickets)]
 
     def latency(self, ticket: int) -> float:
         """Modeled end-to-end latency of one answered query.
@@ -808,7 +795,7 @@ class LCAQueryService:
         >>> svc.latency(t) > 0.0       # waiting + queueing + execution
         True
         """
-        return float(self._latencies[self._ticket_index(ticket)][0])
+        return float(self._tickets.latencies[self._served(ticket)][0])
 
     def latencies(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of modeled latencies for a sequence of answered tickets.
@@ -820,7 +807,7 @@ class LCAQueryService:
         >>> bool((svc.latencies(tickets) > 0.0).all())
         True
         """
-        return self._latencies[self._ticket_index(tickets)]
+        return self._tickets.latencies[self._served(tickets)]
 
     def pending_count(self, dataset: Optional[str] = None) -> int:
         """Queries currently queued (for one dataset, or in total).
@@ -920,43 +907,21 @@ class LCAQueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ticket_index(self, tickets: ArrayLike, *,
-                      served: bool = True) -> np.ndarray:
-        """Table positions of ``tickets``; the one place read-back errors live.
+    def _served(self, tickets: ArrayLike) -> np.ndarray:
+        """Table positions of ``tickets``, every one of them answered.
 
-        Raises :class:`ServiceError` for the first unknown ticket and, with
-        ``served`` (every read-back except :meth:`answered`), for the first
-        ticket whose batch has not been served yet.
+        After :meth:`TicketTable.index`'s refusals (bad dtype, then the first
+        unknown ticket), raises :class:`ServiceError` for the first ticket
+        whose batch has not been served yet; :meth:`answered` skips that.
         """
-        idx = np.atleast_1d(np.asarray(tickets)).astype(np.int64, copy=False)
-        unknown = (idx < 0) | (idx >= self._next_ticket)
-        if unknown.any():
-            raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
-        if served:
-            queued = ~self._answered[idx]
-            if queued.any():
-                raise ServiceError(
-                    f"ticket {idx[int(queued.argmax())]} is still queued; "
-                    f"advance time or drain()"
-                )
+        idx = self._tickets.index(tickets)
+        queued = ~self._tickets.answered[idx]
+        if queued.any():
+            raise ServiceError(
+                f"ticket {idx[int(queued.argmax())]} is still queued; "
+                f"advance time or drain()"
+            )
         return idx
-
-    def _ensure_ticket_capacity(self, needed: int) -> None:
-        if needed <= self._answers.size:
-            return
-        # Callers bump _next_ticket before growing, so the count of live
-        # slots can already exceed the old capacity — copy the whole table.
-        used = self._answers.size
-        self._answers = grow_table(self._answers, used, needed)
-        self._latencies = grow_table(self._latencies, used, needed)
-        self._answered = grow_table(self._answered, used, needed)
-        if self._debt is not None:
-            # The debt table must stay zero beyond the used region (it is
-            # only ever written for retried tickets), so it grows by
-            # zero-filled reallocation rather than grow_table's np.empty.
-            debt = np.zeros(self._answers.size, dtype=np.float64)
-            debt[:used] = self._debt
-            self._debt = debt
 
     def _scheduler(self, dataset: str) -> MicroBatchScheduler:
         try:
@@ -1127,13 +1092,14 @@ class LCAQueryService:
                              batch=pseudo, replica=self._obs_replica,
                              detail=hit_latency)
         lo, hi = int(tickets[0]), int(tickets[-1]) + 1
-        self._answers[lo:hi] = values
-        self._latencies[lo:hi] = hit_latency
+        table = self._tickets
+        table.answers[lo:hi] = values
+        table.latencies[lo:hi] = hit_latency
         if full:
-            self._answered[lo:hi] = True
+            table.answered[lo:hi] = True
             own: List[FlushedBatch] = []
         else:
-            self._answered[lo:hi] = found
+            table.answered[lo:hi] = found
             miss_pos = np.flatnonzero(~found)
             own = scheduler.submit_block(tickets[miss_pos], xs[miss_pos],
                                          ys[miss_pos], arrivals[miss_pos])
@@ -1377,10 +1343,12 @@ class LCAQueryService:
                 effective = hedged
         tickets = batch.tickets
         latencies = effective - batch.arrival_s
-        if self._debt is not None:
+        table = self._tickets
+        debt = getattr(table, "debt", None)
+        if debt is not None:
             # Retried queries carry the latency accrued before this
             # (re-)admission; everyone else's slot is zero.
-            latencies = latencies + self._debt[tickets]
+            latencies = latencies + debt[tickets]
         obs = self._observer
         if obs is not None:
             lane = obs.intern(backend_key)
@@ -1399,9 +1367,9 @@ class LCAQueryService:
         size = tickets.size
         lo, hi = tickets.item(0), tickets.item(size - 1) + 1
         window: Any = slice(lo, hi) if hi - lo == size else tickets
-        self._answers[window] = answers
-        self._latencies[window] = latencies
-        self._answered[window] = True
+        table.answers[window] = answers
+        table.latencies[window] = latencies
+        table.answered[window] = True
         self.stats_collector.record_batch(
             size=size,
             trigger=batch.trigger,
@@ -1435,4 +1403,4 @@ class LCAQueryService:
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (f"LCAQueryService(datasets={self.datasets}, "
                 f"pending={self.pending_count()}, "
-                f"answered={int(self._answered[:self._next_ticket].sum())})")
+                f"answered={int(self._tickets.answered[:self.tickets_issued].sum())})")

@@ -20,11 +20,13 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
+from .tickets import grow_table
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .cache import AnswerCache
     from .registry import IndexRegistry
 
-__all__ = ["ServiceStats", "StatsCollector", "batch_size_bucket", "grow_table",
+__all__ = ["ServiceStats", "StatsCollector", "batch_size_bucket",
            "dedup_factor", "hit_rate"]
 
 
@@ -43,26 +45,6 @@ def hit_rate(hits: int, misses: int) -> float:
     """Hits over lookups, 0.0 before the first lookup (shared convention)."""
     lookups = hits + misses
     return hits / lookups if lookups else 0.0
-
-
-def grow_table(table: np.ndarray, used: int, needed: int) -> np.ndarray:
-    """Return ``table`` grown by capacity doubling to hold ``needed`` slots.
-
-    The first ``used`` entries are preserved; boolean tables come back
-    zero-initialized beyond them (they encode "is this slot populated yet").
-    Returns the input unchanged when it is already large enough.
-    """
-    capacity = table.size
-    if needed <= capacity:
-        return table
-    while capacity < needed:
-        capacity *= 2
-    if table.dtype == np.bool_:
-        grown = np.zeros(capacity, dtype=np.bool_)
-    else:
-        grown = np.empty(capacity, dtype=table.dtype)
-    grown[:used] = table[:used]
-    return grown
 
 
 def batch_size_bucket(size: int) -> int:
@@ -174,9 +156,10 @@ class StatsCollector:
     batch_sizes: Counter = field(default_factory=Counter)
     flush_triggers: Counter = field(default_factory=Counter)
     backend_choices: Counter = field(default_factory=Counter)
-    # Growable flat latency table: batches append with one slice assignment
-    # and the percentile computation in snapshot() reads a single array view
-    # (no per-snapshot concatenation of per-batch chunks).
+    # Growable flat latency log, in completion order (so not a TicketTable
+    # column): batches append with one slice assignment and the percentile
+    # computation in snapshot() reads a single array view (no per-snapshot
+    # concatenation of per-batch chunks).
     _latency_table: np.ndarray = field(
         default_factory=lambda: np.empty(1024, dtype=np.float64))
     _latency_count: int = 0

@@ -5,9 +5,17 @@ A rule lives here, not in a ``grep`` step of ``ci.yml`` mirrored by hand in
 """
 
 import ast
+import doctest
+import functools
+import re
+import textwrap
 from pathlib import Path
 
-SERVICE = Path(__file__).parent.parent / "src" / "repro" / "service" / "service.py"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "repro"
+SERVICE_PACKAGE = SRC / "service"
+SERVICE = SERVICE_PACKAGE / "service.py"
+CLUSTER = SERVICE_PACKAGE / "cluster.py"
 
 
 def dotted(node):
@@ -21,15 +29,23 @@ def dotted(node):
     return ".".join(reversed(parts))
 
 
-def functions_calling(source, wanted):
-    """Names of the functions in ``source`` that contain a call ``wanted`` accepts."""
+def functions_containing(tree, wanted):
+    """Names of the functions in ``tree`` that contain a node ``wanted`` accepts."""
     return {
         function.name
-        for function in ast.walk(ast.parse(source))
+        for function in ast.walk(tree)
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(function)
-        if isinstance(node, ast.Call) and wanted(dotted(node.func))
+        if wanted(node)
     }
+
+
+def functions_calling(source, wanted):
+    """Names of the functions in ``source`` that contain a call ``wanted`` accepts."""
+    return functions_containing(
+        ast.parse(source),
+        lambda node: isinstance(node, ast.Call) and wanted(dotted(node.func)),
+    )
 
 
 def serves_a_batch(name):
@@ -102,3 +118,258 @@ def test_the_service_reads_no_other_objects_private_state():
     """``service.py`` touches ``_names`` on ``self`` only — the answer cache's
     headroom and counters come through its public surface."""
     assert foreign_private_reads(SERVICE.read_text()) == []
+
+
+# ----------------------------------------------------------------------
+# config= is the only carrier of knobs
+# ----------------------------------------------------------------------
+#: Per-knob constructor keywords that ``config=`` replaced.
+REMOVED_KWARGS = frozenset(
+    "policy router capacity_bytes max_pending start_time dedup answer_cache_bytes "
+    "answer_cache_seed ticket_capacity hedge_delay_s max_retries n_replicas".split()
+)
+SERVICES = ("LCAQueryService", "ClusterService")
+
+
+def removed_kwargs(tree):
+    """Offences at the top level of a service constructor call in ``tree``.
+
+    A removed per-knob keyword on either service, or a positional replica
+    count on ``ClusterService``; knobs nested inside ``ServiceConfig(...)`` /
+    ``ClusterConfig(...)`` are what is wanted.
+    """
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = dotted(node.func).split(".")[-1]
+        if name not in SERVICES:
+            continue
+        if name == "ClusterService" and any(
+            not isinstance(arg, ast.Starred) for arg in node.args
+        ):
+            hits.append(f"{name}(<positional>)")
+        hits += [f"{name}({kw.arg}=)" for kw in node.keywords if kw.arg in REMOVED_KWARGS]
+    return hits
+
+
+def snippets(path):
+    """The Python a file shows: its module, its ``>>>`` examples, its fences."""
+    text = path.read_text()
+    if path.suffix == ".py":
+        documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        found, prose = [text], [
+            ast.get_docstring(node, clean=False) or ""
+            for node in ast.walk(ast.parse(text)) if isinstance(node, documented)
+        ]
+    else:
+        prose = [text]
+        found = [
+            textwrap.dedent(block)
+            for block in re.findall(r"```python\n(.*?)```", text, flags=re.S)
+            if ">>>" not in block
+        ]
+    parser = doctest.DocTestParser()
+    return found + [ex.source for doc in prose for ex in parser.get_examples(doc)]
+
+
+def constructor_offences(path):
+    hits = []
+    for snippet in snippets(path):
+        try:
+            hits += removed_kwargs(ast.parse(snippet))
+        except SyntaxError:
+            # Pseudo-code may not parse; it may then not show a constructor.
+            hits += [f"unparsable snippet names {name}" for name in SERVICES
+                     if f"{name}(" in snippet]
+    return hits
+
+
+def test_the_kwarg_rule_sees_code_doctests_and_fences(tmp_path):
+    tree = ast.parse(
+        "ClusterService(4)\n"
+        "ClusterService(*args, config=ClusterConfig(n_replicas=4, router='x'))\n"
+        "repro.service.LCAQueryService(store, dedup=True,\n"
+        "    config=ServiceConfig(dedup=True))\n"
+    )
+    assert removed_kwargs(tree) == [
+        "ClusterService(<positional>)", "LCAQueryService(dedup=)"]
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Prose.\n\n```python\nsvc = LCAQueryService(\n    max_pending=3)\n```\n\n"
+        "    >>> ClusterService(\n    ...     n_replicas=2)\n\n"
+        "1. A step:\n\n   ```python\n   ClusterService(2)\n   ```\n\n"
+        "```python\nClusterService(config=...) if ... else: ???\n```\n"
+    )
+    assert sorted(constructor_offences(page)) == [
+        "ClusterService(<positional>)", "ClusterService(n_replicas=)",
+        "LCAQueryService(max_pending=)", "unparsable snippet names ClusterService"]
+
+
+def test_no_removed_constructor_kwargs_in_code_examples_or_docs():
+    """Every ``.py`` (module and docstring examples) and every ``.md`` (fenced
+    ``python`` blocks and ``>>>`` lines) the repository shows a user."""
+    paths = [ROOT / "README.md"]
+    for top in ("src", "examples", "benchmarks", "docs"):
+        paths += sorted((ROOT / top).rglob("*.py")) + sorted((ROOT / top).rglob("*.md"))
+    assert len(paths) > 100
+    offences = {
+        str(path.relative_to(ROOT)): hits
+        for path in paths
+        if (hits := constructor_offences(path))
+    }
+    assert offences == {}, "removed constructor kwargs found; use config="
+
+
+# ----------------------------------------------------------------------
+# Refused, not cast; one kernel contract; one Schieber-Vishkin body
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def parsed(file):
+    return ast.parse(file.read_text())
+
+
+def trees_under(*paths):
+    for path in paths:
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            yield file, parsed(file)
+
+
+def calls(tree, wanted):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and wanted(dotted(node.func))]
+
+
+def identifiers(tree):
+    """Every name a module binds, reads or imports (strings and comments not)."""
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "name", "arg", "module"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                yield from value.split(".")
+
+
+def test_no_int64_cast_of_caller_arrays_on_the_edge_list_and_bridges_path():
+    """Endpoints, parents, levels and relabelings go through ``as_node_ids`` /
+    ``as_parent_array`` (one dtype test): refused, never cast."""
+    def is_int64(node):
+        return dotted(node) in ("np.int64", "numpy.int64", "int64")
+
+    casts = [
+        f"{file.relative_to(ROOT)}:{call.lineno}"
+        for file, tree in trees_under(SRC / "bridges", SRC / "graphs" / "edgelist.py")
+        for call in calls(tree, lambda name: name.split(".")[-1] == "asarray")
+        if any(is_int64(arg) for arg in call.args[1:])
+        or any(kw.arg == "dtype" and is_int64(kw.value) for kw in call.keywords)
+    ]
+    assert casts == []
+
+
+def test_one_kernel_contract_and_one_artifact_key_derivation():
+    """Kernels answer and the dispatcher prices.  A ``Backend`` becomes a
+    registry key only in ``LCAQueryService._artifact_key`` (nobody else passes
+    ``sequential=backend.sequential``), no module forks workers, and the
+    bind / launch / readback lifecycle stays deleted from the backends."""
+    for file, tree in trees_under(SRC):
+        where = str(file.relative_to(ROOT))
+        assert "multiprocessing" not in set(identifiers(tree)), where
+        assert not [
+            kw for call in calls(tree, lambda name: True) for kw in call.keywords
+            if kw.arg == "sequential" and dotted(kw.value) == "backend.sequential"
+        ], where
+    for file, tree in trees_under(SRC / "backends"):
+        assert not {"bind", "readback", "BackendCapabilities"} & set(
+            identifiers(tree)), str(file.relative_to(ROOT))
+
+
+def test_one_schieber_vishkin_body_in_the_query_kernel():
+    """``_query_inlabel`` runs a batch of any width as tiles through the one
+    ``_query_tile``; a second copy of the pass would gather the ascendant
+    table a second time."""
+    tree = parsed(SRC / "lca" / "inlabel.py")
+    gathers = [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+               and dotted(node.value) == "structure.ascendant"]
+    assert len(gathers) == 1
+
+
+# ----------------------------------------------------------------------
+# Per-ticket state has one owner; the serving package only shrinks
+# ----------------------------------------------------------------------
+def doubles_a_capacity(node):
+    return isinstance(node, ast.While) and any(
+        isinstance(step, ast.AugAssign) and isinstance(step.op, ast.Mult)
+        and isinstance(step.value, ast.Constant) and step.value.value == 2
+        for step in ast.walk(node))
+
+
+def sorts_stably(node):
+    return (isinstance(node, ast.Call) and dotted(node.func).endswith("argsort")
+            and any(kw.arg == "kind" and getattr(kw.value, "value", None) == "stable"
+                    for kw in node.keywords))
+
+
+def test_one_growth_loop_and_one_routing_cut_in_the_serving_package():
+    """Tables grow in ``tickets.grow_table`` and nowhere else; the cluster
+    cuts a block by owner in ``_grouped`` and nowhere else
+    (``_cluster_tickets`` orders one replica's tickets, it groups nothing)."""
+    found = {
+        (file.name, name)
+        for file, tree in trees_under(SERVICE_PACKAGE)
+        for name in functions_containing(tree, doubles_a_capacity)
+    }
+    assert found == {("tickets.py", "grow_table")}
+    cluster = parsed(CLUSTER)
+    assert functions_containing(cluster, sorts_stably) == {
+        "_grouped", "_cluster_tickets"}
+    assert not calls(cluster, lambda name: name.endswith("searchsorted"))
+
+
+def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
+    gone = {"_next_ticket", "_ensure_ticket_capacity", "_all_alive",
+            "_refresh_all_alive", "_retry_counts", "_debt", "ARTIFACT_KINDS",
+            "add_graph", "has_graph"}
+    definitions = []
+    for file, tree in trees_under(SRC):
+        assert not gone & set(identifiers(tree)), str(file.relative_to(ROOT))
+        definitions += [file.name for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "grow_table"]
+    assert definitions == ["tickets.py"]
+    # A ticket is validated in TicketTable.index and nowhere else: neither
+    # front end compares against the issue count itself.
+    for file in (SERVICE, CLUSTER):
+        assert not [
+            node.lineno for node in ast.walk(parsed(file))
+            if isinstance(node, ast.Compare)
+            and any(dotted(side).endswith("issued")
+                    for side in (node.left, *node.comparators))
+        ], file.name
+
+
+#: Lines per module of ``src/repro/service`` at the last PR that touched it.
+#: A ratchet (ROADMAP item 1): lower a number when a module shrinks, never
+#: raise one; a new module is recorded here by the PR that adds it.
+SERVICE_MODULE_LINES = {
+    "__init__.py": 144,
+    "cache.py": 501,
+    "clock.py": 106,
+    "cluster.py": 1629,
+    "config.py": 298,
+    "dispatch.py": 317,
+    "faults.py": 167,
+    "registry.py": 402,
+    "routing.py": 392,
+    "scheduler.py": 495,
+    "service.py": 1406,
+    "stats.py": 294,
+    "tickets.py": 129,
+}
+
+
+def test_no_serving_module_grows():
+    lines = {file.name: len(file.read_text().splitlines())
+             for file in sorted(SERVICE_PACKAGE.glob("*.py"))}
+    assert sorted(lines) == sorted(SERVICE_MODULE_LINES)
+    grown = {name: (SERVICE_MODULE_LINES[name], count)
+             for name, count in lines.items() if count > SERVICE_MODULE_LINES[name]}
+    assert grown == {}, "a serving module grew past its recorded length"

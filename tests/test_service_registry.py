@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.bridges import find_bridges_tarjan_vishkin
 from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
 from repro.errors import ServiceError
-from repro.graphs import CSRGraph
 from repro.graphs.generators import random_attachment_tree
 from repro.lca import InlabelLCA, SequentialInlabelLCA
 from repro.service import (
@@ -32,7 +32,7 @@ def make_store(*names, n=256):
 
 def test_store_registration_and_access():
     store = make_store("a")
-    assert store.has_tree("a") and not store.has_graph("a")
+    assert store.has_tree("a") and not store.has_tree("b")
     assert store.tree("a").size == 256
     assert store.names == ["a"]
 
@@ -128,13 +128,6 @@ def test_store_lazy_loader_called_exactly_once():
     assert first is second
 
 
-def test_store_graph_datasets():
-    store = ForestStore()
-    store.add_graph("g", random_connected_graph(128, 64, seed=1))
-    assert store.has_graph("g")
-    assert store.graph("g").num_nodes == 128
-
-
 # ----------------------------------------------------------------------
 # Hit / miss accounting
 # ----------------------------------------------------------------------
@@ -189,21 +182,13 @@ def test_external_context_is_charged_for_builds():
     assert ctx.elapsed == pytest.approx(entry.build_time_s)
 
 
-def test_graph_artifact_kinds():
-    store = ForestStore()
-    store.add_graph("g", random_connected_graph(200, 100, seed=2))
-    registry = IndexRegistry(store)
-    csr = registry.get("g", "csr", GTX980)
-    assert isinstance(csr, CSRGraph)
-    bridges = registry.get("g", "bridges", GTX980)
-    assert bridges.num_bridges >= 0
-    assert registry.bytes_in_use >= csr.indptr.nbytes
-
-
-def test_unknown_kind_rejected():
+@pytest.mark.parametrize("kind", ["tour", "stats", "csr", "bridges", "nope", ""])
+def test_only_lca_indexes_are_built(kind):
+    """The registry is an LCA index cache: no other kind builds or is cached."""
     registry = IndexRegistry(make_store("a"))
-    with pytest.raises(ServiceError):
-        registry.get("a", "nope", GTX980)
+    with pytest.raises(ServiceError, match="unknown artifact kind"):
+        registry.get("a", kind, GTX980)
+    assert len(registry) == 0 and registry.bytes_in_use == 0
 
 
 # ----------------------------------------------------------------------
@@ -230,10 +215,7 @@ def test_artifact_nbytes_resolves_views_to_their_base():
 
 
 def test_bridge_result_nbytes_agrees_with_artifact_accounting():
-    store = ForestStore()
-    store.add_graph("g", random_connected_graph(150, 60, seed=3))
-    registry = IndexRegistry(store)
-    result = registry.get("g", "bridges", GTX980)
+    result = find_bridges_tarjan_vishkin(random_connected_graph(150, 60, seed=3))
     assert result.nbytes == artifact_nbytes(result)
 
 
