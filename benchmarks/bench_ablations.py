@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §5.
+"""Ablation benchmarks for the design choices the paper makes in prose.
 
 These do not correspond to a table or figure in the paper; they quantify the
 engineering decisions the paper describes in prose:

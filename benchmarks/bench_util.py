@@ -11,7 +11,7 @@ Every benchmark module regenerates one table or figure of the paper:
   pytest-benchmark JSON output.
 
 Scale note: dataset and tree sizes default to roughly 32–64× smaller than the
-paper's (see DESIGN.md §2); set the environment variables
+paper's (see README.md, "Tests and benchmarks"); set the environment variables
 ``REPRO_BENCH_SCALE`` (LCA tree sizes) and ``REPRO_DATASET_SCALE`` (bridge
 datasets) to run larger instances.
 """

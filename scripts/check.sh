@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml: the lint, typecheck, test and docs
-# jobs, command for command (tests/test_ci_mirror.py fails when ci.yml gains a
-# command this script lacks).  Not mirrored, because they change the
-# environment or the checkout: steps that `pip install` something first (the
-# coverage leg, the NumPy-floor leg) and the bench-regression job, which
-# rewrites the committed BENCH_*.json files.
+# Local mirror of .github/workflows/ci.yml, command for command
+# (tests/test_ci_mirror.py fails when ci.yml gains a command this script
+# lacks).  Not mirrored, because they change the environment or the checkout:
+# steps that `pip install` something first (the coverage leg, the NumPy-floor
+# leg) and bench-regression's three host-clock benches, which rewrite their
+# committed BENCH_*.json files (the modeled gate writes nothing: it is here).
 #
 #   scripts/check.sh          # run every leg, report at the end
 #
@@ -50,6 +50,9 @@ leg python "python benchmarks/bench_query_kernel.py --smoke"
 # --- docs -------------------------------------------------------------------
 leg python "python scripts/check_markdown_links.py README.md ROADMAP.md docs"
 leg python "python -m pytest --doctest-modules src/repro/service src/repro/workloads src/repro/obs src/repro/control -q"
+
+# --- bench-regression (modeled suites; ~20 s) -------------------------------
+leg python "python benchmarks/modeled.py --check"
 
 # --- report -----------------------------------------------------------------
 echo

@@ -6,7 +6,8 @@ execution together with its two applications studied in the paper — lowest
 common ancestors in trees and bridge finding in undirected graphs — plus every
 substrate those algorithms need (parallel primitives, connectivity, BFS,
 dataset generators) and an experiment harness that regenerates every table and
-figure of the paper's evaluation on a simulated device (see DESIGN.md).
+figure of the paper's evaluation on a simulated device (README.md's opening
+paragraph says what is simulated; docs/architecture.md maps the layers).
 
 Quickstart
 ----------
@@ -113,7 +114,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "__version__",

@@ -21,10 +21,10 @@ closes the loop from the stack's own signals back to those knobs:
   replicas serve them.
 
 ``repro.workloads.replay(..., controller=...)`` runs the loop during a
-scenario replay; ``benchmarks/bench_adaptive.py`` measures knob tuning
-against the best static configuration across the named scenario library,
-and ``benchmarks/bench_autoscale.py`` measures reactive scaling against
-every static replica count on the flash crowd.
+scenario replay; ``benchmarks/modeled.py`` measures knob tuning against the
+best static configuration across the named scenario library (suite
+``adaptive``) and reactive scaling against every static replica count on the
+flash crowd (suite ``autoscale``).
 """
 
 from .autoscale import AUTOSCALE_SIGNALS, AutoscalePolicy

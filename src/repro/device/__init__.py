@@ -1,7 +1,8 @@
 """Simulated execution devices and cost accounting.
 
-This subpackage is the hardware substitution layer described in DESIGN.md §2:
-it stands in for the paper's GTX 980 GPU and Xeon X5650 CPU.  Algorithms do
+This subpackage is the hardware substitution layer (layer 5 of
+docs/architecture.md, "The layers"): it stands in for the paper's GTX 980 GPU
+and Xeon X5650 CPU.  Algorithms do
 their real computation with NumPy and, alongside it, report the shape of every
 bulk-parallel kernel to an :class:`ExecutionContext`, which prices it with an
 analytic roofline-plus-launch-latency model.

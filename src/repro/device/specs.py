@@ -13,7 +13,8 @@ of the GTX 980 (224 GB/s memory bandwidth, ~1.2 GHz, a few microseconds of
 kernel-launch latency) and the Xeon X5650 (~32 GB/s, 2.67 GHz).  The paper's
 conclusions depend on *ratios and scaling* (work vs. depth, launch count vs.
 diameter), not on absolute milliseconds, and those ratios are what the model
-preserves.  See DESIGN.md §2 for the substitution rationale.
+preserves.  docs/architecture.md ("Preprocessing on the host") says how a
+charge relates to what the host actually computes.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@
 
 All runners operate on the synthetic stand-ins from
 :mod:`repro.experiments.datasets`; rows include the paper's published values
-next to the measured ones so EXPERIMENTS.md can be generated directly.
+next to the measured ones so a side-by-side write-up can be generated directly.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper evaluates on 16 graphs in three families: Graph500 Kronecker graphs,
 real-world web/social/citation/collaboration networks, and DIMACS road
 networks.  None of the original downloads are available offline, so every
 dataset is replaced by a synthetic stand-in from the same structural family
-(see DESIGN.md §2 for the substitution argument), scaled down by roughly
+(README.md, "Tests and benchmarks", states the scale), scaled down by roughly
 32–64× so the pure-Python simulation stays fast.  The registry records, for
 every stand-in, the original graph it replaces and the paper's published
 statistics, so Table 1 can be regenerated side by side with the original

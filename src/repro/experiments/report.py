@@ -2,8 +2,8 @@
 
 The paper presents its results as log-log throughput plots and stacked bars;
 this harness prints the same data as aligned text tables (one row per plotted
-point) so the numbers can be diffed, regression-tested and pasted into
-EXPERIMENTS.md without a plotting stack.
+point) so the numbers can be diffed, regression-tested and pasted into a
+write-up without a plotting stack.
 """
 
 from __future__ import annotations

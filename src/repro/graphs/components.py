@@ -3,7 +3,8 @@
 The Tarjan–Vishkin bridge algorithm and the hybrid algorithm both need "a
 GPU-optimized connected components algorithm … which constructs a spanning
 tree as a byproduct" (paper §4.1, citing Jaiganesh & Burtscher's ECL-CC).
-This module provides the equivalent substitute (see DESIGN.md §2): a
+This module provides the equivalent substitute (docs/architecture.md,
+"Preprocessing on the host", says what its worklist charges): a
 Borůvka-flavoured hook-and-compress procedure that runs in ``O(log n)``
 bulk-synchronous rounds, emits component labels, and records which edges
 performed successful hooks — exactly a spanning forest.

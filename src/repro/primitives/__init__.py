@@ -3,7 +3,8 @@
 Everything an Euler-tour algorithm needs — scans, segmented reductions,
 key sorting, stream compaction, gather/scatter, list ranking, and range
 min/max structures — implemented as instrumented NumPy kernels.  See
-DESIGN.md §2–3.
+docs/architecture.md ("The layers"; "Preprocessing on the host" for how each
+kernel is charged).
 """
 
 from .compact import compact, compact_many, nonzero_indices

@@ -80,7 +80,7 @@ def wyllie_rank(succ: np.ndarray, head: int,
     Every element stores a jump pointer and a partial distance *to the tail*;
     in each of ``O(log n)`` rounds all pointers double.  Total work is
     ``O(n log n)`` — theoretically suboptimal, practically simple; included as
-    the ablation baseline for Wei–JaJa (DESIGN.md §5).
+    the ablation baseline for Wei–JaJa (``benchmarks/bench_ablations.py``).
     """
     ctx = ensure_context(ctx)
     succ = np.asarray(succ, dtype=np.int64).copy()

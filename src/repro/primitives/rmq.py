@@ -11,7 +11,9 @@ out in tour (preorder) order:
 Both backends are built level by level with bulk kernels and answer *batches*
 of queries with ``O(log n)`` lockstep rounds, which is how a GPU would
 traverse them.  The sparse table trades ``O(n log n)`` memory for
-constant-round queries; it is the ablation alternative (DESIGN.md §5).
+constant-round queries; it is the ablation alternative
+(``benchmarks/bench_ablations.py``; docs/architecture.md, "Preprocessing on the
+host", says how a segment-tree query is charged).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ service or cluster into a :class:`~repro.workloads.replay.ScenarioReport`.
 
 The module also ships a small library of named scenarios —
 :data:`SCENARIOS` / :func:`make_scenario` — that the scenario suite, the
-``bench_scenarios`` benchmark and the docs all share:
+``scenarios`` benchmark suite and the docs all share:
 
 ``steady``
     One uniformly hit tree at a constant deterministic rate; the degenerate

@@ -221,6 +221,26 @@ def test_no_removed_constructor_kwargs_in_code_examples_or_docs():
     assert offences == {}, "removed constructor kwargs found; use config="
 
 
+def test_every_markdown_file_the_code_cites_exists():
+    """A docstring or comment that sends the reader to ``X.md`` names a file
+    that is there, relative to the repository root or to the citing file
+    (ten modules cited a ``DESIGN.md`` that never existed)."""
+    cited = [
+        (file, name)
+        for top in ("src", "benchmarks", "scripts")
+        for file in sorted((ROOT / top).rglob("*"))
+        if file.suffix in (".py", ".sh")
+        for name in re.findall(r"[\w./-]*\w\.md\b", file.read_text())
+    ]
+    assert len(cited) >= 20
+    dangling = [
+        f"{file.relative_to(ROOT)}: {name}"
+        for file, name in cited
+        if not ((ROOT / name).is_file() or (file.parent / name).is_file())
+    ]
+    assert dangling == []
+
+
 # ----------------------------------------------------------------------
 # Refused, not cast; one kernel contract; one Schieber-Vishkin body
 # ----------------------------------------------------------------------
