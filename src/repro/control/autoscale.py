@@ -7,8 +7,9 @@ cooldowns that stop the loop from flapping — without saying anything about
 *how* membership changes land.  The
 :class:`~repro.control.controller.Controller` owns the mechanics: a firing
 policy becomes a ``ClusterService.scale_to()`` call (drain-before-retire,
-live-copy safety, warm spares — the PR 7 elasticity rules), recorded as a
-``kind="membership"`` :class:`~repro.control.controller.TuningDecision`.
+live-copy safety, warm spares: a displaced copy's built index stays in its
+registry until LRU evicts it — the cluster's elasticity rules), recorded as
+a ``kind="membership"`` :class:`~repro.control.controller.TuningDecision`.
 
 Three windowed signals are available, all measured over the controller's
 observation window:

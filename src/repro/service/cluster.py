@@ -55,6 +55,7 @@ through each worker's vectorized
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -62,16 +63,13 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from ..errors import Overloaded, ReplicaDown, ServiceError
-from ..graphs.trees import as_parent_array, validate_parents
 from ..obs.events import (
     EV_FAULT,
     EV_HEDGE,
@@ -90,6 +88,7 @@ from .dispatch import (
     load_calibration_profile,
 )
 from .faults import FaultEvent, FaultInjector
+from .registry import ForestStore
 from .routing import HashRing, Router, make_router
 from .scheduler import FlushedBatch
 from .service import LCAQueryService, as_query_block, block_clean_prefix
@@ -97,30 +96,6 @@ from .stats import ServiceStats, dedup_factor, hit_rate
 from .tickets import TicketTable
 
 __all__ = ["ClusterService", "ClusterStats"]
-
-
-class _SharedLoader:
-    """Memoizing wrapper so one lazy loader feeds every copy of a dataset.
-
-    Each replica's :class:`~repro.service.registry.ForestStore` calls the
-    wrapper independently; the underlying loader runs (and the result is
-    validated) exactly once, and every copy shares the same parent array.
-    A loader failure leaves the wrapper unfilled, so the dataset stays
-    retryable on every copy.
-    """
-
-    def __init__(self, loader: Callable[[], np.ndarray], validate: bool) -> None:
-        self._loader = loader
-        self._validate = validate
-        self._parents: Optional[np.ndarray] = None
-
-    def __call__(self) -> np.ndarray:
-        if self._parents is None:
-            parents = as_parent_array(self._loader())
-            if self._validate:
-                validate_parents(parents)
-            self._parents = parents
-        return self._parents
 
 
 @dataclass(frozen=True)
@@ -256,7 +231,8 @@ class ClusterService:
         across the workers; the answer caches' bytes come out of
         ``capacity_bytes`` when both are set), dedup, the ``max_pending``
         admission bound, start time, hedging delay and retry cap.
-        Defaults to ``ClusterConfig()``; exposed as :attr:`config`.
+        Defaults to ``ClusterConfig()``; exposed as :attr:`config`, and the
+        one place the cluster reads its knobs from.
     dispatcher_factory:
         Zero-argument callable building each worker's dispatcher (called
         once per replica so workers never share memoization state); by
@@ -270,6 +246,12 @@ class ClusterService:
     observer:
         Optional trace recorder shared by every worker (see
         :meth:`attach_observer`).
+
+    The registered datasets live in one
+    :class:`~repro.service.registry.ForestStore`, :attr:`store`, shared by
+    every worker: each copy serves the same parent array, loaded at most
+    once; placement only decides which workers build its index and get its
+    traffic.
 
     Usage
     -----
@@ -300,23 +282,14 @@ class ClusterService:
         self.router: Router = make_router(config.router)
         self.ring = HashRing(range(n_workers))
         self.clock = SimulatedClock(config.start_time)
-        self._max_pending = config.max_pending
-        if dispatcher_factory is not None:
-            factory = dispatcher_factory
-        elif config.backends is not None or config.calibration_path is not None:
-            # Load a measured profile once and share it across every
-            # replica's dispatcher (they price identically by construction).
-            profile = (
-                load_calibration_profile(config.calibration_path)
-                if config.calibration_path is not None
-                else None
-            )
-            backend_keys = config.backends
-
-            def factory() -> CostModelDispatcher:
-                return dispatcher_for(backend_keys, profile=profile)
-        else:
-            factory = CostModelDispatcher
+        self.store = ForestStore()
+        if dispatcher_factory is None:
+            # A measured profile is loaded once and shared by every replica's
+            # dispatcher (they price identically by construction).
+            profile = (None if config.calibration_path is None
+                       else load_calibration_profile(config.calibration_path))
+            dispatcher_factory = partial(dispatcher_for, config.backends,
+                                         profile=profile)
         index_budget = (None if config.capacity_bytes is None
                         else int(config.capacity_bytes))
         if config.answer_cache_bytes is None:
@@ -352,14 +325,14 @@ class ClusterService:
         )
         self._replicas: Tuple[LCAQueryService, ...] = tuple(
             LCAQueryService(
+                self.store,
                 config=self._worker_config,
-                dispatcher=factory(),
+                dispatcher=dispatcher_factory(),
                 clock=SimulatedClock(config.start_time),
             )
             for _ in range(n_workers)
         )
         self._placement: Dict[str, Tuple[int, ...]] = {}
-        self._sizes: Dict[str, Optional[int]] = {}
         self._shed = 0
         # Cluster tickets are consecutive integers indexing two columnar
         # maps: which replica served the query, and the worker-local ticket
@@ -371,10 +344,7 @@ class ClusterService:
         # per-replica byte slices are fixed at construction and are not
         # re-split when the cluster grows or shrinks.
         self.fault_injector = fault_injector
-        self._hedge_delay_s = (None if config.hedge_delay_s is None
-                               else float(config.hedge_delay_s))
-        self._max_retries = int(config.max_retries)
-        self._dispatcher_factory = factory
+        self._dispatcher_factory = dispatcher_factory
         self._alive: List[bool] = [True] * n_workers
         self._retired: List[bool] = [False] * n_workers
         # Replica-second accounting: birth instant per replica id, and the
@@ -386,15 +356,12 @@ class ClusterService:
         self._parked: List[
             Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
-        self._resubmitted = 0
         self._retried = 0
         self._hedges_issued = 0
         self._hedges_won = 0
         self._faults_applied = 0
         self._membership_events = 0
-        self._tree_sources: Dict[str, Union[np.ndarray, _SharedLoader]] = {}
         self._tree_replicas: Dict[str, Optional[int]] = {}
-        self._registered: Dict[str, Set[int]] = {}
         for i, worker in enumerate(self._replicas):
             self._install_hooks(i, worker)
         self._observer: Optional[TraceRecorder] = None
@@ -472,7 +439,7 @@ class ClusterService:
         >>> cluster.datasets
         ['t']
         """
-        return list(self._placement)
+        return self.store.names
 
     @property
     def tickets_issued(self) -> int:
@@ -520,8 +487,10 @@ class ClusterService:
         ids instead.  ``replicas=0`` means *every active replica, tracked*:
         the copy count follows membership, so a replica added later (e.g.
         by reactive autoscaling) starts serving the dataset, and a retired
-        one stops.  A lazy ``loader`` is wrapped so it runs once no matter
-        how many copies exist — every copy shares the loaded array.
+        one stops.  The tree goes into :attr:`store` once, however many
+        copies exist, so a lazy ``loader`` runs once and every copy shares
+        the loaded array.  A refused registration changes neither the store
+        nor the placement.
 
         >>> import numpy as np
         >>> cluster = ClusterService(config=ClusterConfig(n_replicas=4))
@@ -532,10 +501,6 @@ class ClusterService:
         >>> len(ringed)
         2
         """
-        if name in self._placement:
-            raise ServiceError(f"dataset {name!r} is already registered")
-        if (parents is None) == (loader is None):
-            raise ServiceError("pass exactly one of parents= or loader=")
         if on is not None:
             copies = tuple(dict.fromkeys(int(i) for i in on))
             if not copies:
@@ -556,25 +521,9 @@ class ClusterService:
                 )
             want = int(replicas) or self.n_active
             copies = tuple(self.ring.place(name, want))
-        source: Union[np.ndarray, _SharedLoader]
-        if parents is not None:
-            parents = as_parent_array(parents)
-            if validate:
-                validate_parents(parents)
-            for c in copies:
-                self._replicas[c].register_tree(name, parents)
-            self._sizes[name] = int(parents.size)
-            source = parents
-        else:
-            shared = _SharedLoader(loader, validate)  # type: ignore[arg-type]
-            for c in copies:
-                self._replicas[c].register_tree(name, loader=shared)
-            self._sizes[name] = None
-            source = shared
+        self.store.add_tree(name, parents, loader=loader, validate=validate)
         self._placement[name] = copies
-        self._tree_sources[name] = source
         self._tree_replicas[name] = None if on is not None else int(replicas)
-        self._registered[name] = set(copies)
         return copies
 
     # ------------------------------------------------------------------
@@ -585,11 +534,13 @@ class ClusterService:
 
         The newcomer joins the consistent-hash ring at the cluster's
         current simulated time, ring-placed datasets are re-placed (only
-        keys landing on the new arcs move, and displaced copies stay
-        registered as warm spares), and any queries parked with no live
-        copy are re-dispatched to it.  Index artifacts are *not* shipped:
-        the new owner's :class:`~repro.service.registry.IndexRegistry`
-        rebuilds them lazily on first use, exactly like a cold start.
+        keys landing on the new arcs move; a displaced copy's built index
+        stays in its registry as a warm spare until LRU evicts it), and any
+        queries parked with no live copy are re-dispatched to it.  The
+        newcomer shares :attr:`store`, so it serves whatever it is placed
+        on; index artifacts are *not* shipped: its
+        :class:`~repro.service.registry.IndexRegistry` builds them lazily
+        on first use, exactly like a cold start.
 
         >>> import numpy as np
         >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
@@ -601,6 +552,7 @@ class ClusterService:
         """
         rid = len(self._replicas)
         worker = LCAQueryService(
+            self.store,
             config=self._worker_config,
             dispatcher=self._dispatcher_factory(),
             clock=SimulatedClock(self.clock.now),
@@ -697,8 +649,9 @@ class ClusterService:
         victim at a time, re-evaluating safety after each retirement.  The
         victim is chosen warm-spare-aware among the replicas whose removal
         keeps every dataset it holds on at least one other *live* copy
-        (survivors keep displaced-copy registrations, so a re-placement
-        back is free) and never the sole copy of a pinned dataset: killed
+        (a survivor's registry keeps a displaced copy's built index until
+        LRU evicts it, so a re-placement back can be free) and never the
+        sole copy of a pinned dataset: killed
         replicas retire first (they serve nothing), then the replica with
         the least outstanding queued work, newest id breaking ties.  When
         no victim is safe the call raises
@@ -732,9 +685,9 @@ class ClusterService:
         while self.n_active < n:
             rid = self.add_replica()
             changed.append(rid)
-            worker = self._replicas[rid]
-            for name in worker.datasets:
-                worker.warm(name)
+            for name, copies in self._placement.items():
+                if rid in copies:
+                    self._replicas[rid].warm(name)
         while self.n_active > n:
             victim = self._scale_in_victim()
             if victim is None:
@@ -873,7 +826,7 @@ class ClusterService:
         xs, ys, arrivals = as_query_block(xs, ys, at, now=self.clock.now)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
-        n = self._dataset_size(dataset)
+        n = self.store.tree(dataset).size
 
         # Same first-offender semantics as the single-node block path — the
         # shared helper keeps the two validators in lockstep.
@@ -901,9 +854,10 @@ class ClusterService:
                     queries=int(stop),
                 )
             copies = live
-        if self._max_pending is not None and stop:
+        max_pending = self.config.max_pending
+        if max_pending is not None and stop:
             pending = self.pending_count()
-            free = self._max_pending - pending
+            free = max_pending - pending
             if stop > free:
                 admitted = max(0, free)
                 shed = stop - admitted
@@ -914,10 +868,10 @@ class ClusterService:
                 stop = admitted
                 error = Overloaded(
                     f"cluster queue is full (pending={pending}, "
-                    f"max_pending={self._max_pending}); admitted {admitted} "
+                    f"max_pending={max_pending}); admitted {admitted} "
                     f"of {xs.size} queries, shed {shed}",
                     pending=pending,
-                    capacity=self._max_pending,
+                    capacity=max_pending,
                     admitted=admitted,
                     shed=shed,
                 )
@@ -1128,7 +1082,7 @@ class ClusterService:
         imbalance = max(answered) / mean_load if mean_load > 0 else 0.0
         # A retried query was admitted into a worker more than once; count
         # it once at the cluster front door.
-        submitted = sum(s.queries_submitted for s in per) - self._resubmitted
+        submitted = sum(s.queries_submitted for s in per) - self._retried
         offered = submitted + self._shed
         hits = sum(s.cache_hits for s in per)
         misses = sum(s.cache_misses for s in per)
@@ -1244,15 +1198,12 @@ class ClusterService:
             self._drain_failed()
             return self.config
         if changes:
+            newly_hedged = (hedge_delay_s is not None
+                            and self.config.hedge_delay_s is None)
             self.config = self.config.derive(**changes)
-        if hedge_delay_s is not None:
-            newly_hedged = self._hedge_delay_s is None
-            self._hedge_delay_s = float(hedge_delay_s)
             if newly_hedged:
                 for i, worker in enumerate(self._replicas):
                     worker.set_hedge_hook(self._make_hedge_hook(i))
-        if max_pending is not None:
-            self._max_pending = int(max_pending)
         if batch_changes:
             self._worker_config = self._worker_config.derive(**batch_changes)
             for worker in self._replicas:
@@ -1276,16 +1227,6 @@ class ClusterService:
             raise ServiceError(
                 f"unknown dataset {dataset!r}; register_tree() it first"
             ) from None
-
-    def _dataset_size(self, dataset: str) -> int:
-        size = self._sizes[dataset]
-        if size is None:
-            # Materializes the shared lazy loader through the first copy's
-            # store; the other copies reuse the same array on first touch.
-            first = self._placement[dataset][0]
-            size = int(self._replicas[first].store.tree(dataset).size)
-            self._sizes[dataset] = size
-        return size
 
     def _outstanding(self, copies: Tuple[int, ...]) -> np.ndarray:
         return np.array(
@@ -1353,7 +1294,7 @@ class ClusterService:
         """Wire the worker's fault hooks; inert unless features are on."""
         if self.fault_injector is not None:
             worker.set_serve_interceptor(self._make_interceptor(replica))
-        if self._hedge_delay_s is not None:
+        if self.config.hedge_delay_s is not None:
             worker.set_hedge_hook(self._make_hedge_hook(replica))
 
     def _make_interceptor(
@@ -1388,7 +1329,7 @@ class ClusterService:
         completion_s: float,
     ) -> Optional[float]:
         """Duplicate a straggling batch onto another live copy; first wins."""
-        delay = self._hedge_delay_s
+        delay = self.config.hedge_delay_s
         if delay is None or completion_s - batch.flush_s <= delay:
             return None
         copies = tuple(
@@ -1537,10 +1478,10 @@ class ClusterService:
             return
         retries = self._tickets.zeros("retries", np.int64)
         attempts = retries[tickets] + 1
-        if int(attempts.max()) > self._max_retries:
+        if int(attempts.max()) > self.config.max_retries:
             raise ReplicaDown(
                 f"{count} queries on dataset {dataset!r} exceeded the retry "
-                f"cap ({self._max_retries})",
+                f"cap ({self.config.max_retries})",
                 dataset=dataset,
                 queries=count,
             )
@@ -1558,7 +1499,6 @@ class ClusterService:
             )
             self._tickets.replica[tickets[sel]] = target
             self._tickets.local[tickets[sel]] = local
-            self._resubmitted += int(sel.size)
             self._retried += int(sel.size)
             if self._observer is not None:
                 self._observer.record(
@@ -1592,34 +1532,21 @@ class ClusterService:
         for dataset, tickets, xs, ys, origin_s in parked:
             self._redispatch(dataset, tickets, xs, ys, origin_s, t)
 
-    def _register_copy(self, name: str, replica: int) -> None:
-        source = self._tree_sources[name]
-        if isinstance(source, _SharedLoader):
-            self._replicas[replica].register_tree(name, loader=source)
-        else:
-            self._replicas[replica].register_tree(name, source)
-
     def _replace_ring_datasets(self) -> None:
         """Recompute ring placements after membership changed.
 
-        Newly-placed copies are registered on their owners (indexes rebuild
-        lazily on first use); copies displaced off a placement keep their
-        registration as warm spares, so a later re-placement back is free.
+        Every worker shares :attr:`store`, so a newly placed copy needs no
+        registration (its index builds lazily on first use), and a displaced
+        copy's built index stays in its registry as a warm spare until LRU
+        evicts it.
         """
+        ring_size = len(self.ring.replica_ids)
         for name, want in self._tree_replicas.items():
-            if want is None:
-                continue  # pinned via on=; membership changes never move it
-            ring_size = len(self.ring.replica_ids)
-            # want == 0 tracks membership: the dataset lives on every
-            # replica currently in the ring.
-            count = ring_size if want == 0 else min(want, ring_size)
-            copies = tuple(self.ring.place(name, count))
-            registered = self._registered[name]
-            for c in copies:
-                if c not in registered:
-                    self._register_copy(name, c)
-                    registered.add(c)
-            self._placement[name] = copies
+            if want is not None:  # pinned via on=: membership never moves it
+                # want == 0 tracks membership: the dataset lives on every
+                # replica currently in the ring.
+                count = ring_size if want == 0 else min(want, ring_size)
+                self._placement[name] = tuple(self.ring.place(name, count))
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (

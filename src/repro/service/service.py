@@ -191,7 +191,8 @@ class LCAQueryService:
     Parameters
     ----------
     store:
-        Raw dataset store; a fresh empty one by default.
+        Raw dataset store (a fresh empty one by default); every dataset it
+        holds is served, ones added later too — a cluster shares one.
     config:
         A :class:`~repro.service.config.ServiceConfig` carrying every
         serializable knob in one value (batching policy, index-cache and
@@ -243,15 +244,9 @@ class LCAQueryService:
         self.registry = IndexRegistry(self.store,
                                       capacity_bytes=config.capacity_bytes)
         self.policy = config.batch_policy()
-        # An explicit dispatcher= wins (the cluster passes pre-built ones);
-        # otherwise the config's backend fields describe the dispatcher.
-        if dispatcher is None:
-            if config.backends is not None or config.calibration_path is not None:
-                dispatcher = dispatcher_for(config.backends,
-                                            config.calibration_path)
-            else:
-                dispatcher = CostModelDispatcher()
-        self.dispatcher = dispatcher
+        # An explicit dispatcher= wins (the cluster passes pre-built ones).
+        self.dispatcher = (dispatcher if dispatcher is not None else
+                           dispatcher_for(config.backends, config.calibration_path))
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
@@ -286,10 +281,7 @@ class LCAQueryService:
         self._hedge_hook: Optional[
             Callable[[str, FlushedBatch, float], Optional[float]]] = None
         self._service_factor = 1.0
-        # Datasets already in a caller-provided store are servable
-        # immediately — they get schedulers just like register_tree()'d ones.
-        for name in self.store.names:
-            self._add_scheduler(name)
+        self._add_schedulers()  # a caller-provided store's datasets too
         if observer is not None:
             self.attach_observer(observer)
 
@@ -453,12 +445,15 @@ class LCAQueryService:
     # ------------------------------------------------------------------
     # Dataset management
     # ------------------------------------------------------------------
-    def _add_scheduler(self, name: str) -> None:
-        self._dataset_rank[name] = len(self._schedulers)
-        scheduler = MicroBatchScheduler(self.policy, clock=self.clock)
-        if self._observer is not None:
-            scheduler.set_observer(self._observer, replica=self._obs_replica)
-        self._schedulers[name] = scheduler
+    def _add_schedulers(self) -> None:
+        # Schedulers are a prefix of the store's names (this loop is the
+        # only one that adds any); a shared store may have grown since.
+        for name in self.store.names[len(self._schedulers):]:
+            self._dataset_rank[name] = len(self._schedulers)
+            scheduler = MicroBatchScheduler(self.policy, clock=self.clock)
+            if self._observer is not None:
+                scheduler.set_observer(self._observer, replica=self._obs_replica)
+            self._schedulers[name] = scheduler
 
     def register_tree(self, name: str, parents: Optional[np.ndarray] = None, *,
                       loader: Optional[Callable[[], np.ndarray]] = None,
@@ -475,7 +470,7 @@ class LCAQueryService:
         ['eager', 'lazy']
         """
         self.store.add_tree(name, parents, loader=loader, validate=validate)
-        self._add_scheduler(name)
+        self._add_schedulers()
 
     def warm(self, dataset: str) -> None:
         """Prebuild ``dataset``'s LCA artifact for every dispatchable backend.
@@ -508,7 +503,7 @@ class LCAQueryService:
         >>> svc.datasets
         ['a', 'b']
         """
-        return list(self._schedulers)
+        return self.store.names
 
     @property
     def tickets_issued(self) -> int:
@@ -927,9 +922,12 @@ class LCAQueryService:
         try:
             return self._schedulers[dataset]
         except KeyError:
-            raise ServiceError(
-                f"unknown dataset {dataset!r}; register_tree() it first"
-            ) from None
+            if not self.store.has_tree(dataset):
+                raise ServiceError(
+                    f"unknown dataset {dataset!r}; register_tree() it first"
+                ) from None
+        self._add_schedulers()
+        return self._schedulers[dataset]
 
     def _expired_batches(self, t: float, exclusive: Optional[str] = None,
                          include_equal: bool = True

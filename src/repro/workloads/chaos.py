@@ -2,8 +2,9 @@
 
 A :class:`ChaosScenario` pairs a plain traffic
 :class:`~repro.workloads.scenario.Scenario` with a deterministic fault
-schedule (:class:`~repro.service.faults.FaultEvent` tuples) and an optional
-hedging delay.  Replaying one against a :class:`~repro.service.ClusterService`
+schedule (:class:`~repro.service.faults.FaultEvent` tuples); hedging is a
+cluster knob, not part of a scenario.  Replaying one against a
+:class:`~repro.service.ClusterService`
 exercises the fault-tolerance layer end to end: kills land mid-phase so the
 per-phase report isolates the outage window, recoveries land on phase
 boundaries, and the cluster's retry/failover machinery must keep every
@@ -75,9 +76,6 @@ class ChaosScenario:
     scenario: Scenario
     #: Scripted faults, in any order; the injector sorts by time.
     events: Tuple[FaultEvent, ...]
-    #: Suggested hedging delay for this scenario (``None`` = no hedging);
-    #: :func:`replay_chaos` uses it unless overridden.
-    hedge_delay_s: Optional[float] = None
     #: One-line human description.
     description: str = ""
 
@@ -383,10 +381,9 @@ def replay_chaos(
 
     The cluster is built from ``config`` (default: two replicas, every
     other knob at its :class:`~repro.service.ClusterConfig` default) with a
-    fresh :meth:`ChaosScenario.injector`; a config that leaves
-    ``hedge_delay_s`` unset takes the scenario's suggestion.  A
-    ``controller`` observes every admission block exactly as in
-    :func:`~repro.workloads.replay.replay` — with an
+    fresh :meth:`ChaosScenario.injector`; hedging is on only when ``config``
+    sets ``hedge_delay_s``.  A ``controller`` observes every admission
+    block exactly as in :func:`~repro.workloads.replay.replay` — with an
     :class:`~repro.control.AutoscalePolicy` attached it may add or retire
     replicas while the schedule injects faults.  Raises
     :class:`~repro.errors.ConfigurationError` when the schedule names a
@@ -414,8 +411,6 @@ def replay_chaos(
                     f"{event.replica} but only {n_replicas + adds} exist "
                     f"at t={event.time_s:.3f}"
                 )
-    if config.hedge_delay_s is None:
-        config = config.derive(hedge_delay_s=chaos.hedge_delay_s)
     cluster = ClusterService(config=config, fault_injector=chaos.injector())
     return replay(
         cluster,

@@ -272,14 +272,6 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _tree_parents(target: ServiceTarget, dataset: str) -> np.ndarray:
-    """The registered parent array for ``dataset`` on either target kind."""
-    if isinstance(target, ClusterService):
-        first = target.placement(dataset)[0]
-        return target.replicas[first].store.tree(dataset)
-    return target.store.tree(dataset)
-
-
 def _register_sources(
     target: ServiceTarget, scenario: Scenario, warm: bool
 ) -> Dict[str, int]:
@@ -309,7 +301,7 @@ def _register_sources(
                 target.register_tree(source.dataset, parents)
         if warm:
             target.warm(source.dataset)
-        sizes[source.dataset] = int(_tree_parents(target, source.dataset).size)
+        sizes[source.dataset] = int(target.store.tree(source.dataset).size)
     return sizes
 
 
@@ -612,7 +604,7 @@ def replay(
                 vx = np.concatenate([r[0] for r in runs])
                 vy = np.concatenate([r[1] for r in runs])
                 vt = np.concatenate([r[2] for r in runs])
-                oracle = BinaryLiftingLCA(_tree_parents(target, dataset))
+                oracle = BinaryLiftingLCA(target.store.tree(dataset))
                 if not np.array_equal(target.results(vt), oracle.query(vx, vy)):
                     raise AssertionError(
                         f"replayed answers disagree with the oracle on "

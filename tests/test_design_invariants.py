@@ -5,11 +5,14 @@ A rule lives here, not in a ``grep`` step of ``ci.yml`` mirrored by hand in
 """
 
 import ast
+import dataclasses
 import doctest
 import functools
 import re
 import textwrap
 from pathlib import Path
+
+from repro.service import ClusterConfig
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
@@ -347,7 +350,12 @@ def test_one_growth_loop_and_one_routing_cut_in_the_serving_package():
 def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
     gone = {"_next_ticket", "_ensure_ticket_capacity", "_all_alive",
             "_refresh_all_alive", "_retry_counts", "_debt", "ARTIFACT_KINDS",
-            "add_graph", "has_graph"}
+            "add_graph", "has_graph",
+            # Per-dataset state and knobs the cluster mirrored by hand: the
+            # store and the config own them.
+            "_SharedLoader", "_tree_sources", "_registered", "_sizes",
+            "_dataset_size", "_register_copy", "_max_pending", "_hedge_delay_s",
+            "_max_retries", "_resubmitted"}
     definitions = []
     for file, tree in trees_under(SRC):
         assert not gone & set(identifiers(tree)), str(file.relative_to(ROOT))
@@ -366,6 +374,65 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
         ], file.name
 
 
+CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(ClusterConfig))
+CASTS = {"int", "float", "bool", "str", "tuple"}
+
+
+def config_copies(tree):
+    """``self.x = …`` assignments whose value copies a ``ClusterConfig`` field.
+
+    A copy is a bare ``config.f`` / ``self.config.f``, a cast of one, or a
+    conditional over one; building a collaborator from a field
+    (``make_router(config.router)``) is not a copy.
+    """
+    def field_read(node):
+        return (isinstance(node, ast.Attribute) and node.attr in CONFIG_FIELDS
+                and dotted(node.value) in ("config", "self.config"))
+
+    def copied(value):
+        if isinstance(value, ast.IfExp):
+            return any(field_read(node) for node in ast.walk(value))
+        if isinstance(value, ast.Call) and dotted(value.func) in CASTS:
+            return any(copied(arg) for arg in value.args)
+        return field_read(value)
+
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value:
+            targets = [node.target]
+        else:
+            continue
+        if copied(node.value):
+            hits += [dotted(target) for target in targets
+                     if isinstance(target, ast.Attribute)
+                     and dotted(target.value) == "self"]
+    return sorted(hits)
+
+
+def test_the_config_copy_rule_sees_bare_cast_and_conditional_copies():
+    tree = ast.parse(
+        "class C:\n"
+        "    def __init__(self, config):\n"
+        "        self.config = config\n"
+        "        self.router = make_router(config.router)\n"
+        "        self._worker_config = config.service_config()\n"
+        "        self._a = config.max_pending\n"
+        "        self._b: int = int(self.config.max_retries)\n"
+        "        self._c = (None if config.hedge_delay_s is None\n"
+        "                   else float(config.hedge_delay_s))\n"
+        "        limit = self.config.max_pending\n"
+    )
+    assert config_copies(tree) == ["self._a", "self._b", "self._c"]
+
+
+def test_the_cluster_reads_its_knobs_from_its_config():
+    """``ClusterService.config`` is the one owner of every knob: ``cluster.py``
+    never keeps a field of it in an attribute of its own."""
+    assert config_copies(parsed(CLUSTER)) == []
+
+
 #: Lines per module of ``src/repro/service`` at the last PR that touched it.
 #: A ratchet (ROADMAP item 1): lower a number when a module shrinks, never
 #: raise one; a new module is recorded here by the PR that adds it.
@@ -373,14 +440,14 @@ SERVICE_MODULE_LINES = {
     "__init__.py": 144,
     "cache.py": 501,
     "clock.py": 106,
-    "cluster.py": 1629,
+    "cluster.py": 1556,
     "config.py": 298,
     "dispatch.py": 317,
     "faults.py": 167,
     "registry.py": 402,
     "routing.py": 392,
     "scheduler.py": 495,
-    "service.py": 1406,
+    "service.py": 1404,
     "stats.py": 294,
     "tickets.py": 129,
 }

@@ -88,7 +88,9 @@ def test_register_tree_validation():
 
 def test_placement_modes():
     parents = random_attachment_tree(64, seed=1)
-    cluster = ClusterService(config=ClusterConfig(n_replicas=4))
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=4, router="round-robin", **POLICY)
+    )
     ring_copies = cluster.register_tree("ringed", parents, replicas=2)
     assert cluster.placement("ringed") == ring_copies
     assert len(set(ring_copies)) == 2
@@ -97,10 +99,35 @@ def test_placement_modes():
     # Explicit placement is respected verbatim (deduplicated, order kept).
     pinned = cluster.register_tree("pinned", parents, on=[3, 1, 3])
     assert pinned == (3, 1)
-    assert set(cluster.datasets) == {"ringed", "pinned"}
-    # Only the placed replicas know the dataset.
+    assert cluster.datasets == ["ringed", "pinned"]
+    # Every worker shares the one store; only the placed replicas build the
+    # dataset's index and receive its traffic.
+    assert all(worker.store is cluster.store for worker in cluster.replicas)
+    xs, ys = generate_random_queries(64, 40, seed=2)
+    tickets = cluster.submit_many("pinned", xs, ys, at=np.arange(40) * 1e-6)
+    cluster.drain()
+    assert np.array_equal(
+        cluster.results(tickets), BinaryLiftingLCA(parents).query(xs, ys)
+    )
     for replica_id, worker in enumerate(cluster.replicas):
-        assert worker.store.has_tree("pinned") == (replica_id in (1, 3))
+        placed = replica_id in (1, 3)
+        built = {key.dataset for key in worker.registry.keys()}
+        assert built == ({"pinned"} if placed else set())
+        assert (worker.stats().queries_answered > 0) == placed
+
+
+def test_a_refused_registration_changes_neither_store_nor_placement():
+    from repro.errors import NotATreeError
+
+    cluster = ClusterService(config=ClusterConfig(n_replicas=3))
+    with pytest.raises(ServiceError):
+        cluster.register_tree("t", [-1, 0], on=[5])  # placement refused
+    with pytest.raises(NotATreeError):
+        cluster.register_tree("t", [-1, 0.5])  # tree refused
+    assert cluster.datasets == [] and not cluster.store.has_tree("t")
+    with pytest.raises(ServiceError, match="unknown dataset"):
+        cluster.placement("t")
+    assert cluster.register_tree("t", [-1, 0], on=[2]) == (2,)
 
 
 def test_lazy_loader_is_shared_and_called_once():
@@ -121,6 +148,56 @@ def test_lazy_loader_is_shared_and_called_once():
     assert len(calls) == 1
     expected = BinaryLiftingLCA(random_attachment_tree(128, seed=2)).query(xs, ys)
     assert np.array_equal(cluster.results(tickets), expected)
+
+
+def test_a_lazy_loader_that_raises_once_stays_retryable_on_every_copy():
+    attempts = []
+
+    def flaky():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise OSError("transient")
+        return random_attachment_tree(128, seed=2)
+
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=3, router="round-robin", **POLICY)
+    )
+    cluster.register_tree("lazy", loader=flaky, replicas=3)
+    xs, ys = generate_random_queries(128, 30, seed=3)
+    with pytest.raises(OSError):
+        cluster.submit_many("lazy", xs, ys)  # the size check loads, and fails
+    assert cluster.tickets_issued == 0
+    # The retry may come through any copy; it loads once for all three.
+    cluster.replicas[2].warm("lazy")
+    assert len(attempts) == 2
+    cluster.warm("lazy")
+    tickets = cluster.submit_many("lazy", xs, ys, at=np.arange(30) * 1e-6)
+    cluster.drain()
+    assert len(attempts) == 2
+    assert all(worker.stats().queries_answered for worker in cluster.replicas)
+    expected = BinaryLiftingLCA(random_attachment_tree(128, seed=2)).query(xs, ys)
+    assert np.array_equal(cluster.results(tickets), expected)
+
+
+def test_a_re_placed_copy_ranks_datasets_in_registration_order():
+    """A worker that gains an earlier-registered ring dataset after it served
+    a later one ranks the earlier one first: one drain serves them in
+    registration order, whatever order their queries arrived in."""
+    parents = random_attachment_tree(64, seed=3)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2, **slow_policy()))
+    (home,) = cluster.register_tree("early", parents, replicas=1)
+    other = 1 - home
+    cluster.register_tree("late", parents, on=[other])
+    cluster.submit("late", 1, 2, at=0.0)  # `other` serves "late" first
+    cluster.drain()
+    cluster.retire_replica(home)  # "early" is re-placed onto `other`
+    assert cluster.placement("early") == (other,)
+    cluster.warm("early")
+    late = cluster.submit("late", 3, 4, at=1e-3)
+    early = cluster.submit("early", 5, 6, at=1e-3)
+    cluster.drain()
+    # Same instant, same lane: the batch served first completes first.
+    assert cluster.latency(early) < cluster.latency(late)
 
 
 # ----------------------------------------------------------------------
