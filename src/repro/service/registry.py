@@ -216,9 +216,6 @@ class IndexRegistry:
         self.store = store
         self.capacity_bytes = capacity_bytes
         self._cache: "OrderedDict[ArtifactKey, CacheEntry]" = OrderedDict()
-        # The entry at the recent end of ``_cache`` when known: a hit on it
-        # needs no ``move_to_end``.
-        self._most_recent: Optional[CacheEntry] = None
         self._bytes_in_use = 0
         self._hits = 0
         self._misses = 0
@@ -292,11 +289,7 @@ class IndexRegistry:
         """
         entry = self._cache.get(key)
         if entry is not None:
-            self._hits += 1
-            entry.hits += 1
-            if entry is not self._most_recent:
-                self._cache.move_to_end(key)
-                self._most_recent = entry
+            self.credit_hits(entry, 1)
             return entry, True
 
         self._misses += 1
@@ -313,13 +306,22 @@ class IndexRegistry:
                            nbytes=artifact_nbytes(artifact),
                            build_time_s=build_time)
         self._cache[key] = entry
-        self._most_recent = entry
         self._bytes_in_use += entry.nbytes
         self._build_time_s += build_time
         if self.event_hook is not None:
             self.event_hook("load", key, float(build_time))
         self._evict_over_capacity(keep=key)
         return entry, False
+
+    def credit_hits(self, entry: CacheEntry, copies: int) -> None:
+        """Count ``copies`` more hits on the registry and on cached ``entry``.
+
+        The twin of :meth:`AnswerCache.credit_hits <.cache.AnswerCache.credit_hits>`
+        (one fetch a lane for a span's batches); like a hit, it moves
+        ``entry`` to the recent end of the LRU order."""
+        self._hits += copies
+        entry.hits += copies
+        self._cache.move_to_end(entry.key)
 
     def get(self, dataset: str, kind: str, spec: DeviceSpec,
             *, ctx: Optional[ExecutionContext] = None,
@@ -339,8 +341,6 @@ class IndexRegistry:
         """Drop one cached artifact (a no-op if it is not cached)."""
         entry = self._cache.pop(key, None)
         if entry is not None:
-            if entry is self._most_recent:
-                self._most_recent = None
             self._bytes_in_use -= entry.nbytes
             self._evictions += 1
             if self.event_hook is not None:

@@ -21,16 +21,18 @@ wait-triggered flush fires at exactly ``oldest_arrival + max_wait_s``, never
 
 Storage is *columnar*: the pending queue is four parallel preallocated NumPy
 arrays (tickets / xs / ys / arrivals) with head and tail cursors, not a list
-of per-query objects.  A flush is a zero-copy slice of those arrays, and
-:meth:`MicroBatchScheduler.submit_block` admits a whole column block of
-queries with array arithmetic — the per-query :meth:`MicroBatchScheduler.submit`
-is a single-row write into the same buffers.  When a buffer fills, a fresh
-one is allocated and the (small) pending window copied over; the old buffer
-is left untouched so every previously flushed slice stays valid.
+of per-query objects.  A flush is recorded as a *cut* of those arrays (row
+offsets, flush time, trigger); :class:`Cuts` builds zero-copy
+:class:`FlushedBatch` slices only for a caller that asks.
+:meth:`MicroBatchScheduler.submit_block` admits a whole column block with
+array arithmetic, :meth:`MicroBatchScheduler.submit` writes one row.  A full
+buffer is replaced by a fresh one the pending window is copied into; the old
+one is left untouched so every previously flushed slice stays valid.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -40,12 +42,17 @@ from ..errors import ServiceError
 from ..obs.events import EV_ENQUEUE, EV_FLUSH, TraceRecorder
 from .clock import SimulatedClock
 
-__all__ = ["BatchPolicy", "PendingQuery", "FlushedBatch", "MicroBatchScheduler"]
+__all__ = ["BatchPolicy", "PendingQuery", "FlushedBatch", "Cuts", "MicroBatchScheduler"]
 
 #: Buffer sizing bounds: large enough to amortize refills, small enough that
 #: a scheduler over a huge ``max_batch_size`` does not preallocate gigabytes.
 _MIN_BUFFER = 64
 _MAX_INITIAL_BUFFER = 1 << 16
+
+#: One recorded flush, ``(columns, start, stop, flush_s, trigger, batch_id)``:
+#: rows ``start:stop`` of the ``(tickets, xs, ys, arrival_s)`` buffers, as trace
+#: batch ``batch_id`` (-1 untraced).  A plain tuple: one is made per batch.
+Cut = Tuple[Tuple[np.ndarray, ...], int, int, float, str, int]
 
 
 @dataclass(frozen=True)
@@ -134,12 +141,47 @@ class FlushedBatch:
         """
         return self.flush_s - self.arrival_s
 
+    @classmethod
+    def of(cls, cut: Cut) -> "FlushedBatch":
+        """The zero-copy view of one recorded :data:`Cut`."""
+        columns, start, stop = cut[:3]
+        return cls(*(column[start:stop] for column in columns), start, *cut[3:])
+
+
+class Cuts(Sequence[FlushedBatch]):
+    """The batches one scheduler call flushed: a lazy view over its cuts.
+
+    ``rows`` holds one :data:`Cut` per flush, in flush order — all the
+    scheduler records; ``cuts[k]`` builds the ``k``-th :class:`FlushedBatch`.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: List[Cut]) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):  # type: ignore[override]
+        return FlushedBatch.of(self.rows[k])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+#: What a call that flushed nothing returns; its ``rows`` tuple cannot grow.
+NO_CUTS = Cuts(())  # type: ignore[arg-type]
+
 
 class MicroBatchScheduler:
     """Coalesces submitted queries into batches under a :class:`BatchPolicy`.
 
-    The scheduler never executes anything itself — it returns
-    :class:`FlushedBatch` objects and the caller (the service layer) runs them
+    The scheduler never executes anything itself — it returns the
+    :class:`Cuts` it made and the caller (the service layer) runs them
     through a backend.  ``submit`` and ``advance_to`` may each produce several
     batches: advancing time far enough can expire several wait deadlines, and
     a submission can both expire old queries and complete a full batch.
@@ -157,58 +199,45 @@ class MicroBatchScheduler:
                  clock: Optional[SimulatedClock] = None) -> None:
         self.policy = policy or BatchPolicy()
         self.clock = clock or SimulatedClock()
-        self._head = 0
-        self._tail = 0
+        self._head = self._tail = 0
         self._observer: Optional[TraceRecorder] = None
         self._obs_replica = 0
-        self._allocate(self._initial_capacity())
+        self._allocate(0)
 
     def set_observer(self, observer: Optional[TraceRecorder], *,
                      replica: int = 0) -> None:
         """Attach (or detach, with ``None``) a trace recorder.
 
         With an observer attached, every admission emits an ``enqueue``
-        event and every flush a ``flush`` event carrying a fresh batch id
-        (recorded on :attr:`FlushedBatch.batch_id` so downstream layers can
-        correlate their events).  Without one, the hot paths pay a single
-        ``is None`` check.
+        event and every flush a ``flush`` event carrying a fresh batch id (the
+        cut's, for downstream layers to correlate their events).  Without
+        one, the hot paths pay a single ``is None`` check.
         """
         self._observer = observer
         self._obs_replica = int(replica)
 
-    def _initial_capacity(self) -> int:
-        return max(_MIN_BUFFER,
-                   min(2 * self.policy.max_batch_size, _MAX_INITIAL_BUFFER))
-
-    def _allocate(self, capacity: int) -> None:
-        """Install fresh column buffers, migrating the pending window.
+    def _allocate(self, needed: int) -> None:
+        """Install fresh buffers for ``needed`` rows, migrating the pending window.
 
         The previous buffers are *not* reused: any flushed slices handed out
         earlier alias them, and NumPy keeps the backing memory alive for
         exactly as long as those views exist.
         """
-        tickets = np.empty(capacity, dtype=np.int64)
-        xs = np.empty(capacity, dtype=np.int64)
-        ys = np.empty(capacity, dtype=np.int64)
-        arrival = np.empty(capacity, dtype=np.float64)
-        pending = self._tail - self._head
-        if pending:
-            h, t = self._head, self._tail
-            tickets[:pending] = self._tickets[h:t]
-            xs[:pending] = self._xs[h:t]
-            ys[:pending] = self._ys[h:t]
-            arrival[:pending] = self._arrival[h:t]
-        self._tickets, self._xs, self._ys, self._arrival = tickets, xs, ys, arrival
-        self._head, self._tail = 0, pending
-        self._capacity = capacity
+        capacity = max(_MIN_BUFFER, 2 * needed,
+                       min(2 * self.policy.max_batch_size, _MAX_INITIAL_BUFFER))
+        # tickets, xs, ys, arrival_s
+        columns = tuple(np.empty(capacity, dtype=dtype) for dtype in
+                        (np.int64, np.int64, np.int64, np.float64))
+        h, t = self._head, self._tail
+        if t > h:
+            for new, old in zip(columns, self._columns):
+                new[:t - h] = old[h:t]
+        self._columns = columns
+        self._head, self._tail = 0, t - h
 
     def _ensure_room(self, count: int) -> None:
-        if self._tail + count <= self._capacity:
-            return
-        pending = self._tail - self._head
-        needed = pending + count
-        capacity = max(self._initial_capacity(), 2 * needed)
-        self._allocate(capacity)
+        if self._tail + count > self._columns[0].size:
+            self._allocate(self._tail - self._head + count)
 
     # ------------------------------------------------------------------
     # State
@@ -238,7 +267,7 @@ class MicroBatchScheduler:
         """
         if self._tail == self._head:
             return None
-        return float(self._arrival[self._head]) + self.policy.max_wait_s
+        return float(self._columns[3][self._head]) + self.policy.max_wait_s
 
     @property
     def pending(self) -> List[PendingQuery]:
@@ -249,18 +278,14 @@ class MicroBatchScheduler:
         >>> s.pending
         [PendingQuery(ticket=7, x=1, y=2, arrival_s=0.0)]
         """
-        h, t = self._head, self._tail
-        return [
-            PendingQuery(int(self._tickets[i]), int(self._xs[i]),
-                         int(self._ys[i]), float(self._arrival[i]))
-            for i in range(h, t)
-        ]
+        rows = zip(*(column[self._head:self._tail] for column in self._columns))
+        return [PendingQuery(int(t), int(x), int(y), float(a)) for t, x, y, a in rows]
 
     # ------------------------------------------------------------------
     # Submission and time
     # ------------------------------------------------------------------
     def submit(self, ticket: int, x: int, y: int, *,
-               at: Optional[float] = None) -> List[FlushedBatch]:
+               at: Optional[float] = None) -> Cuts:
         """Queue one query, returning any batches its arrival caused to flush.
 
         ``at`` is the arrival timestamp; omitted, the query arrives "now".
@@ -279,31 +304,28 @@ class MicroBatchScheduler:
         # Only strictly-past deadlines flush here: a query arriving exactly at
         # the pending queue's deadline still joins that batch (and with
         # max_wait_s=0 this is what lets same-instant arrivals coalesce).
-        flushed = self._flush_expired(t, include_equal=False)
+        cuts = self._flush_expired(t, include_equal=False)
         self._ensure_room(1)
         i = self._tail
-        self._tickets[i] = ticket
-        self._xs[i] = x
-        self._ys[i] = y
-        self._arrival[i] = t
+        tickets, xs, ys, arrival = self._columns
+        tickets[i], xs[i], ys[i], arrival[i] = ticket, x, y, t
         self._tail = i + 1
         if self._observer is not None:
             self._observer.record(EV_ENQUEUE, t, ticket=int(ticket),
                                   replica=self._obs_replica)
         if self._tail - self._head >= self.policy.max_batch_size:
-            flushed.append(self._flush(t, "size"))
-        return flushed
+            cuts = self._cut(cuts, t, "size")
+        return cuts
 
     def submit_block(self, tickets: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                     arrival_s: np.ndarray) -> List[FlushedBatch]:
+                     arrival_s: np.ndarray) -> Cuts:
         """Admit a column block of queries, returning every batch it flushed.
 
         Observationally equivalent to calling :meth:`submit` once per row, but
         the admission runs in bulk: the whole block is copied behind the
         pending window once (four slice assignments), then cut at wait
         deadlines and batch-size boundaries by moving the window's cursors
-        over it.  The loop below iterates once per *flush*, not once per
-        query, and copies nothing.
+        over it: the loop iterates once per *flush* and copies nothing.
 
         ``arrival_s`` must be non-decreasing and start at or after the current
         simulated time (the same monotonicity :meth:`submit` enforces through
@@ -320,14 +342,12 @@ class MicroBatchScheduler:
         """
         count = int(arrival_s.size)
         if count == 0:
-            return []
+            return NO_CUTS
         if float(arrival_s[0]) < self.clock.now:
             raise ServiceError(
                 f"cannot move the clock backwards (now={self.clock.now}, "
-                f"requested={float(arrival_s[0])})"
-            )
-        max_batch = self.policy.max_batch_size
-        wait = self.policy.max_wait_s
+                f"requested={float(arrival_s[0])})")
+        max_batch, wait = self.policy.max_batch_size, self.policy.max_wait_s
         if self._observer is not None:
             # One block event for the whole admission: every query enqueues
             # at its own arrival time, so chunking adds no information.
@@ -337,18 +357,15 @@ class MicroBatchScheduler:
         # advancing ``_tail``; the loop ends with ``_tail`` past all of them.
         self._ensure_room(count)
         t0, t1 = self._tail, self._tail + count
-        self._tickets[t0:t1] = tickets
-        self._xs[t0:t1] = xs
-        self._ys[t0:t1] = ys
-        self._arrival[t0:t1] = arrival_s
-        out: List[FlushedBatch] = []
-        p = 0
+        for column, values in zip(self._columns, (tickets, xs, ys, arrival_s)):
+            column[t0:t1] = values
+        arrival, cuts, p = self._columns[3], NO_CUTS, 0
         while p < count:
             have = self._tail - self._head
             if have:
-                deadline = self._arrival.item(self._head) + wait
+                deadline = arrival.item(self._head) + wait
                 if arrival_s.item(p) > deadline:
-                    out.append(self._flush(deadline, "wait"))
+                    cuts = self._cut(cuts, deadline, "wait")
                     continue
             else:
                 deadline = arrival_s.item(p) + wait
@@ -359,12 +376,11 @@ class MicroBatchScheduler:
             p += min(join - p, max_batch - have)
             self._tail = t0 + p
             if self._tail - self._head >= max_batch:
-                out.append(self._flush(arrival_s.item(p - 1), "size"))
+                cuts = self._cut(cuts, arrival_s.item(p - 1), "size")
         self.clock.advance_to(arrival_s.item(count - 1))
-        return out
+        return cuts
 
-    def advance_to(self, t: float, *, include_equal: bool = True
-                   ) -> List[FlushedBatch]:
+    def advance_to(self, t: float, *, include_equal: bool = True) -> Cuts:
         """Move simulated time to ``t``, flushing every expired wait deadline.
 
         With ``include_equal=False``, a deadline exactly at ``t`` is left
@@ -380,7 +396,7 @@ class MicroBatchScheduler:
         self.clock.advance_to(t)
         return self._flush_expired(float(t), include_equal=include_equal)
 
-    def drain(self) -> List[FlushedBatch]:
+    def drain(self) -> Cuts:
         """Force out everything still pending (at the current time).
 
         >>> s = MicroBatchScheduler()
@@ -390,12 +406,12 @@ class MicroBatchScheduler:
         >>> s.drain()                   # empty queue: nothing to force out
         []
         """
-        out: List[FlushedBatch] = []
+        cuts = NO_CUTS
         while self._tail > self._head:
-            out.append(self._flush(self.clock.now, "drain"))
-        return out
+            cuts = self._cut(cuts, self.clock.now, "drain")
+        return cuts
 
-    def retune(self, policy: BatchPolicy) -> List[FlushedBatch]:
+    def retune(self, policy: BatchPolicy) -> Cuts:
         """Hot-swap the batch policy; return the batches the swap forces out.
 
         The swap happens at a flush boundary (the current simulated
@@ -413,8 +429,7 @@ class MicroBatchScheduler:
 
         Deadlines landing exactly on the current instant stay pending (the
         same ``include_equal=False`` rule as the submit path), so a
-        same-instant arrival after the retune can still join them.  The
-        caller (the service layer) serves the returned batches.
+        same-instant arrival after the retune can still join them.
 
         >>> s = MicroBatchScheduler(BatchPolicy(max_batch_size=8,
         ...                                     max_wait_s=1.0))
@@ -427,10 +442,10 @@ class MicroBatchScheduler:
         1
         """
         self.policy = policy
-        out = self._flush_expired(self.clock.now, include_equal=False)
+        cuts = self._flush_expired(self.clock.now, include_equal=False)
         while self._tail - self._head >= policy.max_batch_size:
-            out.append(self._flush(self.clock.now, "size"))
-        return out
+            cuts = self._cut(cuts, self.clock.now, "size")
+        return cuts
 
     def evict(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Remove the pending window without serving it; return its columns.
@@ -448,48 +463,33 @@ class MicroBatchScheduler:
         ([7], 0)
         """
         h, t = self._head, self._tail
-        columns = (self._tickets[h:t].copy(), self._xs[h:t].copy(),
-                   self._ys[h:t].copy(), self._arrival[h:t].copy())
-        self._head = self._tail
-        return columns
+        self._head = t
+        return tuple(column[h:t].copy() for column in self._columns)  # type: ignore
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _flush_expired(self, t: float, *, include_equal: bool = True
-                       ) -> List[FlushedBatch]:
-        out: List[FlushedBatch] = []
+    def _flush_expired(self, t: float, *, include_equal: bool = True) -> Cuts:
+        cuts = NO_CUTS
         while self._tail > self._head:
-            deadline = float(self._arrival[self._head]) + self.policy.max_wait_s
+            deadline = float(self._columns[3][self._head]) + self.policy.max_wait_s
             if deadline > t or (deadline == t and not include_equal):
                 break
             # The flush happens at the deadline itself, not at t: with a
             # simulated clock there is no "checking late".
-            out.append(self._flush(deadline, "wait"))
-        return out
+            cuts = self._cut(cuts, deadline, "wait")
+        return cuts
 
-    def _flush(self, flush_s: float, trigger: str) -> FlushedBatch:
-        take = min(self._tail - self._head, self.policy.max_batch_size)
+    def _cut(self, cuts: Cuts, flush_s: float, trigger: str) -> Cuts:
+        """Flush the next batch: record its cut on ``cuts`` (fresh for NO_CUTS)."""
         h = self._head
-        self._head = h + take
-        batch_id = -1
-        if self._observer is not None:
-            batch_id = self._observer.next_batch_id()
-            self._observer.record(
-                EV_FLUSH, float(flush_s), batch=batch_id,
-                replica=self._obs_replica, detail=float(take),
-                aux=self._observer.intern(trigger))
-        return FlushedBatch(
-            tickets=self._tickets[h:h + take],
-            xs=self._xs[h:h + take],
-            ys=self._ys[h:h + take],
-            arrival_s=self._arrival[h:h + take],
-            start=h,
-            flush_s=float(flush_s),
-            trigger=trigger,
-            batch_id=batch_id,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return (f"MicroBatchScheduler(pending={self.pending_count}, "
-                f"policy={self.policy}, now={self.clock.now})")
+        stop = self._head = h + min(self._tail - h, self.policy.max_batch_size)
+        obs, batch_id = self._observer, -1
+        if obs is not None:
+            batch_id = obs.next_batch_id()
+            obs.record(EV_FLUSH, float(flush_s), batch=batch_id,
+                       replica=self._obs_replica, detail=float(stop - h),
+                       aux=obs.intern(trigger))
+        cuts = Cuts([]) if cuts is NO_CUTS else cuts
+        cuts.rows.append((self._columns, h, stop, float(flush_s), trigger, batch_id))
+        return cuts

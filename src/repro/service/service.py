@@ -81,7 +81,8 @@ from .clock import SimulatedClock
 from .config import ServiceConfig
 from .dispatch import Backend, CostModelDispatcher, dispatcher_for
 from .registry import ArtifactKey, ForestStore, IndexRegistry
-from .scheduler import BatchPolicy, FlushedBatch, MicroBatchScheduler
+from .scheduler import (NO_CUTS, BatchPolicy, Cut, Cuts, FlushedBatch,
+                        MicroBatchScheduler)
 from .stats import ServiceStats, StatsCollector
 from .tickets import TicketTable
 
@@ -166,22 +167,35 @@ def block_clean_prefix(
     return stop, error
 
 
-class _Span:
-    """Adjacent batches of one dataset in a run: the unit of host work.
+#: One batch of a run: its dataset and its scheduler :data:`~.scheduler.Cut`.
+RunItem = Tuple[str, Cut]
 
-    ``xs`` / ``ys`` are its lanes (views of one scheduler buffer); ``answers``
-    is per lane — the cache probe's values (right on the lanes that hit, all
-    a batch booked before the launch reads) until the span's one launch, every
+
+def run_of(dataset: str, flushed: Cuts) -> List[RunItem]:
+    """The run of one scheduler call's cuts, in flush order."""
+    return [(dataset, cut) for cut in flushed.rows]
+
+
+class _Span:
+    """Adjacent batches of one dataset in a run: the unit of host work and booking.
+
+    ``cuts`` are its batches, adjacent rows of one scheduler buffer (``xs`` /
+    ``ys`` view them all), with ``sizes``, cache ``hits`` and ``unique`` misses
+    (kernel queries) apiece; the first ``booked`` are finished.  ``answers``
+    is per lane: the cache probe's values (right on the lanes that hit, all a
+    batch booked before the launch reads) until the span's one launch, every
     lane's answer after it.  The skew-aware path also leaves the launch its
     ``space``, the lanes it must answer (``miss``; ``None``: all) and their
     keys' :func:`~repro.lca.dedup.unique_packed_keys`.
     """
 
-    __slots__ = ("xs", "ys", "deduped", "pending", "answers", "space",
-                 "miss", "unique_keys", "order", "inverse")
+    __slots__ = ("dataset", "cuts", "sizes", "hits", "unique", "booked", "xs",
+                 "ys", "deduped", "pending", "answers", "space", "miss",
+                 "unique_keys", "order", "inverse")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, deduped: bool) -> None:
-        self.xs, self.ys, self.deduped, self.pending = xs, ys, deduped, True
+    def __init__(self, dataset: str, cuts: List[Cut], deduped: bool) -> None:
+        self.dataset, self.cuts, self.deduped = dataset, cuts, deduped
+        self.pending, self.booked = True, 0
         self.answers = self.space = self.miss = self.inverse = None
 
 
@@ -251,13 +265,10 @@ class LCAQueryService:
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
         # Ticket-indexed columnar result table: tickets are consecutive
-        # integers, so answers/latencies live in flat arrays and a batch of
-        # results is stored (and read back) with one fancy-indexing op.
-        # ``ticket_capacity`` pre-sizes it (capacity planning for long
-        # streams — growth stays amortized O(1) either way, but reserving
-        # keeps the doubling copies out of the serving windows).  ``answered``
-        # is zeroed ("is this slot populated yet"), as is the ``debt`` column
-        # ``latency_debt`` re-admissions add (0 for everyone never retried).
+        # integers, so a span's results are stored (and read back) with one
+        # indexing op.  ``ticket_capacity`` pre-sizes it (keeping the doubling
+        # copies out of the serving windows).  ``answered`` is zeroed, as is
+        # the ``debt`` column ``latency_debt`` re-admissions add.
         reserve = config.ticket_capacity
         self._tickets = TicketTable(0 if reserve is None else int(reserve),
                                     answers=np.int64, latencies=np.float64)
@@ -583,8 +594,8 @@ class LCAQueryService:
             self._observer.record(EV_ARRIVAL, t, ticket=ticket,
                                   replica=self._obs_replica)
         flushed = scheduler.submit(ticket, x, y)
-        if flushed:
-            self._serve_run([(dataset, batch) for batch in flushed])
+        if flushed.rows:
+            self._serve_run(run_of(dataset, flushed))
         return ticket
 
     def submit_many(self, dataset: str, xs: np.ndarray, ys: np.ndarray, *,
@@ -727,7 +738,7 @@ class LCAQueryService:
         0
         """
         for name, scheduler in self._schedulers.items():
-            self._serve_run([(name, batch) for batch in scheduler.drain()])
+            self._serve_run(run_of(name, scheduler.drain()))
 
     # ------------------------------------------------------------------
     # Results
@@ -890,13 +901,9 @@ class LCAQueryService:
                     changes.get("max_wait_s", base.max_wait_s)),
             )
             targets = [(dataset, scheduler)]
-        collected: List[Tuple[float, int, str, FlushedBatch]] = []
-        for name, scheduler in targets:
-            for batch in scheduler.retune(policy):
-                collected.append((batch.flush_s, self._dataset_rank[name],
-                                  name, batch))
-        collected.sort(key=lambda item: item[:2])
-        self._serve_run([item[2:] for item in collected])
+        self._serve_run(self._in_flush_order([
+            item for name, scheduler in targets
+            for item in run_of(name, scheduler.retune(policy))]))
         return self.config
 
     # ------------------------------------------------------------------
@@ -929,31 +936,32 @@ class LCAQueryService:
         self._add_schedulers()
         return self._schedulers[dataset]
 
-    def _expired_batches(self, t: float, exclusive: Optional[str] = None,
-                         include_equal: bool = True
-                         ) -> List[Tuple[str, FlushedBatch]]:
-        # One shared clock: advancing it for one dataset fires every other
-        # dataset's expired wait deadlines too.  Batches are returned sorted
-        # by flush time so they queue on the backends in FIFO order no matter
-        # which dataset they came from; for ``exclusive`` (a dataset about to
-        # receive a submission at ``t``) deadlines equal to ``t`` are left
-        # pending so the arriving query can join them, and with
-        # ``include_equal=False`` they are left pending on *every* dataset
-        # (the :meth:`sync_to` semantics).
-        self.clock.advance_to(t)
-        collected: List[Tuple[str, FlushedBatch]] = []
-        for name, scheduler in self._schedulers.items():
-            # An empty scheduler can never flush — skipping it keeps the
-            # per-submit cost independent of how many idle datasets exist.
-            if scheduler.pending_count == 0:
-                continue
-            batches = scheduler.advance_to(
-                t, include_equal=include_equal and name != exclusive)
-            collected.extend((name, batch) for batch in batches)
-        collected.sort(key=lambda item: item[1].flush_s)
-        return collected
+    def _in_flush_order(self, run: List[RunItem]) -> List[RunItem]:
+        """``run``, sorted by flush time with ties in dataset registration order."""
+        rank = self._dataset_rank
+        run.sort(key=lambda item: (item[1][3], rank[item[0]]))
+        return run
 
-    def _serve_in_submission_order(self, dataset: str, own: List[FlushedBatch],
+    def _expired_batches(self, t: float, exclusive: Optional[str] = None,
+                         include_equal: bool = True) -> List[RunItem]:
+        # One shared clock: advancing it fires every dataset's expired wait
+        # deadlines, returned in flush order so they queue on the backends
+        # FIFO.  Deadlines equal to ``t`` stay pending for ``exclusive`` (a
+        # dataset about to receive a submission at ``t``, which may join
+        # them) and, with ``include_equal=False``, on every dataset (the
+        # :meth:`sync_to` semantics).  Idle schedulers are skipped, so the
+        # per-submit cost does not grow with the number of datasets.
+        self.clock.advance_to(t)
+        run: List[RunItem] = []
+        for name, scheduler in self._schedulers.items():
+            if scheduler.pending_count:
+                cuts = scheduler.advance_to(
+                    t, include_equal=include_equal and name != exclusive)
+                if cuts.rows:
+                    run += run_of(name, cuts)
+        return self._in_flush_order(run) if len(run) > 1 else run
+
+    def _serve_in_submission_order(self, dataset: str, own: Cuts,
                                    arrivals: np.ndarray, first_ticket: int
                                    ) -> None:
         """Serve a block's own batches plus other datasets' expired ones.
@@ -970,35 +978,32 @@ class LCAQueryService:
         phase 1 the size flush.
         """
         t_last = arrivals.item(arrivals.size - 1)
-        merged: List[Tuple[int, int, float, int, str, FlushedBatch]] = []
+        merged: List[Tuple[int, int, float, int, str, Cut]] = []
         for name, scheduler in self._schedulers.items():
             if name == dataset or scheduler.pending_count == 0:
                 continue
-            for batch in scheduler.advance_to(t_last, include_equal=True):
+            for cut in scheduler.advance_to(t_last, include_equal=True).rows:
                 # Other datasets' deadlines fire at the first arrival at or
                 # past them.
-                at_query = int(arrivals.searchsorted(batch.flush_s,
-                                                     side="left"))
-                merged.append((at_query, 0, batch.flush_s,
-                               self._dataset_rank[name], name, batch))
+                at_query = int(arrivals.searchsorted(cut[3], side="left"))
+                merged.append((at_query, 0, cut[3], self._dataset_rank[name],
+                               name, cut))
         if not merged:
             # Nothing to interleave: own batches are already in serving order.
-            self._serve_run([(dataset, batch) for batch in own])
+            self._serve_run(run_of(dataset, own))
             return
         own_rank = self._dataset_rank[dataset]
-        for batch in own:
-            if batch.trigger == "size":
+        for cut in own.rows:
+            columns, _, stop, flush_s, trigger, _ = cut
+            if trigger == "size":
                 # Served right after the query that completed the batch.
-                at_query = int(batch.tickets[-1]) - first_ticket
-                phase = 1
+                at_query, phase = columns[0].item(stop - 1) - first_ticket, 1
             else:
                 # A wait flush fires at the first arrival strictly past the
                 # deadline (arrival exactly at the deadline joins the batch).
-                at_query = int(arrivals.searchsorted(batch.flush_s,
-                                                     side="right"))
+                at_query = int(arrivals.searchsorted(flush_s, side="right"))
                 phase = 0
-            merged.append((at_query, phase, batch.flush_s, own_rank,
-                           dataset, batch))
+            merged.append((at_query, phase, flush_s, own_rank, dataset, cut))
         merged.sort(key=lambda item: item[:4])
         self._serve_run([item[4:] for item in merged])
 
@@ -1095,122 +1100,69 @@ class LCAQueryService:
         table.latencies[lo:hi] = hit_latency
         if full:
             table.answered[lo:hi] = True
-            own: List[FlushedBatch] = []
+            own = NO_CUTS
         else:
             table.answered[lo:hi] = found
             miss_pos = np.flatnonzero(~found)
             own = scheduler.submit_block(tickets[miss_pos], xs[miss_pos],
                                          ys[miss_pos], arrivals[miss_pos])
-        self.stats_collector.record_batch(
-            size=hits,
-            trigger="hit",
-            backend_key=CACHE_BACKEND_KEY,
-            service_time_s=probe_time,
-            latencies_s=np.full(hits, hit_latency),
-            first_arrival_s=float(arrivals[0]),
-            completion_s=completion,
-            kernel_queries=0,
-        )
+        self.stats_collector.record_span(
+            [hits], ["hit"], [CACHE_BACKEND_KEY], [probe_time],
+            np.full(hits, hit_latency), float(arrivals[0]), completion, 0)
         # The block's arrivals moved time to its last timestamp: fire every
         # wait deadline that expired on the way (this dataset's pending
         # misses and other datasets alike) and serve everything in
         # flush-time order.  As on every submit path, this dataset's
         # deadlines exactly at the arrival instant stay pending so a
         # same-instant follow-up submission can still join them.
-        own_rank = self._dataset_rank[dataset]
-        collected = [(batch.flush_s, own_rank, dataset, batch)
-                     for batch in own]
-        for name, batch in self._expired_batches(t_last, exclusive=dataset):
-            collected.append((batch.flush_s, self._dataset_rank[name], name,
-                              batch))
-        collected.sort(key=lambda item: item[:2])
-        self._serve_run([item[2:] for item in collected])
+        self._serve_run(self._in_flush_order(
+            run_of(dataset, own) + self._expired_batches(t_last, exclusive=dataset)))
         return True
 
-    def _serve_run(self, run: List[Tuple[str, FlushedBatch]]) -> None:
-        """Serve an ordered run of flushed batches: model each, answer each span once.
+    def _serve_run(self, run: List[RunItem]) -> None:
+        """Serve an ordered run of flushed batches: answer and book each span once.
 
         Every batch is first offered to the interceptor, in ``run`` order: a
         claimed one (dead or transiently failing replica; the cluster
         re-dispatches it) leaves the run before anything is packed, probed
-        or launched for it.  What the simulated timeline sees then stays per
-        batch, in order — cache events, dispatch choice and charge, registry
-        fetch, lane booking, table writes, stats.  Only the *host* work is
-        shared: batches of one dataset that are adjacent slices of one
-        scheduler buffer (a *span*) get one pack, probe and dedup
+        or launched for it.  Batches of one dataset that are adjacent slices
+        of one scheduler buffer (a *span*) then get one pack, probe and dedup
         (:meth:`_open_span`, at the span's first batch) and one kernel call
         and insert (:meth:`_launch_span`, at its first batch with a unique
         miss, by the artifact that batch just fetched — answers do not
         depend on the backend, and a span that only hits launches and
-        fetches nothing).  A one-batch run is the one-slice case.
+        fetches nothing).  Each stretch of a span's batches adjacent in the
+        run too is booked by one :meth:`_finish_span` (under an observer, one
+        batch at a time: events keep their order).  A one-batch run is the
+        one-slice case.
 
-        ``plan`` is local to this call (the hedge hook runs other replicas'
+        ``spans`` is local to this call (the hedge hook runs other replicas'
         code mid-run).  A batch no open span covers — another buffer after a
         reallocation, a row after a claimed batch — opens a new one: one more
         launch, never a wrong slice.
         """
         if self._serve_interceptor is not None:
-            run = [item for item in run if not self._serve_interceptor(*item)]
+            run = [(dataset, cut) for dataset, cut in run if not
+                   self._serve_interceptor(dataset, FlushedBatch.of(cut))]
         cache = self.answer_cache
-        obs = self._observer
         # A span's one insert must not reset the table under batches whose
         # hits are already decided — its own or, with several datasets in the
         # run, another span's.  Lanes bound inserts: a run within the cache's
         # headroom cannot; any other is served as one-batch spans, whose
         # inserts reset exactly where a batch's always did.
         roomy = cache is None or sum(
-            batch.xs.size for _, batch in run) <= cache.headroom
-        # Per batch: its span, its offset there, its hits, its unique misses.
-        plan: List[Optional[Tuple[_Span, int, int, int]]] = [None] * len(run)
-        for i, (dataset, batch) in enumerate(run):
-            if plan[i] is None:
-                self._open_span(run, i, plan, roomy)
-            span, at, hits, kernel_queries = plan[i]
-            size = batch.xs.size
-            # Canonicalization + table probe are charged on every batch.
-            service_time = answer_cache_probe_time(size) if span.deduped else 0.0
-            if obs is not None and span.space is not None:
-                if hits:
-                    obs.record(EV_CACHE_HITS, batch.flush_s,
-                               batch=batch.batch_id,
-                               replica=self._obs_replica, detail=float(hits))
-                if hits < size:
-                    obs.record(EV_CACHE_MISSES, batch.flush_s,
-                               batch=batch.batch_id, replica=self._obs_replica,
-                               detail=float(size - hits))
-            # Answered entirely from the cache, a batch is booked on the
-            # host-side lane: no dispatcher, no registry.
-            lane = CACHE_BACKEND_KEY
-            if kernel_queries:
-                # The dispatcher's estimate at the unique-miss count (so key
-                # skew moves the CPU/GPU crossover) is the charge booked.
-                backend, charge = self.dispatcher.choose_with_estimate(
-                    kernel_queries)
-                lane = backend.key
-                if obs is not None:
-                    obs.record(EV_DISPATCH, batch.flush_s,
-                               batch=batch.batch_id, replica=self._obs_replica,
-                               detail=charge, aux=obs.intern(lane))
-                entry, hit = self.registry.fetch_by_key(
-                    self._artifact_key(dataset, backend), spec=backend.spec)
-                if not hit:
-                    service_time += entry.build_time_s
-                service_time += charge
-                resets = (self._launch_span(span, entry.artifact)
-                          if span.pending else 0)
-                if obs is not None and span.space is not None:
-                    obs.record(EV_CACHE_INSERT, batch.flush_s,
-                               batch=batch.batch_id, replica=self._obs_replica,
-                               detail=float(kernel_queries))
-                    if resets:
-                        obs.record(EV_CACHE_RESET, batch.flush_s,
-                                   replica=self._obs_replica,
-                                   detail=float(resets))
-            self._finish_batch(batch, span.answers[at:at + size], service_time,
-                               lane, kernel_queries, dataset=dataset)
+            cut[2] - cut[1] for _, cut in run) <= cache.headroom
+        spans: List[Optional[_Span]] = [None] * len(run)
+        i, traced = 0, self._observer is not None
+        while i < len(run):
+            span, j = spans[i] or self._open_span(run, i, spans, roomy), i + 1
+            while not traced and j < len(run) and spans[j] is span:
+                j += 1
+            self._finish_span(span, j - i)
+            i = j
 
-    def _open_span(self, run: List[Tuple[str, FlushedBatch]], i: int,
-                   plan: List[Any], roomy: bool) -> None:
+    def _open_span(self, run: List[RunItem], i: int,
+                   spans: List[Optional[_Span]], roomy: bool) -> _Span:
         """Open the span that starts at ``run[i]``; plan every batch of it.
 
         It extends over the dataset's later batches while each starts where
@@ -1224,24 +1176,24 @@ class LCAQueryService:
         unique misses are the distinct keys that first appear in it.  With no
         cache nothing is remembered: no hits, a batch's distinct keys miss.
         """
-        dataset, batch = run[i]
-        deduped = self._dedup and self._is_packable(dataset)
-        buffer, lo = batch.xs.base, batch.start
-        members, sizes = [i], [batch.xs.size]
-        hi = lo + sizes[0]
-        if roomy or not deduped:
+        dataset, cut = run[i]
+        columns, lo, hi = cut[:3]
+        cuts, sizes = [cut], [hi - lo]
+        span = spans[i] = _Span(dataset, cuts,
+                                self._dedup and self._is_packable(dataset))
+        if roomy or not span.deduped:
             for j in range(i + 1, len(run)):
                 name, later = run[j]
                 if name == dataset:
-                    if later.xs.base is not buffer or later.start != hi:
+                    if later[0] is not columns or later[1] != hi:
                         break
-                    members.append(j)
-                    sizes.append(later.xs.size)
-                    hi += later.xs.size
-        span = _Span(buffer[lo:hi], batch.ys.base[lo:hi], deduped)
+                    cuts.append(later)
+                    sizes.append(later[2] - hi)
+                    hi, spans[j] = later[2], span
+        span.xs, span.ys = columns[1][lo:hi], columns[2][lo:hi]
         n = len(sizes)
         hits, unique = [0] * n, sizes
-        if deduped:
+        if span.deduped:
             cache = self.answer_cache
             keys = pack_query_pairs(span.xs, span.ys)
             found, table_hits = None, 0
@@ -1272,10 +1224,8 @@ class LCAQueryService:
                     if cache is not None:
                         # Later-batch copies are hits in the cache's books.
                         cache.credit_hits(batch_of.size - int(misses.sum()))
-        at = 0
-        for j, size, n_hits, n_unique in zip(members, sizes, hits, unique):
-            plan[j] = (span, at, n_hits, n_unique)
-            at += size
+        span.sizes, span.hits, span.unique = sizes, hits, unique
+        return span
 
     def _launch_span(self, span: _Span, artifact: Any) -> int:
         """The span's one kernel call and one insert; returns the resets it cost.
@@ -1284,7 +1234,7 @@ class LCAQueryService:
         answers the span's distinct missing pairs — on the plain path, every
         lane; hit lanes keep the cached value.  Answers may be views of
         kernel scratch, valid until ``artifact`` launches again: that is this
-        dataset's next span, after ``_finish_batch`` has copied every slice
+        dataset's next span, after ``_finish_span`` has copied every slice
         of this one into the ticket tables.
         """
         span.pending = False
@@ -1314,72 +1264,121 @@ class LCAQueryService:
             span.answers[miss] = answers
         return resets
 
-    def _finish_batch(self, batch: FlushedBatch, answers: np.ndarray,
-                      service_time: float, backend_key: str,
-                      kernel_queries: int, *,
-                      dataset: Optional[str] = None) -> None:
-        if self._service_factor != 1.0:
-            # An injected slowdown stretches kernel time (degraded device);
-            # the host-side cache lane is unaffected.
-            if backend_key != CACHE_BACKEND_KEY:
-                service_time *= self._service_factor
-        # The batch starts once both it is flushed and its lane is free;
-        # this serializes batches per backend so overload manifests as
-        # queueing delay, not as impossible overlapping service times.
-        start = max(batch.flush_s, self._backend_free_s.get(backend_key, 0.0))
-        completion = start + service_time
-        self._backend_free_s[backend_key] = completion
-        effective = completion
-        if (self._hedge_hook is not None and dataset is not None
-                and backend_key != CACHE_BACKEND_KEY):
-            # Offer the straggler to a second copy; an earlier duplicate
-            # completion wins for the queries, the original lane stays
-            # booked (the work is duplicated, not cancelled — the kernel
-            # span below still shows the full original occupancy).
-            hedged = self._hedge_hook(dataset, batch, completion)
-            if hedged is not None and hedged < completion:
-                effective = hedged
-        tickets = batch.tickets
-        latencies = effective - batch.arrival_s
+    def _finish_span(self, span: _Span, count: int) -> None:
+        """Book the span's next ``count`` batches, adjacent in the run, at once.
+
+        Per batch, in run order: its charge (the skew-aware probe, a cold
+        index's build, the dispatcher's estimate at its unique-miss count —
+        so key skew moves the CPU/GPU crossover — times any slowdown), its
+        lane booking ``max(flush, lane free) + charge``, its hedge and events.
+        Once for all: a dispatcher probe per distinct size, a registry fetch
+        per lane (the rest credited as hits), the latencies, the table write
+        and the stats record.  A batch answered entirely from the cache is
+        booked on the host-side cache lane: no dispatcher, registry or hedge.
+        """
+        a = span.booked
+        b = span.booked = a + count
+        cuts, sizes, kernel = span.cuts[a:b], span.sizes[a:b], span.unique[a:b]
+        dataset, obs, registry = span.dataset, self._observer, self.registry
+        priced = {q: self.dispatcher.choose_with_estimate(q)
+                  for q in dict.fromkeys(kernel) if q}
+        lanes = [priced[q][0].key if q else CACHE_BACKEND_KEY for q in kernel]
+        keys = {backend.key: self._artifact_key(dataset, backend)
+                for backend, _ in priced.values()}
+        # Until a batch's index is missing every fetch hits: fetch once a lane
+        # in order of last use (the LRU order per-batch fetches leave) and
+        # credit the rest.  From the first miss on (a build may evict), per batch.
+        first_miss = min([lanes.index(lane) for lane, key in keys.items()
+                          if key not in registry], default=count)
+        hit_lanes, entries = lanes[:first_miss], {}
+        for lane in reversed(dict.fromkeys(reversed(hit_lanes))):
+            if lane in keys:
+                entries[lane] = entry = registry.fetch_by_key(keys[lane])[0]
+                registry.credit_hits(entry, hit_lanes.count(lane) - 1)
+        free, factor = self._backend_free_s, self._service_factor
+        hedge, replica = self._hedge_hook, self._obs_replica
+        charges, done = [], []  # done: completions, hedges won included
+        for m, (cut, size, queries, lane) in enumerate(
+                zip(cuts, sizes, kernel, lanes)):
+            flush_s, batch_id = cut[3], cut[5]
+            # Canonicalization + table probe are charged on every batch.
+            charge = answer_cache_probe_time(size) if span.deduped else 0.0
+            if obs is not None and span.space is not None:
+                hits = span.hits[a + m]
+                if hits:
+                    obs.record(EV_CACHE_HITS, flush_s, batch=batch_id,
+                               replica=replica, detail=float(hits))
+                if hits < size:
+                    obs.record(EV_CACHE_MISSES, flush_s, batch=batch_id,
+                               replica=replica, detail=float(size - hits))
+            if queries:
+                backend, estimate = priced[queries]
+                if obs is not None:
+                    obs.record(EV_DISPATCH, flush_s, batch=batch_id,
+                               replica=replica, detail=estimate,
+                               aux=obs.intern(lane))
+                if m < first_miss:
+                    entry = entries[lane]
+                else:
+                    entry, hit = registry.fetch_by_key(keys[lane],
+                                                       spec=backend.spec)
+                    if not hit:
+                        charge += entry.build_time_s
+                charge += estimate
+                resets = (self._launch_span(span, entry.artifact)
+                          if span.pending else 0)
+                if obs is not None and span.space is not None:
+                    obs.record(EV_CACHE_INSERT, flush_s, batch=batch_id,
+                               replica=replica, detail=float(queries))
+                    if resets:
+                        obs.record(EV_CACHE_RESET, flush_s, replica=replica,
+                                   detail=float(resets))
+                # An injected slowdown stretches kernel time (a degraded
+                # device); the host-side cache lane is unaffected.
+                charge *= factor
+            # A batch starts once both it is flushed and its lane is free:
+            # overload shows as queueing delay, not as overlapping service.
+            start = max(flush_s, free.get(lane, 0.0))
+            completion = free[lane] = start + charge
+            effective = completion
+            if queries and hedge is not None:
+                # Offer the straggler to a second copy; an earlier duplicate
+                # completion wins for the queries, the original lane stays
+                # booked (the work is duplicated, not cancelled — the kernel
+                # span below still shows the full original occupancy).
+                hedged = hedge(dataset, FlushedBatch.of(cut), completion)
+                if hedged is not None and hedged < completion:
+                    effective = hedged
+            if obs is not None:
+                obs.record_span(EV_KERNEL_START, EV_KERNEL_END, start,
+                                completion, batch=batch_id, replica=replica,
+                                detail=charge, aux=obs.intern(lane))
+            charges.append(charge)
+            done.append(effective)
+        columns, lo, hi = cuts[0][0], cuts[0][1], cuts[-1][2]
+        tickets, arrivals = columns[0][lo:hi], columns[3][lo:hi]
+        latencies = (done[0] if count == 1 else np.repeat(done, sizes)) - arrivals
         table = self._tickets
         debt = getattr(table, "debt", None)
         if debt is not None:
             # Retried queries carry the latency accrued before this
             # (re-)admission; everyone else's slot is zero.
             latencies = latencies + debt[tickets]
-        obs = self._observer
         if obs is not None:
-            lane = obs.intern(backend_key)
-            obs.record_span(EV_KERNEL_START, EV_KERNEL_END, start, completion,
-                            batch=batch.batch_id, replica=self._obs_replica,
-                            detail=service_time, aux=lane)
-            # ``own=True``: batch tickets and the fresh latency array are
-            # never mutated after this point.
-            obs.record_block(EV_COMPLETE, effective, tickets,
-                             batch=batch.batch_id,
-                             replica=self._obs_replica, detail=latencies,
-                             own=True)
-        # Tickets within a batch are ascending; single-dataset streams issue
-        # consecutive ones, so the common case is a contiguous table window
-        # (bulk slice copies) instead of fancy-index scatters.
-        size = tickets.size
-        lo, hi = tickets.item(0), tickets.item(size - 1) + 1
-        window: Any = slice(lo, hi) if hi - lo == size else tickets
-        table.answers[window] = answers
+            # One batch (see _serve_run); ``own=True``: nothing mutates them.
+            obs.record_block(EV_COMPLETE, done[0], tickets, batch=batch_id,
+                             replica=replica, detail=latencies, own=True)
+        # Tickets are ascending, consecutive in single-dataset streams: then
+        # the table window is a slice, else a fancy-index scatter.
+        size, at = hi - lo, lo - span.cuts[0][1]
+        first, last = tickets.item(0), tickets.item(size - 1) + 1
+        window: Any = slice(first, last) if last - first == size else tickets
+        table.answers[window] = span.answers[at:at + size]
         table.latencies[window] = latencies
         table.answered[window] = True
-        self.stats_collector.record_batch(
-            size=size,
-            trigger=batch.trigger,
-            backend_key=backend_key,
-            service_time_s=service_time,
-            latencies_s=latencies,
-            # Batch arrivals are non-decreasing by construction, so the
-            # first element is the minimum — no reduction pass needed.
-            first_arrival_s=batch.arrival_s.item(0),
-            completion_s=effective,
-            kernel_queries=kernel_queries,
-        )
+        self.stats_collector.record_span(  # arrivals are non-decreasing
+            sizes, [cut[4] for cut in cuts], lanes, charges, latencies,
+            arrivals.item(0), max(done), sum(kernel))
 
     def _artifact_key(self, dataset: str, backend: Backend) -> ArtifactKey:
         """The registry key ``backend`` serves ``dataset`` from.

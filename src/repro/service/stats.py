@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -210,35 +210,38 @@ class StatsCollector:
             self._latency_table, self._latency_count, int(capacity)
         )
 
-    def record_batch(self, *, size: int, trigger: str, backend_key: str,
-                     service_time_s: float, latencies_s: np.ndarray,
-                     first_arrival_s: float, completion_s: float,
-                     kernel_queries: Optional[int] = None) -> None:
-        """Fold one completed batch into the counters.
+    def record_span(self, sizes: Sequence[int], triggers: Sequence[str],
+                    lanes: Sequence[str], charges: Sequence[float],
+                    latencies_s: np.ndarray, first_arrival_s: float,
+                    last_completion_s: float, kernel_queries: int) -> None:
+        """Fold completed batches, in booking order, into the counters.
 
-        Arguments arrive in their final types (Python ints and floats, a
-        ``float64`` latency array) and are not re-coerced.  ``kernel_queries``
-        is how many of the batch's queries actually ran on a backend kernel
-        (the unique cache misses under the skew-aware path); it defaults to
-        the full batch size.
+        Per batch: its size, flush trigger, backend lane and charge;
+        ``latencies_s`` is every query's, batch after batch, between
+        ``first_arrival_s`` and ``last_completion_s``; ``kernel_queries`` ran
+        on a backend kernel (the unique misses under the skew-aware path).
+        ``busy_time_s`` adds the charges left to right, a batch at a time.
         """
-        self.queries_answered += size
-        self.kernel_queries += size if kernel_queries is None else kernel_queries
-        self.batches_flushed += 1
-        self.busy_time_s += service_time_s
-        self.batch_sizes[batch_size_bucket(size)] += 1
-        self.flush_triggers[trigger] += 1
-        self.backend_choices[backend_key] += 1
+        self.queries_answered += latencies_s.size
+        self.kernel_queries += kernel_queries
+        self.batches_flushed += len(sizes)
+        busy = self.busy_time_s
+        for charge in charges:
+            busy += charge
+        self.busy_time_s = busy
+        self.batch_sizes.update(map(batch_size_bucket, sizes))
+        self.flush_triggers.update(triggers)
+        self.backend_choices.update(lanes)
         start = self._latency_count
-        end = start + latencies_s.size
+        end = self._latency_count = start + latencies_s.size
         if end > self._latency_table.size:
             self._latency_table = grow_table(self._latency_table, start, end)
         self._latency_table[start:end] = latencies_s
-        self._latency_count = end
-        if self._first_arrival_s is None or first_arrival_s < self._first_arrival_s:
-            self._first_arrival_s = first_arrival_s
-        if self._last_completion_s is None or completion_s > self._last_completion_s:
-            self._last_completion_s = completion_s
+        first, last = self._first_arrival_s, self._last_completion_s
+        self._first_arrival_s = (first_arrival_s if first is None
+                                 else min(first, first_arrival_s))
+        self._last_completion_s = (last_completion_s if last is None
+                                   else max(last, last_completion_s))
 
     def snapshot(self, *, registry: Optional["IndexRegistry"] = None,
                  answer_cache: Optional["AnswerCache"] = None) -> ServiceStats:
@@ -283,12 +286,9 @@ class StatsCollector:
             cache_hit_rate=registry.hit_rate if registry is not None else 0.0,
             cache_bytes_in_use=registry.bytes_in_use if registry is not None else 0,
             answer_cache_hits=answer_cache.hits if answer_cache is not None else 0,
-            answer_cache_misses=(
-                answer_cache.misses if answer_cache is not None else 0),
+            answer_cache_misses=answer_cache.misses if answer_cache is not None else 0,
             answer_cache_hit_rate=(
                 answer_cache.hit_rate if answer_cache is not None else 0.0),
-            answer_cache_bytes=(
-                answer_cache.nbytes if answer_cache is not None else 0),
-            answer_cache_resets=(
-                answer_cache.resets if answer_cache is not None else 0),
+            answer_cache_bytes=answer_cache.nbytes if answer_cache is not None else 0,
+            answer_cache_resets=answer_cache.resets if answer_cache is not None else 0,
         )

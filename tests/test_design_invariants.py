@@ -51,8 +51,8 @@ def functions_calling(source, wanted):
     )
 
 
-def serves_a_batch(name):
-    return name == "self._finish_batch"
+def books_a_span(name):
+    return name == "self._finish_span"
 
 
 def launches_a_kernel(name):
@@ -79,18 +79,18 @@ def test_the_rule_sees_a_second_serving_path():
         "class S:\n"
         "    def _serve_run(self, run):\n"
         "        self._launch_span(span, entry.artifact)\n"
-        "        self._finish_batch(batch, span.answers)\n"
+        "        self._finish_span(span, count)\n"
         "    def _launch_span(self, span, artifact):\n"
         "        keys = pack_query_pairs(span.xs, span.ys)\n"
         "        span.answers = artifact.query(span.xs, span.ys)\n"
         "        room = self.answer_cache._max_used - self.answer_cache._used\n"
         "    def drain(self):\n"
         "        for item in self.pending:\n"
-        "            self._finish_batch(*item)\n"
+        "            self._finish_span(*item)\n"
         "    def serve_hedge(self, xs, ys):\n"
         "        self.registry.fetch(key)[0].artifact.query(xs, ys)\n"
     )
-    assert functions_calling(source, serves_a_batch) == {"_serve_run", "drain"}
+    assert functions_calling(source, books_a_span) == {"_serve_run", "drain"}
     assert functions_calling(source, launches_a_kernel) == {
         "_launch_span", "serve_hedge"}
     assert functions_calling(source, packs_pairs) == {"_launch_span"}
@@ -101,13 +101,14 @@ def test_the_rule_sees_a_second_serving_path():
 def test_batches_are_served_and_kernels_launched_in_one_place():
     """One serving path: every flushed batch goes through ``_serve_run``.
 
-    Its loop is the only caller of ``_finish_batch``, and the host launches a
+    Its loop is the only caller of ``_finish_span``, the one place a batch is
+    booked (a span's run-adjacent batches at once), and the host launches a
     kernel only in ``_launch_span`` (once per span, on the plain and on the
     skew-aware path alike) — never from a front-door method's own loop, and
     never for a hedge, whose answers nobody reads.
     """
     source = SERVICE.read_text()
-    assert functions_calling(source, serves_a_batch) == {"_serve_run"}
+    assert functions_calling(source, books_a_span) == {"_serve_run"}
     assert functions_calling(source, launches_a_kernel) == {"_launch_span"}
 
 
@@ -355,7 +356,9 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             # store and the config own them.
             "_SharedLoader", "_tree_sources", "_registered", "_sizes",
             "_dataset_size", "_register_copy", "_max_pending", "_hedge_delay_s",
-            "_max_retries", "_resubmitted"}
+            "_max_retries", "_resubmitted",
+            # A batch is booked with its span's run-adjacent batches, once.
+            "_finish_batch", "record_batch"}
     definitions = []
     for file, tree in trees_under(SRC):
         assert not gone & set(identifiers(tree)), str(file.relative_to(ROOT))
@@ -447,7 +450,7 @@ SERVICE_MODULE_LINES = {
     "registry.py": 402,
     "routing.py": 392,
     "scheduler.py": 495,
-    "service.py": 1404,
+    "service.py": 1403,
     "stats.py": 294,
     "tickets.py": 129,
 }

@@ -113,7 +113,7 @@ def test_property_submit_block_from_a_pending_window(max_batch, max_wait_us,
                     out.extend(sched.submit(int(tickets[i]), int(xs[i]),
                                             int(ys[i]), at=float(arrivals[i])))
         state = (sched.pending_count, sched.next_deadline, sched.clock.now)
-        return [batch_signature(b) for b in out + sched.drain()], state
+        return [batch_signature(b) for b in [*out, *sched.drain()]], state
 
     assert run(columnar=True) == run(columnar=False)
 

@@ -24,8 +24,15 @@ Each of these mutations was applied by hand and fails the test named beside it:
   ``test_claimed_batches_skip_their_slice[middle]``;
 * merging two buffers into one span (drop the ``.base is not buffer`` test) —
   ``test_batches_in_two_buffers_are_two_spans``;
-* and, on the skew-aware path, the five listed on
-  ``test_property_cached_spans_equal_one_batch_runs``.
+* on the skew-aware path, the five listed on
+  ``test_property_cached_spans_equal_one_batch_runs``;
+* booking a span's charges with a pairwise ``np.sum`` —
+  ``test_busy_time_adds_a_span_s_charges_left_to_right``;
+* fetching an artifact once per lane even after a miss (no per-batch
+  fallback) — ``test_a_span_across_the_crossover_books_like_one_batch_runs
+  [one-artifact]``; fetching the lanes in order of first use — its ``[warm]``;
+* adding ``debt`` to one-batch bookings only —
+  ``test_failover_readmissions_carry_their_debt_through_a_span``.
 """
 
 import numpy as np
@@ -42,8 +49,10 @@ from repro.service import (
     ClusterService,
     FaultEvent,
     FaultInjector,
+    FlushedBatch,
     LCAQueryService,
     ServiceConfig,
+    StatsCollector,
 )
 from repro.workloads import Phase, PoissonArrivals, Scenario, TrafficSource, replay
 
@@ -92,13 +101,17 @@ def per_batch(service):
     service._serve_run = lambda run: [serve_run([item]) for item in run]
 
 
-def make_service(trees, *, reference=False, **knobs):
-    """``(service, launches, observer)`` over ``{name: parents}``."""
+def make_service(trees, *, reference=False, traced=True, **knobs):
+    """``(service, launches, observer)`` over ``{name: parents}``.
+
+    Untraced (``observer`` None), a span's run-adjacent batches are booked
+    together; under an observer, one at a time.
+    """
     service = LCAQueryService(config=ServiceConfig(**{**POLICY, **knobs}))
     if reference:
         per_batch(service)
     launches = count_launches(service)
-    observer = TraceRecorder()
+    observer = TraceRecorder() if traced else None
     service.attach_observer(observer)
     for name, parents in trees.items():
         service.register_tree(name, parents)
@@ -110,10 +123,13 @@ def observed(service, observer):
     tickets = np.arange(service.tickets_issued)
     answered = service.answered(tickets)  # all, unless an interceptor claimed
     tickets = tickets[answered]
-    table, registry, stats = observer.table(), service.registry, service.stats()
-    events = (table.time_s, table.kind, table.ticket, table.batch, table.replica,
-              table.detail, table.aux)
-    cache = service.answer_cache
+    registry, stats, cache = service.registry, service.stats(), service.answer_cache
+    events = []
+    if observer is not None:
+        table = observer.table()
+        events = [column.tobytes() for column in (
+            table.time_s, table.kind, table.ticket, table.batch, table.replica,
+            table.detail, table.aux)] + [list(table.labels)]
     return {
         "answered": answered.tolist(),
         "answers": service.results(tickets).tolist(),
@@ -121,7 +137,8 @@ def observed(service, observer):
         "stats": stats_signature(stats) + (stats.kernel_queries,),
         "cache": ((stats.answer_cache_hits, stats.answer_cache_misses,
                    stats.answer_cache_resets), cache and cache.counters),
-        "events": [column.tobytes() for column in events] + [list(table.labels)],
+        "events": events,
+        "stats_repr": repr(stats),
         "registry": (registry.hits, registry.misses, registry.evictions,
                      # Least- to most-recently used, with each entry's own hits.
                      [(str(key), registry.fetch_by_key(key)[0].hits)
@@ -314,13 +331,13 @@ def test_a_pending_tail_carried_across_a_reallocation_joins_the_next_span():
     service, launches, _ = make_service({"t": parents})
     # 60 rows of the 64-row buffer: three size flushes, 12 rows pending.
     first = service.submit_many("t", xs[:60], ys[:60], at=np.zeros(60))
-    buffer = service._schedulers["t"]._xs
+    buffer = service._schedulers["t"]._columns[1]
     # 42 more do not fit: the tail migrates, then flushes with its new rows.
     second = service.submit_many("t", xs[60:], ys[60:], at=np.full(42, 5e-5))
-    assert service._schedulers["t"]._xs is not buffer
+    assert service._schedulers["t"]._columns[1] is not buffer
     assert lanes(launches) == [("t", 48), ("t", 48)]
     assert launches[0][1].base is buffer
-    assert launches[1][1].base is service._schedulers["t"]._xs
+    assert launches[1][1].base is service._schedulers["t"]._columns[1]
     service.drain()
     assert_zero_copy_spans(launches)
     assert np.array_equal(service.results(np.r_[first, second]),
@@ -351,8 +368,8 @@ def test_batches_in_two_buffers_are_two_spans():
     xs, ys = queries(68, 18)
     at = np.r_[np.zeros(4), np.full(52, 1e-3), np.full(12, 2e-3)]
     service, launches, _ = make_service({"t": parents})
-    parked = []
-    service.set_serve_interceptor(lambda dataset, batch: parked.append(batch) or True)
+    parked, serve_run = [], service._serve_run
+    service._serve_run = parked.extend
     tickets = np.r_[
         service.submit_many("t", xs[:4], ys[:4], at=at[:4]),
         # The 4 expire; 52 more fill rows 4..56: three size flushes, 4 pending.
@@ -362,13 +379,13 @@ def test_batches_in_two_buffers_are_two_spans():
         service.submit_many("t", xs[56:], ys[56:], at=at[56:]),
     ]
     service.drain()
-    service.set_serve_interceptor(None)
-    assert [(b.start, b.size) for b in parked] == [
+    batches = [FlushedBatch.of(cut) for _, cut in parked]
+    assert [(b.start, b.size) for b in batches] == [
         (0, 4), (4, 16), (20, 16), (36, 16), (0, 4), (4, 12)]
-    old, new = parked[0], parked[-1]
+    old, new = batches[0], batches[-1]
     assert old.xs.base is not new.xs.base and old.start + old.size == new.start
 
-    service._serve_run([("t", old), ("t", new)])
+    serve_run([parked[0], parked[-1]])
     assert lanes(launches) == [("t", 4), ("t", 12)]
     assert_zero_copy_spans(launches)
     expected = oracle(parents, xs, ys)
@@ -422,7 +439,8 @@ def test_interleaved_datasets_keep_one_span_each_and_the_serving_order():
 def spans_of(run):
     """The adjacency rule restated: ``[(dataset, batches)]`` in opening order."""
     spans, open_span = [], {}
-    for dataset, batch in run:
+    for dataset, cut in run:
+        batch = FlushedBatch.of(cut)
         last = open_span.get(dataset)
         if (last is not None and batch.xs.base is last[-1].xs.base
                 and batch.start == last[-1].start + last[-1].size):
@@ -651,6 +669,174 @@ def test_dispatch_and_registry_bookkeeping_stay_per_batch(case):
     expected = np.concatenate([
         oracle(datasets[name], xs, ys) for name, xs, ys, _ in blocks])
     assert seen["answers"] == expected.tolist()
+
+
+# ----------------------------------------------------------------------
+# One booking per span: untraced, a span's batches are booked together
+# ----------------------------------------------------------------------
+def booked_stretches(service):
+    """Log ``(dataset, batches, tickets)`` of every ``_finish_span`` call."""
+    stretches, finish = [], service._finish_span
+
+    def logging(span, count):
+        cuts = span.cuts[span.booked:span.booked + count]
+        stretches.append((span.dataset, count, np.concatenate(
+            [FlushedBatch.of(cut).tickets for cut in cuts])))
+        return finish(span, count)
+
+    service._finish_span = logging
+    return stretches
+
+
+#: Batch sizes on either side of the default dispatcher's CPU/GPU crossover.
+CROSSOVER = LCAQueryService().dispatcher.crossover_batch_size()
+SMALL, BIG = CROSSOVER // 2, 2 * CROSSOVER
+
+
+def alternating_block(rounds=6, wait=1e-4):
+    """``(xs, ys, at)`` of one block flushing ``BIG`` (size), ``SMALL`` (wait), ...
+
+    Round ``k``'s ``BIG`` queries arrive together at ``4k * wait`` and fill a
+    batch; its ``SMALL`` ones arrive at ``(4k + 2) * wait`` and expire before
+    round ``k + 1`` — except the last round's, which wait for the drain.
+    """
+    xs, ys = queries(rounds * (BIG + SMALL), 50)
+    at = np.concatenate([np.r_[np.full(BIG, 4 * k * wait),
+                               np.full(SMALL, (4 * k + 2) * wait)]
+                         for k in range(rounds)])
+    return xs, ys, at
+
+
+@pytest.mark.parametrize("knobs", [{}, {"warm": True}, {"capacity_bytes": 1}],
+                         ids=["cold", "warm", "one-artifact"])
+def test_a_span_across_the_crossover_books_like_one_batch_runs(knobs):
+    knobs = dict(knobs)
+    warm = knobs.pop("warm", False)
+    parents = tree(51)
+    xs, ys, at = alternating_block()
+
+    def run(reference):
+        service, _, _ = make_service({"t": parents}, reference=reference,
+                                     traced=False, max_batch_size=BIG, **knobs)
+        if warm:
+            service.warm("t")
+        stretches = booked_stretches(service)
+        service.submit_many("t", xs, ys, at=at)
+        registry = service.registry
+        after_span = registry.keys()  # the drain's fetch may reorder them
+        service.drain()
+        fetched = (registry.misses, registry.hits, registry.evictions, len(registry))
+        return service, stretches, fetched, (after_span, observed(service, None))
+
+    service, stretches, fetched, seen = run(reference=False)
+    _, _, _, reference_seen = run(reference=True)
+    # Answers, latency bytes, the full stats repr, registry hits, misses and
+    # LRU order: all as booked one batch at a time.
+    assert seen == reference_seen
+    assert seen[1]["answers"] == oracle(parents, xs, ys).tolist()
+    # The block's eleven batches are one booking whose lanes alternate.
+    assert [count for _, count, _ in stretches] == [11, 1]
+    assert service.stats().backend_choices == {"cpu1": 6, "gpu": 6}
+    if knobs:
+        # One artifact fits: every batch misses and rebuilds, as it always did.
+        assert fetched == (12, 0, 11, 1)
+    else:
+        # Warm, the eleven are two fetches and nine credited hits; cold, the
+        # first batch of each lane builds its artifact.
+        assert fetched == ((2, 12, 0, 2) if warm else (2, 10, 0, 2))
+
+
+def test_a_span_of_non_contiguous_tickets_books_like_one_batch_runs():
+    trees = {"a": tree(52), "b": tree(53)}
+    xs, ys = queries(100, 54)
+
+    def run(reference):
+        service, _, _ = make_service(trees, reference=reference, traced=False,
+                                     max_wait_s=1e-3)
+        stretches = booked_stretches(service)
+        # Rows alternate between the datasets: a's pending tickets are
+        # 0, 2, ..., 18 when its block of 80 arrives and cuts five batches.
+        for i in range(20):
+            service.submit("ab"[i % 2], int(xs[i]), int(ys[i]), at=i * 1e-6)
+        service.submit_many("a", xs[20:], ys[20:], at=np.full(80, 2e-5))
+        service.drain()
+        return stretches, observed(service, None)
+
+    stretches, seen = run(reference=False)
+    _, reference_seen = run(reference=True)
+    assert seen == reference_seen
+    dataset, count, tickets = stretches[0]
+    assert (dataset, count) == ("a", 5)
+    assert np.diff(tickets).max() > 1  # the fancy-index write
+    rows = np.r_[np.arange(0, 20, 2), np.arange(20, 100)]
+    order = np.r_[rows, np.arange(1, 20, 2)]
+    assert seen["answers"] == np.r_[
+        oracle(trees["a"], xs[rows], ys[rows]),
+        oracle(trees["b"], xs[1:20:2], ys[1:20:2])][np.argsort(order)].tolist()
+
+
+def test_failover_readmissions_carry_their_debt_through_a_span():
+    parents = tree(55, 256)
+    xs, ys = queries(600, 56, 256)
+    arrivals = np.arange(600, dtype=np.float64) / 200_000.0
+
+    def run(reference):
+        cluster = ClusterService(
+            config=ClusterConfig(n_replicas=2, router="round-robin",
+                                 max_batch_size=16, max_wait_s=5e-4),
+            fault_injector=FaultInjector([
+                FaultEvent(time_s=float(arrivals[300]), action="kill",
+                           replica=0)]))
+        stretches = []
+        for worker in cluster.replicas:
+            if reference:
+                per_batch(worker)
+            stretches.append(booked_stretches(worker))
+        cluster.register_tree("t", parents, replicas=2)
+        tickets = np.concatenate([
+            cluster.submit_many("t", xs[i:i + 100], ys[i:i + 100],
+                                at=arrivals[i:i + 100])
+            for i in range(0, 600, 100)])
+        cluster.drain()
+        return cluster, stretches, (
+            cluster.results(tickets).tolist(),
+            cluster.latencies(tickets).tobytes(), repr(cluster.stats()))
+
+    cluster, stretches, seen = run(reference=False)
+    _, _, reference_seen = run(reference=True)
+    assert seen == reference_seen
+    assert seen[0] == oracle(parents, xs, ys).tolist()
+    assert cluster.stats().queries_retried > 0
+    # The survivor booked re-admitted queries, debt and all, in multi-batch
+    # stretches.
+    survivor = cluster.replicas[1]
+    assert any(count > 1 and survivor.debt_of(tickets).any()
+               for _, count, tickets in stretches[1])
+
+
+def test_busy_time_adds_a_span_s_charges_left_to_right():
+    # 1 + 2**-53 rounds back to 1, fifteen times over; a pairwise sum first
+    # adds the small charges together and books 1 + 7 * 2**-52 instead.
+    charges = [1.0] + [2.0 ** -53] * 15
+    collector = StatsCollector()
+    collector.record_span([1] * 16, ["size"] * 16, ["cpu"] * 16, charges,
+                          np.zeros(16), 0.0, 1.0, 16)
+    assert collector.busy_time_s == 1.0
+    assert float(np.sum(charges)) == 1.0 + 7 * 2.0 ** -52
+    assert collector.batches_flushed == 16 and collector.kernel_queries == 16
+
+
+def test_credit_hits_counts_hits_and_moves_the_entry_to_the_recent_end():
+    service = LCAQueryService()
+    service.register_tree("t", tree(57))
+    service.warm("t")
+    registry = service.registry
+    older, newer = registry.keys()
+    entry = registry.fetch_by_key(older)[0]
+    registry.fetch_by_key(newer)
+    registry.credit_hits(entry, 3)
+    assert registry.keys() == [newer, older]
+    assert (registry.hits, entry.hits, registry.misses) == (5, 4, 2)
 
 
 # ----------------------------------------------------------------------
