@@ -249,22 +249,6 @@ def as_query_ids(ids: object) -> np.ndarray:
     return arr if arr.ndim else arr.reshape(1)
 
 
-def query_bounds_mask(xs: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:
-    """Elementwise out-of-range mask for query node pairs against ``[0, n)``.
-
-    One fused check instead of four reduction passes: reinterpreting the
-    int64 node ids as uint64 maps negative values to huge ones, so a single
-    elementwise maximum compared against ``n`` catches both ends of the
-    range.  (The same-itemsize ``.view`` is free but requires a contiguous
-    last axis on NumPy < 1.23; strided inputs take the — equally wrapping —
-    cast.)
-    """
-    def as_uint64(a: np.ndarray) -> np.ndarray:
-        return a.view(np.uint64) if a.flags.c_contiguous else a.astype(np.uint64)
-
-    return np.maximum(as_uint64(xs), as_uint64(ys)) >= np.uint64(n)
-
-
 def generate_random_queries(n: int, q: int, *, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Sample ``q`` LCA queries uniformly at random from ``[0, n) × [0, n)``."""
     if n <= 0:

@@ -47,7 +47,7 @@ are bit-identical to a plain :class:`LCAQueryService` fed the same stream.
 The columnar fast path survives sharding end to end: a block submitted via
 :meth:`ClusterService.submit_many` is validated with one fused bounds check,
 routed with one vectorized policy call, cut into per-replica sub-blocks with
-one stable argsort (each sub-block preserves arrival order), and admitted
+one counting sort (each sub-block preserves arrival order), and admitted
 through each worker's vectorized
 :meth:`~repro.service.service.LCAQueryService.submit_many`.
 """
@@ -802,7 +802,7 @@ class ClusterService:
         """Submit a column block through the router; returns cluster tickets.
 
         The columnar fast path end to end: one fused bounds check, one
-        vectorized routing decision, and a stable-argsort cut into
+        vectorized routing decision, and a counting-sort cut into
         per-replica sub-blocks (each an arrival-ordered subsequence admitted
         through the worker's own vectorized ``submit_many``).
 
@@ -879,12 +879,14 @@ class ClusterService:
         first = self._tickets.issue(stop)
         tickets = np.arange(first, first + stop, dtype=np.int64)
         if stop:
-            for target, sel in self._routed(dataset, copies, stop):
+            depths = self._outstanding(copies)
+            owners = self.router.route_block(dataset, copies, depths, stop)
+            self._tickets.replica[first : first + stop] = owners
+            for target, sel in self._grouped(owners):
                 local = self._replicas[target].submit_many(
                     dataset, xs[sel], ys[sel], at=arrivals[sel]
                 )
-                self._tickets.replica[tickets[sel]] = target
-                self._tickets.local[tickets[sel]] = local
+                self._tickets.local[first + sel] = local
             self.clock.advance_to(float(arrivals[stop - 1]))
             self._drain_failed()
         if error is not None:
@@ -1010,11 +1012,7 @@ class ClusterService:
         >>> cluster.results(tickets).tolist()
         [1, 0]
         """
-        count, groups = self._ticket_index(tickets)
-        out = np.empty(count, dtype=np.int64)
-        for worker, sel, local in groups:
-            out[sel] = worker.results(local)
-        return out
+        return self._read(tickets, LCAQueryService.results, np.int64)
 
     def latency(self, ticket: int) -> float:
         """Modeled end-to-end latency of one answered query.
@@ -1040,11 +1038,7 @@ class ClusterService:
         >>> bool((cluster.latencies(tickets) > 0.0).all())
         True
         """
-        count, groups = self._ticket_index(tickets)
-        out = np.empty(count, dtype=np.float64)
-        for worker, sel, local in groups:
-            out[sel] = worker.latencies(local)
-        return out
+        return self._read(tickets, LCAQueryService.latencies, np.float64)
 
     # ------------------------------------------------------------------
     # Observability
@@ -1240,52 +1234,50 @@ class ClusterService:
         ``(owner, positions)`` per distinct owner in ascending id order — the
         owner a Python int, its positions in the caller's order (the sort is
         stable), so a sub-block of an arrival-ordered block is itself
-        arrival-ordered.
+        arrival-ordered.  A counting sort: owners are replica ids, narrowed
+        to the smallest unsigned type (NumPy's stable sort of ints of at most
+        16 bits is a radix sort), and ``bincount`` gives the group bounds.
         """
-        order = np.argsort(owners, kind="stable")
-        uniq, starts = np.unique(owners[order], return_index=True)
-        return zip(uniq.tolist(), np.split(order, starts[1:]))
-
-    def _by_replica(self, idx: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-        """Positions of the validated tickets ``idx`` by owning replica."""
-        return self._grouped(self._tickets.replica[idx])
-
-    def _routed(
-        self, dataset: str, copies: Tuple[int, ...], count: int
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Route ``count`` queries over ``copies``; positions by target replica."""
-        return self._grouped(
-            self.router.route_block(dataset, copies, self._outstanding(copies), count)
+        counts = np.bincount(owners)
+        order = owners.astype(np.min_scalar_type(counts.size)).argsort(kind="stable")
+        ends = counts.cumsum().tolist()
+        return (
+            (owner, order[end - count : end])
+            for owner, (count, end) in enumerate(zip(counts.tolist(), ends))
+            if count
         )
 
-    def _ticket_index(
-        self, tickets: ArrayLike
-    ) -> Tuple[int, List[Tuple[LCAQueryService, np.ndarray, np.ndarray]]]:
-        """Validated cluster tickets; the one place read-back errors live.
+    def _read(
+        self, tickets: ArrayLike, read: Callable[..., np.ndarray], dtype: type
+    ) -> np.ndarray:
+        """``read`` of each cluster ticket; the one place read-back errors live.
 
-        Returns the ticket count and, per owning replica, ``(worker, positions
-        in the caller's sequence, the worker's own tickets there)`` — grouped
-        once, for the check here and the read that follows.
-
+        The tickets are validated once here and grouped once by owning
+        replica; each group is read through that worker's own ``read``
+        (``results`` / ``latencies``), which checks its tickets were served.
         Raises :class:`ServiceError` as :meth:`TicketTable.index` does (bad
-        dtype, then the first unknown ticket), then for the first ticket whose
-        batch no replica has served yet — in the caller's order, whichever
-        workers the tickets map to.
+        dtype, then the first unknown ticket), then — only once a worker has
+        refused — for the first ticket whose batch no replica has served
+        yet, in the caller's order, whichever workers the tickets map to.
         """
         idx = self._tickets.index(tickets)
         groups = [
             (self._replicas[replica_id], sel, self._tickets.local[idx[sel]])
-            for replica_id, sel in self._by_replica(idx)
+            for replica_id, sel in self._grouped(self._tickets.replica[idx])
         ]
-        queued = np.zeros(idx.size, dtype=bool)
-        for worker, sel, local in groups:
-            queued[sel] = ~worker.answered(local)
-        if queued.any():
+        out = np.empty(idx.size, dtype=dtype)
+        try:
+            for worker, sel, local in groups:
+                out[sel] = read(worker, local)
+        except ServiceError:
+            queued = np.zeros(idx.size, dtype=bool)
+            for worker, sel, local in groups:
+                queued[sel] = ~worker.answered(local)
             raise ServiceError(
                 f"ticket {idx[int(queued.argmax())]} is still queued; "
                 f"advance time or drain()"
-            )
-        return idx.size, groups
+            ) from None
+        return out
 
     # ------------------------------------------------------------------
     # Fault tolerance internals
@@ -1486,7 +1478,10 @@ class ClusterService:
                 queries=count,
             )
         retries[tickets] = attempts
-        for target, sel in self._routed(dataset, copies, count):
+        depths = self._outstanding(copies)
+        owners = self.router.route_block(dataset, copies, depths, count)
+        self._tickets.replica[tickets] = owners
+        for target, sel in self._grouped(owners):
             worker = self._replicas[target]
             t_re = max(now, worker.clock.now)
             rearrival = np.full(sel.size, t_re, dtype=np.float64)
@@ -1497,7 +1492,6 @@ class ClusterService:
                 at=rearrival,
                 latency_debt=rearrival - origin_s[sel],
             )
-            self._tickets.replica[tickets[sel]] = target
             self._tickets.local[tickets[sel]] = local
             self._retried += int(sel.size)
             if self._observer is not None:

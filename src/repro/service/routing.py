@@ -262,9 +262,10 @@ class LeastOutstandingRouter(Router):
     assigned one at a time; query ``i`` goes to the copy minimizing
     ``outstanding + assigned so far from this block``, ties broken by
     placement order.  The block form computes that greedy water-filling
-    assignment with array arithmetic — no per-query Python loop — by
-    materializing each copy's "slot keys" ``outstanding + 0, +1, ...`` and
-    taking the ``size`` smallest ``(key, copy)`` pairs in order.
+    assignment in closed form — no per-query loop, no sort of the block:
+    the water level comes from the ``k`` sorted queue depths, and each
+    copy's "slot keys" ``outstanding + 0, +1, ...`` below it are a
+    (level x copy) mask whose row-major read is the ``(key, copy)`` order.
 
     Queue depths are sampled once per routed block (the cluster snapshots
     them at the block's first arrival), which is how real least-outstanding
@@ -286,50 +287,36 @@ class LeastOutstandingRouter(Router):
         size: int,
     ) -> np.ndarray:
         k = len(copies)
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        copies_arr = np.asarray(copies, dtype=np.int64)
-        if k == 1:
-            return np.full(size, copies_arr[0], dtype=np.int64)
         depth = np.asarray(outstanding, dtype=np.int64)
         if depth.shape != (k,):
             raise ServiceError(
                 f"outstanding must have one entry per copy ({k}), "
                 f"got shape {depth.shape}"
             )
-        counts = self._waterfill_counts(depth, size)
-        # Copy j's assignments occupy slot keys depth[j] + 0..counts[j]-1;
-        # queries are handed out in increasing (key, placement order).
-        levels = np.concatenate(
-            [depth[j] + np.arange(counts[j], dtype=np.int64) for j in range(k)]
-        )
-        owner = np.repeat(np.arange(k, dtype=np.int64), counts)
-        order = np.lexsort((owner, levels))
-        return copies_arr[owner[order]]
-
-    @staticmethod
-    def _waterfill_counts(depth: np.ndarray, size: int) -> np.ndarray:
-        """How many of ``size`` queries each copy receives under the greedy."""
-        # Smallest level L whose strictly-below-L slot supply covers the block.
-        def supply(level: int) -> int:
-            return int(np.clip(level - depth, 0, None).sum())
-
-        lo = int(depth.min())
-        hi = lo + size + 1  # supply(hi) >= size always
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if supply(mid) >= size:
-                hi = mid
-            else:
-                lo = mid
-        counts = np.clip(hi - 1 - depth, 0, None).astype(np.int64)
-        remainder = size - int(counts.sum())
-        if remainder:
-            # The last `remainder` assignments sit at level hi-1 exactly, and
-            # go to eligible copies in placement order.
-            eligible = np.flatnonzero(depth <= hi - 1)
-            counts[eligible[:remainder]] += 1
-        return counts
+        # The water level: the highest key L whose slots strictly below it,
+        # sum(max(0, L - depth)), fit the block.  With the m shallowest
+        # copies under water that sum is m * L - (their depths' sum).
+        depths = depth.tolist()
+        ordered, below = sorted(depths), 0
+        for m, d in enumerate(ordered, 1):
+            below += d
+            level = (size + below) // m
+            if m == k or level <= ordered[m]:
+                break
+        # Each copy fills its slots below L; the rest of the block sits at
+        # key L exactly, on the first copies (placement order) reaching it.
+        counts = [max(0, level - d) for d in depths]
+        rest = size - sum(counts)
+        for j, d in enumerate(depths):
+            if rest and d <= level:
+                counts[j] += 1
+                rest -= 1
+        # Copy j holds keys depth[j] .. depth[j] + counts[j] - 1; read row by
+        # row, the (key x copy) mask hands queries out in (key, placement).
+        keys = np.arange(ordered[0], level + 1)[:, None]
+        slots = (keys >= depth) & (keys < depth + np.array(counts))
+        owners = np.broadcast_to(np.asarray(copies, dtype=np.int64), slots.shape)
+        return owners[slots]
 
 
 class ConsistentHashRouter(Router):

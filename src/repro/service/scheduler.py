@@ -343,42 +343,39 @@ class MicroBatchScheduler:
         count = int(arrival_s.size)
         if count == 0:
             return NO_CUTS
-        if float(arrival_s[0]) < self.clock.now:
-            raise ServiceError(
-                f"cannot move the clock backwards (now={self.clock.now}, "
-                f"requested={float(arrival_s[0])})")
+        self.clock.advance_to(arrival_s.item(0))  # refuses a first arrival in the past
         max_batch, wait = self.policy.max_batch_size, self.policy.max_wait_s
-        if self._observer is not None:
+        obs = self._observer
+        if obs is not None:
             # One block event for the whole admission: every query enqueues
             # at its own arrival time, so chunking adds no information.
-            self._observer.record_block(EV_ENQUEUE, arrival_s, tickets,
-                                        replica=self._obs_replica)
-        # Rows past ``_tail`` are staged, not pending: a cut admits them by
-        # advancing ``_tail``; the loop ends with ``_tail`` past all of them.
+            obs.record_block(EV_ENQUEUE, arrival_s, tickets, replica=self._obs_replica)
+        # Rows past the window ``head .. t0 + p`` are staged, not pending.  The
+        # window admits every row arriving at or before its deadline (one at
+        # it too: the per-query include_equal=False rule), up to a full batch;
+        # a full window flushes at its last arrival, a short one at its
+        # deadline (the next row is past it); the last one stays pending.
         self._ensure_room(count)
-        t0, t1 = self._tail, self._tail + count
-        for column, values in zip(self._columns, (tickets, xs, ys, arrival_s)):
-            column[t0:t1] = values
-        arrival, cuts, p = self._columns[3], NO_CUTS, 0
+        columns, head, t0, rows, p = self._columns, self._head, self._tail, [], 0
+        for column, values in zip(columns, (tickets, xs, ys, arrival_s)):
+            column[t0:t0 + count] = values
         while p < count:
-            have = self._tail - self._head
-            if have:
-                deadline = arrival.item(self._head) + wait
-                if arrival_s.item(p) > deadline:
-                    cuts = self._cut(cuts, deadline, "wait")
-                    continue
-            else:
-                deadline = arrival_s.item(p) + wait
-            # Every query arriving at or before the pending window's deadline
-            # joins it (arrival exactly at the deadline still joins — the
-            # same include_equal=False rule as the per-query path).
+            have = t0 + p - head
+            deadline = (columns[3].item(head) if have else arrival_s.item(p)) + wait
             join = int(arrival_s.searchsorted(deadline, side="right"))
-            p += min(join - p, max_batch - have)
-            self._tail = t0 + p
-            if self._tail - self._head >= max_batch:
-                cuts = self._cut(cuts, arrival_s.item(p - 1), "size")
+            p = min(join, head - t0 + max_batch)
+            if t0 + p - head == max_batch:
+                flush_s, trigger = arrival_s.item(p - 1), "size"
+            elif p < count:
+                flush_s, trigger = deadline, "wait"
+            else:
+                break
+            rows.append((columns, head, t0 + p, flush_s, trigger, -1 if obs is None
+                         else self._flushed(obs, flush_s, t0 + p - head, trigger)))
+            head = t0 + p
+        self._head, self._tail = head, t0 + count
         self.clock.advance_to(arrival_s.item(count - 1))
-        return cuts
+        return Cuts(rows) if rows else NO_CUTS
 
     def advance_to(self, t: float, *, include_equal: bool = True) -> Cuts:
         """Move simulated time to ``t``, flushing every expired wait deadline.
@@ -482,14 +479,16 @@ class MicroBatchScheduler:
 
     def _cut(self, cuts: Cuts, flush_s: float, trigger: str) -> Cuts:
         """Flush the next batch: record its cut on ``cuts`` (fresh for NO_CUTS)."""
-        h = self._head
+        h, obs, flush_s = self._head, self._observer, float(flush_s)
         stop = self._head = h + min(self._tail - h, self.policy.max_batch_size)
-        obs, batch_id = self._observer, -1
-        if obs is not None:
-            batch_id = obs.next_batch_id()
-            obs.record(EV_FLUSH, float(flush_s), batch=batch_id,
-                       replica=self._obs_replica, detail=float(stop - h),
-                       aux=obs.intern(trigger))
         cuts = Cuts([]) if cuts is NO_CUTS else cuts
-        cuts.rows.append((self._columns, h, stop, float(flush_s), trigger, batch_id))
+        cuts.rows.append((self._columns, h, stop, flush_s, trigger, -1 if obs is None
+                          else self._flushed(obs, flush_s, stop - h, trigger)))
         return cuts
+
+    def _flushed(self, obs: TraceRecorder, at: float, size: int, trigger: str) -> int:
+        """Record a flush of ``size`` rows with ``obs``; returns its batch id."""
+        batch_id = obs.next_batch_id()
+        obs.record(EV_FLUSH, at, batch=batch_id, replica=self._obs_replica,
+                   detail=float(size), aux=obs.intern(trigger))
+        return batch_id

@@ -52,7 +52,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..errors import InvalidQueryError, ServiceError
-from ..graphs.trees import as_query_ids, query_bounds_mask
+from ..graphs.trees import as_query_ids
 from ..lca.dedup import (
     PACK_LIMIT,
     first_appearance_counts,
@@ -115,19 +115,16 @@ def as_query_block(xs: object, ys: object, at: Optional[object], *, now: float
     return x_ids, y_ids, arrivals
 
 
-def block_clean_prefix(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    arrivals: np.ndarray,
-    *,
-    n: int,
-    dataset: str,
-    now: float,
-) -> Tuple[int, Optional[Exception]]:
+def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
+                       n: int, dataset: str, now: float
+                       ) -> Tuple[int, Optional[Exception]]:
     """Admissible prefix of a column block, with the first offender's error.
 
-    Replicates the per-query loop's error semantics in bulk: one fused
-    bounds check finds every out-of-range query, a non-finite arrival
+    Replicates the per-query loop's error semantics in bulk.  A clean block
+    passes one test (the larger id, negatives wrapped as unsigned, is below
+    ``n``; arrivals start at or after ``now``, end finite, never decrease —
+    NaN fails every comparison); only one that fails it is searched: one
+    fused bounds check finds every out-of-range query, a non-finite arrival
     (NaN would stall the scheduler's chunking loop, ``inf`` would strand
     the clock) is one ``isfinite`` pass, a backwards arrival is an
     adjacent-difference check against ``now``, and the earliest offender
@@ -138,7 +135,11 @@ def block_clean_prefix(
     block path, which must stay in lockstep for the documented 1-replica
     bit-identical equivalence.
     """
-    bad = query_bounds_mask(xs, ys, n)
+    ids = np.maximum(xs, ys, dtype=np.uint64, casting="unsafe")  # -1 wraps past n
+    if (int(ids.max()) < n and arrivals[0] >= now
+            and math.isfinite(arrivals[-1]) and (arrivals[1:] >= arrivals[:-1]).all()):
+        return int(xs.size), None
+    bad = ids >= np.uint64(n)
     stop = int(xs.size)
     error: Optional[Exception] = None
     if bad.any():
@@ -154,9 +155,7 @@ def block_clean_prefix(
             f"arrival timestamps must be finite, got {float(arrivals[stop])} "
             f"at position {stop}"
         )
-    moved_back = np.empty(xs.size, dtype=bool)
-    moved_back[0] = arrivals[0] < now
-    np.less(arrivals[1:], arrivals[:-1], out=moved_back[1:])
+    moved_back = np.concatenate(([arrivals[0] < now], arrivals[1:] < arrivals[:-1]))
     if moved_back[:stop].any():
         stop = int(moved_back.argmax())
         prev = now if stop == 0 else float(arrivals[stop - 1])
@@ -917,12 +916,10 @@ class LCAQueryService:
         whose batch has not been served yet; :meth:`answered` skips that.
         """
         idx = self._tickets.index(tickets)
-        queued = ~self._tickets.answered[idx]
-        if queued.any():
-            raise ServiceError(
-                f"ticket {idx[int(queued.argmax())]} is still queued; "
-                f"advance time or drain()"
-            )
+        answered = self._tickets.answered[idx]
+        if not answered.all():
+            raise ServiceError(f"ticket {idx[int(answered.argmin())]} is still "
+                               f"queued; advance time or drain()")
         return idx
 
     def _scheduler(self, dataset: str) -> MicroBatchScheduler:
@@ -1295,22 +1292,23 @@ class LCAQueryService:
             if lane in keys:
                 entries[lane] = entry = registry.fetch_by_key(keys[lane])[0]
                 registry.credit_hits(entry, hit_lanes.count(lane) - 1)
-        free, factor = self._backend_free_s, self._service_factor
+        # Constant over the span: the probe, the slowdown, the hooks installed.
+        free, factor, probe = self._backend_free_s, self._service_factor, span.deduped
         hedge, replica = self._hedge_hook, self._obs_replica
+        cache_obs = obs if span.space is not None else None
         charges, done = [], []  # done: completions, hedges won included
-        for m, (cut, size, queries, lane) in enumerate(
-                zip(cuts, sizes, kernel, lanes)):
+        for m, (cut, size, queries, lane) in enumerate(zip(cuts, sizes, kernel, lanes)):
             flush_s, batch_id = cut[3], cut[5]
             # Canonicalization + table probe are charged on every batch.
-            charge = answer_cache_probe_time(size) if span.deduped else 0.0
-            if obs is not None and span.space is not None:
+            charge = answer_cache_probe_time(size) if probe else 0.0
+            if cache_obs is not None:
                 hits = span.hits[a + m]
                 if hits:
-                    obs.record(EV_CACHE_HITS, flush_s, batch=batch_id,
-                               replica=replica, detail=float(hits))
+                    cache_obs.record(EV_CACHE_HITS, flush_s, batch=batch_id,
+                                     replica=replica, detail=float(hits))
                 if hits < size:
-                    obs.record(EV_CACHE_MISSES, flush_s, batch=batch_id,
-                               replica=replica, detail=float(size - hits))
+                    cache_obs.record(EV_CACHE_MISSES, flush_s, batch=batch_id,
+                                     replica=replica, detail=float(size - hits))
             if queries:
                 backend, estimate = priced[queries]
                 if obs is not None:
@@ -1327,18 +1325,19 @@ class LCAQueryService:
                 charge += estimate
                 resets = (self._launch_span(span, entry.artifact)
                           if span.pending else 0)
-                if obs is not None and span.space is not None:
-                    obs.record(EV_CACHE_INSERT, flush_s, batch=batch_id,
-                               replica=replica, detail=float(queries))
+                if cache_obs is not None:
+                    cache_obs.record(EV_CACHE_INSERT, flush_s, batch=batch_id,
+                                     replica=replica, detail=float(queries))
                     if resets:
-                        obs.record(EV_CACHE_RESET, flush_s, replica=replica,
-                                   detail=float(resets))
+                        cache_obs.record(EV_CACHE_RESET, flush_s,
+                                         replica=replica, detail=float(resets))
                 # An injected slowdown stretches kernel time (a degraded
                 # device); the host-side cache lane is unaffected.
                 charge *= factor
             # A batch starts once both it is flushed and its lane is free:
             # overload shows as queueing delay, not as overlapping service.
-            start = max(flush_s, free.get(lane, 0.0))
+            lane_free = free.get(lane, 0.0)
+            start = flush_s if flush_s >= lane_free else lane_free
             completion = free[lane] = start + charge
             effective = completion
             if queries and hedge is not None:

@@ -123,7 +123,7 @@ class TicketTable:
                 f"dtype {idx.dtype} in {idx.ndim}-D"
             )
         idx = idx.astype(np.int64, copy=False).reshape(-1)
-        unknown = (idx < 0) | (idx >= self.issued)
-        if unknown.any():
+        if idx.size and not 0 <= idx.min() <= idx.max() < self.issued:
+            unknown = (idx < 0) | (idx >= self.issued)  # only to name the first
             raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
         return idx

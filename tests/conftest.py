@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, ExecutionContext
+from repro.errors import InvalidQueryError, ServiceError
 from repro.graphs import EdgeList, parents_to_edgelist
 from repro.graphs.generators import (
     barabasi_albert_tree,
@@ -83,6 +84,85 @@ def make_tree(kind: str, n: int, seed: int) -> np.ndarray:
 
 
 TREE_KINDS = ("shallow", "deep", "path", "scale-free", "star")
+
+
+# ----------------------------------------------------------------------
+# Front-door offenders
+# ----------------------------------------------------------------------
+
+def located_clean_prefix(xs, ys, arrivals, *, n, dataset, now):
+    """Reference for ``block_clean_prefix``: its locating passes, run always.
+
+    The validator first tests a whole block at once and searches it only when
+    that test fails; this is the search alone, as it ran on every block before
+    the one-pass test existed — the earliest offender wins, and at one
+    position an id beats a non-finite arrival beats a backwards one.
+    """
+    bad = np.maximum(xs.astype(np.uint64), ys.astype(np.uint64)) >= np.uint64(n)
+    stop, error = int(xs.size), None
+    if bad.any():
+        stop = int(bad.argmax())
+        error = InvalidQueryError(
+            f"query nodes ({xs[stop]}, {ys[stop]}) out of range for "
+            f"dataset {dataset!r} with {n} nodes")
+    finite = np.isfinite(arrivals)
+    if not finite[:stop].all():
+        stop = int(finite.argmin())
+        error = ServiceError(
+            f"arrival timestamps must be finite, got {float(arrivals[stop])} "
+            f"at position {stop}")
+    moved_back = np.empty(xs.size, dtype=bool)
+    moved_back[0] = arrivals[0] < now
+    np.less(arrivals[1:], arrivals[:-1], out=moved_back[1:])
+    if moved_back[:stop].any():
+        stop = int(moved_back.argmax())
+        prev = now if stop == 0 else float(arrivals[stop - 1])
+        error = ServiceError(
+            f"cannot move the clock backwards (now={prev}, "
+            f"requested={float(arrivals[stop])})")
+    return stop, error
+
+
+#: What can make a query of a block inadmissible.
+OFFENDER_KINDS = ("id >= n", "negative id", "uint64 wraps negative", "nan arrival",
+                  "+inf arrival", "-inf arrival", "before now", "backwards")
+
+
+def offending_block(spoilers, n=100, length=7):
+    """A clean ``(xs, ys, at)`` block over ``n`` nodes, then spoiled in place.
+
+    ``spoilers`` is ``[(kind, row), ...]``.  ``xs`` is ``uint64`` when a kind
+    needs an id that wraps negative as ``int64``, and ``int64`` otherwise.
+    """
+    wraps = any(kind == "uint64 wraps negative" for kind, _ in spoilers)
+    xs = np.arange(1, length + 1).astype(np.uint64 if wraps else np.int64)
+    ys = np.arange(10, 10 + length, dtype=np.int64)
+    at = 1e-3 + np.arange(length) * 1e-6
+    for kind, i in spoilers:
+        if kind == "id >= n":
+            xs[i] = n
+        elif kind == "negative id":
+            ys[i] = -1
+        elif kind == "uint64 wraps negative":
+            xs[i] = 2**63 + 5
+        elif kind.endswith("arrival"):
+            at[i] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind.split()[0]]
+        elif kind == "before now":
+            at[i] = -1.0
+        else:  # backwards: behind the row before (row 0: behind now, 0.0)
+            at[i] = (at[i - 1] if i else 0.0) - 1e-7
+    return xs, ys, at
+
+
+def offender_sweep(length=7):
+    """``(spoilers, block)``: each kind first, in the middle and last, then
+    each two different kinds at rows 2 and 4, in both orders."""
+    singles = [[(kind, i)] for kind in OFFENDER_KINDS
+               for i in (0, length // 2, length - 1)]
+    pairs = [[(first, 2), (second, 4)] for first in OFFENDER_KINDS
+             for second in OFFENDER_KINDS if first != second]
+    for spoilers in singles + pairs:
+        yield spoilers, offending_block(spoilers, length=length)
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> EdgeList:

@@ -358,7 +358,9 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             "_dataset_size", "_register_copy", "_max_pending", "_hedge_delay_s",
             "_max_retries", "_resubmitted",
             # A batch is booked with its span's run-adjacent batches, once.
-            "_finish_batch", "record_batch"}
+            "_finish_batch", "record_batch",
+            # The least-outstanding water level is closed-form, not bisected.
+            "_waterfill_counts"}
     definitions = []
     for file, tree in trees_under(SRC):
         assert not gone & set(identifiers(tree)), str(file.relative_to(ROOT))
@@ -443,14 +445,14 @@ SERVICE_MODULE_LINES = {
     "__init__.py": 144,
     "cache.py": 501,
     "clock.py": 106,
-    "cluster.py": 1556,
+    "cluster.py": 1550,
     "config.py": 298,
     "dispatch.py": 317,
     "faults.py": 167,
     "registry.py": 402,
-    "routing.py": 392,
-    "scheduler.py": 495,
-    "service.py": 1403,
+    "routing.py": 379,
+    "scheduler.py": 494,
+    "service.py": 1402,
     "stats.py": 294,
     "tickets.py": 129,
 }

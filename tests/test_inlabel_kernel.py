@@ -303,7 +303,7 @@ class TestTiles:
                 assert np.array_equal(out, want), name
 
     def test_uint64_view_sees_a_contiguous_last_axis(self):
-        """The NumPy-floor caveat of ``query_bounds_mask``, for the tile's view.
+        """The NumPy-floor caveat of a ``uint64`` view, for the tile's view.
 
         A same-itemsize ``.view`` of an array whose last axis is strided
         raises on NumPy < 1.23.  The kernel only ever views its own freshly

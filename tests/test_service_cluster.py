@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidQueryError, Overloaded, ServiceError
+from repro.errors import InvalidQueryError, Overloaded, ReproError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
@@ -24,10 +24,10 @@ from repro.service import (
     LCAQueryService,
     ServiceConfig,
 )
-
+from repro.service.service import as_query_block
 from repro.workloads import make_scenario, replay
 
-from .conftest import make_tree
+from .conftest import located_clean_prefix, make_tree, offender_sweep
 
 POLICY = {"max_batch_size": 64, "max_wait_s": 1e-4}
 
@@ -405,6 +405,24 @@ def test_invalid_query_rejected_with_prefix_admitted():
         cluster.submit("t", -1, 2)
     with pytest.raises(ServiceError):
         cluster.submit("t", 1, 2, at=-1.0)  # backwards arrival
+    # Every offender kind first, in the middle and last, and two kinds in
+    # both orders: the cluster's front door admits the prefix the locating
+    # passes alone find and raises exactly what they raise.
+    oracle = BinaryLiftingLCA(parents)
+    for spoilers, (xs, ys, at) in offender_sweep():
+        fresh = build_cluster(parents, 2, **POLICY)
+        block = as_query_block(xs, ys, at, now=0.0)
+        stop, expected = located_clean_prefix(*block, n=100, dataset="t", now=0.0)
+        with pytest.raises(ReproError) as raised:
+            fresh.submit_many("t", xs, ys, at=at)
+        assert type(raised.value) is type(expected), spoilers
+        assert str(raised.value) == str(expected), spoilers
+        assert fresh.tickets_issued == fresh.stats().queries_submitted == stop
+        fresh.drain()
+        assert np.array_equal(
+            fresh.results(np.arange(stop)),
+            oracle.query(block[0][:stop], block[1][:stop]),
+        )
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -463,9 +481,11 @@ def test_read_back_groups_tickets_once_and_keeps_the_error_order(monkeypatch):
     cluster.drain()
 
     groupings = []
-    by_replica = cluster._by_replica
+    grouped = ClusterService._grouped
     monkeypatch.setattr(
-        cluster, "_by_replica", lambda idx: groupings.append(idx.size) or by_replica(idx)
+        ClusterService,
+        "_grouped",
+        staticmethod(lambda owners: groupings.append(owners.size) or grouped(owners)),
     )
     shuffled = np.random.default_rng(20).permutation(tickets)
     answers = cluster.results(shuffled)

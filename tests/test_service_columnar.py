@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidQueryError, ServiceError
+from repro.errors import InvalidQueryError, ReproError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
@@ -18,8 +18,9 @@ from repro.service import (
     MicroBatchScheduler,
     ServiceConfig,
 )
+from repro.service.service import as_query_block
 
-from .conftest import make_tree
+from .conftest import located_clean_prefix, make_tree, offender_sweep
 
 
 def arrival_schedule(q, seed, *, mean_gap_s=1e-4, tie_fraction=0.3):
@@ -295,6 +296,25 @@ def test_submit_many_out_of_range_rejects_at_its_own_position():
     # Negative nodes are caught by the same fused check.
     with pytest.raises(InvalidQueryError):
         service.submit_many("t", [-1], [3], at=[1e-3])
+    # Every offender kind first, in the middle and last, and two kinds in
+    # both orders: the one-pass test sends each block to the locating
+    # passes, which admit the prefix and raise exactly what they alone do.
+    oracle = BinaryLiftingLCA(parents)
+    for spoilers, (xs, ys, at) in offender_sweep():
+        fresh = LCAQueryService(config=ServiceConfig(max_batch_size=4,
+                                                     max_wait_s=1e-3))
+        fresh.register_tree("t", parents)
+        block = as_query_block(xs, ys, at, now=0.0)
+        stop, expected = located_clean_prefix(*block, n=100, dataset="t",
+                                              now=0.0)
+        with pytest.raises(ReproError) as raised:
+            fresh.submit_many("t", xs, ys, at=at)
+        assert type(raised.value) is type(expected), spoilers
+        assert str(raised.value) == str(expected), spoilers
+        assert fresh.tickets_issued == fresh.stats().queries_submitted == stop
+        fresh.drain()
+        assert np.array_equal(fresh.results(np.arange(stop)),
+                              oracle.query(block[0][:stop], block[1][:stop]))
 
 
 def test_submit_many_backwards_arrival_rejects_at_its_own_position():

@@ -172,6 +172,60 @@ def test_least_outstanding_block_equals_greedy_simulation(k, size, seed):
     assert blocked.tolist() == expected
 
 
+def bisection_route_block(copies, outstanding, size):
+    """The earlier least-outstanding assignment, kept as the oracle: bisect
+    for the water level, then lexsort every slot by (key, placement)."""
+    k = len(copies)
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    copies_arr = np.asarray(copies, dtype=np.int64)
+    if k == 1:
+        return np.full(size, copies_arr[0], dtype=np.int64)
+    depth = np.asarray(outstanding, dtype=np.int64)
+
+    def supply(level):
+        return int(np.clip(level - depth, 0, None).sum())
+
+    lo = int(depth.min())
+    hi = lo + size + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if supply(mid) >= size:
+            hi = mid
+        else:
+            lo = mid
+    counts = np.clip(hi - 1 - depth, 0, None).astype(np.int64)
+    remainder = size - int(counts.sum())
+    if remainder:
+        counts[np.flatnonzero(depth <= hi - 1)[:remainder]] += 1
+    levels = np.concatenate(
+        [depth[j] + np.arange(counts[j], dtype=np.int64) for j in range(k)]
+    )
+    owner = np.repeat(np.arange(k, dtype=np.int64), counts)
+    return copies_arr[owner[np.lexsort((owner, levels))]]
+
+
+def test_least_outstanding_closed_form_matches_the_bisection_oracle():
+    rng = np.random.default_rng(2027)
+    router = LeastOutstandingRouter()
+    for case in range(600):
+        k = int(rng.integers(1, 9))
+        copies = tuple(int(c) for c in rng.permutation(16)[:k])
+        depth = rng.integers(0, 10 ** int(rng.integers(1, 5)) + 1, size=k)
+        if case % 3 == 0:
+            depth[rng.integers(0, k, size=k)] = depth[0]  # ties
+        if case % 5 == 0:
+            depth[int(rng.integers(0, k))] = 10_000  # far above the water
+        size = int(rng.integers(0, 10 ** int(rng.integers(0, 6)) + 1))
+        expected = bisection_route_block(copies, depth, size)
+        blocked = router.route_block("d", copies, depth.copy(), size)
+        assert blocked.dtype == np.int64
+        assert blocked.tolist() == expected.tolist(), (copies, depth, size)
+        assert router.route_one("d", copies, depth) == int(
+            bisection_route_block(copies, depth, 1)[0]
+        )
+
+
 # ----------------------------------------------------------------------
 # ConsistentHashRouter
 # ----------------------------------------------------------------------

@@ -259,6 +259,22 @@ def test_read_back_error_order_is_dtype_then_unknown_then_queued(kind):
         target.results([queued, 99])
     with pytest.raises(ServiceError, match=f"ticket {queued} is still queued"):
         target.latencies([0, queued])
+    if kind == "cluster":
+        # Two queued tickets on different replicas, the higher replica's
+        # first in the caller's order: a read in worker order would meet the
+        # other one first, but the error names the caller's first.
+        cluster = ClusterService(
+            config=ClusterConfig(n_replicas=2, router="round-robin")
+        )
+        cluster.register_tree("t", PARENTS, on=[1, 0])
+        high = cluster.submit("t", 1, 2, at=0.0)
+        assert [w.pending_count() for w in cluster.replicas] == [0, 1]
+        low = cluster.submit("t", 3, 4, at=0.0)
+        assert [w.pending_count() for w in cluster.replicas] == [1, 1]
+        for read in (cluster.results, cluster.latencies):
+            for first, second in ((high, low), (low, high)):
+                with pytest.raises(ServiceError, match=f"ticket {first} is still"):
+                    read([first, second])
 
 
 def test_debt_reads_zero_until_a_retry_writes_it_and_survives_growth():
