@@ -114,7 +114,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "__version__",

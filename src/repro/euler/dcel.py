@@ -91,7 +91,7 @@ def build_dcel(tree_edges: EdgeList, *, ctx: Optional[ExecutionContext] = None) 
         raise NotATreeError("trees cannot contain self-loops")
 
     # Array A: interleaved directions so twin(e) = e XOR 1.
-    src, dst, _ = tree_edges.directed_halfedges()
+    src, dst = tree_edges.directed_halfedges()
     h = src.size  # = 2 m
     twin = np.arange(h, dtype=np.int64)
     twin ^= 1
@@ -114,24 +114,26 @@ def build_dcel(tree_edges: EdgeList, *, ctx: Optional[ExecutionContext] = None) 
 
     # Array B: lexicographically sorted copy, with `order` giving, for each
     # position in B, the corresponding half-edge id in A.
-    sorted_src, _sorted_dst, order = sort_pairs(src, dst, ctx=ctx)
+    sorted_src, order = sort_pairs(src, dst, ctx=ctx)
 
-    # B is a run of blocks, one per source: starts[k] / ends[k] are the
-    # positions in B of the first / last half-edge leaving the k-th source.
-    ends = np.append(np.flatnonzero(sorted_src[1:] != sorted_src[:-1]), h - 1)
-    starts = np.append(0, ends[:-1] + 1)
+    # B is a run of blocks, one per source: bounds[k] is the position in B of
+    # the first half-edge leaving the k-th source, and bounds[-1] == h.
+    is_bound = np.ones(h + 1, dtype=bool)
+    np.not_equal(sorted_src[1:], sorted_src[:-1], out=is_bound[1:h])
+    bounds = np.flatnonzero(is_bound)
+    starts = bounds[:-1]
+    block_first = order[starts]
 
     # first[x]: the first half-edge leaving x.
     first = np.full(n, -1, dtype=np.int64)
-    first[sorted_src[starts]] = order[starts]
+    first[sorted_src[starts]] = block_first
+    del sorted_src
 
     # next pointers: within a block, the half-edge at the next position in B;
-    # at a block's end, wrap to the block's start.
-    successor = np.empty(h, dtype=np.int64)
-    successor[:-1] = order[1:]
-    successor[ends] = order[starts]
+    # at a block's end (before the next bound), the second scatter wraps it.
     nxt = np.empty(h, dtype=np.int64)
-    nxt[order] = successor
+    nxt[order[:-1]] = order[1:]
+    nxt[order[bounds[1:] - 1]] = block_first
 
     ctx.kernel(
         "dcel_build_next",

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..device import ExecutionContext, ensure_context
 from ..graphs.trees import NO_PARENT
-from ..primitives import inclusive_scan
+from ..primitives import charge_scan, inclusive_scan
 from .tour import EulerTour, build_euler_tour_from_parents
 
 
@@ -73,74 +73,75 @@ class TreeStats:
 
 def compute_tree_stats(tour: EulerTour,
                        *, ctx: Optional[ExecutionContext] = None) -> TreeStats:
-    """Derive parent / depth / preorder / subtree size from an Euler tour."""
+    """Derive parent / depth / preorder / subtree size from an Euler tour.
+
+    Every non-root node is the target of exactly one down half-edge, so each
+    per-node array is written once, the root last.
+    """
     ctx = ensure_context(ctx)
     n = tour.n
     root = tour.root
-    parent = np.full(n, NO_PARENT, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    preorder = np.ones(n, dtype=np.int64)
-    subtree_size = np.full(n, 1, dtype=np.int64)
+    parent = np.empty(n, dtype=np.int64)
+    depth = np.empty(n, dtype=np.int64)
+    preorder = np.empty(n, dtype=np.int64)
+    subtree_size = np.empty(n, dtype=np.int64)
 
     h = tour.length
-    if h == 0:
-        subtree_size[root] = n
-        return TreeStats(root=root, parent=parent, depth=depth,
-                         preorder=preorder, subtree_size=subtree_size)
+    if h:
+        # Twins are half-edges 2i and 2i + 1 (the DCEL's layout): row i holds
+        # tree edge i's down position (the smaller) and its twin's.
+        pos = tour.rank.reshape(-1, 2)
+        first_down = pos[:, 0] < pos[:, 1]
+        down = np.minimum(pos[:, 0], pos[:, 1])
+        up = np.maximum(pos[:, 0], pos[:, 1])
+        ctx.kernel(
+            "euler_classify_direction",
+            threads=h,
+            ops=2.0 * h,
+            bytes_read=2.0 * h * 8,
+            bytes_written=float(h),
+            launches=1,
+            random_access=True,
+        )
 
-    rank = tour.rank
-    twin_rank = rank[tour.twin]
-    is_down = rank < twin_rank
-    ctx.kernel(
-        "euler_classify_direction",
-        threads=h,
-        ops=2.0 * h,
-        bytes_read=2.0 * h * 8,
-        bytes_written=float(h),
-        launches=1,
-        random_access=True,
-    )
+        # Weight 1 at the down positions: the sums are preorder - 1.
+        seen = np.zeros(h, dtype=np.int64)
+        seen[down] = 1
+        ctx.kernel(
+            "euler_gather_tour_order",
+            threads=h,
+            ops=float(h),
+            bytes_read=2.0 * h * 8,
+            bytes_written=float(h),
+            launches=1,
+            random_access=True,
+        )
+        inclusive_scan(seen, out=seen, ctx=ctx)
+        # The ±1 depth scan, charged: at p it is 2·seen[p] − p − 1, read below.
+        charge_scan(ctx, h, seen.dtype.itemsize, "inclusive_scan")
 
-    # Scans over the tour-ordered arrays.
-    down_in_order = is_down[tour.tour]
-    ctx.kernel(
-        "euler_gather_tour_order",
-        threads=h,
-        ops=float(h),
-        bytes_read=2.0 * h * 8,
-        bytes_written=float(h),
-        launches=1,
-        random_access=True,
-    )
-    weight = down_in_order.astype(np.int64)  # 1 on a down half-edge, 0 on an up one
-    preorder_scan = inclusive_scan(weight, ctx=ctx)
-    weight <<= 1  # the same buffer, now +1 / -1
-    weight -= 1
-    depth_scan = inclusive_scan(weight, ctx=ctx)
-    del weight  # the scatter below is this function's memory peak
-
-    # Scatter per down half-edge into per-node arrays.
-    down_edges = np.flatnonzero(is_down)
-    pos = rank[down_edges]
-    target = tour.dst[down_edges]
-    parent[target] = tour.src[down_edges]
-    depth[target] = depth_scan[pos]
-    preorder[target] = preorder_scan[pos] + 1
-    subtree_size[target] = (twin_rank[down_edges] - pos + 1) // 2
-    # Root values.
+        # Scatter per down half-edge: edge i joins u = src[2i] and v = dst[2i],
+        # and its down half-edge enters v iff 2i comes first.
+        u, v = tour.src[0::2], tour.dst[0::2]
+        child = np.where(first_down, v, u)
+        parent[child] = np.where(first_down, u, v)
+        before = seen[down]
+        preorder[child] = before + 1
+        depth[child] = 2 * before - down - 1
+        subtree_size[child] = (up - down + 1) >> 1
+        ctx.kernel(
+            "euler_scatter_node_stats",
+            threads=int(down.size),
+            ops=6.0 * down.size,
+            bytes_read=float(down.size) * 48.0,
+            bytes_written=float(down.size) * 32.0,
+            launches=2,
+            random_access=True,
+        )
     parent[root] = NO_PARENT
     depth[root] = 0
     preorder[root] = 1
     subtree_size[root] = n
-    ctx.kernel(
-        "euler_scatter_node_stats",
-        threads=int(down_edges.size),
-        ops=6.0 * down_edges.size,
-        bytes_read=float(down_edges.size) * 48.0,
-        bytes_written=float(down_edges.size) * 32.0,
-        launches=2,
-        random_access=True,
-    )
     return TreeStats(root=root, parent=parent, depth=depth,
                      preorder=preorder, subtree_size=subtree_size)
 

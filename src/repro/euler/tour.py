@@ -129,11 +129,10 @@ def build_euler_tour_from_dcel(dcel: DCEL, root: int = 0,
         raise NotATreeError(f"root {root} has no incident edges; tree is disconnected")
 
     # Cut the cycle: the unique predecessor of the head becomes the tail.
-    pred_mask = succ == head
-    preds = np.flatnonzero(pred_mask)
+    # `succ` is the gather's own fresh array, so it is cut in place.
+    preds = np.flatnonzero(succ == head)
     if preds.size != 1:
         raise NotATreeError("Euler tour is not a single cycle; input is not a tree")
-    succ = succ.copy()
     succ[preds[0]] = -1
     ctx.kernel(
         "euler_cut_cycle",

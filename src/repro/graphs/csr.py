@@ -64,18 +64,18 @@ class CSRGraph:
         """
         ctx = ensure_context(ctx)
         n, m = edges.num_nodes, edges.num_edges
-        src, dst, eid = edges.directed_halfedges()
+        src, dst = edges.directed_halfedges()
         deg = np.bincount(src, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         order = np.argsort(src, kind="stable")
         indices = dst[order]
-        edge_ids = eid[order]
+        edge_ids = order >> 1  # half-edge 2i and 2i + 1 are undirected edge i
         ctx.kernel(
             "csr_build",
             threads=max(2 * m, 1),
             ops=6.0 * max(2 * m, 1),
-            bytes_read=float(src.nbytes + dst.nbytes + eid.nbytes),
+            bytes_read=float(3 * src.nbytes),  # src, dst, edge ids
             bytes_written=float(indices.nbytes + edge_ids.nbytes + indptr.nbytes),
             launches=4,
             random_access=True,

@@ -158,23 +158,17 @@ class EdgeList:
     # ------------------------------------------------------------------
     # Derived representations
     # ------------------------------------------------------------------
-    def directed_halfedges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return the ``2m`` directed half-edges ``(src, dst, undirected_id)``.
+    def directed_halfedges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the ``2m`` directed half-edges ``(src, dst)``.
 
         For undirected edge ``i = (x, y)``, half-edges ``2i = (x, y)`` and
         ``2i + 1 = (y, x)`` are adjacent in the output — the layout the DCEL
         construction (paper §2.1, array ``A``) requires, where an edge's twin
-        is its neighbour in ``A``.
+        is its neighbour in ``A`` and its undirected id is ``halfedge >> 1``.
         """
-        m = self.num_edges
-        src = np.empty(2 * m, dtype=np.int64)
-        dst = np.empty(2 * m, dtype=np.int64)
-        src[0::2] = self.u
-        dst[0::2] = self.v
-        src[1::2] = self.v
-        dst[1::2] = self.u
-        eid = np.repeat(np.arange(m, dtype=np.int64), 2)
-        return src, dst, eid
+        src = np.column_stack((self.u, self.v)).ravel()
+        dst = np.column_stack((self.v, self.u)).ravel()
+        return src, dst
 
     def relabeled(self, permutation: np.ndarray) -> "EdgeList":
         """Apply a node relabeling: node ``i`` becomes ``permutation[i]``."""

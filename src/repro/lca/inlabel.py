@@ -52,13 +52,6 @@ __all__ = [
 ]
 
 
-def _ilog2(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``floor(log2(x))`` for positive integers (exact)."""
-    x = np.asarray(x, dtype=np.int64)
-    _, exp = np.frexp(x.astype(np.float64))
-    return (exp - 1).astype(np.int64)
-
-
 def _popcount(x: np.ndarray) -> np.ndarray:
     """Elementwise number of set bits of non-negative ``int64`` values."""
     x = x - ((x >> 1) & 0x5555555555555555)
@@ -136,15 +129,17 @@ def build_inlabel_structure(stats: TreeStats,
     root = stats.root
 
     # inlabel(v): the element of [pre(v), pre(v)+size(v)-1] with the most
-    # trailing zeros, computed with the classical XOR trick.
-    lo = pre - 1
-    hi = pre + size - 1
-    i = _ilog2(lo ^ hi)
-    inlabel = (hi >> i) << i
+    # trailing zeros, computed with the classical XOR trick: hi cleared below
+    # bit floor(log2(lo ^ hi)) = frexp's exponent - 1, in place.
+    inlabel = pre + size - 1  # hi; lo = pre - 1
+    _, shift = np.frexp((pre - 1) ^ inlabel)
+    shift -= 1
+    inlabel >>= shift
+    inlabel <<= shift
     elementwise(n, ops_per_element=6.0, bytes_per_element=32.0, ctx=ctx,
                 name="inlabel_compute")
 
-    levels = int(_ilog2(np.asarray([max(n, 1)]))[0]) + 1
+    levels = max(n, 1).bit_length()  # floor(log2(n)) + 1
 
     # head: the shallowest node of every inlabel path.  A node is a path head
     # iff it is the root or its parent lies on a different inlabel path (the
@@ -170,9 +165,9 @@ def build_inlabel_structure(stats: TreeStats,
     # ``x & -x`` isolates the lowest set bit directly — the same value as
     # ``1 << trailing_zeros(x)`` without the float round-trip through frexp.
     num_heads = heads.size
-    head_index = np.empty(head.size, dtype=np.int64)
-    head_index[head_inlabel] = np.arange(num_heads)
-    path = head_index[inlabel]  # per node: the index in `heads` of its path head
+    head_index = np.empty(n, dtype=np.int64)  # node-indexed; read at heads only
+    head_index[heads] = np.arange(num_heads)
+    path = head_index[head[inlabel]]  # per node: the index in `heads` of its path head
     bits = np.zeros(num_heads + 1, dtype=np.int64)
     bits[:num_heads] = head_inlabel & -head_inlabel
     up = np.full(num_heads + 1, num_heads, dtype=np.int64)
@@ -189,7 +184,7 @@ def build_inlabel_structure(stats: TreeStats,
     # The device walk makes one hop per inlabel path above a node's own.
     # Levels strictly increase along a root path, so each of those paths is
     # one distinct bit of the head's value next to the path's own.
-    total_hops = int((_popcount(bits) - 1)[path].sum())
+    total_hops = int(np.dot(_popcount(bits[:num_heads]) - 1, np.bincount(path)))
     ctx.kernel(
         "inlabel_ascendant_walk",
         threads=n,

@@ -25,6 +25,7 @@ from .rmq import (
 )
 from .scan import (
     add_scan_offsets,
+    charge_scan,
     exclusive_scan,
     inclusive_scan,
     segmented_inclusive_scan,
@@ -37,6 +38,7 @@ __all__ = [
     "exclusive_scan",
     "segmented_inclusive_scan",
     "add_scan_offsets",
+    "charge_scan",
     # reduce
     "reduce_array",
     "segreduce_by_key",

@@ -30,14 +30,22 @@ from ..errors import InvalidGraphError
 _NIL = -1
 
 
-def _validate_list(succ: np.ndarray, head: int) -> None:
-    n = succ.size
+def _validate_list(succ: object, head: object) -> np.ndarray:
+    """``succ`` as ``int64``; ids are refused, never truncated by a cast."""
+    arr = np.asarray(succ)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise InvalidGraphError(f"successors must be 1-D integers, got {arr.dtype} "
+                                f"of shape {arr.shape}")
+    n = arr.size
     if n == 0:
         raise InvalidGraphError("cannot rank an empty list")
+    if isinstance(head, bool) or not isinstance(head, (int, np.integer)):
+        raise InvalidGraphError(f"head must be an integer index, got {head!r}")
     if not (0 <= head < n):
         raise InvalidGraphError(f"head index {head} out of range for list of length {n}")
-    if succ.min() < _NIL or succ.max() >= n:
+    if arr.min() < _NIL or arr.max() >= n:
         raise InvalidGraphError("successor indices must be in [-1, n)")
+    return arr.astype(np.int64, copy=False)
 
 
 def sequential_rank(succ: np.ndarray, head: int,
@@ -48,8 +56,7 @@ def sequential_rank(succ: np.ndarray, head: int,
     indicate a malformed list) raise :class:`InvalidGraphError`.
     """
     ctx = ensure_context(ctx)
-    succ = np.asarray(succ, dtype=np.int64)
-    _validate_list(succ, head)
+    succ = _validate_list(succ, head)
     n = succ.size
     rank = np.full(n, _NIL, dtype=np.int64)
     # The walk itself is performed with a NumPy trick (repeated gather) to
@@ -83,8 +90,7 @@ def wyllie_rank(succ: np.ndarray, head: int,
     the ablation baseline for Wei–JaJa (``benchmarks/bench_ablations.py``).
     """
     ctx = ensure_context(ctx)
-    succ = np.asarray(succ, dtype=np.int64).copy()
-    _validate_list(succ, head)
+    succ = _validate_list(succ, head).copy()
     n = succ.size
     dist_to_tail = np.where(succ == _NIL, 0, 1).astype(np.int64)
     rounds = 0
@@ -144,8 +150,7 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     3. *offset add* — one map kernel over all ``n`` elements.
     """
     ctx = ensure_context(ctx)
-    succ = np.asarray(succ, dtype=np.int64)
-    _validate_list(succ, head)
+    succ = _validate_list(succ, head)
     n = succ.size
     if n == 1:
         return np.zeros(1, dtype=np.int64)
@@ -163,13 +168,11 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     s = splitters.size
 
     # stop[x]: a walk that reaches x ends there.  x is a splitter or, in the
-    # extra last slot that ``succ == -1`` indexes, the end of the list, whose
-    # splitter id is -1 for the same reason.
+    # extra last slot that ``succ == -1`` indexes, the end of the list.  The
+    # splitters are sorted, so a splitter's id is its position among them.
     stop = np.zeros(n + 1, dtype=bool)
     stop[splitters] = True
     stop[n] = True
-    splitter_id = np.full(n + 1, _NIL, dtype=np.int64)
-    splitter_id[splitters] = np.arange(s)
 
     sublist_id = np.full(n, _NIL, dtype=np.int64)
     # Written wherever sublist_id is, and read only once that has no gap.
@@ -204,7 +207,9 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
         if done.any():
             finished = ids[done]
             sublist_len[finished] = step
-            sublist_next[finished] = splitter_id[nxt[done]]
+            reached = nxt[done]  # splitters, or -1 past the tail
+            hit = splitters.searchsorted(reached)
+            sublist_next[finished] = np.where(reached < 0, _NIL, hit)
             keep = ~done
             cur = nxt[keep]
             ids = ids[keep]
@@ -231,7 +236,7 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     # sublist, so s hops bound it.
     follower = sublist_next.tolist()
     chain = []
-    cur_sub = int(splitter_id[head])
+    cur_sub = int(splitters.searchsorted(head))
     for _ in range(s):
         if cur_sub == _NIL:
             break
@@ -249,8 +254,8 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     ctx.sequential("weijaja_rank_sublists", ops=float(2 * s),
                    bytes_touched=float(3 * s * 8), random_access=True)
 
-    # Phase 3: add the sublist offsets to the local ranks.
-    rank = offsets[sublist_id] + local_rank
+    # Phase 3: add the sublist offsets to the local ranks, in place.
+    local_rank += offsets[sublist_id]
     ctx.kernel(
         "weijaja_add_offsets",
         threads=n,
@@ -260,7 +265,7 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
         launches=1,
         random_access=True,
     )
-    return rank
+    return local_rank
 
 
 def canonical_rank_method(method: str) -> str:

@@ -7,6 +7,9 @@ tour computation as an array scan — pays off.  Here the actual arithmetic is
 delegated to :func:`numpy.cumsum`; the cost model charges the canonical
 two-pass work-efficient scan: ``2n`` operations, one streaming read and one
 streaming write of the array, and two kernel launches (upsweep + downsweep).
+How the host gets the values never enters the charge: a scan derived from
+another is booked with :func:`charge_scan`, so this module prices every scan
+(``tests/golden/inlabel_charges.json`` pins the charges of the Euler-tour build).
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 from ..device import ExecutionContext, ensure_context
 
 
-def _charge_scan(ctx: ExecutionContext, n: int, itemsize: int, name: str) -> None:
+def charge_scan(ctx: ExecutionContext, n: int, itemsize: int, name: str) -> None:
+    """Book one scan of ``n`` items of ``itemsize`` bytes without running it."""
     ctx.kernel(
         name,
         threads=n,
@@ -29,17 +33,18 @@ def _charge_scan(ctx: ExecutionContext, n: int, itemsize: int, name: str) -> Non
     )
 
 
-def inclusive_scan(values: np.ndarray, *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
+def inclusive_scan(values: np.ndarray, *, out: Optional[np.ndarray] = None,
+                   ctx: Optional[ExecutionContext] = None) -> np.ndarray:
     """Inclusive prefix sum of a 1-D array.
 
-    ``out[i] = values[0] + ... + values[i]``.
+    ``out[i] = values[0] + ... + values[i]``, into ``out`` when given.
     """
     ctx = ensure_context(ctx)
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("inclusive_scan expects a 1-D array")
-    _charge_scan(ctx, values.size, values.dtype.itemsize, "inclusive_scan")
-    return np.cumsum(values)
+    charge_scan(ctx, values.size, values.dtype.itemsize, "inclusive_scan")
+    return np.cumsum(values, out=out)
 
 
 def exclusive_scan(values: np.ndarray, *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
@@ -52,7 +57,7 @@ def exclusive_scan(values: np.ndarray, *, ctx: Optional[ExecutionContext] = None
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("exclusive_scan expects a 1-D array")
-    _charge_scan(ctx, values.size, values.dtype.itemsize, "exclusive_scan")
+    charge_scan(ctx, values.size, values.dtype.itemsize, "exclusive_scan")
     out = np.empty_like(values)
     if values.size:
         out[0] = 0
@@ -78,8 +83,8 @@ def segmented_inclusive_scan(
     if values.shape != segment_ids.shape or values.ndim != 1:
         raise ValueError("values and segment_ids must be 1-D arrays of equal length")
     n = values.size
-    _charge_scan(ctx, n, values.dtype.itemsize + segment_ids.dtype.itemsize,
-                 "segmented_inclusive_scan")
+    charge_scan(ctx, n, values.dtype.itemsize + segment_ids.dtype.itemsize,
+                "segmented_inclusive_scan")
     if n == 0:
         return values.copy()
     if np.any(segment_ids[1:] < segment_ids[:-1]):

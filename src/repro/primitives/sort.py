@@ -6,7 +6,9 @@ The paper uses moderngpu's mergesort; GPUs more commonly use LSD radix sort
 for integer keys, and that is what the cost model charges: a fixed number of
 passes, each reading and writing the key/value payload once plus a histogram
 and scan per pass.  The actual ordering is computed with ``numpy`` sorts so
-results are exact; how the host computes it never enters the charge.
+results are exact; how the host computes it never enters the charge (so
+:func:`sort_pairs` decodes its sorted column from the keys it sorted), and
+``tests/golden/inlabel_charges.json`` pins the charges of the Euler-tour build.
 """
 
 from __future__ import annotations
@@ -70,54 +72,27 @@ def argsort_values(values: np.ndarray, *, ctx: Optional[ExecutionContext] = None
     return np.argsort(values, kind="stable")
 
 
-def _pair_order(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The stable lexicographic argsort of ``(first[i], second[i])``.
-
-    Integer columns whose observed ranges leave room are packed, with the
-    position, into one ``int64`` per pair — ``(first, second, position)``
-    from the high bits down — and sorted by value, which NumPy vectorises
-    where an indirect sort chases pointers.  Positions are distinct, so the
-    keys are, and the low bits of the sorted keys are the permutation a
-    stable sort by ``(first, second)`` gives, ties included.
-    """
-    n = first.size
-    if n and first.dtype.kind in "iu" and second.dtype.kind in "iu":
-        lo1, lo2 = first.min(), second.min()
-        bits2 = (int(second.max()) - int(lo2)).bit_length()
-        bits_pos = (n - 1).bit_length()
-        if (int(first.max()) - int(lo1)).bit_length() + bits2 + bits_pos <= 63:
-            # int64 arithmetic wraps, so a uint64 column cast to int64 still
-            # yields the true (< 2**63) offsets from its minimum, and adding
-            # `second` before taking its minimum off comes out the same.
-            key = first.astype(np.int64)
-            key -= lo1.astype(np.int64)
-            key <<= bits2
-            key += second.astype(np.int64, copy=False)
-            key -= lo2.astype(np.int64)
-            key <<= bits_pos
-            key |= np.arange(n)
-            key.sort()
-            key &= (1 << bits_pos) - 1
-            return key
-    return np.lexsort((second, first))
-
-
 def sort_pairs(
     first: np.ndarray,
     second: np.ndarray,
     *,
     ctx: Optional[ExecutionContext] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lexicographically sort pairs ``(first[i], second[i])``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stably sort pairs ``(first[i], second[i])`` lexicographically.
 
-    Returns ``(sorted_first, sorted_second, order)`` where ``order`` is the
-    permutation applied, so callers can maintain cross-array pointers exactly
-    as the DCEL construction requires ("each element keeps an up-to-date
-    pointer to its copy in the other array").
+    Returns ``(first[order], order)``, ``order`` being the permutation applied,
+    so callers can maintain cross-array pointers exactly as the DCEL
+    construction requires ("each element keeps an up-to-date pointer to its
+    copy in the other array").  No caller reads the sorted second column.
 
     The cost model charges two chained radix sorts (sort by ``second``, then
     stably by ``first``), the standard way of lexicographically sorting pairs
-    of bounded integers on a GPU.
+    of bounded integers on a GPU.  The host packs integer columns whose
+    observed ranges leave room, with the position, into one ``int64`` per pair
+    — ``(first, second, position)`` from the high bits down — and value-sorts
+    them (vectorised, where an indirect sort chases pointers): the keys are
+    distinct, their low bits are ``order`` and their high bits decode to the
+    sorted first column in place.  Other columns take ``np.lexsort``.
     """
     ctx = ensure_context(ctx)
     first = np.asarray(first)
@@ -130,8 +105,29 @@ def sort_pairs(
     )
     _charge_radix_sort(ctx, n, first.dtype.itemsize + second.dtype.itemsize + 8,
                        passes, "radix_sort_pairs")
-    order = _pair_order(first, second)
-    return first[order], second[order], order
+    if n and first.dtype.kind in "iu" and second.dtype.kind in "iu":
+        lo1, lo2 = first.min(), second.min()
+        bits2 = (int(second.max()) - int(lo2)).bit_length()
+        bits_pos = (n - 1).bit_length()
+        if (int(first.max()) - int(lo1)).bit_length() + bits2 + bits_pos <= 63:
+            # int64 arithmetic wraps, so a uint64 column cast to int64 still
+            # yields the true (< 2**63) offsets from its minimum, and adding
+            # `second` before taking its minimum off comes out the same;
+            # adding `lo1` back wraps to the column's own bits.
+            key = first.astype(np.int64)
+            key -= lo1.astype(np.int64)
+            key <<= bits2
+            key += second.astype(np.int64, copy=False)
+            key -= lo2.astype(np.int64)
+            key <<= bits_pos
+            key |= np.arange(n)
+            key.sort()
+            order = key & ((1 << bits_pos) - 1)
+            key >>= bits2 + bits_pos
+            key += lo1.astype(np.int64)
+            return key.astype(first.dtype, copy=False), order
+    order = np.lexsort((second, first))
+    return first[order], order
 
 
 def sort_key_value(

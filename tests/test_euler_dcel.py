@@ -1,5 +1,6 @@
 """Tests for the DCEL half-edge structure (paper §2.1)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import NotATreeError
@@ -24,6 +25,11 @@ class TestStructure:
             assert int(dcel.twin[t]) == e
             assert dcel.src[e] == dcel.dst[t]
             assert dcel.dst[e] == dcel.src[t]
+        # The layout tree statistics lean on: twins are the pairs (2i, 2i + 1).
+        big = build_dcel(parents_to_edgelist(random_attachment_tree(1000, seed=3)))
+        for d in (dcel, big):
+            assert np.array_equal(d.twin, np.arange(d.num_halfedges) ^ 1)
+            assert np.array_equal(d.src[d.twin], d.dst)
 
     def test_next_permutes_edges_within_source(self):
         dcel = build_dcel(figure1_edges())

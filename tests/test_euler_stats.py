@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.euler import (
     build_euler_tour_from_parents,
@@ -12,6 +14,8 @@ from repro.graphs import (
     depths_from_parents,
     subtree_sizes_from_parents,
 )
+from repro.graphs.generators import random_attachment_tree
+from repro.graphs.trees import relabel_tree, tree_root
 
 from .conftest import TREE_KINDS, make_tree
 
@@ -54,6 +58,68 @@ class TestAgainstSequentialOracles:
         stats = tree_statistics_from_parents(parents)
         start, end = stats.preorder_interval()
         assert np.array_equal(end - start + 1, stats.subtree_size)
+
+
+def sequential_preorder(parents):
+    """1-based preorder of the walk the Euler tour takes, one node at a time.
+
+    The DCEL orders each node's half-edges by target, and the tour leaves a
+    node entered from ``p`` along the half-edge after the one back to ``p``,
+    cyclically: the root's children in increasing id, any other node's
+    children above ``p`` first, then those below.
+    """
+    n = len(parents)
+    neighbours = [[] for _ in range(n)]
+    for v, p in enumerate(parents.tolist()):
+        if p >= 0:
+            neighbours[v].append(p)
+            neighbours[p].append(v)
+    preorder = np.zeros(n, dtype=np.int64)
+    stack = [(tree_root(parents), -1)]
+    number = 0
+    while stack:
+        node, came_from = stack.pop()
+        number += 1
+        preorder[node] = number
+        kids = sorted(c for c in neighbours[node] if c != came_from)
+        kids = [c for c in kids if c > came_from] + [c for c in kids if c < came_from]
+        stack.extend((c, node) for c in reversed(kids))
+    return preorder
+
+
+@st.composite
+def trees(draw):
+    """Paths, stars and random-attachment trees of 1-300 nodes, each under a
+    random relabelling, so the root is rarely node 0."""
+    n = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["path", "star", "attachment"]))
+    if shape == "path":
+        parents = np.arange(-1, n - 1, dtype=np.int64)
+    elif shape == "star":
+        parents = np.zeros(n, dtype=np.int64)
+        parents[0] = -1
+    else:
+        seed = draw(st.integers(0, 2**16))
+        parents = random_attachment_tree(n, seed=seed, relabel=False)
+    permutation = np.random.default_rng(draw(st.integers(0, 2**16))).permutation(n)
+    return relabel_tree(parents, permutation)
+
+
+class TestAgainstSequentialReferences:
+    """Every statistic, read off the paired tour positions of twin half-edges
+    and one preorder scan, equals the sequential computation."""
+
+    @given(trees())
+    @settings(max_examples=150, deadline=None)
+    def test_every_statistic(self, parents):
+        stats = tree_statistics_from_parents(parents)
+        assert stats.root == tree_root(parents)
+        assert np.array_equal(stats.parent, parents)
+        assert np.array_equal(stats.depth, depths_from_parents(parents))
+        assert np.array_equal(stats.subtree_size, subtree_sizes_from_parents(parents))
+        assert np.array_equal(stats.preorder, sequential_preorder(parents))
+        for table in (stats.parent, stats.depth, stats.preorder, stats.subtree_size):
+            assert table.dtype == np.int64 and table.base is None
 
 
 class TestFigure1:

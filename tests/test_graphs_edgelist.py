@@ -124,10 +124,9 @@ class TestNormalization:
 class TestDerivedRepresentations:
     def test_directed_halfedges_layout(self):
         g = EdgeList.from_pairs([(0, 2), (1, 2)], n=3)
-        src, dst, eid = g.directed_halfedges()
+        src, dst = g.directed_halfedges()
         assert src.tolist() == [0, 2, 1, 2]
         assert dst.tolist() == [2, 0, 2, 1]
-        assert eid.tolist() == [0, 0, 1, 1]
 
     def test_relabeled_preserves_structure(self):
         g = EdgeList.from_pairs([(0, 1), (1, 2)], n=3)

@@ -1,0 +1,104 @@
+"""Golden modeled charges and tables of the Inlabel LCA build.
+
+The parent array → DCEL → Euler tour → list ranking → tree statistics →
+Inlabel chain is charged as the paper's algorithm; how the host computes each
+kernel's values never enters the charge.  So every ``ctx.kernel`` record (all
+of its fields, modeled time included — in order), ``ctx.elapsed``,
+``ctx.breakdown()``, the sha256 of every structure table and the artifact size
+stay exactly what ``golden/inlabel_charges.json`` holds.  That file was
+recorded at the commit before the build stopped materialising its
+intermediate arrays::
+
+    python -m tests.test_inlabel_golden_charges > tests/golden/inlabel_charges.json
+
+Equality is exact, floats included (JSON round-trips Python floats).
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
+from repro.graphs.generators import grasp_tree, random_attachment_tree
+from repro.graphs.generators.random_trees import grasp_for_target_depth
+from repro.lca import InlabelLCA, SequentialInlabelLCA
+from repro.service.registry import artifact_nbytes
+
+from .conftest import PAPER_FIGURE1_PARENTS
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "inlabel_charges.json"
+
+
+def digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+TREES = {
+    "shallow-4096": lambda: random_attachment_tree(4_096, seed=7),
+    "deep-65536": lambda: grasp_tree(
+        65_536, grasp_for_target_depth(65_536, 400.0), seed=8
+    ),
+    "figure1": lambda: PAPER_FIGURE1_PARENTS.copy(),
+    "two-nodes": lambda: np.array([1, -1]),
+    "single-node": lambda: np.array([-1]),
+}
+
+
+def run_build(make, flavour, **kwargs):
+    def run(ctx):
+        index = flavour(make(), ctx=ctx, **kwargs)
+        tables = {
+            name: value
+            for name, value in vars(index.structure).items()
+            if isinstance(value, np.ndarray)
+        }
+        return {
+            "tables": {name: digest(value) for name, value in tables.items()},
+            "dtypes": sorted({str(value.dtype) for value in tables.values()}),
+            "root": index.structure.root,
+            "levels": index.structure.levels,
+            "artifact_nbytes": artifact_nbytes(index),
+            "breakdown": ctx.breakdown(),
+        }
+
+    return run
+
+
+CASES = {}
+for name, make in TREES.items():
+    CASES[f"parallel/{name}"] = (GTX980, run_build(make, InlabelLCA))
+    CASES[f"sequential/{name}"] = (
+        XEON_X5650_SINGLE,
+        run_build(make, SequentialInlabelLCA),
+    )
+for method in ("wyllie", "sequential"):
+    CASES[f"parallel/shallow-4096/{method}"] = (
+        GTX980,
+        run_build(TREES["shallow-4096"], InlabelLCA, list_rank_method=method),
+    )
+
+
+def observe(case):
+    spec, run = CASES[case]
+    ctx = ExecutionContext(spec, trace=True)
+    observed = run(ctx)
+    observed["elapsed"] = ctx.elapsed
+    observed["records"] = [dataclasses.astuple(r) for r in ctx.records]
+    return json.loads(json.dumps(observed))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_charges_and_tables_are_bit_identical(case):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(golden) == sorted(CASES)
+    observed = observe(case)
+    assert observed["records"] == golden[case]["records"]
+    assert observed == golden[case]
+
+
+if __name__ == "__main__":
+    print(json.dumps({case: observe(case) for case in sorted(CASES)}, indent=1))

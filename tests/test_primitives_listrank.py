@@ -92,6 +92,37 @@ class TestValidation:
             sequential_rank(succ, 0)
 
 
+#: name -> (succ, head): inputs a cast would have truncated into some list.
+NOT_INTEGER_LISTS = {
+    "float successors": (np.array([1.7, 2.2, -1.0]), 0),
+    "float head": (np.array([1, -1]), 0.0),
+    "numpy float head": (np.array([1, -1]), np.float64(0)),
+    "bool successors": (np.array([True, False]), 0),
+    "bool head": (np.array([1, -1]), True),
+    "2-D successors": (np.array([[1, -1]]), 0),
+    "object successors": (np.array([1, None], dtype=object), 0),
+}
+
+
+class TestRefusedNotTruncated:
+    """One dtype and shape test refuses what a cast used to rank."""
+
+    @pytest.mark.parametrize("method", ["wei-jaja", "wyllie", "sequential"])
+    @pytest.mark.parametrize("case", sorted(NOT_INTEGER_LISTS))
+    def test_every_method(self, case, method):
+        succ, head = NOT_INTEGER_LISTS[case]
+        with pytest.raises(InvalidGraphError, match="integer|1-D"):
+            list_rank(succ, head, method=method)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_signed_integers_of_any_width_pass(self, algorithm, dtype):
+        # Signed only: an unsigned array cannot hold the -1 that ends a list.
+        succ, head, expected = make_list(60, seed=4)
+        assert np.array_equal(algorithm(succ.astype(dtype), np.int32(head)), expected)
+        assert np.array_equal(algorithm(succ.tolist(), head), expected)
+
+
 class TestWeiJajaEqualsSequential:
     """Any splitter count, any seed: the ranks are the sequential walk's."""
 
@@ -140,6 +171,11 @@ MALFORMED_LISTS = {
     "head above range": ([1, -1], 2),
     "successor below -1": ([1, -2], 0),
     "successor at n": ([1, 2], 0),
+    # Walks that end at a splitter or at the tail learn the sublist they
+    # reach by searching the splitters; none of these may slip past that.
+    "two predecessors off the head's chain": ([1, 2, -1, 2], 0),
+    "cycle off the head's chain": ([1, -1, 3, 4, 2], 0),
+    "unreachable tail": ([1, 0, -1], 0),
 }
 
 

@@ -68,7 +68,9 @@ def test_segreduce_matches_python_groupby(pairs, op):
 def test_sort_pairs_is_a_sorted_permutation(pairs):
     first = np.asarray([p[0] for p in pairs], dtype=np.int64)
     second = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    sf, ss, order = sort_pairs(first, second)
+    sf, order = sort_pairs(first, second)
+    ss = second[order]
+    assert np.array_equal(sf, first[order])
     assert sorted(zip(first.tolist(), second.tolist())) == list(zip(sf.tolist(), ss.tolist()))
     if pairs:
         assert np.array_equal(np.sort(order), np.arange(len(pairs)))
