@@ -34,7 +34,7 @@ leg ruff "ruff check src tests benchmarks examples scripts"
 leg ruff "ruff format --check src tests benchmarks examples scripts"
 
 # --- typecheck --------------------------------------------------------------
-leg mypy "mypy src/repro/service src/repro/workloads src/repro/obs src/repro/control src/repro/backends"
+leg mypy "mypy src/repro/boundary.py src/repro/service src/repro/workloads src/repro/obs src/repro/control src/repro/backends"
 
 # --- test -------------------------------------------------------------------
 leg python "python -m pytest -x -q"

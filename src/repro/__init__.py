@@ -37,6 +37,7 @@ True
 """
 
 from . import (
+    boundary,
     bridges,
     control,
     device,
@@ -114,7 +115,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "__version__",
@@ -131,6 +132,7 @@ __all__ = [
     "obs",
     "control",
     "errors",
+    "boundary",
     # most-used classes and functions
     "DeviceSpec",
     "ExecutionContext",

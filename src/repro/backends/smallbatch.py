@@ -43,10 +43,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import query_columns
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import tree_statistics_from_parents
-from ..graphs.trees import as_query_ids
 from ..lca.inlabel import (
     INLABEL_QUERY_COST,
     InlabelStructure,
@@ -94,10 +94,7 @@ class _SmallBatchKernel(CompiledKernel):
         ctx: Optional[ExecutionContext] = None,
     ) -> np.ndarray:
         """Answer one batch; ``ctx`` books the sequential-CPU charge for it."""
-        xs = as_query_ids(xs)
-        ys = as_query_ids(ys)
-        if xs.shape != ys.shape:
-            raise InvalidQueryError("query arrays must have the same shape")
+        xs, ys = query_columns(xs, ys)
         if xs.size == 0:
             answers = np.empty(0, dtype=np.int64)
         elif xs.ndim != 1 or xs.size > self.scratch_size:

@@ -20,10 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import node_ids, parent_ids
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidGraphError
-from ..graphs.edgelist import as_node_ids
-from ..graphs.trees import as_parent_array
 
 __all__ = ["mark_cycle_edges"]
 
@@ -48,11 +47,11 @@ def mark_cycle_edges(parents: np.ndarray, levels: np.ndarray,
         meaningless and always false.
     """
     ctx = ensure_context(ctx)
-    parents = as_parent_array(parents)
-    levels = as_node_ids(levels, "levels")
+    parents = parent_ids(parents)
+    levels = node_ids(levels, "levels")
     n = parents.size
-    nontree_u = as_node_ids(nontree_u, "non-tree endpoints")
-    nontree_v = as_node_ids(nontree_v, "non-tree endpoints")
+    nontree_u = node_ids(nontree_u, "non-tree endpoints")
+    nontree_v = node_ids(nontree_v, "non-tree endpoints")
     if nontree_u.shape != nontree_v.shape:
         raise InvalidGraphError("non-tree endpoint arrays must align")
     marked = np.zeros(n, dtype=bool)

@@ -11,29 +11,20 @@ every tree edge, and splitting off the non-tree edges.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..boundary import int_scalar, parent_ids
 from ..errors import InvalidGraphError
 from ..graphs.edgelist import EdgeList
-from ..graphs.trees import as_parent_array
 
 __all__ = ["TreeEdgeView", "checked_root", "split_tree_edges", "child_endpoints"]
 
 
 def checked_root(root: object, n: int) -> int:
-    """``root`` as a node id in ``[0, n)``, refused rather than cast.
-
-    ``root=1.5`` would otherwise surface as NumPy's ``IndexError`` from inside
-    the Euler tour.  A graph without nodes has nothing to root: it keeps the
-    default 0.
-    """
-    try:
-        root = operator.index(root)
-    except TypeError:
-        raise InvalidGraphError(f"root must be an integer node id, got {root!r}") from None
+    """``root`` as a node id in ``[0, n)`` (a graph without nodes keeps 0)."""
+    root = int_scalar(root, InvalidGraphError, "root")
     if not 0 <= root < max(n, 1):
         raise InvalidGraphError(f"root {root} out of range for graph of {n} nodes")
     return root
@@ -86,7 +77,7 @@ def child_endpoints(view: TreeEdgeView, parents: np.ndarray) -> np.ndarray:
     Needed to translate per-node bridge verdicts ("the edge from ``c`` to its
     parent is a bridge") back to per-edge verdicts on the original edge list.
     """
-    parents = as_parent_array(parents)
+    parents = parent_ids(parents)
     u = view.tree_edges.u
     v = view.tree_edges.v
     u_is_child = parents[u] == v

@@ -20,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import parent_ids
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidGraphError, NotATreeError
 from ..graphs.edgelist import EdgeList
-from ..graphs.trees import NO_PARENT, as_parent_array, parents_to_edgelist, tree_root
+from ..graphs.trees import NO_PARENT, parents_to_edgelist, tree_root
 from ..primitives import list_rank, order_from_ranks
 from .dcel import DCEL, build_dcel
 
@@ -170,7 +171,7 @@ def build_euler_tour_from_parents(parents: np.ndarray,
                                   *, list_rank_method: str = "wei-jaja",
                                   ctx: Optional[ExecutionContext] = None) -> EulerTour:
     """Build an Euler tour of a tree given as a parent array, rooted at its root."""
-    parents = as_parent_array(parents)
+    parents = parent_ids(parents)
     root = tree_root(parents)
     if parents.size == 1:
         if parents[0] != NO_PARENT:

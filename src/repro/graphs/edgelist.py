@@ -9,30 +9,13 @@ validation and normalization the algorithms rely on.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from ..boundary import int_scalar, node_ids
 from ..errors import InvalidGraphError
-
-
-def as_node_ids(values: object, what: str) -> np.ndarray:
-    """Node ids (edge endpoints, a relabeling, levels) as ``int64``, refused rather than cast.
-
-    The edge-list twin of :func:`repro.graphs.trees.as_parent_array`: a cast
-    would build the edges (0, 1), (1, 2) from ``[0.7, 1.9], [1.2, 2.5]`` and
-    (1, 0) from ``[True], [False]``, so a dtype whose kind is not signed or
-    unsigned integer raises :class:`~repro.errors.InvalidGraphError` — one
-    dtype test per array, never per element.  Integer arrays of any width and
-    lists of Python ints pass; so does an empty input of any dtype (``[]`` is
-    ``float64`` to NumPy).
-    """
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" and arr.size:
-        raise InvalidGraphError(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -54,16 +37,11 @@ class EdgeList:
     n: int
 
     def __post_init__(self) -> None:
-        self.u = as_node_ids(self.u, "edge endpoints")
-        self.v = as_node_ids(self.v, "edge endpoints")
-        if self.u.ndim != 1 or self.v.ndim != 1 or self.u.shape != self.v.shape:
+        self.u = node_ids(self.u, "edge endpoints")
+        self.v = node_ids(self.v, "edge endpoints")
+        if self.u.shape != self.v.shape:
             raise InvalidGraphError("u and v must be 1-D arrays of equal length")
-        try:
-            self.n = operator.index(self.n)
-        except TypeError:
-            raise InvalidGraphError(
-                f"node count must be an integer, got {self.n!r}"
-            ) from None
+        self.n = int_scalar(self.n, InvalidGraphError, "node count")
         if self.n < 0:
             raise InvalidGraphError("node count must be non-negative")
         if self.u.size:
@@ -172,7 +150,7 @@ class EdgeList:
 
     def relabeled(self, permutation: np.ndarray) -> "EdgeList":
         """Apply a node relabeling: node ``i`` becomes ``permutation[i]``."""
-        permutation = as_node_ids(permutation, "permutation")
+        permutation = node_ids(permutation, "permutation")
         if permutation.shape != (self.n,):
             raise InvalidGraphError("permutation must have length n")
         if np.unique(permutation).size != self.n:

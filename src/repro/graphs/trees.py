@@ -13,7 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import InvalidGraphError, InvalidQueryError, NotATreeError
+from ..boundary import node_ids, parent_ids
+from ..errors import InvalidGraphError, NotATreeError
 from .edgelist import EdgeList
 
 #: Sentinel parent value used for the root.
@@ -26,7 +27,7 @@ def validate_parents(parents: np.ndarray) -> int:
     A valid parent array has exactly one entry equal to ``NO_PARENT`` (the
     root), every other entry in ``[0, n)``, and no cycles.
     """
-    parents = as_parent_array(parents)
+    parents = parent_ids(parents)
     n = parents.size
     if n == 0:
         raise NotATreeError("a tree must have at least one node")
@@ -50,7 +51,7 @@ def validate_parents(parents: np.ndarray) -> int:
 
 def tree_root(parents: np.ndarray) -> int:
     """Return the root of a parent array without the full validation pass."""
-    parents = as_parent_array(parents)
+    parents = parent_ids(parents)
     roots = np.flatnonzero(parents == NO_PARENT)
     if roots.size != 1:
         raise NotATreeError(f"expected exactly one root, found {roots.size}")
@@ -59,7 +60,7 @@ def tree_root(parents: np.ndarray) -> int:
 
 def parents_to_edgelist(parents: np.ndarray) -> EdgeList:
     """Convert a parent array into an undirected edge list (child, parent)."""
-    parents = as_parent_array(parents)
+    parents = parent_ids(parents)
     root = tree_root(parents)
     children = np.flatnonzero(parents != NO_PARENT)
     del root
@@ -111,7 +112,7 @@ def depths_from_parents(parents: np.ndarray) -> np.ndarray:
     Runs in O(n) using memoized path walks; intended as a test oracle and for
     dataset characterization, not as a measured algorithm.
     """
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = parent_ids(parents)
     n = parents.size
     root = tree_root(parents)
     depth = np.full(n, -1, dtype=np.int64)
@@ -134,7 +135,7 @@ def depths_from_parents(parents: np.ndarray) -> np.ndarray:
 
 def subtree_sizes_from_parents(parents: np.ndarray) -> np.ndarray:
     """Subtree size of every node; sequential reference (test oracle)."""
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = parent_ids(parents)
     n = parents.size
     validate_parents(parents)
     order = np.argsort(depths_from_parents(parents), kind="stable")
@@ -165,8 +166,8 @@ def relabel_tree(parents: np.ndarray, permutation: np.ndarray,
     every generated tree "so that the tree structure is maintained but the
     identifiers do not leak any information" (§3.2).
     """
-    parents = np.asarray(parents, dtype=np.int64)
-    permutation = np.asarray(permutation, dtype=np.int64)
+    parents = parent_ids(parents)
+    permutation = node_ids(permutation, "permutation")
     n = parents.size
     if permutation.shape != (n,):
         raise InvalidGraphError("permutation must have length n")
@@ -182,7 +183,7 @@ def relabel_tree(parents: np.ndarray, permutation: np.ndarray,
 def random_relabel_tree(parents: np.ndarray, *, seed: int = 0
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply a uniformly random node relabeling; returns (new_parents, permutation)."""
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = parent_ids(parents)
     rng = np.random.default_rng(seed)
     permutation = rng.permutation(parents.size).astype(np.int64)
     return relabel_tree(parents, permutation), permutation
@@ -190,7 +191,7 @@ def random_relabel_tree(parents: np.ndarray, *, seed: int = 0
 
 def brute_force_lca(parents: np.ndarray, x: int, y: int) -> int:
     """Reference LCA of two nodes by explicit ancestor-set intersection."""
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = parent_ids(parents)
     n = parents.size
     if not (0 <= x < n and 0 <= y < n):
         raise InvalidGraphError("query nodes out of range")
@@ -205,48 +206,6 @@ def brute_force_lca(parents: np.ndarray, x: int, y: int) -> int:
         if node == NO_PARENT:  # pragma: no cover - impossible in a valid tree
             raise NotATreeError("query nodes are not in the same tree")
     return node
-
-
-def as_parent_array(parents: object) -> np.ndarray:
-    """A parent array as 1-D ``int64``, refused rather than cast.
-
-    The build-side twin of :func:`as_query_ids`: a cast would index the tree
-    of ``[-1, 0, 1]`` for ``[-1, 0.9, 1.2]``, so a dtype whose kind is not
-    signed or unsigned integer raises :class:`~repro.errors.NotATreeError`, as
-    does anything but one dimension — one dtype test and one ``ndim`` test
-    per call, never per element.  Integer arrays of any width and lists of
-    Python ints pass; so does an empty input of any dtype, for the caller's
-    "at least one node" check to refuse.
-    """
-    arr = np.asarray(parents)
-    if arr.ndim != 1:
-        raise NotATreeError(f"parent array must be 1-D, got {arr.ndim} dimensions")
-    if arr.dtype.kind not in "iu" and arr.size:
-        raise NotATreeError(
-            f"parent entries must be integers, got dtype {arr.dtype}"
-        )
-    return arr.astype(np.int64, copy=False)
-
-
-def as_query_ids(ids: object) -> np.ndarray:
-    """Query node ids as an ``int64`` array of at least one dimension.
-
-    Non-integer dtypes are refused, not cast: a cast would answer ``1.7`` as
-    node ``1`` and ``True`` as node ``1``, so anything whose dtype kind is
-    not signed or unsigned integer raises
-    :class:`~repro.errors.InvalidQueryError` — one dtype test per call, never
-    per element.  Integer arrays of any width, lists of Python ints and int
-    scalars pass; so does an empty input of any dtype (``[]`` is ``float64``
-    to NumPy).  A ``uint64`` id beyond ``int64`` wraps negative and fails the
-    bounds check that follows.
-    """
-    arr = np.asarray(ids)
-    if arr.dtype.kind not in "iu" and arr.size:
-        raise InvalidQueryError(
-            f"query node ids must be integers, got dtype {arr.dtype}"
-        )
-    arr = arr.astype(np.int64, copy=False)
-    return arr if arr.ndim else arr.reshape(1)
 
 
 def generate_random_queries(n: int, q: int, *, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:

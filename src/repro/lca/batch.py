@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import query_ids
 from ..device import DeviceSpec, ExecutionContext
 from ..errors import InvalidQueryError
-from ..graphs.trees import as_query_ids
 from .dedup import dedup_query_pairs
 
 __all__ = ["BatchQueryResult", "run_batched_queries"]
@@ -82,8 +82,8 @@ def run_batched_queries(algorithm, xs: np.ndarray, ys: np.ndarray, batch_size: i
         drops by the realized dedup factor, which lets the Figure 6
         batch-size sweep quantify the dedup win too.
     """
-    xs = as_query_ids(xs)
-    ys = as_query_ids(ys)
+    xs = query_ids(xs)
+    ys = query_ids(ys)
     if xs.shape != ys.shape:
         raise ValueError("query arrays must have the same shape")
     if xs.ndim != 1:

@@ -38,8 +38,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..boundary import query_columns
 from ..errors import InvalidQueryError
-from ..graphs.trees import as_query_ids
 
 __all__ = [
     "PACK_LIMIT",
@@ -166,16 +166,14 @@ def dedup_query_pairs(
 
     Unlike :func:`pack_query_pairs` (whose callers have already validated
     node ids against the tree size) this standalone entry point checks the
-    packing precondition itself, and refuses non-integer ids rather than
-    truncating them (:func:`~repro.graphs.trees.as_query_ids`).
+    packing precondition itself, after :func:`repro.boundary.query_columns`.
 
     >>> ux, uy, inv = dedup_query_pairs(np.array([5, 2, 5]),
     ...                                 np.array([2, 5, 7]))
     >>> (ux.tolist(), uy.tolist(), inv.tolist())
     ([2, 5], [5, 7], [0, 0, 1])
     """
-    xs = as_query_ids(xs)
-    ys = as_query_ids(ys)
+    xs, ys = query_columns(xs, ys)
     if xs.size and not (
         0 <= min(int(xs.min()), int(ys.min()))
         and max(int(xs.max()), int(ys.max())) < PACK_LIMIT

@@ -36,10 +36,11 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import parent_ids, query_columns
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import TreeStats, tree_statistics_from_parents
-from ..graphs.trees import as_parent_array, as_query_ids, validate_parents
+from ..graphs.trees import validate_parents
 from ..primitives import elementwise
 
 __all__ = [
@@ -291,10 +292,7 @@ def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     output allocated once.  Every tile is bounds-checked before it runs, and
     nothing is returned unless all of them passed.
     """
-    xs = as_query_ids(xs)
-    ys = as_query_ids(ys)
-    if xs.shape != ys.shape:
-        raise InvalidQueryError("query arrays must have the same shape")
+    xs, ys = query_columns(xs, ys)
     size = xs.size
     if size == 0:
         return np.empty(0, dtype=np.int64)
@@ -386,7 +384,7 @@ class InlabelLCA:
     def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
                  list_rank_method: str = "wei-jaja", validate: bool = False) -> None:
         ctx = ensure_context(ctx)
-        parents = as_parent_array(parents)
+        parents = parent_ids(parents)
         if validate:
             validate_parents(parents)
         with ctx.phase("preprocessing"):
@@ -427,7 +425,7 @@ class SequentialInlabelLCA:
     def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
                  validate: bool = False) -> None:
         ctx = ensure_context(ctx)
-        parents = as_parent_array(parents)
+        parents = parent_ids(parents)
         if validate:
             validate_parents(parents)
         n = parents.size

@@ -25,9 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import parent_ids, query_columns
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
-from ..graphs.trees import as_parent_array, as_query_ids, tree_root, validate_parents
+from ..graphs.trees import tree_root, validate_parents
 
 __all__ = ["NaiveGPULCA", "pointer_jump_levels"]
 
@@ -43,7 +44,7 @@ def pointer_jump_levels(parents: np.ndarray, *, jump_batch: int = 5,
     number of kernel launches charged, not the result.
     """
     ctx = ensure_context(ctx)
-    parents = as_parent_array(parents)
+    parents = parent_ids(parents)
     n = parents.size
     root = tree_root(parents)
     if jump_batch < 1:
@@ -101,7 +102,7 @@ class NaiveGPULCA:
     def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
                  jump_batch: int = 5, validate: bool = False) -> None:
         ctx = ensure_context(ctx)
-        parents = as_parent_array(parents)
+        parents = parent_ids(parents)
         if validate:
             validate_parents(parents)
         self.parents = parents
@@ -123,10 +124,8 @@ class NaiveGPULCA:
         endpoints, the defining characteristic of the naïve algorithm.
         """
         ctx = ensure_context(ctx)
-        xs = as_query_ids(xs).copy()
-        ys = as_query_ids(ys).copy()
-        if xs.shape != ys.shape:
-            raise InvalidQueryError("query arrays must have the same shape")
+        xs, ys = query_columns(xs, ys)
+        xs, ys = xs.copy(), ys.copy()
         q = xs.size
         if q == 0:
             return np.empty(0, dtype=np.int64)

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..boundary import parent_ids, query_columns
 from ..errors import InvalidQueryError
-from ..graphs.trees import (
-    as_parent_array,
-    as_query_ids,
-    depths_from_parents,
-    tree_root,
-    validate_parents,
-)
+from ..graphs.trees import depths_from_parents, tree_root, validate_parents
 
 __all__ = ["BinaryLiftingLCA", "brute_force_lca_batch"]
 
@@ -31,7 +26,7 @@ class BinaryLiftingLCA:
     name = "Binary lifting (oracle)"
 
     def __init__(self, parents: np.ndarray, *, validate: bool = False) -> None:
-        parents = as_parent_array(parents)
+        parents = parent_ids(parents)
         if validate:
             validate_parents(parents)
         self.parents = parents
@@ -51,10 +46,8 @@ class BinaryLiftingLCA:
 
     def query(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Answer a batch of LCA queries (vectorized binary lifting)."""
-        xs = as_query_ids(xs).copy()
-        ys = as_query_ids(ys).copy()
-        if xs.shape != ys.shape:
-            raise InvalidQueryError("query arrays must have the same shape")
+        xs, ys = query_columns(xs, ys)
+        xs, ys = xs.copy(), ys.copy()
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
         if min(xs.min(), ys.min()) < 0 or max(xs.max(), ys.max()) >= self.n:
@@ -85,8 +78,7 @@ def brute_force_lca_batch(parents: np.ndarray, xs, ys) -> np.ndarray:
     """
     from ..graphs.trees import brute_force_lca
 
-    xs = as_query_ids(xs)
-    ys = as_query_ids(ys)
+    xs, ys = query_columns(xs, ys)
     return np.asarray(
         [brute_force_lca(parents, int(x), int(y)) for x, y in zip(xs, ys)],
         dtype=np.int64,

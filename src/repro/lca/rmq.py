@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import parent_ids, query_columns
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import build_euler_tour_from_parents
-from ..graphs.trees import as_parent_array, as_query_ids, validate_parents
+from ..graphs.trees import validate_parents
 from ..primitives import build_rmq
 
 __all__ = ["RMQLCA"]
@@ -60,7 +61,7 @@ class RMQLCA:
                  ctx: Optional[ExecutionContext] = None,
                  validate: bool = False) -> None:
         ctx = ensure_context(ctx)
-        parents = as_parent_array(parents)
+        parents = parent_ids(parents)
         if validate:
             validate_parents(parents)
         n = parents.size
@@ -113,10 +114,7 @@ class RMQLCA:
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
         """Answer a batch of LCA queries via range-minimum queries."""
         ctx = ensure_context(ctx)
-        xs = as_query_ids(xs)
-        ys = as_query_ids(ys)
-        if xs.shape != ys.shape:
-            raise InvalidQueryError("query arrays must have the same shape")
+        xs, ys = query_columns(xs, ys)
         if xs.size and (min(xs.min(), ys.min()) < 0 or max(xs.max(), ys.max()) >= self.n):
             raise InvalidQueryError("query nodes out of range")
         with ctx.phase("queries"):

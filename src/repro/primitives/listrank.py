@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..boundary import int_scalar, successor_ids
 from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidGraphError
 
@@ -31,21 +32,17 @@ _NIL = -1
 
 
 def _validate_list(succ: object, head: object) -> np.ndarray:
-    """``succ`` as ``int64``; ids are refused, never truncated by a cast."""
-    arr = np.asarray(succ)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise InvalidGraphError(f"successors must be 1-D integers, got {arr.dtype} "
-                                f"of shape {arr.shape}")
+    """``succ`` after :data:`repro.boundary.successor_ids`, and ``head``, checked."""
+    arr = successor_ids(succ)
     n = arr.size
     if n == 0:
         raise InvalidGraphError("cannot rank an empty list")
-    if isinstance(head, bool) or not isinstance(head, (int, np.integer)):
-        raise InvalidGraphError(f"head must be an integer index, got {head!r}")
+    head = int_scalar(head, InvalidGraphError, "head")
     if not (0 <= head < n):
         raise InvalidGraphError(f"head index {head} out of range for list of length {n}")
     if arr.min() < _NIL or arr.max() >= n:
         raise InvalidGraphError("successor indices must be in [-1, n)")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def sequential_rank(succ: np.ndarray, head: int,

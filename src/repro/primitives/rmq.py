@@ -22,8 +22,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..boundary import range_bounds
 from ..device import ExecutionContext, ensure_context
-from ..errors import InvalidQueryError
 
 _OPS = {"min": np.minimum, "max": np.maximum}
 
@@ -38,33 +38,12 @@ def _identity_for(op: str, dtype: np.dtype):
     return np.iinfo(dtype).min if np.issubdtype(dtype, np.integer) else -np.inf
 
 
-def _range_bounds(lo: object, hi: object) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Query bounds as 1-D ``int64`` arrays, refused rather than cast.
-
-    A cast would answer ``query([0.9], [2.9])`` as ``[0, 2]`` and a 2-D batch
-    would escape as NumPy's raw ``IndexError``, so a dtype whose kind is not
-    signed or unsigned integer, or more than one dimension, raises
-    :class:`~repro.errors.InvalidQueryError` — one test per array, never per
-    element; an empty input of any dtype passes (``[]`` is ``float64`` to
-    NumPy).  The third item says whether ``lo`` came in as a scalar.
-    """
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-    for bound in (lo, hi):
-        if bound.ndim > 1:
-            raise InvalidQueryError(
-                f"range bounds must be scalars or 1-D, got {bound.ndim} dimensions"
-            )
-        if bound.dtype.kind not in "iu" and bound.size:
-            raise InvalidQueryError(
-                f"range bounds must be integers, got dtype {bound.dtype}"
-            )
-    scalar = lo.ndim == 0
-    lo = np.atleast_1d(lo).astype(np.int64, copy=False)
-    hi = np.atleast_1d(hi).astype(np.int64, copy=False)
-    if lo.shape != hi.shape:
+def _bounds(lo: object, hi: object) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Both bounds (:data:`repro.boundary.range_bounds`); is ``lo`` a scalar?"""
+    lo_ids, hi_ids = range_bounds(lo), range_bounds(hi)
+    if lo_ids.shape != hi_ids.shape:
         raise ValueError("lo and hi must have the same shape")
-    return lo, hi, scalar
+    return lo_ids, hi_ids, np.ndim(lo) == 0
 
 
 class SegmentTreeRMQ:
@@ -144,7 +123,7 @@ class SegmentTreeRMQ:
         Empty ranges (``lo > hi``) return the operation identity.
         """
         ctx = ensure_context(ctx)
-        lo, hi, scalar = _range_bounds(lo, hi)
+        lo, hi, scalar = _bounds(lo, hi)
         live = np.flatnonzero(lo <= hi)  # empty ranges never enter the descent
         left = lo.take(live)
         r = hi.take(live)
@@ -249,7 +228,7 @@ class SparseTableRMQ:
         range length.
         """
         ctx = ensure_context(ctx)
-        lo, hi, scalar = _range_bounds(lo, hi)
+        lo, hi, scalar = _bounds(lo, hi)
         populated = lo <= hi
         if populated.any() and (lo[populated].min() < 0 or hi[populated].max() >= self.n):
             raise IndexError("query range out of bounds")

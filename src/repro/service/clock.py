@@ -18,8 +18,10 @@ fit the cost constants that dispatch then uses.
 
 from __future__ import annotations
 
+import math
 import time
 
+from ..boundary import duration, instant
 from ..errors import ServiceError
 
 __all__ = ["SimulatedClock", "WallClock"]
@@ -32,7 +34,7 @@ class SimulatedClock:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        self._now = instant(start)
 
     @property
     def now(self) -> float:
@@ -41,24 +43,22 @@ class SimulatedClock:
 
     def advance(self, dt: float) -> float:
         """Move time forward by ``dt`` seconds and return the new time."""
-        if dt < 0:
-            raise ServiceError(f"cannot advance the clock by a negative delta ({dt})")
-        self._now += float(dt)
-        return self._now
+        return self.advance_to(self._now + duration(dt, "a clock delta"))
 
     def advance_to(self, t: float) -> float:
         """Move time forward to the absolute instant ``t`` and return it.
 
-        Advancing to the current time is a no-op; advancing into the past is
-        an error (simulated time is monotone).
+        Advancing to the current time is a no-op; advancing into the past,
+        or to a NaN, infinite, boolean or string instant, is an error.
         """
-        t = float(t)
-        if t < self._now:
-            raise ServiceError(
-                f"cannot move the clock backwards (now={self._now}, requested={t})"
-            )
+        if t.__class__ is not float or not self._now <= t < math.inf:
+            t = instant(t)  # a finite float at or after now skips this call
+            if t < self._now:
+                raise ServiceError(
+                    f"cannot move the clock backwards (now={self._now}, requested={t})"
+                )
         self._now = t
-        return self._now
+        return t
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"SimulatedClock(now={self._now!r})"

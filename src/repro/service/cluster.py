@@ -69,6 +69,7 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
+from ..boundary import instant, int_scalar, query_block
 from ..errors import Overloaded, ReplicaDown, ServiceError
 from ..obs.events import (
     EV_FAULT,
@@ -91,7 +92,7 @@ from .faults import FaultEvent, FaultInjector
 from .registry import ForestStore
 from .routing import HashRing, Router, make_router
 from .scheduler import FlushedBatch
-from .service import LCAQueryService, as_query_block, block_clean_prefix
+from .service import LCAQueryService, block_clean_prefix
 from .stats import ServiceStats, dedup_factor, hit_rate
 from .tickets import TicketTable
 
@@ -278,7 +279,7 @@ class ClusterService:
         if config is None:
             config = ClusterConfig()
         self.config = config
-        n_workers = int(config.n_replicas)
+        n_workers = config.n_replicas
         self.router: Router = make_router(config.router)
         self.ring = HashRing(range(n_workers))
         self.clock = SimulatedClock(config.start_time)
@@ -290,12 +291,11 @@ class ClusterService:
                        else load_calibration_profile(config.calibration_path))
             dispatcher_factory = partial(dispatcher_for, config.backends,
                                          profile=profile)
-        index_budget = (None if config.capacity_bytes is None
-                        else int(config.capacity_bytes))
+        index_budget = config.capacity_bytes
         if config.answer_cache_bytes is None:
             cache_slice = None
         else:
-            cache_bytes = int(config.answer_cache_bytes)
+            cache_bytes = config.answer_cache_bytes
             if cache_bytes < n_workers * MIN_CACHE_BYTES:
                 raise ServiceError(
                     f"answer_cache_bytes={cache_bytes} is too small "
@@ -668,7 +668,7 @@ class ClusterService:
         >>> cluster.n_active, cluster.config.n_replicas
         (1, 1)
         """
-        n = int(n)
+        n = int_scalar(n, ServiceError, "replica count")
         if n < 1:
             raise ServiceError("cannot scale below one replica")
         if n != self.n_active and self._observer is not None:
@@ -787,7 +787,7 @@ class ClusterService:
         >>> cluster.drain(); cluster.result(ticket)
         0
         """
-        arrival = None if at is None else np.array([at], dtype=np.float64)
+        arrival = None if at is None else np.array([instant(at)])
         tickets = self.submit_many(dataset, np.array([x]), np.array([y]), at=arrival)
         return int(tickets[0])
 
@@ -823,7 +823,7 @@ class ClusterService:
         [1, 0]
         """
         copies = self._copies(dataset)
-        xs, ys, arrivals = as_query_block(xs, ys, at, now=self.clock.now)
+        xs, ys, arrivals = query_block(xs, ys, at, now=self.clock.now)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
         n = self.store.tree(dataset).size
@@ -922,8 +922,8 @@ class ClusterService:
         >>> cluster.result(ticket)
         0
         """
-        self._apply_faults(float(t))
-        t = self.clock.advance_to(float(t))
+        self._apply_faults(instant(t))
+        t = self.clock.advance_to(t)
         for replica in self._replicas:
             replica.advance_to(t)
         self._drain_failed()
@@ -1166,15 +1166,14 @@ class ClusterService:
         changes: Dict[str, object] = {}
         batch_changes: Dict[str, object] = {}
         if max_batch_size is not None:
-            changes["max_batch_size"] = int(max_batch_size)
-            batch_changes["max_batch_size"] = int(max_batch_size)
+            batch_changes["max_batch_size"] = max_batch_size
         if max_wait_s is not None:
-            changes["max_wait_s"] = float(max_wait_s)
-            batch_changes["max_wait_s"] = float(max_wait_s)
+            batch_changes["max_wait_s"] = max_wait_s
+        changes.update(batch_changes)
         if hedge_delay_s is not None:
-            changes["hedge_delay_s"] = float(hedge_delay_s)
+            changes["hedge_delay_s"] = hedge_delay_s
         if max_pending is not None:
-            changes["max_pending"] = int(max_pending)
+            changes["max_pending"] = max_pending
         if dataset is not None and (
             len(batch_changes) != len(changes) or n_replicas is not None
         ):
@@ -1205,10 +1204,10 @@ class ClusterService:
             # A forced flush can be claimed by a serve interceptor (dead or
             # failing replica): re-dispatch exactly as any serve path does.
             self._drain_failed()
-        if n_replicas is not None and int(n_replicas) != self.n_active:
+        if n_replicas is not None and n_replicas != self.n_active:
             # Membership moves last so an unsafe scale-in leaves the other
             # knobs applied; scale_to() keeps config.n_replicas current.
-            self.scale_to(int(n_replicas))
+            self.scale_to(n_replicas)
         return self.config
 
     # ------------------------------------------------------------------
@@ -1329,7 +1328,8 @@ class ClusterService:
         )
         if not copies:
             return None
-        target = self.router.route_one(dataset, copies, self._outstanding(copies))
+        depths = self._outstanding(copies)
+        target = int(self.router.route_block(dataset, copies, depths, 1)[0])
         issue_s = batch.flush_s + delay
         alt = self._replicas[target].serve_hedge(
             dataset, batch.xs, batch.ys, issue_s=issue_s

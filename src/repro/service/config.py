@@ -7,8 +7,8 @@ dedup, admission limit, hedging, retries, router policy) lives on
 way to set one; the constructors otherwise take live collaborators only.
 The configs are frozen dataclasses that
 
-* validate eagerly (construction reuses the same checks the services run,
-  so a bad config fails where it is written, not where it is used);
+* validate and normalise eagerly through :mod:`repro.boundary` (so a bad
+  config fails where it is written, not where it is used);
 * derive cheaply — :meth:`ServiceConfig.derive` is ``dataclasses.replace``
   with validation, the idiom for "this run, but with a bigger batch";
 * round-trip through plain dicts and JSON
@@ -39,8 +39,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, ClassVar, Dict, FrozenSet, Optional, Tuple, Type, TypeVar
 
+from ..boundary import Check, count, duration, instant, optional, settle
 from ..errors import ServiceError
 from .routing import LeastOutstandingRouter
 from .scheduler import BatchPolicy
@@ -50,21 +52,14 @@ __all__ = ["ServiceConfig", "ClusterConfig"]
 C = TypeVar("C", bound="_ConfigBase")
 
 
-def _normalize_backends(config: Any) -> None:
-    """Validate and canonicalize a config's ``backends`` field in place.
-
-    JSON round-trips turn tuples into lists; coerce back to a tuple (the
-    frozen dataclasses need a hashable, immutable value) and reject empty or
-    duplicated backend sets eagerly.
-    """
-    if config.backends is None:
-        return
-    keys = tuple(str(key) for key in config.backends)
+def _backend_keys(backends: Any, what: str) -> Tuple[str, ...]:
+    """Non-empty, unique keys as a tuple (a JSON round-trip makes it a list)."""
+    keys = tuple(str(key) for key in backends)
     if not keys:
-        raise ServiceError("backends must name at least one backend (or None)")
+        raise ServiceError(f"{what} must name at least one backend (or None)")
     if len(set(keys)) != len(keys):
         raise ServiceError(f"backend keys must be unique, got {list(keys)}")
-    object.__setattr__(config, "backends", keys)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -74,6 +69,11 @@ class _ConfigBase:
     #: Field names ``apply_tuning()`` may hot-swap mid-stream (subclasses
     #: override; everything else is fixed at construction).
     TUNABLE: ClassVar[FrozenSet[str]] = frozenset()
+    #: Each checked field's :mod:`repro.boundary` check (subclasses override).
+    CHECKS: ClassVar[Dict[str, Check]] = {}
+
+    def __post_init__(self) -> None:
+        settle(self, self.CHECKS)
 
     def derive(self: C, **changes: Any) -> C:
         """A copy with ``changes`` applied (``dataclasses.replace`` + checks).
@@ -179,17 +179,13 @@ class ServiceConfig(_ConfigBase):
     TUNABLE: ClassVar[FrozenSet[str]] = frozenset(
         {"max_batch_size", "max_wait_s"}
     )
-
-    def __post_init__(self) -> None:
-        # BatchPolicy owns the batching-knob invariants; constructing one
-        # here means config validation can never drift from the scheduler's.
-        BatchPolicy(max_batch_size=self.max_batch_size,
-                    max_wait_s=self.max_wait_s)
-        if self.capacity_bytes is not None and int(self.capacity_bytes) < 1:
-            raise ServiceError("capacity_bytes must be positive (or None)")
-        if self.ticket_capacity is not None and int(self.ticket_capacity) < 0:
-            raise ServiceError("ticket_capacity must be non-negative (or None)")
-        _normalize_backends(self)
+    CHECKS: ClassVar[Dict[str, Check]] = {
+        **BatchPolicy.CHECKS,
+        "capacity_bytes": optional(count),
+        "answer_cache_bytes": optional(count),
+        "ticket_capacity": optional(partial(count, least=0)),
+        "backends": optional(_backend_keys),
+    }
 
     def batch_policy(self) -> BatchPolicy:
         """The :class:`BatchPolicy` this config describes.
@@ -252,20 +248,17 @@ class ClusterConfig(_ConfigBase):
          "n_replicas"}
     )
 
-    def __post_init__(self) -> None:
-        BatchPolicy(max_batch_size=self.max_batch_size,
-                    max_wait_s=self.max_wait_s)
-        if int(self.n_replicas) < 1:
-            raise ServiceError("a cluster needs at least one replica")
-        if self.max_pending is not None and int(self.max_pending) < 1:
-            raise ServiceError("max_pending must be positive (or None)")
-        if self.hedge_delay_s is not None and float(self.hedge_delay_s) <= 0:
-            raise ServiceError("hedge_delay_s must be positive (or None)")
-        if int(self.max_retries) < 1:
-            raise ServiceError("max_retries must be at least 1")
-        if self.capacity_bytes is not None and int(self.capacity_bytes) < 1:
-            raise ServiceError("capacity_bytes must be positive (or None)")
-        _normalize_backends(self)
+    CHECKS: ClassVar[Dict[str, Check]] = {
+        **BatchPolicy.CHECKS,
+        "n_replicas": count,
+        "capacity_bytes": optional(count),
+        "max_pending": optional(count),
+        "start_time": instant,
+        "answer_cache_bytes": optional(count),
+        "hedge_delay_s": optional(partial(duration, positive=True)),
+        "max_retries": count,
+        "backends": optional(_backend_keys),
+    }
 
     def batch_policy(self) -> BatchPolicy:
         """The :class:`BatchPolicy` every worker's schedulers run under.

@@ -28,9 +28,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..boundary import count, optional, parent_ids
 from ..device import DeviceSpec, ExecutionContext
 from ..errors import ServiceError
-from ..graphs.trees import as_parent_array, validate_parents
+from ..graphs.trees import validate_parents
 from ..lca import InlabelLCA, SequentialInlabelLCA
 
 __all__ = [
@@ -149,14 +150,13 @@ class ForestStore:
         With ``validate=True`` the parent array is checked with
         :func:`~repro.graphs.trees.validate_parents` — immediately for an
         eager registration, at materialization time for a lazy one.  Either
-        way a parent array that is not 1-D, or not of an integer dtype, is
-        refused with :class:`~repro.errors.NotATreeError`, never cast.
+        way the array passes :data:`repro.boundary.parent_ids` first.
         """
         self._check_name(name)
         if (parents is None) == (loader is None):
             raise ServiceError("pass exactly one of parents= or loader=")
         if parents is not None:
-            parents = as_parent_array(parents)
+            parents = parent_ids(parents)
             if validate:
                 validate_parents(parents)
             self._trees[name] = parents
@@ -185,7 +185,7 @@ class ForestStore:
             # The loader is removed only after it succeeds (and the loaded
             # array passes validation when requested), so a transient loader
             # failure leaves the dataset retryable, not broken.
-            parents = as_parent_array(self._loaders[name]())
+            parents = parent_ids(self._loaders[name]())
             if self._validate_on_load[name]:
                 validate_parents(parents)
             self._trees[name] = parents
@@ -211,10 +211,8 @@ class IndexRegistry:
 
     def __init__(self, store: ForestStore, *,
                  capacity_bytes: Optional[int] = None) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ServiceError("capacity_bytes must be positive (or None)")
         self.store = store
-        self.capacity_bytes = capacity_bytes
+        self.capacity_bytes = optional(count)(capacity_bytes, "capacity_bytes")
         self._cache: "OrderedDict[ArtifactKey, CacheEntry]" = OrderedDict()
         self._bytes_in_use = 0
         self._hits = 0

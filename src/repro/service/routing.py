@@ -176,11 +176,11 @@ class HashRing:
 class Router:
     """Policy choosing which copy of a dataset serves each query.
 
-    Subclasses implement :meth:`route_block`; the per-query
-    :meth:`route_one` is the one-row special case.  Routers see the
-    dataset's *copies* (replica ids, in placement order) and the current
-    *outstanding* queue depth of each copy's worker, and must be
-    deterministic functions of those inputs plus their own documented state.
+    Subclasses implement :meth:`route_block` (a single query is a block of
+    one).  Routers see the dataset's *copies* (replica ids, in placement
+    order) and the current *outstanding* queue depth of each copy's worker,
+    and must be deterministic functions of those inputs plus their own
+    documented state.
     """
 
     #: Policy name used by :func:`make_router` and in reports.
@@ -202,20 +202,6 @@ class Router:
         [0, 1, 2, 0]
         """
         raise NotImplementedError
-
-    def route_one(
-        self,
-        dataset: str,
-        copies: Sequence[int],
-        outstanding: np.ndarray,
-    ) -> int:
-        """Replica id for a single query.
-
-        >>> import numpy as np
-        >>> RoundRobinRouter().route_one("d", (5, 7), np.zeros(2, dtype=np.int64))
-        5
-        """
-        return int(self.route_block(dataset, copies, outstanding, 1)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"{type(self).__name__}()"

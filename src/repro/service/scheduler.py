@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ServiceError
+from ..boundary import Check, count, duration, settle
 from ..obs.events import EV_ENQUEUE, EV_FLUSH, TraceRecorder
 from .clock import SimulatedClock
 
@@ -75,11 +75,11 @@ class BatchPolicy:
     max_batch_size: int = 1024
     max_wait_s: float = 1e-3
 
+    #: The knobs' checks, shared with the service and cluster configs.
+    CHECKS: ClassVar[Dict[str, Check]] = dict(max_batch_size=count, max_wait_s=duration)
+
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ServiceError("max_batch_size must be at least 1")
-        if self.max_wait_s < 0:
-            raise ServiceError("max_wait_s must be non-negative")
+        settle(self, self.CHECKS)
 
 
 @dataclass(frozen=True)

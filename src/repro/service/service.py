@@ -44,15 +44,15 @@ span).  Answers are bit-identical with the fast path on or off.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
+from ..boundary import query_block, query_pair, seconds_column
 from ..errors import InvalidQueryError, ServiceError
-from ..graphs.trees import as_query_ids
 from ..lca.dedup import (
     PACK_LIMIT,
     first_appearance_counts,
@@ -81,8 +81,7 @@ from .clock import SimulatedClock
 from .config import ServiceConfig
 from .dispatch import Backend, CostModelDispatcher, dispatcher_for
 from .registry import ArtifactKey, ForestStore, IndexRegistry
-from .scheduler import (NO_CUTS, BatchPolicy, Cut, Cuts, FlushedBatch,
-                        MicroBatchScheduler)
+from .scheduler import NO_CUTS, Cut, Cuts, FlushedBatch, MicroBatchScheduler
 from .stats import ServiceStats, StatsCollector
 from .tickets import TicketTable
 
@@ -91,28 +90,6 @@ __all__ = ["LCAQueryService"]
 #: Backend-lane key full-cache-hit batches are booked under (they occupy the
 #: host-side cache lane, not a compute backend).
 CACHE_BACKEND_KEY = "cache"
-
-
-def as_query_block(xs: object, ys: object, at: Optional[object], *, now: float
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A front door's column block: 1-D ``int64`` ids and ``float64`` arrivals.
-
-    Refuses what is not one before any ticket is issued (a 0-D scalar is a
-    one-row block; no ``at`` means everything arrives ``now``).  Shared, like
-    :func:`block_clean_prefix`, with the cluster layer's block path.
-    """
-    x_ids, y_ids = as_query_ids(xs), as_query_ids(ys)
-    if x_ids.ndim != 1 or y_ids.ndim != 1:
-        raise InvalidQueryError(
-            f"query arrays must be 1-D, got {max(x_ids.ndim, y_ids.ndim)}-D")
-    if x_ids.shape != y_ids.shape:
-        raise ServiceError("query arrays must have the same shape")
-    if at is None:
-        return x_ids, y_ids, np.full(x_ids.size, now, dtype=np.float64)
-    arrivals = np.atleast_1d(np.asarray(at, dtype=np.float64))
-    if arrivals.shape != x_ids.shape:
-        raise ServiceError("timestamp array must match the query arrays")
-    return x_ids, y_ids, arrivals
 
 
 def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
@@ -125,11 +102,10 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
     ``n``; arrivals start at or after ``now``, end finite, never decrease —
     NaN fails every comparison); only one that fails it is searched: one
     fused bounds check finds every out-of-range query, a non-finite arrival
-    (NaN would stall the scheduler's chunking loop, ``inf`` would strand
-    the clock) is one ``isfinite`` pass, a backwards arrival is an
-    adjacent-difference check against ``now``, and the earliest offender
-    wins.  Returns ``(stop, error)`` — admit ``[:stop]``, then raise
-    ``error`` (``None`` when the whole block is clean).
+    is one ``isfinite`` pass, a backwards arrival is an adjacent-difference
+    check against ``now``, and the earliest offender wins.  Returns
+    ``(stop, error)`` — admit ``[:stop]``, then raise ``error`` (``None``
+    when the whole block is clean).
 
     Shared by :meth:`LCAQueryService.submit_many` and the cluster layer's
     block path, which must stay in lockstep for the documented 1-replica
@@ -245,7 +221,7 @@ class LCAQueryService:
         self._observer: Optional[TraceRecorder] = None
         self._obs_replica = 0
         self.answer_cache: Optional[AnswerCache] = (
-            AnswerCache(int(config.answer_cache_bytes),
+            AnswerCache(config.answer_cache_bytes,
                         seed=config.answer_cache_seed)
             if config.answer_cache_bytes is not None else None
         )
@@ -269,11 +245,11 @@ class LCAQueryService:
         # copies out of the serving windows).  ``answered`` is zeroed, as is
         # the ``debt`` column ``latency_debt`` re-admissions add.
         reserve = config.ticket_capacity
-        self._tickets = TicketTable(0 if reserve is None else int(reserve),
+        self._tickets = TicketTable(0 if reserve is None else reserve,
                                     answers=np.int64, latencies=np.float64)
         self._tickets.zeros("answered", np.bool_)
         if reserve is not None:
-            self.stats_collector.reserve(int(reserve))
+            self.stats_collector.reserve(reserve)
         # Memoized (dataset, backend) -> ArtifactKey for the registry's keyed
         # fast path; rebuilt lazily, invalidation-free (keys are pure values).
         self._artifact_keys: Dict[Tuple[str, str], ArtifactKey] = {}
@@ -560,31 +536,19 @@ class LCAQueryService:
         """
         scheduler = self._scheduler(dataset)
         n = self.store.tree(dataset).size
-        try:
-            # The scalar form of as_query_ids' dtype test, at a twentieth
-            # of its cost per query on this row-wise path.
-            x, y = operator.index(x), operator.index(y)
-        except TypeError:
-            raise InvalidQueryError(
-                f"query node ids must be integers, got ({x!r}, {y!r})"
-            ) from None
+        x, y = query_pair(x, y)
         if not (0 <= x < n and 0 <= y < n):
             raise InvalidQueryError(
                 f"query nodes ({x}, {y}) out of range for dataset {dataset!r} "
                 f"with {n} nodes"
             )
-        if at is None:
-            t = self.clock.now
-        else:
-            t = float(at)
-            if not math.isfinite(t):
-                raise ServiceError(
-                    f"arrival timestamps must be finite, got {t}")
         # Serve everything that expired before this arrival, across all
         # datasets, in global flush-time order; the submitted dataset's
         # deadline exactly at t stays pending so this query can join it.
         # (Per query a flush is the exception: no call when nothing expired.)
-        expired = self._expired_batches(t, exclusive=dataset)
+        expired = self._expired_batches(self.clock.now if at is None else at,
+                                        exclusive=dataset)
+        t = self.clock.now  # ``at`` as the clock took it: finite, not a bool or str
         if expired:
             self._serve_run(expired)
         ticket = self._tickets.issue()
@@ -635,13 +599,9 @@ class LCAQueryService:
         [1, 0]
         """
         scheduler = self._scheduler(dataset)
-        xs, ys, arrivals = as_query_block(xs, ys, at, now=self.clock.now)
+        xs, ys, arrivals = query_block(xs, ys, at, now=self.clock.now)
         if latency_debt is not None:
-            latency_debt = np.atleast_1d(np.asarray(latency_debt,
-                                                    dtype=np.float64))
-            if latency_debt.shape != xs.shape:
-                raise ServiceError(
-                    "latency_debt array must match the query arrays")
+            latency_debt = seconds_column(latency_debt, "latency_debt", xs.size)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
         n = self.store.tree(dataset).size
@@ -700,7 +660,7 @@ class LCAQueryService:
         >>> svc.result(t)
         0
         """
-        self._serve_run(self._expired_batches(float(t), exclusive=joining))
+        self._serve_run(self._expired_batches(t, exclusive=joining))
 
     def sync_to(self, t: float) -> None:
         """Advance to ``t``, serving only deadlines *strictly* before ``t``.
@@ -724,7 +684,7 @@ class LCAQueryService:
         >>> svc.pending_count("t")
         0
         """
-        self._serve_run(self._expired_batches(float(t), include_equal=False))
+        self._serve_run(self._expired_batches(t, include_equal=False))
 
     def drain(self) -> None:
         """Flush and serve everything still queued, on every dataset.
@@ -880,9 +840,9 @@ class LCAQueryService:
         """
         changes: Dict[str, object] = {}
         if max_batch_size is not None:
-            changes["max_batch_size"] = int(max_batch_size)
+            changes["max_batch_size"] = max_batch_size
         if max_wait_s is not None:
-            changes["max_wait_s"] = float(max_wait_s)
+            changes["max_wait_s"] = max_wait_s
         if not changes:
             return self.config
         if dataset is None:
@@ -892,13 +852,7 @@ class LCAQueryService:
             targets = list(self._schedulers.items())
         else:
             scheduler = self._scheduler(dataset)
-            base = scheduler.policy
-            policy = BatchPolicy(
-                max_batch_size=int(
-                    changes.get("max_batch_size", base.max_batch_size)),
-                max_wait_s=float(
-                    changes.get("max_wait_s", base.max_wait_s)),
-            )
+            policy = dataclasses.replace(scheduler.policy, **changes)  # type: ignore[arg-type]
             targets = [(dataset, scheduler)]
         self._serve_run(self._in_flush_order([
             item for name, scheduler in targets
@@ -948,7 +902,7 @@ class LCAQueryService:
         # them) and, with ``include_equal=False``, on every dataset (the
         # :meth:`sync_to` semantics).  Idle schedulers are skipped, so the
         # per-submit cost does not grow with the number of datasets.
-        self.clock.advance_to(t)
+        t = self.clock.advance_to(t)
         run: List[RunItem] = []
         for name, scheduler in self._schedulers.items():
             if scheduler.pending_count:

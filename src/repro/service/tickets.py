@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Dict
 import numpy as np
 from numpy.typing import ArrayLike, DTypeLike
 
+from ..boundary import ticket_ids
 from ..errors import ServiceError
 
 __all__ = ["TicketTable", "grow_table"]
@@ -107,22 +108,11 @@ class TicketTable:
     def index(self, tickets: ArrayLike) -> np.ndarray:
         """``tickets`` as a 1-D ``int64`` array of issued tickets, or an error.
 
-        Refused with :class:`~repro.errors.ServiceError`, never cast: anything
-        that is not integer-typed (``0.7`` would read ticket 0, ``True``
-        ticket 1; ``None``, strings) or has more than one dimension — then
-        the first ticket that was never issued.  An integer scalar is a
-        one-ticket array; an empty input of any dtype is no tickets.
+        :data:`repro.boundary.ticket_ids` first (an integer scalar is a
+        one-ticket array), then :class:`~repro.errors.ServiceError` for the
+        first ticket that was never issued.
         """
-        try:
-            idx = np.asarray(tickets)
-        except ValueError:  # a ragged sequence
-            raise ServiceError("tickets must be a flat integer sequence") from None
-        if idx.ndim > 1 or (idx.dtype.kind not in "iu" and idx.size):
-            raise ServiceError(
-                f"tickets must be integers in at most one dimension, got "
-                f"dtype {idx.dtype} in {idx.ndim}-D"
-            )
-        idx = idx.astype(np.int64, copy=False).reshape(-1)
+        idx = ticket_ids(tickets)
         if idx.size and not 0 <= idx.min() <= idx.max() < self.issued:
             unknown = (idx < 0) | (idx >= self.issued)  # only to name the first
             raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")

@@ -1,0 +1,295 @@
+"""Every front door refuses the same inputs, with a :mod:`repro.errors` type.
+
+The sweeps call public entry points only: the service and cluster front doors,
+``register_tree``, the index constructors and their ``.query``, ``EdgeList``,
+``list_rank``, the RMQ structures, ticket read-back, the clocks and the
+configuration objects.  The schema they share is :mod:`repro.boundary`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro import boundary
+from repro.backends import get_kernel_backend
+from repro.errors import ReproError, ServiceError
+from repro.graphs.edgelist import EdgeList
+from repro.lca import (
+    RMQLCA,
+    BinaryLiftingLCA,
+    InlabelLCA,
+    NaiveGPULCA,
+    SequentialInlabelLCA,
+    dedup_query_pairs,
+)
+from repro.primitives import SegmentTreeRMQ, SparseTableRMQ, list_rank
+from repro.service import (
+    BatchPolicy,
+    ClusterConfig,
+    ClusterService,
+    LCAQueryService,
+    ServiceConfig,
+    SimulatedClock,
+)
+
+PARENTS = np.array([-1, 0, 0, 1, 1, 2])
+
+#: Each way an integer-id array is not one: a cast would have taken all but
+#: the last two.
+NOT_ID_ARRAYS = {
+    "float": np.array([1.0, 2.0]),
+    "bool": np.array([True, False]),
+    "object": np.array([1, 2], dtype=object),
+    "str": np.array(["1", "2"]),
+    "ragged": [[1, 2], [3]],
+    "2-D": np.array([[1, 2], [3, 4]]),
+}
+#: Each way an instant or a duration is not a finite number of seconds.
+NOT_SECONDS = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "bool": True,
+    "str": "1",
+}
+#: Each way a count is not an integer.
+NOT_COUNTS = {"nan": math.nan, "2.5": 2.5, "bool": True, "str": "1"}
+
+
+def service():
+    target = LCAQueryService()
+    target.register_tree("t", PARENTS)
+    return target
+
+
+def cluster():
+    target = ClusterService(config=ClusterConfig(n_replicas=2))
+    target.register_tree("t", PARENTS)
+    return target
+
+
+def read_back(target, read, tickets):
+    """``target.<read>(tickets)`` once tickets 0 and 1 are answered."""
+    target.submit_many("t", [3, 5], [4, 4])
+    target.drain()
+    return getattr(target, read)(tickets)
+
+
+INDEXES = [InlabelLCA, SequentialInlabelLCA, BinaryLiftingLCA, NaiveGPULCA, RMQLCA]
+GOOD = np.array([3, 4])
+
+
+def id_array_entries():
+    """``(name, call)``: one public integer-array parameter each."""
+    yield "service.submit_many", lambda bad: service().submit_many("t", bad, GOOD)
+    yield "service.submit_many ys", lambda bad: service().submit_many("t", GOOD, bad)
+    yield "cluster.submit_many", lambda bad: cluster().submit_many("t", bad, GOOD)
+    yield "cluster.submit_many ys", lambda bad: cluster().submit_many("t", GOOD, bad)
+    yield "service.register_tree", lambda bad: LCAQueryService().register_tree("u", bad)
+    yield "cluster.register_tree", lambda bad: cluster().register_tree("u", bad)
+    for index in INDEXES:
+        yield f"{index.__name__}()", index
+    yield "kernel backend compile", get_kernel_backend("smallbatch").compile
+    yield "EdgeList u", lambda bad: EdgeList(bad, GOOD, 6)
+    yield "EdgeList v", lambda bad: EdgeList(GOOD, bad, 6)
+    yield "EdgeList.relabeled", lambda bad: EdgeList(GOOD, GOOD + 1, 6).relabeled(bad)
+    yield "list_rank", lambda bad: list_rank(bad, 0)
+    for rmq in (SegmentTreeRMQ, SparseTableRMQ):
+        table = rmq(np.arange(6), "min")
+        yield f"{rmq.__name__}.query lo", lambda bad, t=table: t.query(bad, [2, 3])
+        yield f"{rmq.__name__}.query hi", lambda bad, t=table: t.query([0, 1], bad)
+    for read in ("results", "latencies", "answered"):
+        yield f"service.{read}", lambda bad, r=read: read_back(service(), r, bad)
+    for read in ("results", "latencies"):
+        yield f"cluster.{read}", lambda bad, r=read: read_back(cluster(), r, bad)
+
+
+def query_entries():
+    """``(name, call)``: an index's query columns, which take any shape."""
+    for index in INDEXES:
+        lca = index(PARENTS)
+        yield f"{index.__name__}.query", lambda bad, q=lca.query: q(bad, GOOD)
+        yield f"{index.__name__}.query ys", lambda bad, q=lca.query: q(GOOD, bad)
+    kernel = get_kernel_backend("smallbatch").compile(PARENTS)
+    yield "kernel.query", lambda bad: kernel.query(bad, GOOD)
+    yield "dedup_query_pairs", lambda bad: dedup_query_pairs(bad, GOOD)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ID_ARRAYS))
+@pytest.mark.parametrize("entry", [name for name, _ in id_array_entries()])
+def test_every_integer_array_parameter_refuses(entry, case):
+    call = dict(id_array_entries())[entry]
+    with pytest.raises(ReproError, match="must be integers"):
+        call(NOT_ID_ARRAYS[case])
+
+
+@pytest.mark.parametrize("case", sorted(set(NOT_ID_ARRAYS) - {"2-D"}))
+@pytest.mark.parametrize("entry", [name for name, _ in query_entries()])
+def test_every_query_column_refuses(entry, case):
+    """An index answers an N-D batch in its own shape, so 2-D is not refused
+    there (``test_inlabel_kernel.py`` pins it); a mismatched shape is."""
+    call = dict(query_entries())[entry]
+    with pytest.raises(ReproError, match="must be integers"):
+        call(NOT_ID_ARRAYS[case])
+    with pytest.raises(ReproError, match="same shape"):
+        call(np.array([1, 2, 3]))
+
+
+def instant_entries():
+    """``(name, call)``: one public timestamp each."""
+    yield "service.submit at", lambda t: service().submit("t", 3, 4, at=t)
+    yield "service.submit_many at", lambda t: service().submit_many(
+        "t", [3], [4], at=[t]
+    )
+    yield "cluster.submit at", lambda t: cluster().submit("t", 3, 4, at=t)
+    yield "cluster.submit_many at", lambda t: cluster().submit_many(
+        "t", [3], [4], at=[t]
+    )
+    yield "service.advance_to", lambda t: service().advance_to(t)
+    yield "service.sync_to", lambda t: service().sync_to(t)
+    yield "cluster.advance_to", lambda t: cluster().advance_to(t)
+    yield "SimulatedClock()", SimulatedClock
+    yield "SimulatedClock.advance_to", lambda t: SimulatedClock().advance_to(t)
+    yield "SimulatedClock.advance", lambda t: SimulatedClock().advance(t)
+    yield "ClusterConfig(start_time=)", lambda t: ClusterConfig(start_time=t)
+
+
+def duration_entries():
+    """``(name, call)``: one public duration each."""
+    yield "BatchPolicy", lambda s: BatchPolicy(max_wait_s=s)
+    yield "ServiceConfig", lambda s: ServiceConfig(max_wait_s=s)
+    yield "ClusterConfig", lambda s: ClusterConfig(max_wait_s=s)
+    yield "ClusterConfig hedge", lambda s: ClusterConfig(hedge_delay_s=s)
+    yield "ServiceConfig.derive", lambda s: ServiceConfig().derive(max_wait_s=s)
+    yield "service.apply_tuning", lambda s: service().apply_tuning(max_wait_s=s)
+    yield "service lane tuning", lambda s: service().apply_tuning(
+        max_wait_s=s, dataset="t"
+    )
+    yield "cluster.apply_tuning", lambda s: cluster().apply_tuning(max_wait_s=s)
+    yield "cluster hedge tuning", lambda s: cluster().apply_tuning(hedge_delay_s=s)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SECONDS))
+@pytest.mark.parametrize(
+    "entry", [name for name, _ in [*instant_entries(), *duration_entries()]]
+)
+def test_every_timestamp_and_duration_refuses(entry, case):
+    call = dict([*instant_entries(), *duration_entries()])[entry]
+    with pytest.raises(ReproError):
+        call(NOT_SECONDS[case])
+
+
+COUNTS = [
+    (BatchPolicy, "max_batch_size"),
+    (ServiceConfig, "max_batch_size"),
+    (ServiceConfig, "capacity_bytes"),
+    (ServiceConfig, "answer_cache_bytes"),
+    (ServiceConfig, "ticket_capacity"),
+    (ClusterConfig, "n_replicas"),
+    (ClusterConfig, "max_batch_size"),
+    (ClusterConfig, "capacity_bytes"),
+    (ClusterConfig, "max_pending"),
+    (ClusterConfig, "max_retries"),
+]
+
+
+@pytest.mark.parametrize("case", sorted(NOT_COUNTS))
+@pytest.mark.parametrize(
+    "config, field", COUNTS, ids=[f"{c.__name__}.{f}" for c, f in COUNTS]
+)
+def test_every_config_count_refuses(config, field, case):
+    with pytest.raises(ServiceError, match=field):
+        config(**{field: NOT_COUNTS[case]})
+
+
+@pytest.mark.parametrize("case", sorted(NOT_COUNTS))
+@pytest.mark.parametrize("field", ["max_batch_size", "max_pending", "n_replicas"])
+def test_tuning_refuses_what_the_config_refuses(field, case):
+    """``apply_tuning(max_batch_size=2.5)`` used to run with ``int(2.5)``."""
+    target = ClusterService(config=ClusterConfig(n_replicas=2, max_pending=64))
+    target.register_tree("t", PARENTS)
+    with pytest.raises(ServiceError):
+        target.apply_tuning(**{field: NOT_COUNTS[case]})
+
+
+# ----------------------------------------------------------------------
+# The holes each front door had on its own
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("make", [service, cluster], ids=["service", "cluster"])
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+def test_the_clock_never_becomes_nan_or_infinite(make, t):
+    target = make()
+    with pytest.raises(ServiceError):
+        target.advance_to(t)
+    assert target.clock.now == 0.0
+    ticket = target.submit("t", 3, 4, at=1e-3)
+    target.drain()
+    assert target.result(ticket) == 1
+
+
+def test_a_nan_wait_never_serves_a_query_before_it_arrives():
+    with pytest.raises(ServiceError, match="max_wait_s"):
+        ServiceConfig(max_wait_s=math.nan)
+
+
+@pytest.mark.parametrize("make", [service, cluster], ids=["service", "cluster"])
+@pytest.mark.parametrize("at", [True, "1"], ids=repr)
+def test_both_front_doors_refuse_a_bool_or_str_arrival(make, at):
+    target = make()
+    with pytest.raises(ServiceError):
+        target.submit("t", 3, 4, at=at)
+    with pytest.raises(ServiceError):
+        target.submit_many("t", [3], [4], at=[at])
+    assert target.tickets_issued == 0
+
+
+@pytest.mark.parametrize("make", [service, cluster], ids=["service", "cluster"])
+def test_both_front_doors_refuse_a_ragged_or_str_block(make):
+    target = make()
+    for bad in ([[3, 4], [5]], ["x"]):
+        with pytest.raises(ReproError):
+            target.submit_many("t", bad, bad)
+        with pytest.raises(ServiceError):
+            target.submit_many("t", [3], [4], at=bad)
+    assert target.tickets_issued == 0
+
+
+# ----------------------------------------------------------------------
+# What passes, normalised
+# ----------------------------------------------------------------------
+def test_configs_store_their_fields_normalised():
+    config = ClusterConfig(
+        n_replicas=np.int64(2), max_wait_s=0, hedge_delay_s=1, backends=["numpy"]
+    )
+    assert type(config.n_replicas) is int and config.n_replicas == 2
+    assert type(config.max_wait_s) is float and config.max_wait_s == 0.0
+    assert config.hedge_delay_s == 1.0 and config.backends == ("numpy",)
+    assert ClusterConfig.from_json(config.to_json()) == config
+    assert ServiceConfig(capacity_bytes=None).capacity_bytes is None
+
+
+def test_id_arrays_pass_integer_dtypes_lists_scalars_and_empty_input():
+    for good in (np.array([1, 2], dtype=np.int32), [1, 2], np.array([1, 2], np.uint8)):
+        out = boundary.node_ids(good)
+        assert out.dtype == np.int64 and out.tolist() == [1, 2]
+    ids = np.array([1, 2])
+    assert boundary.node_ids(ids) is ids
+    for empty in ([], np.array([], dtype=np.float64), np.array([], dtype=object)):
+        assert boundary.node_ids(empty).size == 0
+    assert boundary.ticket_ids(np.int64(3)).tolist() == [3]
+    assert boundary.query_ids(np.ones((2, 3), dtype=np.int16)).shape == (2, 3)
+    with pytest.raises(ReproError, match="1-D"):
+        boundary.node_ids(np.int64(3))
+
+
+def test_scalars_and_instants():
+    assert boundary.int_scalar(np.int32(5), ServiceError, "n") == 5
+    assert boundary.query_pair(np.int64(3), 4) == (3, 4)
+    assert boundary.instant(np.float32(0.5)) == 0.5 and boundary.instant(2) == 2.0
+    for bad in (True, np.bool_(True), 1.5, "1", None):
+        with pytest.raises(ServiceError, match="must be an integer"):
+            boundary.int_scalar(bad, ServiceError, "n")
+    for bad in (np.bool_(True), b"1", None, np.nan):
+        with pytest.raises(ServiceError, match="finite"):
+            boundary.instant(bad)

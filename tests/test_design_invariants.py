@@ -274,8 +274,8 @@ def identifiers(tree):
 
 
 def test_no_int64_cast_of_caller_arrays_on_the_edge_list_and_bridges_path():
-    """Endpoints, parents, levels and relabelings go through ``as_node_ids`` /
-    ``as_parent_array`` (one dtype test): refused, never cast."""
+    """Endpoints, parents, levels and relabelings go through ``repro.boundary``
+    (``node_ids`` / ``parent_ids``): refused, never cast."""
     def is_int64(node):
         return dotted(node) in ("np.int64", "numpy.int64", "int64")
 
@@ -287,6 +287,42 @@ def test_no_int64_cast_of_caller_arrays_on_the_edge_list_and_bridges_path():
         or any(kw.arg == "dtype" and is_int64(kw.value) for kw in call.keywords)
     ]
     assert casts == []
+
+
+def reads_a_kind_or_an_index(node):
+    """``x.dtype.kind``, ``operator.index`` or ``from operator import index``."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator" and "index" in {a.name for a in node.names}
+    name = dotted(node) if isinstance(node, ast.Attribute) else ""
+    return name.endswith("dtype.kind") or name == "operator.index"
+
+
+def test_the_boundary_rule_sees_kind_tests_and_index_calls():
+    tree = ast.parse(
+        "from operator import index\n"
+        "def f(a, x):\n"
+        "    if np.asarray(a).dtype.kind not in 'iu' or a.dtype.kind == 'b':\n"
+        "        return operator.index(x)\n"
+        "def g(a):\n"
+        "    return a.dtype.itemsize, a.kind\n"
+    )
+    hits = [node.lineno for node in ast.walk(tree) if reads_a_kind_or_an_index(node)]
+    assert sorted(hits) == [1, 3, 3, 4]
+    assert functions_containing(tree, reads_a_kind_or_an_index) == {"f"}
+
+
+def test_only_the_boundary_tests_a_dtype_kind_or_calls_operator_index():
+    """Refusing a dtype or a non-integer is ``repro.boundary``'s job alone.  The
+    packed path of ``sort_pairs`` reads two dtype kinds to pick a path; it
+    refuses nothing."""
+    found = {
+        str(file.relative_to(SRC))
+        for file, tree in trees_under(SRC)
+        if any(reads_a_kind_or_an_index(node) for node in ast.walk(tree))
+    }
+    assert found == {"boundary.py", "primitives/sort.py"}
+    sort = parsed(SRC / "primitives" / "sort.py")
+    assert functions_containing(sort, reads_a_kind_or_an_index) == {"sort_pairs"}
 
 
 def test_one_kernel_contract_and_one_artifact_key_derivation():
@@ -360,7 +396,11 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             # A batch is booked with its span's run-adjacent batches, once.
             "_finish_batch", "record_batch",
             # The least-outstanding water level is closed-form, not bisected.
-            "_waterfill_counts"}
+            "_waterfill_counts",
+            # One boundary schema (repro.boundary) replaced the per-module
+            # checks; a single query is a routed block of one.
+            "as_node_ids", "as_parent_array", "as_query_ids", "as_query_block",
+            "_range_bounds", "route_one"}
     definitions = []
     for file, tree in trees_under(SRC):
         assert not gone & set(identifiers(tree)), str(file.relative_to(ROOT))
@@ -446,15 +486,15 @@ SERVICE_MODULE_LINES = {
     "cache.py": 501,
     "clock.py": 106,
     "cluster.py": 1550,
-    "config.py": 298,
+    "config.py": 291,
     "dispatch.py": 317,
     "faults.py": 167,
-    "registry.py": 402,
-    "routing.py": 379,
+    "registry.py": 400,
+    "routing.py": 365,
     "scheduler.py": 494,
-    "service.py": 1402,
+    "service.py": 1356,
     "stats.py": 294,
-    "tickets.py": 129,
+    "tickets.py": 119,
 }
 
 

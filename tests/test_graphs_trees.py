@@ -19,7 +19,7 @@ from repro.graphs import (
     tree_root,
     validate_parents,
 )
-from repro.graphs.trees import as_parent_array
+from repro.boundary import parent_ids
 
 
 class TestValidation:
@@ -69,7 +69,7 @@ NOT_PARENT_ARRAYS = {
 class TestAsParentArray:
     @pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
     @pytest.mark.parametrize(
-        "entry", [as_parent_array, tree_root, validate_parents, parents_to_edgelist]
+        "entry", [parent_ids, tree_root, validate_parents, parents_to_edgelist]
     )
     def test_refused_not_cast(self, entry, case):
         with pytest.raises(NotATreeError, match="integers|1-D"):
@@ -80,17 +80,17 @@ class TestAsParentArray:
     )
     def test_integer_dtypes_become_int64(self, dtype):
         parents = np.array([1, 1, 0], dtype=dtype)
-        out = as_parent_array(parents)
+        out = parent_ids(parents)
         assert out.dtype == np.int64 and out.tolist() == [1, 1, 0]
 
     def test_int64_passes_through_uncopied_and_lists_work(self):
         parents = np.array([-1, 0, 1])
-        assert as_parent_array(parents) is parents
-        assert as_parent_array([-1, 0, 1]).tolist() == [-1, 0, 1]
+        assert parent_ids(parents) is parents
+        assert parent_ids([-1, 0, 1]).tolist() == [-1, 0, 1]
         assert validate_parents([-1, 0, 1]) == 0
 
     def test_empty_is_left_to_the_callers_own_check(self):
-        assert as_parent_array([]).size == 0
+        assert parent_ids([]).size == 0
         with pytest.raises(NotATreeError, match="at least one node"):
             validate_parents([])
 

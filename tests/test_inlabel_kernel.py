@@ -426,7 +426,7 @@ NON_INTEGER_COLUMNS = [
     np.array([True, False]),
     np.array([1, 2], dtype=object),
 ]
-NON_INTEGER_SCALARS = [1.7, 1.0, np.float64(1.0), np.bool_(True), "1", None]
+NON_INTEGER_SCALARS = [1.7, 1.0, np.float64(1.0), np.bool_(True), True, "1", None]
 
 
 class TestFrontDoorsRefuseNonIntegerIds:

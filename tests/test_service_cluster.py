@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.boundary import query_block
 from repro.errors import InvalidQueryError, Overloaded, ReproError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
@@ -24,7 +25,6 @@ from repro.service import (
     LCAQueryService,
     ServiceConfig,
 )
-from repro.service.service import as_query_block
 from repro.workloads import make_scenario, replay
 
 from .conftest import located_clean_prefix, make_tree, offender_sweep
@@ -411,7 +411,7 @@ def test_invalid_query_rejected_with_prefix_admitted():
     oracle = BinaryLiftingLCA(parents)
     for spoilers, (xs, ys, at) in offender_sweep():
         fresh = build_cluster(parents, 2, **POLICY)
-        block = as_query_block(xs, ys, at, now=0.0)
+        block = query_block(xs, ys, at, now=0.0)
         stop, expected = located_clean_prefix(*block, n=100, dataset="t", now=0.0)
         with pytest.raises(ReproError) as raised:
             fresh.submit_many("t", xs, ys, at=at)

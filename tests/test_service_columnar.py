@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.boundary import query_block
 from repro.errors import InvalidQueryError, ReproError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
@@ -18,7 +19,6 @@ from repro.service import (
     MicroBatchScheduler,
     ServiceConfig,
 )
-from repro.service.service import as_query_block
 
 from .conftest import located_clean_prefix, make_tree, offender_sweep
 
@@ -304,7 +304,7 @@ def test_submit_many_out_of_range_rejects_at_its_own_position():
         fresh = LCAQueryService(config=ServiceConfig(max_batch_size=4,
                                                      max_wait_s=1e-3))
         fresh.register_tree("t", parents)
-        block = as_query_block(xs, ys, at, now=0.0)
+        block = query_block(xs, ys, at, now=0.0)
         stop, expected = located_clean_prefix(*block, n=100, dataset="t",
                                               now=0.0)
         with pytest.raises(ReproError) as raised:

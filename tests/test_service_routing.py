@@ -17,6 +17,11 @@ from repro.service import (
 )
 
 
+def pick(router, dataset, copies, depth):
+    """The replica a single query is routed to: a block of one."""
+    return int(router.route_block(dataset, copies, depth, 1)[0])
+
+
 # ----------------------------------------------------------------------
 # stable_hash
 # ----------------------------------------------------------------------
@@ -110,10 +115,10 @@ def test_round_robin_cycles_copies_per_dataset():
     router = RoundRobinRouter()
     copies = (5, 2, 9)
     depth = np.zeros(3, dtype=np.int64)
-    picks = [router.route_one("a", copies, depth) for _ in range(7)]
+    picks = [pick(router, "a", copies, depth) for _ in range(7)]
     assert picks == [5, 2, 9, 5, 2, 9, 5]
     # A different dataset has its own cursor.
-    assert router.route_one("b", copies, depth) == 5
+    assert pick(router, "b", copies, depth) == 5
     # The block form continues dataset a's cursor exactly where it left off.
     block = router.route_block("a", copies, depth, 4)
     assert block.tolist() == [2, 9, 5, 2]
@@ -124,7 +129,7 @@ def test_round_robin_block_matches_per_query_routing():
     depth = np.zeros(4, dtype=np.int64)
     blocked = RoundRobinRouter().route_block("d", copies, depth, 10)
     single = RoundRobinRouter()
-    assert blocked.tolist() == [single.route_one("d", copies, depth) for _ in range(10)]
+    assert blocked.tolist() == [pick(single, "d", copies, depth) for _ in range(10)]
 
 
 # ----------------------------------------------------------------------
@@ -141,8 +146,8 @@ def test_least_outstanding_waterfills_towards_equal_depth():
 
 def test_least_outstanding_single_query_picks_min_depth_tie_lowest():
     router = LeastOutstandingRouter()
-    assert router.route_one("d", (7, 8, 9), np.array([3, 1, 1])) == 8
-    assert router.route_one("d", (7, 8, 9), np.array([0, 0, 0])) == 7
+    assert pick(router, "d", (7, 8, 9), np.array([3, 1, 1])) == 8
+    assert pick(router, "d", (7, 8, 9), np.array([0, 0, 0])) == 7
 
 
 def test_least_outstanding_rejects_mismatched_depths():
@@ -221,7 +226,7 @@ def test_least_outstanding_closed_form_matches_the_bisection_oracle():
         blocked = router.route_block("d", copies, depth.copy(), size)
         assert blocked.dtype == np.int64
         assert blocked.tolist() == expected.tolist(), (copies, depth, size)
-        assert router.route_one("d", copies, depth) == int(
+        assert pick(router, "d", copies, depth) == int(
             bisection_route_block(copies, depth, 1)[0]
         )
 
@@ -238,17 +243,17 @@ def test_consistent_hash_pins_each_dataset_to_one_stable_copy():
     assert len(set(block.tolist())) == 1
     winner = int(block[0])
     # The pick ignores load and repeated calls agree.
-    assert router.route_one("ds", copies, np.array([9, 9, 9, 9])) == winner
+    assert pick(router, "ds", copies, np.array([9, 9, 9, 9])) == winner
     # Removing a *different* copy never moves the dataset (rendezvous).
     survivors = tuple(c for c in copies if c != (winner + 1) % 4)
-    assert router.route_one("ds", survivors, np.zeros(3, dtype=np.int64)) == winner
+    assert pick(router, "ds", survivors, np.zeros(3, dtype=np.int64)) == winner
 
 
 def test_consistent_hash_spreads_distinct_datasets():
     router = ConsistentHashRouter()
     copies = (0, 1, 2, 3)
     depth = np.zeros(4, dtype=np.int64)
-    winners = {router.route_one(f"ds-{i}", copies, depth) for i in range(60)}
+    winners = {pick(router, f"ds-{i}", copies, depth) for i in range(60)}
     assert len(winners) == 4
 
 
@@ -311,12 +316,10 @@ def test_property_consistent_hash_respects_post_removal_ownership(
     router = ConsistentHashRouter()
     depth = np.zeros(len(copies), dtype=np.int64)
     dataset = f"ds-{key_seed}"
-    winner = router.route_one(dataset, tuple(copies), depth)
+    winner = pick(router, dataset, tuple(copies), depth)
     dropped = copies[drop_index % len(copies)]
     survivors = tuple(c for c in copies if c != dropped)
-    routed = router.route_one(
-        dataset, survivors, np.zeros(len(survivors), dtype=np.int64)
-    )
+    routed = pick(router, dataset, survivors, np.zeros(len(survivors), dtype=np.int64))
     if dropped == winner:
         # The owner left: the new pick must be a real survivor.
         assert routed in survivors
