@@ -4,13 +4,14 @@ Until this package, the dispatcher's "devices" were priced fictions: every
 backend ran the same vectorized NumPy kernel and only the modeled roofline
 constants differed.  :mod:`repro.backends` makes them real:
 
-* :mod:`~repro.backends.base` — the contract (``compile`` a tree into an
-  artifact with ``n`` and ``query(xs, ys, *, ctx=None)``) and the
-  process-wide backend registry;
+* :mod:`~repro.backends.base` — the contract (``compile`` a tree's host
+  :class:`~repro.lca.InlabelIndex`, built once per dataset, into an artifact
+  with ``n`` and ``query(xs, ys, *, ctx=None)``, booking the backend's own
+  build charge) and the process-wide backend registry;
 * :mod:`~repro.backends.numpy_backend` — the existing vectorized paths as
   backends (``"numpy"``, ``"numpy-seq"``): ``compile`` returns the
   :class:`~repro.lca.InlabelLCA` / :class:`~repro.lca.SequentialInlabelLCA`
-  object itself;
+  view over the index itself;
 * :mod:`~repro.backends.smallbatch` — a tuned low-overhead kernel for small
   batches (``"smallbatch"``): compile-time-specialized tables, fused probe
   passes, preallocated answer scratch;

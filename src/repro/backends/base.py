@@ -4,9 +4,10 @@ The serving stack's :class:`~repro.service.dispatch.CostModelDispatcher`
 chooses *which device* should answer a batch; this module defines the seam
 behind which the devices are real:
 
-* a :class:`KernelBackend` turns a raw dataset (a parent array) into an LCA
-  artifact for that tree — the analogue of compiling a CUDA kernel for one
-  problem instance;
+* a :class:`KernelBackend` turns one tree's host Inlabel index
+  (:class:`~repro.lca.InlabelIndex`, built once per dataset) into an LCA
+  artifact over its tables — the analogue of compiling a CUDA kernel for one
+  problem instance — and books its own modeled build charge;
 * an artifact is anything with ``n`` and ``query(xs, ys, *, ctx=None)``:
   :class:`CompiledKernel` spells that out for backends that write their own
   kernel, and the LCA classes (:class:`~repro.lca.InlabelLCA`,
@@ -40,6 +41,7 @@ import numpy as np
 
 from ..device import ExecutionContext
 from ..errors import ServiceError
+from ..lca import InlabelIndex
 
 __all__ = [
     "CompiledKernel",
@@ -87,9 +89,10 @@ class KernelBackend:
     label: str = ""
 
     def compile(
-        self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None
+        self, index: InlabelIndex, *, ctx: Optional[ExecutionContext] = None
     ) -> Any:
-        """Build the per-tree artifact (charging preprocessing to ``ctx``).
+        """The per-tree artifact: a view over ``index``'s tables, its modeled
+        build charged to ``ctx``.
 
         The result has ``n`` and ``query(xs, ys, *, ctx=None)`` — a
         :class:`CompiledKernel` or one of the LCA classes.

@@ -50,6 +50,7 @@ import numpy as np
 
 from ..errors import DeviceError, ServiceError
 from ..graphs.generators.random_trees import random_attachment_tree
+from ..lca import build_inlabel_index
 from ..service.clock import WallClock
 from .base import get_kernel_backend
 
@@ -297,12 +298,12 @@ def calibrate_backends(
 ) -> CalibrationProfile:
     """Measure and fit every listed backend; returns the profile.
 
-    The grid is seeded: every backend sees the same tree and the same query
-    stream per batch size, so the fits are comparable.  Per grid point the
-    median of ``repeats`` timed ``kernel.query(xs, ys)`` calls is taken
-    (after ``warmup`` untimed calls).  ``timer`` defaults to a fresh
-    :class:`~repro.service.clock.WallClock`; tests inject a scripted source
-    for determinism.
+    The grid is seeded: every backend sees the same tree (one index, built
+    once) and the same query stream per batch size, so the fits are
+    comparable.  Per grid point the median of ``repeats`` timed
+    ``kernel.query(xs, ys)`` calls is taken (after ``warmup`` untimed calls).
+    ``timer`` defaults to a fresh :class:`~repro.service.clock.WallClock`;
+    tests inject a scripted source for determinism.
     """
     if not backend_keys:
         raise ServiceError("calibrate_backends needs at least one backend key")
@@ -328,9 +329,10 @@ def calibrate_backends(
         s: (rng.integers(0, n_nodes, size=s), rng.integers(0, n_nodes, size=s))
         for s in sizes
     }
+    index = build_inlabel_index(parents)
     entries: Dict[str, BackendCalibration] = {}
     for key in backend_keys:
-        kernel = get_kernel_backend(key).compile(parents)
+        kernel = get_kernel_backend(key).compile(index)
         grid_times: List[float] = []
         for s in sizes:
             xs, ys = queries[s]

@@ -9,19 +9,20 @@ Two backends, one per execution flavour of the Inlabel algorithm:
   (:class:`~repro.lca.SequentialInlabelLCA`, modeled on the single-core Xeon
   spec).
 
-``compile`` returns the LCA object itself — it already has the artifact
-shape (``n``, ``query(xs, ys, *, ctx=None)``) — so answers *and* offline
-modeled charges are those of :mod:`repro.lca.inlabel`, nothing in between.
+``compile`` returns the LCA object itself, a view over the tree's shared
+:class:`~repro.lca.InlabelIndex` (``from_index``) — it already has the
+artifact shape (``n``, ``query(xs, ys, *, ctx=None)``) — so answers *and*
+offline modeled charges are those of :mod:`repro.lca.inlabel`, nothing in
+between.  The index registry builds its ``"parallel"`` / ``"sequential"``
+variants the same way.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
 from ..device import ExecutionContext
-from ..lca import InlabelLCA, SequentialInlabelLCA
+from ..lca import InlabelIndex, InlabelLCA, SequentialInlabelLCA
 from .base import KernelBackend
 
 __all__ = ["NumpyBackend", "NUMPY_BACKEND_KEY", "NUMPY_SEQ_BACKEND_KEY"]
@@ -41,9 +42,8 @@ class NumpyBackend(KernelBackend):
         )
 
     def compile(
-        self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None
+        self, index: InlabelIndex, *, ctx: Optional[ExecutionContext] = None
     ) -> Union[InlabelLCA, SequentialInlabelLCA]:
-        """Build the matching Inlabel flavour for this tree."""
-        if self.sequential:
-            return SequentialInlabelLCA(parents, ctx=ctx)
-        return InlabelLCA(parents, ctx=ctx)
+        """The matching Inlabel flavour over ``index``, its build charged."""
+        flavour = SequentialInlabelLCA if self.sequential else InlabelLCA
+        return flavour.from_index(index, ctx=ctx)

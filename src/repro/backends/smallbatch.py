@@ -43,16 +43,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..boundary import query_columns
-from ..device import ExecutionContext, ensure_context
+from ..boundary import count, query_columns
+from ..device import ExecutionContext
 from ..errors import InvalidQueryError
-from ..euler import tree_statistics_from_parents
 from ..lca.inlabel import (
     INLABEL_QUERY_COST,
+    InlabelIndex,
     InlabelStructure,
-    SequentialInlabelLCA,
     _query_inlabel,
-    build_inlabel_structure,
+    charge_sequential_build,
 )
 from .base import CompiledKernel, KernelBackend
 
@@ -70,7 +69,7 @@ class _SmallBatchKernel(CompiledKernel):
 
     def __init__(self, structure: InlabelStructure, scratch_size: int) -> None:
         self.structure = structure
-        self.scratch_size = int(scratch_size)
+        self.scratch_size = scratch_size
         # Compile-time specialization: pin the tables as plain Python ints so
         # the fused pass never touches numpy scalar boxing.
         self._inlabel = structure.inlabel.tolist()
@@ -167,28 +166,16 @@ class SmallBatchBackend(KernelBackend):
     label = "Tuned small-batch Inlabel"
 
     def __init__(self, *, scratch_size: int = DEFAULT_SCRATCH_SIZE) -> None:
-        if scratch_size < 1:
-            raise ValueError(f"scratch_size must be positive, got {scratch_size}")
-        self.scratch_size = int(scratch_size)
+        self.scratch_size = count(scratch_size, "scratch_size")
 
     def compile(
-        self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None
+        self, index: InlabelIndex, *, ctx: Optional[ExecutionContext] = None
     ) -> CompiledKernel:
-        """Build the Inlabel tables and pin them in hot-loop layout.
+        """Pin ``index``'s tables in hot-loop layout (one set per artifact).
 
         The modeled preprocessing charge matches the sequential CPU baseline
         (:class:`~repro.lca.SequentialInlabelLCA`) — same logical work.
         """
-        stats = tree_statistics_from_parents(parents, ctx=None)
-        structure = build_inlabel_structure(stats, ctx=None)
-        ctx = ensure_context(ctx)
-        with ctx.phase("preprocessing"):
-            ctx.sequential(
-                "smallbatch_inlabel_preprocess",
-                ops=SequentialInlabelLCA._PREPROCESS_OPS_PER_NODE * structure.n,
-                bytes_touched=(
-                    SequentialInlabelLCA._PREPROCESS_BYTES_PER_NODE * structure.n
-                ),
-                random_access=True,
-            )
+        structure = index.structure
+        charge_sequential_build(structure.n, ctx, "smallbatch_inlabel_preprocess")
         return _SmallBatchKernel(structure, self.scratch_size)

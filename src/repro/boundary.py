@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from typing import Any, Callable, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     InvalidGraphError,
     InvalidQueryError,
     NotATreeError,
@@ -105,8 +107,9 @@ def query_pair(x: object, y: object) -> Tuple[int, int]:
     raise InvalidQueryError(f"query node ids must be integers, got ({x!r}, {y!r})")
 
 
-def instant(t: object, what: str = "a timestamp") -> float:
-    """``t`` as a finite ``float`` of seconds, or :class:`ServiceError`."""
+def instant(t: object, what: str = "a timestamp",
+            error: Type[ReproError] = ServiceError) -> float:
+    """``t`` as a finite ``float`` of seconds, or ``error``."""
     if t.__class__ is float and t - t == 0.0:  # type: ignore[operator]
         return t  # type: ignore[return-value]
     if not isinstance(t, (bool, np.bool_, str, bytes)):
@@ -117,7 +120,7 @@ def instant(t: object, what: str = "a timestamp") -> float:
         else:
             if math.isfinite(value):
                 return value
-    raise ServiceError(f"{what} must be a finite number, got {t!r}")
+    raise error(f"{what} must be a finite number, got {t!r}")
 
 
 def seconds_column(values: object, what: str, size: int) -> np.ndarray:
@@ -158,13 +161,19 @@ def count(value: object, what: str, *, least: int = 1) -> int:
     return n
 
 
-def duration(value: object, what: str, *, positive: bool = False) -> float:
-    """A configuration duration: finite seconds, non-negative or ``positive``."""
-    seconds = instant(value, what)
+def duration(value: object, what: str, *, positive: bool = False,
+             error: Type[ReproError] = ServiceError) -> float:
+    """A duration or rate: finite, non-negative or ``positive``, else ``error``."""
+    seconds = instant(value, what, error)
     if seconds < 0 or (positive and seconds == 0):
         sign = "positive" if positive else "non-negative"
-        raise ServiceError(f"{what} must be {sign}")
+        raise error(f"{what} must be {sign}")
     return seconds
+
+
+#: A workload's arrival rate or a fault's instant: a :func:`duration`
+#: refused with :class:`~repro.errors.ConfigurationError`.
+workload_number = partial(duration, error=ConfigurationError)
 
 
 #: A field check: ``check(value, name)`` returns the value normalised, or raises.

@@ -20,8 +20,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
+from ..boundary import Check, duration, optional, settle
 from ..errors import ServiceError
 
 __all__ = ["SLO"]
@@ -62,23 +64,21 @@ class SLO:
     #: hashable and JSON-round-trippable.
     tenant_weights: Tuple[Tuple[str, float], ...] = ()
 
+    CHECKS: ClassVar[Dict[str, Check]] = dict.fromkeys(
+        ("p99_latency_s", "min_throughput_qps"),
+        optional(partial(duration, positive=True)))
+
     def __post_init__(self) -> None:
         if (
             all(getattr(self, name) is None for name in _OBJECTIVES)
             and not self.tenant_weights
         ):
             raise ServiceError("an SLO must declare at least one objective")
-        if self.p99_latency_s is not None and float(self.p99_latency_s) <= 0:
-            raise ServiceError("p99_latency_s must be positive (or None)")
+        settle(self, self.CHECKS)
         if self.max_shed_rate is not None and not (
             0.0 <= float(self.max_shed_rate) <= 1.0
         ):
             raise ServiceError("max_shed_rate must be in [0, 1] (or None)")
-        if (
-            self.min_throughput_qps is not None
-            and float(self.min_throughput_qps) <= 0
-        ):
-            raise ServiceError("min_throughput_qps must be positive (or None)")
         # Normalize list-of-lists (the JSON round-trip shape) to tuples.
         pairs = tuple(
             (str(name), float(weight)) for name, weight in self.tenant_weights

@@ -3,6 +3,7 @@
 * :class:`InlabelLCA` — parallel Schieber–Vishkin Inlabel algorithm (GPU, or
   multi-core CPU when given a multi-core execution context).
 * :class:`SequentialInlabelLCA` — the single-core CPU Inlabel baseline.
+* :func:`build_inlabel_index` — one tree's tables, built once for every view.
 * :class:`NaiveGPULCA` — the naïve walk-up algorithm of Martins et al.
 * :class:`RMQLCA` — the RMQ-based baseline of the §3.1 preliminary experiment.
 * :class:`BinaryLiftingLCA`, :func:`brute_force_lca_batch` — test oracles.
@@ -23,10 +24,12 @@ from .dedup import (
 )
 from .inlabel import (
     INLABEL_QUERY_COST,
+    InlabelIndex,
     InlabelLCA,
     InlabelStructure,
     QueryKernelCost,
     SequentialInlabelLCA,
+    build_inlabel_index,
     build_inlabel_structure,
 )
 from .naive import NaiveGPULCA, pointer_jump_levels
@@ -38,6 +41,8 @@ __all__ = [
     "SequentialInlabelLCA",
     "InlabelStructure",
     "build_inlabel_structure",
+    "InlabelIndex",
+    "build_inlabel_index",
     "QueryKernelCost",
     "INLABEL_QUERY_COST",
     "NaiveGPULCA",

@@ -25,6 +25,9 @@ Two execution flavours are provided:
 * :class:`SequentialInlabelLCA` — the single-core CPU baseline; identical
   results, but preprocessing is charged as a sequential DFS plus a sequential
   labeling pass and queries are charged one by one.
+
+Both compute the same tables, so a server builds them once per tree
+(:func:`build_inlabel_index`) and makes each flavour a view over them.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 from ..boundary import parent_ids, query_columns
-from ..device import ExecutionContext, ensure_context
+from ..device import GTX980, ExecutionContext, KernelRecord, ensure_context
 from ..errors import InvalidQueryError
 from ..euler import TreeStats, tree_statistics_from_parents
 from ..graphs.trees import validate_parents
@@ -46,6 +49,8 @@ from ..primitives import elementwise
 __all__ = [
     "InlabelStructure",
     "build_inlabel_structure",
+    "InlabelIndex",
+    "build_inlabel_index",
     "InlabelLCA",
     "SequentialInlabelLCA",
     "QueryKernelCost",
@@ -360,6 +365,44 @@ def _launch_query(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class InlabelIndex:
+    """One tree's tables, built once: each flavour is a view over them that
+    books its own build charge (``from_index``)."""
+
+    stats: TreeStats
+    structure: InlabelStructure
+    #: The parallel build's kernels.  Their shapes do not depend on the
+    #: device, so a replay on any spec books what a build there charges.
+    kernels: Tuple[KernelRecord, ...]
+
+
+def build_inlabel_index(parents: np.ndarray, *, validate: bool = False
+                        ) -> InlabelIndex:
+    """Build one tree's tables, recording the parallel build's kernels."""
+    recorder = ExecutionContext(GTX980, trace=True)
+    lca = InlabelLCA(parents, ctx=recorder, validate=validate)
+    return InlabelIndex(lca.stats, lca.structure, tuple(recorder.records))
+
+
+def charge_sequential_build(n: int, ctx: Optional[ExecutionContext],
+                            name: str = "cpu_inlabel_preprocess") -> None:
+    """Book the single-core build of an ``n``-node tree into ``ctx``: one DFS
+    and one labeling pass, a handful of dependent pointer dereferences (30
+    operations, 180 bytes) per node."""
+    ctx = ensure_context(ctx)
+    with ctx.phase("preprocessing"):
+        ctx.sequential(name, ops=30.0 * n, bytes_touched=180.0 * n,
+                       random_access=True)
+
+
+def _view(cls: type, index: InlabelIndex) -> Any:
+    """A ``cls`` flavour over ``index``'s tables, built and charged nothing."""
+    lca = cls.__new__(cls)
+    lca.structure, lca.stats = index.structure, index.stats
+    return lca
+
+
 class InlabelLCA:
     """Data-parallel Inlabel LCA (the paper's GPU algorithm).
 
@@ -394,6 +437,19 @@ class InlabelLCA:
             self.structure = build_inlabel_structure(stats, ctx=ctx)
         self.stats = stats
 
+    @classmethod
+    def from_index(cls, index: InlabelIndex,
+                   *, ctx: Optional[ExecutionContext] = None) -> "InlabelLCA":
+        """A view over ``index``'s tables; ``ctx`` is charged the parallel build."""
+        ctx = ensure_context(ctx)
+        with ctx.phase("preprocessing"):
+            for k in index.kernels:
+                ctx.kernel(k.name, threads=k.threads, ops=k.ops,
+                           bytes_read=k.bytes_read, bytes_written=k.bytes_written,
+                           launches=k.launches, divergent=k.divergent,
+                           random_access=k.random_access)
+        return _view(cls, index)
+
     @property
     def n(self) -> int:
         """Number of tree nodes."""
@@ -410,37 +466,25 @@ class SequentialInlabelLCA:
 
     The preprocessing is charged as one sequential DFS over the tree (to get
     preorder, subtree sizes and depths) followed by a sequential labeling
-    pass; queries are charged one at a time.  The numeric work is carried out
-    with the same vectorized routines as the parallel implementation — only
-    the cost model differs — so the two flavours are bit-for-bit consistent.
+    pass; queries are charged one at a time.  The tables are those of
+    :func:`build_inlabel_index` — only the cost model differs — so the two
+    flavours are bit-for-bit consistent.
     """
 
     name = "Sequential Inlabel"
 
-    #: Modeled sequential cost per node of the DFS + labeling preprocessing:
-    #: a handful of dependent pointer dereferences per node.
-    _PREPROCESS_OPS_PER_NODE = 30.0
-    _PREPROCESS_BYTES_PER_NODE = 180.0
-
     def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
                  validate: bool = False) -> None:
-        ctx = ensure_context(ctx)
-        parents = parent_ids(parents)
-        if validate:
-            validate_parents(parents)
-        n = parents.size
-        # Results computed with the shared (uncharged) vectorized code...
-        stats = tree_statistics_from_parents(parents, ctx=None)
-        self.structure = build_inlabel_structure(stats, ctx=None)
-        self.stats = stats
-        # ...but the modeled cost is that of the sequential algorithm.
-        with ctx.phase("preprocessing"):
-            ctx.sequential(
-                "cpu_inlabel_preprocess",
-                ops=self._PREPROCESS_OPS_PER_NODE * n,
-                bytes_touched=self._PREPROCESS_BYTES_PER_NODE * n,
-                random_access=True,
-            )
+        index = build_inlabel_index(parents, validate=validate)
+        self.structure, self.stats = index.structure, index.stats
+        charge_sequential_build(self.n, ctx)
+
+    @classmethod
+    def from_index(cls, index: InlabelIndex, *, ctx: Optional[ExecutionContext] = None
+                   ) -> "SequentialInlabelLCA":
+        """A view over ``index``'s tables; ``ctx`` is charged the sequential build."""
+        charge_sequential_build(index.structure.n, ctx)
+        return _view(cls, index)
 
     @property
     def n(self) -> int:
@@ -451,3 +495,9 @@ class SequentialInlabelLCA:
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
         """Answer a batch of LCA queries sequentially (one query at a time)."""
         return _launch_query(self.structure, xs, ys, ctx, sequential=True)
+
+
+#: Each flavour's view by the variant a server keys it with; the ``"numpy"``
+#: / ``"numpy-seq"`` kernel backends compile these.
+INLABEL_FLAVOURS = {"parallel": InlabelLCA.from_index,
+                    "sequential": SequentialInlabelLCA.from_index}

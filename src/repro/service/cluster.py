@@ -539,8 +539,8 @@ class ClusterService:
         queries parked with no live copy are re-dispatched to it.  The
         newcomer shares :attr:`store`, so it serves whatever it is placed
         on; index artifacts are *not* shipped: its
-        :class:`~repro.service.registry.IndexRegistry` builds them lazily
-        on first use, exactly like a cold start.
+        :class:`~repro.service.registry.IndexRegistry` makes its views of the
+        store's host index on first use, charged exactly like a cold start.
 
         >>> import numpy as np
         >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))

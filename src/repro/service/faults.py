@@ -45,9 +45,11 @@ Supported actions
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
+from ..boundary import Check, settle, workload_number
 from ..errors import ConfigurationError
 
 __all__ = ["FAULT_ACTIONS", "FaultEvent", "FaultInjector"]
@@ -83,14 +85,15 @@ class FaultEvent:
     factor: float = 1.0
     count: int = 1
 
+    CHECKS: ClassVar[Dict[str, Check]] = {"time_s": workload_number}
+
     def __post_init__(self) -> None:
         if self.action not in FAULT_ACTIONS:
             raise ConfigurationError(
                 f"unknown fault action {self.action!r}; "
                 f"expected one of {', '.join(FAULT_ACTIONS)}"
             )
-        if not self.time_s >= 0.0:
-            raise ConfigurationError(f"fault time must be >= 0, got {self.time_s!r}")
+        settle(self, self.CHECKS)
         if self.action != "add" and self.replica < 0:
             raise ConfigurationError(
                 f"{self.action!r} fault needs a replica id >= 0, got {self.replica}"
@@ -131,8 +134,8 @@ class FaultInjector:
     _cursor: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
-        ordered = sorted(self.events, key=lambda e: e.time_s)
-        self._schedule = tuple(ordered)
+        self._schedule = tuple(sorted(self.events, key=lambda e: e.time_s))
+        self._times = [event.time_s for event in self._schedule]
         self.events = self._schedule
 
     @property
@@ -159,9 +162,5 @@ class FaultInjector:
 
     def advance(self, t: float) -> List[FaultEvent]:
         """Pop and return every event with ``time_s <= t``, oldest first."""
-        due: List[FaultEvent] = []
-        n = len(self._schedule)
-        while self._cursor < n and self._schedule[self._cursor].time_s <= t:
-            due.append(self._schedule[self._cursor])
-            self._cursor += 1
-        return due
+        start, self._cursor = self._cursor, bisect_right(self._times, t, self._cursor)
+        return list(self._schedule[start:self._cursor])

@@ -7,11 +7,12 @@ query costs nanoseconds.  This module therefore separates the two concerns:
 * :class:`ForestStore` owns the *raw* named datasets — trees as parent
   arrays — registered either eagerly or through a lazy zero-argument loader
   (so a registry over hundreds of datasets does not materialize them all up
-  front);
+  front) — and each tree's host Inlabel index, built once however many
+  registries, replicas and backends read it;
 * :class:`IndexRegistry` owns the *derived* artifacts — LCA indexes, the one
-  artifact kind the service reads — built lazily on first use, keyed by
-  ``(dataset, kind, device, variant)`` and held in a byte-accounted LRU cache
-  with optional capacity-driven eviction.
+  artifact kind the service reads — made lazily on first use as views over
+  that index, keyed by ``(dataset, kind, device, variant)`` and held in a
+  byte-accounted LRU cache with optional capacity-driven eviction.
 
 Builds are charged to an :class:`~repro.device.ExecutionContext` on the
 artifact's device, so the modeled preprocessing cost of a cache miss is
@@ -25,6 +26,7 @@ import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from ..boundary import count, optional, parent_ids
 from ..device import DeviceSpec, ExecutionContext
 from ..errors import ServiceError
 from ..graphs.trees import validate_parents
-from ..lca import InlabelLCA, SequentialInlabelLCA
+from ..lca.inlabel import INLABEL_FLAVOURS, InlabelIndex, build_inlabel_index
 
 __all__ = [
     "ArtifactKey",
@@ -91,7 +93,7 @@ class ArtifactKey:
     holds what that backend's ``compile`` returned).  Whatever the variant,
     an ``"lca"`` artifact is one thing: an object with ``n`` and
     ``query(xs, ys, *, ctx=None)``.  Index artifacts are per-backend: two
-    backends serving the same dataset each build and cache their own.
+    backends serving the same dataset each cache their own view of its index.
     """
 
     dataset: str
@@ -117,31 +119,28 @@ class CacheEntry:
     artifact: Any
     nbytes: int
     build_time_s: float
+    #: The host index the artifact views, kept alive while the entry is cached.
+    index: InlabelIndex = field(repr=False)
     hits: int = 0
 
 
 class ForestStore:
-    """Named raw datasets: trees as parent arrays.
+    """Named raw datasets: trees as parent arrays, and their Inlabel indexes.
 
     Datasets can be registered eagerly (pass the data) or lazily (pass a
     zero-argument ``loader``); lazy datasets are materialized once on first
-    access and memoized.
+    access and memoized.  :meth:`index` builds a tree's host index once and
+    holds it weakly, so capacity eviction still frees it.
     """
 
     def __init__(self) -> None:
         self._trees: Dict[str, Optional[np.ndarray]] = {}
-        self._loaders: Dict[str, Callable[[], object]] = {}
-        self._validate_on_load: Dict[str, bool] = {}
+        self._indexes: "WeakValueDictionary[str, InlabelIndex]" = WeakValueDictionary()
+        self._loaders: Dict[str, Tuple[Callable[[], object], bool]] = {}
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def _check_name(self, name: str) -> None:
-        if not name:
-            raise ServiceError("dataset name must be non-empty")
-        if name in self._trees:
-            raise ServiceError(f"dataset {name!r} is already registered")
-
     def add_tree(self, name: str, parents: Optional[np.ndarray] = None, *,
                  loader: Optional[Callable[[], np.ndarray]] = None,
                  validate: bool = False) -> None:
@@ -152,7 +151,10 @@ class ForestStore:
         eager registration, at materialization time for a lazy one.  Either
         way the array passes :data:`repro.boundary.parent_ids` first.
         """
-        self._check_name(name)
+        if not name:
+            raise ServiceError("dataset name must be non-empty")
+        if name in self._trees:
+            raise ServiceError(f"dataset {name!r} is already registered")
         if (parents is None) == (loader is None):
             raise ServiceError("pass exactly one of parents= or loader=")
         if parents is not None:
@@ -162,8 +164,7 @@ class ForestStore:
             self._trees[name] = parents
         else:
             self._trees[name] = None
-            self._loaders[name] = loader  # type: ignore[assignment]
-            self._validate_on_load[name] = validate
+            self._loaders[name] = (loader, validate)  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     # Access
@@ -185,13 +186,22 @@ class ForestStore:
             # The loader is removed only after it succeeds (and the loaded
             # array passes validation when requested), so a transient loader
             # failure leaves the dataset retryable, not broken.
-            parents = parent_ids(self._loaders[name]())
-            if self._validate_on_load[name]:
+            loader, validate = self._loaders[name]
+            parents = parent_ids(loader())
+            if validate:
                 validate_parents(parents)
             self._trees[name] = parents
             del self._loaders[name]
-            del self._validate_on_load[name]
         return self._trees[name]  # type: ignore[return-value]
+
+    def index(self, name: str) -> InlabelIndex:
+        """The host Inlabel index of tree ``name``: built on first use, then
+        shared by every registry over this store for as long as one of them
+        caches a view of it."""
+        index = self._indexes.get(name)
+        if index is None:
+            index = self._indexes[name] = build_inlabel_index(self.tree(name))
+        return index
 
 
 class IndexRegistry:
@@ -226,25 +236,27 @@ class IndexRegistry:
         self.event_hook: Optional[Callable[[str, ArtifactKey, float], None]] = None
 
     # ------------------------------------------------------------------
-    # Builders
+    # Builder
     # ------------------------------------------------------------------
-    def _build(self, key: ArtifactKey, spec: DeviceSpec,
-               ctx: ExecutionContext) -> object:
+    def _build(self, key: ArtifactKey, ctx: ExecutionContext) -> CacheEntry:
         if key.kind != "lca":
             raise ServiceError(
                 f"unknown artifact kind {key.kind!r}; the registry builds 'lca' "
                 f"indexes only")
-        parents = self.store.tree(key.dataset)
-        if key.variant == "sequential":
-            return SequentialInlabelLCA(parents, ctx=ctx)
-        if key.variant in ("", "parallel"):
-            return InlabelLCA(parents, ctx=ctx)
-        # Any other variant names a real kernel backend; what it compiles
-        # is the artifact (lazy import: the registry stays usable without
-        # the backend package loaded).
-        from ..backends import get_kernel_backend
+        # The flavour variants are what the "numpy" / "numpy-seq" kernels
+        # compile; naming them directly, like the lazy import, keeps a
+        # service without kernel backends from loading that package.
+        view = INLABEL_FLAVOURS.get(key.variant)
+        if view is None:
+            from ..backends import get_kernel_backend
 
-        return get_kernel_backend(key.variant).compile(parents, ctx=ctx)
+            view = get_kernel_backend(key.variant).compile
+        index = self.store.index(key.dataset)
+        before = ctx.elapsed
+        artifact = view(index, ctx=ctx)
+        return CacheEntry(key=key, artifact=artifact,
+                          nbytes=artifact_nbytes(artifact),
+                          build_time_s=ctx.elapsed - before, index=index)
 
     # ------------------------------------------------------------------
     # Cache interface
@@ -296,18 +308,12 @@ class IndexRegistry:
                 f"artifact {key} is not cached and no device spec was given "
                 f"to build it"
             )
-        build_ctx = ctx if ctx is not None else ExecutionContext(spec)
-        before = build_ctx.elapsed
-        artifact = self._build(key, spec, build_ctx)
-        build_time = build_ctx.elapsed - before
-        entry = CacheEntry(key=key, artifact=artifact,
-                           nbytes=artifact_nbytes(artifact),
-                           build_time_s=build_time)
+        entry = self._build(key, ctx if ctx is not None else ExecutionContext(spec))
         self._cache[key] = entry
         self._bytes_in_use += entry.nbytes
-        self._build_time_s += build_time
+        self._build_time_s += entry.build_time_s
         if self.event_hook is not None:
-            self.event_hook("load", key, float(build_time))
+            self.event_hook("load", key, float(entry.build_time_s))
         self._evict_over_capacity(keep=key)
         return entry, False
 
@@ -320,13 +326,6 @@ class IndexRegistry:
         self._hits += copies
         entry.hits += copies
         self._cache.move_to_end(entry.key)
-
-    def get(self, dataset: str, kind: str, spec: DeviceSpec,
-            *, ctx: Optional[ExecutionContext] = None,
-            sequential: Optional[bool] = None) -> object:
-        """The artifact itself (see :meth:`fetch` for the accounting variant)."""
-        entry, _ = self.fetch(dataset, kind, spec, ctx=ctx, sequential=sequential)
-        return entry.artifact
 
     def _evict_over_capacity(self, keep: ArtifactKey) -> None:
         if self.capacity_bytes is None:

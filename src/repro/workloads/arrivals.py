@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, ClassVar, Dict, List
 
 import numpy as np
 
+from ..boundary import Check, settle, workload_number
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -134,9 +135,10 @@ class DeterministicArrivals(ArrivalProcess):
 
     rate_qps: float
 
+    CHECKS: ClassVar[Dict[str, Check]] = {"rate_qps": workload_number}
+
     def __post_init__(self) -> None:
-        if self.rate_qps < 0:
-            raise ConfigurationError("rate_qps must be non-negative")
+        settle(self, self.CHECKS)
 
     def generate(
         self, t0: float, duration: float, rng: np.random.Generator
@@ -168,9 +170,10 @@ class PoissonArrivals(ArrivalProcess):
 
     rate_qps: float
 
+    CHECKS = DeterministicArrivals.CHECKS
+
     def __post_init__(self) -> None:
-        if self.rate_qps < 0:
-            raise ConfigurationError("rate_qps must be non-negative")
+        settle(self, self.CHECKS)
 
     def generate(
         self, t0: float, duration: float, rng: np.random.Generator

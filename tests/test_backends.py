@@ -34,7 +34,7 @@ from repro.backends import (
 from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
 from repro.errors import DeviceError, InvalidQueryError, ServiceError
 from repro.graphs.generators import random_attachment_tree
-from repro.lca import InlabelLCA, SequentialInlabelLCA
+from repro.lca import InlabelLCA, SequentialInlabelLCA, build_inlabel_index
 from repro.lca.reference import BinaryLiftingLCA
 from repro.service import (
     CostModelDispatcher,
@@ -76,21 +76,22 @@ class TestBackendContract:
             register_backend("numpy", NumpyBackend)
 
     def test_numpy_backends_compile_to_the_lca_classes(self):
-        parents = _tree(64)
-        assert type(get_kernel_backend("numpy").compile(parents)) is InlabelLCA
+        index = build_inlabel_index(_tree(64))
+        assert type(get_kernel_backend("numpy").compile(index)) is InlabelLCA
         assert (
-            type(get_kernel_backend("numpy-seq").compile(parents))
+            type(get_kernel_backend("numpy-seq").compile(index))
             is SequentialInlabelLCA
         )
 
     def test_all_backends_match_oracle(self):
         parents = _tree(257)
+        index = build_inlabel_index(parents)
         oracle = BinaryLiftingLCA(parents)
         for q in (1, 16, 301):  # smallbatch: fused pass and vectorized fallback
             xs, ys = _queries(257, q, seed=q)
             expected = oracle.query(xs, ys)
             for key in available_backends():
-                kernel = get_kernel_backend(key).compile(parents)
+                kernel = get_kernel_backend(key).compile(index)
                 assert kernel.n == 257
                 ctx = ExecutionContext(make_backend(key).spec)
                 for got in (kernel.query(xs, ys), kernel.query(xs, ys, ctx=ctx)):
@@ -99,11 +100,11 @@ class TestBackendContract:
                 assert ctx.elapsed > 0.0
 
     def test_backend_charges_modeled_context(self):
-        parents = _tree(128)
+        index = build_inlabel_index(_tree(128))
         xs, ys = _queries(128, 16)
         for key, spec in (("numpy", GTX980), ("smallbatch", XEON_X5650_SINGLE)):
             ctx = ExecutionContext(spec)
-            kernel = get_kernel_backend(key).compile(parents, ctx=ctx)
+            kernel = get_kernel_backend(key).compile(index, ctx=ctx)
             before = ctx.elapsed
             assert before > 0.0  # preprocessing was charged
             kernel.query(xs, ys, ctx=ctx)
@@ -150,7 +151,7 @@ class TestSmallBatchKernel:
     def test_scalar_path_matches_vectorized(self):
         parents = _tree(511, seed=3)
         oracle = BinaryLiftingLCA(parents)
-        kernel = SmallBatchBackend(scratch_size=64).compile(parents)
+        kernel = SmallBatchBackend(scratch_size=64).compile(build_inlabel_index(parents))
         for q in (1, 2, 7, 63, 64):
             xs, ys = _queries(511, q, seed=q)
             assert np.array_equal(kernel.query(xs, ys), oracle.query(xs, ys))
@@ -158,13 +159,13 @@ class TestSmallBatchKernel:
     def test_oversized_batch_falls_back(self):
         parents = _tree(511, seed=3)
         oracle = BinaryLiftingLCA(parents)
-        kernel = SmallBatchBackend(scratch_size=16).compile(parents)
+        kernel = SmallBatchBackend(scratch_size=16).compile(build_inlabel_index(parents))
         xs, ys = _queries(511, 100, seed=5)  # 100 > 16 → vectorized fallback
         assert np.array_equal(kernel.query(xs, ys), oracle.query(xs, ys))
 
     def test_result_valid_until_next_launch(self):
         parents = _tree(64)
-        kernel = SmallBatchBackend().compile(parents)
+        kernel = SmallBatchBackend().compile(build_inlabel_index(parents))
         xs, ys = _queries(64, 4)
         first = kernel.query(xs, ys).copy()
         kernel.query(ys, xs)
@@ -172,7 +173,7 @@ class TestSmallBatchKernel:
 
     def test_out_of_range_nodes_rejected(self):
         parents = _tree(32)
-        kernel = SmallBatchBackend().compile(parents)
+        kernel = SmallBatchBackend().compile(build_inlabel_index(parents))
         with pytest.raises(InvalidQueryError):
             kernel.query(np.array([0]), np.array([32]))
         with pytest.raises(InvalidQueryError):
@@ -180,19 +181,19 @@ class TestSmallBatchKernel:
 
     def test_shape_mismatch_rejected(self):
         parents = _tree(32)
-        kernel = SmallBatchBackend().compile(parents)
+        kernel = SmallBatchBackend().compile(build_inlabel_index(parents))
         with pytest.raises(InvalidQueryError):
             kernel.query(np.array([0, 1]), np.array([2]))
 
     def test_charge_matches_sequential_model(self):
         # The smallbatch backend answers on the real CPU but must book the
         # same modeled cost as the sequential inlabel artifact it replaces.
-        parents = _tree(128)
+        index = build_inlabel_index(_tree(128))
         xs, ys = _queries(128, 24)
         ctx_a = ExecutionContext(XEON_X5650_SINGLE)
-        SmallBatchBackend().compile(parents, ctx=ctx_a).query(xs, ys, ctx=ctx_a)
+        SmallBatchBackend().compile(index, ctx=ctx_a).query(xs, ys, ctx=ctx_a)
         ctx_b = ExecutionContext(XEON_X5650_SINGLE)
-        get_kernel_backend("numpy-seq").compile(parents, ctx=ctx_b).query(
+        get_kernel_backend("numpy-seq").compile(index, ctx=ctx_b).query(
             xs, ys, ctx=ctx_b
         )
         assert ctx_a.elapsed == pytest.approx(ctx_b.elapsed)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro import boundary
-from repro.backends import get_kernel_backend
-from repro.errors import ReproError, ServiceError
+from repro.backends import SmallBatchBackend, get_kernel_backend
+from repro.control import SLO
+from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.graphs.edgelist import EdgeList
 from repro.lca import (
     RMQLCA,
@@ -21,6 +22,7 @@ from repro.lca import (
     InlabelLCA,
     NaiveGPULCA,
     SequentialInlabelLCA,
+    build_inlabel_index,
     dedup_query_pairs,
 )
 from repro.primitives import SegmentTreeRMQ, SparseTableRMQ, list_rank
@@ -29,9 +31,11 @@ from repro.service import (
     ClusterConfig,
     ClusterService,
     LCAQueryService,
+    FaultEvent,
     ServiceConfig,
     SimulatedClock,
 )
+from repro.workloads import DeterministicArrivals, PoissonArrivals
 
 PARENTS = np.array([-1, 0, 0, 1, 1, 2])
 
@@ -90,7 +94,7 @@ def id_array_entries():
     yield "cluster.register_tree", lambda bad: cluster().register_tree("u", bad)
     for index in INDEXES:
         yield f"{index.__name__}()", index
-    yield "kernel backend compile", get_kernel_backend("smallbatch").compile
+    yield "build_inlabel_index", build_inlabel_index
     yield "EdgeList u", lambda bad: EdgeList(bad, GOOD, 6)
     yield "EdgeList v", lambda bad: EdgeList(GOOD, bad, 6)
     yield "EdgeList.relabeled", lambda bad: EdgeList(GOOD, GOOD + 1, 6).relabeled(bad)
@@ -111,7 +115,7 @@ def query_entries():
         lca = index(PARENTS)
         yield f"{index.__name__}.query", lambda bad, q=lca.query: q(bad, GOOD)
         yield f"{index.__name__}.query ys", lambda bad, q=lca.query: q(GOOD, bad)
-    kernel = get_kernel_backend("smallbatch").compile(PARENTS)
+    kernel = get_kernel_backend("smallbatch").compile(build_inlabel_index(PARENTS))
     yield "kernel.query", lambda bad: kernel.query(bad, GOOD)
     yield "dedup_query_pairs", lambda bad: dedup_query_pairs(bad, GOOD)
 
@@ -168,6 +172,11 @@ def duration_entries():
     )
     yield "cluster.apply_tuning", lambda s: cluster().apply_tuning(max_wait_s=s)
     yield "cluster hedge tuning", lambda s: cluster().apply_tuning(hedge_delay_s=s)
+    yield "SLO p99", lambda s: SLO(p99_latency_s=s)
+    yield "SLO throughput", lambda s: SLO(min_throughput_qps=s)
+    yield "PoissonArrivals", lambda s: PoissonArrivals(rate_qps=s)
+    yield "DeterministicArrivals", lambda s: DeterministicArrivals(rate_qps=s)
+    yield "FaultEvent", lambda s: FaultEvent(time_s=s, action="kill", replica=0)
 
 
 @pytest.mark.parametrize("case", sorted(NOT_SECONDS))
@@ -191,6 +200,7 @@ COUNTS = [
     (ClusterConfig, "capacity_bytes"),
     (ClusterConfig, "max_pending"),
     (ClusterConfig, "max_retries"),
+    (SmallBatchBackend, "scratch_size"),
 ]
 
 
@@ -231,6 +241,23 @@ def test_the_clock_never_becomes_nan_or_infinite(make, t):
 def test_a_nan_wait_never_serves_a_query_before_it_arrives():
     with pytest.raises(ServiceError, match="max_wait_s"):
         ServiceConfig(max_wait_s=math.nan)
+
+
+def test_a_smallbatch_scratch_is_at_least_one_query():
+    with pytest.raises(ServiceError, match="scratch_size must be at least 1"):
+        SmallBatchBackend(scratch_size=0)
+    assert SmallBatchBackend(scratch_size=np.int64(3)).scratch_size == 3
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda t: FaultEvent(time_s=t, action="kill", replica=0), "time_s"),
+    (lambda r: PoissonArrivals(rate_qps=r), "rate_qps"),
+], ids=["FaultEvent", "PoissonArrivals"])
+def test_schedules_refuse_with_their_own_error_type(make, field):
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigurationError, match=field):
+            make(bad)
+    assert type(getattr(make(2), field)) is float  # stored normalised
 
 
 @pytest.mark.parametrize("make", [service, cluster], ids=["service", "cluster"])

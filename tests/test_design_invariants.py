@@ -342,6 +342,40 @@ def test_one_kernel_contract_and_one_artifact_key_derivation():
             identifiers(tree)), str(file.relative_to(ROOT))
 
 
+#: What builds Inlabel tables from a parent array.  Serving and backend code
+#: reads a dataset's one host index (``ForestStore.index``) instead.
+TABLE_BUILDERS = frozenset(
+    "tree_statistics_from_parents build_inlabel_structure InlabelLCA "
+    "SequentialInlabelLCA".split())
+
+
+def builds_tables(name):
+    return name.split(".")[-1] in TABLE_BUILDERS
+
+
+def test_the_table_rule_sees_builds_but_not_views():
+    tree = ast.parse(
+        "InlabelLCA(parents, ctx=ctx)\n"
+        "lca.inlabel.SequentialInlabelLCA(parents)\n"
+        "build_inlabel_structure(tree_statistics_from_parents(parents))\n"
+        "InlabelLCA.from_index(index, ctx=ctx)\n"
+        "build_inlabel_index(parents)\n"
+    )
+    assert [call.lineno for call in calls(tree, builds_tables)] == [1, 2, 3, 3]
+
+
+def test_one_host_index_per_dataset():
+    """Serving and backend code never builds Inlabel tables: every key of a
+    dataset, on every replica, is a view over the tables ``build_inlabel_index``
+    built once (the registry's miss path and ``calibrate_backends`` included)."""
+    builds = [
+        f"{file.relative_to(ROOT)}:{call.lineno}"
+        for file, tree in trees_under(SERVICE_PACKAGE, SRC / "backends")
+        for call in calls(tree, builds_tables)
+    ]
+    assert builds == []
+
+
 def test_one_schieber_vishkin_body_in_the_query_kernel():
     """``_query_inlabel`` runs a batch of any width as tiles through the one
     ``_query_tile``; a second copy of the pass would gather the ascendant
@@ -401,6 +435,13 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             # checks; a single query is a routed block of one.
             "as_node_ids", "as_parent_array", "as_query_ids", "as_query_block",
             "_range_bounds", "route_one"}
+    # ``get`` is everywhere a dict is read; the registry alone must not
+    # define it again (``fetch(...)[0].artifact`` is the one lookup).
+    registry = parsed(SERVICE_PACKAGE / "registry.py")
+    assert "get" not in {
+        node.name for cls in ast.walk(registry)
+        if isinstance(cls, ast.ClassDef) and cls.name == "IndexRegistry"
+        for node in cls.body if isinstance(node, ast.FunctionDef)}
     definitions = []
     for file, tree in trees_under(SRC):
         assert not gone & set(identifiers(tree)), str(file.relative_to(ROOT))
@@ -488,8 +529,8 @@ SERVICE_MODULE_LINES = {
     "cluster.py": 1550,
     "config.py": 291,
     "dispatch.py": 317,
-    "faults.py": 167,
-    "registry.py": 400,
+    "faults.py": 166,
+    "registry.py": 399,
     "routing.py": 365,
     "scheduler.py": 494,
     "service.py": 1356,

@@ -94,13 +94,15 @@ class TestHeterogeneousBackendTrace:
 
         from repro.backends import get_kernel_backend
         from repro.graphs.generators import random_attachment_tree
+        from repro.lca import build_inlabel_index
 
         parents = random_attachment_tree(96, seed=5)
         xs = np.array([3, 17, 40], dtype=np.int64)
         ys = np.array([90, 2, 55], dtype=np.int64)
         ctx = ExecutionContext(GTX980, trace=True)
+        index = build_inlabel_index(parents)
         for key in ("numpy", "smallbatch"):
-            kernel = get_kernel_backend(key).compile(parents, ctx=ctx)
+            kernel = get_kernel_backend(key).compile(index, ctx=ctx)
             kernel.query(xs, ys, ctx=ctx)
         return ctx
 

@@ -31,7 +31,7 @@ from repro.lca import (
     run_batched_queries,
 )
 from repro.lca import inlabel as inlabel_module
-from repro.lca.inlabel import _ilog2_table, _query_tile
+from repro.lca.inlabel import _ilog2_table, _query_tile, build_inlabel_index
 from repro.service import ClusterConfig, ClusterService, LCAQueryService
 from repro.service.registry import artifact_nbytes
 
@@ -358,7 +358,7 @@ class TestTiles:
     def test_compiled_kernels_inherit_the_tiles(self, key):
         """``smallbatch`` included: past its scratch it is the same driver."""
         parents = self.TREES["deep"]
-        kernel = get_kernel_backend(key).compile(parents)
+        kernel = get_kernel_backend(key).compile(build_inlabel_index(parents))
         xs, ys = self.batch(31)
         with tile_lanes(8):
             assert np.array_equal(kernel.query(xs, ys),
@@ -499,7 +499,7 @@ class TestFrontDoorsRefuseNonIntegerIds:
     @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
     @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)
     def test_compiled_kernels(self, key, bad):
-        kernel = get_kernel_backend(key).compile(self.PARENTS)
+        kernel = get_kernel_backend(key).compile(build_inlabel_index(self.PARENTS))
         with pytest.raises(InvalidQueryError, match="must be integers"):
             kernel.query(bad, np.array([3, 4]))
         assert kernel.query([3, 5], [4, 4]).tolist() == [1, 0]

@@ -286,9 +286,11 @@ class TestParentArrayIsRefusedNotCast:
     @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
     def test_kernel_backends(self, key, case):
         from repro.backends import get_kernel_backend
+        from repro.lca import build_inlabel_index
 
+        bad = NOT_PARENT_ARRAYS[case]
         with pytest.raises(NotATreeError, match="integers|1-D"):
-            get_kernel_backend(key).compile(NOT_PARENT_ARRAYS[case])
+            get_kernel_backend(key).compile(build_inlabel_index(bad))
 
     @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     def test_integer_lists_and_narrow_dtypes_still_build(self, implementation):

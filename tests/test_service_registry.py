@@ -1,17 +1,25 @@
 """Registry tests: store registration, LRU eviction order, hit/miss accounting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.backends import SmallBatchBackend
 from repro.bridges import find_bridges_tarjan_vishkin
-from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
+from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, ExecutionContext
 from repro.errors import ServiceError
-from repro.graphs.generators import random_attachment_tree
-from repro.lca import InlabelLCA, SequentialInlabelLCA
+from repro.graphs.generators import grasp_tree, random_attachment_tree
+from repro.graphs.generators.random_trees import grasp_for_target_depth
+from repro.lca import InlabelLCA, SequentialInlabelLCA, build_inlabel_index
 from repro.service import (
     ArtifactKey,
+    ClusterConfig,
+    ClusterService,
     ForestStore,
     IndexRegistry,
+    LCAQueryService,
     artifact_nbytes,
 )
 
@@ -150,8 +158,8 @@ def test_fetch_miss_then_hit_accounting():
 
 def test_device_spec_selects_algorithm_flavour_and_key():
     registry = IndexRegistry(make_store("a"))
-    gpu = registry.get("a", "lca", GTX980)
-    cpu = registry.get("a", "lca", XEON_X5650_SINGLE)
+    gpu = registry.fetch("a", "lca", GTX980)[0].artifact
+    cpu = registry.fetch("a", "lca", XEON_X5650_SINGLE)[0].artifact
     assert isinstance(gpu, InlabelLCA)
     assert isinstance(cpu, SequentialInlabelLCA)
     # Distinct devices are distinct cache entries.
@@ -160,15 +168,13 @@ def test_device_spec_selects_algorithm_flavour_and_key():
 
 
 def test_explicit_sequential_flag_overrides_spec_inference():
-    from repro.device import XEON_X5650_MULTI
-
     registry = IndexRegistry(make_store("a"))
     # A sequential backend on a multi-core spec must get the sequential
     # algorithm (matching how the dispatcher priced it), not the parallel
     # flavour the spec alone would suggest — and the two flavours on the
     # same spec are distinct cache entries.
-    seq = registry.get("a", "lca", XEON_X5650_MULTI, sequential=True)
-    par = registry.get("a", "lca", XEON_X5650_MULTI, sequential=False)
+    seq = registry.fetch("a", "lca", XEON_X5650_MULTI, sequential=True)[0].artifact
+    par = registry.fetch("a", "lca", XEON_X5650_MULTI, sequential=False)[0].artifact
     assert isinstance(seq, SequentialInlabelLCA)
     assert isinstance(par, InlabelLCA)
     assert len(registry) == 2
@@ -187,7 +193,7 @@ def test_only_lca_indexes_are_built(kind):
     """The registry is an LCA index cache: no other kind builds or is cached."""
     registry = IndexRegistry(make_store("a"))
     with pytest.raises(ServiceError, match="unknown artifact kind"):
-        registry.get("a", kind, GTX980)
+        registry.fetch("a", kind, GTX980)
     assert len(registry) == 0 and registry.bytes_in_use == 0
 
 
@@ -233,19 +239,19 @@ def test_eviction_is_least_recently_used():
     size = _entry_size()
     registry = IndexRegistry(make_store("a", "b", "c"),
                              capacity_bytes=int(2.5 * size))
-    registry.get("a", "lca", GTX980)
-    registry.get("b", "lca", GTX980)
+    registry.fetch("a", "lca", GTX980)
+    registry.fetch("b", "lca", GTX980)
     # Refresh "a" so "b" becomes the least recently used...
-    registry.get("a", "lca", GTX980)
+    registry.fetch("a", "lca", GTX980)
     # ...then overflow: "b" must be the victim, not "a".
-    registry.get("c", "lca", GTX980)
+    registry.fetch("c", "lca", GTX980)
     cached = {key.dataset for key in registry.keys()}
     assert cached == {"a", "c"}
     assert registry.evictions == 1
     assert registry.bytes_in_use <= int(2.5 * size)
     # "b" is rebuilt on next access (a fresh miss).
     misses_before = registry.misses
-    registry.get("b", "lca", GTX980)
+    registry.fetch("b", "lca", GTX980)
     assert registry.misses == misses_before + 1
 
 
@@ -254,15 +260,15 @@ def test_lru_order_without_refresh_evicts_oldest():
     registry = IndexRegistry(make_store("a", "b", "c"),
                              capacity_bytes=int(2.5 * size))
     for name in ("a", "b", "c"):
-        registry.get(name, "lca", GTX980)
+        registry.fetch(name, "lca", GTX980)
     assert {key.dataset for key in registry.keys()} == {"b", "c"}
 
 
 def test_newest_entry_survives_even_when_oversized():
     size = _entry_size()
     registry = IndexRegistry(make_store("a", "b"), capacity_bytes=size // 4)
-    registry.get("a", "lca", GTX980)
-    registry.get("b", "lca", GTX980)
+    registry.fetch("a", "lca", GTX980)
+    registry.fetch("b", "lca", GTX980)
     # Each insertion evicts everything else but is itself retained.
     assert [key.dataset for key in registry.keys()] == ["b"]
     assert registry.evictions == 1
@@ -270,7 +276,7 @@ def test_newest_entry_survives_even_when_oversized():
 
 def test_clear_counts_evictions_and_contains():
     registry = IndexRegistry(make_store("a"))
-    registry.get("a", "lca", GTX980)
+    registry.fetch("a", "lca", GTX980)
     key = ArtifactKey("a", "lca", GTX980.name, "parallel")
     assert key in registry
     registry.clear()
@@ -282,3 +288,112 @@ def test_clear_counts_evictions_and_contains():
 def test_invalid_capacity_rejected():
     with pytest.raises(ServiceError):
         IndexRegistry(make_store("a"), capacity_bytes=0)
+
+
+# ----------------------------------------------------------------------
+# One host index per dataset
+# ----------------------------------------------------------------------
+def structure_arrays(artifact):
+    return [value for value in vars(artifact.structure).values()
+            if isinstance(value, np.ndarray)]
+
+
+def test_a_warmed_default_service_shares_its_tables_across_backends():
+    svc = LCAQueryService()
+    svc.register_tree("t", random_attachment_tree(512, seed=3))
+    svc.warm("t")
+    gpu, cpu1 = (svc.registry.fetch_by_key(key)[0].artifact
+                 for key in sorted(svc.registry.keys(), key=lambda k: k.variant))
+    assert isinstance(cpu1, SequentialInlabelLCA) and isinstance(gpu, InlabelLCA)
+    assert all(np.shares_memory(a, b) for a, b in
+               zip(structure_arrays(cpu1), structure_arrays(gpu)))
+
+
+def test_a_warmed_cluster_holds_one_set_of_tables():
+    cluster = ClusterService(config=ClusterConfig(n_replicas=4))
+    cluster.register_tree("t", random_attachment_tree(512, seed=3), replicas=4)
+    cluster.warm("t")
+    artifacts = [replica.registry.fetch_by_key(key)[0].artifact
+                 for replica in cluster._replicas for key in replica.registry.keys()]
+    assert len(artifacts) == 8
+    # Every entry still accounts its full modeled size ...
+    assert {artifact_nbytes(a) for a in artifacts} == {artifact_nbytes(artifacts[0])}
+    # ... but the host holds one copy of the tables.
+    assert artifact_nbytes(artifacts) == artifact_nbytes(artifacts[0])
+
+
+VARIANTS = [
+    ("sequential", XEON_X5650_SINGLE),
+    ("parallel", GTX980),
+    ("parallel", XEON_X5650_MULTI),
+    ("numpy", GTX980),
+    ("numpy-seq", XEON_X5650_SINGLE),
+    ("smallbatch", XEON_X5650_SINGLE),
+]
+
+
+def direct_build(variant, parents, ctx):
+    """What the variant's artifact was built as before the index was shared."""
+    if variant in ("parallel", "numpy"):
+        return InlabelLCA(parents, ctx=ctx)
+    if variant in ("sequential", "numpy-seq"):
+        return SequentialInlabelLCA(parents, ctx=ctx)
+    return SmallBatchBackend().compile(build_inlabel_index(parents), ctx=ctx)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["builds", "shares"])
+@pytest.mark.parametrize("variant, spec", VARIANTS,
+                         ids=[f"{v}-{s.name.split(' (')[0]}" for v, s in VARIANTS])
+@pytest.mark.parametrize("make", [
+    lambda: random_attachment_tree(700, seed=4),
+    lambda: grasp_tree(2_048, grasp_for_target_depth(2_048, 200.0), seed=8),
+    lambda: np.array([1, -1]),
+    lambda: np.array([-1]),
+], ids=["shallow", "deep", "two-node", "one-node"])
+def test_a_view_is_charged_and_sized_as_its_own_build(make, variant, spec, first):
+    """Whether the key builds the host index or reads another key's, its entry
+    and a caller's traced context see exactly a direct build on its spec."""
+    parents = make()
+    store = ForestStore()
+    store.add_tree("t", parents)
+    registry = IndexRegistry(store)
+    other = "parallel" if variant in ("sequential", "numpy-seq", "smallbatch") \
+        else "sequential"
+    if not first:
+        registry.fetch_by_key(ArtifactKey("t", "lca", GTX980.name, other),
+                              spec=GTX980)
+    ctx = ExecutionContext(spec, trace=True)
+    entry, hit = registry.fetch_by_key(ArtifactKey("t", "lca", spec.name, variant),
+                                       spec=spec, ctx=ctx)
+    reference = ExecutionContext(spec, trace=True)
+    built = direct_build(variant, parents, reference)
+    assert not hit
+    assert entry.nbytes == artifact_nbytes(built)
+    assert entry.build_time_s == reference.elapsed == ctx.elapsed
+    assert ctx.breakdown() == reference.breakdown()
+    assert list(ctx.breakdown()) == ["preprocessing"]
+    assert ctx.records == reference.records
+    assert registry.fetch_by_key(ArtifactKey("t", "lca", spec.name, variant),
+                                 spec=spec)[0].build_time_s == entry.build_time_s
+
+
+def test_the_host_index_lives_while_some_registry_caches_a_view():
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2))
+    cluster.register_tree("t", random_attachment_tree(256, seed=5), replicas=2)
+    cluster.warm("t")
+    index = weakref.ref(cluster.store.index("t"))
+    first, second = (replica.registry for replica in cluster._replicas)
+    first.clear()
+    gc.collect()
+    assert index() is cluster.store.index("t")  # the second replica reads it
+    second.evict(second.keys()[0])
+    gc.collect()
+    assert index() is not None
+    second.clear()
+    gc.collect()
+    assert index() is None
+    # A miss after that builds it again, once, for every registry.
+    cluster.warm("t")
+    tables = {id(r.registry.fetch_by_key(k)[0].artifact.structure)
+              for r in cluster._replicas for k in r.registry.keys()}
+    assert len(tables) == 1

@@ -82,10 +82,10 @@ def count_launches(service):
     launches = []
     build = service.registry._build
 
-    def counting_build(key, spec, ctx):
-        # The artifact holds the bound ``append``, not the list: the registry
-        # sizes an artifact by walking its attributes' containers.
-        return CountingArtifact(build(key, spec, ctx), key.dataset, launches.append)
+    def counting_build(key, ctx):
+        entry = build(key, ctx)  # sized before it is wrapped
+        entry.artifact = CountingArtifact(entry.artifact, key.dataset, launches.append)
+        return entry
 
     service.registry._build = counting_build
     return launches
