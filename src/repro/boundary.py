@@ -153,11 +153,12 @@ def query_block(
     return x_ids, y_ids, seconds_column(at, "arrival timestamps", x_ids.size)
 
 
-def count(value: object, what: str, *, least: int = 1) -> int:
-    """A configuration count: an integer of at least ``least``."""
-    n = int_scalar(value, ServiceError, what)
+def count(value: object, what: str, *, least: int = 1,
+          error: Type[ReproError] = ServiceError) -> int:
+    """A configuration count: an integer of at least ``least``, else ``error``."""
+    n = int_scalar(value, error, what)
     if n < least:
-        raise ServiceError(f"{what} must be at least {least}")
+        raise error(f"{what} must be at least {least}")
     return n
 
 
@@ -172,8 +173,10 @@ def duration(value: object, what: str, *, positive: bool = False,
 
 
 #: A workload's arrival rate or a fault's instant: a :func:`duration`
-#: refused with :class:`~repro.errors.ConfigurationError`.
+#: refused with :class:`~repro.errors.ConfigurationError`; and a workload's
+#: :func:`count`, refused the same way.
 workload_number = partial(duration, error=ConfigurationError)
+workload_count = partial(count, error=ConfigurationError)
 
 
 #: A field check: ``check(value, name)`` returns the value normalised, or raises.

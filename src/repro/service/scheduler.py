@@ -17,7 +17,11 @@ batch when either
 All timing uses the :class:`~repro.service.clock.SimulatedClock`, so flush
 decisions are deterministic functions of the arrival timestamps: a
 wait-triggered flush fires at exactly ``oldest_arrival + max_wait_s``, never
-"roughly when the event loop got around to it".
+"roughly when the event loop got around to it".  That instant is scheduler
+state, :attr:`MicroBatchScheduler.next_deadline`, refreshed only where the
+pending window's head moves (a cut, the first row into an empty queue, the end
+of a block, a retune, an evict) and ``inf`` when idle, which no instant
+reaches: whether an arrival expires anything is one float comparison.
 
 Storage is *columnar*: the pending queue is four parallel preallocated NumPy
 arrays (tickets / xs / ys / arrivals) with head and tail cursors, not a list
@@ -32,6 +36,7 @@ one is left untouched so every previously flushed slice stays valid.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
@@ -84,12 +89,8 @@ class BatchPolicy:
 
 @dataclass(frozen=True)
 class PendingQuery:
-    """One queued LCA query with its arrival time.
-
-    The scheduler stores pending queries columnarly; this record is the
-    row-wise view :attr:`MicroBatchScheduler.pending` materializes for
-    introspection and debugging.
-    """
+    """One queued LCA query with its arrival time: a row of the columnar
+    queue, as :attr:`MicroBatchScheduler.pending` shows it for introspection."""
 
     ticket: int
     x: int
@@ -200,6 +201,7 @@ class MicroBatchScheduler:
         self.policy = policy or BatchPolicy()
         self.clock = clock or SimulatedClock()
         self._head = self._tail = 0
+        self._deadline = math.inf
         self._observer: Optional[TraceRecorder] = None
         self._obs_replica = 0
         self._allocate(0)
@@ -254,20 +256,18 @@ class MicroBatchScheduler:
         return self._tail - self._head
 
     @property
-    def next_deadline(self) -> Optional[float]:
+    def next_deadline(self) -> float:
         """Instant at which the oldest pending query must be flushed.
 
         >>> s = MicroBatchScheduler(BatchPolicy(max_batch_size=8,
         ...                                     max_wait_s=1e-3))
-        >>> s.next_deadline is None     # nothing queued, no deadline
-        True
+        >>> s.next_deadline             # nothing queued: no instant reaches it
+        inf
         >>> _ = s.submit(0, 1, 2, at=0.0)
         >>> s.next_deadline             # oldest arrival + max_wait_s
         0.001
         """
-        if self._tail == self._head:
-            return None
-        return float(self._columns[3][self._head]) + self.policy.max_wait_s
+        return self._deadline
 
     @property
     def pending(self) -> List[PendingQuery]:
@@ -304,12 +304,14 @@ class MicroBatchScheduler:
         # Only strictly-past deadlines flush here: a query arriving exactly at
         # the pending queue's deadline still joins that batch (and with
         # max_wait_s=0 this is what lets same-instant arrivals coalesce).
-        cuts = self._flush_expired(t, include_equal=False)
+        cuts = self.advance_to(t, include_equal=False) if self._deadline < t else NO_CUTS
         self._ensure_room(1)
         i = self._tail
         tickets, xs, ys, arrival = self._columns
         tickets[i], xs[i], ys[i], arrival[i] = ticket, x, y, t
         self._tail = i + 1
+        if i == self._head:  # the first row into an empty queue starts its wait
+            self._refresh_deadline()
         if self._observer is not None:
             self._observer.record(EV_ENQUEUE, t, ticket=int(ticket),
                                   replica=self._obs_replica)
@@ -359,9 +361,10 @@ class MicroBatchScheduler:
         columns, head, t0, rows, p = self._columns, self._head, self._tail, [], 0
         for column, values in zip(columns, (tickets, xs, ys, arrival_s)):
             column[t0:t0 + count] = values
+        deadline = self._deadline  # a carried window's; a fresh one opens below
         while p < count:
-            have = t0 + p - head
-            deadline = (columns[3].item(head) if have else arrival_s.item(p)) + wait
+            if t0 + p == head:
+                deadline = arrival_s.item(p) + wait
             join = int(arrival_s.searchsorted(deadline, side="right"))
             p = min(join, head - t0 + max_batch)
             if t0 + p - head == max_batch:
@@ -374,6 +377,7 @@ class MicroBatchScheduler:
                          else self._flushed(obs, flush_s, t0 + p - head, trigger)))
             head = t0 + p
         self._head, self._tail = head, t0 + count
+        self._refresh_deadline()
         self.clock.advance_to(arrival_s.item(count - 1))
         return Cuts(rows) if rows else NO_CUTS
 
@@ -390,8 +394,12 @@ class MicroBatchScheduler:
         >>> [b.trigger for b in s.advance_to(5e-3)]   # deadline passed
         ['wait']
         """
-        self.clock.advance_to(t)
-        return self._flush_expired(float(t), include_equal=include_equal)
+        t, cuts = self.clock.advance_to(t), NO_CUTS
+        # The flush happens at the deadline itself, not at t: with a
+        # simulated clock there is no "checking late".
+        while self._deadline < t or (include_equal and self._deadline == t):
+            cuts = self._cut(cuts, self._deadline, "wait")
+        return cuts
 
     def drain(self) -> Cuts:
         """Force out everything still pending (at the current time).
@@ -411,22 +419,15 @@ class MicroBatchScheduler:
     def retune(self, policy: BatchPolicy) -> Cuts:
         """Hot-swap the batch policy; return the batches the swap forces out.
 
-        The swap happens at a flush boundary (the current simulated
-        instant): already-flushed batches are untouched, and the pending
-        window is re-judged under the new policy exactly as if it had been
-        in force all along —
-
-        * a shrunk ``max_wait_s`` can make the oldest pending queries
-          *late*; they flush with the ``wait`` trigger at their new
-          (possibly already-passed) deadlines, oldest first, just as
-          :meth:`advance_to` would have flushed them;
-        * a shrunk ``max_batch_size`` can make the pending window
-          *oversized*; size-complete batches flush at the current instant
-          until the remainder fits.
-
-        Deadlines landing exactly on the current instant stay pending (the
-        same ``include_equal=False`` rule as the submit path), so a
-        same-instant arrival after the retune can still join them.
+        The swap happens at the current instant: flushed batches are
+        untouched, and the pending window is re-judged as if the new policy
+        had been in force all along.  A shrunk ``max_wait_s`` makes the oldest
+        queries *late*: they flush with the ``wait`` trigger at their new
+        (possibly passed) deadlines, oldest first, as :meth:`advance_to` with
+        ``include_equal=False`` flushes them — a deadline exactly now stays
+        pending, so a same-instant arrival can still join it.  A shrunk
+        ``max_batch_size`` makes the window *oversized*: size-complete
+        batches flush now until the remainder fits.
 
         >>> s = MicroBatchScheduler(BatchPolicy(max_batch_size=8,
         ...                                     max_wait_s=1.0))
@@ -439,7 +440,8 @@ class MicroBatchScheduler:
         1
         """
         self.policy = policy
-        cuts = self._flush_expired(self.clock.now, include_equal=False)
+        self._refresh_deadline()
+        cuts = self.advance_to(self.clock.now, include_equal=False)
         while self._tail - self._head >= policy.max_batch_size:
             cuts = self._cut(cuts, self.clock.now, "size")
         return cuts
@@ -461,26 +463,23 @@ class MicroBatchScheduler:
         """
         h, t = self._head, self._tail
         self._head = t
+        self._refresh_deadline()
         return tuple(column[h:t].copy() for column in self._columns)  # type: ignore
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _flush_expired(self, t: float, *, include_equal: bool = True) -> Cuts:
-        cuts = NO_CUTS
-        while self._tail > self._head:
-            deadline = float(self._columns[3][self._head]) + self.policy.max_wait_s
-            if deadline > t or (deadline == t and not include_equal):
-                break
-            # The flush happens at the deadline itself, not at t: with a
-            # simulated clock there is no "checking late".
-            cuts = self._cut(cuts, deadline, "wait")
-        return cuts
+    def _refresh_deadline(self) -> None:
+        """Store the window's deadline, ``inf`` when idle; nothing else derives one."""
+        h = self._head
+        self._deadline = (self._columns[3].item(h) + self.policy.max_wait_s
+                          if h < self._tail else math.inf)
 
     def _cut(self, cuts: Cuts, flush_s: float, trigger: str) -> Cuts:
         """Flush the next batch: record its cut on ``cuts`` (fresh for NO_CUTS)."""
         h, obs, flush_s = self._head, self._observer, float(flush_s)
         stop = self._head = h + min(self._tail - h, self.policy.max_batch_size)
+        self._refresh_deadline()
         cuts = Cuts([]) if cuts is NO_CUTS else cuts
         cuts.rows.append((self._columns, h, stop, flush_s, trigger, -1 if obs is None
                           else self._flushed(obs, flush_s, stop - h, trigger)))

@@ -545,12 +545,12 @@ class LCAQueryService:
         # Serve everything that expired before this arrival, across all
         # datasets, in global flush-time order; the submitted dataset's
         # deadline exactly at t stays pending so this query can join it.
-        # (Per query a flush is the exception: no call when nothing expired.)
-        expired = self._expired_batches(self.clock.now if at is None else at,
-                                        exclusive=dataset)
-        t = self.clock.now  # ``at`` as the clock took it: finite, not a bool or str
-        if expired:
-            self._serve_run(expired)
+        # (Per query a flush is the exception: no call when no deadline is due.)
+        t = self.clock.now if at is None else self.clock.advance_to(at)
+        for other in self._schedulers.values():
+            if other.next_deadline <= t:
+                self._serve_run(self._expired_batches(t, exclusive=dataset))
+                break
         ticket = self._tickets.issue()
         self.stats_collector.record_submit()
         if self._observer is not None:
@@ -900,12 +900,12 @@ class LCAQueryService:
         # FIFO.  Deadlines equal to ``t`` stay pending for ``exclusive`` (a
         # dataset about to receive a submission at ``t``, which may join
         # them) and, with ``include_equal=False``, on every dataset (the
-        # :meth:`sync_to` semantics).  Idle schedulers are skipped, so the
-        # per-submit cost does not grow with the number of datasets.
+        # :meth:`sync_to` semantics).  Only a scheduler whose deadline ``t``
+        # reached is called, so idle or waiting datasets cost one comparison.
         t = self.clock.advance_to(t)
         run: List[RunItem] = []
         for name, scheduler in self._schedulers.items():
-            if scheduler.pending_count:
+            if scheduler.next_deadline <= t:
                 cuts = scheduler.advance_to(
                     t, include_equal=include_equal and name != exclusive)
                 if cuts.rows:
@@ -931,7 +931,7 @@ class LCAQueryService:
         t_last = arrivals.item(arrivals.size - 1)
         merged: List[Tuple[int, int, float, int, str, Cut]] = []
         for name, scheduler in self._schedulers.items():
-            if name == dataset or scheduler.pending_count == 0:
+            if name == dataset or scheduler.next_deadline > t_last:
                 continue
             for cut in scheduler.advance_to(t_last, include_equal=True).rows:
                 # Other datasets' deadlines fire at the first arrival at or

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..boundary import Check, settle, workload_count, workload_number
 from ..control import Controller
 from ..errors import ConfigurationError, Overloaded
 from ..graphs.generators import random_attachment_tree
@@ -90,16 +92,18 @@ class RetryPolicy:
     #: Seed for the jitter draws.
     seed: int = 0
 
+    CHECKS: ClassVar[Dict[str, Check]] = dict(
+        base_backoff_s=partial(workload_number, positive=True),
+        max_backoff_s=workload_number, max_attempts=workload_count,
+        jitter=workload_number, seed=partial(workload_count, least=0))
+
     def __post_init__(self) -> None:
-        if self.base_backoff_s <= 0:
-            raise ConfigurationError("base_backoff_s must be positive")
+        settle(self, self.CHECKS)
         if self.max_backoff_s < self.base_backoff_s:
             raise ConfigurationError(
                 "max_backoff_s must be at least base_backoff_s"
             )
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
-        if not 0.0 <= self.jitter < 1.0:
+        if self.jitter >= 1.0:
             raise ConfigurationError("jitter must be in [0, 1)")
 
     def backoff_s(self, attempt: int, rng: np.random.Generator) -> float:

@@ -35,7 +35,7 @@ from repro.service import (
     ServiceConfig,
     SimulatedClock,
 )
-from repro.workloads import DeterministicArrivals, PoissonArrivals
+from repro.workloads import DeterministicArrivals, PoissonArrivals, RetryPolicy
 
 PARENTS = np.array([-1, 0, 0, 1, 1, 2])
 
@@ -177,6 +177,9 @@ def duration_entries():
     yield "PoissonArrivals", lambda s: PoissonArrivals(rate_qps=s)
     yield "DeterministicArrivals", lambda s: DeterministicArrivals(rate_qps=s)
     yield "FaultEvent", lambda s: FaultEvent(time_s=s, action="kill", replica=0)
+    yield "RetryPolicy base", lambda s: RetryPolicy(base_backoff_s=s)
+    yield "RetryPolicy max", lambda s: RetryPolicy(max_backoff_s=s)
+    yield "RetryPolicy jitter", lambda s: RetryPolicy(jitter=s)
 
 
 @pytest.mark.parametrize("case", sorted(NOT_SECONDS))
@@ -211,6 +214,13 @@ COUNTS = [
 def test_every_config_count_refuses(config, field, case):
     with pytest.raises(ServiceError, match=field):
         config(**{field: NOT_COUNTS[case]})
+
+
+@pytest.mark.parametrize("case", sorted(NOT_COUNTS))
+@pytest.mark.parametrize("field", ["max_attempts", "seed"])
+def test_every_workload_count_refuses_with_a_configuration_error(field, case):
+    with pytest.raises(ConfigurationError, match=field):
+        RetryPolicy(**{field: NOT_COUNTS[case]})
 
 
 @pytest.mark.parametrize("case", sorted(NOT_COUNTS))
@@ -252,7 +262,8 @@ def test_a_smallbatch_scratch_is_at_least_one_query():
 @pytest.mark.parametrize("make, field", [
     (lambda t: FaultEvent(time_s=t, action="kill", replica=0), "time_s"),
     (lambda r: PoissonArrivals(rate_qps=r), "rate_qps"),
-], ids=["FaultEvent", "PoissonArrivals"])
+    (lambda s: RetryPolicy(max_backoff_s=s), "max_backoff_s"),
+], ids=["FaultEvent", "PoissonArrivals", "RetryPolicy"])
 def test_schedules_refuse_with_their_own_error_type(make, field):
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ConfigurationError, match=field):
@@ -294,6 +305,9 @@ def test_configs_store_their_fields_normalised():
     assert config.hedge_delay_s == 1.0 and config.backends == ("numpy",)
     assert ClusterConfig.from_json(config.to_json()) == config
     assert ServiceConfig(capacity_bytes=None).capacity_bytes is None
+    retry = RetryPolicy(max_attempts=np.int64(2), seed=np.int64(0), max_backoff_s=1)
+    assert type(retry.max_attempts) is int and type(retry.seed) is int
+    assert type(retry.max_backoff_s) is float and retry.max_backoff_s == 1.0
 
 
 def test_id_arrays_pass_integer_dtypes_lists_scalars_and_empty_input():

@@ -125,6 +125,72 @@ def test_the_service_reads_no_other_objects_private_state():
 
 
 # ----------------------------------------------------------------------
+# A wait deadline is scheduler state
+# ----------------------------------------------------------------------
+def reads_the_arrival_column(node):
+    """``columns[3]`` / ``self._columns[3]``: a scheduler's arrival column."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value == 3
+            and dotted(node.value).split(".")[-1] in ("columns", "_columns"))
+
+
+def derives_a_deadline(node):
+    """An addition with the arrival column on either side."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+        reads_the_arrival_column(part) for part in ast.walk(node))
+
+
+def reads(attr):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+
+
+def advances_a_scheduler(name):
+    return name.endswith(".advance_to") and name != "self.clock.advance_to"
+
+
+def test_the_deadline_rules_see_a_derivation_and_a_count_probe():
+    source = (
+        "class S:\n"
+        "    def _expired_batches(self, t):\n"
+        "        for name, scheduler in self._schedulers.items():\n"
+        "            if scheduler.pending_count:\n"
+        "                scheduler.advance_to(t)\n"
+        "    def submit(self, t):\n"
+        "        self.clock.advance_to(t)\n"
+        "        deadline = float(self._columns[3][self._head]) + self.policy.max_wait_s\n"
+        "    def _refresh_deadline(self):\n"
+        "        self._deadline = self._columns[3].item(self._head) + self.policy.max_wait_s\n"
+        "    def pending(self, columns, lo, hi, flush_s):\n"
+        "        return columns[3][lo:hi], flush_s - columns[3][lo], columns[0][lo] + 1\n"
+    )
+    tree = ast.parse(source)
+    assert functions_containing(tree, derives_a_deadline) == {"submit", "_refresh_deadline"}
+    assert functions_calling(source, advances_a_scheduler) == {"_expired_batches"}
+    assert functions_containing(tree, reads("pending_count")) == {"_expired_batches"}
+
+
+def test_a_wait_deadline_is_derived_once_and_read_through_next_deadline():
+    """``MicroBatchScheduler._refresh_deadline`` is the one place a deadline is
+    derived from the arrival column (``submit_block`` starts a fresh window
+    from the block it admits, and carries the stored one in).  The service
+    decides whether anything expired by comparing an instant with each
+    scheduler's ``next_deadline``: an expiry test that probed ``pending_count``
+    instead would call ``advance_to`` on every scheduler with a queue."""
+    found = {
+        (file.name, name)
+        for file, tree in trees_under(SERVICE_PACKAGE)
+        for name in functions_containing(tree, derives_a_deadline)
+    }
+    assert found == {("scheduler.py", "_refresh_deadline")}
+    source = SERVICE.read_text()
+    tree = ast.parse(source)
+    expiring = functions_calling(source, advances_a_scheduler)
+    assert expiring == {"_expired_batches", "_serve_in_submission_order"}
+    assert expiring | {"submit"} <= functions_containing(tree, reads("next_deadline"))
+    assert not expiring & functions_containing(tree, reads("pending_count"))
+
+
+# ----------------------------------------------------------------------
 # config= is the only carrier of knobs
 # ----------------------------------------------------------------------
 #: Per-knob constructor keywords that ``config=`` replaced.
@@ -532,7 +598,7 @@ SERVICE_MODULE_LINES = {
     "faults.py": 166,
     "registry.py": 399,
     "routing.py": 365,
-    "scheduler.py": 494,
+    "scheduler.py": 493,
     "service.py": 1356,
     "stats.py": 294,
     "tickets.py": 119,

@@ -1,10 +1,22 @@
 """Scheduler tests: size- vs wait-triggered flushes on the simulated clock."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServiceError
-from repro.service import BatchPolicy, MicroBatchScheduler, SimulatedClock
+from repro.graphs.generators import random_attachment_tree
+from repro.lca import BinaryLiftingLCA
+from repro.service import (
+    BatchPolicy,
+    LCAQueryService,
+    MicroBatchScheduler,
+    ServiceConfig,
+    SimulatedClock,
+)
 
 
 def submit_all(scheduler, queries, **kwargs):
@@ -183,3 +195,94 @@ def test_submitting_into_the_past_is_rejected():
     sched.submit(0, 1, 2, at=1.0)
     with pytest.raises(ServiceError):
         sched.submit(1, 3, 4, at=0.5)
+
+
+# ----------------------------------------------------------------------
+# The stored deadline
+# ----------------------------------------------------------------------
+WAITS = (0.0, 1e-4, 2.5e-4, 1e-3)
+GAPS = st.sampled_from([0.0, 5e-5, 1e-4, 2.5e-4, 1e-3, 3e-3])
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), GAPS),
+    st.tuples(st.just("submit_block"), st.lists(GAPS, min_size=1, max_size=40)),
+    st.tuples(st.just("advance_to"), GAPS, st.booleans()),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("retune"), st.integers(1, 6), st.sampled_from(WAITS)),
+    st.tuples(st.just("evict")),
+), max_size=40)
+
+
+def deadline_of_window(scheduler):
+    """The deadline read off the pending window: ``inf`` when nothing waits."""
+    pending = scheduler.pending
+    return pending[0].arrival_s + scheduler.policy.max_wait_s if pending else math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(max_batch=st.integers(1, 6), wait=st.sampled_from(WAITS), steps=STEPS)
+@example(max_batch=6, wait=1e-3, steps=[("submit_block", [0.0] * 40)] * 3
+         + [("submit", 1e-4), ("retune", 6, 0.0), ("evict",), ("submit", 0.0)])
+def test_the_stored_deadline_never_goes_stale(max_batch, wait, steps):
+    """After every public call ``next_deadline`` is the pending window's head
+    arrival plus ``max_wait_s``, bit for bit, and ``inf`` when idle — across
+    buffer reallocations too, which the 64-row buffers here need every few calls.
+
+    Mutations this catches, each applied by hand: no refresh in ``retune``,
+    no refresh in ``evict``, no refresh after ``submit_block``'s cuts.
+    """
+    scheduler = MicroBatchScheduler(BatchPolicy(max_batch_size=max_batch, max_wait_s=wait))
+    ticket = 0
+    for op, *args in steps:
+        now = scheduler.clock.now
+        if op == "submit":
+            scheduler.submit(ticket, 0, 1, at=now + args[0])
+            ticket += 1
+        elif op == "submit_block":
+            at = now + np.cumsum(args[0])
+            rows = np.arange(ticket, ticket + at.size)
+            scheduler.submit_block(rows, rows, rows + 1, at)
+            ticket += at.size
+        elif op == "advance_to":
+            scheduler.advance_to(now + args[0], include_equal=args[1])
+        elif op == "retune":
+            scheduler.retune(BatchPolicy(max_batch_size=args[0], max_wait_s=args[1]))
+        else:
+            getattr(scheduler, op)()
+        assert scheduler.next_deadline.hex() == deadline_of_window(scheduler).hex(), op
+
+
+def test_a_rowwise_stream_calls_advance_to_only_at_a_due_deadline(monkeypatch):
+    """A row-wise query whose arrival reaches no deadline makes no expiry call:
+    across two datasets, ``MicroBatchScheduler.advance_to`` runs at most once
+    per wait flush plus once per deadline an arrival lands on exactly (the
+    submitted dataset keeps that one pending, so the call flushes nothing).
+    An expiry test on ``pending_count`` makes about one call per query."""
+    reached = []
+    advance_to = MicroBatchScheduler.advance_to
+
+    def spy(scheduler, t, **kwargs):
+        reached.append((scheduler.next_deadline, t))
+        return advance_to(scheduler, t, **kwargs)
+
+    monkeypatch.setattr(MicroBatchScheduler, "advance_to", spy)
+    trees = {"a": random_attachment_tree(300, seed=1), "b": random_attachment_tree(200, seed=2)}
+    svc = LCAQueryService(config=ServiceConfig(max_batch_size=6, max_wait_s=2e-4))
+    rng = np.random.default_rng(7)
+    q = 3000
+    gaps = rng.exponential(3e-5, q)
+    gaps[rng.random(q) < 0.2] = 0.0  # ties with the previous arrival
+    arrivals = np.cumsum(gaps)
+    names = rng.choice(["a", "b"], q)
+    queries = [(name, *rng.integers(0, trees[name].size, 2)) for name in names]
+    for name, parents in trees.items():
+        svc.register_tree(name, parents)
+    tickets = [svc.submit(name, int(x), int(y), at=float(t))
+               for (name, x, y), t in zip(queries, arrivals)]
+    svc.drain()
+    oracles = {name: BinaryLiftingLCA(parents) for name, parents in trees.items()}
+    assert svc.results(np.array(tickets)).tolist() == [
+        int(oracles[name].query(np.array([x]), np.array([y]))[0]) for name, x, y in queries]
+    waits = svc.stats().flush_triggers["wait"]
+    assert all(deadline <= t for deadline, t in reached)
+    assert 0 < len(reached) <= waits + sum(deadline == t for deadline, t in reached)
+    assert len(reached) < q // 4
