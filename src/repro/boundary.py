@@ -14,15 +14,21 @@ of any dtype passes, for the caller's own "at least one" check.  An integer
 scalar refuses ``bool``; an instant or a duration refuses ``bool``, ``str``,
 NaN and ±inf (NaN would stall the scheduler, ``inf`` strand the clock).
 Checks that need the data (a node below ``n``, an arrival not before the
-clock, an issued ticket) stay with the data's owner.
+clock, an issued ticket) stay with the data's owner.  A configuration object
+is a frozen dataclass on :class:`ConfigBase`: its ``CHECKS`` name one check
+per field, and the base settles them, derives copies and serializes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import operator
 from functools import partial
-from typing import Any, Callable, Mapping, Optional, Tuple, Type
+from typing import (
+    Any, Callable, ClassVar, Dict, FrozenSet, Mapping, Optional, Tuple, Type, TypeVar,
+)
 
 import numpy as np
 
@@ -192,3 +198,92 @@ def settle(config: object, checks: Mapping[str, Check]) -> None:
     """Check a frozen dataclass's fields and store them normalised."""
     for name, check in checks.items():
         object.__setattr__(config, name, check(getattr(config, name), name))
+
+
+C = TypeVar("C", bound="ConfigBase")
+
+
+@dataclasses.dataclass(frozen=True)
+class ConfigBase:
+    """A frozen config: checked fields, derived copies, dict and JSON forms.
+
+    Each subclass names a :data:`Check` per field in ``CHECKS`` (settled
+    before any rule of its own in ``__post_init__``) and the fields that
+    ``apply_tuning()`` may hot-swap in ``TUNABLE``.  A sequence field's check
+    returns a tuple, so the lists of a JSON round-trip come back equal.
+
+    >>> from repro.service import ServiceConfig
+    >>> cfg = ServiceConfig(max_batch_size=64)
+    >>> ServiceConfig.from_json(cfg.to_json()) == cfg
+    True
+    """
+
+    #: Field names ``apply_tuning()`` may hot-swap mid-stream (subclasses
+    #: override; everything else is fixed at construction).
+    TUNABLE: ClassVar[FrozenSet[str]] = frozenset()
+    #: Each checked field's check (subclasses override).
+    CHECKS: ClassVar[Dict[str, Check]] = {}
+
+    def __post_init__(self) -> None:
+        settle(self, self.CHECKS)
+
+    @classmethod
+    def _refuse_unknown(cls, names: Any) -> None:
+        unknown = set(names) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ServiceError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+
+    def derive(self: C, **changes: Any) -> C:
+        """A copy with ``changes`` applied (``dataclasses.replace`` + checks).
+
+        >>> from repro.service import ServiceConfig
+        >>> ServiceConfig().derive(max_wait_s=5e-4).max_wait_s
+        0.0005
+        >>> ServiceConfig().derive(max_batch_size=0)
+        Traceback (most recent call last):
+            ...
+        repro.errors.ServiceError: max_batch_size must be at least 1
+        """
+        self._refuse_unknown(changes)
+        return dataclasses.replace(self, **changes)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The config as a plain dict (JSON-safe; bench-manifest shape).
+
+        >>> from repro.service import ServiceConfig
+        >>> ServiceConfig(max_batch_size=64).to_dict()["max_batch_size"]
+        64
+        """
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls: Type[C], data: Dict[str, Any]) -> C:
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Unknown keys raise :class:`~repro.errors.ServiceError` — a manifest
+        written by a different version should fail loudly, not half-apply.
+
+        >>> from repro.service import ServiceConfig
+        >>> ServiceConfig.from_dict({"max_batch_size": 64}).max_batch_size
+        64
+        >>> ServiceConfig.from_dict({"max_batch": 64})
+        Traceback (most recent call last):
+            ...
+        repro.errors.ServiceError: unknown ServiceConfig fields: ['max_batch']
+        """
+        cls._refuse_unknown(data)
+        return cls(**data)
+
+    def to_json(self) -> str:
+        """The config as a JSON string (stable key order)."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls: Type[C], text: str) -> C:
+        """Rebuild a config from :meth:`to_json` output."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ServiceError(
+                f"{cls.__name__} JSON must be an object, got {type(data).__name__}"
+            )
+        return cls.from_dict(data)

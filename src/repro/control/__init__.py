@@ -6,17 +6,17 @@ closes the loop from the stack's own signals back to those knobs:
 
 * :class:`~repro.control.slo.SLO` — a declarative objective spec (p99
   bound, shed-rate ceiling, throughput floor, per-tenant priority
-  weights), serializable next to the configs it is enforced against;
+  weights), a config on the same :class:`~repro.boundary.ConfigBase` as
+  the service configs it is enforced against;
 * :class:`~repro.control.autoscale.AutoscalePolicy` — a declarative
   reactive-autoscaling spec (replica-count rails, per-signal scale-out /
   scale-in thresholds with hysteresis, per-direction cooldowns),
   serializable the same way;
 * :class:`~repro.control.controller.Controller` — the online loop: window
-  the metrics via :meth:`~repro.obs.metrics.MetricsSnapshot.delta`,
-  compare against the SLO, retune through the services'
-  ``apply_tuning()`` seam at a flush boundary, and (with a policy
-  attached) drive ``n_replicas`` through the cluster's
-  drain-before-retire ``scale_to()`` transition.  Retuning never changes
+  the counters the services already keep, compare against the SLO,
+  retune through the services' ``apply_tuning()`` seam at a flush
+  boundary, and (with a policy attached) drive ``n_replicas`` through the
+  cluster's drain-before-retire ``scale_to()`` transition.  Retuning never changes
   answers — only when batches flush, what they cost, and how many
   replicas serve them.
 

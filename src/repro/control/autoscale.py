@@ -36,11 +36,11 @@ True
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from functools import partial
+from typing import Any, ClassVar, Dict, Tuple
 
+from ..boundary import Check, ConfigBase, count, duration
 from ..errors import ServiceError
 
 __all__ = ["AutoscalePolicy", "AUTOSCALE_SIGNALS"]
@@ -48,9 +48,37 @@ __all__ = ["AutoscalePolicy", "AUTOSCALE_SIGNALS"]
 #: The windowed signals a policy may watch, in canonical order.
 AUTOSCALE_SIGNALS: Tuple[str, ...] = ("shed", "queue", "p99")
 
+#: Each signal's (scale-in, scale-out) threshold fields.
+_THRESHOLDS: Dict[str, Tuple[str, str]] = {
+    "shed": ("shed_in", "shed_out"),
+    "queue": ("queue_in", "queue_out"),
+    "p99": ("p99_in_s", "p99_out_s"),
+}
+
+
+def _signals(names: Any, what: str) -> Tuple[str, ...]:
+    """At least one known signal, each once, as a tuple."""
+    names = tuple(str(name) for name in names)
+    if not names:
+        raise ServiceError("a policy must watch at least one signal")
+    unknown = [name for name in names if name not in AUTOSCALE_SIGNALS]
+    if unknown:
+        raise ServiceError(
+            f"unknown autoscale signals {unknown}; "
+            f"choose from {list(AUTOSCALE_SIGNALS)}"
+        )
+    if len(set(names)) != len(names):
+        raise ServiceError("duplicate autoscale signals")
+    return names
+
+
+def _step(value: Any, what: str) -> int:
+    """A replica step: a :func:`~repro.boundary.count` named as a scale step."""
+    return count(value, f"scale steps: {what}")
+
 
 @dataclass(frozen=True)
-class AutoscalePolicy:
+class AutoscalePolicy(ConfigBase):
     """A declarative reactive-autoscaling policy.
 
     ``signals`` selects which windowed measurements drive the loop (at
@@ -94,77 +122,26 @@ class AutoscalePolicy:
     step_out: int = 1
     step_in: int = 1
 
+    CHECKS: ClassVar[Dict[str, Check]] = {
+        **dict.fromkeys(("min_replicas", "max_replicas"), count),
+        "signals": _signals,
+        **dict.fromkeys((name for pair in _THRESHOLDS.values() for name in pair),
+                        duration),
+        **dict.fromkeys(("cooldown_out_s", "cooldown_in_s"),
+                        partial(duration, positive=True)),
+        **dict.fromkeys(("step_out", "step_in"), _step),
+    }
+
     def __post_init__(self) -> None:
-        if not 1 <= int(self.min_replicas) <= int(self.max_replicas):
+        super().__post_init__()
+        if self.min_replicas > self.max_replicas:
             raise ServiceError("need 1 <= min_replicas <= max_replicas")
-        # Normalize the JSON round-trip list shape back to a tuple.
-        names = tuple(str(name) for name in self.signals)
-        object.__setattr__(self, "signals", names)
-        if not names:
-            raise ServiceError("a policy must watch at least one signal")
-        unknown = [name for name in names if name not in AUTOSCALE_SIGNALS]
-        if unknown:
-            raise ServiceError(
-                f"unknown autoscale signals {unknown}; "
-                f"choose from {list(AUTOSCALE_SIGNALS)}"
-            )
-        if len(set(names)) != len(names):
-            raise ServiceError("duplicate autoscale signals")
-        for low, high in (
-            ("shed_in", "shed_out"),
-            ("queue_in", "queue_out"),
-            ("p99_in_s", "p99_out_s"),
-        ):
-            lo, hi = float(getattr(self, low)), float(getattr(self, high))
-            if lo < 0:
-                raise ServiceError(f"{low} must be non-negative")
+        for low, high in _THRESHOLDS.values():
+            lo, hi = getattr(self, low), getattr(self, high)
             if not lo < hi:
                 raise ServiceError(
-                    f"hysteresis requires {low} < {high} "
-                    f"(got {lo} >= {hi})"
+                    f"hysteresis requires {low} < {high} (got {lo} >= {hi})"
                 )
-        if float(self.cooldown_out_s) <= 0 or float(self.cooldown_in_s) <= 0:
-            raise ServiceError("cooldowns must be positive")
-        if int(self.step_out) < 1 or int(self.step_in) < 1:
-            raise ServiceError("scale steps must be at least 1")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The policy as a plain dict (JSON-safe; bench-manifest shape)."""
-        out = dataclasses.asdict(self)
-        out["signals"] = list(self.signals)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AutoscalePolicy":
-        """Rebuild a policy from :meth:`to_dict` output.
-
-        >>> AutoscalePolicy.from_dict({"max_replicas": 6}).max_replicas
-        6
-        """
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ServiceError(
-                f"unknown AutoscalePolicy fields: {sorted(unknown)}"
-            )
-        kwargs = dict(data)
-        if "signals" in kwargs:
-            kwargs["signals"] = tuple(str(s) for s in kwargs["signals"])
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        """The policy as a JSON string (stable key order)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AutoscalePolicy":
-        """Rebuild a policy from :meth:`to_json` output."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ServiceError(
-                f"AutoscalePolicy JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
 
     def out_threshold(self, signal: str) -> float:
         """The scale-out threshold for ``signal``.
@@ -172,20 +149,8 @@ class AutoscalePolicy:
         >>> AutoscalePolicy(shed_out=0.1).out_threshold("shed")
         0.1
         """
-        return float(
-            {
-                "shed": self.shed_out,
-                "queue": self.queue_out,
-                "p99": self.p99_out_s,
-            }[signal]
-        )
+        return getattr(self, _THRESHOLDS[signal][1])
 
     def in_threshold(self, signal: str) -> float:
         """The scale-in (calm) threshold for ``signal``."""
-        return float(
-            {
-                "shed": self.shed_in,
-                "queue": self.queue_in,
-                "p99": self.p99_in_s,
-            }[signal]
-        )
+        return getattr(self, _THRESHOLDS[signal][0])

@@ -9,15 +9,15 @@ drives the latter against a declarative :class:`~repro.control.slo.SLO`.
 
 The loop, once per ``interval_s`` of simulated time:
 
-1. **Window the signals.**  The target's cumulative stats are re-expressed
-   as a fresh metric registry (the :func:`~repro.obs.metrics.
-   service_stats_metrics` / :func:`~repro.obs.metrics.cluster_stats_metrics`
-   adapters), plus a window-local latency histogram fed only the latency
-   values recorded since the previous observation.
-   :meth:`~repro.obs.metrics.MetricsSnapshot.delta` against the previous
-   snapshot turns cumulative counters into per-window counts; the window
-   p99 comes from :func:`~repro.obs.metrics.histogram_quantile` over the
-   window histogram.
+1. **Window the signals.**  The controller reads the counters the stack
+   already keeps: each worker's ``stats_collector`` (answered queries and
+   its latency log) and, on a cluster, ``tickets_issued`` and
+   ``queries_shed`` (offered = admitted + shed).  The window's counts are
+   the differences from the previous observation's totals; the latency
+   values logged since then feed one window-local
+   :class:`~repro.obs.metrics.Histogram`, and the window p99 is
+   :func:`~repro.obs.metrics.histogram_quantile` over it.  No ``stats()``
+   snapshot is taken.
 2. **Compare against the SLO** and pick a direction:
 
    * *Deadline-aware flushing*: the wait-flush deadline is ``oldest
@@ -63,15 +63,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..boundary import count, duration, instant
 from ..errors import ServiceError
-from ..obs.metrics import (
-    HistogramValue,
-    MetricRegistry,
-    MetricsSnapshot,
-    cluster_stats_metrics,
-    histogram_quantile,
-    service_stats_metrics,
-)
+from ..obs.metrics import Histogram, histogram_quantile
 from ..service.cluster import ClusterService
 from ..service.service import LCAQueryService
 from .autoscale import AutoscalePolicy
@@ -165,26 +159,24 @@ class Controller:
         max_pending_cap: int = 65536,
         autoscale: Optional[AutoscalePolicy] = None,
     ) -> None:
-        if interval_s < 0:
-            raise ValueError("interval_s must be non-negative")
-        if not 0 < min_batch_size <= max_batch_size:
-            raise ValueError("need 0 < min_batch_size <= max_batch_size")
-        if min_wait_s <= 0:
-            raise ValueError("min_wait_s must be positive")
-        if not 0.0 < wait_fraction <= 1.0:
-            raise ValueError("wait_fraction must be in (0, 1]")
         self.slo = slo
-        self.interval_s = float(interval_s)
-        self.min_batch_size = int(min_batch_size)
-        self.max_batch_size = int(max_batch_size)
-        self.min_wait_s = float(min_wait_s)
-        self.wait_fraction = float(wait_fraction)
-        self.max_pending_cap = int(max_pending_cap)
+        self.interval_s = duration(interval_s, "interval_s")
+        self.min_batch_size = count(min_batch_size, "min_batch_size")
+        self.max_batch_size = count(max_batch_size, "max_batch_size")
+        if self.min_batch_size > self.max_batch_size:
+            raise ServiceError("need min_batch_size <= max_batch_size")
+        self.min_wait_s = duration(min_wait_s, "min_wait_s", positive=True)
+        self.wait_fraction = instant(wait_fraction, "wait_fraction")
+        if not 0.0 < self.wait_fraction <= 1.0:
+            raise ServiceError("wait_fraction must be in (0, 1]")
+        self.max_pending_cap = count(max_pending_cap, "max_pending_cap")
         self.autoscale = autoscale
         #: Every applied retune, in order.
         self.decisions: List[TuningDecision] = []
         self._last_s: Optional[float] = None
-        self._prev: Optional[MetricsSnapshot] = None
+        #: The previous observation's cumulative (answered, offered, shed).
+        self._totals: Tuple[int, int, int] = (0, 0, 0)
+        #: Latency values already windowed, per worker index.
         self._consumed: Dict[int, int] = {}
         #: Cooldown anchor: the most recent membership change (or the first
         #: observation, which arms the loop without scaling).
@@ -195,63 +187,36 @@ class Controller:
     # ------------------------------------------------------------------
     def _window(
         self, target: _Target, now_s: float
-    ) -> Tuple[float, float, Optional[float], float]:
+    ) -> Tuple[float, float, Optional[float], int]:
         """(p99_s, shed_rate, throughput_qps or None, answered) this window."""
-        is_cluster = isinstance(target, ClusterService)
-        reg = MetricRegistry()
-        if is_cluster:
-            cluster_stats_metrics(target.stats(), registry=reg)
-            workers: List[LCAQueryService] = list(target.replicas)
-        else:
-            service_stats_metrics(target.stats(), registry=reg)
-            workers = [target]
-        hist = reg.histogram(
-            "repro_window_latency_seconds",
-            "Latencies recorded this control window",
-            buckets=WINDOW_BUCKETS_S,
-        )
+        workers = target.replicas if isinstance(target, ClusterService) else (target,)
+        hist = Histogram("window_latency_seconds",
+                         "Latencies recorded this control window",
+                         buckets=WINDOW_BUCKETS_S)
+        answered = 0
         for index, worker in enumerate(workers):
-            values = worker.stats_collector.latency_values
-            start = self._consumed.get(index, 0)
-            if values.size > start:
-                hist.observe_many(values[start:])
-                self._consumed[index] = int(values.size)
-        snap = reg.snapshot()
-        delta = snap.delta(self._prev) if self._prev is not None else snap
-        prev_s = self._last_s
-        self._prev = snap
-
-        p99_s = 0.0
-        window_metric = snap.get("repro_window_latency_seconds")
-        if window_metric is not None and window_metric.series:
-            window_hist = window_metric.series[0][1]
-            assert isinstance(window_hist, HistogramValue)
-            p99_s = histogram_quantile(
-                window_hist, 0.99, buckets=WINDOW_BUCKETS_S
-            )
-
-        answered = self._sum(delta, "repro_queries_answered_total")
-        if is_cluster:
-            offered = self._sum(delta, "repro_cluster_queries_offered_total")
-            shed = self._sum(delta, "repro_cluster_queries_shed_total")
+            collector = worker.stats_collector
+            answered += collector.queries_answered
+            values = collector.latency_values
+            hist.observe_many(values[self._consumed.get(index, 0):])
+            self._consumed[index] = values.size
+        if isinstance(target, ClusterService):
+            shed = target.queries_shed
+            offered = target.tickets_issued + shed
         else:
-            offered, shed = answered, 0.0
+            offered, shed = answered, 0
+        totals = (answered, offered, shed)
+        answered, offered, shed = (
+            total - last for total, last in zip(totals, self._totals))
+        self._totals = totals
+        p99_s = histogram_quantile(hist.value(), 0.99, buckets=WINDOW_BUCKETS_S)
         shed_rate = shed / offered if offered > 0 else 0.0
 
         throughput: Optional[float] = None
+        prev_s = self._last_s
         if prev_s is not None and now_s > prev_s:
             throughput = answered / (now_s - prev_s)
         return p99_s, shed_rate, throughput, answered
-
-    @staticmethod
-    def _sum(snapshot: MetricsSnapshot, name: str) -> float:
-        """Total of a counter across all its series (0.0 when absent)."""
-        metric = snapshot.get(name)
-        if metric is None:
-            return 0.0
-        return float(
-            sum(v for _, v in metric.series if not isinstance(v, HistogramValue))
-        )
 
     # ------------------------------------------------------------------
     # The control loop

@@ -17,13 +17,11 @@ True
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
-from ..boundary import Check, duration, optional, settle
+from ..boundary import Check, ConfigBase, duration, optional
 from ..errors import ServiceError
 
 __all__ = ["SLO"]
@@ -32,8 +30,22 @@ __all__ = ["SLO"]
 _OBJECTIVES = ("p99_latency_s", "max_shed_rate", "min_throughput_qps")
 
 
+def _tenant_weights(pairs: Any, what: str) -> Tuple[Tuple[str, float], ...]:
+    """``(dataset, weight)`` pairs as a tuple of tuples; weights positive."""
+    return tuple((str(name), duration(weight, "tenant weights", positive=True))
+                 for name, weight in pairs)
+
+
+def _fraction(value: Any, what: str) -> float:
+    """A :func:`~repro.boundary.duration` of at most 1."""
+    rate = duration(value, what)
+    if rate > 1.0:
+        raise ServiceError(f"{what} must be in [0, 1] (or None)")
+    return rate
+
+
 @dataclass(frozen=True)
-class SLO:
+class SLO(ConfigBase):
     """A declarative service-level objective.
 
     Every bound is optional; an SLO must declare at least one objective
@@ -64,33 +76,24 @@ class SLO:
     #: hashable and JSON-round-trippable.
     tenant_weights: Tuple[Tuple[str, float], ...] = ()
 
-    CHECKS: ClassVar[Dict[str, Check]] = dict.fromkeys(
-        ("p99_latency_s", "min_throughput_qps"),
-        optional(partial(duration, positive=True)))
+    CHECKS: ClassVar[Dict[str, Check]] = {
+        **dict.fromkeys(("p99_latency_s", "min_throughput_qps"),
+                        optional(partial(duration, positive=True))),
+        "max_shed_rate": optional(_fraction),
+        "tenant_weights": _tenant_weights,
+    }
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if (
             all(getattr(self, name) is None for name in _OBJECTIVES)
             and not self.tenant_weights
         ):
             raise ServiceError("an SLO must declare at least one objective")
-        settle(self, self.CHECKS)
-        if self.max_shed_rate is not None and not (
-            0.0 <= float(self.max_shed_rate) <= 1.0
-        ):
-            raise ServiceError("max_shed_rate must be in [0, 1] (or None)")
-        # Normalize list-of-lists (the JSON round-trip shape) to tuples.
-        pairs = tuple(
-            (str(name), float(weight)) for name, weight in self.tenant_weights
-        )
-        object.__setattr__(self, "tenant_weights", pairs)
-        seen = set()
-        for name, weight in pairs:
-            if weight <= 0:
-                raise ServiceError("tenant weights must be positive")
-            if name in seen:
+        names = [name for name, _ in self.tenant_weights]
+        for name in names:
+            if names.count(name) > 1:
                 raise ServiceError(f"duplicate tenant weight for {name!r}")
-            seen.add(name)
 
     def weight_of(self, dataset: str) -> float:
         """The declared weight for ``dataset`` (1.0 when not listed).
@@ -102,40 +105,3 @@ class SLO:
             if name == dataset:
                 return weight
         return 1.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The SLO as a plain dict (JSON-safe; bench-manifest shape)."""
-        out = dataclasses.asdict(self)
-        out["tenant_weights"] = [list(pair) for pair in self.tenant_weights]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SLO":
-        """Rebuild an SLO from :meth:`to_dict` output.
-
-        >>> SLO.from_dict({"max_shed_rate": 0.05}).max_shed_rate
-        0.05
-        """
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ServiceError(f"unknown SLO fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "tenant_weights" in kwargs:
-            kwargs["tenant_weights"] = tuple(
-                (str(n), float(w)) for n, w in kwargs["tenant_weights"]
-            )
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        """The SLO as a JSON string (stable key order)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SLO":
-        """Rebuild an SLO from :meth:`to_json` output."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ServiceError(
-                f"SLO JSON must be an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)

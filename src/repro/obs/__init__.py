@@ -6,9 +6,8 @@ Zero-cost-when-disabled tracing, metrics and reporting:
   full query lifecycle (arrival → enqueue → flush → dispatch → kernel →
   complete) plus cache and index-registry events, with 1-in-N sampling;
 * :mod:`repro.obs.metrics` — a labeled metric registry (counters, gauges,
-  histograms) with snapshot/delta semantics and adapters re-expressing
-  :class:`~repro.service.stats.ServiceStats` /
-  :class:`~repro.service.cluster.ClusterStats` as metric families;
+  histograms) with immutable snapshots and an adapter re-expressing
+  :class:`~repro.service.stats.ServiceStats` as metric families;
 * :mod:`repro.obs.timers` — host wall-clock stage accounting;
 * :mod:`repro.obs.export` — JSONL, Prometheus text and Perfetto-loadable
   Chrome trace-event exporters;
@@ -43,7 +42,6 @@ from .metrics import (
     Histogram,
     MetricRegistry,
     MetricsSnapshot,
-    cluster_stats_metrics,
     service_stats_metrics,
 )
 from .timers import StageTimer
@@ -66,7 +64,6 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "MetricsSnapshot",
-    "cluster_stats_metrics",
     "service_stats_metrics",
     "StageTimer",
 ]

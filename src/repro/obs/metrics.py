@@ -6,15 +6,13 @@ series per label set, and histograms fold whole arrays of observations in
 with one ``searchsorted`` + ``bincount`` pass
 (:meth:`Histogram.observe_many`) instead of a Python loop per value.
 
-Snapshots (:meth:`MetricRegistry.snapshot`) are immutable and support
-*delta* semantics: ``current.delta(previous)`` re-expresses counters and
-histograms as the activity between two snapshots (gauges keep their
-current value), which is how a long-lived service reports per-window rates
-without resetting its counters.
+Snapshots (:meth:`MetricRegistry.snapshot`) are immutable.  A
+:class:`Histogram` also stands alone: the controller folds each control
+window's latencies into a fresh one and reads its p99 with
+:func:`histogram_quantile`.
 
-The adapters at the bottom re-express the serving stack's existing
-aggregate snapshots (:class:`~repro.service.stats.ServiceStats`,
-:class:`~repro.service.cluster.ClusterStats`) as metrics, so anything that
+The adapter at the bottom re-expresses a service's aggregate snapshot
+(:class:`~repro.service.stats.ServiceStats`) as metrics, so anything that
 can scrape the Prometheus text format (see
 :func:`repro.obs.export.prometheus_text`) can watch the simulated stack.
 """
@@ -29,7 +27,6 @@ import numpy as np
 from ..errors import ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
-    from ..service.cluster import ClusterStats
     from ..service.stats import ServiceStats
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "MetricRegistry",
     "histogram_quantile",
     "service_stats_metrics",
-    "cluster_stats_metrics",
 ]
 
 #: Label sets are canonicalized to sorted (name, value) pairs.
@@ -121,65 +117,6 @@ class MetricsSnapshot:
                 if pairs == wanted:
                     return value
         raise ServiceError(f"no series {name}{dict(labels)} in snapshot")
-
-    def delta(self, previous: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Activity between ``previous`` and this snapshot.
-
-        Counters and histograms subtract series-wise (a series absent from
-        ``previous`` counts from zero); gauges keep their current value.
-
-        >>> reg = MetricRegistry()
-        >>> c = reg.counter("queries_total", "Queries seen")
-        >>> c.inc(3.0)
-        >>> before = reg.snapshot()
-        >>> c.inc(2.0)
-        >>> reg.snapshot().delta(before).value("queries_total")
-        2.0
-        """
-        prev: Dict[str, Dict[LabelPairs, SeriesValue]] = {
-            m.name: dict(m.series) for m in previous.metrics
-        }
-        out: List[MetricSnapshot] = []
-        for metric in self.metrics:
-            if metric.type == "gauge":
-                out.append(metric)
-                continue
-            old = prev.get(metric.name, {})
-            series: List[Tuple[LabelPairs, SeriesValue]] = []
-            for pairs, value in metric.series:
-                before = old.get(pairs)
-                if before is None:
-                    series.append((pairs, value))
-                elif isinstance(value, HistogramValue):
-                    assert isinstance(before, HistogramValue)
-                    series.append(
-                        (
-                            pairs,
-                            HistogramValue(
-                                bucket_counts=tuple(
-                                    a - b
-                                    for a, b in zip(
-                                        value.bucket_counts, before.bucket_counts
-                                    )
-                                ),
-                                sum=value.sum - before.sum,
-                                count=value.count - before.count,
-                            ),
-                        )
-                    )
-                else:
-                    assert not isinstance(before, HistogramValue)
-                    series.append((pairs, value - before))
-            out.append(
-                MetricSnapshot(
-                    name=metric.name,
-                    type=metric.type,
-                    help=metric.help,
-                    buckets=metric.buckets,
-                    series=tuple(series),
-                )
-            )
-        return MetricsSnapshot(metrics=tuple(out))
 
 
 class Counter:
@@ -458,7 +395,7 @@ def histogram_quantile(
 
 
 # ----------------------------------------------------------------------
-# Adapters: existing aggregate snapshots re-expressed as metrics
+# Adapter: a service's aggregate snapshot re-expressed as metrics
 # ----------------------------------------------------------------------
 def service_stats_metrics(
     stats: "ServiceStats",
@@ -522,30 +459,4 @@ def service_stats_metrics(
     reg.counter("repro_answer_cache_resets_total", "Answer-cache resets").inc(
         stats.answer_cache_resets, **labels
     )
-    return reg
-
-
-def cluster_stats_metrics(
-    stats: "ClusterStats", *, registry: Optional[MetricRegistry] = None
-) -> MetricRegistry:
-    """Re-express one :class:`ClusterStats` snapshot as registry metrics.
-
-    Cluster-level series carry no ``replica`` label; every per-worker
-    :class:`ServiceStats` is folded in with its replica id as a label.
-    """
-    reg = registry if registry is not None else MetricRegistry()
-    reg.counter(
-        "repro_cluster_queries_offered_total", "Queries offered to the cluster"
-    ).inc(stats.queries_offered)
-    reg.counter(
-        "repro_cluster_queries_shed_total", "Queries shed by admission control"
-    ).inc(stats.queries_shed)
-    reg.gauge(
-        "repro_cluster_load_imbalance_ratio", "Max/mean answered load"
-    ).set(stats.load_imbalance)
-    reg.gauge(
-        "repro_cluster_latency_p99_seconds", "Modeled cluster p99 latency"
-    ).set(stats.latency_p99_s)
-    for replica, per in enumerate(stats.replicas):
-        service_stats_metrics(per, registry=reg, replica=replica)
     return reg

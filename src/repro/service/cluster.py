@@ -152,9 +152,7 @@ class ClusterStats:
     replicas: Tuple[ServiceStats, ...]
     #: Fault-tolerance accounting — all zero on a fault-free, hedge-free run.
     #: ``queries_retried`` counts re-dispatches of admitted queries after a
-    #: replica kill or transient batch failure (a query retried twice counts
-    #: twice); retried queries are *not* double-counted in
-    #: ``queries_submitted``.
+    #: replica kill or transient batch failure, twice for one retried twice.
     queries_retried: int = 0
     #: Hedged duplicate dispatches issued, and how many finished before the
     #: original (and therefore set the query's completion time).
@@ -458,6 +456,11 @@ class ClusterService:
         2
         """
         return self._tickets.issued
+
+    @property
+    def queries_shed(self) -> int:
+        """How many queries admission control has refused (never ticketed)."""
+        return self._shed
 
     def placement(self, dataset: str) -> Tuple[int, ...]:
         """Replica ids holding ``dataset``, in placement order.
@@ -1074,10 +1077,7 @@ class ClusterService:
         answered = tuple(s.queries_answered for s in per)
         mean_load = sum(answered) / len(answered)
         imbalance = max(answered) / mean_load if mean_load > 0 else 0.0
-        # A retried query was admitted into a worker more than once; count
-        # it once at the cluster front door.
-        submitted = sum(s.queries_submitted for s in per) - self._retried
-        offered = submitted + self._shed
+        offered = self.tickets_issued + self._shed  # a ticket per admitted query
         hits = sum(s.cache_hits for s in per)
         misses = sum(s.cache_misses for s in per)
         lookups = hits + misses
@@ -1088,7 +1088,7 @@ class ClusterService:
             n_replicas=self.n_replicas,
             router_policy=self.router.name,
             queries_offered=offered,
-            queries_submitted=submitted,
+            queries_submitted=self.tickets_issued,
             queries_shed=self._shed,
             queries_answered=sum(answered),
             shed_rate=self._shed / offered if offered else 0.0,

@@ -5,7 +5,7 @@ Every knob of :class:`~repro.service.service.LCAQueryService` and
 dedup, admission limit, hedging, retries, router policy) lives on
 :class:`ServiceConfig` / :class:`ClusterConfig` — ``config=`` is the only
 way to set one; the constructors otherwise take live collaborators only.
-The configs are frozen dataclasses that
+The configs are frozen :class:`~repro.boundary.ConfigBase` dataclasses that
 
 * validate and normalise eagerly through :mod:`repro.boundary` (so a bad
   config fails where it is written, not where it is used);
@@ -36,20 +36,16 @@ True
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, ClassVar, Dict, FrozenSet, Optional, Tuple, Type, TypeVar
+from typing import Any, ClassVar, Dict, FrozenSet, Optional, Tuple
 
-from ..boundary import Check, count, duration, instant, optional, settle
+from ..boundary import Check, ConfigBase, count, duration, instant, optional
 from ..errors import ServiceError
 from .routing import LeastOutstandingRouter
 from .scheduler import BatchPolicy
 
 __all__ = ["ServiceConfig", "ClusterConfig"]
-
-C = TypeVar("C", bound="_ConfigBase")
 
 
 def _backend_keys(backends: Any, what: str) -> Tuple[str, ...]:
@@ -63,81 +59,7 @@ def _backend_keys(backends: Any, what: str) -> Tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class _ConfigBase:
-    """Shared derivation + serialization machinery of the config objects."""
-
-    #: Field names ``apply_tuning()`` may hot-swap mid-stream (subclasses
-    #: override; everything else is fixed at construction).
-    TUNABLE: ClassVar[FrozenSet[str]] = frozenset()
-    #: Each checked field's :mod:`repro.boundary` check (subclasses override).
-    CHECKS: ClassVar[Dict[str, Check]] = {}
-
-    def __post_init__(self) -> None:
-        settle(self, self.CHECKS)
-
-    def derive(self: C, **changes: Any) -> C:
-        """A copy with ``changes`` applied (``dataclasses.replace`` + checks).
-
-        >>> ServiceConfig().derive(max_wait_s=5e-4).max_wait_s
-        0.0005
-        >>> ServiceConfig().derive(max_batch_size=0)
-        Traceback (most recent call last):
-            ...
-        repro.errors.ServiceError: max_batch_size must be at least 1
-        """
-        unknown = set(changes) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise ServiceError(
-                f"unknown {type(self).__name__} fields: {sorted(unknown)}"
-            )
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The config as a plain dict (JSON-safe; bench-manifest shape).
-
-        >>> ServiceConfig(max_batch_size=64).to_dict()["max_batch_size"]
-        64
-        """
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls: Type[C], data: Dict[str, Any]) -> C:
-        """Rebuild a config from :meth:`to_dict` output.
-
-        Unknown keys raise :class:`~repro.errors.ServiceError` — a manifest
-        written by a different version should fail loudly, not half-apply.
-
-        >>> ServiceConfig.from_dict({"max_batch_size": 64}).max_batch_size
-        64
-        >>> ServiceConfig.from_dict({"max_batch": 64})
-        Traceback (most recent call last):
-            ...
-        repro.errors.ServiceError: unknown ServiceConfig fields: ['max_batch']
-        """
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ServiceError(
-                f"unknown {cls.__name__} fields: {sorted(unknown)}"
-            )
-        return cls(**data)
-
-    def to_json(self) -> str:
-        """The config as a JSON string (stable key order)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls: Type[C], text: str) -> C:
-        """Rebuild a config from :meth:`to_json` output."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ServiceError(
-                f"{cls.__name__} JSON must be an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
-
-
-@dataclass(frozen=True)
-class ServiceConfig(_ConfigBase):
+class ServiceConfig(ConfigBase):
     """Everything a :class:`LCAQueryService` is configured by, in one value.
 
     The non-serializable collaborators (store, dispatcher, clock, observer)
@@ -198,7 +120,7 @@ class ServiceConfig(_ConfigBase):
 
 
 @dataclass(frozen=True)
-class ClusterConfig(_ConfigBase):
+class ClusterConfig(ConfigBase):
     """Everything a :class:`ClusterService` is configured by, in one value.
 
     ``router`` is a policy *name* (one of

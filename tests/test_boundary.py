@@ -13,7 +13,7 @@ import pytest
 
 from repro import boundary
 from repro.backends import SmallBatchBackend, get_kernel_backend
-from repro.control import SLO
+from repro.control import SLO, AutoscalePolicy, Controller
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.graphs.edgelist import EdgeList
 from repro.lca import (
@@ -59,6 +59,10 @@ NOT_SECONDS = {
 }
 #: Each way a count is not an integer.
 NOT_COUNTS = {"nan": math.nan, "2.5": 2.5, "bool": True, "str": "1"}
+
+
+def controller(**knobs):
+    return Controller(SLO(p99_latency_s=1e-3), **knobs)
 
 
 def service():
@@ -174,6 +178,12 @@ def duration_entries():
     yield "cluster hedge tuning", lambda s: cluster().apply_tuning(hedge_delay_s=s)
     yield "SLO p99", lambda s: SLO(p99_latency_s=s)
     yield "SLO throughput", lambda s: SLO(min_throughput_qps=s)
+    for field in ("shed_in", "shed_out", "queue_in", "queue_out", "p99_in_s",
+                  "p99_out_s", "cooldown_out_s", "cooldown_in_s"):
+        yield f"AutoscalePolicy {field}", (
+            lambda s, field=field: AutoscalePolicy(**{field: s}))
+    yield "Controller interval", lambda s: controller(interval_s=s)
+    yield "Controller min wait", lambda s: controller(min_wait_s=s)
     yield "PoissonArrivals", lambda s: PoissonArrivals(rate_qps=s)
     yield "DeterministicArrivals", lambda s: DeterministicArrivals(rate_qps=s)
     yield "FaultEvent", lambda s: FaultEvent(time_s=s, action="kill", replica=0)
@@ -204,6 +214,13 @@ COUNTS = [
     (ClusterConfig, "max_pending"),
     (ClusterConfig, "max_retries"),
     (SmallBatchBackend, "scratch_size"),
+    (AutoscalePolicy, "min_replicas"),
+    (AutoscalePolicy, "max_replicas"),
+    (AutoscalePolicy, "step_out"),
+    (AutoscalePolicy, "step_in"),
+    (controller, "min_batch_size"),
+    (controller, "max_batch_size"),
+    (controller, "max_pending_cap"),
 ]
 
 

@@ -18,13 +18,17 @@ from repro.control import (
     Controller,
     TuningDecision,
 )
-from repro.errors import ServiceError
+from repro.errors import Overloaded, ServiceError
 from repro.graphs.generators import random_attachment_tree
+from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
+from repro.obs.metrics import HistogramValue, histogram_quantile
 from repro.service import (
     BatchPolicy,
     ClusterConfig,
     ClusterService,
+    FaultEvent,
+    FaultInjector,
     LCAQueryService,
     MicroBatchScheduler,
     ServiceConfig,
@@ -380,12 +384,17 @@ def test_retuning_never_changes_answers(schedule, seed):
 class TestController:
     def test_rejects_bad_parameters(self):
         slo = SLO(p99_latency_s=1e-4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             Controller(slo, interval_s=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             Controller(slo, min_batch_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             Controller(slo, wait_fraction=0.0)
+        with pytest.raises(ServiceError, match="min_batch_size"):
+            Controller(slo, min_batch_size=64, max_batch_size=32)
+        for fraction in (float("nan"), 1.5):
+            with pytest.raises(ServiceError, match="wait_fraction"):
+                Controller(slo, wait_fraction=fraction)
 
     def test_interval_gates_observations(self):
         svc = LCAQueryService()
@@ -504,3 +513,163 @@ class TestController:
 
     def test_window_buckets_are_ascending(self):
         assert list(WINDOW_BUCKETS_S) == sorted(WINDOW_BUCKETS_S)
+
+
+# ----------------------------------------------------------------------
+# Window signals: the controller's counters against stats() snapshots
+# ----------------------------------------------------------------------
+class WindowLog(Controller):
+    """A controller that keeps every window it measured, in order.
+
+    Its SLO has no latency bound and a throughput floor nothing misses, so
+    no rule fires and the run is the one the reference watches.
+    """
+
+    def __init__(self):
+        super().__init__(SLO(min_throughput_qps=1e-9), interval_s=0.0)
+        self.windows = []
+
+    def _window(self, target, now_s):
+        window = super()._window(target, now_s)
+        self.windows.append(window)
+        return window
+
+
+class StatsReference:
+    """The window signals rebuilt from two consecutive ``stats()`` snapshots.
+
+    Each worker's new latencies are its latency log between the previous and
+    the current snapshot's ``queries_answered`` (a worker the previous
+    snapshot did not have starts at 0); they are bucketed by hand.
+    """
+
+    def __init__(self):
+        self.answered = []
+        self.totals = (0, 0, 0)
+        self.at_s = None
+
+    def window(self, target, now_s):
+        stats = target.stats()
+        if isinstance(target, ClusterService):
+            workers, per = target.replicas, stats.replicas
+            totals = (stats.queries_answered, stats.queries_offered,
+                      stats.queries_shed)
+        else:
+            workers, per = (target,), (stats,)
+            totals = (stats.queries_answered, stats.queries_answered, 0)
+        before = self.answered + [0] * (len(per) - len(self.answered))
+        new = np.concatenate([
+            worker.stats_collector.latency_values[start:snap.queries_answered]
+            for worker, snap, start in zip(workers, per, before)])
+        counts = np.bincount(np.searchsorted(WINDOW_BUCKETS_S, new, "left"),
+                             minlength=len(WINDOW_BUCKETS_S) + 1)
+        p99 = histogram_quantile(
+            HistogramValue(tuple(int(c) for c in counts), float(new.sum()),
+                           int(new.size)),
+            0.99, buckets=WINDOW_BUCKETS_S)
+        answered, offered, shed = (a - b for a, b in zip(totals, self.totals))
+        shed_rate = shed / offered if offered > 0 else 0.0
+        throughput = (None if self.at_s is None or now_s <= self.at_s
+                      else answered / (now_s - self.at_s))
+        self.answered = [snap.queries_answered for snap in per]
+        self.totals, self.at_s = totals, now_s
+        return p99, shed_rate, throughput, answered
+
+
+def observe_both(ctl, reference, target):
+    """One observation; the reference reads first (a retune may flush)."""
+    now = target.clock.now
+    expected = reference.window(target, now)
+    ctl.observe(target, now)
+    assert ctl.windows[-1] == expected
+    return expected
+
+
+class TestWindowSignals:
+    """Every window's p99, shed rate, throughput and answered count equal
+    the ``stats()`` reference bit for bit.  The cases catch these mutations
+    of ``Controller._window``:
+
+    * counting retried re-admissions as offered (the cluster sheds in the
+      window its kill strands work);
+    * dropping the first window of a replica added mid-run;
+    * re-reading consumed latencies;
+    * bucketing with ``side="right"`` (the single node's first window is one
+      latency that sits exactly on a bucket bound).
+    """
+
+    def test_cluster_that_sheds_retries_and_scales_out(self):
+        parents = random_attachment_tree(400, seed=21)
+        xs, ys = generate_random_queries(400, 4000, seed=22)
+        arrivals = np.arange(xs.size, dtype=np.float64) / 400_000.0
+        kill_s = float(arrivals[1230])  # mid-chunk: work is queued on it
+        cluster = ClusterService(
+            config=ClusterConfig(n_replicas=3, max_batch_size=32,
+                                 max_wait_s=1e-4, max_pending=48),
+            fault_injector=FaultInjector([
+                FaultEvent(time_s=kill_s, action="kill", replica=1),
+                FaultEvent(time_s=kill_s + 1e-3, action="recover", replica=1),
+            ]),
+        )
+        cluster.register_tree("t", parents, replicas=0)
+        ctl, reference = WindowLog(), StatsReference()
+        retried, windows = 0, []
+        for chunk, start in enumerate(range(0, xs.size, 100)):
+            if chunk == 20:
+                cluster.apply_tuning(n_replicas=4)
+            stop = start + 100
+            try:
+                cluster.submit_many("t", xs[start:stop], ys[start:stop],
+                                    at=arrivals[start:stop])
+            except Overloaded:
+                pass
+            if chunk % 2:
+                window = observe_both(ctl, reference, cluster)
+                now_retried = cluster.stats().queries_retried
+                windows.append((window, now_retried - retried))
+                retried = now_retried
+        cluster.drain()
+        observe_both(ctl, reference, cluster)
+
+        assert len(cluster.replicas) == 4
+        added = cluster.replicas[3].stats_collector
+        assert 0 < added.queries_answered < cluster.stats().queries_answered
+        # Retries land in a window that also sheds, so offered must not
+        # count a re-admission.
+        assert any(window[1] > 0 and moved for window, moved in windows)
+        assert not ctl.decisions
+
+    def test_single_node_with_a_latency_on_a_bucket_bound(self):
+        parents = random_attachment_tree(300, seed=7)
+
+        def service(max_wait_s):
+            svc = LCAQueryService(config=ServiceConfig(max_batch_size=64,
+                                                       max_wait_s=max_wait_s))
+            svc.register_tree("t", parents)
+            svc.warm("t")
+            return svc
+
+        # A lone query that waits out max_wait_s completes at max_wait_s +
+        # its service time, which a flush-on-arrival probe measures.
+        probe = service(0.0)
+        lone = probe.submit("t", 5, 9, at=0.0)
+        probe.drain()
+        bound = WINDOW_BUCKETS_S[3]
+        svc = service(bound - probe.latency(lone))
+        lone = svc.submit("t", 5, 9, at=0.0)
+        svc.advance_to(2 * bound)
+        assert svc.latency(lone) == bound
+
+        ctl, reference = WindowLog(), StatsReference()
+        assert observe_both(ctl, reference, svc)[3] == 1
+        xs, ys = generate_random_queries(300, 2000, seed=8)
+        arrivals = 1e-4 + np.arange(xs.size, dtype=np.float64) / 300_000.0
+        for start in range(0, xs.size, 250):
+            stop = start + 250
+            svc.submit_many("t", xs[start:stop], ys[start:stop],
+                            at=arrivals[start:stop])
+            observe_both(ctl, reference, svc)
+        svc.drain()
+        observe_both(ctl, reference, svc)
+        assert len(ctl.windows) == 10
+        assert not ctl.decisions

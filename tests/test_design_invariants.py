@@ -500,7 +500,9 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             # One boundary schema (repro.boundary) replaced the per-module
             # checks; a single query is a routed block of one.
             "as_node_ids", "as_parent_array", "as_query_ids", "as_query_block",
-            "_range_bounds", "route_one"}
+            "_range_bounds", "route_one",
+            # The controller windows live counters; the config base is public.
+            "cluster_stats_metrics", "_ConfigBase"}
     # ``get`` is everywhere a dict is read; the registry alone must not
     # define it again (``fetch(...)[0].artifact`` is the one lookup).
     registry = parsed(SERVICE_PACKAGE / "registry.py")
@@ -524,6 +526,92 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             and any(dotted(side).endswith("issued")
                     for side in (node.left, *node.comparators))
         ], file.name
+
+
+#: What ``repro.control`` may import from ``repro.obs.metrics``.
+WINDOW_METRICS = {"Histogram", "histogram_quantile"}
+
+
+def window_offences(tree):
+    """Lines that call ``.stats()``, name ``MetricRegistry`` / ``MetricsSnapshot``
+    or import from ``obs.metrics`` anything but :data:`WINDOW_METRICS`."""
+    banned = {"MetricRegistry", "MetricsSnapshot"}
+
+    def offends(node):
+        if isinstance(node, ast.Call):
+            return isinstance(node.func, ast.Attribute) and node.func.attr == "stats"
+        if isinstance(node, ast.ImportFrom):
+            # An import is reported on its statement: ``ast.alias`` nodes
+            # carry no line number before Python 3.10.
+            names = {alias.name for alias in node.names}
+            if (node.module or "").endswith("obs.metrics"):
+                return bool(names - WINDOW_METRICS)
+            return bool(names & banned)
+        return isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef,
+                                 ast.ClassDef)) and any(
+            getattr(node, field, None) in banned for field in ("id", "attr", "name"))
+
+    return sorted({node.lineno for node in ast.walk(tree) if offends(node)})
+
+
+def test_the_window_rule_sees_stats_calls_registries_and_metric_imports():
+    tree = ast.parse(
+        "from ..obs.metrics import Histogram, histogram_quantile\n"
+        "from ..obs.metrics import service_stats_metrics\n"
+        "from ..obs import MetricsSnapshot\n"
+        "def window(target):\n"
+        "    snap = target.stats()\n"
+        "    reg = obs.MetricRegistry()\n"
+        "    return stats(snap), target.stats_collector.queries_answered\n"
+    )
+    assert window_offences(tree) == [2, 3, 5, 6]
+
+
+def test_the_controller_reads_live_counters_not_snapshots():
+    """A control window reads the counters the stack keeps; it never takes a
+    ``stats()`` snapshot nor rebuilds a metric registry to diff."""
+    assert {str(file.relative_to(SRC)): window_offences(tree)
+            for file, tree in trees_under(SRC / "control")} == {
+        "control/__init__.py": [], "control/autoscale.py": [],
+        "control/controller.py": [], "control/slo.py": []}
+
+
+def serializer_owners(tree):
+    """``Owner.name`` of each ``to_json`` / ``from_dict`` defined in ``tree``."""
+    owners = {node: cls.name for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for node in cls.body}
+    return sorted(f"{owners.get(node, '<module>')}.{node.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in ("to_json", "from_dict"))
+
+
+def test_the_serializer_rule_sees_methods_and_functions():
+    tree = ast.parse(
+        "class Policy:\n"
+        "    def to_json(self): ...\n"
+        "    def to_dict(self): ...\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, data): ...\n"
+        "def from_dict(data): ...\n"
+    )
+    assert serializer_owners(tree) == [
+        "<module>.from_dict", "Policy.from_dict", "Policy.to_json"]
+
+
+def test_configs_share_one_serializer():
+    """``ServiceConfig``, ``ClusterConfig``, ``SLO`` and ``AutoscalePolicy``
+    inherit :class:`repro.boundary.ConfigBase`'s; the calibration profile
+    and its entries are measurements, not configs, and keep their own."""
+    assert sorted(f"{file.relative_to(SRC)}:{owner}"
+                  for file, tree in trees_under(SRC)
+                  for owner in serializer_owners(tree)) == [
+        "backends/calibrate.py:BackendCalibration.from_dict",
+        "backends/calibrate.py:CalibrationProfile.from_dict",
+        "backends/calibrate.py:CalibrationProfile.to_json",
+        "boundary.py:ConfigBase.from_dict",
+        "boundary.py:ConfigBase.to_json",
+    ]
 
 
 CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(ClusterConfig))
@@ -593,7 +681,7 @@ SERVICE_MODULE_LINES = {
     "cache.py": 501,
     "clock.py": 106,
     "cluster.py": 1550,
-    "config.py": 291,
+    "config.py": 213,
     "dispatch.py": 317,
     "faults.py": 166,
     "registry.py": 399,

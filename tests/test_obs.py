@@ -2,7 +2,7 @@
 
 Covers the recorder/table layer (journaling, sampling, ownership
 transfer, merge/canonical), the metric registry (counters, gauges,
-histograms, snapshot deltas), the exporters (JSONL, Prometheus text,
+histograms, snapshots), the exporters (JSONL, Prometheus text,
 Chrome trace JSON) and the :class:`StageTimer` — plus the acceptance
 invariants that tie a live trace back to the serving stack's own
 aggregates:
@@ -359,29 +359,6 @@ def test_registry_get_or_create_and_type_conflicts():
     assert reg.names == ["a_total", "b", "c"]
 
 
-def test_snapshot_delta_windows_counters_and_histograms():
-    reg = MetricRegistry()
-    c = reg.counter("q_total", "Queries")
-    h = reg.histogram("lat", "Latency", buckets=(1.0, 2.0))
-    g = reg.gauge("depth", "Depth")
-    c.inc(3.0)
-    h.observe(0.5)
-    g.set(10.0)
-    before = reg.snapshot()
-    c.inc(2.0)
-    h.observe(1.5)
-    h.observe(0.7)
-    g.set(4.0)
-    delta = reg.snapshot().delta(before)
-    assert delta.value("q_total") == 2.0
-    hist = delta.value("lat")
-    assert hist.bucket_counts == (1, 1, 0)
-    assert hist.count == 2
-    assert delta.value("depth") == 4.0  # gauges keep their current level
-    with pytest.raises(ServiceError, match="no series"):
-        delta.value("missing")
-
-
 def test_service_stats_adapter_mirrors_the_snapshot():
     service, _ = traced_run()
     stats = service.stats()
@@ -396,6 +373,8 @@ def test_service_stats_adapter_mirrors_the_snapshot():
     assert snap.value(
         "repro_latency_p99_seconds", replica="3"
     ) == stats.latency_p99_s
+    with pytest.raises(ServiceError, match="no series"):
+        snap.value("repro_queries_answered_total")  # no replica label
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,10 @@ def test_kill_and_recover_answers_match_oracle():
     assert stats.queries_submitted == xs.size
     assert stats.queries_answered == xs.size  # zero lost
     assert stats.queries_retried > 0  # the kill stranded work mid-batch
+    # Each retry re-admits a query into a worker: the workers' own admissions
+    # less the retries are the admitted (ticketed) queries, each once.
+    assert (sum(r.queries_submitted for r in stats.replicas)
+            - stats.queries_retried == stats.queries_submitted)
     assert stats.faults_injected == 2
     table = observer.table()
     assert len(table.of_kind(EV_FAULT)) == 2
@@ -153,6 +157,9 @@ def test_transient_failures_are_retried_with_identical_answers():
     stats = cluster.stats()
     assert stats.queries_retried > 0
     assert stats.queries_answered == xs.size
+    assert stats.queries_submitted == xs.size
+    assert (sum(r.queries_submitted for r in stats.replicas)
+            - stats.queries_retried == stats.queries_submitted)
 
 
 def test_retry_cap_raises_typed_replica_down():
