@@ -83,6 +83,8 @@ successor_ids = id_array(InvalidGraphError, "successors")
 range_bounds = id_array(InvalidQueryError, "range bounds", scalar=True)
 #: Tickets read back from a service or cluster.
 ticket_ids = id_array(ServiceError, "tickets", scalar=True)
+#: The replicas a cluster pins a dataset on.
+replica_ids = id_array(ServiceError, "replica ids")
 
 
 def query_columns(xs: object, ys: object) -> Tuple[np.ndarray, np.ndarray]:
@@ -183,6 +185,12 @@ def duration(value: object, what: str, *, positive: bool = False,
 #: :func:`count`, refused the same way.
 workload_number = partial(duration, error=ConfigurationError)
 workload_count = partial(count, error=ConfigurationError)
+
+
+def workload_integer(value: object, what: str) -> int:
+    """A schedule's integer field (a fault's replica id or count), refused
+    with :class:`~repro.errors.ConfigurationError`."""
+    return int_scalar(value, ConfigurationError, what)
 
 
 #: A field check: ``check(value, name)`` returns the value normalised, or raises.

@@ -69,7 +69,7 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..boundary import instant, int_scalar, query_block
+from ..boundary import count, instant, int_scalar, query_block, replica_ids
 from ..errors import Overloaded, ReplicaDown, ServiceError
 from ..obs.events import (
     EV_FAULT,
@@ -505,7 +505,7 @@ class ClusterService:
         2
         """
         if on is not None:
-            copies = tuple(dict.fromkeys(int(i) for i in on))
+            copies = tuple(dict.fromkeys(replica_ids(on).tolist()))
             if not copies:
                 raise ServiceError("on= must name at least one replica")
             bad = [i for i in copies if not 0 <= i < self.n_replicas]
@@ -518,15 +518,15 @@ class ClusterService:
             if gone:
                 raise ServiceError(f"replica ids {gone} are retired")
         else:
-            if not 0 <= int(replicas) <= self.n_active:
+            replicas = count(replicas, "replicas", least=0)
+            if replicas > self.n_active:
                 raise ServiceError(
                     f"replicas must be in [0, {self.n_active}], got {replicas}"
                 )
-            want = int(replicas) or self.n_active
-            copies = tuple(self.ring.place(name, want))
+            copies = tuple(self.ring.place(name, replicas or self.n_active))
         self.store.add_tree(name, parents, loader=loader, validate=validate)
         self._placement[name] = copies
-        self._tree_replicas[name] = None if on is not None else int(replicas)
+        self._tree_replicas[name] = None if on is not None else replicas
         return copies
 
     # ------------------------------------------------------------------
@@ -603,7 +603,7 @@ class ClusterService:
         >>> cluster.n_active
         2
         """
-        r = int(replica)
+        r = int_scalar(replica, ServiceError, "replica")
         if not 0 <= r < len(self._replicas):
             raise ServiceError(f"unknown replica {replica}")
         if self._retired[r]:

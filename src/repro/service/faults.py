@@ -1,15 +1,14 @@
 """Deterministic fault schedules for the cluster serving layer.
 
-This module defines the *fault model* of :class:`~repro.service.cluster.
-ClusterService`: a :class:`FaultInjector` holds a time-sorted schedule of
-:class:`FaultEvent` records on the same simulated-time axis the cluster's
-clocks run on.  The cluster pops due events whenever its frontier advances
-(submission, ``advance_to``, ``drain``) and applies them — so fault timing
-is exactly as deterministic and replayable as the traffic itself.  Seeded
-*random* fault timing (e.g. Poisson-timed transient storms) is produced by
-the chaos scenario builders in :mod:`repro.workloads.chaos`, which sample
-event times up front and hand the frozen schedule to an injector; nothing
-in this module draws randomness at serving time.
+The *fault model* of :class:`~repro.service.cluster.ClusterService`: a
+:class:`FaultInjector` holds a time-sorted schedule of :class:`FaultEvent`
+records on the simulated-time axis the cluster's clocks run on.  The cluster
+pops due events whenever its frontier advances (submission, ``advance_to``,
+``drain``) and applies them — so fault timing is exactly as deterministic
+and replayable as the traffic itself.  Seeded *random* fault timing (e.g.
+Poisson-timed transient storms) is produced by the chaos scenario builders
+in :mod:`repro.workloads.chaos`, which sample event times up front and hand
+the frozen schedule to an injector; nothing here draws randomness.
 
 Supported actions
 -----------------
@@ -19,7 +18,7 @@ Supported actions
 ``recover``
     Mark a killed replica live again.
 ``slowdown``
-    Multiply a replica's kernel service times by ``factor`` (``1.0``
+    Multiply a replica's kernel service times by ``factor`` >= 1.0 (``1.0``
     restores full speed).
 ``transient``
     Arm ``count`` one-shot batch failures on a replica: the next ``count``
@@ -49,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
-from ..boundary import Check, settle, workload_number
+from ..boundary import Check, settle, workload_integer, workload_number
 from ..errors import ConfigurationError
 
 __all__ = ["FAULT_ACTIONS", "FaultEvent", "FaultInjector"]
@@ -71,7 +70,8 @@ class FaultEvent:
 
     ``replica`` identifies the target replica for every action except
     ``add`` (which creates a new replica and ignores it).  ``factor`` is
-    only read by ``slowdown``; ``count`` only by ``transient``.
+    only read by ``slowdown``; ``count`` only by ``transient``.  Each is
+    checked here, so a bad schedule fails when built, never mid-serve.
 
     >>> FaultEvent(time_s=1.0, action="slowdown", replica=0, factor=4.0).factor
     4.0
@@ -85,7 +85,10 @@ class FaultEvent:
     factor: float = 1.0
     count: int = 1
 
-    CHECKS: ClassVar[Dict[str, Check]] = {"time_s": workload_number}
+    CHECKS: ClassVar[Dict[str, Check]] = {
+        **dict.fromkeys(("time_s", "factor"), workload_number),
+        **dict.fromkeys(("replica", "count"), workload_integer),
+    }
 
     def __post_init__(self) -> None:
         if self.action not in FAULT_ACTIONS:
@@ -98,14 +101,12 @@ class FaultEvent:
             raise ConfigurationError(
                 f"{self.action!r} fault needs a replica id >= 0, got {self.replica}"
             )
-        if self.action == "slowdown" and not self.factor > 0.0:
+        if self.action == "slowdown" and not self.factor >= 1.0:
             raise ConfigurationError(
-                f"slowdown factor must be > 0, got {self.factor!r}"
+                f"slowdown factor must be >= 1.0, got {self.factor!r}"
             )
         if self.action == "transient" and self.count < 1:
-            raise ConfigurationError(
-                f"transient count must be >= 1, got {self.count}"
-            )
+            raise ConfigurationError(f"transient count must be >= 1, got {self.count}")
 
 
 @dataclass
@@ -114,9 +115,8 @@ class FaultInjector:
 
     The injector is a passive cursor: :meth:`advance` pops every event due
     at or before ``t`` (stable order — ties keep construction order) and
-    returns them; the cluster owns liveness state and applies the effects.
-    An injector with an empty schedule is therefore a provable no-op, which
-    the test suite exploits for bit-identity checks.
+    returns them; the cluster owns liveness state and applies the effects,
+    so an empty schedule is a provable no-op.
 
     >>> inj = FaultInjector([FaultEvent(time_s=2.0, action="kill", replica=0)])
     >>> inj.advance(1.0)

@@ -164,7 +164,7 @@ class Cuts(Sequence[FlushedBatch]):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, k):  # type: ignore[override]
+    def __getitem__(self, k: int) -> FlushedBatch:  # type: ignore[override]
         return FlushedBatch.of(self.rows[k])
 
     def __eq__(self, other: object) -> bool:

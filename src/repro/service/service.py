@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..boundary import query_block, query_pair, seconds_column
+from ..boundary import instant, query_block, query_pair, seconds_column
 from ..errors import InvalidQueryError, ServiceError
 from ..lca.dedup import (
     PACK_LIMIT,
@@ -352,10 +352,10 @@ class LCAQueryService:
             ...
         repro.errors.ServiceError: service factor must be >= 1.0, got 0.5
         """
-        if not float(factor) >= 1.0:
-            raise ServiceError(
-                f"service factor must be >= 1.0, got {factor}")
-        self._service_factor = float(factor)
+        factor = instant(factor, "service factor")
+        if not factor >= 1.0:
+            raise ServiceError(f"service factor must be >= 1.0, got {factor}")
+        self._service_factor = factor
 
     def evict_pending(self) -> Dict[
             str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:

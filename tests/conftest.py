@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, ExecutionContext
-from repro.errors import InvalidQueryError, ServiceError
 from repro.graphs import EdgeList, parents_to_edgelist
 from repro.graphs.generators import (
     barabasi_albert_tree,
@@ -89,39 +88,6 @@ TREE_KINDS = ("shallow", "deep", "path", "scale-free", "star")
 # ----------------------------------------------------------------------
 # Front-door offenders
 # ----------------------------------------------------------------------
-
-def located_clean_prefix(xs, ys, arrivals, *, n, dataset, now):
-    """Reference for ``block_clean_prefix``: its locating passes, run always.
-
-    The validator first tests a whole block at once and searches it only when
-    that test fails; this is the search alone, as it ran on every block before
-    the one-pass test existed — the earliest offender wins, and at one
-    position an id beats a non-finite arrival beats a backwards one.
-    """
-    bad = np.maximum(xs.astype(np.uint64), ys.astype(np.uint64)) >= np.uint64(n)
-    stop, error = int(xs.size), None
-    if bad.any():
-        stop = int(bad.argmax())
-        error = InvalidQueryError(
-            f"query nodes ({xs[stop]}, {ys[stop]}) out of range for "
-            f"dataset {dataset!r} with {n} nodes")
-    finite = np.isfinite(arrivals)
-    if not finite[:stop].all():
-        stop = int(finite.argmin())
-        error = ServiceError(
-            f"arrival timestamps must be finite, got {float(arrivals[stop])} "
-            f"at position {stop}")
-    moved_back = np.empty(xs.size, dtype=bool)
-    moved_back[0] = arrivals[0] < now
-    np.less(arrivals[1:], arrivals[:-1], out=moved_back[1:])
-    if moved_back[:stop].any():
-        stop = int(moved_back.argmax())
-        prev = now if stop == 0 else float(arrivals[stop - 1])
-        error = ServiceError(
-            f"cannot move the clock backwards (now={prev}, "
-            f"requested={float(arrivals[stop])})")
-    return stop, error
-
 
 #: What can make a query of a block inadmissible.
 OFFENDER_KINDS = ("id >= n", "negative id", "uint64 wraps negative", "nan arrival",

@@ -233,6 +233,42 @@ def test_every_config_count_refuses(config, field, case):
         config(**{field: NOT_COUNTS[case]})
 
 
+def three():
+    return ClusterService(config=ClusterConfig(n_replicas=3))
+
+
+def replica_entries():
+    """``(name, call)``: one replica id or fault count each (three replicas, so
+    a cast ``2.5`` would name a real one)."""
+    yield "register_tree replicas", lambda v: three().register_tree(
+        "u", PARENTS, replicas=v
+    )
+    yield "register_tree on", lambda v: three().register_tree("u", PARENTS, on=[v])
+    yield "retire_replica", lambda v: three().retire_replica(v)
+    yield "FaultEvent replica", lambda v: FaultEvent(0.0, "kill", replica=v)
+    yield "FaultEvent count", lambda v: FaultEvent(0.0, "transient", replica=0, count=v)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_COUNTS))
+@pytest.mark.parametrize("entry", [name for name, _ in replica_entries()])
+def test_every_replica_id_and_fault_count_refuses(entry, case):
+    """``on=[1.7]`` used to pin replica 1 and ``FaultEvent(count=2.5)`` to
+    arm a float; now each is refused with its front door's error type."""
+    error = ConfigurationError if entry.startswith("FaultEvent") else ServiceError
+    with pytest.raises(error, match="integer"):
+        dict(replica_entries())[entry](NOT_COUNTS[case])
+
+
+@pytest.mark.parametrize("factor", [0.5, math.inf, True, "2"], ids=repr)
+def test_a_slowdown_factor_is_checked_at_construction(factor):
+    """A factor below 1.0 used to raise mid-serve, at the fault instant."""
+    with pytest.raises(ConfigurationError, match="factor must be"):
+        FaultEvent(0.0, "slowdown", replica=0, factor=factor)
+    if factor is math.inf:
+        with pytest.raises(ServiceError, match="finite"):
+            LCAQueryService().set_service_factor(factor)
+
+
 @pytest.mark.parametrize("case", sorted(NOT_COUNTS))
 @pytest.mark.parametrize("field", ["max_attempts", "seed"])
 def test_every_workload_count_refuses_with_a_configuration_error(field, case):

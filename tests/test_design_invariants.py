@@ -700,3 +700,109 @@ def test_no_serving_module_grows():
     grown = {name: (SERVICE_MODULE_LINES[name], count)
              for name, count in lines.items() if count > SERVICE_MODULE_LINES[name]}
     assert grown == {}, "a serving module grew past its recorded length"
+
+
+#: All ``tests/spec_serving.py`` may import from ``repro``: the shared input
+#: checks and error types, the dispatcher's estimate, the probe charge, what a
+#: view's build charge is read off, and the binary-lifting answers.
+SPEC_INPUTS = {
+    "repro.boundary.query_block", "repro.device.ExecutionContext",
+    "repro.errors.InvalidQueryError", "repro.errors.Overloaded",
+    "repro.errors.ReplicaDown", "repro.errors.ServiceError",
+    "repro.lca.BinaryLiftingLCA", "repro.lca.build_inlabel_index",
+    "repro.lca.inlabel.INLABEL_FLAVOURS", "repro.service.CostModelDispatcher",
+    "repro.service.cache.answer_cache_probe_time",
+}
+
+
+def test_the_serving_spec_reads_only_its_listed_inputs():
+    """The spec is an oracle: it does its own routing, scheduling and cache,
+    so it never imports them from ``repro.service``."""
+    tree = parsed(ROOT / "tests" / "spec_serving.py")
+    imported = {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    plain = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    assert {name for name in imported if name.startswith("repro")} == SPEC_INPUTS
+    assert not any(name.startswith("repro") for name in plain)
+
+
+# ----------------------------------------------------------------------
+# Python 3.9 syntax; full annotations where mypy is strict
+# ----------------------------------------------------------------------
+def not_python_39(files):
+    """The files ``ast.parse`` refuses at ``feature_version=(3, 9)``."""
+    return [file.name for file in files if not parses_as_39(file.read_text())]
+
+
+def parses_as_39(source):
+    try:
+        return bool(ast.parse(source, feature_version=(3, 9)))
+    except SyntaxError:
+        return False
+
+
+def test_every_module_parses_as_python_39(tmp_path):
+    """``pyproject.toml`` promises Python >= 3.9 and CI runs tier-1 on 3.9;
+    the control is a ``match`` statement, which 3.10 added."""
+    (tmp_path / "new.py").write_text("match x:\n    case 1:\n        pass\n")
+    (tmp_path / "old.py").write_text("x = {**{}, 'a': 1}\n")
+    assert not_python_39(sorted(tmp_path.glob("*.py"))) == ["new.py"]
+    tops = ("src", "tests", "benchmarks", "examples", "scripts")
+    files = [file for top in tops for file in sorted((ROOT / top).rglob("*.py"))]
+    assert len(files) > 100 and not_python_39(files) == []
+
+
+def untyped_defs(tree):
+    """``name:line`` of each ``def`` missing an argument or return annotation,
+    a method's ``self`` / ``cls`` excepted: mypy's ``disallow_untyped_defs``."""
+    methods, stack = set(), [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    while stack:  # a class body's defs, also under ``if`` / ``try``
+        for child in ast.iter_child_nodes(stack.pop()):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                methods.add(child)
+            elif not isinstance(child, ast.ClassDef):
+                stack.append(child)
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            named = args.posonlyargs + args.args + args.kwonlyargs
+            static = "staticmethod" in map(dotted, node.decorator_list)
+            if node in methods and not static:
+                named = named[1:]
+            named += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            if node.returns is None or any(arg.annotation is None for arg in named):
+                hits.append(f"{node.name}:{node.lineno}")
+    return hits
+
+
+def test_the_annotation_rule_sees_arguments_returns_and_methods():
+    tree = ast.parse(textwrap.dedent("""\
+        def typed(a: int, *rest: int, **kw: str) -> int: ...
+        def bare(a: int): ...
+        def half(a, b: int) -> int: ...
+        class C:
+            def method(self, k: int) -> int: ...
+            def loose(self, k): ...
+            @staticmethod
+            def static(k) -> int: ...
+            if TYPE_CHECKING:
+                def __getattr__(self, name: str) -> int: ...
+        """))
+    assert untyped_defs(tree) == ["bare:2", "half:3", "loose:6", "static:8"]
+
+
+def test_every_def_is_annotated_where_mypy_is_strict():
+    """The ``disallow_untyped_defs`` modules, read off ``pyproject.toml`` (no
+    ``tomllib`` before 3.11): mypy is not run here, this keeps its leg green."""
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"module = \[([^\]]*)\]\s*disallow_untyped_defs = true", text)
+    files = []
+    for module in re.findall(r'"([\w.]+?)(?:\.\*)?"', block.group(1)):
+        path = SRC.parent.joinpath(*module.split("."))
+        module_file = path.parent / f"{path.name}.py"
+        files += sorted(path.rglob("*.py")) if path.is_dir() else [module_file]
+    assert SERVICE in files and SRC / "boundary.py" in files
+    assert [f"{file.relative_to(SRC)}:{hit}" for file in files
+            for hit in untyped_defs(parsed(file))] == []

@@ -3,10 +3,12 @@
 The load-bearing invariant of the whole skew-aware fast path is *exactness*:
 with canonicalization, intra-batch dedup and the answer cache all enabled,
 every answer is bit-identical to the plain path's.  The tests here enforce
-that three ways — hypothesis properties over random trees and duplicate-heavy
-streams, full named-scenario replays checked against the binary-lifting
+that three ways — hypothesis properties over the cache and the dedup
+helpers, full named-scenario replays checked against the binary-lifting
 oracle, and adversarial hash-collision / eviction cases constructed directly
-against :class:`repro.service.cache.AnswerCache`.
+against :class:`repro.service.cache.AnswerCache`.  Duplicate-heavy streams
+through the whole service, cache on and off, are held against the serving
+spec in ``tests/test_serving_spec.py``.
 """
 
 import numpy as np
@@ -470,36 +472,6 @@ def test_span_probe_agrees_with_the_batch_loop(data):
 # ----------------------------------------------------------------------
 # Service-level exactness properties
 # ----------------------------------------------------------------------
-def _serve_stream(parents, xs, ys, at, **knobs):
-    svc = LCAQueryService(
-        config=ServiceConfig(max_batch_size=64, max_wait_s=2e-4, **knobs)
-    )
-    svc.register_tree("t", parents)
-    tickets = svc.submit_many("t", xs, ys, at=at)
-    svc.drain()
-    return svc, svc.results(tickets)
-
-
-@given(st.data())
-@settings(max_examples=15, deadline=None)
-def test_cache_on_off_answers_bit_identical(data):
-    n = data.draw(st.integers(2, 400))
-    seed = data.draw(st.integers(0, 1000))
-    q = data.draw(st.integers(1, 500))
-    parents = random_attachment_tree(n, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    # Narrow key range => heavy intra-batch and cross-batch repetition.
-    span = data.draw(st.integers(1, n))
-    xs = rng.integers(0, span, q)
-    ys = rng.integers(0, span, q)
-    at = np.arange(q) / 1e5
-    _, plain = _serve_stream(parents, xs, ys, at)
-    _, dedup = _serve_stream(parents, xs, ys, at, dedup=True)
-    _, cached = _serve_stream(parents, xs, ys, at, answer_cache_bytes=1 << 14)
-    assert np.array_equal(plain, dedup)
-    assert np.array_equal(plain, cached)
-
-
 @pytest.mark.parametrize("cached", [False, True], ids=["dedup-only", "cache"])
 def test_every_branch_of_the_deduped_batch_path_is_exact(cached):
     # One block, cut into 8-query batches by the size cap, so nothing is
@@ -615,31 +587,6 @@ def test_dispatcher_prices_unique_miss_count():
 # ----------------------------------------------------------------------
 # Cluster integration
 # ----------------------------------------------------------------------
-def test_one_replica_cluster_matches_service_with_cache():
-    parents = random_attachment_tree(500, seed=4)
-    rng = np.random.default_rng(7)
-    xs = rng.integers(0, 120, 3000)
-    ys = rng.integers(0, 120, 3000)
-    at = np.arange(3000) / 2e5
-    knobs = dict(max_batch_size=128, max_wait_s=2e-4, answer_cache_bytes=1 << 16)
-
-    svc = LCAQueryService(config=ServiceConfig(**knobs))
-    svc.register_tree("t", parents)
-    service_tickets = svc.submit_many("t", xs, ys, at=at)
-    svc.drain()
-
-    cluster = ClusterService(config=ClusterConfig(n_replicas=1, **knobs))
-    cluster.register_tree("t", parents)
-    cluster_tickets = cluster.submit_many("t", xs, ys, at=at)
-    cluster.drain()
-
-    assert np.array_equal(
-        svc.results(service_tickets), cluster.results(cluster_tickets)
-    )
-    # Bit-identical down to the full stats snapshot, answer cache included.
-    assert cluster.stats().replicas[0] == svc.stats()
-
-
 def test_cluster_aggregates_answer_cache_stats():
     cluster = ClusterService(
         config=ClusterConfig(

@@ -1,15 +1,11 @@
 """Cluster service tests: replication, routing, backpressure, aggregation.
 
-The heart of the file is the replica-count=1 equivalence property: a
-1-replica cluster must be *bit-identical* to a plain ``LCAQueryService`` on
-the same stream — tickets, answers, modeled latencies, and the full
-per-replica statistics snapshot.
+What a cluster serves — including that one replica serves what a plain
+``LCAQueryService`` does — is ``tests/test_serving_spec.py``'s to check.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.boundary import query_block
 from repro.errors import InvalidQueryError, Overloaded, ReproError, ServiceError
@@ -27,7 +23,8 @@ from repro.service import (
 )
 from repro.workloads import make_scenario, replay
 
-from .conftest import located_clean_prefix, make_tree, offender_sweep
+from .conftest import offender_sweep
+from .spec_serving import admit
 
 POLICY = {"max_batch_size": 64, "max_wait_s": 1e-4}
 
@@ -223,86 +220,8 @@ def test_cluster_answers_match_oracle(policy_name):
     assert stats.router_policy == policy_name
 
 
-def test_submit_is_a_one_row_submit_many_with_the_answer_cache_on():
-    # Row-wise cluster admission takes the same front-door memoization as
-    # block admission: a skewed stream (every pair repeated) leaves the
-    # same canonical trace whichever way its rows are submitted.
-    n, q = 1_024, 300
-    parents = random_attachment_tree(n, seed=6)
-    xs, ys = generate_random_queries(n, 30, seed=7)
-    xs, ys = np.tile(xs, q // 30), np.tile(ys, q // 30)
-    arrivals = np.arange(q, dtype=np.float64) * 2e-6
-
-    def run(submit_row):
-        recorder = TraceRecorder()
-        cluster = build_cluster(
-            parents,
-            3,
-            observer=recorder,
-            router="round-robin",
-            answer_cache_bytes=1 << 18,
-            **POLICY,
-        )
-        tickets = [submit_row(cluster, i) for i in range(q)]
-        cluster.drain()
-        return cluster, np.array(tickets), recorder.table()
-
-    rows, rt, row_trace = run(
-        lambda c, i: c.submit("t", int(xs[i]), int(ys[i]), at=float(arrivals[i]))
-    )
-    blocks, bt, block_trace = run(
-        lambda c, i: int(
-            c.submit_many("t", xs[i:i + 1], ys[i:i + 1], at=arrivals[i:i + 1])[0]
-        )
-    )
-    assert np.array_equal(rt, bt)
-    assert np.array_equal(rows.results(rt), blocks.results(bt))
-    assert rows.stats() == blocks.stats()
-    assert rows.stats().answer_cache_hits > 0  # the front door did memoize
-    assert row_trace.canonical().equals(block_trace.canonical())
-
-
 # ----------------------------------------------------------------------
-# Replica-count=1 equivalence (the acceptance-criterion property)
-# ----------------------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(
-    kind=st.sampled_from(("shallow", "deep", "path", "scale-free", "star")),
-    n=st.integers(min_value=2, max_value=200),
-    q=st.integers(min_value=1, max_value=60),
-    max_batch=st.integers(min_value=1, max_value=32),
-    max_wait_us=st.sampled_from((0.0, 10.0, 1000.0)),
-    chunk=st.sampled_from((1, 7, 64)),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_property_single_replica_cluster_is_bit_identical(
-    kind, n, q, max_batch, max_wait_us, chunk, seed
-):
-    parents = make_tree(kind, n, seed)
-    xs, ys = generate_random_queries(n, q, seed=seed + 1)
-    rng = np.random.default_rng(seed + 2)
-    arrivals = np.cumsum(rng.exponential(1e-4, size=q))
-    policy = {"max_batch_size": max_batch, "max_wait_s": max_wait_us * 1e-6}
-
-    plain = LCAQueryService(config=ServiceConfig(**policy))
-    plain.register_tree("t", parents)
-    cluster = build_cluster(parents, 1, **policy)
-
-    pt = chunked_submit(plain, "t", xs, ys, arrivals, chunk)
-    ct = chunked_submit(cluster, "t", xs, ys, arrivals, chunk)
-    plain.drain()
-    cluster.drain()
-
-    assert np.array_equal(pt, ct)
-    assert np.array_equal(plain.results(pt), cluster.results(ct))
-    assert np.array_equal(plain.latencies(pt), cluster.latencies(ct))
-    # The whole observable statistics surface agrees, field for field.
-    assert plain.stats() == cluster.stats().replicas[0]
-
-
-# ----------------------------------------------------------------------
-# Backpressure
+# Admission
 # ----------------------------------------------------------------------
 
 def slow_policy():
@@ -354,43 +273,6 @@ def test_block_backpressure_admits_prefix_and_reports_shed():
     assert np.array_equal(answers, expected)
 
 
-def test_clocks_stay_in_sync_after_shed():
-    # Regression test: an Overloaded rejection advances the worker clocks
-    # to the rejected arrival, so the cluster frontier must advance with
-    # them — otherwise drain() and later legal submissions crash with a
-    # backwards-clock error.
-    parents = random_attachment_tree(256, seed=21)
-    cluster = build_cluster(parents, 2, **slow_policy(), max_pending=1)
-    cluster.submit("t", 1, 2, at=0.0)
-    with pytest.raises(Overloaded):
-        cluster.submit("t", 3, 4, at=5.0)
-    cluster.drain()  # must not raise
-    ticket = cluster.submit("t", 5, 6, at=6.0)  # later arrivals still legal
-    cluster.drain()
-    assert cluster.result(ticket) >= 0
-    # Same for a block shed in its entirety.
-    with pytest.raises(Overloaded):
-        xs, ys = generate_random_queries(256, 10, seed=22)
-        cluster.submit_many("t", xs, ys, at=np.full(10, 7.0))
-    with pytest.raises(Overloaded):
-        cluster.submit_many("t", xs, ys, at=np.full(10, 8.0))
-    cluster.drain()
-    assert cluster.pending_count() == 0
-
-
-def test_unbounded_cluster_never_sheds():
-    parents = random_attachment_tree(256, seed=11)
-    cluster = build_cluster(parents, 2, **slow_policy())
-    xs, ys = generate_random_queries(256, 500, seed=12)
-    cluster.submit_many("t", xs, ys, at=np.arange(500) * 1e-6)
-    assert cluster.stats().queries_shed == 0
-    assert cluster.pending_count() == 500
-
-
-# ----------------------------------------------------------------------
-# Error surface
-# ----------------------------------------------------------------------
-
 def test_invalid_query_rejected_with_prefix_admitted():
     parents = random_attachment_tree(100, seed=13)
     cluster = build_cluster(parents, 2, **POLICY)
@@ -412,7 +294,7 @@ def test_invalid_query_rejected_with_prefix_admitted():
     for spoilers, (xs, ys, at) in offender_sweep():
         fresh = build_cluster(parents, 2, **POLICY)
         block = query_block(xs, ys, at, now=0.0)
-        stop, expected = located_clean_prefix(*block, n=100, dataset="t", now=0.0)
+        stop, expected = admit(*block, n=100, dataset="t", now=0.0)
         with pytest.raises(ReproError) as raised:
             fresh.submit_many("t", xs, ys, at=at)
         assert type(raised.value) is type(expected), spoilers

@@ -1,10 +1,9 @@
-"""Columnar fast-path tests: block admission ≡ per-query loop, ring buffers,
-vectorized results, and the error surface of the vectorized paths."""
+"""Columnar fast-path tests: ring buffers, vectorized results, and the error
+surface of the vectorized paths.  That block admission serves what a loop of
+``submit`` calls serves is ``tests/test_serving_spec.py``'s to check."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.boundary import query_block
 from repro.errors import InvalidQueryError, ReproError, ServiceError
@@ -20,103 +19,8 @@ from repro.service import (
     ServiceConfig,
 )
 
-from .conftest import located_clean_prefix, make_tree, offender_sweep
-
-
-def arrival_schedule(q, seed, *, mean_gap_s=1e-4, tie_fraction=0.3):
-    """Randomized non-decreasing arrivals with deliberate same-instant ties."""
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(mean_gap_s, size=q)
-    gaps[rng.random(q) < tie_fraction] = 0.0  # bursts arriving together
-    return np.cumsum(gaps)
-
-
-def batch_signature(batch):
-    return (batch.trigger, batch.flush_s, batch.tickets.tolist(),
-            batch.xs.tolist(), batch.ys.tolist(), batch.arrival_s.tolist())
-
-
-def stats_signature(stats):
-    return (stats.queries_submitted, stats.queries_answered,
-            stats.batches_flushed, stats.batch_size_histogram,
-            stats.flush_triggers, stats.backend_choices,
-            stats.latency_mean_s, stats.latency_p50_s, stats.latency_p99_s,
-            stats.latency_max_s, stats.busy_time_s, stats.span_s)
-
-
-# ----------------------------------------------------------------------
-# Scheduler: submit_block ≡ a loop of submit() calls
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("max_batch,max_wait,seed", [
-    (1, 0.0, 0), (4, 0.0, 1), (8, 5e-5, 2), (64, 1e-3, 3), (1024, 1e-4, 4),
-])
-def test_submit_block_matches_per_query_submission(max_batch, max_wait, seed):
-    q = 500
-    arrivals = arrival_schedule(q, seed)
-    xs = np.arange(q, dtype=np.int64)
-    ys = xs + 1
-    tickets = np.arange(q, dtype=np.int64)
-
-    loop = MicroBatchScheduler(BatchPolicy(max_batch, max_wait))
-    loop_batches = []
-    for i in range(q):
-        loop_batches.extend(loop.submit(i, int(xs[i]), int(ys[i]),
-                                        at=float(arrivals[i])))
-    block = MicroBatchScheduler(BatchPolicy(max_batch, max_wait))
-    block_batches = block.submit_block(tickets, xs, ys, arrivals)
-
-    assert [batch_signature(b) for b in block_batches] == \
-           [batch_signature(b) for b in loop_batches]
-    assert block.pending_count == loop.pending_count
-    assert block.next_deadline == loop.next_deadline
-    assert block.clock.now == loop.clock.now
-    # Drain the stragglers identically too.
-    assert [batch_signature(b) for b in block.drain()] == \
-           [batch_signature(b) for b in loop.drain()]
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    max_batch=st.integers(min_value=2, max_value=12),
-    max_wait_us=st.sampled_from((0.0, 20.0, 150.0)),
-    pending=st.integers(min_value=1, max_value=11),
-    gaps_us=st.lists(st.sampled_from((0.0, 0.0, 5.0, 20.0, 150.0, 400.0)),
-                     min_size=1, max_size=60),
-    blocks=st.integers(min_value=1, max_value=4),
-)
-def test_property_submit_block_from_a_pending_window(max_batch, max_wait_us,
-                                                     pending, gaps_us, blocks):
-    """Any sorted block, cut anywhere, onto a non-empty window: the block path
-    yields the per-row loop's ``(tickets, flush_s, trigger)`` sequence."""
-    policy = BatchPolicy(max_batch, max_wait_us * 1e-6)
-    pending = min(pending, max_batch - 1)
-    arrivals = np.cumsum(np.asarray([0.0] * pending + gaps_us)) * 1e-6
-    q = arrivals.size
-    tickets = np.arange(100, 100 + q, dtype=np.int64)
-    xs, ys = tickets * 2, tickets * 2 + 1
-
-    def run(columnar):
-        sched = MicroBatchScheduler(policy)
-        out = []
-        for i in range(pending):  # same-instant rows: a window, no flush
-            out.extend(sched.submit(int(tickets[i]), int(xs[i]), int(ys[i]),
-                                    at=0.0))
-        assert sched.pending_count == pending and not out
-        cuts = np.linspace(pending, q, blocks + 1).astype(int)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if columnar:
-                out.extend(sched.submit_block(tickets[a:b], xs[a:b], ys[a:b],
-                                              arrivals[a:b]))
-                assert sched.pending_count <= max_batch
-            else:
-                for i in range(a, b):
-                    out.extend(sched.submit(int(tickets[i]), int(xs[i]),
-                                            int(ys[i]), at=float(arrivals[i])))
-        state = (sched.pending_count, sched.next_deadline, sched.clock.now)
-        return [batch_signature(b) for b in [*out, *sched.drain()]], state
-
-    assert run(columnar=True) == run(columnar=False)
+from .conftest import offender_sweep
+from .spec_serving import admit
 
 
 def test_flushed_slices_survive_buffer_refills():
@@ -146,114 +50,6 @@ def test_pending_snapshot_is_row_wise():
     (pending,) = sched.pending
     assert (pending.ticket, pending.x, pending.y, pending.arrival_s) == \
            (7, 1, 2, 0.25)
-
-
-# ----------------------------------------------------------------------
-# Service: submit_many ≡ a loop of submit() calls (the satellite's
-# property/equivalence test)
-# ----------------------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(
-    kind=st.sampled_from(("shallow", "deep", "star")),
-    n=st.integers(min_value=2, max_value=200),
-    q=st.integers(min_value=1, max_value=80),
-    max_batch=st.integers(min_value=1, max_value=32),
-    max_wait_us=st.sampled_from((0.0, 10.0, 200.0, 1000.0)),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_property_columnar_equals_per_query(kind, n, q, max_batch, max_wait_us,
-                                            seed):
-    parents = make_tree(kind, n, seed)
-    xs, ys = generate_random_queries(n, q, seed=seed + 1)
-    arrivals = arrival_schedule(q, seed + 2)
-    config = ServiceConfig(max_batch_size=max_batch,
-                           max_wait_s=max_wait_us * 1e-6)
-
-    columnar = LCAQueryService(config=config)
-    columnar.register_tree("t", parents)
-    col_tickets = columnar.submit_many("t", xs, ys, at=arrivals)
-
-    reference = LCAQueryService(config=config)
-    reference.register_tree("t", parents)
-    ref_tickets = np.asarray([
-        reference.submit("t", int(xs[i]), int(ys[i]), at=float(arrivals[i]))
-        for i in range(q)
-    ])
-
-    assert np.array_equal(col_tickets, ref_tickets)
-    assert columnar.pending_count("t") == reference.pending_count("t")
-    columnar.drain()
-    reference.drain()
-    assert np.array_equal(columnar.results(col_tickets),
-                          reference.results(ref_tickets))
-    assert np.array_equal(columnar.latencies(col_tickets),
-                          reference.latencies(ref_tickets))
-    # Same batches, same triggers, same backend mix, same tail percentiles.
-    assert stats_signature(columnar.stats()) == stats_signature(reference.stats())
-
-
-def test_columnar_interleaves_other_datasets_deadlines():
-    # Queries pending on dataset b must flush (and queue on the backends, in
-    # flush-time order) while a block is being admitted to dataset a —
-    # exactly as they do under per-query submission.
-    pa = random_attachment_tree(600, seed=0)
-    pb = random_attachment_tree(600, seed=1)
-    q = 120
-    xs, ys = generate_random_queries(600, q, seed=2)
-    # Starts after b's submissions (the shared clock is monotone), paced
-    # slower than the wait budget so b's deadlines expire mid-block.
-    arrivals = 4e-5 + np.arange(q, dtype=np.float64) * 2e-4
-
-    def run(columnar: bool):
-        service = LCAQueryService(
-            config=ServiceConfig(max_batch_size=16, max_wait_s=5e-4))
-        service.register_tree("a", pa)
-        service.register_tree("b", pb)
-        tb = [service.submit("b", 3 * i, 3 * i + 1, at=float(i) * 1e-5)
-              for i in range(4)]
-        if columnar:
-            ta = service.submit_many("a", xs, ys, at=arrivals)
-        else:
-            ta = [service.submit("a", int(xs[i]), int(ys[i]),
-                                 at=float(arrivals[i])) for i in range(q)]
-        service.drain()
-        return (service.results(ta).tolist(), service.results(tb).tolist(),
-                service.latencies(ta).tolist(),
-                service.latencies(tb).tolist(),
-                stats_signature(service.stats()))
-
-    assert run(columnar=True) == run(columnar=False)
-
-
-def test_same_instant_size_and_wait_batches_keep_submission_order():
-    # Regression: with max_wait_s=0 and same-instant arrivals, a block can
-    # produce a size-triggered batch and a later wait-triggered batch with
-    # the *same* flush time.  The per-query path serves them in submission
-    # order (the size batch completed first and occupies the backend first);
-    # the columnar path must not let another dataset's pending queries
-    # reshuffle that tie.
-    pa = random_attachment_tree(64, seed=20)
-    pb = random_attachment_tree(64, seed=21)
-
-    def run(columnar: bool):
-        service = LCAQueryService(
-            config=ServiceConfig(max_batch_size=2, max_wait_s=0.0))
-        service.register_tree("a", pa)
-        service.register_tree("b", pb)
-        tb = service.submit("b", 1, 2, at=0.0)  # pending on another dataset
-        xs, ys = np.asarray([3, 4, 5, 6]), np.asarray([7, 8, 9, 10])
-        at = np.asarray([0.0, 0.0, 0.0, 1.0])
-        if columnar:
-            ta = service.submit_many("a", xs, ys, at=at)
-        else:
-            ta = [service.submit("a", int(xs[i]), int(ys[i]), at=float(at[i]))
-                  for i in range(4)]
-        service.drain()
-        return (service.latencies(ta).tolist(), service.latency(tb),
-                stats_signature(service.stats()))
-
-    assert run(columnar=True) == run(columnar=False)
 
 
 def test_submit_many_with_default_arrivals_coalesces_now():
@@ -297,16 +93,15 @@ def test_submit_many_out_of_range_rejects_at_its_own_position():
     with pytest.raises(InvalidQueryError):
         service.submit_many("t", [-1], [3], at=[1e-3])
     # Every offender kind first, in the middle and last, and two kinds in
-    # both orders: the one-pass test sends each block to the locating
-    # passes, which admit the prefix and raise exactly what they alone do.
+    # both orders: the block admits the prefix and raises exactly what the
+    # spec's row-by-row admission does.
     oracle = BinaryLiftingLCA(parents)
     for spoilers, (xs, ys, at) in offender_sweep():
         fresh = LCAQueryService(config=ServiceConfig(max_batch_size=4,
                                                      max_wait_s=1e-3))
         fresh.register_tree("t", parents)
         block = query_block(xs, ys, at, now=0.0)
-        stop, expected = located_clean_prefix(*block, n=100, dataset="t",
-                                              now=0.0)
+        stop, expected = admit(*block, n=100, dataset="t", now=0.0)
         with pytest.raises(ReproError) as raised:
             fresh.submit_many("t", xs, ys, at=at)
         assert type(raised.value) is type(expected), spoilers
@@ -315,20 +110,6 @@ def test_submit_many_out_of_range_rejects_at_its_own_position():
         fresh.drain()
         assert np.array_equal(fresh.results(np.arange(stop)),
                               oracle.query(block[0][:stop], block[1][:stop]))
-
-
-def test_submit_many_backwards_arrival_rejects_at_its_own_position():
-    parents = random_attachment_tree(100, seed=8)
-    service = LCAQueryService()
-    service.register_tree("t", parents)
-    with pytest.raises(ServiceError, match="backwards"):
-        service.submit_many("t", [1, 2, 3], [4, 5, 6],
-                            at=[1e-3, 2e-3, 1e-3])  # third query rewinds
-    assert service.stats().queries_submitted == 2
-    # A block starting before the current clock admits nothing.
-    with pytest.raises(ServiceError, match="backwards"):
-        service.submit_many("t", [1], [2], at=[1e-4])
-    assert service.stats().queries_submitted == 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ServiceError
 from repro.graphs.generators import random_attachment_tree
@@ -15,8 +13,6 @@ from repro.service import (
     ServiceConfig,
     estimate_batch_query_time,
 )
-
-from .conftest import make_tree
 
 
 def build_service(parents, name="t", **knobs):
@@ -72,93 +68,6 @@ def test_ten_thousand_queries_match_reference_with_mixed_load():
     # The snapshot renders without blowing up.
     rendered = stats.format()
     assert "batch histogram" in rendered and "index cache" in rendered
-
-
-# ----------------------------------------------------------------------
-# Latency decomposition
-# ----------------------------------------------------------------------
-
-def test_warm_singleton_latency_is_wait_plus_service_time():
-    parents = random_attachment_tree(4_096, seed=3)
-    max_wait = 1e-3
-    service = build_service(
-        parents, max_batch_size=64, max_wait_s=max_wait
-    )
-    # Warm the CPU index with a throwaway query...
-    warm = service.submit("t", 1, 2, at=0.0)
-    service.advance_to(0.1)
-    cold_latency = service.latency(warm)
-    # ...then a singleton on the warm cache: its latency is exactly the wait
-    # budget plus the modeled one-query CPU service time.
-    ticket = service.submit("t", 3, 4, at=1.0)
-    service.advance_to(2.0)
-    expected = max_wait + estimate_batch_query_time(CPU_SEQUENTIAL_BACKEND, 1)
-    assert service.latency(ticket) == pytest.approx(expected)
-    # The cold query additionally paid the index build.
-    assert cold_latency > service.latency(ticket)
-
-
-# ----------------------------------------------------------------------
-# Multiple datasets, one clock
-# ----------------------------------------------------------------------
-
-def test_submitting_to_one_dataset_fires_anothers_deadline():
-    pa = random_attachment_tree(1_000, seed=4)
-    pb = random_attachment_tree(1_000, seed=5)
-    service = LCAQueryService(config=ServiceConfig(max_batch_size=64,
-                                                   max_wait_s=1e-3))
-    service.register_tree("a", pa)
-    service.register_tree("b", pb)
-
-    ta = service.submit("a", 10, 20, at=0.0)
-    # Advancing time through a *different* dataset's submission must still
-    # flush dataset a's expired queue — the clock is shared.
-    service.submit("b", 30, 40, at=5e-3)
-    assert service.result(ta) == int(BinaryLiftingLCA(pa).query([10], [20])[0])
-    assert service.pending_count("a") == 0
-    assert service.pending_count("b") == 1
-    assert service.pending_count() == 1
-
-
-def test_cross_dataset_batches_queue_in_flush_time_order():
-    pa = random_attachment_tree(1_000, seed=16)
-    pb = random_attachment_tree(1_000, seed=17)
-    max_wait = 1e-3
-    service = LCAQueryService(config=ServiceConfig(max_batch_size=64,
-                                                   max_wait_s=max_wait))
-    service.register_tree("a", pa)   # registered first -> earlier in dict order
-    service.register_tree("b", pb)
-    # Warm both datasets' CPU indexes so latencies are pure wait + service.
-    service.submit("a", 1, 2, at=0.0)
-    service.submit("b", 1, 2, at=0.0)
-    service.advance_to(10.0)
-    # Dataset b's deadline (20.0 + wait) precedes a's (20.0005 + wait): the
-    # backend must serve b first even though a iterates first, so neither
-    # batch is charged queueing delay behind the other.
-    tb = service.submit("b", 3, 4, at=20.0)
-    ta = service.submit("a", 5, 6, at=20.0005)
-    service.advance_to(30.0)
-    singleton = estimate_batch_query_time(CPU_SEQUENTIAL_BACKEND, 1)
-    assert service.latency(tb) == pytest.approx(max_wait + singleton)
-    assert service.latency(ta) == pytest.approx(max_wait + singleton)
-
-
-def test_answers_stay_per_dataset():
-    pa = random_attachment_tree(2_000, seed=6)
-    pb = random_attachment_tree(2_000, seed=7)
-    xs, ys = generate_random_queries(2_000, 300, seed=8)
-    service = LCAQueryService(config=ServiceConfig(max_batch_size=128,
-                                                   max_wait_s=1e-4))
-    service.register_tree("a", pa)
-    service.register_tree("b", pb)
-    t = np.arange(300, dtype=np.float64) * 1e-6
-    tickets_a = service.submit_many("a", xs, ys, at=t)
-    tickets_b = service.submit_many("b", xs, ys)
-    service.drain()
-    assert np.array_equal(service.results(tickets_a),
-                          BinaryLiftingLCA(pa).query(xs, ys))
-    assert np.array_equal(service.results(tickets_b),
-                          BinaryLiftingLCA(pb).query(xs, ys))
 
 
 # ----------------------------------------------------------------------
@@ -267,34 +176,3 @@ def test_error_surface():
         service.register_tree("t", random_attachment_tree(10, seed=0))
     with pytest.raises(ServiceError):
         service.submit_many("t", np.asarray([1, 2]), np.asarray([3]))
-
-
-# ----------------------------------------------------------------------
-# Property: service answers == reference answers, any tree / policy / load
-# ----------------------------------------------------------------------
-
-@settings(max_examples=30, deadline=None)
-@given(
-    kind=st.sampled_from(("shallow", "deep", "path", "scale-free", "star")),
-    n=st.integers(min_value=2, max_value=300),
-    q=st.integers(min_value=1, max_value=60),
-    max_batch=st.integers(min_value=1, max_value=32),
-    max_wait_us=st.sampled_from((0.0, 10.0, 1000.0)),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_property_service_matches_reference(kind, n, q, max_batch, max_wait_us, seed):
-    parents = make_tree(kind, n, seed)
-    xs, ys = generate_random_queries(n, q, seed=seed + 1)
-    rng = np.random.default_rng(seed + 2)
-    arrivals = np.cumsum(rng.exponential(1e-4, size=q))
-    service = build_service(
-        parents,
-        max_batch_size=max_batch, max_wait_s=max_wait_us * 1e-6,
-    )
-    tickets = service.submit_many("t", xs, ys, at=arrivals)
-    service.drain()
-    assert np.array_equal(service.results(tickets),
-                          BinaryLiftingLCA(parents).query(xs, ys))
-    stats = service.stats()
-    assert stats.queries_answered == q
-    assert sum(stats.flush_triggers.values()) == stats.batches_flushed

@@ -7,13 +7,14 @@ dedup and the insert — is shared by the batches of one dataset that are
 adjacent slices of one scheduler buffer, once the interceptor has taken its
 claims out of the run.
 
-Two references are used throughout.  Answers are checked against
-:class:`~repro.lca.BinaryLiftingLCA`.  Everything else a caller can observe —
-latencies, stats, cache counters, registry accounting and LRU order, the
-observer's events in recording order — is checked against the *same code handed
-one-batch runs* (:func:`per_batch`): a launch, a probe and an insert per batch,
-which is what every run was before spans existed, so equality pins that spans
-move the number of host launches and nothing else.
+Answers, latencies, stats and the cache and registry counters a caller can
+observe are held against the executable spec of the serving timeline
+(``tests/spec_serving.py``), which knows nothing of spans.  Two observables
+the spec does not model — the observer's events in recording order and the
+registry's LRU order and evictions — are held by one property,
+``test_property_cached_spans_equal_one_batch_runs``, against the same code
+handed one-batch runs (:func:`per_batch`).  The tests here pin what spans do
+to the host: launches, slices, buffers and bookings.
 
 Each of these mutations was applied by hand and fails the test named beside it:
 
@@ -56,13 +57,16 @@ from repro.service import (
 )
 from repro.workloads import Phase, PoissonArrivals, Scenario, TrafficSource, replay
 
-from .test_service_columnar import arrival_schedule, stats_signature
+from .spec_serving import SpecCluster, SpecService, observables
 from .test_serving_golden_timeline import RAMP, WIDE_BATCHING, poisson_stream
 
 #: Scheduler buffers start at 64 rows under this policy, so a few dozen
 #: queries are enough to cross a reallocation.
 POLICY = {"max_batch_size": 16, "max_wait_s": 1e-4}
 N = 600
+#: Batch sizes on either side of the default dispatcher's CPU/GPU crossover.
+CROSSOVER = LCAQueryService().dispatcher.crossover_batch_size()
+SMALL, BIG = CROSSOVER // 2, 2 * CROSSOVER
 
 
 class CountingArtifact:
@@ -105,7 +109,8 @@ def make_service(trees, *, reference=False, traced=True, **knobs):
     """``(service, launches, observer)`` over ``{name: parents}``.
 
     Untraced (``observer`` None), a span's run-adjacent batches are booked
-    together; under an observer, one at a time.
+    together; under an observer, one at a time.  ``reference`` serves one-batch
+    runs (:func:`per_batch`).
     """
     service = LCAQueryService(config=ServiceConfig(**{**POLICY, **knobs}))
     if reference:
@@ -134,7 +139,6 @@ def observed(service, observer):
         "answered": answered.tolist(),
         "answers": service.results(tickets).tolist(),
         "latencies": service.latencies(tickets).tobytes(),
-        "stats": stats_signature(stats) + (stats.kernel_queries,),
         "cache": ((stats.answer_cache_hits, stats.answer_cache_misses,
                    stats.answer_cache_resets), cache and cache.counters),
         "events": events,
@@ -144,6 +148,14 @@ def observed(service, observer):
                      [(str(key), registry.fetch_by_key(key)[0].hits)
                       for key in registry.keys()]),
     }
+
+
+def spec_service(trees, **knobs):
+    """The spec of ``make_service(trees, **knobs)``."""
+    spec = SpecService(ServiceConfig(**{**POLICY, **knobs}))
+    for name, parents in trees.items():
+        spec.register_tree(name, parents)
+    return spec
 
 
 def tree(seed, n=N):
@@ -347,7 +359,7 @@ def test_a_pending_tail_carried_across_a_reallocation_joins_the_next_span():
 def test_rowwise_submission_across_reallocations_never_spans_two_buffers():
     parents = tree(14)
     xs, ys = queries(300, 15)
-    arrivals = arrival_schedule(300, 16, mean_gap_s=2e-5)
+    arrivals = np.cumsum(np.random.default_rng(16).choice((0.0, 2e-5, 4e-5), 300))
     service, launches, _ = make_service({"t": parents})
     tickets = [service.submit("t", int(x), int(y), at=float(t))
                for x, y, t in zip(xs, ys, arrivals)]
@@ -421,16 +433,13 @@ def test_interleaved_datasets_keep_one_span_each_and_the_serving_order():
     order = []
     service.set_serve_interceptor(lambda dataset, batch: order.append(dataset))
     interleaved_stream(service)
-    reference, per_batch_launches, reference_observer = make_service(
-        trees, reference=True, max_wait_s=5e-4)
-    interleaved_stream(reference)
+    spec = spec_service(trees, max_wait_s=5e-4)
+    interleaved_stream(spec)
 
-    # b and c are served between a's batches, in the block and in the sweep ...
+    # b and c are served between a's batches, in the block and in the sweep,
+    # exactly when the spec serves them ...
     assert "".join(order) == "aabacaaaa" + "abc"
-    assert observed(service, observer) == observed(reference, reference_observer)
-    assert lanes(per_batch_launches) == (
-        [("a", 16)] * 2 + [("b", 4), ("a", 16), ("c", 3)] + [("a", 16)] * 4
-        + [("a", 8), ("b", 5), ("c", 4)])
+    assert observables(service) == observables(spec)
     # ... and a's seven batches are still one launch, at its first.
     assert lanes(launches) == [("a", 112), ("b", 4), ("c", 3),
                                ("a", 8), ("b", 5), ("c", 4)]
@@ -485,17 +494,11 @@ def test_a_cached_span_is_one_pack_probe_dedup_launch_and_insert():
             t = float(at[-1]) + 1e-5
         service.drain()
 
-    knobs = {"dedup": True, "answer_cache_bytes": 1 << 16}
-    service, launches, observer = make_service(trees, **knobs)
+    service, launches, _ = make_service(trees, dedup=True, answer_cache_bytes=1 << 16)
     runs = count_calls(service, "_serve_run")
     lookups = count_calls(service.answer_cache, "lookup")
     inserts = count_calls(service.answer_cache, "insert")
     stream(service)
-    reference, per_batch_launches, reference_observer = make_service(
-        trees, reference=True, **knobs)
-    stream(reference)
-
-    assert observed(service, observer) == observed(reference, reference_observer)
     assert service.stats().answer_cache_hits > 0
 
     # One probe a span (and one per front-door block); one launch and one
@@ -515,7 +518,8 @@ def test_a_cached_span_is_one_pack_probe_dedup_launch_and_insert():
     assert hot == missing == [sorted(keys.tolist()) for _, keys, _ in inserts]
     assert len(lookups) == probes
     assert any(len(batches) > 2 for (run,) in runs for _, batches in spans_of(run))
-    assert len(hot) < sum(1 for d, _, _ in per_batch_launches if d == "hot")
+    assert len(hot) < sum(len(batches) for (run,) in runs
+                          for dataset, batches in spans_of(run) if dataset == "hot")
 
 
 # ----------------------------------------------------------------------
@@ -568,30 +572,58 @@ def mixed_stream(service, names, *, pool, seed, steps=10):
     service.drain()
 
 
+def registry_bytes(trees):
+    """The bytes of every artifact a service over ``trees`` can build."""
+    service, _, _ = make_service(trees, traced=False)
+    for name in trees:
+        service.warm(name)
+    return service.registry.bytes_in_use
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    cache_bytes=st.sampled_from((None, 1024, 2048, 1 << 13, 4 << 20)),
+    cache=st.sampled_from(("plain", None, 1024, 2048, 1 << 13, 4 << 20)),
+    capacity=st.sampled_from((None, None, "one", "short")),
+    traced=st.booleans(),
     two=st.booleans(),
     pool=st.sampled_from((3, 30, 300)),
-    max_batch=st.sampled_from((4, 16, 40)),
+    max_batch=st.sampled_from((4, 16, 40, BIG)),
     claim=st.sampled_from((0, 0, 5)),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-@example(cache_bytes=1024, two=True, pool=30, max_batch=4, claim=0, seed=0)
-@example(cache_bytes=1024, two=True, pool=3, max_batch=4, claim=0, seed=0)
-@example(cache_bytes=None, two=True, pool=3, max_batch=4, claim=0, seed=0)
-@example(cache_bytes=1024, two=True, pool=300, max_batch=16, claim=0, seed=36)
-@example(cache_bytes=4 << 20, two=False, pool=30, max_batch=40, claim=5, seed=1)
-def test_property_cached_spans_equal_one_batch_runs(cache_bytes, two, pool,
+@example(cache=1024, capacity=None, traced=True, two=True, pool=30, max_batch=4,
+         claim=0, seed=0)
+@example(cache=1024, capacity=None, traced=True, two=True, pool=3, max_batch=4,
+         claim=0, seed=0)
+@example(cache=None, capacity=None, traced=True, two=True, pool=3, max_batch=4,
+         claim=0, seed=0)
+@example(cache=1024, capacity=None, traced=True, two=True, pool=300, max_batch=16,
+         claim=0, seed=36)
+@example(cache=4 << 20, capacity=None, traced=True, two=False, pool=30, max_batch=40,
+         claim=5, seed=1)
+@example(cache="plain", capacity="short", traced=True, two=True, pool=300,
+         max_batch=BIG, claim=0, seed=6)
+@example(cache="plain", capacity="short", traced=False, two=True, pool=300,
+         max_batch=BIG, claim=0, seed=11)
+@example(cache="plain", capacity="one", traced=False, two=False, pool=300,
+         max_batch=BIG, claim=0, seed=4)
+def test_property_cached_spans_equal_one_batch_runs(cache, capacity, traced, two, pool,
                                                     max_batch, claim, seed):
-    """Span service on the skew-aware path changes nothing a caller can see.
+    """Span service changes nothing a caller can see, the spec's blind spots too.
 
-    Cache sizes from 64 slots (a reset every few batches) to 4 MiB (none),
-    and ``dedup`` with no cache; one or two datasets whose deadlines fire
-    inside each other's blocks; pools small enough that a key repeats within
-    a batch, across the batches of a span and across spans.  Each of these
-    mutations was applied by hand and fails here (the pinned examples keep
-    it so whatever hypothesis draws):
+    The one test that keeps the one-batch-run reference (:func:`per_batch`):
+    the spec (``tests/spec_serving.py``) does not model the observer's events
+    or the registry's LRU order and evictions, so this holds them, with all
+    else, against the same code handed one-batch runs.  The plain path,
+    ``dedup`` alone, caches of 64 slots (a reset every few batches) to 4 MiB;
+    registries of one artifact or one byte short of all of them, so evictions
+    and rebuilds fall mid-span and the LRU order picks the victim; batches
+    above the CPU/GPU crossover, so spans change lanes; traced (booked a batch
+    at a time) or not (booked a stretch at a time); one or two datasets whose
+    deadlines fire inside each other's blocks; pools small enough that a key
+    repeats within a batch, across a span's batches and across spans.  Each of
+    these mutations was applied by hand and fails here (the pinned examples
+    keep it so whatever hypothesis draws):
 
     * drop the headroom test (``roomy = True``);
     * count a later-batch copy as a miss (drop ``credit_hits``, or take
@@ -599,16 +631,20 @@ def test_property_cached_spans_equal_one_batch_runs(cache_bytes, two, pool,
     * count a same-batch copy as a hit (``missed`` from first copies only);
     * take "first" from an unstable sort (``argsort()`` in
       ``unique_packed_keys``: differs past 16 keys);
-    * test headroom per dataset span instead of per run.
+    * test headroom per dataset span instead of per run;
+    * charge an evicted index's rebuild at a stretch's first batch only
+      (``if not hit and m == 0`` in ``_finish_span``).
     """
     names = ["a", "b"] if two else ["a"]
     trees = {name: tree(seed % 5 + k, 300) for k, name in enumerate(names)}
-    knobs = {"dedup": True, "answer_cache_bytes": cache_bytes,
-             "max_batch_size": max_batch, "max_wait_s": 2e-4}
+    capacity = {None: None, "one": 1, "short": registry_bytes(trees) - 1}[capacity]
+    knobs = {"dedup": cache != "plain", "max_batch_size": max_batch,
+             "answer_cache_bytes": None if cache == "plain" else cache,
+             "max_wait_s": 2e-4, "capacity_bytes": capacity}
 
     def run(reference):
         service, launches, observer = make_service(
-            trees, reference=reference, **knobs)
+            trees, reference=reference, traced=traced, **knobs)
         service.set_serve_interceptor(claim_some(claim))
         mixed_stream(service, names, pool=pool, seed=seed)
         return service, launches, observed(service, observer)
@@ -617,8 +653,8 @@ def test_property_cached_spans_equal_one_batch_runs(cache_bytes, two, pool,
     reference, per_batch_launches, reference_seen = run(reference=True)
     assert seen == reference_seen
     assert len(launches) <= len(per_batch_launches)
-    # Every launch carries distinct pairs only.
-    for _, xs, ys in launches:
+    # On the skew-aware path every launch carries distinct pairs only.
+    for _, xs, ys in launches if knobs["dedup"] else ():
         assert np.unique(pack_query_pairs(xs, ys)).size == xs.size
     # Answers: tickets are issued in submission order, so replay the stream
     # on a plain service and compare where this one answered.
@@ -648,27 +684,25 @@ def test_dispatch_and_registry_bookkeeping_stay_per_batch(case):
         knobs = {"max_batch_size": 64, "max_wait_s": 2e-4,
                  "capacity_bytes": 600_000}
 
-    def run(reference):
-        service, launches, observer = make_service(
-            datasets, reference=reference, **knobs)
+    # The spec does not model evictions: with a capacity, what spans must
+    # keep of them is test_property_cached_spans_equal_one_batch_runs's.
+    service, launches, _ = make_service(datasets, **knobs)
+    spec = spec_service(datasets, **knobs) if case == "crossover" else None
+    for target in filter(None, (service, spec)):
         for name, xs, ys, at in blocks:
-            service.submit_many(name, xs, ys, at=at)
-        service.drain()
-        return service, launches, observed(service, observer)
-
-    service, launches, seen = run(reference=False)
-    _, per_batch_launches, reference_seen = run(reference=True)
-    assert seen == reference_seen
+            target.submit_many(name, xs, ys, at=at)
+        target.drain()
     stats = service.stats()
     assert len(stats.backend_choices) == 2
-    assert len(per_batch_launches) == stats.batches_flushed > len(launches)
+    assert stats.batches_flushed > len(launches)
     if case == "crossover":
         assert stats.batches_flushed > 4 * len(launches)
+        assert observables(service) == observables(spec)
     else:
         assert stats.cache_evictions > 0
     expected = np.concatenate([
         oracle(datasets[name], xs, ys) for name, xs, ys, _ in blocks])
-    assert seen["answers"] == expected.tolist()
+    assert np.array_equal(service.results(np.arange(service.tickets_issued)), expected)
 
 
 # ----------------------------------------------------------------------
@@ -687,10 +721,6 @@ def booked_stretches(service):
     service._finish_span = logging
     return stretches
 
-
-#: Batch sizes on either side of the default dispatcher's CPU/GPU crossover.
-CROSSOVER = LCAQueryService().dispatcher.crossover_batch_size()
-SMALL, BIG = CROSSOVER // 2, 2 * CROSSOVER
 
 
 def alternating_block(rounds=6, wait=1e-4):
@@ -715,25 +745,29 @@ def test_a_span_across_the_crossover_books_like_one_batch_runs(knobs):
     parents = tree(51)
     xs, ys, at = alternating_block()
 
-    def run(reference):
-        service, _, _ = make_service({"t": parents}, reference=reference,
-                                     traced=False, max_batch_size=BIG, **knobs)
+    service, _, _ = make_service({"t": parents}, traced=False, max_batch_size=BIG,
+                                 **knobs)
+    spec = spec_service({"t": parents}, max_batch_size=BIG)
+    stretches = booked_stretches(service)
+    for target in (service, spec):
         if warm:
-            service.warm("t")
-        stretches = booked_stretches(service)
-        service.submit_many("t", xs, ys, at=at)
-        registry = service.registry
-        after_span = registry.keys()  # the drain's fetch may reorder them
-        service.drain()
-        fetched = (registry.misses, registry.hits, registry.evictions, len(registry))
-        return service, stretches, fetched, (after_span, observed(service, None))
-
-    service, stretches, fetched, seen = run(reference=False)
-    _, _, _, reference_seen = run(reference=True)
-    # Answers, latency bytes, the full stats repr, registry hits, misses and
-    # LRU order: all as booked one batch at a time.
-    assert seen == reference_seen
-    assert seen[1]["answers"] == oracle(parents, xs, ys).tolist()
+            target.warm("t")
+        target.submit_many("t", xs, ys, at=at)
+    registry = service.registry
+    # The LRU order a fetch per batch leaves: by last use, and the block's
+    # last batch is a GPU one (the drain's fetch may reorder them).
+    assert [key.variant for key in registry.keys()] == (
+        ["parallel"] if knobs else ["sequential", "parallel"])
+    service.drain()
+    spec.drain()
+    fetched = (registry.misses, registry.hits, registry.evictions, len(registry))
+    if not knobs:  # the spec's registry never evicts
+        # Answers, latency bytes, stats, registry hits and misses: all as
+        # booked one batch at a time.  A one-artifact registry across the
+        # crossover is held against one-batch runs by the property's
+        # ``capacity="one"`` example.
+        assert observables(service) == observables(spec)
+    assert np.array_equal(service.results(np.arange(xs.size)), oracle(parents, xs, ys))
     # The block's eleven batches are one booking whose lanes alternate.
     assert [count for _, count, _ in stretches] == [11, 1]
     assert service.stats().backend_choices == {"cpu1": 6, "gpu": 6}
@@ -750,29 +784,25 @@ def test_a_span_of_non_contiguous_tickets_books_like_one_batch_runs():
     trees = {"a": tree(52), "b": tree(53)}
     xs, ys = queries(100, 54)
 
-    def run(reference):
-        service, _, _ = make_service(trees, reference=reference, traced=False,
-                                     max_wait_s=1e-3)
-        stretches = booked_stretches(service)
+    service, _, _ = make_service(trees, traced=False, max_wait_s=1e-3)
+    spec = spec_service(trees, max_wait_s=1e-3)
+    stretches = booked_stretches(service)
+    for target in (service, spec):
         # Rows alternate between the datasets: a's pending tickets are
         # 0, 2, ..., 18 when its block of 80 arrives and cuts five batches.
         for i in range(20):
-            service.submit("ab"[i % 2], int(xs[i]), int(ys[i]), at=i * 1e-6)
-        service.submit_many("a", xs[20:], ys[20:], at=np.full(80, 2e-5))
-        service.drain()
-        return stretches, observed(service, None)
-
-    stretches, seen = run(reference=False)
-    _, reference_seen = run(reference=True)
-    assert seen == reference_seen
+            target.submit("ab"[i % 2], int(xs[i]), int(ys[i]), at=i * 1e-6)
+        target.submit_many("a", xs[20:], ys[20:], at=np.full(80, 2e-5))
+        target.drain()
+    assert observables(service) == observables(spec)
     dataset, count, tickets = stretches[0]
     assert (dataset, count) == ("a", 5)
     assert np.diff(tickets).max() > 1  # the fancy-index write
     rows = np.r_[np.arange(0, 20, 2), np.arange(20, 100)]
     order = np.r_[rows, np.arange(1, 20, 2)]
-    assert seen["answers"] == np.r_[
+    assert np.array_equal(service.results(np.arange(100)), np.r_[
         oracle(trees["a"], xs[rows], ys[rows]),
-        oracle(trees["b"], xs[1:20:2], ys[1:20:2])][np.argsort(order)].tolist()
+        oracle(trees["b"], xs[1:20:2], ys[1:20:2])][np.argsort(order)])
 
 
 def test_failover_readmissions_carry_their_debt_through_a_span():
@@ -780,32 +810,19 @@ def test_failover_readmissions_carry_their_debt_through_a_span():
     xs, ys = queries(600, 56, 256)
     arrivals = np.arange(600, dtype=np.float64) / 200_000.0
 
-    def run(reference):
-        cluster = ClusterService(
-            config=ClusterConfig(n_replicas=2, router="round-robin",
-                                 max_batch_size=16, max_wait_s=5e-4),
-            fault_injector=FaultInjector([
-                FaultEvent(time_s=float(arrivals[300]), action="kill",
-                           replica=0)]))
-        stretches = []
-        for worker in cluster.replicas:
-            if reference:
-                per_batch(worker)
-            stretches.append(booked_stretches(worker))
-        cluster.register_tree("t", parents, replicas=2)
-        tickets = np.concatenate([
-            cluster.submit_many("t", xs[i:i + 100], ys[i:i + 100],
-                                at=arrivals[i:i + 100])
-            for i in range(0, 600, 100)])
-        cluster.drain()
-        return cluster, stretches, (
-            cluster.results(tickets).tolist(),
-            cluster.latencies(tickets).tobytes(), repr(cluster.stats()))
-
-    cluster, stretches, seen = run(reference=False)
-    _, _, reference_seen = run(reference=True)
-    assert seen == reference_seen
-    assert seen[0] == oracle(parents, xs, ys).tolist()
+    config = ClusterConfig(n_replicas=2, max_batch_size=16, max_wait_s=5e-4)
+    kill = [FaultEvent(time_s=float(arrivals[300]), action="kill", replica=0)]
+    cluster = ClusterService(config=config, fault_injector=FaultInjector(kill))
+    stretches = [booked_stretches(worker) for worker in cluster.replicas]
+    spec = SpecCluster(config, kill)
+    for target in (cluster, spec):
+        target.register_tree("t", parents, on=[0, 1])
+        for i in range(0, 600, 100):
+            block = slice(i, i + 100)
+            target.submit_many("t", xs[block], ys[block], at=arrivals[block])
+        target.drain()
+    assert observables(cluster) == observables(spec)
+    assert np.array_equal(cluster.results(np.arange(600)), oracle(parents, xs, ys))
     assert cluster.stats().queries_retried > 0
     # The survivor booked re-admitted queries, debt and all, in multi-batch
     # stretches.
@@ -882,52 +899,3 @@ def test_smallbatch_scratch_with_two_interleaved_datasets():
                                for i in range(12 * k, 96, 24)])
         assert np.array_equal(service.results(np.concatenate(tickets[name])),
                               oracle(trees[name], xs[rows], ys[rows]))
-
-
-# ----------------------------------------------------------------------
-# Columnar ≡ row-wise, on blocks of many flushes and on re-admissions
-# ----------------------------------------------------------------------
-@settings(max_examples=25, deadline=None)
-@given(
-    max_batch=st.integers(min_value=1, max_value=12),
-    flushes=st.integers(min_value=3, max_value=8),
-    blocks=st.integers(min_value=1, max_value=3),
-    max_wait_us=st.sampled_from((0.0, 10.0, 200.0)),
-    with_debt=st.booleans(),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_property_wide_blocks_equal_one_row_blocks(max_batch, flushes, blocks,
-                                                   max_wait_us, with_debt, seed):
-    # Row-wise admission is the all-one-slice reference through the same code:
-    # 1-row blocks (the only row-wise form that carries ``latency_debt``)
-    # against blocks wide enough to flush at least ``flushes`` batches each.
-    q = blocks * max_batch * flushes
-    parents = tree(seed % 7, 200)
-    xs, ys = queries(q, seed + 1, 200)
-    arrivals = arrival_schedule(q, seed + 2, mean_gap_s=2e-5)
-    debt = (np.random.default_rng(seed).random(q) * 1e-3) if with_debt else None
-    config = ServiceConfig(max_batch_size=max_batch,
-                           max_wait_s=max_wait_us * 1e-6)
-
-    def run(rows):
-        service = LCAQueryService(config=config)
-        launches = count_launches(service)
-        service.register_tree("t", parents)
-        tickets = np.concatenate([
-            service.submit_many(
-                "t", xs[a:a + rows], ys[a:a + rows], at=arrivals[a:a + rows],
-                latency_debt=None if debt is None else debt[a:a + rows])
-            for a in range(0, q, rows)])
-        pending = service.pending_count("t")
-        service.drain()
-        return (tickets.tolist(), pending, service.results(tickets).tolist(),
-                service.latencies(tickets).tobytes(),
-                service.debt_of(tickets).tobytes(),
-                stats_signature(service.stats())), service.stats(), launches
-
-    wide, wide_stats, wide_launches = run(q // blocks)
-    narrow, _, _ = run(1)
-    assert wide == narrow
-    assert wide_stats.batches_flushed >= blocks * flushes
-    assert len(wide_launches) <= blocks + 1
-    assert wide[2] == oracle(parents, xs, ys).tolist()

@@ -386,15 +386,5 @@ def test_serving_timeline_is_bit_identical(case):
     assert CASES[case]() == golden[case]
 
 
-def test_rowwise_and_columnar_admission_agree_with_the_cache_off():
-    """The pinned pairs are one timeline, not two that drift together."""
-    golden = json.loads(GOLDEN_PATH.read_text())
-    for stream in ("steady", "steady-calibrated", "interleaved"):
-        block, row = golden[f"{stream}/submit_many"], golden[f"{stream}/submit"]
-        assert block["answers"] == row["answers"]
-        assert block["latencies"] == row["latencies"]
-        assert block["workers"] == row["workers"]
-
-
 if __name__ == "__main__":
     print(json.dumps({case: CASES[case]() for case in sorted(CASES)}, indent=1))
