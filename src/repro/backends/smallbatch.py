@@ -96,7 +96,7 @@ class _SmallBatchKernel(CompiledKernel):
         xs, ys = query_columns(xs, ys)
         if xs.size == 0:
             answers = np.empty(0, dtype=np.int64)
-        elif xs.ndim != 1 or xs.size > self.scratch_size:
+        elif xs.size > self.scratch_size:
             # Correct at any size: the vectorized kernel handles the rest.
             answers = _query_inlabel(self.structure, xs, ys)
         else:

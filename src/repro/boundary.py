@@ -43,14 +43,13 @@ from .errors import (
 
 
 def id_array(
-    error: Type[ReproError], what: str, *, scalar: bool = False, any_ndim: bool = False
+    error: Type[ReproError], what: str, *, scalar: bool = False
 ) -> Callable[..., np.ndarray]:
     """The check of one integer-id input: its error, its name and its shapes.
 
     The check returns the input as ``int64`` (a view when it already is);
-    it must be 1-D, unless ``scalar`` (0-D is a one-element array) or
-    ``any_ndim`` (any shape is kept; 0-D is one element).  ``name``
-    overrides ``what`` in messages.
+    it must be 1-D, unless ``scalar`` (0-D is a one-element array).
+    ``name`` overrides ``what`` in messages.
     """
     shape = "scalars or 1-D" if scalar else "1-D"
 
@@ -59,7 +58,7 @@ def id_array(
             arr = np.asarray(values)
         except ValueError:  # a ragged sequence
             raise error(f"{name} must be integers, got a ragged sequence") from None
-        if arr.ndim != 1 and not (any_ndim or (scalar and arr.ndim == 0)):
+        if arr.ndim != 1 and not (scalar and arr.ndim == 0):
             raise error(f"{name} must be integers, {shape}; got {arr.ndim} dimensions")
         if arr.dtype.kind not in "iu" and arr.size:
             raise error(f"{name} must be integers, got dtype {arr.dtype}")
@@ -73,10 +72,8 @@ def id_array(
 parent_ids = id_array(NotATreeError, "parents")
 #: Edge endpoints, a relabeling, the marking walk's levels.
 node_ids = id_array(InvalidGraphError, "node ids")
-#: An index's query columns; an N-D batch is answered in its own shape.
-query_ids = id_array(InvalidQueryError, "query node ids", any_ndim=True)
-#: A front door's query columns: a 0-D scalar is a one-row block.
-block_ids = id_array(InvalidQueryError, "query node ids", scalar=True)
+#: An index's or a front door's query columns: a 0-D scalar is one query.
+query_ids = id_array(InvalidQueryError, "query node ids", scalar=True)
 #: A linked list's successor array.
 successor_ids = id_array(InvalidGraphError, "successors")
 #: RMQ range bounds.
@@ -153,7 +150,7 @@ def query_block(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A front door's column block: 1-D ``int64`` ids, ``float64`` arrivals
     (all ``now`` without ``at``), checked before any ticket is issued."""
-    x_ids, y_ids = block_ids(xs), block_ids(ys)
+    x_ids, y_ids = query_ids(xs), query_ids(ys)
     if x_ids.shape != y_ids.shape:
         raise ServiceError("query arrays must have the same shape")
     if at is None:

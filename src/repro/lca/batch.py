@@ -20,7 +20,6 @@ import numpy as np
 
 from ..boundary import query_ids
 from ..device import DeviceSpec, ExecutionContext
-from ..errors import InvalidQueryError
 from .dedup import dedup_query_pairs
 
 __all__ = ["BatchQueryResult", "run_batched_queries"]
@@ -86,9 +85,6 @@ def run_batched_queries(algorithm, xs: np.ndarray, ys: np.ndarray, batch_size: i
     ys = query_ids(ys)
     if xs.shape != ys.shape:
         raise ValueError("query arrays must have the same shape")
-    if xs.ndim != 1:
-        # A stream is cut along its one axis; rows of an N-D block are not batches.
-        raise InvalidQueryError(f"query arrays must be 1-D, got {xs.ndim}-D")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     q = xs.size

@@ -58,11 +58,13 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def pack_query_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def pack_query_pairs(xs: np.ndarray, ys: np.ndarray,
+                     hi: Optional[np.ndarray] = None) -> np.ndarray:
     """Canonical ``uint64`` key per pair: ``min(x, y) << 32 | max(x, y)``.
 
     The caller guarantees ``0 <= xs, ys < PACK_LIMIT`` (the serving layer
-    validates node ids against the tree size long before this point).
+    validates node ids against the tree size long before this point) and
+    may pass the ``max(x, y)`` column it computed doing so as ``hi``.
 
     >>> pack_query_pairs(np.array([3, 1]), np.array([1, 3])).tolist()
     [4294967299, 4294967299]
@@ -70,10 +72,12 @@ def pack_query_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     # minimum/maximum allocate fresh non-negative int64 arrays, so the
-    # uint64 reinterpretation is a zero-copy view, not a cast pass.
-    lo = np.minimum(xs, ys).view(np.uint64)
-    hi = np.maximum(xs, ys).view(np.uint64)
-    return (lo << _SHIFT32) | hi
+    # uint64 reinterpretation is a zero-copy view, not a cast pass, and the
+    # key is built in place in the first of them.
+    keys = np.minimum(xs, ys).view(np.uint64)
+    keys <<= _SHIFT32
+    keys |= np.maximum(xs, ys).view(np.uint64) if hi is None else hi
+    return keys
 
 
 def unpack_query_pairs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -244,14 +244,14 @@ _TILE_LANES = 1 << 16
 
 def _query_tile(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
                 ) -> np.ndarray:
-    """The Schieber–Vishkin pass over one tile of same-shape ``int64`` ids.
+    """The Schieber–Vishkin pass over one tile of 1-D ``int64`` ids.
 
     One straight-line pass over both endpoints stacked as ``(2, b)``: no lane
     is branched on; a lane that needs no climb does a throwaway in-bounds
     read that the ``where`` discards.
     """
     inlabel = structure.inlabel
-    xy = np.empty((2,) + xs.shape, dtype=np.int64)
+    xy = np.empty((2, xs.size), dtype=np.int64)
     xy[0] = xs
     xy[1] = ys
     # Viewed as uint64 a negative id is huge: one maximum checks both ends.
@@ -303,11 +303,10 @@ def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
         return np.empty(0, dtype=np.int64)
     if size <= _TILE_LANES:
         return _query_tile(structure, xs, ys)
-    out = np.empty(xs.shape, dtype=np.int64)
-    flat, xs, ys = out.reshape(-1), xs.reshape(-1), ys.reshape(-1)
+    out = np.empty(size, dtype=np.int64)
     for lo in range(0, size, _TILE_LANES):
         hi = lo + _TILE_LANES  # slices stop at the end: the last tile is the rest
-        flat[lo:hi] = _query_tile(structure, xs[lo:hi], ys[lo:hi])
+        out[lo:hi] = _query_tile(structure, xs[lo:hi], ys[lo:hi])
     return out
 
 

@@ -833,7 +833,7 @@ class ClusterService:
 
         # Same first-offender semantics as the single-node block path — the
         # shared helper keeps the two validators in lockstep.
-        stop, error = block_clean_prefix(
+        stop, error, _ = block_clean_prefix(
             xs, ys, arrivals, n=n, dataset=dataset, now=self.clock.now
         )
 

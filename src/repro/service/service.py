@@ -23,12 +23,10 @@ modeled capacity shows up as growing queueing delay and saturating delivered
 throughput rather than as impossible numbers.
 
 Host-side, the hot path is *columnar*: tickets are consecutive integers
-indexing growable answer/latency tables (so storing a served batch and
-resolving :meth:`LCAQueryService.results` are single fancy-indexing
-operations), and :meth:`LCAQueryService.submit_many` admits a whole arrival
+indexing growable answer/latency tables (a block's are stored and read back
+as slices), and :meth:`LCAQueryService.submit_many` admits a whole arrival
 block through :meth:`MicroBatchScheduler.submit_block` instead of looping
-over Python objects — the host cost of forming a batch no longer dwarfs the
-modeled kernel cost being scheduled.
+over Python objects.
 
 An opt-in *skew-aware fast path* (``dedup=True`` / ``answer_cache_bytes=``)
 exploits repetition: pairs are canonicalized (LCA is symmetric) and packed
@@ -81,7 +79,7 @@ from .clock import SimulatedClock
 from .config import ServiceConfig
 from .dispatch import Backend, CostModelDispatcher, dispatcher_for
 from .registry import ArtifactKey, ForestStore, IndexRegistry
-from .scheduler import NO_CUTS, Cut, Cuts, FlushedBatch, MicroBatchScheduler
+from .scheduler import Cut, Cuts, FlushedBatch, MicroBatchScheduler
 from .stats import ServiceStats, StatsCollector
 from .tickets import TicketTable
 
@@ -94,7 +92,7 @@ CACHE_BACKEND_KEY = "cache"
 
 def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
                        n: int, dataset: str, now: float
-                       ) -> Tuple[int, Optional[Exception]]:
+                       ) -> Tuple[int, Optional[Exception], np.ndarray]:
     """Admissible prefix of a column block, with the first offender's error.
 
     Replicates the per-query loop's error semantics in bulk.  A clean block
@@ -104,17 +102,18 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
     fused bounds check finds every out-of-range query, a non-finite arrival
     is one ``isfinite`` pass, a backwards arrival is an adjacent-difference
     check against ``now``, and the earliest offender wins.  Returns
-    ``(stop, error)`` — admit ``[:stop]``, then raise ``error`` (``None``
-    when the whole block is clean).
+    ``(stop, error, ids)`` — admit ``[:stop]``, then raise ``error``
+    (``None`` when the whole block is clean); ``ids`` is the ``uint64``
+    column of larger ids, which the memoized path packs its keys from.
 
     Shared by :meth:`LCAQueryService.submit_many` and the cluster layer's
     block path, which must stay in lockstep for the documented 1-replica
     bit-identical equivalence.
     """
-    ids = np.maximum(xs, ys, dtype=np.uint64, casting="unsafe")  # -1 wraps past n
+    ids = np.maximum(xs.view(np.uint64), ys.view(np.uint64))  # -1 wraps past n
     if (int(ids.max()) < n and arrivals[0] >= now
             and math.isfinite(arrivals[-1]) and (arrivals[1:] >= arrivals[:-1]).all()):
-        return int(xs.size), None
+        return int(xs.size), None, ids
     bad = ids >= np.uint64(n)
     stop = int(xs.size)
     error: Optional[Exception] = None
@@ -139,7 +138,7 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
             f"cannot move the clock backwards (now={prev}, "
             f"requested={float(arrivals[stop])})"
         )
-    return stop, error
+    return stop, error, ids
 
 
 #: One batch of a run: its dataset and its scheduler :data:`~.scheduler.Cut`.
@@ -226,9 +225,6 @@ class LCAQueryService:
             if config.answer_cache_bytes is not None else None
         )
         self._dedup = config.dedup or self.answer_cache is not None
-        # Whether each dataset's node ids fit the uint64 pair packing
-        # (memoized on first serve; oversized trees use the plain path).
-        self._packable: Dict[str, bool] = {}
         self.store = store or ForestStore()
         self.registry = IndexRegistry(self.store,
                                       capacity_bytes=config.capacity_bytes)
@@ -239,11 +235,8 @@ class LCAQueryService:
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
-        # Ticket-indexed columnar result table: tickets are consecutive
-        # integers, so a span's results are stored (and read back) with one
-        # indexing op.  ``ticket_capacity`` pre-sizes it (keeping the doubling
-        # copies out of the serving windows).  ``answered`` is zeroed, as is
-        # the ``debt`` column ``latency_debt`` re-admissions add.
+        # Ticket-indexed result columns, pre-sized by ``ticket_capacity``;
+        # ``answered`` is zeroed, as is the ``debt`` column re-admissions add.
         reserve = config.ticket_capacity
         self._tickets = TicketTable(0 if reserve is None else reserve,
                                     answers=np.int64, latencies=np.float64)
@@ -256,12 +249,8 @@ class LCAQueryService:
         # When each backend's (single, serially occupied) device next comes
         # free; batches queue behind it.
         self._backend_free_s: Dict[str, float] = {}
-        # Fault-tolerance hooks, all inert by default (a single `is None` /
-        # `== 1.0` check on the serving path keeps fault-free runs
-        # bit-identical to builds that predate them).  The cluster layer
-        # installs the interceptor (captures batches a dead/failing replica
-        # must not serve) and the hedge hook (offers a straggling batch to a
-        # second copy).
+        # Fault-tolerance hooks the cluster installs (see their setters);
+        # inert by default, one `is None` / `== 1.0` check on the serving path.
         self._serve_interceptor: Optional[
             Callable[[str, FlushedBatch], bool]] = None
         self._hedge_hook: Optional[
@@ -609,8 +598,8 @@ class LCAQueryService:
         # Admissible prefix: the per-query loop raises at the first
         # offending index after admitting everything before it — replicate
         # that by admitting the clean prefix, then raising the same error.
-        stop, error = block_clean_prefix(xs, ys, arrivals, n=n,
-                                         dataset=dataset, now=self.clock.now)
+        stop, error, ids = block_clean_prefix(xs, ys, arrivals, n=n,
+                                              dataset=dataset, now=self.clock.now)
 
         first = self._tickets.issue(stop)
         tickets = np.arange(first, first + stop, dtype=np.int64)
@@ -625,14 +614,11 @@ class LCAQueryService:
                 # slice assignment before anything can flush and serve it.
                 self._tickets.zeros("debt", np.float64)[first:first + stop] = (
                     latency_debt[:stop])
-            handled = (
-                latency_debt is None
-                and self.answer_cache is not None
-                and self._is_packable(dataset)
-                and self._admit_memoized(dataset, scheduler, tickets,
-                                         xs[:stop], ys[:stop],
-                                         arrivals[:stop])
-            )
+            handled = (latency_debt is None and self.answer_cache is not None
+                       and n <= PACK_LIMIT  # else ids overflow the packing
+                       and self._admit_memoized(dataset, scheduler, tickets,
+                                                xs[:stop], ys[:stop], ids[:stop],
+                                                arrivals[:stop]))
             if not handled:
                 own = scheduler.submit_block(tickets, xs[:stop], ys[:stop],
                                              arrivals[:stop])
@@ -716,7 +702,7 @@ class LCAQueryService:
             ...
         repro.errors.ServiceError: unknown ticket 99
         """
-        return int(self._tickets.answers[self._served(ticket)][0])
+        return int(self._read("answers", ticket)[0])
 
     def results(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of answers for a sequence of tickets (one table lookup).
@@ -731,7 +717,7 @@ class LCAQueryService:
         >>> svc.results(tickets).tolist()
         [1, 0]
         """
-        return self._tickets.answers[self._served(tickets)]
+        return self._read("answers", tickets)
 
     def answered(self, tickets: ArrayLike) -> np.ndarray:
         """Boolean mask over ``tickets``: which have been served already.
@@ -748,7 +734,7 @@ class LCAQueryService:
         >>> svc.answered([a, b, c]).tolist()   # size flush served a and b
         [True, True, False]
         """
-        return self._tickets.answered[self._tickets.index(tickets)]
+        return self._read("answered", tickets, served=False)
 
     def latency(self, ticket: int) -> float:
         """Modeled end-to-end latency of one answered query.
@@ -760,7 +746,7 @@ class LCAQueryService:
         >>> svc.latency(t) > 0.0       # waiting + queueing + execution
         True
         """
-        return float(self._tickets.latencies[self._served(ticket)][0])
+        return float(self._read("latencies", ticket)[0])
 
     def latencies(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of modeled latencies for a sequence of answered tickets.
@@ -772,7 +758,7 @@ class LCAQueryService:
         >>> bool((svc.latencies(tickets) > 0.0).all())
         True
         """
-        return self._tickets.latencies[self._served(tickets)]
+        return self._read("latencies", tickets)
 
     def pending_count(self, dataset: Optional[str] = None) -> int:
         """Queries currently queued (for one dataset, or in total).
@@ -862,19 +848,27 @@ class LCAQueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _served(self, tickets: ArrayLike) -> np.ndarray:
-        """Table positions of ``tickets``, every one of them answered.
+    def _read(self, column: str, tickets: ArrayLike, served: bool = True
+              ) -> np.ndarray:
+        """A fresh array of ticket-table ``column`` at ``tickets``.
 
         After :meth:`TicketTable.index`'s refusals (bad dtype, then the first
-        unknown ticket), raises :class:`ServiceError` for the first ticket
-        whose batch has not been served yet; :meth:`answered` skips that.
+        unknown ticket), raises :class:`ServiceError` when ``served`` for the
+        first ticket whose batch has not been served yet.  An ascending run of
+        consecutive tickets (a block's) is read as a slice copy, any other
+        sequence by a fancy-index gather.
         """
         idx = self._tickets.index(tickets)
-        answered = self._tickets.answered[idx]
-        if not answered.all():
+        window: Any = idx
+        if (idx.size and idx.item(-1) - idx.item(0) == idx.size - 1
+                and (idx[1:] > idx[:-1]).all()):
+            window = slice(idx.item(0), idx.item(-1) + 1)
+        answered = self._tickets.answered[window]
+        if served and not answered.all():
             raise ServiceError(f"ticket {idx[int(answered.argmin())]} is still "
                                f"queued; advance time or drain()")
-        return idx
+        out = getattr(self._tickets, column)[window]
+        return out if window is idx else out.copy()
 
     def _scheduler(self, dataset: str) -> MicroBatchScheduler:
         try:
@@ -892,6 +886,13 @@ class LCAQueryService:
         rank = self._dataset_rank
         run.sort(key=lambda item: (item[1][3], rank[item[0]]))
         return run
+
+    def _due(self, t: float) -> bool:
+        """Whether advancing to ``t`` reaches some scheduler's wait deadline."""
+        for scheduler in self._schedulers.values():
+            if scheduler.next_deadline <= t:
+                return True
+        return False
 
     def _expired_batches(self, t: float, exclusive: Optional[str] = None,
                          include_equal: bool = True) -> List[RunItem]:
@@ -958,16 +959,9 @@ class LCAQueryService:
         merged.sort(key=lambda item: item[:4])
         self._serve_run([item[4:] for item in merged])
 
-    def _is_packable(self, dataset: str) -> bool:
-        ok = self._packable.get(dataset)
-        if ok is None:
-            ok = int(self.store.tree(dataset).size) <= PACK_LIMIT
-            self._packable[dataset] = ok
-        return ok
-
     def _admit_memoized(self, dataset: str, scheduler: MicroBatchScheduler,
                         tickets: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                        arrivals: np.ndarray) -> bool:
+                        hi: np.ndarray, arrivals: np.ndarray) -> bool:
         """Front-door memoization for the columnar path.
 
         With the answer cache on, a block is probed *at admission*: queries
@@ -979,7 +973,9 @@ class LCAQueryService:
         micro-batch scheduler; their spans probe again at serve time (a
         sibling span may have filled the cache in between) and repopulate
         it.  Returns False when nothing hit — the caller then admits the
-        whole block through the standard path unchanged.
+        whole block through the standard path unchanged.  A full hit whose
+        arrivals reach no wait deadline is one pack (from ``hi``, the larger
+        ids :func:`block_clean_prefix` computed), one probe and O(1) booking.
 
         Cache-off behaviour is untouched, and answers are bit-identical
         either way; what changes with the cache on is *when* repeated
@@ -988,41 +984,36 @@ class LCAQueryService:
         """
         cache = self.answer_cache
         assert cache is not None
+        t_first, t_last = arrivals.item(0), arrivals.item(-1)
         # Batches whose wait deadline expired before this block's first
         # arrival flush earlier on the simulated timeline, so they serve —
         # and populate the cache — before the block is probed (deadlines
         # falling *inside* the block's arrival span are served after the
         # probe, an acknowledged approximation of the per-arrival
         # interleaving; answers are exact either way).
-        self._serve_run(self._expired_batches(float(arrivals[0]),
-                                              exclusive=dataset))
-        keys = pack_query_pairs(xs, ys)
+        if self._due(t_first):
+            self._serve_run(self._expired_batches(t_first, exclusive=dataset))
+        keys = pack_query_pairs(xs, ys, hi)
         space = self._dataset_rank[dataset]
         values, found, hits = cache.lookup(space, keys)
         obs = self._observer
         if hits == 0:
             if obs is not None:
-                obs.record(EV_CACHE_MISSES, float(arrivals[-1]),
-                           replica=self._obs_replica,
+                obs.record(EV_CACHE_MISSES, t_last, replica=self._obs_replica,
                            detail=float(tickets.size))
             return False
-        t_last = float(arrivals[-1])
-        full = hits == int(tickets.size)
-        # The hits are answered straight from the cache: the bulk probe
-        # occupies the serially-booked host-side cache lane (starting once
-        # both the block has arrived and the lane is free), and a memoized
-        # answer's modeled latency is one per-query probe plus any lane
-        # queueing — never a batching wait.  Tickets are a contiguous
-        # range, so the whole block is stored with slice assignments
-        # *before* any miss batch serves — miss rows carry unanswered
-        # placeholders (``found`` is exactly the answered mask) that their
-        # batches overwrite when they serve.
-        probe_time = answer_cache_probe_time(int(tickets.size))
-        probe_one = answer_cache_probe_time(1)
+        full = hits == tickets.size
+        # The bulk probe occupies the serially booked host-side cache lane
+        # (from when the block has arrived and the lane is free); a memoized
+        # answer's latency is one per-query probe plus any lane queueing.
+        # The block's tickets are one slice, stored *before* any miss batch
+        # serves: miss rows carry unanswered placeholders (``found`` is the
+        # answered mask) that their batches overwrite.
+        probe_time = answer_cache_probe_time(tickets.size)
         start = max(t_last, self._backend_free_s.get(CACHE_BACKEND_KEY, 0.0))
         completion = start + probe_time
         self._backend_free_s[CACHE_BACKEND_KEY] = completion
-        hit_latency = (start - t_last) + probe_one
+        hit_latency = (start - t_last) + answer_cache_probe_time(1)
         if obs is not None:
             # The front-door hits form a pseudo-batch on the cache lane:
             # flush at the probe instant, kernel span for the bulk probe,
@@ -1032,7 +1023,7 @@ class LCAQueryService:
             if not full:
                 obs.record(EV_CACHE_MISSES, t_last,
                            replica=self._obs_replica,
-                           detail=float(int(tickets.size) - hits))
+                           detail=float(tickets.size - hits))
             pseudo = obs.next_batch_id()
             obs.record(EV_FLUSH, t_last, batch=pseudo,
                        replica=self._obs_replica, detail=float(hits),
@@ -1045,29 +1036,29 @@ class LCAQueryService:
             obs.record_block(EV_CACHE_LANE_HIT, completion, hit_tickets,
                              batch=pseudo, replica=self._obs_replica,
                              detail=hit_latency)
-        lo, hi = int(tickets[0]), int(tickets[-1]) + 1
-        table = self._tickets
-        table.answers[lo:hi] = values
-        table.latencies[lo:hi] = hit_latency
-        if full:
-            table.answered[lo:hi] = True
-            own = NO_CUTS
-        else:
-            table.answered[lo:hi] = found
-            miss_pos = np.flatnonzero(~found)
-            own = scheduler.submit_block(tickets[miss_pos], xs[miss_pos],
-                                         ys[miss_pos], arrivals[miss_pos])
-        self.stats_collector.record_span(
-            [hits], ["hit"], [CACHE_BACKEND_KEY], [probe_time],
-            np.full(hits, hit_latency), float(arrivals[0]), completion, 0)
+        window, table = slice(tickets.item(0), tickets.item(-1) + 1), self._tickets
+        table.answers[window] = values
+        table.latencies[window] = hit_latency
+        table.answered[window] = True if full else found
+        run: List[RunItem] = []
+        if not full:
+            miss_pos = (~found).nonzero()[0]
+            run = run_of(dataset, scheduler.submit_block(
+                tickets[miss_pos], xs[miss_pos], ys[miss_pos], arrivals[miss_pos]))
+        self.stats_collector.record_span([hits], ["hit"], [CACHE_BACKEND_KEY],
+                                         [probe_time], hit_latency, t_first,
+                                         completion, 0)
         # The block's arrivals moved time to its last timestamp: fire every
         # wait deadline that expired on the way (this dataset's pending
         # misses and other datasets alike) and serve everything in
         # flush-time order.  As on every submit path, this dataset's
         # deadlines exactly at the arrival instant stay pending so a
         # same-instant follow-up submission can still join them.
-        self._serve_run(self._in_flush_order(
-            run_of(dataset, own) + self._expired_batches(t_last, exclusive=dataset)))
+        if self._due(t_last):
+            run += self._expired_batches(t_last, exclusive=dataset)
+        self.clock.advance_to(t_last)
+        if run:
+            self._serve_run(self._in_flush_order(run))
         return True
 
     def _serve_run(self, run: List[RunItem]) -> None:
@@ -1130,8 +1121,8 @@ class LCAQueryService:
         dataset, cut = run[i]
         columns, lo, hi = cut[:3]
         cuts, sizes = [cut], [hi - lo]
-        span = spans[i] = _Span(dataset, cuts,
-                                self._dedup and self._is_packable(dataset))
+        span = spans[i] = _Span(dataset, cuts, self._dedup
+                                and self.store.tree(dataset).size <= PACK_LIMIT)
         if roomy or not span.deduped:
             for j in range(i + 1, len(run)):
                 name, later = run[j]

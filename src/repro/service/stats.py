@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -212,17 +212,18 @@ class StatsCollector:
 
     def record_span(self, sizes: Sequence[int], triggers: Sequence[str],
                     lanes: Sequence[str], charges: Sequence[float],
-                    latencies_s: np.ndarray, first_arrival_s: float,
+                    latencies_s: Union[float, np.ndarray], first_arrival_s: float,
                     last_completion_s: float, kernel_queries: int) -> None:
         """Fold completed batches, in booking order, into the counters.
 
         Per batch: its size, flush trigger, backend lane and charge;
-        ``latencies_s`` is every query's, batch after batch, between
-        ``first_arrival_s`` and ``last_completion_s``; ``kernel_queries`` ran
-        on a backend kernel (the unique misses under the skew-aware path).
-        ``busy_time_s`` adds the charges left to right, a batch at a time.
+        ``latencies_s`` is every query's, batch after batch (or one value they
+        all share), from ``first_arrival_s`` to ``last_completion_s``;
+        ``kernel_queries`` ran on a backend kernel (the unique misses under
+        the skew-aware path).  ``busy_time_s`` adds the charges left to right.
         """
-        self.queries_answered += latencies_s.size
+        start, answered = self._latency_count, sum(sizes)
+        self.queries_answered += answered
         self.kernel_queries += kernel_queries
         self.batches_flushed += len(sizes)
         busy = self.busy_time_s
@@ -232,8 +233,7 @@ class StatsCollector:
         self.batch_sizes.update(map(batch_size_bucket, sizes))
         self.flush_triggers.update(triggers)
         self.backend_choices.update(lanes)
-        start = self._latency_count
-        end = self._latency_count = start + latencies_s.size
+        end = self._latency_count = start + answered
         if end > self._latency_table.size:
             self._latency_table = grow_table(self._latency_table, start, end)
         self._latency_table[start:end] = latencies_s

@@ -114,7 +114,7 @@ def id_array_entries():
 
 
 def query_entries():
-    """``(name, call)``: an index's query columns, which take any shape."""
+    """``(name, call)``: an index's query columns (scalars or 1-D)."""
     for index in INDEXES:
         lca = index(PARENTS)
         yield f"{index.__name__}.query", lambda bad, q=lca.query: q(bad, GOOD)
@@ -132,11 +132,11 @@ def test_every_integer_array_parameter_refuses(entry, case):
         call(NOT_ID_ARRAYS[case])
 
 
-@pytest.mark.parametrize("case", sorted(set(NOT_ID_ARRAYS) - {"2-D"}))
+@pytest.mark.parametrize("case", sorted(NOT_ID_ARRAYS))
 @pytest.mark.parametrize("entry", [name for name, _ in query_entries()])
 def test_every_query_column_refuses(entry, case):
-    """An index answers an N-D batch in its own shape, so 2-D is not refused
-    there (``test_inlabel_kernel.py`` pins it); a mismatched shape is."""
+    """An index refuses an N-D batch as every front door does; a mismatched
+    shape is refused too."""
     call = dict(query_entries())[entry]
     with pytest.raises(ReproError, match="must be integers"):
         call(NOT_ID_ARRAYS[case])
@@ -372,7 +372,9 @@ def test_id_arrays_pass_integer_dtypes_lists_scalars_and_empty_input():
     for empty in ([], np.array([], dtype=np.float64), np.array([], dtype=object)):
         assert boundary.node_ids(empty).size == 0
     assert boundary.ticket_ids(np.int64(3)).tolist() == [3]
-    assert boundary.query_ids(np.ones((2, 3), dtype=np.int16)).shape == (2, 3)
+    assert boundary.query_ids(np.int16(3)).tolist() == [3]
+    with pytest.raises(ReproError, match="scalars or 1-D; got 2 dimensions"):
+        boundary.query_ids(np.ones((2, 3), dtype=np.int16))
     with pytest.raises(ReproError, match="1-D"):
         boundary.node_ids(np.int64(3))
 

@@ -687,7 +687,7 @@ SERVICE_MODULE_LINES = {
     "registry.py": 399,
     "routing.py": 365,
     "scheduler.py": 493,
-    "service.py": 1356,
+    "service.py": 1347,
     "stats.py": 294,
     "tickets.py": 119,
 }
@@ -806,3 +806,77 @@ def test_every_def_is_annotated_where_mypy_is_strict():
     assert SERVICE in files and SRC / "boundary.py" in files
     assert [f"{file.relative_to(SRC)}:{hit}" for file in files
             for hit in untyped_defs(parsed(file))] == []
+
+
+# ----------------------------------------------------------------------
+# No unused imports (ruff's F401, which cannot run here)
+# ----------------------------------------------------------------------
+def module_statements(body):
+    """A module's statements, into ``if`` / ``try`` / ``with`` blocks but not
+    into a ``def`` or ``class`` body."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "handlers", "orelse", "finalbody"):
+                yield from module_statements(getattr(node, field, []))
+
+
+def string_annotation_names(tree):
+    """Names read inside string annotations (``x: "Optional[T]"``)."""
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    for name in ast.walk(ast.parse(part.value, mode="eval")):
+                        if isinstance(name, ast.Name):
+                            yield name.id
+
+
+def unused_imports(tree):
+    """Names a module imports at module level and never reads, in import order.
+    A name is read when it is loaded anywhere, named in a string annotation or
+    listed in ``__all__``."""
+    statements = list(module_statements(tree.body))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(string_annotation_names(tree))
+    for node in statements:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        value = getattr(node, "value", None)
+        if value is not None and any(isinstance(target, ast.Name)
+                                     and target.id == "__all__" for target in targets):
+            read.update(part.value for part in ast.walk(value)
+                        if isinstance(part, ast.Constant))
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in statements
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    return [name for name in imported if name not in read]
+
+
+def test_the_unused_import_rule_sees_plain_aliased_dotted_and_typing_imports():
+    tree = ast.parse(textwrap.dedent("""\
+        from __future__ import annotations
+        import os
+        import os.path
+        import json as js
+        import numpy as np
+        from typing import TYPE_CHECKING, Dict, List, Optional
+        from .a import listed, hidden as renamed
+        if TYPE_CHECKING:
+            from .b import Hinted, Forgotten
+        __all__ = ["listed"]
+        def f(x: "Optional[Hinted]") -> Dict[str, int]:
+            import sys
+            return np.zeros(1)
+        """))
+    assert unused_imports(tree) == ["os", "os", "js", "List", "renamed", "Forgotten"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every module-level import of a ``src/repro`` module is used; a package
+    ``__init__`` re-exports, so it is exempt."""
+    assert [f"{file.relative_to(SRC)}: {name}"
+            for file, tree in trees_under(SRC) if file.name != "__init__.py"
+            for name in unused_imports(tree)] == []

@@ -276,20 +276,23 @@ class TestTiles:
 
     @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
     def test_input_forms_wider_than_a_tile(self, impl):
-        """N-D, strided, mixed-dtype and list inputs: today's shape and dtype."""
+        """Strided, mixed-dtype and list inputs keep their shape and dtype;
+        an N-D batch is refused, however it is laid out."""
         parents = self.TREES["deep"]
         lca = impl(parents)
         xs, ys = self.batch(66)
         expected = BinaryLiftingLCA(parents).query(xs, ys)
         with tile_lanes(8):
+            refused = {
+                "2-D": (xs.reshape(6, 11), ys.reshape(6, 11)),
+                "3-D": (xs.reshape(2, 3, 11), ys.reshape(2, 3, 11)),
+                "2-D transposed": (xs.reshape(6, 11).T, ys.reshape(6, 11).T),
+                "2-D Fortran": (np.asfortranarray(xs.reshape(6, 11)), ys.reshape(6, 11)),
+            }
+            for x, y in refused.values():
+                with pytest.raises(InvalidQueryError, match="scalars or 1-D"):
+                    lca.query(x, y)
             forms = {
-                "2-D": (xs.reshape(6, 11), ys.reshape(6, 11), expected.reshape(6, 11)),
-                "3-D": (xs.reshape(2, 3, 11), ys.reshape(2, 3, 11),
-                        expected.reshape(2, 3, 11)),
-                "2-D transposed": (xs.reshape(6, 11).T, ys.reshape(6, 11).T,
-                                   expected.reshape(6, 11).T),
-                "2-D Fortran": (np.asfortranarray(xs.reshape(6, 11)), ys.reshape(6, 11),
-                                expected.reshape(6, 11)),
                 "strided": (xs[::2], ys[::2], expected[::2]),
                 "reversed": (xs[::-1], ys[::-1], expected[::-1]),
                 "mixed dtypes": (xs.astype(np.int32), ys.astype(np.uint64), expected),
@@ -319,8 +322,8 @@ class TestTiles:
             assert not table[:, 0].flags.c_contiguous
             assert np.array_equal(lca.query(table[:, 0], table[:, 1]), expected)
             grid = table.reshape(2, 31, 2)
-            assert np.array_equal(lca.query(grid[..., 0].T, grid[..., 1].T),
-                                  expected.reshape(2, 31).T)
+            with pytest.raises(InvalidQueryError, match="scalars or 1-D"):
+                lca.query(grid[..., 0].T, grid[..., 1].T)
             table[-1, 1] = -1
             with pytest.raises(InvalidQueryError, match="out of range"):
                 lca.query(table[:, 0], table[:, 1])
@@ -331,7 +334,9 @@ class TestTiles:
         xs.flags.writeable = ys.flags.writeable = False
         with tile_lanes(8):
             InlabelLCA(self.TREES["shallow"]).query(xs, ys)
-            InlabelLCA(self.TREES["shallow"]).query(xs.reshape(31, 1), ys.reshape(31, 1))
+            with pytest.raises(InvalidQueryError, match="scalars or 1-D"):
+                InlabelLCA(self.TREES["shallow"]).query(xs.reshape(31, 1),
+                                                        ys.reshape(31, 1))
         assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
 
     @pytest.mark.parametrize("impl, name, threads", [

@@ -36,6 +36,7 @@ from repro.service import (
     LCAQueryService,
     ServiceConfig,
 )
+from repro.service import service as service_module
 from repro.service.cache import BYTES_PER_SLOT, MIN_CACHE_BYTES
 from repro.workloads import SCENARIOS, make_scenario, replay
 
@@ -93,6 +94,8 @@ def test_unique_packed_keys_is_np_unique(raw, spread):
     xs = (keys >> np.uint64(32)).astype(np.int64)
     ys = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
     packed = pack_query_pairs(xs, ys)
+    larger = np.maximum(xs, ys).view(np.uint64)  # a validator's column
+    assert np.array_equal(pack_query_pairs(xs, ys, larger), packed)
     ux, uy, scatter = dedup_query_pairs(xs, ys)
     pu, pinv = np.unique(packed, return_inverse=True)
     assert np.array_equal(pack_query_pairs(ux, uy), pu)
@@ -582,6 +585,58 @@ def test_dispatcher_prices_unique_miss_count():
     assert skew.stats().backend_choices == {"cpu1": 1}
     assert skew.stats().kernel_queries == 1
     assert skew.stats().dedup_factor == 4096.0
+
+
+def test_a_full_hit_block_that_reaches_no_deadline_makes_no_serve_call(monkeypatch):
+    """A memoized block is one pack and one probe; its arrivals expire nothing,
+    so it makes no ``_expired_batches`` or ``_serve_run`` call, and its hits
+    are booked from their one latency value.  The control: a block whose
+    arrivals pass a queued miss's wait deadline makes one call of each."""
+    parents = random_attachment_tree(200, seed=5)
+    svc = LCAQueryService(config=ServiceConfig(
+        max_batch_size=64, max_wait_s=1e-3, answer_cache_bytes=1 << 16))
+    svc.register_tree("t", parents)
+    hot_x, hot_y = np.arange(1, 21), np.arange(21, 41)
+    svc.submit_many("t", hot_x, hot_y, at=np.zeros(20))
+    svc.drain()
+    calls = {"_expired_batches": [], "_serve_run": [], "lookup": [], "pack": [],
+             "record_span": []}
+
+    def spy(obj, name, log):
+        method = getattr(obj, name)
+
+        def logged(*args, **kwargs):
+            log.append(args)
+            return method(*args, **kwargs)
+        monkeypatch.setattr(obj, name, logged)
+
+    for name in ("_expired_batches", "_serve_run"):
+        spy(svc, name, calls[name])
+    spy(svc.answer_cache, "lookup", calls["lookup"])
+    spy(svc.stats_collector, "record_span", calls["record_span"])
+    spy(service_module, "pack_query_pairs", calls["pack"])
+    pick = np.random.default_rng(6).integers(0, 20, 300)
+    at = 1e-3 + np.arange(300) * 1e-6
+    tickets = svc.submit_many("t", hot_y[pick], hot_x[pick], at=at)
+    assert {name: len(log) for name, log in calls.items()} == {
+        "_expired_batches": 0, "_serve_run": 0, "lookup": 1, "pack": 1,
+        "record_span": 1}
+    sizes, latency = calls["record_span"][0][0], calls["record_span"][0][4]
+    assert sizes == [300] and np.ndim(latency) == 0
+    assert svc.clock.now == at[-1]
+    assert svc.results(tickets).tolist() == BinaryLiftingLCA(parents).query(
+        hot_x[pick], hot_y[pick]).tolist()
+    assert np.all(svc.latencies(tickets) == latency)
+
+    # The control: a miss waits until 2.5 ms + 1 ms; the next block spans it.
+    queued = svc.submit_many("t", [50], [60], at=[2.5e-3])
+    assert not svc.answered(queued).any()
+    for log in calls.values():
+        log.clear()
+    svc.submit_many("t", hot_x[pick], hot_y[pick],
+                    at=3e-3 + np.arange(300) * 2e-6)
+    assert len(calls["_expired_batches"]) == len(calls["_serve_run"]) == 1
+    assert svc.answered(queued).all()
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,7 @@ from repro.service import (
     ServiceConfig,
     StatsCollector,
 )
+from repro.service import service as service_module
 from repro.workloads import Phase, PoissonArrivals, Scenario, TrafficSource, replay
 
 from .spec_serving import SpecCluster, SpecService, observables
@@ -472,17 +473,17 @@ def count_calls(obj, name):
     return calls
 
 
-def test_a_cached_span_is_one_pack_probe_dedup_launch_and_insert():
+def test_a_cached_span_is_one_pack_probe_dedup_launch_and_insert(monkeypatch):
     # The span contract on the skew-aware path.  A 150-pair pool, so keys
     # repeat within a batch, across the batches of a span and across spans;
-    # an oversized tree (forced here: a real one needs 2**32 nodes) rides
-    # the same runs on the plain path.
-    trees = {"hot": tree(24), "wide": tree(25)}
+    # an oversized tree (forced here, by lowering the packing's limit: a real
+    # one needs 2**32 nodes) rides the same runs on the plain path.
+    trees = {"hot": tree(24), "wide": tree(25, n=N + 1)}
+    monkeypatch.setattr(service_module, "PACK_LIMIT", N)
     pool_x, pool_y = queries(150, 27)
 
     def stream(service):
         rng = np.random.default_rng(26)
-        service._packable["wide"] = False
         t = 0.0
         for _ in range(12):
             pick = rng.integers(0, 150, size=70)

@@ -27,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, ServiceError
@@ -275,6 +275,69 @@ def test_read_back_error_order_is_dtype_then_unknown_then_queued(kind):
             for first, second in ((high, low), (low, high)):
                 with pytest.raises(ServiceError, match=f"ticket {first} is still"):
                     read([first, second])
+
+
+def fancy_read(service, column, tickets, served=True):
+    """The read every ticket sequence took before ascending runs were sliced."""
+    table = service._tickets
+    idx = table.index(tickets)
+    answered = table.answered[idx]
+    if served and not answered.all():
+        raise ServiceError(f"ticket {idx[int(answered.argmin())]} is still queued; "
+                           f"advance time or drain()")
+    return getattr(table, column)[idx]
+
+
+def read_outcome(read, *args):
+    try:
+        return read(*args)
+    except ReproError as exc:
+        return type(exc), str(exc)
+
+
+def ten_served_three_queued():
+    service = LCAQueryService(config=ServiceConfig(max_batch_size=64, max_wait_s=1.0))
+    service.register_tree("t", PARENTS)
+    xs, ys = generate_random_queries(PARENTS.size, 13, seed=33)
+    service.submit_many("t", xs[:10], ys[:10], at=np.arange(10) * 1e-6)
+    service.drain()
+    service.submit_many("t", xs[10:], ys[10:], at=np.ones(3))
+    return service
+
+
+#: Tickets 0-9 answered (each latency its own), 10-12 queued; -2, -1, 13
+#: and up unknown.
+READ_BACK = ten_served_three_queued()
+RUN = st.builds(lambda lo, size: list(range(lo, lo + size)),
+                st.integers(-2, 14), st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tickets=st.one_of(
+    RUN,                                            # ascending, consecutive
+    RUN.map(lambda run: run[::-1]),                 # descending
+    RUN.map(lambda run: run[:1] + run),             # a duplicate
+    st.lists(st.integers(-2, 14), max_size=6).map(sorted),  # gaps, duplicates
+    st.lists(st.integers(-2, 14), max_size=6),
+), as_array=st.booleans())
+@example(tickets=[3, 3, 5], as_array=False)
+def test_property_reads_equal_the_fancy_index_reference(tickets, as_array):
+    """``results``, ``latencies`` and ``answered`` return the bytes, or raise the
+    error, of a fancy-index gather, in fresh arrays that alias no column.
+    Reading ``>=`` for ``>`` in the ascending test, or returning the slice
+    view uncopied, fails here."""
+    if as_array:
+        tickets = np.array(tickets, dtype=np.int64)
+    table = READ_BACK._tickets
+    for read, column in (("results", "answers"), ("latencies", "latencies"),
+                         ("answered", "answered")):
+        got = read_outcome(getattr(READ_BACK, read), tickets)
+        want = read_outcome(fancy_read, READ_BACK, column, tickets, read != "answered")
+        if isinstance(want, tuple):
+            assert got == want, read
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), read
+            assert not np.shares_memory(got, getattr(table, column)), read
 
 
 def test_debt_reads_zero_until_a_retry_writes_it_and_survives_growth():
