@@ -228,23 +228,10 @@ class CalibrationProfile:
         }
         return cls(entries=entries, meta=dict(data.get("meta", {})))
 
-    def to_json(self, *, indent: Optional[int] = 2) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationProfile":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the profile to ``path`` as JSON."""
-        Path(path).write_text(self.to_json() + "\n")
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CalibrationProfile":
-        """Read a profile previously written by :meth:`save`."""
-        return cls.from_json(Path(path).read_text())
+        """Read a profile from a JSON file of :meth:`to_dict` form."""
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def fit_launch_cost(

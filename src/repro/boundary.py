@@ -22,7 +22,6 @@ per field, and the base settles them, derives copies and serializes.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import operator
 from functools import partial
@@ -210,16 +209,17 @@ C = TypeVar("C", bound="ConfigBase")
 
 @dataclasses.dataclass(frozen=True)
 class ConfigBase:
-    """A frozen config: checked fields, derived copies, dict and JSON forms.
+    """A frozen config: checked fields, derived copies, a dict form.
 
     Each subclass names a :data:`Check` per field in ``CHECKS`` (settled
     before any rule of its own in ``__post_init__``) and the fields that
     ``apply_tuning()`` may hot-swap in ``TUNABLE``.  A sequence field's check
     returns a tuple, so the lists of a JSON round-trip come back equal.
 
+    >>> import json
     >>> from repro.service import ServiceConfig
     >>> cfg = ServiceConfig(max_batch_size=64)
-    >>> ServiceConfig.from_json(cfg.to_json()) == cfg
+    >>> ServiceConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
     True
     """
 
@@ -278,17 +278,3 @@ class ConfigBase:
         """
         cls._refuse_unknown(data)
         return cls(**data)
-
-    def to_json(self) -> str:
-        """The config as a JSON string (stable key order)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls: Type[C], text: str) -> C:
-        """Rebuild a config from :meth:`to_json` output."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ServiceError(
-                f"{cls.__name__} JSON must be an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)

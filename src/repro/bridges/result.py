@@ -36,11 +36,6 @@ class BridgeResult:
         return int(np.count_nonzero(self.bridge_mask))
 
     @property
-    def bridge_edge_indices(self) -> np.ndarray:
-        """Indices of the bridge edges in the input edge list."""
-        return np.flatnonzero(self.bridge_mask)
-
-    @property
     def total_time_s(self) -> float:
         """Total modeled time across recorded phases."""
         return float(sum(self.phase_times.values()))

@@ -30,7 +30,7 @@ breaches, and scale-in only when *all* selected signals are calm — so the
 loop never oscillates on a signal hovering at one threshold.
 
 >>> policy = AutoscalePolicy(min_replicas=1, max_replicas=8)
->>> AutoscalePolicy.from_json(policy.to_json()) == policy
+>>> AutoscalePolicy.from_dict(policy.to_dict()) == policy
 True
 """
 

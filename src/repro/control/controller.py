@@ -2,8 +2,7 @@
 
 :class:`Controller` closes the loop the rest of the stack left open: the
 services expose rich signals (:class:`~repro.service.ServiceStats`,
-:class:`~repro.service.ClusterStats`, the
-:mod:`~repro.obs.metrics` registry) and, since the config redesign, a
+:class:`~repro.service.ClusterStats`) and, since the config redesign, a
 hot-swap seam (``apply_tuning()``) — the controller watches the former and
 drives the latter against a declarative :class:`~repro.control.slo.SLO`.
 
@@ -190,9 +189,7 @@ class Controller:
     ) -> Tuple[float, float, Optional[float], int]:
         """(p99_s, shed_rate, throughput_qps or None, answered) this window."""
         workers = target.replicas if isinstance(target, ClusterService) else (target,)
-        hist = Histogram("window_latency_seconds",
-                         "Latencies recorded this control window",
-                         buckets=WINDOW_BUCKETS_S)
+        hist = Histogram(WINDOW_BUCKETS_S)
         answered = 0
         for index, worker in enumerate(workers):
             collector = worker.stats_collector

@@ -11,7 +11,7 @@ manifest next to the :class:`~repro.service.config.ClusterConfig` it was
 enforced against.
 
 >>> slo = SLO(p99_latency_s=2e-4, max_shed_rate=0.01)
->>> SLO.from_json(slo.to_json()) == slo
+>>> SLO.from_dict(slo.to_dict()) == slo
 True
 """
 
@@ -61,8 +61,8 @@ class SLO(ConfigBase):
         ...
     repro.errors.ServiceError: an SLO must declare at least one objective
     >>> SLO(p99_latency_s=1e-4,
-    ...     tenant_weights=(("gold", 5.0), ("bronze", 1.0))).weight_of("gold")
-    5.0
+    ...     tenant_weights=(("gold", 5.0), ("bronze", 1.0))).tenant_weights[0]
+    ('gold', 5.0)
     """
 
     #: Modeled end-to-end p99 latency bound, seconds (``None`` = unbounded).
@@ -94,14 +94,3 @@ class SLO(ConfigBase):
         for name in names:
             if names.count(name) > 1:
                 raise ServiceError(f"duplicate tenant weight for {name!r}")
-
-    def weight_of(self, dataset: str) -> float:
-        """The declared weight for ``dataset`` (1.0 when not listed).
-
-        >>> SLO(tenant_weights=(("a", 3.0),)).weight_of("b")
-        1.0
-        """
-        for name, weight in self.tenant_weights:
-            if name == dataset:
-                return weight
-        return 1.0

@@ -20,30 +20,20 @@ from .specs import (
     XEON_X5650_MULTI,
     XEON_X5650_SINGLE,
     DeviceSpec,
-    get_device,
 )
-from .tracing import (
-    PhaseBreakdown,
-    compare_totals,
-    format_breakdown_table,
-    speedup,
-    summarize_kernels,
-)
+from .tracing import PhaseBreakdown, format_breakdown_table, speedup
 
 __all__ = [
     "DeviceSpec",
     "GTX980",
     "XEON_X5650_SINGLE",
     "XEON_X5650_MULTI",
-    "get_device",
     "ExecutionContext",
     "KernelRecord",
     "NullContext",
     "ensure_context",
     "modeled_kernel_time",
     "PhaseBreakdown",
-    "summarize_kernels",
     "format_breakdown_table",
-    "compare_totals",
     "speedup",
 ]

@@ -41,11 +41,6 @@ class KernelRecord:
     random_access: bool
     time_s: float
 
-    @property
-    def bytes_total(self) -> float:
-        """Total bytes moved through memory by this kernel."""
-        return self.bytes_read + self.bytes_written
-
 
 def modeled_kernel_time(
     spec: DeviceSpec,
@@ -279,26 +274,6 @@ class ExecutionContext:
         self._total_ops = 0.0
         self._total_bytes = 0.0
         self._total_launches = 0
-
-    def merge(self, other: "ExecutionContext") -> None:
-        """Fold another context's totals (and trace) into this one.
-
-        Both contexts must model the same device.  Useful when an experiment
-        runs sub-algorithms with private contexts and wants a combined total.
-        """
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise DeviceError("cannot merge contexts for different devices")
-        self._total_time += other._total_time
-        self._total_ops += other._total_ops
-        self._total_bytes += other._total_bytes
-        self._total_launches += other._total_launches
-        for name in other._phase_order:
-            if name not in self._phase_times:
-                self._phase_times[name] = 0.0
-                self._phase_order.append(name)
-            self._phase_times[name] += other._phase_times[name]
-        if self.trace:
-            self.records.extend(other.records)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (

@@ -19,7 +19,7 @@ charge relates to what the host actually computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ class DeviceSpec:
         """Time for one simple operation on a single lane (the serial rate)."""
         return 1.0 / (self.clock_hz * self.ops_per_cycle)
 
-    def with_cores(self, cores: int) -> "DeviceSpec":
-        """Return a copy of this spec with a different core count."""
-        return replace(self, cores=cores)
-
 
 # ----------------------------------------------------------------------
 # Presets modeled after the paper's experimental platform (Section 1.2)
@@ -163,28 +159,3 @@ XEON_X5650_MULTI = DeviceSpec(
     random_access_penalty=2.0,
     dependent_latency_s=5e-8,
 )
-
-
-_PRESETS = {
-    "gpu": GTX980,
-    "gtx980": GTX980,
-    "cpu1": XEON_X5650_SINGLE,
-    "cpu-single": XEON_X5650_SINGLE,
-    "cpu": XEON_X5650_MULTI,
-    "cpu-multi": XEON_X5650_MULTI,
-}
-
-
-def get_device(name: str) -> DeviceSpec:
-    """Look up a device preset by name.
-
-    Accepted names: ``"gpu"``/``"gtx980"``, ``"cpu-single"``/``"cpu1"``,
-    ``"cpu-multi"``/``"cpu"``.
-    """
-    key = name.strip().lower()
-    try:
-        return _PRESETS[key]
-    except KeyError:
-        raise ValueError(
-            f"Unknown device preset {name!r}; choose from {sorted(set(_PRESETS))}"
-        ) from None

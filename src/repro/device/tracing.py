@@ -1,16 +1,14 @@
 """Reporting helpers built on top of :class:`~repro.device.context.ExecutionContext`.
 
-These utilities turn kernel traces and phase breakdowns into the tabular
-summaries the experiment harness prints — most importantly the stacked
+These utilities turn phase breakdowns into the tabular summaries the
+experiment harness prints — most importantly the stacked
 per-phase breakdown of Figure 11 in the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from .context import ExecutionContext, KernelRecord
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -28,27 +26,6 @@ class PhaseBreakdown:
     def as_dict(self) -> Dict[str, float]:
         """Phase name → time mapping (insertion ordered)."""
         return dict(self.phases)
-
-    @classmethod
-    def from_context(cls, label: str, ctx: ExecutionContext) -> "PhaseBreakdown":
-        """Capture the current phase breakdown of ``ctx`` under ``label``."""
-        return cls(label=label, phases=tuple(ctx.breakdown().items()))
-
-
-def summarize_kernels(records: Iterable[KernelRecord]) -> Dict[str, Dict[str, float]]:
-    """Aggregate a kernel trace by kernel name.
-
-    Returns a mapping ``kernel name -> {"launches", "ops", "bytes", "time_s"}``
-    useful for spotting which primitive dominates an algorithm.
-
-    Thin wrapper over the shared implementation in
-    :func:`repro.obs.export.summarize_kernel_records` (imported lazily to
-    keep the device layer import-independent of :mod:`repro.obs`), kept for
-    the established Fig-11 API.
-    """
-    from ..obs.export import summarize_kernel_records
-
-    return summarize_kernel_records(records)
 
 
 def format_breakdown_table(
@@ -91,11 +68,6 @@ def format_breakdown_table(
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def compare_totals(breakdowns: Sequence[PhaseBreakdown]) -> Dict[str, float]:
-    """Return ``label -> total modeled time`` for a collection of breakdowns."""
-    return {bd.label: bd.total for bd in breakdowns}
 
 
 def speedup(baseline: float, candidate: float) -> float:

@@ -67,11 +67,6 @@ class DCEL:
         """Number of directed half-edges, ``2(n-1)``."""
         return int(self.src.size)
 
-    @property
-    def undirected_edge_ids(self) -> np.ndarray:
-        """Undirected edge id of each half-edge (``halfedge_id // 2``)."""
-        return np.arange(self.num_halfedges, dtype=np.int64) // 2
-
 
 def build_dcel(tree_edges: EdgeList, *, ctx: Optional[ExecutionContext] = None) -> DCEL:
     """Construct the DCEL of an (unrooted) tree given as an undirected edge list.

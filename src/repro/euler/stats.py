@@ -60,16 +60,6 @@ class TreeStats:
         """Number of nodes."""
         return int(self.parent.size)
 
-    def preorder_interval(self) -> tuple:
-        """0-based, inclusive subtree intervals ``(start, end)`` in preorder space.
-
-        ``start[v] = preorder[v] - 1`` and ``end[v] = start[v] + size[v] - 1``;
-        useful for range queries over arrays indexed by ``preorder - 1``.
-        """
-        start = self.preorder - 1
-        end = start + self.subtree_size - 1
-        return start, end
-
 
 def compute_tree_stats(tour: EulerTour,
                        *, ctx: Optional[ExecutionContext] = None) -> TreeStats:

@@ -8,7 +8,6 @@ from .datasets import (
     REALWORLD_DATASETS,
     DatasetSpec,
     get_dataset_spec,
-    list_datasets,
     load_dataset,
 )
 from .report import format_rows, format_series, pivot_rows
@@ -36,7 +35,6 @@ __all__ = [
     "KRONECKER_DATASETS",
     "REALWORLD_DATASETS",
     "BREAKDOWN_DATASETS",
-    "list_datasets",
     "get_dataset_spec",
     "load_dataset",
     "LCA_ALGORITHMS",

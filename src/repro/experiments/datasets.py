@@ -196,13 +196,6 @@ REALWORLD_DATASETS: List[str] = [name for name, s in DATASETS.items()
 BREAKDOWN_DATASETS: List[str] = KRONECKER_DATASETS[3:] + REALWORLD_DATASETS
 
 
-def list_datasets(category: Optional[str] = None) -> List[str]:
-    """Names of registered datasets, optionally filtered by category."""
-    if category is None:
-        return list(DATASETS)
-    return [name for name, spec in DATASETS.items() if spec.category == category]
-
-
 def get_dataset_spec(name: str) -> DatasetSpec:
     """Look up a dataset spec by name."""
     try:

@@ -1,6 +1,6 @@
 """Graph substrate: representations, generators, traversal and characterization."""
 
-from .bfs import BFSResult, bfs, bfs_cpu, bfs_gpu
+from .bfs import BFSResult, bfs_cpu, bfs_gpu
 from .components import (
     SpanningForest,
     connected_components,
@@ -14,27 +14,21 @@ from .edgelist import EdgeList
 from .properties import GraphStats, characterize, degree_statistics, is_tree, pseudo_diameter
 from .trees import (
     NO_PARENT,
-    average_depth,
     brute_force_lca,
     depths_from_parents,
-    edgelist_to_parents,
     generate_random_queries,
     parents_to_edgelist,
     random_relabel_tree,
     relabel_tree,
-    subtree_sizes_from_parents,
-    tree_height,
     tree_root,
     validate_parents,
 )
 from . import generators
-from . import io
 
 __all__ = [
     "EdgeList",
     "CSRGraph",
     "BFSResult",
-    "bfs",
     "bfs_gpu",
     "bfs_cpu",
     "SpanningForest",
@@ -52,15 +46,10 @@ __all__ = [
     "validate_parents",
     "tree_root",
     "parents_to_edgelist",
-    "edgelist_to_parents",
     "depths_from_parents",
-    "subtree_sizes_from_parents",
-    "average_depth",
-    "tree_height",
     "relabel_tree",
     "random_relabel_tree",
     "brute_force_lca",
     "generate_random_queries",
     "generators",
-    "io",
 ]

@@ -177,14 +177,3 @@ def bfs_cpu(graph: CSRGraph, source: int,
         np.asarray(pe_list, dtype=np.int64),
         max_level + 1,
     )
-
-
-def bfs(graph: CSRGraph, source: int, *, device: str = "gpu",
-        ctx: Optional[ExecutionContext] = None) -> BFSResult:
-    """Dispatch helper: ``device`` is ``"gpu"`` or ``"cpu"``."""
-    key = device.strip().lower()
-    if key == "gpu":
-        return bfs_gpu(graph, source, ctx=ctx)
-    if key == "cpu":
-        return bfs_cpu(graph, source, ctx=ctx)
-    raise ValueError(f"unknown BFS device {device!r}")

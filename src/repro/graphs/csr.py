@@ -104,22 +104,6 @@ class CSRGraph:
         """Degree of every node."""
         return np.diff(self.indptr)
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Neighbour array of a single node (a view into ``indices``)."""
-        if not (0 <= node < self.n):
-            raise InvalidGraphError(f"node {node} out of range")
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
-    def neighbor_edge_ids(self, node: int) -> np.ndarray:
-        """Undirected edge ids incident to a single node."""
-        if not (0 <= node < self.n):
-            raise InvalidGraphError(f"node {node} out of range")
-        return self.edge_ids[self.indptr[node]:self.indptr[node + 1]]
-
-    def halfedge_sources(self) -> np.ndarray:
-        """Source node of every directed adjacency slot (length ``2m``)."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-
     def expand_frontier(self, frontier: np.ndarray,
                         *, ctx: Optional[ExecutionContext] = None
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,17 +143,3 @@ class CSRGraph:
             random_access=True,
         )
         return sources, targets, eids
-
-    def to_edgelist(self) -> EdgeList:
-        """Reconstruct the undirected edge list (one entry per undirected edge)."""
-        src = self.halfedge_sources()
-        dst = self.indices
-        keep = src <= dst
-        # Parallel edges between the same pair appear once per undirected id.
-        eids = self.edge_ids[keep]
-        order = np.argsort(eids, kind="stable")
-        uniq, first = np.unique(eids[order], return_index=True)
-        del uniq
-        u = src[keep][order][first]
-        v = dst[keep][order][first]
-        return EdgeList(u, v, self.n)

@@ -102,10 +102,6 @@ class EdgeList:
     # ------------------------------------------------------------------
     # Normalization
     # ------------------------------------------------------------------
-    def has_self_loops(self) -> bool:
-        """True when any edge joins a node to itself."""
-        return bool(np.any(self.u == self.v))
-
     def without_self_loops(self) -> "EdgeList":
         """Copy of the edge list with self-loops removed."""
         keep = self.u != self.v

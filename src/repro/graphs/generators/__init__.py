@@ -4,10 +4,8 @@ from .kronecker import GRAPH500_PROBS, kron_g500, rmat_graph
 from .random_trees import (
     INFINITE_GRASP,
     barabasi_albert_tree,
-    expected_average_depth,
     grasp_for_target_depth,
     grasp_tree,
-    make_tree,
     random_attachment_tree,
 )
 from .road import (
@@ -29,8 +27,6 @@ __all__ = [
     "random_attachment_tree",
     "grasp_tree",
     "barabasi_albert_tree",
-    "make_tree",
-    "expected_average_depth",
     "grasp_for_target_depth",
     "INFINITE_GRASP",
     "rmat_graph",

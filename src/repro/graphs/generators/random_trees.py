@@ -20,7 +20,6 @@ so identifiers do not leak structural information.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -108,19 +107,6 @@ def barabasi_albert_tree(n: int, *, seed: int = 0, relabel: bool = True) -> np.n
     return _finalize(parents, relabel, seed)
 
 
-def expected_average_depth(n: int, grasp: float) -> float:
-    """Expected average node depth for a grasp-γ tree (paper §3.2 formula).
-
-    ``ln n`` when ``grasp`` is infinite, else ``n / (γ + 1)`` up to an
-    additive constant.
-    """
-    if n <= 0:
-        raise ConfigurationError("tree size must be positive")
-    if grasp == INFINITE_GRASP:
-        return math.log(max(n, 2))
-    return n / (float(grasp) + 1.0)
-
-
 def grasp_for_target_depth(n: int, target_average_depth: float) -> float:
     """Grasp value whose expected average depth is ``target_average_depth``.
 
@@ -133,22 +119,3 @@ def grasp_for_target_depth(n: int, target_average_depth: float) -> float:
         return INFINITE_GRASP
     gamma = n / target_average_depth - 1.0
     return max(1.0, round(gamma))
-
-
-def make_tree(kind: str, n: int, *, grasp: Optional[float] = None, seed: int = 0,
-              relabel: bool = True) -> np.ndarray:
-    """Dispatch helper: build a tree of the named family.
-
-    ``kind`` is one of ``"shallow"``, ``"deep"``/``"grasp"`` (requires
-    ``grasp``), or ``"scale-free"``/``"ba"``.
-    """
-    key = kind.strip().lower()
-    if key == "shallow":
-        return random_attachment_tree(n, seed=seed, relabel=relabel)
-    if key in ("deep", "grasp"):
-        if grasp is None:
-            raise ConfigurationError("grasp trees require the grasp parameter")
-        return grasp_tree(n, grasp, seed=seed, relabel=relabel)
-    if key in ("scale-free", "scalefree", "ba", "barabasi-albert"):
-        return barabasi_albert_tree(n, seed=seed, relabel=relabel)
-    raise ConfigurationError(f"unknown tree kind {kind!r}")

@@ -67,45 +67,6 @@ def parents_to_edgelist(parents: np.ndarray) -> EdgeList:
     return EdgeList(children, parents[children], parents.size)
 
 
-def edgelist_to_parents(edges: EdgeList, root: int = 0) -> np.ndarray:
-    """Orient an undirected tree edge list away from ``root``.
-
-    Sequential BFS reference implementation used in tests and generators; the
-    parallel pipeline does the same job with the Euler tour.
-    """
-    n = edges.num_nodes
-    if not (0 <= root < n):
-        raise InvalidGraphError("root out of range")
-    if edges.num_edges != n - 1:
-        raise NotATreeError(f"a tree on {n} nodes needs {n - 1} edges, got {edges.num_edges}")
-    adj_head = np.full(n, -1, dtype=np.int64)
-    adj_next = np.full(2 * edges.num_edges, -1, dtype=np.int64)
-    adj_to = np.empty(2 * edges.num_edges, dtype=np.int64)
-    for slot, (a, b) in enumerate(zip(edges.u.tolist(), edges.v.tolist())):
-        for k, (x, y) in enumerate(((a, b), (b, a))):
-            s = 2 * slot + k
-            adj_to[s] = y
-            adj_next[s] = adj_head[x]
-            adj_head[x] = s
-    parents = np.full(n, NO_PARENT, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[root] = True
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        s = adj_head[x]
-        while s != -1:
-            y = int(adj_to[s])
-            if not visited[y]:
-                visited[y] = True
-                parents[y] = x
-                stack.append(y)
-            s = adj_next[s]
-    if not visited.all():
-        raise NotATreeError("edge list is not connected; cannot orient as a tree")
-    return parents
-
-
 def depths_from_parents(parents: np.ndarray) -> np.ndarray:
     """Depth (distance from the root) of every node; sequential reference.
 
@@ -131,31 +92,6 @@ def depths_from_parents(parents: np.ndarray) -> np.ndarray:
         for offset, p in enumerate(reversed(path), start=1):
             depth_list[p] = base + offset
     return np.asarray(depth_list, dtype=np.int64)
-
-
-def subtree_sizes_from_parents(parents: np.ndarray) -> np.ndarray:
-    """Subtree size of every node; sequential reference (test oracle)."""
-    parents = parent_ids(parents)
-    n = parents.size
-    validate_parents(parents)
-    order = np.argsort(depths_from_parents(parents), kind="stable")
-    size = np.ones(n, dtype=np.int64)
-    parents_list = parents.tolist()
-    for node in order[::-1].tolist():
-        p = parents_list[node]
-        if p != NO_PARENT:
-            size[p] += size[node]
-    return size
-
-
-def average_depth(parents: np.ndarray) -> float:
-    """Average node depth of the tree (the paper's tree-difficulty metric)."""
-    return float(depths_from_parents(parents).mean())
-
-
-def tree_height(parents: np.ndarray) -> int:
-    """Maximum node depth of the tree."""
-    return int(depths_from_parents(parents).max())
 
 
 def relabel_tree(parents: np.ndarray, permutation: np.ndarray,

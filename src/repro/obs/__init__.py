@@ -1,16 +1,15 @@
 """repro.obs — observability for the serving stack.
 
-Zero-cost-when-disabled tracing, metrics and reporting:
+Zero-cost-when-disabled tracing and reporting:
 
 * :mod:`repro.obs.events` — columnar :class:`TraceRecorder` capturing the
   full query lifecycle (arrival → enqueue → flush → dispatch → kernel →
   complete) plus cache and index-registry events, with 1-in-N sampling;
-* :mod:`repro.obs.metrics` — a labeled metric registry (counters, gauges,
-  histograms) with immutable snapshots and an adapter re-expressing
-  :class:`~repro.service.stats.ServiceStats` as metric families;
+* :mod:`repro.obs.metrics` — the fixed-bucket histogram and quantile
+  estimator the controller windows latencies with;
 * :mod:`repro.obs.timers` — host wall-clock stage accounting;
-* :mod:`repro.obs.export` — JSONL, Prometheus text and Perfetto-loadable
-  Chrome trace-event exporters;
+* :mod:`repro.obs.export` — JSONL and Perfetto-loadable Chrome trace-event
+  exporters;
 * :mod:`repro.obs.report` — latency decomposition, tail attribution and
   the ``python -m repro.obs.report`` CLI (imported lazily: it depends on
   the service layer, which this package deliberately does not).
@@ -27,23 +26,8 @@ from .events import (
     TraceTable,
     kind_name,
 )
-from .export import (
-    chrome_trace_events,
-    kernel_records_to_chrome,
-    prometheus_text,
-    summarize_kernel_records,
-    write_chrome_trace,
-    write_events_jsonl,
-)
-from .metrics import (
-    LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    MetricsSnapshot,
-    service_stats_metrics,
-)
+from .export import chrome_trace_events, write_chrome_trace, write_events_jsonl
+from .metrics import Histogram
 from .timers import StageTimer
 
 __all__ = [
@@ -53,17 +37,8 @@ __all__ = [
     "TraceTable",
     "kind_name",
     "chrome_trace_events",
-    "kernel_records_to_chrome",
-    "prometheus_text",
-    "summarize_kernel_records",
     "write_chrome_trace",
     "write_events_jsonl",
-    "LATENCY_BUCKETS_S",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricRegistry",
-    "MetricsSnapshot",
-    "service_stats_metrics",
     "StageTimer",
 ]

@@ -217,13 +217,6 @@ class TraceTable:
     def __len__(self) -> int:
         return self.n_events
 
-    def label_code(self, label: str) -> int:
-        """The ``aux`` code for ``label`` (``-1`` when never recorded)."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            return -1
-
     def label_of(self, code: int) -> str:
         """The label behind an ``aux`` code (empty string for ``-1``)."""
         return self.labels[code] if 0 <= code < len(self.labels) else ""
@@ -252,10 +245,6 @@ class TraceTable:
         """
         mask = np.isin(self.kind, np.asarray(kinds, dtype=self.kind.dtype))
         return self.select(mask)
-
-    def for_replica(self, replica: int) -> "TraceTable":
-        """Rows emitted by one replica."""
-        return self.select(self.replica == int(replica))
 
     def canonical(self) -> "TraceTable":
         """The table sorted by a full lexicographic row key (time first).
@@ -289,52 +278,6 @@ class TraceTable:
             and np.array_equal(self.replica, other.replica)
             and np.array_equal(self.detail, other.detail)
             and np.array_equal(self.aux, other.aux)
-        )
-
-    @staticmethod
-    def merge(tables: Sequence["TraceTable"]) -> "TraceTable":
-        """Merge several tables onto one time axis.
-
-        Label tables are unioned in first-appearance order and every
-        ``aux`` code remapped; rows are ordered by time with ties broken by
-        input order (a stable merge).  Recorders on the same simulated
-        clock therefore merge with no skew correction.
-
-        >>> a, b = TraceRecorder(), TraceRecorder()
-        >>> a.record(EV_FLUSH, 0.2, batch=0, aux=a.intern("size"))
-        >>> b.record(EV_FLUSH, 0.1, batch=0, aux=b.intern("wait"))
-        >>> merged = TraceTable.merge([a.table(), b.table()])
-        >>> [merged.label_of(int(c)) for c in merged.aux]
-        ['wait', 'size']
-        """
-        if not tables:
-            return TraceRecorder().table()
-        labels: List[str] = []
-        codes: Dict[str, int] = {}
-        remapped_aux: List[np.ndarray] = []
-        for table in tables:
-            mapping = np.empty(len(table.labels) + 1, dtype=np.int32)
-            mapping[-1] = -1
-            for i, label in enumerate(table.labels):
-                code = codes.get(label)
-                if code is None:
-                    code = len(labels)
-                    codes[label] = code
-                    labels.append(label)
-                mapping[i] = code
-            remapped_aux.append(mapping[table.aux])
-        time_s = np.concatenate([t.time_s for t in tables])
-        sequence = np.arange(time_s.size)
-        order = np.lexsort((sequence, time_s))
-        return TraceTable(
-            time_s=time_s[order],
-            kind=np.concatenate([t.kind for t in tables])[order],
-            ticket=np.concatenate([t.ticket for t in tables])[order],
-            batch=np.concatenate([t.batch for t in tables])[order],
-            replica=np.concatenate([t.replica for t in tables])[order],
-            detail=np.concatenate([t.detail for t in tables])[order],
-            aux=np.concatenate(remapped_aux)[order],
-            labels=tuple(labels),
         )
 
 

@@ -1,31 +1,21 @@
-"""Exporters: JSONL event dumps, Prometheus text, Chrome trace-event JSON.
+"""Exporters: JSONL event dumps and Chrome trace-event JSON.
 
-Three output formats, one source of truth:
+Two output formats, one source of truth:
 
 * :func:`write_events_jsonl` — the raw :class:`~repro.obs.events.TraceTable`
   as one JSON object per line, for ad-hoc analysis with any tool that
   reads JSONL.
-* :func:`prometheus_text` — a :class:`~repro.obs.metrics.MetricsSnapshot`
-  in the Prometheus text exposition format, so the simulated stack can be
-  scraped (or just diffed) like a real deployment.
 * :func:`chrome_trace_events` — batch/kernel/replica spans as Chrome
   trace-event JSON on the shared simulated time axis.  Load the written
   file in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
   replicas render as processes, backend lanes as threads, each batch as a
   queue span followed by a kernel span.
-
-The same viewer also ingests offline algorithm traces:
-:func:`kernel_records_to_chrome` converts a
-:class:`~repro.device.context.KernelRecord` sequence (the Fig-11 per-phase
-world) into the identical span format, and
-:func:`summarize_kernel_records` hosts the per-kernel aggregation that
-:func:`repro.device.tracing.summarize_kernels` is a thin wrapper over.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, List
 
 from .events import (
     EV_CACHE_RESET,
@@ -42,16 +32,12 @@ from .events import (
     TraceTable,
     kind_name,
 )
-from .metrics import HistogramValue, MetricsSnapshot
 
 __all__ = [
     "event_rows",
     "write_events_jsonl",
-    "prometheus_text",
     "chrome_trace_events",
-    "kernel_records_to_chrome",
     "write_chrome_trace",
-    "summarize_kernel_records",
 ]
 
 #: Chrome trace timestamps are microseconds.
@@ -83,60 +69,6 @@ def write_events_jsonl(path: str, table: TraceTable) -> int:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     return len(rows)
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-def _label_str(pairs: Iterable[Any], extra: str = "") -> str:
-    parts = [f'{name}="{value}"' for name, value in pairs]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def prometheus_text(snapshot: MetricsSnapshot) -> str:
-    """Render a metrics snapshot in the Prometheus text exposition format.
-
-    Histograms follow the cumulative-``le`` convention with ``+Inf``,
-    ``_sum`` and ``_count`` series.
-
-    >>> from repro.obs.metrics import MetricRegistry
-    >>> reg = MetricRegistry()
-    >>> reg.counter("up", "Liveness").inc()
-    >>> print(prometheus_text(reg.snapshot()))
-    # HELP up Liveness
-    # TYPE up counter
-    up 1
-    <BLANKLINE>
-    """
-    lines: List[str] = []
-    for metric in snapshot.metrics:
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-        lines.append(f"# TYPE {metric.name} {metric.type}")
-        for pairs, value in metric.series:
-            if isinstance(value, HistogramValue):
-                cumulative = 0
-                for bound, count in zip(metric.buckets, value.bucket_counts):
-                    cumulative += count
-                    labels = _label_str(pairs, f'le="{_fmt(bound)}"')
-                    lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-                labels = _label_str(pairs, 'le="+Inf"')
-                lines.append(f"{metric.name}_bucket{labels} {value.count}")
-                lines.append(
-                    f"{metric.name}_sum{_label_str(pairs)} {_fmt(value.sum)}"
-                )
-                lines.append(f"{metric.name}_count{_label_str(pairs)} {value.count}")
-            else:
-                lines.append(f"{metric.name}{_label_str(pairs)} {_fmt(value)}")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -256,53 +188,6 @@ def chrome_trace_events(table: TraceTable) -> List[Dict[str, Any]]:
     return meta + events
 
 
-def kernel_records_to_chrome(
-    records: Sequence[Any], *, pid: int = 0, start_s: float = 0.0
-) -> List[Dict[str, Any]]:
-    """Convert a :class:`KernelRecord` trace into Chrome trace spans.
-
-    The records of an :class:`~repro.device.context.ExecutionContext` run
-    serially on the modeled device, so span starts are the running sum of
-    the recorded kernel times (offset by ``start_s``).  Phases become
-    threads, kernels become spans — the offline Fig-11 world in the same
-    viewer as the serving traces.
-    """
-    events: List[Dict[str, Any]] = []
-    phases: List[str] = []
-    cursor = float(start_s)
-    for rec in records:
-        phase = rec.phase or "(no phase)"
-        if phase not in phases:
-            phases.append(phase)
-        events.append(
-            {
-                "name": rec.name,
-                "ph": "X",
-                "pid": pid,
-                "tid": phase,
-                "ts": cursor * _US,
-                "dur": float(rec.time_s) * _US,
-                "cat": "kernel",
-                "args": {
-                    "launches": int(rec.launches),
-                    "threads": int(rec.threads),
-                    "ops": float(rec.ops),
-                    "bytes": float(rec.bytes_total),
-                },
-            }
-        )
-        cursor += float(rec.time_s)
-    meta: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {"name": "modeled device"},
-        }
-    ]
-    return meta + events
-
-
 def write_chrome_trace(path: str, events: List[Dict[str, Any]]) -> int:
     """Write trace events as a Perfetto-loadable JSON object; returns count."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -310,24 +195,3 @@ def write_chrome_trace(path: str, events: List[Dict[str, Any]]) -> int:
             {"traceEvents": events, "displayTimeUnit": "ms"}, fh, indent=None
         )
     return len(events)
-
-
-def summarize_kernel_records(
-    records: Iterable[Any],
-) -> Dict[str, Dict[str, float]]:
-    """Aggregate a kernel trace by kernel name.
-
-    Returns ``kernel name -> {"launches", "ops", "bytes", "time_s"}`` —
-    the shared implementation behind
-    :func:`repro.device.tracing.summarize_kernels`.
-    """
-    out: Dict[str, Dict[str, float]] = {}
-    for rec in records:
-        agg = out.setdefault(
-            rec.name, {"launches": 0.0, "ops": 0.0, "bytes": 0.0, "time_s": 0.0}
-        )
-        agg["launches"] += rec.launches
-        agg["ops"] += rec.ops
-        agg["bytes"] += rec.bytes_total
-        agg["time_s"] += rec.time_s
-    return out

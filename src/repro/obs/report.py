@@ -74,11 +74,6 @@ class BatchSpan:
     predicted_s: float
 
     @property
-    def queue_s(self) -> float:
-        """Time the flushed batch waited for its backend lane."""
-        return self.start_s - self.flush_s
-
-    @property
     def service_s(self) -> float:
         """Time the batch occupied its lane."""
         return self.end_s - self.start_s

@@ -1,14 +1,13 @@
 """Data-parallel building blocks (the moderngpu/Wei–JaJa substitute layer).
 
 Everything an Euler-tour algorithm needs — scans, segmented reductions,
-key sorting, stream compaction, gather/scatter, list ranking, and range
+key sorting, list ranking, and range
 min/max structures — implemented as instrumented NumPy kernels.  See
 docs/architecture.md ("The layers"; "Preprocessing on the host" for how each
 kernel is charged).
 """
 
-from .compact import compact, compact_many, nonzero_indices
-from .gather import elementwise, gather, scatter
+from .elementwise import elementwise
 from .listrank import (
     list_rank,
     order_from_ranks,
@@ -17,12 +16,7 @@ from .listrank import (
     wyllie_rank,
 )
 from .reduce import count_by_key, reduce_array, segreduce_by_key
-from .rmq import (
-    SegmentTreeRMQ,
-    SparseTableRMQ,
-    build_rmq,
-    range_minmax_over_subtrees,
-)
+from .rmq import SegmentTreeRMQ, SparseTableRMQ, build_rmq
 from .scan import (
     add_scan_offsets,
     charge_scan,
@@ -48,13 +42,7 @@ __all__ = [
     "argsort_values",
     "sort_pairs",
     "sort_key_value",
-    # compact
-    "compact",
-    "compact_many",
-    "nonzero_indices",
-    # gather / scatter
-    "gather",
-    "scatter",
+    # fused map
     "elementwise",
     # list ranking
     "list_rank",
@@ -66,5 +54,4 @@ __all__ = [
     "SegmentTreeRMQ",
     "SparseTableRMQ",
     "build_rmq",
-    "range_minmax_over_subtrees",
 ]

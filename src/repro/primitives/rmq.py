@@ -282,21 +282,3 @@ def build_rmq(values: np.ndarray, op: str = "min", *, backend: str = "segment-tr
     ``backend`` is ``"segment-tree"`` (the paper's choice) or ``"sparse-table"``.
     """
     return rmq_backend_class(backend)(values, op, ctx=ctx)
-
-
-def range_minmax_over_subtrees(
-    values: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    *,
-    backend: str = "segment-tree",
-    ctx: Optional[ExecutionContext] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Convenience helper: min and max of ``values`` over intervals ``[starts, ends]``.
-
-    Used by Tarjan–Vishkin to turn per-node extremes into per-subtree
-    ``low``/``high`` values in one shot.
-    """
-    rmq_min = build_rmq(values, "min", backend=backend, ctx=ctx)
-    rmq_max = build_rmq(values, "max", backend=backend, ctx=ctx)
-    return rmq_min.query(starts, ends, ctx=ctx), rmq_max.query(starts, ends, ctx=ctx)

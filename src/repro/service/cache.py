@@ -55,7 +55,7 @@ full-hit batches on a dedicated ``"cache"`` backend lane.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -65,7 +65,6 @@ from ..lca import QueryKernelCost
 
 __all__ = [
     "AnswerCache",
-    "CacheCounters",
     "ANSWER_CACHE_PROBE_COST",
     "BYTES_PER_SLOT",
     "MIN_CACHE_BYTES",
@@ -115,15 +114,6 @@ def answer_cache_probe_time(size: int) -> float:
         )
         _probe_time_memo[size] = cached
     return cached
-
-
-class CacheCounters(NamedTuple):
-    """One consistent snapshot of an :class:`AnswerCache`'s counters."""
-
-    hits: int
-    misses: int
-    insertions: int
-    resets: int
 
 
 def _check_keys(keys: np.ndarray) -> None:
@@ -211,7 +201,6 @@ class AnswerCache:
         self._max_probe = 0
         self._hits = 0
         self._misses = 0
-        self._insertions = 0
         self._resets = 0
 
     # ------------------------------------------------------------------
@@ -253,11 +242,6 @@ class AnswerCache:
         return self._misses
 
     @property
-    def insertions(self) -> int:
-        """Keys inserted so far (across all epochs)."""
-        return self._insertions
-
-    @property
     def resets(self) -> int:
         """Epoch resets triggered by the load-factor bound."""
         return self._resets
@@ -267,17 +251,6 @@ class AnswerCache:
         """Hits over lookups (0.0 before the first lookup)."""
         total = self._hits + self._misses
         return self._hits / total if total else 0.0
-
-    @property
-    def counters(self) -> "CacheCounters":
-        """All four lifetime counters as one immutable record.
-
-        Observability readers (the service's cache-event emission, the
-        metrics adapters) snapshot this before and after an operation and
-        act on the deltas, instead of reading four properties racily.
-        """
-        return CacheCounters(self._hits, self._misses,
-                             self._insertions, self._resets)
 
     # ------------------------------------------------------------------
     # Internals
@@ -454,7 +427,6 @@ class AnswerCache:
             words = words[lost]
             slot = slot[lost]
         self._used += m
-        self._insertions += m
         if rounds > self._max_probe:
             self._max_probe = rounds
 

@@ -11,8 +11,8 @@ The configs are frozen :class:`~repro.boundary.ConfigBase` dataclasses that
   config fails where it is written, not where it is used);
 * derive cheaply — :meth:`ServiceConfig.derive` is ``dataclasses.replace``
   with validation, the idiom for "this run, but with a bigger batch";
-* round-trip through plain dicts and JSON
-  (:meth:`ServiceConfig.to_dict` / :meth:`ServiceConfig.from_json`), so a
+* round-trip through plain, JSON-safe dicts
+  (:meth:`ServiceConfig.to_dict` / :meth:`ServiceConfig.from_dict`), so a
   benchmark manifest can pin the exact configuration it measured;
 * name the *safe-to-retune* subset (:attr:`ServiceConfig.TUNABLE`): the
   knobs ``apply_tuning()`` may hot-swap at a flush boundary while a replay
@@ -30,7 +30,7 @@ Router policies are stored as string keys (the
 >>> cfg = ServiceConfig(max_batch_size=256, max_wait_s=2e-4)
 >>> cfg.derive(max_batch_size=512).max_batch_size
 512
->>> ServiceConfig.from_json(cfg.to_json()) == cfg
+>>> ServiceConfig.from_dict(cfg.to_dict()) == cfg
 True
 """
 

@@ -125,8 +125,8 @@ class FaultInjector:
     2.0
     >>> len(inj.advance(2.0))
     1
-    >>> inj.pending, inj.applied
-    (0, 1)
+    >>> inj.pending
+    0
     """
 
     events: Iterable[FaultEvent] = ()
@@ -139,19 +139,9 @@ class FaultInjector:
         self.events = self._schedule
 
     @property
-    def schedule(self) -> Tuple[FaultEvent, ...]:
-        """The full schedule, time-sorted, including already-applied events."""
-        return self._schedule
-
-    @property
     def pending(self) -> int:
         """How many events have not been popped yet."""
         return len(self._schedule) - self._cursor
-
-    @property
-    def applied(self) -> int:
-        """How many events have been popped by :meth:`advance`."""
-        return self._cursor
 
     @property
     def next_time_s(self) -> Optional[float]:

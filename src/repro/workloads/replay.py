@@ -401,8 +401,8 @@ def replay(
     >>> report.queries_admitted == report.queries_offered > 0
     True
     """
-    if admission_window_s <= 0:
-        raise ValueError("admission_window_s must be positive")
+    admission_window_s = workload_number(
+        admission_window_s, "admission_window_s", positive=True)
     if observer is not None:
         target.attach_observer(observer)
     else:

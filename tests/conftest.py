@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, ExecutionContext
-from repro.graphs import EdgeList, parents_to_edgelist
+from repro.graphs import EdgeList, depths_from_parents, parents_to_edgelist
 from repro.graphs.generators import (
     barabasi_albert_tree,
     grasp_tree,
@@ -83,6 +83,15 @@ def make_tree(kind: str, n: int, seed: int) -> np.ndarray:
 
 
 TREE_KINDS = ("shallow", "deep", "path", "scale-free", "star")
+
+
+def subtree_sizes(parents: np.ndarray) -> np.ndarray:
+    """Subtree size of every node, folded deepest first (sequential oracle)."""
+    size = np.ones(parents.size, dtype=np.int64)
+    for node in np.argsort(-depths_from_parents(parents), kind="stable").tolist():
+        if parents[node] >= 0:
+            size[parents[node]] += size[node]
+    return size
 
 
 # ----------------------------------------------------------------------

@@ -249,20 +249,18 @@ class TestCalibrationProfile:
             meta={"n_nodes": 4096, "seed": 0},
         )
         path = tmp_path / "profile.json"
-        prof.save(path)
+        path.write_text(json.dumps(prof.to_dict()))
         loaded = CalibrationProfile.load(path)
         assert loaded == prof
 
     def test_from_dict_rejects_bad_version(self):
-        payload = json.loads(_profile({}).to_json())
+        payload = _profile({}).to_dict()
         payload["version"] = 999
         with pytest.raises(ServiceError, match="version"):
             CalibrationProfile.from_dict(payload)
 
     def test_from_dict_rejects_unknown_keys(self):
-        payload = json.loads(
-            _profile({"numpy": _entry("numpy", 1e-5, 1e-7)}).to_json()
-        )
+        payload = _profile({"numpy": _entry("numpy", 1e-5, 1e-7)}).to_dict()
         payload["backends"]["numpy"]["surprise"] = 1
         with pytest.raises(ServiceError):
             CalibrationProfile.from_dict(payload)
@@ -416,7 +414,7 @@ class TestProfileDrivenDispatch:
     def test_dispatcher_for_rejects_path_and_profile(self, tmp_path):
         profile = _profile({"numpy": _entry("numpy", 1e-5, 1e-7)})
         path = tmp_path / "p.json"
-        profile.save(path)
+        path.write_text(json.dumps(profile.to_dict()))
         with pytest.raises(ServiceError):
             dispatcher_for(["numpy"], str(path), profile=profile)
 
@@ -430,7 +428,7 @@ class TestServiceIntegration:
             }
         )
         path = tmp_path / "profile.json"
-        profile.save(path)
+        path.write_text(json.dumps(profile.to_dict()))
         return str(path), profile
 
     def test_config_builds_calibrated_service(self, tmp_path):
@@ -484,7 +482,7 @@ class TestServiceIntegration:
         config = ServiceConfig(
             backends=("smallbatch", "numpy"), calibration_path=path
         )
-        restored = ServiceConfig.from_json(config.to_json())
+        restored = ServiceConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored.backends == ("smallbatch", "numpy")
         assert restored.calibration_path == path
 

@@ -6,6 +6,7 @@ The sweeps call public entry points only: the service and cluster front doors,
 configuration objects.  The schema they share is :mod:`repro.boundary`.
 """
 
+import json
 import math
 
 import numpy as np
@@ -35,7 +36,16 @@ from repro.service import (
     ServiceConfig,
     SimulatedClock,
 )
-from repro.workloads import DeterministicArrivals, PoissonArrivals, RetryPolicy
+from repro.experiments import scenario_suite
+from repro.workloads import (
+    DeterministicArrivals,
+    PoissonArrivals,
+    RetryPolicy,
+    make_chaos_scenario,
+    make_scenario,
+    replay,
+    replay_chaos,
+)
 
 PARENTS = np.array([-1, 0, 0, 1, 1, 2])
 
@@ -324,6 +334,22 @@ def test_schedules_refuse_with_their_own_error_type(make, field):
     assert type(getattr(make(2), field)) is float  # stored normalised
 
 
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, True, "1", 0, -1],
+                         ids=repr)
+@pytest.mark.parametrize("run", [
+    lambda w: replay(service(), make_scenario("steady", scale=0.1),
+                     admission_window_s=w),
+    lambda w: replay_chaos(make_chaos_scenario("chaos-replica-kill", scale=0.1),
+                           admission_window_s=w),
+    lambda w: scenario_suite(["steady"], scale=0.1, admission_window_s=w),
+], ids=["replay", "replay_chaos", "scenario_suite"])
+def test_every_replay_refuses_an_admission_window_that_is_no_duration(run, window):
+    """A NaN window escaped as a builtins ``ValueError``, ``True`` ran as a
+    1-second window and ``inf`` as one that never closes."""
+    with pytest.raises(ConfigurationError, match="admission_window_s"):
+        run(window)
+
+
 @pytest.mark.parametrize("make", [service, cluster], ids=["service", "cluster"])
 @pytest.mark.parametrize("at", [True, "1"], ids=repr)
 def test_both_front_doors_refuse_a_bool_or_str_arrival(make, at):
@@ -356,7 +382,7 @@ def test_configs_store_their_fields_normalised():
     assert type(config.n_replicas) is int and config.n_replicas == 2
     assert type(config.max_wait_s) is float and config.max_wait_s == 0.0
     assert config.hedge_delay_s == 1.0 and config.backends == ("numpy",)
-    assert ClusterConfig.from_json(config.to_json()) == config
+    assert ClusterConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
     assert ServiceConfig(capacity_bytes=None).capacity_bytes is None
     retry = RetryPolicy(max_attempts=np.int64(2), seed=np.int64(0), max_backoff_s=1)
     assert type(retry.max_attempts) is int and type(retry.seed) is int

@@ -75,7 +75,7 @@ class TestMetadata:
     def test_result_fields(self):
         result = find_bridges_dfs(path_graph(5))
         assert result.algorithm == "Single-core CPU DFS"
-        assert result.bridge_edge_indices.tolist() == [0, 1, 2, 3]
+        assert result.bridge_mask.tolist() == [True] * 4
         assert result.total_time_s >= 0
 
     def test_cost_charged(self, cpu_ctx):

@@ -99,3 +99,13 @@ def test_check_script_reports_a_missing_tool_as_skipped():
     script = SCRIPT.read_text()
     assert "SKIPPED (not installed)" in script
     assert SCRIPT.stat().st_mode & 0o111, "scripts/check.sh must be executable"
+
+
+def test_every_test_path_a_ci_command_names_exists():
+    """The NumPy-1.22 leg runs test files by path and only in CI: deleting
+    one of them must fail here, not there."""
+    named = [path for _, _, commands in workflow_steps(WORKFLOW.read_text())
+             for command in commands
+             for path in re.findall(r"(?<![\w/])tests/[\w/]+\.py\b", command)]
+    assert len(named) >= 16
+    assert [path for path in named if not (ROOT / path).is_file()] == []

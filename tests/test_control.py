@@ -5,6 +5,8 @@ flush* and *what they cost*, never *what they answer*.  Every test that
 retunes mid-stream checks answers against the binary-lifting oracle.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,11 +59,6 @@ class TestSLO:
         with pytest.raises(ServiceError, match="duplicate"):
             SLO(tenant_weights=(("a", 1.0), ("a", 2.0)))
 
-    def test_weight_of_defaults_to_one(self):
-        slo = SLO(tenant_weights=(("gold", 5.0), ("bronze", 1.0)))
-        assert slo.weight_of("gold") == 5.0
-        assert slo.weight_of("unknown") == 1.0
-
     def test_round_trip(self):
         slo = SLO(
             p99_latency_s=2e-4,
@@ -70,7 +67,7 @@ class TestSLO:
             tenant_weights=(("a", 2.0), ("b", 1.0)),
         )
         assert SLO.from_dict(slo.to_dict()) == slo
-        assert SLO.from_json(slo.to_json()) == slo
+        assert SLO.from_dict(json.loads(json.dumps(slo.to_dict()))) == slo
 
     def test_from_dict_normalizes_lists(self):
         slo = SLO.from_dict({"tenant_weights": [["a", 2], ["b", 1]]})
@@ -145,8 +142,7 @@ class TestAutoscalePolicy:
             step_out=2,
             step_in=1,
         )
-        assert AutoscalePolicy.from_dict(policy.to_dict()) == policy
-        assert AutoscalePolicy.from_json(policy.to_json()) == policy
+        assert AutoscalePolicy.from_dict(json.loads(json.dumps(policy.to_dict()))) == policy
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ServiceError, match="unknown"):
@@ -198,7 +194,7 @@ class TestAutoscalePolicy:
             step_out=steps[0],
             step_in=steps[1],
         )
-        assert AutoscalePolicy.from_json(policy.to_json()) == policy
+        assert AutoscalePolicy.from_dict(json.loads(json.dumps(policy.to_dict()))) == policy
 
 
 # ----------------------------------------------------------------------

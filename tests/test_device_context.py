@@ -135,26 +135,6 @@ class TestExecutionContext:
         assert gpu_ctx.breakdown() == {}
         assert gpu_ctx.records == []
 
-    def test_merge_combines_totals_and_phases(self):
-        a = ExecutionContext(GTX980)
-        b = ExecutionContext(GTX980)
-        with a.phase("p"):
-            a.kernel("x", threads=10)
-        with b.phase("p"):
-            b.kernel("y", threads=10)
-        with b.phase("q"):
-            b.kernel("z", threads=10)
-        total = a.elapsed + b.elapsed
-        a.merge(b)
-        assert a.elapsed == pytest.approx(total)
-        assert set(a.breakdown()) == {"p", "q"}
-
-    def test_merge_different_devices_rejected(self):
-        a = ExecutionContext(GTX980)
-        b = ExecutionContext(XEON_X5650_SINGLE)
-        with pytest.raises(DeviceError):
-            a.merge(b)
-
     def test_sequential_is_single_threaded_kernel(self, cpu_ctx):
         t = cpu_ctx.sequential("loop", ops=1000, bytes_touched=8000)
         assert t > 0

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, DeviceSpec, get_device
+from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, DeviceSpec
 
 
 class TestPresets:
@@ -36,24 +36,6 @@ class TestPresets:
             GTX980.cores = 1  # type: ignore[misc]
 
 
-class TestGetDevice:
-    @pytest.mark.parametrize("name,expected", [
-        ("gpu", GTX980),
-        ("gtx980", GTX980),
-        ("GPU", GTX980),
-        ("cpu-single", XEON_X5650_SINGLE),
-        ("cpu1", XEON_X5650_SINGLE),
-        ("cpu", XEON_X5650_MULTI),
-        ("cpu-multi", XEON_X5650_MULTI),
-    ])
-    def test_lookup(self, name, expected):
-        assert get_device(name) is expected
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="Unknown device"):
-            get_device("tpu")
-
-
 class TestValidation:
     def _base_kwargs(self):
         return dict(name="x", kind="cpu", cores=1, clock_hz=1e9, ops_per_cycle=1.0,
@@ -78,9 +60,3 @@ class TestValidation:
         kwargs[field] = value
         with pytest.raises(ValueError):
             DeviceSpec(**kwargs)
-
-    def test_with_cores_returns_modified_copy(self):
-        doubled = XEON_X5650_MULTI.with_cores(12)
-        assert doubled.cores == 12
-        assert XEON_X5650_MULTI.cores == 6
-        assert doubled.clock_hz == XEON_X5650_MULTI.clock_hz

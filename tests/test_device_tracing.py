@@ -1,4 +1,4 @@
-"""Tests for trace summarization and breakdown reporting."""
+"""Tests for breakdown reporting and mixed-backend kernel traces."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.device import (
     GTX980,
     ExecutionContext,
     PhaseBreakdown,
-    compare_totals,
     format_breakdown_table,
     speedup,
-    summarize_kernels,
 )
 
 
@@ -23,36 +21,10 @@ def _ctx_with_phases():
     return ctx
 
 
-class TestPhaseBreakdown:
-    def test_from_context_captures_phases(self):
-        ctx = _ctx_with_phases()
-        bd = PhaseBreakdown.from_context("run1", ctx)
-        assert bd.label == "run1"
-        assert set(bd.as_dict()) == {"build", "query"}
-        assert bd.total == pytest.approx(ctx.elapsed)
-
-    def test_compare_totals(self):
-        ctx = _ctx_with_phases()
-        bd = PhaseBreakdown.from_context("run1", ctx)
-        assert compare_totals([bd]) == {"run1": pytest.approx(ctx.elapsed)}
-
-
-class TestSummarizeKernels:
-    def test_aggregates_by_name(self):
-        ctx = _ctx_with_phases()
-        summary = summarize_kernels(ctx.records)
-        assert summary["scan"]["launches"] == 2
-        assert summary["scan"]["ops"] == 4000
-        assert summary["lookup"]["launches"] == 1
-
-    def test_empty_trace(self):
-        assert summarize_kernels([]) == {}
-
-
 class TestFormatBreakdownTable:
     def test_contains_all_phases_and_runs(self):
         ctx = _ctx_with_phases()
-        bd = PhaseBreakdown.from_context("algorithm-a", ctx)
+        bd = PhaseBreakdown("algorithm-a", tuple(ctx.breakdown().items()))
         text = format_breakdown_table([bd])
         assert "algorithm-a" in text
         assert "build" in text
@@ -117,38 +89,8 @@ class TestHeterogeneousBackendTrace:
         assert numpy_q < small_pre < small_q
         assert all(rec.time_s > 0.0 for rec in ctx.records)
 
-    def test_summary_aggregates_across_backends(self):
-        ctx = self._mixed_trace_ctx()
-        summary = summarize_kernels(ctx.records)
-        assert summary["inlabel_query_batch"]["launches"] == 1
-        assert summary["smallbatch_inlabel_query_batch"]["launches"] == 1
-        assert summary["smallbatch_inlabel_preprocess"]["launches"] == 1
-
     def test_phase_breakdown_spans_both_backends(self):
         ctx = self._mixed_trace_ctx()
-        bd = PhaseBreakdown.from_context("mixed", ctx)
-        assert set(bd.as_dict()) == {"preprocessing", "queries"}
-        assert bd.total == pytest.approx(ctx.elapsed)
-
-    def test_chrome_export_is_clean(self, tmp_path):
-        import json
-
-        from repro.obs.export import kernel_records_to_chrome, write_chrome_trace
-
-        ctx = self._mixed_trace_ctx()
-        events = kernel_records_to_chrome(ctx.records)
-        spans = [ev for ev in events if ev.get("ph") == "X"]
-        assert len(spans) == len(ctx.records)
-        assert {ev["tid"] for ev in spans} == {"preprocessing", "queries"}
-        # Spans tile the modeled timeline back-to-back, in record order.
-        cursor = 0.0
-        for ev in spans:
-            assert ev["ts"] == pytest.approx(cursor)
-            cursor += ev["dur"]
-        path = tmp_path / "mixed_trace.json"
-        n = write_chrome_trace(str(path), events)
-        payload = json.loads(path.read_text())
-        assert len(payload["traceEvents"]) == n
-        assert {"smallbatch_inlabel_query_batch", "inlabel_query_batch"} <= {
-            ev["name"] for ev in payload["traceEvents"]
-        }
+        breakdown = ctx.breakdown()
+        assert set(breakdown) == {"preprocessing", "queries"}
+        assert sum(breakdown.values()) == pytest.approx(ctx.elapsed)

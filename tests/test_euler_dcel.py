@@ -67,10 +67,6 @@ class TestStructure:
             neighbors = dcel.dst[dcel.src == node]
             assert dcel.dst[e] == neighbors.min()
 
-    def test_undirected_edge_ids(self):
-        dcel = build_dcel(figure1_edges())
-        assert dcel.undirected_edge_ids.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-
     def test_single_node_tree(self):
         dcel = build_dcel(EdgeList.from_pairs([], n=1))
         assert dcel.num_halfedges == 0
@@ -101,8 +97,6 @@ class TestCost:
     def test_sort_dominates_charged_cost(self, gpu_ctx):
         parents = random_attachment_tree(2000, seed=2)
         build_dcel(parents_to_edgelist(parents), ctx=gpu_ctx)
-        from repro.device import summarize_kernels
-
-        summary = summarize_kernels(gpu_ctx.records)
-        sort_time = summary["radix_sort_pairs"]["time_s"]
+        sort_time = sum(rec.time_s for rec in gpu_ctx.records
+                        if rec.name == "radix_sort_pairs")
         assert sort_time > 0.3 * gpu_ctx.elapsed

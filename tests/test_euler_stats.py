@@ -10,14 +10,11 @@ from repro.euler import (
     compute_tree_stats,
     tree_statistics_from_parents,
 )
-from repro.graphs import (
-    depths_from_parents,
-    subtree_sizes_from_parents,
-)
+from repro.graphs import CSRGraph, bfs_cpu, depths_from_parents
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import relabel_tree, tree_root
 
-from .conftest import TREE_KINDS, make_tree
+from .conftest import TREE_KINDS, make_tree, subtree_sizes
 
 
 class TestAgainstSequentialOracles:
@@ -28,7 +25,7 @@ class TestAgainstSequentialOracles:
         stats = tree_statistics_from_parents(parents)
         assert np.array_equal(stats.parent, parents)
         assert np.array_equal(stats.depth, depths_from_parents(parents))
-        assert np.array_equal(stats.subtree_size, subtree_sizes_from_parents(parents))
+        assert np.array_equal(stats.subtree_size, subtree_sizes(parents))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 100])
     def test_preorder_is_valid(self, n):
@@ -45,19 +42,14 @@ class TestAgainstSequentialOracles:
     def test_preorder_subtree_intervals_nest(self):
         parents = make_tree("shallow", 200, seed=5)
         stats = tree_statistics_from_parents(parents)
-        start, end = stats.preorder_interval()
+        start = stats.preorder - 1
+        end = start + stats.subtree_size - 1
         for v in range(200):
             p = parents[v]
             if p < 0:
                 continue
             # child interval contained in parent interval
             assert start[p] <= start[v] <= end[v] <= end[p]
-
-    def test_subtree_interval_size_matches(self):
-        parents = make_tree("scale-free", 150, seed=6)
-        stats = tree_statistics_from_parents(parents)
-        start, end = stats.preorder_interval()
-        assert np.array_equal(end - start + 1, stats.subtree_size)
 
 
 def sequential_preorder(parents):
@@ -116,7 +108,7 @@ class TestAgainstSequentialReferences:
         assert stats.root == tree_root(parents)
         assert np.array_equal(stats.parent, parents)
         assert np.array_equal(stats.depth, depths_from_parents(parents))
-        assert np.array_equal(stats.subtree_size, subtree_sizes_from_parents(parents))
+        assert np.array_equal(stats.subtree_size, subtree_sizes(parents))
         assert np.array_equal(stats.preorder, sequential_preorder(parents))
         for table in (stats.parent, stats.depth, stats.preorder, stats.subtree_size):
             assert table.dtype == np.int64 and table.base is None
@@ -137,7 +129,7 @@ class TestFigure1:
 
 class TestRootVariants:
     def test_stats_respect_chosen_root(self):
-        from repro.graphs import parents_to_edgelist, edgelist_to_parents
+        from repro.graphs import parents_to_edgelist
         from repro.euler import build_euler_tour
 
         base = make_tree("shallow", 80, seed=9)
@@ -145,7 +137,7 @@ class TestRootVariants:
         root = 42
         tour = build_euler_tour(edges, root)
         stats = compute_tree_stats(tour)
-        expected_parents = edgelist_to_parents(edges, root)
+        expected_parents = bfs_cpu(CSRGraph.from_edgelist(edges), root).parents
         assert np.array_equal(stats.parent, expected_parents)
         assert np.array_equal(stats.depth, depths_from_parents(expected_parents))
 

@@ -9,7 +9,6 @@ from repro.experiments import (
     KRONECKER_DATASETS,
     REALWORLD_DATASETS,
     get_dataset_spec,
-    list_datasets,
     load_dataset,
 )
 from repro.graphs import is_connected
@@ -22,9 +21,9 @@ class TestRegistry:
     def test_categories(self):
         assert len(KRONECKER_DATASETS) == 6
         assert len(REALWORLD_DATASETS) == 10
-        assert set(list_datasets("kronecker")) == set(KRONECKER_DATASETS)
-        assert set(list_datasets("road")) <= set(REALWORLD_DATASETS)
-        assert set(list_datasets()) == set(DATASETS)
+        kronecker = {name for name, spec in DATASETS.items()
+                     if spec.category == "kronecker"}
+        assert kronecker == set(KRONECKER_DATASETS)
 
     def test_breakdown_subset(self):
         assert set(BREAKDOWN_DATASETS) <= set(DATASETS)

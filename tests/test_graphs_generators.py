@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graphs import (
-    average_depth,
     depths_from_parents,
     is_tree,
     parents_to_edgelist,
@@ -19,12 +18,10 @@ from repro.graphs.generators import (
     citation_graph,
     collaboration_graph,
     cycle_graph,
-    expected_average_depth,
     grasp_for_target_depth,
     grasp_tree,
     grid_graph,
     kron_g500,
-    make_tree,
     path_graph,
     preferential_attachment_graph,
     random_attachment_tree,
@@ -45,7 +42,7 @@ class TestRandomTrees:
     def test_shallow_tree_depth_close_to_log(self):
         n = 20_000
         parents = random_attachment_tree(n, seed=1)
-        depth = average_depth(parents)
+        depth = depths_from_parents(parents).mean()
         assert depth < 3 * math.log(n)
 
     def test_grasp_one_is_a_path(self):
@@ -54,11 +51,11 @@ class TestRandomTrees:
 
     def test_grasp_controls_depth(self):
         n = 20_000
-        shallow = average_depth(grasp_tree(n, INFINITE_GRASP, seed=2))
-        deep = average_depth(grasp_tree(n, 20, seed=2))
+        shallow = depths_from_parents(grasp_tree(n, INFINITE_GRASP, seed=2)).mean()
+        deep = depths_from_parents(grasp_tree(n, 20, seed=2)).mean()
         assert deep > 10 * shallow
-        # The expected depth formula should be in the right ballpark (±3x).
-        assert deep == pytest.approx(expected_average_depth(n, 20), rel=2.0)
+        # The expected depth n / (grasp + 1) should be in the right ballpark (±3x).
+        assert deep == pytest.approx(n / 21, rel=2.0)
 
     def test_grasp_infinite_matches_shallow_distribution(self):
         a = grasp_tree(500, INFINITE_GRASP, seed=3, relabel=False)
@@ -87,15 +84,6 @@ class TestRandomTrees:
         assert np.array_equal(random_attachment_tree(100, seed=9),
                               random_attachment_tree(100, seed=9))
 
-    def test_make_tree_dispatch(self):
-        validate_parents(make_tree("shallow", 50))
-        validate_parents(make_tree("deep", 50, grasp=4))
-        validate_parents(make_tree("scale-free", 50))
-        with pytest.raises(ConfigurationError):
-            make_tree("deep", 50)
-        with pytest.raises(ConfigurationError):
-            make_tree("binary", 50)
-
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             random_attachment_tree(0)
@@ -109,7 +97,7 @@ class TestRandomTrees:
         assert grasp_for_target_depth(n, 1.0) == INFINITE_GRASP
         gamma = grasp_for_target_depth(n, 100.0)
         assert gamma != INFINITE_GRASP
-        assert expected_average_depth(n, gamma) == pytest.approx(100.0, rel=0.2)
+        assert n / (gamma + 1.0) == pytest.approx(100.0, rel=0.2)
 
 
 class TestKronecker:
@@ -120,7 +108,7 @@ class TestKronecker:
 
     def test_no_self_loops_or_duplicates_after_dedup(self):
         g = rmat_graph(7, 16, seed=1)
-        assert not g.has_self_loops()
+        assert not np.any(g.u == g.v)
         assert g.deduplicated().num_edges == g.num_edges
 
     def test_skewed_degree_distribution(self):
@@ -207,7 +195,7 @@ class TestSocialGraphs:
     def test_families_produce_simple_graphs(self, maker):
         g = maker(500, seed=1)
         assert g.num_nodes == 500
-        assert not g.has_self_loops()
+        assert not np.any(g.u == g.v)
         assert g.deduplicated().num_edges == g.num_edges
 
     def test_density_ordering(self):

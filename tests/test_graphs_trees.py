@@ -6,16 +6,12 @@ import pytest
 from repro.errors import InvalidGraphError, NotATreeError
 from repro.graphs import (
     EdgeList,
-    average_depth,
     brute_force_lca,
     depths_from_parents,
-    edgelist_to_parents,
     generate_random_queries,
     parents_to_edgelist,
     random_relabel_tree,
     relabel_tree,
-    subtree_sizes_from_parents,
-    tree_height,
     tree_root,
     validate_parents,
 )
@@ -103,49 +99,14 @@ class TestConversions:
         undirected = {(min(a, b), max(a, b)) for a, b in edges.edges()}
         assert undirected == {(0, 2), (0, 3), (0, 4), (1, 2), (2, 5)}
 
-    def test_edgelist_to_parents_roundtrip(self, figure1_parents):
-        edges = parents_to_edgelist(figure1_parents)
-        back = edgelist_to_parents(edges, root=0)
-        assert np.array_equal(back, figure1_parents)
-
-    def test_edgelist_to_parents_other_root(self, figure1_parents):
-        edges = parents_to_edgelist(figure1_parents)
-        reparented = edgelist_to_parents(edges, root=5)
-        assert reparented[5] == -1
-        assert validate_parents(reparented) == 5
-
-    def test_edgelist_to_parents_wrong_edge_count_rejected(self):
-        edges = EdgeList.from_pairs([(0, 1), (1, 2), (0, 2)], n=3)
-        with pytest.raises(NotATreeError):
-            edgelist_to_parents(edges)
-
-    def test_edgelist_to_parents_disconnected_rejected(self):
-        edges = EdgeList.from_pairs([(0, 1), (0, 1)], n=3)
-        with pytest.raises(NotATreeError):
-            edgelist_to_parents(edges)
-
-    def test_edgelist_to_parents_bad_root_rejected(self):
-        edges = EdgeList.from_pairs([(0, 1)], n=2)
-        with pytest.raises(InvalidGraphError):
-            edgelist_to_parents(edges, root=7)
-
 
 class TestStatistics:
     def test_depths_figure1(self, figure1_parents):
         assert depths_from_parents(figure1_parents).tolist() == [0, 2, 1, 1, 1, 2]
 
-    def test_sizes_figure1(self, figure1_parents):
-        assert subtree_sizes_from_parents(figure1_parents).tolist() == [6, 1, 3, 1, 1, 1]
-
     def test_path_depths(self):
         parents = np.asarray([-1, 0, 1, 2])
         assert depths_from_parents(parents).tolist() == [0, 1, 2, 3]
-        assert tree_height(parents) == 3
-        assert average_depth(parents) == pytest.approx(1.5)
-
-    def test_star_sizes(self):
-        parents = np.asarray([-1, 0, 0, 0])
-        assert subtree_sizes_from_parents(parents).tolist() == [4, 1, 1, 1]
 
 
 class TestRelabeling:

@@ -1,8 +1,7 @@
 """repro.obs units and trace invariants.
 
 Covers the recorder/table layer (journaling, sampling, ownership
-transfer, merge/canonical), the metric registry (counters, gauges,
-histograms, snapshots), the exporters (JSONL, Prometheus text,
+transfer, canonical), the window histogram, the exporters (JSONL,
 Chrome trace JSON) and the :class:`StageTimer` — plus the acceptance
 invariants that tie a live trace back to the serving stack's own
 aggregates:
@@ -22,18 +21,10 @@ from repro.errors import ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
-    MetricRegistry,
     StageTimer,
     TraceRecorder,
-    TraceTable,
     chrome_trace_events,
-    kernel_records_to_chrome,
-    prometheus_text,
-    service_stats_metrics,
-    summarize_kernel_records,
     write_chrome_trace,
     write_events_jsonl,
 )
@@ -114,8 +105,7 @@ def test_scalar_record_lands_in_columns():
     assert int(table.replica[0]) == 2
     assert float(table.detail[0]) == 1.5
     assert table.label_of(int(table.aux[0])) == "tree"
-    assert table.label_code("tree") == code
-    assert table.label_code("never") == -1
+    assert table.labels[code] == "tree"
 
 
 def test_empty_recorder_freezes_to_typed_empty_columns():
@@ -261,11 +251,10 @@ def make_small_table():
     return rec.table()
 
 
-def test_of_kind_and_for_replica_filter_rows():
+def test_of_kind_filters_rows():
     table = make_small_table()
     assert table.of_kind(EV_FLUSH).n_events == 1
     assert table.of_kind(EV_COMPLETE, EV_ARRIVAL).n_events == 2
-    assert table.for_replica(1).kind.tolist() == [EV_COMPLETE]
 
 
 def test_canonical_is_emission_order_free():
@@ -283,118 +272,34 @@ def test_equals_requires_identical_labels():
     assert not a.table().equals(b.table())
 
 
-def test_merge_orders_by_time_and_remaps_labels():
-    a, b = TraceRecorder(), TraceRecorder()
-    a.record(EV_FLUSH, 0.2, batch=0, aux=a.intern("size"))
-    a.record(EV_FLUSH, 0.4, batch=1, aux=a.intern("wait"))
-    b.record(EV_FLUSH, 0.1, batch=0, aux=b.intern("wait"))
-    b.record(EV_FLUSH, 0.2, batch=1, aux=b.intern("drain"))
-    merged = TraceTable.merge([a.table(), b.table()])
-    assert merged.time_s.tolist() == [0.1, 0.2, 0.2, 0.4]
-    # Ties broken by input order: a's 0.2 row sorts before b's.
-    assert [merged.label_of(int(c)) for c in merged.aux] == [
-        "wait", "size", "drain", "wait",
-    ]
-    assert merged.labels == ("size", "wait", "drain")
-
-
-def test_merge_of_nothing_is_empty():
-    assert TraceTable.merge([]).n_events == 0
-
-
 # ----------------------------------------------------------------------
-# Metric registry
+# Window histogram
 # ----------------------------------------------------------------------
-def test_counter_accumulates_per_label_set():
-    c = Counter("hits_total", "Hits")
-    c.inc(2.0, lane="cache")
-    c.inc(3.0, lane="cache")
-    c.inc(1.0, lane="gpu")
-    c.inc()
-    assert c.value(lane="cache") == 5.0
-    assert c.value(lane="gpu") == 1.0
-    assert c.value() == 1.0
-    assert c.value(lane="never") == 0.0
-    with pytest.raises(ServiceError, match="cannot decrease"):
-        c.inc(-1.0)
-
-
-def test_gauge_moves_both_ways():
-    g = Gauge("depth", "Queue depth")
-    g.set(7.0)
-    g.set(3.0)
-    assert g.value() == 3.0
-
-
 def test_histogram_bulk_observation_equals_singles():
-    bulk = Histogram("lat", "Latency", buckets=(1.0, 2.0, 4.0))
-    single = Histogram("lat", "Latency", buckets=(1.0, 2.0, 4.0))
+    bulk = Histogram((1.0, 2.0, 4.0))
+    single = Histogram((1.0, 2.0, 4.0))
+    assert bulk.value().count == 0
     values = np.array([0.5, 1.0, 1.5, 3.0, 9.0, 2.0])
-    bulk.observe_many(values, lane="gpu")
+    bulk.observe_many(values)
     for v in values:
-        single.observe(float(v), lane="gpu")
-    assert bulk.value(lane="gpu") == single.value(lane="gpu")
+        single.observe_many(np.array([v]))
+    assert bulk.value() == single.value()
     # le semantics: 1.0 lands in the first bucket, 9.0 overflows.
-    assert bulk.value(lane="gpu").bucket_counts == (2, 2, 1, 1)
-    assert bulk.value(lane="gpu").count == 6
-    assert bulk.value(lane="gpu").sum == pytest.approx(float(values.sum()))
-    assert bulk.value(lane="cold").count == 0
+    assert bulk.value().bucket_counts == (2, 2, 1, 1)
+    assert bulk.value().count == 6
+    assert bulk.value().sum == pytest.approx(float(values.sum()))
 
 
 def test_histogram_rejects_bad_buckets():
     with pytest.raises(ServiceError, match="ascending"):
-        Histogram("h", "", buckets=(1.0, 1.0))
+        Histogram((1.0, 1.0))
     with pytest.raises(ServiceError, match="bucket"):
-        Histogram("h", "", buckets=())
-
-
-def test_registry_get_or_create_and_type_conflicts():
-    reg = MetricRegistry()
-    reg.counter("a_total", "A").inc()
-    assert reg.counter("a_total").value() == 1.0  # same underlying metric
-    with pytest.raises(ServiceError, match="already registered"):
-        reg.gauge("a_total")
-    reg.gauge("b")
-    reg.histogram("c")
-    assert reg.names == ["a_total", "b", "c"]
-
-
-def test_service_stats_adapter_mirrors_the_snapshot():
-    service, _ = traced_run()
-    stats = service.stats()
-    reg = service_stats_metrics(stats, replica=3)
-    snap = reg.snapshot()
-    assert snap.value(
-        "repro_queries_answered_total", replica="3"
-    ) == stats.queries_answered
-    assert snap.value(
-        "repro_batches_flushed_total", replica="3"
-    ) == stats.batches_flushed
-    assert snap.value(
-        "repro_latency_p99_seconds", replica="3"
-    ) == stats.latency_p99_s
-    with pytest.raises(ServiceError, match="no series"):
-        snap.value("repro_queries_answered_total")  # no replica label
+        Histogram(())
 
 
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def test_prometheus_text_renders_cumulative_buckets():
-    reg = MetricRegistry()
-    h = reg.histogram("lat_seconds", "Latency", buckets=(1.0, 2.0))
-    h.observe_many(np.array([0.5, 1.5, 9.0]), lane="gpu")
-    reg.counter("up", "Liveness").inc()
-    text = prometheus_text(reg.snapshot())
-    assert "# TYPE lat_seconds histogram" in text
-    assert 'lat_seconds_bucket{lane="gpu",le="1"} 1' in text
-    assert 'lat_seconds_bucket{lane="gpu",le="2"} 2' in text
-    assert 'lat_seconds_bucket{lane="gpu",le="+Inf"} 3' in text
-    assert 'lat_seconds_sum{lane="gpu"} 11' in text
-    assert 'lat_seconds_count{lane="gpu"} 3' in text
-    assert "\nup 1\n" in text
-
-
 def test_events_jsonl_round_trip(tmp_path):
     _, recorder = traced_run(queries=120)
     table = recorder.table()
@@ -423,24 +328,6 @@ def test_chrome_trace_spans_cover_every_batch(tmp_path):
     assert write_chrome_trace(str(path), events) == len(events)
     payload = json.loads(path.read_text())
     assert payload["traceEvents"] == events
-
-
-def test_kernel_records_convert_and_summarize(gpu_ctx):
-    from repro.device.tracing import summarize_kernels
-    from repro.primitives import exclusive_scan
-
-    exclusive_scan(np.arange(256, dtype=np.int64), ctx=gpu_ctx)
-    records = gpu_ctx.records
-    assert records
-    events = kernel_records_to_chrome(records, pid=2, start_s=1.0)
-    spans = [e for e in events if e["ph"] == "X"]
-    assert len(spans) == len(records)
-    assert spans[0]["ts"] == pytest.approx(1.0 * 1e6)
-    # Spans tile the serial execution: each starts where the last ended.
-    for prev, span in zip(spans, spans[1:]):
-        assert span["ts"] == pytest.approx(prev["ts"] + prev["dur"])
-    # The device-layer summary is the same aggregation, by construction.
-    assert summarize_kernels(records) == summarize_kernel_records(records)
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_batch_spans_join_the_lifecycle(traced_service):
     triggers = set(service.stats().flush_triggers)
     for span in spans:
         assert span.flush_s <= span.start_s <= span.end_s
-        assert span.queue_s >= 0.0 and span.service_s > 0.0
+        assert span.start_s >= span.flush_s and span.service_s > 0.0
         assert span.trigger in triggers
         assert not np.isnan(span.predicted_s)
 

@@ -8,7 +8,6 @@ from repro.primitives import (
     SegmentTreeRMQ,
     SparseTableRMQ,
     build_rmq,
-    range_minmax_over_subtrees,
 )
 
 BACKENDS = [SegmentTreeRMQ, SparseTableRMQ]
@@ -157,16 +156,6 @@ class TestBuildRmq:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             build_rmq(np.asarray([1]), backend="fenwick")
-
-
-class TestSubtreeHelper:
-    def test_range_minmax_over_subtrees(self):
-        values = np.asarray([4, 7, 1, 9, 3])
-        starts = np.asarray([0, 2])
-        ends = np.asarray([4, 3])
-        lows, highs = range_minmax_over_subtrees(values, starts, ends)
-        assert lows.tolist() == [1, 1]
-        assert highs.tolist() == [9, 9]
 
 
 class TestCostAccounting:

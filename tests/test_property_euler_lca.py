@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.euler import tree_statistics_from_parents
-from repro.graphs import depths_from_parents, subtree_sizes_from_parents
+from repro.graphs import depths_from_parents
 from repro.lca import (
     BinaryLiftingLCA,
     InlabelLCA,
@@ -13,6 +13,8 @@ from repro.lca import (
     RMQLCA,
     SequentialInlabelLCA,
 )
+
+from .conftest import subtree_sizes
 
 
 @st.composite
@@ -46,7 +48,7 @@ def test_euler_stats_match_sequential_oracles(parents):
     stats = tree_statistics_from_parents(parents)
     assert np.array_equal(stats.parent, parents)
     assert np.array_equal(stats.depth, depths_from_parents(parents))
-    assert np.array_equal(stats.subtree_size, subtree_sizes_from_parents(parents))
+    assert np.array_equal(stats.subtree_size, subtree_sizes(parents))
     assert sorted(stats.preorder.tolist()) == list(range(1, parents.size + 1))
 
 
@@ -54,7 +56,8 @@ def test_euler_stats_match_sequential_oracles(parents):
 @given(random_parent_arrays())
 def test_preorder_intervals_nest_or_are_disjoint(parents):
     stats = tree_statistics_from_parents(parents)
-    start, end = stats.preorder_interval()
+    start = stats.preorder - 1
+    end = start + stats.subtree_size - 1
     n = parents.size
     for v in range(min(n, 25)):
         for w in range(min(n, 25)):

@@ -141,7 +141,8 @@ def observed(service, observer):
         "answers": service.results(tickets).tolist(),
         "latencies": service.latencies(tickets).tobytes(),
         "cache": ((stats.answer_cache_hits, stats.answer_cache_misses,
-                   stats.answer_cache_resets), cache and cache.counters),
+                   stats.answer_cache_resets), cache and (
+                   cache.hits, cache.misses, cache.resets)),
         "events": events,
         "stats_repr": repr(stats),
         "registry": (registry.hits, registry.misses, registry.evictions,

@@ -179,15 +179,6 @@ def test_replay_respects_preregistered_trees():
     assert service.stats().queries_answered == 200
 
 
-def test_replay_rejects_bad_window():
-    with pytest.raises(ValueError, match="admission_window_s"):
-        replay(
-            LCAQueryService(),
-            make_scenario("steady", scale=0.1),
-            admission_window_s=0.0,
-        )
-
-
 # ----------------------------------------------------------------------
 # The scenario_suite experiment
 # ----------------------------------------------------------------------
