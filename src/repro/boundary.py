@@ -233,8 +233,10 @@ class ConfigBase:
         settle(self, self.CHECKS)
 
     @classmethod
-    def _refuse_unknown(cls, names: Any) -> None:
-        unknown = set(names) - {f.name for f in dataclasses.fields(cls)}
+    def _refuse_unknown(cls, data: Any) -> None:
+        if not isinstance(data, dict):
+            raise ServiceError(f"{cls.__name__} must be an object, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ServiceError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
 

@@ -59,6 +59,21 @@ class TestSLO:
         with pytest.raises(ServiceError, match="duplicate"):
             SLO(tenant_weights=(("a", 1.0), ("a", 2.0)))
 
+    def test_weight_of_defaults_to_one(self):
+        # A tenant the SLO does not weigh keeps the global deadline, as the
+        # lightest declared tenant does.
+        slo = SLO(p99_latency_s=1e-3, tenant_weights=(("gold", 5.0), ("bronze", 1.0)))
+        svc = LCAQueryService(config=ServiceConfig(max_batch_size=64, max_wait_s=5e-4))
+        for seed, name in enumerate(("gold", "bronze", "unknown")):
+            svc.register_tree(name, random_attachment_tree(100, seed=seed))
+            svc.submit(name, 0, 1, at=0.0)
+        Controller(slo, interval_s=0.0).observe(svc, 0.0)
+        waits = {name: svc._scheduler(name).policy.max_wait_s
+                 for name in ("gold", "bronze", "unknown")}
+        assert waits["unknown"] == waits["bronze"] == svc.config.max_wait_s
+        assert waits["gold"] == pytest.approx(waits["bronze"] / 5.0)
+        svc.drain()
+
     def test_round_trip(self):
         slo = SLO(
             p99_latency_s=2e-4,

@@ -21,6 +21,21 @@ def _ctx_with_phases():
     return ctx
 
 
+class TestPhaseBreakdown:
+    def test_from_context_captures_phases(self):
+        ctx = _ctx_with_phases()
+        bd = PhaseBreakdown("run1", tuple(ctx.breakdown().items()))
+        assert bd.label == "run1"
+        assert list(bd.as_dict()) == ["build", "query"]
+        assert bd.total == pytest.approx(ctx.elapsed)
+
+    def test_compare_totals(self):
+        a = PhaseBreakdown("a", (("build", 1.0), ("query", 0.5)))
+        b = PhaseBreakdown("b", (("query", 0.25),))
+        assert {bd.label: bd.total for bd in (a, b)} == {"a": 1.5, "b": 0.25}
+        assert PhaseBreakdown("empty", ()).total == 0
+
+
 class TestFormatBreakdownTable:
     def test_contains_all_phases_and_runs(self):
         ctx = _ctx_with_phases()

@@ -67,6 +67,14 @@ class TestStructure:
             neighbors = dcel.dst[dcel.src == node]
             assert dcel.dst[e] == neighbors.min()
 
+    def test_undirected_edge_ids(self):
+        edges = figure1_edges()
+        dcel = build_dcel(edges)
+        # Half-edges 2i and 2i + 1 are the two directions of input edge i.
+        for e in range(dcel.num_halfedges):
+            i = e // 2
+            assert {int(dcel.src[e]), int(dcel.dst[e])} == {int(edges.u[i]), int(edges.v[i])}
+
     def test_single_node_tree(self):
         dcel = build_dcel(EdgeList.from_pairs([], n=1))
         assert dcel.num_halfedges == 0

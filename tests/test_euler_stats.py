@@ -51,6 +51,21 @@ class TestAgainstSequentialOracles:
             # child interval contained in parent interval
             assert start[p] <= start[v] <= end[v] <= end[p]
 
+    def test_subtree_interval_size_matches(self):
+        parents = make_tree("scale-free", 150, seed=6)
+        stats = tree_statistics_from_parents(parents)
+        start = stats.preorder - 1
+        end = start + stats.subtree_size - 1
+        # The interval of v holds the preorder numbers of exactly v's subtree.
+        by_preorder = np.argsort(start)
+        for v in range(150):
+            inside = by_preorder[start[v]:end[v] + 1].tolist()
+            assert len(inside) == stats.subtree_size[v]
+            for node in inside:
+                while node != v:
+                    node = parents[node]
+                    assert node >= 0
+
 
 def sequential_preorder(parents):
     """1-based preorder of the walk the Euler tour takes, one node at a time.

@@ -41,6 +41,12 @@ class TestConstruction:
 
 
 class TestAccessors:
+    def test_halfedge_sources(self):
+        g = EdgeList.from_pairs([(0, 1), (0, 2)], n=3)
+        csr = CSRGraph.from_edgelist(g)
+        sources, _, _ = csr.expand_frontier(np.arange(csr.num_nodes))
+        assert sources.tolist() == [0, 0, 1, 2]
+
     def test_expand_frontier_single_node(self):
         g = EdgeList.from_pairs([(0, 1), (0, 2), (1, 2)], n=3)
         csr = CSRGraph.from_edgelist(g)
@@ -71,3 +77,13 @@ class TestAccessors:
         srcs, tgts, _ = csr.expand_frontier(np.asarray([2]))
         assert srcs.size == 0 and tgts.size == 0
 
+
+class TestRoundTrip:
+    def test_to_edgelist_preserves_edges(self):
+        g = random_connected_graph(40, 30, seed=3)
+        csr = CSRGraph.from_edgelist(g)
+        sources, targets, eids = csr.expand_frontier(np.arange(csr.num_nodes))
+        # Both directions of edge i sit in the slots labelled i.
+        assert np.bincount(eids, minlength=g.num_edges).tolist() == [2] * g.num_edges
+        for s, t, e in zip(sources.tolist(), targets.tolist(), eids.tolist()):
+            assert {s, t} == {int(g.u[e]), int(g.v[e])}

@@ -32,6 +32,8 @@ from repro.graphs.generators import (
     web_graph,
 )
 
+from .conftest import TREE_KINDS, make_tree
+
 
 class TestRandomTrees:
     @pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
@@ -83,6 +85,12 @@ class TestRandomTrees:
     def test_deterministic_given_seed(self):
         assert np.array_equal(random_attachment_tree(100, seed=9),
                               random_attachment_tree(100, seed=9))
+
+    def test_make_tree_dispatch(self):
+        for kind in TREE_KINDS:
+            validate_parents(make_tree(kind, 50, seed=1))
+        with pytest.raises(ValueError):
+            make_tree("binary", 50, seed=1)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidGraphError, NotATreeError
+from repro.euler import build_euler_tour, compute_tree_stats, tree_statistics_from_parents
 from repro.graphs import (
     EdgeList,
     brute_force_lca,
@@ -99,14 +100,51 @@ class TestConversions:
         undirected = {(min(a, b), max(a, b)) for a, b in edges.edges()}
         assert undirected == {(0, 2), (0, 3), (0, 4), (1, 2), (2, 5)}
 
+    # An edge list is rooted by the Euler pipeline: the tour at ``root``,
+    # then the parent of every node from its stats.
+    def test_edgelist_to_parents_roundtrip(self, figure1_parents):
+        edges = parents_to_edgelist(figure1_parents)
+        back = compute_tree_stats(build_euler_tour(edges, 0)).parent
+        assert np.array_equal(back, figure1_parents)
+
+    def test_edgelist_to_parents_other_root(self, figure1_parents):
+        edges = parents_to_edgelist(figure1_parents)
+        reparented = compute_tree_stats(build_euler_tour(edges, 5)).parent
+        assert reparented[5] == -1
+        assert validate_parents(reparented) == 5
+
+    def test_edgelist_to_parents_wrong_edge_count_rejected(self):
+        edges = EdgeList.from_pairs([(0, 1), (1, 2), (0, 2)], n=3)
+        with pytest.raises(NotATreeError):
+            build_euler_tour(edges, 0)
+
+    def test_edgelist_to_parents_disconnected_rejected(self):
+        edges = EdgeList.from_pairs([(0, 1), (0, 1)], n=3)
+        with pytest.raises(NotATreeError):
+            build_euler_tour(edges, 0)
+
+    def test_edgelist_to_parents_bad_root_rejected(self):
+        edges = EdgeList.from_pairs([(0, 1)], n=2)
+        with pytest.raises(InvalidGraphError):
+            build_euler_tour(edges, 7)
+
 
 class TestStatistics:
     def test_depths_figure1(self, figure1_parents):
         assert depths_from_parents(figure1_parents).tolist() == [0, 2, 1, 1, 1, 2]
 
+    def test_sizes_figure1(self, figure1_parents):
+        sizes = tree_statistics_from_parents(figure1_parents).subtree_size
+        assert sizes.tolist() == [6, 1, 3, 1, 1, 1]
+
     def test_path_depths(self):
         parents = np.asarray([-1, 0, 1, 2])
         assert depths_from_parents(parents).tolist() == [0, 1, 2, 3]
+
+    def test_star_sizes(self):
+        parents = np.asarray([-1, 0, 0, 0])
+        sizes = tree_statistics_from_parents(parents).subtree_size
+        assert sizes.tolist() == [4, 1, 1, 1]
 
 
 class TestRelabeling:

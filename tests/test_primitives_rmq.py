@@ -158,6 +158,17 @@ class TestBuildRmq:
             build_rmq(np.asarray([1]), backend="fenwick")
 
 
+class TestSubtreeHelper:
+    def test_range_minmax_over_subtrees(self):
+        values = np.asarray([4, 7, 1, 9, 3])
+        starts = np.asarray([0, 2])
+        ends = np.asarray([4, 3])
+        lows = build_rmq(values, "min").query(starts, ends)
+        highs = build_rmq(values, "max").query(starts, ends)
+        assert lows.tolist() == [1, 1]
+        assert highs.tolist() == [9, 9]
+
+
 class TestCostAccounting:
     def test_build_batches_small_levels_into_one_launch(self, gpu_ctx):
         # All levels of a 1024-leaf tree are below the small-level threshold,

@@ -15,6 +15,7 @@ The two acceptance-grade properties live here:
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.service_experiments import scenario_suite, serve_query_stream
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
@@ -177,6 +178,15 @@ def test_replay_respects_preregistered_trees():
     assert report.queries_admitted == 200
     # Keys were sampled from the registered 5-node tree, not `nodes=99`.
     assert service.stats().queries_answered == 200
+
+
+def test_replay_rejects_bad_window():
+    with pytest.raises(ConfigurationError, match="admission_window_s"):
+        replay(
+            LCAQueryService(),
+            make_scenario("steady", scale=0.1),
+            admission_window_s=0.0,
+        )
 
 
 # ----------------------------------------------------------------------
