@@ -1162,7 +1162,7 @@ BACKENDS_MAX_WAIT_S = 4e-4
 #: Reference profile: measured once on the development container (see
 #: docs/backends.md) and committed so the dispatch comparison is
 #: bit-deterministic.  ``smallbatch`` is the scalar low-launch-overhead
-#: kernel, ``numpy`` the vectorized one — cheap launches vs cheap queries,
+#: kernel, ``gpu`` the vectorized one — cheap launches vs cheap queries,
 #: the measured version of the paper's CPU/GPU trade-off.
 REFERENCE_PROFILE = CalibrationProfile(
     entries={
@@ -1175,8 +1175,8 @@ REFERENCE_PROFILE = CalibrationProfile(
             samples=11,
             residual=0.0,
         ),
-        "numpy": BackendCalibration(
-            backend="numpy",
+        "gpu": BackendCalibration(
+            backend="gpu",
             launch_overhead_s=7.574e-5,
             per_query_s=8.66e-8,
             min_batch=1,
@@ -1191,8 +1191,8 @@ REFERENCE_PROFILE = CalibrationProfile(
 #: The three cluster configurations under comparison.
 BACKENDS_CONFIGS = (
     ("static-small", ("smallbatch",)),
-    ("static-numpy", ("numpy",)),
-    ("calibrated", ("smallbatch", "numpy")),
+    ("static-gpu", ("gpu",)),
+    ("calibrated", ("smallbatch", "gpu")),
 )
 
 #: Declared objectives.  Bounds are on profile-charged (measured-cost)
@@ -1246,7 +1246,7 @@ def live_calibration() -> dict:
     """Measure this host's kernels; report fitted lines and crossover."""
     start = time.perf_counter()
     profile = calibrate_backends(
-        ("smallbatch", "numpy"),
+        ("smallbatch", "gpu"),
         batch_sizes=CALIBRATION_GRID,
         repeats=3,
         warmup=1,
@@ -1254,7 +1254,7 @@ def live_calibration() -> dict:
         seed=SEED,
     )
     wall_s = time.perf_counter() - start
-    dispatcher = dispatcher_for(("smallbatch", "numpy"), profile=profile)
+    dispatcher = dispatcher_for(("smallbatch", "gpu"), profile=profile)
     return {
         "kind": "host",
         "wall_s": wall_s,
@@ -1279,7 +1279,7 @@ def backends() -> SuiteRun:
     priced every batch.  This suite exercises the measured path end to end:
 
     1. **Live calibration** — :func:`repro.backends.calibrate_backends` times
-       the real ``smallbatch`` and ``numpy`` kernels on this host across a
+       the real ``smallbatch`` and ``gpu`` kernels on this host across a
        batch-size grid and fits launch-overhead + per-query cost lines.  The
        fitted lines (and the crossover they imply) are reported under
        ``live_calibration``, stamped ``"kind": "host"`` and *not* gated —

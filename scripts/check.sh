@@ -49,7 +49,7 @@ leg python "python benchmarks/bench_query_kernel.py --smoke"
 
 # --- docs -------------------------------------------------------------------
 leg python "python scripts/check_markdown_links.py README.md ROADMAP.md docs"
-leg python "python -m pytest --doctest-modules src/repro/service src/repro/workloads src/repro/obs src/repro/control -q"
+leg python "python -m pytest --doctest-modules src/repro/boundary.py src/repro/backends src/repro/service src/repro/workloads src/repro/obs src/repro/control -q"
 
 # --- bench-regression (modeled suites; ~20 s) -------------------------------
 leg python "python benchmarks/modeled.py --check"

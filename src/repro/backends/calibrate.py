@@ -6,9 +6,10 @@ the machine actually running the kernels.  This module closes the loop the
 way the paper does — measure, fit, then dispatch on the fit:
 
 1. :func:`calibrate_backends` runs a **seeded grid** of batch sizes through
-   each registered backend (same tree, same query streams for every backend)
-   under a :class:`~repro.service.clock.WallClock` timer, taking the median
-   of repeated timed ``kernel.query(xs, ys)`` calls per grid point;
+   the artifact each serving backend key builds (same tree, same query
+   streams for every backend) under a :class:`~repro.service.clock.WallClock`
+   timer, taking the median of repeated timed ``kernel.query(xs, ys)`` calls
+   per grid point;
 2. :func:`fit_launch_cost` fits ``time ≈ launch_overhead + per_query · q``
    to those medians by robust least squares (IRLS with Huber weights), so a
    scheduler hiccup at one grid point cannot poison the line;
@@ -48,11 +49,13 @@ from typing import (
 
 import numpy as np
 
+from ..boundary import count
 from ..errors import DeviceError, ServiceError
 from ..graphs.generators.random_trees import random_attachment_tree
 from ..lca import build_inlabel_index
+from ..lca.artifacts import ARTIFACT_BUILDERS
 from ..service.clock import WallClock
-from .base import get_kernel_backend
+from ..service.dispatch import make_backend
 
 __all__ = [
     "BackendCalibration",
@@ -75,7 +78,7 @@ _PROFILE_VERSION = 1
 class BackendCalibration:
     """One backend's fitted cost line and the range it is valid over."""
 
-    #: Backend registry key the fit belongs to.
+    #: Serving backend key the fit belongs to.
     backend: str
     #: Fitted fixed cost per launch, seconds (the intercept; clamped ≥ 0).
     launch_overhead_s: float
@@ -283,27 +286,29 @@ def calibrate_backends(
     seed: int = 0,
     timer: Optional[Callable[[], float]] = None,
 ) -> CalibrationProfile:
-    """Measure and fit every listed backend; returns the profile.
+    """Measure and fit every listed serving backend key; returns the profile.
 
-    The grid is seeded: every backend sees the same tree (one index, built
-    once) and the same query stream per batch size, so the fits are
-    comparable.  Per grid point the median of ``repeats`` timed
-    ``kernel.query(xs, ys)`` calls is taken (after ``warmup`` untimed calls).
-    ``timer`` defaults to a fresh :class:`~repro.service.clock.WallClock`;
-    tests inject a scripted source for determinism.
+    Each key times the artifact it serves from (its :func:`~repro.service.
+    dispatch.make_backend` variant's builder).  The grid is seeded: every
+    backend sees the same tree (one index, built once) and the same query
+    stream per batch size, so the fits are comparable.  Per grid point the
+    median of ``repeats`` timed ``kernel.query(xs, ys)`` calls is taken
+    (after ``warmup`` untimed calls).  ``timer`` defaults to a fresh
+    :class:`~repro.service.clock.WallClock`; tests inject a scripted source.
     """
     if not backend_keys:
         raise ServiceError("calibrate_backends needs at least one backend key")
-    if repeats < 1:
-        raise ServiceError(f"repeats must be positive, got {repeats}")
-    sizes = sorted({int(s) for s in batch_sizes})
+    backends = [make_backend(key) for key in backend_keys]
+    repeats = count(repeats, "repeats")
+    warmup = count(warmup, "warmup", least=0)
+    n_nodes = count(n_nodes, "n_nodes")
+    seed = count(seed, "seed", least=0)
+    sizes = sorted({count(s, "batch_sizes") for s in batch_sizes})
     if len(sizes) < 2:
         raise ServiceError(
             f"need at least two distinct batch sizes to fit a cost line, "
             f"got {sizes}"
         )
-    if sizes[0] < 1:
-        raise ServiceError("batch sizes must be positive")
     if timer is None:
         wall = WallClock()
 
@@ -318,8 +323,8 @@ def calibrate_backends(
     }
     index = build_inlabel_index(parents)
     entries: Dict[str, BackendCalibration] = {}
-    for key in backend_keys:
-        kernel = get_kernel_backend(key).compile(index)
+    for backend in backends:
+        kernel = ARTIFACT_BUILDERS[backend.variant](index)
         grid_times: List[float] = []
         for s in sizes:
             xs, ys = queries[s]
@@ -332,8 +337,8 @@ def calibrate_backends(
                 samples.append(timer() - t0)
             grid_times.append(median(samples))
         overhead, per_query, residual = fit_launch_cost(sizes, grid_times)
-        entries[key] = BackendCalibration(
-            backend=key,
+        entries[backend.key] = BackendCalibration(
+            backend=backend.key,
             launch_overhead_s=overhead,
             per_query_s=per_query,
             min_batch=sizes[0],
@@ -341,11 +346,5 @@ def calibrate_backends(
             samples=len(sizes) * repeats,
             residual=residual,
         )
-    meta = {
-        "n_nodes": int(n_nodes),
-        "seed": int(seed),
-        "repeats": int(repeats),
-        "warmup": int(warmup),
-        "grid": sizes,
-    }
+    meta = dict(n_nodes=n_nodes, seed=seed, repeats=repeats, warmup=warmup, grid=sizes)
     return CalibrationProfile(entries=entries, meta=meta)

@@ -1,75 +1,82 @@
-"""Tuned low-overhead Inlabel kernel for small batches.
+"""The Inlabel artifacts a server builds over one tree's host index, in one table.
 
-The vectorized :func:`repro.lca.inlabel._query_inlabel` kernel is built for
-bulk batches: each call pays ~25 NumPy dispatches and as many temporary array
-allocations before any real work happens.  Amortized over thousands of
-queries that overhead vanishes; on the single-query hot path — a hedged
-retry, a cache-miss straggler, an interactive probe — it *is* the latency
-(~17 microseconds of dispatch for ~30 integer operations of actual LCA
-arithmetic).
+An artifact has ``n`` and ``query(xs, ys, *, ctx=None)``; it *answers*, and
+the dispatcher's estimate is what a served batch costs (``ctx`` books the
+artifact's own modeled charge for offline use).  Every artifact is
+bit-identical to :mod:`repro.lca.reference` on every valid batch.
+:data:`ARTIFACT_BUILDERS` maps each variant to the function that builds it
+over an :class:`~repro.lca.InlabelIndex`, charging the build to ``ctx``; the
+index registry and the calibration harness read it, nothing else resolves a
+variant.  ``"parallel"`` and ``"sequential"`` are the two Inlabel flavours;
+``"smallbatch"`` is the kernel below.
 
-:class:`SmallBatchBackend` compiles a kernel specialized for that regime:
-
-* **compile-time layout**: the Inlabel tables are pinned as plain Python int
-  lists at compile time, so the hot loop does list indexing and native int
-  arithmetic with no numpy scalar boxing;
-* **fused probe passes**: each query runs the whole probe sequence (inlabel
-  compare → common-ascendant level → both climbs → depth tie-break) as one
-  pass of exact integer ops that skips what the query does not need — the
-  vectorized kernel computes every lane in full and discards;
-* **no per-call array allocation**: answers are written into a preallocated
-  scratch buffer.
-
-Batches larger than the scratch fall back to the vectorized kernel, so the
-backend is correct at any size and merely fastest below its tuning point
-(measured crossover ≈ 20 queries on the reference container — ~3 us + ~0.75 us
-per query against a flat ~17 us; the default scratch of 16 stays inside it).
-
-Answers are bit-identical to :func:`~repro.lca.inlabel._query_inlabel` by
-construction: Python ints evaluate the same fixed-width bit expressions
-exactly (every intermediate fits in int64), so where the scalar pass climbs
-it computes the values the vectorized pass keeps, and where it returns early
-the vectorized pass's general formula reduces to the same node.
-
-The returned answer array is a view into the kernel's scratch: it is valid
-until the next launch on the same compiled kernel.  The serving layer copies
-answers into its result tables immediately, so this is safe there; callers
-holding answers across launches must copy.
+The vectorized :func:`repro.lca.inlabel._query_inlabel` pays ~25 NumPy
+dispatches per call — nothing over thousands of queries, but on the
+single-query hot path (a hedged retry, a cache-miss straggler) it *is* the
+latency: ~17 us of dispatch for ~30 integer operations.  The small-batch
+kernel pins the tables as Python int lists at build time (no numpy scalar
+boxing), runs each query's probe sequence (inlabel compare → common-ascendant
+level → both climbs → depth tie-break) as one fused pass that skips what the
+query does not need, and writes answers into a preallocated scratch of
+:data:`DEFAULT_SCRATCH_SIZE` queries.  Larger batches fall back to the
+vectorized kernel (measured crossover ≈ 20 queries: ~3 us + ~0.75 us per
+query against a flat ~17 us).  Python ints evaluate the same fixed-width bit
+expressions exactly, so where the scalar pass climbs it computes the values
+the vectorized pass keeps, and where it returns early the general formula
+reduces to the same node.  The answer array is a view into the scratch,
+valid until the kernel's next launch; the serving layer copies it at once.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from ..boundary import count, query_columns
+from ..boundary import query_columns
 from ..device import ExecutionContext
 from ..errors import InvalidQueryError
-from ..lca.inlabel import (
+from .inlabel import (
     INLABEL_QUERY_COST,
     InlabelIndex,
+    InlabelLCA,
     InlabelStructure,
+    SequentialInlabelLCA,
     _query_inlabel,
     charge_sequential_build,
 )
-from .base import CompiledKernel, KernelBackend
 
-__all__ = ["SmallBatchBackend", "SMALLBATCH_BACKEND_KEY", "DEFAULT_SCRATCH_SIZE"]
-
-SMALLBATCH_BACKEND_KEY = "smallbatch"
+__all__ = ["ARTIFACT_BUILDERS", "CompiledKernel", "DEFAULT_SCRATCH_SIZE",
+           "build_smallbatch"]
 
 #: Batches up to this size run the fused scalar pass; larger ones fall back
 #: to the vectorized kernel.
 DEFAULT_SCRATCH_SIZE = 16
 
 
+class CompiledKernel:
+    """A kernel compiled for one tree, ready to answer query batches."""
+
+    @property
+    def n(self) -> int:
+        """Number of tree nodes the kernel was compiled for."""
+        raise NotImplementedError
+
+    def query(self, xs: np.ndarray, ys: np.ndarray, *,
+              ctx: Optional[ExecutionContext] = None) -> np.ndarray:
+        """Answer one batch of LCA queries as an ``int64`` array.
+
+        ``ctx``, when given, receives the kernel's modeled charge for the
+        batch, exactly like the LCA classes' ``query``.
+        """
+        raise NotImplementedError
+
+
 class _SmallBatchKernel(CompiledKernel):
     """Compile-time-specialized Inlabel kernel for one tree."""
 
-    def __init__(self, structure: InlabelStructure, scratch_size: int) -> None:
+    def __init__(self, structure: InlabelStructure) -> None:
         self.structure = structure
-        self.scratch_size = scratch_size
         # Compile-time specialization: pin the tables as plain Python ints so
         # the fused pass never touches numpy scalar boxing.
         self._inlabel = structure.inlabel.tolist()
@@ -78,25 +85,20 @@ class _SmallBatchKernel(CompiledKernel):
         self._depth = structure.depth.tolist()
         self._parent = structure.parent.tolist()
         # Preallocated answer scratch (the only array the hot path writes).
-        self._out = np.empty(self.scratch_size, np.int64)
+        self._out = np.empty(DEFAULT_SCRATCH_SIZE, np.int64)
 
     @property
     def n(self) -> int:
         """Number of tree nodes the kernel was compiled for."""
         return self.structure.n
 
-    def query(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        *,
-        ctx: Optional[ExecutionContext] = None,
-    ) -> np.ndarray:
+    def query(self, xs: np.ndarray, ys: np.ndarray, *,
+              ctx: Optional[ExecutionContext] = None) -> np.ndarray:
         """Answer one batch; ``ctx`` books the sequential-CPU charge for it."""
         xs, ys = query_columns(xs, ys)
         if xs.size == 0:
             answers = np.empty(0, dtype=np.int64)
-        elif xs.size > self.scratch_size:
+        elif xs.size > DEFAULT_SCRATCH_SIZE:
             # Correct at any size: the vectorized kernel handles the rest.
             answers = _query_inlabel(self.structure, xs, ys)
         else:
@@ -159,23 +161,21 @@ class _SmallBatchKernel(CompiledKernel):
         return out
 
 
-class SmallBatchBackend(KernelBackend):
-    """Preallocated-scratch, fused-pass Inlabel backend for small batches."""
+def build_smallbatch(index: InlabelIndex, *,
+                     ctx: Optional[ExecutionContext] = None) -> CompiledKernel:
+    """Pin ``index``'s tables in hot-loop layout (one set per artifact).
 
-    key = SMALLBATCH_BACKEND_KEY
-    label = "Tuned small-batch Inlabel"
+    The modeled preprocessing charge matches the sequential CPU baseline
+    (:class:`~repro.lca.SequentialInlabelLCA`) — same logical work.
+    """
+    structure = index.structure
+    charge_sequential_build(structure.n, ctx, "smallbatch_inlabel_preprocess")
+    return _SmallBatchKernel(structure)
 
-    def __init__(self, *, scratch_size: int = DEFAULT_SCRATCH_SIZE) -> None:
-        self.scratch_size = count(scratch_size, "scratch_size")
 
-    def compile(
-        self, index: InlabelIndex, *, ctx: Optional[ExecutionContext] = None
-    ) -> CompiledKernel:
-        """Pin ``index``'s tables in hot-loop layout (one set per artifact).
-
-        The modeled preprocessing charge matches the sequential CPU baseline
-        (:class:`~repro.lca.SequentialInlabelLCA`) — same logical work.
-        """
-        structure = index.structure
-        charge_sequential_build(structure.n, ctx, "smallbatch_inlabel_preprocess")
-        return _SmallBatchKernel(structure, self.scratch_size)
+#: Artifact variant → the function that builds it over a tree's host index.
+ARTIFACT_BUILDERS: Dict[str, Callable[..., Any]] = {
+    "parallel": InlabelLCA.from_index,
+    "sequential": SequentialInlabelLCA.from_index,
+    "smallbatch": build_smallbatch,
+}

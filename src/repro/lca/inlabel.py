@@ -494,9 +494,3 @@ class SequentialInlabelLCA:
               *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
         """Answer a batch of LCA queries sequentially (one query at a time)."""
         return _launch_query(self.structure, xs, ys, ctx, sequential=True)
-
-
-#: Each flavour's view by the variant a server keys it with; the ``"numpy"``
-#: / ``"numpy-seq"`` kernel backends compile these.
-INLABEL_FLAVOURS = {"parallel": InlabelLCA.from_index,
-                    "sequential": SequentialInlabelLCA.from_index}

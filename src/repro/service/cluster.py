@@ -39,10 +39,10 @@ latest arrival admitted anywhere).  Because every flush deadline, queueing
 delay and completion is computed from explicit timestamps, a worker whose
 cursor lags simply materializes its (identical) flushes at its next event —
 the modeled batches, latencies and statistics are bit-reproducible functions
-of the submitted trace, exactly as on a single node.  With one replica the
-cluster *is* the single node: every routed call degenerates to the same
-sequence of worker calls, so answers, latencies and per-replica statistics
-are bit-identical to a plain :class:`LCAQueryService` fed the same stream.
+of the submitted trace, exactly as on a single node.  With one replica, a
+``submit_many`` stream (or ``submit`` with the answer cache off) is bit-identical
+to a plain :class:`LCAQueryService`'s; with the cache on, ``submit`` here memoizes
+at the front door and there does not ("Admission contract", docs/architecture.md).
 
 The columnar fast path survives sharding end to end: a block submitted via
 :meth:`ClusterService.submit_many` is validated with one fused bounds check,

@@ -63,14 +63,10 @@ class Backend:
     thread working through the queries (the single-core CPU baseline) versus
     one thread per query (the bulk-parallel GPU kernel).
 
-    ``kernel`` optionally names a *real* kernel backend from the
-    :mod:`repro.backends` registry, whose ``compile`` then builds the serving
-    artifact; empty (the modeled ``cpu1`` / ``gpu`` endpoints) serves from
-    the matching Inlabel flavour (:class:`~repro.lca.SequentialInlabelLCA` /
-    :class:`~repro.lca.InlabelLCA`).  Either way the artifact only answers —
-    :meth:`CostModelDispatcher.estimate` is the price — and
-    ``LCAQueryService._artifact_key`` is the one place a ``Backend`` becomes
-    a registry key.
+    ``kernel`` optionally names the artifact variant the backend serves
+    from (a key of :data:`repro.lca.artifacts.ARTIFACT_BUILDERS`); empty
+    serves the Inlabel flavour ``sequential`` names.  Either way the artifact
+    only answers — :meth:`CostModelDispatcher.estimate` is the price.
     """
 
     key: str
@@ -78,6 +74,11 @@ class Backend:
     spec: DeviceSpec
     sequential: bool
     kernel: str = ""
+
+    @property
+    def variant(self) -> str:
+        """The artifact variant this backend serves (and is calibrated) from."""
+        return self.kernel or ("sequential" if self.sequential else "parallel")
 
 
 #: Single-core CPU serving: no launch overhead to speak of, no parallelism.
@@ -94,20 +95,10 @@ GPU_BATCH_BACKEND = Backend(
 #: The paper's two serving endpoints (Fig. 6's extreme curves).
 DEFAULT_BACKENDS: Tuple[Backend, ...] = (CPU_SEQUENTIAL_BACKEND, GPU_BATCH_BACKEND)
 
-#: Serving descriptors for every dispatchable backend, by key.  The modeled
-#: endpoints keep their historic keys; the real kernel backends carry their
-#: registry key in ``kernel`` so the index registry compiles them.
+#: Serving descriptors for every dispatchable backend, by key: one per kernel.
 _BACKEND_PRESETS: Dict[str, Backend] = {
     "cpu1": CPU_SEQUENTIAL_BACKEND,
     "gpu": GPU_BATCH_BACKEND,
-    "numpy": Backend(
-        key="numpy", label="Vectorized NumPy Inlabel", spec=GTX980,
-        sequential=False, kernel="numpy",
-    ),
-    "numpy-seq": Backend(
-        key="numpy-seq", label="Sequential NumPy Inlabel",
-        spec=XEON_X5650_SINGLE, sequential=True, kernel="numpy-seq",
-    ),
     "smallbatch": Backend(
         key="smallbatch", label="Tuned small-batch Inlabel",
         spec=XEON_X5650_SINGLE, sequential=True, kernel="smallbatch",
@@ -123,9 +114,8 @@ def known_backend_keys() -> Tuple[str, ...]:
 def make_backend(key: str) -> Backend:
     """The serving :class:`Backend` descriptor for ``key``.
 
-    Resolves both the modeled endpoints (``"cpu1"``, ``"gpu"``) and the real
-    kernel backends (``"numpy"``, ``"numpy-seq"``, ``"smallbatch"``); configs
-    name backends through this table.
+    Resolves the paper's two endpoints (``"cpu1"``, ``"gpu"``) and the tuned
+    ``"smallbatch"`` kernel; configs name backends through this table.
     """
     backend = _BACKEND_PRESETS.get(key)
     if backend is None:

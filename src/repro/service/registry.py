@@ -34,7 +34,8 @@ from ..boundary import count, optional, parent_ids
 from ..device import DeviceSpec, ExecutionContext
 from ..errors import ServiceError
 from ..graphs.trees import validate_parents
-from ..lca.inlabel import INLABEL_FLAVOURS, InlabelIndex, build_inlabel_index
+from ..lca.artifacts import ARTIFACT_BUILDERS
+from ..lca.inlabel import InlabelIndex, build_inlabel_index
 
 __all__ = [
     "ArtifactKey",
@@ -86,12 +87,10 @@ def artifact_nbytes(obj: object) -> int:
 class ArtifactKey:
     """Cache key: which derived artifact of which dataset on which device.
 
-    ``variant`` distinguishes flavours of the same kind on the same device —
-    for ``"lca"`` it is ``"sequential"`` or ``"parallel"`` (which execution
-    flavour of the Inlabel algorithm the entry holds), or the key of a real
-    kernel backend from the :mod:`repro.backends` registry (the entry then
-    holds what that backend's ``compile`` returned).  Whatever the variant,
-    an ``"lca"`` artifact is one thing: an object with ``n`` and
+    ``variant`` distinguishes artifacts of the same kind on the same device:
+    for ``"lca"`` it is a key of :data:`~repro.lca.artifacts.ARTIFACT_BUILDERS`
+    (``"sequential"``, ``"parallel"``, ``"smallbatch"``), and the entry holds
+    what that builder returned — an object with ``n`` and
     ``query(xs, ys, *, ctx=None)``.  Index artifacts are per-backend: two
     backends serving the same dataset each cache their own view of its index.
     """
@@ -243,14 +242,11 @@ class IndexRegistry:
             raise ServiceError(
                 f"unknown artifact kind {key.kind!r}; the registry builds 'lca' "
                 f"indexes only")
-        # The flavour variants are what the "numpy" / "numpy-seq" kernels
-        # compile; naming them directly, like the lazy import, keeps a
-        # service without kernel backends from loading that package.
-        view = INLABEL_FLAVOURS.get(key.variant)
+        view = ARTIFACT_BUILDERS.get(key.variant)
         if view is None:
-            from ..backends import get_kernel_backend
-
-            view = get_kernel_backend(key.variant).compile
+            raise ServiceError(
+                f"unknown artifact variant {key.variant!r}; "
+                f"known: {sorted(ARTIFACT_BUILDERS)}")
         index = self.store.index(key.dataset)
         before = ctx.elapsed
         artifact = view(index, ctx=ctx)
@@ -275,8 +271,8 @@ class IndexRegistry:
         ``"parallel"`` variant); when omitted it is
         inferred from the spec (single-core CPU → sequential).  This is the
         entry point for callers holding a device spec.  The serving layer
-        derives its keys — kernel-backend variants included — in exactly one
-        place, ``LCAQueryService._artifact_key``, and comes in through
+        derives its keys from :attr:`Backend.variant <.dispatch.Backend.
+        variant>` in ``LCAQueryService._artifact_key``, and comes in through
         :meth:`fetch_by_key`; warm a service with ``LCAQueryService.warm``,
         not with a loop over this method.
         """

@@ -1332,12 +1332,7 @@ class LCAQueryService:
         """
         cached = self._artifact_keys.get((dataset, backend.key))
         if cached is None:
-            # A backend naming a real kernel gets that kernel's own artifact;
-            # the modeled endpoints serve from the Inlabel flavour variants.
-            variant = backend.kernel or (
-                "sequential" if backend.sequential else "parallel"
-            )
-            cached = ArtifactKey(dataset, "lca", backend.spec.name, variant)
+            cached = ArtifactKey(dataset, "lca", backend.spec.name, backend.variant)
             self._artifact_keys[(dataset, backend.key)] = cached
         return cached
 

@@ -94,7 +94,7 @@ from repro.boundary import query_block
 from repro.device import ExecutionContext
 from repro.errors import InvalidQueryError, Overloaded, ReplicaDown, ServiceError
 from repro.lca import BinaryLiftingLCA, build_inlabel_index
-from repro.lca.inlabel import INLABEL_FLAVOURS
+from repro.lca.artifacts import ARTIFACT_BUILDERS
 from repro.service import CostModelDispatcher
 from repro.service.cache import answer_cache_probe_time
 
@@ -155,7 +155,7 @@ class Trees(dict):
         """The modeled build of ``backend``'s view: the CPU or GPU flavour."""
         if (name, backend.key) not in self.builds:
             ctx = ExecutionContext(backend.spec)
-            view = INLABEL_FLAVOURS["sequential" if backend.sequential else "parallel"]
+            view = ARTIFACT_BUILDERS["sequential" if backend.sequential else "parallel"]
             view(build_inlabel_index(self[name]), ctx=ctx)
             self.builds[name, backend.key] = ctx.elapsed
         return self.builds[name, backend.key]

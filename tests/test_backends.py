@@ -1,12 +1,13 @@
 """Tests for the real kernel backends and measured calibration.
 
-Covers the backend contract (``compile`` a tree, ``query`` the artifact), the
-bit-identity of every registered backend against the sequential oracle,
-the calibration fit/profile machinery, and profile-driven dispatch —
-including the property that a calibrated dispatcher always picks the
-argmin of the profile's predicted costs.
+Covers the artifact contract (build over a tree's index, ``query`` the
+artifact), one backend per kernel, the bit-identity of every serving backend
+against the oracle, the calibration fit/profile machinery, and profile-driven
+dispatch — including the property that a calibrated dispatcher always picks
+the argmin of the profile's predicted costs.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -23,27 +24,24 @@ from repro.backends import (
     DEFAULT_CALIBRATION_GRID,
     BackendCalibration,
     CalibrationProfile,
-    NumpyBackend,
-    SmallBatchBackend,
-    available_backends,
     calibrate_backends,
     fit_launch_cost,
-    get_kernel_backend,
-    register_backend,
 )
 from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
 from repro.errors import DeviceError, InvalidQueryError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.lca import InlabelLCA, SequentialInlabelLCA, build_inlabel_index
+from repro.lca.artifacts import ARTIFACT_BUILDERS, build_smallbatch
 from repro.lca.reference import BinaryLiftingLCA
 from repro.service import (
     CostModelDispatcher,
     LCAQueryService,
     ServiceConfig,
     estimate_batch_query_time,
+    known_backend_keys,
     make_backend,
 )
-from repro.service.dispatch import dispatcher_for
+from repro.service.dispatch import _BACKEND_PRESETS, dispatcher_for
 
 
 def _tree(n=257, seed=7):
@@ -58,30 +56,55 @@ def _queries(n, q, seed=11):
     )
 
 
-class TestBackendContract:
-    def test_available_backends_lists_builtins(self):
-        keys = available_backends()
-        for key in ("numpy", "numpy-seq", "smallbatch"):
-            assert key in keys
+class TestOneBackendPerKernel:
+    def test_no_two_backend_keys_name_one_kernel(self):
+        builders = list(ARTIFACT_BUILDERS.values())
+        assert len(set(builders)) == len(builders)
+        kernels = {
+            (b.spec.name, b.sequential, ARTIFACT_BUILDERS[b.variant])
+            for b in _BACKEND_PRESETS.values()
+        }
+        assert len(kernels) == len(_BACKEND_PRESETS)
 
-    def test_get_kernel_backend_unknown_key(self):
-        with pytest.raises(ServiceError, match="unknown kernel backend"):
-            get_kernel_backend("tpu")
-
-    def test_get_kernel_backend_memoizes(self):
-        assert get_kernel_backend("numpy") is get_kernel_backend("numpy")
-
-    def test_register_backend_rejects_duplicates(self):
-        with pytest.raises(ServiceError):
-            register_backend("numpy", NumpyBackend)
-
-    def test_numpy_backends_compile_to_the_lca_classes(self):
-        index = build_inlabel_index(_tree(64))
-        assert type(get_kernel_backend("numpy").compile(index)) is InlabelLCA
-        assert (
-            type(get_kernel_backend("numpy-seq").compile(index))
-            is SequentialInlabelLCA
+    @pytest.mark.parametrize("key", known_backend_keys())
+    def test_every_key_is_calibrated_priced_and_served(self, key):
+        ticks = itertools.count()
+        profile = calibrate_backends(
+            [key],
+            batch_sizes=(1, 4, 16),
+            repeats=1,
+            warmup=0,
+            n_nodes=64,
+            timer=lambda: next(ticks) * 1e-6,
         )
+        assert profile.backends() == (key,)
+        assert dispatcher_for([key], profile=profile).choose(16).key == key
+        parents = _tree(300, seed=21)
+        service = LCAQueryService(
+            config=ServiceConfig(max_batch_size=16, backends=(key,))
+        )
+        service.register_tree("t", parents)
+        service.warm("t")
+        misses = service.registry.misses
+        xs, ys = _queries(300, 200, seed=5)
+        tickets = service.submit_many("t", xs, ys)
+        service.drain()
+        assert np.array_equal(
+            service.results(tickets), BinaryLiftingLCA(parents).query(xs, ys)
+        )
+        assert service.registry.misses == misses
+
+    @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "tpu"])
+    def test_a_key_without_a_preset_is_unknown(self, key):
+        with pytest.raises(ServiceError, match="unknown backend key"):
+            calibrate_backends([key], batch_sizes=(1, 2), n_nodes=64)
+
+
+class TestBackendContract:
+    def test_flavour_variants_build_the_lca_classes(self):
+        index = build_inlabel_index(_tree(64))
+        assert type(ARTIFACT_BUILDERS["parallel"](index)) is InlabelLCA
+        assert type(ARTIFACT_BUILDERS["sequential"](index)) is SequentialInlabelLCA
 
     def test_all_backends_match_oracle(self):
         parents = _tree(257)
@@ -90,8 +113,8 @@ class TestBackendContract:
         for q in (1, 16, 301):  # smallbatch: fused pass and vectorized fallback
             xs, ys = _queries(257, q, seed=q)
             expected = oracle.query(xs, ys)
-            for key in available_backends():
-                kernel = get_kernel_backend(key).compile(index)
+            for key in known_backend_keys():
+                kernel = ARTIFACT_BUILDERS[make_backend(key).variant](index)
                 assert kernel.n == 257
                 ctx = ExecutionContext(make_backend(key).spec)
                 for got in (kernel.query(xs, ys), kernel.query(xs, ys, ctx=ctx)):
@@ -102,9 +125,9 @@ class TestBackendContract:
     def test_backend_charges_modeled_context(self):
         index = build_inlabel_index(_tree(128))
         xs, ys = _queries(128, 16)
-        for key, spec in (("numpy", GTX980), ("smallbatch", XEON_X5650_SINGLE)):
+        for variant, spec in (("parallel", GTX980), ("smallbatch", XEON_X5650_SINGLE)):
             ctx = ExecutionContext(spec)
-            kernel = get_kernel_backend(key).compile(index, ctx=ctx)
+            kernel = ARTIFACT_BUILDERS[variant](index, ctx=ctx)
             before = ctx.elapsed
             assert before > 0.0  # preprocessing was charged
             kernel.query(xs, ys, ctx=ctx)
@@ -151,21 +174,21 @@ class TestSmallBatchKernel:
     def test_scalar_path_matches_vectorized(self):
         parents = _tree(511, seed=3)
         oracle = BinaryLiftingLCA(parents)
-        kernel = SmallBatchBackend(scratch_size=64).compile(build_inlabel_index(parents))
-        for q in (1, 2, 7, 63, 64):
+        kernel = build_smallbatch(build_inlabel_index(parents))
+        for q in (1, 2, 7, 15, 16):
             xs, ys = _queries(511, q, seed=q)
             assert np.array_equal(kernel.query(xs, ys), oracle.query(xs, ys))
 
     def test_oversized_batch_falls_back(self):
         parents = _tree(511, seed=3)
         oracle = BinaryLiftingLCA(parents)
-        kernel = SmallBatchBackend(scratch_size=16).compile(build_inlabel_index(parents))
+        kernel = build_smallbatch(build_inlabel_index(parents))
         xs, ys = _queries(511, 100, seed=5)  # 100 > 16 → vectorized fallback
         assert np.array_equal(kernel.query(xs, ys), oracle.query(xs, ys))
 
     def test_result_valid_until_next_launch(self):
         parents = _tree(64)
-        kernel = SmallBatchBackend().compile(build_inlabel_index(parents))
+        kernel = build_smallbatch(build_inlabel_index(parents))
         xs, ys = _queries(64, 4)
         first = kernel.query(xs, ys).copy()
         kernel.query(ys, xs)
@@ -173,7 +196,7 @@ class TestSmallBatchKernel:
 
     def test_out_of_range_nodes_rejected(self):
         parents = _tree(32)
-        kernel = SmallBatchBackend().compile(build_inlabel_index(parents))
+        kernel = build_smallbatch(build_inlabel_index(parents))
         with pytest.raises(InvalidQueryError):
             kernel.query(np.array([0]), np.array([32]))
         with pytest.raises(InvalidQueryError):
@@ -181,7 +204,7 @@ class TestSmallBatchKernel:
 
     def test_shape_mismatch_rejected(self):
         parents = _tree(32)
-        kernel = SmallBatchBackend().compile(build_inlabel_index(parents))
+        kernel = build_smallbatch(build_inlabel_index(parents))
         with pytest.raises(InvalidQueryError):
             kernel.query(np.array([0, 1]), np.array([2]))
 
@@ -191,11 +214,9 @@ class TestSmallBatchKernel:
         index = build_inlabel_index(_tree(128))
         xs, ys = _queries(128, 24)
         ctx_a = ExecutionContext(XEON_X5650_SINGLE)
-        SmallBatchBackend().compile(index, ctx=ctx_a).query(xs, ys, ctx=ctx_a)
+        build_smallbatch(index, ctx=ctx_a).query(xs, ys, ctx=ctx_a)
         ctx_b = ExecutionContext(XEON_X5650_SINGLE)
-        get_kernel_backend("numpy-seq").compile(index, ctx=ctx_b).query(
-            xs, ys, ctx=ctx_b
-        )
+        ARTIFACT_BUILDERS["sequential"](index, ctx=ctx_b).query(xs, ys, ctx=ctx_b)
         assert ctx_a.elapsed == pytest.approx(ctx_b.elapsed)
 
 
@@ -217,15 +238,15 @@ def _entry(key, overhead, per_query, lo=1, hi=1024):
 
 class TestCalibrationProfile:
     def test_predict_is_affine(self):
-        prof = _profile({"numpy": _entry("numpy", 1e-5, 1e-7)})
-        assert prof.predict("numpy", 10) == pytest.approx(1e-5 + 10 * 1e-7)
+        prof = _profile({"gpu": _entry("gpu", 1e-5, 1e-7)})
+        assert prof.predict("gpu", 10) == pytest.approx(1e-5 + 10 * 1e-7)
 
     def test_predict_refuses_to_extrapolate(self):
-        prof = _profile({"numpy": _entry("numpy", 1e-5, 1e-7, lo=2, hi=64)})
+        prof = _profile({"gpu": _entry("gpu", 1e-5, 1e-7, lo=2, hi=64)})
         with pytest.raises(DeviceError, match="calibrated range"):
-            prof.predict("numpy", 1)
+            prof.predict("gpu", 1)
         with pytest.raises(DeviceError, match="calibrated range"):
-            prof.predict("numpy", 65)
+            prof.predict("gpu", 65)
         with pytest.raises(DeviceError, match="no calibration"):
             prof.predict("smallbatch", 8)
 
@@ -243,7 +264,7 @@ class TestCalibrationProfile:
     def test_json_round_trip(self, tmp_path):
         prof = _profile(
             {
-                "numpy": _entry("numpy", 7.5e-5, 8.6e-8),
+                "gpu": _entry("gpu", 7.5e-5, 8.6e-8),
                 "smallbatch": _entry("smallbatch", 9.5e-6, 2.6e-7),
             },
             meta={"n_nodes": 4096, "seed": 0},
@@ -260,8 +281,8 @@ class TestCalibrationProfile:
             CalibrationProfile.from_dict(payload)
 
     def test_from_dict_rejects_unknown_keys(self):
-        payload = _profile({"numpy": _entry("numpy", 1e-5, 1e-7)}).to_dict()
-        payload["backends"]["numpy"]["surprise"] = 1
+        payload = _profile({"gpu": _entry("gpu", 1e-5, 1e-7)}).to_dict()
+        payload["backends"]["gpu"]["surprise"] = 1
         with pytest.raises(ServiceError):
             CalibrationProfile.from_dict(payload)
 
@@ -299,14 +320,14 @@ class TestFitLaunchCost:
 class TestCalibrateBackends:
     def test_smoke_profile_covers_requested_backends(self):
         prof = calibrate_backends(
-            ["smallbatch", "numpy"],
+            ["smallbatch", "gpu"],
             batch_sizes=(1, 4, 16, 64),
             repeats=2,
             warmup=1,
             n_nodes=256,
         )
-        assert set(prof.backends()) == {"smallbatch", "numpy"}
-        for key in ("smallbatch", "numpy"):
+        assert set(prof.backends()) == {"smallbatch", "gpu"}
+        for key in ("smallbatch", "gpu"):
             assert prof.predict(key, 16) > 0.0
         assert prof.meta["n_nodes"] == 256
 
@@ -337,7 +358,7 @@ class TestCalibrateBackends:
 def profiles_with_batch(draw):
     keys = draw(
         st.lists(
-            st.sampled_from(["numpy", "numpy-seq", "smallbatch"]),
+            st.sampled_from(known_backend_keys()),
             min_size=1,
             max_size=3,
             unique=True,
@@ -364,16 +385,16 @@ class TestProfileDrivenDispatch:
         assert predicted[backend.key] == min(predicted.values())
 
     def test_estimate_uses_profile_over_model(self):
-        profile = _profile({"numpy": _entry("numpy", 1e-5, 1e-7)})
-        backend = make_backend("numpy")
+        profile = _profile({"gpu": _entry("gpu", 1e-5, 1e-7)})
+        backend = make_backend("gpu")
         measured = estimate_batch_query_time(backend, 10, profile=profile)
         modeled = estimate_batch_query_time(backend, 10)
         assert measured == pytest.approx(1e-5 + 10 * 1e-7)
         assert measured != modeled
 
     def test_estimate_out_of_range_is_typed_error(self):
-        profile = _profile({"numpy": _entry("numpy", 1e-5, 1e-7, lo=1, hi=64)})
-        backend = make_backend("numpy")
+        profile = _profile({"gpu": _entry("gpu", 1e-5, 1e-7, lo=1, hi=64)})
+        backend = make_backend("gpu")
         with pytest.raises(DeviceError):
             estimate_batch_query_time(backend, 65, profile=profile)
         # batch_size validation still wins over profile lookup
@@ -381,22 +402,22 @@ class TestProfileDrivenDispatch:
             estimate_batch_query_time(backend, 0, profile=profile)
 
     def test_dispatcher_requires_profile_coverage(self):
-        profile = _profile({"numpy": _entry("numpy", 1e-5, 1e-7)})
+        profile = _profile({"gpu": _entry("gpu", 1e-5, 1e-7)})
         with pytest.raises(DeviceError):
-            dispatcher_for(["numpy", "smallbatch"], profile=profile)
+            dispatcher_for(["gpu", "smallbatch"], profile=profile)
 
     def test_crossover_derived_from_profile(self):
-        # smallbatch: cheap launch, costly per query; numpy: the reverse.
+        # smallbatch: cheap launch, costly per query; gpu: the reverse.
         # Crossover = overhead gap / per-query gap = 99e-6 / 99e-8 = 100.
         profile = _profile(
             {
                 "smallbatch": _entry("smallbatch", 1e-6, 1e-6),
-                "numpy": _entry("numpy", 1e-4, 1e-8),
+                "gpu": _entry("gpu", 1e-4, 1e-8),
             }
         )
-        dispatcher = dispatcher_for(["smallbatch", "numpy"], profile=profile)
+        dispatcher = dispatcher_for(["smallbatch", "gpu"], profile=profile)
         assert dispatcher.choose(10).key == "smallbatch"
-        assert dispatcher.choose(1000).key == "numpy"
+        assert dispatcher.choose(1000).key == "gpu"
         crossover = dispatcher.crossover_batch_size()
         assert crossover is not None
         assert 95 <= crossover <= 105
@@ -412,11 +433,11 @@ class TestProfileDrivenDispatch:
             )
 
     def test_dispatcher_for_rejects_path_and_profile(self, tmp_path):
-        profile = _profile({"numpy": _entry("numpy", 1e-5, 1e-7)})
+        profile = _profile({"gpu": _entry("gpu", 1e-5, 1e-7)})
         path = tmp_path / "p.json"
         path.write_text(json.dumps(profile.to_dict()))
         with pytest.raises(ServiceError):
-            dispatcher_for(["numpy"], str(path), profile=profile)
+            dispatcher_for(["gpu"], str(path), profile=profile)
 
 
 class TestServiceIntegration:
@@ -424,7 +445,7 @@ class TestServiceIntegration:
         profile = _profile(
             {
                 "smallbatch": _entry("smallbatch", 1e-6, 1e-6),
-                "numpy": _entry("numpy", 1e-4, 1e-8),
+                "gpu": _entry("gpu", 1e-4, 1e-8),
             }
         )
         path = tmp_path / "profile.json"
@@ -435,7 +456,7 @@ class TestServiceIntegration:
         path, profile = self._profile_file(tmp_path)
         config = ServiceConfig(
             max_batch_size=256,
-            backends=("smallbatch", "numpy"),
+            backends=("smallbatch", "gpu"),
             calibration_path=path,
         )
         service = LCAQueryService(config=config)
@@ -457,7 +478,7 @@ class TestServiceIntegration:
         path, _ = self._profile_file(tmp_path)
         config = ServiceConfig(
             max_batch_size=64,
-            backends=("smallbatch", "numpy"),
+            backends=("smallbatch", "gpu"),
             calibration_path=path,
         )
         recorder = TraceRecorder()
@@ -480,10 +501,10 @@ class TestServiceIntegration:
     def test_config_round_trip_preserves_backends(self, tmp_path):
         path, _ = self._profile_file(tmp_path)
         config = ServiceConfig(
-            backends=("smallbatch", "numpy"), calibration_path=path
+            backends=("smallbatch", "gpu"), calibration_path=path
         )
         restored = ServiceConfig.from_dict(json.loads(json.dumps(config.to_dict())))
-        assert restored.backends == ("smallbatch", "numpy")
+        assert restored.backends == ("smallbatch", "gpu")
         assert restored.calibration_path == path
 
     def test_backends_config_without_profile_uses_model(self):
@@ -501,4 +522,4 @@ class TestServiceIntegration:
 
     def test_duplicate_backends_rejected(self):
         with pytest.raises(ServiceError):
-            ServiceConfig(backends=("numpy", "numpy"))
+            ServiceConfig(backends=("gpu", "gpu"))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import boundary
-from repro.backends import SmallBatchBackend, get_kernel_backend
+from repro.backends import calibrate_backends
 from repro.control import SLO, AutoscalePolicy, Controller
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.graphs.edgelist import EdgeList
@@ -26,6 +26,7 @@ from repro.lca import (
     build_inlabel_index,
     dedup_query_pairs,
 )
+from repro.lca.artifacts import build_smallbatch
 from repro.primitives import SegmentTreeRMQ, SparseTableRMQ, list_rank
 from repro.service import (
     BatchPolicy,
@@ -73,6 +74,16 @@ NOT_COUNTS = {"nan": math.nan, "2.5": 2.5, "bool": True, "str": "1"}
 
 def controller(**knobs):
     return Controller(SLO(p99_latency_s=1e-3), **knobs)
+
+
+def calibrate(**knobs):
+    return calibrate_backends(
+        ["gpu"], **{"batch_sizes": (1, 2), "n_nodes": 64, **knobs}
+    )
+
+
+def calibration_grid(batch_sizes):
+    return calibrate(batch_sizes=(1, batch_sizes))
 
 
 def service():
@@ -129,7 +140,7 @@ def query_entries():
         lca = index(PARENTS)
         yield f"{index.__name__}.query", lambda bad, q=lca.query: q(bad, GOOD)
         yield f"{index.__name__}.query ys", lambda bad, q=lca.query: q(GOOD, bad)
-    kernel = get_kernel_backend("smallbatch").compile(build_inlabel_index(PARENTS))
+    kernel = build_smallbatch(build_inlabel_index(PARENTS))
     yield "kernel.query", lambda bad: kernel.query(bad, GOOD)
     yield "dedup_query_pairs", lambda bad: dedup_query_pairs(bad, GOOD)
 
@@ -223,7 +234,6 @@ COUNTS = [
     (ClusterConfig, "capacity_bytes"),
     (ClusterConfig, "max_pending"),
     (ClusterConfig, "max_retries"),
-    (SmallBatchBackend, "scratch_size"),
     (AutoscalePolicy, "min_replicas"),
     (AutoscalePolicy, "max_replicas"),
     (AutoscalePolicy, "step_out"),
@@ -231,6 +241,11 @@ COUNTS = [
     (controller, "min_batch_size"),
     (controller, "max_batch_size"),
     (controller, "max_pending_cap"),
+    (calibrate, "repeats"),
+    (calibrate, "warmup"),
+    (calibrate, "n_nodes"),
+    (calibrate, "seed"),
+    (calibration_grid, "batch_sizes"),
 ]
 
 
@@ -316,10 +331,15 @@ def test_a_nan_wait_never_serves_a_query_before_it_arrives():
         ServiceConfig(max_wait_s=math.nan)
 
 
-def test_a_smallbatch_scratch_is_at_least_one_query():
-    with pytest.raises(ServiceError, match="scratch_size must be at least 1"):
-        SmallBatchBackend(scratch_size=0)
-    assert SmallBatchBackend(scratch_size=np.int64(3)).scratch_size == 3
+@pytest.mark.parametrize("knobs", [
+    {"repeats": 0}, {"n_nodes": 0}, {"warmup": -1}, {"seed": -1},
+    {"batch_sizes": (0, 2)},
+], ids=repr)
+def test_calibration_refuses_a_count_below_its_least(knobs):
+    """``warmup=-1`` used to be written into the profile's ``meta`` and
+    ``seed=-1`` to escape as a builtins ``ValueError``."""
+    with pytest.raises(ServiceError, match="must be at least"):
+        calibrate(**knobs)
 
 
 @pytest.mark.parametrize("make, field", [
@@ -377,11 +397,11 @@ def test_both_front_doors_refuse_a_ragged_or_str_block(make):
 # ----------------------------------------------------------------------
 def test_configs_store_their_fields_normalised():
     config = ClusterConfig(
-        n_replicas=np.int64(2), max_wait_s=0, hedge_delay_s=1, backends=["numpy"]
+        n_replicas=np.int64(2), max_wait_s=0, hedge_delay_s=1, backends=["gpu"]
     )
     assert type(config.n_replicas) is int and config.n_replicas == 2
     assert type(config.max_wait_s) is float and config.max_wait_s == 0.0
-    assert config.hedge_delay_s == 1.0 and config.backends == ("numpy",)
+    assert config.hedge_delay_s == 1.0 and config.backends == ("gpu",)
     assert ClusterConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
     assert ServiceConfig(capacity_bytes=None).capacity_bytes is None
     retry = RetryPolicy(max_attempts=np.int64(2), seed=np.int64(0), max_backoff_s=1)

@@ -9,12 +9,14 @@ rewrite their committed ``BENCH_*.json``; the modeled gate writes nothing
 and is mirrored).
 """
 
+import json
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 SCRIPT = ROOT / "scripts" / "check.sh"
+PYPROJECT = ROOT / "pyproject.toml"
 
 JOBS = ("lint", "typecheck", "test", "docs", "bench-regression")
 
@@ -71,9 +73,9 @@ def test_workflow_parser_sees_every_run_step():
     assert {job for job, _, _ in steps} == set(JOBS)
     by_name = {name: commands for _, name, commands in steps}
     assert by_name["Ruff lint"] == ["ruff check src tests benchmarks examples scripts"]
-    assert by_name["Doctest the serving, workload, observability and control APIs"] == [
-        "python -m pytest --doctest-modules src/repro/service src/repro/workloads "
-        "src/repro/obs src/repro/control -q"
+    assert by_name["Doctest every module path tier-1 collects"] == [
+        "python -m pytest --doctest-modules src/repro/boundary.py src/repro/backends "
+        "src/repro/service src/repro/workloads src/repro/obs src/repro/control -q"
     ]
     assert len(by_name["Install package"]) == 2
 
@@ -93,6 +95,24 @@ def test_check_script_runs_every_ci_command():
     assert not missing, "scripts/check.sh lacks:\n" + "\n".join(missing)
     assert "python benchmarks/modeled.py --check" in script
     assert mirrored >= 13  # the legs ROADMAP 5(d) lists and the modeled gate
+
+
+def test_the_docs_job_doctests_every_path_tier_one_collects():
+    """Tier-1 collects doctests from ``testpaths``; the docs job must run the
+    same modules, or a doctest it misses fails only locally."""
+    testpaths = json.loads(
+        re.search(r"^testpaths = (\[.*\])$", PYPROJECT.read_text(), re.M).group(1)
+    )
+    doctested = [
+        path
+        for job, _, commands in workflow_steps(WORKFLOW.read_text())
+        if job == "docs"
+        for command in commands
+        if "--doctest-modules" in command
+        for path in command.split()
+        if path.startswith("src/")
+    ]
+    assert sorted(doctested) == sorted(set(testpaths) - {"tests"})
 
 
 def test_check_script_reports_a_missing_tool_as_skipped():

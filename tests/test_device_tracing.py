@@ -79,29 +79,29 @@ class TestHeterogeneousBackendTrace:
     def _mixed_trace_ctx(self):
         import numpy as np
 
-        from repro.backends import get_kernel_backend
         from repro.graphs.generators import random_attachment_tree
         from repro.lca import build_inlabel_index
+        from repro.lca.artifacts import ARTIFACT_BUILDERS
 
         parents = random_attachment_tree(96, seed=5)
         xs = np.array([3, 17, 40], dtype=np.int64)
         ys = np.array([90, 2, 55], dtype=np.int64)
         ctx = ExecutionContext(GTX980, trace=True)
         index = build_inlabel_index(parents)
-        for key in ("numpy", "smallbatch"):
-            kernel = get_kernel_backend(key).compile(index, ctx=ctx)
+        for variant in ("parallel", "smallbatch"):
+            kernel = ARTIFACT_BUILDERS[variant](index, ctx=ctx)
             kernel.query(xs, ys, ctx=ctx)
         return ctx
 
     def test_records_from_both_backends_interleave(self):
         ctx = self._mixed_trace_ctx()
         names = [rec.name for rec in ctx.records]
-        numpy_q = names.index("inlabel_query_batch")
+        parallel_q = names.index("inlabel_query_batch")
         small_pre = names.index("smallbatch_inlabel_preprocess")
         small_q = names.index("smallbatch_inlabel_query_batch")
-        # One shared timeline: the numpy query ran before the smallbatch
+        # One shared timeline: the parallel query ran before the smallbatch
         # backend even compiled, and every record carries a real cost.
-        assert numpy_q < small_pre < small_q
+        assert parallel_q < small_pre < small_q
         assert all(rec.time_s > 0.0 for rec in ctx.records)
 
     def test_phase_breakdown_spans_both_backends(self):

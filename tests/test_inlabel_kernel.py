@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_kernel_backend
+from repro.lca.artifacts import ARTIFACT_BUILDERS
 from repro.device import GTX980, ExecutionContext
 from repro.errors import InvalidQueryError
 from repro.lca import (
@@ -359,11 +359,11 @@ class TestTiles:
         assert tiled.elapsed == untiled.elapsed
         assert tiled.breakdown() == untiled.breakdown()
 
-    @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
-    def test_compiled_kernels_inherit_the_tiles(self, key):
+    @pytest.mark.parametrize("variant", sorted(ARTIFACT_BUILDERS))
+    def test_compiled_kernels_inherit_the_tiles(self, variant):
         """``smallbatch`` included: past its scratch it is the same driver."""
         parents = self.TREES["deep"]
-        kernel = get_kernel_backend(key).compile(build_inlabel_index(parents))
+        kernel = ARTIFACT_BUILDERS[variant](build_inlabel_index(parents))
         xs, ys = self.batch(31)
         with tile_lanes(8):
             assert np.array_equal(kernel.query(xs, ys),
@@ -501,10 +501,10 @@ class TestFrontDoorsRefuseNonIntegerIds:
                 dedup_query_pairs([0, bad_id], [1, 1])
         assert dedup_query_pairs([PACK_LIMIT - 1], [0])[1].tolist() == [PACK_LIMIT - 1]
 
-    @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
+    @pytest.mark.parametrize("variant", sorted(ARTIFACT_BUILDERS))
     @pytest.mark.parametrize("bad", NON_INTEGER_COLUMNS, ids=repr)
-    def test_compiled_kernels(self, key, bad):
-        kernel = get_kernel_backend(key).compile(build_inlabel_index(self.PARENTS))
+    def test_compiled_kernels(self, variant, bad):
+        kernel = ARTIFACT_BUILDERS[variant](build_inlabel_index(self.PARENTS))
         with pytest.raises(InvalidQueryError, match="must be integers"):
             kernel.query(bad, np.array([3, 4]))
         assert kernel.query([3, 5], [4, 4]).tolist() == [1, 0]

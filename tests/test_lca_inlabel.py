@@ -283,14 +283,14 @@ class TestParentArrayIsRefusedNotCast:
             baseline(NOT_PARENT_ARRAYS[case])
 
     @pytest.mark.parametrize("case", sorted(NOT_PARENT_ARRAYS))
-    @pytest.mark.parametrize("key", ["numpy", "numpy-seq", "smallbatch"])
-    def test_kernel_backends(self, key, case):
-        from repro.backends import get_kernel_backend
+    @pytest.mark.parametrize("variant", ["parallel", "sequential", "smallbatch"])
+    def test_kernel_backends(self, variant, case):
         from repro.lca import build_inlabel_index
+        from repro.lca.artifacts import ARTIFACT_BUILDERS
 
         bad = NOT_PARENT_ARRAYS[case]
         with pytest.raises(NotATreeError, match="integers|1-D"):
-            get_kernel_backend(key).compile(build_inlabel_index(bad))
+            ARTIFACT_BUILDERS[variant](build_inlabel_index(bad))
 
     @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     def test_integer_lists_and_narrow_dtypes_still_build(self, implementation):

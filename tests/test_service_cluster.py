@@ -469,7 +469,7 @@ WARM_TARGETS = {
 }
 
 
-@pytest.mark.parametrize("backends", [None, ("smallbatch", "numpy")])
+@pytest.mark.parametrize("backends", [None, ("smallbatch", "gpu")])
 @pytest.mark.parametrize("kind", WARM_TARGETS)
 def test_warm_up_warms_what_is_served(kind, backends):
     """After a warm-up no served batch builds an index or pays for one."""

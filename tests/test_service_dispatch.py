@@ -1,12 +1,20 @@
 """Dispatcher tests: roofline pricing vs brute force, and the CPU/GPU crossover."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext, modeled_kernel_time
+from repro.device import (
+    GTX980,
+    XEON_X5650_MULTI,
+    XEON_X5650_SINGLE,
+    ExecutionContext,
+    modeled_kernel_time,
+)
 from repro.errors import ServiceError
 from repro.graphs.generators import random_attachment_tree
-from repro.backends import BackendCalibration, CalibrationProfile, available_backends
+from repro.backends import BackendCalibration, CalibrationProfile
 from repro.graphs.trees import generate_random_queries
 from repro.lca import (
     INLABEL_QUERY_COST,
@@ -159,16 +167,27 @@ def line_profile(lines, *, max_batch):
 
 def test_every_kernel_backend_is_dispatchable():
     assert {b.key for b in DEFAULT_BACKENDS} <= set(known_backend_keys())
-    assert set(available_backends()) <= set(known_backend_keys())
+
+
+#: Descriptors built without a kernel name on specs no preset uses: each
+#: serves the Inlabel flavour its ``sequential`` flag names.
+UNNAMED_BACKENDS = (
+    Backend(key="cpu6", label="Multi-core CPU Inlabel", spec=XEON_X5650_MULTI,
+            sequential=False),
+    Backend(key="edge", label="Derated single-core Inlabel", sequential=True,
+            spec=dataclasses.replace(XEON_X5650_SINGLE, name="Derated Xeon core",
+                                     clock_hz=XEON_X5650_SINGLE.clock_hz / 32)),
+)
 
 
 @pytest.mark.parametrize("size", MEMO_SIZES)
-@pytest.mark.parametrize("key", known_backend_keys())
-def test_booked_charge_is_the_estimate_is_the_artifact_charge(key, size):
-    """Modeled endpoints and kernel backends alike: the charge a served batch
-    is booked == ``dispatcher.estimate`` == what the registry-built artifact
-    charges a fresh context offline, bit for bit."""
-    backend = make_backend(key)
+@pytest.mark.parametrize(
+    "backend", [*map(make_backend, known_backend_keys()), *UNNAMED_BACKENDS],
+    ids=lambda backend: backend.key)
+def test_booked_charge_is_the_estimate_is_the_artifact_charge(backend, size):
+    """Modeled endpoints, kernel backends and unnamed descriptors alike: the
+    charge a served batch is booked == ``dispatcher.estimate`` == what the
+    registry-built artifact charges a fresh context offline, bit for bit."""
     service = memo_service(CostModelDispatcher([backend]), max_batch_size=size)
     estimate = service.dispatcher.estimate(backend, size)
     assert service.stats().busy_time_s == 0.0
@@ -183,8 +202,8 @@ def test_booked_charge_is_the_estimate_is_the_artifact_charge(key, size):
 
 def test_booked_charge_under_a_profile_is_the_estimate():
     profile = line_profile({"smallbatch": (9.52e-6, 2.606e-7),
-                            "numpy": (7.574e-5, 8.66e-8)}, max_batch=4_096)
-    dispatcher = dispatcher_for(("smallbatch", "numpy"), profile=profile)
+                            "gpu": (7.574e-5, 8.66e-8)}, max_batch=4_096)
+    dispatcher = dispatcher_for(("smallbatch", "gpu"), profile=profile)
     service = memo_service(dispatcher, max_batch_size=4_096)
     for size in MEMO_SIZES:
         backend, estimate = dispatcher.choose_with_estimate(size)

@@ -6,13 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.backends import SmallBatchBackend
 from repro.bridges import find_bridges_tarjan_vishkin
 from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, ExecutionContext
 from repro.errors import ServiceError
 from repro.graphs.generators import grasp_tree, random_attachment_tree
 from repro.graphs.generators.random_trees import grasp_for_target_depth
 from repro.lca import InlabelLCA, SequentialInlabelLCA, build_inlabel_index
+from repro.lca.artifacts import build_smallbatch
 from repro.service import (
     ArtifactKey,
     ClusterConfig,
@@ -326,19 +326,17 @@ VARIANTS = [
     ("sequential", XEON_X5650_SINGLE),
     ("parallel", GTX980),
     ("parallel", XEON_X5650_MULTI),
-    ("numpy", GTX980),
-    ("numpy-seq", XEON_X5650_SINGLE),
     ("smallbatch", XEON_X5650_SINGLE),
 ]
 
 
 def direct_build(variant, parents, ctx):
     """What the variant's artifact was built as before the index was shared."""
-    if variant in ("parallel", "numpy"):
+    if variant == "parallel":
         return InlabelLCA(parents, ctx=ctx)
-    if variant in ("sequential", "numpy-seq"):
+    if variant == "sequential":
         return SequentialInlabelLCA(parents, ctx=ctx)
-    return SmallBatchBackend().compile(build_inlabel_index(parents), ctx=ctx)
+    return build_smallbatch(build_inlabel_index(parents), ctx=ctx)
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["builds", "shares"])
@@ -357,8 +355,7 @@ def test_a_view_is_charged_and_sized_as_its_own_build(make, variant, spec, first
     store = ForestStore()
     store.add_tree("t", parents)
     registry = IndexRegistry(store)
-    other = "parallel" if variant in ("sequential", "numpy-seq", "smallbatch") \
-        else "sequential"
+    other = "sequential" if variant == "parallel" else "parallel"
     if not first:
         registry.fetch_by_key(ArtifactKey("t", "lca", GTX980.name, other),
                               spec=GTX980)

@@ -865,7 +865,7 @@ def test_smallbatch_scratch_answers_survive_the_next_launch():
     parents = tree(30)
     xs, ys = queries(24, 31)
     service, launches, _ = make_service(
-        {"t": parents}, backends=("smallbatch", "numpy"), max_batch_size=4)
+        {"t": parents}, backends=("smallbatch", "gpu"), max_batch_size=4)
     first = service.submit_many("t", xs[:12], ys[:12], at=np.zeros(12))
     assert service.stats().batch_size_histogram == {4: 3}
     second = service.submit_many("t", xs[12:], ys[12:], at=np.full(12, 1e-5))
@@ -885,7 +885,7 @@ def test_smallbatch_scratch_with_two_interleaved_datasets():
     xs, ys = queries(96, 34)
     at = np.arange(96, dtype=np.float64) * 2e-5
     service, launches, _ = make_service(
-        trees, backends=("smallbatch", "numpy"), max_batch_size=4)
+        trees, backends=("smallbatch", "gpu"), max_batch_size=4)
     tickets = {"a": [], "b": []}
     # Alternating 12-query blocks: each admission expires the other dataset's
     # tail inside its own run of size flushes.
