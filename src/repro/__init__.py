@@ -86,7 +86,7 @@ from .lca import (
     SequentialInlabelLCA,
     dedup_query_pairs,
 )
-from .obs import StageTimer, TraceRecorder, TraceTable
+from .obs import TraceRecorder, TraceTable
 from .service import (
     AnswerCache,
     BatchPolicy,
@@ -115,7 +115,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "__version__",
@@ -190,7 +190,6 @@ __all__ = [
     # observability
     "TraceRecorder",
     "TraceTable",
-    "StageTimer",
     # errors
     "ReproError",
     "InvalidGraphError",

@@ -7,7 +7,6 @@ Zero-cost-when-disabled tracing and reporting:
   complete) plus cache and index-registry events, with 1-in-N sampling;
 * :mod:`repro.obs.metrics` — the fixed-bucket histogram and quantile
   estimator the controller windows latencies with;
-* :mod:`repro.obs.timers` — host wall-clock stage accounting;
 * :mod:`repro.obs.export` — JSONL and Perfetto-loadable Chrome trace-event
   exporters;
 * :mod:`repro.obs.report` — latency decomposition, tail attribution and
@@ -28,7 +27,6 @@ from .events import (
 )
 from .export import chrome_trace_events, write_chrome_trace, write_events_jsonl
 from .metrics import Histogram
-from .timers import StageTimer
 
 __all__ = [
     "EVENT_NAMES",
@@ -40,5 +38,4 @@ __all__ = [
     "write_chrome_trace",
     "write_events_jsonl",
     "Histogram",
-    "StageTimer",
 ]

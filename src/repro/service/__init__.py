@@ -37,8 +37,8 @@ bulk; this subpackage turns that observation into a serving architecture:
   (:class:`~repro.service.routing.HashRing`), pluggable load-aware routing
   (:class:`~repro.service.routing.Router` policies), cluster-wide admission
   control raising the typed :class:`~repro.errors.Overloaded` error, and
-  :class:`~repro.service.cluster.ClusterStats` aggregation with exact merged
-  latency percentiles and a load-imbalance metric;
+  :class:`~repro.service.cluster.ClusterStats`: a ``ServiceStats`` merged
+  over the workers by a single node's code, plus load and shed counters;
 * :class:`~repro.service.faults.FaultInjector` — deterministic, scheduled
   fault injection (replica kills, recoveries, slowdowns, transient batch
   failures, live membership changes) on the shared simulated clock.  The

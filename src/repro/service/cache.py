@@ -246,12 +246,6 @@ class AnswerCache:
         """Epoch resets triggered by the load-factor bound."""
         return self._resets
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -469,5 +463,5 @@ class AnswerCache:
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
             f"AnswerCache(slots={self._slots}, used={self._used}, "
-            f"hit_rate={self.hit_rate:.2f}, resets={self._resets})"
+            f"hits={self._hits}, misses={self._misses}, resets={self._resets})"
         )

@@ -50,6 +50,12 @@ routed with one vectorized policy call, cut into per-replica sub-blocks with
 one counting sort (each sub-block preserves arrival order), and admitted
 through each worker's vectorized
 :meth:`~repro.service.service.LCAQueryService.submit_many`.
+
+Stats: :meth:`ClusterService.stats` is the workers' snapshots merged by the
+code a single node's snapshot runs (:meth:`ServiceStats.merge`), so a
+:class:`ClusterStats` *is* a :class:`~repro.service.stats.ServiceStats`
+plus the cluster's own fields; a 1-replica cluster's shared fields equal a
+single node's on the same stream.
 """
 
 from __future__ import annotations
@@ -93,20 +99,23 @@ from .registry import ForestStore
 from .routing import HashRing, Router, make_router
 from .scheduler import FlushedBatch
 from .service import LCAQueryService, block_clean_prefix
-from .stats import ServiceStats, dedup_factor, hit_rate
+from .stats import ServiceStats
 from .tickets import TicketTable
 
 __all__ = ["ClusterService", "ClusterStats"]
 
 
 @dataclass(frozen=True)
-class ClusterStats:
-    """Immutable cluster-wide snapshot aggregated over replica workers.
+class ClusterStats(ServiceStats):
+    """A :class:`~repro.service.stats.ServiceStats` merged over the replicas.
 
-    Latency percentiles are computed over the *merged* per-query latency
-    tables of all replicas — they are exact, not an approximation stitched
-    from per-replica percentiles.  ``replicas`` keeps the full per-worker
-    :class:`~repro.service.stats.ServiceStats` for drill-down.
+    Every inherited field is :meth:`ServiceStats.merge` over the workers'
+    collectors, registries and answer caches — the code a single node's
+    snapshot runs — so latency percentiles are exact over the merged
+    per-query latencies, not stitched from per-replica percentiles.  The
+    one exception is ``queries_submitted``: the cluster's admitted count
+    (tickets issued), which a failover re-admission does not count twice.
+    The fields below are the cluster's own.
     """
 
     #: How many replica workers the cluster runs.
@@ -115,34 +124,9 @@ class ClusterStats:
     router_policy: str
     #: Queries offered = submitted (admitted) + shed by admission control.
     queries_offered: int
-    queries_submitted: int
     queries_shed: int
-    queries_answered: int
     #: Fraction of offered queries rejected with :class:`Overloaded`.
     shed_rate: float
-    batches_flushed: int
-    #: Modeled end-to-end latency over all answered queries, all replicas.
-    latency_mean_s: float
-    latency_p50_s: float
-    latency_p99_s: float
-    latency_max_s: float
-    #: Simulated span from the earliest arrival to the latest completion
-    #: anywhere in the cluster.
-    span_s: float
-    #: Total modeled backend busy time across replicas.
-    busy_time_s: float
-    #: Index-cache accounting summed over the replicas' registries.
-    cache_hits: int
-    cache_misses: int
-    cache_hit_rate: float
-    #: Answer-cache accounting summed over the replicas' per-replica caches
-    #: (all zero when the skew-aware path is disabled).
-    answer_cache_hits: int
-    answer_cache_misses: int
-    answer_cache_hit_rate: float
-    #: Answered queries per kernel-executed query, cluster-wide (1.0 with the
-    #: skew-aware path off; ``inf`` when every answer came from a cache).
-    dedup_factor: float
     #: Answered-query count per replica, and max/mean of that distribution
     #: (1.0 = perfectly balanced; idle replicas inflate it; 0.0 before any
     #: answer).
@@ -171,35 +155,15 @@ class ClusterStats:
     #: is the cost denominator reactive autoscaling is charged by.
     replica_seconds: float = 0.0
 
-    @property
-    def throughput_qps(self) -> float:
-        """Answered queries per second of cluster simulated span."""
-        if self.span_s <= 0:
-            return float("inf") if self.queries_answered else 0.0
-        return self.queries_answered / self.span_s
-
     def format(self) -> str:
-        """Render the cluster snapshot as an aligned text block."""
+        """The single-node block between the cluster's own lines."""
         answered = " ".join(str(c) for c in self.per_replica_answered)
         lines = [
             f"replicas           : {self.n_replicas} "
             f"({self.router_policy} router)",
-            f"queries            : {self.queries_answered}/"
-            f"{self.queries_submitted} answered, {self.queries_shed} shed "
+            super().format(),
+            f"shed               : {self.queries_shed} "
             f"({self.shed_rate:.1%} of {self.queries_offered} offered)",
-            f"batches            : {self.batches_flushed}",
-            f"latency p50/p99    : {self.latency_p50_s * 1e6:.2f} / "
-            f"{self.latency_p99_s * 1e6:.2f} us "
-            f"(max {self.latency_max_s * 1e6:.2f} us)",
-            f"throughput         : {self.throughput_qps:,.0f} queries/s "
-            f"over {self.span_s * 1e3:.3f} ms span",
-            f"backend busy time  : {self.busy_time_s * 1e3:.3f} ms modeled",
-            f"index caches       : {self.cache_hits} hits / "
-            f"{self.cache_misses} misses ({self.cache_hit_rate:.1%})",
-            f"answer caches      : {self.answer_cache_hits} hits / "
-            f"{self.answer_cache_misses} misses "
-            f"({self.answer_cache_hit_rate:.1%}), "
-            f"dedup factor {self.dedup_factor:.2f}x",
             f"per-replica load   : [{answered}] "
             f"(imbalance {self.load_imbalance:.2f}x)",
         ]
@@ -742,14 +706,13 @@ class ClusterService:
             ),
         )
 
-    def replica_seconds(self, upto_s: Optional[float] = None) -> float:
+    def replica_seconds(self) -> float:
         """Provisioned replica-seconds accrued so far (simulated clock).
 
         Each replica accrues from its birth (construction or
-        :meth:`add_replica`) until its retirement, or until ``upto_s``
-        (default: the cluster's current simulated time) while still
-        provisioned.  Killed replicas accrue — they are paid for even
-        while down.
+        :meth:`add_replica`) until its retirement, or until the cluster's
+        current simulated time while still provisioned.  Killed replicas
+        accrue — they are paid for even while down.
 
         >>> import numpy as np
         >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
@@ -757,7 +720,7 @@ class ClusterService:
         >>> cluster.replica_seconds()
         2.0
         """
-        now = self.clock.now if upto_s is None else float(upto_s)
+        now = self.clock.now
         total = 0.0
         for r in range(len(self._replicas)):
             end = self._retired_at[r]
@@ -1059,55 +1022,19 @@ class ClusterService:
         (2, 0)
         """
         per = tuple(replica.stats() for replica in self._replicas)
-        collectors = [replica.stats_collector for replica in self._replicas]
-        views = [c.latency_values for c in collectors if c.latency_values.size]
-        if views:
-            merged = views[0] if len(views) == 1 else np.concatenate(views)
-            p50, p99 = (float(v) for v in np.percentile(merged, [50.0, 99.0]))
-            mean, worst = float(merged.mean()), float(merged.max())
-        else:
-            p50 = p99 = mean = worst = 0.0
-        firsts = [
-            c.first_arrival_s for c in collectors if c.first_arrival_s is not None
-        ]
-        lasts = [
-            c.last_completion_s for c in collectors if c.last_completion_s is not None
-        ]
-        span = (max(lasts) - min(firsts)) if firsts and lasts else 0.0
         answered = tuple(s.queries_answered for s in per)
         mean_load = sum(answered) / len(answered)
-        imbalance = max(answered) / mean_load if mean_load > 0 else 0.0
         offered = self.tickets_issued + self._shed  # a ticket per admitted query
-        hits = sum(s.cache_hits for s in per)
-        misses = sum(s.cache_misses for s in per)
-        lookups = hits + misses
-        answer_hits = sum(s.answer_cache_hits for s in per)
-        answer_misses = sum(s.answer_cache_misses for s in per)
-        kernel_queries = sum(s.kernel_queries for s in per)
-        return ClusterStats(
+        return ClusterStats.merge(
+            [(w.stats_collector, w.registry, w.answer_cache) for w in self._replicas],
+            queries_submitted=self.tickets_issued,
             n_replicas=self.n_replicas,
             router_policy=self.router.name,
             queries_offered=offered,
-            queries_submitted=self.tickets_issued,
             queries_shed=self._shed,
-            queries_answered=sum(answered),
             shed_rate=self._shed / offered if offered else 0.0,
-            batches_flushed=sum(s.batches_flushed for s in per),
-            latency_mean_s=mean,
-            latency_p50_s=p50,
-            latency_p99_s=p99,
-            latency_max_s=worst,
-            span_s=span,
-            busy_time_s=sum(s.busy_time_s for s in per),
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_hit_rate=hits / lookups if lookups else 0.0,
-            answer_cache_hits=answer_hits,
-            answer_cache_misses=answer_misses,
-            answer_cache_hit_rate=hit_rate(answer_hits, answer_misses),
-            dedup_factor=dedup_factor(sum(answered), kernel_queries),
             per_replica_answered=answered,
-            load_imbalance=imbalance,
+            load_imbalance=max(answered) / mean_load if mean_load > 0 else 0.0,
             replicas=per,
             queries_retried=self._retried,
             hedges_issued=self._hedges_issued,

@@ -382,14 +382,8 @@ class IndexRegistry:
         """Total modeled time spent building artifacts on misses."""
         return self._build_time_s
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over total lookups (0.0 before the first lookup)."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         cap = "unbounded" if self.capacity_bytes is None else f"{self.capacity_bytes}B"
         return (f"IndexRegistry(entries={len(self._cache)}, "
                 f"bytes={self._bytes_in_use}, capacity={cap}, "
-                f"hit_rate={self.hit_rate:.2f})")
+                f"hits={self._hits}, misses={self._misses})")

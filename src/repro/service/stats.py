@@ -4,8 +4,8 @@ A serving system is judged by its operational envelope, not by any single
 request: sustained throughput, tail latency, how well the cache converts
 repeat traffic into hits, and what batch sizes the scheduler actually manages
 to form under the offered load.  :class:`StatsCollector` accumulates those
-signals as batches complete; :meth:`StatsCollector.snapshot` freezes them into
-an immutable :class:`ServiceStats` record that experiment runners and
+signals as batches complete; :meth:`ServiceStats.merge` folds one or many
+into an immutable :class:`ServiceStats` record that experiment runners and
 benchmarks can put straight into a report table.
 
 All times are *modeled* times on the simulated devices and the simulated
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Type, TypeVar, Union,
+)
 
 import numpy as np
 
@@ -28,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = ["ServiceStats", "StatsCollector", "batch_size_bucket",
            "dedup_factor", "hit_rate"]
+_Stats = TypeVar("_Stats", bound="ServiceStats")
 
 
 def dedup_factor(answered: int, kernel_queries: int) -> float:
@@ -104,6 +107,60 @@ class ServiceStats:
     answer_cache_bytes: int
     answer_cache_resets: int
 
+    @classmethod
+    def merge(cls: Type[_Stats], workers: Sequence[Tuple[
+            StatsCollector, Optional[IndexRegistry], Optional[AnswerCache]]],
+              **fields: Any) -> _Stats:
+        """Fold each worker's (collector, index registry or ``None``, answer
+        cache or ``None``) into one snapshot: counts summed in worker order,
+        latency statistics exact over every worker's latencies.  ``fields``
+        sets a subclass's own fields or overrides a merged one.
+        """
+        collectors = [collector for collector, _, _ in workers]
+        registries = [registry for _, registry, _ in workers if registry is not None]
+        caches = [cache for _, _, cache in workers if cache is not None]
+        views = [c.latency_values for c in collectors if c.latency_values.size]
+        # A lone view is read as-is; no latency at all reads as one zero.
+        lat = views[0] if len(views) == 1 else np.concatenate(views or [np.zeros(1)])
+        p50, p99 = np.percentile(lat, [50.0, 99.0]).tolist()
+        empty: Counter = Counter()
+        answered = sum(c.queries_answered for c in collectors)
+        kernel_queries = sum(c.kernel_queries for c in collectors)
+        batches = sum(c.batches_flushed for c in collectors)
+        hits = sum(r.hits for r in registries)
+        misses = sum(r.misses for r in registries)
+        answer_hits = sum(a.hits for a in caches)
+        answer_misses = sum(a.misses for a in caches)
+        merged: Dict[str, Any] = dict(
+            queries_submitted=sum(c.queries_submitted for c in collectors),
+            queries_answered=answered,
+            kernel_queries=kernel_queries,
+            dedup_factor=dedup_factor(answered, kernel_queries),
+            batches_flushed=batches,
+            mean_batch_size=answered / batches if batches else 0.0,
+            batch_size_histogram=dict(sum((c.batch_sizes for c in collectors), empty)),
+            flush_triggers=dict(sum((c.flush_triggers for c in collectors), empty)),
+            backend_choices=dict(sum((c.backend_choices for c in collectors), empty)),
+            latency_mean_s=float(lat.mean()),
+            latency_p50_s=p50,
+            latency_p99_s=p99,
+            latency_max_s=float(lat.max()),
+            busy_time_s=sum(c.busy_time_s for c in collectors),
+            span_s=(max(c.last_completion_s for c in collectors)
+                    - min(c.first_arrival_s for c in collectors)) if batches else 0.0,
+            cache_hits=hits,
+            cache_misses=misses,
+            cache_evictions=sum(r.evictions for r in registries),
+            cache_hit_rate=hit_rate(hits, misses),
+            cache_bytes_in_use=sum(r.bytes_in_use for r in registries),
+            answer_cache_hits=answer_hits,
+            answer_cache_misses=answer_misses,
+            answer_cache_hit_rate=hit_rate(answer_hits, answer_misses),
+            answer_cache_bytes=sum(a.nbytes for a in caches),
+            answer_cache_resets=sum(a.resets for a in caches),
+        )
+        return cls(**{**merged, **fields})
+
     @property
     def throughput_qps(self) -> float:
         """Answered queries per second of simulated span."""
@@ -158,33 +215,24 @@ class StatsCollector:
     backend_choices: Counter = field(default_factory=Counter)
     # Growable flat latency log, in completion order (so not a TicketTable
     # column): batches append with one slice assignment and the percentile
-    # computation in snapshot() reads a single array view (no per-snapshot
-    # concatenation of per-batch chunks).
+    # computation in ServiceStats.merge reads a single array view (no
+    # per-snapshot concatenation of per-batch chunks).
     _latency_table: np.ndarray = field(
         default_factory=lambda: np.empty(1024, dtype=np.float64))
     _latency_count: int = 0
-    _first_arrival_s: Optional[float] = None
-    _last_completion_s: Optional[float] = None
+    #: Earliest arrival and latest batch completion (±inf before any batch).
+    first_arrival_s: float = float("inf")
+    last_completion_s: float = -float("inf")
 
     @property
     def latency_values(self) -> np.ndarray:
         """View of every recorded per-query latency (in record order).
 
-        Cluster-level aggregation merges these views across replicas so the
-        cluster percentiles are exact, not an approximation stitched from
-        per-replica percentiles.
+        :meth:`ServiceStats.merge` concatenates these views across workers
+        so a cluster's percentiles are exact, not an approximation stitched
+        from per-replica percentiles.
         """
         return self._latency_table[:self._latency_count]
-
-    @property
-    def first_arrival_s(self) -> Optional[float]:
-        """Earliest recorded arrival time (``None`` before any batch)."""
-        return self._first_arrival_s
-
-    @property
-    def last_completion_s(self) -> Optional[float]:
-        """Latest recorded batch completion time (``None`` before any batch)."""
-        return self._last_completion_s
 
     def record_submit(self, count: int = 1) -> None:
         """Count newly submitted queries."""
@@ -237,58 +285,10 @@ class StatsCollector:
         if end > self._latency_table.size:
             self._latency_table = grow_table(self._latency_table, start, end)
         self._latency_table[start:end] = latencies_s
-        first, last = self._first_arrival_s, self._last_completion_s
-        self._first_arrival_s = (first_arrival_s if first is None
-                                 else min(first, first_arrival_s))
-        self._last_completion_s = (last_completion_s if last is None
-                                   else max(last, last_completion_s))
+        self.first_arrival_s = min(self.first_arrival_s, first_arrival_s)
+        self.last_completion_s = max(self.last_completion_s, last_completion_s)
 
-    def snapshot(self, *, registry: Optional["IndexRegistry"] = None,
-                 answer_cache: Optional["AnswerCache"] = None) -> ServiceStats:
-        """Freeze the current counters into a :class:`ServiceStats`.
-
-        ``registry`` (an :class:`~repro.service.registry.IndexRegistry`)
-        contributes the index-cache section and ``answer_cache`` (an
-        :class:`~repro.service.cache.AnswerCache`) the answer-cache section;
-        omitted, the corresponding fields read zero.
-        """
-        if self._latency_count:
-            lat = self._latency_table[:self._latency_count]
-            p50, p99 = (float(v) for v in np.percentile(lat, [50.0, 99.0]))
-            mean, worst = float(lat.mean()), float(lat.max())
-        else:
-            p50 = p99 = mean = worst = 0.0
-        span = 0.0
-        if self._first_arrival_s is not None and self._last_completion_s is not None:
-            span = self._last_completion_s - self._first_arrival_s
-        mean_batch = (self.queries_answered / self.batches_flushed
-                      if self.batches_flushed else 0.0)
-        return ServiceStats(
-            queries_submitted=self.queries_submitted,
-            queries_answered=self.queries_answered,
-            kernel_queries=self.kernel_queries,
-            dedup_factor=dedup_factor(self.queries_answered,
-                                      self.kernel_queries),
-            batches_flushed=self.batches_flushed,
-            mean_batch_size=mean_batch,
-            batch_size_histogram=dict(self.batch_sizes),
-            flush_triggers=dict(self.flush_triggers),
-            backend_choices=dict(self.backend_choices),
-            latency_mean_s=mean,
-            latency_p50_s=p50,
-            latency_p99_s=p99,
-            latency_max_s=worst,
-            busy_time_s=self.busy_time_s,
-            span_s=span,
-            cache_hits=registry.hits if registry is not None else 0,
-            cache_misses=registry.misses if registry is not None else 0,
-            cache_evictions=registry.evictions if registry is not None else 0,
-            cache_hit_rate=registry.hit_rate if registry is not None else 0.0,
-            cache_bytes_in_use=registry.bytes_in_use if registry is not None else 0,
-            answer_cache_hits=answer_cache.hits if answer_cache is not None else 0,
-            answer_cache_misses=answer_cache.misses if answer_cache is not None else 0,
-            answer_cache_hit_rate=(
-                answer_cache.hit_rate if answer_cache is not None else 0.0),
-            answer_cache_bytes=answer_cache.nbytes if answer_cache is not None else 0,
-            answer_cache_resets=answer_cache.resets if answer_cache is not None else 0,
-        )
+    def snapshot(self, *, registry: Optional[IndexRegistry] = None,
+                 answer_cache: Optional[AnswerCache] = None) -> ServiceStats:
+        """The one-worker :meth:`ServiceStats.merge`; an omitted section reads zero."""
+        return ServiceStats.merge([(self, registry, answer_cache)])

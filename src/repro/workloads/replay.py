@@ -30,6 +30,7 @@ Two mechanical details make the replay faithful:
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
@@ -42,8 +43,7 @@ from ..errors import ConfigurationError, Overloaded
 from ..graphs.generators import random_attachment_tree
 from ..lca import BinaryLiftingLCA
 from ..obs.events import TraceRecorder, TraceTable
-from ..obs.timers import StageTimer
-from ..service import ClusterService, LCAQueryService
+from ..service import ClusterService, ClusterStats, LCAQueryService, ServiceStats
 from ..service.stats import dedup_factor as _dedup_factor
 from ..service.stats import hit_rate as _hit_rate
 from .scenario import Scenario
@@ -165,13 +165,14 @@ class ScenarioReport:
     """Full outcome of one scenario replay.
 
     Per-phase rows live in :attr:`phases`; the totals summarize the whole
-    replayed trace, and :attr:`stats` keeps the underlying
-    :class:`~repro.service.ServiceStats` or
-    :class:`~repro.service.ClusterStats` snapshot for drill-down (cache
-    behaviour, batch histograms, per-replica loads).  Totals assume the
-    target was fresh when :func:`replay` started — replaying onto a service
-    that already answered other traffic folds that traffic into
-    :attr:`stats` (but not into the per-phase rows).
+    replayed trace, and :attr:`stats` keeps the target's
+    :class:`~repro.service.ServiceStats` snapshot for drill-down (cache
+    behaviour, batch histograms) — for a cluster a
+    :class:`~repro.service.ClusterStats`: the same fields merged over the
+    workers, plus the cluster's own (per-replica loads, shed, faults).
+    Totals assume the target was fresh when :func:`replay` started —
+    replaying onto a service that already answered other traffic folds that
+    traffic into :attr:`stats` (but not into the per-phase rows).
     """
 
     scenario: str
@@ -194,7 +195,7 @@ class ScenarioReport:
     #: Max/mean answered-query load across replicas (1.0 for a single node).
     load_imbalance: float
     #: The target's stats snapshot taken after the final drain.
-    stats: object
+    stats: ServiceStats
     #: Answer-cache hit rate and dedup factor over *this replay's* lookups
     #: and batches (counter deltas, so a reused target reports the replay,
     #: not its lifetime; 0.0 / 1.0 without the skew-aware path, ``inf``
@@ -316,28 +317,6 @@ def _percentiles(latencies: np.ndarray) -> Tuple[float, float]:
     return float(p50), float(p99)
 
 
-def _answer_cache_counters(target: ServiceTarget) -> Tuple[int, int]:
-    """Cumulative answer-cache (hits, misses) of either target kind."""
-    if isinstance(target, ClusterService):
-        caches = [replica.answer_cache for replica in target.replicas]
-    else:
-        caches = [target.answer_cache]
-    hits = sum(c.hits for c in caches if c is not None)
-    misses = sum(c.misses for c in caches if c is not None)
-    return hits, misses
-
-
-def _dedup_counters(target: ServiceTarget) -> Tuple[int, int]:
-    """Cumulative (queries_answered, kernel_queries) of either target kind."""
-    if isinstance(target, ClusterService):
-        collectors = [replica.stats_collector for replica in target.replicas]
-    else:
-        collectors = [target.stats_collector]
-    answered = sum(c.queries_answered for c in collectors)
-    kernel = sum(c.kernel_queries for c in collectors)
-    return answered, kernel
-
-
 def replay(
     target: ServiceTarget,
     scenario: Scenario,
@@ -455,41 +434,44 @@ def replay(
         heapq.heappush(retry_heap, (due, retry_seq, dataset, rx, ry, attempt))
         retry_seq += 1
 
+    def _submit(dataset: str, bx: np.ndarray, by: np.ndarray,
+                at: np.ndarray) -> Optional[Overloaded]:
+        """Timed ``submit_many``: book the admitted tickets, return a refusal."""
+        before = target.tickets_issued
+        started = time.perf_counter()
+        refusal: Optional[Overloaded] = None
+        try:
+            block = target.submit_many(dataset, bx, by, at=at)
+        except Overloaded as exc:
+            block = np.arange(before, before + exc.admitted, dtype=np.int64)
+            refusal = exc
+        wall["submit"] += time.perf_counter() - started
+        if block.size:
+            tickets.append(block)
+            dataset_tickets.setdefault(dataset, []).append(block)
+        if refusal is None and check_answers:
+            verified_runs.append((dataset, bx, by, block))
+        return refusal
+
     def _flush_retries(upto: Optional[float]) -> None:
         """Submit queued retries due by ``upto`` (all of them when ``None``)."""
         while retry_heap and (upto is None or retry_heap[0][0] <= upto):
             due, _, dataset, rx, ry, attempt = heapq.heappop(retry_heap)
             at_s = max(due, target.clock.now)
-            before = target.tickets_issued
-            try:
-                with timer.span("submit"):
-                    block = target.submit_many(
-                        dataset, rx, ry, at=np.full(rx.size, at_s)
-                    )
-                tickets.append(block)
-                dataset_tickets.setdefault(dataset, []).append(block)
-                phase_retry[-1][0] += int(rx.size)
-                if check_answers:
-                    verified_runs.append((dataset, rx, ry, block))
-            except Overloaded as exc:
-                if exc.admitted:
-                    admitted = np.arange(
-                        before, before + exc.admitted, dtype=np.int64
-                    )
-                    tickets.append(admitted)
-                    dataset_tickets.setdefault(dataset, []).append(admitted)
-                    phase_retry[-1][0] += exc.admitted
-                _queue_retry(
-                    dataset, rx[exc.admitted :], ry[exc.admitted :], at_s,
-                    attempt + 1,
-                )
-    # Cumulative answer-cache (hits, misses) at each phase boundary; phase i's
+            refusal = _submit(dataset, rx, ry, np.full(rx.size, at_s))
+            admitted = rx.size if refusal is None else refusal.admitted
+            phase_retry[-1][0] += int(admitted)
+            if refusal is not None:
+                _queue_retry(dataset, rx[admitted:], ry[admitted:], at_s,
+                             attempt + 1)
+
+    # The target's snapshot at each phase boundary; phase i's answer-cache
     # hit rate is the delta between boundaries i and i+1.
-    cache_marks: List[Tuple[int, int]] = [_answer_cache_counters(target)]
+    marks: List[ServiceStats] = [target.stats()]
     # Active replica count at each phase boundary (autoscaling trajectory).
     phase_replicas: List[int] = []
-    answered_0, kernel_0 = _dedup_counters(target)
-    timer = StageTimer()
+    # Host wall-clock seconds inside each serving stage (and verification).
+    wall = dict.fromkeys(("submit", "drain", "latencies", "verify"), 0.0)
     phase_submit_wall: List[float] = []
 
     if controller is not None:
@@ -532,41 +514,28 @@ def replay(
         tickets = []
         shed = 0
         phase_retry.append([0, 0])
-        submit_wall_0 = timer.seconds("submit")
+        submit_wall_0 = wall["submit"]
         for a, b in zip(edges[:-1], edges[1:]):
             if b <= a:
                 continue
             if retry is not None:
                 _flush_retries(float(arrivals[a]))
             dataset = sources[int(assignment[a])].dataset
-            before = target.tickets_issued
-            try:
-                with timer.span("submit"):
-                    block = target.submit_many(dataset, xs[a:b], ys[a:b],
-                                               at=arrivals[a:b])
-                tickets.append(block)
-                dataset_tickets.setdefault(dataset, []).append(block)
-                if check_answers:
-                    verified_runs.append((dataset, xs[a:b], ys[a:b], block))
-            except Overloaded as exc:
-                shed += exc.shed
-                if exc.admitted:
-                    admitted = np.arange(
-                        before, before + exc.admitted, dtype=np.int64
-                    )
-                    tickets.append(admitted)
-                    dataset_tickets.setdefault(dataset, []).append(admitted)
-                if retry is not None and exc.shed:
-                    first = a + exc.admitted
-                    last = first + exc.shed
+            refusal = _submit(dataset, xs[a:b], ys[a:b], arrivals[a:b])
+            if refusal is not None:
+                shed += refusal.shed
+                if retry is not None and refusal.shed:
+                    first = a + refusal.admitted
+                    last = first + refusal.shed
                     _queue_retry(dataset, xs[first:last], ys[first:last],
                                  float(arrivals[first]), 1)
             if controller is not None:
                 controller.observe(target, target.clock.now)
-        phase_submit_wall.append(timer.seconds("submit") - submit_wall_0)
+        phase_submit_wall.append(wall["submit"] - submit_wall_0)
         phase_tickets.append(tickets)
         phase_raw.append((phase.name, phase.duration_s, count, shed))
-        cache_marks.append(_answer_cache_counters(target))
+        if len(phase_raw) < len(scenario.phases):  # the last is marked post-drain
+            marks.append(target.stats())
         phase_replicas.append(
             target.n_active if isinstance(target, ClusterService) else 1
         )
@@ -576,44 +545,34 @@ def replay(
         # Late backoffs land past the last arrival; flush them (into the
         # final phase's accounting) before the drain.
         _flush_retries(None)
-    with timer.span("drain"):
-        target.drain()
+    started = time.perf_counter()
+    target.drain()
+    wall["drain"] = time.perf_counter() - started
     # The drain's lookups belong to the final phase's boundary.
-    cache_marks[-1] = _answer_cache_counters(target)
-    if isinstance(target, ClusterService):
-        cluster_stats = target.stats()
-        stats: object = cluster_stats
-        target_kind = "cluster"
-        n_replicas = target.n_replicas
-        router_policy = target.router.name
-        load_imbalance = cluster_stats.load_imbalance
-        span_s = cluster_stats.span_s
-        throughput_qps = cluster_stats.throughput_qps
+    stats = target.stats()
+    marks.append(stats)
+    if isinstance(stats, ClusterStats):
+        target_kind, n_replicas = "cluster", stats.n_replicas
+        router_policy, load_imbalance = stats.router_policy, stats.load_imbalance
     else:
-        service_stats = target.stats()
-        stats = service_stats
-        target_kind = "service"
-        n_replicas = 1
-        router_policy = ""
-        load_imbalance = 1.0
-        span_s = service_stats.span_s
-        throughput_qps = service_stats.throughput_qps
+        target_kind, n_replicas, router_policy, load_imbalance = "service", 1, "", 1.0
 
     if check_answers:
-        with timer.span("verify"):
-            by_dataset: Dict[str, List[Tuple[np.ndarray, ...]]] = {}
-            for dataset, bx, by, bt in verified_runs:
-                by_dataset.setdefault(dataset, []).append((bx, by, bt))
-            for dataset, runs in by_dataset.items():
-                vx = np.concatenate([r[0] for r in runs])
-                vy = np.concatenate([r[1] for r in runs])
-                vt = np.concatenate([r[2] for r in runs])
-                oracle = BinaryLiftingLCA(target.store.tree(dataset))
-                if not np.array_equal(target.results(vt), oracle.query(vx, vy)):
-                    raise AssertionError(
-                        f"replayed answers disagree with the oracle on "
-                        f"{dataset!r} ({scenario.name})"
-                    )
+        started = time.perf_counter()
+        by_dataset: Dict[str, List[Tuple[np.ndarray, ...]]] = {}
+        for dataset, bx, by, bt in verified_runs:
+            by_dataset.setdefault(dataset, []).append((bx, by, bt))
+        for dataset, runs in by_dataset.items():
+            vx = np.concatenate([r[0] for r in runs])
+            vy = np.concatenate([r[1] for r in runs])
+            vt = np.concatenate([r[2] for r in runs])
+            oracle = BinaryLiftingLCA(target.store.tree(dataset))
+            if not np.array_equal(target.results(vt), oracle.query(vx, vy)):
+                raise AssertionError(
+                    f"replayed answers disagree with the oracle on "
+                    f"{dataset!r} ({scenario.name})"
+                )
+        wall["verify"] = time.perf_counter() - started
 
     phases: List[PhaseReport] = []
     all_latencies: List[np.ndarray] = []
@@ -622,14 +581,14 @@ def replay(
     ):
         admitted = int(sum(t.size for t in tickets))
         if admitted:
-            with timer.span("latencies"):
-                latencies = target.latencies(np.concatenate(tickets))
+            started = time.perf_counter()
+            latencies = target.latencies(np.concatenate(tickets))
+            wall["latencies"] += time.perf_counter() - started
             all_latencies.append(latencies)
         else:
             latencies = np.empty(0, dtype=np.float64)
         p50, p99 = _percentiles(latencies)
-        hits0, misses0 = cache_marks[index]
-        hits1, misses1 = cache_marks[index + 1]
+        before, after = marks[index], marks[index + 1]
         phases.append(
             PhaseReport(
                 name=name,
@@ -642,7 +601,9 @@ def replay(
                 shed_rate=shed / offered if offered else 0.0,
                 latency_p50_s=p50,
                 latency_p99_s=p99,
-                answer_cache_hit_rate=_hit_rate(hits1 - hits0, misses1 - misses0),
+                answer_cache_hit_rate=_hit_rate(
+                    after.answer_cache_hits - before.answer_cache_hits,
+                    after.answer_cache_misses - before.answer_cache_misses),
                 queries_retried=phase_retry[index][0],
                 queries_abandoned=phase_retry[index][1],
                 submit_wall_s=phase_submit_wall[index],
@@ -664,9 +625,7 @@ def replay(
     offered_total = sum(p.queries_offered for p in phases)
     admitted_total = sum(p.queries_admitted for p in phases)
     shed_total = sum(p.queries_shed for p in phases)
-    total_hits, total_misses = cache_marks[-1]
-    first_hits, first_misses = cache_marks[0]
-    answered_1, kernel_1 = _dedup_counters(target)
+    first = marks[0]
     return ScenarioReport(
         scenario=scenario.name,
         target_kind=target_kind,
@@ -677,24 +636,25 @@ def replay(
         queries_admitted=admitted_total,
         queries_shed=shed_total,
         shed_rate=shed_total / offered_total if offered_total else 0.0,
-        span_s=span_s,
-        throughput_qps=throughput_qps,
+        span_s=stats.span_s,
+        throughput_qps=stats.throughput_qps,
         latency_p50_s=p50,
         latency_p99_s=p99,
         load_imbalance=load_imbalance,
         stats=stats,
         answer_cache_hit_rate=_hit_rate(
-            total_hits - first_hits, total_misses - first_misses
-        ),
-        dedup_factor=_dedup_factor(answered_1 - answered_0,
-                                   kernel_1 - kernel_0),
+            stats.answer_cache_hits - first.answer_cache_hits,
+            stats.answer_cache_misses - first.answer_cache_misses),
+        dedup_factor=_dedup_factor(
+            stats.queries_answered - first.queries_answered,
+            stats.kernel_queries - first.kernel_queries),
         queries_retried=sum(p.queries_retried for p in phases),
         queries_abandoned=sum(p.queries_abandoned for p in phases),
-        serve_wall_s=timer.total("submit", "drain", "latencies"),
-        submit_wall_s=timer.seconds("submit"),
-        drain_wall_s=timer.seconds("drain"),
-        latencies_wall_s=timer.seconds("latencies"),
-        verify_wall_s=timer.seconds("verify"),
+        serve_wall_s=wall["submit"] + wall["drain"] + wall["latencies"],
+        submit_wall_s=wall["submit"],
+        drain_wall_s=wall["drain"],
+        latencies_wall_s=wall["latencies"],
+        verify_wall_s=wall["verify"],
         trace=observer.table() if observer is not None else None,
         dataset_latency_p99_s=tuple(dataset_p99),
     )

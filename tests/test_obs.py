@@ -2,7 +2,7 @@
 
 Covers the recorder/table layer (journaling, sampling, ownership
 transfer, canonical), the window histogram, the exporters (JSONL,
-Chrome trace JSON) and the :class:`StageTimer` — plus the acceptance
+Chrome trace JSON) — plus the acceptance
 invariants that tie a live trace back to the serving stack's own
 aggregates:
 
@@ -22,7 +22,6 @@ from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.obs import (
     Histogram,
-    StageTimer,
     TraceRecorder,
     chrome_trace_events,
     write_chrome_trace,
@@ -328,26 +327,6 @@ def test_chrome_trace_spans_cover_every_batch(tmp_path):
     assert write_chrome_trace(str(path), events) == len(events)
     payload = json.loads(path.read_text())
     assert payload["traceEvents"] == events
-
-
-# ----------------------------------------------------------------------
-# StageTimer
-# ----------------------------------------------------------------------
-def test_stage_timer_accumulates_and_totals():
-    timer = StageTimer()
-    with timer.span("submit"):
-        pass
-    with timer.span("submit"):
-        pass
-    timer.add("drain", 0.5)
-    assert timer.seconds("submit") >= 0.0
-    assert timer.seconds("drain") == 0.5
-    assert timer.seconds("never") == 0.0
-    assert timer.total("drain") == 0.5
-    assert timer.total() == pytest.approx(timer.seconds("submit") + 0.5)
-    stages = timer.stages
-    stages["drain"] = 99.0  # a copy: mutating it doesn't write back
-    assert timer.seconds("drain") == 0.5
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ What a cluster serves — including that one replica serves what a plain
 ``LCAQueryService`` does — is ``tests/test_serving_spec.py``'s to check.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.service import (
     ClusterStats,
     LCAQueryService,
     ServiceConfig,
+    ServiceStats,
 )
 from repro.workloads import make_scenario, replay
 
@@ -399,6 +402,14 @@ def test_cluster_stats_aggregate_per_replica_views():
     assert stats.busy_time_s == pytest.approx(sum(s.busy_time_s for s in per))
     assert stats.cache_hits == sum(s.cache_hits for s in per)
     assert stats.cache_misses == sum(s.cache_misses for s in per)
+    # ... as are the fields a cluster snapshot carries because it is a
+    # ServiceStats merged over the workers.
+    assert stats.kernel_queries == sum(s.kernel_queries for s in per) == q
+    assert stats.cache_evictions == sum(s.cache_evictions for s in per)
+    assert stats.answer_cache_resets == sum(s.answer_cache_resets for s in per)
+    for name in ("batch_size_histogram", "flush_triggers", "backend_choices"):
+        totals = sum((Counter(getattr(s, name)) for s in per), Counter())
+        assert getattr(stats, name) == dict(totals), name
     # Imbalance is max/mean of the per-replica answered counts.
     answered = np.array(stats.per_replica_answered, dtype=np.float64)
     assert stats.load_imbalance == pytest.approx(answered.max() / answered.mean())
@@ -413,6 +424,30 @@ def test_cluster_stats_aggregate_per_replica_views():
     assert stats.throughput_qps == pytest.approx(q / stats.span_s)
     rendered = stats.format()
     assert "per-replica load" in rendered and "shed" in rendered
+
+
+def test_cluster_stats_declares_only_the_cluster_fields():
+    # Every field a single node reports is inherited from ServiceStats and
+    # filled by its merge; the subclass re-declares none of them.
+    assert issubclass(ClusterStats, ServiceStats)
+    own = set(ClusterStats.__annotations__)
+    assert own and not own & set(ServiceStats.__dataclass_fields__)
+    assert {"n_replicas", "replicas", "replica_seconds"} <= own
+
+
+def test_replica_seconds_accrue_from_birth_to_retirement():
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2))
+    cluster.advance_to(1.0)
+    newcomer = cluster.add_replica()
+    cluster.advance_to(2.0)
+    cluster.retire_replica(newcomer)
+    cluster.advance_to(3.0)
+    # Two founders for 3 s, the newcomer from t=1 until its retirement at 2.
+    assert cluster.replica_seconds() == 7.0
+    assert cluster.stats().replica_seconds == 7.0
+    # The horizon is the cluster clock; there is no argument to override it.
+    with pytest.raises(TypeError):
+        cluster.replica_seconds(1.0)
 
 
 def test_warm_prebuilds_every_copy_and_stream_only_hits():

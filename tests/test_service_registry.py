@@ -20,6 +20,7 @@ from repro.service import (
     ForestStore,
     IndexRegistry,
     LCAQueryService,
+    StatsCollector,
     artifact_nbytes,
 )
 
@@ -151,7 +152,7 @@ def test_fetch_miss_then_hit_accounting():
     entry2, hit2 = registry.fetch("a", "lca", GTX980)
     assert hit2 and entry2 is entry
     assert (registry.hits, registry.misses, registry.evictions) == (1, 1, 0)
-    assert registry.hit_rate == 0.5
+    assert StatsCollector().snapshot(registry=registry).cache_hit_rate == 0.5
     assert registry.bytes_in_use == entry.nbytes
     assert registry.build_time_s == entry.build_time_s
 

@@ -12,6 +12,8 @@ The two acceptance-grade properties live here:
   ``steady`` never sheds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from repro.service import (
     BatchPolicy,
     ClusterConfig,
     ClusterService,
+    ClusterStats,
     LCAQueryService,
     ServiceConfig,
+    ServiceStats,
 )
 from repro.workloads import (
     DeterministicArrivals,
@@ -100,6 +104,30 @@ def test_steady_replay_stats_bit_identical_to_manual_stream():
     # is equal, not merely close: the replay emitted the identical stream.
     assert report.stats == manual.stats()
     assert np.array_equal(replayed.latencies(np.arange(q)), manual.latencies(tickets))
+
+
+def exact(value):
+    """A float as its exact hex form (bit-equal, not merely close)."""
+    return float(value).hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("answer_cache_bytes", [None, 1 << 20])
+def test_one_replica_cluster_stats_equal_a_single_node_field_for_field(
+    answer_cache_bytes,
+):
+    """A cluster snapshot is its workers' snapshots merged by the code a
+    single node uses, so one replica reads exactly like the node."""
+    scenario = make_scenario("steady", scale=0.1, seed=0)
+    knobs = dict(max_batch_size=256, max_wait_s=2e-4,
+                 answer_cache_bytes=answer_cache_bytes)
+    node = replay(LCAQueryService(config=ServiceConfig(**knobs)), scenario).stats
+    cluster = replay(
+        ClusterService(config=ClusterConfig(n_replicas=1, **knobs)), scenario
+    ).stats
+    assert isinstance(cluster, ClusterStats) and not isinstance(node, ClusterStats)
+    assert node.queries_answered > 0
+    for name in (f.name for f in dataclasses.fields(ServiceStats)):
+        assert exact(getattr(cluster, name)) == exact(getattr(node, name)), name
 
 
 # ----------------------------------------------------------------------
