@@ -4,8 +4,8 @@
 Demonstrates the :mod:`repro.service.cluster` subsystem end to end:
 
 1. build a 4-replica cluster and register datasets — a hot tree replicated
-   onto every worker, plus lightly used trees placed by the consistent-hash
-   ring (one copy each);
+   onto every worker, plus lightly used trees placed by rendezvous hashing
+   (one copy each);
 2. flood the hot dataset through the columnar ``submit_many`` path and
    compare routing policies: least-outstanding work spreads the load across
    all four copies (~4x one worker's throughput), while consistent-hash
@@ -61,7 +61,7 @@ def main() -> None:
     for policy_name in ("least-outstanding", "consistent-hash"):
         cluster = ClusterService(config=CONFIG.derive(router=policy_name))
         cluster.register_tree("hot", hot, replicas=N_REPLICAS)
-        # Two cold datasets, placed by the consistent-hash ring (1 copy each;
+        # Two cold datasets, placed by rendezvous hashing (1 copy each;
         # the lazy one is only materialized if it ever gets a query).
         cluster.register_tree("citations", barabasi_albert_tree(5_000, seed=3))
         cluster.register_tree(
@@ -76,7 +76,7 @@ def main() -> None:
         print(f"\n--- router: {policy_name} ---")
         print(stats.format())
         placements = {name: cluster.placement(name) for name in ("citations", "backup")}
-        print(f"ring placement     : {placements}")
+        print(f"hash placement     : {placements}")
 
     print("\nall served answers agree with the binary-lifting oracle")
 

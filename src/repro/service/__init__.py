@@ -33,8 +33,8 @@ bulk; this subpackage turns that observation into a serving architecture:
   one-query-at-a-time callers); every knob arrives through one
   :class:`~repro.service.config.ServiceConfig` passed as ``config=``;
 * :class:`~repro.service.cluster.ClusterService` — N replica workers behind
-  one front door: consistent-hash placement with replication
-  (:class:`~repro.service.routing.HashRing`), pluggable load-aware routing
+  one front door: rendezvous-hash placement with replication
+  (:func:`~repro.service.routing.rendezvous`), pluggable load-aware routing
   (:class:`~repro.service.routing.Router` policies), cluster-wide admission
   control raising the typed :class:`~repro.errors.Overloaded` error, and
   :class:`~repro.service.cluster.ClusterStats`: a ``ServiceStats`` merged
@@ -80,11 +80,11 @@ from .registry import (
 from .routing import (
     ROUTER_POLICIES,
     ConsistentHashRouter,
-    HashRing,
     LeastOutstandingRouter,
     RoundRobinRouter,
     Router,
     make_router,
+    rendezvous,
     stable_hash,
 )
 from .scheduler import BatchPolicy, FlushedBatch, MicroBatchScheduler, PendingQuery
@@ -132,9 +132,9 @@ __all__ = [
     "RoundRobinRouter",
     "LeastOutstandingRouter",
     "ConsistentHashRouter",
-    "HashRing",
     "ROUTER_POLICIES",
     "make_router",
+    "rendezvous",
     "stable_hash",
     # fault tolerance + elasticity
     "FaultInjector",

@@ -9,8 +9,8 @@ budget.  On top of the workers the cluster adds the three things a single
 node cannot provide:
 
 * **replication + placement** — a dataset registered with ``replicas=k`` is
-  pinned onto ``k`` workers chosen by a consistent-hash ring
-  (:class:`~repro.service.routing.HashRing`), so hot datasets exist in
+  pinned onto the ``k`` active workers ranked first by rendezvous hashing
+  (:func:`~repro.service.routing.rendezvous`), so hot datasets exist in
   multiple index caches and cold ones cost one;
 * **load-aware routing** — a pluggable
   :class:`~repro.service.routing.Router` picks which copy serves each query
@@ -31,7 +31,7 @@ node cannot provide:
   re-issues straggling batches to a second copy and takes the first
   completion.  :meth:`ClusterService.add_replica` and
   :meth:`ClusterService.retire_replica` grow and shrink the cluster live,
-  with consistent-hash re-placement and drain-before-retire semantics.
+  with rendezvous re-placement and drain-before-retire semantics.
 
 Time: every worker runs on its own :class:`SimulatedClock` cursor along the
 *same* simulated time axis; the cluster's own clock is the frontier (the
@@ -96,7 +96,7 @@ from .dispatch import (
 )
 from .faults import FaultEvent, FaultInjector
 from .registry import ForestStore
-from .routing import HashRing, Router, make_router
+from .routing import Router, make_router, rendezvous
 from .scheduler import FlushedBatch
 from .service import LCAQueryService, block_clean_prefix
 from .stats import ServiceStats
@@ -243,7 +243,6 @@ class ClusterService:
         self.config = config
         n_workers = config.n_replicas
         self.router: Router = make_router(config.router)
-        self.ring = HashRing(range(n_workers))
         self.clock = SimulatedClock(config.start_time)
         self.store = ForestStore()
         if dispatcher_factory is None:
@@ -444,30 +443,32 @@ class ClusterService:
         *,
         loader: Optional[Callable[[], np.ndarray]] = None,
         validate: bool = False,
-        replicas: int = 1,
+        replicas: Optional[int] = None,
         on: Optional[Sequence[int]] = None,
     ) -> Tuple[int, ...]:
         """Register a tree on ``replicas`` workers; returns the placement.
 
-        Placement defaults to the consistent-hash ring (stable under future
-        replica-count changes); ``on`` pins the copies to explicit replica
-        ids instead.  ``replicas=0`` means *every active replica, tracked*:
-        the copy count follows membership, so a replica added later (e.g.
-        by reactive autoscaling) starts serving the dataset, and a retired
-        one stops.  The tree goes into :attr:`store` once, however many
-        copies exist, so a lazy ``loader`` runs once and every copy shares
-        the loaded array.  A refused registration changes neither the store
-        nor the placement.
+        Placement defaults to the name's first ``replicas`` (default 1)
+        active replicas by :func:`~repro.service.routing.rendezvous` rank;
+        ``on`` pins explicit replica ids instead (not both).  ``replicas=0``
+        means *every active replica, tracked*: the copy count follows
+        membership, so a replica added later (e.g. by reactive autoscaling)
+        starts serving the dataset, and a retired one stops.  The tree goes
+        into :attr:`store` once, however many copies exist, so a lazy
+        ``loader`` runs once and every copy shares the loaded array.  A
+        refused registration changes neither the store nor the placement.
 
         >>> import numpy as np
         >>> cluster = ClusterService(config=ClusterConfig(n_replicas=4))
         >>> cluster.register_tree("pinned", np.array([-1, 0]), on=[0, 2])
         (0, 2)
-        >>> ringed = cluster.register_tree("ringed", np.array([-1, 0]),
+        >>> hashed = cluster.register_tree("hashed", np.array([-1, 0]),
         ...                                replicas=2)
-        >>> len(ringed)
+        >>> len(hashed)
         2
         """
+        if on is not None and replicas is not None:
+            raise ServiceError("pass replicas= or on=, not both")
         if on is not None:
             copies = tuple(dict.fromkeys(replica_ids(on).tolist()))
             if not copies:
@@ -482,12 +483,12 @@ class ClusterService:
             if gone:
                 raise ServiceError(f"replica ids {gone} are retired")
         else:
-            replicas = count(replicas, "replicas", least=0)
+            replicas = count(1 if replicas is None else replicas, "replicas", least=0)
             if replicas > self.n_active:
                 raise ServiceError(
                     f"replicas must be in [0, {self.n_active}], got {replicas}"
                 )
-            copies = tuple(self.ring.place(name, replicas or self.n_active))
+            copies = self._hash_place(name, replicas)
         self.store.add_tree(name, parents, loader=loader, validate=validate)
         self._placement[name] = copies
         self._tree_replicas[name] = None if on is not None else replicas
@@ -499,9 +500,9 @@ class ClusterService:
     def add_replica(self) -> int:
         """Scale out: add one replica worker live; returns its replica id.
 
-        The newcomer joins the consistent-hash ring at the cluster's
-        current simulated time, ring-placed datasets are re-placed (only
-        keys landing on the new arcs move; a displaced copy's built index
+        The newcomer joins at the cluster's current simulated time,
+        hash-placed datasets are re-placed (only those whose ranking now
+        takes the newcomer move; a displaced copy's built index
         stays in its registry as a warm spare until LRU evicts it), and any
         queries parked with no live copy are re-dispatched to it.  The
         newcomer shares :attr:`store`, so it serves whatever it is placed
@@ -533,8 +534,7 @@ class ClusterService:
         if self._observer is not None:
             worker.attach_observer(self._observer, replica=rid)
         self._install_hooks(rid, worker)
-        self.ring.add(rid)
-        self._replace_ring_datasets()
+        self._replace_hashed_datasets()
         self._membership_events += 1
         self.config = self.config.derive(n_replicas=self.n_active)
         if self._observer is not None:
@@ -555,8 +555,8 @@ class ClusterService:
         Drain-before-retire: an alive replica first serves everything it
         still queues (at the cluster frontier), so retirement never loses
         an admitted query; a killed replica's queue was already evicted and
-        failed over at kill time.  The replica then leaves the hash ring,
-        ring-placed datasets are re-placed onto the survivors, and pinned
+        failed over at kill time.  The replica then leaves the active set,
+        hash-placed datasets are re-placed onto the survivors, and pinned
         placements drop the retiree.  Replica ids are never reused, so old
         tickets stay resolvable against the retired worker's results.
 
@@ -585,14 +585,13 @@ class ClusterService:
             worker.sync_to(self.clock.now)
             worker.drain()
             self._drain_failed()
-        self.ring.remove(r)
         self._retired[r] = True
         self._alive[r] = False
         self._retired_at[r] = self.clock.now
         for name, copies in list(self._placement.items()):
             if self._tree_replicas[name] is None and r in copies:
                 self._placement[name] = tuple(c for c in copies if c != r)
-        self._replace_ring_datasets()
+        self._replace_hashed_datasets()
         self._membership_events += 1
         self.config = self.config.derive(n_replicas=self.n_active)
         if self._observer is not None:
@@ -810,7 +809,7 @@ class ClusterService:
             # whole block is subsequently shed by admission control.
             self.clock.advance_to(float(arrivals[0]))
             # Liveness is the only filter: a placement never names a retired
-            # replica (pinned placements drop the retiree, ring placements
+            # replica (pinned placements drop the retiree, hash placements
             # are re-placed).
             live = tuple(c for c in copies if self._alive[c])
             if not live:
@@ -1453,21 +1452,22 @@ class ClusterService:
         for dataset, tickets, xs, ys, origin_s in parked:
             self._redispatch(dataset, tickets, xs, ys, origin_s, t)
 
-    def _replace_ring_datasets(self) -> None:
-        """Recompute ring placements after membership changed.
+    def _hash_place(self, name: str, replicas: int) -> Tuple[int, ...]:
+        """``name``'s first ``replicas`` (``0``: all) active replicas by rank."""
+        active = [r for r, retired in enumerate(self._retired) if not retired]
+        return rendezvous(name, active, replicas or len(active))
+
+    def _replace_hashed_datasets(self) -> None:
+        """Recompute hash placements after membership changed.
 
         Every worker shares :attr:`store`, so a newly placed copy needs no
         registration (its index builds lazily on first use), and a displaced
         copy's built index stays in its registry as a warm spare until LRU
         evicts it.
         """
-        ring_size = len(self.ring.replica_ids)
         for name, want in self._tree_replicas.items():
             if want is not None:  # pinned via on=: membership never moves it
-                # want == 0 tracks membership: the dataset lives on every
-                # replica currently in the ring.
-                count = ring_size if want == 0 else min(want, ring_size)
-                self._placement[name] = tuple(self.ring.place(name, count))
+                self._placement[name] = self._hash_place(name, want)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (

@@ -27,7 +27,7 @@ Supported actions
     Scale out: add a fresh replica to the cluster (``replica`` is ignored;
     the new replica takes the next free id).
 ``retire``
-    Scale in: drain a replica and remove it from the hash ring.
+    Scale in: drain a replica and remove it from the active set.
 
 >>> events = [
 ...     FaultEvent(time_s=0.10, action="kill", replica=1),

@@ -3,18 +3,19 @@
 A sharded serving cluster answers two distinct questions for every query:
 
 * **placement** — which replica workers *hold* a dataset (and its cached
-  index artifacts).  :class:`HashRing` answers it with consistent hashing:
-  each replica owns many pseudo-random points ("virtual nodes") on a hash
-  circle, and a dataset lives on the first ``count`` distinct replicas
-  clockwise from its own hash.  Adding or removing a replica therefore moves
-  only the datasets whose arc the change touches — every other placement is
-  bit-identical, which is what keeps index caches warm through resizes;
+  index artifacts).  :func:`rendezvous` answers it with rendezvous
+  (highest-random-weight) hashing: every replica gets a pseudo-random
+  weight per dataset, and the dataset lives on the ``count`` heaviest.
+  Adding or removing a replica therefore moves only the datasets whose
+  ranking the change touches — every other placement is bit-identical,
+  which is what keeps index caches warm through resizes;
 * **routing** — which of a dataset's copies *serves* a given query or block.
   :class:`Router` is the pluggable policy: :class:`RoundRobinRouter` cycles
   copies, :class:`LeastOutstandingRouter` levels queue depths (the classic
   least-outstanding-requests balancer), and :class:`ConsistentHashRouter`
-  pins each dataset to one stable copy for maximal cache affinity
-  (rendezvous hashing, so the pick survives copy additions and removals).
+  pins each dataset to one stable copy for maximal cache affinity — the
+  same :func:`rendezvous` ranking over its copies, so a hash-placed dataset
+  is served by its primary.
 
 All hashing uses :func:`stable_hash` — a keyed BLAKE2b digest, deterministic
 across processes, platforms and Python versions — so placements and routes
@@ -24,7 +25,7 @@ are reproducible facts of the configuration, never of ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -32,11 +33,12 @@ from ..errors import ServiceError
 
 __all__ = [
     "stable_hash",
-    "HashRing",
+    "rendezvous",
     "Router",
     "RoundRobinRouter",
     "LeastOutstandingRouter",
     "ConsistentHashRouter",
+    "ROUTERS",
     "ROUTER_POLICIES",
     "make_router",
 ]
@@ -46,7 +48,7 @@ def stable_hash(key: str) -> int:
     """A deterministic 64-bit hash of ``key``, stable across runs and hosts.
 
     Python's builtin ``hash`` is salted per process; this one is a BLAKE2b
-    digest, so ring positions and rendezvous weights are reproducible.
+    digest, so rendezvous weights (placements and routes) are reproducible.
 
     >>> stable_hash("dataset") == stable_hash("dataset")
     True
@@ -57,120 +59,31 @@ def stable_hash(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class HashRing:
-    """Consistent-hash ring mapping dataset names to replica ids.
+def rendezvous(key: str, replica_ids: Iterable[int], count: int) -> Tuple[int, ...]:
+    """The first ``count`` of ``replica_ids`` ranked by rendezvous weight.
 
-    Parameters
-    ----------
-    replica_ids:
-        The replicas currently in the cluster (any hashable ints; the
-        cluster uses ``0..n-1``).
-    vnodes:
-        Virtual nodes per replica.  More vnodes smooth the arc lengths (and
-        hence the expected placement balance) at the cost of a larger ring;
-        64 keeps the max/mean arc ratio low for small clusters.
+    Each replica's weight for ``key`` is ``stable_hash(f"{key}@{replica}")``;
+    the ranking is highest weight first, ties to the lower id, and ``count``
+    is capped at the number of replicas.  Element 0 is the key's *primary*.
+    A replica's weight depends on nothing but the key and its own id, so
+    adding one only inserts the newcomer into each ranking and removing one
+    only deletes it: every other replica keeps its relative order, and a
+    placement the change does not touch is bit-identical.
+
+    >>> rendezvous("hot", range(4), 2) == rendezvous("hot", (3, 2, 1, 0), 2)
+    True
+    >>> len(rendezvous("hot", range(4), 99))
+    4
+    >>> ranked = rendezvous("hot", range(4), 4)
+    >>> rendezvous("hot", [r for r in range(4) if r != ranked[1]], 3) == (
+    ...     ranked[0], ranked[2], ranked[3])
+    True
     """
-
-    def __init__(self, replica_ids: Sequence[int], *, vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ServiceError("vnodes must be at least 1")
-        self.vnodes = vnodes
-        self._ids: Tuple[int, ...] = tuple(sorted(set(int(r) for r in replica_ids)))
-        if not self._ids:
-            raise ServiceError("a hash ring needs at least one replica")
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        tokens = np.empty(len(self._ids) * self.vnodes, dtype=np.uint64)
-        owners = np.empty(tokens.size, dtype=np.int64)
-        pos = 0
-        for replica in self._ids:
-            for v in range(self.vnodes):
-                tokens[pos] = stable_hash(f"replica:{replica}:vnode:{v}")
-                owners[pos] = replica
-                pos += 1
-        order = np.argsort(tokens, kind="stable")
-        self._tokens = tokens[order]
-        self._owners = owners[order]
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    @property
-    def replica_ids(self) -> Tuple[int, ...]:
-        """The replicas currently on the ring, ascending.
-
-        >>> HashRing(range(3)).replica_ids
-        (0, 1, 2)
-        """
-        return self._ids
-
-    def add(self, replica_id: int) -> None:
-        """Add a replica; only keys landing on its arcs change placement.
-
-        >>> ring = HashRing(range(2))
-        >>> ring.add(5)
-        >>> ring.replica_ids
-        (0, 1, 5)
-        """
-        if int(replica_id) in self._ids:
-            raise ServiceError(f"replica {replica_id} is already on the ring")
-        self._ids = tuple(sorted(self._ids + (int(replica_id),)))
-        self._rebuild()
-
-    def remove(self, replica_id: int) -> None:
-        """Remove a replica; only keys it owned change placement.
-
-        >>> ring = HashRing(range(3))
-        >>> ring.remove(1)
-        >>> ring.replica_ids
-        (0, 2)
-        """
-        if int(replica_id) not in self._ids:
-            raise ServiceError(f"replica {replica_id} is not on the ring")
-        if len(self._ids) == 1:
-            raise ServiceError("cannot remove the last replica from the ring")
-        self._ids = tuple(r for r in self._ids if r != int(replica_id))
-        self._rebuild()
-
-    # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
-    def place(self, key: str, count: int = 1) -> List[int]:
-        """The first ``count`` distinct replicas clockwise from ``key``.
-
-        ``count`` is capped at the number of replicas on the ring.  The
-        returned order is the placement order: element 0 is the key's
-        *primary* replica, the rest are where additional copies go.
-
-        Placements are deterministic, and adding a replica only moves keys
-        onto the newcomer — every other placement is untouched:
-
-        >>> ring = HashRing(range(4))
-        >>> ring.place("hot", 2) == ring.place("hot", 2)
-        True
-        >>> before = {k: ring.place(k)[0] for k in ("a", "b", "c", "d")}
-        >>> ring.add(9)
-        >>> after = {k: ring.place(k)[0] for k in before}
-        >>> all(after[k] in (before[k], 9) for k in before)
-        True
-        """
-        if count < 1:
-            raise ServiceError("placement count must be at least 1")
-        count = min(count, len(self._ids))
-        start = int(np.searchsorted(self._tokens, np.uint64(stable_hash(key))))
-        chosen: List[int] = []
-        size = self._tokens.size
-        for step in range(size):
-            owner = int(self._owners[(start + step) % size])
-            if owner not in chosen:
-                chosen.append(owner)
-                if len(chosen) == count:
-                    break
-        return chosen
-
-    def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return f"HashRing(replicas={self._ids}, vnodes={self.vnodes})"
+    ranked = sorted(
+        (int(r) for r in replica_ids),
+        key=lambda r: (-stable_hash(f"{key}@{r}"), r),
+    )
+    return tuple(ranked[:count])
 
 
 class Router:
@@ -308,12 +221,13 @@ class LeastOutstandingRouter(Router):
 class ConsistentHashRouter(Router):
     """Pin every query for a dataset to one stable copy (cache affinity).
 
-    Uses rendezvous (highest-random-weight) hashing over the dataset's
-    copies: the winner only changes when the winner itself is added to or
-    removed from the copy set, never when an unrelated copy churns.  With a
-    replication factor of 1 this is simply "the dataset's only copy"; the
-    policy earns its keep on many-dataset workloads, where it maximizes
-    per-replica index-cache hit rates at the price of ignoring load.
+    The winner is the dataset's :func:`rendezvous` primary among its copies:
+    it only changes when the winner itself is added to or removed from the
+    copy set, never when an unrelated copy churns, and for a hash-placed
+    dataset it is ``placement[0]``.  With a replication factor of 1 this is
+    simply "the dataset's only copy"; the policy earns its keep on
+    many-dataset workloads, where it maximizes per-replica index-cache hit
+    rates at the price of ignoring load.
 
     >>> import numpy as np
     >>> router = ConsistentHashRouter()
@@ -331,35 +245,27 @@ class ConsistentHashRouter(Router):
         outstanding: np.ndarray,
         size: int,
     ) -> np.ndarray:
-        winner = max(
-            (int(c) for c in copies),
-            key=lambda c: (stable_hash(f"route:{dataset}@{c}"), -c),
-        )
-        return np.full(size, winner, dtype=np.int64)
+        return np.full(size, rendezvous(dataset, copies, 1)[0], dtype=np.int64)
 
 
-#: Router policy names accepted by :func:`make_router`.
-ROUTER_POLICIES: Tuple[str, ...] = (
-    RoundRobinRouter.name,
-    LeastOutstandingRouter.name,
-    ConsistentHashRouter.name,
-)
+#: Router classes by policy name, the names :func:`make_router` accepts.
+ROUTERS: Dict[str, Type[Router]] = {
+    cls.name: cls
+    for cls in (RoundRobinRouter, LeastOutstandingRouter, ConsistentHashRouter)
+}
+ROUTER_POLICIES: Tuple[str, ...] = tuple(ROUTERS)
 
 
 def make_router(policy: str) -> Router:
-    """A fresh router instance for a policy name (see :data:`ROUTER_POLICIES`).
+    """A fresh router instance for a policy name (see :data:`ROUTERS`).
 
     >>> make_router("least-outstanding").name
     'least-outstanding'
     >>> sorted(ROUTER_POLICIES)
     ['consistent-hash', 'least-outstanding', 'round-robin']
     """
-    if policy == RoundRobinRouter.name:
-        return RoundRobinRouter()
-    if policy == LeastOutstandingRouter.name:
-        return LeastOutstandingRouter()
-    if policy == ConsistentHashRouter.name:
-        return ConsistentHashRouter()
-    raise ServiceError(
-        f"unknown router policy {policy!r}; known policies: {ROUTER_POLICIES}"
-    )
+    if policy not in ROUTERS:
+        raise ServiceError(
+            f"unknown router policy {policy!r}; known policies: {ROUTER_POLICIES}"
+        )
+    return ROUTERS[policy]()

@@ -284,6 +284,19 @@ def test_every_replica_id_and_fault_count_refuses(entry, case):
         dict(replica_entries())[entry](NOT_COUNTS[case])
 
 
+def test_register_tree_refuses_replicas_and_on_together():
+    """``replicas=99, on=[1]`` used to place on ``(1,)`` without reading
+    ``replicas``; naming both is now a contradiction, refused before any
+    state changes."""
+    cluster = three()
+    with pytest.raises(ServiceError, match="not both"):
+        cluster.register_tree("b", PARENTS, replicas=99, on=[1])
+    with pytest.raises(ServiceError, match="not both"):
+        cluster.register_tree("b", PARENTS, replicas=1, on=[1])
+    assert cluster.datasets == []
+    assert cluster.register_tree("b", PARENTS, on=[1]) == (1,)
+
+
 @pytest.mark.parametrize("factor", [0.5, math.inf, True, "2"], ids=repr)
 def test_a_slowdown_factor_is_checked_at_construction(factor):
     """A factor below 1.0 used to raise mid-serve, at the fault instant."""

@@ -755,7 +755,7 @@ MODULE_LINES = {
     "service/dispatch.py": 307,
     "service/faults.py": 156,
     "service/registry.py": 389,
-    "service/routing.py": 365,
+    "service/routing.py": 271,
     "service/scheduler.py": 493,
     "service/service.py": 1342,
     "service/stats.py": 294,

@@ -23,6 +23,7 @@ from repro.service import (
     LCAQueryService,
     ServiceConfig,
     ServiceStats,
+    rendezvous,
 )
 from repro.workloads import make_scenario, replay
 
@@ -91,15 +92,15 @@ def test_placement_modes():
     cluster = ClusterService(
         config=ClusterConfig(n_replicas=4, router="round-robin", **POLICY)
     )
-    ring_copies = cluster.register_tree("ringed", parents, replicas=2)
-    assert cluster.placement("ringed") == ring_copies
-    assert len(set(ring_copies)) == 2
-    # Ring placement agrees with the cluster's own ring.
-    assert list(ring_copies) == cluster.ring.place("ringed", 2)
+    hashed = cluster.register_tree("hashed", parents, replicas=2)
+    assert cluster.placement("hashed") == hashed
+    assert len(set(hashed)) == 2
+    # Hash placement is the name's rendezvous ranking of the active replicas.
+    assert hashed == rendezvous("hashed", range(4), 2)
     # Explicit placement is respected verbatim (deduplicated, order kept).
     pinned = cluster.register_tree("pinned", parents, on=[3, 1, 3])
     assert pinned == (3, 1)
-    assert cluster.datasets == ["ringed", "pinned"]
+    assert cluster.datasets == ["hashed", "pinned"]
     # Every worker shares the one store; only the placed replicas build the
     # dataset's index and receive its traffic.
     assert all(worker.store is cluster.store for worker in cluster.replicas)
@@ -180,7 +181,7 @@ def test_a_lazy_loader_that_raises_once_stays_retryable_on_every_copy():
 
 
 def test_a_re_placed_copy_ranks_datasets_in_registration_order():
-    """A worker that gains an earlier-registered ring dataset after it served
+    """A worker that gains an earlier-registered hashed dataset after it served
     a later one ranks the earlier one first: one drain serves them in
     registration order, whatever order their queries arrived in."""
     parents = random_attachment_tree(64, seed=3)

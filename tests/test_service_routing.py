@@ -1,4 +1,4 @@
-"""Routing layer tests: stable hashing, ring placement, router policies."""
+"""Routing layer tests: stable hashing, rendezvous placement, router policies."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,12 @@ from repro.errors import ServiceError
 from repro.service import (
     ROUTER_POLICIES,
     ConsistentHashRouter,
-    HashRing,
+    ClusterConfig,
+    ClusterService,
     LeastOutstandingRouter,
     RoundRobinRouter,
     make_router,
+    rendezvous,
     stable_hash,
 )
 
@@ -34,77 +36,45 @@ def test_stable_hash_is_deterministic_and_64_bit():
 
 
 # ----------------------------------------------------------------------
-# HashRing
+# rendezvous
 # ----------------------------------------------------------------------
 
-def test_ring_place_returns_distinct_replicas_capped_at_ring_size():
-    ring = HashRing(range(4))
+def test_rendezvous_returns_distinct_replicas_capped_at_the_set_size():
     for count in (1, 2, 4):
-        placed = ring.place("some-dataset", count)
+        placed = rendezvous("some-dataset", range(4), count)
         assert len(placed) == count
         assert len(set(placed)) == count
         assert all(0 <= r < 4 for r in placed)
-    # Requesting more copies than replicas caps at the ring size.
-    assert len(ring.place("some-dataset", 99)) == 4
-    with pytest.raises(ServiceError):
-        ring.place("some-dataset", 0)
+    # Requesting more copies than replicas caps at the set size.
+    assert sorted(rendezvous("some-dataset", range(4), 99)) == [0, 1, 2, 3]
 
 
-def test_ring_is_deterministic_across_instances():
-    a = HashRing(range(8))
-    b = HashRing(range(8))
+def test_rendezvous_ranks_by_weight_whatever_the_input_order():
+    ranked = rendezvous("ds", (7, 3, 5), 3)
+    weights = [stable_hash(f"ds@{r}") for r in ranked]
+    assert weights == sorted(weights, reverse=True)
+    # The input order is no input: the ranking is a function of the set.
     for i in range(50):
-        assert a.place(f"ds-{i}", 3) == b.place(f"ds-{i}", 3)
+        assert rendezvous(f"ds-{i}", range(8), 3) == rendezvous(
+            f"ds-{i}", reversed(range(8)), 3
+        )
 
 
-def test_ring_spreads_primaries_across_replicas():
-    ring = HashRing(range(8))
-    primaries = {ring.place(f"ds-{i}")[0] for i in range(200)}
-    assert len(primaries) == 8  # every replica is someone's primary
+def test_rendezvous_spreads_primaries_across_replicas():
+    primaries = {rendezvous(f"ds-{i}", range(8), 1)[0] for i in range(200)}
+    assert primaries == set(range(8))  # every replica is someone's primary
 
 
-def test_ring_add_only_moves_keys_onto_the_new_replica():
-    before = HashRing(range(8))
-    after = HashRing(range(8))
-    after.add(8)
+def test_rendezvous_add_only_moves_keys_onto_the_new_replica():
     keys = [f"ds-{i}" for i in range(300)]
     moved = 0
     for key in keys:
-        old, new = before.place(key), after.place(key)
+        old, new = rendezvous(key, range(8), 1), rendezvous(key, range(9), 1)
         if old != new:
             moved += 1
-            assert new == [8]  # a changed primary can only be the newcomer
-    # Consistent hashing: roughly 1/9 of keys move, never the majority.
+            assert new == (8,)  # a changed primary can only be the newcomer
+    # Roughly 1/9 of keys move, never the majority.
     assert 0 < moved < len(keys) // 2
-
-
-def test_ring_remove_only_moves_keys_owned_by_the_removed_replica():
-    full = HashRing(range(8))
-    smaller = HashRing(range(8))
-    smaller.remove(3)
-    for i in range(300):
-        key = f"ds-{i}"
-        old = full.place(key, 2)
-        new = smaller.place(key, 2)
-        if 3 not in old:
-            assert new == old  # untouched placements are bit-identical
-        else:
-            assert 3 not in new
-    assert smaller.replica_ids == (0, 1, 2, 4, 5, 6, 7)
-
-
-def test_ring_membership_errors():
-    ring = HashRing([0])
-    with pytest.raises(ServiceError):
-        ring.add(0)
-    with pytest.raises(ServiceError):
-        ring.remove(7)
-    with pytest.raises(ServiceError):
-        ring.remove(0)  # cannot empty the ring
-    with pytest.raises(ServiceError):
-        HashRing([])
-    with pytest.raises(ServiceError):
-        HashRing([0], vnodes=0)
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +227,24 @@ def test_consistent_hash_spreads_distinct_datasets():
     assert len(winners) == 4
 
 
+@pytest.mark.parametrize("replicas", [2, 3, 0])
+def test_consistent_hash_routes_a_hashed_dataset_to_its_primary(replicas):
+    """Placement and routing rank copies by the same weights, so every query
+    for a hash-placed dataset lands on ``placement[0]``."""
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=4, router="consistent-hash")
+    )
+    for i in range(12):
+        cluster.register_tree(f"ds-{i}", [-1, 0, 0, 1], replicas=replicas)
+    for name in cluster.datasets:
+        before = [w.stats().queries_answered for w in cluster.replicas]
+        cluster.submit_many(name, [1, 2, 3], [3, 1, 2])
+        cluster.drain()
+        after = [w.stats().queries_answered for w in cluster.replicas]
+        served = {r for r, (b, a) in enumerate(zip(before, after)) if a > b}
+        assert served == {cluster.placement(name)[0]}
+
+
 # ----------------------------------------------------------------------
 # Factory
 # ----------------------------------------------------------------------
@@ -270,7 +258,7 @@ def test_make_router_builds_every_policy():
 
 
 # ----------------------------------------------------------------------
-# Removal properties (hypothesis)
+# Membership properties (hypothesis)
 # ----------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -284,24 +272,42 @@ def test_property_remove_only_moves_victim_owned_placements(
     ids, victim_index, count, key_seed
 ):
     victim = ids[victim_index % len(ids)]
-    full = HashRing(ids)
-    shrunk = HashRing(ids)
-    shrunk.remove(victim)
-    assert shrunk.replica_ids == tuple(sorted(set(ids) - {victim}))
+    survivors = [r for r in ids if r != victim]
     for i in range(40):
         key = f"ds-{key_seed}-{i}"
-        old = full.place(key, count)
-        new = shrunk.place(key, count)
+        old = rendezvous(key, ids, count)
+        new = rendezvous(key, survivors, count)
         assert victim not in new
         if victim not in old:
             # Placements the victim never owned are bit-identical.
             assert new == old
         else:
-            # Only the victim's slots are refilled; the survivors keep
-            # their membership (order may shift as arcs merge).
-            survivors = [r for r in old if r != victim]
-            assert all(r in new for r in survivors)
-            assert len(new) == min(count, len(ids) - 1)
+            # Only the victim's slot is refilled: the survivors keep their
+            # relative order and the next-ranked replica joins at the end.
+            kept = tuple(r for r in old if r != victim)
+            assert new[:len(kept)] == kept
+            assert len(new) == min(count, len(survivors))
+        # The full ranking loses the victim and nothing else moves.
+        assert rendezvous(key, survivors, len(ids)) == tuple(
+            r for r in rendezvous(key, ids, len(ids)) if r != victim
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 31), min_size=1, max_size=8, unique=True),
+    newcomer=st.integers(32, 40),
+    key_seed=st.integers(0, 1 << 16),
+)
+def test_property_add_only_inserts_the_newcomer(ids, newcomer, key_seed):
+    grown = ids + [newcomer]
+    for i in range(40):
+        key = f"ds-{key_seed}-{i}"
+        old = rendezvous(key, ids, len(ids))
+        new = rendezvous(key, grown, len(grown))
+        # The newcomer is inserted somewhere; every old replica keeps its
+        # relative order.
+        assert tuple(r for r in new if r != newcomer) == old
 
 
 @settings(max_examples=60, deadline=None)
