@@ -1,38 +1,29 @@
 """The Inlabel LCA algorithm of Schieber and Vishkin (paper §3.1).
 
 The algorithm maps every tree node to a node of a conceptual full binary tree
-``B`` (identified with its inorder number) such that
-
-* nodes with the same *inlabel* form top-down paths in the tree
-  (path-partition property), and
-* descendants in the tree map to descendants in ``B`` (inorder property).
-
-With three per-node tables — ``inlabel``, ``ascendant`` (the set of ``B``
-levels used by inlabel paths above the node) and ``head`` (the shallowest node
-of every inlabel path) — any LCA query is answered with a constant number of
-word operations.
+``B`` (identified with its inorder number) such that nodes with the same
+*inlabel* form top-down paths in the tree (path-partition property) and
+descendants in the tree map to descendants in ``B`` (inorder property).  With
+three tables — ``inlabel``, ``ascendant`` (the ``B`` levels of the inlabel
+paths above a node) and ``head`` (the shallowest node of every inlabel path)
+— any LCA query is a constant number of word operations; they are stored
+packed the way a query reads them (:class:`InlabelStructure`).
 
 Preprocessing needs the preorder number, subtree size and depth of every node,
 which the GPU implementation obtains with the Euler tour technique; everything
 after that is a constant number of map kernels plus an ``O(log n)``-round
 head-jumping pass for ``ascendant``.
 
-Two execution flavours are provided:
-
-* :class:`InlabelLCA` — the data-parallel implementation (the paper's GPU
-  algorithm, also used for the multi-core CPU baseline by pointing the
-  execution context at the multi-core device spec);
-* :class:`SequentialInlabelLCA` — the single-core CPU baseline; identical
-  results, but preprocessing is charged as a sequential DFS plus a sequential
-  labeling pass and queries are charged one by one.
-
-Both compute the same tables, so a server builds them once per tree
-(:func:`build_inlabel_index`) and makes each flavour a view over them.
+:class:`InlabelLCA` is the data-parallel implementation (the paper's GPU
+algorithm, and the multi-core CPU baseline on the multi-core device spec),
+:class:`SequentialInlabelLCA` the single-core CPU baseline, charged as a
+sequential DFS and labeling pass and one query at a time.  Both read the same
+tables, so a server builds them once per tree (:func:`build_inlabel_index`)
+and makes each flavour a view over them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
@@ -41,7 +32,7 @@ import numpy as np
 
 from ..boundary import parent_ids, query_columns
 from ..device import GTX980, ExecutionContext, KernelRecord, ensure_context
-from ..errors import InvalidQueryError
+from ..errors import InvalidGraphError, InvalidQueryError
 from ..euler import TreeStats, tree_statistics_from_parents
 from ..graphs.trees import validate_parents
 from ..primitives import elementwise
@@ -68,30 +59,24 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class InlabelStructure:
-    """The three Schieber–Vishkin tables plus the node statistics they need.
+    """The Schieber–Vishkin tables, packed for the query, and node statistics.
 
-    Attributes
-    ----------
-    inlabel:
-        Inlabel number of every node (1-based; a value of the full binary tree
-        ``B`` identified by its inorder number).
-    ascendant:
-        Bit set of ``B`` levels of the inlabel paths intersecting the
-        root-to-node path.
-    head:
-        For every inlabel value, the node closest to the root on that inlabel
-        path (indexed by inlabel value; unused slots are ``-1``).
-    depth, parent, preorder, subtree_size:
-        Standard node statistics (see :class:`repro.euler.TreeStats`).
-    levels:
-        Number of bits ``L`` such that every inlabel fits in ``L`` bits
-        (``B`` has ``2^L - 1`` nodes).
+    ``node_word[v]`` is ``ascendant(v) << 32 | inlabel(v)``: ``v``'s inlabel
+    (the 1-based inorder number of a node of ``B``) and the bit set of ``B``
+    levels of the inlabel paths intersecting its root path.  ``node_key[v]``
+    is ``depth(v) << 32 | v``: of two nodes on one vertical path, the smaller
+    key is the ancestor.  ``head_key[l]`` is the ``node_key`` of the parent of
+    path ``l``'s head (its node closest to the root); ``-1`` on unused values
+    and the root's path.  ``parent``, ``preorder`` and ``subtree_size`` are
+    :class:`repro.euler.TreeStats`'; every inlabel fits in ``levels`` bits
+    (``B`` has ``2^levels - 1`` nodes).  ``inlabel``, ``ascendant``, ``depth``
+    and ``head`` are derived on each read, an O(n) array apiece: for tests and
+    compiled kernels, never a query.
     """
 
-    inlabel: np.ndarray
-    ascendant: np.ndarray
-    head: np.ndarray
-    depth: np.ndarray
+    node_word: np.ndarray
+    node_key: np.ndarray
+    head_key: np.ndarray
     parent: np.ndarray
     preorder: np.ndarray
     subtree_size: np.ndarray
@@ -101,17 +86,46 @@ class InlabelStructure:
     @property
     def n(self) -> int:
         """Number of tree nodes."""
-        return int(self.inlabel.size)
+        return int(self.node_word.size)
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the node tables (sum over all array fields)."""
-        return sum(
-            int(value.nbytes)
-            for field_ in dataclasses.fields(self)
-            for value in (getattr(self, field_.name),)
-            if isinstance(value, np.ndarray)
-        )
+        return sum(value.nbytes for value in vars(self).values()
+                   if isinstance(value, np.ndarray))
+
+    @property
+    def inlabel(self) -> np.ndarray:
+        """Inlabel number of every node."""
+        return self.node_word & 0xFFFFFFFF
+
+    @property
+    def ascendant(self) -> np.ndarray:
+        """Bit set of ``B`` levels of the inlabel paths above every node."""
+        return self.node_word >> 32
+
+    @property
+    def depth(self) -> np.ndarray:
+        """Depth of every node."""
+        return self.node_key >> 32
+
+    @property
+    def head(self) -> np.ndarray:
+        """Per inlabel value, its path's head node; unused slots are ``-1``."""
+        inlabel = self.inlabel
+        heads = _path_heads(inlabel, self.parent, self.root)
+        head = np.full(self.head_key.size, -1, dtype=np.int64)
+        head[inlabel[heads]] = heads
+        return head
+
+
+def _path_heads(inlabel: np.ndarray, parent: np.ndarray, root: int) -> np.ndarray:
+    """The shallowest node of every inlabel path: the root and every node
+    whose parent is on another path (the root's ``parent == -1`` reads the
+    last node: in bounds, then overruled)."""
+    is_head = inlabel[parent] != inlabel
+    is_head[root] = True
+    return np.flatnonzero(is_head)
 
 
 def build_inlabel_structure(stats: TreeStats,
@@ -122,10 +136,13 @@ def build_inlabel_structure(stats: TreeStats,
     All steps are bulk map kernels except the ``ascendant`` computation, which
     jumps from inlabel-path head to inlabel-path head and therefore needs at
     most ``L = O(log n)`` rounds (the number of distinct inlabels on any
-    root-to-node path is at most ``L``).
+    root-to-node path is at most ``L``).  A tree of ``2**31`` nodes or more
+    is refused: its values would not fit the packed tables' 32-bit halves.
     """
     ctx = ensure_context(ctx)
     n = stats.n
+    if n >= 1 << 31:
+        raise InvalidGraphError(f"{n} nodes do not fit the packed Inlabel tables")
     # Copies on purpose: the structure owns its tables, and artifact sizes
     # (hence registry eviction order) count distinct buffers.
     pre = stats.preorder.astype(np.int64)
@@ -147,15 +164,13 @@ def build_inlabel_structure(stats: TreeStats,
 
     levels = max(n, 1).bit_length()  # floor(log2(n)) + 1
 
-    # head: the shallowest node of every inlabel path.  A node is a path head
-    # iff it is the root or its parent lies on a different inlabel path (the
-    # root's ``parent == -1`` reads the last node: in bounds, then overruled).
-    head = np.full(1 << (levels + 1), -1, dtype=np.int64)
-    is_head = inlabel[parent] != inlabel
-    is_head[root] = True
-    heads = np.flatnonzero(is_head)
+    # The head table, by inlabel value: first each path head's index in
+    # ``heads`` (read back as every node's ``path``), later its parent's key.
+    heads = _path_heads(inlabel, parent, root)
+    num_heads = heads.size
     head_inlabel = inlabel[heads]
-    head[head_inlabel] = heads
+    head = np.full(1 << (levels + 1), -1, dtype=np.int64)
+    head[head_inlabel] = np.arange(num_heads)
     elementwise(n, ops_per_element=3.0, bytes_per_element=32.0, ctx=ctx,
                 name="inlabel_head_scatter")
 
@@ -170,14 +185,12 @@ def build_inlabel_structure(stats: TreeStats,
     # stands above the root path and absorbs every chain.
     # ``x & -x`` isolates the lowest set bit directly — the same value as
     # ``1 << trailing_zeros(x)`` without the float round-trip through frexp.
-    num_heads = heads.size
-    head_index = np.empty(n, dtype=np.int64)  # node-indexed; read at heads only
-    head_index[heads] = np.arange(num_heads)
-    path = head_index[head[inlabel]]  # per node: the index in `heads` of its path head
+    path = head[inlabel]  # per node: the index in `heads` of its path head
     bits = np.zeros(num_heads + 1, dtype=np.int64)
     bits[:num_heads] = head_inlabel & -head_inlabel
     up = np.full(num_heads + 1, num_heads, dtype=np.int64)
-    up[:num_heads] = path[parent[heads]]
+    head_parent = parent[heads]
+    up[:num_heads] = path[head_parent]
     up[path[root]] = num_heads  # overrules what the root's ``parent == -1`` read
     rounds = 0
     while up.min() < num_heads:
@@ -186,42 +199,36 @@ def build_inlabel_structure(stats: TreeStats,
         rounds += 1
         if rounds > levels + 2:  # pragma: no cover - defensive
             raise RuntimeError("ascendant computation exceeded the level bound")
-    ascendant = bits[path]
     # The device walk makes one hop per inlabel path above a node's own.
     # Levels strictly increase along a root path, so each of those paths is
     # one distinct bit of the head's value next to the path's own.
     total_hops = int(np.dot(_popcount(bits[:num_heads]) - 1, np.bincount(path)))
-    ctx.kernel(
-        "inlabel_ascendant_walk",
-        threads=n,
-        ops=2.0 * n + 4.0 * total_hops,
-        bytes_read=16.0 * n + 32.0 * total_hops,
-        bytes_written=8.0 * n,
-        launches=1,
-        random_access=True,
-    )
+    ctx.kernel("inlabel_ascendant_walk", threads=n, ops=2.0 * n + 4.0 * total_hops,
+               bytes_read=16.0 * n + 32.0 * total_hops, bytes_written=8.0 * n,
+               launches=1, random_access=True)
 
-    return InlabelStructure(
-        inlabel=inlabel,
-        ascendant=ascendant,
-        head=head,
-        depth=depth,
-        parent=parent,
-        preorder=pre,
-        subtree_size=size,
-        root=root,
-        levels=levels,
-    )
+    # Packed in place, in the query's layout: ascendant beside inlabel, the
+    # node beside its depth, and each path's head slot turned into the key of
+    # the head's parent (the root's path has none).
+    bits <<= 32
+    node_word = bits[path]
+    node_word |= inlabel
+    node_key = depth
+    node_key <<= 32
+    node_key |= np.arange(n)
+    head[head_inlabel] = node_key[head_parent]
+    head[inlabel[root]] = -1
+    return InlabelStructure(node_word, node_key, head, parent, pre, size, root,
+                            levels)
 
 
 @functools.lru_cache(maxsize=None)
 def _ilog2_table(size: int) -> np.ndarray:
     """Read-only ``uint8`` table of ``floor(log2(max(v, 1)))`` for ``v < size``.
 
-    One per distinct ``head.size`` (a power of two, so a few dozen at most),
-    shared by every index of that size: a constant of the algorithm,
-    reachable from no :class:`InlabelStructure`, so artifact sizes (and the
-    registry's eviction order) do not see it.
+    One per distinct ``head_key.size`` (a power of two, so a few dozen at
+    most), shared by every index of that size and reachable from none, so
+    artifact sizes (and the registry's eviction order) do not see it.
     """
     table = np.zeros(size, dtype=np.uint8)
     for k in range(1, size.bit_length()):
@@ -230,15 +237,16 @@ def _ilog2_table(size: int) -> np.ndarray:
     return table
 
 
-#: Lanes per tile of :func:`_query_inlabel`.  A tile's ~16 temporaries are
+#: Lanes per tile of :func:`_query_inlabel`.  A tile's ~14 temporaries are
 #: 0.5-1 MiB each at this width, which the allocator hands back cache-warm
-#: tile after tile, while the tile's 25 NumPy launches (~25 us) are noise
+#: tile after tile, while the tile's ~27 NumPy launches (~25 us) are noise
 #: beside ~3 ms of work.  Median ns/query of one 1,048,576-lane call on the
-#: 262,144-node shallow tree, by tile width (two interleaved sweeps of 12):
-#: 8,192: 56-58; 16,384: 51-53; 32,768: 49-50; 65,536: 47-49; 131,072: 46;
-#: 262,144: 56-57; untiled: 78-87.  Flat from 65,536 to 131,072, so the width
-#: is the widest batch the untiled kernel already ran at full speed: a batch
-#: that fits keeps its launches.  Measured, not tunable.
+#: 262,144-node shallow tree, by tile width (two interleaved sweeps of 12 on
+#: a 2-vCPU Xeon VM): 8,192: 61-65; 16,384: 57-59; 32,768: 55-57; 65,536:
+#: 53-54; 131,072: 53-56; 262,144: 66-70; untiled: 121-132.  Flat from 65,536
+#: to 131,072, so the width is the widest batch the untiled kernel already
+#: ran at full speed: a batch that fits keeps its launches.  Measured, not
+#: tunable.
 _TILE_LANES = 1 << 16
 
 
@@ -248,19 +256,21 @@ def _query_tile(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
 
     One straight-line pass over both endpoints stacked as ``(2, b)``: no lane
     is branched on; a lane that needs no climb does a throwaway in-bounds
-    read that the ``where`` discards.
+    read that the ``copyto`` overwrites.  Each endpoint gathers three words:
+    its ``node_word``, one ``head_key`` and its ``node_key``.
     """
-    inlabel = structure.inlabel
+    node_word = structure.node_word
     xy = np.empty((2, xs.size), dtype=np.int64)
     xy[0] = xs
     xy[1] = ys
     # Viewed as uint64 a negative id is huge: one maximum checks both ends.
-    if xy.view(np.uint64).max() >= inlabel.size:
+    if xy.view(np.uint64).max() >= node_word.size:
         raise InvalidQueryError("query nodes out of range")
 
-    log2 = _ilog2_table(structure.head.size)
-    il = inlabel[xy]
-    asc = structure.ascendant[xy]
+    log2 = _ilog2_table(structure.head_key.size)
+    asc = node_word[xy]
+    il = asc & 0xFFFFFFFF
+    asc >>= 32
     # i: highest bit where the inlabels differ; low_j: the lowest common
     # ascendant level at or above i — the B-level bit of the LCA's inlabel.
     # Equal inlabels are no special case: the lowest set bit of ascendant[v]
@@ -280,9 +290,13 @@ def _query_tile(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     il >>= k
     il |= 1
     il <<= k
-    bar = np.where(asc != 0, structure.parent[structure.head[il]], xy)
-    depth = structure.depth[bar]
-    return np.where(depth[0] <= depth[1], bar[0], bar[1])
+    # Both ancestors lie on the LCA's inlabel path, a vertical path: the
+    # smaller key is the shallower node (equal depth is the same node).
+    bar = structure.head_key[il]
+    np.copyto(bar, structure.node_key[xy], where=asc == 0)
+    out = np.minimum(bar[0], bar[1])
+    out &= 0xFFFFFFFF
+    return out
 
 
 def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
@@ -290,12 +304,11 @@ def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     """Vectorized constant-time LCA queries against an Inlabel structure.
 
     Pure computation (no cost accounting); both execution flavours wrap this.
-    The batch runs the way a GPU runs it, as blocks of :data:`_TILE_LANES`
+    The batch runs the way a GPU runs it, as tiles of :data:`_TILE_LANES`
     lanes through :func:`_query_tile`, so the working set is one tile's
-    temporaries whatever the batch size.  A batch of at most one tile is that
-    one call and nothing else; a wider one is the same call per tile into an
-    output allocated once.  Every tile is bounds-checked before it runs, and
-    nothing is returned unless all of them passed.
+    temporaries whatever the batch size; a wider batch is one call per tile
+    into an output allocated once, returned only if every tile passed its
+    bounds check.
     """
     xs, ys = query_columns(xs, ys)
     size = xs.size
@@ -342,25 +355,17 @@ def _launch_query(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray,
     """
     out = _query_inlabel(structure, xs, ys)
     if ctx is not None:
-        size = out.size
+        size, cost = out.size, INLABEL_QUERY_COST
         with ctx.phase("queries"):
             if sequential:
-                ctx.sequential(
-                    "cpu_inlabel_query_batch",
-                    ops=INLABEL_QUERY_COST.ops * size,
-                    bytes_touched=INLABEL_QUERY_COST.bytes_read * size,
-                    random_access=True,
-                )
+                ctx.sequential("cpu_inlabel_query_batch", ops=cost.ops * size,
+                               bytes_touched=cost.bytes_read * size,
+                               random_access=True)
             else:
-                ctx.kernel(
-                    "inlabel_query_batch",
-                    threads=size,
-                    ops=INLABEL_QUERY_COST.ops * size,
-                    bytes_read=INLABEL_QUERY_COST.bytes_read * size,
-                    bytes_written=INLABEL_QUERY_COST.bytes_written * size,
-                    launches=1,
-                    random_access=True,
-                )
+                ctx.kernel("inlabel_query_batch", threads=size, ops=cost.ops * size,
+                           bytes_read=cost.bytes_read * size,
+                           bytes_written=cost.bytes_written * size, launches=1,
+                           random_access=True)
     return out
 
 
@@ -405,20 +410,13 @@ def _view(cls: type, index: InlabelIndex) -> Any:
 class InlabelLCA:
     """Data-parallel Inlabel LCA (the paper's GPU algorithm).
 
-    Parameters
-    ----------
-    parents:
-        Tree as a parent array (``-1`` marks the root).
-    ctx:
-        Execution context charged with the preprocessing cost (Euler tour +
-        labeling kernels).  Point it at :data:`repro.device.GTX980` for the
-        GPU algorithm or :data:`repro.device.XEON_X5650_MULTI` for the OpenMP
-        multi-core baseline.
-    list_rank_method:
-        List-ranking algorithm for the Euler tour (``"wei-jaja"`` by default).
-    validate:
-        When true, validate the parent array up front (costs an extra O(n log n)
-        host-side check; disable for large benchmark runs).
+    ``parents`` is the tree as a parent array (``-1`` marks the root); ``ctx``
+    is charged the preprocessing (Euler tour + labeling kernels): point it at
+    :data:`repro.device.GTX980` for the GPU algorithm or
+    :data:`repro.device.XEON_X5650_MULTI` for the OpenMP multi-core baseline.
+    ``list_rank_method`` ranks the Euler tour (``"wei-jaja"`` by default);
+    ``validate`` checks the parent array up front (an extra O(n log n) host
+    pass; leave it off for large benchmark runs).
     """
 
     name = "Parallel Inlabel"

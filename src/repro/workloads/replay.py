@@ -292,22 +292,26 @@ def _register_sources(
                 # autoscaling, fault schedules) start serving the dataset.
                 # With static membership this is identical to pinning the
                 # count at n_replicas.
-                replicas = (
-                    min(source.replicas, target.n_replicas)
-                    if source.replicas
-                    else 0
-                )
-                target.register_tree(
-                    source.dataset,
-                    parents,
-                    replicas=replicas,
-                )
+                replicas = (min(source.replicas, target.n_replicas)
+                            if source.replicas else 0)
+                target.register_tree(source.dataset, parents, replicas=replicas)
             else:
                 target.register_tree(source.dataset, parents)
         if warm:
             target.warm(source.dataset)
         sizes[source.dataset] = int(target.store.tree(source.dataset).size)
     return sizes
+
+
+def _counters(target: ServiceTarget) -> Tuple[int, int, int, int]:
+    """Answer-cache hits and misses, queries answered and kernel queries,
+    summed over the target's workers: what a phase boundary reads, without
+    the percentile passes of a ``stats()`` snapshot."""
+    workers = target.replicas if isinstance(target, ClusterService) else (target,)
+    caches = [w.answer_cache for w in workers if w.answer_cache is not None]
+    return (sum(c.hits for c in caches), sum(c.misses for c in caches),
+            sum(w.stats_collector.queries_answered for w in workers),
+            sum(w.stats_collector.kernel_queries for w in workers))
 
 
 def _percentiles(latencies: np.ndarray) -> Tuple[float, float]:
@@ -465,9 +469,9 @@ def replay(
                 _queue_retry(dataset, rx[admitted:], ry[admitted:], at_s,
                              attempt + 1)
 
-    # The target's snapshot at each phase boundary; phase i's answer-cache
+    # The target's counters at each phase boundary; phase i's answer-cache
     # hit rate is the delta between boundaries i and i+1.
-    marks: List[ServiceStats] = [target.stats()]
+    marks = [_counters(target)]
     # Active replica count at each phase boundary (autoscaling trajectory).
     phase_replicas: List[int] = []
     # Host wall-clock seconds inside each serving stage (and verification).
@@ -535,7 +539,7 @@ def replay(
         phase_tickets.append(tickets)
         phase_raw.append((phase.name, phase.duration_s, count, shed))
         if len(phase_raw) < len(scenario.phases):  # the last is marked post-drain
-            marks.append(target.stats())
+            marks.append(_counters(target))
         phase_replicas.append(
             target.n_active if isinstance(target, ClusterService) else 1
         )
@@ -550,7 +554,7 @@ def replay(
     wall["drain"] = time.perf_counter() - started
     # The drain's lookups belong to the final phase's boundary.
     stats = target.stats()
-    marks.append(stats)
+    marks.append(_counters(target))
     if isinstance(stats, ClusterStats):
         target_kind, n_replicas = "cluster", stats.n_replicas
         router_policy, load_imbalance = stats.router_policy, stats.load_imbalance
@@ -601,9 +605,8 @@ def replay(
                 shed_rate=shed / offered if offered else 0.0,
                 latency_p50_s=p50,
                 latency_p99_s=p99,
-                answer_cache_hit_rate=_hit_rate(
-                    after.answer_cache_hits - before.answer_cache_hits,
-                    after.answer_cache_misses - before.answer_cache_misses),
+                answer_cache_hit_rate=_hit_rate(after[0] - before[0],
+                                                after[1] - before[1]),
                 queries_retried=phase_retry[index][0],
                 queries_abandoned=phase_retry[index][1],
                 submit_wall_s=phase_submit_wall[index],
@@ -625,7 +628,7 @@ def replay(
     offered_total = sum(p.queries_offered for p in phases)
     admitted_total = sum(p.queries_admitted for p in phases)
     shed_total = sum(p.queries_shed for p in phases)
-    first = marks[0]
+    first, last = marks[0], marks[-1]
     return ScenarioReport(
         scenario=scenario.name,
         target_kind=target_kind,
@@ -642,12 +645,8 @@ def replay(
         latency_p99_s=p99,
         load_imbalance=load_imbalance,
         stats=stats,
-        answer_cache_hit_rate=_hit_rate(
-            stats.answer_cache_hits - first.answer_cache_hits,
-            stats.answer_cache_misses - first.answer_cache_misses),
-        dedup_factor=_dedup_factor(
-            stats.queries_answered - first.queries_answered,
-            stats.kernel_queries - first.kernel_queries),
+        answer_cache_hit_rate=_hit_rate(last[0] - first[0], last[1] - first[1]),
+        dedup_factor=_dedup_factor(last[2] - first[2], last[3] - first[3]),
         queries_retried=sum(p.queries_retried for p in phases),
         queries_abandoned=sum(p.queries_abandoned for p in phases),
         serve_wall_s=wall["submit"] + wall["drain"] + wall["latencies"],

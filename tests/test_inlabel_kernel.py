@@ -10,15 +10,17 @@ longer fires, and the shared log table showing up where it must not.
 
 import contextlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lca.artifacts import ARTIFACT_BUILDERS
+from repro.lca.artifacts import ARTIFACT_BUILDERS, DEFAULT_SCRATCH_SIZE
 from repro.device import GTX980, ExecutionContext
-from repro.errors import InvalidQueryError
+from repro.errors import InvalidGraphError, InvalidQueryError
+from repro.graphs import depths_from_parents
 from repro.lca import (
     PACK_LIMIT,
     RMQLCA,
@@ -27,6 +29,7 @@ from repro.lca import (
     NaiveGPULCA,
     SequentialInlabelLCA,
     brute_force_lca_batch,
+    build_inlabel_structure,
     dedup_query_pairs,
     run_batched_queries,
 )
@@ -207,7 +210,8 @@ class TestTiles:
     boundaries; ``test_sizes_around_the_boundary`` also runs at the real width.
     """
 
-    TREES = {kind: make_tree(kind, 300, seed=21) for kind in ("shallow", "deep")}
+    TREES = {kind: make_tree(kind, 300, seed=21)
+             for kind in ("shallow", "deep", "path", "star")}
 
     @staticmethod
     def batch(size, seed=22):
@@ -521,15 +525,63 @@ class TestLogTable:
     def test_shared_and_read_only(self):
         a = InlabelLCA(make_tree("shallow", 700, seed=1))
         b = InlabelLCA(make_tree("deep", 900, seed=2))
-        assert a.structure.head.size == b.structure.head.size
-        table = _ilog2_table(a.structure.head.size)
-        assert table is _ilog2_table(b.structure.head.size)
+        assert a.structure.head_key.size == b.structure.head_key.size
+        table = _ilog2_table(a.structure.head_key.size)
+        assert table is _ilog2_table(b.structure.head_key.size)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = 7
 
     def test_stays_out_of_the_artifact(self):
-        """Registry sizes must not move: the value is the parent commit's."""
+        """The artifact is its tables alone, 72 * n + 8 * head_key.size."""
         lca = InlabelLCA(make_tree("shallow", 1000, seed=7))
         lca.query(np.arange(10), np.arange(10)[::-1])  # table now exists
-        assert artifact_nbytes(lca) == 96384
+        assert artifact_nbytes(lca) == 88384
+
+
+class TestPackedTables:
+    """Each endpoint gathers ``node_word``, ``head_key`` and ``node_key``;
+    the unpacked tables are derived on read and stored nowhere."""
+
+    TREES = TestTiles.TREES
+
+    @pytest.mark.parametrize("kind", ["path", "star", "shallow"])
+    def test_artifact_bytes_are_the_packed_tables(self, kind):
+        """Five ``n``-word tables and ``head_key``; a flavour view adds the
+        tree statistics (four ``n``-word tables), ``smallbatch`` its scratch."""
+        index = build_inlabel_index(self.TREES[kind])
+        structure = index.structure
+        n, slots = structure.n, structure.head_key.size
+        assert structure.nbytes == artifact_nbytes(structure) == 40 * n + 8 * slots
+        assert {name for name, value in vars(structure).items()
+                if isinstance(value, np.ndarray)} == {
+            "node_word", "node_key", "head_key", "parent", "preorder", "subtree_size"}
+        sizes = {variant: artifact_nbytes(build(index))
+                 for variant, build in ARTIFACT_BUILDERS.items()}
+        assert sizes == {"parallel": 72 * n + 8 * slots,
+                         "sequential": 72 * n + 8 * slots,
+                         "smallbatch": 40 * n + 8 * slots + 8 * DEFAULT_SCRATCH_SIZE}
+
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_the_words_pack_the_tables(self, kind):
+        parents = self.TREES[kind]
+        structure = InlabelLCA(parents).structure
+        n = structure.n
+        assert np.array_equal(structure.node_key & 0xFFFFFFFF, np.arange(n))
+        assert np.array_equal(structure.depth, depths_from_parents(parents))
+        head = structure.head
+        used = np.flatnonzero(head >= 0)
+        below_root = used[parents[head[used]] >= 0]
+        assert np.array_equal(structure.head_key[below_root],
+                              structure.node_key[parents[head[below_root]]])
+        unused = np.ones(head.size, dtype=bool)
+        unused[below_root] = False
+        assert np.all(structure.head_key[unused] == -1)
+
+    @pytest.mark.parametrize("n", [2**31, 2**40])
+    def test_a_tree_too_large_for_32_bit_halves_is_refused(self, n):
+        """Statistics without tables: the size alone is refused, and a build
+        that read on would fail here rather than allocate ``n`` words."""
+        stats = SimpleNamespace(n=n, root=0)
+        with pytest.raises(InvalidGraphError, match="do not fit"):
+            build_inlabel_structure(stats)

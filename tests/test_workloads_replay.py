@@ -13,6 +13,7 @@ The two acceptance-grade properties live here:
 """
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -245,3 +246,42 @@ def test_scenario_suite_rows_have_the_report_columns():
     assert steady_row["shed_rate"] == 0.0
     assert flash_row["shed_rate"] > 0.0
     assert flash_row["peak_phase_shed_rate"] >= flash_row["shed_rate"]
+
+
+# ----------------------------------------------------------------------
+# Phase boundaries read counters; the report's one snapshot is post-drain
+# ----------------------------------------------------------------------
+CACHED = dict(max_batch_size=256, max_wait_s=2e-4, answer_cache_bytes=1 << 18)
+
+
+@pytest.mark.parametrize("make_target", [
+    lambda: LCAQueryService(config=ServiceConfig(**CACHED)),
+    lambda: ClusterService(config=ClusterConfig(n_replicas=3, **CACHED)),
+], ids=["service", "cluster"])
+@pytest.mark.parametrize("name", ["flash-crowd", "multi-tenant"])
+def test_phase_marks_equal_snapshots_without_taking_them(monkeypatch, make_target,
+                                                         name):
+    """Each boundary reads the workers' counters, not a ``stats()`` snapshot
+    (a percentile pass per replica); a replay that snapshots every boundary
+    reports the very same phases."""
+    scenario = make_scenario(name, scale=0.25)
+    target = make_target()
+    stats = type(target).stats
+    snapshots = []
+    monkeypatch.setattr(type(target), "stats",
+                        lambda self: snapshots.append(stats(self)) or snapshots[-1])
+    report = replay(target, scenario)
+    assert len(snapshots) == 1 and report.stats is snapshots[0]
+    monkeypatch.setattr(type(target), "stats", stats)
+
+    def snapshot_counters(target):
+        s = target.stats()
+        return (s.answer_cache_hits, s.answer_cache_misses, s.queries_answered,
+                s.kernel_queries)
+
+    monkeypatch.setattr(importlib.import_module("repro.workloads.replay"),
+                        "_counters", snapshot_counters)
+    oracle = replay(make_target(), scenario)
+    assert report.phases == oracle.phases
+    assert report.answer_cache_hit_rate == oracle.answer_cache_hit_rate
+    assert report.dedup_factor == oracle.dedup_factor
