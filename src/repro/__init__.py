@@ -115,7 +115,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.29.0"
+__version__ = "1.30.0"
 
 __all__ = [
     "__version__",

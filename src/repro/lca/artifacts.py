@@ -14,17 +14,17 @@ The vectorized :func:`repro.lca.inlabel._query_inlabel` pays ~25 NumPy
 dispatches per call — nothing over thousands of queries, but on the
 single-query hot path (a hedged retry, a cache-miss straggler) it *is* the
 latency: ~17 us of dispatch for ~30 integer operations.  The small-batch
-kernel pins the tables as Python int lists at build time (no numpy scalar
-boxing), runs each query's probe sequence (inlabel compare → common-ascendant
-level → both climbs → depth tie-break) as one fused pass that skips what the
-query does not need, and writes answers into a preallocated scratch of
-:data:`DEFAULT_SCRATCH_SIZE` queries.  Larger batches fall back to the
-vectorized kernel (measured crossover ≈ 20 queries: ~3 us + ~0.75 us per
-query against a flat ~17 us).  Python ints evaluate the same fixed-width bit
-expressions exactly, so where the scalar pass climbs it computes the values
-the vectorized pass keeps, and where it returns early the general formula
-reduces to the same node.  The answer array is a view into the scratch,
-valid until the kernel's next launch; the serving layer copies it at once.
+kernel pins the three packed tables the query reads (``node_word``,
+``node_key``, ``head_key``) as Python int lists at build time (no numpy
+scalar boxing), runs :func:`~repro.lca.inlabel._query_tile`'s arithmetic one
+query at a time, climbing only an endpoint that needs it, and writes answers
+into a preallocated scratch of :data:`DEFAULT_SCRATCH_SIZE` queries.  Larger
+batches fall back to the vectorized kernel (measured crossover ≈ 20 queries:
+~3 us + ~0.75 us per query against a flat ~17 us).  Python ints evaluate the
+same fixed-width bit expressions exactly, so the scalar pass computes the
+values the vectorized pass keeps.  The answer array is a view into the
+scratch, valid until the kernel's next launch; the serving layer copies it
+at once.
 """
 
 from __future__ import annotations
@@ -77,13 +77,11 @@ class _SmallBatchKernel(CompiledKernel):
 
     def __init__(self, structure: InlabelStructure) -> None:
         self.structure = structure
-        # Compile-time specialization: pin the tables as plain Python ints so
-        # the fused pass never touches numpy scalar boxing.
-        self._inlabel = structure.inlabel.tolist()
-        self._ascendant = structure.ascendant.tolist()
-        self._head = structure.head.tolist()
-        self._depth = structure.depth.tolist()
-        self._parent = structure.parent.tolist()
+        # Compile-time specialization: pin the packed tables as plain Python
+        # ints so the fused pass never touches numpy scalar boxing.
+        self._node_word = structure.node_word.tolist()
+        self._node_key = structure.node_key.tolist()
+        self._head_key = structure.head_key.tolist()
         # Preallocated answer scratch (the only array the hot path writes).
         self._out = np.empty(DEFAULT_SCRATCH_SIZE, np.int64)
 
@@ -117,47 +115,33 @@ class _SmallBatchKernel(CompiledKernel):
         return answers
 
     def _fused(self, xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
-        inlabel = self._inlabel
-        ascendant = self._ascendant
-        head = self._head
-        depth = self._depth
-        parent = self._parent
+        word, key, head_key = self._node_word, self._node_key, self._head_key
         n = self.structure.n
         out = self._out[:m]
-        xl = xs.tolist()
-        yl = ys.tolist()
-        for j in range(m):
-            x = xl[j]
-            y = yl[j]
+        for j, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
             if x < 0 or x >= n or y < 0 or y >= n:
                 raise InvalidQueryError("query nodes out of range")
-            ix = inlabel[x]
-            iy = inlabel[y]
-            if ix == iy:
-                # Same inlabel path: the shallower endpoint is the LCA.
-                out[j] = x if depth[x] <= depth[y] else y
-                continue
-            # One fused probe pass; the exact int expressions of the
-            # vectorized kernel (see _query_tile for the derivation),
-            # branching where that one computes and discards.
-            i = (ix ^ iy).bit_length() - 1
-            common = ascendant[x] & ascendant[y]
-            common_high = (common >> i) << i
-            low_j = common_high & -common_high
-            inlabel_z = (ix & ~((low_j << 1) - 1)) | low_j
-            if ix == inlabel_z:
-                xbar = x
+            # _query_tile's expressions, one lane (see it for the derivation):
+            # i is the highest differing inlabel bit (0 for equal ones).
+            wx, wy = word[x], word[y]
+            ix, iy = wx & 0xFFFFFFFF, wy & 0xFFFFFFFF
+            i = ((ix ^ iy) | 1).bit_length() - 1
+            common = ((wx >> 32) & (wy >> 32)) >> i << i
+            below = (common & -common) - 1
+            ax, ay = (wx >> 32) & below, (wy >> 32) & below
+            # An endpoint with no ascendant level below j is on the LCA's
+            # inlabel path; else climb to the parent of the head of path k.
+            if ax:
+                k = ax.bit_length() - 1
+                bx = head_key[(ix >> k | 1) << k]
             else:
-                below = ascendant[x] & (low_j - 1)
-                high_k = 1 << (below.bit_length() - 1)
-                xbar = parent[head[(ix & ~((high_k << 1) - 1)) | high_k]]
-            if iy == inlabel_z:
-                ybar = y
+                bx = key[x]
+            if ay:
+                k = ay.bit_length() - 1
+                by = head_key[(iy >> k | 1) << k]
             else:
-                below = ascendant[y] & (low_j - 1)
-                high_k = 1 << (below.bit_length() - 1)
-                ybar = parent[head[(iy & ~((high_k << 1) - 1)) | high_k]]
-            out[j] = xbar if depth[xbar] <= depth[ybar] else ybar
+                by = key[y]
+            out[j] = (bx if bx < by else by) & 0xFFFFFFFF
         return out
 
 

@@ -47,7 +47,7 @@ full trace of the same run, and batch-level events are always kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -419,16 +419,14 @@ class TraceRecorder:
         """Append one per-query event row per ticket.
 
         ``time_s`` and ``detail`` may be scalars (broadcast) or arrays
-        aligned with ``tickets``.  ``tickets`` must hold distinct,
-        non-decreasing values (every serving-stack emitter satisfies this —
-        tickets are issued in admission order).  Array arguments are copied
-        by default, so callers may keep mutating their buffers; ``own=True``
-        transfers ownership instead (the caller promises never to mutate the
-        arrays again), skipping the defensive copies.  A sampling recorder
-        filters eagerly — the surviving slice is tiny and freshly allocated,
-        so the journal never retains a full-size copy of a sampled-down
-        block, and a consecutive ticket range is sampled by stride in
-        O(kept) rather than masked in O(block).
+        aligned with ``tickets``, in any order (a cluster worker's queue may
+        hold a re-admitted older ticket behind newer ones).  Array arguments
+        are copied by default, so callers may keep mutating their buffers;
+        ``own=True`` transfers ownership instead (the caller promises never
+        to mutate the arrays again), skipping the defensive copies.  A
+        sampling recorder filters eagerly by each ticket's own value — the
+        surviving rows are few and freshly allocated, so the journal never
+        retains a full-size copy of a sampled-down block.
         """
         tickets = np.asarray(tickets, dtype=np.int64)
         if tickets.size == 0:
@@ -450,31 +448,16 @@ class TraceRecorder:
                 if isinstance(detail, np.ndarray) else float(detail)
             )
         elif self.sample > 1:
-            n = tickets.size
-            first_ticket = int(tickets[0])
-            pick: Union[slice, np.ndarray]
-            if int(tickets[-1]) - first_ticket + 1 == n:
-                # Distinct non-decreasing tickets spanning exactly n values
-                # form the consecutive range first..first+n-1, so the kept
-                # rows sit at a fixed stride.
-                offset = -first_ticket % self.sample
-                if offset >= n:
-                    return
-                pick = slice(offset, None, self.sample)
-                fresh = False        # a slice is a view; copy below
-            else:
-                pick = tickets % self.sample == 0
-                if not pick.any():
-                    return
-                fresh = True         # boolean indexing allocates
-            kept = tickets[pick]
-            tickets = kept if fresh else kept.copy()
+            pick = tickets % self.sample == 0
+            if not pick.any():
+                return
+            tickets = tickets[pick]  # boolean indexing allocates
             times = (
-                self._picked(time_s, pick, fresh)
+                np.asarray(time_s, dtype=np.float64)[pick]
                 if isinstance(time_s, np.ndarray) else float(time_s)
             )
             details = (
-                self._picked(detail, pick, fresh)
+                np.asarray(detail, dtype=np.float64)[pick]
                 if isinstance(detail, np.ndarray) else float(detail)
             )
         else:
@@ -498,16 +481,6 @@ class TraceRecorder:
         if converted is values and not own:
             converted = converted.copy()
         return converted
-
-    @staticmethod
-    def _picked(
-        values: Union[np.ndarray, Sequence[float]],
-        pick: Union[slice, np.ndarray],
-        fresh: bool,
-    ) -> np.ndarray:
-        """The sampled rows of ``values``, owned by the journal."""
-        taken = np.asarray(values, dtype=np.float64)[pick]
-        return taken if fresh else taken.copy()
 
     # ------------------------------------------------------------------
     # Snapshot

@@ -196,8 +196,8 @@ def query_breakdown(table: TraceTable) -> QueryBreakdown:
     """
     arrivals = table.of_kind(EV_ARRIVAL)
     completes = table.of_kind(EV_COMPLETE, EV_CACHE_LANE_HIT)
-    # Tickets are worker-local, so in a cluster trace they collide across
-    # replicas — join on the (ticket, replica) composite key.
+    # Cluster tickets, but a failover re-admission repeats one on the survivor:
+    # join on (ticket, replica), each completion to its own replica's arrival.
     n_rep = 1 + max(
         int(table.replica.max(initial=0)), 0
     )

@@ -45,11 +45,20 @@ to a plain :class:`LCAQueryService`'s; with the cache on, ``submit`` here memoiz
 at the front door and there does not ("Admission contract", docs/architecture.md).
 
 The columnar fast path survives sharding end to end: a block submitted via
-:meth:`ClusterService.submit_many` is validated with one fused bounds check,
-routed with one vectorized policy call, cut into per-replica sub-blocks with
-one counting sort (each sub-block preserves arrival order), and admitted
-through each worker's vectorized
-:meth:`~repro.service.service.LCAQueryService.submit_many`.
+:meth:`ClusterService.submit_many` is validated once with one fused bounds
+check, ticketed, routed with one vectorized policy call, cut into
+per-replica sub-blocks with one counting sort (each sub-block preserves
+arrival order), and admitted through each worker's
+:meth:`~repro.service.service.LCAQueryService.admit` under its own cluster
+tickets.
+
+Tickets: the cluster builds one :class:`~repro.service.tickets.TicketTable`
+and hands it to every worker it constructs, as it hands them the store.  A
+worker answers into it under the ticket the client holds; a result is read
+back from that one table, and failover re-admits a stranded query under the
+same ticket, its origin read off the ``debt`` column.  A survivor may then
+queue a re-admitted older ticket behind newer ones: from the first
+re-admission on, a worker checks a batch's ticket order before a slice write.
 
 Stats: :meth:`ClusterService.stats` is the workers' snapshots merged by the
 code a single node's snapshot runs (:meth:`ServiceStats.merge`), so a
@@ -62,15 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -98,11 +99,13 @@ from .faults import FaultEvent, FaultInjector
 from .registry import ForestStore
 from .routing import Router, make_router, rendezvous
 from .scheduler import FlushedBatch
-from .service import LCAQueryService, block_clean_prefix
+from .service import LCAQueryService, block_clean_prefix, ticket_table
 from .stats import ServiceStats
-from .tickets import TicketTable
 
 __all__ = ["ClusterService", "ClusterStats"]
+
+#: Per-query cap on failover re-dispatches before ``ReplicaDown``.
+MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,7 @@ class ClusterService:
         router policy name, the cluster-wide cache budgets (split evenly
         across the workers; the answer caches' bytes come out of
         ``capacity_bytes`` when both are set), dedup, the ``max_pending``
-        admission bound, start time, hedging delay and retry cap.
+        admission bound and the hedging delay.
         Defaults to ``ClusterConfig()``; exposed as :attr:`config`, and the
         one place the cluster reads its knobs from.
     dispatcher_factory:
@@ -206,9 +209,6 @@ class ClusterService:
         *empty* injector behaves bit-identically to one with ``None`` —
         all liveness state lives here, the injector only carries the
         schedule.
-    observer:
-        Optional trace recorder shared by every worker (see
-        :meth:`attach_observer`).
 
     The registered datasets live in one
     :class:`~repro.service.registry.ForestStore`, :attr:`store`, shared by
@@ -236,15 +236,16 @@ class ClusterService:
         config: Optional[ClusterConfig] = None,
         dispatcher_factory: Optional[Callable[[], CostModelDispatcher]] = None,
         fault_injector: Optional[FaultInjector] = None,
-        observer: Optional[TraceRecorder] = None,
     ) -> None:
         if config is None:
             config = ClusterConfig()
         self.config = config
         n_workers = config.n_replicas
         self.router: Router = make_router(config.router)
-        self.clock = SimulatedClock(config.start_time)
+        self.clock = SimulatedClock()
         self.store = ForestStore()
+        # The one ticket table: every worker answers into it (see _worker).
+        self._tickets = ticket_table()
         if dispatcher_factory is None:
             # A measured profile is loaded once and shared by every replica's
             # dispatcher (they price identically by construction).
@@ -284,36 +285,25 @@ class ClusterService:
         self._worker_config = config.service_config(
             capacity_bytes=slice_bytes, answer_cache_bytes=cache_slice
         )
-        self._replicas: Tuple[LCAQueryService, ...] = tuple(
-            LCAQueryService(
-                self.store,
-                config=self._worker_config,
-                dispatcher=dispatcher_factory(),
-                clock=SimulatedClock(config.start_time),
-            )
-            for _ in range(n_workers)
-        )
-        self._placement: Dict[str, Tuple[int, ...]] = {}
-        self._shed = 0
-        # Cluster tickets are consecutive integers indexing two columnar
-        # maps: which replica served the query, and the worker-local ticket
-        # there.  Result resolution is then a grouped fancy-indexing gather.
-        # (Failover adds a zeroed ``retries`` column on its first use.)
-        self._tickets = TicketTable(replica=np.int64, local=np.int64)
         # Fault tolerance + elasticity.  The worker construction parameters
         # are kept so add_replica() can mint identically-budgeted workers;
         # per-replica byte slices are fixed at construction and are not
         # re-split when the cluster grows or shrinks.
-        self.fault_injector = fault_injector
         self._dispatcher_factory = dispatcher_factory
+        self._replicas: Tuple[LCAQueryService, ...] = tuple(
+            self._worker() for _ in range(n_workers)
+        )
+        self._placement: Dict[str, Tuple[int, ...]] = {}
+        self._shed = 0
+        self.fault_injector = fault_injector
         self._alive: List[bool] = [True] * n_workers
         self._retired: List[bool] = [False] * n_workers
         # Replica-second accounting: birth instant per replica id, and the
         # retirement instant once retired (None while provisioned).
-        self._born_at: List[float] = [config.start_time] * n_workers
+        self._born_at: List[float] = [self.clock.now] * n_workers
         self._retired_at: List[Optional[float]] = [None] * n_workers
         self._transient: List[int] = [0] * n_workers
-        self._failed: List[Tuple[int, str, FlushedBatch, np.ndarray]] = []
+        self._failed: List[Tuple[int, str, FlushedBatch]] = []
         self._parked: List[
             Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
@@ -326,8 +316,6 @@ class ClusterService:
         for i, worker in enumerate(self._replicas):
             self._install_hooks(i, worker)
         self._observer: Optional[TraceRecorder] = None
-        if observer is not None:
-            self.attach_observer(observer)
 
     # ------------------------------------------------------------------
     # Observability
@@ -519,12 +507,7 @@ class ClusterService:
         (3, 3)
         """
         rid = len(self._replicas)
-        worker = LCAQueryService(
-            self.store,
-            config=self._worker_config,
-            dispatcher=self._dispatcher_factory(),
-            clock=SimulatedClock(self.clock.now),
-        )
+        worker = self._worker()
         self._replicas = self._replicas + (worker,)
         self._alive.append(True)
         self._retired.append(False)
@@ -557,8 +540,8 @@ class ClusterService:
         an admitted query; a killed replica's queue was already evicted and
         failed over at kill time.  The replica then leaves the active set,
         hash-placed datasets are re-placed onto the survivors, and pinned
-        placements drop the retiree.  Replica ids are never reused, so old
-        tickets stay resolvable against the retired worker's results.
+        placements drop the retiree.  Replica ids are never reused, and the
+        retiree's answers stay in the cluster's one ticket table.
 
         >>> import numpy as np
         >>> cluster = ClusterService(config=ClusterConfig(n_replicas=3))
@@ -769,7 +752,8 @@ class ClusterService:
         The columnar fast path end to end: one fused bounds check, one
         vectorized routing decision, and a counting-sort cut into
         per-replica sub-blocks (each an arrival-ordered subsequence admitted
-        through the worker's own vectorized ``submit_many``).
+        through the worker's :meth:`LCAQueryService.admit` under its cluster
+        tickets, which checks nothing again).
 
         Error semantics mirror :meth:`LCAQueryService.submit_many`: the
         clean prefix is admitted, then the first offending position raises.
@@ -793,9 +777,8 @@ class ClusterService:
             return np.empty(0, dtype=np.int64)
         n = self.store.tree(dataset).size
 
-        # Same first-offender semantics as the single-node block path — the
-        # shared helper keeps the two validators in lockstep.
-        stop, error, _ = block_clean_prefix(
+        # The single-node block path's validator: the same first offender.
+        stop, error = block_clean_prefix(
             xs, ys, arrivals, n=n, dataset=dataset, now=self.clock.now
         )
 
@@ -846,12 +829,10 @@ class ClusterService:
         if stop:
             depths = self._outstanding(copies)
             owners = self.router.route_block(dataset, copies, depths, stop)
-            self._tickets.replica[first : first + stop] = owners
             for target, sel in self._grouped(owners):
-                local = self._replicas[target].submit_many(
-                    dataset, xs[sel], ys[sel], at=arrivals[sel]
+                self._replicas[target].admit(
+                    dataset, tickets[sel], xs[sel], ys[sel], arrivals[sel]
                 )
-                self._tickets.local[first + sel] = local
             self.clock.advance_to(float(arrivals[stop - 1]))
             self._drain_failed()
         if error is not None:
@@ -932,6 +913,9 @@ class ClusterService:
     def pending_count(self, dataset: Optional[str] = None) -> int:
         """Queries currently queued (for one dataset, or cluster-wide).
 
+        Summed over every worker, not the current placement: a re-placement
+        leaves a dataset's queued queries on the replica it moved away from.
+
         >>> import numpy as np
         >>> cluster = ClusterService(config=ClusterConfig(
         ...     n_replicas=2, max_batch_size=8, max_wait_s=1.0))
@@ -941,10 +925,8 @@ class ClusterService:
         (1, 1)
         """
         if dataset is not None:
-            return sum(
-                self._replicas[c].pending_count(dataset)
-                for c in self._copies(dataset)
-            )
+            self._copies(dataset)  # an unknown dataset is refused
+            return sum(w.pending_count(dataset) for w in self._replicas)
         return sum(replica.pending_count() for replica in self._replicas)
 
     # ------------------------------------------------------------------
@@ -977,7 +959,7 @@ class ClusterService:
         >>> cluster.results(tickets).tolist()
         [1, 0]
         """
-        return self._read(tickets, LCAQueryService.results, np.int64)
+        return self._tickets.read("answers", tickets)
 
     def latency(self, ticket: int) -> float:
         """Modeled end-to-end latency of one answered query.
@@ -1003,7 +985,7 @@ class ClusterService:
         >>> bool((cluster.latencies(tickets) > 0.0).all())
         True
         """
-        return self._read(tickets, LCAQueryService.latencies, np.float64)
+        return self._tickets.read("latencies", tickets)
 
     # ------------------------------------------------------------------
     # Observability
@@ -1172,41 +1154,19 @@ class ClusterService:
             if count
         )
 
-    def _read(
-        self, tickets: ArrayLike, read: Callable[..., np.ndarray], dtype: type
-    ) -> np.ndarray:
-        """``read`` of each cluster ticket; the one place read-back errors live.
-
-        The tickets are validated once here and grouped once by owning
-        replica; each group is read through that worker's own ``read``
-        (``results`` / ``latencies``), which checks its tickets were served.
-        Raises :class:`ServiceError` as :meth:`TicketTable.index` does (bad
-        dtype, then the first unknown ticket), then — only once a worker has
-        refused — for the first ticket whose batch no replica has served
-        yet, in the caller's order, whichever workers the tickets map to.
-        """
-        idx = self._tickets.index(tickets)
-        groups = [
-            (self._replicas[replica_id], sel, self._tickets.local[idx[sel]])
-            for replica_id, sel in self._grouped(self._tickets.replica[idx])
-        ]
-        out = np.empty(idx.size, dtype=dtype)
-        try:
-            for worker, sel, local in groups:
-                out[sel] = read(worker, local)
-        except ServiceError:
-            queued = np.zeros(idx.size, dtype=bool)
-            for worker, sel, local in groups:
-                queued[sel] = ~worker.answered(local)
-            raise ServiceError(
-                f"ticket {idx[int(queued.argmax())]} is still queued; "
-                f"advance time or drain()"
-            ) from None
-        return out
-
     # ------------------------------------------------------------------
     # Fault tolerance internals
     # ------------------------------------------------------------------
+    def _worker(self) -> LCAQueryService:
+        """A worker on the cluster's store and ticket table, at its frontier."""
+        return LCAQueryService(
+            self.store,
+            config=self._worker_config,
+            dispatcher=self._dispatcher_factory(),
+            clock=SimulatedClock(self.clock.now),
+            tickets=self._tickets,
+        )
+
     def _install_hooks(self, replica: int, worker: LCAQueryService) -> None:
         """Wire the worker's fault hooks; inert unless features are on."""
         if self.fault_injector is not None:
@@ -1222,8 +1182,7 @@ class ClusterService:
                 if self._transient[replica] <= 0:
                     return False
                 self._transient[replica] -= 1
-            debt = self._replicas[replica].debt_of(batch.tickets)
-            self._failed.append((replica, dataset, batch, debt))
+            self._failed.append((replica, dataset, batch))
             return True
 
         return intercept
@@ -1335,12 +1294,8 @@ class ClusterService:
         if not self._alive[r]:
             return
         self._alive[r] = False
-        worker = self._replicas[r]
-        for dataset, columns in worker.evict_pending().items():
-            local, xs, ys, arrival_s = columns
-            tickets = self._cluster_tickets(r, local)
-            origin_s = arrival_s - worker.debt_of(local)
-            self._redispatch(dataset, tickets, xs, ys, origin_s, t, exclude=r)
+        for dataset, columns in self._replicas[r].evict_pending().items():
+            self._redispatch(dataset, *columns, t, exclude=r)
 
     def _recover(self, r: int, t: float) -> None:
         if self._alive[r]:
@@ -1349,42 +1304,30 @@ class ClusterService:
         self._alive[r] = True
         self._drain_parked(t)
 
-    def _cluster_tickets(self, replica: int, local: np.ndarray) -> np.ndarray:
-        """Cluster tickets currently mapped to ``(replica, local)`` pairs.
-
-        Returned in ascending *local*-ticket order, which is the worker's
-        admission order — the row order of the evicted columns and of a
-        :class:`FlushedBatch`.
-        """
-        table = self._tickets
-        candidates = np.flatnonzero(table.replica[: table.issued] == replica)
-        hits = candidates[np.isin(table.local[candidates], local)]
-        order = np.argsort(table.local[hits], kind="stable")
-        return hits[order]
-
     def _redispatch(
         self,
         dataset: str,
         tickets: np.ndarray,
         xs: np.ndarray,
         ys: np.ndarray,
-        origin_s: np.ndarray,
+        arrival_s: np.ndarray,
         now: float,
         *,
         exclude: Optional[int] = None,
     ) -> None:
         """Failover: re-admit queries onto surviving copies of ``dataset``.
 
-        ``origin_s`` is each query's *original* cluster arrival (prior debt
-        already subtracted), so re-admission charges the full elapsed time
-        since then as latency debt — reported latency survives any number
-        of failovers.  ``exclude`` steers the retry away from the replica
+        The queries keep their cluster tickets.  ``arrival_s`` is each one's
+        last arrival, which less its ``debt`` is its *original* cluster
+        arrival, so re-admission charges the full elapsed time since then as
+        latency debt — reported latency survives any number of failovers.  ``exclude`` steers the retry away from the replica
         that just failed it: a hard exclusion when that replica is dead
         (the liveness filter removes it anyway), a soft preference when it
         is alive but flaky — if it holds the only live copy, retrying there
         beats parking live work.  With no live copy the queries are parked
-        (a recovery or scale-out re-dispatches them); past ``max_retries``
-        the typed :class:`~repro.errors.ReplicaDown` is raised instead.
+        (a recovery or scale-out re-dispatches them); past
+        :data:`MAX_RETRIES` the typed :class:`~repro.errors.ReplicaDown` is
+        raised instead.
         """
         count = int(tickets.size)
         if count == 0:
@@ -1392,33 +1335,27 @@ class ClusterService:
         live = tuple(c for c in self._copies(dataset) if self._alive[c])
         copies = tuple(c for c in live if c != exclude) or live
         if not copies:
-            self._parked.append((dataset, tickets, xs, ys, origin_s))
+            self._parked.append((dataset, tickets, xs, ys, arrival_s))
             return
         retries = self._tickets.zeros("retries", np.int64)
         attempts = retries[tickets] + 1
-        if int(attempts.max()) > self.config.max_retries:
+        if int(attempts.max()) > MAX_RETRIES:
             raise ReplicaDown(
                 f"{count} queries on dataset {dataset!r} exceeded the retry "
-                f"cap ({self.config.max_retries})",
+                f"cap ({MAX_RETRIES})",
                 dataset=dataset,
                 queries=count,
             )
         retries[tickets] = attempts
+        origin_s = arrival_s - self._tickets.zeros("debt", np.float64)[tickets]
         depths = self._outstanding(copies)
         owners = self.router.route_block(dataset, copies, depths, count)
-        self._tickets.replica[tickets] = owners
         for target, sel in self._grouped(owners):
             worker = self._replicas[target]
             t_re = max(now, worker.clock.now)
             rearrival = np.full(sel.size, t_re, dtype=np.float64)
-            local = worker.submit_many(
-                dataset,
-                xs[sel],
-                ys[sel],
-                at=rearrival,
-                latency_debt=rearrival - origin_s[sel],
-            )
-            self._tickets.local[tickets[sel]] = local
+            debt = rearrival - origin_s[sel]
+            worker.admit(dataset, tickets[sel], xs[sel], ys[sel], rearrival, debt=debt)
             self._retried += int(sel.size)
             if self._observer is not None:
                 self._observer.record(
@@ -1432,25 +1369,17 @@ class ClusterService:
     def _drain_failed(self) -> None:
         """Re-dispatch every batch captured by a serve interceptor."""
         while self._failed:
-            source, dataset, batch, debt = self._failed.pop(0)
-            tickets = self._cluster_tickets(source, batch.tickets)
-            self._redispatch(
-                dataset,
-                tickets,
-                batch.xs,
-                batch.ys,
-                batch.arrival_s - debt,
-                self.clock.now,
-                exclude=source,
-            )
+            source, dataset, batch = self._failed.pop(0)
+            columns = batch.tickets, batch.xs, batch.ys, batch.arrival_s
+            self._redispatch(dataset, *columns, self.clock.now, exclude=source)
 
     def _drain_parked(self, t: float) -> None:
         """Re-dispatch queries parked while no copy of their dataset lived."""
         if not self._parked:
             return
         parked, self._parked = self._parked, []
-        for dataset, tickets, xs, ys, origin_s in parked:
-            self._redispatch(dataset, tickets, xs, ys, origin_s, t)
+        for dataset, *columns in parked:
+            self._redispatch(dataset, *columns, t)
 
     def _hash_place(self, name: str, replicas: int) -> Tuple[int, ...]:
         """``name``'s first ``replicas`` (``0``: all) active replicas by rank."""

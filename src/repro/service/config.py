@@ -2,7 +2,7 @@
 
 Every knob of :class:`~repro.service.service.LCAQueryService` and
 :class:`~repro.service.cluster.ClusterService` (batch policy, cache budgets,
-dedup, admission limit, hedging, retries, router policy) lives on
+dedup, admission limit, hedging, router policy) lives on
 :class:`ServiceConfig` / :class:`ClusterConfig` — ``config=`` is the only
 way to set one; the constructors otherwise take live collaborators only.
 The configs are frozen :class:`~repro.boundary.ConfigBase` dataclasses that
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, ClassVar, Dict, FrozenSet, Optional, Tuple
 
-from ..boundary import Check, ConfigBase, count, duration, instant, optional
+from ..boundary import Check, ConfigBase, count, duration, optional
 from ..errors import ServiceError
 from .routing import LeastOutstandingRouter
 from .scheduler import BatchPolicy
@@ -62,8 +62,9 @@ def _backend_keys(backends: Any, what: str) -> Tuple[str, ...]:
 class ServiceConfig(ConfigBase):
     """Everything a :class:`LCAQueryService` is configured by, in one value.
 
-    The non-serializable collaborators (store, dispatcher, clock, observer)
-    stay constructor arguments — they are live objects, not configuration.
+    The non-serializable collaborators (store, dispatcher, clock, ticket
+    table) stay constructor arguments — they are live objects, not
+    configuration.
 
     >>> cfg = ServiceConfig(max_batch_size=128, max_wait_s=1e-4, dedup=True)
     >>> cfg.batch_policy()
@@ -85,8 +86,6 @@ class ServiceConfig(ConfigBase):
     #: bounded exact hash table, so a pair repeated *across* batches costs
     #: one probe instead of a kernel run.
     answer_cache_bytes: Optional[int] = None
-    #: Salt seed for the answer cache's slot hash.
-    answer_cache_seed: int = 0
     #: Pre-sizing of the ticket-indexed result tables (``None`` = grow).
     ticket_capacity: Optional[int] = None
     #: Backend keys the dispatcher prices (resolved through
@@ -146,7 +145,6 @@ class ClusterConfig(ConfigBase):
     capacity_bytes: Optional[int] = None
     #: Cluster-wide bound on queued queries (``None`` = no admission control).
     max_pending: Optional[int] = None
-    start_time: float = 0.0
     dedup: bool = False
     #: Cluster-wide answer-cache budget, split per replica (implies dedup).
     answer_cache_bytes: Optional[int] = None
@@ -154,8 +152,6 @@ class ClusterConfig(ConfigBase):
     #: is re-issued to another live copy and the earlier completion wins
     #: (``None`` disables hedging).
     hedge_delay_s: Optional[float] = None
-    #: Per-query cap on failover re-dispatches before ``ReplicaDown``.
-    max_retries: int = 3
     #: Backend keys every worker's dispatcher prices (``None`` = defaults).
     backends: Optional[Tuple[str, ...]] = None
     #: Measured calibration-profile JSON path (``None`` = modeled pricing).
@@ -175,10 +171,8 @@ class ClusterConfig(ConfigBase):
         "n_replicas": count,
         "capacity_bytes": optional(count),
         "max_pending": optional(count),
-        "start_time": instant,
         "answer_cache_bytes": optional(count),
         "hedge_delay_s": optional(partial(duration, positive=True)),
-        "max_retries": count,
         "backends": optional(_backend_keys),
     }
 

@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..boundary import instant, query_block, query_pair, seconds_column
+from ..boundary import instant, query_block, query_pair
 from ..errors import InvalidQueryError, ServiceError
 from ..lca.dedup import (
     PACK_LIMIT,
@@ -92,7 +92,7 @@ CACHE_BACKEND_KEY = "cache"
 
 def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
                        n: int, dataset: str, now: float
-                       ) -> Tuple[int, Optional[Exception], np.ndarray]:
+                       ) -> Tuple[int, Optional[Exception]]:
     """Admissible prefix of a column block, with the first offender's error.
 
     Replicates the per-query loop's error semantics in bulk.  A clean block
@@ -102,18 +102,17 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
     fused bounds check finds every out-of-range query, a non-finite arrival
     is one ``isfinite`` pass, a backwards arrival is an adjacent-difference
     check against ``now``, and the earliest offender wins.  Returns
-    ``(stop, error, ids)`` — admit ``[:stop]``, then raise ``error``
-    (``None`` when the whole block is clean); ``ids`` is the ``uint64``
-    column of larger ids, which the memoized path packs its keys from.
+    ``(stop, error)`` — admit ``[:stop]``, then raise ``error`` (``None``
+    when the whole block is clean).
 
-    Shared by :meth:`LCAQueryService.submit_many` and the cluster layer's
-    block path, which must stay in lockstep for the documented 1-replica
-    bit-identical equivalence.
+    The one validator of both front doors' blocks: a cluster validates here
+    and hands each routed sub-block to :meth:`LCAQueryService.admit`, which
+    checks nothing again.
     """
     ids = np.maximum(xs.view(np.uint64), ys.view(np.uint64))  # -1 wraps past n
     if (int(ids.max()) < n and arrivals[0] >= now
             and math.isfinite(arrivals[-1]) and (arrivals[1:] >= arrivals[:-1]).all()):
-        return int(xs.size), None, ids
+        return int(xs.size), None
     bad = ids >= np.uint64(n)
     stop = int(xs.size)
     error: Optional[Exception] = None
@@ -138,7 +137,18 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
             f"cannot move the clock backwards (now={prev}, "
             f"requested={float(arrivals[stop])})"
         )
-    return stop, error, ids
+    return stop, error
+
+
+def ticket_table(capacity: int = 0) -> TicketTable:
+    """The ticket table a service answers into: answers, latencies, ``answered``.
+
+    A plain service builds its own; a cluster builds one and hands it to
+    every worker it constructs, so a cluster ticket is the worker's ticket.
+    """
+    table = TicketTable(capacity, answers=np.int64, latencies=np.float64)
+    table.zeros("answered", np.bool_)
+    return table
 
 
 #: One batch of a run: its dataset and its scheduler :data:`~.scheduler.Cut`.
@@ -192,8 +202,10 @@ class LCAQueryService:
         or a calibration profile).
     clock:
         Simulated time source shared by all schedulers.
-    observer:
-        Optional lifecycle trace recorder (see :meth:`attach_observer`).
+    tickets:
+        The :class:`~repro.service.tickets.TicketTable` answers are written
+        into (by default a fresh :func:`ticket_table` pre-sized by
+        ``ticket_capacity``); a cluster hands every worker the one it built.
 
     Usage
     -----
@@ -212,7 +224,7 @@ class LCAQueryService:
                  config: Optional[ServiceConfig] = None,
                  dispatcher: Optional[CostModelDispatcher] = None,
                  clock: Optional[SimulatedClock] = None,
-                 observer: Optional[TraceRecorder] = None) -> None:
+                 tickets: Optional[TicketTable] = None) -> None:
         if config is None:
             config = ServiceConfig()
         self.config = config
@@ -220,8 +232,7 @@ class LCAQueryService:
         self._observer: Optional[TraceRecorder] = None
         self._obs_replica = 0
         self.answer_cache: Optional[AnswerCache] = (
-            AnswerCache(config.answer_cache_bytes,
-                        seed=config.answer_cache_seed)
+            AnswerCache(config.answer_cache_bytes)
             if config.answer_cache_bytes is not None else None
         )
         self._dedup = config.dedup or self.answer_cache is not None
@@ -235,12 +246,10 @@ class LCAQueryService:
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
-        # Ticket-indexed result columns, pre-sized by ``ticket_capacity``;
-        # ``answered`` is zeroed, as is the ``debt`` column re-admissions add.
+        # Ticket-indexed result columns, pre-sized by ``ticket_capacity``
+        # (re-admissions add a zeroed ``debt`` column).
         reserve = config.ticket_capacity
-        self._tickets = TicketTable(0 if reserve is None else reserve,
-                                    answers=np.int64, latencies=np.float64)
-        self._tickets.zeros("answered", np.bool_)
+        self._tickets = tickets if tickets is not None else ticket_table(reserve or 0)
         if reserve is not None:
             self.stats_collector.reserve(reserve)
         # Memoized (dataset, backend) -> ArtifactKey for the registry's keyed
@@ -257,8 +266,6 @@ class LCAQueryService:
             Callable[[str, FlushedBatch, float], Optional[float]]] = None
         self._service_factor = 1.0
         self._add_schedulers()  # a caller-provided store's datasets too
-        if observer is not None:
-            self.attach_observer(observer)
 
     # ------------------------------------------------------------------
     # Observability
@@ -369,18 +376,6 @@ class LCAQueryService:
             if scheduler.pending_count:
                 evicted[name] = scheduler.evict()
         return evicted
-
-    def debt_of(self, tickets: ArrayLike) -> np.ndarray:
-        """Per-ticket latency debt (0.0 for tickets admitted normally).
-
-        A query re-admitted after a replica failure arrives *again* at the
-        retry instant; its debt is the gap back to its true first arrival,
-        added to the modeled latency when it completes so tail attribution
-        survives failover.
-        """
-        idx = self._tickets.index(tickets)
-        debt = getattr(self._tickets, "debt", None)
-        return np.zeros(idx.size) if debt is None else debt[idx]
 
     def serve_hedge(self, dataset: str, xs: np.ndarray, ys: np.ndarray, *,
                     issue_s: float) -> float:
@@ -551,10 +546,10 @@ class LCAQueryService:
         return ticket
 
     def submit_many(self, dataset: str, xs: np.ndarray, ys: np.ndarray, *,
-                    at: Optional[np.ndarray] = None,
-                    latency_debt: Optional[np.ndarray] = None) -> np.ndarray:
+                    at: Optional[np.ndarray] = None) -> np.ndarray:
         """Submit a column block of single queries; returns their tickets.
 
+        Three steps: validate the block, issue its tickets, :meth:`admit` it.
         With the skew-aware path off (the default), observationally
         equivalent to calling :meth:`submit` once per query — each query is
         still an individual arrival seen by the scheduler, *not* a
@@ -572,13 +567,6 @@ class LCAQueryService:
         query or a backwards arrival raises at its own position, after every
         query before it has been admitted (and possibly served).
 
-        ``latency_debt`` (cluster failover only) gives each query latency
-        already accrued before this re-admission — the gap between its true
-        first arrival and the retry instant ``at`` carries.  Debt is added
-        to the modeled latency at completion, and a debt-carrying block
-        always takes the standard scheduler path (no front-door
-        memoization): a retried query re-queues like any other arrival.
-
         >>> svc = LCAQueryService()
         >>> svc.register_tree("t", np.array([-1, 0, 0, 1]))
         >>> tickets = svc.submit_many("t", [1, 2], [3, 3],
@@ -587,46 +575,62 @@ class LCAQueryService:
         >>> svc.results(tickets).tolist()   # LCA(1,3)=1, LCA(2,3)=0
         [1, 0]
         """
-        scheduler = self._scheduler(dataset)
+        self._scheduler(dataset)  # an unknown dataset is refused first
         xs, ys, arrivals = query_block(xs, ys, at, now=self.clock.now)
-        if latency_debt is not None:
-            latency_debt = seconds_column(latency_debt, "latency_debt", xs.size)
         if xs.size == 0:
             return np.empty(0, dtype=np.int64)
-        n = self.store.tree(dataset).size
-
         # Admissible prefix: the per-query loop raises at the first
         # offending index after admitting everything before it — replicate
         # that by admitting the clean prefix, then raising the same error.
-        stop, error, ids = block_clean_prefix(xs, ys, arrivals, n=n,
-                                              dataset=dataset, now=self.clock.now)
-
+        stop, error = block_clean_prefix(xs, ys, arrivals,
+                                         n=self.store.tree(dataset).size,
+                                         dataset=dataset, now=self.clock.now)
         first = self._tickets.issue(stop)
         tickets = np.arange(first, first + stop, dtype=np.int64)
         if stop:
-            self.stats_collector.record_submit(stop)
-            if self._observer is not None:
-                self._observer.record_block(EV_ARRIVAL, arrivals[:stop],
-                                            tickets,
-                                            replica=self._obs_replica)
-            if latency_debt is not None:
-                # Tickets are consecutive: store the block's debt with one
-                # slice assignment before anything can flush and serve it.
-                self._tickets.zeros("debt", np.float64)[first:first + stop] = (
-                    latency_debt[:stop])
-            handled = (latency_debt is None and self.answer_cache is not None
-                       and n <= PACK_LIMIT  # else ids overflow the packing
-                       and self._admit_memoized(dataset, scheduler, tickets,
-                                                xs[:stop], ys[:stop], ids[:stop],
-                                                arrivals[:stop]))
-            if not handled:
-                own = scheduler.submit_block(tickets, xs[:stop], ys[:stop],
-                                             arrivals[:stop])
-                self._serve_in_submission_order(dataset, own, arrivals[:stop],
-                                                first)
+            self.admit(dataset, tickets, xs[:stop], ys[:stop], arrivals[:stop])
         if error is not None:
             raise error
         return tickets
+
+    def admit(self, dataset: str, tickets: np.ndarray, xs: np.ndarray,
+              ys: np.ndarray, arrival_s: np.ndarray, *,
+              debt: Optional[np.ndarray] = None) -> None:
+        """Admit validated queries under tickets already issued from the table.
+
+        The last step of :meth:`submit_many`, and a cluster's way in: the
+        cluster validates a block, issues its tickets from the table its
+        workers share and admits each routed sub-block here under its own
+        cluster tickets.  The caller guarantees what
+        :func:`block_clean_prefix` checks (ids in range; arrivals finite,
+        non-decreasing, at or after this service's clock).
+
+        ``debt`` (failover only) gives each query the latency accrued before
+        this re-admission — the gap between its first arrival and the retry
+        instant ``arrival_s`` carries.  It is stored in the table's ``debt``
+        column and added to the modeled latency at completion; a
+        debt-carrying block always takes the scheduler path (no front-door
+        memoization): a retried query re-queues like any other arrival.
+        """
+        scheduler = self._scheduler(dataset)
+        self.stats_collector.record_submit(tickets.size)
+        if self._observer is not None:
+            self._observer.record_block(EV_ARRIVAL, arrival_s, tickets,
+                                        replica=self._obs_replica)
+        if debt is not None:
+            # Stored before anything can flush and serve the block.
+            self._tickets.zeros("debt", np.float64)[tickets] = debt
+        elif (self.answer_cache is not None
+              and self.store.tree(dataset).size <= PACK_LIMIT  # else ids overflow
+              and self._admit_memoized(dataset, scheduler, tickets, xs, ys,
+                                       arrival_s)):
+            return
+        own = scheduler.submit_block(tickets, xs, ys, arrival_s)
+        # The block's rows end at the queue's tail: its last cut's stop plus
+        # what still waits.  A size flush is placed by the row that filled it.
+        tail = own.rows[-1][2] + scheduler.pending_count if own.rows else 0
+        self._serve_in_submission_order(dataset, own, arrival_s,
+                                        tail - tickets.size)
 
     def advance_to(self, t: float, *, joining: Optional[str] = None) -> None:
         """Advance simulated time, serving every wait-expired batch.
@@ -702,7 +706,7 @@ class LCAQueryService:
             ...
         repro.errors.ServiceError: unknown ticket 99
         """
-        return int(self._read("answers", ticket)[0])
+        return int(self._tickets.read("answers", ticket)[0])
 
     def results(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of answers for a sequence of tickets (one table lookup).
@@ -717,15 +721,13 @@ class LCAQueryService:
         >>> svc.results(tickets).tolist()
         [1, 0]
         """
-        return self._read("answers", tickets)
+        return self._tickets.read("answers", tickets)
 
     def answered(self, tickets: ArrayLike) -> np.ndarray:
         """Boolean mask over ``tickets``: which have been served already.
 
-        Unlike :meth:`results` this never raises for still-queued tickets —
-        it is the non-throwing probe the cluster layer uses to report the
-        first still-queued ticket of a cross-replica sequence in the caller's
-        order.  Unknown tickets still raise :class:`ServiceError`.
+        Unlike :meth:`results` this never raises for still-queued tickets;
+        unknown tickets still raise :class:`ServiceError`.
 
         >>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=2,
         ...                                            max_wait_s=1.0))
@@ -734,7 +736,7 @@ class LCAQueryService:
         >>> svc.answered([a, b, c]).tolist()   # size flush served a and b
         [True, True, False]
         """
-        return self._read("answered", tickets, served=False)
+        return self._tickets.read("answered", tickets, served=False)
 
     def latency(self, ticket: int) -> float:
         """Modeled end-to-end latency of one answered query.
@@ -746,7 +748,7 @@ class LCAQueryService:
         >>> svc.latency(t) > 0.0       # waiting + queueing + execution
         True
         """
-        return float(self._read("latencies", ticket)[0])
+        return float(self._tickets.read("latencies", ticket)[0])
 
     def latencies(self, tickets: ArrayLike) -> np.ndarray:
         """Vector of modeled latencies for a sequence of answered tickets.
@@ -758,7 +760,7 @@ class LCAQueryService:
         >>> bool((svc.latencies(tickets) > 0.0).all())
         True
         """
-        return self._read("latencies", tickets)
+        return self._tickets.read("latencies", tickets)
 
     def pending_count(self, dataset: Optional[str] = None) -> int:
         """Queries currently queued (for one dataset, or in total).
@@ -848,28 +850,6 @@ class LCAQueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _read(self, column: str, tickets: ArrayLike, served: bool = True
-              ) -> np.ndarray:
-        """A fresh array of ticket-table ``column`` at ``tickets``.
-
-        After :meth:`TicketTable.index`'s refusals (bad dtype, then the first
-        unknown ticket), raises :class:`ServiceError` when ``served`` for the
-        first ticket whose batch has not been served yet.  An ascending run of
-        consecutive tickets (a block's) is read as a slice copy, any other
-        sequence by a fancy-index gather.
-        """
-        idx = self._tickets.index(tickets)
-        window: Any = idx
-        if (idx.size and idx.item(-1) - idx.item(0) == idx.size - 1
-                and (idx[1:] > idx[:-1]).all()):
-            window = slice(idx.item(0), idx.item(-1) + 1)
-        answered = self._tickets.answered[window]
-        if served and not answered.all():
-            raise ServiceError(f"ticket {idx[int(answered.argmin())]} is still "
-                               f"queued; advance time or drain()")
-        out = getattr(self._tickets, column)[window]
-        return out if window is idx else out.copy()
-
     def _scheduler(self, dataset: str) -> MicroBatchScheduler:
         try:
             return self._schedulers[dataset]
@@ -914,7 +894,7 @@ class LCAQueryService:
         return self._in_flush_order(run) if len(run) > 1 else run
 
     def _serve_in_submission_order(self, dataset: str, own: Cuts,
-                                   arrivals: np.ndarray, first_ticket: int
+                                   arrivals: np.ndarray, first_row: int
                                    ) -> None:
         """Serve a block's own batches plus other datasets' expired ones.
 
@@ -927,7 +907,9 @@ class LCAQueryService:
         any.  Reconstruct exactly that order from the merged batch lists:
         each batch gets (serving query index, phase, flush time, dataset
         rank) as its sort key, where phase 0 is the deadline sweep and
-        phase 1 the size flush.
+        phase 1 the size flush.  The block fills the scheduler buffer from
+        row ``first_row``: a size flush's query index is its last row's
+        offset from there (its tickets need not be consecutive).
         """
         t_last = arrivals.item(arrivals.size - 1)
         merged: List[Tuple[int, int, float, int, str, Cut]] = []
@@ -946,10 +928,10 @@ class LCAQueryService:
             return
         own_rank = self._dataset_rank[dataset]
         for cut in own.rows:
-            columns, _, stop, flush_s, trigger, _ = cut
+            _, _, stop, flush_s, trigger, _ = cut
             if trigger == "size":
                 # Served right after the query that completed the batch.
-                at_query, phase = columns[0].item(stop - 1) - first_ticket, 1
+                at_query, phase = stop - 1 - first_row, 1
             else:
                 # A wait flush fires at the first arrival strictly past the
                 # deadline (arrival exactly at the deadline joins the batch).
@@ -961,7 +943,7 @@ class LCAQueryService:
 
     def _admit_memoized(self, dataset: str, scheduler: MicroBatchScheduler,
                         tickets: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                        hi: np.ndarray, arrivals: np.ndarray) -> bool:
+                        arrivals: np.ndarray) -> bool:
         """Front-door memoization for the columnar path.
 
         With the answer cache on, a block is probed *at admission*: queries
@@ -974,8 +956,8 @@ class LCAQueryService:
         sibling span may have filled the cache in between) and repopulate
         it.  Returns False when nothing hit — the caller then admits the
         whole block through the standard path unchanged.  A full hit whose
-        arrivals reach no wait deadline is one pack (from ``hi``, the larger
-        ids :func:`block_clean_prefix` computed), one probe and O(1) booking.
+        arrivals reach no wait deadline is one pack, one probe and O(1)
+        booking.
 
         Cache-off behaviour is untouched, and answers are bit-identical
         either way; what changes with the cache on is *when* repeated
@@ -993,7 +975,7 @@ class LCAQueryService:
         # interleaving; answers are exact either way).
         if self._due(t_first):
             self._serve_run(self._expired_batches(t_first, exclusive=dataset))
-        keys = pack_query_pairs(xs, ys, hi)
+        keys = pack_query_pairs(xs, ys)
         space = self._dataset_rank[dataset]
         values, found, hits = cache.lookup(space, keys)
         obs = self._observer
@@ -1006,9 +988,9 @@ class LCAQueryService:
         # The bulk probe occupies the serially booked host-side cache lane
         # (from when the block has arrived and the lane is free); a memoized
         # answer's latency is one per-query probe plus any lane queueing.
-        # The block's tickets are one slice, stored *before* any miss batch
-        # serves: miss rows carry unanswered placeholders (``found`` is the
-        # answered mask) that their batches overwrite.
+        # The block's tickets are stored *before* any miss batch serves: miss
+        # rows carry unanswered placeholders (``found`` is the answered mask)
+        # that their batches overwrite.
         probe_time = answer_cache_probe_time(tickets.size)
         start = max(t_last, self._backend_free_s.get(CACHE_BACKEND_KEY, 0.0))
         completion = start + probe_time
@@ -1036,7 +1018,8 @@ class LCAQueryService:
             obs.record_block(EV_CACHE_LANE_HIT, completion, hit_tickets,
                              batch=pseudo, replica=self._obs_replica,
                              detail=hit_latency)
-        window, table = slice(tickets.item(0), tickets.item(-1) + 1), self._tickets
+        table = self._tickets
+        window = table.window(tickets)
         table.answers[window] = values
         table.latencies[window] = hit_latency
         table.answered[window] = True if full else found
@@ -1312,11 +1295,10 @@ class LCAQueryService:
             # One batch (see _serve_run); ``own=True``: nothing mutates them.
             obs.record_block(EV_COMPLETE, done[0], tickets, batch=batch_id,
                              replica=replica, detail=latencies, own=True)
-        # Tickets are ascending, consecutive in single-dataset streams: then
-        # the table window is a slice, else a fancy-index scatter.
+        # One slice for consecutive tickets, else a scatter.  A buffer's tickets
+        # ascend until a failover first re-admits one (and makes ``debt``).
         size, at = hi - lo, lo - span.cuts[0][1]
-        first, last = tickets.item(0), tickets.item(size - 1) + 1
-        window: Any = slice(first, last) if last - first == size else tickets
+        window = table.window(tickets, ascends=debt is None)
         table.answers[window] = span.answers[at:at + size]
         table.latencies[window] = latencies
         table.answered[window] = True

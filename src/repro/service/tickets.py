@@ -1,19 +1,14 @@
 """Per-ticket state: one growable table of columns under one ticket counter.
 
-Tickets are consecutive integers, so everything the serving stack remembers
-per query — answers, latencies, which replica holds it — lives in flat arrays
-indexed by ticket, written and read back with one slice or fancy-indexing
-operation.  :class:`TicketTable` is the single owner of that layout, for the
-single-node service and the cluster alike.  It keeps two rules no caller has
-to remember: every column has the table's one capacity, and a column declared
-zeroed reads zero wherever nothing was written, however often the table grew.
-A ticket that arrives from outside is validated in :meth:`TicketTable.index`
-and nowhere else.
+What the serving stack remembers per query lives in flat arrays indexed by
+ticket, in one :class:`TicketTable` per node, or per cluster (its workers
+all answer into it).  Every column has the table's one capacity; a zeroed
+column reads zero wherever nothing was written.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, DTypeLike
@@ -30,12 +25,8 @@ _MIN_CAPACITY = 1024
 def grow_table(
     table: np.ndarray, used: int, needed: int, *, zeroed: bool = False
 ) -> np.ndarray:
-    """Return ``table`` grown by capacity doubling to hold ``needed`` slots.
-
-    The first ``used`` entries are preserved; with ``zeroed`` every slot past
-    them reads zero, otherwise they are uninitialized.  Returns the input
-    unchanged when it is already large enough.
-    """
+    """``table`` (itself if large enough) grown by doubling to ``needed`` slots,
+    its first ``used`` kept; with ``zeroed`` the rest read zero."""
     capacity = table.size
     if needed <= capacity:
         return table
@@ -57,12 +48,6 @@ class TicketTable:
     >>> table = TicketTable(0, answers=np.int64)
     >>> table.issue(3), table.issue(), table.issued
     (0, 3, 4)
-    >>> table.index([3, 0]).tolist()
-    [3, 0]
-    >>> table.index([1, 4])
-    Traceback (most recent call last):
-        ...
-    repro.errors.ServiceError: unknown ticket 4
     """
 
     def __init__(self, capacity: int = 0, **dtypes: DTypeLike) -> None:
@@ -79,12 +64,7 @@ class TicketTable:
         def __getattr__(self, name: str) -> np.ndarray: ...
 
     def zeros(self, name: str, dtype: DTypeLike) -> np.ndarray:
-        """Column ``name``, created zero-filled on first use.
-
-        It reads zero on every slot nothing was written to — past any later
-        reallocation, and when it is created after one (a column used only by
-        rare tickets, such as retried ones, costs nothing until the first).
-        """
+        """Column ``name``: made zero-filled on first use, reads zero past growth."""
         if name not in self._zeroed:
             self._zeroed[name] = True
             setattr(self, name, np.zeros(self.capacity, dtype=dtype))
@@ -93,9 +73,7 @@ class TicketTable:
     def issue(self, count: int = 1) -> int:
         """Issue ``count`` consecutive tickets; returns the first (a Python int)."""
         first = self.issued
-        # Bumped before growing: ``issued`` is what the table must now hold,
-        # and it may already exceed the old capacity — so growth copies the
-        # whole old table, and every column grows together.
+        # Bumped first: growth holds the new count, copying the whole old table.
         self.issued = first + count
         if self.issued > self.capacity:
             old = self.capacity
@@ -106,14 +84,36 @@ class TicketTable:
         return first
 
     def index(self, tickets: ArrayLike) -> np.ndarray:
-        """``tickets`` as a 1-D ``int64`` array of issued tickets, or an error.
-
-        :data:`repro.boundary.ticket_ids` first (an integer scalar is a
-        one-ticket array), then :class:`~repro.errors.ServiceError` for the
-        first ticket that was never issued.
-        """
+        """``tickets`` as a 1-D ``int64`` array (:data:`~repro.boundary.ticket_ids`),
+        or a :class:`ServiceError` for the first one never issued."""
         idx = ticket_ids(tickets)
         if idx.size and not 0 <= idx.min() <= idx.max() < self.issued:
             unknown = (idx < 0) | (idx >= self.issued)  # only to name the first
             raise ServiceError(f"unknown ticket {idx[int(unknown.argmax())]}")
         return idx
+
+    @staticmethod
+    def window(tickets: np.ndarray, ascends: bool = False) -> Union[slice, np.ndarray]:
+        """A slice if ``tickets`` run ascending (known so, or checked) and
+        consecutive, else them: a routed sub-block, or a re-admission."""
+        n = tickets.size
+        if n and tickets.item(-1) - tickets.item(0) == n - 1:
+            if ascends or (tickets[1:] > tickets[:-1]).all():
+                return slice(tickets.item(0), tickets.item(-1) + 1)
+        return tickets
+
+    def read(
+        self, column: str, tickets: ArrayLike, *, served: bool = True
+    ) -> np.ndarray:
+        """A fresh array of ``column`` at ``tickets``; when ``served``, refuses
+        the first ticket in the caller's order not yet ``answered``."""
+        idx = self.index(tickets)
+        window = self.window(idx)
+        answered = self.answered[window]
+        if served and not answered.all():
+            raise ServiceError(
+                f"ticket {idx[int(answered.argmin())]} is still queued; "
+                "advance time or drain()"
+            )
+        out = getattr(self, column)[window]
+        return out if window is idx else out.copy()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import signal
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from repro.graphs.generators import (
     grasp_tree,
     random_attachment_tree,
 )
+from repro.service.cluster import MAX_RETRIES
 
 
 @pytest.fixture
@@ -150,3 +153,11 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> EdgeList:
     return EdgeList(
         np.concatenate([tree.u, eu]), np.concatenate([tree.v, ev]), n
     )
+
+
+def spec_config(config):
+    """A ``ClusterConfig`` as ``tests/spec_serving.py``'s ``SpecCluster`` reads
+    it: its fields, plus the start instant and retry cap the cluster keeps as
+    constants (every cluster starts at 0.0)."""
+    values = {field.name: getattr(config, field.name) for field in fields(config)}
+    return SimpleNamespace(**values, start_time=0.0, max_retries=MAX_RETRIES)

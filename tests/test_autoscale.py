@@ -81,9 +81,9 @@ def calm_scenario(*, seed=0):
 
 def autoscaled_replay(scenario, n_replicas, autoscale, *, observer=None):
     cluster = ClusterService(
-        config=ClusterConfig(n_replicas=n_replicas, max_pending=4096, **POLICY),
-        observer=observer,
+        config=ClusterConfig(n_replicas=n_replicas, max_pending=4096, **POLICY)
     )
+    cluster.attach_observer(observer)
     controller = Controller(
         SLO(p99_latency_s=1.0), interval_s=1e-3, autoscale=autoscale
     )
@@ -186,9 +186,8 @@ def test_unfireable_policy_is_bit_identical_to_no_policy():
 
 
 def _direct_cluster(parents, n_replicas, *, observer=None, **knobs):
-    cluster = ClusterService(
-        config=ClusterConfig(n_replicas=n_replicas, **knobs), observer=observer
-    )
+    cluster = ClusterService(config=ClusterConfig(n_replicas=n_replicas, **knobs))
+    cluster.attach_observer(observer)
     cluster.register_tree("t", parents, replicas=0)
     return cluster
 

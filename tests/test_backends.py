@@ -482,7 +482,8 @@ class TestServiceIntegration:
             calibration_path=path,
         )
         recorder = TraceRecorder()
-        service = LCAQueryService(config=config, observer=recorder)
+        service = LCAQueryService(config=config)
+        service.attach_observer(recorder)
         parents = _tree(100, seed=2)
         service.register_tree("t", parents)
         for seed in (3, 4):  # second round serves on a warm index cache

@@ -181,7 +181,6 @@ def instant_entries():
     yield "SimulatedClock()", SimulatedClock
     yield "SimulatedClock.advance_to", lambda t: SimulatedClock().advance_to(t)
     yield "SimulatedClock.advance", lambda t: SimulatedClock().advance(t)
-    yield "ClusterConfig(start_time=)", lambda t: ClusterConfig(start_time=t)
 
 
 def duration_entries():
@@ -233,7 +232,6 @@ COUNTS = [
     (ClusterConfig, "max_batch_size"),
     (ClusterConfig, "capacity_bytes"),
     (ClusterConfig, "max_pending"),
-    (ClusterConfig, "max_retries"),
     (AutoscalePolicy, "min_replicas"),
     (AutoscalePolicy, "max_replicas"),
     (AutoscalePolicy, "step_out"),

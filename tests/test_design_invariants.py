@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ClusterConfig
+from repro.service import ClusterConfig, ServiceConfig
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
@@ -470,6 +470,15 @@ def test_the_derived_table_rule_sees_every_read():
     assert sorted(derived_reads(function)) == ["ascendant", "depth", "head"]
 
 
+def test_the_smallbatch_kernel_pins_only_the_packed_tables():
+    """The scalar kernel's lists are the three packed tables: pinning a derived
+    one costs an O(n) array at build and an O(n) list for its lifetime."""
+    tree = parsed(SRC / "lca" / "artifacts.py")
+    kernel, = (node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "_SmallBatchKernel")
+    assert derived_reads(kernel) == []
+
+
 def test_one_schieber_vishkin_body_in_the_query_kernel():
     """``_query_inlabel`` runs a batch of any width as tiles through the one
     ``_query_tile``; a second copy of the pass would gather ``node_word`` a
@@ -501,8 +510,8 @@ def sorts_stably(node):
 
 def test_one_growth_loop_and_one_routing_cut_in_the_serving_package():
     """Tables grow in ``tickets.grow_table`` and nowhere else; the cluster
-    cuts a block by owner in ``_grouped`` and nowhere else
-    (``_cluster_tickets`` orders one replica's tickets, it groups nothing)."""
+    cuts a block by owner in ``_grouped`` and nowhere else (a read-back is one
+    read of the one ticket table: it groups nothing)."""
     found = {
         (file.name, name)
         for file, tree in trees_under(SERVICE_PACKAGE)
@@ -510,8 +519,7 @@ def test_one_growth_loop_and_one_routing_cut_in_the_serving_package():
     }
     assert found == {("tickets.py", "grow_table")}
     cluster = parsed(CLUSTER)
-    assert functions_containing(cluster, sorts_stably) == {
-        "_grouped", "_cluster_tickets"}
+    assert functions_containing(cluster, sorts_stably) == {"_grouped"}
     assert not calls(cluster, lambda name: name.endswith("searchsorted"))
 
 
@@ -533,7 +541,10 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             "as_node_ids", "as_parent_array", "as_query_ids", "as_query_block",
             "_range_bounds", "route_one",
             # The controller windows live counters; the config base is public.
-            "cluster_stats_metrics", "_ConfigBase"}
+            "cluster_stats_metrics", "_ConfigBase",
+            # A cluster's workers answer into its one ticket table: no
+            # ticket map to invert, no debt to read back through a worker.
+            "_cluster_tickets", "debt_of", "latency_debt"}
     # ``get`` is everywhere a dict is read; the registry alone must not
     # define it again (``fetch(...)[0].artifact`` is the one lookup).
     registry = parsed(SERVICE_PACKAGE / "registry.py")
@@ -689,7 +700,7 @@ def test_the_config_copy_rule_sees_bare_cast_and_conditional_copies():
         "        self.router = make_router(config.router)\n"
         "        self._worker_config = config.service_config()\n"
         "        self._a = config.max_pending\n"
-        "        self._b: int = int(self.config.max_retries)\n"
+        "        self._b: int = int(self.config.max_batch_size)\n"
         "        self._c = (None if config.hedge_delay_s is None\n"
         "                   else float(config.hedge_delay_s))\n"
         "        limit = self.config.max_pending\n"
@@ -754,7 +765,7 @@ MODULE_LINES = {
     "graphs/properties.py": 121,
     "graphs/trees.py": 156,
     "lca/__init__.py": 61,
-    "lca/artifacts.py": 181,
+    "lca/artifacts.py": 165,
     "lca/batch.py": 125,
     "lca/dedup.py": 194,
     "lca/inlabel.py": 494,
@@ -762,7 +773,7 @@ MODULE_LINES = {
     "lca/reference.py": 85,
     "lca/rmq.py": 136,
     "obs/__init__.py": 41,
-    "obs/events.py": 609,
+    "obs/events.py": 582,
     "obs/export.py": 197,
     "obs/metrics.py": 114,
     "obs/report.py": 604,
@@ -776,14 +787,14 @@ MODULE_LINES = {
     "service/__init__.py": 144,
     "service/cache.py": 467,
     "service/clock.py": 106,
-    "service/cluster.py": 1477,
-    "service/config.py": 213,
+    "service/cluster.py": 1406,
+    "service/config.py": 207,
     "service/dispatch.py": 307,
     "service/faults.py": 156,
     "service/registry.py": 389,
     "service/routing.py": 271,
     "service/scheduler.py": 493,
-    "service/service.py": 1342,
+    "service/service.py": 1324,
     "service/stats.py": 294,
     "service/tickets.py": 119,
     "workloads/__init__.py": 95,
@@ -1005,6 +1016,7 @@ ALLOWLIST = {
     "is_tree": "oracle: four test files check spanning trees with it",
     "constant_intensity": "ROADMAP item 8: the arrival test rescales it",
     "flash_crowd_intensity": "ROADMAP item 8: the arrival test rescales it",
+    "InlabelStructure.ascendant": "oracle: the Inlabel golden charges pin its sha256",
 }
 
 
@@ -1094,6 +1106,94 @@ def test_every_public_definition_has_a_caller():
     is deleted, with its tests and docs, or allowlisted with a reason; an
     entry that gains a caller leaves the list."""
     assert uncalled(ROOT) == sorted(ALLOWLIST)
+
+
+# ----------------------------------------------------------------------
+# Every config field has a caller
+# ----------------------------------------------------------------------
+#: The calls that pass each config's fields by keyword (``derive`` is both's).
+FIELD_CALLS = {
+    "ServiceConfig": ("ServiceConfig", "derive", "service_config"),
+    "ClusterConfig": ("ClusterConfig", "derive"),
+}
+#: Where such a call counts.  Not tests or examples: a knob only they set is
+#: a module constant.
+FIELD_CALLER_TOPS = ("src", "benchmarks", "scripts")
+#: Config fields no program call sets that stay, each with its reason.
+FIELD_ALLOWLIST = {
+    "ClusterConfig.capacity_bytes":
+        "ROADMAP items 1(a) and 2 build on the byte-bounded registry",
+    "ClusterConfig.calibration_path":
+        "a path: a deployment names its measured profile, no code can",
+}
+
+
+def unset_fields(root, configs):
+    """``Config.field`` of each field of ``configs`` that no call of
+    :data:`FIELD_CALLS` under ``root``'s :data:`FIELD_CALLER_TOPS` passes by
+    keyword."""
+    passed = collections.defaultdict(set)
+    for top in FIELD_CALLER_TOPS:
+        for file in sorted((root / top).rglob("*.py")):
+            for call in calls(parsed(file), lambda name: True):
+                passed[dotted(call.func).split(".")[-1]].update(
+                    kw.arg for kw in call.keywords)
+    return sorted(f"{config.__name__}.{field.name}" for config in configs
+                  for field in dataclasses.fields(config)
+                  if not any(field.name in passed[name]
+                             for name in FIELD_CALLS[config.__name__]))
+
+
+@pytest.fixture(scope="module")
+def planted_unset(tmp_path_factory):
+    """What :func:`unset_fields` flags in a planted tree of every kind of call."""
+    root = tmp_path_factory.mktemp("planted_fields")
+    planted = {
+        "src/repro/m.py": """\
+            ServiceConfig(built=1)
+            config.derive(derived=2)
+            cluster_config.service_config(carved=3, sliced=4)
+            ClusterConfig(**knobs)
+            other(unrelated=5)
+            """,
+        "benchmarks/b.py": "ClusterConfig(benched=1)\n",
+        "scripts/s.py": "ClusterConfig(scripted=1).derive(rederived=2)\n",
+        "tests/test_m.py": "ServiceConfig(tested=1)\n",
+        "examples/e.py": "ServiceConfig(shown=1)\n",
+    }
+    for path, source in planted.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(textwrap.dedent(source))
+    service = dataclasses.make_dataclass("ServiceConfig", [
+        "built", "derived", "carved", "rederived", "tested", "shown"])
+    cluster = dataclasses.make_dataclass("ClusterConfig", [
+        "benched", "scripted", "derived", "sliced", "unrelated"])
+    return unset_fields(root, (service, cluster))
+
+
+@pytest.mark.parametrize("name,flagged", [
+    ("ServiceConfig.built", False),
+    ("ServiceConfig.derived", False),  # derive() is either config's
+    ("ServiceConfig.carved", False),  # service_config() builds a ServiceConfig
+    ("ServiceConfig.rederived", False),  # a chained derive() counts
+    ("ServiceConfig.tested", True),  # a test is no caller
+    ("ServiceConfig.shown", True),  # nor is an example
+    ("ClusterConfig.benched", False),
+    ("ClusterConfig.scripted", False),
+    ("ClusterConfig.derived", False),
+    ("ClusterConfig.sliced", True),  # service_config() sets no ClusterConfig field
+    ("ClusterConfig.unrelated", True),  # another call's keyword is no caller
+])
+def test_the_field_rule_sees_each_config_call_and_no_test_or_example(
+        planted_unset, name, flagged):
+    assert (name in planted_unset) is flagged
+
+
+def test_every_config_field_has_a_caller():
+    """A knob no program, benchmark or script sets is a module constant (the
+    cluster's start instant and retry cap, the answer cache's salt seed), or
+    allowlisted with a reason; an entry that gains a caller leaves the list."""
+    assert unset_fields(ROOT, (ServiceConfig, ClusterConfig)) == sorted(FIELD_ALLOWLIST)
 
 
 # ----------------------------------------------------------------------

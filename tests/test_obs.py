@@ -54,7 +54,8 @@ POLICY = {"max_batch_size": 64, "max_wait_s": 2e-4}
 def traced_run(sample=1, queries=600, nodes=512, seed=0):
     """A small single-service run with a recorder attached throughout."""
     recorder = TraceRecorder(sample=sample)
-    service = LCAQueryService(config=ServiceConfig(**POLICY), observer=recorder)
+    service = LCAQueryService(config=ServiceConfig(**POLICY))
+    service.attach_observer(recorder)
     parents = random_attachment_tree(nodes, seed=seed)
     service.register_tree("t", parents)
     xs, ys = generate_random_queries(nodes, queries, seed=seed + 1)
@@ -153,7 +154,7 @@ def test_scalar_sampling_keeps_divisible_tickets_and_all_batch_events():
     assert table.of_kind(EV_FLUSH).n_events == 1
 
 
-def test_block_sampling_strided_fast_path_matches_predicate():
+def test_block_sampling_of_a_consecutive_run_matches_predicate():
     tickets = np.arange(37, dtype=np.int64) + 5  # consecutive, offset start
     times = np.linspace(0.0, 1.0, 37)
     details = np.linspace(1.0, 2.0, 37)
@@ -176,6 +177,18 @@ def test_block_sampling_mask_path_matches_predicate():
     keep = tickets % 4 == 0
     assert np.array_equal(table.ticket, tickets[keep])
     assert np.array_equal(table.time_s, times[keep])
+
+
+def test_block_sampling_reads_each_ticket_not_the_block_shape():
+    """A cluster worker may queue a re-admitted older ticket behind newer ones:
+    ``5, 3, 4, 8`` spans four values like a consecutive run, and a stride from
+    the first ticket would keep 3 and 8 instead of 4 and 8."""
+    tickets = np.array([5, 3, 4, 8], dtype=np.int64)
+    rec = TraceRecorder(sample=2)
+    rec.record_block(EV_ENQUEUE, np.arange(4.0), tickets, detail=np.arange(4.0))
+    table = rec.table()
+    assert table.ticket.tolist() == [4, 8]
+    assert table.time_s.tolist() == table.detail.tolist() == [2.0, 3.0]
 
 
 def test_block_sampling_can_drop_everything():
@@ -353,9 +366,8 @@ def test_trace_counts_match_service_aggregates():
 
 def test_index_evictions_are_traced():
     recorder = TraceRecorder()
-    service = LCAQueryService(
-        config=ServiceConfig(capacity_bytes=1024, **POLICY), observer=recorder
-    )
+    service = LCAQueryService(config=ServiceConfig(capacity_bytes=1024, **POLICY))
+    service.attach_observer(recorder)
     for name, seed in (("a", 0), ("b", 1)):
         parents = random_attachment_tree(512, seed=seed)
         service.register_tree(name, parents)

@@ -38,7 +38,8 @@ POLICY = {"max_batch_size": 64, "max_wait_s": 2e-4}
 @pytest.fixture(scope="module")
 def traced_service():
     recorder = TraceRecorder()
-    service = LCAQueryService(config=ServiceConfig(**POLICY), observer=recorder)
+    service = LCAQueryService(config=ServiceConfig(**POLICY))
+    service.attach_observer(recorder)
     parents = random_attachment_tree(512, seed=0)
     service.register_tree("t", parents)
     xs, ys = generate_random_queries(512, 600, seed=1)

@@ -25,6 +25,7 @@ from repro.service import (
     ServiceStats,
     rendezvous,
 )
+from repro.service.tickets import TicketTable
 from repro.workloads import make_scenario, replay
 
 from .conftest import offender_sweep
@@ -34,9 +35,8 @@ POLICY = {"max_batch_size": 64, "max_wait_s": 1e-4}
 
 
 def build_cluster(parents, n_replicas, *, replicas=None, observer=None, **knobs):
-    cluster = ClusterService(
-        config=ClusterConfig(n_replicas=n_replicas, **knobs), observer=observer
-    )
+    cluster = ClusterService(config=ClusterConfig(n_replicas=n_replicas, **knobs))
+    cluster.attach_observer(observer)
     cluster.register_tree(
         "t", parents, replicas=n_replicas if replicas is None else replicas
     )
@@ -353,7 +353,7 @@ def test_still_queued_error_names_the_cluster_ticket():
         cluster.results(tickets)
 
 
-def test_read_back_groups_tickets_once_and_keeps_the_error_order(monkeypatch):
+def test_read_back_reads_the_table_once_and_keeps_the_error_order(monkeypatch):
     n = 200
     parents = random_attachment_tree(n, seed=18)
     xs, ys = generate_random_queries(n, 64, seed=19)
@@ -366,19 +366,47 @@ def test_read_back_groups_tickets_once_and_keeps_the_error_order(monkeypatch):
         cluster.latencies([tickets[5], tickets[0]])
     cluster.drain()
 
-    groupings = []
-    grouped = ClusterService._grouped
+    groupings, reads = [], []
+    grouped, read = ClusterService._grouped, TicketTable.read
     monkeypatch.setattr(
         ClusterService,
         "_grouped",
         staticmethod(lambda owners: groupings.append(owners.size) or grouped(owners)),
     )
+    monkeypatch.setattr(
+        TicketTable,
+        "read",
+        lambda table, *args, **kw: reads.append(table) or read(table, *args, **kw),
+    )
     shuffled = np.random.default_rng(20).permutation(tickets)
     answers = cluster.results(shuffled)
     delays = cluster.latencies(shuffled)
-    assert groupings == [64, 64]  # one grouping per read, not two
+    # One read of the cluster's one table per call, grouped by nothing.
+    assert groupings == [] and reads == [cluster._tickets] * 2
     assert np.array_equal(answers, BinaryLiftingLCA(parents).query(xs, ys)[shuffled])
     assert np.array_equal(delays, [cluster.latency(t) for t in shuffled])
+
+
+def test_every_worker_answers_into_the_clusters_one_ticket_table():
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2))
+    cluster.register_tree("t", random_attachment_tree(64, seed=21), replicas=0)
+    cluster.add_replica()
+    assert cluster.scale_to(4) == (3,)
+    assert len(cluster.replicas) == 4
+    assert all(worker._tickets is cluster._tickets for worker in cluster.replicas)
+
+
+def test_pending_count_follows_queries_a_re_placement_left_behind():
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=2, max_batch_size=8, max_wait_s=1.0)
+    )
+    assert cluster.register_tree("d0", np.array([-1, 0, 0, 1]), replicas=1) == (1,)
+    cluster.submit_many("d0", [1, 2, 3], [2, 3, 1], at=[0.0, 1e-6, 2e-6])
+    cluster.add_replica()
+    assert cluster.placement("d0") == (2,)  # the three still queue on replica 1
+    assert cluster.pending_count("d0") == cluster.pending_count() == 3
+    cluster.drain()
+    assert cluster.pending_count("d0") == 0
 
 
 # ----------------------------------------------------------------------
@@ -467,18 +495,16 @@ WARM_PARENTS = random_attachment_tree(4_096, seed=5)
 
 
 def warmed_service(knobs):
-    service = LCAQueryService(
-        config=ServiceConfig(**knobs), observer=TraceRecorder()
-    )
+    service = LCAQueryService(config=ServiceConfig(**knobs))
+    service.attach_observer(TraceRecorder())
     service.register_tree("t", WARM_PARENTS)
     service.warm("t")
     return service
 
 
 def warmed_cluster(knobs, *, scale_out=False):
-    cluster = ClusterService(
-        config=ClusterConfig(n_replicas=2, **knobs), observer=TraceRecorder()
-    )
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2, **knobs))
+    cluster.attach_observer(TraceRecorder())
     cluster.register_tree("t", WARM_PARENTS, replicas=0)
     cluster.warm("t")
     if scale_out:

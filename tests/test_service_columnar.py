@@ -148,24 +148,6 @@ def test_nd_query_block_is_refused_before_any_ticket_is_issued(kind, at):
     assert tickets.tolist() == [0] and target.results(tickets).size == 1
 
 
-def test_misshaped_latency_debt_is_refused_before_admission():
-    service = LCAQueryService(config=ServiceConfig(max_batch_size=8,
-                                                   max_wait_s=1.0))
-    service.register_tree("t", random_attachment_tree(100, seed=8))
-    for debt in (np.zeros(3), np.zeros((2, 1)), 0.5):
-        with pytest.raises(ServiceError, match="latency_debt"):
-            service.submit_many("t", [1, 2], [2, 3], latency_debt=debt)
-    assert service.tickets_issued == 0
-    assert service.stats().queries_submitted == 0
-    assert service.pending_count() == 0
-    # A well-shaped one is carried through to the reported latency.
-    tickets = service.submit_many("t", [1, 2], [2, 3],
-                                  latency_debt=np.array([0.25, 0.5]))
-    service.drain()
-    assert service.debt_of(tickets).tolist() == [0.25, 0.5]
-    assert (service.latencies(tickets) > [0.25, 0.5]).all()
-
-
 # ----------------------------------------------------------------------
 # Vectorized results(): one lookup, uniform error surface (regression
 # tests for the former quadratic-ish per-ticket path)

@@ -36,7 +36,6 @@ class TestRoundTrip:
                 capacity_bytes=1 << 20,
                 dedup=True,
                 answer_cache_bytes=1 << 16,
-                answer_cache_seed=7,
                 ticket_capacity=128,
             ),
             ClusterConfig(),
@@ -45,11 +44,9 @@ class TestRoundTrip:
                 max_batch_size=256,
                 router="round-robin",
                 max_pending=512,
-                start_time=1.5,
                 dedup=True,
                 answer_cache_bytes=1 << 20,
                 hedge_delay_s=1e-3,
-                max_retries=5,
             ),
         ],
     )
@@ -94,8 +91,6 @@ class TestRoundTrip:
             ClusterConfig(max_pending=0)
         with pytest.raises(ServiceError):
             ClusterConfig(hedge_delay_s=0.0)
-        with pytest.raises(ServiceError):
-            ClusterConfig(max_retries=0)
 
     def test_tunable_sets(self):
         assert ServiceConfig.TUNABLE == {"max_batch_size", "max_wait_s"}

@@ -18,7 +18,14 @@ from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA
 from repro.obs import TraceRecorder
-from repro.obs.events import EV_FAULT, EV_HEDGE, EV_MEMBERSHIP, EV_RETRY
+from repro.obs.events import (
+    EV_ARRIVAL,
+    EV_COMPLETE,
+    EV_FAULT,
+    EV_HEDGE,
+    EV_MEMBERSHIP,
+    EV_RETRY,
+)
 from repro.service import (
     ClusterConfig,
     ClusterService,
@@ -37,8 +44,8 @@ def build_cluster(
     cluster = ClusterService(
         config=ClusterConfig(n_replicas=n_replicas, **knobs),
         fault_injector=fault_injector,
-        observer=observer,
     )
+    cluster.attach_observer(observer)
     cluster.register_tree(
         "t", parents, replicas=n_replicas if replicas is None else replicas
     )
@@ -144,6 +151,50 @@ def test_kill_and_recover_answers_match_oracle():
     assert len(table.of_kind(EV_FAULT)) == 2
     assert len(table.of_kind(EV_RETRY)) > 0
 
+
+
+def traced_kill_stream(sample=1):
+    """The kill / recover stream of the test above, traced at ``sample``."""
+    parents, xs, ys, arrivals, expected = stream(256, 1200, seed=3)
+    mid = float(arrivals[arrivals.size // 2])
+    injector = FaultInjector(
+        [
+            FaultEvent(time_s=mid, action="kill", replica=0),
+            FaultEvent(time_s=mid + 1e-3, action="recover", replica=0),
+        ]
+    )
+    observer = TraceRecorder(sample=sample)
+    cluster = build_cluster(
+        parents, 2, **POLICY, fault_injector=injector, observer=observer
+    )
+    tickets = chunked_submit(cluster, "t", xs, ys, arrivals, 64)
+    cluster.drain()
+    np.testing.assert_array_equal(cluster.results(tickets), expected)
+    return cluster, observer.table()
+
+
+def test_a_failover_keeps_the_clients_ticket():
+    """Workers answer into the cluster's ticket table, so a trace carries the
+    ticket the client holds: a re-admitted query arrives on the killed
+    replica, then on the survivor, under one ticket, and completes there."""
+    cluster, table = traced_kill_stream()
+    arrivals = table.of_kind(EV_ARRIVAL)
+    assert np.array_equal(np.unique(arrivals.ticket), np.arange(1200))
+    tickets, counts = np.unique(arrivals.ticket, return_counts=True)
+    twice = tickets[counts == 2]
+    assert counts.max() == 2 and twice.size == cluster.stats().queries_retried > 0
+    for ticket in twice:
+        assert arrivals.replica[arrivals.ticket == ticket].tolist() == [0, 1]
+    completes = table.of_kind(EV_COMPLETE)
+    assert np.array_equal(np.sort(completes.ticket), np.arange(1200))
+    assert (completes.replica[np.isin(completes.ticket, twice)] == 1).all()
+
+
+def test_a_sampled_failover_trace_is_the_full_trace_at_even_tickets():
+    _, full = traced_kill_stream()
+    _, sampled = traced_kill_stream(sample=2)
+    keep = (full.ticket < 0) | (full.ticket % 2 == 0)
+    assert sampled.canonical().equals(full.select(keep).canonical())
 
 def test_parked_queries_survive_total_outage_until_recovery():
     parents, xs, ys, arrivals, expected = stream(128, 200, seed=6)
@@ -285,7 +336,8 @@ def test_single_replica_noop_injector_matches_plain_service_trace():
     parents, xs, ys, arrivals, _ = stream(128, 300, seed=16)
 
     plain_obs = TraceRecorder()
-    plain = LCAQueryService(config=ServiceConfig(**POLICY), observer=plain_obs)
+    plain = LCAQueryService(config=ServiceConfig(**POLICY))
+    plain.attach_observer(plain_obs)
     plain.register_tree("t", parents)
     for i in range(0, xs.size, 64):
         plain.submit_many(

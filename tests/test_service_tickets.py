@@ -217,9 +217,7 @@ def drained(kind):
 
 
 def readers(target):
-    methods = [getattr(target, name) for name in READERS if hasattr(target, name)]
-    workers = getattr(target, "replicas", (target,))
-    return methods + [worker.debt_of for worker in workers]
+    return [getattr(target, name) for name in READERS if hasattr(target, name)]
 
 
 @pytest.mark.parametrize("kind", ["service", "cluster"])
@@ -243,7 +241,6 @@ def test_every_reader_still_answers_tickets(kind, good):
     assert target.latencies(tickets).tolist() == delays[normalised].tolist()
     if kind == "service":
         assert target.answered(tickets).tolist() == [True] * len(normalised)
-        assert target.debt_of(tickets).tolist() == [0.0] * len(normalised)
     if len(normalised) == 1:
         assert target.result(tickets) == answers[normalised[0]]
         assert target.latency(tickets) == delays[normalised[0]]
@@ -344,27 +341,27 @@ def test_debt_reads_zero_until_a_retry_writes_it_and_survives_growth():
     service = LCAQueryService()
     service.register_tree("t", PARENTS)
     plain = service.submit_many("t", [1, 2], [3, 4], at=[0.0, 0.0])
-    assert service.debt_of(plain).tolist() == [0.0, 0.0]
-    retried = service.submit_many(
-        "t", [5], [6], at=[1e-3], latency_debt=np.array([2.5e-4])
-    )
+    assert not hasattr(service._tickets, "debt")
+    retried = np.array([service._tickets.issue()])
+    xs, ys, at, debt = np.array([5]), np.array([6]), np.array([1e-3]), np.array([2.5e-4])
+    service.admit("t", retried, xs, ys, at, debt=debt)
     grown = service.submit_many("t", np.ones(2000, int), np.ones(2000, int))
     service.drain()
-    assert service.debt_of([*plain, *retried]).tolist() == [0.0, 0.0, 2.5e-4]
-    assert not service.debt_of(grown).any()
+    debt = service._tickets.debt
+    assert debt[[*plain, *retried]].tolist() == [0.0, 0.0, 2.5e-4]
+    assert not debt[grown].any()
     assert service.latency(retried[0]) > 2.5e-4
-    with pytest.raises(ServiceError, match="unknown ticket 2003"):
-        service.debt_of([0, 2003])
 
 
 # ----------------------------------------------------------------------
 # The cluster's one routing cut
 # ----------------------------------------------------------------------
-def test_the_shared_grouping_keeps_caller_order_for_all_three_users(monkeypatch):
-    """Admission, failover and read-back cut their blocks with ``_grouped``:
-    targets ascend as Python ints, each target's positions ascend (so a
-    sub-block of an arrival-ordered block is arrival-ordered) and together
-    they cover the block once."""
+def test_the_shared_grouping_keeps_caller_order_for_admission_and_failover(monkeypatch):
+    """Admission and failover cut their blocks with ``_grouped`` (a read-back
+    groups nothing: it is one read of the one table): targets ascend as
+    Python ints, each target's positions ascend (so a sub-block of an
+    arrival-ordered block is arrival-ordered) and together they cover the
+    block once."""
     calls = []
     grouped = ClusterService._grouped
 
@@ -390,7 +387,7 @@ def test_the_shared_grouping_keeps_caller_order_for_all_three_users(monkeypatch)
     cluster.drain()
     shuffled = np.random.default_rng(35).permutation(tickets)
     answers = cluster.results(shuffled)  # read-back
-    assert len(calls) == 3 and calls[2][0].size == 50
+    assert len(calls) == 2
 
     for owners, groups in calls:
         targets = [target for target, _ in groups]

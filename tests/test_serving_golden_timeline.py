@@ -324,8 +324,8 @@ def elastic_case():
     cluster = ClusterService(
         config=ClusterConfig(n_replicas=3, router="least-outstanding", **BATCHING),
         fault_injector=injector,
-        observer=observer,
     )
+    cluster.attach_observer(observer)
     cluster.register_tree("wide", datasets["wide"], replicas=0)
     cluster.register_tree("solo", datasets["solo"], on=[0])
     scale_at = {10: 5, 16: 3}  # window -> scale_to() target

@@ -14,7 +14,7 @@ from repro.errors import ReproError
 from repro.service import (ClusterConfig, ClusterService, FaultEvent, FaultInjector,
                            LCAQueryService, ServiceConfig)
 
-from .conftest import TREE_KINDS, make_tree
+from .conftest import TREE_KINDS, make_tree, spec_config
 from .spec_serving import SpecCluster, SpecService, observables
 
 #: Per-worker answer-cache bytes of the ``cache`` draws (None: off or dedup only).
@@ -107,7 +107,7 @@ def build(case, spec):
                                **knobs)
         events = None if case.faults is None else [event(*f) for f in case.faults]
         if spec:
-            target = SpecCluster(config, events)
+            target = SpecCluster(spec_config(config), events)
         else:
             injector = None if events is None else FaultInjector(events)
             target = ClusterService(config=config, fault_injector=injector)
@@ -175,6 +175,12 @@ HEDGED = Case("shallow", 128, steady(96, 128, 11, 5e-6), **TWO, max_batch=16,
 FAILOVER = Case("shallow", 256, steady(200, 256, 56, 5e-6), **TWO, max_batch=16,
                 max_wait=5e-4, chunk=50, faults=(("kill", 0, 0, 5e-4),
                                                  ("recover", 0, 0, 7.5e-4)))
+#: The kill re-admits ticket 1 onto replica 1 behind the newer ticket 2, and
+#: ticket 3 fills the batch: its tickets 0, 2, 1, 3 span a consecutive range
+#: out of order, so writing them as one slice would swap two answers.
+READMITTED_BEHIND_NEWER = Case("shallow", 64, rows(0, [1, 2, 3, 4], [5, 6, 7, 8], [
+    0, 1e-6, 2e-6, 3e-6]), replicas=2, on=((1, 0),), max_batch=4, max_wait=1e-3,
+    chunk=1, faults=(("kill", 0, 0, 3e-6),))
 #: Replica 0 fails its first three batches: each is retried on replica 1.
 FLAKY = Case("shallow", 128, steady(96, 128, 12, 5e-6), **TWO, max_batch=16, chunk=16,
              faults=(("transient", 0, 3, 0.0),))
@@ -201,6 +207,7 @@ SHED_THEN_DRAIN = Case("shallow", 64, steady(6, 64, 21, 1.0), **TWO, max_wait=10
 @example(case=CACHE_RESETS)
 @example(case=HEDGED)
 @example(case=FAILOVER)
+@example(case=READMITTED_BEHIND_NEWER)
 @example(case=FLAKY)
 @example(case=RETRY_CAP)
 @example(case=DEAD_DATASET)
