@@ -188,20 +188,16 @@ class Controller:
         self, target: _Target, now_s: float
     ) -> Tuple[float, float, Optional[float], int]:
         """(p99_s, shed_rate, throughput_qps or None, answered) this window."""
-        workers = target.replicas if isinstance(target, ClusterService) else (target,)
         hist = Histogram(WINDOW_BUCKETS_S)
         answered = 0
-        for index, worker in enumerate(workers):
+        for index, worker in enumerate(target.workers):
             collector = worker.stats_collector
             answered += collector.queries_answered
             values = collector.latency_values
             hist.observe_many(values[self._consumed.get(index, 0):])
             self._consumed[index] = values.size
-        if isinstance(target, ClusterService):
-            shed = target.queries_shed
-            offered = target.tickets_issued + shed
-        else:
-            offered, shed = answered, 0
+        shed = target.queries_shed
+        offered = target.tickets_issued + shed
         totals = (answered, offered, shed)
         answered, offered, shed = (
             total - last for total, last in zip(totals, self._totals))

@@ -16,9 +16,10 @@ single-query hot path (a hedged retry, a cache-miss straggler) it *is* the
 latency: ~17 us of dispatch for ~30 integer operations.  The small-batch
 kernel pins the three packed tables the query reads (``node_word``,
 ``node_key``, ``head_key``) as Python int lists at build time (no numpy
-scalar boxing), runs :func:`~repro.lca.inlabel._query_tile`'s arithmetic one
-query at a time, climbing only an endpoint that needs it, and writes answers
-into a preallocated scratch of :data:`DEFAULT_SCRATCH_SIZE` queries.  Larger
+scalar boxing; one set per host index, shared by every kernel over it), runs
+:func:`~repro.lca.inlabel._query_tile`'s arithmetic one query at a time,
+climbing only an endpoint that needs it, and writes answers into a
+preallocated scratch of :data:`DEFAULT_SCRATCH_SIZE` queries.  Larger
 batches fall back to the vectorized kernel (measured crossover ≈ 20 queries:
 ~3 us + ~0.75 us per query against a flat ~17 us).  Python ints evaluate the
 same fixed-width bit expressions exactly, so the scalar pass computes the
@@ -29,7 +30,8 @@ at once.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, ClassVar, Dict, Optional
+from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .inlabel import (
     INLABEL_QUERY_COST,
     InlabelIndex,
     InlabelLCA,
-    InlabelStructure,
     SequentialInlabelLCA,
     _query_inlabel,
     charge_sequential_build,
@@ -72,17 +73,29 @@ class CompiledKernel:
         raise NotImplementedError
 
 
+class _Pinned(list):
+    """A list a weak reference can point at."""
+
+
 class _SmallBatchKernel(CompiledKernel):
     """Compile-time-specialized Inlabel kernel for one tree."""
 
-    def __init__(self, structure: InlabelStructure) -> None:
-        self.structure = structure
-        # Compile-time specialization: pin the packed tables as plain Python
-        # ints so the fused pass never touches numpy scalar boxing.
-        self._node_word = structure.node_word.tolist()
-        self._node_key = structure.node_key.tolist()
-        self._head_key = structure.head_key.tolist()
-        # Preallocated answer scratch (the only array the hot path writes).
+    #: Per host index, a weak reference to its packed tables as lists: every
+    #: kernel over it (one per replica) holds them; they die with the last.
+    _pinned: ClassVar[WeakKeyDictionary[InlabelIndex, ref]] = WeakKeyDictionary()
+
+    def __init__(self, index: InlabelIndex) -> None:
+        self.structure = structure = index.structure
+        held = self._pinned.get(index)
+        self._tables = held() if held is not None else None
+        if self._tables is None:
+            # Compile-time specialization: pin the packed tables as plain
+            # Python ints so the fused pass never touches numpy scalar boxing.
+            self._tables = _Pinned(table.tolist() for table in (
+                structure.node_word, structure.node_key, structure.head_key))
+            self._pinned[index] = ref(self._tables)
+        self._node_word, self._node_key, self._head_key = self._tables
+        # Preallocated answer scratch per kernel (the only array it writes).
         self._out = np.empty(DEFAULT_SCRATCH_SIZE, np.int64)
 
     @property
@@ -147,14 +160,13 @@ class _SmallBatchKernel(CompiledKernel):
 
 def build_smallbatch(index: InlabelIndex, *,
                      ctx: Optional[ExecutionContext] = None) -> CompiledKernel:
-    """Pin ``index``'s tables in hot-loop layout (one set per artifact).
+    """Pin ``index``'s tables in hot-loop layout (one set per index).
 
     The modeled preprocessing charge matches the sequential CPU baseline
     (:class:`~repro.lca.SequentialInlabelLCA`) — same logical work.
     """
-    structure = index.structure
-    charge_sequential_build(structure.n, ctx, "smallbatch_inlabel_preprocess")
-    return _SmallBatchKernel(structure)
+    charge_sequential_build(index.structure.n, ctx, "smallbatch_inlabel_preprocess")
+    return _SmallBatchKernel(index)
 
 
 #: Artifact variant → the function that builds it over a tree's host index.

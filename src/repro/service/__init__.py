@@ -87,7 +87,7 @@ from .routing import (
     rendezvous,
     stable_hash,
 )
-from .scheduler import BatchPolicy, FlushedBatch, MicroBatchScheduler, PendingQuery
+from .scheduler import BatchPolicy, FlushedBatch, MicroBatchScheduler
 from .service import LCAQueryService
 from .stats import ServiceStats, StatsCollector, batch_size_bucket
 
@@ -99,7 +99,6 @@ __all__ = [
     "CacheEntry",
     "artifact_nbytes",
     "BatchPolicy",
-    "PendingQuery",
     "FlushedBatch",
     "MicroBatchScheduler",
     "Backend",

@@ -74,9 +74,8 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from ..boundary import count, instant, int_scalar, query_block, replica_ids
+from ..boundary import count, instant, int_scalar, replica_ids
 from ..errors import Overloaded, ReplicaDown, ServiceError
 from ..obs.events import (
     EV_FAULT,
@@ -99,7 +98,7 @@ from .faults import FaultEvent, FaultInjector
 from .registry import ForestStore
 from .routing import Router, make_router, rendezvous
 from .scheduler import FlushedBatch
-from .service import LCAQueryService, block_clean_prefix, ticket_table
+from .service import FrontDoor, LCAQueryService
 from .stats import ServiceStats
 
 __all__ = ["ClusterService", "ClusterStats"]
@@ -185,7 +184,7 @@ class ClusterStats(ServiceStats):
         return "\n".join(lines)
 
 
-class ClusterService:
+class ClusterService(FrontDoor):
     """Serves LCA queries across N replica workers behind one front door.
 
     Parameters
@@ -239,13 +238,11 @@ class ClusterService:
     ) -> None:
         if config is None:
             config = ClusterConfig()
+        # The one ticket table: every worker answers into it (see _worker).
+        super().__init__(ForestStore(), SimulatedClock())
         self.config = config
         n_workers = config.n_replicas
         self.router: Router = make_router(config.router)
-        self.clock = SimulatedClock()
-        self.store = ForestStore()
-        # The one ticket table: every worker answers into it (see _worker).
-        self._tickets = ticket_table()
         if dispatcher_factory is None:
             # A measured profile is loaded once and shared by every replica's
             # dispatcher (they price identically by construction).
@@ -315,16 +312,10 @@ class ClusterService:
         self._tree_replicas: Dict[str, Optional[int]] = {}
         for i, worker in enumerate(self._replicas):
             self._install_hooks(i, worker)
-        self._observer: Optional[TraceRecorder] = None
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    @property
-    def observer(self) -> Optional[TraceRecorder]:
-        """The attached trace recorder, if any."""
-        return self._observer
-
     def attach_observer(self, observer: Optional[TraceRecorder]) -> None:
         """Attach one trace recorder to the whole cluster (``None`` detaches).
 
@@ -378,35 +369,14 @@ class ClusterService:
         """
         return self._replicas
 
-    @property
-    def datasets(self) -> List[str]:
-        """Names of all registered datasets.
+    #: The name a node's ``(self,)`` shares, so callers need not ask which
+    #: front door they hold.
+    workers = replicas
 
-        >>> import numpy as np
-        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
-        >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
-        >>> cluster.datasets
-        ['t']
-        """
-        return self.store.names
-
-    @property
-    def tickets_issued(self) -> int:
-        """How many cluster tickets have been issued (tickets are ``0..n-1``).
-
-        Mirrors :attr:`LCAQueryService.tickets_issued`: cluster tickets are
-        consecutive integers, so recording this before a submission
-        identifies the tickets a partially admitted block received even
-        when the submission raised :class:`~repro.errors.Overloaded`.
-
-        >>> import numpy as np
-        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
-        >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
-        >>> _ = cluster.submit_many("t", [1, 2], [2, 1])
-        >>> cluster.tickets_issued
-        2
-        """
-        return self._tickets.issued
+    # The layer tracer (``benchmarks/layers/trace.py``) patches methods in a
+    # named class's own namespace, so the readers it times are bound here too.
+    results = FrontDoor.results
+    latencies = FrontDoor.latencies
 
     @property
     def queries_shed(self) -> int:
@@ -772,16 +742,8 @@ class ClusterService:
         [1, 0]
         """
         copies = self._copies(dataset)
-        xs, ys, arrivals = query_block(xs, ys, at, now=self.clock.now)
-        if xs.size == 0:
-            return np.empty(0, dtype=np.int64)
-        n = self.store.tree(dataset).size
-
         # The single-node block path's validator: the same first offender.
-        stop, error = block_clean_prefix(
-            xs, ys, arrivals, n=n, dataset=dataset, now=self.clock.now
-        )
-
+        xs, ys, arrivals, stop, error = self._clean_block(dataset, xs, ys, at)
         if stop:
             if self.fault_injector is not None:
                 self._apply_faults(float(arrivals[0]))
@@ -928,64 +890,6 @@ class ClusterService:
             self._copies(dataset)  # an unknown dataset is refused
             return sum(w.pending_count(dataset) for w in self._replicas)
         return sum(replica.pending_count() for replica in self._replicas)
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def result(self, ticket: int) -> int:
-        """The answer for one cluster ticket (its batch must have served).
-
-        >>> import numpy as np
-        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
-        >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
-        >>> ticket = cluster.submit("t", 1, 2)
-        >>> cluster.drain()
-        >>> cluster.result(ticket)
-        0
-        """
-        return int(self.results(ticket)[0])
-
-    def results(self, tickets: ArrayLike) -> np.ndarray:
-        """Vector of answers for a sequence of cluster tickets.
-
-        Raises :class:`ServiceError` for the first unknown or still-queued
-        ticket in the sequence, exactly as :meth:`result` would.
-
-        >>> import numpy as np
-        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
-        >>> _ = cluster.register_tree("t", np.array([-1, 0, 0, 1]))
-        >>> tickets = cluster.submit_many("t", [3, 2], [1, 3])
-        >>> cluster.drain()
-        >>> cluster.results(tickets).tolist()
-        [1, 0]
-        """
-        return self._tickets.read("answers", tickets)
-
-    def latency(self, ticket: int) -> float:
-        """Modeled end-to-end latency of one answered query.
-
-        >>> import numpy as np
-        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
-        >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
-        >>> ticket = cluster.submit("t", 1, 2)
-        >>> cluster.drain()
-        >>> cluster.latency(ticket) > 0.0
-        True
-        """
-        return float(self.latencies(ticket)[0])
-
-    def latencies(self, tickets: ArrayLike) -> np.ndarray:
-        """Vector of modeled latencies for a sequence of answered tickets.
-
-        >>> import numpy as np
-        >>> cluster = ClusterService(config=ClusterConfig(n_replicas=2))
-        >>> _ = cluster.register_tree("t", np.array([-1, 0, 0]))
-        >>> tickets = cluster.submit_many("t", [1, 2], [2, 1])
-        >>> cluster.drain()
-        >>> bool((cluster.latencies(tickets) > 0.0).all())
-        True
-        """
-        return self._tickets.read("latencies", tickets)
 
     # ------------------------------------------------------------------
     # Observability

@@ -47,7 +47,7 @@ from ..boundary import Check, count, duration, settle
 from ..obs.events import EV_ENQUEUE, EV_FLUSH, TraceRecorder
 from .clock import SimulatedClock
 
-__all__ = ["BatchPolicy", "PendingQuery", "FlushedBatch", "Cuts", "MicroBatchScheduler"]
+__all__ = ["BatchPolicy", "FlushedBatch", "Cuts", "MicroBatchScheduler"]
 
 #: Buffer sizing bounds: large enough to amortize refills, small enough that
 #: a scheduler over a huge ``max_batch_size`` does not preallocate gigabytes.
@@ -88,17 +88,6 @@ class BatchPolicy:
 
 
 @dataclass(frozen=True)
-class PendingQuery:
-    """One queued LCA query with its arrival time: a row of the columnar
-    queue, as :attr:`MicroBatchScheduler.pending` shows it for introspection."""
-
-    ticket: int
-    x: int
-    y: int
-    arrival_s: float
-
-
-@dataclass(frozen=True)
 class FlushedBatch:
     """A batch handed to the execution backend, with full timing provenance.
 
@@ -129,18 +118,6 @@ class FlushedBatch:
         [1]
         """
         return int(self.xs.size)
-
-    @property
-    def queue_wait_s(self) -> np.ndarray:
-        """Per-query time spent waiting in the queue before the flush.
-
-        >>> s = MicroBatchScheduler(BatchPolicy(max_batch_size=8,
-        ...                                     max_wait_s=1e-3))
-        >>> _ = s.submit(0, 1, 2, at=0.0)
-        >>> [b.queue_wait_s.tolist() for b in s.advance_to(1e-2)]
-        [[0.001]]
-        """
-        return self.flush_s - self.arrival_s
 
     @classmethod
     def of(cls, cut: Cut) -> "FlushedBatch":
@@ -268,18 +245,6 @@ class MicroBatchScheduler:
         0.001
         """
         return self._deadline
-
-    @property
-    def pending(self) -> List[PendingQuery]:
-        """Row-wise snapshot of the queued queries (introspection only).
-
-        >>> s = MicroBatchScheduler()
-        >>> _ = s.submit(7, 1, 2, at=0.0)
-        >>> s.pending
-        [PendingQuery(ticket=7, x=1, y=2, arrival_s=0.0)]
-        """
-        rows = zip(*(column[self._head:self._tail] for column in self._columns))
-        return [PendingQuery(int(t), int(x), int(y), float(a)) for t, x, y, a in rows]
 
     # ------------------------------------------------------------------
     # Submission and time

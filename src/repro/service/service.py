@@ -105,9 +105,8 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
     ``(stop, error)`` — admit ``[:stop]``, then raise ``error`` (``None``
     when the whole block is clean).
 
-    The one validator of both front doors' blocks: a cluster validates here
-    and hands each routed sub-block to :meth:`LCAQueryService.admit`, which
-    checks nothing again.
+    The one validator of both front doors' blocks (:meth:`FrontDoor._clean_block`):
+    :meth:`LCAQueryService.admit` checks nothing again.
     """
     ids = np.maximum(xs.view(np.uint64), ys.view(np.uint64))  # -1 wraps past n
     if (int(ids.max()) < n and arrivals[0] >= now
@@ -138,17 +137,6 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
             f"requested={float(arrivals[stop])})"
         )
     return stop, error
-
-
-def ticket_table(capacity: int = 0) -> TicketTable:
-    """The ticket table a service answers into: answers, latencies, ``answered``.
-
-    A plain service builds its own; a cluster builds one and hands it to
-    every worker it constructs, so a cluster ticket is the worker's ticket.
-    """
-    table = TicketTable(capacity, answers=np.int64, latencies=np.float64)
-    table.zeros("answered", np.bool_)
-    return table
 
 
 #: One batch of a run: its dataset and its scheduler :data:`~.scheduler.Cut`.
@@ -183,7 +171,125 @@ class _Span:
         self.answers = self.space = self.miss = self.inverse = None
 
 
-class LCAQueryService:
+class FrontDoor:
+    """The read and identity side :class:`LCAQueryService` and
+    :class:`~repro.service.cluster.ClusterService` share.
+
+    Either front door keeps its datasets in one :attr:`store`, answers into
+    one :class:`~repro.service.tickets.TicketTable` (answers, latencies,
+    ``answered``; a fresh one of ``capacity`` unless ``tickets`` is given) on
+    one :attr:`clock`, and may carry a trace recorder.
+    """
+
+    def __init__(self, store: ForestStore, clock: SimulatedClock,
+                 tickets: Optional[TicketTable] = None, capacity: int = 0) -> None:
+        if tickets is None:
+            tickets = TicketTable(capacity, answers=np.int64, latencies=np.float64)
+            tickets.zeros("answered", np.bool_)
+        self.store, self.clock, self._tickets = store, clock, tickets
+        self._observer: Optional[TraceRecorder] = None
+
+    @property
+    def observer(self) -> Optional[TraceRecorder]:
+        """The attached trace recorder, if any."""
+        return self._observer
+
+    @property
+    def datasets(self) -> List[str]:
+        """Names of all registered datasets, in registration order."""
+        return self.store.names
+
+    @property
+    def tickets_issued(self) -> int:
+        """How many tickets have been issued so far (tickets are ``0..n-1``).
+
+        Tickets are consecutive integers, so a caller that records this
+        before a submission knows exactly which tickets that submission
+        received — including a partially admitted block, one cut short by
+        :class:`~repro.errors.Overloaded` too (replay keeps phase ranges so).
+
+        >>> svc = LCAQueryService()
+        >>> svc.register_tree("t", np.array([-1, 0, 0]))
+        >>> svc.tickets_issued
+        0
+        >>> _ = svc.submit_many("t", [1, 2], [2, 1])
+        >>> svc.tickets_issued
+        2
+        """
+        return self._tickets.issued
+
+    def result(self, ticket: int) -> int:
+        """The answer for one ticket (its batch must have been served).
+
+        >>> svc = LCAQueryService()
+        >>> svc.register_tree("t", np.array([-1, 0, 0]))
+        >>> t = svc.submit("t", 1, 2)
+        >>> svc.drain()
+        >>> svc.result(t)
+        0
+        >>> svc.result(99)
+        Traceback (most recent call last):
+            ...
+        repro.errors.ServiceError: unknown ticket 99
+        """
+        return int(self._tickets.read("answers", ticket)[0])
+
+    def results(self, tickets: ArrayLike) -> np.ndarray:
+        """Vector of answers for a sequence of tickets (one table lookup).
+
+        Raises :class:`ServiceError` exactly as :meth:`result` would for the
+        first unknown or still-queued ticket in the sequence.
+
+        >>> svc = LCAQueryService()
+        >>> svc.register_tree("t", np.array([-1, 0, 0, 1]))
+        >>> tickets = svc.submit_many("t", [3, 2], [1, 3])
+        >>> svc.drain()
+        >>> svc.results(tickets).tolist()
+        [1, 0]
+        """
+        return self._tickets.read("answers", tickets)
+
+    def latency(self, ticket: int) -> float:
+        """Modeled end-to-end latency of one answered query.
+
+        >>> svc = LCAQueryService()
+        >>> svc.register_tree("t", np.array([-1, 0, 0]))
+        >>> t = svc.submit("t", 1, 2)
+        >>> svc.drain()
+        >>> svc.latency(t) > 0.0       # waiting + queueing + execution
+        True
+        """
+        return float(self._tickets.read("latencies", ticket)[0])
+
+    def latencies(self, tickets: ArrayLike) -> np.ndarray:
+        """Vector of modeled latencies for a sequence of answered tickets.
+
+        >>> svc = LCAQueryService()
+        >>> svc.register_tree("t", np.array([-1, 0, 0]))
+        >>> tickets = svc.submit_many("t", [1, 2], [2, 1])
+        >>> svc.drain()
+        >>> bool((svc.latencies(tickets) > 0.0).all())
+        True
+        """
+        return self._tickets.read("latencies", tickets)
+
+    def _clean_block(self, dataset: str, xs: np.ndarray, ys: np.ndarray,
+                     at: Optional[np.ndarray]
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int,
+                                Optional[Exception]]:
+        """The checked columns and :func:`block_clean_prefix`'s ``(stop, error)``
+        every ``submit_many`` opens with, once it has refused an unknown
+        ``dataset`` (an empty block admits nothing)."""
+        xs, ys, arrivals = query_block(xs, ys, at, now=self.clock.now)
+        if xs.size == 0:
+            return xs, ys, arrivals, 0, None
+        stop, error = block_clean_prefix(xs, ys, arrivals,
+                                         n=self.store.tree(dataset).size,
+                                         dataset=dataset, now=self.clock.now)
+        return xs, ys, arrivals, stop, error
+
+
+class LCAQueryService(FrontDoor):
     """Serves LCA queries against named, index-cached trees in micro-batches.
 
     Parameters
@@ -204,8 +310,8 @@ class LCAQueryService:
         Simulated time source shared by all schedulers.
     tickets:
         The :class:`~repro.service.tickets.TicketTable` answers are written
-        into (by default a fresh :func:`ticket_table` pre-sized by
-        ``ticket_capacity``); a cluster hands every worker the one it built.
+        into (by default a fresh one pre-sized by ``ticket_capacity``); a
+        cluster hands every worker the one it built.
 
     Usage
     -----
@@ -227,18 +333,19 @@ class LCAQueryService:
                  tickets: Optional[TicketTable] = None) -> None:
         if config is None:
             config = ServiceConfig()
+        # Ticket-indexed result columns, pre-sized by ``ticket_capacity``
+        # (re-admissions add a zeroed ``debt`` column).
+        reserve = config.ticket_capacity
+        super().__init__(store or ForestStore(), clock or SimulatedClock(),
+                         tickets, reserve or 0)
         self.config = config
-        self.clock = clock or SimulatedClock()
-        self._observer: Optional[TraceRecorder] = None
         self._obs_replica = 0
         self.answer_cache: Optional[AnswerCache] = (
             AnswerCache(config.answer_cache_bytes)
             if config.answer_cache_bytes is not None else None
         )
         self._dedup = config.dedup or self.answer_cache is not None
-        self.store = store or ForestStore()
-        self.registry = IndexRegistry(self.store,
-                                      capacity_bytes=config.capacity_bytes)
+        self.registry = IndexRegistry(self.store, capacity_bytes=config.capacity_bytes)
         self.policy = config.batch_policy()
         # An explicit dispatcher= wins (the cluster passes pre-built ones).
         self.dispatcher = (dispatcher if dispatcher is not None else
@@ -246,10 +353,6 @@ class LCAQueryService:
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
-        # Ticket-indexed result columns, pre-sized by ``ticket_capacity``
-        # (re-admissions add a zeroed ``debt`` column).
-        reserve = config.ticket_capacity
-        self._tickets = tickets if tickets is not None else ticket_table(reserve or 0)
         if reserve is not None:
             self.stats_collector.reserve(reserve)
         # Memoized (dataset, backend) -> ArtifactKey for the registry's keyed
@@ -270,11 +373,6 @@ class LCAQueryService:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    @property
-    def observer(self) -> Optional[TraceRecorder]:
-        """The attached trace recorder, if any."""
-        return self._observer
-
     def attach_observer(self, observer: Optional[TraceRecorder], *,
                         replica: int = 0) -> None:
         """Attach (or detach, with ``None``) a lifecycle trace recorder.
@@ -370,12 +468,8 @@ class LCAQueryService:
         >>> svc.pending_count()
         0
         """
-        evicted: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]] = {}
-        for name, scheduler in self._schedulers.items():
-            if scheduler.pending_count:
-                evicted[name] = scheduler.evict()
-        return evicted
+        return {name: scheduler.evict() for name, scheduler in self._schedulers.items()
+                if scheduler.pending_count}
 
     def serve_hedge(self, dataset: str, xs: np.ndarray, ys: np.ndarray, *,
                     issue_s: float) -> float:
@@ -463,36 +557,19 @@ class LCAQueryService:
             self.registry.fetch_by_key(
                 self._artifact_key(dataset, backend), spec=backend.spec)
 
+    # A cluster's views, answered by the one node it would be.
     @property
-    def datasets(self) -> List[str]:
-        """Names of all registered datasets.
+    def workers(self) -> Tuple["LCAQueryService", ...]:
+        """The node itself: its one worker (a cluster's are its ``replicas``)."""
+        return (self,)
 
-        >>> svc = LCAQueryService()
-        >>> svc.register_tree("a", np.array([-1, 0]))
-        >>> svc.register_tree("b", np.array([-1, 0, 0]))
-        >>> svc.datasets
-        ['a', 'b']
-        """
-        return self.store.names
+    n_active = 1  # a node is never retired
+    queries_shed = 0  # a node has no admission bound
 
-    @property
-    def tickets_issued(self) -> int:
-        """How many tickets have been issued so far (tickets are ``0..n-1``).
-
-        Tickets are consecutive integers, so a caller that records this
-        before a submission knows exactly which tickets that submission
-        received — including a partially admitted block (the workload
-        replay harness uses this to keep per-phase ticket ranges).
-
-        >>> svc = LCAQueryService()
-        >>> svc.register_tree("t", np.array([-1, 0, 0]))
-        >>> svc.tickets_issued
-        0
-        >>> _ = svc.submit_many("t", [1, 2], [2, 1])
-        >>> svc.tickets_issued
-        2
-        """
-        return self._tickets.issued
+    # The layer tracer (``benchmarks/layers/trace.py``) patches methods in a
+    # named class's own namespace, so the readers it times are bound here too.
+    results = FrontDoor.results
+    latencies = FrontDoor.latencies
 
     # ------------------------------------------------------------------
     # Query path
@@ -576,15 +653,10 @@ class LCAQueryService:
         [1, 0]
         """
         self._scheduler(dataset)  # an unknown dataset is refused first
-        xs, ys, arrivals = query_block(xs, ys, at, now=self.clock.now)
-        if xs.size == 0:
-            return np.empty(0, dtype=np.int64)
         # Admissible prefix: the per-query loop raises at the first
         # offending index after admitting everything before it — replicate
         # that by admitting the clean prefix, then raising the same error.
-        stop, error = block_clean_prefix(xs, ys, arrivals,
-                                         n=self.store.tree(dataset).size,
-                                         dataset=dataset, now=self.clock.now)
+        xs, ys, arrivals, stop, error = self._clean_block(dataset, xs, ys, at)
         first = self._tickets.issue(stop)
         tickets = np.arange(first, first + stop, dtype=np.int64)
         if stop:
@@ -689,79 +761,6 @@ class LCAQueryService:
         for name, scheduler in self._schedulers.items():
             self._serve_run(run_of(name, scheduler.drain()))
 
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def result(self, ticket: int) -> int:
-        """The answer for one ticket (its batch must have been served).
-
-        >>> svc = LCAQueryService()
-        >>> svc.register_tree("t", np.array([-1, 0, 0]))
-        >>> t = svc.submit("t", 1, 2)
-        >>> svc.drain()
-        >>> svc.result(t)
-        0
-        >>> svc.result(99)
-        Traceback (most recent call last):
-            ...
-        repro.errors.ServiceError: unknown ticket 99
-        """
-        return int(self._tickets.read("answers", ticket)[0])
-
-    def results(self, tickets: ArrayLike) -> np.ndarray:
-        """Vector of answers for a sequence of tickets (one table lookup).
-
-        Raises :class:`ServiceError` exactly as :meth:`result` would for the
-        first unknown or still-queued ticket in the sequence.
-
-        >>> svc = LCAQueryService()
-        >>> svc.register_tree("t", np.array([-1, 0, 0, 1]))
-        >>> tickets = svc.submit_many("t", [3, 2], [1, 3])
-        >>> svc.drain()
-        >>> svc.results(tickets).tolist()
-        [1, 0]
-        """
-        return self._tickets.read("answers", tickets)
-
-    def answered(self, tickets: ArrayLike) -> np.ndarray:
-        """Boolean mask over ``tickets``: which have been served already.
-
-        Unlike :meth:`results` this never raises for still-queued tickets;
-        unknown tickets still raise :class:`ServiceError`.
-
-        >>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=2,
-        ...                                            max_wait_s=1.0))
-        >>> svc.register_tree("t", np.array([-1, 0, 0]))
-        >>> a, b, c = [svc.submit("t", 1, 2) for _ in range(3)]
-        >>> svc.answered([a, b, c]).tolist()   # size flush served a and b
-        [True, True, False]
-        """
-        return self._tickets.read("answered", tickets, served=False)
-
-    def latency(self, ticket: int) -> float:
-        """Modeled end-to-end latency of one answered query.
-
-        >>> svc = LCAQueryService()
-        >>> svc.register_tree("t", np.array([-1, 0, 0]))
-        >>> t = svc.submit("t", 1, 2)
-        >>> svc.drain()
-        >>> svc.latency(t) > 0.0       # waiting + queueing + execution
-        True
-        """
-        return float(self._tickets.read("latencies", ticket)[0])
-
-    def latencies(self, tickets: ArrayLike) -> np.ndarray:
-        """Vector of modeled latencies for a sequence of answered tickets.
-
-        >>> svc = LCAQueryService()
-        >>> svc.register_tree("t", np.array([-1, 0, 0]))
-        >>> tickets = svc.submit_many("t", [1, 2], [2, 1])
-        >>> svc.drain()
-        >>> bool((svc.latencies(tickets) > 0.0).all())
-        True
-        """
-        return self._tickets.read("latencies", tickets)
-
     def pending_count(self, dataset: Optional[str] = None) -> int:
         """Queries currently queued (for one dataset, or in total).
 
@@ -820,17 +819,14 @@ class LCAQueryService:
         >>> svc = LCAQueryService(config=ServiceConfig(max_batch_size=8,
         ...                                            max_wait_s=1.0))
         >>> svc.register_tree("t", np.array([-1, 0, 0]))
-        >>> tickets = [svc.submit("t", 1, 2, at=i * 1e-4) for i in range(3)]
+        >>> _ = [svc.submit("t", 1, 2, at=i * 1e-4) for i in range(3)]
         >>> svc.apply_tuning(max_batch_size=2).max_batch_size  # forces a flush
         2
-        >>> svc.answered(tickets).tolist()
-        [True, True, False]
+        >>> svc.pending_count()
+        1
         """
-        changes: Dict[str, object] = {}
-        if max_batch_size is not None:
-            changes["max_batch_size"] = max_batch_size
-        if max_wait_s is not None:
-            changes["max_wait_s"] = max_wait_s
+        knobs = dict(max_batch_size=max_batch_size, max_wait_s=max_wait_s)
+        changes = {name: value for name, value in knobs.items() if value is not None}
         if not changes:
             return self.config
         if dataset is None:

@@ -102,15 +102,13 @@ class TicketTable:
                 return slice(tickets.item(0), tickets.item(-1) + 1)
         return tickets
 
-    def read(
-        self, column: str, tickets: ArrayLike, *, served: bool = True
-    ) -> np.ndarray:
-        """A fresh array of ``column`` at ``tickets``; when ``served``, refuses
-        the first ticket in the caller's order not yet ``answered``."""
+    def read(self, column: str, tickets: ArrayLike) -> np.ndarray:
+        """A fresh array of ``column`` at ``tickets``; refuses the first
+        ticket in the caller's order not yet ``answered``."""
         idx = self.index(tickets)
         window = self.window(idx)
         answered = self.answered[window]
-        if served and not answered.all():
+        if not answered.all():
             raise ServiceError(
                 f"ticket {idx[int(answered.argmin())]} is still queued; "
                 "advance time or drain()"

@@ -307,7 +307,7 @@ def _counters(target: ServiceTarget) -> Tuple[int, int, int, int]:
     """Answer-cache hits and misses, queries answered and kernel queries,
     summed over the target's workers: what a phase boundary reads, without
     the percentile passes of a ``stats()`` snapshot."""
-    workers = target.replicas if isinstance(target, ClusterService) else (target,)
+    workers = target.workers
     caches = [w.answer_cache for w in workers if w.answer_cache is not None]
     return (sum(c.hits for c in caches), sum(c.misses for c in caches),
             sum(w.stats_collector.queries_answered for w in workers),
@@ -540,9 +540,7 @@ def replay(
         phase_raw.append((phase.name, phase.duration_s, count, shed))
         if len(phase_raw) < len(scenario.phases):  # the last is marked post-drain
             marks.append(_counters(target))
-        phase_replicas.append(
-            target.n_active if isinstance(target, ClusterService) else 1
-        )
+        phase_replicas.append(target.n_active)
         t0 += phase.duration_s
 
     if retry is not None:

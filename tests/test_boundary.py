@@ -128,10 +128,10 @@ def id_array_entries():
         table = rmq(np.arange(6), "min")
         yield f"{rmq.__name__}.query lo", lambda bad, t=table: t.query(bad, [2, 3])
         yield f"{rmq.__name__}.query hi", lambda bad, t=table: t.query([0, 1], bad)
-    for read in ("results", "latencies", "answered"):
-        yield f"service.{read}", lambda bad, r=read: read_back(service(), r, bad)
-    for read in ("results", "latencies"):
-        yield f"cluster.{read}", lambda bad, r=read: read_back(cluster(), r, bad)
+    for front_door in (service, cluster):
+        for read in ("results", "latencies"):
+            name = f"{front_door.__name__}.{read}"
+            yield name, lambda bad, f=front_door, r=read: read_back(f(), r, bad)
 
 
 def query_entries():
@@ -379,6 +379,23 @@ def test_every_replay_refuses_an_admission_window_that_is_no_duration(run, windo
     1-second window and ``inf`` as one that never closes."""
     with pytest.raises(ConfigurationError, match="admission_window_s"):
         run(window)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_COUNTS))
+@pytest.mark.parametrize(
+    "read, reads", [("result", "results"), ("latency", "latencies")],
+    ids=["result", "latency"],
+)
+@pytest.mark.parametrize("make", [service, cluster], ids=["service", "cluster"])
+def test_both_front_doors_refuse_a_scalar_ticket_that_is_no_integer(
+        make, read, reads, case):
+    """A cast would read ``result(True)`` as ticket 1 and ``latency(2.5)`` as
+    ticket 2; the one shared reader refuses both on either front door, and an
+    integer scalar reads what the vector reader does."""
+    target = make()
+    with pytest.raises(ServiceError, match="must be integers"):
+        read_back(target, read, NOT_COUNTS[case])
+    assert getattr(target, read)(np.int64(1)) == getattr(target, reads)([1])[0]
 
 
 @pytest.mark.parametrize("make", [service, cluster], ids=["service", "cluster"])

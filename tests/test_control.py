@@ -226,7 +226,7 @@ class TestSchedulerRetune:
         flushed = sched.retune(BatchPolicy(max_batch_size=3, max_wait_s=1.0))
         assert [b.size for b in flushed] == [3, 3]
         assert all(b.trigger == "size" for b in flushed)
-        assert len(sched.pending) == 1
+        assert sched.pending_count == 1
 
     def test_shrunk_wait_flushes_overdue_batches(self):
         clock = SimulatedClock()
@@ -248,7 +248,7 @@ class TestSchedulerRetune:
         )
         sched.submit(0, 0, 1, at=0.0)
         assert sched.retune(BatchPolicy(max_batch_size=10, max_wait_s=1.0)) == []
-        assert len(sched.pending) == 1
+        assert sched.pending_count == 1
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +269,8 @@ class TestApplyTuning:
         assert cfg.max_batch_size == 2
         assert svc.policy == BatchPolicy(max_batch_size=2, max_wait_s=1e-4)
         # Two size-complete pairs were forced out and served.
-        assert sum(svc.answered(np.array(tickets))) == 4
+        assert svc.pending_count() == 1
+        svc.results(np.array(tickets[:4]))  # raises if one still waits
         svc.drain()
         oracle = BinaryLiftingLCA(parents)
         xs = np.array([2 * i for i in range(5)])

@@ -10,6 +10,7 @@ import collections
 import dataclasses
 import doctest
 import functools
+import inspect
 import re
 import symtable
 import textwrap
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ClusterConfig, ServiceConfig
+from repro.service import ClusterConfig, ClusterService, LCAQueryService, ServiceConfig
+from repro.service.service import FrontDoor
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
@@ -544,7 +546,16 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             "cluster_stats_metrics", "_ConfigBase",
             # A cluster's workers answer into its one ticket table: no
             # ticket map to invert, no debt to read back through a worker.
-            "_cluster_tickets", "debt_of", "latency_debt"}
+            "_cluster_tickets", "debt_of", "latency_debt",
+            # A queued row is read through ``evict()``, not a snapshot class.
+            "PendingQuery"}
+    # Names other code still binds (the table's ``answered`` column, a
+    # ``dedup_factor`` argument, ``QueryBreakdown.queue_wait_s``, a report's
+    # ``served`` local) stay gone as what they were: a ticket read never
+    # skips the queued check, and neither a service nor a flushed batch
+    # answers "which are served" or "how long did each wait" for tests.
+    gone_defs = {"answered", "queue_wait_s"}
+    gone_args = {"served"}
     # ``get`` is everywhere a dict is read; the registry alone must not
     # define it again (``fetch(...)[0].artifact`` is the one lookup).
     registry = parsed(SERVICE_PACKAGE / "registry.py")
@@ -554,7 +565,13 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
         for node in cls.body if isinstance(node, ast.FunctionDef)}
     definitions = []
     for file, tree in trees_under(SRC):
-        assert not gone & set(identifiers(tree)), str(file.relative_to(ROOT))
+        where = str(file.relative_to(ROOT))
+        assert not gone & set(identifiers(tree)), where
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not gone_defs & defined, where
+        assert not gone_args & {node.arg for node in ast.walk(tree)
+                                if isinstance(node, ast.arg)}, where
         definitions += [file.name for node in ast.walk(tree)
                         if isinstance(node, ast.FunctionDef)
                         and node.name == "grow_table"]
@@ -568,6 +585,72 @@ def test_tickets_are_read_through_the_table_and_deleted_names_stay_deleted():
             and any(dotted(side).endswith("issued")
                     for side in (node.left, *node.comparators))
         ], file.name
+
+
+#: The read and identity surface a node and a cluster share.
+FRONT_DOOR_SURFACE = {"observer", "datasets", "tickets_issued", "result", "results",
+                      "latency", "latencies"}
+
+#: The shared readers ``benchmarks/layers/trace.py`` names per front door: its
+#: tracer patches a named class's own namespace, so each class binds them to
+#: ``FrontDoor``'s one definition (``results = FrontDoor.results``).
+TRACED_READERS = {"results", "latencies"}
+
+
+def base_bindings(tree, name):
+    """The names class ``name``'s body binds to ``FrontDoor``'s same-named member."""
+    cls, = (node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == name)
+    return {target.id for node in cls.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and dotted(node.value) == f"FrontDoor.{target.id}"}
+
+
+def class_members(tree, name):
+    """The names class ``name``'s own body defines or assigns."""
+    cls, = (node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == name)
+    members = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            members.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            members.update(t.id for t in targets if isinstance(t, ast.Name))
+    return members
+
+
+def test_the_front_doors_share_one_read_surface():
+    """The seven shared members are written once, on ``FrontDoor``, which both
+    front doors inherit; a copy in either class body fails here.  Callers that
+    only read workers and counters (replay's phase counters and replica count,
+    the controller's window) do not ask which front door they hold, and the
+    scheduler keeps no row-wise ``pending`` snapshot beside ``evict()``."""
+    service, cluster = parsed(SERVICE), parsed(CLUSTER)
+    assert class_members(service, "FrontDoor") >= FRONT_DOOR_SURFACE
+    for tree, name in ((service, "LCAQueryService"), (cluster, "ClusterService")):
+        bound = base_bindings(tree, name)
+        assert bound <= TRACED_READERS, name
+        assert not (class_members(tree, name) - bound) & FRONT_DOOR_SURFACE, name
+    for cls in (LCAQueryService, ClusterService):
+        for member in FRONT_DOOR_SURFACE:
+            assert inspect.getattr_static(cls, member) is vars(FrontDoor)[member]
+    bases = {node.name: [dotted(base) for base in node.bases]
+             for tree in (service, cluster) for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    assert bases["LCAQueryService"] == bases["ClusterService"] == ["FrontDoor"]
+    assert "pending" not in class_members(
+        parsed(SERVICE_PACKAGE / "scheduler.py"), "MicroBatchScheduler")
+
+    def asks_the_kind(node):
+        return isinstance(node, ast.Call) and dotted(node.func) == "isinstance"
+    replay = parsed(SRC / "workloads" / "replay.py")
+    controller = parsed(SRC / "control" / "controller.py")
+    assert "_counters" not in functions_containing(replay, asks_the_kind)
+    assert "_window" not in functions_containing(controller, asks_the_kind)
+    appends = calls(replay, lambda name: name == "phase_replicas.append")
+    assert appends and not [node for call in appends for node in ast.walk(call)
+                            if asks_the_kind(node)]
 
 
 #: What ``repro.control`` may import from ``repro.obs.metrics``.
@@ -734,7 +817,7 @@ MODULE_LINES = {
     "bridges/tarjan_vishkin.py": 158,
     "control/__init__.py": 41,
     "control/autoscale.py": 156,
-    "control/controller.py": 451,
+    "control/controller.py": 447,
     "control/slo.py": 96,
     "device/__init__.py": 39,
     "device/context.py": 310,
@@ -765,7 +848,7 @@ MODULE_LINES = {
     "graphs/properties.py": 121,
     "graphs/trees.py": 156,
     "lca/__init__.py": 61,
-    "lca/artifacts.py": 165,
+    "lca/artifacts.py": 177,
     "lca/batch.py": 125,
     "lca/dedup.py": 194,
     "lca/inlabel.py": 494,
@@ -784,24 +867,24 @@ MODULE_LINES = {
     "primitives/rmq.py": 284,
     "primitives/scan.py": 112,
     "primitives/sort.py": 149,
-    "service/__init__.py": 144,
+    "service/__init__.py": 143,
     "service/cache.py": 467,
     "service/clock.py": 106,
-    "service/cluster.py": 1406,
+    "service/cluster.py": 1310,
     "service/config.py": 207,
     "service/dispatch.py": 307,
     "service/faults.py": 156,
     "service/registry.py": 389,
     "service/routing.py": 271,
-    "service/scheduler.py": 493,
-    "service/service.py": 1324,
+    "service/scheduler.py": 458,
+    "service/service.py": 1320,
     "service/stats.py": 294,
-    "service/tickets.py": 119,
+    "service/tickets.py": 117,
     "workloads/__init__.py": 95,
     "workloads/arrivals.py": 422,
     "workloads/chaos.py": 425,
     "workloads/keys.py": 271,
-    "workloads/replay.py": 659,
+    "workloads/replay.py": 657,
     "workloads/scenario.py": 397,
 }
 

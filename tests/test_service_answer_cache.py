@@ -633,13 +633,14 @@ def test_a_full_hit_block_that_reaches_no_deadline_makes_no_serve_call(monkeypat
 
     # The control: a miss waits until 2.5 ms + 1 ms; the next block spans it.
     queued = svc.submit_many("t", [50], [60], at=[2.5e-3])
-    assert not svc.answered(queued).any()
+    assert svc.pending_count() == 1
     for log in calls.values():
         log.clear()
     svc.submit_many("t", hot_x[pick], hot_y[pick],
                     at=3e-3 + np.arange(300) * 2e-6)
     assert len(calls["_expired_batches"]) == len(calls["_serve_run"]) == 1
-    assert svc.answered(queued).all()
+    oracle = BinaryLiftingLCA(parents)
+    assert svc.results(queued).tolist() == oracle.query([50], [60]).tolist()
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ What a cluster serves — including that one replica serves what a plain
 ``LCAQueryService`` does — is ``tests/test_serving_spec.py``'s to check.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -536,7 +538,7 @@ WARM_TARGETS = {
 def test_warm_up_warms_what_is_served(kind, backends):
     """After a warm-up no served batch builds an index or pays for one."""
     target = WARM_TARGETS[kind]({"backends": backends, **POLICY})
-    workers = target.replicas if isinstance(target, ClusterService) else (target,)
+    workers = target.workers
     warm_builds = sum(
         len(w.datasets) * len(w.dispatcher.backends) for w in workers
     )
@@ -554,6 +556,47 @@ def test_warm_up_warms_what_is_served(kind, backends):
     predicted = dict(zip(dispatch.batch.tolist(), dispatch.detail.tolist()))
     for batch, booked in zip(kernel.batch.tolist(), kernel.detail.tolist()):
         assert booked == predicted[batch]  # the estimate, and no build time
+
+
+def test_every_replica_shares_one_set_of_smallbatch_table_lists():
+    """The scalar kernel's Python lists are built once per host index, not
+    once per replica: each worker's kernel keeps only its own scratch."""
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=3, backends=("smallbatch", "gpu"), **POLICY)
+    )
+    cluster.register_tree("t", WARM_PARENTS, replicas=3)
+    cluster.warm("t")
+    kernels = []
+    for worker in cluster.replicas:
+        (backend,) = (b for b in worker.dispatcher.backends if b.key == "smallbatch")
+        key = worker._artifact_key("t", backend)
+        kernels.append(worker.registry.fetch_by_key(key)[0].artifact)
+    assert len({id(kernel._out) for kernel in kernels}) == 3
+    for name in ("_node_word", "_node_key", "_head_key"):
+        assert len({id(getattr(kernel, name)) for kernel in kernels}) == 1, name
+
+
+def test_the_smallbatch_lists_die_with_the_last_kernel_not_with_the_index():
+    """Evicting the ``smallbatch`` kernel frees its lists even while another
+    cached view of the same tree keeps the host index alive."""
+    service = LCAQueryService(config=ServiceConfig(backends=("smallbatch", "gpu"), **POLICY))
+    service.register_tree("t", WARM_PARENTS)
+    service.warm("t")
+    keys = {b.key: service._artifact_key("t", b) for b in service.dispatcher.backends}
+    lists = weakref.ref(service.registry.fetch_by_key(keys["smallbatch"])[0].artifact._tables)
+    service.registry.evict(keys["smallbatch"])
+    gc.collect()
+    assert keys["gpu"] in service.registry and lists() is None
+    service.warm("t")  # a rebuilt kernel pins a fresh set
+    kernel = service.registry.fetch_by_key(keys["smallbatch"])[0].artifact
+    assert len(kernel._node_word) == WARM_PARENTS.size
+
+
+def test_a_node_answers_the_cluster_views_as_its_own_one_worker():
+    service = LCAQueryService()
+    assert (service.workers, service.n_active, service.queries_shed) == ((service,), 1, 0)
+    cluster = ClusterService(config=ClusterConfig(n_replicas=2))
+    assert cluster.workers is cluster.replicas and cluster.n_active == 2
 
 
 def test_pending_count_per_dataset_sums_over_copies():

@@ -44,12 +44,11 @@ def test_submit_block_rejects_backwards_arrivals():
                            np.asarray([0.5]))
 
 
-def test_pending_snapshot_is_row_wise():
+def test_evict_returns_the_pending_rows():
     sched = MicroBatchScheduler(BatchPolicy(max_batch_size=8, max_wait_s=1.0))
     sched.submit(7, 1, 2, at=0.25)
-    (pending,) = sched.pending
-    assert (pending.ticket, pending.x, pending.y, pending.arrival_s) == \
-           (7, 1, 2, 0.25)
+    columns = sched.evict()
+    assert [column.tolist() for column in columns] == [[7], [1], [2], [0.25]]
 
 
 def test_submit_many_with_default_arrivals_coalesces_now():
@@ -123,7 +122,8 @@ def test_non_finite_arrival_is_a_typed_error_not_a_hang(hang_guard, bad):
         service.submit("t", 1, 2, at=bad)
     assert service.clock.now == 0.0
     service.drain()  # the clock is intact: the admitted query still serves
-    assert service.answered([0]).all()
+    oracle = BinaryLiftingLCA(service.store.tree("t"))
+    assert service.results([0]).tolist() == oracle.query([1], [4]).tolist()
 
 
 @pytest.mark.parametrize("kind", ["service", "cluster"])

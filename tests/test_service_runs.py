@@ -128,7 +128,7 @@ def make_service(trees, *, reference=False, traced=True, **knobs):
 def observed(service, observer):
     """All a caller can see of a drained service, events in recording order."""
     tickets = np.arange(service.tickets_issued)
-    answered = service.answered(tickets)  # all, unless an interceptor claimed
+    answered = service._tickets.answered[tickets]  # all, unless an interceptor claimed
     tickets = tickets[answered]
     registry, stats, cache = service.registry, service.stats(), service.answer_cache
     events = []
@@ -271,7 +271,7 @@ def test_claimed_batches_skip_their_slice(claimed):
     for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         if k in claimed:
             # Unanswered here, and parked with exactly its own columns.
-            assert not service.answered(tickets[a:b]).any()
+            assert not service._tickets.answered[tickets[a:b]].any()
             assert np.array_equal(offered[k].tickets, tickets[a:b])
             assert np.array_equal(offered[k].xs, xs[a:b])
             assert np.array_equal(offered[k].ys, ys[a:b])

@@ -200,7 +200,7 @@ def test_index_refuses_in_order():
 # The boundary, in the one place it lives, through every reader
 # ----------------------------------------------------------------------
 PARENTS = random_attachment_tree(64, seed=31)
-READERS = ("result", "results", "latency", "latencies", "answered")
+READERS = ("result", "results", "latency", "latencies")
 
 
 def drained(kind):
@@ -239,8 +239,6 @@ def test_every_reader_still_answers_tickets(kind, good):
     delays = target.latencies(np.arange(6))
     assert target.results(tickets).tolist() == answers[normalised].tolist()
     assert target.latencies(tickets).tolist() == delays[normalised].tolist()
-    if kind == "service":
-        assert target.answered(tickets).tolist() == [True] * len(normalised)
     if len(normalised) == 1:
         assert target.result(tickets) == answers[normalised[0]]
         assert target.latency(tickets) == delays[normalised[0]]
@@ -274,12 +272,12 @@ def test_read_back_error_order_is_dtype_then_unknown_then_queued(kind):
                     read([first, second])
 
 
-def fancy_read(service, column, tickets, served=True):
+def fancy_read(service, column, tickets):
     """The read every ticket sequence took before ascending runs were sliced."""
     table = service._tickets
     idx = table.index(tickets)
     answered = table.answered[idx]
-    if served and not answered.all():
+    if not answered.all():
         raise ServiceError(f"ticket {idx[int(answered.argmin())]} is still queued; "
                            f"advance time or drain()")
     return getattr(table, column)[idx]
@@ -319,17 +317,16 @@ RUN = st.builds(lambda lo, size: list(range(lo, lo + size)),
 ), as_array=st.booleans())
 @example(tickets=[3, 3, 5], as_array=False)
 def test_property_reads_equal_the_fancy_index_reference(tickets, as_array):
-    """``results``, ``latencies`` and ``answered`` return the bytes, or raise the
+    """``results`` and ``latencies`` return the bytes, or raise the
     error, of a fancy-index gather, in fresh arrays that alias no column.
     Reading ``>=`` for ``>`` in the ascending test, or returning the slice
     view uncopied, fails here."""
     if as_array:
         tickets = np.array(tickets, dtype=np.int64)
     table = READ_BACK._tickets
-    for read, column in (("results", "answers"), ("latencies", "latencies"),
-                         ("answered", "answered")):
+    for read, column in (("results", "answers"), ("latencies", "latencies")):
         got = read_outcome(getattr(READ_BACK, read), tickets)
-        want = read_outcome(fancy_read, READ_BACK, column, tickets, read != "answered")
+        want = read_outcome(fancy_read, READ_BACK, column, tickets)
         if isinstance(want, tuple):
             assert got == want, read
         else:
