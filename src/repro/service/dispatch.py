@@ -187,9 +187,9 @@ class CostModelDispatcher:
             # Fail at construction, not mid-serve, if a backend was never
             # calibrated (and pin down the usable batch-size window).
             profile.batch_range(keys)
-        # Realized batch sizes repeat heavily, so the per-flush decision and
-        # its price are one dict probe each.
-        self._choices: Dict[int, Backend] = {}
+        # Realized batch sizes repeat heavily, so a flush's decision with its
+        # price is one dict probe.
+        self._choices: Dict[int, Tuple[Backend, float]] = {}
         self._estimates: Dict[Tuple[str, int], float] = {}
 
     @property
@@ -213,22 +213,18 @@ class CostModelDispatcher:
             self._estimates[priced] = estimate
         return estimate
 
-    def estimates(self, batch_size: int) -> Tuple[Tuple[Backend, float], ...]:
-        """Every backend with its modeled time for this batch size."""
-        return tuple((b, self.estimate(b, batch_size)) for b in self._backends)
-
     def choose(self, batch_size: int) -> Backend:
         """The backend with the smallest modeled time (ties: earliest listed)."""
-        choice = self._choices.get(batch_size)
-        if choice is None:
-            choice = min(self.estimates(batch_size), key=lambda pair: pair[1])[0]
-            self._choices[batch_size] = choice
-        return choice
+        return self.choose_with_estimate(batch_size)[0]
 
     def choose_with_estimate(self, batch_size: int) -> Tuple[Backend, float]:
         """:meth:`choose` plus the winner's :meth:`estimate`."""
-        backend = self.choose(batch_size)
-        return backend, self.estimate(backend, batch_size)
+        choice = self._choices.get(batch_size)
+        if choice is None:
+            choice = self._choices[batch_size] = min(
+                ((b, self.estimate(b, batch_size)) for b in self._backends),
+                key=lambda pair: pair[1])
+        return choice
 
     def crossover_batch_size(self, *, max_batch: int = 1 << 24) -> Optional[int]:
         """Smallest batch size whose choice differs from the batch-size-1 choice.

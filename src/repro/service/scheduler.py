@@ -2,10 +2,9 @@
 
 The paper's batch-size experiment (Fig. 6) shows that the GPU only pays off
 once queries are handed over in batches of ~100 or more, and saturates around
-10⁴.  An online service, however, receives queries one at a time.  The
-standard resolution — the same one used by neural-inference servers — is
-*micro-batching*: hold arriving queries in a queue and flush the queue as one
-batch when either
+10⁴.  An online service receives queries one at a time, so — as
+neural-inference servers do — it *micro-batches*: it holds arriving queries
+in a queue and flushes the queue as one batch when either
 
 * the queue reaches ``max_batch_size`` (**size trigger** — the device-sized
   batch is ready, no reason to wait), or
@@ -14,8 +13,7 @@ batch when either
 * the caller forces it (**drain trigger** — e.g. shutdown or a benchmark
   boundary).
 
-All timing uses the :class:`~repro.service.clock.SimulatedClock`, so flush
-decisions are deterministic functions of the arrival timestamps: a
+All timing uses the :class:`~repro.service.clock.SimulatedClock`, so a
 wait-triggered flush fires at exactly ``oldest_arrival + max_wait_s``, never
 "roughly when the event loop got around to it".  That instant is scheduler
 state, :attr:`MicroBatchScheduler.next_deadline`, refreshed only where the
@@ -24,12 +22,11 @@ of a block, a retune, an evict) and ``inf`` when idle, which no instant
 reaches: whether an arrival expires anything is one float comparison.
 
 Storage is *columnar*: the pending queue is four parallel preallocated NumPy
-arrays (tickets / xs / ys / arrivals) with head and tail cursors, not a list
-of per-query objects.  A flush is recorded as a *cut* of those arrays (row
-offsets, flush time, trigger); :class:`Cuts` builds zero-copy
-:class:`FlushedBatch` slices only for a caller that asks.
-:meth:`MicroBatchScheduler.submit_block` admits a whole column block with
-array arithmetic, :meth:`MicroBatchScheduler.submit` writes one row.  A full
+arrays (tickets / xs / ys / arrivals) with head and tail cursors.  One call's
+flushes are *columns* over them (row bounds, flush instants, triggers, trace
+batch ids) in one :class:`Cuts`, which builds zero-copy :class:`FlushedBatch`
+slices only for a caller that asks.  :meth:`MicroBatchScheduler.submit_block`
+admits a column block, :meth:`MicroBatchScheduler.submit` one row.  A full
 buffer is replaced by a fresh one the pending window is copied into; the old
 one is left untouched so every previously flushed slice stays valid.
 """
@@ -37,6 +34,8 @@ one is left untouched so every previously flushed slice stays valid.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
@@ -54,20 +53,13 @@ __all__ = ["BatchPolicy", "FlushedBatch", "Cuts", "MicroBatchScheduler"]
 _MIN_BUFFER = 64
 _MAX_INITIAL_BUFFER = 1 << 16
 
-#: One recorded flush, ``(columns, start, stop, flush_s, trigger, batch_id)``:
-#: rows ``start:stop`` of the ``(tickets, xs, ys, arrival_s)`` buffers, as trace
-#: batch ``batch_id`` (-1 untraced).  A plain tuple: one is made per batch.
-Cut = Tuple[Tuple[np.ndarray, ...], int, int, float, str, int]
-
-
 @dataclass(frozen=True)
 class BatchPolicy:
     """The two knobs of the micro-batching trade-off.
 
-    ``max_batch_size=1`` degenerates to pass-through serving (every query is
-    its own batch); ``max_wait_s=0.0`` flushes a pending queue as soon as time
-    moves at all, which bounds added queueing latency at zero but only forms
-    batches out of queries arriving at the same instant.
+    ``max_batch_size=1`` is pass-through serving (every query its own batch);
+    ``max_wait_s=0.0`` flushes a pending queue as soon as time moves at all:
+    no added queueing latency, batches only of same-instant arrivals.
 
     >>> BatchPolicy(max_batch_size=256, max_wait_s=1e-4).max_batch_size
     256
@@ -91,11 +83,9 @@ class BatchPolicy:
 class FlushedBatch:
     """A batch handed to the execution backend, with full timing provenance.
 
-    The arrays are zero-copy views into the scheduler's column buffers; the
-    scheduler never overwrites a flushed region, so they remain valid for as
-    long as the caller keeps them.  ``start`` is the row the views begin at
-    in those buffers (their ``.base``): two batches with the same buffer and
-    ``a.start + a.size == b.start`` are adjacent slices of it.
+    The arrays are zero-copy views into the scheduler's column buffers, which
+    never overwrite a flushed region, so they stay valid while the caller
+    keeps them.  ``start`` is the row they begin at in their ``.base``.
     """
 
     tickets: np.ndarray
@@ -119,30 +109,38 @@ class FlushedBatch:
         """
         return int(self.xs.size)
 
-    @classmethod
-    def of(cls, cut: Cut) -> "FlushedBatch":
-        """The zero-copy view of one recorded :data:`Cut`."""
-        columns, start, stop = cut[:3]
-        return cls(*(column[start:stop] for column in columns), start, *cut[3:])
-
 
 class Cuts(Sequence[FlushedBatch]):
-    """The batches one scheduler call flushed: a lazy view over its cuts.
+    """The batches one scheduler call flushed, as columns over one buffer:
+    batch ``k`` is rows ``bounds[k]:bounds[k + 1]`` of ``columns``, flushed at
+    ``flush_s[k]`` by ``triggers[k]`` as trace batch ``batch_ids[k]`` (none
+    untraced: -1).  ``cuts[k]`` builds a :class:`FlushedBatch` on demand."""
 
-    ``rows`` holds one :data:`Cut` per flush, in flush order — all the
-    scheduler records; ``cuts[k]`` builds the ``k``-th :class:`FlushedBatch`.
-    """
+    __slots__ = ("columns", "bounds", "flush_s", "triggers", "batch_ids")
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: List[Cut]) -> None:
-        self.rows = rows
+    def __init__(self, columns: Tuple[np.ndarray, ...], bounds: List[int],
+                 flush_s: List[float], triggers: List[str],
+                 batch_ids: List[int]) -> None:
+        self.columns, self.bounds, self.flush_s = columns, bounds, flush_s
+        self.triggers, self.batch_ids = triggers, batch_ids
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.flush_s)
 
     def __getitem__(self, k: int) -> FlushedBatch:  # type: ignore[override]
-        return FlushedBatch.of(self.rows[k])
+        k = range(len(self.flush_s))[k]  # IndexError past the end ends an iteration
+        lo, hi = self.bounds[k:k + 2]
+        return FlushedBatch(*(column[lo:hi] for column in self.columns), lo,
+                            self.flush_s[k], self.triggers[k],
+                            self.batch_ids[k] if self.batch_ids else -1)
+
+    def extend(self, later: "Cuts") -> "Cuts":
+        """Append the batches of a later call that starts where these end."""
+        self.bounds += later.bounds[1:]
+        self.flush_s += later.flush_s
+        self.triggers += later.triggers
+        self.batch_ids += later.batch_ids
+        return self
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -151,26 +149,22 @@ class Cuts(Sequence[FlushedBatch]):
         return repr(list(self))
 
 
-#: What a call that flushed nothing returns; its ``rows`` tuple cannot grow.
-NO_CUTS = Cuts(())  # type: ignore[arg-type]
+#: What a call that flushed nothing returns; its column tuples cannot grow.
+NO_CUTS = Cuts((), (0,), (), (), ())  # type: ignore[arg-type]
 
 
 class MicroBatchScheduler:
     """Coalesces submitted queries into batches under a :class:`BatchPolicy`.
 
-    The scheduler never executes anything itself — it returns the
-    :class:`Cuts` it made and the caller (the service layer) runs them
-    through a backend.  ``submit`` and ``advance_to`` may each produce several
-    batches: advancing time far enough can expire several wait deadlines, and
-    a submission can both expire old queries and complete a full batch.
+    It never executes anything: it returns the :class:`Cuts` it made and the
+    service layer runs them.  ``submit`` and ``advance_to`` may each produce
+    several batches: advancing time can expire several wait deadlines, and a
+    submission can both expire old queries and complete a full batch.
 
-    Internally the pending queue is a window ``[head, tail)`` over four
-    parallel column buffers.  Two invariants keep the bookkeeping simple:
-
-    * the pending count never exceeds ``max_batch_size`` between public
-      calls (a submission that fills a batch flushes it immediately), and
-    * flushed regions are never overwritten — exhausting a buffer allocates
-      a fresh one rather than wrapping, so flushes are true zero-copy slices.
+    The pending queue is a window ``[head, tail)`` over four parallel column
+    buffers.  Between public calls it holds fewer than ``max_batch_size``
+    rows (a submission that fills a batch flushes it), and flushed regions
+    are never overwritten: a full buffer is replaced, not wrapped.
     """
 
     def __init__(self, policy: Optional[BatchPolicy] = None, *,
@@ -187,10 +181,9 @@ class MicroBatchScheduler:
                      replica: int = 0) -> None:
         """Attach (or detach, with ``None``) a trace recorder.
 
-        With an observer attached, every admission emits an ``enqueue``
-        event and every flush a ``flush`` event carrying a fresh batch id (the
-        cut's, for downstream layers to correlate their events).  Without
-        one, the hot paths pay a single ``is None`` check.
+        With one, every admission emits an ``enqueue`` event and every flush
+        a ``flush`` event with a fresh batch id (the cut's, for downstream
+        layers to correlate their events); without, one ``is None`` check.
         """
         self._observer = observer
         self._obs_replica = int(replica)
@@ -198,9 +191,8 @@ class MicroBatchScheduler:
     def _allocate(self, needed: int) -> None:
         """Install fresh buffers for ``needed`` rows, migrating the pending window.
 
-        The previous buffers are *not* reused: any flushed slices handed out
-        earlier alias them, and NumPy keeps the backing memory alive for
-        exactly as long as those views exist.
+        The old buffers are *not* reused: flushed slices handed out earlier
+        alias them, and NumPy keeps them alive as long as those views exist.
         """
         capacity = max(_MIN_BUFFER, 2 * needed,
                        min(2 * self.policy.max_batch_size, _MAX_INITIAL_BUFFER))
@@ -253,10 +245,8 @@ class MicroBatchScheduler:
                at: Optional[float] = None) -> Cuts:
         """Queue one query, returning any batches its arrival caused to flush.
 
-        ``at`` is the arrival timestamp; omitted, the query arrives "now".
-        Advancing to ``at`` first fires any wait deadlines that expire before
-        the new query arrives, so batches never contain queries that should
-        already have been served.
+        ``at`` is the arrival timestamp (omitted: "now").  Advancing to ``at``
+        first fires the wait deadlines that expire before the query arrives.
 
         >>> s = MicroBatchScheduler(BatchPolicy(max_batch_size=2,
         ...                                     max_wait_s=1e-3))
@@ -289,10 +279,9 @@ class MicroBatchScheduler:
         """Admit a column block of queries, returning every batch it flushed.
 
         Observationally equivalent to calling :meth:`submit` once per row, but
-        the admission runs in bulk: the whole block is copied behind the
-        pending window once (four slice assignments), then cut at wait
-        deadlines and batch-size boundaries by moving the window's cursors
-        over it: the loop iterates once per *flush* and copies nothing.
+        in bulk: the block is copied behind the pending window once, then cut
+        at wait deadlines and batch-size boundaries by one loop step per
+        *flush* that copies nothing.
 
         ``arrival_s`` must be non-decreasing and start at or after the current
         simulated time (the same monotonicity :meth:`submit` enforces through
@@ -322,29 +311,36 @@ class MicroBatchScheduler:
         # it too: the per-query include_equal=False rule), up to a full batch;
         # a full window flushes at its last arrival, a short one at its
         # deadline (the next row is past it); the last one stays pending.
+        # Bisecting a memoryview of the arrivals costs no NumPy call a cut.
         self._ensure_room(count)
-        columns, head, t0, rows, p = self._columns, self._head, self._tail, [], 0
+        columns, head, t0, p = self._columns, self._head, self._tail, 0
         for column, values in zip(columns, (tickets, xs, ys, arrival_s)):
             column[t0:t0 + count] = values
+        flushes: List[float] = []  # arrivals are floats; a memoryview says int
+        bounds, triggers = [head], []
+        view, h = memoryview(arrival_s), head - t0  # h: the window's first row
         deadline = self._deadline  # a carried window's; a fresh one opens below
         while p < count:
-            if t0 + p == head:
-                deadline = arrival_s.item(p) + wait
-            join = int(arrival_s.searchsorted(deadline, side="right"))
-            p = min(join, head - t0 + max_batch)
-            if t0 + p - head == max_batch:
-                flush_s, trigger = arrival_s.item(p - 1), "size"
-            elif p < count:
-                flush_s, trigger = deadline, "wait"
-            else:
+            if p == h:
+                deadline = view[p] + wait
+            full = h + max_batch  # the row a full window ends before
+            p = bisect_right(view, deadline, p, full if full < count else count)
+            if p == full:
+                flushes.append(view[p - 1])
+                triggers.append("size")
+            elif p == count:
                 break
-            rows.append((columns, head, t0 + p, flush_s, trigger, -1 if obs is None
-                         else self._flushed(obs, flush_s, t0 + p - head, trigger)))
-            head = t0 + p
-        self._head, self._tail = head, t0 + count
+            else:
+                flushes.append(deadline)
+                triggers.append("wait")
+            h = p
+            bounds.append(t0 + p)
+        ids = [] if obs is None else [self._flushed(obs, *cut) for cut in zip(
+            flushes, map(operator.sub, bounds[1:], bounds), triggers)]
+        self._head, self._tail = bounds[-1], t0 + count
         self._refresh_deadline()
-        self.clock.advance_to(arrival_s.item(count - 1))
-        return Cuts(rows) if rows else NO_CUTS
+        self.clock.advance_to(view[count - 1])
+        return Cuts(columns, bounds, flushes, triggers, ids) if flushes else NO_CUTS
 
     def advance_to(self, t: float, *, include_equal: bool = True) -> Cuts:
         """Move simulated time to ``t``, flushing every expired wait deadline.
@@ -384,14 +380,12 @@ class MicroBatchScheduler:
     def retune(self, policy: BatchPolicy) -> Cuts:
         """Hot-swap the batch policy; return the batches the swap forces out.
 
-        The swap happens at the current instant: flushed batches are
-        untouched, and the pending window is re-judged as if the new policy
-        had been in force all along.  A shrunk ``max_wait_s`` makes the oldest
-        queries *late*: they flush with the ``wait`` trigger at their new
-        (possibly passed) deadlines, oldest first, as :meth:`advance_to` with
-        ``include_equal=False`` flushes them — a deadline exactly now stays
-        pending, so a same-instant arrival can still join it.  A shrunk
-        ``max_batch_size`` makes the window *oversized*: size-complete
+        The swap happens now: flushed batches are untouched, and the pending
+        window is re-judged as if the new policy had always been in force.  A
+        shrunk ``max_wait_s`` makes the oldest queries *late*: they flush
+        (``wait``) at their new, possibly passed, deadlines, oldest first, as
+        :meth:`advance_to` with ``include_equal=False`` flushes them.  A
+        shrunk ``max_batch_size`` makes the window *oversized*: size-complete
         batches flush now until the remainder fits.
 
         >>> s = MicroBatchScheduler(BatchPolicy(max_batch_size=8,
@@ -414,11 +408,10 @@ class MicroBatchScheduler:
     def evict(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Remove the pending window without serving it; return its columns.
 
-        The failure-handling path (a replica killed with queries still
-        queued) uses this to pull the unserved queries back out so the
-        cluster can re-dispatch them to a surviving copy.  The returned
-        arrays are *copies* — the scheduler's state after the call is as if
-        those queries were never submitted (time does not move).
+        A replica killed with queries still queued gives them back this way,
+        for the cluster to re-dispatch to a surviving copy.  The arrays are
+        *copies*; afterwards it is as if those queries were never submitted
+        (time does not move).
 
         >>> s = MicroBatchScheduler()
         >>> _ = s.submit(7, 1, 2, at=0.0)
@@ -445,9 +438,14 @@ class MicroBatchScheduler:
         h, obs, flush_s = self._head, self._observer, float(flush_s)
         stop = self._head = h + min(self._tail - h, self.policy.max_batch_size)
         self._refresh_deadline()
-        cuts = Cuts([]) if cuts is NO_CUTS else cuts
-        cuts.rows.append((self._columns, h, stop, flush_s, trigger, -1 if obs is None
-                          else self._flushed(obs, flush_s, stop - h, trigger)))
+        ids = [] if obs is None else [self._flushed(obs, flush_s, stop - h, trigger)]
+        if cuts is NO_CUTS:
+            return Cuts(self._columns, [h, stop], [flush_s], [trigger], ids)
+        assert cuts.columns is self._columns and cuts.bounds[-1] == h  # one buffer
+        cuts.bounds.append(stop)
+        cuts.flush_s.append(flush_s)
+        cuts.triggers.append(trigger)
+        cuts.batch_ids += ids
         return cuts
 
     def _flushed(self, obs: TraceRecorder, at: float, size: int, trigger: str) -> int:

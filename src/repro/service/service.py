@@ -24,9 +24,9 @@ throughput rather than as impossible numbers.
 
 Host-side, the hot path is *columnar*: tickets are consecutive integers
 indexing growable answer/latency tables (a block's are stored and read back
-as slices), and :meth:`LCAQueryService.submit_many` admits a whole arrival
-block through :meth:`MicroBatchScheduler.submit_block` instead of looping
-over Python objects.
+as slices); :meth:`LCAQueryService.submit_many` admits a whole arrival block
+through :meth:`MicroBatchScheduler.submit_block`, whose cuts come back as
+columns, and a span of them is booked in bulk.
 
 An opt-in *skew-aware fast path* (``dedup=True`` / ``answer_cache_bytes=``)
 exploits repetition: pairs are canonicalized (LCA is symmetric) and packed
@@ -42,8 +42,11 @@ span).  Answers are bit-identical with the fast path on or off.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,7 +82,7 @@ from .clock import SimulatedClock
 from .config import ServiceConfig
 from .dispatch import Backend, CostModelDispatcher, dispatcher_for
 from .registry import ArtifactKey, ForestStore, IndexRegistry
-from .scheduler import Cut, Cuts, FlushedBatch, MicroBatchScheduler
+from .scheduler import NO_CUTS, Cuts, FlushedBatch, MicroBatchScheduler
 from .stats import ServiceStats, StatsCollector
 from .tickets import TicketTable
 
@@ -139,35 +142,48 @@ def block_clean_prefix(xs: np.ndarray, ys: np.ndarray, arrivals: np.ndarray, *,
     return stop, error
 
 
-#: One batch of a run: its dataset and its scheduler :data:`~.scheduler.Cut`.
-RunItem = Tuple[str, Cut]
+#: One piece of a run: a dataset and batches ``k0:k1`` of one scheduler call's
+#: :class:`~.scheduler.Cuts`, ``(dataset, cuts, k0, k1)``.
+RunItem = Tuple[str, Cuts, int, int]
 
 
 def run_of(dataset: str, flushed: Cuts) -> List[RunItem]:
-    """The run of one scheduler call's cuts, in flush order."""
-    return [(dataset, cut) for cut in flushed.rows]
+    """The run of one scheduler call's cuts, in flush order: one piece."""
+    count = len(flushed.flush_s)
+    return [(dataset, flushed, 0, count)] if count else []
+
+
+def joined(batches: List[Tuple[str, Cuts, int]]) -> List[RunItem]:
+    """The run of ``(dataset, cuts, k)`` batches, consecutive ones as one piece."""
+    run: List[RunItem] = []
+    for dataset, cuts, k in batches:
+        if run and run[-1][1] is cuts and run[-1][3] == k:
+            run[-1] = (dataset, cuts, run[-1][2], k + 1)
+        else:
+            run.append((dataset, cuts, k, k + 1))
+    return run
 
 
 class _Span:
-    """Adjacent batches of one dataset in a run: the unit of host work and booking.
+    """Batches ``k0:k1`` of one :class:`~.scheduler.Cuts`: the unit of host work.
 
-    ``cuts`` are its batches, adjacent rows of one scheduler buffer (``xs`` /
-    ``ys`` view them all), with ``sizes``, cache ``hits`` and ``unique`` misses
-    (kernel queries) apiece; the first ``booked`` are finished.  ``answers``
-    is per lane: the cache probe's values (right on the lanes that hit, all a
-    batch booked before the launch reads) until the span's one launch, every
-    lane's answer after it.  The skew-aware path also leaves the launch its
-    ``space``, the lanes it must answer (``miss``; ``None``: all) and their
-    keys' :func:`~repro.lca.dedup.unique_packed_keys`.
+    Adjacent rows of one buffer (``xs`` / ``ys`` view them all), with
+    ``sizes``, cache ``hits`` and ``unique`` misses (kernel queries) apiece;
+    those before ``booked`` are finished.  ``answers`` is per lane: the cache
+    probe's values (right on the lanes that hit, all a batch booked before
+    the launch reads) until the one launch, every lane's answer after it.
+    The skew-aware path also leaves the launch its ``space``, the lanes it
+    must answer (``miss``; ``None``: all) and their keys'
+    :func:`~repro.lca.dedup.unique_packed_keys`.
     """
 
-    __slots__ = ("dataset", "cuts", "sizes", "hits", "unique", "booked", "xs",
-                 "ys", "deduped", "pending", "answers", "space", "miss",
+    __slots__ = ("dataset", "cuts", "k0", "k1", "sizes", "hits", "unique", "booked",
+                 "xs", "ys", "deduped", "pending", "answers", "space", "miss",
                  "unique_keys", "order", "inverse")
 
-    def __init__(self, dataset: str, cuts: List[Cut], deduped: bool) -> None:
+    def __init__(self, dataset: str, cuts: Cuts, k0: int, deduped: bool) -> None:
         self.dataset, self.cuts, self.deduped = dataset, cuts, deduped
-        self.pending, self.booked = True, 0
+        self.k0, self.booked, self.pending = k0, k0, True
         self.answers = self.space = self.miss = self.inverse = None
 
 
@@ -618,7 +634,7 @@ class LCAQueryService(FrontDoor):
             self._observer.record(EV_ARRIVAL, t, ticket=ticket,
                                   replica=self._obs_replica)
         flushed = scheduler.submit(ticket, x, y)
-        if flushed.rows:
+        if flushed.flush_s:
             self._serve_run(run_of(dataset, flushed))
         return ticket
 
@@ -629,16 +645,14 @@ class LCAQueryService(FrontDoor):
         Three steps: validate the block, issue its tickets, :meth:`admit` it.
         With the skew-aware path off (the default), observationally
         equivalent to calling :meth:`submit` once per query — each query is
-        still an individual arrival seen by the scheduler, *not* a
-        pre-formed batch — but admission is columnar: the block is validated
-        with vectorized comparisons, cut into flush-sized chunks by
-        :meth:`MicroBatchScheduler.submit_block`, and every resulting batch is
-        served in the same global flush-time order the per-query path
-        produces.  ``at`` optionally gives each query its own (non-decreasing)
-        arrival timestamp.  With the answer cache on the two admission styles
-        diverge observably (answers stay exact): only the columnar path takes
-        the front-door memoization, so its cache hits are answered at arrival
-        instead of at batch flush (see :meth:`_admit_memoized`).
+        an individual arrival, *not* a pre-formed batch — but columnar: the
+        block is validated with vectorized comparisons, cut by
+        :meth:`MicroBatchScheduler.submit_block`, and its batches served in
+        the per-query path's global flush-time order.  ``at`` optionally
+        gives each query its own (non-decreasing) arrival timestamp.  With
+        the answer cache on, only this path memoizes at the front door, so
+        its cache hits are answered at arrival, not at batch flush (see
+        :meth:`_admit_memoized`); answers stay exact.
 
         Error semantics match the per-query loop exactly: an out-of-range
         query or a backwards arrival raises at its own position, after every
@@ -700,7 +714,7 @@ class LCAQueryService(FrontDoor):
         own = scheduler.submit_block(tickets, xs, ys, arrival_s)
         # The block's rows end at the queue's tail: its last cut's stop plus
         # what still waits.  A size flush is placed by the row that filled it.
-        tail = own.rows[-1][2] + scheduler.pending_count if own.rows else 0
+        tail = own.bounds[-1] + scheduler.pending_count if own.flush_s else 0
         self._serve_in_submission_order(dataset, own, arrival_s,
                                         tail - tickets.size)
 
@@ -858,10 +872,22 @@ class LCAQueryService(FrontDoor):
         return self._schedulers[dataset]
 
     def _in_flush_order(self, run: List[RunItem]) -> List[RunItem]:
-        """``run``, sorted by flush time with ties in dataset registration order."""
-        rank = self._dataset_rank
-        run.sort(key=lambda item: (item[1][3], rank[item[0]]))
-        return run
+        """``run``'s batches by flush time, ties in dataset registration order;
+        a dataset's call that continues its last one's buffer joins its span."""
+        if len(run) < 2:
+            return run
+        rank, last = self._dataset_rank, dict.fromkeys(self._schedulers, NO_CUTS)
+        batches: List[Tuple[float, int, str, Cuts, int]] = []
+        for name, cuts, k0, k1 in run:
+            prior = last[name]
+            if prior.columns is cuts.columns and prior.bounds[-1] == cuts.bounds[0]:
+                k0, k1 = k0 + len(prior), k1 + len(prior)
+                cuts = prior.extend(cuts)
+            last[name] = cuts
+            batches += [(cuts.flush_s[k], rank[name], name, cuts, k)
+                        for k in range(k0, k1)]
+        batches.sort(key=lambda item: item[:2])
+        return joined([item[2:] for item in batches])
 
     def _due(self, t: float) -> bool:
         """Whether advancing to ``t`` reaches some scheduler's wait deadline."""
@@ -873,20 +899,17 @@ class LCAQueryService(FrontDoor):
     def _expired_batches(self, t: float, exclusive: Optional[str] = None,
                          include_equal: bool = True) -> List[RunItem]:
         # One shared clock: advancing it fires every dataset's expired wait
-        # deadlines, returned in flush order so they queue on the backends
-        # FIFO.  Deadlines equal to ``t`` stay pending for ``exclusive`` (a
-        # dataset about to receive a submission at ``t``, which may join
-        # them) and, with ``include_equal=False``, on every dataset (the
-        # :meth:`sync_to` semantics).  Only a scheduler whose deadline ``t``
-        # reached is called, so idle or waiting datasets cost one comparison.
+        # deadlines, returned in flush order (they queue on the backends
+        # FIFO).  Deadlines equal to ``t`` stay pending for ``exclusive`` (a
+        # dataset about to receive a submission at ``t``) and, with
+        # ``include_equal=False``, on every dataset (:meth:`sync_to`).  Only
+        # a scheduler whose deadline ``t`` reached is called.
         t = self.clock.advance_to(t)
         run: List[RunItem] = []
         for name, scheduler in self._schedulers.items():
             if scheduler.next_deadline <= t:
-                cuts = scheduler.advance_to(
-                    t, include_equal=include_equal and name != exclusive)
-                if cuts.rows:
-                    run += run_of(name, cuts)
+                run += run_of(name, scheduler.advance_to(
+                    t, include_equal=include_equal and name != exclusive))
         return self._in_flush_order(run) if len(run) > 1 else run
 
     def _serve_in_submission_order(self, dataset: str, own: Cuts,
@@ -894,48 +917,41 @@ class LCAQueryService(FrontDoor):
                                    ) -> None:
         """Serve a block's own batches plus other datasets' expired ones.
 
-        The per-query path serves batches at well-defined points of the
-        submission loop: at query ``i`` it first serves every batch whose
-        wait deadline the arrival reached — the submitted dataset's strictly
-        (deadline < t_i), other datasets' inclusively (deadline <= t_i), all
-        sorted by flush time with ties broken by dataset registration order —
-        and then the size-completed batch the arriving query just filled, if
-        any.  Reconstruct exactly that order from the merged batch lists:
-        each batch gets (serving query index, phase, flush time, dataset
-        rank) as its sort key, where phase 0 is the deadline sweep and
-        phase 1 the size flush.  The block fills the scheduler buffer from
-        row ``first_row``: a size flush's query index is its last row's
-        offset from there (its tickets need not be consecutive).
+        The per-query path serves, at query ``i``, every batch whose wait
+        deadline the arrival reached — the submitted dataset's strictly
+        (deadline < t_i), other datasets' inclusively (deadline <= t_i), by
+        flush time, ties in dataset registration order — then the batch the
+        query just filled, if any.  Each batch gets that order as its sort key
+        (serving query index, phase, flush time, dataset rank), phase 0 the
+        deadline sweep and 1 the size flush.  The block fills the scheduler
+        buffer from row ``first_row``: a size flush's query index is its last
+        row's offset from there (its tickets need not be consecutive).
         """
-        t_last = arrivals.item(arrivals.size - 1)
-        merged: List[Tuple[int, int, float, int, str, Cut]] = []
+        view = memoryview(arrivals)
+        t_last = view[-1]
+        merged: List[Tuple[int, int, float, int, str, Cuts, int]] = []
         for name, scheduler in self._schedulers.items():
             if name == dataset or scheduler.next_deadline > t_last:
                 continue
-            for cut in scheduler.advance_to(t_last, include_equal=True).rows:
-                # Other datasets' deadlines fire at the first arrival at or
-                # past them.
-                at_query = int(arrivals.searchsorted(cut[3], side="left"))
-                merged.append((at_query, 0, cut[3], self._dataset_rank[name],
-                               name, cut))
+            cuts, rank = scheduler.advance_to(t_last), self._dataset_rank[name]
+            # Other datasets' deadlines fire at the first arrival at or past them.
+            merged += [(bisect_left(view, flush_s), 0, flush_s, rank, name, cuts, k)
+                       for k, flush_s in enumerate(cuts.flush_s)]
         if not merged:
             # Nothing to interleave: own batches are already in serving order.
             self._serve_run(run_of(dataset, own))
             return
         own_rank = self._dataset_rank[dataset]
-        for cut in own.rows:
-            _, _, stop, flush_s, trigger, _ = cut
-            if trigger == "size":
-                # Served right after the query that completed the batch.
-                at_query, phase = stop - 1 - first_row, 1
-            else:
-                # A wait flush fires at the first arrival strictly past the
-                # deadline (arrival exactly at the deadline joins the batch).
-                at_query = int(arrivals.searchsorted(flush_s, side="right"))
-                phase = 0
-            merged.append((at_query, phase, flush_s, own_rank, dataset, cut))
+        for k, (flush_s, trigger) in enumerate(zip(own.flush_s, own.triggers)):
+            # A size flush is served right after the query that completed it;
+            # a wait flush at the first arrival strictly past its deadline
+            # (an arrival exactly at the deadline joins the batch).
+            size = trigger == "size"
+            at = (own.bounds[k + 1] - 1 - first_row if size
+                  else bisect_right(view, flush_s))
+            merged.append((at, int(size), flush_s, own_rank, dataset, own, k))
         merged.sort(key=lambda item: item[:4])
-        self._serve_run([item[4:] for item in merged])
+        self._serve_run(joined([item[4:] for item in merged]))
 
     def _admit_memoized(self, dataset: str, scheduler: MicroBatchScheduler,
                         tickets: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -943,22 +959,17 @@ class LCAQueryService(FrontDoor):
         """Front-door memoization for the columnar path.
 
         With the answer cache on, a block is probed *at admission*: queries
-        whose canonical pair is already cached are answered immediately on
-        the host-side cache lane — they never enter the batching pipeline,
-        which is both the standard serving architecture (memoize before you
-        queue) and the realistic latency model (a memoized answer does not
-        wait for a batch to form).  Only the cache misses are handed to the
-        micro-batch scheduler; their spans probe again at serve time (a
-        sibling span may have filled the cache in between) and repopulate
-        it.  Returns False when nothing hit — the caller then admits the
-        whole block through the standard path unchanged.  A full hit whose
-        arrivals reach no wait deadline is one pack, one probe and O(1)
-        booking.
-
-        Cache-off behaviour is untouched, and answers are bit-identical
-        either way; what changes with the cache on is *when* repeated
-        queries are answered (at arrival) and that only a span's distinct
-        misses reach the kernel (each batch priced at its own unique count).
+        whose canonical pair is cached are answered at once on the host-side
+        cache lane and never enter the batching pipeline (memoize before you
+        queue: a memoized answer does not wait for a batch to form).  Only
+        the misses go to the scheduler; their spans probe again at serve time
+        (a sibling span may have filled the cache since) and repopulate it.
+        Returns False when nothing hit: the caller then admits the whole
+        block unchanged.  A full hit whose arrivals reach no wait deadline is
+        one pack, one probe and O(1) booking.  Answers are bit-identical with
+        the cache on or off; what changes is *when* repeated queries are
+        answered (at arrival), and that only a span's distinct misses reach
+        the kernel (each batch priced at its own unique count).
         """
         cache = self.answer_cache
         assert cache is not None
@@ -1046,73 +1057,65 @@ class LCAQueryService(FrontDoor):
         Every batch is first offered to the interceptor, in ``run`` order: a
         claimed one (dead or transiently failing replica; the cluster
         re-dispatches it) leaves the run before anything is packed, probed
-        or launched for it.  Batches of one dataset that are adjacent slices
-        of one scheduler buffer (a *span*) then get one pack, probe and dedup
-        (:meth:`_open_span`, at the span's first batch) and one kernel call
-        and insert (:meth:`_launch_span`, at its first batch with a unique
-        miss, by the artifact that batch just fetched — answers do not
-        depend on the backend, and a span that only hits launches and
-        fetches nothing).  Each stretch of a span's batches adjacent in the
-        run too is booked by one :meth:`_finish_span` (under an observer, one
-        batch at a time: events keep their order).  A one-batch run is the
-        one-slice case.
-
-        ``spans`` is local to this call (the hedge hook runs other replicas'
-        code mid-run).  A batch no open span covers — another buffer after a
-        reallocation, a row after a claimed batch — opens a new one: one more
-        launch, never a wrong slice.
+        or launched for it.  One scheduler call's :class:`~.scheduler.Cuts`
+        are adjacent slices of one buffer: one *span* (a claim ends it, the
+        later batches go on under a copy), with one pack, probe and dedup
+        (:meth:`_open_span`) and one kernel call and insert
+        (:meth:`_launch_span`; none if every lane hit).  Each piece of the run
+        is booked by one :meth:`_finish_span`, under an observer one batch at
+        a time (events keep order).  ``spans`` is local: the hedge hook runs
+        other replicas' code mid-run.
         """
-        if self._serve_interceptor is not None:
-            run = [(dataset, cut) for dataset, cut in run if not
-                   self._serve_interceptor(dataset, FlushedBatch.of(cut))]
-        cache = self.answer_cache
+        intercept = self._serve_interceptor
+        if intercept is not None:
+            kept, alias = [], {}
+            for dataset, cuts, k0, k1 in run:
+                for k in range(k0, k1):
+                    if intercept(dataset, cuts[k]):
+                        alias[id(cuts)] = copy.copy(cuts)
+                    else:
+                        kept.append((dataset, alias.get(id(cuts), cuts), k))
+            run = joined(kept)
         # A span's one insert must not reset the table under batches whose
         # hits are already decided — its own or, with several datasets in the
         # run, another span's.  Lanes bound inserts: a run within the cache's
         # headroom cannot; any other is served as one-batch spans, whose
         # inserts reset exactly where a batch's always did.
-        roomy = cache is None or sum(
-            cut[2] - cut[1] for _, cut in run) <= cache.headroom
-        spans: List[Optional[_Span]] = [None] * len(run)
-        i, traced = 0, self._observer is not None
-        while i < len(run):
-            span, j = spans[i] or self._open_span(run, i, spans, roomy), i + 1
-            while not traced and j < len(run) and spans[j] is span:
-                j += 1
-            self._finish_span(span, j - i)
-            i = j
+        cache, traced = self.answer_cache, self._observer is not None
+        roomy = cache is None or cache.headroom >= sum(
+            cuts.bounds[k1] - cuts.bounds[k0] for _, cuts, k0, k1 in run)
+        # A span ends at its ``Cuts``' last batch in the run.
+        ends = {id(cuts): k1 for _, cuts, _, k1 in run} if len(run) > 1 else {}
+        spans: Dict[int, _Span] = {}
+        for dataset, cuts, k, k1 in run:
+            while k < k1:
+                span = spans.get(id(cuts))
+                if span is None or span.k1 <= k:
+                    span = spans[id(cuts)] = self._open_span(
+                        dataset, cuts, k, ends.get(id(cuts), k1), roomy)
+                k = k + 1 if traced else min(k1, span.k1)
+                self._finish_span(span, k)
 
-    def _open_span(self, run: List[RunItem], i: int,
-                   spans: List[Optional[_Span]], roomy: bool) -> _Span:
-        """Open the span that starts at ``run[i]``; plan every batch of it.
+    def _open_span(self, dataset: str, cuts: Cuts, k0: int, end: int,
+                   roomy: bool) -> _Span:
+        """Open the span of ``cuts`` from batch ``k0`` to ``end``; plan its batches.
 
-        It extends over the dataset's later batches while each starts where
-        the last ended in this same buffer.  On the plain path that is all:
-        every lane is a kernel query.  On the skew-aware path (``dedup`` /
-        answer cache, packable ids; multi-batch in ``roomy`` runs only) it is
-        canonicalized, probed against the table as it stands and sorted
-        **once**, and each batch gets its two integers by first appearance:
-        a lane hits iff its key was in the table or first appears in an
-        *earlier* batch of the span, whose insert precedes it; a batch's
-        unique misses are the distinct keys that first appear in it.  With no
-        cache nothing is remembered: no hits, a batch's distinct keys miss.
+        On the plain path every lane is a kernel query.  On the skew-aware
+        path (``dedup`` / answer cache, packable ids; multi-batch in ``roomy``
+        runs only, else one batch) it is canonicalized, probed against the
+        table as it stands and sorted **once**, and each batch gets its two
+        integers by first appearance: a lane hits iff its key was in the table
+        or first appears in an *earlier* batch of the span, whose insert
+        precedes it; a batch's unique misses are the distinct keys that first
+        appear in it.  With no cache no hits: a batch's distinct keys miss.
         """
-        dataset, cut = run[i]
-        columns, lo, hi = cut[:3]
-        cuts, sizes = [cut], [hi - lo]
-        span = spans[i] = _Span(dataset, cuts, self._dedup
-                                and self.store.tree(dataset).size <= PACK_LIMIT)
-        if roomy or not span.deduped:
-            for j in range(i + 1, len(run)):
-                name, later = run[j]
-                if name == dataset:
-                    if later[0] is not columns or later[1] != hi:
-                        break
-                    cuts.append(later)
-                    sizes.append(later[2] - hi)
-                    hi, spans[j] = later[2], span
+        span = _Span(dataset, cuts, k0, self._dedup
+                     and self.store.tree(dataset).size <= PACK_LIMIT)
+        k1 = span.k1 = end if roomy or not span.deduped else k0 + 1
+        columns, lo, hi = cuts.columns, cuts.bounds[k0], cuts.bounds[k1]
         span.xs, span.ys = columns[1][lo:hi], columns[2][lo:hi]
-        n = len(sizes)
+        sizes = list(map(operator.sub, cuts.bounds[k0 + 1:k1 + 1], cuts.bounds[k0:k1]))
+        n = k1 - k0
         hits, unique = [0] * n, sizes
         if span.deduped:
             cache = self.answer_cache
@@ -1185,121 +1188,117 @@ class LCAQueryService(FrontDoor):
             span.answers[miss] = answers
         return resets
 
-    def _finish_span(self, span: _Span, count: int) -> None:
-        """Book the span's next ``count`` batches, adjacent in the run, at once.
+    def _finish_span(self, span: _Span, stop: int) -> None:
+        """Book the span's batches up to ``stop``, adjacent in the run, at once.
 
-        Per batch, in run order: its charge (the skew-aware probe, a cold
-        index's build, the dispatcher's estimate at its unique-miss count —
-        so key skew moves the CPU/GPU crossover — times any slowdown), its
-        lane booking ``max(flush, lane free) + charge``, its hedge and events.
-        Once for all: a dispatcher probe per distinct size, a registry fetch
-        per lane (the rest credited as hits), the latencies, the table write
-        and the stats record.  A batch answered entirely from the cache is
-        booked on the host-side cache lane: no dispatcher, registry or hedge.
+        Per batch: its charge (the skew-aware probe, a cold index's build,
+        the dispatcher's estimate at its unique-miss count — so key skew moves
+        the CPU/GPU crossover — times any slowdown), priced once per distinct
+        size, and its lane booking ``done = max(flush, lane free) + charge``,
+        one loop over plain lists in run order.  Once for all: a registry
+        fetch per lane (the rest credited as hits), the latencies, the table
+        write and the stats record.  An all-hit batch is booked on the
+        host-side cache lane: no dispatcher, registry or hedge.  Only the
+        hedge hook and an observer (one batch a call) see a batch alone.
         """
-        a = span.booked
-        b = span.booked = a + count
-        cuts, sizes, kernel = span.cuts[a:b], span.sizes[a:b], span.unique[a:b]
+        cuts, ka, a = span.cuts, span.booked, span.booked - span.k0
+        count, span.booked = stop - ka, stop
+        sizes, kernel = span.sizes[a:a + count], span.unique[a:a + count]
         dataset, obs, registry = span.dataset, self._observer, self.registry
+        flushes, replica = cuts.flush_s[ka:stop], self._obs_replica
         priced = {q: self.dispatcher.choose_with_estimate(q)
                   for q in dict.fromkeys(kernel) if q}
         lanes = [priced[q][0].key if q else CACHE_BACKEND_KEY for q in kernel]
-        keys = {backend.key: self._artifact_key(dataset, backend)
-                for backend, _ in priced.values()}
+        # The skew-aware path probes every batch; a slowdown (a degraded
+        # device) stretches kernel time, not the host-side cache lane.
+        factor = self._service_factor
+        probe = ({size: answer_cache_probe_time(size) for size in dict.fromkeys(sizes)}
+                 if span.deduped else dict.fromkeys(sizes, 0.0))
+        charges = [(probe[size] + priced[q][1]) * factor if q else probe[size]
+                   for size, q in zip(sizes, kernel)]
+        if obs is not None:  # one batch (see _serve_run)
+            batch, hits, cached = cuts[ka], span.hits[a], span.space is not None
+            at: Dict[str, Any] = dict(batch=batch.batch_id, replica=replica)
+            if hits and cached:
+                obs.record(EV_CACHE_HITS, batch.flush_s, detail=float(hits), **at)
+            if hits < batch.size and cached:
+                obs.record(EV_CACHE_MISSES, batch.flush_s, **at,
+                           detail=float(batch.size - hits))
+            if kernel[0]:
+                obs.record(EV_DISPATCH, batch.flush_s, detail=priced[kernel[0]][1],
+                           aux=obs.intern(lanes[0]), **at)
         # Until a batch's index is missing every fetch hits: fetch once a lane
         # in order of last use (the LRU order per-batch fetches leave) and
         # credit the rest.  From the first miss on (a build may evict), per batch.
-        first_miss = min([lanes.index(lane) for lane, key in keys.items()
-                          if key not in registry], default=count)
-        hit_lanes, entries = lanes[:first_miss], {}
+        keys: Dict[str, ArtifactKey] = {}
+        first_miss = count
+        for backend, _ in priced.values():
+            if backend.key not in keys:
+                keys[backend.key] = key = self._artifact_key(dataset, backend)
+                if key not in registry:
+                    first_miss = min(first_miss, lanes.index(backend.key))
+        hit_lanes, artifacts = lanes[:first_miss], {}
         for lane in reversed(dict.fromkeys(reversed(hit_lanes))):
             if lane in keys:
-                entries[lane] = entry = registry.fetch_by_key(keys[lane])[0]
+                entry = registry.fetch_by_key(keys[lane])[0]
                 registry.credit_hits(entry, hit_lanes.count(lane) - 1)
-        # Constant over the span: the probe, the slowdown, the hooks installed.
-        free, factor, probe = self._backend_free_s, self._service_factor, span.deduped
-        hedge, replica = self._hedge_hook, self._obs_replica
-        cache_obs = obs if span.space is not None else None
-        charges, done = [], []  # done: completions, hedges won included
-        for m, (cut, size, queries, lane) in enumerate(zip(cuts, sizes, kernel, lanes)):
-            flush_s, batch_id = cut[3], cut[5]
-            # Canonicalization + table probe are charged on every batch.
-            charge = answer_cache_probe_time(size) if probe else 0.0
-            if cache_obs is not None:
-                hits = span.hits[a + m]
-                if hits:
-                    cache_obs.record(EV_CACHE_HITS, flush_s, batch=batch_id,
-                                     replica=replica, detail=float(hits))
-                if hits < size:
-                    cache_obs.record(EV_CACHE_MISSES, flush_s, batch=batch_id,
-                                     replica=replica, detail=float(size - hits))
-            if queries:
-                backend, estimate = priced[queries]
-                if obs is not None:
-                    obs.record(EV_DISPATCH, flush_s, batch=batch_id,
-                               replica=replica, detail=estimate,
-                               aux=obs.intern(lane))
-                if m < first_miss:
-                    entry = entries[lane]
-                else:
-                    entry, hit = registry.fetch_by_key(keys[lane],
-                                                       spec=backend.spec)
-                    if not hit:
-                        charge += entry.build_time_s
-                charge += estimate
-                resets = (self._launch_span(span, entry.artifact)
-                          if span.pending else 0)
-                if cache_obs is not None:
-                    cache_obs.record(EV_CACHE_INSERT, flush_s, batch=batch_id,
-                                     replica=replica, detail=float(queries))
-                    if resets:
-                        cache_obs.record(EV_CACHE_RESET, flush_s,
-                                         replica=replica, detail=float(resets))
-                # An injected slowdown stretches kernel time (a degraded
-                # device); the host-side cache lane is unaffected.
-                charge *= factor
-            # A batch starts once both it is flushed and its lane is free:
-            # overload shows as queueing delay, not as overlapping service.
+                artifacts[lane] = entry.artifact
+        for m in range(first_miss, count):
+            if kernel[m]:
+                entry, hit = registry.fetch_by_key(
+                    keys[lanes[m]], spec=priced[kernel[m]][0].spec)
+                artifacts[lanes[m]] = entry.artifact
+                if not hit:  # a cold index's build is part of the charge
+                    charges[m] = ((probe[sizes[m]] + entry.build_time_s)
+                                  + priced[kernel[m]][1]) * factor
+        # The span launches once, by an artifact of its first kernel batch's lane.
+        first = next(filter(None, kernel), 0)
+        resets = (self._launch_span(span, artifacts[lanes[kernel.index(first)]])
+                  if first and span.pending else 0)
+        if obs is not None and kernel[0] and cached:
+            obs.record(EV_CACHE_INSERT, batch.flush_s, detail=float(kernel[0]), **at)
+            if resets:
+                obs.record(EV_CACHE_RESET, batch.flush_s, replica=replica,
+                           detail=float(resets))
+        # A batch starts once both it is flushed and its lane is free:
+        # overload shows as queueing delay, not as overlapping service.
+        free, starts, completions = self._backend_free_s, [], []
+        for flush_s, lane, cost_s in zip(flushes, lanes, charges):
             lane_free = free.get(lane, 0.0)
-            start = flush_s if flush_s >= lane_free else lane_free
-            completion = free[lane] = start + charge
-            effective = completion
-            if queries and hedge is not None:
-                # Offer the straggler to a second copy; an earlier duplicate
-                # completion wins for the queries, the original lane stays
-                # booked (the work is duplicated, not cancelled — the kernel
-                # span below still shows the full original occupancy).
-                hedged = hedge(dataset, FlushedBatch.of(cut), completion)
+            starts.append(flush_s if flush_s >= lane_free else lane_free)
+            free[lane] = completion = starts[-1] + cost_s
+            completions.append(completion)
+        done = completions
+        if self._hedge_hook is not None:
+            # Offer each straggler to a second copy: an earlier duplicate wins
+            # for the queries, the original lane stays booked (duplicated work).
+            done = completions[:]
+            for m, completion in enumerate(completions):
+                hedged = (self._hedge_hook(dataset, cuts[ka + m], completion)
+                          if kernel[m] else None)
                 if hedged is not None and hedged < completion:
-                    effective = hedged
-            if obs is not None:
-                obs.record_span(EV_KERNEL_START, EV_KERNEL_END, start,
-                                completion, batch=batch_id, replica=replica,
-                                detail=charge, aux=obs.intern(lane))
-            charges.append(charge)
-            done.append(effective)
-        columns, lo, hi = cuts[0][0], cuts[0][1], cuts[-1][2]
+                    done[m] = hedged
+        columns, lo, hi = cuts.columns, cuts.bounds[ka], cuts.bounds[stop]
         tickets, arrivals = columns[0][lo:hi], columns[3][lo:hi]
-        latencies = (done[0] if count == 1 else np.repeat(done, sizes)) - arrivals
+        latencies = (done[0] if count == 1 else np.array(done).repeat(sizes)) - arrivals
         table = self._tickets
         debt = getattr(table, "debt", None)
-        if debt is not None:
-            # Retried queries carry the latency accrued before this
-            # (re-)admission; everyone else's slot is zero.
-            latencies = latencies + debt[tickets]
-        if obs is not None:
-            # One batch (see _serve_run); ``own=True``: nothing mutates them.
-            obs.record_block(EV_COMPLETE, done[0], tickets, batch=batch_id,
-                             replica=replica, detail=latencies, own=True)
+        if debt is not None:  # retried queries carry the latency accrued before
+            latencies = latencies + debt[tickets]  # re-admission; others read 0
+        if obs is not None:  # ``own``: nothing mutates them
+            obs.record_span(EV_KERNEL_START, EV_KERNEL_END, starts[0], completions[0],
+                            detail=charges[0], aux=obs.intern(lanes[0]), **at)
+            obs.record_block(EV_COMPLETE, done[0], tickets, detail=latencies, own=True,
+                             **at)
         # One slice for consecutive tickets, else a scatter.  A buffer's tickets
         # ascend until a failover first re-admits one (and makes ``debt``).
-        size, at = hi - lo, lo - span.cuts[0][1]
+        row = lo - cuts.bounds[span.k0]
         window = table.window(tickets, ascends=debt is None)
-        table.answers[window] = span.answers[at:at + size]
+        table.answers[window] = span.answers[row:row + hi - lo]
         table.latencies[window] = latencies
         table.answered[window] = True
         self.stats_collector.record_span(  # arrivals are non-decreasing
-            sizes, [cut[4] for cut in cuts], lanes, charges, latencies,
+            sizes, cuts.triggers[ka:stop], lanes, charges, latencies,
             arrivals.item(0), max(done), sum(kernel))
 
     def _artifact_key(self, dataset: str, backend: Backend) -> ArtifactKey:

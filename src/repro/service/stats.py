@@ -14,8 +14,10 @@ clock — deterministic, so stats assertions in tests are exact.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import (
     TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Type, TypeVar, Union,
 )
@@ -124,6 +126,9 @@ class ServiceStats:
         lat = views[0] if len(views) == 1 else np.concatenate(views or [np.zeros(1)])
         p50, p99 = np.percentile(lat, [50.0, 99.0]).tolist()
         empty: Counter = Counter()
+        histogram: Counter = Counter()
+        for size, n in sum((c.batch_sizes for c in collectors), empty).items():
+            histogram[batch_size_bucket(size)] += n
         answered = sum(c.queries_answered for c in collectors)
         kernel_queries = sum(c.kernel_queries for c in collectors)
         batches = sum(c.batches_flushed for c in collectors)
@@ -138,7 +143,7 @@ class ServiceStats:
             dedup_factor=dedup_factor(answered, kernel_queries),
             batches_flushed=batches,
             mean_batch_size=answered / batches if batches else 0.0,
-            batch_size_histogram=dict(sum((c.batch_sizes for c in collectors), empty)),
+            batch_size_histogram=dict(histogram),
             flush_triggers=dict(sum((c.flush_triggers for c in collectors), empty)),
             backend_choices=dict(sum((c.backend_choices for c in collectors), empty)),
             latency_mean_s=float(lat.mean()),
@@ -210,6 +215,7 @@ class StatsCollector:
     kernel_queries: int = 0
     batches_flushed: int = 0
     busy_time_s: float = 0.0
+    #: Batches per raw size (``ServiceStats.merge`` buckets them).
     batch_sizes: Counter = field(default_factory=Counter)
     flush_triggers: Counter = field(default_factory=Counter)
     backend_choices: Counter = field(default_factory=Counter)
@@ -241,22 +247,17 @@ class StatsCollector:
     def record_hedge(self, service_time_s: float) -> None:
         """Charge a hedged duplicate execution's backend time.
 
-        A hedge re-runs a straggling batch on a second replica; its answers
-        are byte-identical to the original's, so nothing is added to the
-        answered/latency accounting — only the duplicate backend occupancy
-        is billed here (the cost side of the tail-latency trade).
+        A hedge re-runs a straggling batch on a second replica with identical
+        answers, so only its backend occupancy is billed (the cost side of
+        the tail-latency trade), not answers or latencies.
         """
         self.busy_time_s += float(service_time_s)
 
     def reserve(self, capacity: int) -> None:
-        """Pre-size the latency table (capacity planning for long streams).
-
-        Growth is amortized O(1) either way; reserving up front keeps the
-        doubling copies out of latency-sensitive serving windows.
-        """
+        """Pre-size the latency table: growth is amortized O(1) either way,
+        but reserving keeps the doubling copies out of serving windows."""
         self._latency_table = grow_table(
-            self._latency_table, self._latency_count, int(capacity)
-        )
+            self._latency_table, self._latency_count, int(capacity))
 
     def record_span(self, sizes: Sequence[int], triggers: Sequence[str],
                     lanes: Sequence[str], charges: Sequence[float],
@@ -274,11 +275,8 @@ class StatsCollector:
         self.queries_answered += answered
         self.kernel_queries += kernel_queries
         self.batches_flushed += len(sizes)
-        busy = self.busy_time_s
-        for charge in charges:
-            busy += charge
-        self.busy_time_s = busy
-        self.batch_sizes.update(map(batch_size_bucket, sizes))
+        self.busy_time_s = reduce(operator.add, charges, self.busy_time_s)
+        self.batch_sizes.update(sizes)
         self.flush_triggers.update(triggers)
         self.backend_choices.update(lanes)
         end = self._latency_count = start + answered

@@ -10,6 +10,7 @@ import collections
 import dataclasses
 import doctest
 import functools
+import importlib
 import inspect
 import re
 import symtable
@@ -129,6 +130,90 @@ def test_the_service_reads_no_other_objects_private_state():
     """``service.py`` touches ``_names`` on ``self`` only — the answer cache's
     headroom and counters come through its public surface."""
     assert foreign_private_reads(SERVICE.read_text()) == []
+
+
+# ----------------------------------------------------------------------
+# Columnar cuts: a span is booked in bulk
+# ----------------------------------------------------------------------
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def names_bucket(node):
+    """A read of ``batch_size_bucket`` (a call or a reference, as ``map``'s)."""
+    return (isinstance(node, ast.Name) and node.id == "batch_size_bucket"
+            or isinstance(node, ast.Attribute) and node.attr == "batch_size_bucket")
+
+
+def loops_in(tree, name):
+    """The loop and comprehension nodes inside each function called ``name``."""
+    return [type(node).__name__ for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == name
+            for node in ast.walk(function) if isinstance(node, LOOPS)]
+
+
+def test_the_booking_rules_see_a_per_batch_bucket_and_a_run_walk():
+    tree = ast.parse(
+        "class S:\n"
+        "    def record_span(self, sizes):\n"
+        "        self.batch_sizes.update(map(batch_size_bucket, sizes))\n"
+        "    def merge(self, raw):\n"
+        "        return {stats.batch_size_bucket(size) for size in raw}\n"
+        "    def _open_span(self, run, i):\n"
+        "        sizes = [cut[2] - cut[1] for cut in run[i:]]\n"
+        "        while i < len(run):\n"
+        "            i += 1\n"
+    )
+    assert functions_containing(tree, names_bucket) == {"record_span", "merge"}
+    assert sorted(loops_in(tree, "_open_span")) == ["ListComp", "While"]
+
+
+def test_sizes_are_bucketed_once_per_snapshot_and_a_span_opens_without_a_batch_loop():
+    """A collector counts raw batch sizes; only ``ServiceStats.merge`` buckets
+    them.  ``_open_span`` plans a span from its ``Cuts`` columns with array and
+    ``map`` work: no loop walks the run's batches."""
+    found = {(file.name, name) for file, tree in trees_under(SRC)
+             for name in functions_containing(tree, names_bucket)}
+    assert found == {("stats.py", "merge")}
+    assert loops_in(parsed(SERVICE), "_open_span") == []
+
+
+#: ``benchmarks/layers/trace.py`` targets that name nothing (ROADMAP 5(a)).
+DEAD_TARGETS = {("repro.service.stats", "StatsCollector.record_batch")}
+
+
+def traced_targets():
+    """Every ``(module, qualname)`` of ``TARGETS`` in ``benchmarks/layers/trace.py``."""
+    for node in parsed(ROOT / TRACE).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TARGETS":
+            return [pair for pairs in ast.literal_eval(node.value).values()
+                    for pair in pairs]
+    raise AssertionError("TARGETS not found")
+
+
+def resolves(module, qualname):
+    """Whether a target names a module function or a method in its named class's
+    own namespace — the only places the tracer's ``_install_method`` looks."""
+    owner, _, method = qualname.rpartition(".")
+    found = importlib.import_module(module)
+    if owner:
+        return method in vars(getattr(found, owner, type))
+    return callable(getattr(found, method, None))
+
+
+def test_the_target_rule_sees_a_method_that_moved_to_a_base():
+    assert resolves("repro.service.service", "FrontDoor.result")
+    assert not resolves("repro.service.service", "LCAQueryService.result")
+    assert not resolves("repro.service.stats", "StatsCollector.record_batch")
+    assert resolves("repro.service.service", "block_clean_prefix")
+
+
+def test_every_tracer_target_resolves():
+    """A moved or renamed method silently darkens its layer: the tracer only
+    patches a named class's own methods.  Every target resolves, bar the one
+    known dead one; fixing it in ``trace.py`` empties :data:`DEAD_TARGETS`."""
+    targets = traced_targets()
+    assert len(targets) > 60
+    assert {pair for pair in targets if not resolves(*pair)} == DEAD_TARGETS
 
 
 # ----------------------------------------------------------------------
@@ -872,13 +957,13 @@ MODULE_LINES = {
     "service/clock.py": 106,
     "service/cluster.py": 1310,
     "service/config.py": 207,
-    "service/dispatch.py": 307,
+    "service/dispatch.py": 303,
     "service/faults.py": 156,
     "service/registry.py": 389,
     "service/routing.py": 271,
-    "service/scheduler.py": 458,
-    "service/service.py": 1320,
-    "service/stats.py": 294,
+    "service/scheduler.py": 456,
+    "service/service.py": 1319,
+    "service/stats.py": 292,
     "service/tickets.py": 117,
     "workloads/__init__.py": 95,
     "workloads/arrivals.py": 422,

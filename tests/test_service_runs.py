@@ -23,8 +23,8 @@ Each of these mutations was applied by hand and fails the test named beside it:
 * forming spans before the interceptor's claims leave the run (offer each
   batch as it is reached, and skip it) —
   ``test_claimed_batches_skip_their_slice[middle]``;
-* merging two buffers into one span (drop the ``.base is not buffer`` test) —
-  ``test_batches_in_two_buffers_are_two_spans``;
+* keying a run's open spans by dataset instead of by scheduler call
+  (``spans[dataset]`` in ``_serve_run``) — ``test_batches_in_two_buffers_are_two_spans``;
 * on the skew-aware path, the five listed on
   ``test_property_cached_spans_equal_one_batch_runs``;
 * booking a span's charges with a pairwise ``np.sum`` —
@@ -45,12 +45,12 @@ from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA, pack_query_pairs
 from repro.obs import TraceRecorder
+from repro.obs.events import EV_FLUSH, EV_KERNEL_END, EV_KERNEL_START
 from repro.service import (
     ClusterConfig,
     ClusterService,
     FaultEvent,
     FaultInjector,
-    FlushedBatch,
     LCAQueryService,
     ServiceConfig,
     StatsCollector,
@@ -104,7 +104,9 @@ def lanes(launches):
 def per_batch(service):
     """Make ``service`` serve every batch as its own run: a launch per batch."""
     serve_run = service._serve_run
-    service._serve_run = lambda run: [serve_run([item]) for item in run]
+    service._serve_run = lambda run: [serve_run([(dataset, cuts, k, k + 1)])
+                                      for dataset, cuts, k0, k1 in run
+                                      for k in range(k0, k1)]
 
 
 def make_service(trees, *, reference=False, traced=True, **knobs):
@@ -374,8 +376,7 @@ def test_rowwise_submission_across_reallocations_never_spans_two_buffers():
 
 
 def test_batches_in_two_buffers_are_two_spans():
-    # MicroBatchScheduler.submit() flushes expired rows *before* it makes room,
-    # so one flush list can hold a batch of the old buffer and one of the new.
+    # One scheduler call's batches share a buffer; two calls' need not.
     # Build the worst case — the second starts, in its own buffer, at the very
     # row where the first ended in the other — from batches a claiming
     # interceptor parked, then serve them as one run.
@@ -394,13 +395,15 @@ def test_batches_in_two_buffers_are_two_spans():
         service.submit_many("t", xs[56:], ys[56:], at=at[56:]),
     ]
     service.drain()
-    batches = [FlushedBatch.of(cut) for _, cut in parked]
+    pieces = [(dataset, cuts, k, k + 1) for dataset, cuts, k0, k1 in parked
+              for k in range(k0, k1)]
+    batches = [cuts[k] for _, cuts, k, _ in pieces]
     assert [(b.start, b.size) for b in batches] == [
         (0, 4), (4, 16), (20, 16), (36, 16), (0, 4), (4, 12)]
     old, new = batches[0], batches[-1]
     assert old.xs.base is not new.xs.base and old.start + old.size == new.start
 
-    serve_run([parked[0], parked[-1]])
+    serve_run([pieces[0], pieces[-1]])
     assert lanes(launches) == [("t", 4), ("t", 12)]
     assert_zero_copy_spans(launches)
     expected = oracle(parents, xs, ys)
@@ -449,17 +452,20 @@ def test_interleaved_datasets_keep_one_span_each_and_the_serving_order():
 
 
 def spans_of(run):
-    """The adjacency rule restated: ``[(dataset, batches)]`` in opening order."""
+    """The span rule restated: ``[(dataset, batches)]`` in opening order, a
+    span per scheduler call's ``Cuts``, each batch starting in the buffer where
+    the last ended."""
     spans, open_span = [], {}
-    for dataset, cut in run:
-        batch = FlushedBatch.of(cut)
-        last = open_span.get(dataset)
-        if (last is not None and batch.xs.base is last[-1].xs.base
-                and batch.start == last[-1].start + last[-1].size):
-            last.append(batch)
-        else:
-            open_span[dataset] = [batch]
-            spans.append((dataset, open_span[dataset]))
+    for dataset, cuts, k0, k1 in run:
+        batches = open_span.get(id(cuts))
+        if batches is None:
+            batches = open_span[id(cuts)] = []
+            spans.append((dataset, batches))
+        for k in range(k0, k1):
+            batch = cuts[k]
+            assert not batches or (batch.xs.base is batches[-1].xs.base and
+                                   batch.start == batches[-1].start + batches[-1].size)
+            batches.append(batch)
     return spans
 
 
@@ -715,11 +721,10 @@ def booked_stretches(service):
     """Log ``(dataset, batches, tickets)`` of every ``_finish_span`` call."""
     stretches, finish = [], service._finish_span
 
-    def logging(span, count):
-        cuts = span.cuts[span.booked:span.booked + count]
-        stretches.append((span.dataset, count, np.concatenate(
-            [FlushedBatch.of(cut).tickets for cut in cuts])))
-        return finish(span, count)
+    def logging(span, stop):
+        stretches.append((span.dataset, stop - span.booked, np.concatenate(
+            [span.cuts[k].tickets for k in range(span.booked, stop)])))
+        return finish(span, stop)
 
     service._finish_span = logging
     return stretches
@@ -831,6 +836,100 @@ def test_failover_readmissions_carry_their_debt_through_a_span():
     # stretches.
     debt = cluster._tickets.debt
     assert any(count > 1 and debt[tickets].any() for _, count, tickets in stretches[1])
+
+
+#: What the default dispatcher books for a ``BIG`` batch (a GPU one).
+BIG_CHARGE = LCAQueryService().dispatcher.choose_with_estimate(BIG)[1]
+
+
+def hedge_rule(flush_s, done_s, size):
+    """A duplicate that wins for ``BIG`` batches (halfway) and loses otherwise."""
+    return flush_s + (done_s - flush_s) / 2 if size == BIG else done_s + 1e-3
+
+
+def hard_booking_stream(target):
+    """Three blocks, one span each, on a warm ``t``: ``SMALL`` queries flushed by
+    their deadline on the CPU lane, then a ``BIG`` batch on the idle GPU lane,
+    a ``BIG`` one flushed the very instant that lane comes free, and three more
+    queued behind it at once.  The second block runs at a slowdown of 3, the
+    third with a hedge hook (:func:`hedge_rule`) and full speed again."""
+    wait = POLICY["max_wait_s"]
+    xs, ys = queries(3 * (SMALL + 5 * BIG), 62)
+    rows = iter(np.split(np.arange(xs.size), 3))
+    target.warm("t")
+    for t0, factor in ((0.0, 1.0), (0.01, 3.0), (0.02, 1.0)):
+        if isinstance(target, SpecService):
+            target.factor = factor
+        else:
+            target.set_service_factor(factor)
+        if t0 == 0.02:
+            if isinstance(target, SpecService):
+                target.hedge = lambda name, batch, flush_s, done_s: hedge_rule(
+                    flush_s, done_s, len(batch))
+            else:
+                target.set_hedge_hook(lambda dataset, batch, done_s: hedge_rule(
+                    batch.flush_s, done_s, batch.size))
+        start = t0 + 2 * wait
+        free = start + BIG_CHARGE * factor  # the GPU lane's, after the first BIG
+        at = np.r_[np.full(SMALL, t0), np.full(BIG, start), np.full(BIG, free),
+                   np.full(3 * BIG, free + 1e-6)]
+        block = next(rows)
+        target.submit_many("t", xs[block], ys[block], at=at)
+    target.drain()
+
+
+def lane_bookings(observer):
+    """``{lane: [(flush, start, done), ...]}`` in start order, from the trace."""
+    table = observer.table()
+    flush = {b: t for b, t, k in zip(table.batch, table.time_s, table.kind)
+             if k == EV_FLUSH}
+    done = {b: t for b, t, k in zip(table.batch, table.time_s, table.kind)
+            if k == EV_KERNEL_END}
+    lanes = {}
+    for b, t, k, aux in zip(table.batch, table.time_s, table.kind, table.aux):
+        if k == EV_KERNEL_START:
+            lanes.setdefault(table.labels[aux], []).append((flush[b], t, done[b]))
+    return {lane: sorted(bookings, key=lambda booking: booking[1])
+            for lane, bookings in lanes.items()}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["bulk", "traced"])
+def test_bulk_booking_equals_the_spec_on_hard_spans(traced):
+    """Bulk booking, on the spans it finds hardest, is the spec's one batch at
+    a time: busy periods of four, two lanes in one span, a slowdown, a flush
+    exactly at lane-free, a hedge hook (and, traced, an observer).
+
+    Each of these mutations was applied by hand and fails here: the lane
+    recurrence as a max-plus prefix (``done = P + maximum.accumulate(flush -
+    P + charge)`` per lane, with ``P`` the charges' running sum); ``busy_time_s``
+    as ``np.sum`` of a span's charges.
+    """
+    trees = {"t": tree(61)}
+    service, _, observer = make_service(trees, traced=traced, max_batch_size=BIG)
+    reference, _, ref_observer = make_service(trees, traced=traced, reference=True,
+                                              max_batch_size=BIG)
+    spec = spec_service(trees, max_batch_size=BIG)
+    stretches = booked_stretches(service)
+    for target in (service, reference, spec):
+        hard_booking_stream(target)
+    # Latencies, busy_time_s, backend choices, flush triggers: bit for bit.
+    assert observables(service) == observables(spec) == observables(reference)
+    assert service.stats().backend_choices == {"cpu1": 3, "gpu": 15}
+    assert service.stats().flush_triggers == {"wait": 3, "size": 15}
+    seen, expected = observed(service, observer), observed(reference, ref_observer)
+    assert seen["events"] == expected["events"]  # event tables, in recording order
+    if not traced:
+        # Each block is one booking of six batches across both lanes.
+        assert [count for _, count, _ in stretches] == [6, 6, 6]
+        return
+    gpu = lane_bookings(observer)["gpu"]
+    assert len(gpu) == 15
+    for block in range(3):
+        first, at_free, *queued = gpu[5 * block:5 * block + 5]
+        assert at_free[0] == at_free[1] == first[2]  # flushed exactly at lane-free
+        # Four batches back to back, the last three queued past their flush.
+        chain = [at_free, *queued]
+        assert all(b[1] == a[2] > b[0] for a, b in zip(chain, chain[1:]))
 
 
 def test_busy_time_adds_a_span_s_charges_left_to_right():
