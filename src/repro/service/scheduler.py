@@ -143,7 +143,11 @@ class Cuts(Sequence[FlushedBatch]):
         return self
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
+        # Field by field: a FlushedBatch's own == compares its arrays lanewise.
+        return isinstance(other, Sequence) and len(self) == len(other) and all(
+            isinstance(b, FlushedBatch)
+            and all(map(np.array_equal, vars(a).values(), vars(b).values()))
+            for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return repr(list(self))

@@ -84,7 +84,7 @@ from .dispatch import Backend, CostModelDispatcher, dispatcher_for
 from .registry import ArtifactKey, ForestStore, IndexRegistry
 from .scheduler import NO_CUTS, Cuts, FlushedBatch, MicroBatchScheduler
 from .stats import ServiceStats, StatsCollector
-from .tickets import TicketTable
+from .tickets import TicketTable, launch
 
 __all__ = ["LCAQueryService"]
 
@@ -167,12 +167,13 @@ def joined(batches: List[Tuple[str, Cuts, int]]) -> List[RunItem]:
 class _Span:
     """Batches ``k0:k1`` of one :class:`~.scheduler.Cuts`: the unit of host work.
 
-    Adjacent rows of one buffer (``xs`` / ``ys`` view them all), with
-    ``sizes``, cache ``hits`` and ``unique`` misses (kernel queries) apiece;
-    those before ``booked`` are finished.  ``answers`` is per lane: the cache
-    probe's values (right on the lanes that hit, all a batch booked before
-    the launch reads) until the one launch, every lane's answer after it.
-    The skew-aware path also leaves the launch its ``space``, the lanes it
+    Adjacent rows of one buffer, with ``sizes``, cache ``hits`` and ``unique``
+    misses (kernel queries) apiece; those before ``booked`` are finished.  A
+    plain span's first booking defers its launch to the ticket table.  A
+    skew-aware one views its rows (``xs`` / ``ys``) and keeps ``answers`` per
+    lane: the cache probe's values (right on the lanes that hit, all a batch
+    booked before the launch reads) until its launch (``pending`` until then),
+    every lane's answer after it, which also reads its ``space``, the lanes it
     must answer (``miss``; ``None``: all) and their keys'
     :func:`~repro.lca.dedup.unique_packed_keys`.
     """
@@ -1060,10 +1061,11 @@ class LCAQueryService(FrontDoor):
         or launched for it.  One scheduler call's :class:`~.scheduler.Cuts`
         are adjacent slices of one buffer: one *span* (a claim ends it, the
         later batches go on under a copy), with one pack, probe and dedup
-        (:meth:`_open_span`) and one kernel call and insert
-        (:meth:`_launch_span`; none if every lane hit).  Each piece of the run
-        is booked by one :meth:`_finish_span`, under an observer one batch at
-        a time (events keep order).  ``spans`` is local: the hedge hook runs
+        (:meth:`_open_span`) and one kernel call and insert at once
+        (:meth:`_launch_span`; none if every lane hit) — a plain span's call is
+        deferred to the ticket table's next read.  Each piece of the run is
+        booked by one :meth:`_finish_span`, under an observer one batch at a
+        time (events keep order).  ``spans`` is local: the hedge hook runs
         other replicas' code mid-run.
         """
         intercept = self._serve_interceptor
@@ -1112,13 +1114,12 @@ class LCAQueryService(FrontDoor):
         span = _Span(dataset, cuts, k0, self._dedup
                      and self.store.tree(dataset).size <= PACK_LIMIT)
         k1 = span.k1 = end if roomy or not span.deduped else k0 + 1
-        columns, lo, hi = cuts.columns, cuts.bounds[k0], cuts.bounds[k1]
-        span.xs, span.ys = columns[1][lo:hi], columns[2][lo:hi]
         sizes = list(map(operator.sub, cuts.bounds[k0 + 1:k1 + 1], cuts.bounds[k0:k1]))
         n = k1 - k0
         hits, unique = [0] * n, sizes
         if span.deduped:
-            cache = self.answer_cache
+            cache, rows = self.answer_cache, slice(cuts.bounds[k0], cuts.bounds[k1])
+            span.xs, span.ys = cuts.columns[1][rows], cuts.columns[2][rows]
             keys = pack_query_pairs(span.xs, span.ys)
             found, table_hits = None, 0
             if cache is not None:
@@ -1152,27 +1153,23 @@ class LCAQueryService(FrontDoor):
         return span
 
     def _launch_span(self, span: _Span, artifact: Any) -> int:
-        """The span's one kernel call and one insert; returns the resets it cost.
+        """A skew-aware span's one kernel call and insert; returns its resets.
 
         The kernel (which runs its own id and bounds checks on every lane)
-        answers the span's distinct missing pairs — on the plain path, every
-        lane; hit lanes keep the cached value.  Answers may be views of
-        kernel scratch, valid until ``artifact`` launches again: that is this
-        dataset's next span, after ``_finish_span`` has copied every slice
-        of this one into the ticket tables.
+        answers the span's distinct missing pairs; hit lanes keep the cached
+        value.  Answers may be views of kernel scratch, valid until
+        ``artifact`` launches again: that is this dataset's next span, after
+        ``_finish_span`` has copied every slice of this one into the table.
         """
         span.pending = False
         miss, inverse = span.miss, span.inverse
-        if inverse is None:
-            # No pair repeats, so the missing lanes *are* the unique pairs:
-            # the kernel runs on them in lane order (LCA is symmetric — no
-            # canonical unpack, no scatter through an inverse map).
-            answers = (artifact.query(span.xs, span.ys) if miss is None
-                       else artifact.query(span.xs[miss], span.ys[miss]))
-        else:
-            unique_answers = artifact.query(
-                *unpack_query_pairs(span.unique_keys))
-            answers = unique_answers[inverse]
+        # With no repeated pair the missing lanes *are* the unique pairs: the
+        # kernel runs on them in lane order (LCA is symmetric — no canonical
+        # unpack, no scatter through an inverse map).
+        xs, ys = ((span.xs, span.ys) if miss is None else (span.xs[miss], span.ys[miss])
+                  ) if inverse is None else unpack_query_pairs(span.unique_keys)
+        unique_answers = launch(artifact, xs, ys)
+        answers = unique_answers if inverse is None else unique_answers[inverse]
         resets = 0
         if span.space is not None:
             if inverse is None:
@@ -1254,7 +1251,7 @@ class LCAQueryService(FrontDoor):
         # The span launches once, by an artifact of its first kernel batch's lane.
         first = next(filter(None, kernel), 0)
         resets = (self._launch_span(span, artifacts[lanes[kernel.index(first)]])
-                  if first and span.pending else 0)
+                  if first and span.pending and span.deduped else 0)
         if obs is not None and kernel[0] and cached:
             obs.record(EV_CACHE_INSERT, batch.flush_s, detail=float(kernel[0]), **at)
             if resets:
@@ -1292,14 +1289,19 @@ class LCAQueryService(FrontDoor):
                              **at)
         # One slice for consecutive tickets, else a scatter.  A buffer's tickets
         # ascend until a failover first re-admits one (and makes ``debt``).
-        row = lo - cuts.bounds[span.k0]
         window = table.window(tickets, ascends=debt is None)
-        table.answers[window] = span.answers[row:row + hi - lo]
+        if span.deduped:
+            row = lo - cuts.bounds[span.k0]
+            table.answers[window] = span.answers[row:row + hi - lo]
         table.latencies[window] = latencies
         table.answered[window] = True
         self.stats_collector.record_span(  # arrivals are non-decreasing
             sizes, cuts.triggers[ka:stop], lanes, charges, latencies,
             arrivals.item(0), max(done), sum(kernel))
+        if ka == span.k0 and not span.deduped:  # its first booking: all its rows
+            rows = slice(cuts.bounds[ka], cuts.bounds[span.k1])
+            window = table.window(columns[0][rows], ascends=debt is None)
+            table.defer(artifacts[lanes[0]], window, columns[1][rows], columns[2][rows])
 
     def _artifact_key(self, dataset: str, backend: Backend) -> ArtifactKey:
         """The registry key ``backend`` serves ``dataset`` from.

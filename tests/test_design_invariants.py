@@ -26,6 +26,7 @@ ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
 SERVICE_PACKAGE = SRC / "service"
 SERVICE = SERVICE_PACKAGE / "service.py"
+TICKETS = SERVICE_PACKAGE / "tickets.py"
 CLUSTER = SERVICE_PACKAGE / "cluster.py"
 
 
@@ -67,6 +68,13 @@ def launches_a_kernel(name):
     return name.split(".")[-2:] == ["artifact", "query"]
 
 
+def query_sites(tree):
+    """The line of every ``<expression>.query(...)`` call in ``tree``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "query")
+
+
 def packs_pairs(name):
     return name == "pack_query_pairs"
 
@@ -90,7 +98,8 @@ def test_the_rule_sees_a_second_serving_path():
         "        self._finish_span(span, count)\n"
         "    def _launch_span(self, span, artifact):\n"
         "        keys = pack_query_pairs(span.xs, span.ys)\n"
-        "        span.answers = artifact.query(span.xs, span.ys)\n"
+        "        span.answers = (artifact.query(span.xs, span.ys) if m is None\n"
+        "                        else artifact.query(span.xs[m], span.ys[m]))\n"
         "        room = self.answer_cache._max_used - self.answer_cache._used\n"
         "    def drain(self):\n"
         "        for item in self.pending:\n"
@@ -101,6 +110,8 @@ def test_the_rule_sees_a_second_serving_path():
     assert functions_calling(source, books_a_span) == {"_serve_run", "drain"}
     assert functions_calling(source, launches_a_kernel) == {
         "_launch_span", "serve_hedge"}
+    # Per site, not per function: two calls in ``_launch_span`` are two.
+    assert query_sites(ast.parse(source)) == [7, 8, 14]
     assert functions_calling(source, packs_pairs) == {"_launch_span"}
     assert foreign_private_reads(source) == [
         "self.answer_cache._max_used", "self.answer_cache._used"]
@@ -110,14 +121,23 @@ def test_batches_are_served_and_kernels_launched_in_one_place():
     """One serving path: every flushed batch goes through ``_serve_run``.
 
     Its loop is the only caller of ``_finish_span``, the one place a batch is
-    booked (a span's run-adjacent batches at once), and the host launches a
-    kernel only in ``_launch_span`` (once per span, on the plain and on the
-    skew-aware path alike) — never from a front-door method's own loop, and
-    never for a hedge, whose answers nobody reads.
+    booked (a span's run-adjacent batches at once).  Serving calls an
+    artifact's ``.query(`` at exactly one site, ``tickets.launch``: a
+    skew-aware span's ``_launch_span`` calls it at once, the ticket table's
+    ``resolve`` for the plain spans' deferred pieces — never a front-door
+    method's own loop, and never a hedge, whose answers nobody reads.
     """
     source = SERVICE.read_text()
     assert functions_calling(source, books_a_span) == {"_serve_run"}
-    assert functions_calling(source, launches_a_kernel) == {"_launch_span"}
+    sites = [(file.name, line) for file, tree in trees_under(SERVICE_PACKAGE)
+             for line in query_sites(tree)]
+    assert [name for name, _ in sites] == ["tickets.py"]
+    assert functions_calling(TICKETS.read_text(), lambda name: name.endswith(
+        ".query")) == {"launch"}
+    launches = {"launch"}.__contains__
+    assert functions_calling(source, launches) == {"_launch_span"}
+    assert functions_calling(TICKETS.read_text(), launches) == {"resolve"}
+    assert not functions_calling(CLUSTER.read_text(), launches)
 
 
 def test_pairs_are_packed_once_per_block_and_once_per_span():
@@ -885,6 +905,10 @@ def test_the_cluster_reads_its_knobs_from_its_config():
 #: Lines per module of ``src/repro`` at the last PR that touched it.  A
 #: ratchet: lower a number when a module shrinks, never raise one; a new
 #: module is recorded here by the PR that adds it, a deleted one leaves.
+#: Raised once, on purpose, by launch on read: ``service/tickets.py`` holds
+#: the deferred launches (``defer``, ``resolve``, the lane bound and the one
+#: ``launch`` site), ``service/service.py`` hands a plain span's piece to it,
+#: and ``service/scheduler.py``'s ``Cuts.__eq__`` compares rows by value.
 MODULE_LINES = {
     "__init__.py": 203,
     "backends/__init__.py": 33,
@@ -961,10 +985,10 @@ MODULE_LINES = {
     "service/faults.py": 156,
     "service/registry.py": 389,
     "service/routing.py": 271,
-    "service/scheduler.py": 456,
-    "service/service.py": 1319,
+    "service/scheduler.py": 460,
+    "service/service.py": 1321,
     "service/stats.py": 292,
-    "service/tickets.py": 117,
+    "service/tickets.py": 157,
     "workloads/__init__.py": 95,
     "workloads/arrivals.py": 422,
     "workloads/chaos.py": 425,

@@ -2,10 +2,12 @@
 
 ``LCAQueryService._serve_run`` serves an ordered run of flushed batches.  What
 the simulated timeline sees stays per batch; the host work — on the plain path
-the kernel call, on the skew-aware path also the pack, the cache probe, the
-dedup and the insert — is shared by the batches of one dataset that are
+one kernel piece, on the skew-aware path a launch, the pack, the cache probe,
+the dedup and the insert — is shared by the batches of one dataset that are
 adjacent slices of one scheduler buffer, once the interceptor has taken its
-claims out of the run.
+claims out of the run.  A plain span's piece is deferred to the ticket table
+(:func:`deferred` logs them), which runs every pending piece, one launch per
+index, before an answer is read or once the pending lanes reach its bound.
 
 Answers, latencies, stats and the cache and registry counters a caller can
 observe are held against the executable spec of the serving timeline
@@ -18,7 +20,8 @@ to the host: launches, slices, buffers and bookings.
 
 Each of these mutations was applied by hand and fails the test named beside it:
 
-* an off-by-one in the slice a batch books (``span.answers[at + 1:...]``) —
+* an off-by-one in the slice a deferred piece's answers land from
+  (``answers[at + 1:...]`` in ``TicketTable.resolve``) —
   ``test_a_block_is_one_launch_of_all_its_lanes``;
 * forming spans before the interceptor's claims leave the run (offer each
   batch as it is reached, and skip it) —
@@ -33,7 +36,16 @@ Each of these mutations was applied by hand and fails the test named beside it:
   fallback) — ``test_a_span_across_the_crossover_books_like_one_batch_runs
   [one-artifact]``; fetching the lanes in order of first use — its ``[warm]``;
 * adding ``debt`` to one-batch bookings only —
-  ``test_failover_readmissions_carry_their_debt_through_a_span``.
+  ``test_failover_readmissions_carry_their_debt_through_a_span``;
+* a hedge that launches its duplicate (``launch(entry.artifact, xs, ys)`` in
+  ``serve_hedge``) — ``test_a_hedge_books_a_duplicate_but_computes_nothing``;
+* resolving one group per read (``if`` for ``while`` in ``resolve``) —
+  ``test_reading_one_ticket_resolves_everything_pending``;
+* no lane bound (drop the check in ``defer``) —
+  ``test_pending_lanes_never_reach_the_bound``;
+* grouping pieces by artifact, not by the host tables it reads
+  (``id(artifact)``) — ``test_reading_one_ticket_resolves_everything_pending``
+  and ``test_a_four_replica_cluster_answers_one_index_in_one_launch``.
 """
 
 import numpy as np
@@ -56,6 +68,7 @@ from repro.service import (
     StatsCollector,
 )
 from repro.service import service as service_module
+from repro.service import tickets as tickets_module
 from repro.workloads import Phase, PoissonArrivals, Scenario, TrafficSource, replay
 
 from .conftest import spec_config
@@ -75,7 +88,7 @@ class CountingArtifact:
     """An LCA artifact that logs ``(dataset, xs, ys)`` of every ``query``."""
 
     def __init__(self, inner, dataset, log):
-        self.inner, self.n = inner, inner.n
+        self.inner, self.n, self.structure = inner, inner.n, inner.structure
         self._dataset, self._log = dataset, log
 
     def query(self, xs, ys, *, ctx=None):
@@ -99,6 +112,29 @@ def count_launches(service):
 
 def lanes(launches):
     return [(dataset, int(xs.size)) for dataset, xs, _ in launches]
+
+
+def count_calls(obj, name):
+    """Log the positional arguments of every ``obj.name(...)`` from now on."""
+    calls, method = [], getattr(obj, name)
+
+    def counting(*args):
+        calls.append(args)
+        return method(*args)
+
+    setattr(obj, name, counting)
+    return calls
+
+
+def deferred(target):
+    """Log ``(artifact, window, xs, ys)`` of every launch a booking defers to
+    ``target``'s ticket table (one per plain span) from now on."""
+    return count_calls(target._tickets, "defer")
+
+
+def pieces(log):
+    """``[(dataset, lanes)]`` of a :func:`deferred` log, in deferral order."""
+    return [(artifact._dataset, int(xs.size)) for artifact, _, xs, _ in log]
 
 
 def per_batch(service):
@@ -188,15 +224,20 @@ def test_a_block_is_one_launch_of_all_its_lanes():
     parents = tree(0)
     xs, ys = queries(60, 1)
     service, launches, _ = make_service({"t": parents})
+    log = deferred(service)
     tickets = service.submit_many("t", xs, ys, at=MIXED_ARRIVALS)
     stats = service.stats()
     assert stats.batches_flushed == 4
     assert stats.flush_triggers == {"size": 3, "wait": 1}
-    assert lanes(launches) == [("t", 56)]
+    assert pieces(log) == [("t", 56)]
     service.drain()
-    assert lanes(launches) == [("t", 56), ("t", 4)]
+    assert pieces(log) == [("t", 56), ("t", 4)]
     assert service.stats().kernel_queries == 60
+    # Booked, answered, and nothing launched until the read: then both
+    # spans' pieces are one launch.
+    assert launches == [] and service._tickets.answered[tickets].all()
     assert np.array_equal(service.results(tickets), oracle(parents, xs, ys))
+    assert lanes(launches) == [("t", 60)]
 
 
 def test_lanes_executed_equal_queries_answered_over_a_replay():
@@ -213,14 +254,17 @@ def test_lanes_executed_equal_queries_answered_over_a_replay():
     )
     service = LCAQueryService(
         config=ServiceConfig(max_batch_size=64, max_wait_s=2e-4))
-    launches = count_launches(service)
+    launches, log = count_launches(service), deferred(service)
     replay(service, scenario, admission_window_s=5e-3)
+    service.results(np.arange(service.tickets_issued))
     stats = service.stats()
     assert stats.queries_answered == service.tickets_issued > 3000
     executed = sum(size for _, size in lanes(launches))
+    assert executed == sum(size for _, size in pieces(log))
     assert executed == stats.queries_answered == stats.kernel_queries
-    # Spans, not batches, are what the host launched.
-    assert 3 * len(launches) < stats.batches_flushed
+    # Spans, not batches, are what the host deferred; reads coalesce them.
+    assert 3 * len(log) < stats.batches_flushed
+    assert len(launches) < len(log)
 
 
 def test_retuning_to_pass_through_serves_the_window_in_one_launch():
@@ -228,13 +272,15 @@ def test_retuning_to_pass_through_serves_the_window_in_one_launch():
     xs, ys = queries(10, 5)
     service, launches, _ = make_service({"t": parents}, max_batch_size=64,
                                         max_wait_s=1.0)
+    log = deferred(service)
     tickets = service.submit_many("t", xs, ys, at=np.zeros(10))
     assert service.pending_count("t") == 10
     service.apply_tuning(max_batch_size=1)
     stats = service.stats()
     assert stats.batch_size_histogram == {1: 10}
-    assert lanes(launches) == [("t", 10)]
+    assert pieces(log) == [("t", 10)] and launches == []
     assert np.array_equal(service.results(tickets), oracle(parents, xs, ys))
+    assert lanes(launches) == [("t", 10)]
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +292,7 @@ def test_claimed_batches_skip_their_slice(claimed):
     parents = tree(6)
     xs, ys = queries(60, 7)
     service, launches, _ = make_service({"t": parents})
-    offered = []
+    log, offered = deferred(service), []
 
     def interceptor(dataset, batch):
         offered.append(batch)
@@ -256,9 +302,9 @@ def test_claimed_batches_skip_their_slice(claimed):
     tickets = service.submit_many("t", xs, ys, at=MIXED_ARRIVALS)
     assert [batch.size for batch in offered] == MIXED_SIZES
 
-    # Claims leave the run before spans form: a launch is a maximal stretch of
-    # unclaimed adjacent batches, and a claimed batch's lanes are never
-    # launched; a dead replica (every batch claimed) launches nothing.
+    # Claims leave the run before spans form: a deferred piece is a maximal
+    # stretch of unclaimed adjacent batches, and a claimed batch's lanes are
+    # never launched; a dead replica (every batch claimed) defers nothing.
     served = [k for k in range(4) if k not in claimed]
     stretches = []
     for k in served:
@@ -266,7 +312,8 @@ def test_claimed_batches_skip_their_slice(claimed):
             stretches[-1] += MIXED_SIZES[k]
         else:
             stretches.append(MIXED_SIZES[k])
-    assert lanes(launches) == [("t", size) for size in stretches]
+    assert pieces(log) == [("t", size) for size in stretches]
+    assert launches == []
 
     expected = oracle(parents, xs, ys)
     bounds = np.r_[0, np.cumsum(MIXED_SIZES)]
@@ -281,6 +328,8 @@ def test_claimed_batches_skip_their_slice(claimed):
         else:
             assert np.array_equal(service.results(tickets[a:b]), expected[a:b])
     assert service.stats().queries_answered == sum(MIXED_SIZES[k] for k in served)
+    # The first read ran every piece, as one launch.
+    assert lanes(launches) == ([("t", sum(stretches))] if stretches else [])
 
 
 def test_a_dead_replica_launches_nothing_and_failover_answers():
@@ -296,14 +345,19 @@ def test_a_dead_replica_launches_nothing_and_failover_answers():
         config=ClusterConfig(n_replicas=2, router="round-robin", **POLICY),
         fault_injector=injector)
     logs = [count_launches(worker) for worker in cluster.replicas]
+    log = deferred(cluster)
     cluster.register_tree("t", parents, replicas=2)
     tickets = np.concatenate([
         cluster.submit_many("t", xs[i:i + 100], ys[i:i + 100],
                             at=arrivals[i:i + 100])
         for i in range(0, 600, 100)])
-    on_dead_replica = len(logs[0])
+
+    def on_dead_replica():  # pieces its own artifacts were deferred with
+        return sum(artifact._log.__self__ is logs[0] for artifact, *_ in log)
+
+    before = on_dead_replica()
     cluster.drain()
-    assert len(logs[0]) == on_dead_replica
+    assert on_dead_replica() == before and len(log) > before
     assert cluster.stats().queries_retried > 0
     assert np.array_equal(cluster.results(tickets), oracle(parents, xs, ys))
 
@@ -326,17 +380,19 @@ def test_a_hedge_books_a_duplicate_but_computes_nothing():
     cluster.drain()
     stats = cluster.stats()
     assert stats.hedges_issued > 0 and stats.hedges_won > 0
-    # The model ran every hedged batch twice; the host answered each query once.
-    assert sum(size for log in logs for _, size in lanes(log)) == 256
     assert np.array_equal(cluster.results(tickets), oracle(parents, xs, ys))
+    # The model ran every hedged batch twice; the host answered each query
+    # once, in one launch at the read (both replicas' views share one index).
+    assert [size for log in logs for _, size in lanes(log)] == [256]
 
 
 # ----------------------------------------------------------------------
 # Buffers: adjacency is offsets in one buffer, never across two
 # ----------------------------------------------------------------------
-def assert_zero_copy_spans(launches):
-    """Every launch's operands are plain slices of one scheduler buffer each."""
-    for _, xs, ys in launches:
+def assert_zero_copy_spans(log):
+    """Every deferred piece's operands are plain slices of one scheduler
+    buffer each (a :func:`deferred` log)."""
+    for _, _, xs, ys in log:
         assert xs.base is not None and xs.base.base is None
         assert ys.base is not None and ys.base.base is None
         assert xs.base.size == ys.base.size >= 64
@@ -346,19 +402,21 @@ def test_a_pending_tail_carried_across_a_reallocation_joins_the_next_span():
     parents = tree(12)
     xs, ys = queries(102, 13)
     service, launches, _ = make_service({"t": parents})
+    log = deferred(service)
     # 60 rows of the 64-row buffer: three size flushes, 12 rows pending.
     first = service.submit_many("t", xs[:60], ys[:60], at=np.zeros(60))
     buffer = service._schedulers["t"]._columns[1]
     # 42 more do not fit: the tail migrates, then flushes with its new rows.
     second = service.submit_many("t", xs[60:], ys[60:], at=np.full(42, 5e-5))
     assert service._schedulers["t"]._columns[1] is not buffer
-    assert lanes(launches) == [("t", 48), ("t", 48)]
-    assert launches[0][1].base is buffer
-    assert launches[1][1].base is service._schedulers["t"]._columns[1]
+    assert pieces(log) == [("t", 48), ("t", 48)]
+    assert log[0][2].base is buffer
+    assert log[1][2].base is service._schedulers["t"]._columns[1]
     service.drain()
-    assert_zero_copy_spans(launches)
+    assert_zero_copy_spans(log)
     assert np.array_equal(service.results(np.r_[first, second]),
                           oracle(parents, xs, ys))
+    assert lanes(launches) == [("t", 102)]
 
 
 def test_rowwise_submission_across_reallocations_never_spans_two_buffers():
@@ -366,13 +424,15 @@ def test_rowwise_submission_across_reallocations_never_spans_two_buffers():
     xs, ys = queries(300, 15)
     arrivals = np.cumsum(np.random.default_rng(16).choice((0.0, 2e-5, 4e-5), 300))
     service, launches, _ = make_service({"t": parents})
+    log = deferred(service)
     tickets = [service.submit("t", int(x), int(y), at=float(t))
                for x, y, t in zip(xs, ys, arrivals)]
     service.drain()
-    assert len({id(x.base) for _, x, _ in launches}) > 2  # buffers were refilled
-    assert_zero_copy_spans(launches)
-    assert sum(size for _, size in lanes(launches)) == 300
+    assert len({id(x.base) for _, _, x, _ in log}) > 2  # buffers were refilled
+    assert_zero_copy_spans(log)
+    assert sum(size for _, size in pieces(log)) == 300
     assert np.array_equal(service.results(tickets), oracle(parents, xs, ys))
+    assert lanes(launches) == [("t", 300)]
 
 
 def test_batches_in_two_buffers_are_two_spans():
@@ -384,7 +444,7 @@ def test_batches_in_two_buffers_are_two_spans():
     xs, ys = queries(68, 18)
     at = np.r_[np.zeros(4), np.full(52, 1e-3), np.full(12, 2e-3)]
     service, launches, _ = make_service({"t": parents})
-    parked, serve_run = [], service._serve_run
+    log, parked, serve_run = deferred(service), [], service._serve_run
     service._serve_run = parked.extend
     tickets = np.r_[
         service.submit_many("t", xs[:4], ys[:4], at=at[:4]),
@@ -395,21 +455,95 @@ def test_batches_in_two_buffers_are_two_spans():
         service.submit_many("t", xs[56:], ys[56:], at=at[56:]),
     ]
     service.drain()
-    pieces = [(dataset, cuts, k, k + 1) for dataset, cuts, k0, k1 in parked
-              for k in range(k0, k1)]
-    batches = [cuts[k] for _, cuts, k, _ in pieces]
+    run = [(dataset, cuts, k, k + 1) for dataset, cuts, k0, k1 in parked
+           for k in range(k0, k1)]
+    batches = [cuts[k] for _, cuts, k, _ in run]
     assert [(b.start, b.size) for b in batches] == [
         (0, 4), (4, 16), (20, 16), (36, 16), (0, 4), (4, 12)]
     old, new = batches[0], batches[-1]
     assert old.xs.base is not new.xs.base and old.start + old.size == new.start
 
-    serve_run([pieces[0], pieces[-1]])
-    assert lanes(launches) == [("t", 4), ("t", 12)]
-    assert_zero_copy_spans(launches)
+    serve_run([run[0], run[-1]])
+    assert pieces(log) == [("t", 4), ("t", 12)]
+    assert_zero_copy_spans(log)
     expected = oracle(parents, xs, ys)
     for batch in (old, new):
         assert np.array_equal(service.results(batch.tickets),
                               expected[batch.tickets - tickets[0]])
+    assert lanes(launches) == [("t", 16)]
+
+
+# ----------------------------------------------------------------------
+# Launch on read: the ticket table runs what the bookings deferred
+# ----------------------------------------------------------------------
+def test_reading_one_ticket_resolves_everything_pending():
+    # On ``a`` a wait-flushed small span (cpu1) and a size-flushed big one
+    # (gpu): two flavours' views of one index, so one launch; ``b`` its own.
+    trees = {"a": tree(72), "b": tree(73)}
+    xs, ys = queries(SMALL + BIG, 74)
+    service, launches, _ = make_service(trees, traced=False, max_batch_size=BIG)
+    log = deferred(service)
+    small = service.submit_many("a", xs[:SMALL], ys[:SMALL], at=np.zeros(SMALL))
+    service.advance_to(5e-4)
+    big = service.submit_many("a", xs[SMALL:], ys[SMALL:], at=np.full(BIG, 1e-3))
+    other = service.submit_many("b", ys, xs, at=np.full(SMALL + BIG, 2e-3))
+    service.drain()
+    assert service.stats().backend_choices == {"cpu1": 2, "gpu": 2}
+    assert pieces(log) == [("a", SMALL), ("a", BIG), ("b", BIG), ("b", SMALL)]
+    assert launches == [] and service._tickets.pending_lanes == 2 * (SMALL + BIG)
+    expected = oracle(trees["a"], xs, ys)
+    assert service.result(int(small[0])) == expected[0]
+    assert lanes(launches) == [("a", SMALL + BIG), ("b", SMALL + BIG)]
+    assert service._tickets.pending_lanes == 0
+    assert np.array_equal(service.results(np.r_[small, big]), expected)
+    assert np.array_equal(service.results(other), oracle(trees["b"], ys, xs))
+    assert len(launches) == 2
+
+
+def test_pending_lanes_never_reach_the_bound(monkeypatch):
+    monkeypatch.setattr(tickets_module, "_LAUNCH_LANES", 100)
+    parents = tree(77)
+    xs, ys = queries(1000, 78)
+    arrivals = np.cumsum(np.random.default_rng(79).choice((0.0, 2e-5, 2e-4), 1000))
+    service, launches, _ = make_service({"t": parents}, traced=False)
+    table, held = service._tickets, []
+    defer = table.defer
+
+    def watching(*args):
+        defer(*args)
+        held.append(table.pending_lanes)
+
+    table.defer = watching
+    tickets = np.concatenate([
+        service.submit_many("t", xs[i:i + 50], ys[i:i + 50], at=arrivals[i:i + 50])
+        for i in range(0, 1000, 50)])
+    service.drain()
+    # Unread, the table launched each time its pieces reached the bound.
+    assert len(held) > 20 and max(held) < 100
+    assert len(launches) > 5 and min(size for _, size in lanes(launches)) >= 100
+    assert np.array_equal(service.results(tickets), oracle(parents, xs, ys))
+    assert sum(size for _, size in lanes(launches)) == 1000
+
+
+def test_a_four_replica_cluster_answers_one_index_in_one_launch():
+    parents = tree(75, 256)
+    xs, ys = queries(800, 76, 256)
+    arrivals = np.arange(800, dtype=np.float64) / 400_000.0
+    cluster = ClusterService(
+        config=ClusterConfig(n_replicas=4, router="round-robin", **POLICY))
+    logs = [count_launches(worker) for worker in cluster.replicas]
+    log = deferred(cluster)
+    cluster.register_tree("t", parents, replicas=0)
+    tickets = np.concatenate([
+        cluster.submit_many("t", xs[i:i + 100], ys[i:i + 100], at=arrivals[i:i + 100])
+        for i in range(0, 800, 100)])
+    cluster.drain()
+    # Every replica deferred spans into the cluster's one table, through its
+    # own view of the one index the store holds.
+    assert {id(artifact._log.__self__) for artifact, *_ in log} == set(map(id, logs))
+    assert len({id(artifact.structure) for artifact, *_ in log}) == 1
+    assert np.array_equal(cluster.results(tickets), oracle(parents, xs, ys))
+    assert [size for launches in logs for _, size in lanes(launches)] == [800]
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +570,7 @@ def interleaved_stream(service):
 def test_interleaved_datasets_keep_one_span_each_and_the_serving_order():
     trees = {"a": tree(21), "b": tree(22), "c": tree(23)}
     service, launches, observer = make_service(trees, max_wait_s=5e-4)
-    order = []
+    log, order = deferred(service), []
     service.set_serve_interceptor(lambda dataset, batch: order.append(dataset))
     interleaved_stream(service)
     spec = spec_service(trees, max_wait_s=5e-4)
@@ -446,9 +580,12 @@ def test_interleaved_datasets_keep_one_span_each_and_the_serving_order():
     # exactly when the spec serves them ...
     assert "".join(order) == "aabacaaaa" + "abc"
     assert observables(service) == observables(spec)
-    # ... and a's seven batches are still one launch, at its first.
-    assert lanes(launches) == [("a", 112), ("b", 4), ("c", 3),
-                               ("a", 8), ("b", 5), ("c", 4)]
+    # ... and a's seven batches are still one span, deferred at its first.
+    assert pieces(log) == [("a", 112), ("b", 4), ("c", 3),
+                           ("a", 8), ("b", 5), ("c", 4)]
+    # The read launches once per tree, whatever the spans.
+    service.results(np.arange(service.tickets_issued))
+    assert sorted(lanes(launches)) == [("a", 120), ("b", 9), ("c", 7)]
 
 
 def spans_of(run):
@@ -467,18 +604,6 @@ def spans_of(run):
                                    batch.start == batches[-1].start + batches[-1].size)
             batches.append(batch)
     return spans
-
-
-def count_calls(obj, name):
-    """Log the positional arguments of every ``obj.name(...)`` from now on."""
-    calls, method = [], getattr(obj, name)
-
-    def counting(*args):
-        calls.append(args)
-        return method(*args)
-
-    setattr(obj, name, counting)
-    return calls
 
 
 def test_a_cached_span_is_one_pack_probe_dedup_launch_and_insert(monkeypatch):
@@ -965,14 +1090,16 @@ def test_smallbatch_scratch_answers_survive_the_next_launch():
     xs, ys = queries(24, 31)
     service, launches, _ = make_service(
         {"t": parents}, backends=("smallbatch", "gpu"), max_batch_size=4)
+    expected = oracle(parents, xs, ys)
     first = service.submit_many("t", xs[:12], ys[:12], at=np.zeros(12))
     assert service.stats().batch_size_histogram == {4: 3}
+    assert np.array_equal(service.results(first), expected[:12])
     second = service.submit_many("t", xs[12:], ys[12:], at=np.full(12, 1e-5))
+    assert np.array_equal(service.results(second), expected[12:])
     assert lanes(launches) == [("t", 12), ("t", 12)]
     assert service.stats().backend_choices == {"smallbatch": 6}
-    expected = oracle(parents, xs, ys)
-    # Both spans went through the same 16-lane scratch: it now holds the
-    # second's answers, the tables hold both.
+    # Both reads' launches went through the same 16-lane scratch: it now
+    # holds the second's answers, the tables hold both.
     kernel = service.registry.fetch_by_key(
         service._artifact_key("t", service.dispatcher.backends[0]))[0].artifact
     assert np.array_equal(kernel.inner._out[:12], expected[12:])
@@ -987,11 +1114,13 @@ def test_smallbatch_scratch_with_two_interleaved_datasets():
         trees, backends=("smallbatch", "gpu"), max_batch_size=4)
     tickets = {"a": [], "b": []}
     # Alternating 12-query blocks: each admission expires the other dataset's
-    # tail inside its own run of size flushes.
+    # tail inside its own run of size flushes.  A read after each resolves
+    # both datasets' pieces, a launch per tree small enough for the scratch.
     for i in range(0, 96, 12):
         name = "ab"[(i // 12) % 2]
         tickets[name].append(
             service.submit_many(name, xs[i:i + 12], ys[i:i + 12], at=at[i:i + 12]))
+        service.results(tickets[name][-1])
     service.drain()
     assert len(launches) < service.stats().batches_flushed
     assert max(size for _, size in lanes(launches)) <= 16

@@ -191,6 +191,23 @@ def test_identical_traces_produce_identical_batches():
     assert run() == run()
 
 
+def test_cuts_compare_batch_by_batch_by_row_content():
+    def cut(xs=np.arange(6), at=np.zeros(6), start=0):
+        sched = MicroBatchScheduler(BatchPolicy(max_batch_size=3, max_wait_s=1.0))
+        if start:
+            sched.submit_block(np.arange(start), np.arange(start), np.arange(start),
+                               np.zeros(start))
+        return sched.submit_block(np.arange(6), xs, np.arange(6) + 1, at)
+
+    first, same = cut(), cut()
+    assert len(first) == 2 and first[0].size == 3
+    assert first == same and first == list(same) and same == first
+    assert first != cut(xs=np.r_[0, 1, 2, 3, 9, 5])  # one row differs
+    assert first != cut(at=np.full(6, 0.5))  # flushed at another instant
+    assert first != cut(start=1)  # the same rows, one row further on
+    assert first != list(first)[:1] and first != [] and first != [1, 2]
+
+
 def test_submitting_into_the_past_is_rejected():
     sched = MicroBatchScheduler(BatchPolicy())
     sched.submit(0, 1, 2, at=1.0)

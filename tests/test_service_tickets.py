@@ -19,7 +19,11 @@ test named beside it:
   already past it) — ``test_property_columns_share_one_capacity``;
 * bump ``issued`` after growing (the table then grows to hold the *old*
   count) — ``test_issue_grows_before_the_caller_writes``;
-* validate after the cast (``astype`` first) — ``test_index_refuses_in_order``.
+* validate after the cast (``astype`` first) — ``test_index_refuses_in_order``;
+* a piece that keeps the column it was deferred into (``self.answers[window]``
+  bound at ``defer``) — ``test_deferred_answers_land_in_the_columns_a_growth_made``;
+* a group popped before its launch (``self._pending.pop(key)`` first) —
+  ``test_a_deferred_launch_that_raises_reraises_at_the_read_and_stays_pending``.
 """
 
 from contextlib import contextmanager
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
-from repro.lca import BinaryLiftingLCA
+from repro.lca import BinaryLiftingLCA, InlabelLCA, build_inlabel_index
 from repro.service import (
     ClusterConfig,
     ClusterService,
@@ -348,6 +352,67 @@ def test_debt_reads_zero_until_a_retry_writes_it_and_survives_growth():
     assert debt[[*plain, *retried]].tolist() == [0.0, 0.0, 2.5e-4]
     assert not debt[grown].any()
     assert service.latency(retried[0]) > 2.5e-4
+
+
+# ----------------------------------------------------------------------
+# Deferred launches: answered on read, coalesced per index
+# ----------------------------------------------------------------------
+class Kernel:
+    """An Inlabel view that logs each launch's lanes; raises while ``broken``."""
+
+    def __init__(self, parents):
+        self.inner = InlabelLCA.from_index(build_inlabel_index(parents))
+        self.structure, self.launches, self.broken = self.inner.structure, [], False
+
+    def query(self, xs, ys):
+        self.launches.append(xs.size)
+        if self.broken:
+            raise RuntimeError("device lost")
+        return self.inner.query(xs, ys)
+
+
+def deferring_table(kernel, xs, ys, first=None):
+    """A table of 30 answered tickets, deferred as a slice and a scatter (after
+    tickets 30 and 31 on ``first``, if given)."""
+    table = TicketTable(0, answers=np.int64)
+    table.zeros("answered", np.bool_)[:table.issue(32) + 32] = True
+    if first is not None:
+        table.defer(first, slice(30, 32), xs[:2], ys[:2])
+    table.defer(kernel, slice(0, 20), xs[:20], ys[:20])
+    table.defer(kernel, np.arange(29, 19, -1), xs[:19:-1], ys[:19:-1])
+    return table
+
+
+def test_deferred_answers_land_in_the_columns_a_growth_made():
+    xs, ys = generate_random_queries(64, 30, seed=81)
+    kernel = Kernel(PARENTS)
+    with poisoned_empty():
+        table = deferring_table(kernel, xs, ys)
+        column = table.answers
+        table.issue(3 * table.capacity)  # two doublings while both wait
+        assert table.answers is not column and table.capacity == 4096
+        assert kernel.launches == [] and table.pending_lanes == 30
+        answers = table.read("answers", np.arange(30))
+    assert np.array_equal(answers, BinaryLiftingLCA(PARENTS).query(xs, ys))
+    assert kernel.launches == [30] and table.pending_lanes == 0
+    assert (column[:30] == 1).all()  # the poison: nothing landed in the old one
+
+
+def test_a_deferred_launch_that_raises_reraises_at_the_read_and_stays_pending():
+    xs, ys = generate_random_queries(64, 30, seed=82)
+    kernel, other = Kernel(PARENTS), Kernel(PARENTS)  # two indexes
+    table = deferring_table(kernel, xs, ys, first=other)
+    kernel.broken = True
+    with pytest.raises(RuntimeError, match="device lost"):
+        table.read("answers", [31])
+    # The first index's launch ran and landed; the broken one's pieces wait.
+    assert (other.launches, kernel.launches, table.pending_lanes) == ([2], [30], 30)
+    expected = BinaryLiftingLCA(PARENTS).query(xs, ys)
+    assert np.array_equal(table.answers[30:32], expected[:2])
+    kernel.broken = False
+    assert np.array_equal(table.read("answers", np.arange(32)),
+                          np.r_[expected, expected[:2]])
+    assert (other.launches, kernel.launches, table.pending_lanes) == ([2], [30, 30], 0)
 
 
 # ----------------------------------------------------------------------
