@@ -1159,11 +1159,12 @@ BACKENDS_MAX_PENDING = 32768
 BACKENDS_MAX_BATCH = 1024
 BACKENDS_MAX_WAIT_S = 4e-4
 
-#: Reference profile: measured once on the development container (see
-#: docs/backends.md) and committed so the dispatch comparison is
-#: bit-deterministic.  ``smallbatch`` is the scalar low-launch-overhead
-#: kernel, ``gpu`` the vectorized one — cheap launches vs cheap queries,
-#: the measured version of the paper's CPU/GPU trade-off.
+#: Reference profile: two *modeled prices* for two backends, committed so the
+#: dispatch comparison is bit-deterministic (see docs/backends.md).  They are
+#: not measurements of two host kernels: the host has one query kernel, and a
+#: live calibration writes its one fitted line under both keys.  ``smallbatch``
+#: prices cheap launches, ``gpu`` cheap queries — the paper's CPU/GPU
+#: trade-off as two cost lines.
 REFERENCE_PROFILE = CalibrationProfile(
     entries={
         "smallbatch": BackendCalibration(
@@ -1243,7 +1244,8 @@ def backends_row(scenario_name, label, backend_keys) -> dict:
 
 
 def live_calibration() -> dict:
-    """Measure this host's kernels; report fitted lines and crossover."""
+    """Measure this host's query kernel; report the fitted lines (one line,
+    written under both keys) and their crossover (none when they are equal)."""
     start = time.perf_counter()
     profile = calibrate_backends(
         ("smallbatch", "gpu"),
@@ -1273,17 +1275,17 @@ def live_calibration() -> dict:
 
 
 def backends() -> SuiteRun:
-    """Calibrated dispatch vs static backends, on measured launch costs.
+    """Calibrated dispatch vs static backends, on the reference profile's prices.
 
     The paper's Fig. 6 crossover was *modeled*: hardcoded GTX980/Xeon specs
     priced every batch.  This suite exercises the measured path end to end:
 
     1. **Live calibration** — :func:`repro.backends.calibrate_backends` times
-       the real ``smallbatch`` and ``gpu`` kernels on this host across a
-       batch-size grid and fits launch-overhead + per-query cost lines.  The
-       fitted lines (and the crossover they imply) are reported under
-       ``live_calibration``, stamped ``"kind": "host"`` and *not* gated —
-       wall-clock numbers move with the machine.
+       the one host query kernel (which ``smallbatch`` and ``gpu`` both run)
+       across a batch-size grid and fits one launch-overhead + per-query cost
+       line, written under both keys.  The lines (equal, so no crossover) are
+       reported under ``live_calibration``, stamped ``"kind": "host"`` and
+       *not* gated — wall-clock numbers move with the machine.
     2. **Dispatch comparison** — the committed ``REFERENCE_PROFILE`` drives
        three cluster configurations over the steady and flash-crowd scenarios:
        two *static* single-backend clusters and one *calibrated* cluster that
@@ -1332,7 +1334,7 @@ def backends() -> SuiteRun:
 
     cross = live["crossover_batch_size"]
     lines = [
-        "Calibrated dispatch vs static backends (measured launch costs)",
+        "Calibrated dispatch vs static backends (reference-profile prices)",
         f"replicas           : {config['replicas']} "
         f"(max_pending={config['max_pending']})",
         f"batching           : max_batch={config['max_batch']}, "
@@ -1348,11 +1350,11 @@ def backends() -> SuiteRun:
             f"  {key:<12} launch {fit['launch_overhead_us']:>8.2f}us  "
             f"+ {fit['per_query_ns']:>8.2f}ns/query"
         )
-    # No crossover is legal — one kernel dominates the whole grid on this
-    # host — but it is worth saying so.
+    # Both keys run the one host kernel, so their lines are equal and no
+    # batch size flips the choice; say so.
     lines.append(
         "  measured crossover : "
-        f"{cross if cross is not None else 'none in grid (one backend dominates)'}"
+        f"{cross if cross is not None else 'none in grid (one host kernel)'}"
     )
     lines.append("")
     lines.append(

@@ -115,7 +115,7 @@ from .workloads import (
     replay_chaos,
 )
 
-__version__ = "1.33.0"
+__version__ = "1.34.0"
 
 __all__ = [
     "__version__",

@@ -2,16 +2,16 @@
 
 The dispatcher prices a batch with a modeled roofline spec by default.
 :mod:`~repro.backends.calibrate` is the measurement harness that replaces
-those specs with the host's own numbers: it times the artifact each serving
-backend key builds (through :data:`repro.lca.artifacts.ARTIFACT_BUILDERS`,
-the table the index registry reads) over seeded batch-size grids, fits
-robust launch-overhead + per-query lines, and ships them as a JSON
-:class:`~repro.backends.calibrate.CalibrationProfile` that
+those specs with the host's own numbers: every serving backend key's
+artifact (built through :data:`repro.lca.artifacts.ARTIFACT_BUILDERS`, the
+table the index registry reads) is a view running the one host query, so it
+times that query over a seeded batch-size grid, fits one robust
+launch-overhead + per-query line, and ships it under every requested key as
+a JSON :class:`~repro.backends.calibrate.CalibrationProfile` that
 :class:`~repro.service.dispatch.CostModelDispatcher` consumes.
 
-:mod:`~repro.backends.base` names the artifact contract,
-:class:`~repro.lca.artifacts.CompiledKernel`.  Kernels answer; the
-dispatcher prices.
+:mod:`~repro.backends.base` names the artifact contract.  Views answer;
+the dispatcher prices.
 """
 
 from .base import CompiledKernel

@@ -1,6 +1,6 @@
 """The artifact contract, :class:`~repro.lca.artifacts.CompiledKernel`.
 
-A kernel that writes its own query pass subclasses it; the LCA classes
+No artifact subclasses it: every variant is a view of the LCA classes, which
 already have its shape (``n`` and ``query(xs, ys, *, ctx=None)``).  It lives
 in :mod:`repro.lca.artifacts`, next to the one table of artifact builders, so
 that a service builds its artifacts without importing this package.

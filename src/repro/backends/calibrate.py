@@ -1,4 +1,4 @@
-"""Measured calibration: fit per-backend cost constants from real launches.
+"""Measured calibration: fit the host query's cost line from real launches.
 
 The modeled dispatch path prices batches with hardcoded roofline specs
 (:mod:`repro.device.specs`): deterministic, reproducible, and wrong about
@@ -6,14 +6,14 @@ the machine actually running the kernels.  This module closes the loop the
 way the paper does — measure, fit, then dispatch on the fit:
 
 1. :func:`calibrate_backends` runs a **seeded grid** of batch sizes through
-   the artifact each serving backend key builds (same tree, same query
-   streams for every backend) under a :class:`~repro.service.clock.WallClock`
-   timer, taking the median of repeated timed ``kernel.query(xs, ys)`` calls
-   per grid point;
+   the one host query (every backend key's artifact is a view that runs it)
+   under a :class:`~repro.service.clock.WallClock` timer, taking the median
+   of repeated timed ``view.query(xs, ys)`` calls per grid point;
 2. :func:`fit_launch_cost` fits ``time ≈ launch_overhead + per_query · q``
    to those medians by robust least squares (IRLS with Huber weights), so a
    scheduler hiccup at one grid point cannot poison the line;
-3. the per-backend fits ship as a JSON :class:`CalibrationProfile` that
+3. the fit, written under every requested key, ships as a JSON
+   :class:`CalibrationProfile` that
    :class:`~repro.service.dispatch.CostModelDispatcher` consumes in place of
    the modeled specs.
 
@@ -286,14 +286,15 @@ def calibrate_backends(
     seed: int = 0,
     timer: Optional[Callable[[], float]] = None,
 ) -> CalibrationProfile:
-    """Measure and fit every listed serving backend key; returns the profile.
+    """Measure the host query once and fit its line; returns the profile.
 
-    Each key times the artifact it serves from (its :func:`~repro.service.
-    dispatch.make_backend` variant's builder).  The grid is seeded: every
-    backend sees the same tree (one index, built once) and the same query
-    stream per batch size, so the fits are comparable.  Per grid point the
-    median of ``repeats`` timed ``kernel.query(xs, ys)`` calls is taken
-    (after ``warmup`` untimed calls).  ``timer`` defaults to a fresh
+    Every serving backend key's artifact (its :func:`~repro.service.dispatch.
+    make_backend` variant's builder) is a view that runs the one host query,
+    so one view is timed and every listed key gets the same fitted line: the
+    keys differ in their modeled prices, not in host code.  The grid is
+    seeded (one tree, one query stream per batch size); per grid point the
+    median of ``repeats`` timed ``view.query(xs, ys)`` calls is taken (after
+    ``warmup`` untimed calls).  ``timer`` defaults to a fresh
     :class:`~repro.service.clock.WallClock`; tests inject a scripted source.
     """
     if not backend_keys:
@@ -317,27 +318,22 @@ def calibrate_backends(
 
     parents = random_attachment_tree(n_nodes, seed=seed)
     rng = np.random.default_rng(seed)
-    queries = {
-        s: (rng.integers(0, n_nodes, size=s), rng.integers(0, n_nodes, size=s))
-        for s in sizes
-    }
-    index = build_inlabel_index(parents)
-    entries: Dict[str, BackendCalibration] = {}
-    for backend in backends:
-        kernel = ARTIFACT_BUILDERS[backend.variant](index)
-        grid_times: List[float] = []
-        for s in sizes:
-            xs, ys = queries[s]
-            for _ in range(warmup):
-                kernel.query(xs, ys)
-            samples = []
-            for _ in range(repeats):
-                t0 = timer()
-                kernel.query(xs, ys)
-                samples.append(timer() - t0)
-            grid_times.append(median(samples))
-        overhead, per_query, residual = fit_launch_cost(sizes, grid_times)
-        entries[backend.key] = BackendCalibration(
+    # Every key's view runs the one host query: one timed pass, one line.
+    view = ARTIFACT_BUILDERS[backends[0].variant](build_inlabel_index(parents))
+    grid_times: List[float] = []
+    for s in sizes:
+        xs, ys = rng.integers(0, n_nodes, size=s), rng.integers(0, n_nodes, size=s)
+        for _ in range(warmup):
+            view.query(xs, ys)
+        samples = []
+        for _ in range(repeats):
+            t0 = timer()
+            view.query(xs, ys)
+            samples.append(timer() - t0)
+        grid_times.append(median(samples))
+    overhead, per_query, residual = fit_launch_cost(sizes, grid_times)
+    entries = {
+        backend.key: BackendCalibration(
             backend=backend.key,
             launch_overhead_s=overhead,
             per_query_s=per_query,
@@ -346,5 +342,7 @@ def calibrate_backends(
             samples=len(sizes) * repeats,
             residual=residual,
         )
+        for backend in backends
+    }
     meta = dict(n_nodes=n_nodes, seed=seed, repeats=repeats, warmup=warmup, grid=sizes)
     return CalibrationProfile(entries=entries, meta=meta)

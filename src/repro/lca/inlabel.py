@@ -70,8 +70,8 @@ class InlabelStructure:
     and the root's path.  ``parent``, ``preorder`` and ``subtree_size`` are
     :class:`repro.euler.TreeStats`'; every inlabel fits in ``levels`` bits
     (``B`` has ``2^levels - 1`` nodes).  ``inlabel``, ``ascendant``, ``depth``
-    and ``head`` are derived on each read, an O(n) array apiece: for tests and
-    compiled kernels, never a query.
+    and ``head`` are derived on each read, an O(n) array apiece: for tests,
+    never a query.
     """
 
     node_word: np.ndarray
@@ -379,6 +379,13 @@ class InlabelIndex:
     #: The parallel build's kernels.  Their shapes do not depend on the
     #: device, so a replay on any spec books what a build there charges.
     kernels: Tuple[KernelRecord, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """What every view over the index is booked at: the structure's
+        tables and the tree statistics, ``72 n + 8 head_key.size``."""
+        return sum(value.nbytes for part in (self.structure, self.stats)
+                   for value in vars(part).values() if isinstance(value, np.ndarray))
 
 
 def build_inlabel_index(parents: np.ndarray, *, validate: bool = False

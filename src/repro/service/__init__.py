@@ -70,13 +70,7 @@ from .dispatch import (
     make_backend,
 )
 from .faults import FAULT_ACTIONS, FaultEvent, FaultInjector
-from .registry import (
-    ArtifactKey,
-    CacheEntry,
-    ForestStore,
-    IndexRegistry,
-    artifact_nbytes,
-)
+from .registry import ArtifactKey, CacheEntry, ForestStore, IndexRegistry
 from .routing import (
     ROUTER_POLICIES,
     ConsistentHashRouter,
@@ -97,7 +91,6 @@ __all__ = [
     "IndexRegistry",
     "ArtifactKey",
     "CacheEntry",
-    "artifact_nbytes",
     "BatchPolicy",
     "FlushedBatch",
     "MicroBatchScheduler",

@@ -95,7 +95,7 @@ GPU_BATCH_BACKEND = Backend(
 #: The paper's two serving endpoints (Fig. 6's extreme curves).
 DEFAULT_BACKENDS: Tuple[Backend, ...] = (CPU_SEQUENTIAL_BACKEND, GPU_BATCH_BACKEND)
 
-#: Serving descriptors for every dispatchable backend, by key: one per kernel.
+#: Serving descriptors for every dispatchable backend, by key: one per price.
 _BACKEND_PRESETS: Dict[str, Backend] = {
     "cpu1": CPU_SEQUENTIAL_BACKEND,
     "gpu": GPU_BATCH_BACKEND,
@@ -114,8 +114,8 @@ def known_backend_keys() -> Tuple[str, ...]:
 def make_backend(key: str) -> Backend:
     """The serving :class:`Backend` descriptor for ``key``.
 
-    Resolves the paper's two endpoints (``"cpu1"``, ``"gpu"``) and the tuned
-    ``"smallbatch"`` kernel; configs name backends through this table.
+    Resolves the paper's two endpoints (``"cpu1"``, ``"gpu"``) and the
+    ``"smallbatch"`` price; configs name backends through this table.
     """
     backend = _BACKEND_PRESETS.get(key)
     if backend is None:

@@ -22,7 +22,6 @@ index build, exactly like a real serving system warming a cache).
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -42,45 +41,7 @@ __all__ = [
     "CacheEntry",
     "ForestStore",
     "IndexRegistry",
-    "artifact_nbytes",
 ]
-
-
-def artifact_nbytes(obj: object) -> int:
-    """Recursively sum the ``nbytes`` of every NumPy array reachable from ``obj``.
-
-    Walks dataclass fields, instance ``__dict__`` attributes, dicts, lists and
-    tuples; every distinct array buffer is counted once — views are resolved
-    to their base array, so an artifact holding both an array and slices of
-    it is not double-counted.  Non-array leaves contribute nothing — the
-    arrays utterly dominate the footprint of every artifact this registry
-    caches.
-    """
-    seen: set = set()
-    buffers: set = set()
-    total = 0
-    stack = [obj]
-    while stack:
-        item = stack.pop()
-        if item is None or id(item) in seen:
-            continue
-        seen.add(id(item))
-        if isinstance(item, np.ndarray):
-            base = item
-            while isinstance(base.base, np.ndarray):
-                base = base.base
-            if id(base) not in buffers:
-                buffers.add(id(base))
-                total += int(base.nbytes)
-        elif isinstance(item, dict):
-            stack.extend(item.values())
-        elif isinstance(item, (list, tuple)):
-            stack.extend(item)
-        elif dataclasses.is_dataclass(item) and not isinstance(item, type):
-            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
-        elif hasattr(item, "__dict__"):
-            stack.extend(vars(item).values())
-    return total
 
 
 @dataclass(frozen=True)
@@ -116,6 +77,8 @@ class CacheEntry:
 
     key: ArtifactKey
     artifact: Any
+    #: The modeled size of a view: its host index's bytes
+    #: (:attr:`InlabelIndex.nbytes <repro.lca.InlabelIndex.nbytes>`).
     nbytes: int
     build_time_s: float
     #: The host index the artifact views, kept alive while the entry is cached.
@@ -250,8 +213,7 @@ class IndexRegistry:
         index = self.store.index(key.dataset)
         before = ctx.elapsed
         artifact = view(index, ctx=ctx)
-        return CacheEntry(key=key, artifact=artifact,
-                          nbytes=artifact_nbytes(artifact),
+        return CacheEntry(key=key, artifact=artifact, nbytes=index.nbytes,
                           build_time_s=ctx.elapsed - before, index=index)
 
     # ------------------------------------------------------------------

@@ -1157,9 +1157,7 @@ class LCAQueryService(FrontDoor):
 
         The kernel (which runs its own id and bounds checks on every lane)
         answers the span's distinct missing pairs; hit lanes keep the cached
-        value.  Answers may be views of kernel scratch, valid until
-        ``artifact`` launches again: that is this dataset's next span, after
-        ``_finish_span`` has copied every slice of this one into the table.
+        value.
         """
         span.pending = False
         miss, inverse = span.miss, span.inverse

@@ -1,7 +1,7 @@
 """Tests for the real kernel backends and measured calibration.
 
 Covers the artifact contract (build over a tree's index, ``query`` the
-artifact), one backend per kernel, the bit-identity of every serving backend
+artifact), one backend per price, the bit-identity of every serving backend
 against the oracle, the calibration fit/profile machinery, and profile-driven
 dispatch — including the property that a calibrated dispatcher always picks
 the argmin of the profile's predicted costs.
@@ -31,7 +31,7 @@ from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
 from repro.errors import DeviceError, InvalidQueryError, ServiceError
 from repro.graphs.generators import random_attachment_tree
 from repro.lca import InlabelLCA, SequentialInlabelLCA, build_inlabel_index
-from repro.lca.artifacts import ARTIFACT_BUILDERS, build_smallbatch
+from repro.lca.artifacts import ARTIFACT_BUILDERS
 from repro.lca.reference import BinaryLiftingLCA
 from repro.service import (
     CostModelDispatcher,
@@ -105,12 +105,14 @@ class TestBackendContract:
         index = build_inlabel_index(_tree(64))
         assert type(ARTIFACT_BUILDERS["parallel"](index)) is InlabelLCA
         assert type(ARTIFACT_BUILDERS["sequential"](index)) is SequentialInlabelLCA
+        view = ARTIFACT_BUILDERS["smallbatch"](index)
+        assert type(view) is SequentialInlabelLCA and view.structure is index.structure
 
     def test_all_backends_match_oracle(self):
         parents = _tree(257)
         index = build_inlabel_index(parents)
         oracle = BinaryLiftingLCA(parents)
-        for q in (1, 16, 301):  # smallbatch: fused pass and vectorized fallback
+        for q in (1, 16, 301):
             xs, ys = _queries(257, q, seed=q)
             expected = oracle.query(xs, ys)
             for key in known_backend_keys():
@@ -171,50 +173,58 @@ class TestImportHygiene:
 
 
 class TestSmallBatchKernel:
+    """The ``smallbatch`` artifact: the sequential view under its own build
+    record, so every batch width runs the one vectorized query."""
+
     def test_scalar_path_matches_vectorized(self):
+        # The widths the small-batch path serves (a read with <= 16 pending
+        # lanes) answer exactly as the oracle does.
         parents = _tree(511, seed=3)
         oracle = BinaryLiftingLCA(parents)
-        kernel = build_smallbatch(build_inlabel_index(parents))
+        view = ARTIFACT_BUILDERS["smallbatch"](build_inlabel_index(parents))
         for q in (1, 2, 7, 15, 16):
             xs, ys = _queries(511, q, seed=q)
-            assert np.array_equal(kernel.query(xs, ys), oracle.query(xs, ys))
+            assert np.array_equal(view.query(xs, ys), oracle.query(xs, ys))
 
     def test_oversized_batch_falls_back(self):
         parents = _tree(511, seed=3)
         oracle = BinaryLiftingLCA(parents)
-        kernel = build_smallbatch(build_inlabel_index(parents))
-        xs, ys = _queries(511, 100, seed=5)  # 100 > 16 → vectorized fallback
-        assert np.array_equal(kernel.query(xs, ys), oracle.query(xs, ys))
+        view = ARTIFACT_BUILDERS["smallbatch"](build_inlabel_index(parents))
+        xs, ys = _queries(511, 100, seed=5)  # wider than any small-batch read
+        assert np.array_equal(view.query(xs, ys), oracle.query(xs, ys))
 
     def test_result_valid_until_next_launch(self):
+        # Each launch returns its own array: the next one overwrites nothing.
         parents = _tree(64)
-        kernel = build_smallbatch(build_inlabel_index(parents))
+        view = ARTIFACT_BUILDERS["smallbatch"](build_inlabel_index(parents))
         xs, ys = _queries(64, 4)
-        first = kernel.query(xs, ys).copy()
-        kernel.query(ys, xs)
-        assert np.array_equal(first, kernel.query(xs, ys))
+        first = view.query(xs, ys)
+        kept = first.copy()
+        view.query(ys, xs)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(first, view.query(xs, ys))
 
     def test_out_of_range_nodes_rejected(self):
         parents = _tree(32)
-        kernel = build_smallbatch(build_inlabel_index(parents))
+        view = ARTIFACT_BUILDERS["smallbatch"](build_inlabel_index(parents))
         with pytest.raises(InvalidQueryError):
-            kernel.query(np.array([0]), np.array([32]))
+            view.query(np.array([0]), np.array([32]))
         with pytest.raises(InvalidQueryError):
-            kernel.query(np.array([-1]), np.array([0]))
+            view.query(np.array([-1]), np.array([0]))
 
     def test_shape_mismatch_rejected(self):
         parents = _tree(32)
-        kernel = build_smallbatch(build_inlabel_index(parents))
+        view = ARTIFACT_BUILDERS["smallbatch"](build_inlabel_index(parents))
         with pytest.raises(InvalidQueryError):
-            kernel.query(np.array([0, 1]), np.array([2]))
+            view.query(np.array([0, 1]), np.array([2]))
 
     def test_charge_matches_sequential_model(self):
-        # The smallbatch backend answers on the real CPU but must book the
-        # same modeled cost as the sequential inlabel artifact it replaces.
+        # The smallbatch backend is a price: its view books the same modeled
+        # cost as the sequential inlabel artifact, under its own build record.
         index = build_inlabel_index(_tree(128))
         xs, ys = _queries(128, 24)
         ctx_a = ExecutionContext(XEON_X5650_SINGLE)
-        build_smallbatch(index, ctx=ctx_a).query(xs, ys, ctx=ctx_a)
+        ARTIFACT_BUILDERS["smallbatch"](index, ctx=ctx_a).query(xs, ys, ctx=ctx_a)
         ctx_b = ExecutionContext(XEON_X5650_SINGLE)
         ARTIFACT_BUILDERS["sequential"](index, ctx=ctx_b).query(xs, ys, ctx=ctx_b)
         assert ctx_a.elapsed == pytest.approx(ctx_b.elapsed)
@@ -348,6 +358,28 @@ class TestCalibrateBackends:
         cal = prof.entries["smallbatch"]
         assert cal.min_batch == 1
         assert cal.max_batch == 16
+
+    def test_one_timed_pass_fits_one_line_for_every_key(self):
+        """Every key's view runs the one host query: the grid is timed once
+        per (size, repeat), not once per key, and each key gets that line."""
+        calls = itertools.count()
+
+        def timer():
+            return next(calls) * 1e-6
+
+        sizes, repeats = (1, 4, 16, 64), 3
+        prof = calibrate_backends(
+            ["smallbatch", "gpu"],
+            batch_sizes=sizes,
+            repeats=repeats,
+            warmup=1,
+            n_nodes=128,
+            timer=timer,
+        )
+        assert next(calls) == 2 * len(sizes) * repeats  # a start and a stop each
+        small, gpu = prof.entries["smallbatch"], prof.entries["gpu"]
+        assert (small.backend, gpu.backend) == ("smallbatch", "gpu")
+        assert small.to_dict() == gpu.to_dict()
 
     def test_rejects_unusable_grid(self):
         with pytest.raises(ServiceError):

@@ -26,7 +26,7 @@ from repro.lca import (
     build_inlabel_index,
     dedup_query_pairs,
 )
-from repro.lca.artifacts import build_smallbatch
+from repro.lca.artifacts import ARTIFACT_BUILDERS
 from repro.primitives import SegmentTreeRMQ, SparseTableRMQ, list_rank
 from repro.service import (
     BatchPolicy,
@@ -140,8 +140,8 @@ def query_entries():
         lca = index(PARENTS)
         yield f"{index.__name__}.query", lambda bad, q=lca.query: q(bad, GOOD)
         yield f"{index.__name__}.query ys", lambda bad, q=lca.query: q(GOOD, bad)
-    kernel = build_smallbatch(build_inlabel_index(PARENTS))
-    yield "kernel.query", lambda bad: kernel.query(bad, GOOD)
+    view = ARTIFACT_BUILDERS["smallbatch"](build_inlabel_index(PARENTS))
+    yield "kernel.query", lambda bad: view.query(bad, GOOD)
     yield "dedup_query_pairs", lambda bad: dedup_query_pairs(bad, GOOD)
 
 

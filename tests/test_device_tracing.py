@@ -98,9 +98,9 @@ class TestHeterogeneousBackendTrace:
         names = [rec.name for rec in ctx.records]
         parallel_q = names.index("inlabel_query_batch")
         small_pre = names.index("smallbatch_inlabel_preprocess")
-        small_q = names.index("smallbatch_inlabel_query_batch")
+        small_q = names.index("cpu_inlabel_query_batch")
         # One shared timeline: the parallel query ran before the smallbatch
-        # backend even compiled, and every record carries a real cost.
+        # view was built, and every record carries a real cost.
         assert parallel_q < small_pre < small_q
         assert all(rec.time_s > 0.0 for rec in ctx.records)
 

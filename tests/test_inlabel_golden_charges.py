@@ -27,8 +27,7 @@ import pytest
 from repro.device import GTX980, XEON_X5650_SINGLE, ExecutionContext
 from repro.graphs.generators import grasp_tree, random_attachment_tree
 from repro.graphs.generators.random_trees import grasp_for_target_depth
-from repro.lca import InlabelLCA, SequentialInlabelLCA
-from repro.service.registry import artifact_nbytes
+from repro.lca import InlabelIndex, InlabelLCA, SequentialInlabelLCA
 
 from .conftest import PAPER_FIGURE1_PARENTS
 
@@ -66,7 +65,8 @@ def run_build(make, flavour, **kwargs):
             "dtypes": sorted({str(value.dtype) for value in tables.values()}),
             "root": index.structure.root,
             "levels": index.structure.levels,
-            "artifact_nbytes": artifact_nbytes(index),
+            # What a registry entry viewing these tables is booked at.
+            "artifact_nbytes": InlabelIndex(index.stats, index.structure, ()).nbytes,
             "breakdown": ctx.breakdown(),
         }
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lca.artifacts import ARTIFACT_BUILDERS, DEFAULT_SCRATCH_SIZE
+from repro.lca.artifacts import ARTIFACT_BUILDERS
 from repro.device import GTX980, ExecutionContext
 from repro.errors import InvalidGraphError, InvalidQueryError
 from repro.graphs import depths_from_parents
@@ -25,6 +25,7 @@ from repro.lca import (
     PACK_LIMIT,
     RMQLCA,
     BinaryLiftingLCA,
+    InlabelIndex,
     InlabelLCA,
     NaiveGPULCA,
     SequentialInlabelLCA,
@@ -35,8 +36,14 @@ from repro.lca import (
 )
 from repro.lca import inlabel as inlabel_module
 from repro.lca.inlabel import _ilog2_table, _query_tile, build_inlabel_index
-from repro.service import ClusterConfig, ClusterService, LCAQueryService
-from repro.service.registry import artifact_nbytes
+from repro.service import (
+    ArtifactKey,
+    ClusterConfig,
+    ClusterService,
+    ForestStore,
+    IndexRegistry,
+    LCAQueryService,
+)
 
 from .conftest import make_tree
 
@@ -365,7 +372,7 @@ class TestTiles:
 
     @pytest.mark.parametrize("variant", sorted(ARTIFACT_BUILDERS))
     def test_compiled_kernels_inherit_the_tiles(self, variant):
-        """``smallbatch`` included: past its scratch it is the same driver."""
+        """Every variant is a view over the one tiled driver."""
         parents = self.TREES["deep"]
         kernel = ARTIFACT_BUILDERS[variant](build_inlabel_index(parents))
         xs, ys = self.batch(31)
@@ -536,7 +543,8 @@ class TestLogTable:
         """The artifact is its tables alone, 72 * n + 8 * head_key.size."""
         lca = InlabelLCA(make_tree("shallow", 1000, seed=7))
         lca.query(np.arange(10), np.arange(10)[::-1])  # table now exists
-        assert artifact_nbytes(lca) == 88384
+        assert sorted(vars(lca)) == ["stats", "structure"]
+        assert InlabelIndex(lca.stats, lca.structure, ()).nbytes == 88384
 
 
 class TestPackedTables:
@@ -547,20 +555,25 @@ class TestPackedTables:
 
     @pytest.mark.parametrize("kind", ["path", "star", "shallow"])
     def test_artifact_bytes_are_the_packed_tables(self, kind):
-        """Five ``n``-word tables and ``head_key``; a flavour view adds the
-        tree statistics (four ``n``-word tables), ``smallbatch`` its scratch."""
-        index = build_inlabel_index(self.TREES[kind])
+        """Five ``n``-word tables and ``head_key``, plus the tree statistics
+        (four ``n``-word tables): every variant's entry books the index."""
+        store = ForestStore()
+        store.add_tree("t", self.TREES[kind])
+        index = store.index("t")
         structure = index.structure
         n, slots = structure.n, structure.head_key.size
-        assert structure.nbytes == artifact_nbytes(structure) == 40 * n + 8 * slots
+        assert structure.nbytes == 40 * n + 8 * slots
         assert {name for name, value in vars(structure).items()
                 if isinstance(value, np.ndarray)} == {
             "node_word", "node_key", "head_key", "parent", "preorder", "subtree_size"}
-        sizes = {variant: artifact_nbytes(build(index))
-                 for variant, build in ARTIFACT_BUILDERS.items()}
-        assert sizes == {"parallel": 72 * n + 8 * slots,
-                         "sequential": 72 * n + 8 * slots,
-                         "smallbatch": 40 * n + 8 * slots + 8 * DEFAULT_SCRATCH_SIZE}
+        assert sum(value.nbytes for value in vars(index.stats).values()
+                   if isinstance(value, np.ndarray)) == 32 * n
+        registry = IndexRegistry(store)
+        for variant in ARTIFACT_BUILDERS:
+            key = ArtifactKey("t", "lca", GTX980.name, variant)
+            entry = registry.fetch_by_key(key, spec=GTX980)[0]
+            assert entry.nbytes == 72 * n + 8 * slots, variant
+            assert entry.artifact.structure is structure, variant
 
     @pytest.mark.parametrize("kind", sorted(TREES))
     def test_the_words_pack_the_tables(self, kind):

@@ -11,8 +11,8 @@ from repro.device import GTX980, XEON_X5650_MULTI, XEON_X5650_SINGLE, ExecutionC
 from repro.errors import ServiceError
 from repro.graphs.generators import grasp_tree, random_attachment_tree
 from repro.graphs.generators.random_trees import grasp_for_target_depth
-from repro.lca import InlabelLCA, SequentialInlabelLCA, build_inlabel_index
-from repro.lca.artifacts import build_smallbatch
+from repro.lca import InlabelIndex, InlabelLCA, SequentialInlabelLCA, build_inlabel_index
+from repro.lca.artifacts import ARTIFACT_BUILDERS
 from repro.service import (
     ArtifactKey,
     ClusterConfig,
@@ -21,7 +21,6 @@ from repro.service import (
     IndexRegistry,
     LCAQueryService,
     StatsCollector,
-    artifact_nbytes,
 )
 
 from .conftest import random_connected_graph
@@ -203,27 +202,30 @@ def test_only_lca_indexes_are_built(kind):
 # ----------------------------------------------------------------------
 
 def test_artifact_nbytes_matches_structure_accounting():
-    parents = random_attachment_tree(512, seed=9)
-    algo = InlabelLCA(parents)
-    # The generic walker must find at least the seven structure tables, and
-    # the structure dataclass alone must account to exactly its own nbytes.
-    assert artifact_nbytes(algo.structure) == algo.structure.nbytes
-    assert artifact_nbytes(algo) >= algo.structure.nbytes
-
-
-def test_artifact_nbytes_counts_shared_arrays_once():
-    arr = np.zeros(1000, dtype=np.int64)
-    assert artifact_nbytes([arr, arr, {"again": arr}]) == arr.nbytes
+    registry = IndexRegistry(make_store("a", n=512))
+    entry, _ = registry.fetch("a", "lca", GTX980)
+    index = registry.store.index("a")
+    stats_bytes = sum(value.nbytes for value in vars(index.stats).values()
+                      if isinstance(value, np.ndarray))
+    assert index.nbytes == index.structure.nbytes + stats_bytes
+    assert entry.nbytes == index.nbytes == registry.bytes_in_use
 
 
 def test_artifact_nbytes_resolves_views_to_their_base():
-    arr = np.zeros(1000, dtype=np.int64)
-    assert artifact_nbytes([arr, arr[:], arr[:10]]) == arr.nbytes
+    """Every flavour views the one host index, and books that index's bytes."""
+    registry = IndexRegistry(make_store("a", n=300))
+    entries = [registry.fetch_by_key(ArtifactKey("a", "lca", GTX980.name, variant),
+                                     spec=GTX980)[0]
+               for variant in ARTIFACT_BUILDERS]
+    index = registry.store.index("a")
+    assert [entry.nbytes for entry in entries] == [index.nbytes] * len(ARTIFACT_BUILDERS)
+    assert all(entry.artifact.structure is index.structure for entry in entries)
 
 
 def test_bridge_result_nbytes_agrees_with_artifact_accounting():
     result = find_bridges_tarjan_vishkin(random_connected_graph(150, 60, seed=3))
-    assert result.nbytes == artifact_nbytes(result)
+    assert result.nbytes == sum(value.nbytes for value in vars(result).values()
+                                if isinstance(value, np.ndarray))
 
 
 # ----------------------------------------------------------------------
@@ -314,13 +316,13 @@ def test_a_warmed_cluster_holds_one_set_of_tables():
     cluster = ClusterService(config=ClusterConfig(n_replicas=4))
     cluster.register_tree("t", random_attachment_tree(512, seed=3), replicas=4)
     cluster.warm("t")
-    artifacts = [replica.registry.fetch_by_key(key)[0].artifact
-                 for replica in cluster._replicas for key in replica.registry.keys()]
-    assert len(artifacts) == 8
+    entries = [replica.registry.fetch_by_key(key)[0]
+               for replica in cluster._replicas for key in replica.registry.keys()]
+    assert len(entries) == 8
     # Every entry still accounts its full modeled size ...
-    assert {artifact_nbytes(a) for a in artifacts} == {artifact_nbytes(artifacts[0])}
+    assert {entry.nbytes for entry in entries} == {cluster.store.index("t").nbytes}
     # ... but the host holds one copy of the tables.
-    assert artifact_nbytes(artifacts) == artifact_nbytes(artifacts[0])
+    assert len({id(entry.artifact.structure) for entry in entries}) == 1
 
 
 VARIANTS = [
@@ -337,7 +339,7 @@ def direct_build(variant, parents, ctx):
         return InlabelLCA(parents, ctx=ctx)
     if variant == "sequential":
         return SequentialInlabelLCA(parents, ctx=ctx)
-    return build_smallbatch(build_inlabel_index(parents), ctx=ctx)
+    return ARTIFACT_BUILDERS["smallbatch"](build_inlabel_index(parents), ctx=ctx)
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["builds", "shares"])
@@ -366,7 +368,7 @@ def test_a_view_is_charged_and_sized_as_its_own_build(make, variant, spec, first
     reference = ExecutionContext(spec, trace=True)
     built = direct_build(variant, parents, reference)
     assert not hit
-    assert entry.nbytes == artifact_nbytes(built)
+    assert entry.nbytes == InlabelIndex(built.stats, built.structure, ()).nbytes
     assert entry.build_time_s == reference.elapsed == ctx.elapsed
     assert ctx.breakdown() == reference.breakdown()
     assert list(ctx.breakdown()) == ["preprocessing"]

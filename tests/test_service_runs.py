@@ -1083,9 +1083,9 @@ def test_credit_hits_counts_hits_and_moves_the_entry_to_the_recent_end():
 
 
 # ----------------------------------------------------------------------
-# Scratch views: a span's slices are booked before its kernel runs again
+# A span's answers outlive the next launch of the same view
 # ----------------------------------------------------------------------
-def test_smallbatch_scratch_answers_survive_the_next_launch():
+def test_smallbatch_answers_survive_the_next_launch():
     parents = tree(30)
     xs, ys = queries(24, 31)
     service, launches, _ = make_service(
@@ -1098,15 +1098,10 @@ def test_smallbatch_scratch_answers_survive_the_next_launch():
     assert np.array_equal(service.results(second), expected[12:])
     assert lanes(launches) == [("t", 12), ("t", 12)]
     assert service.stats().backend_choices == {"smallbatch": 6}
-    # Both reads' launches went through the same 16-lane scratch: it now
-    # holds the second's answers, the tables hold both.
-    kernel = service.registry.fetch_by_key(
-        service._artifact_key("t", service.dispatcher.backends[0]))[0].artifact
-    assert np.array_equal(kernel.inner._out[:12], expected[12:])
     assert np.array_equal(service.results(np.r_[first, second]), expected)
 
 
-def test_smallbatch_scratch_with_two_interleaved_datasets():
+def test_smallbatch_with_two_interleaved_datasets():
     trees = {"a": tree(32), "b": tree(33)}
     xs, ys = queries(96, 34)
     at = np.arange(96, dtype=np.float64) * 2e-5
@@ -1115,7 +1110,7 @@ def test_smallbatch_scratch_with_two_interleaved_datasets():
     tickets = {"a": [], "b": []}
     # Alternating 12-query blocks: each admission expires the other dataset's
     # tail inside its own run of size flushes.  A read after each resolves
-    # both datasets' pieces, a launch per tree small enough for the scratch.
+    # both datasets' pieces, one launch per tree.
     for i in range(0, 96, 12):
         name = "ab"[(i // 12) % 2]
         tickets[name].append(
