@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Observability overhead: tracing off vs 1-in-N sampled vs full capture.
 
-The contract of ``repro.obs`` is *zero-cost-when-disabled*: with no recorder
-attached, every hook in the serving stack is a single ``is None`` check, so
-the wall-clock throughput of the columnar serving path must be statistically
-indistinguishable from a build without the hooks.  This benchmark measures
-exactly that, on the same ``submit -> drain -> results`` harness as
-``bench_wallclock_service.py``, in three modes over one identical stream:
+With no recorder attached, every ``repro.obs`` hook in the serving stack is
+a single ``is None`` check; with a 1-in-N sampling recorder, tracing must
+cost only a few percent of the wall-clock throughput, cheap enough to leave
+on.  This benchmark prices both on one ``submit_many -> drain -> results``
+harness (:func:`~repro.experiments.service_experiments.wallclock_serve_run`),
+in three modes over one identical stream:
 
 * ``off``     — no observer attached (the default serving configuration);
 * ``sampled`` — a :class:`~repro.obs.events.TraceRecorder` with 1-in-N
@@ -59,31 +59,6 @@ from repro.service import BatchPolicy
 from bench_util import BENCH_SCALE, RESULTS_DIR
 
 JSON_PATH = REPO_ROOT / "BENCH_obs_overhead.json"
-WALLCLOCK_JSON = REPO_ROOT / "BENCH_service_wallclock.json"
-
-
-def disabled_vs_baseline(off_wall_qps: float, config):
-    """Tracing-off throughput vs the wallclock benchmark's columnar run.
-
-    ``bench_wallclock_service.py`` measures the serving stack with no
-    observability code in the loop at all — so comparing this benchmark's
-    ``off`` mode against it (same machine; in CI the wallclock benchmark
-    regenerates its JSON earlier in the same job) prices the disabled
-    hooks themselves.  Returns ``(retention, overhead_pct)``, or
-    ``(None, None)`` when the wallclock result is missing or describes a
-    different stream.
-    """
-    try:
-        payload = json.loads(WALLCLOCK_JSON.read_text(encoding="utf-8"))
-        ref_config = payload["config"]
-        ref_qps = float(payload["runs"]["columnar"]["wall_qps"])
-    except (OSError, KeyError, TypeError, ValueError):
-        return None, None
-    for key in ("queries", "nodes", "max_batch_size", "offered_qps"):
-        if ref_config.get(key) != config[key]:
-            return None, None
-    retention = off_wall_qps / ref_qps
-    return retention, (1.0 - retention) * 100.0
 
 
 MODES = ("off", "sampled", "full")
@@ -120,7 +95,7 @@ def measure_all(sample: int, parents, xs, ys, arrivals, policy, *,
             elif mode == "full":
                 recorder = TraceRecorder()
             row = wallclock_serve_run(parents, xs, ys, arrivals, policy,
-                                      mode="columnar", observer=recorder)
+                                      observer=recorder)
             walls[mode].append(row["wall_s"])
             if mode not in best or row["wall_qps"] > best[mode]["wall_qps"]:
                 best[mode] = row
@@ -211,16 +186,8 @@ def main(argv=None) -> int:
     off, sampled, full = rows
     sampled_retention = retention["sampled"]
     full_retention = retention["full"]
-    disabled_retention, disabled_overhead_pct = disabled_vs_baseline(
-        off["wall_qps"], config)
 
     table = render_table(config, rows, retention)
-    if disabled_retention is not None:
-        table += (
-            f"\n\ndisabled hooks vs {WALLCLOCK_JSON.name} (columnar): "
-            f"{disabled_retention:.1%} retained "
-            f"({disabled_overhead_pct:+.1f}% overhead)"
-        )
     print(table)
 
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -242,8 +209,6 @@ def main(argv=None) -> int:
             "sampled_overhead_pct": (1.0 - sampled_retention) * 100.0,
             "full_retention": full_retention,
             "full_overhead_pct": (1.0 - full_retention) * 100.0,
-            "disabled_retention": disabled_retention,
-            "disabled_overhead_pct": disabled_overhead_pct,
             "full_events": full["events"],
             "sampled_events": sampled["events"],
         },

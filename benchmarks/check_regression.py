@@ -1,15 +1,14 @@
 #!/usr/bin/env python
 """Host-bench regression gate: a fresh BENCH_*.json against its baseline.
 
-For the three *host-clock* benches (``bench_wallclock_service.py``,
-``bench_obs_overhead.py``, ``bench_skew_speedup.py``), whose numbers move
-with the runner.  CI reruns one, then compares selected metrics of the fresh
+For the *host-clock* bench ``bench_obs_overhead.py``, whose numbers move
+with the runner.  CI reruns it, then compares selected metrics of the fresh
 JSON against the committed baseline with a per-metric floor::
 
     python benchmarks/check_regression.py \\
-        --current BENCH_skew_speedup.json \\
-        --baseline bench-baselines/BENCH_skew_speedup.json \\
-        --check headline.zipf_speedup:0.35
+        --current BENCH_obs_overhead.json \\
+        --baseline bench-baselines/BENCH_obs_overhead.json \\
+        --check headline.sampled_retention:0.80
 
 Each ``--check PATH:MIN_RATIO`` asserts ``current >= MIN_RATIO * baseline``
 for the numeric value at the dotted ``PATH`` (higher is better).  The floors

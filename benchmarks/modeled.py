@@ -29,9 +29,9 @@ scaling sweep's tree and stream sizes).  A scaled run may print — with the
 assertions it violates as notes, since the declared SLOs are sized for scale
 1 — but it is neither compared with nor written over the committed baselines.
 
-The host-clock benches (``bench_wallclock_service.py``,
-``bench_obs_overhead.py``, ``bench_skew_speedup.py``) measure this machine and
-keep their ratio gates in ``check_regression.py``.
+Host-clock numbers come from the layer benchmark (``benchmarks/layers/``),
+except the observability overhead bench (``bench_obs_overhead.py``), which
+keeps its ratio gates in ``check_regression.py``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 # (tests/test_ci_mirror.py fails when ci.yml gains a command this script
 # lacks).  Not mirrored, because they change the environment or the checkout:
 # steps that `pip install` something first (the coverage leg, the NumPy-floor
-# leg) and bench-regression's three host-clock benches, which rewrite their
-# committed BENCH_*.json files (the modeled gate writes nothing: it is here).
+# leg) and bench-regression's host-clock bench, which rewrites its committed
+# BENCH_obs_overhead.json (the modeled gate writes nothing: it is here).
 #
 #   scripts/check.sh          # run every leg, report at the end
 #

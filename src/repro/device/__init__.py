@@ -21,7 +21,7 @@ from .specs import (
     XEON_X5650_SINGLE,
     DeviceSpec,
 )
-from .tracing import PhaseBreakdown, format_breakdown_table, speedup
+from .tracing import PhaseBreakdown, format_breakdown_table
 
 __all__ = [
     "DeviceSpec",
@@ -35,5 +35,4 @@ __all__ = [
     "modeled_kernel_time",
     "PhaseBreakdown",
     "format_breakdown_table",
-    "speedup",
 ]

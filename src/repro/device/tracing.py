@@ -68,10 +68,3 @@ def format_breakdown_table(
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def speedup(baseline: float, candidate: float) -> float:
-    """``baseline / candidate`` speedup, guarding against division by zero."""
-    if candidate <= 0:
-        raise ValueError("candidate time must be positive")
-    return baseline / candidate

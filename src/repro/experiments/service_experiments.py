@@ -9,9 +9,8 @@ are reproducible bit for bit.
 
 :func:`wallclock_serve_run` is the exception: it measures *host-side* wall
 time — how fast this Python process pushes a query stream through
-``submit → drain → results`` — which is what the columnar fast path of
-:mod:`repro.service` optimizes.  Modeled device times are unaffected by the
-admission mode; wall time is the whole point.
+``submit_many → drain → results`` — for the observability overhead bench,
+which prices tracing off, sampled and full on it.
 """
 
 from __future__ import annotations
@@ -97,18 +96,13 @@ def serve_query_stream(parents: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
 def wallclock_serve_run(parents: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                         arrivals_s: np.ndarray, policy: BatchPolicy, *,
-                        mode: str = "columnar", warm: bool = True,
-                        check_answers: bool = False,
+                        warm: bool = True, check_answers: bool = False,
                         observer: Optional[object] = None) -> Dict[str, object]:
-    """Measure host-side wall-clock throughput of one admission mode.
+    """Measure host-side wall-clock throughput of the serving path.
 
-    ``mode="columnar"`` admits the stream through the vectorized
-    :meth:`~repro.service.LCAQueryService.submit_many` block path;
-    ``mode="per-query"`` replays the pre-columnar behaviour — a Python loop
-    of individual :meth:`~repro.service.LCAQueryService.submit` calls (which
-    is exactly what ``submit_many`` used to do).  Both modes produce
-    bit-identical tickets, batches, answers and modeled stats; only the wall
-    time differs.  The timed region spans submit → drain → results.
+    The stream is admitted as one
+    :meth:`~repro.service.LCAQueryService.submit_many` block; the timed
+    region spans submit → drain → results.
 
     With ``warm`` (the default) the index cache is populated for every
     dispatcher backend *before* the timer starts, so the number reported is
@@ -120,8 +114,6 @@ def wallclock_serve_run(parents: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     timed region's setup, so the overhead benchmark prices tracing with
     this exact harness.
     """
-    if mode not in ("columnar", "per-query"):
-        raise ServiceError(f"unknown admission mode {mode!r}")
     service = LCAQueryService(
         config=ServiceConfig(
             max_batch_size=policy.max_batch_size, max_wait_s=policy.max_wait_s
@@ -137,13 +129,7 @@ def wallclock_serve_run(parents: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     if warm:
         service.warm("stream")
     start = time.perf_counter()
-    if mode == "columnar":
-        tickets = service.submit_many("stream", xs, ys, at=arrivals_s)
-    else:
-        tickets = np.empty(xs.size, dtype=np.int64)
-        for i in range(xs.size):
-            tickets[i] = service.submit("stream", int(xs[i]), int(ys[i]),
-                                        at=float(arrivals_s[i]))
+    tickets = service.submit_many("stream", xs, ys, at=arrivals_s)
     service.drain()
     answers = service.results(tickets)
     elapsed = time.perf_counter() - start
@@ -153,7 +139,6 @@ def wallclock_serve_run(parents: np.ndarray, xs: np.ndarray, ys: np.ndarray,
             raise AssertionError("service answers disagree with the oracle")
     stats = service.stats()
     return {
-        "mode": mode,
         "queries": int(stats.queries_answered),
         "batches": int(stats.batches_flushed),
         "mean_batch": round(stats.mean_batch_size, 1),

@@ -86,8 +86,6 @@ class ServiceConfig(ConfigBase):
     #: bounded exact hash table, so a pair repeated *across* batches costs
     #: one probe instead of a kernel run.
     answer_cache_bytes: Optional[int] = None
-    #: Pre-sizing of the ticket-indexed result tables (``None`` = grow).
-    ticket_capacity: Optional[int] = None
     #: Backend keys the dispatcher prices (resolved through
     #: :func:`~repro.service.dispatch.make_backend`); ``None`` keeps the
     #: modeled CPU/GPU default pair.
@@ -104,7 +102,6 @@ class ServiceConfig(ConfigBase):
         **BatchPolicy.CHECKS,
         "capacity_bytes": optional(count),
         "answer_cache_bytes": optional(count),
-        "ticket_capacity": optional(partial(count, least=0)),
         "backends": optional(_backend_keys),
     }
 

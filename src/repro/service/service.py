@@ -194,14 +194,14 @@ class FrontDoor:
 
     Either front door keeps its datasets in one :attr:`store`, answers into
     one :class:`~repro.service.tickets.TicketTable` (answers, latencies,
-    ``answered``; a fresh one of ``capacity`` unless ``tickets`` is given) on
-    one :attr:`clock`, and may carry a trace recorder.
+    ``answered``; a fresh one unless ``tickets`` is given) on one
+    :attr:`clock`, and may carry a trace recorder.
     """
 
     def __init__(self, store: ForestStore, clock: SimulatedClock,
-                 tickets: Optional[TicketTable] = None, capacity: int = 0) -> None:
+                 tickets: Optional[TicketTable] = None) -> None:
         if tickets is None:
-            tickets = TicketTable(capacity, answers=np.int64, latencies=np.float64)
+            tickets = TicketTable(answers=np.int64, latencies=np.float64)
             tickets.zeros("answered", np.bool_)
         self.store, self.clock, self._tickets = store, clock, tickets
         self._observer: Optional[TraceRecorder] = None
@@ -317,8 +317,8 @@ class LCAQueryService(FrontDoor):
     config:
         A :class:`~repro.service.config.ServiceConfig` carrying every
         serializable knob in one value (batching policy, index-cache and
-        answer-cache budgets, dedup, ticket pre-sizing, backend set);
-        defaults to ``ServiceConfig()``.  Exposed as :attr:`config`.
+        answer-cache budgets, dedup, backend set); defaults to
+        ``ServiceConfig()``.  Exposed as :attr:`config`.
     dispatcher:
         Backend-choice policy; defaults to the one ``config`` describes
         (CPU-vs-GPU under the roofline cost model unless it names backends
@@ -327,8 +327,8 @@ class LCAQueryService(FrontDoor):
         Simulated time source shared by all schedulers.
     tickets:
         The :class:`~repro.service.tickets.TicketTable` answers are written
-        into (by default a fresh one pre-sized by ``ticket_capacity``); a
-        cluster hands every worker the one it built.
+        into (by default a fresh one); a cluster hands every worker the one
+        it built.
 
     Usage
     -----
@@ -350,11 +350,10 @@ class LCAQueryService(FrontDoor):
                  tickets: Optional[TicketTable] = None) -> None:
         if config is None:
             config = ServiceConfig()
-        # Ticket-indexed result columns, pre-sized by ``ticket_capacity``
-        # (re-admissions add a zeroed ``debt`` column).
-        reserve = config.ticket_capacity
+        # Ticket-indexed result columns (re-admissions add a zeroed ``debt``
+        # column).
         super().__init__(store or ForestStore(), clock or SimulatedClock(),
-                         tickets, reserve or 0)
+                         tickets)
         self.config = config
         self._obs_replica = 0
         self.answer_cache: Optional[AnswerCache] = (
@@ -370,8 +369,6 @@ class LCAQueryService(FrontDoor):
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
         self._dataset_rank: Dict[str, int] = {}
-        if reserve is not None:
-            self.stats_collector.reserve(reserve)
         # Memoized (dataset, backend) -> ArtifactKey for the registry's keyed
         # fast path; rebuilt lazily, invalidation-free (keys are pure values).
         self._artifact_keys: Dict[Tuple[str, str], ArtifactKey] = {}
@@ -813,7 +810,7 @@ class LCAQueryService(FrontDoor):
 
         Only the :attr:`ServiceConfig.TUNABLE` subset can move mid-stream
         (``None`` leaves a knob unchanged); structural knobs — cache
-        budgets, dedup, ticket capacity — are fixed at construction.  The
+        budgets, dedup, backends — are fixed at construction.  The
         swap happens *now* on the simulated clock and never touches an
         already-flushed batch: each scheduler's pending window is re-judged
         under the new policy (see :meth:`MicroBatchScheduler.retune`) and

@@ -253,12 +253,6 @@ class StatsCollector:
         """
         self.busy_time_s += float(service_time_s)
 
-    def reserve(self, capacity: int) -> None:
-        """Pre-size the latency table: growth is amortized O(1) either way,
-        but reserving keeps the doubling copies out of serving windows."""
-        self._latency_table = grow_table(
-            self._latency_table, self._latency_count, int(capacity))
-
     def record_span(self, sizes: Sequence[int], triggers: Sequence[str],
                     lanes: Sequence[str], charges: Sequence[float],
                     latencies_s: Union[float, np.ndarray], first_arrival_s: float,

@@ -372,7 +372,6 @@ def replay_chaos(
     admission_window_s: float = 5e-3,
     warm: bool = True,
     check_answers: bool = False,
-    seed: Optional[int] = None,
     observer: Optional[TraceRecorder] = None,
     retry: Optional[RetryPolicy] = None,
     controller: Optional[Controller] = None,
@@ -418,7 +417,6 @@ def replay_chaos(
         admission_window_s=admission_window_s,
         warm=warm,
         check_answers=check_answers,
-        seed=seed,
         observer=observer,
         retry=retry,
         controller=controller,

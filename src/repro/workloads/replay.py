@@ -30,8 +30,7 @@ Two mechanical details make the replay faithful:
 from __future__ import annotations
 
 import heapq
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
@@ -149,10 +148,6 @@ class PhaseReport:
     #: flushed into the final phase.
     queries_retried: int = 0
     queries_abandoned: int = 0
-    #: Host wall-clock seconds this phase spent inside ``submit_many``
-    #: (a measurement of the harness, not of the modeled outcome — excluded
-    #: from equality so deterministic replays still compare equal).
-    submit_wall_s: float = field(default=0.0, compare=False)
     #: Active replica count when the phase's last block had been submitted
     #: (1 for a single-node service).  Static membership keeps this at the
     #: construction count; reactive autoscaling makes it the per-phase
@@ -205,17 +200,6 @@ class ScenarioReport:
     #: Client-retry totals across phases (0 without a :class:`RetryPolicy`).
     queries_retried: int = 0
     queries_abandoned: int = 0
-    #: Host wall-clock seconds spent inside the serving calls (submit_many,
-    #: drain, latencies) — trace generation excluded.  The skew benchmark
-    #: derives its wall-clock throughput from this.
-    serve_wall_s: float = 0.0
-    #: Per-stage split of :attr:`serve_wall_s` (``submit_wall_s +
-    #: drain_wall_s + latencies_wall_s == serve_wall_s``); verification
-    #: against the oracle is timed separately and not part of serving.
-    submit_wall_s: float = 0.0
-    drain_wall_s: float = 0.0
-    latencies_wall_s: float = 0.0
-    verify_wall_s: float = 0.0
     #: The lifecycle trace captured during this replay, when an observer
     #: was passed to :func:`replay` (``None`` otherwise).
     trace: Optional[TraceTable] = None
@@ -252,13 +236,6 @@ class ScenarioReport:
             f"answer cache       : {self.answer_cache_hit_rate:.1%} hit rate, "
             f"dedup factor {self.dedup_factor:.2f}x",
         ]
-        if self.serve_wall_s:
-            lines.append(
-                f"host wall          : {self.serve_wall_s * 1e3:.1f} ms "
-                f"serving (submit {self.submit_wall_s * 1e3:.1f} + drain "
-                f"{self.drain_wall_s * 1e3:.1f} + latencies "
-                f"{self.latencies_wall_s * 1e3:.1f})"
-            )
         lines += [
             "",
             f"{'phase':<12} {'dur ms':>8} {'offered':>9} {'admitted':>9} "
@@ -328,7 +305,6 @@ def replay(
     admission_window_s: float = 5e-3,
     warm: bool = True,
     check_answers: bool = False,
-    seed: Optional[int] = None,
     observer: Optional[TraceRecorder] = None,
     retry: Optional[RetryPolicy] = None,
     controller: Optional[Controller] = None,
@@ -344,14 +320,6 @@ def replay(
     column and the partially admitted prefix keeps its tickets.  With
     ``check_answers`` every fully admitted block is verified against the
     binary-lifting oracle after the drain.
-
-    ``seed`` overrides the scenario's trace seed for this replay only — a
-    fresh *realization* of the same workload (new arrival times, new key
-    draws) over the same trees and, for pool-based key distributions, the
-    same query pools (their ``pool_seed`` is part of the workload spec, not
-    of the trace).  Sources with an explicit ``key_seed`` keep it.  The
-    skew benchmark uses this to measure steady-state serving on fresh
-    traffic instead of replaying one memorized trace.
 
     ``observer`` attaches a :class:`~repro.obs.events.TraceRecorder` to the
     target for the duration of the replay (and leaves it attached); the
@@ -395,11 +363,10 @@ def replay(
     sources = scenario.sources
     weights = np.array([s.weight for s in sources], dtype=np.float64)
     weights /= weights.sum()
-    trace_seed = scenario.seed if seed is None else int(seed)
-    arrival_rng = np.random.default_rng(trace_seed)
+    arrival_rng = np.random.default_rng(scenario.seed)
     key_rngs = {
         source.dataset: np.random.default_rng(
-            trace_seed + 1 + index
+            scenario.seed + 1 + index
             if source.key_seed is None
             else source.key_seed
         )
@@ -440,16 +407,14 @@ def replay(
 
     def _submit(dataset: str, bx: np.ndarray, by: np.ndarray,
                 at: np.ndarray) -> Optional[Overloaded]:
-        """Timed ``submit_many``: book the admitted tickets, return a refusal."""
+        """``submit_many`` one block: book its admitted tickets, return a refusal."""
         before = target.tickets_issued
-        started = time.perf_counter()
         refusal: Optional[Overloaded] = None
         try:
             block = target.submit_many(dataset, bx, by, at=at)
         except Overloaded as exc:
             block = np.arange(before, before + exc.admitted, dtype=np.int64)
             refusal = exc
-        wall["submit"] += time.perf_counter() - started
         if block.size:
             tickets.append(block)
             dataset_tickets.setdefault(dataset, []).append(block)
@@ -474,9 +439,6 @@ def replay(
     marks = [_counters(target)]
     # Active replica count at each phase boundary (autoscaling trajectory).
     phase_replicas: List[int] = []
-    # Host wall-clock seconds inside each serving stage (and verification).
-    wall = dict.fromkeys(("submit", "drain", "latencies", "verify"), 0.0)
-    phase_submit_wall: List[float] = []
 
     if controller is not None:
         # Pre-flight observation: deadline clamps and priority lanes take
@@ -518,7 +480,6 @@ def replay(
         tickets = []
         shed = 0
         phase_retry.append([0, 0])
-        submit_wall_0 = wall["submit"]
         for a, b in zip(edges[:-1], edges[1:]):
             if b <= a:
                 continue
@@ -535,7 +496,6 @@ def replay(
                                  float(arrivals[first]), 1)
             if controller is not None:
                 controller.observe(target, target.clock.now)
-        phase_submit_wall.append(wall["submit"] - submit_wall_0)
         phase_tickets.append(tickets)
         phase_raw.append((phase.name, phase.duration_s, count, shed))
         if len(phase_raw) < len(scenario.phases):  # the last is marked post-drain
@@ -547,9 +507,7 @@ def replay(
         # Late backoffs land past the last arrival; flush them (into the
         # final phase's accounting) before the drain.
         _flush_retries(None)
-    started = time.perf_counter()
     target.drain()
-    wall["drain"] = time.perf_counter() - started
     # The drain's lookups belong to the final phase's boundary.
     stats = target.stats()
     marks.append(_counters(target))
@@ -560,7 +518,6 @@ def replay(
         target_kind, n_replicas, router_policy, load_imbalance = "service", 1, "", 1.0
 
     if check_answers:
-        started = time.perf_counter()
         by_dataset: Dict[str, List[Tuple[np.ndarray, ...]]] = {}
         for dataset, bx, by, bt in verified_runs:
             by_dataset.setdefault(dataset, []).append((bx, by, bt))
@@ -574,7 +531,6 @@ def replay(
                     f"replayed answers disagree with the oracle on "
                     f"{dataset!r} ({scenario.name})"
                 )
-        wall["verify"] = time.perf_counter() - started
 
     phases: List[PhaseReport] = []
     all_latencies: List[np.ndarray] = []
@@ -583,9 +539,7 @@ def replay(
     ):
         admitted = int(sum(t.size for t in tickets))
         if admitted:
-            started = time.perf_counter()
             latencies = target.latencies(np.concatenate(tickets))
-            wall["latencies"] += time.perf_counter() - started
             all_latencies.append(latencies)
         else:
             latencies = np.empty(0, dtype=np.float64)
@@ -607,7 +561,6 @@ def replay(
                                                 after[1] - before[1]),
                 queries_retried=phase_retry[index][0],
                 queries_abandoned=phase_retry[index][1],
-                submit_wall_s=phase_submit_wall[index],
                 n_replicas_end=phase_replicas[index],
             )
         )
@@ -618,7 +571,6 @@ def replay(
         else np.empty(0, dtype=np.float64)
     )
     p50, p99 = _percentiles(merged)
-    # Per-tenant tails (untimed: reporting, not serving).
     dataset_p99: List[Tuple[str, float]] = []
     for name in sorted(dataset_tickets):
         lat = target.latencies(np.concatenate(dataset_tickets[name]))
@@ -647,11 +599,6 @@ def replay(
         dedup_factor=_dedup_factor(last[2] - first[2], last[3] - first[3]),
         queries_retried=sum(p.queries_retried for p in phases),
         queries_abandoned=sum(p.queries_abandoned for p in phases),
-        serve_wall_s=wall["submit"] + wall["drain"] + wall["latencies"],
-        submit_wall_s=wall["submit"],
-        drain_wall_s=wall["drain"],
-        latencies_wall_s=wall["latencies"],
-        verify_wall_s=wall["verify"],
         trace=observer.table() if observer is not None else None,
         dataset_latency_p99_s=tuple(dataset_p99),
     )

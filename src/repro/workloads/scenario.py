@@ -34,8 +34,8 @@ All named scenarios take a ``scale`` knob that stretches or shrinks phase
 durations (query volume scales with it; rates — and therefore the overload
 behaviour — do not change) and a ``nodes_scale`` knob that multiplies every
 source's tree size (catalog scale: 1.0 keeps the library's test-friendly
-defaults; the skew benchmark replays at production catalog sizes, where the
-query kernel's node-table gathers pay real memory-hierarchy costs).
+defaults; at production catalog sizes the query kernel's node-table gathers
+pay real memory-hierarchy costs).
 """
 
 from __future__ import annotations

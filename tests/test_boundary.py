@@ -227,7 +227,6 @@ COUNTS = [
     (ServiceConfig, "max_batch_size"),
     (ServiceConfig, "capacity_bytes"),
     (ServiceConfig, "answer_cache_bytes"),
-    (ServiceConfig, "ticket_capacity"),
     (ClusterConfig, "n_replicas"),
     (ClusterConfig, "max_batch_size"),
     (ClusterConfig, "capacity_bytes"),

@@ -4,14 +4,16 @@ The script is the local mirror of CI's jobs.  This test reads the ``run:``
 commands out of the workflow file and fails when one of them is missing from
 the script, so the two cannot drift apart.  Out of scope, as the script's
 header says: steps that ``pip install`` something first (they change the
-environment) and the three host-clock benches of ``bench-regression`` (they
-rewrite their committed ``BENCH_*.json``; the modeled gate writes nothing
-and is mirrored).
+environment) and the host-clock bench of ``bench-regression`` with its gate
+(it rewrites its committed ``BENCH_obs_overhead.json``; the modeled gate
+writes nothing and is mirrored).
 """
 
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
@@ -20,13 +22,16 @@ PYPROJECT = ROOT / "pyproject.toml"
 
 JOBS = ("lint", "typecheck", "test", "docs", "bench-regression")
 
-#: What marks a ``bench-regression`` step as one of the host benches': the
-#: script it reruns, or the directory its committed baseline is kept aside in.
-HOST_BENCH = (
-    "bench_wallclock_service.py",
-    "bench_obs_overhead.py",
-    "bench_skew_speedup.py",
-    "bench-baselines",
+#: What marks a ``bench-regression`` step as the host bench's: the script it
+#: reruns, or the directory its committed baseline is kept aside in.
+HOST_BENCH = ("bench_obs_overhead.py", "bench-baselines")
+
+#: What a CI command may name that must exist in a checkout: a test file, a
+#: benchmark script, a committed ``BENCH_*.json``.  A baseline kept aside
+#: under ``bench-baselines/`` is made by the job itself, so it is not matched.
+NAMED_PATHS = (
+    r"(?<![\w/])tests/[\w/]+\.py\b",
+    r"(?<![\w/])(?:benchmarks/[\w/]+\.py|BENCH_\w+\.json)\b",
 )
 
 
@@ -121,11 +126,27 @@ def test_check_script_reports_a_missing_tool_as_skipped():
     assert SCRIPT.stat().st_mode & 0o111, "scripts/check.sh must be executable"
 
 
+@pytest.mark.parametrize("command, paths", [
+    ("python -m pytest tests/test_a.py benchmarks/layers -q", ["tests/test_a.py"]),
+    ("python benchmarks/bench_gone.py --out BENCH_gone.json",
+     ["benchmarks/bench_gone.py", "BENCH_gone.json"]),
+    ("cp BENCH_gone.json bench-baselines/BENCH_gone.json", ["BENCH_gone.json"]),
+], ids=["test-file", "bench-and-artifact", "kept-aside-copy"])
+def test_named_paths_are_what_a_checkout_must_hold(command, paths):
+    """A test file, a bench script and a committed ``BENCH_*.json`` are
+    matched; a directory or a baseline the job keeps aside is not."""
+    assert [path for pattern in NAMED_PATHS
+            for path in re.findall(pattern, command)] == paths
+
+
 def test_every_test_path_a_ci_command_names_exists():
-    """The NumPy-1.22 leg runs test files by path and only in CI: deleting
-    one of them must fail here, not there."""
+    """The NumPy-1.22 leg runs test files by path, and bench-regression runs
+    benchmark scripts and copies committed ``BENCH_*.json`` files, all only in
+    CI: deleting one of them must fail here, not there."""
     named = [path for _, _, commands in workflow_steps(WORKFLOW.read_text())
              for command in commands
-             for path in re.findall(r"(?<![\w/])tests/[\w/]+\.py\b", command)]
-    assert len(named) >= 16
+             for pattern in NAMED_PATHS
+             for path in re.findall(pattern, command)]
+    assert len([path for path in named if path.startswith("tests/")]) >= 16
+    assert {"benchmarks/modeled.py", "BENCH_obs_overhead.json"} <= set(named)
     assert [path for path in named if not (ROOT / path).is_file()] == []

@@ -936,10 +936,10 @@ MODULE_LINES = {
     "control/autoscale.py": 156,
     "control/controller.py": 447,
     "control/slo.py": 96,
-    "device/__init__.py": 39,
+    "device/__init__.py": 38,
     "device/context.py": 310,
     "device/specs.py": 161,
-    "device/tracing.py": 77,
+    "device/tracing.py": 70,
     "errors.py": 116,
     "euler/__init__.py": 22,
     "euler/dcel.py": 142,
@@ -951,7 +951,7 @@ MODULE_LINES = {
     "experiments/lca_experiments.py": 204,
     "experiments/report.py": 75,
     "experiments/runner.py": 297,
-    "experiments/service_experiments.py": 361,
+    "experiments/service_experiments.py": 346,
     "graphs/__init__.py": 55,
     "graphs/bfs.py": 179,
     "graphs/components.py": 222,
@@ -988,20 +988,20 @@ MODULE_LINES = {
     "service/cache.py": 467,
     "service/clock.py": 106,
     "service/cluster.py": 1310,
-    "service/config.py": 207,
+    "service/config.py": 204,
     "service/dispatch.py": 303,
     "service/faults.py": 156,
     "service/registry.py": 351,
     "service/routing.py": 271,
     "service/scheduler.py": 460,
-    "service/service.py": 1319,
-    "service/stats.py": 292,
+    "service/service.py": 1316,
+    "service/stats.py": 286,
     "service/tickets.py": 157,
     "workloads/__init__.py": 95,
     "workloads/arrivals.py": 422,
-    "workloads/chaos.py": 425,
+    "workloads/chaos.py": 423,
     "workloads/keys.py": 271,
-    "workloads/replay.py": 657,
+    "workloads/replay.py": 604,
     "workloads/scenario.py": 397,
 }
 

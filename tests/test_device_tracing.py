@@ -7,7 +7,6 @@ from repro.device import (
     ExecutionContext,
     PhaseBreakdown,
     format_breakdown_table,
-    speedup,
 )
 
 
@@ -62,15 +61,6 @@ class TestFormatBreakdownTable:
     def test_bad_unit_rejected(self):
         with pytest.raises(ValueError):
             format_breakdown_table([], time_unit="minutes")
-
-
-class TestSpeedup:
-    def test_speedup_ratio(self):
-        assert speedup(2.0, 0.5) == pytest.approx(4.0)
-
-    def test_zero_candidate_rejected(self):
-        with pytest.raises(ValueError):
-            speedup(1.0, 0.0)
 
 
 class TestHeterogeneousBackendTrace:

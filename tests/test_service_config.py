@@ -36,7 +36,6 @@ class TestRoundTrip:
                 capacity_bytes=1 << 20,
                 dedup=True,
                 answer_cache_bytes=1 << 16,
-                ticket_capacity=128,
             ),
             ClusterConfig(),
             ClusterConfig(

@@ -152,6 +152,16 @@ def test_capacity_is_pre_sized_and_grow_table_is_a_no_op_when_roomy():
     assert grow_table(table, 3, 9, zeroed=True).tolist() == [0, 1, 2] + [0] * 13
 
 
+@pytest.mark.parametrize("make", [LCAQueryService, ClusterService],
+                         ids=["service", "cluster"])
+def test_a_front_door_answers_into_one_table_of_the_least_capacity(make):
+    """No knob pre-sizes a front door's table: it starts at the least
+    capacity, and a cluster's workers all answer into the one it built."""
+    front = make()
+    assert front._tickets.capacity == TicketTable().capacity == 1024
+    assert all(w._tickets is front._tickets for w in getattr(front, "replicas", ()))
+
+
 #: What a ticket may not be: each would have been cast to a ticket number.
 NOT_TICKETS = {
     "float": 0.7,

@@ -173,6 +173,30 @@ def test_replay_is_deterministic():
     assert first.load_imbalance == second.load_imbalance
 
 
+@pytest.mark.parametrize("make_target", [
+    lambda: LCAQueryService(config=CONFIG),
+    bounded_cluster,
+], ids=["service", "cluster"])
+def test_a_replay_report_is_a_value(make_target):
+    """The report holds modeled outcomes only (no host-clock field), so two
+    replays of one scenario compare equal whole and render the same text."""
+    scenario = make_scenario("multi-tenant", scale=0.25, seed=5)
+    first = replay(make_target(), scenario)
+    second = replay(make_target(), scenario)
+    assert first == second
+    assert first.format() == second.format()
+
+
+def test_the_scenario_is_the_one_source_of_the_trace_seed():
+    """A fresh realization of a workload is a scenario with another seed;
+    ``replay`` has no seed of its own to override it with."""
+    five = make_scenario("multi-tenant", scale=0.25, seed=5)
+    six = make_scenario("multi-tenant", scale=0.25, seed=6)
+    assert replay(bounded_cluster(), five) != replay(bounded_cluster(), six)
+    with pytest.raises(TypeError):
+        replay(bounded_cluster(), five, seed=6)
+
+
 def test_multi_source_replay_on_single_service_verifies_answers():
     scenario = Scenario(
         name="two-tenants",
