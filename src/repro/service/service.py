@@ -368,6 +368,8 @@ class LCAQueryService(FrontDoor):
                            dispatcher_for(config.backends, config.calibration_path))
         self.stats_collector = StatsCollector()
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
+        # dataset -> (scheduler, node count), made at its first scalar submit.
+        self._admission: Dict[str, Tuple[MicroBatchScheduler, int]] = {}
         self._dataset_rank: Dict[str, int] = {}
         # Memoized (dataset, backend) -> ArtifactKey for the registry's keyed
         # fast path; rebuilt lazily, invalidation-free (keys are pure values).
@@ -609,29 +611,32 @@ class LCAQueryService(FrontDoor):
         >>> svc.drain(); svc.result(0)  # LCA of nodes 2 and 3 is the root
         0
         """
-        scheduler = self._scheduler(dataset)
-        n = self.store.tree(dataset).size
+        if dataset not in self._admission:  # made once the (lazy) tree loads
+            scheduler = self._scheduler(dataset)
+            self._admission[dataset] = scheduler, self.store.tree(dataset).size
+        scheduler, n = self._admission[dataset]
         x, y = query_pair(x, y)
         if not (0 <= x < n and 0 <= y < n):
-            raise InvalidQueryError(
-                f"query nodes ({x}, {y}) out of range for dataset {dataset!r} "
-                f"with {n} nodes"
-            )
-        # Serve everything that expired before this arrival, across all
-        # datasets, in global flush-time order; the submitted dataset's
-        # deadline exactly at t stays pending so this query can join it.
-        # (Per query a flush is the exception: no call when no deadline is due.)
+            raise InvalidQueryError(f"query nodes ({x}, {y}) out of range for dataset "
+                                    f"{dataset!r} with {n} nodes")
+        # Serve what expired before this arrival: another dataset's deadline
+        # at or before t, this one's before t (at t, this query joins it).
         t = self.clock.now if at is None else self.clock.advance_to(at)
         for other in self._schedulers.values():
-            if other.next_deadline <= t:
+            deadline = other.next_deadline
+            if deadline < t or deadline == t and other is not scheduler:
                 self._serve_run(self._expired_batches(t, exclusive=dataset))
                 break
-        ticket = self._tickets.issue()
-        self.stats_collector.record_submit()
+        tickets, ticket = self._tickets, self._tickets.issued
+        if ticket < tickets.capacity:
+            tickets.issued = ticket + 1
+        else:
+            tickets.issue()  # grows the table
+        self.stats_collector.queries_submitted += 1
         if self._observer is not None:
             self._observer.record(EV_ARRIVAL, t, ticket=ticket,
                                   replica=self._obs_replica)
-        flushed = scheduler.submit(ticket, x, y)
+        flushed = scheduler.submit(ticket, x, y)  # at t, which the clock reads
         if flushed.flush_s:
             self._serve_run(run_of(dataset, flushed))
         return ticket
@@ -859,14 +864,11 @@ class LCAQueryService(FrontDoor):
     # Internals
     # ------------------------------------------------------------------
     def _scheduler(self, dataset: str) -> MicroBatchScheduler:
-        try:
-            return self._schedulers[dataset]
-        except KeyError:
+        if dataset not in self._schedulers:
             if not self.store.has_tree(dataset):
                 raise ServiceError(
-                    f"unknown dataset {dataset!r}; register_tree() it first"
-                ) from None
-        self._add_schedulers()
+                    f"unknown dataset {dataset!r}; register_tree() it first")
+            self._add_schedulers()
         return self._schedulers[dataset]
 
     def _in_flush_order(self, run: List[RunItem]) -> List[RunItem]:
@@ -889,10 +891,7 @@ class LCAQueryService(FrontDoor):
 
     def _due(self, t: float) -> bool:
         """Whether advancing to ``t`` reaches some scheduler's wait deadline."""
-        for scheduler in self._schedulers.values():
-            if scheduler.next_deadline <= t:
-                return True
-        return False
+        return any(s.next_deadline <= t for s in self._schedulers.values())
 
     def _expired_batches(self, t: float, exclusive: Optional[str] = None,
                          include_equal: bool = True) -> List[RunItem]:
@@ -901,13 +900,14 @@ class LCAQueryService(FrontDoor):
         # FIFO).  Deadlines equal to ``t`` stay pending for ``exclusive`` (a
         # dataset about to receive a submission at ``t``) and, with
         # ``include_equal=False``, on every dataset (:meth:`sync_to`).  Only
-        # a scheduler whose deadline ``t`` reached is called.
+        # a scheduler with a deadline to flush is called.
         t = self.clock.advance_to(t)
         run: List[RunItem] = []
         for name, scheduler in self._schedulers.items():
-            if scheduler.next_deadline <= t:
-                run += run_of(name, scheduler.advance_to(
-                    t, include_equal=include_equal and name != exclusive))
+            inclusive = include_equal and name != exclusive
+            deadline = scheduler.next_deadline
+            if deadline < t or inclusive and deadline == t:
+                run += run_of(name, scheduler.advance_to(t, include_equal=inclusive))
         return self._in_flush_order(run) if len(run) > 1 else run
 
     def _serve_in_submission_order(self, dataset: str, own: Cuts,

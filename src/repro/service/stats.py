@@ -240,7 +240,7 @@ class StatsCollector:
         """
         return self._latency_table[:self._latency_count]
 
-    def record_submit(self, count: int = 1) -> None:
+    def record_submit(self, count: int) -> None:
         """Count newly submitted queries."""
         self.queries_submitted += int(count)
 

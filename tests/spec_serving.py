@@ -95,7 +95,7 @@ from repro.device import ExecutionContext
 from repro.errors import InvalidQueryError, Overloaded, ReplicaDown, ServiceError
 from repro.lca import BinaryLiftingLCA, build_inlabel_index
 from repro.lca.artifacts import ARTIFACT_BUILDERS
-from repro.service import CostModelDispatcher
+from repro.service import ClusterService, CostModelDispatcher
 from repro.service.cache import answer_cache_probe_time
 
 
@@ -510,8 +510,8 @@ class SpecCluster:
 
 def observables(target):
     """What a caller sees of a drained service, cluster or spec, by value."""
-    cluster = isinstance(target, SpecCluster) or hasattr(target, "replicas")
-    workers = getattr(target, "workers", None) or getattr(target, "replicas", [target])
+    cluster = isinstance(target, (SpecCluster, ClusterService))
+    workers = target.workers if cluster else [target]
     faults = None
     if isinstance(target, (SpecService, SpecCluster)):
         where = target.where if cluster else [(0, t) for t in range(target.issued)]

@@ -273,10 +273,10 @@ def test_the_stored_deadline_never_goes_stale(max_batch, wait, steps):
 
 def test_a_rowwise_stream_calls_advance_to_only_at_a_due_deadline(monkeypatch):
     """A row-wise query whose arrival reaches no deadline makes no expiry call:
-    across two datasets, ``MicroBatchScheduler.advance_to`` runs at most once
-    per wait flush plus once per deadline an arrival lands on exactly (the
-    submitted dataset keeps that one pending, so the call flushes nothing).
-    An expiry test on ``pending_count`` makes about one call per query."""
+    across two datasets, ``MicroBatchScheduler.advance_to`` runs only where it
+    flushes a wait batch (a deadline an arrival lands on exactly stays
+    pending for the submitted dataset, and is not called for).  An expiry
+    test on ``pending_count`` makes about one call per query."""
     reached = []
     advance_to = MicroBatchScheduler.advance_to
 
@@ -304,5 +304,92 @@ def test_a_rowwise_stream_calls_advance_to_only_at_a_due_deadline(monkeypatch):
         int(oracles[name].query(np.array([x]), np.array([y]))[0]) for name, x, y in queries]
     waits = svc.stats().flush_triggers["wait"]
     assert all(deadline <= t for deadline, t in reached)
-    assert 0 < len(reached) <= waits + sum(deadline == t for deadline, t in reached)
+    assert 0 < len(reached) <= waits
     assert len(reached) < q // 4
+
+
+@pytest.mark.parametrize("datasets", [1, 2])
+def test_a_stream_on_an_exact_grid_serves_no_empty_run(monkeypatch, datasets):
+    """Arrivals 5 us apart under a 200 us wait: a deadline often lands exactly
+    on an arrival, which joins that batch, so the submission serves nothing
+    then; with a second dataset interleaved, its deadline at that instant
+    flushes.  Either way no ``_serve_run`` call gets an empty run."""
+    runs = []
+    serve_run = LCAQueryService._serve_run
+
+    def spy(service, run):
+        runs.append(len(run))
+        return serve_run(service, run)
+
+    monkeypatch.setattr(LCAQueryService, "_serve_run", spy)
+    names = ["a", "b"][:datasets]
+    trees = {name: random_attachment_tree(500, seed=k) for k, name in enumerate(names)}
+    svc = LCAQueryService(config=ServiceConfig(max_batch_size=256, max_wait_s=2e-4))
+    for name, parents in trees.items():
+        svc.register_tree(name, parents)
+    q = 4000
+    rng = np.random.default_rng(3)
+    xs, ys = rng.integers(0, 500, (2, q)).tolist()
+    arrivals = (np.arange(q) * 5e-6).tolist()
+    deadlines, tickets = set(), []
+    for i, (x, y, t) in enumerate(zip(xs, ys, arrivals)):
+        name = names[i % datasets]
+        deadlines.add(svc._scheduler(name).next_deadline)
+        tickets.append(svc.submit(name, x, y, at=t))
+    assert len(deadlines & set(arrivals)) > q // 100  # the grid makes ties
+    assert runs and 0 not in runs
+    svc.drain()
+    answers = svc.results(np.array(tickets))
+    for k, name in enumerate(names):
+        expected = BinaryLiftingLCA(trees[name]).query(
+            np.array(xs[k::datasets]), np.array(ys[k::datasets]))
+        assert np.array_equal(answers[k::datasets], expected)
+
+
+# ----------------------------------------------------------------------
+# Scalar admission: the boundaries ``submit`` handles itself
+# ----------------------------------------------------------------------
+
+def test_a_scalar_stream_across_table_growth_and_buffer_refills_matches_a_block():
+    """3,000 tickets outgrow the ticket table's first 1,024 and 2,048 rows, and
+    the scheduler's 2 x 100-row buffer is replaced many times: the oracle's
+    answers, and latencies bit-equal to one ``submit_many`` of the same rows."""
+    parents = random_attachment_tree(700, seed=4)
+    rng = np.random.default_rng(5)
+    q = 3000
+    xs, ys = rng.integers(0, parents.size, (2, q))
+    arrivals = np.cumsum(rng.exponential(1.2e-6, q))
+    config = ServiceConfig(max_batch_size=100, max_wait_s=1e-4)
+    scalar, block = LCAQueryService(config=config), LCAQueryService(config=config)
+    for svc in (scalar, block):
+        svc.register_tree("t", parents)
+    tickets = [scalar.submit("t", x, y, at=t)
+               for x, y, t in zip(xs.tolist(), ys.tolist(), arrivals.tolist())]
+    assert tickets == list(range(q))
+    assert block.submit_many("t", xs, ys, at=arrivals).tolist() == tickets
+    for svc in (scalar, block):
+        svc.drain()
+    assert np.array_equal(scalar.results(tickets), BinaryLiftingLCA(parents).query(xs, ys))
+    assert scalar.latencies(tickets).tobytes() == block.latencies(tickets).tobytes()
+    triggers = scalar.stats().flush_triggers
+    assert triggers == block.stats().flush_triggers and triggers["size"] and triggers["wait"]
+
+
+def test_a_failing_lazy_loader_issues_nothing_and_stays_retryable():
+    attempts = []
+
+    def flaky():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise OSError("transient")
+        return np.array([-1, 0, 0, 1])
+
+    svc = LCAQueryService()
+    svc.register_tree("lazy", loader=flaky)
+    with pytest.raises(OSError):
+        svc.submit("lazy", 2, 3, at=0.0)
+    assert svc.tickets_issued == 0 and svc.stats().queries_submitted == 0
+    assert "lazy" not in svc._admission
+    assert svc.submit("lazy", 2, 3, at=0.0) == 0
+    svc.drain()
+    assert svc.result(0) == 0 and len(attempts) == 2
