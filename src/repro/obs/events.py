@@ -8,9 +8,9 @@ dispatch decision, kernel start/end, completion, cache and index activity —
 that freeze into one set of parallel NumPy columns.  The recorder rides the
 columnar hot path by *journaling*: :meth:`TraceRecorder.record` appends one
 tuple, :meth:`TraceRecorder.record_block` appends defensive copies of the
-caller's arrays, and all per-row work — sampling masks, dtype conversion,
-broadcasting, column assembly — is deferred to the first
-:meth:`TraceRecorder.table` call, off the serving hot path.  When no
+caller's arrays (sampled at once) or owned ones, and the rest of the per-row
+work — owned blocks' sampling masks, dtype conversion, broadcasting, column
+assembly — is deferred to the first :meth:`TraceRecorder.table` call.  When no
 recorder is attached the emission sites reduce to one ``is None`` check.
 
 Events are rows of seven parallel columns:
@@ -285,11 +285,11 @@ class TraceRecorder:
     """Journaling sink for lifecycle events, frozen into columns on demand.
 
     Appends are O(1): a scalar event is one tuple append, a block event one
-    defensive copy of the caller's arrays plus a tuple append.  Sampling
-    masks, dtype conversion and column assembly all happen once, inside
-    :meth:`table`, so the cost a live recorder adds to the serving hot path
-    is per-*call*, not per-*row* — the property the overhead benchmark
-    (``benchmarks/bench_obs_overhead.py``) gates.
+    defensive copy of the caller's arrays (under sampling, the kept rows)
+    plus a tuple append.  Dtype conversion, column assembly and an owned
+    block's sampling mask happen once, inside :meth:`table`; what the overhead
+    benchmark (``benchmarks/bench_obs_overhead.py``) gates is what remains on
+    the serving hot path.
 
     Parameters
     ----------

@@ -414,8 +414,7 @@ class LCAQueryService(FrontDoor):
         if obs is None:  # pragma: no cover - hook detached concurrently
             return
         kind = EV_INDEX_LOAD if event == "load" else EV_INDEX_EVICT
-        obs.record(kind, self.clock.now, replica=self._obs_replica,
-                   detail=value,
+        obs.record(kind, self.clock.now, replica=self._obs_replica, detail=value,
                    aux=obs.intern(f"{key.dataset}/{key.variant or key.kind}"))
 
     # ------------------------------------------------------------------
@@ -889,9 +888,10 @@ class LCAQueryService(FrontDoor):
         batches.sort(key=lambda item: item[:2])
         return joined([item[2:] for item in batches])
 
-    def _due(self, t: float) -> bool:
-        """Whether advancing to ``t`` reaches some scheduler's wait deadline."""
-        return any(s.next_deadline <= t for s in self._schedulers.values())
+    def _due(self, t: float, own: MicroBatchScheduler) -> bool:
+        """Whether an arrival at ``t`` for ``own`` expires a deadline, as in submit."""
+        return any(s.next_deadline < t or s.next_deadline == t and s is not own
+                   for s in self._schedulers.values())
 
     def _expired_batches(self, t: float, exclusive: Optional[str] = None,
                          include_equal: bool = True) -> List[RunItem]:
@@ -935,9 +935,9 @@ class LCAQueryService(FrontDoor):
             # Other datasets' deadlines fire at the first arrival at or past them.
             merged += [(bisect_left(view, flush_s), 0, flush_s, rank, name, cuts, k)
                        for k, flush_s in enumerate(cuts.flush_s)]
-        if not merged:
-            # Nothing to interleave: own batches are already in serving order.
-            self._serve_run(run_of(dataset, own))
+        if not merged:  # nothing to interleave: own batches are in serving order
+            if own.flush_s:
+                self._serve_run(run_of(dataset, own))
             return
         own_rank = self._dataset_rank[dataset]
         for k, (flush_s, trigger) in enumerate(zip(own.flush_s, own.triggers)):
@@ -972,13 +972,12 @@ class LCAQueryService(FrontDoor):
         cache = self.answer_cache
         assert cache is not None
         t_first, t_last = arrivals.item(0), arrivals.item(-1)
-        # Batches whose wait deadline expired before this block's first
-        # arrival flush earlier on the simulated timeline, so they serve —
-        # and populate the cache — before the block is probed (deadlines
-        # falling *inside* the block's arrival span are served after the
-        # probe, an acknowledged approximation of the per-arrival
-        # interleaving; answers are exact either way).
-        if self._due(t_first):
+        # Batches whose wait deadline the block's first arrival expires flush
+        # earlier on the simulated timeline, so they serve — and populate the
+        # cache — before the block is probed (deadlines *inside* the block's
+        # arrival span serve after the probe, an acknowledged approximation of
+        # the per-arrival interleaving; answers are exact either way).
+        if self._due(t_first, scheduler):
             self._serve_run(self._expired_batches(t_first, exclusive=dataset))
         keys = pack_query_pairs(xs, ys)
         space = self._dataset_rank[dataset]
@@ -1037,12 +1036,10 @@ class LCAQueryService(FrontDoor):
                                          [probe_time], hit_latency, t_first,
                                          completion, 0)
         # The block's arrivals moved time to its last timestamp: fire every
-        # wait deadline that expired on the way (this dataset's pending
-        # misses and other datasets alike) and serve everything in
-        # flush-time order.  As on every submit path, this dataset's
-        # deadlines exactly at the arrival instant stay pending so a
-        # same-instant follow-up submission can still join them.
-        if self._due(t_last):
+        # wait deadline expired on the way (this dataset's pending misses and
+        # other datasets alike; its own at that instant stay pending, for a
+        # same-instant follow-up to join) and serve all in flush-time order.
+        if self._due(t_last, scheduler):
             run += self._expired_batches(t_last, exclusive=dataset)
         self.clock.advance_to(t_last)
         if run:
@@ -1061,9 +1058,8 @@ class LCAQueryService(FrontDoor):
         (:meth:`_open_span`) and one kernel call and insert at once
         (:meth:`_launch_span`; none if every lane hit) — a plain span's call is
         deferred to the ticket table's next read.  Each piece of the run is
-        booked by one :meth:`_finish_span`, under an observer one batch at a
-        time (events keep order).  ``spans`` is local: the hedge hook runs
-        other replicas' code mid-run.
+        booked by one :meth:`_finish_span`, traced or not.  ``spans`` is local:
+        the hedge hook runs other replicas' code mid-run.
         """
         intercept = self._serve_interceptor
         if intercept is not None:
@@ -1080,7 +1076,7 @@ class LCAQueryService(FrontDoor):
         # run, another span's.  Lanes bound inserts: a run within the cache's
         # headroom cannot; any other is served as one-batch spans, whose
         # inserts reset exactly where a batch's always did.
-        cache, traced = self.answer_cache, self._observer is not None
+        cache = self.answer_cache
         roomy = cache is None or cache.headroom >= sum(
             cuts.bounds[k1] - cuts.bounds[k0] for _, cuts, k0, k1 in run)
         # A span ends at its ``Cuts``' last batch in the run.
@@ -1092,7 +1088,7 @@ class LCAQueryService(FrontDoor):
                 if span is None or span.k1 <= k:
                     span = spans[id(cuts)] = self._open_span(
                         dataset, cuts, k, ends.get(id(cuts), k1), roomy)
-                k = k + 1 if traced else min(k1, span.k1)
+                k = min(k1, span.k1)
                 self._finish_span(span, k)
 
     def _open_span(self, dataset: str, cuts: Cuts, k0: int, end: int,
@@ -1191,7 +1187,8 @@ class LCAQueryService(FrontDoor):
         fetch per lane (the rest credited as hits), the latencies, the table
         write and the stats record.  An all-hit batch is booked on the
         host-side cache lane: no dispatcher, registry or hedge.  Only the
-        hedge hook and an observer (one batch a call) see a batch alone.
+        hedge hook sees a batch alone.  An observer then gets each batch's
+        events in lifecycle order (index loads and evictions, hedges, precede).
         """
         cuts, ka, a = span.cuts, span.booked, span.booked - span.k0
         count, span.booked = stop - ka, stop
@@ -1208,17 +1205,6 @@ class LCAQueryService(FrontDoor):
                  if span.deduped else dict.fromkeys(sizes, 0.0))
         charges = [(probe[size] + priced[q][1]) * factor if q else probe[size]
                    for size, q in zip(sizes, kernel)]
-        if obs is not None:  # one batch (see _serve_run)
-            batch, hits, cached = cuts[ka], span.hits[a], span.space is not None
-            at: Dict[str, Any] = dict(batch=batch.batch_id, replica=replica)
-            if hits and cached:
-                obs.record(EV_CACHE_HITS, batch.flush_s, detail=float(hits), **at)
-            if hits < batch.size and cached:
-                obs.record(EV_CACHE_MISSES, batch.flush_s, **at,
-                           detail=float(batch.size - hits))
-            if kernel[0]:
-                obs.record(EV_DISPATCH, batch.flush_s, detail=priced[kernel[0]][1],
-                           aux=obs.intern(lanes[0]), **at)
         # Until a batch's index is missing every fetch hits: fetch once a lane
         # in order of last use (the LRU order per-batch fetches leave) and
         # credit the rest.  From the first miss on (a build may evict), per batch.
@@ -1236,6 +1222,9 @@ class LCAQueryService(FrontDoor):
                 registry.credit_hits(entry, hit_lanes.count(lane) - 1)
                 artifacts[lane] = entry.artifact
         for m in range(first_miss, count):
+            if obs is not None:  # codes in first use: a batch's lane before its index
+                for lane in lanes[m if m > first_miss else 0:m + 1]:
+                    obs.intern(lane)
             if kernel[m]:
                 entry, hit = registry.fetch_by_key(
                     keys[lanes[m]], spec=priced[kernel[m]][0].spec)
@@ -1247,11 +1236,6 @@ class LCAQueryService(FrontDoor):
         first = next(filter(None, kernel), 0)
         resets = (self._launch_span(span, artifacts[lanes[kernel.index(first)]])
                   if first and span.pending and span.deduped else 0)
-        if obs is not None and kernel[0] and cached:
-            obs.record(EV_CACHE_INSERT, batch.flush_s, detail=float(kernel[0]), **at)
-            if resets:
-                obs.record(EV_CACHE_RESET, batch.flush_s, replica=replica,
-                           detail=float(resets))
         # A batch starts once both it is flushed and its lane is free:
         # overload shows as queueing delay, not as overlapping service.
         free, starts, completions = self._backend_free_s, [], []
@@ -1277,11 +1261,6 @@ class LCAQueryService(FrontDoor):
         debt = getattr(table, "debt", None)
         if debt is not None:  # retried queries carry the latency accrued before
             latencies = latencies + debt[tickets]  # re-admission; others read 0
-        if obs is not None:  # ``own``: nothing mutates them
-            obs.record_span(EV_KERNEL_START, EV_KERNEL_END, starts[0], completions[0],
-                            detail=charges[0], aux=obs.intern(lanes[0]), **at)
-            obs.record_block(EV_COMPLETE, done[0], tickets, detail=latencies, own=True,
-                             **at)
         # One slice for consecutive tickets, else a scatter.  A buffer's tickets
         # ascend until a failover first re-admits one (and makes ``debt``).
         window = table.window(tickets, ascends=debt is None)
@@ -1297,6 +1276,27 @@ class LCAQueryService(FrontDoor):
             rows = slice(cuts.bounds[ka], cuts.bounds[span.k1])
             window = table.window(columns[0][rows], ascends=debt is None)
             table.defer(artifacts[lanes[0]], window, columns[1][rows], columns[2][rows])
+        if obs is None:
+            return
+        cached, launched = span.space is not None, kernel.index(first) if resets else -1
+        for m, (batch, flush_s) in enumerate(zip(cuts.batch_ids[ka:stop], flushes)):
+            at, q, hits = dict(batch=batch, replica=replica), kernel[m], span.hits[a + m]
+            if hits and cached:
+                obs.record(EV_CACHE_HITS, flush_s, detail=float(hits), **at)
+            if hits < sizes[m] and cached:
+                obs.record(EV_CACHE_MISSES, flush_s, detail=float(sizes[m] - hits), **at)
+            if q:
+                obs.record(EV_DISPATCH, flush_s, detail=priced[q][1],
+                           aux=obs.intern(lanes[m]), **at)
+            if q and cached:
+                obs.record(EV_CACHE_INSERT, flush_s, detail=float(q), **at)
+            if m == launched:
+                obs.record(EV_CACHE_RESET, flush_s, replica=replica, detail=float(resets))
+            obs.record_span(EV_KERNEL_START, EV_KERNEL_END, starts[m], completions[m],
+                            detail=charges[m], aux=obs.intern(lanes[m]), **at)
+            rows = slice(cuts.bounds[ka + m] - lo, cuts.bounds[ka + m + 1] - lo)
+            obs.record_block(EV_COMPLETE, done[m], tickets[rows], detail=latencies[rows],
+                             own=True, **at)  # ``own``: nothing mutates them
 
     def _artifact_key(self, dataset: str, backend: Backend) -> ArtifactKey:
         """The registry key ``backend`` serves ``dataset`` from.

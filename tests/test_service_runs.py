@@ -12,11 +12,13 @@ index, before an answer is read or once the pending lanes reach its bound.
 Answers, latencies, stats and the cache and registry counters a caller can
 observe are held against the executable spec of the serving timeline
 (``tests/spec_serving.py``), which knows nothing of spans.  Two observables
-the spec does not model — the observer's events in recording order and the
-registry's LRU order and evictions — are held by one property,
+the spec does not model — the observer's canonical trace and the registry's
+LRU order and evictions — are held by one property,
 ``test_property_cached_spans_equal_one_batch_runs``, against the same code
-handed one-batch runs (:func:`per_batch`).  The tests here pin what spans do
-to the host: launches, slices, buffers and bookings.
+handed one-batch runs (:func:`per_batch`); it also holds each batch's events
+in lifecycle order (:func:`in_lifecycle_order`).  A recorder changes no
+booking: the stretches are the same traced or not.  The tests here pin what
+spans do to the host: launches, slices, buffers and bookings.
 
 Each of these mutations was applied by hand and fails the test named beside it:
 
@@ -57,7 +59,16 @@ from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA, pack_query_pairs
 from repro.obs import TraceRecorder
-from repro.obs.events import EV_FLUSH, EV_KERNEL_END, EV_KERNEL_START
+from repro.obs.events import (
+    EV_CACHE_HITS,
+    EV_CACHE_INSERT,
+    EV_CACHE_MISSES,
+    EV_COMPLETE,
+    EV_DISPATCH,
+    EV_FLUSH,
+    EV_KERNEL_END,
+    EV_KERNEL_START,
+)
 from repro.service import (
     ClusterConfig,
     ClusterService,
@@ -148,9 +159,8 @@ def per_batch(service):
 def make_service(trees, *, reference=False, traced=True, **knobs):
     """``(service, launches, observer)`` over ``{name: parents}``.
 
-    Untraced (``observer`` None), a span's run-adjacent batches are booked
-    together; under an observer, one at a time.  ``reference`` serves one-batch
-    runs (:func:`per_batch`).
+    A span's run-adjacent batches are booked together, traced or not
+    (``observer`` None); ``reference`` serves one-batch runs (:func:`per_batch`).
     """
     service = LCAQueryService(config=ServiceConfig(**{**POLICY, **knobs}))
     if reference:
@@ -164,14 +174,19 @@ def make_service(trees, *, reference=False, traced=True, **knobs):
 
 
 def observed(service, observer):
-    """All a caller can see of a drained service, events in recording order."""
+    """All a caller can see of a drained service, its trace canonicalized.
+
+    A booking records its batches' events after the index loads, evictions
+    and hedges it caused, where one-batch runs interleave them: only the
+    order differs, so the trace is compared as a sorted table (labels too).
+    """
     tickets = np.arange(service.tickets_issued)
     answered = service._tickets.answered[tickets]  # all, unless an interceptor claimed
     tickets = tickets[answered]
     registry, stats, cache = service.registry, service.stats(), service.answer_cache
     events = []
     if observer is not None:
-        table = observer.table()
+        table = observer.table().canonical()
         events = [column.tobytes() for column in (
             table.time_s, table.kind, table.ticket, table.batch, table.replica,
             table.detail, table.aux)] + [list(table.labels)]
@@ -189,6 +204,22 @@ def observed(service, observer):
                      [(str(key), registry.fetch_by_key(key)[0].hits)
                       for key in registry.keys()]),
     }
+
+
+#: A batch's events, in the order its life records them.
+LIFECYCLE = (EV_FLUSH, EV_CACHE_HITS, EV_CACHE_MISSES, EV_DISPATCH, EV_CACHE_INSERT,
+             EV_KERNEL_START, EV_KERNEL_END, EV_COMPLETE)
+
+
+def in_lifecycle_order(table):
+    """Whether every batch id's :data:`LIFECYCLE` events are recorded in order."""
+    rank, reached = {kind: r for r, kind in enumerate(LIFECYCLE)}, {}
+    for batch, kind in zip(table.batch.tolist(), table.kind.tolist()):
+        if batch >= 0 and kind in rank:
+            if rank[kind] < reached.get(batch, 0):
+                return False
+            reached[batch] = rank[kind]
+    return True
 
 
 def spec_service(trees, **knobs):
@@ -384,6 +415,25 @@ def test_a_hedge_books_a_duplicate_but_computes_nothing():
     # The model ran every hedged batch twice; the host answered each query
     # once, in one launch at the read (both replicas' views share one index).
     assert [size for log in logs for _, size in lanes(log)] == [256]
+
+
+@pytest.mark.parametrize("cache", [None, 4 << 20], ids=["plain", "cache-on"])
+def test_no_submitted_block_serves_an_empty_run(cache):
+    """Blocks of 8 on a 5 µs grid, a 200 µs wait: most blocks flush nothing and
+    expire nothing, and every deadline lands on an arrival (the sixth block's
+    first lands on the first block's, and joins its batch).  Neither reaches
+    ``_serve_run`` with an empty run; the wait flushes still do."""
+    service, _, _ = make_service({"t": tree(57)}, traced=False, max_batch_size=64,
+                                 max_wait_s=2e-4, answer_cache_bytes=cache)
+    runs = count_calls(service, "_serve_run")
+    xs, ys = queries(160, 58)
+    at = np.arange(160) * 5e-6
+    for i in range(0, 160, 8):
+        service.submit_many("t", xs[i:i + 8], ys[i:i + 8], at=at[i:i + 8])
+    lengths = [len(run) for run, in runs]
+    assert lengths == [1] * 3  # the wait flushes at 41, 82 and 123 arrivals
+    service.drain()
+    assert np.array_equal(service.results(np.arange(160)), oracle(tree(57), xs, ys))
 
 
 # ----------------------------------------------------------------------
@@ -741,6 +791,10 @@ def registry_bytes(trees):
          max_batch=BIG, claim=0, seed=11)
 @example(cache="plain", capacity="one", traced=False, two=False, pool=300,
          max_batch=BIG, claim=0, seed=4)
+# Rebuilds inside multi-batch bookings: their index events are recorded before
+# the batches' own, so only the canonical tables are equal.
+@example(cache=4 << 20, capacity="one", traced=True, two=False, pool=300,
+         max_batch=BIG, claim=0, seed=1)
 def test_property_cached_spans_equal_one_batch_runs(cache, capacity, traced, two, pool,
                                                     max_batch, claim, seed):
     """Span service changes nothing a caller can see, the spec's blind spots too.
@@ -748,12 +802,13 @@ def test_property_cached_spans_equal_one_batch_runs(cache, capacity, traced, two
     The one test that keeps the one-batch-run reference (:func:`per_batch`):
     the spec (``tests/spec_serving.py``) does not model the observer's events
     or the registry's LRU order and evictions, so this holds them, with all
-    else, against the same code handed one-batch runs.  The plain path,
+    else, against the same code handed one-batch runs — the events as a
+    canonical table, and each batch's in lifecycle order.  The plain path,
     ``dedup`` alone, caches of 64 slots (a reset every few batches) to 4 MiB;
     registries of one artifact or one byte short of all of them, so evictions
     and rebuilds fall mid-span and the LRU order picks the victim; batches
-    above the CPU/GPU crossover, so spans change lanes; traced (booked a batch
-    at a time) or not (booked a stretch at a time); one or two datasets whose
+    above the CPU/GPU crossover, so spans change lanes; traced or not (booked
+    a stretch at a time either way); one or two datasets whose
     deadlines fire inside each other's blocks; pools small enough that a key
     repeats within a batch, across a span's batches and across spans.  Each of
     these mutations was applied by hand and fails here (the pinned examples
@@ -781,6 +836,7 @@ def test_property_cached_spans_equal_one_batch_runs(cache, capacity, traced, two
             trees, reference=reference, traced=traced, **knobs)
         service.set_serve_interceptor(claim_some(claim))
         mixed_stream(service, names, pool=pool, seed=seed)
+        assert observer is None or in_lifecycle_order(observer.table())
         return service, launches, observed(service, observer)
 
     service, launches, seen = run(reference=False)
@@ -796,6 +852,43 @@ def test_property_cached_spans_equal_one_batch_runs(cache, capacity, traced, two
     mixed_stream(plain, names, pool=pool, seed=seed)
     answered = np.flatnonzero(seen["answered"])
     assert seen["answers"] == plain.results(answered).tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_hedged_evicting_cluster_traces_like_one_batch_runs(seed):
+    """Three replicas round robin, one slowed 200×, a 10 µs hedge delay, a
+    400 kB registry (two trees' artifacts need 640 kB): hedges, index loads and
+    evictions fall inside multi-batch bookings, which record them before their
+    batches' events.  The canonical trace (labels and all) and the cluster's
+    stats are those of one-batch runs on every worker."""
+    trees = {"a": tree(seed, 2048), "b": tree(seed + 1, 1024)}
+
+    def run(reference):
+        cluster = ClusterService(
+            config=ClusterConfig(n_replicas=3, router="round-robin",
+                                 hedge_delay_s=1e-5, capacity_bytes=400_000,
+                                 max_batch_size=16, max_wait_s=2e-4),
+            fault_injector=FaultInjector([FaultEvent(
+                time_s=0.0, action="slowdown", replica=1, factor=200.0)]))
+        for worker in cluster.replicas if reference else ():
+            per_batch(worker)
+        stretches = [booked_stretches(worker) for worker in cluster.replicas]
+        observer = TraceRecorder()
+        cluster.attach_observer(observer)
+        for name, parents in trees.items():
+            cluster.register_tree(name, parents, replicas=3)
+        for name, xs, ys, at in poisson_stream(trees, ((1e6, 0.005),), seed=seed):
+            cluster.submit_many(name, xs, ys, at=at)
+        cluster.drain()
+        assert in_lifecycle_order(observer.table())
+        counts = [count for log in stretches for _, count, _ in log]
+        return observer.table().canonical(), cluster.stats(), counts
+
+    table, stats, counts = run(reference=False)
+    expected, expected_stats, _ = run(reference=True)
+    assert table.equals(expected)
+    assert stats == expected_stats
+    assert stats.hedges_won > 0 and stats.cache_evictions > 0 and max(counts) > 1
 
 
 # ----------------------------------------------------------------------
@@ -840,7 +933,7 @@ def test_dispatch_and_registry_bookkeeping_stay_per_batch(case):
 
 
 # ----------------------------------------------------------------------
-# One booking per span: untraced, a span's batches are booked together
+# One booking per span: a span's batches are booked together, traced or not
 # ----------------------------------------------------------------------
 def booked_stretches(service):
     """Log ``(dataset, batches, tickets)`` of every ``_finish_span`` call."""
@@ -870,16 +963,18 @@ def alternating_block(rounds=6, wait=1e-4):
     return xs, ys, at
 
 
-@pytest.mark.parametrize("knobs", [{}, {"warm": True}, {"capacity_bytes": 1}],
-                         ids=["cold", "warm", "one-artifact"])
-def test_a_span_across_the_crossover_books_like_one_batch_runs(knobs):
+@pytest.mark.parametrize("knobs,traced", [
+    pytest.param(knobs, traced, id=name + "-traced" * traced)
+    for traced in (False, True) for name, knobs in (
+        ("cold", {}), ("warm", {"warm": True}), ("one-artifact", {"capacity_bytes": 1}))])
+def test_a_span_across_the_crossover_books_like_one_batch_runs(knobs, traced):
     knobs = dict(knobs)
     warm = knobs.pop("warm", False)
     parents = tree(51)
     xs, ys, at = alternating_block()
 
-    service, _, _ = make_service({"t": parents}, traced=False, max_batch_size=BIG,
-                                 **knobs)
+    service, _, observer = make_service({"t": parents}, traced=traced,
+                                        max_batch_size=BIG, **knobs)
     spec = spec_service({"t": parents}, max_batch_size=BIG)
     stretches = booked_stretches(service)
     for target in (service, spec):
@@ -901,8 +996,10 @@ def test_a_span_across_the_crossover_books_like_one_batch_runs(knobs):
         # ``capacity="one"`` example.
         assert observables(service) == observables(spec)
     assert np.array_equal(service.results(np.arange(xs.size)), oracle(parents, xs, ys))
-    # The block's eleven batches are one booking whose lanes alternate.
+    # The block's eleven batches are one booking whose lanes alternate, under
+    # a recorder too, which still sees each batch's events in order.
     assert [count for _, count, _ in stretches] == [11, 1]
+    assert observer is None or in_lifecycle_order(observer.table())
     assert service.stats().backend_choices == {"cpu1": 6, "gpu": 6}
     if knobs:
         # One artifact fits: every batch misses and rebuilds, as it always did.
@@ -1042,10 +1139,10 @@ def test_bulk_booking_equals_the_spec_on_hard_spans(traced):
     assert service.stats().backend_choices == {"cpu1": 3, "gpu": 15}
     assert service.stats().flush_triggers == {"wait": 3, "size": 15}
     seen, expected = observed(service, observer), observed(reference, ref_observer)
-    assert seen["events"] == expected["events"]  # event tables, in recording order
+    assert seen["events"] == expected["events"]  # canonical event tables
+    # Each block is one booking of six batches across both lanes, traced or not.
+    assert [count for _, count, _ in stretches] == [6, 6, 6]
     if not traced:
-        # Each block is one booking of six batches across both lanes.
-        assert [count for _, count, _ in stretches] == [6, 6, 6]
         return
     gpu = lane_bookings(observer)["gpu"]
     assert len(gpu) == 15
