@@ -16,6 +16,7 @@ every subsequent node statistic is then an array scan (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,6 +27,7 @@ from ..errors import InvalidGraphError, NotATreeError
 from ..graphs.edgelist import EdgeList
 from ..graphs.trees import NO_PARENT, parents_to_edgelist, tree_root
 from ..primitives import list_rank, order_from_ranks
+from ..primitives.listrank import charge_order_from_ranks
 from .dcel import DCEL, build_dcel
 
 
@@ -48,8 +50,6 @@ class EulerTour:
         Successor half-edge along the tour; the last half-edge has ``-1``.
     rank:
         Position of each half-edge in the tour (0-based).
-    tour:
-        Inverse of ``rank``: ``tour[p]`` is the half-edge at position ``p``.
     """
 
     dcel: DCEL
@@ -57,7 +57,11 @@ class EulerTour:
     head: int
     succ: np.ndarray
     rank: np.ndarray
-    tour: np.ndarray
+
+    @cached_property
+    def tour(self) -> np.ndarray:
+        """Inverse of ``rank`` (``tour[p]`` is the half-edge at ``p``), built on first read."""
+        return order_from_ranks(self.rank)
 
     @property
     def n(self) -> int:
@@ -86,9 +90,7 @@ class EulerTour:
 
     def nodes_in_tour_order(self) -> np.ndarray:
         """Nodes visited by the tour: destination of every tour edge, prefixed by the root."""
-        return np.concatenate(
-            [np.asarray([self.root], dtype=np.int64), self.dst[self.tour]]
-        )
+        return np.concatenate(([self.root], self.dst[self.tour]))
 
 
 def build_euler_tour_from_dcel(dcel: DCEL, root: int = 0,
@@ -100,11 +102,9 @@ def build_euler_tour_from_dcel(dcel: DCEL, root: int = 0,
     if not (0 <= root < n):
         raise InvalidGraphError(f"root {root} out of range for tree of {n} nodes")
     h = dcel.num_halfedges
-    if h == 0:
-        # Single-node tree: an empty tour.
+    if h == 0:  # single-node tree: an empty tour
         empty = np.empty(0, dtype=np.int64)
-        return EulerTour(dcel=dcel, root=root, head=-1, succ=empty,
-                         rank=empty.copy(), tour=empty.copy())
+        return EulerTour(dcel=dcel, root=root, head=-1, succ=empty, rank=empty)
 
     # A tree with more than one node has no isolated vertex; an isolated
     # vertex here means the edge set (of the right cardinality n - 1) is
@@ -150,8 +150,8 @@ def build_euler_tour_from_dcel(dcel: DCEL, root: int = 0,
         raise NotATreeError(
             "Euler tour does not visit every half-edge; input is not a connected tree"
         ) from exc
-    tour = order_from_ranks(rank, ctx=ctx)
-    return EulerTour(dcel=dcel, root=root, head=head, succ=succ, rank=rank, tour=tour)
+    charge_order_from_ranks(ctx, h)
+    return EulerTour(dcel=dcel, root=root, head=head, succ=succ, rank=rank)
 
 
 def build_euler_tour(tree_edges: EdgeList, root: int = 0,

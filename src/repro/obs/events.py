@@ -431,56 +431,48 @@ class TraceRecorder:
         tickets = np.asarray(tickets, dtype=np.int64)
         if tickets.size == 0:
             return
-        self._frozen = None
-        times: Union[float, np.ndarray]
-        details: Union[float, np.ndarray]
-        if own:
-            # Ownership transferred: append references as-is and leave even
-            # the sampling mask to materialization.  This is the cheapest
-            # path — one tuple append — and the one the per-batch completion
-            # hook on the serving hot path uses.
-            times = (
-                np.asarray(time_s, dtype=np.float64)
-                if isinstance(time_s, np.ndarray) else float(time_s)
-            )
-            details = (
-                np.asarray(detail, dtype=np.float64)
-                if isinstance(detail, np.ndarray) else float(detail)
-            )
-        elif self.sample > 1:
-            pick = tickets % self.sample == 0
-            if not pick.any():
+        rows: Optional[np.ndarray] = None
+        if self.sample > 1 and not own:
+            rows = self._kept(tickets)
+            if not rows.size:
                 return
-            tickets = tickets[pick]  # boolean indexing allocates
-            times = (
-                np.asarray(time_s, dtype=np.float64)[pick]
-                if isinstance(time_s, np.ndarray) else float(time_s)
-            )
-            details = (
-                np.asarray(detail, dtype=np.float64)[pick]
-                if isinstance(detail, np.ndarray) else float(detail)
-            )
+        # An owned block (the per-batch completion hook on the serving hot
+        # path) is appended as it is, and sampled when it is materialized.
+        self._frozen = None
+        self._entries.append((
+            kind, self._column(time_s, np.float64, own, rows),
+            self._column(tickets, np.int64, own, rows), batch, replica,
+            self._column(detail, np.float64, own, rows), aux,
+        ))
+
+    def _kept(self, tickets: np.ndarray) -> np.ndarray:
+        """Positions of the tickets divisible by ``sample``.
+
+        The predicate is ``ticket % sample == 0``, computed without NumPy's
+        int64 remainder (a division per row): a mask test when ``sample`` is
+        a power of two, else a floor division by the scalar, which NumPy
+        turns into a multiplication.
+        """
+        s = self.sample
+        if s & (s - 1) == 0:
+            keep = (tickets & (s - 1)) == 0
         else:
-            times = (
-                self._owned(time_s, np.float64, own)
-                if isinstance(time_s, np.ndarray) else float(time_s)
-            )
-            details = (
-                self._owned(detail, np.float64, own)
-                if isinstance(detail, np.ndarray) else float(detail)
-            )
-            tickets = self._owned(tickets, np.int64, own)
-        self._entries.append(
-            (kind, times, tickets, batch, replica, details, aux)
-        )
+            keep = tickets // s * s == tickets
+        return keep.nonzero()[0]
 
     @staticmethod
-    def _owned(values: np.ndarray, dtype: type, own: bool) -> np.ndarray:
-        """``values`` as an array the journal may keep (copying if needed)."""
-        converted = np.asarray(values, dtype=dtype)
-        if converted is values and not own:
-            converted = converted.copy()
-        return converted
+    def _column(values: Union[float, np.ndarray], dtype: type, own: bool,
+                rows: Optional[np.ndarray]) -> Union[float, np.ndarray]:
+        """``values`` as the journal may keep them.
+
+        A scalar becomes a float; an array is kept as it is when owned,
+        sampled down to ``rows``, or else copied.
+        """
+        if not isinstance(values, np.ndarray):
+            return float(values)
+        if rows is not None:
+            return np.asarray(values, dtype=dtype)[rows]
+        return np.asarray(values, dtype=dtype) if own else np.array(values, dtype=dtype)
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -492,14 +484,14 @@ class TraceRecorder:
         kind, times, tickets, batch, replica, details, aux = entry
         assert isinstance(tickets, np.ndarray)
         if self.sample > 1:
-            keep = tickets % self.sample == 0
-            tickets = tickets[keep]
-            if tickets.size == 0:
+            rows = self._kept(tickets)
+            if not rows.size:
                 return None
+            tickets = tickets[rows]
             if isinstance(times, np.ndarray):
-                times = times[keep]
+                times = times[rows]
             if isinstance(details, np.ndarray):
-                details = details[keep]
+                details = details[rows]
         n = tickets.size
         return (
             np.broadcast_to(np.float64(times), (n,))

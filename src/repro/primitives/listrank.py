@@ -29,6 +29,8 @@ from ..device import ExecutionContext, ensure_context
 from ..errors import InvalidGraphError
 
 _NIL = -1
+_WORD_BITS = 63  # of the int64 word a Wei–JaJa walk writes (the sign bit stays clear)
+_TILE = 1 << 16  # elements per step of the in-place Wei–JaJa offset add
 
 
 def _validate_list(succ: object, head: object) -> np.ndarray:
@@ -55,14 +57,12 @@ def sequential_rank(succ: np.ndarray, head: int,
     ctx = ensure_context(ctx)
     succ = _validate_list(succ, head)
     n = succ.size
-    rank = np.full(n, _NIL, dtype=np.int64)
-    # The walk itself is performed with a NumPy trick (repeated gather) to
-    # keep pure-Python overhead bounded, but it is *charged* as a sequential
-    # pointer chase: n dependent random accesses.
+    # A Python walk, charged as a sequential pointer chase: n dependent
+    # random accesses.
     node = head
     r = 0
     succ_list = succ.tolist()
-    rank_list = rank.tolist()
+    rank_list = [_NIL] * n
     while node != _NIL:
         if rank_list[node] != _NIL:
             raise InvalidGraphError("list contains a cycle")
@@ -145,6 +145,12 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     2. *sublist ranking* — the list of ``s`` sublists is ranked sequentially
        (it is tiny: ``s ≪ n``);
     3. *offset add* — one map kernel over all ``n`` elements.
+
+    The host writes one ``int64`` word per visit, ``sublist_id << k |
+    local_rank`` with ``k = (n + 1).bit_length()`` (local ranks stay within
+    the round bound ``n + 1``), so the bound is ``k + (num_splitters -
+    1).bit_length() <= 63``: every list of up to 2**31 elements.  A list past
+    it is refused with :class:`InvalidGraphError` before anything is allocated.
     """
     ctx = ensure_context(ctx)
     succ = _validate_list(succ, head)
@@ -155,13 +161,14 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     if num_splitters is None:
         num_splitters = max(1, n // 64)
     num_splitters = int(min(max(num_splitters, 1), n))
+    k = (n + 1).bit_length()
+    if k + (num_splitters - 1).bit_length() > _WORD_BITS:
+        raise InvalidGraphError(f"{num_splitters} sublists of {n} elements overflow a word")
 
-    rng = np.random.default_rng(seed)
-    if num_splitters > 1:
-        candidates = rng.choice(n, size=num_splitters - 1, replace=False)
-        splitters = np.unique(np.concatenate(([head], candidates)))
-    else:
-        splitters = np.asarray([head], dtype=np.int64)
+    candidates = np.random.default_rng(seed).choice(n, num_splitters - 1, replace=False)
+    if not (candidates == head).any():  # distinct: sorted, they are np.unique's
+        candidates = np.append(candidates, head)
+    splitters = np.sort(candidates)
     s = splitters.size
 
     # stop[x]: a walk that reaches x ends there.  x is a splitter or, in the
@@ -171,49 +178,47 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     stop[splitters] = True
     stop[n] = True
 
-    sublist_id = np.full(n, _NIL, dtype=np.int64)
-    # Written wherever sublist_id is, and read only once that has no gap.
-    local_rank = np.empty(n, dtype=np.int64)
-    sublist_len = np.zeros(s, dtype=np.int64)
-    # For sublist i, the id of the sublist that follows it in list order
-    # (or -1 if it ends the list).
-    sublist_next = np.full(s, _NIL, dtype=np.int64)
+    # packed[x] = sublist_id << k | local_rank, -1 where no walk has been.
+    packed = np.full(n, _NIL, dtype=np.int64)
 
     # Phase 1: sublist walk.  On the device this is ONE kernel: every splitter
     # thread walks its own sublist to the next splitter inside the kernel.
     # The NumPy simulation advances the walks still under way one hop per
-    # round (``cur[j]`` is where sublist ``ids[j]`` stands); the cost is
-    # charged once at the end, with the total number of hops as the work and
-    # the longest sublist as the critical path (captured through the per-lane
-    # bytes of the single charged kernel) — neither depends on how many
-    # rounds the host takes.
+    # round (``cur[j]`` is where the walk tagged ``tag[j]`` stands; a tag is
+    # the walk's next word, its low bits the hops taken so far).  A finished
+    # walk leaves its last tag (id and length) and the element it ran into
+    # (a splitter, or -1 past the tail).  The cost is charged once at the
+    # end, with the total number of hops as the work and the longest sublist
+    # as the critical path (captured through the per-lane bytes of the single
+    # charged kernel) — neither depends on how many rounds the host takes.
     cur = splitters
-    ids = np.arange(s)
+    tag = np.arange(s, dtype=np.int64) << k
+    ends, reached = [], []
     step = 0
-    total_hops = 0
-    while ids.size:
-        sublist_id[cur] = ids
-        # A walk under way at round `step` has taken exactly `step` hops from
-        # its own splitter, so the round number is its current element's
-        # local rank within the sublist.
-        local_rank[cur] = step
-        total_hops += int(ids.size)
+    while tag.size:
+        packed[cur] = tag
+        tag += 1
         step += 1
         nxt = succ[cur]
         done = stop[nxt]
         if done.any():
-            finished = ids[done]
-            sublist_len[finished] = step
-            reached = nxt[done]  # splitters, or -1 past the tail
-            hit = splitters.searchsorted(reached)
-            sublist_next[finished] = np.where(reached < 0, _NIL, hit)
+            ends.append(tag[done])
+            reached.append(nxt[done])
             keep = ~done
             cur = nxt[keep]
-            ids = ids[keep]
+            tag = tag[keep]
         else:
             cur = nxt
         if step > n + 1:
             raise InvalidGraphError("sublist walk did not terminate; list is malformed")
+    ends, reached = np.concatenate(ends), np.concatenate(reached)
+    finished = ends >> k
+    sublist_len = np.empty(s, dtype=np.int64)
+    sublist_len[finished] = ends & ((1 << k) - 1)
+    # sublist_next[i]: the sublist after sublist i in list order, -1 after the last.
+    sublist_next = np.empty(s, dtype=np.int64)
+    sublist_next[finished] = np.where(reached < 0, _NIL, splitters.searchsorted(reached))
+    total_hops = int(sublist_len.sum())
     ctx.kernel(
         "weijaja_sublist_walk",
         threads=s,
@@ -225,7 +230,7 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
         random_access=True,
     )
 
-    if int(np.sum(sublist_len)) != n or (sublist_id == _NIL).any():
+    if total_hops != n or (packed == _NIL).any():
         raise InvalidGraphError("not all list elements are reachable from the head")
 
     # Phase 2: rank the sublists by walking the (short) sublist-successor list
@@ -251,18 +256,15 @@ def wei_jaja_rank(succ: np.ndarray, head: int,
     ctx.sequential("weijaja_rank_sublists", ops=float(2 * s),
                    bytes_touched=float(3 * s * 8), random_access=True)
 
-    # Phase 3: add the sublist offsets to the local ranks, in place.
-    local_rank += offsets[sublist_id]
-    ctx.kernel(
-        "weijaja_add_offsets",
-        threads=n,
-        ops=float(n),
-        bytes_read=float(2 * n * 8),
-        bytes_written=float(n * 8),
-        launches=1,
-        random_access=True,
-    )
-    return local_rank
+    # Phase 3: add the sublist offsets.  ``delta[i]`` turns word ``i << k | r``
+    # into rank ``offsets[i] + r``, in place, a tile at a time.
+    delta = offsets - (np.arange(s, dtype=np.int64) << k)
+    for lo in range(0, n, _TILE):
+        part = packed[lo:lo + _TILE]
+        part += delta[part >> k]
+    ctx.kernel("weijaja_add_offsets", threads=n, ops=float(n), bytes_read=float(2 * n * 8),
+               bytes_written=float(n * 8), launches=1, random_access=True)
+    return packed
 
 
 def canonical_rank_method(method: str) -> str:
@@ -291,25 +293,23 @@ def list_rank(succ: np.ndarray, head: int, *, method: str = "wei-jaja",
     return sequential_rank(succ, head, ctx=ctx)
 
 
+def charge_order_from_ranks(ctx: ExecutionContext, n: int) -> None:
+    """Book the scatter that inverts ``n`` ranks without running it."""
+    ctx.kernel("order_from_ranks", threads=max(n, 1), ops=float(n), bytes_read=float(n * 8),
+               bytes_written=float(n * 8), launches=1, random_access=True)
+
+
 def order_from_ranks(ranks: np.ndarray,
                      *, ctx: Optional[ExecutionContext] = None) -> np.ndarray:
     """Invert a rank array: ``order[r]`` is the element with rank ``r``.
 
     This is the scatter that materializes the Euler tour as an array after the
-    single list-ranking call (paper §2.2).
+    single list-ranking call (paper §2.2).  An Euler tour build books it
+    (:func:`charge_order_from_ranks`) and runs it only when the array is read.
     """
-    ctx = ensure_context(ctx)
     ranks = np.asarray(ranks, dtype=np.int64)
     n = ranks.size
     order = np.empty(n, dtype=np.int64)
     order[ranks] = np.arange(n)
-    ctx.kernel(
-        "order_from_ranks",
-        threads=max(n, 1),
-        ops=float(n),
-        bytes_read=float(n * 8),
-        bytes_written=float(n * 8),
-        launches=1,
-        random_access=True,
-    )
+    charge_order_from_ranks(ensure_context(ctx), n)
     return order

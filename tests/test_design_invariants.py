@@ -973,7 +973,7 @@ MODULE_LINES = {
     "lca/reference.py": 85,
     "lca/rmq.py": 136,
     "obs/__init__.py": 41,
-    "obs/events.py": 582,
+    "obs/events.py": 574,
     "obs/export.py": 197,
     "obs/metrics.py": 114,
     "obs/report.py": 604,

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.device import GTX980, ExecutionContext
 from repro.errors import InvalidGraphError, NotATreeError
-from repro.euler import build_euler_tour, build_euler_tour_from_parents
+from repro.euler import (
+    build_euler_tour,
+    build_euler_tour_from_parents,
+    tree_statistics_from_parents,
+)
+from repro.euler import stats as stats_module
 from repro.graphs import EdgeList, parents_to_edgelist
 from repro.graphs.generators import grasp_tree, random_attachment_tree
+from repro.primitives import order_from_ranks
 
 from .conftest import TREE_KINDS, make_tree
 
@@ -99,3 +106,35 @@ class TestValidation:
     def test_single_node_with_bad_parent_rejected(self):
         with pytest.raises(NotATreeError):
             build_euler_tour_from_parents(np.asarray([3]))
+
+
+class TestLazyTourArray:
+    """``EulerTour.tour`` is booked at build time and scattered on first read."""
+
+    def test_an_unread_tour_is_still_booked_after_the_list_ranking(self, gpu_ctx):
+        parents = random_attachment_tree(300, seed=4)
+        tour = build_euler_tour_from_parents(parents, ctx=gpu_ctx)
+        assert "tour" not in vars(tour)
+        *_, ranked, booked = gpu_ctx.records
+        assert ranked.name == "weijaja_add_offsets"
+        reference = ExecutionContext(GTX980, trace=True)
+        order_from_ranks(tour.rank, ctx=reference)
+        assert booked == reference.records[0]
+        assert booked.threads == tour.length
+
+    def test_the_first_read_inverts_the_ranks_once(self):
+        tour = build_euler_tour_from_parents(grasp_tree(200, 5, seed=6))
+        first = tour.tour
+        assert np.array_equal(first, np.argsort(tour.rank))
+        assert tour.tour is first
+
+    def test_tree_statistics_never_materialize_it(self, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(build_euler_tour_from_parents(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(stats_module, "build_euler_tour_from_parents", spy)
+        tree_statistics_from_parents(random_attachment_tree(500, seed=7))
+        assert len(built) == 1 and "tour" not in vars(built[0])

@@ -211,6 +211,27 @@ def test_owned_block_defers_sampling_to_materialization():
     assert eager.table().equals(deferred.table())
 
 
+@pytest.mark.parametrize("sample", [2, 3, 7, 64, 100, 2**40, 2**40 + 1])
+@pytest.mark.parametrize("own", [False, True])
+def test_block_sampling_keeps_exactly_the_tickets_divisible_by_sample(sample, own):
+    # Unordered, repeated and huge tickets: the kept rows are the remainder
+    # predicate's, with their times and details, whichever test computes it.
+    rng = np.random.default_rng(sample)
+    tickets = np.concatenate([rng.integers(0, 2**62, 500), np.arange(300) * 7,
+                              [0, 2**40, 2**40 + 1, 2**62 - 1]])
+    rng.shuffle(tickets)
+    times = rng.random(tickets.size)
+    details = rng.random(tickets.size)
+    rec = TraceRecorder(sample=sample)
+    rec.record_block(EV_COMPLETE, times.copy(), tickets.copy(), detail=details.copy(),
+                     own=own)
+    keep = tickets % sample == 0
+    table = rec.table()
+    assert table.ticket.tolist() == tickets[keep].tolist()
+    assert table.time_s.tolist() == times[keep].tolist()
+    assert table.detail.tolist() == details[keep].tolist()
+
+
 def test_block_copies_caller_arrays_by_default():
     tickets = np.arange(8, dtype=np.int64)
     times = np.zeros(8)

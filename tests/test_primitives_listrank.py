@@ -9,6 +9,7 @@ from repro.errors import InvalidGraphError, NotATreeError
 from repro.euler import build_euler_tour_from_parents
 from repro.primitives import (
     list_rank,
+    listrank,
     order_from_ranks,
     sequential_rank,
     wei_jaja_rank,
@@ -85,6 +86,21 @@ class TestValidation:
         succ = np.asarray([1, -1, 3, -1], dtype=np.int64)
         with pytest.raises(InvalidGraphError):
             algorithm(succ, 0)
+
+    def test_wei_jaja_refuses_a_list_whose_words_overflow(self, monkeypatch):
+        # 20 elements: local ranks take (20 + 1).bit_length() = 5 bits and 20
+        # sublist ids 5 more, so a 9-bit word is one short and 10 fit.
+        succ, head, expected = make_list(20, seed=8)
+        monkeypatch.setattr(listrank, "_WORD_BITS", 10)
+        assert np.array_equal(wei_jaja_rank(succ, head, num_splitters=20), expected)
+        monkeypatch.setattr(listrank, "_WORD_BITS", 9)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the walk started before the refusal")
+
+        monkeypatch.setattr(np.random, "default_rng", no_allocation)
+        with pytest.raises(InvalidGraphError, match="overflow"):
+            wei_jaja_rank(succ, head, num_splitters=20)
 
     def test_cycle_detected_sequential(self):
         succ = np.asarray([1, 2, 0], dtype=np.int64)
