@@ -59,7 +59,7 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class InlabelStructure:
-    """The Schieber–Vishkin tables, packed for the query, and node statistics.
+    """The Schieber–Vishkin tables, packed the way a query reads them.
 
     ``node_word[v]`` is ``ascendant(v) << 32 | inlabel(v)``: ``v``'s inlabel
     (the 1-based inorder number of a node of ``B``) and the bit set of ``B``
@@ -67,19 +67,15 @@ class InlabelStructure:
     is ``depth(v) << 32 | v``: of two nodes on one vertical path, the smaller
     key is the ancestor.  ``head_key[l]`` is the ``node_key`` of the parent of
     path ``l``'s head (its node closest to the root); ``-1`` on unused values
-    and the root's path.  ``parent``, ``preorder`` and ``subtree_size`` are
-    :class:`repro.euler.TreeStats`'; every inlabel fits in ``levels`` bits
-    (``B`` has ``2^levels - 1`` nodes).  ``inlabel``, ``ascendant``, ``depth``
-    and ``head`` are derived on each read, an O(n) array apiece: for tests,
-    never a query.
+    and the root's path.  Every inlabel fits in ``levels`` bits (``B`` has
+    ``2^levels - 1`` nodes).  ``inlabel``, ``ascendant``, ``depth`` and
+    ``head`` are derived on each read, an O(n) array apiece: for tests, never
+    a query.
     """
 
     node_word: np.ndarray
     node_key: np.ndarray
     head_key: np.ndarray
-    parent: np.ndarray
-    preorder: np.ndarray
-    subtree_size: np.ndarray
     root: int
     levels: int
 
@@ -87,12 +83,6 @@ class InlabelStructure:
     def n(self) -> int:
         """Number of tree nodes."""
         return int(self.node_word.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the node tables (sum over all array fields)."""
-        return sum(value.nbytes for value in vars(self).values()
-                   if isinstance(value, np.ndarray))
 
     @property
     def inlabel(self) -> np.ndarray:
@@ -111,21 +101,12 @@ class InlabelStructure:
 
     @property
     def head(self) -> np.ndarray:
-        """Per inlabel value, its path's head node; unused slots are ``-1``."""
-        inlabel = self.inlabel
-        heads = _path_heads(inlabel, self.parent, self.root)
-        head = np.full(self.head_key.size, -1, dtype=np.int64)
-        head[inlabel[heads]] = heads
-        return head
-
-
-def _path_heads(inlabel: np.ndarray, parent: np.ndarray, root: int) -> np.ndarray:
-    """The shallowest node of every inlabel path: the root and every node
-    whose parent is on another path (the root's ``parent == -1`` reads the
-    last node: in bounds, then overruled)."""
-    is_head = inlabel[parent] != inlabel
-    is_head[root] = True
-    return np.flatnonzero(is_head)
+        """Per inlabel value, its path's head node (the member of least
+        ``node_key``: the shallowest); unused slots are ``-1``."""
+        unused = np.iinfo(np.int64).max
+        least = np.full(self.head_key.size, unused, dtype=np.int64)
+        np.minimum.at(least, self.inlabel, self.node_key)
+        return np.where(least == unused, -1, least & 0xFFFFFFFF)
 
 
 def build_inlabel_structure(stats: TreeStats,
@@ -138,17 +119,15 @@ def build_inlabel_structure(stats: TreeStats,
     most ``L = O(log n)`` rounds (the number of distinct inlabels on any
     root-to-node path is at most ``L``).  A tree of ``2**31`` nodes or more
     is refused: its values would not fit the packed tables' 32-bit halves.
+    ``stats`` is read, never written or kept.
     """
     ctx = ensure_context(ctx)
     n = stats.n
     if n >= 1 << 31:
         raise InvalidGraphError(f"{n} nodes do not fit the packed Inlabel tables")
-    # Copies on purpose: the structure owns its tables, and artifact sizes
-    # (hence registry eviction order) count distinct buffers.
-    pre = stats.preorder.astype(np.int64)
-    size = stats.subtree_size.astype(np.int64)
-    parent = stats.parent.astype(np.int64)
-    depth = stats.depth.astype(np.int64)
+    pre = stats.preorder.astype(np.int64, copy=False)
+    size = stats.subtree_size.astype(np.int64, copy=False)
+    parent = stats.parent.astype(np.int64, copy=False)
     root = stats.root
 
     # inlabel(v): the element of [pre(v), pre(v)+size(v)-1] with the most
@@ -166,7 +145,11 @@ def build_inlabel_structure(stats: TreeStats,
 
     # The head table, by inlabel value: first each path head's index in
     # ``heads`` (read back as every node's ``path``), later its parent's key.
-    heads = _path_heads(inlabel, parent, root)
+    # A head is the root or a node whose parent is on another path (the
+    # root's ``parent == -1`` reads the last node: in bounds, then overruled).
+    is_head = inlabel[parent] != inlabel
+    is_head[root] = True
+    heads = np.flatnonzero(is_head)
     num_heads = heads.size
     head_inlabel = inlabel[heads]
     head = np.full(1 << (levels + 1), -1, dtype=np.int64)
@@ -209,17 +192,17 @@ def build_inlabel_structure(stats: TreeStats,
 
     # Packed in place, in the query's layout: ascendant beside inlabel, the
     # node beside its depth, and each path's head slot turned into the key of
-    # the head's parent (the root's path has none).
+    # the head's parent (the root's path has none).  ``depth`` is the one
+    # statistic copied: the copy is packed into ``node_key``.
     bits <<= 32
     node_word = bits[path]
     node_word |= inlabel
-    node_key = depth
+    node_key = stats.depth.astype(np.int64)
     node_key <<= 32
     node_key |= np.arange(n)
     head[head_inlabel] = node_key[head_parent]
     head[inlabel[root]] = -1
-    return InlabelStructure(node_word, node_key, head, parent, pre, size, root,
-                            levels)
+    return InlabelStructure(node_word, node_key, head, root, levels)
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,9 +355,9 @@ def _launch_query(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class InlabelIndex:
     """One tree's tables, built once: each flavour is a view over them that
-    books its own build charge (``from_index``)."""
+    books its own build charge (``from_index``).  The tree statistics they
+    were built from are not kept: no query reads them."""
 
-    stats: TreeStats
     structure: InlabelStructure
     #: The parallel build's kernels.  Their shapes do not depend on the
     #: device, so a replay on any spec books what a build there charges.
@@ -382,10 +365,10 @@ class InlabelIndex:
 
     @property
     def nbytes(self) -> int:
-        """What every view over the index is booked at: the structure's
-        tables and the tree statistics, ``72 n + 8 head_key.size``."""
-        return sum(value.nbytes for part in (self.structure, self.stats)
-                   for value in vars(part).values() if isinstance(value, np.ndarray))
+        """What every view over the index is booked at: the packed tables,
+        ``16 n + 8 head_key.size``."""
+        s = self.structure
+        return s.node_word.nbytes + s.node_key.nbytes + s.head_key.nbytes
 
 
 def build_inlabel_index(parents: np.ndarray, *, validate: bool = False
@@ -393,7 +376,7 @@ def build_inlabel_index(parents: np.ndarray, *, validate: bool = False
     """Build one tree's tables, recording the parallel build's kernels."""
     recorder = ExecutionContext(GTX980, trace=True)
     lca = InlabelLCA(parents, ctx=recorder, validate=validate)
-    return InlabelIndex(lca.stats, lca.structure, tuple(recorder.records))
+    return InlabelIndex(lca.structure, tuple(recorder.records))
 
 
 def charge_sequential_build(n: int, ctx: Optional[ExecutionContext],
@@ -410,7 +393,7 @@ def charge_sequential_build(n: int, ctx: Optional[ExecutionContext],
 def _view(cls: type, index: InlabelIndex) -> Any:
     """A ``cls`` flavour over ``index``'s tables, built and charged nothing."""
     lca = cls.__new__(cls)
-    lca.structure, lca.stats = index.structure, index.stats
+    lca.structure = index.structure
     return lca
 
 
@@ -439,7 +422,6 @@ class InlabelLCA:
                 parents, list_rank_method=list_rank_method, ctx=ctx
             )
             self.structure = build_inlabel_structure(stats, ctx=ctx)
-        self.stats = stats
 
     @classmethod
     def from_index(cls, index: InlabelIndex,
@@ -479,8 +461,7 @@ class SequentialInlabelLCA:
 
     def __init__(self, parents: np.ndarray, *, ctx: Optional[ExecutionContext] = None,
                  validate: bool = False) -> None:
-        index = build_inlabel_index(parents, validate=validate)
-        self.structure, self.stats = index.structure, index.stats
+        self.structure = build_inlabel_index(parents, validate=validate).structure
         charge_sequential_build(self.n, ctx)
 
     @classmethod

@@ -294,9 +294,8 @@ class ClusterService(FrontDoor):
         self._shed = 0
         self.fault_injector = fault_injector
         self._alive: List[bool] = [True] * n_workers
-        self._retired: List[bool] = [False] * n_workers
-        # Replica-second accounting: birth instant per replica id, and the
-        # retirement instant once retired (None while provisioned).
+        # Birth instant per replica id, and the retirement instant once
+        # retired: a replica is retired exactly when it has one.
         self._born_at: List[float] = [self.clock.now] * n_workers
         self._retired_at: List[Optional[float]] = [None] * n_workers
         self._transient: List[int] = [0] * n_workers
@@ -348,7 +347,7 @@ class ClusterService(FrontDoor):
         >>> ClusterService(config=ClusterConfig(n_replicas=4)).n_active
         4
         """
-        return sum(1 for retired in self._retired if not retired)
+        return self._retired_at.count(None)
 
     @property
     def n_live(self) -> int:
@@ -437,7 +436,7 @@ class ClusterService(FrontDoor):
                     f"replica ids {bad} out of range for a "
                     f"{self.n_replicas}-replica cluster"
                 )
-            gone = [i for i in copies if self._retired[i]]
+            gone = [i for i in copies if self._retired_at[i] is not None]
             if gone:
                 raise ServiceError(f"replica ids {gone} are retired")
         else:
@@ -480,7 +479,6 @@ class ClusterService(FrontDoor):
         worker = self._worker()
         self._replicas = self._replicas + (worker,)
         self._alive.append(True)
-        self._retired.append(False)
         self._born_at.append(self.clock.now)
         self._retired_at.append(None)
         self._transient.append(0)
@@ -523,7 +521,7 @@ class ClusterService(FrontDoor):
         r = int_scalar(replica, ServiceError, "replica")
         if not 0 <= r < len(self._replicas):
             raise ServiceError(f"unknown replica {replica}")
-        if self._retired[r]:
+        if self._retired_at[r] is not None:
             raise ServiceError(f"replica {r} is already retired")
         if self.n_active == 1:
             raise ServiceError("cannot retire the last active replica")
@@ -538,7 +536,6 @@ class ClusterService(FrontDoor):
             worker.sync_to(self.clock.now)
             worker.drain()
             self._drain_failed()
-        self._retired[r] = True
         self._alive[r] = False
         self._retired_at[r] = self.clock.now
         for name, copies in list(self._placement.items()):
@@ -631,7 +628,7 @@ class ClusterService(FrontDoor):
             return None
         candidates: List[int] = []
         for r in range(len(self._replicas)):
-            if self._retired[r]:
+            if self._retired_at[r] is not None:
                 continue
             safe = True
             for name, copies in self._placement.items():
@@ -1187,7 +1184,7 @@ class ClusterService(FrontDoor):
 
     def _fault_target(self, event: FaultEvent) -> int:
         r = event.replica
-        if not 0 <= r < len(self._replicas) or self._retired[r]:
+        if not 0 <= r < len(self._replicas) or self._retired_at[r] is not None:
             raise ServiceError(
                 f"fault event {event.action!r} targets unknown or retired "
                 f"replica {r}"
@@ -1287,7 +1284,7 @@ class ClusterService(FrontDoor):
 
     def _hash_place(self, name: str, replicas: int) -> Tuple[int, ...]:
         """``name``'s first ``replicas`` (``0``: all) active replicas by rank."""
-        active = [r for r, retired in enumerate(self._retired) if not retired]
+        active = [r for r, end in enumerate(self._retired_at) if end is None]
         return rendezvous(name, active, replicas or len(active))
 
     def _replace_hashed_datasets(self) -> None:

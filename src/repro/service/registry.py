@@ -77,8 +77,8 @@ class CacheEntry:
 
     key: ArtifactKey
     artifact: Any
-    #: The modeled size of a view: its host index's bytes
-    #: (:attr:`InlabelIndex.nbytes <repro.lca.InlabelIndex.nbytes>`).
+    #: The modeled size of a view: its host index's packed tables,
+    #: :attr:`InlabelIndex.nbytes <repro.lca.InlabelIndex.nbytes>`.
     nbytes: int
     build_time_s: float
     #: The host index the artifact views, kept alive while the entry is cached.
@@ -260,13 +260,13 @@ class IndexRegistry:
             self.credit_hits(entry, 1)
             return entry, True
 
-        self._misses += 1
         if spec is None:
             raise ServiceError(
                 f"artifact {key} is not cached and no device spec was given "
                 f"to build it"
             )
         entry = self._build(key, ctx if ctx is not None else ExecutionContext(spec))
+        self._misses += 1  # a refused fetch builds nothing, so counts nothing
         self._cache[key] = entry
         self._bytes_in_use += entry.nbytes
         self._build_time_s += entry.build_time_s

@@ -968,7 +968,7 @@ MODULE_LINES = {
     "lca/artifacts.py": 65,
     "lca/batch.py": 125,
     "lca/dedup.py": 194,
-    "lca/inlabel.py": 501,
+    "lca/inlabel.py": 482,
     "lca/naive.py": 184,
     "lca/reference.py": 85,
     "lca/rmq.py": 136,
@@ -987,7 +987,7 @@ MODULE_LINES = {
     "service/__init__.py": 136,
     "service/cache.py": 467,
     "service/clock.py": 106,
-    "service/cluster.py": 1310,
+    "service/cluster.py": 1307,
     "service/config.py": 204,
     "service/dispatch.py": 303,
     "service/faults.py": 156,

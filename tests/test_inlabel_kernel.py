@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.lca.artifacts import ARTIFACT_BUILDERS
 from repro.device import GTX980, ExecutionContext
 from repro.errors import InvalidGraphError, InvalidQueryError
+from repro.euler import tree_statistics_from_parents
 from repro.graphs import depths_from_parents
 from repro.lca import (
     PACK_LIMIT,
@@ -540,11 +541,11 @@ class TestLogTable:
             table[1] = 7
 
     def test_stays_out_of_the_artifact(self):
-        """The artifact is its tables alone, 72 * n + 8 * head_key.size."""
+        """The artifact is its tables alone, 16 * n + 8 * head_key.size."""
         lca = InlabelLCA(make_tree("shallow", 1000, seed=7))
         lca.query(np.arange(10), np.arange(10)[::-1])  # table now exists
-        assert sorted(vars(lca)) == ["stats", "structure"]
-        assert InlabelIndex(lca.stats, lca.structure, ()).nbytes == 88384
+        assert sorted(vars(lca)) == ["structure"]
+        assert InlabelIndex(lca.structure, ()).nbytes == 16 * 1000 + 8 * 2048
 
 
 class TestPackedTables:
@@ -555,25 +556,38 @@ class TestPackedTables:
 
     @pytest.mark.parametrize("kind", ["path", "star", "shallow"])
     def test_artifact_bytes_are_the_packed_tables(self, kind):
-        """Five ``n``-word tables and ``head_key``, plus the tree statistics
-        (four ``n``-word tables): every variant's entry books the index."""
+        """Two ``n``-word tables and ``head_key``, nothing else: every
+        variant's entry books the index, and no view keeps more."""
         store = ForestStore()
         store.add_tree("t", self.TREES[kind])
         index = store.index("t")
         structure = index.structure
         n, slots = structure.n, structure.head_key.size
-        assert structure.nbytes == 40 * n + 8 * slots
-        assert {name for name, value in vars(structure).items()
-                if isinstance(value, np.ndarray)} == {
-            "node_word", "node_key", "head_key", "parent", "preorder", "subtree_size"}
-        assert sum(value.nbytes for value in vars(index.stats).values()
-                   if isinstance(value, np.ndarray)) == 32 * n
+        assert sorted(vars(structure)) == [
+            "head_key", "levels", "node_key", "node_word", "root"]
+        assert sorted(vars(index)) == ["kernels", "structure"]
         registry = IndexRegistry(store)
         for variant in ARTIFACT_BUILDERS:
             key = ArtifactKey("t", "lca", GTX980.name, variant)
             entry = registry.fetch_by_key(key, spec=GTX980)[0]
-            assert entry.nbytes == 72 * n + 8 * slots, variant
+            assert entry.nbytes == index.nbytes == 16 * n + 8 * slots, variant
             assert entry.artifact.structure is structure, variant
+            assert sorted(vars(entry.artifact)) == ["structure"], variant
+
+    @pytest.mark.parametrize("kind", ["path", "star", "shallow"])
+    def test_the_build_reads_the_statistics_and_keeps_none(self, kind):
+        """``build_inlabel_structure`` writes nothing into the statistics it
+        is given, and no table it returns shares their memory."""
+        stats = tree_statistics_from_parents(self.TREES[kind])
+        fields = ("parent", "depth", "preorder", "subtree_size")
+        before = {name: getattr(stats, name).copy() for name in fields}
+        structure = build_inlabel_structure(stats)
+        for name in fields:
+            given = getattr(stats, name)
+            assert given.tobytes() == before[name].tobytes(), name
+            for table in (structure.node_word, structure.node_key,
+                          structure.head_key):
+                assert not np.shares_memory(table, given), name
 
     @pytest.mark.parametrize("kind", sorted(TREES))
     def test_the_words_pack_the_tables(self, kind):

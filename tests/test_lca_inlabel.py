@@ -25,17 +25,17 @@ from .test_inlabel_kernel import all_parent_arrays, caterpillar, complete_binary
 IMPLEMENTATIONS = [InlabelLCA, SequentialInlabelLCA]
 
 
-def tables_from_the_definitions(structure):
+def tables_from_the_definitions(stats, slots):
     """``(inlabel, head, ascendant, hops)`` by brute force, from the preorder
     numbers and subtree sizes alone: ``hops`` is what the device's ascendant
     walk is charged for, one hop per inlabel path above each node's own."""
-    parent = structure.parent.tolist()
+    parent = stats.parent.tolist()
     n = len(parent)
     inlabel = []
-    for pre, size in zip(structure.preorder.tolist(), structure.subtree_size.tolist()):
+    for pre, size in zip(stats.preorder.tolist(), stats.subtree_size.tolist()):
         interval = range(pre, pre + size)
         inlabel.append(max(interval, key=lambda value: value & -value))
-    head = [-1] * structure.head.size
+    head = [-1] * slots
     ascendant, hops = [], 0
     for v in range(n):
         levels, paths, a = 0, set(), v
@@ -53,7 +53,8 @@ def tables_from_the_definitions(structure):
 def assert_tables_match_the_definitions(parents):
     ctx = ExecutionContext(GTX980, trace=True)
     structure = InlabelLCA(parents, ctx=ctx).structure
-    inlabel, head, ascendant, hops = tables_from_the_definitions(structure)
+    inlabel, head, ascendant, hops = tables_from_the_definitions(
+        tree_statistics_from_parents(parents), structure.head_key.size)
     assert structure.inlabel.tolist() == inlabel
     assert structure.head.tolist() == head
     assert structure.ascendant.tolist() == ascendant

@@ -197,18 +197,46 @@ def test_only_lca_indexes_are_built(kind):
     assert len(registry) == 0 and registry.bytes_in_use == 0
 
 
+#: Fetches the registry refuses, each with the message it raises.
+REFUSED_FETCHES = {
+    "no spec": (ArtifactKey("a", "lca", GTX980.name, "parallel"), None,
+                "no device spec"),
+    "unknown kind": (ArtifactKey("a", "tour", GTX980.name, "parallel"), GTX980,
+                     "unknown artifact kind"),
+    "unknown variant": (ArtifactKey("a", "lca", GTX980.name, "fastest"), GTX980,
+                        "unknown artifact variant"),
+    "unknown dataset": (ArtifactKey("b", "lca", GTX980.name, "parallel"), GTX980,
+                        "unknown tree dataset"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSED_FETCHES))
+def test_a_refused_fetch_counts_no_miss(refusal):
+    """A miss is a build: a fetch refused before building anything moves no
+    counter and caches nothing, however often it is repeated."""
+    key, spec, message = REFUSED_FETCHES[refusal]
+    registry = IndexRegistry(make_store("a"))
+    for _ in range(4):
+        with pytest.raises(ServiceError, match=message):
+            registry.fetch_by_key(key, spec=spec)
+    assert (registry.hits, registry.misses, registry.evictions) == (0, 0, 0)
+    assert len(registry) == 0 and registry.bytes_in_use == 0
+    assert registry.build_time_s == 0.0
+
+
 # ----------------------------------------------------------------------
 # Byte accounting
 # ----------------------------------------------------------------------
 
 def test_artifact_nbytes_matches_structure_accounting():
+    """An entry books the packed tables the query reads, and nothing else."""
     registry = IndexRegistry(make_store("a", n=512))
     entry, _ = registry.fetch("a", "lca", GTX980)
-    index = registry.store.index("a")
-    stats_bytes = sum(value.nbytes for value in vars(index.stats).values()
-                      if isinstance(value, np.ndarray))
-    assert index.nbytes == index.structure.nbytes + stats_bytes
-    assert entry.nbytes == index.nbytes == registry.bytes_in_use
+    structure = registry.store.index("a").structure
+    assert entry.nbytes == registry.bytes_in_use == sum(
+        table.nbytes for table in (structure.node_word, structure.node_key,
+                                   structure.head_key))
+    assert entry.nbytes == 16 * 512 + 8 * structure.head_key.size
 
 
 def test_artifact_nbytes_resolves_views_to_their_base():
@@ -368,7 +396,7 @@ def test_a_view_is_charged_and_sized_as_its_own_build(make, variant, spec, first
     reference = ExecutionContext(spec, trace=True)
     built = direct_build(variant, parents, reference)
     assert not hit
-    assert entry.nbytes == InlabelIndex(built.stats, built.structure, ()).nbytes
+    assert entry.nbytes == InlabelIndex(built.structure, ()).nbytes
     assert entry.build_time_s == reference.elapsed == ctx.elapsed
     assert ctx.breakdown() == reference.breakdown()
     assert list(ctx.breakdown()) == ["preprocessing"]

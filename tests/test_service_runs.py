@@ -857,7 +857,7 @@ def test_property_cached_spans_equal_one_batch_runs(cache, capacity, traced, two
 @pytest.mark.parametrize("seed", range(3))
 def test_a_hedged_evicting_cluster_traces_like_one_batch_runs(seed):
     """Three replicas round robin, one slowed 200×, a 10 µs hedge delay, a
-    400 kB registry (two trees' artifacts need 640 kB): hedges, index loads and
+    400 kB registry (two trees' artifacts need 295 kB): hedges, index loads and
     evictions fall inside multi-batch bookings, which record them before their
     batches' events.  The canonical trace (labels and all) and the cluster's
     stats are those of one-batch runs on every worker."""
@@ -909,7 +909,7 @@ def test_dispatch_and_registry_bookkeeping_stay_per_batch(case):
                     "small": random_attachment_tree(512, seed=8)}
         blocks = poisson_stream(datasets, ((400_000.0, 0.015),), seed=9)
         knobs = {"max_batch_size": 64, "max_wait_s": 2e-4,
-                 "capacity_bytes": 600_000}
+                 "capacity_bytes": 300_000}
 
     # The spec does not model evictions: with a capacity, what spans must
     # keep of them is test_property_cached_spans_equal_one_batch_runs's.
