@@ -7,9 +7,14 @@ the layer benchmark (262,144 nodes, shallow) at six batch sizes:
 * **41**        — a micro-batch of ``serve-columnar`` (launch-bound: the cost
   is ~20 NumPy calls, not bytes);
 * **1,024** and **65,536** — the small and middle points of the Fig. 6 sweep;
-  65,536 lanes is exactly one tile of the kernel's driver;
-* **262,144**, **1,048,576**, **4,194,304** — 4, 16 and 64 tiles: past the
+  65,536 lanes is two tiles of the kernel's driver, the fewest that its
+  threads share;
+* **262,144**, **1,048,576**, **4,194,304** — 8, 32 and 128 tiles: past the
   tile width the curve should stay flat, the way the paper's GPU curve does.
+
+Tiles run side by side on one thread per core of the process's affinity
+mask, so compare commits on the same mask (``taskset -c 0`` times the
+one-thread loop).
 
 Per size it reports the median and minimum ns per query over distinct windows
 of one uniform query stream, and, for the largest call, how far it lifts the
@@ -50,6 +55,7 @@ from repro.graphs.generators import random_attachment_tree
 from repro.graphs.trees import generate_random_queries
 from repro.lca import BinaryLiftingLCA, InlabelLCA
 from repro.lca.inlabel import _TILE_LANES as TILE  # the kernel's tile width
+from repro.lca.inlabel import _WORKERS  # threads that share a batch's tiles
 
 from bench_util import RESULTS_DIR
 
@@ -109,7 +115,7 @@ def time_size(lca: InlabelLCA, xs: np.ndarray, ys: np.ndarray, size: int,
 def render_table(nodes: int, rows, rss_rise_mib: Optional[float]) -> str:
     lines = [
         "Inlabel query kernel: host ns per query of InlabelLCA.query, "
-        f"{nodes:,}-node shallow tree, tile {TILE:,} lanes",
+        f"{nodes:,}-node shallow tree, tile {TILE:,} lanes, {_WORKERS} worker(s)",
         "",
         f"{'lanes':>10} {'tiles':>6} {'median ns/q':>12} {'min ns/q':>10} "
         f"{'median us/call':>15} {'calls':>6}",

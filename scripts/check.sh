@@ -38,6 +38,7 @@ leg mypy "mypy src/repro/boundary.py src/repro/service src/repro/workloads src/r
 
 # --- test -------------------------------------------------------------------
 leg python "python -m pytest -x -q"
+leg taskset "taskset -c 0 python -m pytest -q tests/test_inlabel_kernel.py"
 leg python "python examples/quickstart.py"
 leg python "python examples/lca_query_service.py"
 leg python "python examples/lca_cluster.py"

@@ -25,8 +25,9 @@ and makes each flavour a view over them.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from ..errors import InvalidGraphError, InvalidQueryError
 from ..euler import TreeStats, tree_statistics_from_parents
 from ..graphs.trees import validate_parents
 from ..primitives import elementwise
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "InlabelStructure",
@@ -221,16 +225,24 @@ def _ilog2_table(size: int) -> np.ndarray:
 
 
 #: Lanes per tile of :func:`_query_inlabel`.  A tile's ~14 temporaries are
-#: 0.5-1 MiB each at this width, which the allocator hands back cache-warm
+#: 0.25-0.5 MiB each at this width, which the allocator hands back cache-warm
 #: tile after tile, while the tile's ~27 NumPy launches (~25 us) are noise
-#: beside ~3 ms of work.  Median ns/query of one 1,048,576-lane call on the
-#: 262,144-node shallow tree, by tile width (two interleaved sweeps of 12 on
-#: a 2-vCPU Xeon VM): 8,192: 61-65; 16,384: 57-59; 32,768: 55-57; 65,536:
-#: 53-54; 131,072: 53-56; 262,144: 66-70; untiled: 121-132.  Flat from 65,536
-#: to 131,072, so the width is the widest batch the untiled kernel already
-#: ran at full speed: a batch that fits keeps its launches.  Measured, not
-#: tunable.
-_TILE_LANES = 1 << 16
+#: beside ~1.5 ms of work.  Tiles are also the unit that threads share, so
+#: the width was swept with 1 and 2 workers (median ns/query over 11
+#: interleaved rounds of 4,194,304 queries on the 262,144-node shallow tree,
+#: 2-vCPU Xeon VM; 1 / 2 workers, batches of 65,536 and of 1,048,576 lanes):
+#: 16,384: 43 / 31 and 41 / 25; 32,768: 40 / 27 and 40 / 22; 65,536: 57 / 57
+#: and 41 / 23.  32,768 is the widest tile that splits a 65,536-lane batch,
+#: and no wider batch pays for it.  (One thread at 1,048,576 lanes, earlier:
+#: 8,192: 61-65; 131,072: 53-56; 262,144: 66-70; untiled: 121-132.)
+#: Measured, not tunable.
+_TILE_LANES = 1 << 15
+
+#: Threads that take tiles of one batch: the caller and ``_WORKERS - 1``
+#: helpers, one per core this process may run on, as a GPU runs a batch's
+#: blocks on all of its multiprocessors.  NumPy releases the GIL in a tile's
+#: gathers and ALU passes.  Derived from the affinity mask, not tunable.
+_WORKERS = len(os.sched_getaffinity(0))
 
 
 def _query_tile(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
@@ -282,6 +294,21 @@ def _query_tile(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _helpers() -> ThreadPoolExecutor:
+    """The ``_WORKERS - 1`` helper threads, made by the first batch of more
+    than one tile.  A forked child has none of its parent's threads, so it
+    forgets the pool (``register_at_fork`` below) and makes its own.  Imported
+    here, so a process that never shares tiles pays no ``concurrent.futures``
+    (and ``logging``) import: ~7 ms and ~0.9 MiB."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="inlabel-tiles")
+
+
+os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
 def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
                    ) -> np.ndarray:
     """Vectorized constant-time LCA queries against an Inlabel structure.
@@ -289,9 +316,12 @@ def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     Pure computation (no cost accounting); both execution flavours wrap this.
     The batch runs the way a GPU runs it, as tiles of :data:`_TILE_LANES`
     lanes through :func:`_query_tile`, so the working set is one tile's
-    temporaries whatever the batch size; a wider batch is one call per tile
-    into an output allocated once, returned only if every tile passed its
-    bounds check.
+    temporaries per thread whatever the batch size.  A batch of one tile is
+    one call on the calling thread.  A wider one is shared: the caller and up
+    to ``_WORKERS - 1`` helpers take tile starts from one iterator, each tile
+    written into its own slice of an output allocated once.  The caller waits
+    for every helper before it returns or raises, and the output is returned
+    only if every tile passed its bounds check.
     """
     xs, ys = query_columns(xs, ys)
     size = xs.size
@@ -300,9 +330,24 @@ def _query_inlabel(structure: InlabelStructure, xs: np.ndarray, ys: np.ndarray
     if size <= _TILE_LANES:
         return _query_tile(structure, xs, ys)
     out = np.empty(size, dtype=np.int64)
-    for lo in range(0, size, _TILE_LANES):
-        hi = lo + _TILE_LANES  # slices stop at the end: the last tile is the rest
-        out[lo:hi] = _query_tile(structure, xs[lo:hi], ys[lo:hi])
+    # One iterator for every thread: ``next`` on a range iterator is one C
+    # call under the GIL, so each start is taken exactly once.
+    starts = iter(range(0, size, _TILE_LANES))
+
+    def take_tiles() -> None:
+        for lo in starts:
+            hi = lo + _TILE_LANES  # slices stop at the end: the last tile is the rest
+            out[lo:hi] = _query_tile(structure, xs[lo:hi], ys[lo:hi])
+
+    tiles = -(-size // _TILE_LANES)
+    helping = [_helpers().submit(take_tiles) for _ in range(min(_WORKERS, tiles) - 1)]
+    try:
+        take_tiles()
+    finally:
+        errors = [helper.exception() for helper in helping]  # waits for each
+    for error in errors:
+        if error is not None:
+            raise error
     return out
 
 

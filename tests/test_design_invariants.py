@@ -604,6 +604,51 @@ def test_one_schieber_vishkin_body_in_the_query_kernel():
     assert derived_reads(tile) == []
 
 
+#: Modules that start, join or hand work to threads.
+THREAD_MODULES = frozenset({"threading", "_thread", "concurrent"})
+
+
+def imports_threads(tree):
+    """The thread modules ``tree`` imports, in any import form."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+    return {name for name in found if name.split(".")[0] in THREAD_MODULES}
+
+
+def test_the_thread_rule_sees_every_import_form():
+    tree = ast.parse("import threading\n"
+                     "from concurrent.futures import wait\n"
+                     "import concurrent.futures as cf\n"
+                     "from _thread import start_new_thread\n"
+                     "import os\n")
+    assert imports_threads(tree) == {"threading", "concurrent.futures", "_thread"}
+
+
+def test_only_the_query_kernel_runs_threads():
+    """Helper threads live in one place: the Inlabel kernel shares a wide
+    batch's tiles with them.  What it hands the pool calls ``_query_tile``
+    and nothing the layer tracer wraps: the tracer keeps one single-threaded
+    event list, so a helper's time must show up as the caller's
+    ``InlabelLCA.query`` self time, never as a span from another thread."""
+    found = {str(file.relative_to(SRC))
+             for file, tree in trees_under(SRC) if imports_threads(tree)}
+    assert found == {"lca/inlabel.py"}
+    tree = parsed(SRC / "lca" / "inlabel.py")
+    handed = [dotted(call.args[0])
+              for call in calls(tree, lambda name: name.split(".")[-1] == "submit")]
+    assert handed == ["take_tiles"]
+    body, = (node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == handed[0])
+    called = {dotted(call.func) for call in calls(body, lambda name: True)}
+    assert called == {"_query_tile"}
+    traced = {qualname.split(".")[-1] for _, qualname in traced_targets()}
+    assert not called & traced
+
+
 # ----------------------------------------------------------------------
 # Per-ticket state has one owner; the serving package only shrinks
 # ----------------------------------------------------------------------
@@ -916,7 +961,10 @@ def test_the_cluster_reads_its_knobs_from_its_config():
 #: and ``service/scheduler.py``'s ``Cuts.__eq__`` compares rows by value.
 #: Raised again when ``smallbatch`` became a view: ``lca/inlabel.py`` gained
 #: ``InlabelIndex.nbytes``, what every registry entry books, which replaced
-#: the registry's recursive byte walker and the scalar kernel.
+#: the registry's recursive byte walker and the scalar kernel.  Raised by
+#: tiles side by side: ``lca/inlabel.py`` holds ``_WORKERS``, the helper pool
+#: with its fork reset and the tile loop the caller shares with the helpers
+#: (the width sweep behind ``_TILE_LANES`` is in its comment).
 MODULE_LINES = {
     "__init__.py": 203,
     "backends/__init__.py": 33,
@@ -968,7 +1016,7 @@ MODULE_LINES = {
     "lca/artifacts.py": 65,
     "lca/batch.py": 125,
     "lca/dedup.py": 194,
-    "lca/inlabel.py": 482,
+    "lca/inlabel.py": 527,
     "lca/naive.py": 184,
     "lca/reference.py": 85,
     "lca/rmq.py": 136,

@@ -10,6 +10,14 @@ longer fires, and the shared log table showing up where it must not.
 
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,11 +219,47 @@ def tile_lanes(width):
         yield
 
 
+@contextlib.contextmanager
+def workers(count):
+    """The kernel's tiles shared by ``count`` threads for the block (the
+    caller and ``count - 1`` helpers), whatever the affinity mask holds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inlabel_module, "_WORKERS", count)
+        yield
+
+
+#: Both paths of a batch wider than a tile: today's loop on the caller alone,
+#: and tiles shared with a helper thread.
+ON_BOTH_PATHS = pytest.mark.parametrize("count", [1, 2], ids=["1-worker", "2-workers"])
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter on this checkout; a minute at most."""
+    env = dict(os.environ, PYTHONPATH=str(Path(inlabel_module.__file__).parents[2]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """Helper threads that keep every future they hand out."""
+
+    def __init__(self, threads=1):
+        super().__init__(threads)
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
 class TestTiles:
     """A batch wider than one tile: the same answers, errors, shapes and charge.
 
     Most cases shrink the tile to 8 lanes so that small batches cross several
     boundaries; ``test_sizes_around_the_boundary`` also runs at the real width.
+    The answer and error cases run with one worker and with two.
     """
 
     TREES = {kind: make_tree(kind, 300, seed=21)
@@ -227,57 +271,194 @@ class TestTiles:
         return rng.integers(0, 300, size=size), rng.integers(0, 300, size=size)
 
     def test_width_is_a_private_constant(self):
-        assert inlabel_module._TILE_LANES == 65_536
+        assert inlabel_module._TILE_LANES == 32_768
         assert "_TILE_LANES" not in inlabel_module.__all__
 
+    def test_workers_are_the_affinity_mask(self):
+        """One thread per core this process may run on: under ``taskset -c 0``
+        the kernel is the caller alone."""
+        assert inlabel_module._WORKERS == len(os.sched_getaffinity(0))
+        assert "_WORKERS" not in inlabel_module.__all__
+
+    @ON_BOTH_PATHS
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_every_tree_every_pair_across_tiles(self, n):
+    def test_every_tree_every_pair_across_tiles(self, n, count):
         """The exhaustive check again, n^2 pairs cut into tiles of 3 lanes."""
-        with tile_lanes(3):
+        with tile_lanes(3), workers(count):
             for parents in all_parent_arrays(n):
                 assert_all_pairs_match_reference(parents)
 
+    @ON_BOTH_PATHS
     @given(tree_and_batch(), st.integers(1, 9))
     @settings(max_examples=100, deadline=None)
-    def test_any_width_gives_the_one_tile_answer(self, case, width):
+    def test_any_width_gives_the_one_tile_answer(self, count, case, width):
         parents, xs, ys = case
         lca = InlabelLCA(parents)
         whole = _query_tile(lca.structure, xs, ys)
-        with tile_lanes(width):
+        with tile_lanes(width), workers(count):
             tiled = lca.query(xs, ys)
         assert tiled.dtype == np.int64 and tiled.shape == whole.shape
         assert np.array_equal(tiled, whole)
         assert np.array_equal(tiled, BinaryLiftingLCA(parents).query(xs, ys))
 
+    @ON_BOTH_PATHS
     @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
     @pytest.mark.parametrize("kind", sorted(TREES))
-    @pytest.mark.parametrize("width", [8, 65_536])
-    def test_sizes_around_the_boundary(self, impl, kind, width):
+    @pytest.mark.parametrize("width", [8, inlabel_module._TILE_LANES])
+    def test_sizes_around_the_boundary(self, impl, kind, width, count):
         """T-1, T, T+1 and 3T+7 lanes agree lane for lane with one tile."""
         parents = self.TREES[kind]
         lca = impl(parents)
         xs, ys = self.batch(3 * width + 7)
         whole = _query_tile(lca.structure, xs, ys)
         assert np.array_equal(whole, BinaryLiftingLCA(parents).query(xs, ys))
-        with tile_lanes(width):
+        with tile_lanes(width), workers(count):
             for size in (width - 1, width, width + 1, 3 * width + 7):
                 out = lca.query(xs[:size], ys[:size])
                 assert out.shape == (size,)
                 assert np.array_equal(out, whole[:size])
 
+    @ON_BOTH_PATHS
     @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
     @pytest.mark.parametrize("bad", [-1, 300, -(2**62), 2**62])
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("position", [0, 5, 8, 19, 24, 30])
-    def test_out_of_range_in_any_tile_books_nothing(self, impl, bad, column, position):
+    def test_out_of_range_in_any_tile_books_nothing(self, impl, bad, column, position,
+                                                    count):
         """First, middle and last (remainder) tile; first and last lane of one."""
         lca = impl(self.TREES["shallow"])
         cols = list(self.batch(31))
         cols[column][position] = bad
         ctx = ExecutionContext(GTX980, trace=True)
-        with tile_lanes(8), pytest.raises(InvalidQueryError, match="out of range"):
-            lca.query(*cols, ctx=ctx)
+        with tile_lanes(8), workers(count):
+            with pytest.raises(InvalidQueryError, match="out of range"):
+                lca.query(*cols, ctx=ctx)
         assert ctx.records == [] and ctx.elapsed == 0.0 and ctx.breakdown() == {}
+
+    @pytest.mark.parametrize("slow", ["caller", "helper"])
+    def test_a_bad_last_tile_raises_after_every_helper_has_finished(self, slow):
+        """Whichever thread meets the bad lane, the call raises only once every
+        tile has run and no helper is left running, and books nothing.  The
+        other thread is slowed down, so it is still inside a tile when the
+        bad one fails."""
+        lca = InlabelLCA(self.TREES["deep"])
+        xs, ys = self.batch(8 * 12)
+        xs[-1] = 300
+        pool = RecordingPool()
+        finished = []
+
+        def paced_tile(structure, xs, ys):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (slow == "caller"):
+                time.sleep(0.01)
+            try:
+                return _query_tile(structure, xs, ys)
+            finally:
+                finished.append(on_caller)
+
+        ctx = ExecutionContext(GTX980, trace=True)
+        with pytest.MonkeyPatch.context() as patch, tile_lanes(8), workers(2):
+            patch.setattr(inlabel_module, "_helpers", lambda: pool)
+            patch.setattr(inlabel_module, "_query_tile", paced_tile)
+            with pytest.raises(InvalidQueryError, match="out of range"):
+                lca.query(xs, ys, ctx=ctx)
+            tiles_when_raised = len(finished)
+        pool.shutdown()
+        assert len(pool.futures) == 1 and pool.futures[0].done()
+        assert len(finished) == tiles_when_raised == 12
+        assert ctx.records == [] and ctx.elapsed == 0.0 and ctx.breakdown() == {}
+
+    def test_more_threads_than_cores_run_every_tile_once(self):
+        """Four threads on 3-lane tiles with a short switch interval: a start
+        taken twice or lost would show as a tile count or an answer off."""
+        parents = self.TREES["path"]
+        lca = InlabelLCA(parents)
+        xs, ys = self.batch(3 * 500 + 2)
+        pool = RecordingPool(3)
+        lanes = []
+
+        def counted_tile(structure, xs, ys):
+            lanes.append(xs.size)
+            return _query_tile(structure, xs, ys)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as patch, tile_lanes(3), workers(4):
+                patch.setattr(inlabel_module, "_helpers", lambda: pool)
+                patch.setattr(inlabel_module, "_query_tile", counted_tile)
+                out = lca.query(xs, ys)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert len(pool.futures) == 3 and all(f.done() for f in pool.futures)
+        assert sorted(lanes) == [2] + [3] * 500
+        assert np.array_equal(out, BinaryLiftingLCA(parents).query(xs, ys))
+
+    def test_one_worker_starts_no_thread(self):
+        """With one core in the mask a batch of many tiles is today's loop on
+        the caller: no pool is asked for and no thread starts."""
+        parents = self.TREES["shallow"]
+        lca = InlabelLCA(parents)
+        xs, ys = self.batch(8 * 40 + 3)
+
+        def no_pool():
+            raise AssertionError("a one-worker kernel asked for helpers")
+
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as patch, tile_lanes(8), workers(1):
+            patch.setattr(inlabel_module, "_helpers", no_pool)
+            out = lca.query(xs, ys)
+        assert threading.active_count() == threads
+        assert np.array_equal(out, BinaryLiftingLCA(parents).query(xs, ys))
+
+    def test_a_process_that_shares_no_tile_imports_no_executor(self):
+        """Serving batches are one tile each: a process that only makes those
+        never imports ``concurrent.futures`` (nor the ``logging`` it pulls in)."""
+        script = textwrap.dedent("""\
+            import sys
+            import repro.service
+            from repro.lca import InlabelLCA, inlabel
+
+            lca = InlabelLCA([-1, 0, 0, 1])
+            assert lca.query([3, 2], [2, 1]).tolist() == [0, 0]
+            width = inlabel._TILE_LANES
+            assert lca.query([3] * width, [1] * width).tolist() == [1] * width
+            assert "concurrent.futures" not in sys.modules
+            """)
+        run_python(script)
+
+    def test_a_forked_child_makes_its_own_helpers(self):
+        """A child has none of its parent's threads: a multi-tile query there
+        must not queue tiles for the parent's helper, which would never run
+        them.  The child answers, checks and exits; a hang is killed by an
+        alarm and read as a failed exit status."""
+        script = textwrap.dedent("""\
+            import os
+            import signal
+            import numpy as np
+            from repro.graphs.generators import random_attachment_tree
+            from repro.lca import BinaryLiftingLCA, InlabelLCA
+            from repro.lca import inlabel
+
+            inlabel._TILE_LANES, inlabel._WORKERS = 8, 2
+            parents = random_attachment_tree(300, seed=4)
+            lca, oracle = InlabelLCA(parents), BinaryLiftingLCA(parents)
+            xs, ys = np.random.default_rng(5).integers(0, 300, size=(2, 203))
+            assert np.array_equal(lca.query(xs, ys), oracle.query(xs, ys))
+            assert inlabel._helpers.cache_info().currsize == 1
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)  # a hung child is ended, not left behind
+                ok = False
+                try:
+                    ok = np.array_equal(lca.query(xs, ys), oracle.query(xs, ys))
+                finally:
+                    os._exit(0 if ok else 1)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0, status
+            """)
+        run_python(script)
 
     def test_non_integer_ids_are_refused_before_the_first_tile(self):
         xs, ys = self.batch(31)
